@@ -290,7 +290,10 @@ struct Scope {
     /// A crate root: `src/lib.rs`, `src/main.rs`, `src/bin/*.rs`, or an
     /// `examples/*.rs` target.
     crate_root: bool,
-    /// Under a `tests/` or `benches/` directory (integration tests).
+    /// Measurement code, whose job is reading wall clocks: under a
+    /// `tests/` or `benches/` directory, or in the `benchmark/` harness.
+    /// Exempt from `clock-discipline` only — `unsafe-confinement` still
+    /// applies.
     test_code: bool,
 }
 
@@ -304,7 +307,8 @@ fn scope_of(rel: &str) -> Scope {
             .windows(2)
             .any(|w| w == ["src", "bin"] || w[0] == "examples")
             && rel.ends_with(".rs");
-    let test_code = parts.iter().any(|p| *p == "tests" || *p == "benches");
+    let test_code =
+        rel.starts_with("benchmark/") || parts.iter().any(|p| *p == "tests" || *p == "benches");
     Scope {
         reactor,
         telemetry,
@@ -895,6 +899,7 @@ fn hot() {
             ("crates/serve/src/ok.rs", allowed),
             ("crates/serve/src/unit.rs", in_test_mod),
             ("crates/serve/tests/reactor.rs", clock),
+            ("benchmark/src/client.rs", clock),
             ("crates/telemetry/src/clock.rs", clock),
         ]);
         assert_eq!(d.len(), 1, "{d:?}");

@@ -65,6 +65,20 @@ fn clock_discipline_fixture_reports_the_instant() {
     );
 }
 
+/// The `benchmark/` harness is measurement code: scoped like `benches/`
+/// for `clock-discipline` (its `Instant::now` on line 9 is silent) while
+/// `unsafe-confinement` still applies to it.
+#[test]
+fn benchmark_scope_fixture_exempts_clocks_but_not_unsafe() {
+    assert_eq!(
+        rendered(&fixture("benchmark_scope")),
+        [
+            "benchmark/src/lib.rs:13: error[unsafe-confinement]: `unsafe` outside \
+             crates/reactor (the workspace's only unsafe crate)"
+        ]
+    );
+}
+
 #[test]
 fn metrics_registry_fixture_reports_contract_breaks() {
     assert_eq!(

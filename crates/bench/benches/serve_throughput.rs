@@ -4,7 +4,8 @@
 //! open-loop load generator. The ISSUE-1 acceptance floor is 50k
 //! decisions/sec on a 4-shard daemon in release mode; the ISSUE-3 gate
 //! is SITW-BIN at batch ≥ 16 sustaining ≥ 1.5× the JSON rate on the
-//! same hardware; the ISSUE-4 gate is 4-tenant fleet mode sustaining
+//! same hardware (re-measured in ISSUE-14, see below); the ISSUE-4 gate
+//! is 4-tenant fleet mode sustaining
 //! ≥ 0.8× the single-tenant JSON rate (the memory ledger must not eat
 //! the serving path).
 //!
@@ -35,6 +36,25 @@
 //! front of the node — recorded as trajectory points and gated in-run at
 //! ≥ 0.8× the direct single-node rate of the same shape (the extra hop
 //! must stay thin).
+//!
+//! ISSUE-14 re-measured the ISSUE-3 gate. Its original premise — JSON
+//! pays a shard mailbox hop per request, a frame pays one per batch —
+//! no longer holds: JSON requests of one read burst now ride one
+//! `InvokeBatch` per shard, exactly like a frame. The gate still clears
+//! with room (four in-run measurements: bin batch=16 at 2.5–3.3× and
+//! batch=128 at 4.0–5.0× the json rate; 2.5× / 3.9× in the committed
+//! file before), for two reasons the floor now stands for. First, what
+//! SITW-BIN still amortizes and a JSON burst cannot: HTTP framing, JSON
+//! parse/render and ~10× the bytes per decision. Second, this bench's
+//! load generator refills a full window one request per `write`, so its
+//! json shapes form bursts of a request or two — the same cost as
+//! `bin batch=1`, and all but unchanged by burst coalescing (parent and
+//! change benched back to back, three and four runs: 4 shards 209–258k
+//! vs 224–282k, 1 shard 308–355k vs 320–428k; 256 connections, where
+//! requests do pile up, 212–315k vs 317–362k). The gain shows with a
+//! client that writes its pipeline in bursts: the repo benchmark's
+//! `json-direct` workload, 363k → 497k. The floor stays 1.5×; it bounds
+//! codec-and-framing cost, not the hop.
 
 use std::io::Write as _;
 use std::sync::Mutex;
@@ -52,6 +72,8 @@ use sitw_trace::DAY_MS;
 const EVENTS: usize = 20_000;
 
 /// The ISSUE-3 acceptance floor: BIN at batch ≥ 16 vs JSON, same shards.
+/// Since ISSUE-14 both ride one mailbox hop per batch, so the ratio is
+/// the framing-and-codec gap (see the module docs).
 const GATE_RATIO: f64 = 1.5;
 
 /// The ISSUE-4 acceptance floor: 4-tenant fleet mode vs single-tenant,

@@ -14,9 +14,11 @@
 //! Nodes and router are separate processes with separate monotonic
 //! epochs, so node span timestamps are *not* comparable to router ones.
 //! [`rebase`] anchors each (node, trace) group at the router's
-//! forward-completion instant for that trace: the node cannot have
-//! started before the router finished writing the request, and its
-//! rebased spans land strictly inside the router's `await` window.
+//! forward-completion instant for that trace — the node cannot have
+//! started before the router finished writing the request — and clamps
+//! it at the router's await-completion instant — the node cannot have
+//! finished after the router held its reply — so its rebased spans land
+//! inside the router's `await` window by construction.
 
 use std::collections::BTreeMap;
 
@@ -157,14 +159,18 @@ fn parse_span_obj(obj: &str) -> Option<NodeSpan> {
 /// Rebases one (node, trace) span group onto the router's clock: the
 /// group's earliest stage start is anchored at `anchor_ns` (the
 /// router's forward-completion instant for that trace), preserving all
-/// intra-node stage offsets.
-pub fn rebase(spans: &mut [NodeSpan], anchor_ns: u64) {
+/// intra-node stage offsets up to `ceiling_ns` (the router's
+/// await-completion instant). An overshoot past the ceiling is not
+/// node work: it is the gap between the node's `write(2)` returning and
+/// its clock read, which stretches whenever the reply wakes the router
+/// thread onto the node thread's core — so it is clamped away.
+pub fn rebase(spans: &mut [NodeSpan], anchor_ns: u64, ceiling_ns: u64) {
     let Some(min) = spans.iter().map(|s| s.start_ns).min() else {
         return;
     };
     for s in spans {
-        s.start_ns = anchor_ns + (s.start_ns - min);
-        s.end_ns = anchor_ns + (s.end_ns - min);
+        s.end_ns = (anchor_ns + (s.end_ns - min)).min(ceiling_ns);
+        s.start_ns = (anchor_ns + (s.start_ns - min)).min(s.end_ns);
     }
 }
 
@@ -255,10 +261,16 @@ mod tests {
                 source: "shard-0".into(),
             },
         ];
-        rebase(&mut spans, 90_000);
+        rebase(&mut spans, 90_000, u64::MAX);
         assert_eq!(spans[0].start_ns, 90_000);
         assert_eq!(spans[0].end_ns, 90_100);
         assert_eq!(spans[1].start_ns, 90_200);
         assert_eq!(spans[1].end_ns, 90_400);
+        // Regression (a flaky cluster test before this PR): a node whose
+        // last clock read lands after the router already held the reply
+        // overshoots the await window; the ceiling clamps it back.
+        rebase(&mut spans, 10_000, 10_300);
+        assert_eq!((spans[0].start_ns, spans[0].end_ns), (10_000, 10_100));
+        assert_eq!((spans[1].start_ns, spans[1].end_ns), (10_200, 10_300));
     }
 }

@@ -445,17 +445,21 @@ impl RouterCtx {
     /// The merged end-to-end timeline: the router's own hop spans plus
     /// every live node's propagated-trace spans, rebased per
     /// (node, trace) onto the router clock (anchored at the router's
-    /// forward-completion instant for that trace) and ordered by
-    /// (trace, start). Non-destructive on both sides — scraping changes
-    /// nothing.
+    /// forward-completion instant for that trace, clamped at its
+    /// await-completion instant) and ordered by (trace, start).
+    /// Non-destructive on both sides — scraping changes nothing.
     fn merged_trace(&self) -> Vec<NodeSpan> {
         let mut spans: Vec<NodeSpan> = Vec::new();
         let mut forward_end: HashMap<u64, u64> = HashMap::new();
+        let mut await_end: HashMap<u64, u64> = HashMap::new();
         {
             let rec = self.telem.recorder.lock().expect("recorder poisoned");
             for ev in rec.events() {
                 if ev.stage == Stage::Forward {
                     forward_end.insert(ev.span, ev.end_ns);
+                }
+                if ev.stage == Stage::Await {
+                    await_end.insert(ev.span, ev.end_ns);
                 }
                 spans.push(NodeSpan {
                     span: ev.span,
@@ -492,7 +496,9 @@ impl RouterCtx {
             let name = self.node_name(node);
             for (trace, mut group) in by_trace {
                 if let Some(&anchor) = forward_end.get(&trace) {
-                    rebase(&mut group, anchor);
+                    // No await span yet (reply still in flight): no ceiling.
+                    let ceiling = await_end.get(&trace).copied().unwrap_or(u64::MAX);
+                    rebase(&mut group, anchor, ceiling);
                 }
                 for mut s in group {
                     s.source = format!("{name}/{}", s.source);

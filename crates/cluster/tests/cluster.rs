@@ -365,7 +365,22 @@ fn trace_ids_span_router_and_node_timelines() {
     let replies = bin.batch_traced(&[(1, "app-tb", 2_000), (2, "app-tb", 2_000)], bin_id);
     assert_eq!(replies.len(), 2);
 
-    let (status, text) = http(router.addr(), "GET", "/debug/trace", "");
+    // The router records a request's `egress` hop *after* writing the
+    // reply, so a client that scrapes the instant it holds the reply can
+    // get there first: poll until both traces have closed.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    let (status, text) = loop {
+        let (status, text) = http(router.addr(), "GET", "/debug/trace", "");
+        let closed = |id: u64| {
+            let hex = format!("{id:#018x}");
+            text.lines()
+                .any(|l| l.contains(&hex) && l.contains(" egress "))
+        };
+        if (closed(json_id) && closed(bin_id)) || std::time::Instant::now() >= deadline {
+            break (status, text);
+        }
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    };
     assert_eq!(status, 200);
     let spans = parse_trace_text(&text);
     for id in [json_id, bin_id] {

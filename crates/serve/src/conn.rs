@@ -6,14 +6,28 @@
 //! with a partial-write cursor, and the **response pipeline** — a single
 //! ordered queue of [`Slot`]s, one per inbound message, that unifies
 //! what used to be two mechanisms (the JSON reorder map and the SITW-BIN
-//! `FramePipeline`). Every message — JSON decision, binary frame,
-//! control request, protocol error — occupies one slot in arrival
-//! order; shard replies complete their slot out of band; responses are
-//! rendered strictly from the head. Response ordering across protocol
-//! switches therefore holds *by construction*, with no blocking drains:
+//! `FramePipeline`). Every message — binary frame, run of JSON
+//! decisions, control request, protocol error — occupies one slot in
+//! arrival order; shard replies complete their slot out of band;
+//! responses are rendered strictly from the head. Response ordering
+//! across protocol switches therefore holds *by construction*, with no
+//! blocking drains:
 //! the old thread-per-connection code had to settle all in-flight frames
 //! before an HTTP response could be written, the pipeline just queues
 //! the HTTP response behind them.
+//!
+//! The unit of JSON work is the **read burst**, not the request:
+//! consecutive `POST /invoke` requests parsed out of one
+//! [`Conn::on_readable`] pass are parked in the reactor's per-shard
+//! scratch and dispatched as one `InvokeBatch` per owning shard when the
+//! burst ends — the socket drained, backpressure latched, the peer
+//! closed, or any other message (control request, parse error, SITW-BIN
+//! frame) arrived. The run takes one slot and renders as one HTTP
+//! response per request, in arrival order. There is no timer and no
+//! size limit: a lone request is a run of one, dispatched before
+//! `on_readable` returns. JSON and SITW-BIN therefore share one
+//! dispatch/reply mechanism and pay the mailbox hop, reply send and
+//! waker check once per batch.
 //!
 //! The hot paths allocate nothing in steady state: the request scratch
 //! and record buffer are reused across messages, decisions render
@@ -43,16 +57,17 @@ use std::io::{self, Write};
 use std::net::{Shutdown, TcpStream};
 use std::os::unix::io::{AsRawFd, RawFd};
 use std::sync::atomic::Ordering;
+use std::sync::RwLockReadGuard;
 use std::time::{Duration, Instant};
 
+use sitw_fleet::TenantRegistry;
 use sitw_reactor::Interest;
 use sitw_telemetry::{SpanEvent, Stage};
 
 use crate::http::{write_response, ConnBuf, DrainOutcome, ReadEvent, Request};
 use crate::reactor::ReactorIo;
 use crate::server::{handle_control, parse_and_route};
-use crate::shard::BatchReply;
-use crate::shard::{BatchItem, Decision, InvokeError, InvokeReply, ShardMsg};
+use crate::shard::{BatchItem, BatchReply, BatchSpans, Decision, InvokeError, ShardMsg};
 use crate::telem::ReactorTelemHandle;
 use crate::wire::{self, push_u64, BinErrorCode, BinInvoke, ControlRequest};
 
@@ -94,12 +109,14 @@ pub(crate) enum Flow {
 /// One response slot: an inbound message awaiting (or holding) its
 /// response. Completed in place, rendered strictly in arrival order.
 enum Slot {
-    /// A dispatched JSON `/invoke` decision; completed by the shard's
-    /// [`InvokeReply`].
-    Json {
-        /// Telemetry span id (0 when disabled).
-        span: u64,
-        done: Option<Result<Decision, InvokeError>>,
+    /// A dispatched run of JSON `/invoke` requests (one read burst's
+    /// worth); completed like a frame, rendered as one HTTP response
+    /// per request in arrival order.
+    Run {
+        remaining: usize,
+        /// Per-request telemetry span ids (empty when disabled).
+        spans: Vec<u64>,
+        results: Vec<Option<Result<Decision, InvokeError>>>,
     },
     /// A dispatched SITW-BIN frame; each shard's [`BatchReply`] fills
     /// its records, `remaining` counts shards still owing one.
@@ -130,8 +147,7 @@ enum Slot {
 impl Slot {
     fn is_complete(&self) -> bool {
         match self {
-            Slot::Json { done, .. } => done.is_some(),
-            Slot::Frame { remaining, .. } => *remaining == 0,
+            Slot::Run { remaining, .. } | Slot::Frame { remaining, .. } => *remaining == 0,
             Slot::BinError { .. } | Slot::Control(_) | Slot::Ctrl(_) | Slot::Http(_) => true,
         }
     }
@@ -172,26 +188,21 @@ impl Pipeline {
     }
 
     // sitw-lint: hot-path
-    fn absorb_invoke(&mut self, reply: InvokeReply) {
-        let Some(idx) = reply.seq.checked_sub(self.front_seq) else {
-            return;
-        };
-        if let Some(Slot::Json { done, .. }) = self.slots.get_mut(idx as usize) {
-            *done = Some(reply.result);
-        }
-    }
-
-    // sitw-lint: hot-path
     fn absorb_batch(&mut self, reply: BatchReply) {
         let Some(idx) = reply.frame_seq.checked_sub(self.front_seq) else {
             return;
         };
-        if let Some(Slot::Frame {
-            results, remaining, ..
-        }) = self.slots.get_mut(idx as usize)
+        if let Some(
+            Slot::Frame {
+                results, remaining, ..
+            }
+            | Slot::Run {
+                results, remaining, ..
+            },
+        ) = self.slots.get_mut(idx as usize)
         {
             for (i, result) in reply.results {
-                // A record index beyond the frame is a malformed reply;
+                // A record index beyond the batch is a malformed reply;
                 // indexing would panic the whole reactor thread for one
                 // bad message, so drop the record instead. The slot still
                 // completes and any hole renders as a typed error.
@@ -204,6 +215,27 @@ impl Pipeline {
             *remaining = remaining.saturating_sub(1);
         }
     }
+}
+
+/// State of one read burst ([`Conn::on_readable`] pass), on its stack —
+/// above all the JSON run under construction, whose requests sit in the
+/// reactor's per-shard scratch until [`Conn::flush_run`] dispatches them.
+struct Burst<'a> {
+    /// The read-stage mark: everything between here and a message
+    /// parsing out is that message's read time; dispatching advances
+    /// the mark so back-to-back pipelined messages don't double-count.
+    mark: u64,
+    /// Registry guard, taken at a run's first request and released at
+    /// its dispatch: one lock per burst instead of one per request, and
+    /// never held across a frame's partitioning (which takes its own —
+    /// re-entrant reads can deadlock behind a queued writer).
+    registry: Option<RwLockReadGuard<'a, TenantRegistry>>,
+    /// Requests parked on the open run (the next `BatchItem::idx`).
+    parked: u32,
+    /// Their span ids in arrival order (stays empty with telemetry off).
+    spans: Vec<u64>,
+    /// When the open run's first request parsed out.
+    t_read_end: u64,
 }
 
 /// Lame-duck drain state after a fatal error's response went out.
@@ -299,12 +331,7 @@ impl Conn {
         Interest::READ
     }
 
-    /// Absorbs one shard reply to a JSON decision.
-    pub fn on_invoke_reply(&mut self, reply: InvokeReply) {
-        self.pipeline.absorb_invoke(reply);
-    }
-
-    /// Absorbs one shard reply to (a slice of) a SITW-BIN frame.
+    /// Absorbs one shard reply to (a slice of) a frame or JSON run.
     pub fn on_batch_reply(&mut self, reply: BatchReply) {
         self.pipeline.absorb_batch(reply);
     }
@@ -397,7 +424,12 @@ impl Conn {
         self.paused
     }
 
-    /// Parses and dispatches everything the socket has for us.
+    /// Parses and dispatches everything the socket has for us: one read
+    /// burst. Whatever JSON run the burst parked is dispatched on
+    /// **every** way out — drained socket, backpressure, EOF, a fatal
+    /// error, even `Flow::Close` (those invocations happened; their
+    /// replies die on the slab generation check) — so the reactor-wide
+    /// scratch is empty again when this returns.
     // sitw-lint: hot-path
     fn on_readable(&mut self, io: &mut ReactorIo<'_>) -> Flow {
         if self.lame.is_some() {
@@ -406,18 +438,40 @@ impl Conn {
         if self.read_eof || self.close_requested || self.fatal {
             return Flow::Keep;
         }
-        // The read-stage mark: everything between here and a message
-        // parsing out is that message's read time; dispatching advances
-        // the mark so back-to-back pipelined messages don't double-count.
-        let mut mark = io.telem.now();
+        let mut burst = Burst {
+            mark: io.telem.now(),
+            registry: None,
+            parked: 0,
+            spans: Vec::new(), // sitw-lint: allow(hot-path-alloc)
+            t_read_end: 0,
+        };
+        let flow = self.read_burst(io, &mut burst);
+        match self.flush_run(io, &mut burst) {
+            Flow::Close => Flow::Close,
+            Flow::Keep => flow,
+        }
+    }
+
+    /// The burst's parse loop: runs until the socket drains, backpressure
+    /// latches, or the connection stops taking requests.
+    // sitw-lint: hot-path
+    fn read_burst<'a>(&mut self, io: &mut ReactorIo<'a>, burst: &mut Burst<'a>) -> Flow {
         loop {
             if self.read_paused(io) {
                 break;
             }
-            match self.buf.read_event_into(&mut self.req, &mut self.records) {
+            let event = self.buf.read_event_into(&mut self.req, &mut self.records);
+            if !matches!(event, Ok(ReadEvent::Request)) {
+                // Only another request can extend the run; anything else
+                // ends it *before* queuing its own slot (arrival order).
+                if let Flow::Close = self.flush_run(io, burst) {
+                    return Flow::Close;
+                }
+            }
+            match event {
                 Ok(ReadEvent::Request) => {
                     self.partial_since = None;
-                    if let Flow::Close = self.handle_request(io, &mut mark) {
+                    if let Flow::Close = self.handle_request(io, burst) {
                         return Flow::Close;
                     }
                     if self.close_requested {
@@ -426,7 +480,7 @@ impl Conn {
                 }
                 Ok(ReadEvent::Frame { version, trace }) => {
                     self.partial_since = None;
-                    if let Flow::Close = self.submit_frame(version, trace, io, &mut mark) {
+                    if let Flow::Close = self.submit_frame(version, trace, io, &mut burst.mark) {
                         return Flow::Close;
                     }
                 }
@@ -495,62 +549,45 @@ impl Conn {
         Flow::Keep
     }
 
-    /// Queues (and for `/invoke`, dispatches) one parsed HTTP request.
+    /// Queues one parsed HTTP request: an `/invoke` is parked on the
+    /// burst's run, anything else ends the run and takes its own slot.
     // sitw-lint: hot-path
-    fn handle_request(&mut self, io: &mut ReactorIo<'_>, mark: &mut u64) -> Flow {
+    fn handle_request<'a>(&mut self, io: &mut ReactorIo<'a>, burst: &mut Burst<'a>) -> Flow {
         if self.req.close {
             self.close_requested = true;
         }
         if self.req.method == "POST" && self.req.path == "/invoke" {
-            let t_read_end = io.telem.now();
-            match parse_and_route(&self.req.body, io.ctx) {
+            let ctx = io.ctx;
+            if burst.parked == 0 {
+                burst.t_read_end = io.telem.now();
+            }
+            let registry = burst.registry.get_or_insert_with(|| ctx.registry_read());
+            match parse_and_route(&self.req.body, registry, ctx.shard_txs.len()) {
                 Ok((tenant, shard, inv)) => {
-                    let (span, sent_ns) = if io.telem.enabled() {
+                    if io.telem.enabled() {
                         // A propagated fleet trace id becomes the span id,
                         // so the router can pick this request's stages out
                         // of `/debug/trace` by id.
-                        let span = match self.req.trace {
+                        burst.spans.push(match self.req.trace {
                             Some(id) => id,
                             None => io.telem.new_span(),
-                        };
-                        let sent_ns = io.telem.now();
-                        io.telem.with(|t| {
-                            t.read.json.record(t_read_end.saturating_sub(*mark));
-                            t.decode.json.record(sent_ns.saturating_sub(t_read_end));
-                            t.recorder.push(SpanEvent {
-                                span,
-                                stage: Stage::Read,
-                                start_ns: *mark,
-                                end_ns: t_read_end,
-                            });
-                            t.recorder.push(SpanEvent {
-                                span,
-                                stage: Stage::Decode,
-                                start_ns: t_read_end,
-                                end_ns: sent_ns,
-                            });
                         });
-                        *mark = sent_ns;
-                        (span, sent_ns)
-                    } else {
-                        (0, 0)
-                    };
-                    let seq = self.pipeline.push(Slot::Json { span, done: None });
-                    self.pipeline.inflight += 1;
-                    let msg = ShardMsg::Invoke {
+                    }
+                    io.per_shard[shard].push(BatchItem {
+                        idx: burst.parked,
                         tenant,
                         app: inv.app,
                         ts: inv.ts,
-                        seq,
-                        span,
-                        sent_ns,
-                        reply: io.reply_sink(self.token),
-                    };
-                    if io.ctx.shard_txs[shard].send(msg).is_err() {
-                        return Flow::Close; // Shard gone: shutting down.
-                    }
+                    });
+                    burst.parked += 1;
+                    // Parked requests count against `pipeline_window`
+                    // exactly like dispatched ones.
+                    self.pipeline.inflight += 1;
                 }
                 Err(e) => {
+                    if let Flow::Close = self.flush_run(io, burst) {
+                        return Flow::Close;
+                    }
                     let mut body = Vec::with_capacity(64);
                     body.extend_from_slice(b"{\"error\":\"");
                     body.extend_from_slice(wire::json_escape(&e).as_bytes());
@@ -561,12 +598,120 @@ impl Conn {
                 }
             }
         } else {
+            if let Flow::Close = self.flush_run(io, burst) {
+                return Flow::Close;
+            }
             // Control requests execute when they reach the pipeline
             // head; queue the request itself (rare path, one clone).
             let queued = self.req.clone(); // sitw-lint: allow(hot-path-alloc)
             self.pipeline.push(Slot::Control(queued));
         }
         Flow::Keep
+    }
+
+    /// Ends the burst's JSON run, if one is open: each owning shard gets
+    /// its parked requests in **one** mailbox message and a run slot
+    /// joins the pipeline. The read and decode stages are clocked once
+    /// for the whole run and recorded per request at the run mean
+    /// (counts stay exact): read ends where the run's first request
+    /// parsed out — the socket read is behind it — and decode ends here.
+    // sitw-lint: hot-path
+    fn flush_run(&mut self, io: &mut ReactorIo<'_>, burst: &mut Burst<'_>) -> Flow {
+        // Released first: a frame's partitioning takes its own guard, and
+        // nothing past the run needs this one.
+        burst.registry = None;
+        let n = std::mem::take(&mut burst.parked) as usize;
+        if n == 0 {
+            return Flow::Keep;
+        }
+        let spans = std::mem::take(&mut burst.spans);
+        let sent_ns = if io.telem.enabled() {
+            let sent_ns = io.telem.now();
+            let (mark, t_read_end, k) = (burst.mark, burst.t_read_end, n as u64);
+            io.telem.with(|t| {
+                t.read.json.record_n(t_read_end.saturating_sub(mark) / k, k);
+                t.decode
+                    .json
+                    .record_n(sent_ns.saturating_sub(t_read_end) / k, k);
+                for &span in &spans {
+                    t.recorder.push(SpanEvent {
+                        span,
+                        stage: Stage::Read,
+                        start_ns: mark,
+                        end_ns: t_read_end,
+                    });
+                    t.recorder.push(SpanEvent {
+                        span,
+                        stage: Stage::Decode,
+                        start_ns: t_read_end,
+                        end_ns: sent_ns,
+                    });
+                }
+            });
+            burst.mark = sent_ns;
+            sent_ns
+        } else {
+            0
+        };
+        let sent = self.dispatch(io, sent_ns, |items| {
+            // Each shard's spans ride index-aligned beside its items
+            // (none when telemetry is off and `spans` is empty).
+            BatchSpans::Json(
+                items
+                    .iter()
+                    .filter_map(|item| spans.get(item.idx as usize).copied())
+                    .collect(),
+            )
+        });
+        let Some(remaining) = sent else {
+            return Flow::Close;
+        };
+        self.pipeline.push(Slot::Run {
+            remaining,
+            spans,
+            results: vec![None; n],
+        });
+        Flow::Keep
+    }
+
+    /// Sends every non-empty per-shard slice as one
+    /// [`ShardMsg::InvokeBatch`], addressed to the slot the caller is
+    /// about to push (replies cannot overtake that push: this thread
+    /// processes them). Returns how many shards now owe a reply, or
+    /// `None` when a shard is gone (shutting down / panicked).
+    // sitw-lint: hot-path
+    fn dispatch(
+        &self,
+        io: &mut ReactorIo<'_>,
+        sent_ns: u64,
+        spans: impl Fn(&[BatchItem]) -> BatchSpans,
+    ) -> Option<usize> {
+        let frame_seq = self.pipeline.next_seq;
+        let mut expected = 0usize;
+        for shard in 0..io.per_shard.len() {
+            if io.per_shard[shard].is_empty() {
+                continue;
+            }
+            let items = std::mem::take(&mut io.per_shard[shard]);
+            let msg = ShardMsg::InvokeBatch {
+                frame_seq,
+                spans: spans(&items),
+                items,
+                sent_ns,
+                reply: io.reply_sink(self.token),
+            };
+            if io.ctx.shard_txs[shard].send(msg).is_err() {
+                // The scratch is reactor-wide: clear the not-yet-taken
+                // slices so this dead batch's records cannot leak into
+                // the next one dispatched on this reactor.
+                for slice in io.per_shard.iter_mut() {
+                    slice.clear();
+                }
+                return None;
+            }
+            expected += 1;
+        }
+        Some(expected)
     }
 
     /// Dispatches one SITW-BIN frame to the shards without waiting:
@@ -587,20 +732,8 @@ impl Conn {
         let t_read_end = io.telem.now();
         ctx.frames.fetch_add(1, Ordering::Relaxed);
         let shards = ctx.shard_txs.len();
-        if io.per_shard.len() < shards {
-            // One-time per-reactor scratch warmup, not steady state.
-            // sitw-lint: allow(hot-path-alloc)
-            io.per_shard.resize_with(shards, Vec::new);
-        }
         {
-            // A poisoned registry lock means an admin writer panicked;
-            // reads are still coherent (the registry is append-only
-            // tenant config), so recover the guard instead of poisoning
-            // every reactor thread too.
-            let registry = match ctx.registry.read() {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
-            };
+            let registry = ctx.registry_read();
             for (idx, rec) in self.records.drain(..).enumerate() {
                 if registry.get(rec.tenant).is_none() {
                     for slice in io.per_shard.iter_mut() {
@@ -660,40 +793,15 @@ impl Conn {
         } else {
             (0, 0)
         };
-        // The frame's sequence is fixed before dispatch; replies cannot
-        // overtake the push below because this thread processes them.
-        let frame_seq = self.pipeline.next_seq;
-        let mut expected = 0usize;
-        for shard in 0..shards {
-            if io.per_shard[shard].is_empty() {
-                continue;
-            }
-            let msg = ShardMsg::InvokeBatch {
-                frame_seq,
-                items: std::mem::take(&mut io.per_shard[shard]),
-                span,
-                sent_ns,
-                reply: io.reply_sink(self.token),
-            };
-            if ctx.shard_txs[shard].send(msg).is_err() {
-                // Shard gone (shutting down / panicked). The scratch is
-                // reactor-wide: clear the not-yet-taken slices so this
-                // dead frame's records cannot leak into the next frame
-                // dispatched on this reactor.
-                for slice in io.per_shard.iter_mut() {
-                    slice.clear();
-                }
-                return Flow::Close;
-            }
-            expected += 1;
-        }
-        let seq = self.pipeline.push(Slot::Frame {
+        let Some(remaining) = self.dispatch(io, sent_ns, |_| BatchSpans::Frame(span)) else {
+            return Flow::Close;
+        };
+        self.pipeline.push(Slot::Frame {
             version,
-            remaining: expected,
+            remaining,
             span,
             results: vec![None; n],
         });
-        debug_assert_eq!(seq, frame_seq);
         self.pipeline.inflight += n;
         Flow::Keep
     }
@@ -754,31 +862,6 @@ impl Conn {
         }
     }
 
-    /// Records the render run of `k` consecutive JSON slots ending now:
-    /// one clock read and one recorder lock for the whole run, every
-    /// decision recorded at the run mean (counts stay exact). The run's
-    /// spans are the last `k` entries of `pending_spans` — nothing else
-    /// is pushed between a run's first slot and its boundary.
-    // sitw-lint: hot-path
-    fn flush_render_run(&self, io: &ReactorIo<'_>, t0: u64, k: u32) -> u64 {
-        let t1 = io.telem.now();
-        let n = k as u64;
-        let mean = t1.saturating_sub(t0).checked_div(n).unwrap_or(0);
-        let spans = &self.pending_spans[self.pending_spans.len() - k as usize..];
-        io.telem.with(|t| {
-            t.render.json.record_n(mean, n);
-            for &(span, _, _) in spans {
-                t.recorder.push(SpanEvent {
-                    span,
-                    stage: Stage::Render,
-                    start_ns: t0,
-                    end_ns: t1,
-                });
-            }
-        });
-        t1
-    }
-
     /// Returns the last timestamp it read (0 when it read none), so the
     /// caller can seed the write stage without a redundant clock call.
     // sitw-lint: hot-path
@@ -787,35 +870,40 @@ impl Conn {
             return 0;
         }
         let mut t0 = io.telem.now();
-        // Consecutive JSON slots accumulate and are clocked as one run
-        // at the next boundary (frame/control/loop end).
-        let mut json_run: u32 = 0;
         while self.pipeline.slots.front().is_some_and(Slot::is_complete) {
             let Some(slot) = self.pipeline.slots.pop_front() else {
                 break; // front() above proved non-empty; defensive.
             };
             self.pipeline.front_seq += 1;
             match slot {
-                Slot::Json {
-                    span,
-                    done: Some(done),
-                } => {
-                    self.pipeline.inflight -= 1;
-                    render_json(&mut self.out, io.scratch, done);
-                    if io.telem.enabled() {
-                        self.pending_spans.push((span, false, 1));
-                        json_run += 1;
+                Slot::Run { spans, results, .. } => {
+                    let n = results.len() as u64;
+                    self.pipeline.inflight -= results.len();
+                    for result in results {
+                        // A hole (a malformed shard reply was dropped by
+                        // `absorb_batch`) renders as a typed rejection.
+                        let result = result.unwrap_or(Err(InvokeError::UnknownTenant));
+                        render_json(&mut self.out, io.scratch, result);
                     }
-                }
-                Slot::Json { span, done: None } => {
-                    // is_complete() gated the pop, so an undone slot here
-                    // means the pipeline invariant broke. Put it back and
-                    // stop flushing rather than panic a reactor thread.
-                    self.pipeline.front_seq -= 1;
-                    self.pipeline
-                        .slots
-                        .push_front(Slot::Json { span, done: None });
-                    break;
+                    if io.telem.enabled() {
+                        // The run is clocked once; every decision is
+                        // recorded at the run mean (counts stay exact).
+                        let t1 = io.telem.now();
+                        io.telem.with(|t| {
+                            t.render.json.record_n(t1.saturating_sub(t0) / n.max(1), n);
+                            for &span in &spans {
+                                t.recorder.push(SpanEvent {
+                                    span,
+                                    stage: Stage::Render,
+                                    start_ns: t0,
+                                    end_ns: t1,
+                                });
+                            }
+                        });
+                        self.pending_spans
+                            .extend(spans.iter().map(|&span| (span, false, 1)));
+                        t0 = t1;
+                    }
                 }
                 Slot::Frame {
                     version,
@@ -823,10 +911,6 @@ impl Conn {
                     results,
                     ..
                 } => {
-                    if json_run > 0 {
-                        t0 = self.flush_render_run(io, t0, json_run);
-                        json_run = 0;
-                    }
                     self.pipeline.inflight -= results.len();
                     io.results.clear();
                     // A record left unanswered (a malformed shard reply
@@ -858,19 +942,11 @@ impl Conn {
                     }
                 }
                 Slot::BinError { code, detail } => {
-                    if json_run > 0 {
-                        self.flush_render_run(io, t0, json_run);
-                        json_run = 0;
-                    }
                     io.ctx.proto_errors.fetch_add(1, Ordering::Relaxed);
                     wire::encode_error_frame(&mut self.out, code, &detail);
                     t0 = io.telem.now();
                 }
                 Slot::Control(req) => {
-                    if json_run > 0 {
-                        self.flush_render_run(io, t0, json_run);
-                        json_run = 0;
-                    }
                     // Executed only now — once every earlier message on
                     // the connection has fully answered. A scrape can
                     // take a while; refresh the render mark after it so
@@ -879,25 +955,14 @@ impl Conn {
                     t0 = io.telem.now();
                 }
                 Slot::Ctrl(ctrl) => {
-                    if json_run > 0 {
-                        self.flush_render_run(io, t0, json_run);
-                        json_run = 0;
-                    }
                     crate::server::handle_ctrl_frame(&ctrl, io.ctx, &mut self.out);
                     t0 = io.telem.now();
                 }
                 Slot::Http(bytes) => {
-                    if json_run > 0 {
-                        self.flush_render_run(io, t0, json_run);
-                        json_run = 0;
-                    }
                     self.out.extend_from_slice(&bytes);
                     t0 = io.telem.now();
                 }
             }
-        }
-        if json_run > 0 {
-            t0 = self.flush_render_run(io, t0, json_run);
         }
         t0
     }

@@ -65,6 +65,8 @@
 //!   per-decision parse/format/syscall/wake cost is amortized over the
 //!   whole batch. Malformed frames get typed error frames; whenever the
 //!   length-prefixed envelope is intact the connection stays usable.
+//!   The batch is the *only* dispatch unit: pipelined JSON requests of
+//!   one read burst cross each shard mailbox as one message too.
 //! * **Multi-tenant fleet** (`sitw_fleet` wired through [`shard`] /
 //!   [`server`]): per-tenant policies and keep-alive memory budgets, a
 //!   cluster memory ledger charging each warm container a deterministic
@@ -123,7 +125,7 @@ pub use metrics::{
 pub use reactor::ReplySink;
 pub use server::{ServeConfig, Server, TenantConfig};
 pub use shard::{
-    shard_of, BatchItem, BatchReply, Decision, InvokeError, ServedPolicy, TenantRestore,
+    shard_of, BatchItem, BatchReply, BatchSpans, Decision, InvokeError, ServedPolicy, TenantRestore,
 };
 pub use snapshot::{
     apply_delta, AppRecord, PolicyState, ShardExport, Snapshot, SnapshotError, TenantExport,

@@ -253,7 +253,8 @@ fn family(out: &mut String, name: &str) {
 /// A latency histogram split by wire protocol (JSON/HTTP vs SITW-BIN).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ProtoHists {
-    /// Samples from JSON/HTTP requests, nanoseconds.
+    /// Samples from JSON/HTTP requests, nanoseconds (one per request;
+    /// a burst's run is clocked once and recorded at the run mean).
     pub json: Log2Histogram,
     /// Samples from SITW-BIN frames, nanoseconds.
     pub bin: Log2Histogram,
@@ -361,7 +362,7 @@ pub struct ShardStats {
     /// decision-latency histogram (empty until the shard has observed
     /// at least one decision).
     pub latency_us: Vec<(f64, f64)>,
-    /// Mailbox wait (dispatch → dequeue) on this shard, nanoseconds.
+    /// Mailbox wait (batch dispatch → dequeue) on this shard, nanoseconds.
     pub queue_ns: ProtoHists,
     /// Policy decision latency on this shard, nanoseconds.
     pub decide_ns: ProtoHists,

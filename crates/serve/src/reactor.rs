@@ -41,7 +41,7 @@ use sitw_reactor::{Epoll, Events, Interest, Slab, Waker};
 
 use crate::conn::{Conn, Flow};
 use crate::server::ServerCtx;
-use crate::shard::{BatchItem, BatchReply, Decision, InvokeError, InvokeReply};
+use crate::shard::{BatchItem, BatchReply, Decision, InvokeError};
 use crate::telem::{QueueGauge, ReactorTelemHandle};
 
 /// Token reserved for the reactor's own waker fd.
@@ -66,14 +66,8 @@ const SPIN_ROUNDS: u32 = 1;
 pub(crate) enum ReactorMsg {
     /// A freshly accepted connection to adopt.
     Conn(TcpStream),
-    /// A shard's reply to one JSON decision on connection `conn`.
-    Invoke {
-        /// Slab token of the owning connection.
-        conn: u64,
-        /// The reply to slot in.
-        reply: InvokeReply,
-    },
-    /// A shard's reply to its slice of one SITW-BIN frame.
+    /// A shard's reply to its slice of one dispatched batch (a SITW-BIN
+    /// frame or a run of JSON requests) — the only reply kind.
     Batch {
         /// Slab token of the owning connection.
         conn: u64,
@@ -89,8 +83,8 @@ pub(crate) struct ReactorRef {
     pub(crate) waker: Arc<Waker>,
 }
 
-/// Where a shard worker sends the reply to one dispatched decision or
-/// batch: the owning reactor's queue, tagged with the connection's slab
+/// Where a shard worker sends the reply to one dispatched batch: the
+/// owning reactor's queue, tagged with the connection's slab
 /// token, waking the reactor's event loop if it is asleep. Replies to
 /// connections that died in the meantime fail the slab's generation
 /// check and are dropped — a disconnect mid-batch can never poison
@@ -102,16 +96,7 @@ pub struct ReplySink {
 }
 
 impl ReplySink {
-    /// Delivers a JSON decision reply.
-    pub fn invoke(&self, reply: InvokeReply) {
-        let _ = self.tx.send(ReactorMsg::Invoke {
-            conn: self.conn,
-            reply,
-        });
-        self.waker.wake();
-    }
-
-    /// Delivers a batched frame reply.
+    /// Delivers a batch reply.
     pub fn batch(&self, reply: BatchReply) {
         let _ = self.tx.send(ReactorMsg::Batch {
             conn: self.conn,
@@ -132,7 +117,10 @@ pub(crate) struct ReactorIo<'a> {
     pub scratch: &'a mut Vec<u8>,
     /// Ordered-results scratch for reply-frame encoding.
     pub results: &'a mut Vec<Result<Decision, InvokeError>>,
-    /// Per-shard partition buffers for frame dispatch.
+    /// Per-shard partition buffers for batch dispatch: a frame's
+    /// records while it is partitioned, a JSON run's parked requests
+    /// while its read burst lasts. Reactor-wide, so every user leaves
+    /// them empty.
     pub per_shard: &'a mut Vec<Vec<BatchItem>>,
     /// This reactor thread's telemetry handle (spans, stage hists).
     pub telem: &'a ReactorTelemHandle,
@@ -177,7 +165,7 @@ pub(crate) fn reactor_loop(
     let mut events = Events::with_capacity(EVENTS_PER_WAIT);
     let mut scratch: Vec<u8> = Vec::with_capacity(256);
     let mut results: Vec<Result<Decision, InvokeError>> = Vec::new();
-    let mut per_shard: Vec<Vec<BatchItem>> = Vec::new();
+    let mut per_shard: Vec<Vec<BatchItem>> = vec![Vec::new(); ctx.shard_txs.len()];
     let mut touched: Vec<u64> = Vec::new();
     let mut sweep_tokens: Vec<u64> = Vec::new();
 
@@ -404,18 +392,9 @@ fn handle_msg(
                 ctx.conns_live.fetch_sub(1, Ordering::Relaxed);
             }
         },
-        ReactorMsg::Invoke { conn, reply } => {
+        ReactorMsg::Batch { conn, reply } => {
             // A stale token (connection died, slot possibly reused) is
             // dropped here by the generation check.
-            if let Some(c) = conns.get_mut(conn) {
-                c.on_invoke_reply(reply);
-                if !c.dirty {
-                    c.dirty = true;
-                    touched.push(conn);
-                }
-            }
-        }
-        ReactorMsg::Batch { conn, reply } => {
             if let Some(c) = conns.get_mut(conn) {
                 c.on_batch_reply(reply);
                 if !c.dirty {

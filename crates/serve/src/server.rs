@@ -28,7 +28,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Sender};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -190,6 +190,17 @@ pub(crate) struct ServerCtx {
 }
 
 impl ServerCtx {
+    /// Read access to the tenant registry. A poisoned lock means an
+    /// admin writer panicked; reads are still coherent (the registry is
+    /// append-only tenant config), so recover the guard instead of
+    /// taking every reactor thread down with the writer.
+    pub(crate) fn registry_read(&self) -> RwLockReadGuard<'_, TenantRegistry> {
+        match self.registry.read() {
+            Ok(guard) => guard,
+            Err(poisoned) => poisoned.into_inner(),
+        }
+    }
+
     fn scrape(&self) -> MetricsReport {
         let mut shards: Vec<ShardStats> = Vec::with_capacity(self.shard_txs.len());
         for tx in &self.shard_txs {
@@ -269,10 +280,7 @@ impl ServerCtx {
     /// when the tenant name or app is unknown.
     fn policy_probe(&self, tenant: &str, app: &str) -> Option<String> {
         let (id, shard) = {
-            let registry = match self.registry.read() {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
-            };
+            let registry = self.registry_read();
             let id = registry.resolve(tenant)?;
             (id, registry.shard_of(id, app, self.shard_txs.len()))
         };
@@ -478,10 +486,7 @@ impl ServerCtx {
                 continue;
             }
             let resolved = {
-                let registry = match self.registry.read() {
-                    Ok(guard) => guard,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
+                let registry = self.registry_read();
                 registry
                     .resolve(name)
                     .map(|id| (id, registry.shard_of(id, "", self.shard_txs.len())))
@@ -513,10 +518,7 @@ impl ServerCtx {
             return Err((400, "the default tenant cannot migrate".to_owned()));
         }
         let resolved = {
-            let registry = match self.registry.read() {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
-            };
+            let registry = self.registry_read();
             registry
                 .resolve(name)
                 .map(|id| (id, registry.shard_of(id, "", self.shard_txs.len())))
@@ -548,10 +550,7 @@ impl ServerCtx {
             return Err((400, "the default tenant cannot migrate".to_owned()));
         }
         let existing = {
-            let registry = match self.registry.read() {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
-            };
+            let registry = self.registry_read();
             registry.resolve(&section.name).map(|id| {
                 let spec = registry.get(id).expect("resolved id exists").clone();
                 (spec, registry.shard_of(id, "", self.shard_txs.len()))
@@ -587,10 +586,7 @@ impl ServerCtx {
                     .register_tenant(&section.name, policy, section.budget_mb)
                     .map_err(|e| (400u16, e))?;
                 let home = {
-                    let registry = match self.registry.read() {
-                        Ok(guard) => guard,
-                        Err(poisoned) => poisoned.into_inner(),
-                    };
+                    let registry = self.registry_read();
                     registry.shard_of(spec.id, "", self.shard_txs.len())
                 };
                 (spec, home)
@@ -1069,20 +1065,25 @@ fn accept_loop(listener: TcpListener, ctx: Arc<ServerCtx>) {
     }
 }
 
-/// Parses an `/invoke` body and resolves its tenant and shard.
+/// Parses an `/invoke` body and resolves its tenant and shard against
+/// `registry` — the caller's guard, taken once per read burst (see
+/// [`ServerCtx::registry_read`]), not once per request.
+// sitw-lint: hot-path
 pub(crate) fn parse_and_route(
     body: &[u8],
-    ctx: &ServerCtx,
+    registry: &TenantRegistry,
+    shards: usize,
 ) -> Result<(TenantId, usize, wire::InvokeRequest), String> {
     let inv = wire::parse_invoke(body)?;
-    let registry = ctx.registry.read().expect("registry poisoned");
     let tenant = match &inv.tenant {
         None => DEFAULT_TENANT,
         Some(name) => registry
             .resolve(name)
+            // Cold error path: the request is rejected anyway.
+            // sitw-lint: allow(hot-path-alloc)
             .ok_or_else(|| format!("unknown tenant '{name}'"))?,
     };
-    let shard = registry.shard_of(tenant, &inv.app, ctx.shard_txs.len());
+    let shard = registry.shard_of(tenant, &inv.app, shards);
     Ok((tenant, shard, inv))
 }
 
@@ -1127,10 +1128,7 @@ pub(crate) fn handle_control(req: &Request, ctx: &ServerCtx, out: &mut Vec<u8>) 
             body.extend_from_slice(b"\",\"shards\":");
             push_u64(&mut body, ctx.shard_txs.len() as u64);
             body.extend_from_slice(b",\"tenants\":");
-            push_u64(
-                &mut body,
-                ctx.registry.read().expect("registry poisoned").len() as u64,
-            );
+            push_u64(&mut body, ctx.registry_read().len() as u64);
             body.extend_from_slice(b",\"uptime_ms\":");
             push_u64(&mut body, ctx.started.elapsed().as_millis() as u64);
             body.extend_from_slice(b",\"repl_epoch\":");
@@ -1157,7 +1155,7 @@ pub(crate) fn handle_control(req: &Request, ctx: &ServerCtx, out: &mut Vec<u8>) 
             );
         }
         ("GET", "/admin/tenants") => {
-            let registry = ctx.registry.read().expect("registry poisoned");
+            let registry = ctx.registry_read();
             let mut body = Vec::with_capacity(128);
             body.push(b'[');
             for (i, t) in registry.tenants().iter().enumerate() {
@@ -1477,5 +1475,51 @@ pub(crate) fn handle_control(req: &Request, ctx: &ServerCtx, out: &mut Vec<u8>) 
         _ => {
             write_response(out, 404, "application/json", b"{\"error\":\"not found\"}");
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::{Read, Write};
+
+    /// Regression (failing before this PR): the JSON path took the
+    /// registry with `.expect("registry poisoned")`, so one panicked
+    /// admin writer killed every reactor thread on its next JSON
+    /// request. Readers now recover the guard, like the frame path.
+    #[test]
+    fn poisoned_registry_lock_still_serves_json() {
+        let server = Server::start(ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            shards: 2,
+            policy: PolicySpec::fixed_minutes(10),
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let ctx = Arc::clone(&server.ctx);
+        let writer = std::thread::spawn(move || {
+            let _guard = ctx.registry.write().unwrap();
+            panic!("admin writer dies holding the registry (expected in this test)");
+        });
+        assert!(writer.join().is_err());
+        assert!(server.ctx.registry.is_poisoned());
+
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        let body = br#"{"app":"survivor","ts":1}"#;
+        let mut request = format!(
+            "POST /invoke HTTP/1.1\r\ncontent-length: {}\r\n\r\n",
+            body.len()
+        )
+        .into_bytes();
+        request.extend_from_slice(body);
+        // The control path reads the registry too.
+        request.extend_from_slice(b"GET /healthz HTTP/1.1\r\nconnection: close\r\n\r\n");
+        stream.write_all(&request).unwrap();
+        let mut text = String::new();
+        stream.read_to_string(&mut text).unwrap();
+        assert!(text.starts_with("HTTP/1.1 200 OK"), "{text}");
+        assert!(text.contains("\"verdict\":\"cold\""), "{text}");
+        assert!(text.contains("\"status\":\"ok\""), "{text}");
+        server.shutdown().unwrap();
     }
 }

@@ -42,8 +42,7 @@ use crate::telem::ShardTelem;
 pub const LATENCY_QUANTILES: [f64; 3] = [0.50, 0.95, 0.99];
 
 /// Mailbox messages a worker pulls non-blockingly behind each blocking
-/// `recv` (one telemetry *drain wave*) — bounds the wave's memory and
-/// the reply delay a deep backlog can impose on its first message.
+/// `recv` (one telemetry *drain wave*) — bounds the wave's memory.
 const DRAIN_WAVE: usize = 128;
 
 /// A concrete per-application policy instance.
@@ -179,16 +178,6 @@ pub enum InvokeError {
     UnknownTenant,
 }
 
-/// A reply to one `Invoke` message.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InvokeReply {
-    /// Echo of the request's sequence number (responses from different
-    /// shards interleave on the reply channel; the connection reorders).
-    pub seq: u64,
-    /// The decision or the rejection.
-    pub result: Result<Decision, InvokeError>,
-}
-
 /// One record of a batched invoke: the frame-relative index plus the
 /// invocation itself.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -216,38 +205,36 @@ pub struct BatchReply {
     pub results: Vec<(u32, Result<Decision, InvokeError>)>,
 }
 
+/// The protocol a batch arrived on and the span ids its stages are
+/// recorded under, carried beside [`BatchItem`]s so `invoke_batch` stays
+/// a pure decision function.
+#[derive(Debug)]
+pub enum BatchSpans {
+    /// A SITW-BIN frame: one span covers every record.
+    Frame(u64),
+    /// A run of JSON requests: one span per item, index-aligned with
+    /// `items` (a request's propagated `x-sitw-trace` id is its span).
+    Json(Vec<u64>),
+}
+
 /// Messages a shard worker accepts.
 pub enum ShardMsg {
-    /// One invocation to classify.
-    Invoke {
-        /// Tenant the app belongs to.
-        tenant: TenantId,
-        /// Application id.
-        app: String,
-        /// Invocation timestamp (trace milliseconds).
-        ts: u64,
-        /// Connection-local sequence number echoed in the reply.
-        seq: u64,
-        /// Telemetry span id assigned at parse time (0 when disabled).
-        span: u64,
+    /// One shard's slice of a dispatched batch in one mpsc hop — the
+    /// only way an invocation reaches a worker. A SITW-BIN frame sends
+    /// every record that hashed here; the JSON path sends the run of
+    /// `POST /invoke` requests one read burst parked for this shard. The
+    /// mailbox, reply and wake costs are paid once per batch either way.
+    InvokeBatch {
+        /// Connection-local pipeline sequence of the frame or run
+        /// (echoed in the reply so the connection can pipeline them).
+        frame_seq: u64,
+        /// The shard's slice of the batch, in arrival order.
+        items: Vec<BatchItem>,
+        /// Which protocol the batch arrived on, with its telemetry span
+        /// ids (zeros / empty when telemetry is disabled).
+        spans: BatchSpans,
         /// Dispatch timestamp (ns since server start; 0 when disabled).
         /// The shard records dequeue-minus-dispatch as queue wait.
-        sent_ns: u64,
-        /// Where to send the reply (the owning reactor's queue).
-        reply: ReplySink,
-    },
-    /// A whole frame slice in one mpsc hop: every record of a SITW-BIN
-    /// frame that hashed to this shard. Amortizes mailbox and wake costs
-    /// across the batch — the point of the binary protocol.
-    InvokeBatch {
-        /// Connection-local frame sequence (echoed in the reply so the
-        /// connection can pipeline frames).
-        frame_seq: u64,
-        /// The shard's slice of the frame, in frame order.
-        items: Vec<BatchItem>,
-        /// Telemetry span id of the frame (0 when disabled).
-        span: u64,
-        /// Dispatch timestamp (ns since server start; 0 when disabled).
         sent_ns: u64,
         /// Where to send the batched reply (the owning reactor's queue).
         reply: ReplySink,
@@ -454,20 +441,6 @@ pub struct ShardWorker {
     /// Per-frame `(tenant, records)` counts, reused across batches so
     /// per-tenant histogram attribution stays allocation-free.
     tenant_scratch: Vec<(TenantId, u64)>,
-    /// Decided-but-unreplied JSON invokes of the current drain wave,
-    /// reused across waves (see [`ShardWorker::run`]).
-    json_wave: Vec<PendingInvoke>,
-}
-
-/// One JSON invocation decided inside a drain wave, awaiting its reply
-/// and telemetry records (all of which share the wave's clock pair).
-struct PendingInvoke {
-    tenant: TenantId,
-    span: u64,
-    sent_ns: u64,
-    seq: u64,
-    result: Result<Decision, InvokeError>,
-    reply: ReplySink,
 }
 
 impl ShardWorker {
@@ -493,7 +466,6 @@ impl ShardWorker {
             mutation_seq: 0,
             telem: ShardTelem::default(),
             tenant_scratch: Vec::new(),
-            json_wave: Vec::new(),
         })
     }
 
@@ -894,11 +866,11 @@ impl ShardWorker {
     ///
     /// With telemetry on, each blocking `recv` starts a *drain wave*:
     /// the backlog behind it is pulled non-blockingly (bounded by
-    /// [`DRAIN_WAVE`]), observed once on the mailbox gauge, and a run of
-    /// consecutive JSON invokes at the wave front shares one clock pair
-    /// and one recorder lock — per-message telemetry cost amortizes over
-    /// the backlog instead of taxing every decision. Every decision
-    /// still lands in every stage histogram (counts stay exact).
+    /// [`DRAIN_WAVE`]) and observed once on the mailbox gauge — `mpsc`
+    /// has no `len()`, so draining is how depth is seen at all. Every
+    /// batch is clocked once and recorded per record at the batch mean,
+    /// so the stage histograms stay invocation-weighted with exact
+    /// counts and no clock read per decision.
     pub fn run(mut self, mailbox: Receiver<ShardMsg>) -> ShardExport {
         let mut pending: VecDeque<ShardMsg> = VecDeque::new();
         loop {
@@ -919,121 +891,22 @@ impl ShardWorker {
                 }
             };
             match msg {
-                ShardMsg::Invoke {
-                    tenant,
-                    app,
-                    ts,
-                    seq,
-                    span,
+                ShardMsg::InvokeBatch {
+                    frame_seq,
+                    items,
+                    spans,
                     sent_ns,
                     reply,
                 } => {
                     if !self.telem.enabled {
                         // Telemetry off: no clock reads, no histogram
-                        // touches — the decision is the whole hot path.
-                        let result = self.invoke(tenant, &app, ts);
-                        reply.invoke(InvokeReply { seq, result });
-                        continue;
-                    }
-                    let mut wave = std::mem::take(&mut self.json_wave);
-                    let t0 = self.telem.clock.now_ns();
-                    let result = self.invoke(tenant, &app, ts);
-                    wave.push(PendingInvoke {
-                        tenant,
-                        span,
-                        sent_ns,
-                        seq,
-                        result,
-                        reply,
-                    });
-                    while let Some(ShardMsg::Invoke { .. }) = pending.front() {
-                        match pending.pop_front() {
-                            Some(ShardMsg::Invoke {
-                                tenant,
-                                app,
-                                ts,
-                                seq,
-                                span,
-                                sent_ns,
-                                reply,
-                            }) => {
-                                let result = self.invoke(tenant, &app, ts);
-                                wave.push(PendingInvoke {
-                                    tenant,
-                                    span,
-                                    sent_ns,
-                                    seq,
-                                    result,
-                                    reply,
-                                });
-                            }
-                            // front() just matched Invoke, so these arms
-                            // are unreachable in practice — but if they
-                            // ever fire, requeue rather than drop a
-                            // message on the floor and keep serving.
-                            Some(other) => {
-                                pending.push_front(other);
-                                break;
-                            }
-                            None => break,
-                        }
-                    }
-                    let t1 = self.telem.clock.now_ns();
-                    let k = wave.len() as u64;
-                    // The run is clocked once; every decision gets the
-                    // run mean (invocation-weighted, exact counts).
-                    let mean = t1.saturating_sub(t0).checked_div(k).unwrap_or(0);
-                    for p in &wave {
-                        self.telem.queue.json.record(t0.saturating_sub(p.sent_ns));
-                        if let Some(t) = self.tenants.get_mut(&p.tenant) {
-                            t.decide_ns.record(mean);
-                        }
-                    }
-                    self.telem.decide.json.record_n(mean, k);
-                    // try_lock: losing the race to a /debug/trace scrape
-                    // drops the spans, never blocks the decision path.
-                    if let Ok(mut rec) = self.telem.recorder.try_lock() {
-                        for p in &wave {
-                            rec.push(SpanEvent {
-                                span: p.span,
-                                stage: Stage::Queue,
-                                start_ns: p.sent_ns,
-                                end_ns: t0,
-                            });
-                            rec.push(SpanEvent {
-                                span: p.span,
-                                stage: Stage::Decide,
-                                start_ns: t0,
-                                end_ns: t1,
-                            });
-                        }
-                    }
-                    // A reply to a connection that died is dropped by
-                    // the reactor's slab generation check; the decision
-                    // was still applied, which is correct (the
-                    // invocation happened).
-                    for p in wave.drain(..) {
-                        p.reply.invoke(InvokeReply {
-                            seq: p.seq,
-                            result: p.result,
-                        });
-                    }
-                    self.json_wave = wave;
-                }
-                ShardMsg::InvokeBatch {
-                    frame_seq,
-                    items,
-                    span,
-                    sent_ns,
-                    reply,
-                } => {
-                    if !self.telem.enabled {
+                        // touches — the decisions are the whole hot path.
                         reply.batch(self.invoke_batch(frame_seq, items));
                         continue;
                     }
                     // Per-tenant record counts, folded before `items`
                     // moves into the decision loop (scratch is reused
-                    // across frames — no steady-state allocation).
+                    // across batches — no steady-state allocation).
                     self.tenant_scratch.clear();
                     for item in &items {
                         match self
@@ -1049,13 +922,21 @@ impl ShardWorker {
                     let t0 = self.telem.clock.now_ns();
                     let batch = self.invoke_batch(frame_seq, items);
                     let t1 = self.telem.clock.now_ns();
-                    // The batch is clocked once; every record gets the
-                    // batch mean, keeping the histograms
-                    // invocation-weighted without a clock read per
-                    // record.
                     let mean = t1.saturating_sub(t0).checked_div(n).unwrap_or(0);
-                    self.telem.queue.bin.record_n(t0.saturating_sub(sent_ns), n);
-                    self.telem.decide.bin.record_n(mean, n);
+                    let (queue, decide, spans) = match &spans {
+                        BatchSpans::Frame(span) => (
+                            &mut self.telem.queue.bin,
+                            &mut self.telem.decide.bin,
+                            std::slice::from_ref(span),
+                        ),
+                        BatchSpans::Json(spans) => (
+                            &mut self.telem.queue.json,
+                            &mut self.telem.decide.json,
+                            spans.as_slice(),
+                        ),
+                    };
+                    queue.record_n(t0.saturating_sub(sent_ns), n);
+                    decide.record_n(mean, n);
                     let scratch = std::mem::take(&mut self.tenant_scratch);
                     for &(tid, c) in &scratch {
                         if let Some(t) = self.tenants.get_mut(&tid) {
@@ -1063,20 +944,28 @@ impl ShardWorker {
                         }
                     }
                     self.tenant_scratch = scratch;
+                    // try_lock: losing the race to a /debug/trace scrape
+                    // drops the spans, never blocks the decision path.
                     if let Ok(mut rec) = self.telem.recorder.try_lock() {
-                        rec.push(SpanEvent {
-                            span,
-                            stage: Stage::Queue,
-                            start_ns: sent_ns,
-                            end_ns: t0,
-                        });
-                        rec.push(SpanEvent {
-                            span,
-                            stage: Stage::Decide,
-                            start_ns: t0,
-                            end_ns: t1,
-                        });
+                        for &span in spans {
+                            rec.push(SpanEvent {
+                                span,
+                                stage: Stage::Queue,
+                                start_ns: sent_ns,
+                                end_ns: t0,
+                            });
+                            rec.push(SpanEvent {
+                                span,
+                                stage: Stage::Decide,
+                                start_ns: t0,
+                                end_ns: t1,
+                            });
+                        }
                     }
+                    // A reply to a connection that died is dropped by
+                    // the reactor's slab generation check; the decisions
+                    // were still applied, which is correct (the
+                    // invocations happened).
                     reply.batch(batch);
                 }
                 ShardMsg::AddTenant { spec, ack } => {

@@ -102,9 +102,11 @@ impl QueueGauge {
 /// Everything one reactor thread records, under a single mutex.
 #[derive(Debug)]
 pub struct ReactorTelem {
-    /// Socket-readable → request bytes buffered, per protocol.
+    /// Socket-readable → request bytes buffered, per protocol (for a
+    /// JSON run: until its first request parsed out).
     pub read: ProtoHists,
-    /// Bytes buffered → parsed and dispatched, per protocol.
+    /// Bytes buffered → parsed and dispatched, per protocol (for a JSON
+    /// run: the rest of the burst's parsing, up to dispatch).
     pub decode: ProtoHists,
     /// Reply slot completed → response bytes serialized, per protocol.
     pub render: ProtoHists,
@@ -240,7 +242,7 @@ pub struct ShardTelem {
     pub events: Arc<Mutex<EventRing>>,
     /// Mailbox depth gauge (this worker observes drain waves).
     pub gauge: Arc<QueueGauge>,
-    /// Mailbox wait (dispatch → dequeue), per protocol.
+    /// Mailbox wait (batch dispatch → dequeue), per protocol.
     pub queue: ProtoHists,
     /// Policy decision latency, per protocol.
     pub decide: ProtoHists,

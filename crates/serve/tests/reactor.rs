@@ -370,3 +370,315 @@ fn shutdown_completes_under_idle_and_slowloris_connections() {
     drop(idle);
     drop(slow);
 }
+
+// ---------------------------------------------------------------------
+// Burst-coalesced JSON serving: consecutive `POST /invoke` requests of
+// one read burst ride one `InvokeBatch` per owning shard and one
+// pipeline slot. Whatever the segmentation and whatever interrupts the
+// run, responses come back strictly in arrival order.
+
+fn invoke_bytes(app: &str, ts: u64) -> Vec<u8> {
+    let body = format!("{{\"app\":\"{app}\",\"ts\":{ts}}}");
+    format!(
+        "POST /invoke HTTP/1.1\r\ncontent-length: {}\r\n\r\n{body}",
+        body.len()
+    )
+    .into_bytes()
+}
+
+/// One server→client message of a mixed HTTP / SITW-BIN stream, with
+/// its exact bytes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Msg {
+    Http { status: u16, raw: Vec<u8> },
+    Bin { raw: Vec<u8> },
+}
+
+impl Msg {
+    fn status(&self) -> Option<u16> {
+        match self {
+            Msg::Http { status, .. } => Some(*status),
+            Msg::Bin { .. } => None,
+        }
+    }
+
+    fn text(&self) -> String {
+        match self {
+            Msg::Http { raw, .. } | Msg::Bin { raw } => String::from_utf8_lossy(raw).into_owned(),
+        }
+    }
+}
+
+/// Reads exactly `n` messages off the stream (blocking).
+fn read_msgs(stream: &mut TcpStream, n: usize) -> Vec<Msg> {
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut buf: Vec<u8> = Vec::new();
+    let mut msgs = Vec::with_capacity(n);
+    while msgs.len() < n {
+        let complete = if buf.first() == Some(&wire::BIN_MAGIC) {
+            match wire::decode_server_frame(&buf) {
+                ServerFrameDecode::Reply { consumed, .. } => Some((None, consumed)),
+                ServerFrameDecode::Incomplete => None,
+                other => panic!("{other:?}"),
+            }
+        } else {
+            buf.windows(4)
+                .position(|w| w == b"\r\n\r\n")
+                .and_then(|end| {
+                    let header = String::from_utf8_lossy(&buf[..end]).into_owned();
+                    let status: u16 = header.split(' ').nth(1)?.parse().ok()?;
+                    let len: usize = header
+                        .lines()
+                        .find_map(|l| l.strip_prefix("content-length: "))?
+                        .parse()
+                        .ok()?;
+                    (buf.len() >= end + 4 + len).then_some((Some(status), end + 4 + len))
+                })
+        };
+        match complete {
+            Some((status, consumed)) => {
+                let raw: Vec<u8> = buf.drain(..consumed).collect();
+                msgs.push(match status {
+                    Some(status) => Msg::Http { status, raw },
+                    None => Msg::Bin { raw },
+                });
+            }
+            None => {
+                let mut chunk = [0u8; 16 * 1024];
+                let got = stream.read(&mut chunk).expect("read");
+                assert!(
+                    got > 0,
+                    "server closed after {} of {n} messages",
+                    msgs.len()
+                );
+                buf.extend_from_slice(&chunk[..got]);
+            }
+        }
+    }
+    assert!(buf.is_empty(), "bytes beyond the {n} expected messages");
+    msgs
+}
+
+/// Asserts nothing more arrives on the stream for a little while.
+fn assert_quiet(stream: &mut TcpStream) {
+    stream
+        .set_read_timeout(Some(Duration::from_millis(150)))
+        .unwrap();
+    let mut chunk = [0u8; 256];
+    match stream.read(&mut chunk) {
+        Ok(0) => {}
+        Ok(n) => panic!(
+            "unexpected extra bytes: {}",
+            String::from_utf8_lossy(&chunk[..n])
+        ),
+        Err(e) => assert!(
+            matches!(
+                e.kind(),
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+            ),
+            "{e}"
+        ),
+    }
+}
+
+/// The mixed burst: 8 invokes, a malformed body, `GET /healthz`, a
+/// SITW-BIN v2 frame, 8 more invokes — 19 messages. Every invoke pair is
+/// `(app @ ts, app @ 0)`: a 200 followed by a 409 echoing `last_ts = ts`,
+/// so each position in the reply stream is distinguishable.
+fn mixed_burst(prefix: &str) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    let pair = |bytes: &mut Vec<u8>, i: u64| {
+        let app = format!("{prefix}-{i}");
+        bytes.extend_from_slice(&invoke_bytes(&app, 1_000 + i));
+        bytes.extend_from_slice(&invoke_bytes(&app, 0));
+    };
+    for i in 0..4 {
+        pair(&mut bytes, i);
+    }
+    bytes.extend_from_slice(b"POST /invoke HTTP/1.1\r\ncontent-length: 5\r\n\r\n{nope");
+    bytes.extend_from_slice(b"GET /healthz HTTP/1.1\r\n\r\n");
+    let frame_app = format!("{prefix}-frame");
+    wire::encode_request_frame_v2(
+        &mut bytes,
+        &[(0, frame_app.as_str(), 7), (0, frame_app.as_str(), 3)],
+    );
+    for i in 4..8 {
+        pair(&mut bytes, i);
+    }
+    bytes
+}
+
+fn assert_mixed_burst_replies(msgs: &[Msg]) {
+    assert_eq!(msgs.len(), 19);
+    let pair = |at: usize, i: u64| {
+        assert_eq!(msgs[at].status(), Some(200), "{}", msgs[at].text());
+        assert!(msgs[at].text().contains("\"verdict\":\"cold\""));
+        assert_eq!(msgs[at + 1].status(), Some(409), "{}", msgs[at + 1].text());
+        let want = format!("\"last_ts\":{}", 1_000 + i);
+        assert!(
+            msgs[at + 1].text().contains(&want),
+            "{}",
+            msgs[at + 1].text()
+        );
+    };
+    for i in 0..4 {
+        pair(2 * i as usize, i);
+    }
+    assert_eq!(msgs[8].status(), Some(400), "the 400 keeps its place");
+    assert_eq!(msgs[9].status(), Some(200));
+    assert!(msgs[9].text().contains("\"status\":\"ok\""));
+    let Msg::Bin { raw } = &msgs[10] else {
+        panic!("expected the reply frame, got {}", msgs[10].text());
+    };
+    match wire::decode_server_frame(raw) {
+        ServerFrameDecode::Reply { records, .. } => {
+            assert!(matches!(records[0], BinReply::Verdict { cold: true, .. }));
+            assert_eq!(records[1], BinReply::OutOfOrder { last_ts: 7 });
+        }
+        other => panic!("{other:?}"),
+    }
+    for i in 4..8 {
+        pair(11 + 2 * (i as usize - 4), i);
+    }
+}
+
+#[test]
+fn mixed_burst_in_one_write_is_answered_strictly_in_order() {
+    let server = start_server(base_config());
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream.write_all(&mixed_burst("one")).unwrap();
+    assert_mixed_burst_replies(&read_msgs(&mut stream, 19));
+    assert_quiet(&mut stream);
+    let m = server.metrics();
+    assert_eq!(m.invocations(), 8 + 1, "409s and the 400 decide nothing");
+    assert_eq!(m.proto.frames, 1, "JSON runs are not frames");
+    assert_eq!(m.proto.batched_decisions, 2);
+    server.shutdown().unwrap();
+}
+
+#[test]
+fn mixed_burst_split_at_every_byte_boundary_gives_identical_output() {
+    let server = start_server(base_config());
+    // Same-length prefixes keep the request bytes — and so the set of
+    // boundaries — identical; fresh apps keep the verdicts identical.
+    let reference = {
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream.write_all(&mixed_burst("s0000")).unwrap();
+        read_msgs(&mut stream, 19)
+    };
+    assert_mixed_burst_replies(&reference);
+    let len = mixed_burst("s0000").len();
+    for cut in 1..len {
+        let bytes = mixed_burst(&format!("s{cut:04}"));
+        assert_eq!(bytes.len(), len);
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream.set_nodelay(true).unwrap();
+        stream.write_all(&bytes[..cut]).unwrap();
+        // Let the reactor see the first segment as a burst of its own.
+        std::thread::sleep(Duration::from_micros(200));
+        stream.write_all(&bytes[cut..]).unwrap();
+        let got = read_msgs(&mut stream, 19);
+        for (i, (got, want)) in got.iter().zip(&reference).enumerate() {
+            if i == 9 {
+                // /healthz carries uptime_ms; everything else is exact.
+                assert_eq!(got.status(), Some(200), "cut {cut}");
+            } else {
+                assert_eq!(got, want, "cut {cut}, message {i}");
+            }
+        }
+    }
+    server.shutdown().unwrap();
+}
+
+#[test]
+fn burst_spanning_every_shard_reorders_nothing() {
+    let shards = 4;
+    let server = start_server(ServeConfig {
+        shards,
+        ..base_config()
+    });
+    let apps: Vec<String> = (0..32).map(|i| format!("span-{i:02}")).collect();
+    let hit: std::collections::HashSet<usize> = apps
+        .iter()
+        .map(|a| sitw_serve::shard_of(a, shards))
+        .collect();
+    assert_eq!(hit.len(), shards, "the burst must touch every shard");
+    // (app @ 5000+i, app @ 0): the 409's last_ts names its position.
+    let mut bytes = Vec::new();
+    for (i, app) in apps.iter().enumerate() {
+        bytes.extend_from_slice(&invoke_bytes(app, 5_000 + i as u64));
+        bytes.extend_from_slice(&invoke_bytes(app, 0));
+    }
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream.write_all(&bytes).unwrap();
+    let msgs = read_msgs(&mut stream, 64);
+    for i in 0..32 {
+        assert_eq!(msgs[2 * i].status(), Some(200), "request {i}");
+        assert_eq!(msgs[2 * i + 1].status(), Some(409), "request {i}");
+        let want = format!("\"last_ts\":{}}}", 5_000 + i);
+        assert!(
+            msgs[2 * i + 1].text().ends_with(&want),
+            "position {i}: {}",
+            msgs[2 * i + 1].text()
+        );
+    }
+    assert_quiet(&mut stream);
+    server.shutdown().unwrap();
+}
+
+/// Scratch-leak regression: the parked-request scratch is reactor-wide,
+/// so a connection that dies mid-burst must leave none of its requests
+/// behind for the next connection on that reactor — and the requests it
+/// did send were dispatched (the invocations happened).
+#[test]
+fn dead_burst_leaks_nothing_into_the_next_connection() {
+    let server = start_server(ServeConfig {
+        reactor_threads: 1,
+        ..base_config()
+    });
+    {
+        let mut doomed = TcpStream::connect(server.addr()).unwrap();
+        let mut bytes = Vec::new();
+        for i in 0..16 {
+            bytes.extend_from_slice(&invoke_bytes(&format!("doomed-{i}"), 10 + i));
+        }
+        bytes.extend_from_slice(b"\x00\x01 this is not HTTP\r\n\r\n");
+        doomed.write_all(&bytes).unwrap();
+        // The malformed request closes the connection server-side.
+        doomed
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let mut sink = Vec::new();
+        let _ = doomed.read_to_end(&mut sink);
+    }
+    assert!(
+        wait_until(Duration::from_secs(5), || server.metrics().conns.live == 0),
+        "the dead connection must be retired"
+    );
+    assert!(
+        wait_until(Duration::from_secs(5), || server.metrics().invocations()
+            == 16),
+        "the 16 parsed invocations were dispatched; got {}",
+        server.metrics().invocations()
+    );
+
+    let mut next = TcpStream::connect(server.addr()).unwrap();
+    let mut bytes = invoke_bytes("survivor", 99);
+    bytes.extend_from_slice(b"GET /metrics HTTP/1.1\r\n\r\n");
+    next.write_all(&bytes).unwrap();
+    let msgs = read_msgs(&mut next, 2);
+    assert_eq!(msgs[0].status(), Some(200));
+    assert!(msgs[0].text().contains("\"verdict\":\"cold\""));
+    assert_eq!(msgs[1].status(), Some(200));
+    let invocations: u64 = msgs[1]
+        .text()
+        .lines()
+        .filter(|l| l.starts_with("sitw_serve_invocations_total{"))
+        .filter_map(|l| l.rsplit(' ').next()?.parse::<u64>().ok())
+        .sum();
+    assert_eq!(invocations, 17, "16 from the dead burst + the survivor");
+    assert_quiet(&mut next);
+    server.shutdown().unwrap();
+}

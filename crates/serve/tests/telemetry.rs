@@ -22,6 +22,16 @@ fn base_config() -> ServeConfig {
     }
 }
 
+/// One `POST /invoke` request, optionally carrying `x-sitw-trace`.
+fn invoke_request(app: &str, ts: u64, trace: Option<u64>) -> String {
+    let body = format!("{{\"app\":\"{app}\",\"ts\":{ts}}}");
+    let trace = trace.map_or(String::new(), |id| format!("x-sitw-trace: {id:#018x}\r\n"));
+    format!(
+        "POST /invoke HTTP/1.1\r\n{trace}content-length: {}\r\n\r\n{body}",
+        body.len()
+    )
+}
+
 /// Minimal blocking HTTP/1.1 client over one keep-alive connection.
 struct Client {
     stream: TcpStream,
@@ -83,12 +93,7 @@ impl Client {
 
     /// `POST /invoke` carrying a propagated `x-sitw-trace` id.
     fn invoke_traced(&mut self, app: &str, ts: u64, trace: u64) -> u16 {
-        let body = format!("{{\"app\":\"{app}\",\"ts\":{ts}}}");
-        let req = format!(
-            "POST /invoke HTTP/1.1\r\nx-sitw-trace: {trace:#018x}\r\n\
-             content-length: {}\r\n\r\n{body}",
-            body.len()
-        );
+        let req = invoke_request(app, ts, Some(trace));
         self.stream.write_all(req.as_bytes()).expect("write");
         self.read_response().0
     }
@@ -440,5 +445,72 @@ fn no_telemetry_serves_but_exports_nothing() {
     let (status, threads) = client.request("GET", "/debug/threads", "");
     assert_eq!(status, 200);
     assert!(threads.contains("\"reactors\":[]"));
+    server.shutdown().unwrap();
+}
+
+// ---------------------------------------------------------------------
+// Burst-coalesced JSON: a pipelined burst rides one `InvokeBatch` per
+// shard, yet telemetry stays invocation-weighted and exact — every
+// stage counts every request, nothing is booked as a frame, and a
+// traced request keeps all six stages under its own id.
+
+#[test]
+fn pipelined_json_burst_counts_every_stage_exactly_and_no_frames() {
+    let server = Server::start(base_config()).unwrap();
+    let mut client = Client::connect(server.addr());
+    const N: u64 = 96;
+    let burst: String = (0..N)
+        .map(|i| invoke_request(&format!("burst-{}", i % 11), 1_000 + i, None))
+        .collect();
+    client.stream.write_all(burst.as_bytes()).unwrap();
+    for i in 0..N {
+        assert_eq!(client.read_response().0, 200, "request {i}");
+    }
+    let (status, text) = client.request("GET", "/metrics", "");
+    assert_eq!(status, 200);
+    for stage in ["read", "decode", "queue", "decide", "render", "write"] {
+        let count =
+            format!("sitw_serve_decision_latency_count{{stage=\"{stage}\",proto=\"json\"}} {N}\n");
+        assert!(
+            text.contains(&count),
+            "missing `{}` in:\n{text}",
+            count.trim()
+        );
+        let bin =
+            format!("sitw_serve_decision_latency_count{{stage=\"{stage}\",proto=\"bin\"}} 0\n");
+        assert!(text.contains(&bin), "missing `{}`", bin.trim());
+    }
+    assert!(text.contains("sitw_serve_frames_total 0\n"), "{text}");
+    assert!(text.contains("sitw_serve_batched_decisions_total 0\n"));
+    server.shutdown().unwrap();
+}
+
+#[test]
+fn traced_request_inside_a_burst_keeps_six_spans_under_its_id() {
+    let server = Server::start(base_config()).unwrap();
+    let mut client = Client::connect(server.addr());
+    let trace = (1u64 << 63) | 0xB0057;
+    let burst: String = (0..32u64)
+        .map(|i| invoke_request(&format!("mix-{i}"), 3_000 + i, (i == 17).then_some(trace)))
+        .collect();
+    client.stream.write_all(burst.as_bytes()).unwrap();
+    for i in 0..32 {
+        assert_eq!(client.read_response().0, 200, "request {i}");
+    }
+    let (status, text) = client.request("GET", "/debug/trace?n=512", "");
+    assert_eq!(status, 200);
+    let hex = format!("{trace:#018x}");
+    // Line format: `start_ns end_ns dur_ns span stage source`.
+    let mut stages: Vec<&str> = text
+        .lines()
+        .filter(|l| l.split(' ').nth(3) == Some(hex.as_str()))
+        .filter_map(|l| l.split(' ').nth(4))
+        .collect();
+    stages.sort_unstable();
+    assert_eq!(
+        stages,
+        ["decide", "decode", "queue", "read", "render", "write"],
+        "the traced request's own spans:\n{text}"
+    );
     server.shutdown().unwrap();
 }
