@@ -31,11 +31,21 @@
 //! must hold ≥ 0.95× a `telemetry: false` measurement taken in the same
 //! run (the committed `BENCH_serve.json` numbers are telemetry-on).
 //!
-//! The ISSUE-8 additions: `json-routed` and `bin-routed` cases — the
-//! same 4-shard shapes driven through an in-process `sitw-router` in
-//! front of the node — recorded as trajectory points and gated in-run at
-//! ≥ 0.8× the direct single-node rate of the same shape (the extra hop
-//! must stay thin).
+//! `json-routed` and `bin-routed` — the same 4-shard shapes driven
+//! through an in-process `sitw-router` in front of the one node — are
+//! recorded as trajectory points and no longer gated in-run. The ISSUE-8
+//! gate (routed ≥ 0.8× direct) was measuring a byte relay that only a
+//! one-node ring without QoS or hop tracing ever took; ISSUE-15 deleted
+//! the relay, so these rows now time the decoded path every ring runs.
+//! Measured on the 2-vCPU dev box when the relay went (`SITW_BENCH_MS=200`,
+//! paired direct/routed runs): `json-routed` 0.66 / 0.68 / 0.96× direct,
+//! `bin-routed` (batch 128) 0.79 / 0.71 / 0.73 / 0.77× — against 0.89×
+//! and 1.03× recorded with the relay. That difference is the cost every
+//! ≥ 2-node ring has always paid, which a one-node in-process shape
+//! cannot bound. The routed figure of record is the repo benchmark's
+//! `routed-fleet` workload (`BENCHMARK.json`: two nodes plus a standby,
+//! verified replies, bounds on `decisions_per_s` and
+//! `cpu_us_per_decision`, run on every PR).
 //!
 //! ISSUE-14 re-measured the ISSUE-3 gate. Its original premise — JSON
 //! pays a shard mailbox hop per request, a frame pays one per batch —
@@ -97,10 +107,6 @@ const TELEM_GATE_RATIO: f64 = 0.95;
 /// The ISSUE-5 acceptance floor: in-run json and bin batch=1 rates vs
 /// the committed baseline (same hardware).
 const BASELINE_RATIO: f64 = 0.9;
-
-/// The ISSUE-8 acceptance floor: routed-through-`sitw-router` rates vs
-/// the direct single-node rate of the same shape.
-const ROUTED_GATE_RATIO: f64 = 0.8;
 
 /// The ISSUE-10 acceptance floor: steady-state throughput with a warm
 /// standby actively pulling the replication stream vs the same shape
@@ -671,7 +677,7 @@ fn report_and_gate() {
         .map(CaseResult::mean)
         .expect("json tenants case");
     // On a shortfall, re-measure both sides back-to-back (paired, like
-    // the routed and telemetry gates): the box swings absolute rates
+    // the replication and telemetry gates): the box swings absolute rates
     // run-to-run, and an unpaired ratio gates on that noise instead of
     // on the ledger overhead this gate exists to bound.
     let mut tenant_base = json_4;
@@ -716,85 +722,14 @@ fn report_and_gate() {
          JSON rate ({tenants_json:.0} vs {tenant_base:.0} dec/s)"
     );
 
-    // Routed gate (ISSUE-8): through-router rates must hold >= 0.8x the
-    // direct single-node rate of the same shape — the router adds one
-    // hop and a re-encode, not a serialization point. On a shortfall
-    // both sides re-measure back-to-back (the telemetry gate's pairing
-    // discipline): the single-core box swings both absolute rates by
-    // ~15% run-to-run, so only a paired ratio isolates router overhead
-    // from machine noise. Real overhead reproduces in every pair;
-    // noise does not.
-    for (routed_label, direct_proto, batch) in
-        [("json-routed", "json", 1usize), ("bin-routed", "bin", 128)]
-    {
-        let mut direct = results
-            .iter()
-            .find(|r| {
-                r.proto == direct_proto
-                    && r.policy == "hybrid"
-                    && r.shards == 4
-                    && r.batch == batch
-                    && r.tenants == 0
-                    && r.conns == BASE_CONNS
-            })
-            .map(CaseResult::mean)
-            .expect("direct case for the routed gate");
-        let mut routed = results
-            .iter()
-            .find(|r| r.proto == routed_label)
-            .map(CaseResult::mean)
-            .expect("routed case measured");
-        let wire = if direct_proto == "bin" {
-            Proto::Bin { batch }
-        } else {
-            Proto::Json
-        };
-        let mut ratio = routed / direct;
-        let mut retries = 0;
-        while ratio < ROUTED_GATE_RATIO && retries < 4 {
-            retries += 1;
-            let again_direct = run_once(
-                4,
-                PolicySpec::Hybrid(HybridConfig::default()),
-                wire,
-                0,
-                BASE_CONNS,
-                true,
-            );
-            let again_routed = run_once_routed(
-                4,
-                PolicySpec::Hybrid(HybridConfig::default()),
-                wire,
-                BASE_CONNS,
-            );
-            println!(
-                "gate: {routed_label} retry {retries}: routed {again_routed:.0} vs direct \
-                 {again_direct:.0} dec/s = {:.2}x",
-                again_routed / again_direct
-            );
-            if again_routed / again_direct > ratio {
-                ratio = again_routed / again_direct;
-                routed = again_routed;
-                direct = again_direct;
-            }
-        }
-        println!(
-            "gate: {routed_label} {routed:.0} dec/s vs direct {direct:.0} dec/s = {ratio:.2}x \
-             (floor {ROUTED_GATE_RATIO}x)"
-        );
-        assert!(
-            ratio >= ROUTED_GATE_RATIO,
-            "perf gate failed: {routed_label} must sustain >= {ROUTED_GATE_RATIO}x the \
-             direct rate ({routed:.0} vs {direct:.0} dec/s)"
-        );
-    }
-
     // Replication gate (ISSUE-10): with a warm standby pulling the
     // snapshot stream, steady-state throughput must hold >= 0.9x the
     // no-follower rate of the same shape — dirty tracking and chunked
-    // export never pause shards. Same paired-retry discipline as the
-    // routed gate: re-measure both sides back-to-back on a shortfall so
-    // machine noise can't masquerade as replication overhead.
+    // export never pause shards. On a shortfall both sides re-measure
+    // back-to-back: the box swings both absolute rates by ~15%
+    // run-to-run, so only a paired ratio isolates replication overhead
+    // from machine noise. Real overhead reproduces in every pair; noise
+    // does not.
     for (repl_label, direct_proto, batch) in
         [("json-repl", "json", 1usize), ("bin-repl", "bin", 128)]
     {

@@ -50,7 +50,7 @@ use std::time::Duration;
 
 use sitw_core::PolicySpec;
 use sitw_fleet::{fnv1a, registry::parse_tenant_arg, Admission, QosPolicy};
-use sitw_serve::http::{write_response, ConnBuf, EventOutcome};
+use sitw_serve::http::{write_response, ConnBuf, ReadEvent, Request, MAX_BODY_BYTES};
 use sitw_serve::wire::{
     self, decode_server_frame, encode_error_frame, encode_reply_records, encode_request_frame_v2,
     encode_request_frame_v2_traced, BinErrorCode, BinInvoke, BinReply, ControlReply,
@@ -261,19 +261,6 @@ struct RouterCtx {
     /// paths skip the admission mutex entirely — `admit` would answer
     /// an unconditional yes for every tenant anyway.
     has_qos: bool,
-    /// One-node cluster without QoS: every `/invoke` forwards to node 0
-    /// unparsed (the routing decision is a constant).
-    solo_target: bool,
-    /// Solo-target fast path for binary request frames: relay v1
-    /// frames byte-for-byte without decoding records. v1 carries no
-    /// tenant ids, so a constant routing decision is all it needs.
-    raw_v1: bool,
-    /// Same for v2 frames, which embed node-local tenant ids. Only
-    /// sound while node 0's id table is the identity mapping the
-    /// router itself provisioned (tenant `i` → id `i + 1`); migration
-    /// churn never perturbs a one-node ring, so this holds for the
-    /// life of a solo target.
-    raw_v2: bool,
     /// Per-node tenant name → node-local wire id (ids diverge across
     /// nodes once tenants migrate).
     node_ids: RwLock<Vec<HashMap<String, u16>>>,
@@ -757,28 +744,12 @@ impl Router {
             .store(cfg.failover.gauge(), Ordering::Relaxed);
         let reconcile_ms = cfg.reconcile_ms;
         let has_qos = cfg.tenants.iter().any(|t| t.qos.is_some());
-        let solo_target = nodes.len() == 1 && !has_qos;
-        // Raw relay surfaces frames undecoded, so the sampler could
-        // never tag every Nth one: hop tracing forces the decode path.
-        // (Client-traced frames bypass raw relay regardless — their
-        // flagged kind byte fails the raw capture's exact match.)
-        let raw_v1 = solo_target && cfg.trace_sample == 0;
-        let raw_v2 = solo_target
-            && cfg.trace_sample == 0
-            && cfg
-                .tenants
-                .iter()
-                .enumerate()
-                .all(|(i, t)| node_ids[0].get(&t.name) == Some(&(i as u16 + 1)));
         let telem = RouterTelem::new(cfg.trace_sample);
         let failover = cfg.failover;
         let ctx = Arc::new(RouterCtx {
             ring: RwLock::new(ClusterRing::new(nodes.len())),
             admission: Mutex::new(admission),
             has_qos,
-            solo_target,
-            raw_v1,
-            raw_v2,
             node_ids: RwLock::new(node_ids),
             metrics,
             telem,
@@ -1010,7 +981,7 @@ enum Pending {
     /// One client SITW-BIN v2 frame whose records all mapped to `node`
     /// with nothing throttled locally: the node's reply (or typed
     /// error) frame answers the client verbatim, no reassembly.
-    RawFrame {
+    WholeFrame {
         node: usize,
         /// `(trace id, forward-end ns)` when traced (see `Json::hop`).
         hop: Option<(u64, u64)>,
@@ -1057,11 +1028,9 @@ fn client_thread(ctx: Arc<RouterCtx>, stream: TcpStream) {
     };
     let upstream = (0..ctx.slots).map(|_| None).collect();
     let readers = (0..ctx.slots).map(|_| None).collect();
-    let mut buf = ConnBuf::new(stream);
-    buf.set_raw_request_frames(ctx.raw_v1, ctx.raw_v2);
     let mut conn = ClientConn {
         ctx,
-        conn: buf,
+        conn: ConnBuf::new(stream),
         writer: write_half,
         upstream,
         readers,
@@ -1107,6 +1076,13 @@ struct ClientConn {
 
 impl ClientConn {
     fn run(&mut self) {
+        // Parse scratch, refilled in place: a warm connection reads
+        // without allocating.
+        let mut req = Request::default();
+        let mut records: Vec<BinInvoke> = Vec::new();
+        // Set when the loop ends on an error that leaves part of the
+        // client's message unread.
+        let mut unread_input = false;
         loop {
             if self.ctx.shutting_down() {
                 break;
@@ -1119,12 +1095,12 @@ impl ClientConn {
             if self.conn.buffered() == 0 && !self.settle() {
                 break;
             }
-            let event = match self.conn.read_event() {
+            let event = match self.conn.read_event_into(&mut req, &mut records) {
                 Ok(ev) => ev,
                 Err(_) => break,
             };
             match event {
-                EventOutcome::Timeout => {
+                ReadEvent::Timeout => {
                     // A stalled mid-message client still gets the
                     // responses it is owed, bounded by the read
                     // timeout — it can't hold earlier replies hostage.
@@ -1133,27 +1109,18 @@ impl ClientConn {
                     }
                     continue;
                 }
-                EventOutcome::Eof => break,
-                EventOutcome::Request(req) => {
+                ReadEvent::Eof => break,
+                ReadEvent::Request => {
                     if !self.handle_request(&req) {
                         break;
                     }
                 }
-                EventOutcome::Frame {
-                    records,
-                    version,
-                    trace,
-                } => {
+                ReadEvent::Frame { version, trace } => {
                     if !self.handle_frame(&records, version, trace) {
                         break;
                     }
                 }
-                EventOutcome::RawFrame { count } => {
-                    if !self.handle_raw_frame(count) {
-                        break;
-                    }
-                }
-                EventOutcome::Ctrl(_) => {
+                ReadEvent::Ctrl(_) => {
                     // The control plane flows router → node, never
                     // client → router.
                     if !self.send_error_frame(
@@ -1163,18 +1130,23 @@ impl ClientConn {
                         break;
                     }
                 }
-                EventOutcome::FrameError {
+                ReadEvent::FrameError {
                     code,
                     detail,
                     recoverable,
                 } => {
-                    if !self.send_error_frame(code, &detail) || !recoverable {
+                    if !self.send_error_frame(code, &detail) {
+                        break;
+                    }
+                    if !recoverable {
+                        unread_input = true;
                         break;
                     }
                 }
-                EventOutcome::BodyTooLarge { declared } => {
+                ReadEvent::BodyTooLarge { declared } => {
                     let body = format!("{{\"error\":\"body of {declared} bytes too large\"}}");
                     self.send_response(413, "application/json", body.as_bytes());
+                    unread_input = true;
                     break;
                 }
             }
@@ -1184,7 +1156,14 @@ impl ClientConn {
         }
         // Requests already forwarded still deserve their responses,
         // even if the client half-closed mid-buffer.
-        let _ = self.settle();
+        let answered = self.settle();
+        if unread_input && answered {
+            // The stream could not be resynchronized, so the rest of the
+            // client's message is still in flight. Closing over unread
+            // bytes turns the close into an RST that can destroy the
+            // error response just written.
+            self.conn.drain_for_close(2 * MAX_BODY_BYTES);
+        }
     }
 
     /// Flushes buffered upstream requests, drains every owed response,
@@ -1326,7 +1305,7 @@ impl ClientConn {
     }
 
     /// Routes one HTTP request. Returns false to close the connection.
-    fn handle_request(&mut self, req: &sitw_serve::http::Request) -> bool {
+    fn handle_request(&mut self, req: &Request) -> bool {
         let (path, query) = match req.path.split_once('?') {
             Some((p, q)) => (p, q),
             None => (req.path.as_str(), ""),
@@ -1568,7 +1547,7 @@ impl ClientConn {
     }
 
     /// Admission + placement + forward for one JSON `/invoke`.
-    fn forward_invoke(&mut self, req: &sitw_serve::http::Request) -> bool {
+    fn forward_invoke(&mut self, req: &Request) -> bool {
         let t0 = self.ctx.telem.now_ns();
         let trace = self.ctx.telem.sample(req.trace);
         if trace.is_some() {
@@ -1576,32 +1555,6 @@ impl ClientConn {
                 .metrics
                 .traced_requests
                 .fetch_add(1, Ordering::Relaxed);
-        }
-        // One-node cluster without QoS admission: the routing decision
-        // is a constant, so the body needn't be parsed at all — the
-        // router degrades to a protocol-terminating relay and the node
-        // answers exactly what it would answer directly (including any
-        // 4xx for a body it rejects).
-        if self.ctx.solo_target {
-            let live = self.ctx.ring.read().expect("ring poisoned").is_live(0);
-            if !live {
-                return self.send_response(
-                    503,
-                    "application/json",
-                    b"{\"error\":\"no live nodes\"}",
-                );
-            }
-            self.ctx
-                .metrics
-                .json_requests
-                .fetch_add(1, Ordering::Relaxed);
-            if let Some(id) = trace {
-                // The constant routing decision is a zero-width span.
-                let t1 = self.ctx.telem.now_ns();
-                self.ctx.telem.record(id, Stage::Ingress, t0, t1);
-                self.ctx.telem.record(id, Stage::Route, t1, t1);
-            }
-            return self.forward_invoke_to(0, req, trace);
         }
         let inv = match wire::parse_invoke(&req.body) {
             Ok(inv) => inv,
@@ -1659,12 +1612,7 @@ impl ClientConn {
     /// upstream writer and queues the response relay. A traced request
     /// carries its id to the node as an `x-sitw-trace` header, and its
     /// `forward` hop span closes here.
-    fn forward_invoke_to(
-        &mut self,
-        node: usize,
-        req: &sitw_serve::http::Request,
-        trace: Option<u64>,
-    ) -> bool {
+    fn forward_invoke_to(&mut self, node: usize, req: &Request, trace: Option<u64>) -> bool {
         let t_f0 = self.ctx.telem.now_ns();
         let forwarded = self.ensure_node(node).and_then(|()| {
             let Some(stream) = self.upstream[node].as_mut() else {
@@ -1874,7 +1822,7 @@ impl ClientConn {
             && slots.len() == batches[sent[0]].len()
         {
             self.pendings
-                .push_back(Pending::RawFrame { node: sent[0], hop });
+                .push_back(Pending::WholeFrame { node: sent[0], hop });
             return true;
         }
         self.pendings.push_back(Pending::Frame {
@@ -1885,49 +1833,6 @@ impl ClientConn {
             hop,
         });
         true
-    }
-
-    /// Relays a captured request frame to node 0 byte-for-byte — the
-    /// solo-target fast path where routing is a constant and the
-    /// node-local tenant ids match the client's. The node's reply (or
-    /// typed error) frame is the client's answer verbatim, in either
-    /// protocol version: nodes echo the version they were sent.
-    fn handle_raw_frame(&mut self, count: u32) -> bool {
-        self.flush_json_run();
-        self.ctx.metrics.bin_frames.fetch_add(1, Ordering::Relaxed);
-        self.ctx
-            .metrics
-            .bin_records
-            .fetch_add(u64::from(count), Ordering::Relaxed);
-        if !self.ctx.ring.read().expect("ring poisoned").is_live(0) {
-            return self.send_error_frame(BinErrorCode::Unavailable, "no live nodes");
-        }
-        let result = self
-            .ensure_node(0)
-            .and_then(|()| match self.upstream[0].as_mut() {
-                Some(stream) => stream.write_all(self.conn.raw_frame()),
-                None => Err(io::Error::other("upstream vanished")),
-            });
-        match result {
-            Ok(()) => {
-                self.ctx
-                    .metrics
-                    .forwarded_subframes
-                    .fetch_add(1, Ordering::Relaxed);
-                self.queued_bytes += wire::BIN_HEADER_LEN + wire::REPLY_RECORD_LEN * count as usize;
-                self.pendings
-                    .push_back(Pending::RawFrame { node: 0, hop: None });
-                true
-            }
-            Err(e) => {
-                self.ctx.metrics.node_error(0);
-                self.upstream[0] = None;
-                self.send_error_frame(
-                    BinErrorCode::Unavailable,
-                    &format!("node {} down: {e}", self.ctx.node_name(0)),
-                )
-            }
-        }
     }
 }
 
@@ -2049,8 +1954,8 @@ impl NodeReader {
     }
 
     /// Frames one server BIN frame (reply or typed error) and appends it
-    /// to `out` verbatim — the `RawFrame` fast path's relay, no record
-    /// decode. `out` is untouched on error.
+    /// to `out` verbatim — the `WholeFrame` relay, no record decode.
+    /// `out` is untouched on error.
     fn relay_reply_frame(&mut self, out: &mut Vec<u8>) -> io::Result<()> {
         while self.buf.len() - self.start < wire::BIN_HEADER_LEN {
             self.fill()?;
@@ -2126,7 +2031,7 @@ fn handle_pending(
                 egress.push((id, t_reply));
             }
         }
-        Pending::RawFrame { node, hop } => {
+        Pending::WholeFrame { node, hop } => {
             let result = match readers[node].as_mut() {
                 Some(r) => r.relay_reply_frame(out_buf),
                 None => Err(io::Error::other("no upstream reader")),

@@ -6,11 +6,13 @@
 
 mod common;
 
-use std::net::SocketAddr;
+use std::io::{Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::time::Duration;
 
 use common::{http, start_node, BinClient, BinResponse, JsonClient};
 use sitw_cluster::{control_roundtrip, ClusterRing, Router, RouterConfig, RouterTenant};
-use sitw_serve::wire::{BinErrorCode, BinReply, ControlReply, ControlRequest};
+use sitw_serve::wire::{self, BinErrorCode, BinReply, ControlReply, ControlRequest};
 
 fn router_over(nodes: &[SocketAddr], tenants: &[&str]) -> Router {
     Router::start(RouterConfig {
@@ -523,4 +525,241 @@ fn fleet_federation_is_bucket_exact_and_events_record_provenance() {
     for node in nodes {
         node.shutdown().unwrap();
     }
+}
+
+// ---------------------------------------------------------------------
+// One-node parity: a router over one node answers, byte for byte, what
+// the bare node answers — whatever the router's tracing or QoS
+// configuration — because every ring size runs the same decoded path.
+
+/// The cluster tenant table of the parity tests (wire ids 1 and 2).
+const PARITY_TENANTS: [&str; 2] = ["t0=fixed:10", "t1=fixed:10"];
+
+/// A bare node holding [`PARITY_TENANTS`] under the ids a router would
+/// provision them with.
+fn parity_node() -> sitw_serve::Server {
+    let node = start_node();
+    for spec in PARITY_TENANTS {
+        let (status, body) = http(node.addr(), "POST", "/admin/tenants", spec);
+        assert_eq!(status, 200, "{body}");
+    }
+    node
+}
+
+fn post_invoke(out: &mut Vec<u8>, header: &str, body: &str) {
+    out.extend_from_slice(
+        format!(
+            "POST /invoke HTTP/1.1\r\n{header}content-length: {}\r\n\r\n{body}",
+            body.len()
+        )
+        .as_bytes(),
+    );
+}
+
+/// An over-`MAX_BATCH` request frame with an intact envelope: a
+/// recoverable `Oversized` error the parser skips past.
+fn oversized_batch_frame(out: &mut Vec<u8>, version: u8) {
+    out.extend_from_slice(&[wire::BIN_MAGIC, version, wire::FRAME_REQUEST]);
+    out.extend_from_slice(&4u32.to_le_bytes());
+    out.extend_from_slice(&((wire::MAX_BATCH + 1) as u32).to_le_bytes());
+    out.extend_from_slice(&[0u8; 4]);
+}
+
+/// One pipelined stream mixing everything a client can send on the data
+/// path. App names carry `run` at a fixed width, so every run has the
+/// same length and shape but touches fresh per-app state.
+fn mixed_stream(run: usize) -> Vec<u8> {
+    let app = format!("app-{run:05}");
+    let other = format!("oth-{run:05}");
+    let (app, other) = (app.as_str(), other.as_str());
+    let mut s = Vec::new();
+    post_invoke(&mut s, "", &format!("{{\"app\":\"{app}\",\"ts\":0}}"));
+    post_invoke(
+        &mut s,
+        "",
+        &format!("{{\"tenant\":\"t0\",\"app\":\"{app}\",\"ts\":0}}"),
+    );
+    post_invoke(&mut s, "", "{\"app\":"); // Unparsable body.
+    post_invoke(&mut s, "", "{\"app\":\"\",\"ts\":1}"); // Empty app.
+    post_invoke(
+        &mut s,
+        "",
+        &format!("{{\"tenant\":\"ghost\",\"app\":\"{app}\",\"ts\":5}}"),
+    );
+    post_invoke(
+        &mut s,
+        "x-sitw-trace: 0x8000000000000abc\r\n",
+        &format!("{{\"tenant\":\"t1\",\"app\":\"{app}\",\"ts\":7}}"),
+    );
+    // SITW-BIN v1 (default tenant), including an out-of-order record.
+    wire::encode_request_frame(&mut s, &[(app, 1_000), (other, 1_000), (app, 500)]);
+    wire::encode_request_frame(&mut s, &[]);
+    // v2: every tenant id alone, then all of them in one frame.
+    for id in 0..=PARITY_TENANTS.len() as u16 {
+        wire::encode_request_frame_v2(&mut s, &[(id, app, 2_000), (id, other, 2_000)]);
+    }
+    wire::encode_request_frame_v2(&mut s, &[(2, app, 3_000), (0, app, 3_000), (1, app, 3_000)]);
+    wire::encode_request_frame_v2_traced(
+        &mut s,
+        &[(1, other, 4_000), (1, app, 4_000)],
+        0x8000_0000_0000_0def,
+    );
+    oversized_batch_frame(&mut s, wire::BIN_VERSION);
+    oversized_batch_frame(&mut s, wire::BIN_VERSION_2);
+    // The connection survived all of it.
+    post_invoke(&mut s, "", &format!("{{\"app\":\"{app}\",\"ts\":700000}}"));
+    s
+}
+
+/// Writes `chunks` as separate segments on one connection, half-closes,
+/// and returns every byte the peer answered before closing.
+fn exchange(addr: SocketAddr, chunks: &[&[u8]]) -> Vec<u8> {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.set_nodelay(true).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    for (i, chunk) in chunks.iter().enumerate() {
+        if i > 0 {
+            // Let the previous segment land as a read of its own.
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        stream.write_all(chunk).expect("write");
+    }
+    stream.shutdown(Shutdown::Write).expect("half-close");
+    let mut response = Vec::new();
+    stream.read_to_end(&mut response).expect("read to eof");
+    response
+}
+
+fn assert_same_bytes(got: &[u8], expected: &[u8], what: &str) {
+    assert!(
+        got == expected,
+        "{what}: response streams differ\n--- bare node ---\n{}\n--- router ---\n{}",
+        String::from_utf8_lossy(expected),
+        String::from_utf8_lossy(got)
+    );
+}
+
+#[test]
+fn one_node_ring_answers_exactly_what_the_bare_node_answers() {
+    let bare = parity_node();
+    let stream = mixed_stream(0);
+    let expected = exchange(bare.addr(), &[&stream]);
+    // The stream exercised what it claims to: seven HTTP answers (four
+    // served, three 400s) around the binary frames.
+    let text = String::from_utf8_lossy(&expected);
+    assert_eq!(text.matches("HTTP/1.1 200 OK").count(), 4, "{text}");
+    assert_eq!(
+        text.matches("HTTP/1.1 400 Bad Request").count(),
+        3,
+        "{text}"
+    );
+
+    let configs: [(&str, usize, [&str; 2]); 3] = [
+        ("plain", 0, PARITY_TENANTS),
+        ("trace_sample=1", 1, PARITY_TENANTS),
+        (
+            "one qos tenant",
+            0,
+            [PARITY_TENANTS[0], "t1=fixed:10,qos=gold"],
+        ),
+    ];
+    for (what, trace_sample, tenants) in configs {
+        let twin = start_node();
+        let router = Router::start(RouterConfig {
+            nodes: vec![twin.addr().to_string()],
+            tenants: tenants
+                .iter()
+                .map(|t| RouterTenant::parse(t).expect("tenant spec"))
+                .collect(),
+            reconcile_ms: 0,
+            trace_sample,
+            ..RouterConfig::default()
+        })
+        .expect("router starts");
+        assert_same_bytes(&exchange(router.addr(), &[&stream]), &expected, what);
+        router.shutdown();
+        twin.shutdown().unwrap();
+    }
+    bare.shutdown().unwrap();
+}
+
+#[test]
+fn one_node_ring_parity_holds_with_the_stream_split_at_every_byte() {
+    let bare = parity_node();
+    let twin = start_node();
+    let router = router_over(&[twin.addr()], &PARITY_TENANTS);
+    let len = mixed_stream(0).len();
+    for cut in 1..len {
+        // A fresh run per cut: both sides see the same never-seen apps.
+        let stream = mixed_stream(cut);
+        assert_eq!(stream.len(), len);
+        let expected = exchange(bare.addr(), &[&stream]);
+        let got = exchange(router.addr(), &[&stream[..cut], &stream[cut..]]);
+        assert_same_bytes(&got, &expected, &format!("split at byte {cut}"));
+    }
+    router.shutdown();
+    twin.shutdown().unwrap();
+    bare.shutdown().unwrap();
+}
+
+// ---------------------------------------------------------------------
+// Fatal client errors: the router's answer must survive the close. The
+// client still has unread bytes in flight, so a plain close would turn
+// into an RST that can destroy the response before it is read. Looped:
+// the race is lost most of the time without the drain, not every time.
+
+#[test]
+fn oversized_body_gets_413_through_the_router_not_a_reset() {
+    let node = start_node();
+    let router = router_over(&[node.addr()], &[]);
+    for attempt in 0..20 {
+        let mut stream = TcpStream::connect(router.addr()).unwrap();
+        stream
+            .write_all(b"POST /invoke HTTP/1.1\r\ncontent-length: 1099511627776\r\n\r\n")
+            .unwrap();
+        stream
+            .write_all(&vec![b'x'; 256 * 1024])
+            .unwrap_or_else(|e| panic!("attempt {attempt}: body write: {e}"));
+        let mut response = String::new();
+        stream
+            .read_to_string(&mut response)
+            .unwrap_or_else(|e| panic!("attempt {attempt}: {e}"));
+        assert!(
+            response.starts_with("HTTP/1.1 413 Payload Too Large\r\n"),
+            "attempt {attempt}: {response}"
+        );
+    }
+    router.shutdown();
+    node.shutdown().unwrap();
+}
+
+#[test]
+fn bad_version_frame_gets_its_typed_error_through_the_router_not_a_reset() {
+    let node = start_node();
+    let router = router_over(&[node.addr()], &[]);
+    for attempt in 0..20 {
+        let mut stream = TcpStream::connect(router.addr()).unwrap();
+        let mut frame = vec![wire::BIN_MAGIC, 9, wire::FRAME_REQUEST];
+        frame.extend_from_slice(&(256u32 * 1024).to_le_bytes());
+        frame.extend_from_slice(&1u32.to_le_bytes());
+        frame.resize(wire::BIN_HEADER_LEN + 256 * 1024, 0);
+        stream
+            .write_all(&frame)
+            .unwrap_or_else(|e| panic!("attempt {attempt}: frame write: {e}"));
+        let mut response = Vec::new();
+        stream
+            .read_to_end(&mut response)
+            .unwrap_or_else(|e| panic!("attempt {attempt}: {e}"));
+        match wire::decode_server_frame(&response) {
+            wire::ServerFrameDecode::Error { code, consumed, .. } => {
+                assert_eq!(code, BinErrorCode::BadVersion, "attempt {attempt}");
+                assert_eq!(consumed, response.len(), "attempt {attempt}");
+            }
+            other => panic!("attempt {attempt}: {other:?}"),
+        }
+    }
+    router.shutdown();
+    node.shutdown().unwrap();
 }

@@ -484,14 +484,6 @@ impl Conn {
                         return Flow::Close;
                     }
                 }
-                Ok(ReadEvent::RawFrame { .. }) => {
-                    // Raw passthrough is a proxy-only mode the server
-                    // never enables; if it ever surfaces, drop the
-                    // connection rather than answer bytes we didn't
-                    // decode.
-                    self.fatal = true;
-                    break;
-                }
                 Ok(ReadEvent::Ctrl(ctrl)) => {
                     self.partial_since = None;
                     self.pipeline.push(Slot::Ctrl(ctrl));

@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 
 use sitw_telemetry::{EventKind, EventRing, LifecycleEvent};
 
-use crate::http::{write_response, ConnBuf, ReadOutcome, Request};
+use crate::http::{write_response, ConnBuf, ReadOutcome, Request, MAX_BODY_BYTES};
 use crate::metrics::{ConnStats, MetricsReport, ProtoStats, ReplStats};
 use crate::server::{ServeConfig, Server};
 use crate::snapshot::{apply_delta, Snapshot};
@@ -467,7 +467,24 @@ fn serve_conn(stream: TcpStream, ctx: Arc<FollowCtx>) {
                     return;
                 }
             }
-            Ok(ReadOutcome::Eof) | Ok(ReadOutcome::BodyTooLarge { .. }) | Err(_) => return,
+            Ok(ReadOutcome::BodyTooLarge { .. }) => {
+                // The body was never read, so the stream cannot be
+                // resynchronized: 413, then discard what is still in
+                // flight so the close is a FIN, not an RST that destroys
+                // the response.
+                out.clear();
+                write_response(
+                    &mut out,
+                    413,
+                    "application/json",
+                    b"{\"error\":\"payload too large\"}",
+                );
+                if conn.stream().write_all(&out).is_ok() {
+                    conn.drain_for_close(2 * MAX_BODY_BYTES);
+                }
+                return;
+            }
+            Ok(ReadOutcome::Eof) | Err(_) => return,
         }
     }
 }
@@ -799,6 +816,30 @@ mod tests {
         let mut out = Vec::new();
         wire::encode_repl_chunk(&mut out, wire::FRAME_REPL_DELTA, 2, 1, true, b"x");
         assert!(RoundAssembler::default().feed(&out).is_err());
+    }
+
+    #[test]
+    fn control_listener_answers_oversized_body_with_413() {
+        // No primary is listening there; failed pulls are just counted.
+        let follower = Follower::start(FollowConfig {
+            primary_addr: "127.0.0.1:1".into(),
+            ..FollowConfig::default()
+        })
+        .unwrap();
+        let mut stream = TcpStream::connect(follower.addr()).unwrap();
+        stream
+            .write_all(b"POST /admin/promote HTTP/1.1\r\ncontent-length: 1099511627776\r\n\r\n")
+            .unwrap();
+        // Part of the declared body is in flight when the 413 goes out:
+        // the listener must absorb it, or its close resets the response.
+        stream.write_all(&vec![b'x'; 256 * 1024]).unwrap();
+        let mut response = String::new();
+        stream.read_to_string(&mut response).unwrap();
+        assert!(
+            response.starts_with("HTTP/1.1 413 Payload Too Large\r\n"),
+            "{response}"
+        );
+        follower.shutdown().unwrap();
     }
 
     #[test]

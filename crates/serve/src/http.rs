@@ -7,13 +7,13 @@
 //! stay buffered and parsing resumes on the next call. That property is
 //! what lets connection threads poll a shutdown flag between reads, and
 //! it is exactly what reassembles SITW-BIN frames split across TCP
-//! segment boundaries: [`ConnBuf::read_event`] peeks the first
+//! segment boundaries: [`ConnBuf::read_event_into`] peeks the first
 //! unconsumed byte — [`crate::wire::BIN_MAGIC`] means a binary frame,
 //! anything else (in practice an ASCII method letter) means HTTP — and
 //! keeps filling until one complete message is buffered.
 
 use std::io::{self, Read};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
 
 use crate::wire::{self, BinErrorCode, BinInvoke, ControlRequest, FrameDecodeInto};
 
@@ -65,61 +65,12 @@ pub enum ReadOutcome {
     },
 }
 
-/// One parsed inbound message on a sniffed connection: an HTTP request
-/// or a SITW-BIN frame, plus the stream conditions the caller handles.
-#[derive(Debug)]
-pub enum EventOutcome {
-    /// A complete HTTP request.
-    Request(Request),
-    /// A complete SITW-BIN request frame.
-    Frame {
-        /// The batched invocations, in wire order.
-        records: Vec<BinInvoke>,
-        /// The frame's protocol version (replies must echo it).
-        version: u8,
-        /// The propagated trace id, when the frame carried one.
-        trace: Option<u64>,
-    },
-    /// A complete SITW-BIN request frame, surfaced verbatim instead of
-    /// decoded (see [`ConnBuf::set_raw_request_frames`]); the bytes are
-    /// in [`ConnBuf::raw_frame`]. Only the envelope was validated — the
-    /// payload is whatever the peer sent.
-    RawFrame {
-        /// The header's record count (unverified against the payload).
-        count: u32,
-    },
-    /// A complete SITW-BIN cluster control frame.
-    Ctrl(ControlRequest),
-    /// A SITW-BIN protocol error. When `recoverable`, the offending
-    /// frame has been skipped (its envelope was intact) and the
-    /// connection stays usable; otherwise the caller must answer the
-    /// error frame and close.
-    FrameError {
-        /// The typed error to send back.
-        code: BinErrorCode,
-        /// Human-readable detail for the error frame.
-        detail: String,
-        /// The connection can continue after the error frame.
-        recoverable: bool,
-    },
-    /// The peer closed the connection cleanly (between messages).
-    Eof,
-    /// The read timed out with no complete message buffered; partial
-    /// bytes remain buffered. Callers poll their shutdown flag and retry.
-    Timeout,
-    /// An HTTP request declared a `Content-Length` beyond
-    /// [`MAX_BODY_BYTES`] (see [`ReadOutcome::BodyTooLarge`]).
-    BodyTooLarge {
-        /// The declared content length.
-        declared: u64,
-    },
-}
-
-/// Outcome of one [`ConnBuf::read_event_into`] call. Unlike
-/// [`EventOutcome`] this carries no payload: request fields land in the
-/// caller's reusable [`Request`] and frame records in the caller's
-/// reusable `Vec<BinInvoke>`, so the per-message parse allocates nothing
-/// once those buffers are warm.
+/// Outcome of one [`ConnBuf::read_event_into`] call: one inbound message
+/// on a sniffed connection — an HTTP request or a SITW-BIN frame — or a
+/// stream condition the caller handles. It carries no payload: request
+/// fields land in the caller's reusable [`Request`] and frame records in
+/// the caller's reusable `Vec<BinInvoke>`, so the per-message parse
+/// allocates nothing once those buffers are warm.
 #[derive(Debug)]
 pub enum ReadEvent {
     /// A complete HTTP request was written into the caller's `Request`.
@@ -132,16 +83,13 @@ pub enum ReadEvent {
         /// The propagated trace id, when the frame carried one.
         trace: Option<u64>,
     },
-    /// A complete SITW-BIN request frame was captured verbatim into
-    /// [`ConnBuf::raw_frame`] (see [`EventOutcome::RawFrame`]).
-    RawFrame {
-        /// The header's record count (unverified against the payload).
-        count: u32,
-    },
     /// A complete SITW-BIN cluster control frame (never touches the
     /// caller's record buffer).
     Ctrl(ControlRequest),
-    /// A SITW-BIN protocol error (see [`EventOutcome::FrameError`]).
+    /// A SITW-BIN protocol error. When `recoverable`, the offending
+    /// frame has been skipped (its envelope was intact) and the
+    /// connection stays usable; otherwise the caller must answer the
+    /// error frame and close.
     FrameError {
         /// The typed error to send back.
         code: BinErrorCode,
@@ -187,12 +135,6 @@ pub struct ConnBuf {
     /// Unread bytes of a malformed-but-delimited SITW-BIN frame still to
     /// discard before the next message boundary.
     skip_remaining: usize,
-    /// Request-frame versions surfaced verbatim instead of decoded
-    /// (index 0 = v1, 1 = v2); both off by default.
-    raw_req: [bool; 2],
-    /// The last verbatim frame (header + payload), valid after a
-    /// `RawFrame` event until the next read.
-    raw_frame: Vec<u8>,
 }
 
 impl ConnBuf {
@@ -205,26 +147,7 @@ impl ConnBuf {
             buf: Vec::new(),
             start: 0,
             skip_remaining: 0,
-            raw_req: [false; 2],
-            raw_frame: Vec::new(),
         }
-    }
-
-    /// Surfaces SITW-BIN *request* frames of the selected versions as
-    /// verbatim bytes (`RawFrame` events reading [`ConnBuf::raw_frame`])
-    /// instead of decoding their records — the relay fast path for a
-    /// proxy that forwards whole frames unchanged. Only the envelope is
-    /// validated; payload errors become whatever the next hop answers.
-    /// Control frames, unselected versions, and malformed envelopes
-    /// still take the decoded paths.
-    pub fn set_raw_request_frames(&mut self, v1: bool, v2: bool) {
-        self.raw_req = [v1, v2];
-    }
-
-    /// The bytes of the last [`EventOutcome::RawFrame`] /
-    /// [`ReadEvent::RawFrame`], header included.
-    pub fn raw_frame(&self) -> &[u8] {
-        &self.raw_frame
     }
 
     /// Bytes buffered but not yet consumed.
@@ -299,12 +222,14 @@ impl ConnBuf {
         }
     }
 
-    /// Best-effort discard of unread request bytes before closing the
-    /// connection: without it, closing with data still queued in the
-    /// kernel receive buffer sends an RST that can destroy an error
-    /// response (e.g. a 413) before the peer reads it. Bounded by
+    /// The polite close after a fatal error response (e.g. a 413) has
+    /// been written: half-closes the write side, then discards unread
+    /// request bytes, best effort. Without the discard, closing with
+    /// data still queued in the kernel receive buffer sends an RST that
+    /// can destroy the response before the peer reads it. Bounded by
     /// `max_bytes`; gives up at EOF, the first timeout, or any error.
     pub fn drain_for_close(&mut self, max_bytes: usize) {
+        let _ = self.stream.shutdown(Shutdown::Write);
         let mut discarded = self.buffered();
         self.buf.clear();
         self.start = 0;
@@ -321,40 +246,10 @@ impl ConnBuf {
 
     /// Parses the next pipelined message — HTTP request or SITW-BIN
     /// frame, sniffed on the first unconsumed byte — reading from the
-    /// socket as needed. Allocating convenience wrapper around
-    /// [`ConnBuf::read_event_into`].
-    pub fn read_event(&mut self) -> io::Result<EventOutcome> {
-        let mut req = Request::default();
-        let mut records = Vec::new();
-        Ok(match self.read_event_into(&mut req, &mut records)? {
-            ReadEvent::Request => EventOutcome::Request(req),
-            ReadEvent::Frame { version, trace } => EventOutcome::Frame {
-                records,
-                version,
-                trace,
-            },
-            ReadEvent::RawFrame { count } => EventOutcome::RawFrame { count },
-            ReadEvent::Ctrl(ctrl) => EventOutcome::Ctrl(ctrl),
-            ReadEvent::FrameError {
-                code,
-                detail,
-                recoverable,
-            } => EventOutcome::FrameError {
-                code,
-                detail,
-                recoverable,
-            },
-            ReadEvent::Eof => EventOutcome::Eof,
-            ReadEvent::Timeout => EventOutcome::Timeout,
-            ReadEvent::BodyTooLarge { declared } => EventOutcome::BodyTooLarge { declared },
-        })
-    }
-
-    /// Parses the next pipelined message into caller-owned buffers:
-    /// request fields into `req`, frame records into `records` (both
-    /// overwritten, reused across calls — the zero-allocation entry
-    /// point the reactor drives). Semantics otherwise match
-    /// [`ConnBuf::read_event`].
+    /// socket as needed. The message lands in caller-owned buffers:
+    /// request fields in `req`, frame records in `records` (both
+    /// overwritten and reused across calls, so a warm connection parses
+    /// without allocating).
     pub fn read_event_into(
         &mut self,
         req: &mut Request,
@@ -394,11 +289,6 @@ impl ConnBuf {
     /// Parses the next SITW-BIN frame into `records`. The first
     /// unconsumed byte is already known to be [`wire::BIN_MAGIC`].
     fn read_frame_into(&mut self, records: &mut Vec<BinInvoke>) -> io::Result<ReadEvent> {
-        if self.raw_req != [false; 2] {
-            if let Some(ev) = self.try_raw_frame()? {
-                return Ok(ev);
-            }
-        }
         loop {
             match wire::decode_request_frame_into(&self.buf[self.start..], records) {
                 FrameDecodeInto::Request {
@@ -417,7 +307,7 @@ impl ConnBuf {
                     let recoverable = skip.is_some();
                     if let Some(total) = skip {
                         // Consume what is buffered now; the rest is
-                        // discarded lazily on the next read_event call.
+                        // discarded lazily on the next read_event_into call.
                         let have = self.buffered().min(total);
                         self.start += have;
                         self.skip_remaining = total - have;
@@ -443,74 +333,23 @@ impl ConnBuf {
         }
     }
 
-    /// Captures the next frame verbatim into `raw_frame` when its
-    /// envelope says it is a request frame of a version selected via
-    /// [`ConnBuf::set_raw_request_frames`]. Returns `Ok(None)` when the
-    /// frame needs the decoded path instead (control frame, unselected
-    /// version, envelope error).
-    fn try_raw_frame(&mut self) -> io::Result<Option<ReadEvent>> {
-        while self.buffered() < wire::BIN_HEADER_LEN {
-            match self.fill() {
-                Ok(0) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "eof mid-frame",
-                    ))
-                }
-                Ok(_) => {}
-                Err(e) if is_timeout(&e) => return Ok(Some(ReadEvent::Timeout)),
-                Err(e) => return Err(e),
-            }
-        }
-        let h = &self.buf[self.start..self.start + wire::BIN_HEADER_LEN];
-        let selected = match h[1] {
-            wire::BIN_VERSION => self.raw_req[0],
-            wire::BIN_VERSION_2 => self.raw_req[1],
-            _ => false,
-        };
-        let payload_len = u32::from_le_bytes([h[3], h[4], h[5], h[6]]) as usize;
-        let count = u32::from_le_bytes([h[7], h[8], h[9], h[10]]);
-        if !selected || h[2] != wire::FRAME_REQUEST || payload_len > wire::MAX_FRAME_PAYLOAD {
-            return Ok(None);
-        }
-        let total = wire::BIN_HEADER_LEN + payload_len;
-        while self.buffered() < total {
-            match self.fill() {
-                Ok(0) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "eof mid-frame",
-                    ))
-                }
-                Ok(_) => {}
-                Err(e) if is_timeout(&e) => return Ok(Some(ReadEvent::Timeout)),
-                Err(e) => return Err(e),
-            }
-        }
-        self.raw_frame.clear();
-        self.raw_frame
-            .extend_from_slice(&self.buf[self.start..self.start + total]);
-        self.start += total;
-        Ok(Some(ReadEvent::RawFrame { count }))
-    }
-
     /// Parses the next pipelined HTTP request, reading from the socket
     /// as needed. A SITW-BIN frame on the connection is a protocol
     /// error through this entry point — servers use
-    /// [`ConnBuf::read_event`], which speaks both.
+    /// [`ConnBuf::read_event_into`], which speaks both.
     pub fn read_request(&mut self) -> io::Result<ReadOutcome> {
-        match self.read_event()? {
-            EventOutcome::Request(r) => Ok(ReadOutcome::Request(r)),
-            EventOutcome::Eof => Ok(ReadOutcome::Eof),
-            EventOutcome::Timeout => Ok(ReadOutcome::Timeout),
-            EventOutcome::BodyTooLarge { declared } => Ok(ReadOutcome::BodyTooLarge { declared }),
-            EventOutcome::Frame { .. }
-            | EventOutcome::RawFrame { .. }
-            | EventOutcome::Ctrl(_)
-            | EventOutcome::FrameError { .. } => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "unexpected binary frame on an http-only reader",
-            )),
+        let mut req = Request::default();
+        match self.read_event_into(&mut req, &mut Vec::new())? {
+            ReadEvent::Request => Ok(ReadOutcome::Request(req)),
+            ReadEvent::Eof => Ok(ReadOutcome::Eof),
+            ReadEvent::Timeout => Ok(ReadOutcome::Timeout),
+            ReadEvent::BodyTooLarge { declared } => Ok(ReadOutcome::BodyTooLarge { declared }),
+            ReadEvent::Frame { .. } | ReadEvent::Ctrl(_) | ReadEvent::FrameError { .. } => {
+                Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    "unexpected binary frame on an http-only reader",
+                ))
+            }
         }
     }
 
@@ -848,15 +687,12 @@ mod tests {
             .set_read_timeout(Some(Duration::from_millis(50)))
             .unwrap();
         let mut conn = ConnBuf::new(server);
+        let (mut req, mut records) = (Request::default(), Vec::new());
         let mut frame = Vec::new();
         wire::encode_request_frame_v2_traced(&mut frame, &[(1, "app-000001", 7)], 0xBEEF);
         client.write_all(&frame).unwrap();
-        match conn.read_event().unwrap() {
-            EventOutcome::Frame {
-                records,
-                version,
-                trace,
-            } => {
+        match conn.read_event_into(&mut req, &mut records).unwrap() {
+            ReadEvent::Frame { version, trace } => {
                 assert_eq!(version, wire::BIN_VERSION_2);
                 assert_eq!(trace, Some(0xBEEF));
                 assert_eq!(records.len(), 1);
@@ -872,6 +708,7 @@ mod tests {
             .set_read_timeout(Some(Duration::from_millis(50)))
             .unwrap();
         let mut conn = ConnBuf::new(server);
+        let (mut req, mut records) = (Request::default(), Vec::new());
 
         // HTTP request, then a SITW-BIN frame, then HTTP again — the
         // sniff is per message, not per connection.
@@ -881,16 +718,12 @@ mod tests {
         client.write_all(&frame).unwrap();
         client.write_all(b"GET /metrics HTTP/1.1\r\n\r\n").unwrap();
 
-        match conn.read_event().unwrap() {
-            EventOutcome::Request(r) => assert_eq!(r.path, "/healthz"),
+        match conn.read_event_into(&mut req, &mut records).unwrap() {
+            ReadEvent::Request => assert_eq!(req.path, "/healthz"),
             other => panic!("{other:?}"),
         }
-        match conn.read_event().unwrap() {
-            EventOutcome::Frame {
-                records,
-                version,
-                trace,
-            } => {
+        match conn.read_event_into(&mut req, &mut records).unwrap() {
+            ReadEvent::Frame { version, trace } => {
                 assert_eq!(version, wire::BIN_VERSION);
                 assert_eq!(trace, None);
                 assert_eq!(records.len(), 2);
@@ -900,8 +733,8 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-        match conn.read_event().unwrap() {
-            EventOutcome::Request(r) => assert_eq!(r.path, "/metrics"),
+        match conn.read_event_into(&mut req, &mut records).unwrap() {
+            ReadEvent::Request => assert_eq!(req.path, "/metrics"),
             other => panic!("{other:?}"),
         }
     }
@@ -913,6 +746,7 @@ mod tests {
         // the second must complete it.
         let mut frame = Vec::new();
         wire::encode_request_frame(&mut frame, &[("app-β-000001", 123_456_789), ("x", 0)]);
+        let (mut req, mut records) = (Request::default(), Vec::new());
         for i in 1..frame.len() {
             let (mut client, server) = pair();
             server
@@ -920,19 +754,19 @@ mod tests {
                 .unwrap();
             let mut conn = ConnBuf::new(server);
             client.write_all(&frame[..i]).unwrap();
-            match conn.read_event().unwrap() {
-                EventOutcome::Timeout => {}
+            match conn.read_event_into(&mut req, &mut records).unwrap() {
+                ReadEvent::Timeout => {}
                 other => panic!("split at {i}: {other:?}"),
             }
             client.write_all(&frame[i..]).unwrap();
             loop {
-                match conn.read_event().unwrap() {
-                    EventOutcome::Frame { records, .. } => {
+                match conn.read_event_into(&mut req, &mut records).unwrap() {
+                    ReadEvent::Frame { .. } => {
                         assert_eq!(records.len(), 2, "split at {i}");
                         assert_eq!(records[0].app, "app-β-000001");
                         break;
                     }
-                    EventOutcome::Timeout => continue,
+                    ReadEvent::Timeout => continue,
                     other => panic!("split at {i}: {other:?}"),
                 }
             }
@@ -946,6 +780,7 @@ mod tests {
             .set_read_timeout(Some(Duration::from_millis(50)))
             .unwrap();
         let mut conn = ConnBuf::new(server);
+        let (mut req, mut records) = (Request::default(), Vec::new());
 
         // A malformed frame (empty app) with an intact envelope,
         // followed immediately by a good frame.
@@ -963,8 +798,8 @@ mod tests {
         wire::encode_request_frame(&mut good, &[("ok", 1)]);
         client.write_all(&good).unwrap();
 
-        match conn.read_event().unwrap() {
-            EventOutcome::FrameError {
+        match conn.read_event_into(&mut req, &mut records).unwrap() {
+            ReadEvent::FrameError {
                 code, recoverable, ..
             } => {
                 assert_eq!(code, BinErrorCode::Malformed);
@@ -973,12 +808,12 @@ mod tests {
             other => panic!("{other:?}"),
         }
         loop {
-            match conn.read_event().unwrap() {
-                EventOutcome::Frame { records, .. } => {
+            match conn.read_event_into(&mut req, &mut records).unwrap() {
+                ReadEvent::Frame { .. } => {
                     assert_eq!(records[0].app, "ok");
                     break;
                 }
-                EventOutcome::Timeout => continue,
+                ReadEvent::Timeout => continue,
                 other => panic!("{other:?}"),
             }
         }
@@ -994,6 +829,7 @@ mod tests {
             .set_read_timeout(Some(Duration::from_millis(50)))
             .unwrap();
         let mut conn = ConnBuf::new(server);
+        let (mut req, mut records) = (Request::default(), Vec::new());
 
         let payload_len = 256 * 1024;
         let mut bad = Vec::new();
@@ -1004,8 +840,8 @@ mod tests {
         bad.extend_from_slice(&((wire::MAX_BATCH + 1) as u32).to_le_bytes());
         client.write_all(&bad).unwrap();
 
-        match conn.read_event().unwrap() {
-            EventOutcome::FrameError {
+        match conn.read_event_into(&mut req, &mut records).unwrap() {
+            ReadEvent::FrameError {
                 code, recoverable, ..
             } => {
                 assert_eq!(code, BinErrorCode::Oversized);
@@ -1024,13 +860,13 @@ mod tests {
             client
         });
         loop {
-            match conn.read_event().unwrap() {
-                EventOutcome::Frame { records, .. } => {
+            match conn.read_event_into(&mut req, &mut records).unwrap() {
+                ReadEvent::Frame { .. } => {
                     assert_eq!(records[0].app, "alive");
                     assert_eq!(records[0].ts, 9);
                     break;
                 }
-                EventOutcome::Timeout => continue,
+                ReadEvent::Timeout => continue,
                 other => panic!("{other:?}"),
             }
         }

@@ -545,45 +545,6 @@ pub enum ControlReply {
     },
 }
 
-/// Outcome of decoding one request frame from a byte buffer that starts
-/// at a frame boundary.
-#[derive(Debug)]
-pub enum FrameDecode {
-    /// A complete, well-formed request frame; `consumed` bytes cover the
-    /// header and payload.
-    Request {
-        /// The batched invocations, in wire order.
-        records: Vec<BinInvoke>,
-        /// The frame's protocol version (replies must echo it).
-        version: u8,
-        /// The propagated trace id, when the frame carried one.
-        trace: Option<u64>,
-        /// Total frame length in bytes.
-        consumed: usize,
-    },
-    /// A complete cluster control frame.
-    Control {
-        /// The decoded control request.
-        req: ControlRequest,
-        /// Total frame length in bytes.
-        consumed: usize,
-    },
-    /// The buffer holds only part of a frame; read more and retry.
-    Incomplete,
-    /// A protocol error. `skip` is the full frame length when the
-    /// envelope was intact enough to resynchronize past it; `None` means
-    /// the connection cannot be resynchronized and must close after the
-    /// error frame is sent.
-    Error {
-        /// The typed error.
-        code: BinErrorCode,
-        /// Human-readable detail for the error frame.
-        detail: String,
-        /// Bytes to discard (header + payload) to reach the next frame.
-        skip: Option<usize>,
-    },
-}
-
 fn u32_at(buf: &[u8], i: usize) -> u32 {
     u32::from_le_bytes([buf[i], buf[i + 1], buf[i + 2], buf[i + 3]])
 }
@@ -673,13 +634,15 @@ fn encode_v2_frame(out: &mut Vec<u8>, records: &[(u16, &str, u64)], trace: Optio
     }
 }
 
-/// Outcome of [`decode_request_frame_into`]: [`FrameDecode`] with the
-/// records written into a caller-owned, reusable buffer instead of a
-/// fresh allocation per frame (the reactor's per-connection hot path).
+/// Outcome of [`decode_request_frame_into`], decoding one request frame
+/// from a byte buffer that starts at a frame boundary. Records land in a
+/// caller-owned, reusable buffer instead of a fresh allocation per frame
+/// (the per-connection hot path).
 #[derive(Debug)]
 pub enum FrameDecodeInto {
-    /// A complete, well-formed request frame; the records were appended
-    /// to the caller's buffer in wire order.
+    /// A complete, well-formed request frame; the records were written
+    /// to the caller's buffer in wire order. `consumed` bytes cover the
+    /// header and payload.
     Request {
         /// The frame's protocol version (replies must echo it).
         version: u8,
@@ -697,7 +660,10 @@ pub enum FrameDecodeInto {
     },
     /// The buffer holds only part of a frame; read more and retry.
     Incomplete,
-    /// A protocol error (see [`FrameDecode::Error`]).
+    /// A protocol error. `skip` is the full frame length when the
+    /// envelope was intact enough to resynchronize past it; `None` means
+    /// the connection cannot be resynchronized and must close after the
+    /// error frame is sent.
     Error {
         /// The typed error.
         code: BinErrorCode,
@@ -708,30 +674,9 @@ pub enum FrameDecodeInto {
     },
 }
 
-/// Decodes one request frame. `buf` must start at a frame boundary (its
-/// first byte was sniffed as [`BIN_MAGIC`]).
-pub fn decode_request_frame(buf: &[u8]) -> FrameDecode {
-    let mut records = Vec::new();
-    match decode_request_frame_into(buf, &mut records) {
-        FrameDecodeInto::Request {
-            version,
-            trace,
-            consumed,
-        } => FrameDecode::Request {
-            records,
-            version,
-            trace,
-            consumed,
-        },
-        FrameDecodeInto::Control { req, consumed } => FrameDecode::Control { req, consumed },
-        FrameDecodeInto::Incomplete => FrameDecode::Incomplete,
-        FrameDecodeInto::Error { code, detail, skip } => FrameDecode::Error { code, detail, skip },
-    }
-}
-
 /// Decodes one request frame into `records` (cleared first, reused
-/// across frames). See [`decode_request_frame`] for the boundary
-/// contract.
+/// across frames). `buf` must start at a frame boundary (its first byte
+/// was sniffed as [`BIN_MAGIC`]).
 pub fn decode_request_frame_into(buf: &[u8], records: &mut Vec<BinInvoke>) -> FrameDecodeInto {
     records.clear();
     if buf.len() < BIN_HEADER_LEN {
@@ -1586,13 +1531,13 @@ mod tests {
 
     #[test]
     fn request_frame_roundtrip() {
+        let mut recs = Vec::new();
         let records = [("app-000001", 0u64), ("café-功能", u64::MAX), ("x", 42)];
         let mut out = Vec::new();
         encode_request_frame(&mut out, &records);
         assert_eq!(out[0], BIN_MAGIC);
-        match decode_request_frame(&out) {
-            FrameDecode::Request {
-                records: r,
+        match decode_request_frame_into(&out, &mut recs) {
+            FrameDecodeInto::Request {
                 version,
                 trace,
                 consumed,
@@ -1600,18 +1545,18 @@ mod tests {
                 assert_eq!(consumed, out.len());
                 assert_eq!(version, BIN_VERSION);
                 assert_eq!(trace, None);
-                assert_eq!(r.len(), 3);
+                assert_eq!(recs.len(), 3);
                 assert_eq!(
-                    r[0],
+                    recs[0],
                     BinInvoke {
                         tenant: 0,
                         app: "app-000001".into(),
                         ts: 0
                     }
                 );
-                assert_eq!(r[1].app, "café-功能");
-                assert_eq!(r[1].ts, u64::MAX);
-                assert_eq!((r[2].app.as_str(), r[2].ts), ("x", 42));
+                assert_eq!(recs[1].app, "café-功能");
+                assert_eq!(recs[1].ts, u64::MAX);
+                assert_eq!((recs[2].app.as_str(), recs[2].ts), ("x", 42));
             }
             other => panic!("{other:?}"),
         }
@@ -1619,6 +1564,7 @@ mod tests {
 
     #[test]
     fn v2_request_frame_roundtrips_tenant_ids() {
+        let mut recs = Vec::new();
         let records = [
             (0u16, "app-000001", 7u64),
             (513, "café", 9),
@@ -1627,9 +1573,8 @@ mod tests {
         let mut out = Vec::new();
         encode_request_frame_v2(&mut out, &records);
         assert_eq!(out[1], BIN_VERSION_2);
-        match decode_request_frame(&out) {
-            FrameDecode::Request {
-                records: r,
+        match decode_request_frame_into(&out, &mut recs) {
+            FrameDecodeInto::Request {
                 version,
                 trace,
                 consumed,
@@ -1637,7 +1582,7 @@ mod tests {
                 assert_eq!(version, BIN_VERSION_2);
                 assert_eq!(trace, None, "traceless v2 must stay traceless");
                 assert_eq!(consumed, out.len());
-                for ((tenant, app, ts), got) in records.iter().zip(&r) {
+                for ((tenant, app, ts), got) in records.iter().zip(&recs) {
                     assert_eq!(got.tenant, *tenant);
                     assert_eq!(got.app, *app);
                     assert_eq!(got.ts, *ts);
@@ -1648,16 +1593,16 @@ mod tests {
         // Every proper prefix is Incomplete, exactly like v1.
         for i in 0..out.len() {
             assert!(matches!(
-                decode_request_frame(&out[..i]),
-                FrameDecode::Incomplete
+                decode_request_frame_into(&out[..i], &mut recs),
+                FrameDecodeInto::Incomplete
             ));
         }
         // A v2 count that cannot fit the 13-byte minimum records is
         // caught from the header alone.
         let mut f = Vec::new();
         frame_header(&mut f, BIN_VERSION_2, FRAME_REQUEST, 20, 2);
-        match decode_request_frame(&f) {
-            FrameDecode::Error { code, skip, .. } => {
+        match decode_request_frame_into(&f, &mut recs) {
+            FrameDecodeInto::Error { code, skip, .. } => {
                 assert_eq!(code, BinErrorCode::Malformed);
                 assert_eq!(skip, Some(BIN_HEADER_LEN + 20));
             }
@@ -1667,14 +1612,14 @@ mod tests {
 
     #[test]
     fn traced_v2_frame_roundtrips_and_gates_on_version() {
+        let mut recs = Vec::new();
         let records = [(1u16, "app-000001", 7u64), (2, "x", 9)];
         let trace_id = sitw_telemetry::TRACE_MARK | 0xBEEF;
         let mut out = Vec::new();
         encode_request_frame_v2_traced(&mut out, &records, trace_id);
         assert_eq!(out[2], FRAME_REQUEST | FRAME_FLAG_TRACE);
-        match decode_request_frame(&out) {
-            FrameDecode::Request {
-                records: r,
+        match decode_request_frame_into(&out, &mut recs) {
+            FrameDecodeInto::Request {
                 version,
                 trace,
                 consumed,
@@ -1682,9 +1627,9 @@ mod tests {
                 assert_eq!(version, BIN_VERSION_2);
                 assert_eq!(trace, Some(trace_id));
                 assert_eq!(consumed, out.len());
-                assert_eq!(r.len(), 2);
+                assert_eq!(recs.len(), 2);
                 assert_eq!(
-                    (r[0].tenant, r[0].app.as_str(), r[0].ts),
+                    (recs[0].tenant, recs[0].app.as_str(), recs[0].ts),
                     (1, "app-000001", 7)
                 );
             }
@@ -1702,16 +1647,16 @@ mod tests {
         // Every proper prefix is Incomplete.
         for i in 0..out.len() {
             assert!(matches!(
-                decode_request_frame(&out[..i]),
-                FrameDecode::Incomplete
+                decode_request_frame_into(&out[..i], &mut recs),
+                FrameDecodeInto::Incomplete
             ));
         }
         // The flag is v2-only: the same frame relabelled v1 is a
         // recoverable malformed frame, not a misparse.
         let mut v1 = out.clone();
         v1[1] = BIN_VERSION;
-        match decode_request_frame(&v1) {
-            FrameDecode::Error { code, detail, skip } => {
+        match decode_request_frame_into(&v1, &mut recs) {
+            FrameDecodeInto::Error { code, detail, skip } => {
                 assert_eq!(code, BinErrorCode::Malformed);
                 assert!(
                     detail.contains("trace flag requires protocol v2"),
@@ -1731,22 +1676,21 @@ mod tests {
             4,
             0,
         );
-        match decode_request_frame(&f) {
-            FrameDecode::Error { code, .. } => assert_eq!(code, BinErrorCode::Malformed),
+        match decode_request_frame_into(&f, &mut recs) {
+            FrameDecodeInto::Error { code, .. } => assert_eq!(code, BinErrorCode::Malformed),
             other => panic!("{other:?}"),
         }
     }
 
     #[test]
     fn empty_request_frame_roundtrips() {
+        let mut recs = Vec::new();
         let mut out = Vec::new();
         encode_request_frame(&mut out, &[]);
         assert_eq!(out.len(), BIN_HEADER_LEN);
-        match decode_request_frame(&out) {
-            FrameDecode::Request {
-                records, consumed, ..
-            } => {
-                assert!(records.is_empty());
+        match decode_request_frame_into(&out, &mut recs) {
+            FrameDecodeInto::Request { consumed, .. } => {
+                assert!(recs.is_empty());
                 assert_eq!(consumed, BIN_HEADER_LEN);
             }
             other => panic!("{other:?}"),
@@ -1755,31 +1699,36 @@ mod tests {
 
     #[test]
     fn every_proper_prefix_is_incomplete() {
+        let mut recs = Vec::new();
         let mut frame = Vec::new();
         encode_request_frame(&mut frame, &[("app-000001", 123), ("β-app", 456)]);
         for i in 0..frame.len() {
             assert!(
-                matches!(decode_request_frame(&frame[..i]), FrameDecode::Incomplete),
+                matches!(
+                    decode_request_frame_into(&frame[..i], &mut recs),
+                    FrameDecodeInto::Incomplete
+                ),
                 "prefix of {i} bytes must be Incomplete"
             );
         }
         // Trailing extra bytes are a second frame, not part of this one.
         let mut extended = frame.clone();
         extended.extend_from_slice(&[BIN_MAGIC, 0xFF, 0xFF]);
-        match decode_request_frame(&extended) {
-            FrameDecode::Request { consumed, .. } => assert_eq!(consumed, frame.len()),
+        match decode_request_frame_into(&extended, &mut recs) {
+            FrameDecodeInto::Request { consumed, .. } => assert_eq!(consumed, frame.len()),
             other => panic!("{other:?}"),
         }
     }
 
     #[test]
     fn request_decode_rejects_bad_frames() {
+        let mut recs = Vec::new();
         // Bad version: unrecoverable.
         let mut f = Vec::new();
         encode_request_frame(&mut f, &[("a", 1)]);
         f[1] = 9;
-        match decode_request_frame(&f) {
-            FrameDecode::Error { code, skip, .. } => {
+        match decode_request_frame_into(&f, &mut recs) {
+            FrameDecodeInto::Error { code, skip, .. } => {
                 assert_eq!(code, BinErrorCode::BadVersion);
                 assert!(skip.is_none());
             }
@@ -1789,8 +1738,8 @@ mod tests {
         // Oversized payload: unrecoverable.
         let mut f = Vec::new();
         frame_header(&mut f, BIN_VERSION, FRAME_REQUEST, MAX_FRAME_PAYLOAD + 1, 1);
-        match decode_request_frame(&f) {
-            FrameDecode::Error { code, skip, .. } => {
+        match decode_request_frame_into(&f, &mut recs) {
+            FrameDecodeInto::Error { code, skip, .. } => {
                 assert_eq!(code, BinErrorCode::Oversized);
                 assert!(skip.is_none());
             }
@@ -1801,8 +1750,8 @@ mod tests {
         let mut f = Vec::new();
         frame_header(&mut f, BIN_VERSION, FRAME_REQUEST, 4, MAX_BATCH + 1);
         f.extend_from_slice(&[0u8; 4]);
-        match decode_request_frame(&f) {
-            FrameDecode::Error { code, skip, .. } => {
+        match decode_request_frame_into(&f, &mut recs) {
+            FrameDecodeInto::Error { code, skip, .. } => {
                 assert_eq!(code, BinErrorCode::Oversized);
                 assert_eq!(skip, Some(BIN_HEADER_LEN + 4));
             }
@@ -1812,8 +1761,8 @@ mod tests {
         // Count that cannot fit the payload: caught from the header.
         let mut f = Vec::new();
         frame_header(&mut f, BIN_VERSION, FRAME_REQUEST, 12, 1000);
-        match decode_request_frame(&f) {
-            FrameDecode::Error { code, skip, .. } => {
+        match decode_request_frame_into(&f, &mut recs) {
+            FrameDecodeInto::Error { code, skip, .. } => {
                 assert_eq!(code, BinErrorCode::Malformed);
                 assert_eq!(skip, Some(BIN_HEADER_LEN + 12));
             }
@@ -1831,8 +1780,8 @@ mod tests {
         let mut f = Vec::new();
         frame_header(&mut f, BIN_VERSION, FRAME_REQUEST, payload.len(), 2);
         f.extend_from_slice(&payload);
-        match decode_request_frame(&f) {
-            FrameDecode::Error { code, skip, .. } => {
+        match decode_request_frame_into(&f, &mut recs) {
+            FrameDecodeInto::Error { code, skip, .. } => {
                 assert_eq!(code, BinErrorCode::Malformed);
                 assert_eq!(skip, Some(f.len()));
             }
@@ -1872,8 +1821,8 @@ mod tests {
             let mut f = Vec::new();
             frame_header(&mut f, BIN_VERSION, FRAME_REQUEST, payload.len(), 1);
             f.extend_from_slice(&payload);
-            match decode_request_frame(&f) {
-                FrameDecode::Error { code, skip, .. } => {
+            match decode_request_frame_into(&f, &mut recs) {
+                FrameDecodeInto::Error { code, skip, .. } => {
                     assert_eq!(code, BinErrorCode::Malformed, "{payload:?}");
                     assert_eq!(skip, Some(f.len()), "{payload:?}");
                 }
@@ -1991,10 +1940,11 @@ mod tests {
 
     #[test]
     fn control_report_request_roundtrips() {
+        let mut recs = Vec::new();
         let mut out = Vec::new();
         encode_control_frame(&mut out, &ControlRequest::Report);
-        match decode_request_frame(&out) {
-            FrameDecode::Control { req, consumed } => {
+        match decode_request_frame_into(&out, &mut recs) {
+            FrameDecodeInto::Control { req, consumed } => {
                 assert_eq!(req, ControlRequest::Report);
                 assert_eq!(consumed, out.len());
             }
@@ -2002,14 +1952,15 @@ mod tests {
         }
         for i in 0..out.len() {
             assert!(matches!(
-                decode_request_frame(&out[..i]),
-                FrameDecode::Incomplete
+                decode_request_frame_into(&out[..i], &mut recs),
+                FrameDecodeInto::Incomplete
             ));
         }
     }
 
     #[test]
     fn control_budget_set_roundtrips() {
+        let mut recs = Vec::new();
         let shares = vec![
             ("acme".to_owned(), 4096u64),
             ("café".to_owned(), 0),
@@ -2017,8 +1968,8 @@ mod tests {
         ];
         let mut out = Vec::new();
         encode_control_frame(&mut out, &ControlRequest::BudgetSet(shares.clone()));
-        match decode_request_frame(&out) {
-            FrameDecode::Control { req, consumed } => {
+        match decode_request_frame_into(&out, &mut recs) {
+            FrameDecodeInto::Control { req, consumed } => {
                 assert_eq!(req, ControlRequest::BudgetSet(shares));
                 assert_eq!(consumed, out.len());
             }
@@ -2028,6 +1979,7 @@ mod tests {
 
     #[test]
     fn control_decode_rejects_malformed_payloads() {
+        let mut recs = Vec::new();
         // Unknown op, truncated records, trailing bytes: all skippable
         // (the envelope is intact), so the connection survives.
         let cases: Vec<Vec<u8>> = vec![
@@ -2041,8 +1993,8 @@ mod tests {
             let mut f = Vec::new();
             frame_header(&mut f, BIN_VERSION_2, FRAME_CONTROL, payload.len(), count);
             f.extend_from_slice(&payload);
-            match decode_request_frame(&f) {
-                FrameDecode::Error { code, skip, .. } => {
+            match decode_request_frame_into(&f, &mut recs) {
+                FrameDecodeInto::Error { code, skip, .. } => {
                     assert_eq!(code, BinErrorCode::Malformed, "case {k}");
                     assert_eq!(skip, Some(f.len()), "case {k}");
                 }
@@ -2170,10 +2122,11 @@ mod tests {
 
     #[test]
     fn repl_ack_decodes_as_control_pull() {
+        let mut recs = Vec::new();
         let mut out = Vec::new();
         encode_repl_ack(&mut out, 42);
-        match decode_request_frame(&out) {
-            FrameDecode::Control { req, consumed } => {
+        match decode_request_frame_into(&out, &mut recs) {
+            FrameDecodeInto::Control { req, consumed } => {
                 assert_eq!(req, ControlRequest::ReplPull { epoch: 42 });
                 assert_eq!(consumed, out.len());
             }
@@ -2182,7 +2135,10 @@ mod tests {
         // Every proper prefix is Incomplete, never an error.
         for cut in 0..out.len() {
             assert!(
-                matches!(decode_request_frame(&out[..cut]), FrameDecode::Incomplete),
+                matches!(
+                    decode_request_frame_into(&out[..cut], &mut recs),
+                    FrameDecodeInto::Incomplete
+                ),
                 "prefix {cut} must be incomplete"
             );
         }
@@ -2191,8 +2147,8 @@ mod tests {
         let mut bad = Vec::new();
         frame_header(&mut bad, BIN_VERSION_2, FRAME_REPL_ACK, 4, 0);
         bad.extend_from_slice(&7u32.to_le_bytes());
-        match decode_request_frame(&bad) {
-            FrameDecode::Error { code, skip, .. } => {
+        match decode_request_frame_into(&bad, &mut recs) {
+            FrameDecodeInto::Error { code, skip, .. } => {
                 assert_eq!(code, BinErrorCode::Malformed);
                 assert_eq!(skip, Some(bad.len()));
             }
@@ -2211,9 +2167,8 @@ mod tests {
         encode_repl_round(&mut out, FRAME_REPL_DELTA, 9, &doc);
         let mut buf = &out[..];
         let mut assembled = Vec::new();
-        let mut committed = None;
         let mut next_seq = 0u32;
-        loop {
+        let committed = loop {
             match decode_server_frame(buf) {
                 ServerFrameDecode::ReplChunk {
                     full_sync,
@@ -2232,16 +2187,15 @@ mod tests {
                     buf = &buf[consumed..];
                 }
                 ServerFrameDecode::ReplCommit { epoch, consumed } => {
-                    committed = Some(epoch);
                     buf = &buf[consumed..];
-                    break;
+                    break epoch;
                 }
                 other => panic!("{other:?}"),
             }
-        }
+        };
         assert!(buf.is_empty());
         assert_eq!(assembled, doc);
-        assert_eq!(committed, Some(9));
+        assert_eq!(committed, 9);
         // Every proper prefix of the stream is Incomplete.
         for cut in 0..BIN_HEADER_LEN + REPL_CHUNK_HEADER {
             assert!(matches!(

@@ -9,8 +9,8 @@ use std::net::TcpStream;
 
 use proptest::prelude::*;
 use sitw_serve::wire::{
-    self, decode_request_frame, decode_server_frame, encode_request_frame, BinErrorCode, BinReply,
-    FrameDecode, ServerFrameDecode,
+    self, decode_request_frame_into, decode_server_frame, encode_request_frame, BinErrorCode,
+    BinReply, FrameDecodeInto, ServerFrameDecode,
 };
 use sitw_serve::{ServeConfig, Server};
 use sitw_sim::PolicySpec;
@@ -67,8 +67,9 @@ proptest! {
         let borrowed: Vec<(&str, u64)> = records.iter().map(|(a, t)| (a.as_str(), *t)).collect();
         let mut frame = Vec::new();
         encode_request_frame(&mut frame, &borrowed);
-        match decode_request_frame(&frame) {
-            FrameDecode::Request { records: got, consumed, .. } => {
+        let mut got = Vec::new();
+        match decode_request_frame_into(&frame, &mut got) {
+            FrameDecodeInto::Request { consumed, .. } => {
                 prop_assert_eq!(consumed, frame.len());
                 prop_assert_eq!(got.len(), records.len());
                 for (g, (app, ts)) in got.iter().zip(&records) {
@@ -98,7 +99,10 @@ proptest! {
         encode_request_frame(&mut frame, &borrowed);
         let cut = (cut_frac as usize * frame.len()) / 10_000; // < len.
         prop_assert!(
-            matches!(decode_request_frame(&frame[..cut]), FrameDecode::Incomplete),
+            matches!(
+                decode_request_frame_into(&frame[..cut], &mut Vec::new()),
+                FrameDecodeInto::Incomplete
+            ),
             "prefix of {} / {} bytes must be Incomplete", cut, frame.len()
         );
     }
@@ -118,17 +122,18 @@ proptest! {
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         frame.extend_from_slice(&(count as u32).to_le_bytes());
         frame.extend(payload.iter().map(|&b| b as u8));
-        match decode_request_frame(&frame) {
-            FrameDecode::Request { records, consumed, .. } => {
+        let mut records = Vec::new();
+        match decode_request_frame_into(&frame, &mut records) {
+            FrameDecodeInto::Request { consumed, .. } => {
                 prop_assert_eq!(consumed, frame.len());
                 prop_assert_eq!(records.len(), count as usize);
             }
-            FrameDecode::Incomplete => prop_assert!(false, "complete frame reported Incomplete"),
-            FrameDecode::Error { skip, .. } => {
+            FrameDecodeInto::Incomplete => prop_assert!(false, "complete frame reported Incomplete"),
+            FrameDecodeInto::Error { skip, .. } => {
                 // An intact envelope must always be skippable.
                 prop_assert_eq!(skip, Some(frame.len()));
             }
-            FrameDecode::Control { .. } => {
+            FrameDecodeInto::Control { .. } => {
                 prop_assert!(false, "request frame decoded as control")
             }
         }
@@ -143,21 +148,22 @@ proptest! {
     ) {
         let mut frame = vec![wire::BIN_MAGIC];
         frame.extend(body.iter().map(|&b| b as u8));
-        match decode_request_frame(&frame) {
-            FrameDecode::Request { records, consumed, .. } => {
+        let mut records = Vec::new();
+        match decode_request_frame_into(&frame, &mut records) {
+            FrameDecodeInto::Request { consumed, .. } => {
                 // Only reachable when the bytes happen to form a valid
                 // frame; sanity-check the invariants.
                 prop_assert!(consumed <= frame.len());
                 prop_assert!(records.len() <= wire::MAX_BATCH);
             }
-            FrameDecode::Incomplete => {}
-            FrameDecode::Error { skip, .. } => {
+            FrameDecodeInto::Incomplete => {}
+            FrameDecodeInto::Error { skip, .. } => {
                 if let Some(n) = skip {
                     prop_assert!(n >= wire::BIN_HEADER_LEN);
                     prop_assert!(n <= wire::BIN_HEADER_LEN + wire::MAX_FRAME_PAYLOAD);
                 }
             }
-            FrameDecode::Control { .. } => {
+            FrameDecodeInto::Control { .. } => {
                 // Reachable only when the random bytes form a valid
                 // control frame; nothing further to assert.
             }

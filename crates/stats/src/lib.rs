@@ -33,7 +33,6 @@ pub mod fit;
 pub mod histogram;
 pub mod online;
 pub mod percentile;
-pub mod quantile_stream;
 pub mod report;
 
 pub use distributions::{Burr, ContinuousDist, Exponential, LogNormal, Normal, Pareto, Uniform};
@@ -41,4 +40,3 @@ pub use ecdf::Ecdf;
 pub use histogram::{RangeHistogram, Recorded};
 pub use online::{MinMaxMean, Welford};
 pub use percentile::{percentile_sorted, WeightedSamples};
-pub use quantile_stream::{P2Quantile, StreamingPercentiles};
