@@ -7,8 +7,8 @@
 //!   Rust lexer (strings, nested comments, raw strings, lifetimes)
 //!   feeds token-level rules that enforce the repo's written
 //!   invariants — unsafe confinement, hot-path allocation and panic
-//!   freedom, clock discipline, and metrics-registry hygiene — with
-//!   `file:line` diagnostics and `// sitw-lint: allow(...)` opt-outs.
+//!   freedom, and clock discipline — with `file:line` diagnostics and
+//!   `// sitw-lint: allow(...)` opt-outs.
 //! - [`sched`]: a mini-loom interleaving checker that exhaustively
 //!   enumerates schedules of the reactor's waker and slab protocols,
 //!   proving no lost wakeup and no stale-token delivery at model

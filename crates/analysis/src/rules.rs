@@ -7,7 +7,6 @@
 //! | `hot-path-alloc`    | no `format!`/`.to_string()`/`String::from`/`Vec::new`/`Box::new`/`.clone()` in `// sitw-lint: hot-path` functions |
 //! | `panic-freedom`     | no `.unwrap()`/`.expect(`/`panic!`/`unreachable!`/`todo!`/`unimplemented!` in hot-path functions |
 //! | `clock-discipline`  | `Instant::now`/`SystemTime::now` only in `crates/telemetry`, test code, or allowlisted lines |
-//! | `metrics-registry`  | every `sitw_serve_*`/`sitw_router_*` series literal is declared (name/kind/help) in the marked registry; snake_case; `_total` ⇔ counter |
 //! | `directive`         | every `// sitw-lint:` comment parses                          |
 //!
 //! Suppression: `// sitw-lint: allow(rule-a, rule-b)` silences those
@@ -17,7 +16,7 @@
 //! region is that function's body, braces matched by the lexer's token
 //! stream.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::fs;
 use std::io;
@@ -27,12 +26,11 @@ use std::path::Path;
 use crate::lexer::{lex, Token, TokenKind};
 
 /// Every rule id, in report order.
-pub const RULES: [&str; 6] = [
+pub const RULES: [&str; 5] = [
     "unsafe-confinement",
     "hot-path-alloc",
     "panic-freedom",
     "clock-discipline",
-    "metrics-registry",
     "directive",
 ];
 
@@ -66,8 +64,6 @@ enum Directive {
     Allow(Vec<String>),
     /// `hot-path`
     HotPath,
-    /// `metrics-registry`
-    MetricsRegistry,
     /// Anything else (reported by the `directive` rule).
     Unknown(String),
 }
@@ -76,9 +72,6 @@ fn parse_directive(comment: &str) -> Option<Directive> {
     let rest = comment.trim().strip_prefix("sitw-lint:")?.trim();
     if rest == "hot-path" {
         return Some(Directive::HotPath);
-    }
-    if rest == "metrics-registry" {
-        return Some(Directive::MetricsRegistry);
     }
     if let Some(inner) = rest
         .strip_prefix("allow(")
@@ -109,9 +102,6 @@ pub struct SourceFile {
     hot: Vec<RangeInclusive<usize>>,
     /// `#[cfg(test)] mod` bodies, as inclusive code-view ranges.
     tests: Vec<RangeInclusive<usize>>,
-    /// Code-view ranges of `metrics-registry` blocks (their string
-    /// literals are declarations, not uses).
-    registry_blocks: Vec<RangeInclusive<usize>>,
     /// Malformed `sitw-lint:` directives: `(line, text)`.
     bad_directives: Vec<(u32, String)>,
 }
@@ -133,7 +123,6 @@ impl SourceFile {
             allows: HashMap::new(),
             hot: Vec::new(),
             tests: Vec::new(),
-            registry_blocks: Vec::new(),
             bad_directives: Vec::new(),
         };
         f.index_directives();
@@ -213,42 +202,11 @@ impl SourceFile {
                             .push((line, "hot-path with no following fn body".to_string()));
                     }
                 }
-                Some(Directive::MetricsRegistry) => {
-                    if let Some(range) = self.registry_block_after(idx) {
-                        self.registry_blocks.push(range);
-                    } else {
-                        self.bad_directives.push((
-                            line,
-                            "metrics-registry with no following `= &[…];` block".to_string(),
-                        ));
-                    }
-                }
                 Some(Directive::Unknown(text)) => {
                     self.bad_directives.push((line, text));
                 }
             }
         }
-    }
-
-    /// The `[…]` initializer after a registry marker: skip to the `=`
-    /// (stepping over the const's type, which may itself contain
-    /// brackets), then bracket-match the initializer.
-    fn registry_block_after(&self, after: usize) -> Option<RangeInclusive<usize>> {
-        let start = self.code.partition_point(|&ti| ti <= after);
-        let eq = (start..self.code.len()).find(|&p| self.is_punct(p, '='))?;
-        let open = (eq..self.code.len()).find(|&p| self.is_punct(p, '['))?;
-        let mut depth = 0usize;
-        for p in open..self.code.len() {
-            if self.is_punct(p, '[') {
-                depth += 1;
-            } else if self.is_punct(p, ']') {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(open..=p);
-                }
-            }
-        }
-        None
     }
 
     fn index_test_regions(&mut self) {
@@ -381,7 +339,6 @@ impl Workspace {
             rule_hot_path(file, &mut diags);
             rule_clock_discipline(file, &scope, &mut diags);
         }
-        rule_metrics_registry(self, &mut diags);
         diags.sort();
         diags.dedup();
         diags
@@ -567,241 +524,6 @@ fn rule_clock_discipline(file: &SourceFile, scope: &Scope, diags: &mut Vec<Diagn
     }
 }
 
-/// One declared metrics series.
-#[derive(Debug, Clone)]
-struct SeriesDecl {
-    name: String,
-    file_idx: usize,
-    line: u32,
-}
-
-fn rule_metrics_registry(ws: &Workspace, diags: &mut Vec<Diagnostic>) {
-    // 1. Collect declarations from every marked registry block.
-    let mut decls: BTreeMap<String, SeriesDecl> = BTreeMap::new();
-    let mut any_registry = false;
-    for (fi, file) in ws.files.iter().enumerate() {
-        for block in &file.registry_blocks {
-            any_registry = true;
-            let strs: Vec<(String, u32)> = block
-                .clone()
-                .filter_map(|p| file.tok(p))
-                .filter(|t| t.kind == TokenKind::Str)
-                .map(|t| (t.text.clone(), t.line))
-                .collect();
-            if !strs.len().is_multiple_of(3) {
-                let line = strs.first().map_or(1, |(_, l)| *l);
-                emit(
-                    diags,
-                    file,
-                    line,
-                    "metrics-registry",
-                    format!(
-                        "registry block must hold (name, kind, help) string triples; \
-                         found {} strings",
-                        strs.len()
-                    ),
-                );
-                continue;
-            }
-            for triple in strs.chunks(3) {
-                let (name, line) = (&triple[0].0, triple[0].1);
-                let kind = &triple[1].0;
-                check_decl(ws, fi, name, kind, line, diags);
-                if let Some(prev) = decls.get(name) {
-                    emit(
-                        diags,
-                        file,
-                        line,
-                        "metrics-registry",
-                        format!(
-                            "series `{name}` declared twice (first at {}:{})",
-                            ws.files[prev.file_idx].rel, prev.line
-                        ),
-                    );
-                } else {
-                    decls.insert(
-                        name.clone(),
-                        SeriesDecl {
-                            name: name.clone(),
-                            file_idx: fi,
-                            line,
-                        },
-                    );
-                }
-            }
-        }
-    }
-
-    // 2. Scan every string literal outside registry blocks for series
-    // uses. In shipped code each must resolve to a declaration; in
-    // test code (tests/ dirs, #[cfg(test)] regions) unresolved
-    // references are tolerated — they are fixtures and grep fragments
-    // — but resolved ones still count as coverage.
-    let mut used: BTreeSet<String> = BTreeSet::new();
-    let mut any_use = false;
-    for file in &ws.files {
-        let file_is_test = scope_of(&file.rel).test_code;
-        for p in 0..file.code.len() {
-            let Some(tok) = file.tok(p) else { continue };
-            if tok.kind != TokenKind::Str || file.in_any(p, &file.registry_blocks) {
-                continue;
-            }
-            let in_test = file_is_test || file.in_any(p, &file.tests);
-            for name in series_names(&tok.text) {
-                any_use |= !in_test;
-                let resolved = if decls.contains_key(&name) {
-                    Some(name.clone())
-                } else {
-                    ["_bucket", "_sum", "_count"]
-                        .iter()
-                        .filter_map(|s| name.strip_suffix(s))
-                        .find(|base| decls.contains_key(*base))
-                        .map(str::to_string)
-                };
-                match resolved {
-                    Some(base) => {
-                        used.insert(base);
-                    }
-                    None if in_test => {}
-                    None => emit(
-                        diags,
-                        file,
-                        tok.line,
-                        "metrics-registry",
-                        format!("series `{name}` is not declared in the metrics registry"),
-                    ),
-                }
-            }
-        }
-    }
-    if any_use && !any_registry {
-        diags.push(Diagnostic {
-            file: ws.files.first().map_or_else(String::new, |f| f.rel.clone()),
-            line: 1,
-            rule: "metrics-registry",
-            message: "sitw_serve_*/sitw_router_* series are used but no \
-                      `// sitw-lint: metrics-registry` block declares them"
-                .to_string(),
-        });
-    }
-
-    // 3. Dead declarations: registered but never rendered or asserted.
-    for decl in decls.values() {
-        if !used.contains(&decl.name) {
-            let file = &ws.files[decl.file_idx];
-            emit(
-                diags,
-                file,
-                decl.line,
-                "metrics-registry",
-                format!(
-                    "series `{}` is declared but never used outside the registry",
-                    decl.name
-                ),
-            );
-        }
-    }
-}
-
-fn check_decl(
-    ws: &Workspace,
-    file_idx: usize,
-    name: &str,
-    kind: &str,
-    line: u32,
-    diags: &mut Vec<Diagnostic>,
-) {
-    let file = &ws.files[file_idx];
-    if !SERIES_PREFIXES.iter().any(|p| name.starts_with(p)) {
-        emit(
-            diags,
-            file,
-            line,
-            "metrics-registry",
-            format!(
-                "series `{name}` must carry the `sitw_serve_` or `sitw_router_` \
-                 namespace prefix"
-            ),
-        );
-    }
-    if !name
-        .chars()
-        .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_')
-        || name.starts_with('_')
-        || name.ends_with('_')
-        || name.contains("__")
-    {
-        emit(
-            diags,
-            file,
-            line,
-            "metrics-registry",
-            format!("series `{name}` is not snake_case"),
-        );
-    }
-    if !["counter", "gauge", "histogram"].contains(&kind) {
-        emit(
-            diags,
-            file,
-            line,
-            "metrics-registry",
-            format!("series `{name}` has invalid type `{kind}` (counter|gauge|histogram)"),
-        );
-    }
-    let total = name.ends_with("_total");
-    if total && kind != "counter" {
-        emit(
-            diags,
-            file,
-            line,
-            "metrics-registry",
-            format!("series `{name}` ends in `_total` but is declared `{kind}`, not counter"),
-        );
-    }
-    if !total && kind == "counter" {
-        emit(
-            diags,
-            file,
-            line,
-            "metrics-registry",
-            format!("counter `{name}` must end in `_total`"),
-        );
-    }
-}
-
-/// The metric namespaces the registry rule owns: node series and
-/// router series.
-const SERIES_PREFIXES: &[&str] = &["sitw_serve_", "sitw_router_"];
-
-/// Extracts `sitw_serve_*`/`sitw_router_*` series names from one string
-/// literal: each maximal `[a-z0-9_]` run starting at a namespace
-/// prefix, trailing underscores trimmed (grep patterns quote prefixes
-/// like `sitw_serve_tenant_`).
-fn series_names(text: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let bytes = text.as_bytes();
-    for prefix in SERIES_PREFIXES {
-        let mut i = 0;
-        while let Some(off) = text[i..].find(prefix) {
-            let start = i + off;
-            let mut end = start;
-            while end < bytes.len()
-                && (bytes[end].is_ascii_lowercase()
-                    || bytes[end].is_ascii_digit()
-                    || bytes[end] == b'_')
-            {
-                end += 1;
-            }
-            let name = text[start..end].trim_end_matches('_');
-            if name.len() > prefix.len() {
-                out.push(name.to_string());
-            }
-            i = end.max(start + 1);
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -905,94 +627,6 @@ fn hot() {
         assert_eq!(d.len(), 1, "{d:?}");
         assert_eq!(d[0].file, "crates/serve/src/loadgen.rs");
         assert_eq!(d[0].rule, "clock-discipline");
-    }
-
-    #[test]
-    fn metrics_registry_checks_uses_and_declarations() {
-        let metrics = r#"
-// sitw-lint: metrics-registry
-pub const REGISTRY: &[(&str, &str, &str)] = &[
-    ("sitw_serve_good_total", "counter", "A counter."),
-    ("sitw_serve_gauge", "gauge", "A gauge."),
-    ("sitw_serve_dead", "gauge", "Never used."),
-    ("sitw_serve_bad_total", "gauge", "Mistyped."),
-];
-fn render() {
-    let _ = "sitw_serve_good_total 1";
-    let _ = "sitw_serve_gauge{shard=\"0\"} 2";
-    let _ = "sitw_serve_undeclared 3";
-    let _ = "sitw_serve_bad_total 4";
-}
-"#;
-        let d = diags_of(&[("crates/serve/src/metrics.rs", metrics)]);
-        let msgs: Vec<&str> = d.iter().map(|d| d.message.as_str()).collect();
-        assert!(
-            msgs.iter().any(|m| m.contains("`sitw_serve_undeclared`")),
-            "{msgs:?}"
-        );
-        assert!(msgs.iter().any(|m| m.contains("`sitw_serve_dead`")));
-        assert!(msgs
-            .iter()
-            .any(|m| m.contains("`sitw_serve_bad_total`") && m.contains("not counter")));
-        assert_eq!(d.len(), 3, "{d:?}");
-    }
-
-    #[test]
-    fn router_namespace_is_checked_too() {
-        let metrics = r#"
-// sitw-lint: metrics-registry
-pub const REGISTRY: &[(&str, &str, &str)] = &[
-    ("sitw_router_requests_total", "counter", "Routed requests."),
-    ("sitw_router_dead", "gauge", "Never used."),
-    ("sitw_other_thing", "gauge", "Wrong namespace."),
-];
-fn render() {
-    let _ = "sitw_router_requests_total 1";
-    let _ = "sitw_router_undeclared 2";
-    let _ = "sitw_other_thing 3";
-}
-"#;
-        let d = diags_of(&[("crates/cluster/src/metrics.rs", metrics)]);
-        let msgs: Vec<&str> = d.iter().map(|d| d.message.as_str()).collect();
-        assert!(
-            msgs.iter().any(|m| m.contains("`sitw_router_undeclared`")),
-            "{msgs:?}"
-        );
-        assert!(msgs.iter().any(|m| m.contains("`sitw_router_dead`")));
-        assert!(msgs
-            .iter()
-            .any(|m| m.contains("`sitw_other_thing`") && m.contains("namespace prefix")));
-        // `sitw_other_thing` is outside both namespaces, so its use is
-        // invisible to the scanner: the bad declaration is also dead.
-        assert_eq!(d.len(), 4, "{d:?}");
-    }
-
-    #[test]
-    fn histogram_suffixes_resolve_to_their_family() {
-        let metrics = r#"
-// sitw-lint: metrics-registry
-pub const REGISTRY: &[(&str, &str, &str)] = &[
-    ("sitw_serve_latency", "histogram", "Latency."),
-];
-fn render() {
-    let _ = "sitw_serve_latency_bucket{le=\"+Inf\"} 1";
-    let _ = "sitw_serve_latency_sum 2";
-    let _ = "sitw_serve_latency_count 3";
-}
-"#;
-        assert!(diags_of(&[("crates/serve/src/metrics.rs", metrics)]).is_empty());
-    }
-
-    #[test]
-    fn grep_prefix_literals_trim_trailing_underscores() {
-        assert_eq!(
-            series_names("grep sitw_serve_tenant_ and sitw_serve_apps!"),
-            ["sitw_serve_tenant", "sitw_serve_apps"]
-        );
-        assert_eq!(
-            series_names("prefix sitw_serve_ only"),
-            Vec::<String>::new()
-        );
     }
 
     #[test]

@@ -34,7 +34,6 @@ fn every_seeded_fixture_exits_nonzero_with_its_diagnostic() {
         ("hot_path_alloc", "error[hot-path-alloc]"),
         ("panic_freedom", "error[panic-freedom]"),
         ("clock_discipline", "error[clock-discipline]"),
-        ("metrics_registry", "error[metrics-registry]"),
     ] {
         let out = run(&["--root", &fixture_root(name), "--no-model-check"]);
         let stdout = String::from_utf8_lossy(&out.stdout);

@@ -80,21 +80,6 @@ fn benchmark_scope_fixture_exempts_clocks_but_not_unsafe() {
 }
 
 #[test]
-fn metrics_registry_fixture_reports_contract_breaks() {
-    assert_eq!(
-        rendered(&fixture("metrics_registry")),
-        [
-            "src/lib.rs:10: error[metrics-registry]: counter `sitw_serve_requests` must \
-             end in `_total`",
-            "src/lib.rs:10: error[metrics-registry]: series `sitw_serve_requests` is \
-             declared but never used outside the registry",
-            "src/lib.rs:16: error[metrics-registry]: series `sitw_serve_mystery_total` \
-             is not declared in the metrics registry",
-        ]
-    );
-}
-
-#[test]
 fn clean_fixture_is_clean() {
     let diags = fixture("clean").lint();
     assert!(

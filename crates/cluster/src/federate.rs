@@ -22,7 +22,7 @@
 
 use std::collections::BTreeMap;
 
-use sitw_telemetry::{Log2Histogram, BUCKETS};
+use sitw_telemetry::{parse_hist_lines, HistKey, Log2Histogram};
 
 /// One node's `/debug/hist` scrape, reconstructed losslessly.
 #[derive(Debug)]
@@ -33,46 +33,19 @@ pub struct NodeHists {
     pub tenants: Vec<(String, Log2Histogram)>,
 }
 
-/// Parses one `/debug/hist` body: lines of
-/// `stage <name> <proto> <sum_ns> <b0>..<b63>` and
-/// `tenant <name> <sum_ns> <b0>..<b63>`. Returns `None` on any
-/// malformed line (a partial merge would silently undercount).
+/// Parses one `/debug/hist` body ([`sitw_telemetry::parse_hist_lines`])
+/// into its stage and tenant series. `None` on any malformed line (a
+/// partial merge would silently undercount).
 pub fn parse_hist_body(body: &str) -> Option<NodeHists> {
     let mut stages = Vec::new();
     let mut tenants = Vec::new();
-    for line in body.lines() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let mut toks = line.split_ascii_whitespace();
-        match toks.next()? {
-            "stage" => {
-                let stage = toks.next()?.to_owned();
-                let proto = toks.next()?.to_owned();
-                stages.push((stage, proto, parse_hist_tokens(&mut toks)?));
-            }
-            "tenant" => {
-                let name = toks.next()?.to_owned();
-                tenants.push((name, parse_hist_tokens(&mut toks)?));
-            }
-            _ => return None,
+    for (key, h) in parse_hist_lines(body)? {
+        match key {
+            HistKey::Stage(stage, proto) => stages.push((stage.to_owned(), proto.to_owned(), h)),
+            HistKey::Tenant(name) => tenants.push((name.to_owned(), h)),
         }
     }
     Some(NodeHists { stages, tenants })
-}
-
-/// Parses `<sum_ns> <b0>..<b63>` — exactly [`BUCKETS`] + 1 tokens.
-fn parse_hist_tokens<'a>(toks: &mut impl Iterator<Item = &'a str>) -> Option<Log2Histogram> {
-    let sum: u64 = toks.next()?.parse().ok()?;
-    let mut buckets = [0u64; BUCKETS];
-    for b in buckets.iter_mut() {
-        *b = toks.next()?.parse().ok()?;
-    }
-    if toks.next().is_some() {
-        return None;
-    }
-    Some(Log2Histogram::from_raw(buckets, sum))
 }
 
 /// The fleet-wide merge of every live node's histograms.
@@ -101,60 +74,9 @@ impl FleetHists {
     }
 }
 
-/// One span parsed from a node's `/debug/trace?format=json` (or built
-/// from the router's own recorder for the merged timeline).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NodeSpan {
-    /// Span id (a propagated trace id carries the top bit).
-    pub span: u64,
-    /// Stage name (`read` ... `write`, or a router hop stage).
-    pub stage: String,
-    /// Stage start, ns — node-local until [`rebase`]d.
-    pub start_ns: u64,
-    /// Stage end, ns — node-local until [`rebase`]d.
-    pub end_ns: u64,
-    /// Recording thread (`reactor-0`, `shard-1`, `router`, ...).
-    pub source: String,
-}
-
-/// Parses a node's `/debug/trace?format=json` body. Tolerant of
-/// unknown fields; entries missing a required field are skipped.
-pub fn parse_trace_spans(body: &str) -> Vec<NodeSpan> {
-    let mut out = Vec::new();
-    let mut rest = body;
-    while let Some(pos) = rest.find("{\"span\":") {
-        rest = &rest[pos..];
-        let Some(end) = rest.find('}') else { break };
-        if let Some(span) = parse_span_obj(&rest[..end]) {
-            out.push(span);
-        }
-        rest = &rest[end + 1..];
-    }
-    out
-}
-
-fn parse_span_obj(obj: &str) -> Option<NodeSpan> {
-    let num = |key: &str| -> Option<u64> {
-        let pos = obj.find(key)? + key.len();
-        let digits: String = obj[pos..]
-            .chars()
-            .take_while(|c| c.is_ascii_digit())
-            .collect();
-        digits.parse().ok()
-    };
-    let text = |key: &str| -> Option<String> {
-        let pos = obj.find(key)? + key.len();
-        let end = obj[pos..].find('"')?;
-        Some(obj[pos..pos + end].to_owned())
-    };
-    Some(NodeSpan {
-        span: num("\"span\":")?,
-        stage: text("\"stage\":\"")?,
-        start_ns: num("\"start_ns\":")?,
-        end_ns: num("\"end_ns\":")?,
-        source: text("\"source\":\"")?,
-    })
-}
+/// One row of a node's (or the merged) `/debug/trace` timeline, and
+/// the parser for a node's `/debug/trace?format=json` body.
+pub use sitw_telemetry::{parse_trace_json as parse_trace_spans, TraceSpan as NodeSpan};
 
 /// Rebases one (node, trace) span group onto the router's clock: the
 /// group's earliest stage start is anchored at `anchor_ns` (the
@@ -165,10 +87,10 @@ fn parse_span_obj(obj: &str) -> Option<NodeSpan> {
 /// its clock read, which stretches whenever the reply wakes the router
 /// thread onto the node thread's core — so it is clamped away.
 pub fn rebase(spans: &mut [NodeSpan], anchor_ns: u64, ceiling_ns: u64) {
-    let Some(min) = spans.iter().map(|s| s.start_ns).min() else {
+    let Some(min) = spans.iter().map(|s| s.event.start_ns).min() else {
         return;
     };
-    for s in spans {
+    for s in spans.iter_mut().map(|s| &mut s.event) {
         s.end_ns = (anchor_ns + (s.end_ns - min)).min(ceiling_ns);
         s.start_ns = (anchor_ns + (s.start_ns - min)).min(s.end_ns);
     }
@@ -177,6 +99,7 @@ pub fn rebase(spans: &mut [NodeSpan], anchor_ns: u64, ceiling_ns: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sitw_telemetry::{SpanEvent, Stage, BUCKETS};
 
     fn hist_line(prefix: &str, sum: u64, spikes: &[(usize, u64)]) -> String {
         let mut buckets = [0u64; BUCKETS];
@@ -235,42 +158,41 @@ mod tests {
         let body = r#"[{"span":9223372036854775809,"stage":"decide","start_ns":100,"end_ns":150,"source":"shard-0"},{"span":12,"stage":"read","start_ns":1,"end_ns":2,"source":"reactor-1"},{"bogus":true}]"#;
         let spans = parse_trace_spans(body);
         assert_eq!(spans.len(), 2);
-        assert_eq!(spans[0].span, (1u64 << 63) | 1);
-        assert_eq!(spans[0].stage, "decide");
-        assert_eq!(spans[0].start_ns, 100);
-        assert_eq!(spans[0].end_ns, 150);
+        let decide = SpanEvent {
+            span: (1u64 << 63) | 1,
+            stage: Stage::Decide,
+            start_ns: 100,
+            end_ns: 150,
+        };
+        assert_eq!(spans[0].event, decide);
         assert_eq!(spans[0].source, "shard-0");
         assert_eq!(spans[1].source, "reactor-1");
     }
 
     #[test]
     fn rebase_anchors_group_min_and_preserves_offsets() {
+        let span = |stage, start_ns, end_ns, source: &str| NodeSpan {
+            event: SpanEvent {
+                span: 1,
+                stage,
+                start_ns,
+                end_ns,
+            },
+            source: source.into(),
+        };
         let mut spans = vec![
-            NodeSpan {
-                span: 1,
-                stage: "read".into(),
-                start_ns: 5_000,
-                end_ns: 5_100,
-                source: "reactor-0".into(),
-            },
-            NodeSpan {
-                span: 1,
-                stage: "decide".into(),
-                start_ns: 5_200,
-                end_ns: 5_400,
-                source: "shard-0".into(),
-            },
+            span(Stage::Read, 5_000, 5_100, "reactor-0"),
+            span(Stage::Decide, 5_200, 5_400, "shard-0"),
         ];
+        let window = |s: &NodeSpan| (s.event.start_ns, s.event.end_ns);
         rebase(&mut spans, 90_000, u64::MAX);
-        assert_eq!(spans[0].start_ns, 90_000);
-        assert_eq!(spans[0].end_ns, 90_100);
-        assert_eq!(spans[1].start_ns, 90_200);
-        assert_eq!(spans[1].end_ns, 90_400);
+        assert_eq!(window(&spans[0]), (90_000, 90_100));
+        assert_eq!(window(&spans[1]), (90_200, 90_400));
         // Regression (a flaky cluster test before this PR): a node whose
         // last clock read lands after the router already held the reply
         // overshoots the await window; the ceiling clamps it back.
         rebase(&mut spans, 10_000, 10_300);
-        assert_eq!((spans[0].start_ns, spans[0].end_ns), (10_000, 10_100));
-        assert_eq!((spans[1].start_ns, spans[1].end_ns), (10_200, 10_300));
+        assert_eq!(window(&spans[0]), (10_000, 10_100));
+        assert_eq!(window(&spans[1]), (10_200, 10_300));
     }
 }

@@ -5,148 +5,19 @@
 //!
 //! All names are `sitw_router_*` — disjoint from the nodes'
 //! `sitw_serve_*` namespace, so one scrape config can collect both
-//! without relabeling. Every family is declared once in [`REGISTRY`];
-//! `render()`/`render_fleet()` source their `# HELP`/`# TYPE` lines
-//! from it, the lockstep unit test asserts the exposition and the
-//! table never drift, and `sitw-lint`'s `metrics-registry` rule checks
-//! naming and typing workspace-wide.
+//! without relabeling. Each endpoint is one declarative table
+//! ([`RouterScrape::FAMILIES`], [`FLEET_FAMILIES`]) rendered by
+//! [`sitw_telemetry::expo::render`]: a family's name, kind, help and
+//! sampling function live in its one row.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
-use sitw_serve::metrics::{write_hist_series, SeriesDecl};
 use sitw_serve::wire::TenantUsage;
+use sitw_telemetry::expo::{self, Family, Kind, Samples};
+use sitw_telemetry::lock_unpoisoned;
 
 use crate::federate::FleetHists;
-
-/// Every series family the router exports, declared once.
-// sitw-lint: metrics-registry
-pub const REGISTRY: &[SeriesDecl] = &[
-    SeriesDecl {
-        name: "sitw_router_requests_total",
-        kind: "counter",
-        help: "Requests accepted by protocol.",
-    },
-    SeriesDecl {
-        name: "sitw_router_records_total",
-        kind: "counter",
-        help: "SITW-BIN request records accepted.",
-    },
-    SeriesDecl {
-        name: "sitw_router_forwarded_subframes_total",
-        kind: "counter",
-        help: "Per-node subframes forwarded upstream.",
-    },
-    SeriesDecl {
-        name: "sitw_router_throttled_total",
-        kind: "counter",
-        help: "Invocations rejected by QoS admission.",
-    },
-    SeriesDecl {
-        name: "sitw_router_traced_requests_total",
-        kind: "counter",
-        help: "Requests carrying a trace id (propagated or self-sampled).",
-    },
-    SeriesDecl {
-        name: "sitw_router_node_errors_total",
-        kind: "counter",
-        help: "Upstream failures per node.",
-    },
-    SeriesDecl {
-        name: "sitw_router_ring_epoch",
-        kind: "gauge",
-        help: "Ring epoch (bumps on membership or placement change).",
-    },
-    SeriesDecl {
-        name: "sitw_router_nodes_live",
-        kind: "gauge",
-        help: "Live node count.",
-    },
-    SeriesDecl {
-        name: "sitw_router_reconcile_runs_total",
-        kind: "counter",
-        help: "Budget reconciliations completed.",
-    },
-    SeriesDecl {
-        name: "sitw_router_budget_pushes_total",
-        kind: "counter",
-        help: "Budget shares acknowledged by nodes.",
-    },
-    SeriesDecl {
-        name: "sitw_router_migrations_total",
-        kind: "counter",
-        help: "Tenant migrations completed.",
-    },
-    SeriesDecl {
-        name: "sitw_router_tenant_budget_mb",
-        kind: "gauge",
-        help: "Cluster budget per tenant, MB (last reconcile).",
-    },
-    SeriesDecl {
-        name: "sitw_router_tenant_warm_mb",
-        kind: "gauge",
-        help: "Warm memory per tenant, MB (last reconcile).",
-    },
-    SeriesDecl {
-        name: "sitw_router_tenant_evictions_total",
-        kind: "counter",
-        help: "Budget evictions per tenant (cumulative, sampled at the last reconcile).",
-    },
-    SeriesDecl {
-        name: "sitw_router_tenant_invocations_total",
-        kind: "counter",
-        help: "Invocations served per tenant (cumulative, sampled at the last reconcile).",
-    },
-    SeriesDecl {
-        name: "sitw_router_failover_mode",
-        kind: "gauge",
-        help: "Failover mode (0 = off, 1 = supervised, 2 = auto).",
-    },
-    SeriesDecl {
-        name: "sitw_router_failover_probe_failures_total",
-        kind: "counter",
-        help: "Health probes that failed (connect, HTTP error, or timeout).",
-    },
-    SeriesDecl {
-        name: "sitw_router_failover_proposals_total",
-        kind: "counter",
-        help: "Drop/promote proposals raised by the prober.",
-    },
-    SeriesDecl {
-        name: "sitw_router_failover_promotions_total",
-        kind: "counter",
-        help: "Standby promotions completed (confirmed proposals with a standby).",
-    },
-    SeriesDecl {
-        name: "sitw_router_failover_retries_total",
-        kind: "counter",
-        help: "Failover control-plane retries (promote or provision re-attempts).",
-    },
-    SeriesDecl {
-        name: "sitw_router_fleet_nodes",
-        kind: "gauge",
-        help: "Live nodes merged into the federated histograms.",
-    },
-    SeriesDecl {
-        name: "sitw_router_fleet_decision_latency",
-        kind: "histogram",
-        help: "Fleet-wide request latency by node pipeline stage in seconds \
-               (exact merge of the nodes' log2 buckets).",
-    },
-];
-
-/// Writes the `# HELP`/`# TYPE` preamble for `name` from [`REGISTRY`].
-/// Lookups are total by construction: the lockstep unit test fails on
-/// a rendered family missing from the table.
-fn family(out: &mut String, name: &str) {
-    use std::fmt::Write as _;
-    let decl = REGISTRY.iter().find(|d| d.name == name);
-    debug_assert!(decl.is_some(), "family {name} missing from REGISTRY");
-    if let Some(d) = decl {
-        let _ = writeln!(out, "# HELP {} {}", d.name, d.help);
-        let _ = writeln!(out, "# TYPE {} {}", d.name, d.kind);
-    }
-}
 
 /// Counters and gauges of one router process. All atomics are updated
 /// with relaxed ordering: each metric is an independent statistic, not a
@@ -223,155 +94,208 @@ impl RouterMetrics {
         }
     }
 
-    /// Renders the Prometheus exposition text. `node_addrs` label the
-    /// per-node series (index order matches the ring's node slots).
+    /// Renders the Prometheus exposition text: one pass over
+    /// [`RouterScrape::FAMILIES`]. `node_addrs` label the per-node
+    /// series (index order matches the ring's node slots).
     pub fn render(&self, node_addrs: &[String]) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::with_capacity(1024);
-        let scalar = |out: &mut String, name: &str, v: u64| {
-            family(out, name);
-            let _ = writeln!(out, "{name} {v}");
+        let scrape = RouterScrape {
+            metrics: self,
+            node_addrs,
+            usage: lock_unpoisoned(&self.usage),
         };
-
-        family(&mut out, "sitw_router_requests_total");
-        let _ = writeln!(
-            out,
-            "sitw_router_requests_total{{proto=\"json\"}} {}",
-            self.json_requests.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(
-            out,
-            "sitw_router_requests_total{{proto=\"bin\"}} {}",
-            self.bin_frames.load(Ordering::Relaxed)
-        );
-        scalar(
-            &mut out,
-            "sitw_router_records_total",
-            self.bin_records.load(Ordering::Relaxed),
-        );
-        scalar(
-            &mut out,
-            "sitw_router_forwarded_subframes_total",
-            self.forwarded_subframes.load(Ordering::Relaxed),
-        );
-        scalar(
-            &mut out,
-            "sitw_router_throttled_total",
-            self.throttled.load(Ordering::Relaxed),
-        );
-        scalar(
-            &mut out,
-            "sitw_router_traced_requests_total",
-            self.traced_requests.load(Ordering::Relaxed),
-        );
-        family(&mut out, "sitw_router_node_errors_total");
-        for (i, c) in self.node_errors.iter().enumerate() {
-            let addr = node_addrs.get(i).map(String::as_str).unwrap_or("?");
-            let _ = writeln!(
-                out,
-                "sitw_router_node_errors_total{{node=\"{addr}\"}} {}",
-                c.load(Ordering::Relaxed)
-            );
-        }
-        scalar(
-            &mut out,
-            "sitw_router_ring_epoch",
-            self.ring_epoch.load(Ordering::Relaxed),
-        );
-        scalar(
-            &mut out,
-            "sitw_router_nodes_live",
-            self.nodes_live.load(Ordering::Relaxed),
-        );
-        scalar(
-            &mut out,
-            "sitw_router_reconcile_runs_total",
-            self.reconcile_runs.load(Ordering::Relaxed),
-        );
-        scalar(
-            &mut out,
-            "sitw_router_budget_pushes_total",
-            self.budget_pushes.load(Ordering::Relaxed),
-        );
-        scalar(
-            &mut out,
-            "sitw_router_migrations_total",
-            self.migrations.load(Ordering::Relaxed),
-        );
-        scalar(
-            &mut out,
-            "sitw_router_failover_mode",
-            self.failover_mode.load(Ordering::Relaxed),
-        );
-        scalar(
-            &mut out,
-            "sitw_router_failover_probe_failures_total",
-            self.probe_failures.load(Ordering::Relaxed),
-        );
-        scalar(
-            &mut out,
-            "sitw_router_failover_proposals_total",
-            self.failover_proposals.load(Ordering::Relaxed),
-        );
-        scalar(
-            &mut out,
-            "sitw_router_failover_promotions_total",
-            self.failover_promotions.load(Ordering::Relaxed),
-        );
-        scalar(
-            &mut out,
-            "sitw_router_failover_retries_total",
-            self.failover_retries.load(Ordering::Relaxed),
-        );
-
-        let usage = self.usage.lock().expect("usage poisoned");
-        for (name, get) in [
-            (
-                "sitw_router_tenant_budget_mb",
-                (|t| t.budget_mb) as fn(&TenantUsage) -> u64,
-            ),
-            ("sitw_router_tenant_warm_mb", |t| t.warm_mb),
-            ("sitw_router_tenant_evictions_total", |t| t.evictions),
-            ("sitw_router_tenant_invocations_total", |t| t.invocations),
-        ] {
-            family(&mut out, name);
-            for t in usage.iter() {
-                let _ = writeln!(out, "{name}{{tenant=\"{}\"}} {}", t.name, get(t));
-            }
-        }
-        out
+        expo::render(RouterScrape::FAMILIES, &scrape)
     }
 }
 
-/// Renders the `/metrics/fleet` exposition from one federation pass:
-/// the merged per-stage/per-proto and per-tenant histograms, laid out
+/// What the router's `/metrics` rows sample: the live atomics, the node
+/// labels, and the last reconciliation's usage held under one lock (so
+/// the four tenant families agree with each other).
+pub struct RouterScrape<'a> {
+    metrics: &'a RouterMetrics,
+    node_addrs: &'a [String],
+    usage: MutexGuard<'a, Vec<TenantUsage>>,
+}
+
+fn load(counter: &AtomicU64) -> u64 {
+    counter.load(Ordering::Relaxed)
+}
+
+fn per_tenant(v: &RouterScrape<'_>, s: &mut Samples<'_>, get: fn(&TenantUsage) -> u64) {
+    for t in v.usage.iter() {
+        s.labeled(format_args!("tenant=\"{}\"", t.name), get(t));
+    }
+}
+
+impl<'a> RouterScrape<'a> {
+    /// Every series family of the router's `/metrics`, in exposition
+    /// order.
+    pub const FAMILIES: &'a [Family<RouterScrape<'a>>] = &[
+        Family {
+            name: "sitw_router_requests_total",
+            kind: Kind::Counter,
+            help: "Requests accepted by protocol.",
+            sample: |v, s| {
+                s.labeled(
+                    format_args!("proto=\"json\""),
+                    load(&v.metrics.json_requests),
+                );
+                s.labeled(format_args!("proto=\"bin\""), load(&v.metrics.bin_frames));
+            },
+        },
+        Family {
+            name: "sitw_router_records_total",
+            kind: Kind::Counter,
+            help: "SITW-BIN request records accepted.",
+            sample: |v, s| s.scalar(load(&v.metrics.bin_records)),
+        },
+        Family {
+            name: "sitw_router_forwarded_subframes_total",
+            kind: Kind::Counter,
+            help: "Per-node subframes forwarded upstream.",
+            sample: |v, s| s.scalar(load(&v.metrics.forwarded_subframes)),
+        },
+        Family {
+            name: "sitw_router_throttled_total",
+            kind: Kind::Counter,
+            help: "Invocations rejected by QoS admission.",
+            sample: |v, s| s.scalar(load(&v.metrics.throttled)),
+        },
+        Family {
+            name: "sitw_router_traced_requests_total",
+            kind: Kind::Counter,
+            help: "Requests carrying a trace id (propagated or self-sampled).",
+            sample: |v, s| s.scalar(load(&v.metrics.traced_requests)),
+        },
+        Family {
+            name: "sitw_router_node_errors_total",
+            kind: Kind::Counter,
+            help: "Upstream failures per node.",
+            sample: |v, s| {
+                for (i, errors) in v.metrics.node_errors.iter().enumerate() {
+                    let addr = v.node_addrs.get(i).map_or("?", String::as_str);
+                    s.labeled(format_args!("node=\"{addr}\""), load(errors));
+                }
+            },
+        },
+        Family {
+            name: "sitw_router_ring_epoch",
+            kind: Kind::Gauge,
+            help: "Ring epoch (bumps on membership or placement change).",
+            sample: |v, s| s.scalar(load(&v.metrics.ring_epoch)),
+        },
+        Family {
+            name: "sitw_router_nodes_live",
+            kind: Kind::Gauge,
+            help: "Live node count.",
+            sample: |v, s| s.scalar(load(&v.metrics.nodes_live)),
+        },
+        Family {
+            name: "sitw_router_reconcile_runs_total",
+            kind: Kind::Counter,
+            help: "Budget reconciliations completed.",
+            sample: |v, s| s.scalar(load(&v.metrics.reconcile_runs)),
+        },
+        Family {
+            name: "sitw_router_budget_pushes_total",
+            kind: Kind::Counter,
+            help: "Budget shares acknowledged by nodes.",
+            sample: |v, s| s.scalar(load(&v.metrics.budget_pushes)),
+        },
+        Family {
+            name: "sitw_router_migrations_total",
+            kind: Kind::Counter,
+            help: "Tenant migrations completed.",
+            sample: |v, s| s.scalar(load(&v.metrics.migrations)),
+        },
+        Family {
+            name: "sitw_router_failover_mode",
+            kind: Kind::Gauge,
+            help: "Failover mode (0 = off, 1 = supervised, 2 = auto).",
+            sample: |v, s| s.scalar(load(&v.metrics.failover_mode)),
+        },
+        Family {
+            name: "sitw_router_failover_probe_failures_total",
+            kind: Kind::Counter,
+            help: "Health probes that failed (connect, HTTP error, or timeout).",
+            sample: |v, s| s.scalar(load(&v.metrics.probe_failures)),
+        },
+        Family {
+            name: "sitw_router_failover_proposals_total",
+            kind: Kind::Counter,
+            help: "Drop/promote proposals raised by the prober.",
+            sample: |v, s| s.scalar(load(&v.metrics.failover_proposals)),
+        },
+        Family {
+            name: "sitw_router_failover_promotions_total",
+            kind: Kind::Counter,
+            help: "Standby promotions completed (confirmed proposals with a standby).",
+            sample: |v, s| s.scalar(load(&v.metrics.failover_promotions)),
+        },
+        Family {
+            name: "sitw_router_failover_retries_total",
+            kind: Kind::Counter,
+            help: "Failover control-plane retries (promote or provision re-attempts).",
+            sample: |v, s| s.scalar(load(&v.metrics.failover_retries)),
+        },
+        Family {
+            name: "sitw_router_tenant_budget_mb",
+            kind: Kind::Gauge,
+            help: "Cluster budget per tenant, MB (last reconcile).",
+            sample: |v, s| per_tenant(v, s, |t| t.budget_mb),
+        },
+        Family {
+            name: "sitw_router_tenant_warm_mb",
+            kind: Kind::Gauge,
+            help: "Warm memory per tenant, MB (last reconcile).",
+            sample: |v, s| per_tenant(v, s, |t| t.warm_mb),
+        },
+        Family {
+            name: "sitw_router_tenant_evictions_total",
+            kind: Kind::Counter,
+            help: "Budget evictions per tenant (cumulative, sampled at the last reconcile).",
+            sample: |v, s| per_tenant(v, s, |t| t.evictions),
+        },
+        Family {
+            name: "sitw_router_tenant_invocations_total",
+            kind: Kind::Counter,
+            help: "Invocations served per tenant (cumulative, sampled at the last reconcile).",
+            sample: |v, s| per_tenant(v, s, |t| t.invocations),
+        },
+    ];
+}
+
+/// The `/metrics/fleet` table over one federation pass: the merged
+/// per-stage/per-proto and per-tenant histograms, laid out
 /// byte-identically to a node's `sitw_serve_decision_latency` (same
 /// bucket bounds, same label shape), plus the node count that merge
 /// covered. Exactness invariant: every `_count`/`_bucket` value equals
 /// the sum of the corresponding node values.
+pub const FLEET_FAMILIES: &[Family<FleetHists>] = &[
+    Family {
+        name: "sitw_router_fleet_nodes",
+        kind: Kind::Gauge,
+        help: "Live nodes merged into the federated histograms.",
+        sample: |fleet, s| s.scalar(fleet.nodes),
+    },
+    Family {
+        name: "sitw_router_fleet_decision_latency",
+        kind: Kind::Histogram,
+        help: "Fleet-wide request latency by node pipeline stage in seconds \
+               (exact merge of the nodes' log2 buckets).",
+        sample: |fleet, s| {
+            for ((stage, proto), h) in &fleet.stages {
+                s.hist(format_args!("stage=\"{stage}\",proto=\"{proto}\""), h);
+            }
+            for (tenant, h) in &fleet.tenants {
+                s.hist(format_args!("stage=\"decide\",tenant=\"{tenant}\""), h);
+            }
+        },
+    },
+];
+
+/// Renders the `/metrics/fleet` exposition.
 pub fn render_fleet(fleet: &FleetHists) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::with_capacity(4096);
-    family(&mut out, "sitw_router_fleet_nodes");
-    let _ = writeln!(out, "sitw_router_fleet_nodes {}", fleet.nodes);
-    family(&mut out, "sitw_router_fleet_decision_latency");
-    for ((stage, proto), h) in &fleet.stages {
-        write_hist_series(
-            &mut out,
-            "sitw_router_fleet_decision_latency",
-            &format!("stage=\"{stage}\",proto=\"{proto}\""),
-            h,
-        );
-    }
-    for (tenant, h) in &fleet.tenants {
-        write_hist_series(
-            &mut out,
-            "sitw_router_fleet_decision_latency",
-            &format!("stage=\"decide\",tenant=\"{tenant}\""),
-            h,
-        );
-    }
-    out
+    expo::render(FLEET_FAMILIES, fleet)
 }
 
 #[cfg(test)]
@@ -379,7 +303,6 @@ mod tests {
     use super::*;
     use crate::federate::parse_hist_body;
     use sitw_telemetry::BUCKETS;
-    use std::collections::BTreeSet;
 
     #[test]
     fn render_includes_all_families_and_labels() {
@@ -415,35 +338,58 @@ mod tests {
         assert!(text.contains("# TYPE sitw_router_failover_probe_failures_total counter"));
     }
 
+    /// Router `/metrics` is byte-identical to the exposition captured
+    /// before the table refactor (family order, labels, an unlabelled
+    /// node slot rendering as `?`).
     #[test]
-    fn registry_matches_rendered_families() {
-        // Render both expositions with every label-bearing family
-        // populated, then assert the `# TYPE`d families are exactly the
-        // REGISTRY — no undeclared renders, no dead declarations.
-        let m = RouterMetrics::new(1);
-        m.usage.lock().unwrap().push(TenantUsage {
-            name: "t0".into(),
-            budget_mb: 1,
-            warm_mb: 1,
-            evictions: 1,
-            idle_mb_ms: 1,
-            invocations: 1,
-        });
+    fn golden_router_metrics() {
+        let m = RouterMetrics::new(3);
+        for (counter, v) in [
+            (&m.json_requests, 3),
+            (&m.bin_frames, 5),
+            (&m.bin_records, 640),
+            (&m.forwarded_subframes, 9),
+            (&m.throttled, 2),
+            (&m.traced_requests, 4),
+            (&m.ring_epoch, 6),
+            (&m.reconcile_runs, 11),
+            (&m.budget_pushes, 22),
+            (&m.migrations, 1),
+            (&m.failover_mode, 2),
+            (&m.probe_failures, 7),
+            (&m.failover_proposals, 2),
+            (&m.failover_promotions, 1),
+            (&m.failover_retries, 3),
+        ] {
+            counter.store(v, Ordering::Relaxed);
+        }
+        m.nodes_live.store(2, Ordering::Relaxed);
+        m.node_error(1);
+        m.node_error(2);
+        for (name, k) in [("t0", 1), ("acme", 10)] {
+            m.usage.lock().unwrap().push(TenantUsage {
+                name: name.into(),
+                budget_mb: 64 * k,
+                warm_mb: 10 * k,
+                evictions: 2 * k,
+                idle_mb_ms: 5 * k,
+                invocations: 9 * k,
+            });
+        }
+        let text = m.render(&["127.0.0.1:7101".into(), "n1".into()]);
+        assert_eq!(text, include_str!("../tests/golden/router_metrics.txt"));
+    }
+
+    /// `/metrics/fleet` over two scrapes of the node's golden
+    /// `/debug/hist` body is byte-identical to the captured exposition.
+    #[test]
+    fn golden_fleet_metrics() {
+        let node = include_str!("../../serve/tests/golden/node_debug_hist.txt");
         let mut fleet = FleetHists::default();
-        let mut line = String::from("stage decide json 100");
-        line.push_str(&" 1".repeat(BUCKETS));
-        line.push_str("\ntenant t0 100");
-        line.push_str(&" 1".repeat(BUCKETS));
-        line.push('\n');
-        fleet.absorb(parse_hist_body(&line).unwrap());
-        let text = m.render(&["n0".into()]) + &render_fleet(&fleet);
-        let rendered: BTreeSet<&str> = text
-            .lines()
-            .filter_map(|l| l.strip_prefix("# TYPE "))
-            .filter_map(|l| l.split_whitespace().next())
-            .collect();
-        let declared: BTreeSet<&str> = REGISTRY.iter().map(|d| d.name).collect();
-        assert_eq!(rendered, declared);
+        fleet.absorb(parse_hist_body(node).unwrap());
+        fleet.absorb(parse_hist_body(node).unwrap());
+        let text = render_fleet(&fleet);
+        assert_eq!(text, include_str!("../tests/golden/fleet_metrics.txt"));
     }
 
     #[test]

@@ -57,7 +57,9 @@ use sitw_serve::wire::{
     ControlRequest, ServerFrameDecode,
 };
 
-use sitw_telemetry::{is_trace_span, EventKind, LifecycleEvent, Stage};
+use sitw_telemetry::{
+    is_trace_span, lock_unpoisoned, write_trace_json, write_trace_text, EventKind, EventRing, Stage,
+};
 
 use crate::federate::{parse_hist_body, parse_trace_spans, rebase, FleetHists, NodeSpan};
 use crate::metrics::{render_fleet, RouterMetrics};
@@ -325,7 +327,7 @@ impl RouterCtx {
             }
         }
         let nodes_reporting = reports.len();
-        *self.metrics.usage.lock().expect("usage poisoned") = aggregate_usage(&reports);
+        *lock_unpoisoned(&self.metrics.usage) = aggregate_usage(&reports);
         self.metrics.reconcile_runs.fetch_add(1, Ordering::Relaxed);
         self.metrics
             .budget_pushes
@@ -440,19 +442,16 @@ impl RouterCtx {
         let mut forward_end: HashMap<u64, u64> = HashMap::new();
         let mut await_end: HashMap<u64, u64> = HashMap::new();
         {
-            let rec = self.telem.recorder.lock().expect("recorder poisoned");
-            for ev in rec.events() {
-                if ev.stage == Stage::Forward {
-                    forward_end.insert(ev.span, ev.end_ns);
+            let rec = lock_unpoisoned(&self.telem.recorder);
+            for &event in rec.events() {
+                if event.stage == Stage::Forward {
+                    forward_end.insert(event.span, event.end_ns);
                 }
-                if ev.stage == Stage::Await {
-                    await_end.insert(ev.span, ev.end_ns);
+                if event.stage == Stage::Await {
+                    await_end.insert(event.span, event.end_ns);
                 }
                 spans.push(NodeSpan {
-                    span: ev.span,
-                    stage: ev.stage.name().to_owned(),
-                    start_ns: ev.start_ns,
-                    end_ns: ev.end_ns,
+                    event,
                     source: "router".to_owned(),
                 });
             }
@@ -476,8 +475,8 @@ impl RouterCtx {
             };
             let mut by_trace: HashMap<u64, Vec<NodeSpan>> = HashMap::new();
             for s in parse_trace_spans(&body) {
-                if is_trace_span(s.span) {
-                    by_trace.entry(s.span).or_default().push(s);
+                if is_trace_span(s.event.span) {
+                    by_trace.entry(s.event.span).or_default().push(s);
                 }
             }
             let name = self.node_name(node);
@@ -493,7 +492,7 @@ impl RouterCtx {
                 }
             }
         }
-        spans.sort_by_key(|s| (s.span, s.start_ns, s.end_ns));
+        spans.sort_by_key(|s| (s.event.span, s.event.start_ns, s.event.end_ns));
         spans
     }
 
@@ -1339,23 +1338,18 @@ impl ClientConn {
                 self.send_response(200, "text/plain; version=0.0.4", text.as_bytes())
             }
             ("GET", "/debug/trace") => {
-                let json = query.split('&').any(|p| p == "format=json");
+                // The node's text shape with fleet sources, or (with
+                // `format=json`) span objects keyed by hex trace id.
                 let spans = self.ctx.merged_trace();
-                let body = render_merged_trace(&spans, json);
-                let content_type = if json {
-                    "application/json"
+                let (content_type, body) = if query.split('&').any(|p| p == "format=json") {
+                    ("application/json", write_trace_json(&spans, true))
                 } else {
-                    "text/plain"
+                    ("text/plain", write_trace_text(&spans))
                 };
                 self.send_response(200, content_type, body.as_bytes())
             }
             ("GET", "/debug/events") => {
-                // Snapshot the ring under the lock, render outside it.
-                let (pushed, events) = {
-                    let ring = self.ctx.telem.events.lock().expect("events poisoned");
-                    (ring.pushed(), ring.events().cloned().collect::<Vec<_>>())
-                };
-                let body = render_events(pushed, &events);
+                let body = EventRing::snapshot_json(&self.ctx.telem.events);
                 self.send_response(200, "application/json", body.as_bytes())
             }
             ("GET", "/admin/ring") => {
@@ -2138,72 +2132,6 @@ fn handle_pending(
     }
 }
 
-/// Renders the merged fleet timeline for the router's `/debug/trace`:
-/// the node's text shape plus a `source` column, or (with
-/// `format=json`) an array of span objects with hex trace ids.
-fn render_merged_trace(spans: &[NodeSpan], json: bool) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::with_capacity(64 + spans.len() * 96);
-    if json {
-        out.push('[');
-        for (i, s) in spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"trace\":\"{:#018x}\",\"stage\":\"{}\",\"start_ns\":{},\"end_ns\":{},\
-                 \"source\":\"{}\"}}",
-                s.span,
-                wire::json_escape(&s.stage),
-                s.start_ns,
-                s.end_ns,
-                wire::json_escape(&s.source),
-            );
-        }
-        out.push(']');
-    } else {
-        out.push_str("# start_ns end_ns dur_ns span stage source\n");
-        for s in spans {
-            let _ = writeln!(
-                out,
-                "{} {} {} {:#018x} {} {}",
-                s.start_ns,
-                s.end_ns,
-                s.end_ns.saturating_sub(s.start_ns),
-                s.span,
-                s.stage,
-                s.source,
-            );
-        }
-    }
-    out
-}
-
-/// Renders the router's `/debug/events` body — same shape as a node's.
-fn render_events(pushed: u64, events: &[LifecycleEvent]) -> String {
-    use std::fmt::Write as _;
-    let mut body = String::with_capacity(64 + events.len() * 96);
-    let _ = write!(body, "{{\"pushed\":{pushed},\"events\":[");
-    for (i, ev) in events.iter().enumerate() {
-        if i > 0 {
-            body.push(',');
-        }
-        let _ = write!(
-            body,
-            "{{\"ts_ms\":{},\"kind\":\"{}\",\"tenant\":\"{}\",\"app\":\"{}\",\
-             \"detail\":\"{}\"}}",
-            ev.ts_ms,
-            ev.kind.name(),
-            wire::json_escape(&ev.tenant),
-            wire::json_escape(&ev.app),
-            wire::json_escape(&ev.detail),
-        );
-    }
-    body.push_str("]}");
-    body
-}
-
 /// Minimal one-shot HTTP client for the control plane (provisioning,
 /// migration). Returns `(status, body)`.
 fn http_request(
@@ -2390,5 +2318,123 @@ mod tests {
         );
         assert_eq!(parse_str_field(body, "status").as_deref(), Some("promoted"));
         assert_eq!(parse_str_field(body, "missing"), None);
+    }
+
+    /// A router over one telemetry-off node, no background threads.
+    fn node_and_router() -> (sitw_serve::Server, Router) {
+        let node = sitw_serve::Server::start(sitw_serve::ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            shards: 1,
+            telemetry: false,
+            ..sitw_serve::ServeConfig::default()
+        })
+        .unwrap();
+        let router = Router::start(RouterConfig {
+            nodes: vec![node.addr().to_string()],
+            reconcile_ms: 0,
+            ..RouterConfig::default()
+        })
+        .unwrap();
+        (node, router)
+    }
+
+    /// The router's `/debug/events` and `/debug/trace` (text and JSON)
+    /// are byte-identical to the bodies captured before their writers
+    /// moved into `sitw-telemetry`. The node runs with telemetry off, so
+    /// the merged timeline is exactly the injected hop spans.
+    #[test]
+    fn golden_debug_events_and_trace() {
+        use crate::telem::ROUTER_TRACE_ORIGIN;
+        use sitw_telemetry::{LifecycleEvent, SpanEvent, TRACE_MARK};
+        let (node, router) = node_and_router();
+        {
+            let mut ring = router.ctx.telem.events.lock().unwrap();
+            for (ts_ms, kind, tenant, app, detail) in [
+                (
+                    3,
+                    EventKind::Throttle,
+                    "t\"0",
+                    "a\\b\u{2}",
+                    "rate=50\tburst",
+                ),
+                (4, EventKind::RingEpoch, "", "", "epoch=1"),
+            ] {
+                ring.push(LifecycleEvent {
+                    ts_ms,
+                    kind,
+                    tenant: tenant.into(),
+                    app: app.into(),
+                    detail: detail.into(),
+                });
+            }
+        }
+        {
+            let id = TRACE_MARK | ROUTER_TRACE_ORIGIN | 7;
+            let mut rec = router.ctx.telem.recorder.lock().unwrap();
+            for (stage, start_ns, end_ns) in [
+                (Stage::Ingress, 10, 30),
+                (Stage::Route, 30, 35),
+                (Stage::Forward, 35, 90),
+                (Stage::Await, 90, 4_000),
+                (Stage::Reassemble, 4_000, 4_000),
+                (Stage::Egress, 4_100, 4_050),
+            ] {
+                rec.push(SpanEvent {
+                    span: id,
+                    stage,
+                    start_ns,
+                    end_ns,
+                });
+            }
+            rec.push(SpanEvent {
+                span: TRACE_MARK | 3,
+                stage: Stage::Ingress,
+                start_ns: 1,
+                end_ns: 2,
+            });
+        }
+        for (path, golden) in [
+            (
+                "/debug/events",
+                include_str!("../tests/golden/router_debug_events.json"),
+            ),
+            (
+                "/debug/trace",
+                include_str!("../tests/golden/router_debug_trace.txt"),
+            ),
+            (
+                "/debug/trace?format=json",
+                include_str!("../tests/golden/router_debug_trace.json"),
+            ),
+        ] {
+            let (status, body) = http_request(router.addr(), "GET", path, b"").unwrap();
+            assert_eq!(status, 200, "{path}");
+            assert_eq!(body, golden, "{path}");
+        }
+        router.shutdown();
+        node.shutdown().unwrap();
+    }
+
+    /// Regression (both endpoints failing before this PR): the router
+    /// `.expect`ed its telemetry locks on client threads, so a recorder
+    /// that panicked holding one made every later scrape panic too.
+    #[test]
+    fn poisoned_telemetry_locks_still_serve_scrapes() {
+        let (node, router) = node_and_router();
+        let ctx = Arc::clone(&router.ctx);
+        let recorder = thread::spawn(move || {
+            let _events = ctx.telem.events.lock().unwrap();
+            let _spans = ctx.telem.recorder.lock().unwrap();
+            let _usage = ctx.metrics.usage.lock().unwrap();
+            panic!("recorder dies holding telemetry locks (expected in this test)");
+        });
+        assert!(recorder.join().is_err());
+        assert!(router.ctx.telem.events.is_poisoned() && router.ctx.metrics.usage.is_poisoned());
+        for path in ["/metrics", "/debug/events", "/debug/trace"] {
+            let status = http_request(router.addr(), "GET", path, b"").map(|(status, _)| status);
+            assert_eq!(status.ok(), Some(200), "{path}");
+        }
+        router.shutdown();
+        node.shutdown().unwrap();
     }
 }

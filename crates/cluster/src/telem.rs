@@ -114,15 +114,13 @@ impl RouterTelem {
     /// router start (router events are control-plane, not
     /// workload-driven, so there is no domain timestamp to reuse).
     pub fn event(&self, kind: EventKind, tenant: &str, app: &str, detail: String) {
-        if let Ok(mut ring) = self.events.try_lock() {
-            ring.push(LifecycleEvent {
-                ts_ms: self.clock.now_ns() / 1_000_000,
-                kind,
-                tenant: tenant.to_owned(),
-                app: app.to_owned(),
-                detail,
-            });
-        }
+        EventRing::try_push(&self.events, || LifecycleEvent {
+            ts_ms: self.clock.now_ns() / 1_000_000,
+            kind,
+            tenant: tenant.to_owned(),
+            app: app.to_owned(),
+            detail,
+        });
     }
 }
 

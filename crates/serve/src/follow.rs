@@ -25,7 +25,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use sitw_telemetry::{EventKind, EventRing, LifecycleEvent};
+use sitw_telemetry::{lock_unpoisoned, EventKind, EventRing, LifecycleEvent};
 
 use crate::http::{write_response, ConnBuf, ReadOutcome, Request, MAX_BODY_BYTES};
 use crate::metrics::{ConnStats, MetricsReport, ProtoStats, ReplStats};
@@ -238,22 +238,17 @@ struct FollowCtx {
 
 impl FollowCtx {
     fn lock_shared(&self) -> std::sync::MutexGuard<'_, FollowShared> {
-        match self.shared.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        }
+        lock_unpoisoned(&self.shared)
     }
 
     fn push_event(&self, kind: EventKind, detail: String) {
-        if let Ok(mut ring) = self.events.try_lock() {
-            ring.push(LifecycleEvent {
-                ts_ms: self.started.elapsed().as_millis() as u64,
-                kind,
-                tenant: String::new(),
-                app: String::new(),
-                detail,
-            });
-        }
+        EventRing::try_push(&self.events, || LifecycleEvent {
+            ts_ms: self.started.elapsed().as_millis() as u64,
+            kind,
+            tenant: String::new(),
+            app: String::new(),
+            detail,
+        });
     }
 
     /// The current replication status, as served on `/healthz`.
@@ -279,10 +274,7 @@ impl FollowCtx {
     /// Idempotent: a second call returns the already-bound serve
     /// address. `reason` lands in the lifecycle event's detail.
     fn promote(&self, reason: &str) -> Result<SocketAddr, String> {
-        let mut server_slot = match self.server.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+        let mut server_slot = lock_unpoisoned(&self.server);
         if let Some(addr) = self.lock_shared().promoted {
             return Ok(addr);
         }
@@ -416,10 +408,7 @@ impl Follower {
         if let Some(handle) = self.puller.take() {
             let _ = handle.join();
         }
-        let server = match self.ctx.server.lock() {
-            Ok(mut guard) => guard.take(),
-            Err(poisoned) => poisoned.into_inner().take(),
-        };
+        let server = lock_unpoisoned(&self.ctx.server).take();
         match server {
             Some(server) => server.shutdown().map(Some),
             None => Ok(self.ctx.lock_shared().replica.snap.take()),
@@ -525,8 +514,8 @@ fn handle_follow_control(req: &Request, ctx: &FollowCtx, out: &mut Vec<u8>) {
         }
         ("GET", "/metrics") => {
             // The standard report shape with no shards or reactors: the
-            // repl families render through the same REGISTRY-locked path
-            // the primary uses, so scrape configs need no special case.
+            // repl families render from the same table the primary uses,
+            // so scrape configs need no special case.
             let s = ctx.status();
             let report = MetricsReport {
                 shards: Vec::new(),
@@ -561,31 +550,7 @@ fn handle_follow_control(req: &Request, ctx: &FollowCtx, out: &mut Vec<u8>) {
             );
         }
         ("GET", "/debug/events") => {
-            let (pushed, events) = {
-                let ring = match ctx.events.lock() {
-                    Ok(guard) => guard,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
-                (ring.pushed(), ring.events().cloned().collect::<Vec<_>>())
-            };
-            let mut body = String::with_capacity(64 + events.len() * 96);
-            let _ = write!(body, "{{\"pushed\":{pushed},\"events\":[");
-            for (i, ev) in events.iter().enumerate() {
-                if i > 0 {
-                    body.push(',');
-                }
-                let _ = write!(
-                    body,
-                    "{{\"ts_ms\":{},\"kind\":\"{}\",\"tenant\":\"{}\",\"app\":\"{}\",\
-                     \"detail\":\"{}\"}}",
-                    ev.ts_ms,
-                    ev.kind.name(),
-                    wire::json_escape(&ev.tenant),
-                    wire::json_escape(&ev.app),
-                    wire::json_escape(&ev.detail),
-                );
-            }
-            body.push_str("]}");
+            let body = EventRing::snapshot_json(&ctx.events);
             write_response(out, 200, "application/json", body.as_bytes());
         }
         ("POST", "/admin/promote") => match ctx.promote("operator request") {

@@ -9,246 +9,8 @@
 //! drift. The legacy `sitw_serve_decision_latency_us` quantile gauges
 //! are kept for dashboard compatibility, derived from the same buckets.
 
-use sitw_telemetry::Log2Histogram;
-
-/// One declared Prometheus series family.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SeriesDecl {
-    /// Family name (`sitw_serve_*`, snake_case).
-    pub name: &'static str,
-    /// Prometheus type: `counter`, `gauge`, or `histogram`.
-    pub kind: &'static str,
-    /// `# HELP` text.
-    pub help: &'static str,
-}
-
-/// Every series family this server exports, declared once. `render()`
-/// sources its `# HELP`/`# TYPE` lines from here, the
-/// `registry_matches_rendered_families` test asserts the exposition and
-/// this table stay in lockstep, and `sitw-lint`'s `metrics-registry`
-/// rule checks naming, typing, and that no series is used undeclared
-/// or declared unused.
-// sitw-lint: metrics-registry
-pub const REGISTRY: &[SeriesDecl] = &[
-    SeriesDecl {
-        name: "sitw_serve_apps",
-        kind: "gauge",
-        help: "Applications with live policy state",
-    },
-    SeriesDecl {
-        name: "sitw_serve_invocations_total",
-        kind: "counter",
-        help: "Accepted invocations",
-    },
-    SeriesDecl {
-        name: "sitw_serve_cold_total",
-        kind: "counter",
-        help: "Cold verdicts",
-    },
-    SeriesDecl {
-        name: "sitw_serve_warm_total",
-        kind: "counter",
-        help: "Warm verdicts",
-    },
-    SeriesDecl {
-        name: "sitw_serve_prewarm_loads_total",
-        kind: "counter",
-        help: "Pre-warm loads inferred during gaps",
-    },
-    SeriesDecl {
-        name: "sitw_serve_out_of_order_total",
-        kind: "counter",
-        help: "Rejected out-of-order invocations",
-    },
-    SeriesDecl {
-        name: "sitw_serve_backups_total",
-        kind: "counter",
-        help: "Hourly histogram backups taken (production mode)",
-    },
-    SeriesDecl {
-        name: "sitw_serve_prewarm_scheduled_total",
-        kind: "counter",
-        help: "Pre-warm events scheduled 90s early (production mode)",
-    },
-    SeriesDecl {
-        name: "sitw_serve_decision_latency",
-        kind: "histogram",
-        help: "Request latency by pipeline stage in seconds (log2 buckets)",
-    },
-    SeriesDecl {
-        name: "sitw_serve_decision_latency_us",
-        kind: "gauge",
-        help: "Decision latency percentiles (derived from the log2 histogram buckets)",
-    },
-    SeriesDecl {
-        name: "sitw_serve_tenant_budget_mb",
-        kind: "gauge",
-        help: "Configured keep-alive memory budget (0 = unlimited)",
-    },
-    SeriesDecl {
-        name: "sitw_serve_tenant_warm_mb",
-        kind: "gauge",
-        help: "Warm memory currently charged to the tenant",
-    },
-    SeriesDecl {
-        name: "sitw_serve_tenant_warm_apps",
-        kind: "gauge",
-        help: "Warm containers currently charged to the tenant",
-    },
-    SeriesDecl {
-        name: "sitw_serve_tenant_evictions_total",
-        kind: "counter",
-        help: "Budget evictions",
-    },
-    SeriesDecl {
-        name: "sitw_serve_tenant_idle_mb_ms_total",
-        kind: "counter",
-        help: "Loaded-memory integral in MB*ms (the par.5.3 idle-memory metric)",
-    },
-    SeriesDecl {
-        name: "sitw_serve_tenant_invocations_total",
-        kind: "counter",
-        help: "Accepted invocations per tenant",
-    },
-    SeriesDecl {
-        name: "sitw_serve_tenant_cold_total",
-        kind: "counter",
-        help: "Cold verdicts per tenant (incl. eviction downgrades)",
-    },
-    SeriesDecl {
-        name: "sitw_serve_frames_total",
-        kind: "counter",
-        help: "Complete SITW-BIN request frames served",
-    },
-    SeriesDecl {
-        name: "sitw_serve_batched_decisions_total",
-        kind: "counter",
-        help: "Decisions delivered through batched binary frames",
-    },
-    SeriesDecl {
-        name: "sitw_serve_proto_errors_total",
-        kind: "counter",
-        help: "Typed SITW-BIN protocol errors answered",
-    },
-    SeriesDecl {
-        name: "sitw_serve_control_frames_total",
-        kind: "counter",
-        help: "SITW-BIN control frames served (reports and budget pushes)",
-    },
-    SeriesDecl {
-        name: "sitw_serve_connections_live",
-        kind: "gauge",
-        help: "Connections currently open",
-    },
-    SeriesDecl {
-        name: "sitw_serve_connections_accepted_total",
-        kind: "counter",
-        help: "Connections accepted since start",
-    },
-    SeriesDecl {
-        name: "sitw_serve_connections_peak",
-        kind: "gauge",
-        help: "High-water mark of live connections",
-    },
-    SeriesDecl {
-        name: "sitw_serve_reactor_threads",
-        kind: "gauge",
-        help: "Reactor (event-loop) threads serving the connections",
-    },
-    SeriesDecl {
-        name: "sitw_serve_reactor_epoll_waits_total",
-        kind: "counter",
-        help: "epoll_wait calls (blocking and non-blocking)",
-    },
-    SeriesDecl {
-        name: "sitw_serve_reactor_wakeups_total",
-        kind: "counter",
-        help: "Eventfd waker fires observed",
-    },
-    SeriesDecl {
-        name: "sitw_serve_reactor_backpressure_pauses_total",
-        kind: "counter",
-        help: "Transitions into the read-paused backpressure state",
-    },
-    SeriesDecl {
-        name: "sitw_serve_reactor_backpressure_resumes_total",
-        kind: "counter",
-        help: "Transitions out of the read-paused backpressure state",
-    },
-    SeriesDecl {
-        name: "sitw_serve_reactor_queue_depth",
-        kind: "gauge",
-        help: "Inbox backlog drained at the most recent wave",
-    },
-    SeriesDecl {
-        name: "sitw_serve_reactor_queue_peak",
-        kind: "gauge",
-        help: "High-water mark of the drain-observed inbox backlog",
-    },
-    SeriesDecl {
-        name: "sitw_serve_reactor_epoll_wait_seconds_total",
-        kind: "counter",
-        help: "Time spent blocked in epoll_wait",
-    },
-    SeriesDecl {
-        name: "sitw_serve_shard_mailbox_depth",
-        kind: "gauge",
-        help: "Mailbox backlog drained at the most recent wave",
-    },
-    SeriesDecl {
-        name: "sitw_serve_shard_mailbox_peak",
-        kind: "gauge",
-        help: "High-water mark of the drain-observed mailbox backlog",
-    },
-    SeriesDecl {
-        name: "sitw_serve_repl_epoch",
-        kind: "gauge",
-        help: "Replication epoch of the last committed round (0 = no round served)",
-    },
-    SeriesDecl {
-        name: "sitw_serve_repl_rounds_total",
-        kind: "counter",
-        help: "Replication pulls answered (including empty lone-commit rounds)",
-    },
-    SeriesDecl {
-        name: "sitw_serve_repl_full_syncs_total",
-        kind: "counter",
-        help: "Pulls answered with a full state sync instead of a delta",
-    },
-    SeriesDecl {
-        name: "sitw_serve_repl_apps_total",
-        kind: "counter",
-        help: "App records streamed to followers across all rounds",
-    },
-    SeriesDecl {
-        name: "sitw_serve_repl_bytes_total",
-        kind: "counter",
-        help: "Replication document bytes streamed to followers",
-    },
-    SeriesDecl {
-        name: "sitw_serve_repl_lag_ms",
-        kind: "gauge",
-        help: "Milliseconds since the last follower pull (0 until first pull)",
-    },
-    SeriesDecl {
-        name: "sitw_serve_uptime_ms",
-        kind: "gauge",
-        help: "Time since server start",
-    },
-];
-
-/// Writes the `# HELP`/`# TYPE` preamble for `name` from [`REGISTRY`].
-/// Lookups are total by construction: `sitw-lint` and the registry
-/// unit test both fail on a rendered family missing from the table.
-fn family(out: &mut String, name: &str) {
-    use std::fmt::Write as _;
-    let decl = REGISTRY.iter().find(|d| d.name == name);
-    debug_assert!(decl.is_some(), "family {name} missing from REGISTRY");
-    if let Some(d) = decl {
-        let _ = writeln!(out, "# HELP {} {}", d.name, d.help);
-        let _ = writeln!(out, "# TYPE {} {}", d.name, d.kind);
-    }
-}
+use sitw_telemetry::expo::{self, Family, Kind, Samples};
+use sitw_telemetry::{write_hist_line, HistKey, Log2Histogram};
 
 /// A latency histogram split by wire protocol (JSON/HTTP vs SITW-BIN).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -518,224 +280,341 @@ impl MetricsReport {
         ]
     }
 
-    /// Renders the Prometheus text format. Every family's
-    /// `# HELP`/`# TYPE` preamble comes from [`REGISTRY`]; this
-    /// function only decides layout and sample values.
+    /// Renders the Prometheus text format: one pass over
+    /// [`NodeScrape::FAMILIES`].
     pub fn render(&self) -> String {
-        use std::fmt::Write as _;
-        /// Name and per-shard value accessor of one metric.
-        type MetricRow = (&'static str, fn(&ShardStats) -> u64);
-        let mut out = String::with_capacity(1024);
-        let counters: [MetricRow; 8] = [
-            ("sitw_serve_apps", |s| s.apps),
-            ("sitw_serve_invocations_total", |s| s.invocations),
-            ("sitw_serve_cold_total", |s| s.cold),
-            ("sitw_serve_warm_total", |s| s.warm),
-            ("sitw_serve_prewarm_loads_total", |s| s.prewarm_loads),
-            ("sitw_serve_out_of_order_total", |s| s.out_of_order),
-            ("sitw_serve_backups_total", |s| s.backups),
-            ("sitw_serve_prewarm_scheduled_total", |s| {
-                s.prewarm_scheduled
-            }),
-        ];
-        for (name, get) in counters {
-            family(&mut out, name);
-            for s in &self.shards {
-                let _ = writeln!(out, "{name}{{shard=\"{}\"}} {}", s.shard, get(s));
-            }
-        }
-        let tenants = self.tenants();
-        // The per-stage latency histogram: true Prometheus `histogram`
-        // series with log2 bucket bounds in seconds, merged exactly
-        // across recording threads. One series per stage and protocol,
-        // plus per-tenant decide series.
-        family(&mut out, "sitw_serve_decision_latency");
-        for (stage, hists) in self.stage_hists() {
-            for (proto, h) in [("json", &hists.json), ("bin", &hists.bin)] {
-                write_hist_series(
-                    &mut out,
-                    "sitw_serve_decision_latency",
-                    &format!("stage=\"{stage}\",proto=\"{proto}\""),
-                    h,
-                );
-            }
-        }
-        for t in &tenants {
-            write_hist_series(
-                &mut out,
-                "sitw_serve_decision_latency",
-                &format!("stage=\"decide\",tenant=\"{}\"", t.name),
-                &t.decision_ns,
-            );
-        }
-        // Legacy quantile gauges, now derived from the histogram
-        // buckets. Non-finite estimates are suppressed: NaN/inf are not
-        // valid Prometheus sample values, and an underfilled estimator
-        // must not export garbage.
-        family(&mut out, "sitw_serve_decision_latency_us");
-        for s in &self.shards {
-            for (q, v) in &s.latency_us {
-                if !v.is_finite() {
-                    continue;
-                }
-                let _ = writeln!(
-                    out,
-                    "sitw_serve_decision_latency_us{{shard=\"{}\",quantile=\"{q}\"}} {v:.3}",
-                    s.shard
-                );
-            }
-        }
-        // Per-tenant fleet metrics: the cluster memory ledger.
-        type TenantRow = (&'static str, fn(&TenantStats) -> u64);
-        let tenant_rows: [TenantRow; 7] = [
-            ("sitw_serve_tenant_budget_mb", |t| t.budget_mb),
-            ("sitw_serve_tenant_warm_mb", |t| t.warm_mb),
-            ("sitw_serve_tenant_warm_apps", |t| t.warm_apps),
-            ("sitw_serve_tenant_evictions_total", |t| t.evictions),
-            ("sitw_serve_tenant_idle_mb_ms_total", |t| t.idle_mb_ms),
-            ("sitw_serve_tenant_invocations_total", |t| t.invocations),
-            ("sitw_serve_tenant_cold_total", |t| t.cold),
-        ];
-        for (name, get) in tenant_rows {
-            family(&mut out, name);
-            for t in &tenants {
-                let _ = writeln!(out, "{name}{{tenant=\"{}\"}} {}", t.name, get(t));
-            }
-        }
-        let proto: [(&str, u64); 4] = [
-            ("sitw_serve_frames_total", self.proto.frames),
-            (
-                "sitw_serve_batched_decisions_total",
-                self.proto.batched_decisions,
-            ),
-            ("sitw_serve_proto_errors_total", self.proto.proto_errors),
-            ("sitw_serve_control_frames_total", self.proto.control_frames),
-        ];
-        let conns: [(&str, u64); 4] = [
-            ("sitw_serve_connections_live", self.conns.live),
-            ("sitw_serve_connections_accepted_total", self.conns.accepted),
-            ("sitw_serve_connections_peak", self.conns.peak),
-            ("sitw_serve_reactor_threads", self.conns.reactor_threads),
-        ];
-        let repl: [(&str, u64); 6] = [
-            ("sitw_serve_repl_epoch", self.repl.epoch),
-            ("sitw_serve_repl_rounds_total", self.repl.rounds),
-            ("sitw_serve_repl_full_syncs_total", self.repl.full_syncs),
-            ("sitw_serve_repl_apps_total", self.repl.apps_streamed),
-            ("sitw_serve_repl_bytes_total", self.repl.bytes_streamed),
-            ("sitw_serve_repl_lag_ms", self.repl.lag_ms),
-        ];
-        for (name, value) in proto.into_iter().chain(conns).chain(repl) {
-            family(&mut out, name);
-            let _ = writeln!(out, "{name} {value}");
-        }
-        // Reactor introspection: event-loop behaviour per thread (the
-        // families render with no samples when telemetry is off).
-        type ReactorRow = (&'static str, fn(&ReactorStats) -> u64);
-        let reactor_rows: [ReactorRow; 6] = [
-            ("sitw_serve_reactor_epoll_waits_total", |r| r.epoll_waits),
-            ("sitw_serve_reactor_wakeups_total", |r| r.wakeups),
-            ("sitw_serve_reactor_backpressure_pauses_total", |r| {
-                r.bp_pauses
-            }),
-            ("sitw_serve_reactor_backpressure_resumes_total", |r| {
-                r.bp_resumes
-            }),
-            ("sitw_serve_reactor_queue_depth", |r| r.queue_depth),
-            ("sitw_serve_reactor_queue_peak", |r| r.queue_peak),
-        ];
-        for (name, get) in reactor_rows {
-            family(&mut out, name);
-            for r in &self.reactors {
-                let _ = writeln!(out, "{name}{{reactor=\"{}\"}} {}", r.reactor, get(r));
-            }
-        }
-        family(&mut out, "sitw_serve_reactor_epoll_wait_seconds_total");
-        for r in &self.reactors {
-            let _ = writeln!(
-                out,
-                "sitw_serve_reactor_epoll_wait_seconds_total{{reactor=\"{}\"}} {:.6}",
-                r.reactor,
-                r.epoll_wait_ns as f64 / 1e9
-            );
-        }
-        type ShardRow = (&'static str, fn(&ShardStats) -> u64);
-        let mailbox_rows: [ShardRow; 2] = [
-            ("sitw_serve_shard_mailbox_depth", |s| s.mailbox_depth),
-            ("sitw_serve_shard_mailbox_peak", |s| s.mailbox_peak),
-        ];
-        for (name, get) in mailbox_rows {
-            family(&mut out, name);
-            for s in &self.shards {
-                let _ = writeln!(out, "{name}{{shard=\"{}\"}} {}", s.shard, get(s));
-            }
-        }
-        family(&mut out, "sitw_serve_uptime_ms");
-        let _ = writeln!(out, "sitw_serve_uptime_ms {}", self.uptime_ms);
-        out
+        let scrape = NodeScrape {
+            report: self,
+            tenants: self.tenants(),
+        };
+        expo::render(NodeScrape::FAMILIES, &scrape)
     }
 
     /// Renders the stage histograms as raw bucket vectors — the
-    /// federation wire format `GET /debug/hist` serves.
-    ///
-    /// One line per series, whitespace-separated tokens:
-    ///
-    /// ```text
-    /// stage <name> <proto> <sum_ns> <b0> <b1> ... <b63>
-    /// tenant <name> <sum_ns> <b0> <b1> ... <b63>
-    /// ```
-    ///
-    /// Raw buckets (not the `le`-bounded Prometheus projection) so a
-    /// scraping router can reconstruct each [`Log2Histogram`] losslessly
-    /// with [`Log2Histogram::from_raw`] and merge exactly: federated
-    /// bucket counts equal the sum of node counts by construction.
+    /// federation body `GET /debug/hist` serves, one
+    /// [`write_hist_line`] per stage × protocol and per tenant.
     pub fn render_raw(&self) -> String {
-        use std::fmt::Write as _;
         let mut out = String::with_capacity(4096);
-        let mut line = |prefix: String, h: &Log2Histogram| {
-            out.push_str(&prefix);
-            let _ = write!(out, " {}", h.sum());
-            for b in h.buckets() {
-                let _ = write!(out, " {b}");
-            }
-            out.push('\n');
-        };
         for (stage, hists) in self.stage_hists() {
             for (proto, h) in [("json", &hists.json), ("bin", &hists.bin)] {
-                line(format!("stage {stage} {proto}"), h);
+                write_hist_line(&mut out, HistKey::Stage(stage, proto), h);
             }
         }
         for t in &self.tenants() {
-            line(format!("tenant {}", t.name), &t.decision_ns);
+            write_hist_line(&mut out, HistKey::Tenant(&t.name), &t.decision_ns);
         }
         out
     }
 }
 
-/// Log2 buckets exported as `le` bounds, as bucket indices into the
-/// nanosecond histogram: 255 ns (index 8) up to ~68.7 s (index 36).
-/// Samples below the first bound are cumulative in it; samples above
-/// the last land only in `+Inf`.
-const LE_LO: usize = 8;
-const LE_HI: usize = 36;
+/// What the `/metrics` rows sample: the report plus its per-tenant
+/// merge, computed once per scrape.
+pub struct NodeScrape<'a> {
+    report: &'a MetricsReport,
+    tenants: Vec<TenantStats>,
+}
 
-/// Writes one `histogram` series (`_bucket`/`_sum`/`_count`) for a
-/// nanosecond [`Log2Histogram`], bounds converted to seconds.
-///
-/// Public so the cluster router renders its federated
-/// (`/metrics/fleet`) histograms with byte-identical layout.
-pub fn write_hist_series(out: &mut String, name: &str, labels: &str, h: &Log2Histogram) {
-    use std::fmt::Write as _;
-    let buckets = h.buckets();
-    let mut cum: u64 = buckets[..LE_LO].iter().sum();
-    for (i, &count) in buckets.iter().enumerate().take(LE_HI + 1).skip(LE_LO) {
-        cum += count;
-        let le = Log2Histogram::bucket_upper(i) as f64 / 1e9;
-        let _ = writeln!(out, "{name}_bucket{{{labels},le=\"{le}\"}} {cum}");
+fn per_shard(v: &NodeScrape<'_>, s: &mut Samples<'_>, get: fn(&ShardStats) -> u64) {
+    for x in &v.report.shards {
+        s.labeled(format_args!("shard=\"{}\"", x.shard), get(x));
     }
-    let _ = writeln!(out, "{name}_bucket{{{labels},le=\"+Inf\"}} {}", h.count());
-    let _ = writeln!(out, "{name}_sum{{{labels}}} {}", h.sum() as f64 / 1e9);
-    let _ = writeln!(out, "{name}_count{{{labels}}} {}", h.count());
+}
+
+fn per_tenant(v: &NodeScrape<'_>, s: &mut Samples<'_>, get: fn(&TenantStats) -> u64) {
+    for t in &v.tenants {
+        s.labeled(format_args!("tenant=\"{}\"", t.name), get(t));
+    }
+}
+
+/// Reactor rows render with no samples when telemetry is off.
+fn per_reactor(v: &NodeScrape<'_>, s: &mut Samples<'_>, get: fn(&ReactorStats) -> u64) {
+    for r in &v.report.reactors {
+        s.labeled(format_args!("reactor=\"{}\"", r.reactor), get(r));
+    }
+}
+
+impl<'a> NodeScrape<'a> {
+    /// Every series family a node (or follower) exports, in exposition
+    /// order: the single place a `sitw_serve_*` name is written.
+    pub const FAMILIES: &'a [Family<NodeScrape<'a>>] = &[
+        Family {
+            name: "sitw_serve_apps",
+            kind: Kind::Gauge,
+            help: "Applications with live policy state",
+            sample: |v, s| per_shard(v, s, |x| x.apps),
+        },
+        Family {
+            name: "sitw_serve_invocations_total",
+            kind: Kind::Counter,
+            help: "Accepted invocations",
+            sample: |v, s| per_shard(v, s, |x| x.invocations),
+        },
+        Family {
+            name: "sitw_serve_cold_total",
+            kind: Kind::Counter,
+            help: "Cold verdicts",
+            sample: |v, s| per_shard(v, s, |x| x.cold),
+        },
+        Family {
+            name: "sitw_serve_warm_total",
+            kind: Kind::Counter,
+            help: "Warm verdicts",
+            sample: |v, s| per_shard(v, s, |x| x.warm),
+        },
+        Family {
+            name: "sitw_serve_prewarm_loads_total",
+            kind: Kind::Counter,
+            help: "Pre-warm loads inferred during gaps",
+            sample: |v, s| per_shard(v, s, |x| x.prewarm_loads),
+        },
+        Family {
+            name: "sitw_serve_out_of_order_total",
+            kind: Kind::Counter,
+            help: "Rejected out-of-order invocations",
+            sample: |v, s| per_shard(v, s, |x| x.out_of_order),
+        },
+        Family {
+            name: "sitw_serve_backups_total",
+            kind: Kind::Counter,
+            help: "Hourly histogram backups taken (production mode)",
+            sample: |v, s| per_shard(v, s, |x| x.backups),
+        },
+        Family {
+            name: "sitw_serve_prewarm_scheduled_total",
+            kind: Kind::Counter,
+            help: "Pre-warm events scheduled 90s early (production mode)",
+            sample: |v, s| per_shard(v, s, |x| x.prewarm_scheduled),
+        },
+        // True Prometheus `histogram` series with log2 bounds in seconds,
+        // merged exactly across recording threads: one per stage and
+        // protocol, plus per-tenant decide series.
+        Family {
+            name: "sitw_serve_decision_latency",
+            kind: Kind::Histogram,
+            help: "Request latency by pipeline stage in seconds (log2 buckets)",
+            sample: |v, s| {
+                for (stage, hists) in v.report.stage_hists() {
+                    for (proto, h) in [("json", &hists.json), ("bin", &hists.bin)] {
+                        s.hist(format_args!("stage=\"{stage}\",proto=\"{proto}\""), h);
+                    }
+                }
+                for t in &v.tenants {
+                    let labels = format_args!("stage=\"decide\",tenant=\"{}\"", t.name);
+                    s.hist(labels, &t.decision_ns);
+                }
+            },
+        },
+        // Legacy quantile gauges. Non-finite estimates are suppressed:
+        // NaN/inf are not valid Prometheus sample values, and an
+        // underfilled estimator must not export garbage.
+        Family {
+            name: "sitw_serve_decision_latency_us",
+            kind: Kind::Gauge,
+            help: "Decision latency percentiles (derived from the log2 histogram buckets)",
+            sample: |v, s| {
+                for x in &v.report.shards {
+                    for (q, us) in x.latency_us.iter().filter(|(_, us)| us.is_finite()) {
+                        let labels = format_args!("shard=\"{}\",quantile=\"{q}\"", x.shard);
+                        s.labeled(labels, format_args!("{us:.3}"));
+                    }
+                }
+            },
+        },
+        Family {
+            name: "sitw_serve_tenant_budget_mb",
+            kind: Kind::Gauge,
+            help: "Configured keep-alive memory budget (0 = unlimited)",
+            sample: |v, s| per_tenant(v, s, |t| t.budget_mb),
+        },
+        Family {
+            name: "sitw_serve_tenant_warm_mb",
+            kind: Kind::Gauge,
+            help: "Warm memory currently charged to the tenant",
+            sample: |v, s| per_tenant(v, s, |t| t.warm_mb),
+        },
+        Family {
+            name: "sitw_serve_tenant_warm_apps",
+            kind: Kind::Gauge,
+            help: "Warm containers currently charged to the tenant",
+            sample: |v, s| per_tenant(v, s, |t| t.warm_apps),
+        },
+        Family {
+            name: "sitw_serve_tenant_evictions_total",
+            kind: Kind::Counter,
+            help: "Budget evictions",
+            sample: |v, s| per_tenant(v, s, |t| t.evictions),
+        },
+        Family {
+            name: "sitw_serve_tenant_idle_mb_ms_total",
+            kind: Kind::Counter,
+            help: "Loaded-memory integral in MB*ms (the par.5.3 idle-memory metric)",
+            sample: |v, s| per_tenant(v, s, |t| t.idle_mb_ms),
+        },
+        Family {
+            name: "sitw_serve_tenant_invocations_total",
+            kind: Kind::Counter,
+            help: "Accepted invocations per tenant",
+            sample: |v, s| per_tenant(v, s, |t| t.invocations),
+        },
+        Family {
+            name: "sitw_serve_tenant_cold_total",
+            kind: Kind::Counter,
+            help: "Cold verdicts per tenant (incl. eviction downgrades)",
+            sample: |v, s| per_tenant(v, s, |t| t.cold),
+        },
+        Family {
+            name: "sitw_serve_frames_total",
+            kind: Kind::Counter,
+            help: "Complete SITW-BIN request frames served",
+            sample: |v, s| s.scalar(v.report.proto.frames),
+        },
+        Family {
+            name: "sitw_serve_batched_decisions_total",
+            kind: Kind::Counter,
+            help: "Decisions delivered through batched binary frames",
+            sample: |v, s| s.scalar(v.report.proto.batched_decisions),
+        },
+        Family {
+            name: "sitw_serve_proto_errors_total",
+            kind: Kind::Counter,
+            help: "Typed SITW-BIN protocol errors answered",
+            sample: |v, s| s.scalar(v.report.proto.proto_errors),
+        },
+        Family {
+            name: "sitw_serve_control_frames_total",
+            kind: Kind::Counter,
+            help: "SITW-BIN control frames served (reports and budget pushes)",
+            sample: |v, s| s.scalar(v.report.proto.control_frames),
+        },
+        Family {
+            name: "sitw_serve_connections_live",
+            kind: Kind::Gauge,
+            help: "Connections currently open",
+            sample: |v, s| s.scalar(v.report.conns.live),
+        },
+        Family {
+            name: "sitw_serve_connections_accepted_total",
+            kind: Kind::Counter,
+            help: "Connections accepted since start",
+            sample: |v, s| s.scalar(v.report.conns.accepted),
+        },
+        Family {
+            name: "sitw_serve_connections_peak",
+            kind: Kind::Gauge,
+            help: "High-water mark of live connections",
+            sample: |v, s| s.scalar(v.report.conns.peak),
+        },
+        Family {
+            name: "sitw_serve_reactor_threads",
+            kind: Kind::Gauge,
+            help: "Reactor (event-loop) threads serving the connections",
+            sample: |v, s| s.scalar(v.report.conns.reactor_threads),
+        },
+        Family {
+            name: "sitw_serve_repl_epoch",
+            kind: Kind::Gauge,
+            help: "Replication epoch of the last committed round (0 = no round served)",
+            sample: |v, s| s.scalar(v.report.repl.epoch),
+        },
+        Family {
+            name: "sitw_serve_repl_rounds_total",
+            kind: Kind::Counter,
+            help: "Replication pulls answered (including empty lone-commit rounds)",
+            sample: |v, s| s.scalar(v.report.repl.rounds),
+        },
+        Family {
+            name: "sitw_serve_repl_full_syncs_total",
+            kind: Kind::Counter,
+            help: "Pulls answered with a full state sync instead of a delta",
+            sample: |v, s| s.scalar(v.report.repl.full_syncs),
+        },
+        Family {
+            name: "sitw_serve_repl_apps_total",
+            kind: Kind::Counter,
+            help: "App records streamed to followers across all rounds",
+            sample: |v, s| s.scalar(v.report.repl.apps_streamed),
+        },
+        Family {
+            name: "sitw_serve_repl_bytes_total",
+            kind: Kind::Counter,
+            help: "Replication document bytes streamed to followers",
+            sample: |v, s| s.scalar(v.report.repl.bytes_streamed),
+        },
+        Family {
+            name: "sitw_serve_repl_lag_ms",
+            kind: Kind::Gauge,
+            help: "Milliseconds since the last follower pull (0 until first pull)",
+            sample: |v, s| s.scalar(v.report.repl.lag_ms),
+        },
+        Family {
+            name: "sitw_serve_reactor_epoll_waits_total",
+            kind: Kind::Counter,
+            help: "epoll_wait calls (blocking and non-blocking)",
+            sample: |v, s| per_reactor(v, s, |r| r.epoll_waits),
+        },
+        Family {
+            name: "sitw_serve_reactor_wakeups_total",
+            kind: Kind::Counter,
+            help: "Eventfd waker fires observed",
+            sample: |v, s| per_reactor(v, s, |r| r.wakeups),
+        },
+        Family {
+            name: "sitw_serve_reactor_backpressure_pauses_total",
+            kind: Kind::Counter,
+            help: "Transitions into the read-paused backpressure state",
+            sample: |v, s| per_reactor(v, s, |r| r.bp_pauses),
+        },
+        Family {
+            name: "sitw_serve_reactor_backpressure_resumes_total",
+            kind: Kind::Counter,
+            help: "Transitions out of the read-paused backpressure state",
+            sample: |v, s| per_reactor(v, s, |r| r.bp_resumes),
+        },
+        Family {
+            name: "sitw_serve_reactor_queue_depth",
+            kind: Kind::Gauge,
+            help: "Inbox backlog drained at the most recent wave",
+            sample: |v, s| per_reactor(v, s, |r| r.queue_depth),
+        },
+        Family {
+            name: "sitw_serve_reactor_queue_peak",
+            kind: Kind::Gauge,
+            help: "High-water mark of the drain-observed inbox backlog",
+            sample: |v, s| per_reactor(v, s, |r| r.queue_peak),
+        },
+        Family {
+            name: "sitw_serve_reactor_epoll_wait_seconds_total",
+            kind: Kind::Counter,
+            help: "Time spent blocked in epoll_wait",
+            sample: |v, s| {
+                for r in &v.report.reactors {
+                    let secs = r.epoll_wait_ns as f64 / 1e9;
+                    s.labeled(
+                        format_args!("reactor=\"{}\"", r.reactor),
+                        format_args!("{secs:.6}"),
+                    );
+                }
+            },
+        },
+        Family {
+            name: "sitw_serve_shard_mailbox_depth",
+            kind: Kind::Gauge,
+            help: "Mailbox backlog drained at the most recent wave",
+            sample: |v, s| per_shard(v, s, |x| x.mailbox_depth),
+        },
+        Family {
+            name: "sitw_serve_shard_mailbox_peak",
+            kind: Kind::Gauge,
+            help: "High-water mark of the drain-observed mailbox backlog",
+            sample: |v, s| per_shard(v, s, |x| x.mailbox_peak),
+        },
+        Family {
+            name: "sitw_serve_uptime_ms",
+            kind: Kind::Gauge,
+            help: "Time since server start",
+            sample: |v, s| s.scalar(v.report.uptime_ms),
+        },
+    ];
 }
 
 #[cfg(test)]
@@ -943,6 +822,85 @@ mod tests {
         );
     }
 
+    /// The fixed scrape the golden files were captured from: two
+    /// shards, two tenants (both present on both shards, so the merge is
+    /// exercised), two reactors, and a non-finite quantile that must
+    /// stay suppressed.
+    fn golden_report() -> MetricsReport {
+        let mut s1 = stats(1);
+        s1.apps = 4;
+        s1.latency_us = vec![(0.5, f64::NAN), (0.95, 2.25), (0.99, f64::INFINITY)];
+        s1.decide_ns.bin.record(70_000_000_000);
+        s1.tenants[1].decision_ns.record(40);
+        let mut r0 = ReactorStats {
+            reactor: 0,
+            epoll_waits: 500,
+            epoll_wait_ns: 2_000_000_123,
+            wakeups: 40,
+            bp_pauses: 2,
+            bp_resumes: 1,
+            queue_depth: 0,
+            queue_peak: 9,
+            ..ReactorStats::default()
+        };
+        r0.read.json.record(300);
+        r0.decode.json.record(0);
+        r0.write.bin.record(12_000);
+        let mut r1 = ReactorStats {
+            reactor: 1,
+            epoll_waits: 7,
+            epoll_wait_ns: 1_500,
+            ..ReactorStats::default()
+        };
+        r1.read.json.record(900);
+        r1.render.bin.record_n(2_000, 3);
+        MetricsReport {
+            shards: vec![stats(0), s1],
+            reactors: vec![r0, r1],
+            proto: ProtoStats {
+                frames: 13,
+                batched_decisions: 1664,
+                proto_errors: 2,
+                control_frames: 5,
+            },
+            conns: ConnStats {
+                live: 3,
+                accepted: 1200,
+                peak: 257,
+                reactor_threads: 2,
+            },
+            repl: ReplStats {
+                epoch: 4,
+                rounds: 9,
+                full_syncs: 1,
+                apps_streamed: 77,
+                bytes_streamed: 123_456,
+                lag_ms: 25,
+            },
+            uptime_ms: 42,
+        }
+    }
+
+    /// `/metrics` is byte-identical to the exposition captured before
+    /// the table refactor: family order, label layout, float formatting.
+    #[test]
+    fn golden_node_metrics() {
+        let text = golden_report().render();
+        assert_eq!(text, include_str!("../tests/golden/node_metrics.txt"));
+        // Shard 1's NaN and inf quantiles are suppressed, the finite one kept.
+        let shard1 = "sitw_serve_decision_latency_us{shard=\"1\"";
+        assert_eq!(text.matches(shard1).count(), 1);
+    }
+
+    /// `/debug/hist` is byte-identical to the captured federation body.
+    #[test]
+    fn golden_debug_hist() {
+        assert_eq!(
+            golden_report().render_raw(),
+            include_str!("../tests/golden/node_debug_hist.txt")
+        );
+    }
+
     /// Shard-merged bucket counts are exactly the sum of per-shard
     /// recordings (the exactness the log2 histograms exist for).
     #[test]
@@ -966,56 +924,6 @@ mod tests {
         let (name, decide) = &stages[3];
         assert_eq!(*name, "decide");
         assert_eq!(decide, &expect);
-    }
-
-    /// The declarative [`REGISTRY`] and the rendered exposition are in
-    /// exact lockstep: every registered family renders (with the
-    /// registered kind and help), every rendered family is registered,
-    /// and no name is registered twice. Together with `sitw-lint`'s
-    /// static `metrics-registry` rule this makes the registry the
-    /// single source of truth.
-    #[test]
-    fn registry_matches_rendered_families() {
-        let r = MetricsReport {
-            shards: vec![stats(0)],
-            reactors: vec![ReactorStats::default()],
-            proto: ProtoStats::default(),
-            conns: ConnStats::default(),
-            repl: ReplStats::default(),
-            uptime_ms: 1,
-        };
-        let text = r.render();
-        let mut rendered: Vec<(&str, &str)> = Vec::new();
-        for line in text.lines() {
-            if let Some(rest) = line.strip_prefix("# TYPE ") {
-                let mut it = rest.splitn(2, ' ');
-                rendered.push((it.next().unwrap(), it.next().unwrap()));
-            }
-        }
-        let mut seen = std::collections::HashSet::new();
-        for d in REGISTRY {
-            assert!(seen.insert(d.name), "duplicate registry entry: {}", d.name);
-            assert!(
-                rendered.contains(&(d.name, d.kind)),
-                "registered family not rendered (or kind mismatch): {} {}",
-                d.name,
-                d.kind
-            );
-            assert!(
-                text.contains(&format!("# HELP {} {}", d.name, d.help)),
-                "help text drifted for {}",
-                d.name
-            );
-        }
-        assert_eq!(
-            rendered.len(),
-            REGISTRY.len(),
-            "rendered families not in the registry: {:?}",
-            rendered
-                .iter()
-                .filter(|(n, _)| !seen.contains(n))
-                .collect::<Vec<_>>()
-        );
     }
 
     /// Every exported sample belongs to a family announced with

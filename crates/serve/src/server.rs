@@ -39,7 +39,10 @@ use sitw_fleet::{
 use sitw_reactor::Waker;
 use sitw_sim::PolicySpec;
 
-use sitw_telemetry::{EventKind, EventRing, FlightRecorder, LifecycleEvent, WallClock};
+use sitw_telemetry::{
+    lock_unpoisoned, write_trace_json, write_trace_text, EventKind, EventRing, FlightRecorder,
+    LifecycleEvent, WallClock,
+};
 
 use crate::http::{write_response, Request};
 use crate::metrics::{ConnStats, MetricsReport, ProtoStats, ReactorStats, ReplStats, ShardStats};
@@ -217,7 +220,7 @@ impl ServerCtx {
             for (i, shared) in self.telem.reactors.iter().enumerate() {
                 // Brief blocking lock: recording sites only try_lock and
                 // never hold the guard across a wait, so this settles fast.
-                let t = shared.lock().expect("reactor telemetry poisoned");
+                let t = lock_unpoisoned(shared);
                 let (queue_depth, queue_peak) = self.telem.reactor_gauges[i].read();
                 reactors.push(ReactorStats {
                     reactor: i,
@@ -254,10 +257,7 @@ impl ServerCtx {
             },
             repl: {
                 let uptime_ms = self.started.elapsed().as_millis() as u64;
-                let repl = match self.repl.lock() {
-                    Ok(guard) => guard,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
+                let repl = lock_unpoisoned(&self.repl);
                 ReplStats {
                     epoch: repl.epoch,
                     rounds: repl.rounds,
@@ -331,10 +331,7 @@ impl ServerCtx {
     /// property the stage histograms assert).
     fn repl_round(&self, follower_epoch: u64, out: &mut Vec<u8>) {
         let uptime_ms = self.started.elapsed().as_millis() as u64;
-        let mut repl = match self.repl.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+        let mut repl = lock_unpoisoned(&self.repl);
         repl.rounds += 1;
         repl.last_pull_ms = uptime_ms.max(1);
         let shards = self.shard_txs.len();
@@ -358,15 +355,13 @@ impl ServerCtx {
             repl.bytes_streamed += doc.len() as u64;
             drop(repl);
             if self.telem.enabled {
-                if let Ok(mut ring) = self.telem.events.try_lock() {
-                    ring.push(LifecycleEvent {
-                        ts_ms: uptime_ms,
-                        kind: EventKind::ReplSync,
-                        tenant: String::new(),
-                        app: String::new(),
-                        detail: format!("epoch {epoch}, {} bytes", doc.len()),
-                    });
-                }
+                EventRing::try_push(&self.telem.events, || LifecycleEvent {
+                    ts_ms: uptime_ms,
+                    kind: EventKind::ReplSync,
+                    tenant: String::new(),
+                    app: String::new(),
+                    detail: format!("epoch {epoch}, {} bytes", doc.len()),
+                });
             }
             return;
         }
@@ -1132,11 +1127,7 @@ pub(crate) fn handle_control(req: &Request, ctx: &ServerCtx, out: &mut Vec<u8>) 
             body.extend_from_slice(b",\"uptime_ms\":");
             push_u64(&mut body, ctx.started.elapsed().as_millis() as u64);
             body.extend_from_slice(b",\"repl_epoch\":");
-            let epoch = match ctx.repl.lock() {
-                Ok(guard) => guard.epoch,
-                Err(poisoned) => poisoned.into_inner().epoch,
-            };
-            push_u64(&mut body, epoch);
+            push_u64(&mut body, lock_unpoisoned(&ctx.repl).epoch);
             if let Some(e) = &ctx.restore_error {
                 body.extend_from_slice(b",\"restore_error\":\"");
                 body.extend_from_slice(wire::json_escape(e).as_bytes());
@@ -1242,12 +1233,8 @@ pub(crate) fn handle_control(req: &Request, ctx: &ServerCtx, out: &mut Vec<u8>) 
             let mut reactor_guards = Vec::new();
             let mut shard_guards = Vec::new();
             if ctx.telem.enabled {
-                for shared in &ctx.telem.reactors {
-                    reactor_guards.push(shared.lock().expect("reactor telemetry poisoned"));
-                }
-                for rec in &ctx.telem.shard_recorders {
-                    shard_guards.push(rec.lock().expect("shard recorder poisoned"));
-                }
+                reactor_guards.extend(ctx.telem.reactors.iter().map(|r| lock_unpoisoned(r)));
+                shard_guards.extend(ctx.telem.shard_recorders.iter().map(|r| lock_unpoisoned(r)));
             }
             let mut sources: Vec<(String, &sitw_telemetry::FlightRecorder)> = Vec::new();
             for (i, g) in reactor_guards.iter().enumerate() {
@@ -1259,41 +1246,12 @@ pub(crate) fn handle_control(req: &Request, ctx: &ServerCtx, out: &mut Vec<u8>) 
             let spans = merge_spans(&sources, last);
             drop(reactor_guards);
             drop(shard_guards);
-            if json {
-                let mut body = String::with_capacity(64 + spans.len() * 96);
-                body.push('[');
-                for (i, (source, ev)) in spans.iter().enumerate() {
-                    if i > 0 {
-                        body.push(',');
-                    }
-                    let _ = write!(
-                        body,
-                        "{{\"span\":{},\"stage\":\"{}\",\"start_ns\":{},\"end_ns\":{},\
-                         \"source\":\"{source}\"}}",
-                        ev.span,
-                        ev.stage.name(),
-                        ev.start_ns,
-                        ev.end_ns,
-                    );
-                }
-                body.push(']');
-                write_response(out, 200, "application/json", body.as_bytes());
+            let (content_type, body) = if json {
+                ("application/json", write_trace_json(&spans, false))
             } else {
-                let mut body = String::with_capacity(64 + spans.len() * 72);
-                body.push_str("# start_ns end_ns dur_ns span stage source\n");
-                for (source, ev) in &spans {
-                    let _ = writeln!(
-                        body,
-                        "{} {} {} {:#018x} {} {source}",
-                        ev.start_ns,
-                        ev.end_ns,
-                        ev.end_ns.saturating_sub(ev.start_ns),
-                        ev.span,
-                        ev.stage.name(),
-                    );
-                }
-                write_response(out, 200, "text/plain", body.as_bytes());
-            }
+                ("text/plain", write_trace_text(&spans))
+            };
+            write_response(out, 200, content_type, body.as_bytes());
         }
         ("GET", "/debug/hist") => {
             // Raw per-stage bucket vectors — the federation wire format
@@ -1303,31 +1261,8 @@ pub(crate) fn handle_control(req: &Request, ctx: &ServerCtx, out: &mut Vec<u8>) 
             write_response(out, 200, "text/plain", report.render_raw().as_bytes());
         }
         ("GET", "/debug/events") => {
-            // Snapshot the ring under the lock, render outside it.
-            let (pushed, events) = if ctx.telem.enabled {
-                let ring = ctx.telem.events.lock().expect("event ring poisoned");
-                (ring.pushed(), ring.events().cloned().collect::<Vec<_>>())
-            } else {
-                (0, Vec::new())
-            };
-            let mut body = String::with_capacity(64 + events.len() * 96);
-            let _ = write!(body, "{{\"pushed\":{pushed},\"events\":[");
-            for (i, ev) in events.iter().enumerate() {
-                if i > 0 {
-                    body.push(',');
-                }
-                let _ = write!(
-                    body,
-                    "{{\"ts_ms\":{},\"kind\":\"{}\",\"tenant\":\"{}\",\"app\":\"{}\",\
-                     \"detail\":\"{}\"}}",
-                    ev.ts_ms,
-                    ev.kind.name(),
-                    wire::json_escape(&ev.tenant),
-                    wire::json_escape(&ev.app),
-                    wire::json_escape(&ev.detail),
-                );
-            }
-            body.push_str("]}");
+            // With telemetry off nothing is ever pushed: an empty ring.
+            let body = EventRing::snapshot_json(&ctx.telem.events);
             write_response(out, 200, "application/json", body.as_bytes());
         }
         ("GET", "/debug/policy") => {
@@ -1364,7 +1299,7 @@ pub(crate) fn handle_control(req: &Request, ctx: &ServerCtx, out: &mut Vec<u8>) 
             body.push_str("{\"reactors\":[");
             if ctx.telem.enabled {
                 for (i, shared) in ctx.telem.reactors.iter().enumerate() {
-                    let t = shared.lock().expect("reactor telemetry poisoned");
+                    let t = lock_unpoisoned(shared);
                     let (queue_depth, queue_peak) = ctx.telem.reactor_gauges[i].read();
                     if i > 0 {
                         body.push(',');
@@ -1521,5 +1456,141 @@ mod tests {
         assert!(text.contains("\"verdict\":\"cold\""), "{text}");
         assert!(text.contains("\"status\":\"ok\""), "{text}");
         server.shutdown().unwrap();
+    }
+
+    /// One `GET` on a fresh connection: `(status line, body)`.
+    fn get(addr: SocketAddr, path: &str) -> (String, String) {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        write!(stream, "GET {path} HTTP/1.1\r\nconnection: close\r\n\r\n").unwrap();
+        let mut text = String::new();
+        stream.read_to_string(&mut text).unwrap();
+        // A reactor that died mid-request leaves an empty read.
+        let (head, body) = text.split_once("\r\n\r\n").unwrap_or_default();
+        (
+            head.lines().next().unwrap_or("").to_owned(),
+            body.to_owned(),
+        )
+    }
+
+    fn telem_server() -> Server {
+        Server::start(ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            shards: 2,
+            reactor_threads: 2,
+            policy: PolicySpec::fixed_minutes(10),
+            ..ServeConfig::default()
+        })
+        .unwrap()
+    }
+
+    /// `/debug/events` and `/debug/trace` (text and JSON) are
+    /// byte-identical to the bodies captured before their writers moved
+    /// into `sitw-telemetry`. Control requests record no spans, so the
+    /// injected state is all the endpoints see.
+    #[test]
+    fn golden_debug_events_and_trace() {
+        use sitw_telemetry::{SpanEvent, Stage, TRACE_MARK};
+        let server = telem_server();
+        {
+            let mut ring = server.ctx.telem.events.lock().unwrap();
+            for (ts_ms, kind, tenant, app, detail) in [
+                (7, EventKind::ColdStart, "default", "plain", ""),
+                (
+                    9,
+                    EventKind::Eviction,
+                    "ac\"me",
+                    "a\\b\"c\u{1}d",
+                    "budget 512 MB\n\"q\"",
+                ),
+                (0, EventKind::Migration, "t1", "", "take"),
+            ] {
+                ring.push(LifecycleEvent {
+                    ts_ms,
+                    kind,
+                    tenant: tenant.into(),
+                    app: app.into(),
+                    detail: detail.into(),
+                });
+            }
+        }
+        let traced = TRACE_MARK | 0x2a;
+        let span = |span, stage, start_ns, end_ns| SpanEvent {
+            span,
+            stage,
+            start_ns,
+            end_ns,
+        };
+        {
+            let mut r0 = server.ctx.telem.reactors[0].lock().unwrap();
+            r0.recorder.push(span(5, Stage::Read, 100, 180));
+            r0.recorder.push(span(5, Stage::Decode, 180, 200));
+            r0.recorder.push(span(5, Stage::Write, 900, 850));
+            let mut r1 = server.ctx.telem.reactors[1].lock().unwrap();
+            r1.recorder.push(span(traced, Stage::Read, 100, 150));
+            r1.recorder
+                .push(span(traced, Stage::Render, 700, 1_000_000_700));
+            let mut s1 = server.ctx.telem.shard_recorders[1].lock().unwrap();
+            s1.push(span(5, Stage::Queue, 200, 400));
+            s1.push(span(5, Stage::Decide, 400, 450));
+            s1.push(span(traced, Stage::Decide, 400, 460));
+        }
+        let addr = server.addr();
+        for (path, golden) in [
+            (
+                "/debug/events",
+                include_str!("../tests/golden/node_debug_events.json"),
+            ),
+            (
+                "/debug/trace",
+                include_str!("../tests/golden/node_debug_trace.txt"),
+            ),
+            (
+                "/debug/trace?n=3",
+                include_str!("../tests/golden/node_debug_trace_n3.txt"),
+            ),
+            (
+                "/debug/trace?format=json",
+                include_str!("../tests/golden/node_debug_trace.json"),
+            ),
+        ] {
+            let (status, body) = get(addr, path);
+            assert_eq!(status, "HTTP/1.1 200 OK", "{path}");
+            assert_eq!(body, golden, "{path}");
+        }
+        server.shutdown().unwrap();
+    }
+
+    /// Regression (all four endpoints failing before this PR): scrapes
+    /// took the telemetry mutexes with `.lock().expect("… poisoned")` on
+    /// the reactor thread, so one panicked recorder turned every later
+    /// scrape into a second panic that killed a reactor and every
+    /// connection on it.
+    #[test]
+    fn poisoned_telemetry_locks_still_serve_scrapes() {
+        let mut failed = Vec::new();
+        for path in [
+            "/metrics",
+            "/debug/events",
+            "/debug/trace",
+            "/debug/threads",
+        ] {
+            // A fresh server per endpoint, so each is shown on its own.
+            let server = telem_server();
+            let ctx = Arc::clone(&server.ctx);
+            let recorder = std::thread::spawn(move || {
+                let _events = ctx.telem.events.lock().unwrap();
+                let _reactor = ctx.telem.reactors[0].lock().unwrap();
+                let _shard = ctx.telem.shard_recorders[0].lock().unwrap();
+                panic!("recorder dies holding telemetry locks (expected in this test)");
+            });
+            assert!(recorder.join().is_err());
+            assert!(server.ctx.telem.events.is_poisoned());
+            assert!(server.ctx.telem.reactors[0].is_poisoned());
+            if get(server.addr(), path).0 != "HTTP/1.1 200 OK" {
+                failed.push(path);
+            }
+            server.shutdown().unwrap();
+        }
+        assert!(failed.is_empty(), "no 200 from {failed:?}");
     }
 }

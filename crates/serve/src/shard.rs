@@ -30,7 +30,7 @@ use sitw_core::{
 };
 use sitw_fleet::{footprint_mb, LedgerExport, TenantId, TenantLedger, TenantSpec};
 use sitw_sim::PolicySpec;
-use sitw_telemetry::{EventKind, LifecycleEvent, Log2Histogram, SpanEvent, Stage};
+use sitw_telemetry::{EventKind, EventRing, LifecycleEvent, Log2Histogram, SpanEvent, Stage};
 
 use crate::metrics::{ShardStats, TenantStats};
 use crate::reactor::ReplySink;
@@ -657,16 +657,14 @@ impl ShardWorker {
             // off the common invoke. Stamped with workload time: the
             // ring stays deterministic and costs no clock read.
             if self.telem.enabled {
-                if let Ok(mut ring) = self.telem.events.try_lock() {
-                    ring.push(LifecycleEvent {
-                        ts_ms: ts,
-                        kind: EventKind::Eviction,
-                        tenant: t.spec.name.clone(), // sitw-lint: allow(hot-path-alloc)
-                        app: victim,
-                        // sitw-lint: allow(hot-path-alloc)
-                        detail: format!("budget {} MB", t.spec.budget_mb),
-                    });
-                }
+                EventRing::try_push(&self.telem.events, || LifecycleEvent {
+                    ts_ms: ts,
+                    kind: EventKind::Eviction,
+                    tenant: t.spec.name.clone(), // sitw-lint: allow(hot-path-alloc)
+                    app: victim,
+                    // sitw-lint: allow(hot-path-alloc)
+                    detail: format!("budget {} MB", t.spec.budget_mb),
+                });
             }
         }
 
@@ -679,19 +677,17 @@ impl ShardWorker {
             // Cold starts are off the steady state by definition; the
             // push is enabled-gated and try_lock like the eviction one.
             if self.telem.enabled {
-                if let Ok(mut ring) = self.telem.events.try_lock() {
-                    ring.push(LifecycleEvent {
-                        ts_ms: ts,
-                        kind: EventKind::ColdStart,
-                        tenant: t.spec.name.clone(), // sitw-lint: allow(hot-path-alloc)
-                        app: app.to_owned(),
-                        detail: if decision.evicted {
-                            "eviction downgrade".to_owned()
-                        } else {
-                            String::new()
-                        },
-                    });
-                }
+                EventRing::try_push(&self.telem.events, || LifecycleEvent {
+                    ts_ms: ts,
+                    kind: EventKind::ColdStart,
+                    tenant: t.spec.name.clone(), // sitw-lint: allow(hot-path-alloc)
+                    app: app.to_owned(),
+                    detail: if decision.evicted {
+                        "eviction downgrade".to_owned()
+                    } else {
+                        String::new()
+                    },
+                });
             }
         }
         if decision.prewarm_load {
@@ -850,15 +846,13 @@ impl ShardWorker {
         if !self.telem.enabled {
             return;
         }
-        if let Ok(mut ring) = self.telem.events.try_lock() {
-            ring.push(LifecycleEvent {
-                ts_ms: 0,
-                kind: EventKind::Migration,
-                tenant: tenant.to_owned(),
-                app: String::new(),
-                detail: detail.to_owned(),
-            });
-        }
+        EventRing::try_push(&self.telem.events, || LifecycleEvent {
+            ts_ms: 0,
+            kind: EventKind::Migration,
+            tenant: tenant.to_owned(),
+            app: String::new(),
+            detail: detail.to_owned(),
+        });
     }
 
     /// The worker loop: drains the mailbox until `Shutdown`, then

@@ -26,7 +26,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use sitw_telemetry::{
-    Clock, EventRing, FlightRecorder, Log2Histogram, ManualClock, SpanEvent, WallClock,
+    Clock, EventRing, FlightRecorder, Log2Histogram, ManualClock, TraceSpan, WallClock,
 };
 
 use crate::metrics::ProtoHists;
@@ -281,12 +281,17 @@ impl ShardTelem {
 /// Events sort by `(start_ns, span)`, so with a shared epoch (the
 /// production [`WallClock`] base or a test [`ManualClock`]) the result
 /// reads as one timeline across reactors and shards.
-pub fn merge_spans(sources: &[(String, &FlightRecorder)], last: usize) -> Vec<(String, SpanEvent)> {
-    let mut all: Vec<(String, SpanEvent)> = sources
+pub fn merge_spans(sources: &[(String, &FlightRecorder)], last: usize) -> Vec<TraceSpan> {
+    let mut all: Vec<TraceSpan> = sources
         .iter()
-        .flat_map(|(label, rec)| rec.events().map(move |e| (label.clone(), *e)))
+        .flat_map(|(label, rec)| {
+            rec.events().map(move |&event| TraceSpan {
+                event,
+                source: label.clone(),
+            })
+        })
         .collect();
-    all.sort_by_key(|(_, e)| (e.start_ns, e.span, e.stage));
+    all.sort_by_key(|s| (s.event.start_ns, s.event.span, s.event.stage));
     if all.len() > last {
         all.drain(..all.len() - last);
     }
@@ -332,7 +337,7 @@ impl Default for TelemCtx {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sitw_telemetry::Stage;
+    use sitw_telemetry::{SpanEvent, Stage};
 
     #[test]
     fn queue_gauge_tracks_depth_and_peak() {
@@ -385,11 +390,11 @@ mod tests {
             });
         }
         let merged = merge_spans(&[("r0".to_owned(), &a), ("s0".to_owned(), &b)], usize::MAX);
-        let starts: Vec<u64> = merged.iter().map(|(_, e)| e.start_ns).collect();
+        let starts: Vec<u64> = merged.iter().map(|s| s.event.start_ns).collect();
         assert_eq!(starts, vec![0, 5, 10, 15, 20, 25, 30, 35]);
         // Keeping the last 3 drops the oldest events.
         let tail = merge_spans(&[("r0".to_owned(), &a), ("s0".to_owned(), &b)], 3);
-        let starts: Vec<u64> = tail.iter().map(|(_, e)| e.start_ns).collect();
+        let starts: Vec<u64> = tail.iter().map(|s| s.event.start_ns).collect();
         assert_eq!(starts, vec![25, 30, 35]);
     }
 }

@@ -289,27 +289,9 @@ pub fn render_decision(out: &mut Vec<u8>, d: &Decision) {
     out.push(b'}');
 }
 
-/// Escapes a string for embedding inside a JSON string literal:
-/// backslashes, double quotes, and control characters (the server's
-/// error bodies echo client-controlled text, which must never produce
-/// malformed JSON).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
+/// JSON string escaping lives beside the debug bodies that need it;
+/// this is its serving-crate path (`wire::json_escape`).
+pub use sitw_telemetry::json_escape;
 
 /// Appends the decimal representation of `v` without allocating.
 // sitw-lint: hot-path

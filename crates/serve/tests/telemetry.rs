@@ -329,9 +329,9 @@ fn manual_clock_spans_order_deterministically_across_hops() {
     );
     // Exactly the six pipeline stages, in pipeline order, despite
     // interleaving two recorders — merge sorts on start_ns.
-    let got: Vec<Stage> = merged.iter().map(|(_, ev)| ev.stage).collect();
+    let got: Vec<Stage> = merged.iter().map(|s| s.event.stage).collect();
     assert_eq!(got, STAGES.to_vec());
-    let sources: Vec<&str> = merged.iter().map(|(s, _)| s.as_str()).collect();
+    let sources: Vec<&str> = merged.iter().map(|s| s.source.as_str()).collect();
     assert_eq!(
         sources,
         [
@@ -345,13 +345,13 @@ fn manual_clock_spans_order_deterministically_across_hops() {
     );
     // Stages tile the timeline contiguously: each starts where the
     // previous ended (the recording convention the server follows).
-    assert_eq!(merged[0].1.start_ns, 100);
+    assert_eq!(merged[0].event.start_ns, 100);
     for pair in merged.windows(2) {
-        assert_eq!(pair[0].1.end_ns, pair[1].1.start_ns);
+        assert_eq!(pair[0].event.end_ns, pair[1].event.start_ns);
     }
-    assert_eq!(merged[5].1.end_ns, 200);
+    assert_eq!(merged[5].event.end_ns, 200);
     // All hops agree on the span id.
-    assert!(merged.iter().all(|(_, ev)| ev.span == span));
+    assert!(merged.iter().all(|s| s.event.span == span));
 }
 
 // ---------------------------------------------------------------------

@@ -38,7 +38,7 @@ pub fn run_sweep(
 
     let chunk_size = population.len().div_ceil(threads);
     let mut partials: Vec<Vec<PolicyAggregate>> = Vec::new();
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for chunk_idx in 0..threads {
             let lo = chunk_idx * chunk_size;
@@ -46,7 +46,7 @@ pub fn run_sweep(
             if lo >= hi {
                 continue;
             }
-            handles.push(scope.spawn(move |_| {
+            handles.push(scope.spawn(move || {
                 let mut aggs: Vec<PolicyAggregate> = specs
                     .iter()
                     .map(|s| PolicyAggregate::new(s.label()))
@@ -58,8 +58,7 @@ pub fn run_sweep(
         for h in handles {
             partials.push(h.join().expect("sweep worker panicked"));
         }
-    })
-    .expect("sweep scope panicked");
+    });
 
     // Deterministic merge in chunk order.
     let mut iter = partials.into_iter();

@@ -15,6 +15,11 @@
 //! the router stamps wall milliseconds since router start (its events
 //! are control-plane, not workload-driven).
 
+use std::fmt::Write as _;
+use std::sync::{Mutex, TryLockError};
+
+use crate::{json_escape, lock_unpoisoned};
+
 /// What happened.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
@@ -163,6 +168,46 @@ impl EventRing {
     pub fn events(&self) -> impl Iterator<Item = &LifecycleEvent> {
         let split = if self.full { self.head } else { 0 };
         self.ring[split..].iter().chain(self.ring[..split].iter())
+    }
+
+    /// The one way a recording thread pushes into a shared ring:
+    /// `try_lock`, so a push that races a `/debug/events` scrape is
+    /// dropped instead of blocking the decision path, and the event is
+    /// only built (it owns three strings) once the lock is held.
+    pub fn try_push(ring: &Mutex<EventRing>, event: impl FnOnce() -> LifecycleEvent) {
+        let mut ring = match ring.try_lock() {
+            Ok(guard) => guard,
+            Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
+            Err(TryLockError::WouldBlock) => return,
+        };
+        ring.push(event());
+    }
+
+    /// The `/debug/events` body, identical on node, follower and router:
+    /// `{"pushed":N,"events":[{"ts_ms":…,"kind":"…","tenant":"…",
+    /// "app":"…","detail":"…"},…]}`, oldest first. Snapshots under the
+    /// lock and renders outside it.
+    pub fn snapshot_json(ring: &Mutex<EventRing>) -> String {
+        let snapshot = lock_unpoisoned(ring).clone();
+        let mut body = String::with_capacity(64 + snapshot.len() * 96);
+        let _ = write!(body, "{{\"pushed\":{},\"events\":[", snapshot.pushed);
+        for (i, ev) in snapshot.events().enumerate() {
+            if i > 0 {
+                body.push(',');
+            }
+            let _ = write!(
+                body,
+                "{{\"ts_ms\":{},\"kind\":\"{}\",\"tenant\":\"{}\",\"app\":\"{}\",\
+                 \"detail\":\"{}\"}}",
+                ev.ts_ms,
+                ev.kind.name(),
+                json_escape(&ev.tenant),
+                json_escape(&ev.app),
+                json_escape(&ev.detail),
+            );
+        }
+        body.push_str("]}");
+        body
     }
 }
 

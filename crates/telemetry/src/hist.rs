@@ -216,10 +216,92 @@ impl Log2Histogram {
     }
 }
 
+/// What one `/debug/hist` line describes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum HistKey<'a> {
+    /// `stage <name> <proto> …`: one pipeline stage and wire protocol.
+    Stage(&'a str, &'a str),
+    /// `tenant <name> …`: one tenant's decision latency.
+    Tenant(&'a str),
+}
+
+/// Appends one `/debug/hist` line — the federation wire format:
+///
+/// ```text
+/// stage <name> <proto> <sum_ns> <b0> <b1> ... <b63>
+/// tenant <name> <sum_ns> <b0> <b1> ... <b63>
+/// ```
+///
+/// Raw buckets (not the `le`-bounded Prometheus projection), so
+/// [`parse_hist_lines`] rebuilds each histogram losslessly and a
+/// scraping router can merge exactly.
+pub fn write_hist_line(out: &mut String, key: HistKey<'_>, h: &Log2Histogram) {
+    use std::fmt::Write as _;
+    let _ = match key {
+        HistKey::Stage(stage, proto) => write!(out, "stage {stage} {proto}"),
+        HistKey::Tenant(name) => write!(out, "tenant {name}"),
+    };
+    let _ = write!(out, " {}", h.sum());
+    for b in h.buckets() {
+        let _ = write!(out, " {b}");
+    }
+    out.push('\n');
+}
+
+/// Parses a `/debug/hist` body written by [`write_hist_line`], in line
+/// order. `None` on any malformed line — a partial merge would silently
+/// undercount — including a bucket count other than [`BUCKETS`].
+pub fn parse_hist_lines(body: &str) -> Option<Vec<(HistKey<'_>, Log2Histogram)>> {
+    let mut lines = Vec::new();
+    for line in body.lines().filter(|l| !l.trim().is_empty()) {
+        let mut toks = line.split_ascii_whitespace();
+        let key = match toks.next()? {
+            "stage" => HistKey::Stage(toks.next()?, toks.next()?),
+            "tenant" => HistKey::Tenant(toks.next()?),
+            _ => return None,
+        };
+        let sum: u64 = toks.next()?.parse().ok()?;
+        let mut buckets = [0u64; BUCKETS];
+        for b in buckets.iter_mut() {
+            *b = toks.next()?.parse().ok()?;
+        }
+        if toks.next().is_some() {
+            return None;
+        }
+        lines.push((key, Log2Histogram::from_raw(buckets, sum)));
+    }
+    Some(lines)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    #[test]
+    fn hist_lines_round_trip_exactly_and_reject_malformed_bodies() {
+        let mut a = Log2Histogram::new();
+        a.record_n(1_500, 3);
+        a.record(u64::MAX);
+        let b = Log2Histogram::new();
+        let mut body = String::new();
+        write_hist_line(&mut body, HistKey::Stage("decide", "json"), &a);
+        write_hist_line(&mut body, HistKey::Tenant("acme"), &b);
+        let parsed = parse_hist_lines(&body).unwrap();
+        assert_eq!(
+            parsed,
+            vec![
+                (HistKey::Stage("decide", "json"), a),
+                (HistKey::Tenant("acme"), b)
+            ]
+        );
+        assert_eq!(parse_hist_lines("").unwrap(), vec![]);
+        let line = body.lines().next().unwrap();
+        assert!(parse_hist_lines("bogus 1 2 3\n").is_none());
+        assert!(parse_hist_lines("stage decide json 100 1 2 3\n").is_none());
+        assert!(parse_hist_lines(&format!("{line} 99\n")).is_none());
+        assert!(parse_hist_lines(&line.replace(" 3 ", " x ")).is_none());
+    }
 
     #[test]
     fn bucket_boundaries() {

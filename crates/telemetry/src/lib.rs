@@ -4,7 +4,7 @@
 //! idle-time histograms and the workload characterization (Figs. 3, 5, 8)
 //! is all percentile curves — so the daemon that reproduces it should
 //! report distributions too, not four point estimates. This crate holds
-//! the three std-only building blocks the serving stack records into:
+//! the std-only building blocks the serving stack records into:
 //!
 //! * [`Clock`] — a nanosecond time source ([`WallClock`] in production,
 //!   [`ManualClock`] in tests) so span timestamps are deterministic under
@@ -24,6 +24,14 @@
 //!   starts, evictions, throttles, migrations, ring-epoch changes)
 //!   scraped by `/debug/events`.
 //!
+//! Each wire format these types travel in has its one writer (and, where
+//! another process reads it back, its one parser) beside the type: the
+//! `/metrics` table renderer in [`expo`], `/debug/hist` lines
+//! ([`write_hist_line`] / [`parse_hist_lines`]), `/debug/trace`
+//! timelines ([`write_trace_text`], [`write_trace_json`] /
+//! [`parse_trace_json`]) and the `/debug/events` body
+//! ([`EventRing::snapshot_json`]). Node, follower and router call these.
+//!
 //! Everything here is allocation-free after construction (lifecycle
 //! events own their names, but events are rare) and does no syscalls,
 //! so recording on the hot path costs a clock read and a few arithmetic
@@ -34,12 +42,32 @@
 
 mod clock;
 mod events;
+pub mod expo;
 mod hist;
+mod json;
 mod recorder;
+mod trace;
 
 pub use clock::{Clock, ManualClock, WallClock};
 pub use events::{EventKind, EventRing, LifecycleEvent};
-pub use hist::{Log2Histogram, BUCKETS};
+pub use hist::{parse_hist_lines, write_hist_line, HistKey, Log2Histogram, BUCKETS};
+pub use json::json_escape;
 pub use recorder::{
     is_trace_span, FlightRecorder, SpanEvent, Stage, ROUTER_STAGES, STAGES, TRACE_MARK,
 };
+pub use trace::{parse_trace_json, write_trace_json, write_trace_text, TraceSpan};
+
+use std::sync::{Mutex, MutexGuard};
+
+/// Locks `m`, recovering the guard when a panicked holder poisoned it.
+/// For state that stays coherent whatever statement its holder died on
+/// — the telemetry mutexes guard counters and whole-slot ring writes —
+/// and that is read where a second panic costs more than a stale value:
+/// scrapes run on reactor threads, which would take every connection
+/// they serve down with them.
+pub fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    match m.lock() {
+        Ok(guard) => guard,
+        Err(poisoned) => poisoned.into_inner(),
+    }
+}

@@ -93,6 +93,15 @@ impl Stage {
             Stage::Egress => "egress",
         }
     }
+
+    /// The stage called `name` (the inverse of [`Stage::name`]).
+    pub fn from_name(name: &str) -> Option<Stage> {
+        STAGES
+            .iter()
+            .chain(&ROUTER_STAGES)
+            .copied()
+            .find(|s| s.name() == name)
+    }
 }
 
 /// One timed stage crossing of one request.
