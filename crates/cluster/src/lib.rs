@@ -53,7 +53,7 @@ pub mod telem;
 
 pub use federate::{parse_hist_body, parse_trace_spans, FleetHists, NodeHists, NodeSpan};
 pub use metrics::{render_fleet, RouterMetrics};
-pub use reconcile::{aggregate_usage, control_roundtrip, reconcile_shares, NodeReport};
+pub use reconcile::{control_roundtrip, reconcile_shares};
 pub use ring::ClusterRing;
 pub use router::{FailoverMode, FailoverProposal, Router, RouterConfig, RouterTenant};
 pub use sim::{ClusterOutcome, ClusterSim};

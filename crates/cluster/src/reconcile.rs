@@ -6,7 +6,7 @@
 //! 1. polls each live node's per-tenant ledger integrals
 //!    ([`ControlRequest::Report`] over a SITW-BIN control frame),
 //! 2. aggregates the reports name-keyed into one cluster view
-//!    ([`aggregate_usage`] — exported to `/metrics`), and
+//!    ([`sitw_serve::wire::TenantUsage::fold`], on `/metrics`), and
 //! 3. pushes each budgeted tenant's **full** budget to its current ring
 //!    owner ([`reconcile_shares`], a pure function of the ring epoch).
 //!
@@ -19,25 +19,14 @@
 //! advance, without any per-change bookkeeping.
 
 use std::collections::BTreeMap;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
-use sitw_serve::wire::{
-    decode_server_frame, encode_control_frame, ControlReply, ControlRequest, ServerFrameDecode,
-    TenantUsage,
-};
+use sitw_serve::http::{ConnBuf, Reply};
+use sitw_serve::wire::{encode_control_frame, ControlReply, ControlRequest, ServerFrameDecode};
 
 use crate::ring::ClusterRing;
-
-/// One node's control-plane report.
-#[derive(Debug, Clone)]
-pub struct NodeReport {
-    /// Node slot in the ring.
-    pub node: usize,
-    /// Per-tenant ledger integrals as reported by the node.
-    pub tenants: Vec<TenantUsage>,
-}
 
 /// Computes the per-node budget shares for one cycle: each budgeted
 /// tenant's full budget goes to its current ring owner. Unbudgeted
@@ -63,82 +52,33 @@ pub fn reconcile_shares(
     per_node.into_iter().collect()
 }
 
-/// Folds node reports into one name-keyed cluster view: budgets take the
-/// max (each named tenant has one enforcing owner; the default tenant's
-/// budget is replicated, not split), everything else sums.
-pub fn aggregate_usage(reports: &[NodeReport]) -> Vec<TenantUsage> {
-    let mut by_name: BTreeMap<String, TenantUsage> = BTreeMap::new();
-    for report in reports {
-        for t in &report.tenants {
-            let entry = by_name
-                .entry(t.name.clone())
-                .or_insert_with(|| TenantUsage {
-                    name: t.name.clone(),
-                    budget_mb: 0,
-                    warm_mb: 0,
-                    evictions: 0,
-                    idle_mb_ms: 0,
-                    invocations: 0,
-                });
-            entry.budget_mb = entry.budget_mb.max(t.budget_mb);
-            entry.warm_mb += t.warm_mb;
-            entry.evictions += t.evictions;
-            entry.idle_mb_ms = entry.idle_mb_ms.saturating_add(t.idle_mb_ms);
-            entry.invocations += t.invocations;
-        }
-    }
-    by_name.into_values().collect()
-}
-
 /// One control-plane round trip: connects to `addr`, sends `req` as a
-/// SITW-BIN control frame, and decodes the node's control reply. Used by
+/// SITW-BIN control frame, and reads the node's control reply. Used by
 /// the reconciler and by parity tests that read ledger integrals off
 /// live nodes.
 pub fn control_roundtrip(addr: SocketAddr, req: &ControlRequest) -> io::Result<ControlReply> {
-    let mut stream = TcpStream::connect_timeout(&addr, Duration::from_secs(2))?;
+    let stream = TcpStream::connect_timeout(&addr, Duration::from_secs(2))?;
     stream.set_read_timeout(Some(Duration::from_secs(5)))?;
+    let mut conn = ConnBuf::new(stream);
     let mut frame = Vec::new();
     encode_control_frame(&mut frame, req);
-    stream.write_all(&frame)?;
-
-    let mut buf = Vec::new();
-    loop {
-        match decode_server_frame(&buf) {
-            ServerFrameDecode::Control { reply, .. } => return Ok(reply),
-            ServerFrameDecode::Incomplete => {
-                let mut chunk = [0u8; 4096];
-                let n = stream.read(&mut chunk)?;
-                if n == 0 {
-                    return Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "eof mid control reply",
-                    ));
-                }
-                buf.extend_from_slice(&chunk[..n]);
-            }
-            ServerFrameDecode::Error { code, detail, .. } => {
-                return Err(io::Error::other(format!(
-                    "control error {code:?}: {detail}"
-                )))
-            }
-            ServerFrameDecode::Reply { .. }
-            | ServerFrameDecode::ReplChunk { .. }
-            | ServerFrameDecode::ReplCommit { .. } => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "unexpected reply frame to a control request",
-                ))
-            }
-            ServerFrameDecode::Malformed(detail) => {
-                return Err(io::Error::new(io::ErrorKind::InvalidData, detail))
-            }
-        }
+    conn.stream().write_all(&frame)?;
+    match conn.read_reply()?.owed()? {
+        Reply::Frame(ServerFrameDecode::Control { reply, .. }) => Ok(reply),
+        Reply::Frame(ServerFrameDecode::Error { code, detail, .. }) => Err(io::Error::other(
+            format!("control error {code:?}: {detail}"),
+        )),
+        other => Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("unexpected reply to a control request: {other:?}"),
+        )),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sitw_serve::wire::TenantUsage;
 
     fn usage(name: &str, budget: u64, warm: u64, ev: u64, idle: u64, inv: u64) -> TenantUsage {
         TenantUsage {
@@ -187,20 +127,15 @@ mod tests {
 
     #[test]
     fn aggregation_maxes_budgets_and_sums_the_rest() {
-        let reports = vec![
-            NodeReport {
-                node: 0,
-                tenants: vec![
-                    usage("default", 0, 5, 0, 100, 7),
-                    usage("t0", 64, 10, 1, 50, 3),
-                ],
-            },
-            NodeReport {
-                node: 1,
-                tenants: vec![usage("default", 0, 2, 0, 30, 4)],
-            },
+        // Node 0 reports two tenants, node 1 its default-tenant slice.
+        let reports = [
+            vec![
+                usage("default", 0, 5, 0, 100, 7),
+                usage("t0", 64, 10, 1, 50, 3),
+            ],
+            vec![usage("default", 0, 2, 0, 30, 4)],
         ];
-        let agg = aggregate_usage(&reports);
+        let agg = TenantUsage::fold(reports.into_iter().flatten());
         assert_eq!(agg.len(), 2);
         let default = agg.iter().find(|t| t.name == "default").unwrap();
         assert_eq!(

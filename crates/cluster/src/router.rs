@@ -41,7 +41,7 @@
 //! `/debug/events` and the `sitw_router_failover_*` metric families.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -50,11 +50,13 @@ use std::time::Duration;
 
 use sitw_core::PolicySpec;
 use sitw_fleet::{fnv1a, registry::parse_tenant_arg, Admission, QosPolicy};
-use sitw_serve::http::{write_response, ConnBuf, ReadEvent, Request, MAX_BODY_BYTES};
+use sitw_serve::http::{
+    call, write_request, write_response, ConnBuf, ReadEvent, Reply, Request, MAX_BODY_BYTES,
+};
 use sitw_serve::wire::{
-    self, decode_server_frame, encode_error_frame, encode_reply_records, encode_request_frame_v2,
+    self, encode_error_frame, encode_reply_records, encode_request_frame_v2,
     encode_request_frame_v2_traced, BinErrorCode, BinInvoke, BinReply, ControlReply,
-    ControlRequest, ServerFrameDecode,
+    ControlRequest, ServerFrameDecode, TenantUsage,
 };
 
 use sitw_telemetry::{
@@ -63,14 +65,17 @@ use sitw_telemetry::{
 
 use crate::federate::{parse_hist_body, parse_trace_spans, rebase, FleetHists, NodeSpan};
 use crate::metrics::{render_fleet, RouterMetrics};
-use crate::reconcile::{aggregate_usage, control_roundtrip, reconcile_shares, NodeReport};
+use crate::reconcile::{control_roundtrip, reconcile_shares};
 use crate::ring::ClusterRing;
 use crate::telem::RouterTelem;
 
 /// How long the router waits for a control-plane TCP connect
-/// (provisioning, migration, reconciliation). The data path uses the
+/// (provisioning, migration, scrapes). The data path uses the
 /// configurable [`RouterConfig::upstream_timeout`] instead.
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// How long the router waits for a control-plane response.
+const CONTROL_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Consecutive health-probe failures before the prober raises a
 /// drop/promote proposal — one failed probe is a blip, three in a row
@@ -303,13 +308,16 @@ impl RouterCtx {
     /// `(nodes reporting, shares acknowledged)`.
     fn reconcile_once(&self) -> (usize, u32) {
         let ring = self.ring.read().expect("ring poisoned").clone();
-        let mut reports = Vec::new();
+        let (mut nodes_reporting, mut usage) = (0, Vec::new());
         for node in 0..self.slots {
             if !ring.is_live(node) {
                 continue;
             }
             match control_roundtrip(self.node_addr(node), &ControlRequest::Report) {
-                Ok(ControlReply::Report(tenants)) => reports.push(NodeReport { node, tenants }),
+                Ok(ControlReply::Report(tenants)) => {
+                    nodes_reporting += 1;
+                    usage.extend(tenants);
+                }
                 Ok(ControlReply::BudgetAck { .. }) | Err(_) => self.metrics.node_error(node),
             }
         }
@@ -326,8 +334,7 @@ impl RouterCtx {
                 Ok(ControlReply::Report(_)) | Err(_) => self.metrics.node_error(node),
             }
         }
-        let nodes_reporting = reports.len();
-        *lock_unpoisoned(&self.metrics.usage) = aggregate_usage(&reports);
+        *lock_unpoisoned(&self.metrics.usage) = TenantUsage::fold(usage);
         self.metrics.reconcile_runs.fetch_add(1, Ordering::Relaxed);
         self.metrics
             .budget_pushes
@@ -362,7 +369,7 @@ impl RouterCtx {
         };
         if from != to {
             let take_path = format!("/admin/tenants/{tenant}/take");
-            let (status, payload) = http_request(self.node_addr(from), "POST", &take_path, b"")
+            let (status, payload) = control_call(self.node_addr(from), "POST", &take_path, b"")
                 .map_err(|e| {
                     self.metrics.node_error(from);
                     (503, format!("take from node {}: {e}", self.node_name(from)))
@@ -371,7 +378,7 @@ impl RouterCtx {
                 return Err((502, format!("take failed ({status}): {payload}")));
             }
             let restore_path = format!("/admin/tenants/{tenant}/restore");
-            let (status, resp) = http_request(
+            let (status, resp) = control_call(
                 self.node_addr(to),
                 "POST",
                 &restore_path,
@@ -420,7 +427,7 @@ impl RouterCtx {
             if !ring.is_live(node) {
                 continue;
             }
-            match http_request(self.node_addr(node), "GET", "/debug/hist", b"") {
+            match control_call(self.node_addr(node), "GET", "/debug/hist", b"") {
                 Ok((200, body)) => match parse_hist_body(&body) {
                     Some(h) => fleet.absorb(h),
                     None => self.metrics.node_error(node),
@@ -461,7 +468,7 @@ impl RouterCtx {
             if !ring.is_live(node) {
                 continue;
             }
-            let body = match http_request(
+            let body = match control_call(
                 self.node_addr(node),
                 "GET",
                 "/debug/trace?format=json&n=4096",
@@ -558,7 +565,7 @@ impl RouterCtx {
                 // serve address, so a retried confirmation converges.
                 let serve = self
                     .failover_retry("standby promote", || {
-                        let (status, body) = http_request(ctrl_addr, "POST", "/admin/promote", b"")
+                        let (status, body) = control_call(ctrl_addr, "POST", "/admin/promote", b"")
                             .map_err(|e| e.to_string())?;
                         if status != 200 {
                             return Err(format!("promote failed ({status}): {body}"));
@@ -906,18 +913,13 @@ fn probe_loop(ctx: Arc<RouterCtx>) {
                 *fail_count = 0;
                 continue;
             }
-            let healthy = matches!(
-                http_request_timeout(
-                    ctx.node_addr(node),
-                    "GET",
-                    "/healthz",
-                    b"",
-                    timeout,
-                    timeout
-                ),
+            // Probed on the data-path deadline, so a hung node fails a
+            // probe within the same bound clients see.
+            let addr = ctx.node_addr(node);
+            if matches!(
+                call(addr, "GET", "/healthz", b"", timeout, timeout),
                 Ok((200, _))
-            );
-            if healthy {
+            ) {
                 *fail_count = 0;
                 continue;
             }
@@ -1054,7 +1056,7 @@ struct ClientConn {
     upstream: Vec<Option<io::BufWriter<TcpStream>>>,
     /// Upstream read halves, registered through the pending queue so a
     /// reconnect never overtakes replies owed by the old connection.
-    readers: Vec<Option<NodeReader>>,
+    readers: Vec<Option<ConnBuf>>,
     /// Responses owed to the client, in request order.
     pendings: VecDeque<Pending>,
     /// Estimated client-facing bytes of the queued responses; drained
@@ -1614,14 +1616,7 @@ impl ClientConn {
             };
             // Straight into the buffered writer — no intermediate
             // allocation on the per-request path.
-            stream.write_all(b"POST /invoke HTTP/1.1\r\n")?;
-            if let Some(id) = trace {
-                write!(stream, "x-sitw-trace: {id:#018x}\r\n")?;
-            }
-            stream.write_all(b"content-length: ")?;
-            write!(stream, "{}", req.body.len())?;
-            stream.write_all(b"\r\n\r\n")?;
-            stream.write_all(&req.body)
+            write_request(stream, "POST", "/invoke", trace, &req.body)
         });
         match forwarded {
             Ok(()) => {
@@ -1830,152 +1825,33 @@ impl ClientConn {
     }
 }
 
-/// One decoded node→router frame.
-enum UpstreamFrame {
-    Reply(Vec<BinReply>),
-    Error { code: BinErrorCode, detail: String },
+/// Reads the reply `node` owes on this client's upstream connection,
+/// with its exact bytes — what the verbatim relays forward, no record
+/// re-encode, no header rewrite. A clean close or an expired
+/// `upstream_timeout` is an error like any other: the router only reads
+/// while a reply is owed.
+fn upstream_reply(readers: &mut [Option<ConnBuf>], node: usize) -> io::Result<(Reply, &[u8])> {
+    let Some(reader) = readers[node].as_mut() else {
+        return Err(io::Error::other("no upstream reader"));
+    };
+    Ok((reader.read_reply()?.owed()?, reader.reply_raw()))
 }
 
-/// Buffered reader over one upstream connection's read half.
-struct NodeReader {
-    stream: TcpStream,
-    buf: Vec<u8>,
-    start: usize,
-}
-
-impl NodeReader {
-    fn new(stream: TcpStream) -> Self {
-        Self {
-            stream,
-            buf: Vec::new(),
-            start: 0,
-        }
-    }
-
-    /// Reads more bytes; EOF is an error (the router only reads while a
-    /// response is owed).
-    fn fill(&mut self) -> io::Result<()> {
-        if self.start == self.buf.len() {
-            self.buf.clear();
-            self.start = 0;
-        }
-        let mut chunk = [0u8; 16 * 1024];
-        let n = self.stream.read(&mut chunk).map_err(|e| {
-            // A read-deadline expiry (the upstream is hung, not dead)
-            // surfaces platform-dependently; normalize it so the typed
-            // 503 / `Unavailable` detail names the real failure.
-            if matches!(
-                e.kind(),
-                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-            ) {
-                io::Error::new(io::ErrorKind::TimedOut, "upstream read timed out")
-            } else {
-                e
-            }
-        })?;
-        if n == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "node closed the connection",
-            ));
-        }
-        self.buf.extend_from_slice(&chunk[..n]);
-        Ok(())
-    }
-
-    /// Reads one complete SITW-BIN reply or error frame.
-    fn read_server_frame(&mut self) -> io::Result<UpstreamFrame> {
-        loop {
-            match decode_server_frame(&self.buf[self.start..]) {
-                ServerFrameDecode::Reply { records, consumed } => {
-                    self.start += consumed;
-                    return Ok(UpstreamFrame::Reply(records));
-                }
-                ServerFrameDecode::Error {
-                    code,
-                    detail,
-                    consumed,
-                } => {
-                    self.start += consumed;
-                    return Ok(UpstreamFrame::Error { code, detail });
-                }
-                ServerFrameDecode::Control { .. }
-                | ServerFrameDecode::ReplChunk { .. }
-                | ServerFrameDecode::ReplCommit { .. } => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "unexpected control reply on the data path",
-                    ));
-                }
-                ServerFrameDecode::Incomplete => self.fill()?,
-                ServerFrameDecode::Malformed(detail) => {
-                    return Err(io::Error::new(io::ErrorKind::InvalidData, detail));
-                }
-            }
-        }
-    }
-
-    /// Reads one complete HTTP response and returns its raw bytes
-    /// (status line through body), relayed to the client verbatim.
-    /// Frames one HTTP response and appends it to `out` verbatim. `out`
-    /// is untouched on error (the response is fully buffered first).
-    fn read_http_response_into(&mut self, out: &mut Vec<u8>) -> io::Result<()> {
-        loop {
-            let window = &self.buf[self.start..];
-            if let Some(header_end) = window.windows(4).position(|w| w == b"\r\n\r\n") {
-                let header = std::str::from_utf8(&window[..header_end])
-                    .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "non-utf8 header"))?;
-                let mut content_length = 0usize;
-                for line in header.split("\r\n").skip(1) {
-                    if let Some((name, value)) = line.split_once(':') {
-                        if name.eq_ignore_ascii_case("content-length") {
-                            content_length = value.trim().parse().map_err(|_| {
-                                io::Error::new(io::ErrorKind::InvalidData, "bad content-length")
-                            })?;
-                        }
-                    }
-                }
-                let total = header_end + 4 + content_length;
-                while self.buf.len() - self.start < total {
-                    self.fill()?;
-                }
-                out.extend_from_slice(&self.buf[self.start..self.start + total]);
-                self.start += total;
-                return Ok(());
-            }
-            self.fill()?;
-        }
-    }
-
-    /// Frames one server BIN frame (reply or typed error) and appends it
-    /// to `out` verbatim — the `WholeFrame` relay, no record decode.
-    /// `out` is untouched on error.
-    fn relay_reply_frame(&mut self, out: &mut Vec<u8>) -> io::Result<()> {
-        while self.buf.len() - self.start < wire::BIN_HEADER_LEN {
-            self.fill()?;
-        }
-        let h = &self.buf[self.start..];
-        if h[0] != wire::BIN_MAGIC || (h[2] != wire::FRAME_REPLY && h[2] != wire::FRAME_ERROR) {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "unexpected upstream frame",
-            ));
-        }
-        let payload_len = u32::from_le_bytes([h[3], h[4], h[5], h[6]]) as usize;
-        if payload_len > wire::MAX_FRAME_PAYLOAD {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "oversized upstream frame",
-            ));
-        }
-        let total = wire::BIN_HEADER_LEN + payload_len;
-        while self.buf.len() - self.start < total {
-            self.fill()?;
-        }
-        out.extend_from_slice(&self.buf[self.start..self.start + total]);
-        self.start += total;
-        Ok(())
-    }
+/// An [`upstream_reply`] failed, or was not the reply its pending
+/// expected: charges the node, drops its reader — whatever else was
+/// owed on it is lost with it — and returns the detail of the typed
+/// error, naming the node. (`failed` is taken before `readers` so the
+/// reply's borrow of them has ended by then.)
+fn node_down(
+    ctx: &RouterCtx,
+    failed: Option<io::Error>,
+    readers: &mut [Option<ConnBuf>],
+    node: usize,
+) -> String {
+    let e = failed.unwrap_or_else(|| io::Error::other("unexpected upstream reply"));
+    ctx.metrics.node_error(node);
+    readers[node] = None;
+    format!("node {} down: {e}", ctx.node_name(node))
 }
 
 /// Processes one pending response, appending client bytes to `out`.
@@ -1985,13 +1861,13 @@ impl NodeReader {
 fn handle_pending(
     ctx: &RouterCtx,
     pending: Pending,
-    readers: &mut [Option<NodeReader>],
+    readers: &mut [Option<ConnBuf>],
     out_buf: &mut Vec<u8>,
     egress: &mut Vec<(u64, u64)>,
 ) {
     match pending {
         Pending::Register { node, stream } => {
-            readers[node] = Some(NodeReader::new(stream));
+            readers[node] = Some(ConnBuf::new(stream));
         }
         Pending::Local(bytes) => {
             out_buf.extend_from_slice(&bytes);
@@ -2001,19 +1877,13 @@ fn handle_pending(
             // answers its own request, so a mid-run failure turns the
             // rest of the run into per-request 503s.
             for _ in 0..count {
-                let result = match readers[node].as_mut() {
-                    Some(r) => r.read_http_response_into(out_buf),
-                    None => Err(io::Error::other("no upstream reader")),
-                };
-                if let Err(e) = result {
-                    ctx.metrics.node_error(node);
-                    readers[node] = None;
-                    let body = format!(
-                        "{{\"error\":\"node {} down: {}\"}}",
-                        ctx.node_name(node),
-                        wire::json_escape(&e.to_string())
-                    );
-                    write_response(out_buf, 503, "application/json", body.as_bytes());
+                match upstream_reply(readers, node) {
+                    Ok((Reply::Http(_), raw)) => out_buf.extend_from_slice(raw),
+                    other => {
+                        let detail = node_down(ctx, other.err(), readers, node);
+                        let body = format!("{{\"error\":\"{}\"}}", wire::json_escape(&detail));
+                        write_response(out_buf, 503, "application/json", body.as_bytes());
+                    }
                 }
             }
             if let Some((id, t_fwd)) = hop {
@@ -2026,18 +1896,15 @@ fn handle_pending(
             }
         }
         Pending::WholeFrame { node, hop } => {
-            let result = match readers[node].as_mut() {
-                Some(r) => r.relay_reply_frame(out_buf),
-                None => Err(io::Error::other("no upstream reader")),
-            };
-            if let Err(e) = result {
-                ctx.metrics.node_error(node);
-                readers[node] = None;
-                encode_error_frame(
-                    out_buf,
-                    BinErrorCode::Unavailable,
-                    &format!("node {} down: {e}", ctx.node_name(node)),
-                );
+            use ServerFrameDecode::{Error, Reply as Records};
+            match upstream_reply(readers, node) {
+                Ok((Reply::Frame(Records { .. } | Error { .. }), raw)) => {
+                    out_buf.extend_from_slice(raw)
+                }
+                other => {
+                    let detail = node_down(ctx, other.err(), readers, node);
+                    encode_error_frame(out_buf, BinErrorCode::Unavailable, &detail);
+                }
             }
             if let Some((id, t_fwd)) = hop {
                 let t_reply = ctx.telem.now_ns();
@@ -2060,30 +1927,20 @@ fn handle_pending(
             // subframe — even after an error, to keep surviving
             // upstream connections in sync for later pendings.
             for node in sent {
-                let result = match readers[node].as_mut() {
-                    Some(r) => r.read_server_frame(),
-                    None => Err(io::Error::other("no upstream reader")),
-                };
-                match result {
-                    Ok(UpstreamFrame::Reply(records)) => {
+                match upstream_reply(readers, node) {
+                    Ok((Reply::Frame(ServerFrameDecode::Reply { records, .. }), _)) => {
                         per_node.insert(node, records.into());
                     }
-                    Ok(UpstreamFrame::Error { code, detail }) => {
+                    Ok((Reply::Frame(ServerFrameDecode::Error { code, detail, .. }), _)) => {
                         // A node's own typed error covers the whole
                         // client frame.
                         if error.is_none() {
                             error = Some((code, detail));
                         }
                     }
-                    Err(e) => {
-                        ctx.metrics.node_error(node);
-                        readers[node] = None;
-                        if error.is_none() {
-                            error = Some((
-                                BinErrorCode::Unavailable,
-                                format!("node {} down: {e}", ctx.node_name(node)),
-                            ));
-                        }
+                    other => {
+                        let detail = node_down(ctx, other.err(), readers, node);
+                        error.get_or_insert((BinErrorCode::Unavailable, detail));
                     }
                 }
             }
@@ -2132,60 +1989,15 @@ fn handle_pending(
     }
 }
 
-/// Minimal one-shot HTTP client for the control plane (provisioning,
-/// migration). Returns `(status, body)`.
-fn http_request(
+/// One control-plane exchange ([`call`]) under the router's
+/// control-plane deadlines: provisioning, migration, scrapes, promotion.
+fn control_call(
     addr: SocketAddr,
     method: &str,
     path: &str,
     body: &[u8],
 ) -> io::Result<(u16, String)> {
-    http_request_timeout(
-        addr,
-        method,
-        path,
-        body,
-        CONNECT_TIMEOUT,
-        Duration::from_secs(5),
-    )
-}
-
-/// [`http_request`] with explicit connect and read deadlines — the
-/// health prober probes on the data-path `upstream_timeout` so a hung
-/// node fails a probe within the same bound clients see.
-fn http_request_timeout(
-    addr: SocketAddr,
-    method: &str,
-    path: &str,
-    body: &[u8],
-    connect: Duration,
-    read: Duration,
-) -> io::Result<(u16, String)> {
-    let mut stream = TcpStream::connect_timeout(&addr, connect)?;
-    stream.set_read_timeout(Some(read))?;
-    let mut msg = Vec::with_capacity(128 + body.len());
-    msg.extend_from_slice(method.as_bytes());
-    msg.push(b' ');
-    msg.extend_from_slice(path.as_bytes());
-    msg.extend_from_slice(b" HTTP/1.1\r\nconnection: close\r\ncontent-length: ");
-    msg.extend_from_slice(body.len().to_string().as_bytes());
-    msg.extend_from_slice(b"\r\n\r\n");
-    msg.extend_from_slice(body);
-    stream.write_all(&msg)?;
-    let mut response = String::new();
-    stream.read_to_string(&mut response)?;
-    let status: u16 = response
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| {
-            io::Error::new(io::ErrorKind::InvalidData, "malformed response status line")
-        })?;
-    let body = response
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_owned())
-        .unwrap_or_default();
-    Ok((status, body))
+    call(addr, method, path, body, CONNECT_TIMEOUT, CONTROL_TIMEOUT)
 }
 
 /// Extracts the first `"key":"value"` string field of a JSON body.
@@ -2207,25 +2019,6 @@ fn parse_id_field(body: &str) -> Option<u16> {
     digits.parse().ok()
 }
 
-/// Parses a node's `GET /admin/tenants` listing into name → wire id.
-fn parse_tenant_listing(body: &str) -> HashMap<String, u16> {
-    let mut ids = HashMap::new();
-    let mut rest = body;
-    while let Some(pos) = rest.find("\"id\":") {
-        rest = &rest[pos + 5..];
-        let digits: String = rest.chars().take_while(|c| c.is_ascii_digit()).collect();
-        let Ok(id) = digits.parse::<u16>() else { break };
-        let Some(name_pos) = rest.find("\"name\":\"") else {
-            break;
-        };
-        let after = &rest[name_pos + 8..];
-        let Some(end) = after.find('"') else { break };
-        ids.insert(after[..end].to_owned(), id);
-        rest = &after[end..];
-    }
-    ids
-}
-
 /// Ensures every configured tenant exists on `addr` (registering missing
 /// ones with their policy and budget) and returns the node's tenant
 /// name → wire id map.
@@ -2233,12 +2026,12 @@ fn provision_node(
     addr: SocketAddr,
     tenants: &[RouterTenant],
 ) -> Result<HashMap<String, u16>, String> {
-    let (status, body) = http_request(addr, "GET", "/admin/tenants", b"")
+    let (status, body) = control_call(addr, "GET", "/admin/tenants", b"")
         .map_err(|e| format!("cannot list tenants: {e}"))?;
     if status != 200 {
         return Err(format!("tenant listing failed ({status}): {body}"));
     }
-    let mut ids = parse_tenant_listing(&body);
+    let mut ids = wire::parse_tenant_listing(&body);
     for t in tenants {
         if ids.contains_key(&t.name) {
             continue;
@@ -2252,7 +2045,7 @@ fn provision_node(
         } else {
             format!("{}={spec}", t.name)
         };
-        let (status, resp) = http_request(addr, "POST", "/admin/tenants", arg.as_bytes())
+        let (status, resp) = control_call(addr, "POST", "/admin/tenants", arg.as_bytes())
             .map_err(|e| format!("cannot register tenant '{}': {e}", t.name))?;
         if status != 200 {
             return Err(format!(
@@ -2288,7 +2081,7 @@ mod tests {
     #[test]
     fn tenant_listing_parser_handles_node_shape() {
         let body = r#"[{"id":0,"name":"default","policy":"hybrid-4h[5,99]cv2","budget_mb":0},{"id":3,"name":"t1","policy":"fixed-10min","budget_mb":64}]"#;
-        let ids = parse_tenant_listing(body);
+        let ids = wire::parse_tenant_listing(body);
         assert_eq!(ids.get("default"), Some(&0));
         assert_eq!(ids.get("t1"), Some(&3));
         assert_eq!(ids.len(), 2);
@@ -2407,7 +2200,7 @@ mod tests {
                 include_str!("../tests/golden/router_debug_trace.json"),
             ),
         ] {
-            let (status, body) = http_request(router.addr(), "GET", path, b"").unwrap();
+            let (status, body) = control_call(router.addr(), "GET", path, b"").unwrap();
             assert_eq!(status, 200, "{path}");
             assert_eq!(body, golden, "{path}");
         }
@@ -2431,7 +2224,7 @@ mod tests {
         assert!(recorder.join().is_err());
         assert!(router.ctx.telem.events.is_poisoned() && router.ctx.metrics.usage.is_poisoned());
         for path in ["/metrics", "/debug/events", "/debug/trace"] {
-            let status = http_request(router.addr(), "GET", path, b"").map(|(status, _)| status);
+            let status = control_call(router.addr(), "GET", path, b"").map(|(status, _)| status);
             assert_eq!(status.ok(), Some(200), "{path}");
         }
         router.shutdown();

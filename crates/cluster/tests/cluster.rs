@@ -10,9 +10,13 @@ use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::time::Duration;
 
-use common::{http, start_node, BinClient, BinResponse, JsonClient};
+use common::{http, records, start_node};
 use sitw_cluster::{control_roundtrip, ClusterRing, Router, RouterConfig, RouterTenant};
-use sitw_serve::wire::{self, BinErrorCode, BinReply, ControlReply, ControlRequest};
+use sitw_serve::http::Reply;
+use sitw_serve::wire::{
+    self, BinErrorCode, BinReply, ControlReply, ControlRequest, ServerFrameDecode,
+};
+use sitw_serve::Client;
 
 fn router_over(nodes: &[SocketAddr], tenants: &[&str]) -> Router {
     Router::start(RouterConfig {
@@ -36,19 +40,19 @@ fn routes_both_protocols_and_reassembles_batches() {
 
     // JSON: cold then warm per tenant — the second hit lands on the same
     // node as the first, or it could not be warm.
-    let mut json = JsonClient::connect(router.addr());
+    let mut json = Client::connect(router.addr()).unwrap();
     for tenant in [Some("t0"), Some("t1"), Some("t2"), None] {
-        let (status, body) = json.invoke(tenant, "app-j", 0);
+        let (status, body) = json.invoke(tenant, "app-j", 0, None).unwrap();
         assert_eq!(status, 200, "{body}");
         assert!(body.contains("\"verdict\":\"cold\""), "{body}");
-        let (status, body) = json.invoke(tenant, "app-j", 10_000);
+        let (status, body) = json.invoke(tenant, "app-j", 10_000, None).unwrap();
         assert_eq!(status, 200, "{body}");
         assert!(body.contains("\"verdict\":\"warm\""), "{body}");
     }
 
     // BIN v2: one frame mixing every tenant and the default — the router
     // splits it across nodes and reassembles replies in request order.
-    let mut bin = BinClient::connect(router.addr());
+    let mut bin = Client::connect(router.addr()).unwrap();
     let batch: Vec<(u16, &str, u64)> = vec![
         (1, "app-b", 20_000),
         (2, "app-b", 20_000),
@@ -56,7 +60,7 @@ fn routes_both_protocols_and_reassembles_batches() {
         (3, "app-b", 20_000),
         (1, "app-c", 20_000),
     ];
-    let replies = bin.batch(&batch);
+    let replies = records(bin.batch(|f| wire::encode_request_frame_v2(f, &batch)));
     assert_eq!(replies.len(), batch.len());
     for (i, r) in replies.iter().enumerate() {
         match r {
@@ -67,7 +71,8 @@ fn routes_both_protocols_and_reassembles_batches() {
     // Same shape again within keep-alive: all warm — per-record routing
     // is deterministic across frames.
     let batch: Vec<(u16, &str, u64)> = batch.iter().map(|&(t, a, ts)| (t, a, ts + 1_000)).collect();
-    for (i, r) in bin.batch(&batch).iter().enumerate() {
+    let replies = records(bin.batch(|f| wire::encode_request_frame_v2(f, &batch)));
+    for (i, r) in replies.iter().enumerate() {
         match r {
             BinReply::Verdict { cold, .. } => assert!(!*cold, "record {i} must be warm: {r:?}"),
             other => panic!("record {i}: {other:?}"),
@@ -75,8 +80,9 @@ fn routes_both_protocols_and_reassembles_batches() {
     }
 
     // BIN v1 still works through the router (default tenant traffic).
-    let mut v1 = BinClient::connect(router.addr());
-    let replies = v1.batch_v1(&[("app-v1", 30_000), ("app-b", 30_000)]);
+    let mut v1 = Client::connect(router.addr()).unwrap();
+    let frame = [("app-v1", 30_000), ("app-b", 30_000)];
+    let replies = records(v1.batch(|f| wire::encode_request_frame(f, &frame)));
     assert_eq!(replies.len(), 2);
     assert!(matches!(replies[1], BinReply::Verdict { cold: false, .. }));
 
@@ -131,19 +137,20 @@ fn qos_throttling_is_typed_in_both_protocols() {
 
     // JSON: the bucket admits one per second; the second hit in the same
     // second is a local 429 — the node never sees it.
-    let mut json = JsonClient::connect(router.addr());
-    let (status, _) = json.invoke(Some("bronze"), "a", 0);
+    let mut json = Client::connect(router.addr()).unwrap();
+    let (status, _) = json.invoke(Some("bronze"), "a", 0, None).unwrap();
     assert_eq!(status, 200);
-    let (status, body) = json.invoke(Some("bronze"), "a", 100);
+    let (status, body) = json.invoke(Some("bronze"), "a", 100, None).unwrap();
     assert_eq!(status, 429, "{body}");
     assert!(body.contains("throttled"), "{body}");
-    let (status, _) = json.invoke(Some("bronze"), "a", 2_000);
+    let (status, _) = json.invoke(Some("bronze"), "a", 2_000, None).unwrap();
     assert_eq!(status, 200, "bucket refills");
 
     // BIN: the throttled record comes back as the typed verdict bit,
     // spliced into the reply frame alongside served records.
-    let mut bin = BinClient::connect(router.addr());
-    let replies = bin.batch(&[(2, "b", 0), (2, "b", 100), (2, "b", 2_000)]);
+    let mut bin = Client::connect(router.addr()).unwrap();
+    let frame = [(2, "b", 0), (2, "b", 100), (2, "b", 2_000)];
+    let replies = records(bin.batch(|f| wire::encode_request_frame_v2(f, &frame)));
     assert!(matches!(replies[0], BinReply::Verdict { .. }));
     assert!(
         matches!(replies[1], BinReply::Throttled),
@@ -193,18 +200,21 @@ fn dead_node_yields_typed_errors_and_ring_drop_recovers() {
     node1.shutdown().unwrap();
 
     // JSON to the dead node's tenant: typed 503 naming the node.
-    let mut json = JsonClient::connect(router.addr());
-    let (status, body) = json.invoke(Some(&victim), "a", 0);
+    let mut json = Client::connect(router.addr()).unwrap();
+    let (status, body) = json.invoke(Some(&victim), "a", 0, None).unwrap();
     assert_eq!(status, 503, "{body}");
     assert!(body.contains("node") && body.contains("down"), "{body}");
     // The survivor's tenant still serves.
-    let (status, _) = json.invoke(Some(&survivor_tenant), "a", 0);
+    let (status, _) = json.invoke(Some(&survivor_tenant), "a", 0, None).unwrap();
     assert_eq!(status, 200);
 
     // BIN to the dead node's tenant: typed Unavailable error frame.
-    let mut bin = BinClient::connect(router.addr());
-    match bin.batch_raw(&[(victim_id, "a", 100)]) {
-        BinResponse::Error { code, detail } => {
+    let mut bin = Client::connect(router.addr()).unwrap();
+    match bin
+        .batch(|f| wire::encode_request_frame_v2(f, &[(victim_id, "a", 100)]))
+        .unwrap()
+    {
+        Reply::Frame(ServerFrameDecode::Error { code, detail, .. }) => {
             assert_eq!(code, BinErrorCode::Unavailable, "{detail}");
             assert!(detail.contains("down"), "{detail}");
         }
@@ -218,7 +228,8 @@ fn dead_node_yields_typed_errors_and_ring_drop_recovers() {
         .map(|i| format!("app-{i}"))
         .find(|a| ring.node_of_app(a) == Some(0))
         .unwrap();
-    let replies = bin.batch(&[(0, alive_app.as_str(), 100)]);
+    let frame = [(0, alive_app.as_str(), 100)];
+    let replies = records(bin.batch(|f| wire::encode_request_frame_v2(f, &frame)));
     assert_eq!(replies.len(), 1);
 
     // Operator acknowledges the loss: epoch advances, tenants rehash
@@ -230,7 +241,7 @@ fn dead_node_yields_typed_errors_and_ring_drop_recovers() {
         body.contains("\"dropped\":true") && body.contains("\"epoch\":1"),
         "{body}"
     );
-    let (status, body) = json.invoke(Some(&victim), "a", 200);
+    let (status, body) = json.invoke(Some(&victim), "a", 200, None).unwrap();
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("\"verdict\":\"cold\""), "{body}");
 
@@ -254,9 +265,11 @@ fn reconciler_pushes_budgets_to_ring_owners() {
     let addrs: Vec<SocketAddr> = nodes.iter().map(|n| n.addr()).collect();
     let router = router_over(&addrs, &["metered=hybrid,budget=48", "free=hybrid"]);
 
-    let mut json = JsonClient::connect(router.addr());
+    let mut json = Client::connect(router.addr()).unwrap();
     for i in 0..5u64 {
-        let (status, _) = json.invoke(Some("metered"), &format!("app-{i}"), i * 1_000);
+        let (status, _) = json
+            .invoke(Some("metered"), &format!("app-{i}"), i * 1_000, None)
+            .unwrap();
         assert_eq!(status, 200);
     }
 
@@ -359,12 +372,18 @@ fn trace_ids_span_router_and_node_timelines() {
     // request the router self-samples (trace_sample = 1 tags them all).
     let json_id: u64 = (1 << 63) | 0x1001;
     let bin_id: u64 = (1 << 63) | 0x2002;
-    let mut json = JsonClient::connect(router.addr());
-    let (status, body) = json.invoke_traced(Some("t0"), "app-tr", 1_000, json_id);
+    let mut json = Client::connect(router.addr()).unwrap();
+    let (status, body) = json
+        .invoke(Some("t0"), "app-tr", 1_000, Some(json_id))
+        .unwrap();
     assert_eq!(status, 200, "{body}");
-    assert_eq!(json.invoke(Some("t1"), "app-tr", 1_500).0, 200);
-    let mut bin = BinClient::connect(router.addr());
-    let replies = bin.batch_traced(&[(1, "app-tb", 2_000), (2, "app-tb", 2_000)], bin_id);
+    assert_eq!(
+        json.invoke(Some("t1"), "app-tr", 1_500, None).unwrap().0,
+        200
+    );
+    let mut bin = Client::connect(router.addr()).unwrap();
+    let frame = [(1, "app-tb", 2_000), (2, "app-tb", 2_000)];
+    let replies = records(bin.batch(|f| wire::encode_request_frame_v2_traced(f, &frame, bin_id)));
     assert_eq!(replies.len(), 2);
 
     // The router records a request's `egress` hop *after* writing the
@@ -454,12 +473,17 @@ fn fleet_federation_is_bucket_exact_and_events_record_provenance() {
     let addrs: Vec<SocketAddr> = nodes.iter().map(|n| n.addr()).collect();
     let router = router_over(&addrs, &["t0=fixed:10", "t1=fixed:10", "t2=fixed:10"]);
 
-    let mut json = JsonClient::connect(router.addr());
+    let mut json = Client::connect(router.addr()).unwrap();
     for i in 0..9u64 {
         let tenant = ["t0", "t1", "t2"][(i % 3) as usize];
-        assert_eq!(json.invoke(Some(tenant), "app-f", 1_000 + i).0, 200);
+        assert_eq!(
+            json.invoke(Some(tenant), "app-f", 1_000 + i, None)
+                .unwrap()
+                .0,
+            200
+        );
     }
-    let mut bin = BinClient::connect(router.addr());
+    let mut bin = Client::connect(router.addr()).unwrap();
     for f in 0..2u64 {
         let batch: Vec<(u16, String, u64)> = (0..6u64)
             .map(|i| ((i % 4) as u16, format!("app-b{i}"), 5_000 + f * 100 + i))
@@ -468,7 +492,8 @@ fn fleet_federation_is_bucket_exact_and_events_record_provenance() {
             .iter()
             .map(|(t, a, ts)| (*t, a.as_str(), *ts))
             .collect();
-        assert_eq!(bin.batch(&borrowed).len(), 6);
+        let replies = records(bin.batch(|f| wire::encode_request_frame_v2(f, &borrowed)));
+        assert_eq!(replies.len(), 6);
     }
 
     // The federated scrape merges all three nodes, bucket-exactly: the
@@ -715,21 +740,25 @@ fn oversized_body_gets_413_through_the_router_not_a_reset() {
     let node = start_node();
     let router = router_over(&[node.addr()], &[]);
     for attempt in 0..20 {
-        let mut stream = TcpStream::connect(router.addr()).unwrap();
-        stream
-            .write_all(b"POST /invoke HTTP/1.1\r\ncontent-length: 1099511627776\r\n\r\n")
+        let mut client = Client::connect(router.addr()).unwrap();
+        client
+            .send(b"POST /invoke HTTP/1.1\r\ncontent-length: 1099511627776\r\n\r\n")
             .unwrap();
-        stream
-            .write_all(&vec![b'x'; 256 * 1024])
+        client
+            .send(&vec![b'x'; 256 * 1024])
             .unwrap_or_else(|e| panic!("attempt {attempt}: body write: {e}"));
-        let mut response = String::new();
-        stream
-            .read_to_string(&mut response)
+        let (status, body) = client
+            .response()
             .unwrap_or_else(|e| panic!("attempt {attempt}: {e}"));
+        assert_eq!(status, 413, "attempt {attempt}: {body}");
         assert!(
-            response.starts_with("HTTP/1.1 413 Payload Too Large\r\n"),
-            "attempt {attempt}: {response}"
+            client
+                .conn()
+                .reply_raw()
+                .starts_with(b"HTTP/1.1 413 Payload Too Large\r\n"),
+            "attempt {attempt}: {body}"
         );
+        expect_fin(&mut client, attempt);
     }
     router.shutdown();
     node.shutdown().unwrap();
@@ -740,26 +769,31 @@ fn bad_version_frame_gets_its_typed_error_through_the_router_not_a_reset() {
     let node = start_node();
     let router = router_over(&[node.addr()], &[]);
     for attempt in 0..20 {
-        let mut stream = TcpStream::connect(router.addr()).unwrap();
+        let mut client = Client::connect(router.addr()).unwrap();
         let mut frame = vec![wire::BIN_MAGIC, 9, wire::FRAME_REQUEST];
         frame.extend_from_slice(&(256u32 * 1024).to_le_bytes());
         frame.extend_from_slice(&1u32.to_le_bytes());
         frame.resize(wire::BIN_HEADER_LEN + 256 * 1024, 0);
-        stream
-            .write_all(&frame)
+        client
+            .send(&frame)
             .unwrap_or_else(|e| panic!("attempt {attempt}: frame write: {e}"));
-        let mut response = Vec::new();
-        stream
-            .read_to_end(&mut response)
-            .unwrap_or_else(|e| panic!("attempt {attempt}: {e}"));
-        match wire::decode_server_frame(&response) {
-            wire::ServerFrameDecode::Error { code, consumed, .. } => {
-                assert_eq!(code, BinErrorCode::BadVersion, "attempt {attempt}");
-                assert_eq!(consumed, response.len(), "attempt {attempt}");
+        match client.recv() {
+            Ok(Reply::Frame(ServerFrameDecode::Error { code, .. })) => {
+                assert_eq!(code, BinErrorCode::BadVersion, "attempt {attempt}")
             }
             other => panic!("attempt {attempt}: {other:?}"),
         }
+        // Nothing but the error frame, then the close.
+        expect_fin(&mut client, attempt);
     }
     router.shutdown();
     node.shutdown().unwrap();
+}
+
+/// The connection ends with a FIN: a reset would surface as an error.
+fn expect_fin(client: &mut Client, attempt: usize) {
+    match client.conn().read_reply() {
+        Ok(Reply::Eof) => {}
+        other => panic!("attempt {attempt}: expected a clean close, got {other:?}"),
+    }
 }

@@ -1,15 +1,20 @@
-//! Shared harness for the cluster integration tests: node spawning,
-//! blocking JSON / SITW-BIN clients, and a one-shot HTTP helper.
+//! Shared harness for the cluster integration tests: node spawning, a
+//! one-shot HTTP helper, and a scriptable fake node. The protocol
+//! clients are `sitw_serve::Client` — the tests speak to routers and
+//! nodes through the same reader the router speaks to nodes with.
 
 // Each integration-test crate compiles its own copy; not every crate
 // uses every helper.
 #![allow(dead_code)]
 
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::thread;
+use std::time::Duration;
 
 use sitw_core::PolicySpec;
-use sitw_serve::wire::{self, BinReply, ServerFrameDecode};
+use sitw_serve::http::Reply;
+use sitw_serve::wire::BinReply;
 use sitw_serve::{ServeConfig, Server, TenantConfig};
 
 /// Starts one bare node: no tenants (the router provisions them), the
@@ -25,208 +30,45 @@ pub fn start_node() -> Server {
     .expect("node starts")
 }
 
-/// One-shot HTTP request (`connection: close`); returns `(status, body)`.
+/// One-shot HTTP request on a fresh connection; returns `(status, body)`.
 pub fn http(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    let msg = format!(
-        "{method} {path} HTTP/1.1\r\nconnection: close\r\ncontent-length: {}\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(msg.as_bytes()).expect("write");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read");
-    let status: u16 = response
-        .split_ascii_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .expect("status line");
-    let body = response
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_owned())
-        .unwrap_or_default();
-    (status, body)
+    let wait = Duration::from_secs(10);
+    sitw_serve::http::call(addr, method, path, body.as_bytes(), wait, wait).expect("http call")
 }
 
-/// Blocking keep-alive JSON client.
-pub struct JsonClient {
-    stream: TcpStream,
-    buf: Vec<u8>,
+/// The verdicts of the reply frame a `Client::batch` got back.
+pub fn records(reply: std::io::Result<Reply>) -> Vec<BinReply> {
+    reply.and_then(Reply::records).expect("reply frame")
 }
 
-impl JsonClient {
-    pub fn connect(addr: SocketAddr) -> JsonClient {
-        let stream = TcpStream::connect(addr).expect("connect");
-        stream.set_nodelay(true).unwrap();
-        JsonClient {
-            stream,
-            buf: Vec::new(),
-        }
-    }
-
-    pub fn invoke(&mut self, tenant: Option<&str>, app: &str, ts: u64) -> (u16, String) {
-        let body = match tenant {
-            Some(t) => format!("{{\"tenant\":\"{t}\",\"app\":\"{app}\",\"ts\":{ts}}}"),
-            None => format!("{{\"app\":\"{app}\",\"ts\":{ts}}}"),
-        };
-        let req = format!(
-            "POST /invoke HTTP/1.1\r\ncontent-length: {}\r\n\r\n{body}",
-            body.len()
-        );
-        self.stream.write_all(req.as_bytes()).expect("write");
-        self.read_response()
-    }
-
-    /// `POST /invoke` carrying a propagated `x-sitw-trace` id.
-    pub fn invoke_traced(
-        &mut self,
-        tenant: Option<&str>,
-        app: &str,
-        ts: u64,
-        trace: u64,
-    ) -> (u16, String) {
-        let body = match tenant {
-            Some(t) => format!("{{\"tenant\":\"{t}\",\"app\":\"{app}\",\"ts\":{ts}}}"),
-            None => format!("{{\"app\":\"{app}\",\"ts\":{ts}}}"),
-        };
-        let req = format!(
-            "POST /invoke HTTP/1.1\r\nx-sitw-trace: {trace:#018x}\r\n\
-             content-length: {}\r\n\r\n{body}",
-            body.len()
-        );
-        self.stream.write_all(req.as_bytes()).expect("write");
-        self.read_response()
-    }
-
-    fn read_response(&mut self) -> (u16, String) {
-        loop {
-            if let Some(header_end) = self.buf.windows(4).position(|w| w == b"\r\n\r\n") {
-                let header = String::from_utf8_lossy(&self.buf[..header_end]).into_owned();
-                let status: u16 = header
-                    .split_ascii_whitespace()
-                    .nth(1)
-                    .and_then(|s| s.parse().ok())
-                    .expect("status");
-                let content_length: usize = header
-                    .lines()
-                    .find_map(|l| {
-                        let (name, value) = l.split_once(':')?;
-                        name.eq_ignore_ascii_case("content-length")
-                            .then(|| value.trim().parse().ok())?
-                    })
-                    .unwrap_or(0);
-                let total = header_end + 4 + content_length;
-                while self.buf.len() < total {
-                    self.fill();
+/// A fake node: answers the router's provisioning request
+/// (`GET /admin/tenants`) like an empty node, and hands every other
+/// connection — with the first bytes the router sent on it — to
+/// `misbehave`, which plays the confused, hung or hostile upstream.
+pub fn start_fake_node(misbehave: fn(TcpStream, &[u8])) -> SocketAddr {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake node");
+    let addr = listener.local_addr().unwrap();
+    thread::spawn(move || {
+        for stream in listener.incoming() {
+            let Ok(mut stream) = stream else { continue };
+            thread::spawn(move || {
+                let mut chunk = [0u8; 4096];
+                let n = match stream.read(&mut chunk) {
+                    Ok(0) | Err(_) => return,
+                    Ok(n) => n,
+                };
+                if chunk[..n].starts_with(b"GET /admin/tenants") {
+                    let body = r#"[{"id":0,"name":"default","policy":"-","budget_mb":0}]"#;
+                    let resp = format!(
+                        "HTTP/1.1 200 OK\r\ncontent-length: {}\r\n\r\n{body}",
+                        body.len()
+                    );
+                    let _ = stream.write_all(resp.as_bytes());
+                } else {
+                    misbehave(stream, &chunk[..n]);
                 }
-                let body = String::from_utf8_lossy(&self.buf[header_end + 4..total]).into_owned();
-                self.buf.drain(..total);
-                return (status, body);
-            }
-            self.fill();
+            });
         }
-    }
-
-    fn fill(&mut self) {
-        let mut chunk = [0u8; 16 * 1024];
-        let n = self.stream.read(&mut chunk).expect("read");
-        assert!(n > 0, "peer closed connection unexpectedly");
-        self.buf.extend_from_slice(&chunk[..n]);
-    }
-}
-
-/// Blocking SITW-BIN client (v1 and v2 framing).
-pub struct BinClient {
-    stream: TcpStream,
-    buf: Vec<u8>,
-}
-
-/// One decoded server frame, for tests that expect typed errors.
-#[derive(Debug)]
-pub enum BinResponse {
-    Reply(Vec<BinReply>),
-    Error {
-        code: wire::BinErrorCode,
-        detail: String,
-    },
-}
-
-impl BinClient {
-    pub fn connect(addr: SocketAddr) -> BinClient {
-        let stream = TcpStream::connect(addr).expect("connect");
-        stream.set_nodelay(true).unwrap();
-        BinClient {
-            stream,
-            buf: Vec::new(),
-        }
-    }
-
-    /// Sends one v2 frame and expects a reply frame.
-    pub fn batch(&mut self, records: &[(u16, &str, u64)]) -> Vec<BinReply> {
-        match self.batch_raw(records) {
-            BinResponse::Reply(records) => records,
-            BinResponse::Error { code, detail } => {
-                panic!("unexpected error frame {code:?}: {detail}")
-            }
-        }
-    }
-
-    /// Sends one v2 frame; the response may be a typed error frame.
-    pub fn batch_raw(&mut self, records: &[(u16, &str, u64)]) -> BinResponse {
-        let mut frame = Vec::new();
-        wire::encode_request_frame_v2(&mut frame, records);
-        self.stream.write_all(&frame).expect("write frame");
-        self.read_frame()
-    }
-
-    /// Sends one v2 frame carrying a trace id and expects a reply frame.
-    pub fn batch_traced(&mut self, records: &[(u16, &str, u64)], trace: u64) -> Vec<BinReply> {
-        let mut frame = Vec::new();
-        wire::encode_request_frame_v2_traced(&mut frame, records, trace);
-        self.stream.write_all(&frame).expect("write frame");
-        match self.read_frame() {
-            BinResponse::Reply(records) => records,
-            BinResponse::Error { code, detail } => {
-                panic!("unexpected error frame {code:?}: {detail}")
-            }
-        }
-    }
-
-    /// Sends one v1 frame (default tenant only) and expects a reply.
-    pub fn batch_v1(&mut self, records: &[(&str, u64)]) -> Vec<BinReply> {
-        let mut frame = Vec::new();
-        wire::encode_request_frame(&mut frame, records);
-        self.stream.write_all(&frame).expect("write frame");
-        match self.read_frame() {
-            BinResponse::Reply(records) => records,
-            BinResponse::Error { code, detail } => {
-                panic!("unexpected error frame {code:?}: {detail}")
-            }
-        }
-    }
-
-    fn read_frame(&mut self) -> BinResponse {
-        loop {
-            match wire::decode_server_frame(&self.buf) {
-                ServerFrameDecode::Reply { records, consumed } => {
-                    self.buf.drain(..consumed);
-                    return BinResponse::Reply(records);
-                }
-                ServerFrameDecode::Error {
-                    code,
-                    detail,
-                    consumed,
-                } => {
-                    self.buf.drain(..consumed);
-                    return BinResponse::Error { code, detail };
-                }
-                ServerFrameDecode::Incomplete => {
-                    let mut chunk = [0u8; 16 * 1024];
-                    let n = self.stream.read(&mut chunk).expect("read");
-                    assert!(n > 0, "peer closed mid-frame");
-                    self.buf.extend_from_slice(&chunk[..n]);
-                }
-                other => panic!("unexpected server frame: {other:?}"),
-            }
-        }
-    }
+    });
+    addr
 }

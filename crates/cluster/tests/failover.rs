@@ -15,16 +15,14 @@
 
 mod common;
 
-use std::io::{Read, Write};
-use std::net::TcpListener;
 use std::thread;
 use std::time::{Duration, Instant};
 
 use sitw_cluster::{FailoverMode, Router, RouterConfig, RouterTenant};
 use sitw_core::PolicySpec;
-use sitw_serve::{FollowConfig, Follower, ServeConfig};
+use sitw_serve::{Client, FollowConfig, Follower, ServeConfig};
 
-use common::{http, start_node, JsonClient};
+use common::{http, start_fake_node, start_node};
 
 /// Polls `f` until it returns true or the deadline passes.
 fn wait_for(what: &str, timeout: Duration, mut f: impl FnMut() -> bool) {
@@ -38,42 +36,14 @@ fn wait_for(what: &str, timeout: Duration, mut f: impl FnMut() -> bool) {
     panic!("timed out waiting for {what}");
 }
 
-/// A fake node that answers the router's provisioning request
-/// (`GET /admin/tenants`) and then *hangs* on everything else: the
-/// connection stays open, no bytes ever come back — the wire shape of a
-/// SIGSTOPped or dead-disk node, as opposed to a killed one.
+/// A fake node that answers the router's provisioning request and
+/// then *hangs* on everything else: the connection stays open, no bytes
+/// ever come back — the wire shape of a SIGSTOPped or dead-disk node,
+/// as opposed to a killed one.
 fn start_hung_node() -> std::net::SocketAddr {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake node");
-    let addr = listener.local_addr().unwrap();
-    thread::spawn(move || {
-        for stream in listener.incoming() {
-            let Ok(mut stream) = stream else { continue };
-            thread::spawn(move || {
-                let mut buf = Vec::new();
-                let mut chunk = [0u8; 4096];
-                while !buf.windows(4).any(|w| w == b"\r\n\r\n") {
-                    match stream.read(&mut chunk) {
-                        Ok(0) | Err(_) => return,
-                        Ok(n) => buf.extend_from_slice(&chunk[..n]),
-                    }
-                }
-                let head = String::from_utf8_lossy(&buf);
-                if head.starts_with("GET /admin/tenants") {
-                    let body = r#"[{"id":0,"name":"default","policy":"-","budget_mb":0}]"#;
-                    let resp = format!(
-                        "HTTP/1.1 200 OK\r\ncontent-length: {}\r\n\r\n{body}",
-                        body.len()
-                    );
-                    let _ = stream.write_all(resp.as_bytes());
-                } else {
-                    // Hang: hold the connection open well past any
-                    // deadline the test asserts on.
-                    thread::sleep(Duration::from_secs(30));
-                }
-            });
-        }
-    });
-    addr
+    // Hold the connection open well past any deadline the test
+    // asserts on.
+    start_fake_node(|_stream, _request| thread::sleep(Duration::from_secs(30)))
 }
 
 #[test]
@@ -87,9 +57,9 @@ fn hung_upstream_times_out_with_typed_503() {
     })
     .expect("router starts");
 
-    let mut client = JsonClient::connect(router.addr());
+    let mut client = Client::connect(router.addr()).unwrap();
     let t0 = Instant::now();
-    let (status, body) = client.invoke(None, "app-0", 1_000);
+    let (status, body) = client.invoke(None, "app-0", 1_000, None).unwrap();
     let elapsed = t0.elapsed();
     assert_eq!(status, 503, "{body}");
     assert!(body.contains(&node.to_string()), "names the node: {body}");
@@ -136,9 +106,11 @@ fn supervised_failover_promotes_standby_and_resumes_traffic() {
     assert!(body.contains("\"failover\":\"supervised\""), "{body}");
 
     // Phase 1: traffic lands on the primary and replicates.
-    let mut client = JsonClient::connect(router.addr());
+    let mut client = Client::connect(router.addr()).unwrap();
     for i in 0..20u64 {
-        let (status, body) = client.invoke(Some("t0"), "app-a", 1_000 * (i + 1));
+        let (status, body) = client
+            .invoke(Some("t0"), "app-a", 1_000 * (i + 1), None)
+            .unwrap();
         assert_eq!(status, 200, "{body}");
     }
     drop(client);
@@ -183,9 +155,11 @@ fn supervised_failover_promotes_standby_and_resumes_traffic() {
 
     // Phase 2: traffic resumes against the promoted node — same slot,
     // same tenant, new address.
-    let mut client = JsonClient::connect(router.addr());
+    let mut client = Client::connect(router.addr()).unwrap();
     for i in 20..30u64 {
-        let (status, body) = client.invoke(Some("t0"), "app-a", 1_000 * (i + 1));
+        let (status, body) = client
+            .invoke(Some("t0"), "app-a", 1_000 * (i + 1), None)
+            .unwrap();
         assert_eq!(status, 200, "{body}");
     }
 
@@ -235,9 +209,9 @@ fn auto_failover_without_standby_drops_the_dead_node() {
 
     // Both tenants now land on the survivor, whichever node they hashed
     // to before the drop.
-    let mut client = JsonClient::connect(router.addr());
+    let mut client = Client::connect(router.addr()).unwrap();
     for tenant in ["t0", "t1"] {
-        let (status, body) = client.invoke(Some(tenant), "app-a", 1_000);
+        let (status, body) = client.invoke(Some(tenant), "app-a", 1_000, None).unwrap();
         assert_eq!(status, 200, "{body}");
     }
     let (_, events) = http(router.addr(), "GET", "/debug/events", "");

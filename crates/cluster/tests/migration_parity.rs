@@ -12,13 +12,14 @@ mod common;
 
 use std::net::SocketAddr;
 
-use common::{http, start_node, BinClient, JsonClient};
+use common::{http, records, start_node};
 use sitw_cluster::{
     control_roundtrip, ClusterOutcome, ClusterRing, ClusterSim, Router, RouterConfig, RouterTenant,
 };
 use sitw_core::PolicySpec;
 use sitw_fleet::{footprint_mb, TenantId, TenantRegistry};
 use sitw_serve::wire::{self, BinReply, ControlReply, ControlRequest, TenantUsage};
+use sitw_serve::Client;
 use sitw_trace::{app_invocations, build_population, PopulationConfig, TraceConfig, DAY_MS};
 
 /// One observed cluster answer, protocol-agnostic.
@@ -199,8 +200,8 @@ fn migration_mid_replay_is_bit_identical_to_cluster_sim() {
     let metered_owner = ClusterRing::new(3).node_of_tenant("metered").unwrap();
     let migrate_to = (metered_owner + 1) % 3;
     let half = merged.len() / 2;
-    let mut json = JsonClient::connect(router.addr());
-    let mut bin = BinClient::connect(router.addr());
+    let mut json = Client::connect(router.addr()).unwrap();
+    let mut bin = Client::connect(router.addr()).unwrap();
     let mut migrated = false;
     let mut use_json = true;
     let mut served = [0u64; 4];
@@ -221,10 +222,11 @@ fn migration_mid_replay_is_bit_identical_to_cluster_sim() {
             }
             let expected = outcome_of_sim(sim.step(*tid, app, *ts));
             let online = if use_json {
-                let (status, body) = json.invoke(*name, app, *ts);
+                let (status, body) = json.invoke(*name, app, *ts, None).unwrap();
                 outcome_of_json(status, &body)
             } else {
-                let replies = bin.batch(&[(*tid, app.as_str(), *ts)]);
+                let frame = [(*tid, app.as_str(), *ts)];
+                let replies = records(bin.batch(|f| wire::encode_request_frame_v2(f, &frame)));
                 outcome_of_bin(&replies[0])
             };
             assert_eq!(online, expected, "event {} ({name:?}, {app}, {ts})", i + j);

@@ -18,7 +18,7 @@
 //! `sitw_serve_repl_*` families), `/debug/events`, and the two admin
 //! verbs, all control-plane rates where a reactor would be overkill.
 
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 
 use sitw_telemetry::{lock_unpoisoned, EventKind, EventRing, LifecycleEvent};
 
-use crate::http::{write_response, ConnBuf, ReadOutcome, Request, MAX_BODY_BYTES};
+use crate::http::{write_response, ConnBuf, ReadOutcome, Reply, Request, MAX_BODY_BYTES};
 use crate::metrics::{ConnStats, MetricsReport, ProtoStats, ReplStats};
 use crate::server::{ServeConfig, Server};
 use crate::snapshot::{apply_delta, Snapshot};
@@ -87,7 +87,7 @@ struct CommittedRound {
     doc: Vec<u8>,
 }
 
-/// Incremental reassembly of one replication round from a byte stream.
+/// Incremental reassembly of one replication round from its frames.
 /// Chunks must arrive in sequence order and agree on kind and epoch —
 /// anything else is a protocol error that forces a resync.
 #[derive(Debug, Default)]
@@ -99,51 +99,44 @@ struct RoundAssembler {
 }
 
 impl RoundAssembler {
-    /// Consumes complete frames from the front of `buf`. Returns the
-    /// bytes consumed and the round, once its commit frame arrives.
-    fn feed(&mut self, buf: &[u8]) -> Result<(usize, Option<CommittedRound>), String> {
-        let mut consumed = 0usize;
-        loop {
-            match wire::decode_server_frame(&buf[consumed..]) {
-                ServerFrameDecode::Incomplete => return Ok((consumed, None)),
-                ServerFrameDecode::ReplChunk {
-                    full_sync,
-                    epoch,
-                    seq,
-                    last: _,
-                    data,
-                    consumed: n,
-                } => {
-                    if seq != self.next_seq {
-                        return Err(format!("chunk seq {seq}, expected {}", self.next_seq));
-                    }
-                    if self.full_sync.is_some_and(|f| f != full_sync)
-                        || self.epoch.is_some_and(|e| e != epoch)
-                    {
-                        return Err("mixed kinds or epochs within one round".into());
-                    }
-                    self.full_sync = Some(full_sync);
-                    self.epoch = Some(epoch);
-                    self.next_seq += 1;
-                    self.doc.extend_from_slice(&data);
-                    consumed += n;
+    /// Absorbs the next frame of the stream. Returns the round once its
+    /// commit frame arrives.
+    fn absorb(&mut self, frame: Reply) -> Result<Option<CommittedRound>, String> {
+        match frame {
+            Reply::Frame(ServerFrameDecode::ReplChunk {
+                full_sync,
+                epoch,
+                seq,
+                data,
+                ..
+            }) => {
+                if seq != self.next_seq {
+                    return Err(format!("chunk seq {seq}, expected {}", self.next_seq));
                 }
-                ServerFrameDecode::ReplCommit { epoch, consumed: n } => {
-                    if self.epoch.is_some_and(|e| e != epoch) {
-                        return Err("commit epoch does not match its chunks".into());
-                    }
-                    consumed += n;
-                    let round = CommittedRound {
-                        epoch,
-                        full_sync: self.full_sync.unwrap_or(false),
-                        doc: std::mem::take(&mut self.doc),
-                    };
-                    *self = Self::default();
-                    return Ok((consumed, Some(round)));
+                if self.full_sync.is_some_and(|f| f != full_sync)
+                    || self.epoch.is_some_and(|e| e != epoch)
+                {
+                    return Err("mixed kinds or epochs within one round".into());
                 }
-                ServerFrameDecode::Malformed(e) => return Err(e),
-                other => return Err(format!("unexpected frame in replication stream: {other:?}")),
+                self.full_sync = Some(full_sync);
+                self.epoch = Some(epoch);
+                self.next_seq += 1;
+                self.doc.extend_from_slice(&data);
+                Ok(None)
             }
+            Reply::Frame(ServerFrameDecode::ReplCommit { epoch, .. }) => {
+                if self.epoch.is_some_and(|e| e != epoch) {
+                    return Err("commit epoch does not match its chunks".into());
+                }
+                let round = CommittedRound {
+                    epoch,
+                    full_sync: self.full_sync.unwrap_or(false),
+                    doc: std::mem::take(&mut self.doc),
+                };
+                *self = Self::default();
+                Ok(Some(round))
+            }
+            other => Err(format!("unexpected frame in replication stream: {other:?}")),
         }
     }
 }
@@ -586,19 +579,17 @@ fn handle_follow_control(req: &Request, ctx: &FollowCtx, out: &mut Vec<u8>) {
 /// persistent connection, reconnecting (and counting failures) on any
 /// error. Stops at shutdown or promotion.
 fn pull_loop(ctx: Arc<FollowCtx>) {
-    let mut conn: Option<TcpStream> = None;
-    let mut buf: Vec<u8> = Vec::new();
+    let mut conn: Option<ConnBuf> = None;
     loop {
         if ctx.shutdown.load(Ordering::SeqCst) || ctx.lock_shared().promoted.is_some() {
             return;
         }
-        match pull_once(&ctx, &mut conn, &mut buf) {
+        match pull_once(&ctx, &mut conn) {
             Ok(()) => {
                 ctx.lock_shared().consecutive_failures = 0;
             }
             Err(_) => {
                 conn = None;
-                buf.clear();
                 let failures = {
                     let mut shared = ctx.lock_shared();
                     shared.consecutive_failures += 1;
@@ -653,11 +644,7 @@ fn maybe_auto_promote(ctx: &FollowCtx, failures: u64) {
 }
 
 /// One pull: send the ack, reassemble the round, apply it.
-fn pull_once(
-    ctx: &FollowCtx,
-    conn: &mut Option<TcpStream>,
-    buf: &mut Vec<u8>,
-) -> Result<(), String> {
+fn pull_once(ctx: &FollowCtx, conn: &mut Option<ConnBuf>) -> Result<(), String> {
     let timeout = ctx.cfg.pull_timeout;
     if conn.is_none() {
         let addr = ctx
@@ -673,15 +660,14 @@ fn pull_once(
             .set_read_timeout(Some(timeout))
             .and_then(|()| stream.set_write_timeout(Some(timeout)))
             .map_err(|e| format!("socket setup: {e}"))?;
-        *conn = Some(stream);
-        buf.clear();
+        *conn = Some(ConnBuf::new(stream));
     }
-    let stream = conn.as_mut().expect("just connected");
+    let conn = conn.as_mut().expect("just connected");
 
     let epoch = ctx.lock_shared().replica.epoch;
     let mut ack = Vec::with_capacity(wire::BIN_HEADER_LEN + 8);
     wire::encode_repl_ack(&mut ack, epoch);
-    stream
+    conn.stream()
         .write_all(&ack)
         .map_err(|e| format!("send ack: {e}"))?;
 
@@ -689,21 +675,15 @@ fn pull_once(
     // sitw-lint: allow(clock-discipline)
     let deadline = Instant::now() + timeout;
     let round = loop {
-        let (consumed, round) = assembler.feed(buf)?;
-        buf.drain(..consumed);
-        if let Some(round) = round {
-            break round;
-        }
+        // The socket deadline bounds each read; this one bounds a
+        // primary that keeps trickling frames without ever committing.
         // sitw-lint: allow(clock-discipline)
         if Instant::now() > deadline {
             return Err("pull timed out mid-round".into());
         }
-        let mut chunk = [0u8; 16 * 1024];
-        match stream.read(&mut chunk) {
-            Ok(0) => return Err("primary closed mid-round".into()),
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(format!("read: {e}")),
+        let frame = conn.read_reply().and_then(Reply::owed);
+        if let Some(round) = assembler.absorb(frame.map_err(|e| format!("read: {e}"))?)? {
+            break round;
         }
     };
 
@@ -754,25 +734,61 @@ mod tests {
         }
     }
 
+    /// Reads frames off `conn` into `asm` until the round commits
+    /// (`Some`) or the socket runs dry (`None`).
+    fn pump(conn: &mut ConnBuf, asm: &mut RoundAssembler) -> Option<CommittedRound> {
+        loop {
+            match conn.read_reply().unwrap() {
+                Reply::Timeout => return None,
+                frame => {
+                    if let Some(round) = asm.absorb(frame).unwrap() {
+                        return Some(round);
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn assembler_reassembles_chunked_rounds_at_any_split() {
         let doc = vec![0xABu8; wire::REPL_CHUNK_BYTES + 100];
         let mut out = Vec::new();
         wire::encode_repl_round(&mut out, wire::FRAME_REPL_SYNC, 5, &doc);
-        // Feed the stream in two arbitrary pieces at every boundary that
-        // matters (frame edges and mid-payload).
+        // The stream arrives in two arbitrary pieces at every boundary
+        // that matters (frame edges and mid-payload); the bytes are
+        // reassembled by the shared reply reader, the round by the
+        // assembler.
         for cut in [1, wire::BIN_HEADER_LEN, out.len() / 2, out.len() - 1] {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let mut primary = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+            let (follower, _) = listener.accept().unwrap();
+            follower
+                .set_read_timeout(Some(Duration::from_millis(30)))
+                .unwrap();
+            let mut conn = ConnBuf::new(follower);
             let mut asm = RoundAssembler::default();
-            let mut buf = out[..cut].to_vec();
-            let (consumed, round) = asm.feed(&buf).unwrap();
-            assert!(round.is_none(), "cut {cut}");
-            buf.drain(..consumed);
-            buf.extend_from_slice(&out[cut..]);
-            let (_, round) = asm.feed(&buf).unwrap();
-            let round = round.expect("complete stream yields the round");
+            // The pieces outgrow a socket buffer, so the writer runs
+            // beside the reader; the channel holds the tail back until
+            // the head has been read dry.
+            let (head, tail) = (out[..cut].to_vec(), out[cut..].to_vec());
+            let (go, wait) = std::sync::mpsc::channel::<()>();
+            let writer = std::thread::spawn(move || {
+                primary.write_all(&head).unwrap();
+                wait.recv().unwrap();
+                primary.write_all(&tail).unwrap();
+                primary
+            });
+            assert!(pump(&mut conn, &mut asm).is_none(), "cut {cut}");
+            go.send(()).unwrap();
+            let round = loop {
+                if let Some(round) = pump(&mut conn, &mut asm) {
+                    break round;
+                }
+            };
             assert_eq!(round.epoch, 5);
             assert!(round.full_sync);
             assert_eq!(round.doc, doc);
+            drop(writer.join().unwrap());
         }
     }
 
@@ -780,7 +796,8 @@ mod tests {
     fn assembler_rejects_out_of_order_chunks() {
         let mut out = Vec::new();
         wire::encode_repl_chunk(&mut out, wire::FRAME_REPL_DELTA, 2, 1, true, b"x");
-        assert!(RoundAssembler::default().feed(&out).is_err());
+        let chunk = Reply::Frame(wire::decode_server_frame(&out));
+        assert!(RoundAssembler::default().absorb(chunk).is_err());
     }
 
     #[test]
@@ -791,19 +808,21 @@ mod tests {
             ..FollowConfig::default()
         })
         .unwrap();
-        let mut stream = TcpStream::connect(follower.addr()).unwrap();
-        stream
-            .write_all(b"POST /admin/promote HTTP/1.1\r\ncontent-length: 1099511627776\r\n\r\n")
+        let mut client = crate::Client::connect(follower.addr()).unwrap();
+        client
+            .send(b"POST /admin/promote HTTP/1.1\r\ncontent-length: 1099511627776\r\n\r\n")
             .unwrap();
         // Part of the declared body is in flight when the 413 goes out:
         // the listener must absorb it, or its close resets the response.
-        stream.write_all(&vec![b'x'; 256 * 1024]).unwrap();
-        let mut response = String::new();
-        stream.read_to_string(&mut response).unwrap();
-        assert!(
-            response.starts_with("HTTP/1.1 413 Payload Too Large\r\n"),
-            "{response}"
-        );
+        client.send(&vec![b'x'; 256 * 1024]).unwrap();
+        let response = client.response().unwrap();
+        assert_eq!(response.0, 413, "{response:?}");
+        assert!(client
+            .conn()
+            .reply_raw()
+            .starts_with(b"HTTP/1.1 413 Payload Too Large\r\n"));
+        // ...and then a FIN, not a reset.
+        assert!(matches!(client.conn().read_reply().unwrap(), Reply::Eof));
         follower.shutdown().unwrap();
     }
 

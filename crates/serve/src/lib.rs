@@ -105,6 +105,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod client;
 pub(crate) mod conn;
 pub mod follow;
 pub mod http;
@@ -117,6 +118,7 @@ pub mod snapshot;
 pub mod telem;
 pub mod wire;
 
+pub use client::Client;
 pub use follow::{FollowConfig, FollowStatus, Follower};
 pub use loadgen::{run_loadgen, run_loadgen_cluster, LoadGenConfig, LoadGenReport, Proto};
 pub use metrics::{

@@ -26,7 +26,7 @@
 //! server's registration order). The summary reports per-tenant
 //! throughput and verdict mix, including budget-eviction downgrades.
 
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
@@ -35,6 +35,7 @@ use sitw_stats::percentile_sorted;
 use sitw_telemetry::{Log2Histogram, TRACE_MARK};
 use sitw_trace::{app_invocations, build_population, PopulationConfig, TraceConfig, HOUR_MS};
 
+use crate::http::{self, write_request, ConnBuf, Reply};
 use crate::wire::{self, BinReply, ServerFrameDecode};
 use sitw_fleet::{fnv1a, mix64};
 
@@ -712,20 +713,21 @@ fn drive_connection(
     started: Instant,
     abort: &AtomicBool,
 ) -> io::Result<ConnResult> {
-    let mut reader = ResponseReader::new(stream.try_clone()?);
+    let mut reader = ConnBuf::new(stream.try_clone()?);
 
     let window = window.max(1);
     let paced = speedup.is_finite() && speedup > 0.0;
     let mut result = ConnResult::new(schedule.len(), tenants);
     let mut out: Vec<u8> = Vec::with_capacity(64 * 1024);
+    let mut body: Vec<u8> = Vec::with_capacity(64);
     let mut in_flight: std::collections::VecDeque<(Instant, u16, Option<u64>)> =
         std::collections::VecDeque::with_capacity(window);
 
-    let read_one = |reader: &mut ResponseReader,
+    let read_one = |reader: &mut ConnBuf,
                     in_flight: &mut std::collections::VecDeque<(Instant, u16, Option<u64>)>,
                     result: &mut ConnResult|
      -> io::Result<()> {
-        let response = reader.read_response()?;
+        let status = reader.read_reply()?.owed()?.status()?;
         let (sent_at, tenant, trace) = in_flight.pop_front().expect("response without request");
         let rtt_ns = sent_at.elapsed().as_nanos() as u64;
         result.latencies_us.push(rtt_ns as f64 / 1_000.0);
@@ -733,9 +735,14 @@ fn drive_connection(
         if let Some(id) = trace {
             result.traces.push((id, rtt_ns));
         }
-        if response.status == 200 {
-            result.record_verdict(tenant, response.cold, response.evicted);
-        } else if response.status == 429 {
+        if status == 200 {
+            let body = reader.reply_body();
+            result.record_verdict(
+                tenant,
+                find_subslice(body, b"\"verdict\":\"cold\""),
+                find_subslice(body, b"\"evicted\":true"),
+            );
+        } else if status == 429 {
             result.record_throttled(tenant);
         } else {
             result.record_error(tenant);
@@ -771,7 +778,6 @@ fn drive_connection(
             }
         }
 
-        out.extend_from_slice(b"POST /invoke HTTP/1.1\r\n");
         // Every Nth request carries a client trace id the serving node
         // adopts as its span id (conn in the high half, sequence in the
         // low — unique fleet-wide, top bit = the trace mark).
@@ -780,14 +786,9 @@ fn drive_connection(
         } else {
             None
         };
-        if let Some(id) = trace {
-            let _ = write!(out, "x-sitw-trace: {id:#018x}\r\n");
-        }
-        out.extend_from_slice(b"content-length: ");
-        let body_len = invoke_body_len(event);
-        crate::wire::push_u64(&mut out, body_len as u64);
-        out.extend_from_slice(b"\r\n\r\n");
-        write_invoke_body(&mut out, event);
+        body.clear();
+        write_invoke_body(&mut body, event);
+        write_request(&mut out, "POST", "/invoke", trace, &body)?;
         // sitw-lint: allow(clock-discipline)
         in_flight.push_back((Instant::now(), event.tenant, trace));
         result.sent += 1;
@@ -824,7 +825,7 @@ fn drive_connection_bin(
     started: Instant,
     abort: &AtomicBool,
 ) -> io::Result<ConnResult> {
-    let mut reader = ResponseReader::new(stream.try_clone()?);
+    let mut reader = ConnBuf::new(stream.try_clone()?);
 
     let batch = batch.clamp(1, wire::MAX_BATCH);
     let window = window.max(batch);
@@ -908,12 +909,19 @@ fn drive_connection_bin(
     }
 
     let read_one_frame =
-        |reader: &mut ResponseReader,
+        |reader: &mut ConnBuf,
          in_flight: &mut std::collections::VecDeque<(Instant, Vec<u16>, Option<u64>)>,
          in_flight_records: &mut usize,
          result: &mut ConnResult|
          -> io::Result<()> {
-            let records = reader.read_bin_frame()?;
+            let records = match reader.read_reply()?.owed()? {
+                Reply::Frame(ServerFrameDecode::Reply { records, .. }) => Some(records),
+                // A typed error frame answers the whole request frame.
+                Reply::Frame(ServerFrameDecode::Error { .. }) => None,
+                // The generator sends only request frames, so anything
+                // else means a confused peer.
+                _ => return Err(http::invalid("unexpected reply to a request frame")),
+            };
             let (sent_at, frame_tenants, trace) =
                 in_flight.pop_front().expect("reply without frame");
             let count = frame_tenants.len();
@@ -944,7 +952,6 @@ fn drive_connection_bin(
                     }
                 }
                 None => {
-                    // A typed error frame answers the whole request frame.
                     for tenant in frame_tenants {
                         result.latencies_us.push(latency_us);
                         result.record_error(tenant);
@@ -1062,59 +1069,24 @@ fn app_name(app: u32) -> String {
 /// Errors when any expected tenant is missing, instead of silently
 /// replaying into someone else's namespace.
 fn resolve_tenant_ids(addr: SocketAddr, n: usize) -> io::Result<Vec<u16>> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.write_all(b"GET /admin/tenants HTTP/1.1\r\nconnection: close\r\n\r\n")?;
-    let mut resp = String::new();
-    stream.read_to_string(&mut resp)?;
-    let body = resp
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b)
-        .unwrap_or_default();
-    let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
-    let mut ids = Vec::with_capacity(n);
-    for k in 0..n {
-        let key = format!("\"name\":\"t{k}\"");
-        let pos = body.find(&key).ok_or_else(|| {
-            bad(format!(
+    // The one control-plane call a replay makes before it starts.
+    let wait = Duration::from_secs(5);
+    let (_, body) = http::call(addr, "GET", "/admin/tenants", b"", wait, wait)?;
+    let listing = wire::parse_tenant_listing(&body);
+    let id_of = |k: usize| {
+        listing.get(&format!("t{k}")).copied().ok_or_else(|| {
+            http::invalid(format!(
                 "tenant 't{k}' is not registered on the server \
                  (start it with --tenants {n} or matching --tenant flags)"
             ))
-        })?;
-        // Each listing object is {"id":N,"name":"...",...}: the id
-        // immediately precedes the name.
-        let prefix = &body[..pos];
-        let id_pos = prefix
-            .rfind("\"id\":")
-            .ok_or_else(|| bad(format!("malformed tenant listing: {body}")))?;
-        let id: u16 = prefix[id_pos + 5..]
-            .chars()
-            .take_while(|c| c.is_ascii_digit())
-            .collect::<String>()
-            .parse()
-            .map_err(|_| bad(format!("malformed tenant id in listing: {body}")))?;
-        ids.push(id);
-    }
-    Ok(ids)
+        })
+    };
+    (0..n).map(id_of).collect()
 }
 
 fn tenant_name(tenant: u16) -> String {
     debug_assert!(tenant > 0);
     format!("t{}", tenant - 1)
-}
-
-fn invoke_body_len(event: &Event) -> usize {
-    // {"app":"app-XXXXXX","ts":N} [+ ,"tenant":"tK"]
-    let ts_digits = if event.ts == 0 {
-        1
-    } else {
-        (event.ts.ilog10() + 1) as usize
-    };
-    let tenant = if event.tenant > 0 {
-        11 + tenant_name(event.tenant).len() + 1
-    } else {
-        0
-    };
-    8 + app_name(event.app).len() + 7 + ts_digits + 1 + tenant
 }
 
 fn write_invoke_body(out: &mut Vec<u8>, event: &Event) {
@@ -1128,124 +1100,6 @@ fn write_invoke_body(out: &mut Vec<u8>, event: &Event) {
         out.push(b'"');
     }
     out.push(b'}');
-}
-
-/// A minimal HTTP response.
-struct Response {
-    status: u16,
-    cold: bool,
-    evicted: bool,
-}
-
-/// Buffered response parser (headers + `Content-Length` body).
-struct ResponseReader {
-    stream: TcpStream,
-    buf: Vec<u8>,
-    start: usize,
-}
-
-impl ResponseReader {
-    fn new(stream: TcpStream) -> Self {
-        Self {
-            stream,
-            buf: Vec::with_capacity(64 * 1024),
-            start: 0,
-        }
-    }
-
-    fn buffered(&self) -> usize {
-        self.buf.len() - self.start
-    }
-
-    fn fill(&mut self) -> io::Result<usize> {
-        // Compact once the consumed prefix dominates.
-        if self.start > 8 * 1024 && self.start * 2 > self.buf.len() {
-            self.buf.drain(..self.start);
-            self.start = 0;
-        }
-        let mut chunk = [0u8; 32 * 1024];
-        let n = self.stream.read(&mut chunk)?;
-        if n == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "server closed connection",
-            ));
-        }
-        self.buf.extend_from_slice(&chunk[..n]);
-        Ok(n)
-    }
-
-    /// Reads one SITW-BIN server frame: `Some(records)` for a reply,
-    /// `None` for a typed error frame (the caller counts its whole
-    /// request frame as failed).
-    fn read_bin_frame(&mut self) -> io::Result<Option<Vec<BinReply>>> {
-        loop {
-            match wire::decode_server_frame(&self.buf[self.start..]) {
-                ServerFrameDecode::Reply { records, consumed } => {
-                    self.start += consumed;
-                    return Ok(Some(records));
-                }
-                ServerFrameDecode::Error { consumed, .. } => {
-                    self.start += consumed;
-                    return Ok(None);
-                }
-                // The generator never sends control frames or
-                // replication pulls, so these mean a confused peer.
-                ServerFrameDecode::Control { .. }
-                | ServerFrameDecode::ReplChunk { .. }
-                | ServerFrameDecode::ReplCommit { .. } => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "unexpected control reply",
-                    ));
-                }
-                ServerFrameDecode::Incomplete => {
-                    self.fill()?;
-                }
-                ServerFrameDecode::Malformed(msg) => {
-                    return Err(io::Error::new(io::ErrorKind::InvalidData, msg));
-                }
-            }
-        }
-    }
-
-    fn read_response(&mut self) -> io::Result<Response> {
-        loop {
-            let window = &self.buf[self.start..];
-            if let Some(header_end) = window.windows(4).position(|w| w == b"\r\n\r\n") {
-                let header = std::str::from_utf8(&window[..header_end])
-                    .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "non-utf8 header"))?;
-                let status: u16 = header
-                    .split_ascii_whitespace()
-                    .nth(1)
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "bad status line"))?;
-                let content_length: usize = header
-                    .lines()
-                    .find_map(|l| {
-                        let (name, value) = l.split_once(':')?;
-                        name.eq_ignore_ascii_case("content-length")
-                            .then(|| value.trim().parse().ok())?
-                    })
-                    .unwrap_or(0);
-                let total = header_end + 4 + content_length;
-                while self.buffered() < total {
-                    self.fill()?;
-                }
-                let body_start = self.start + header_end + 4;
-                let body = &self.buf[body_start..body_start + content_length];
-                let cold = find_subslice(body, b"\"verdict\":\"cold\"");
-                let evicted = find_subslice(body, b"\"evicted\":true");
-                self.start += total;
-                return Ok(Response {
-                    status,
-                    cold,
-                    evicted,
-                });
-            }
-            self.fill()?;
-        }
-    }
 }
 
 fn find_subslice(haystack: &[u8], needle: &[u8]) -> bool {
@@ -1350,31 +1204,6 @@ mod tests {
         assert!(msg.contains("per-node errors"), "{msg}");
         assert!(msg.contains(&addr.to_string()), "{msg}");
         accept.join().unwrap();
-    }
-
-    #[test]
-    fn body_length_precomputation_matches() {
-        for event in [
-            Event {
-                ts: 0,
-                app: 0,
-                tenant: 0,
-            },
-            Event {
-                ts: 9,
-                app: 1,
-                tenant: 1,
-            },
-            Event {
-                ts: 1_209_600_000,
-                app: 999_999,
-                tenant: 12,
-            },
-        ] {
-            let mut body = Vec::new();
-            write_invoke_body(&mut body, &event);
-            assert_eq!(body.len(), invoke_body_len(&event), "{body:?}");
-        }
     }
 
     #[test]

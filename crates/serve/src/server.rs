@@ -440,31 +440,20 @@ impl ServerCtx {
     /// diverge after migrations). Default-tenant slices sum across
     /// shards; named tenants live whole on one shard.
     fn tenant_usage(&self) -> Vec<TenantUsage> {
-        let mut by_name: std::collections::BTreeMap<String, TenantUsage> =
-            std::collections::BTreeMap::new();
-        for tx in &self.shard_txs {
+        let scrapes = self.shard_txs.iter().filter_map(|tx| {
             let (reply_tx, reply_rx) = mpsc::channel();
-            if tx.send(ShardMsg::Scrape(reply_tx)).is_ok() {
-                if let Ok(stats) = reply_rx.recv() {
-                    for t in stats.tenants {
-                        let entry = by_name.entry(t.name.clone()).or_insert(TenantUsage {
-                            name: t.name,
-                            budget_mb: 0,
-                            warm_mb: 0,
-                            evictions: 0,
-                            idle_mb_ms: 0,
-                            invocations: 0,
-                        });
-                        entry.budget_mb = entry.budget_mb.max(t.budget_mb);
-                        entry.warm_mb += t.warm_mb;
-                        entry.evictions += t.evictions;
-                        entry.idle_mb_ms += t.idle_mb_ms;
-                        entry.invocations += t.invocations;
-                    }
-                }
-            }
-        }
-        by_name.into_values().collect()
+            tx.send(ShardMsg::Scrape(reply_tx)).ok()?;
+            reply_rx.recv().ok()
+        });
+        let slices = scrapes.flat_map(|stats| stats.tenants);
+        TenantUsage::fold(slices.map(|t| TenantUsage {
+            name: t.name,
+            budget_mb: t.budget_mb,
+            warm_mb: t.warm_mb,
+            evictions: t.evictions,
+            idle_mb_ms: t.idle_mb_ms,
+            invocations: t.invocations,
+        }))
     }
 
     /// Applies a budget push: each named tenant's ledger budget is
@@ -1416,7 +1405,6 @@ pub(crate) fn handle_control(req: &Request, ctx: &ServerCtx, out: &mut Vec<u8>) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::{Read, Write};
 
     /// Regression (failing before this PR): the JSON path took the
     /// registry with `.expect("registry poisoned")`, so one panicked
@@ -1439,37 +1427,63 @@ mod tests {
         assert!(writer.join().is_err());
         assert!(server.ctx.registry.is_poisoned());
 
-        let mut stream = TcpStream::connect(server.addr()).unwrap();
-        let body = br#"{"app":"survivor","ts":1}"#;
-        let mut request = format!(
-            "POST /invoke HTTP/1.1\r\ncontent-length: {}\r\n\r\n",
-            body.len()
-        )
-        .into_bytes();
-        request.extend_from_slice(body);
-        // The control path reads the registry too.
-        request.extend_from_slice(b"GET /healthz HTTP/1.1\r\nconnection: close\r\n\r\n");
-        stream.write_all(&request).unwrap();
-        let mut text = String::new();
-        stream.read_to_string(&mut text).unwrap();
-        assert!(text.starts_with("HTTP/1.1 200 OK"), "{text}");
-        assert!(text.contains("\"verdict\":\"cold\""), "{text}");
-        assert!(text.contains("\"status\":\"ok\""), "{text}");
+        // One burst: the control path reads the registry too.
+        let mut client = crate::Client::connect(server.addr()).unwrap();
+        let mut burst = Vec::new();
+        let invoke = br#"{"app":"survivor","ts":1}"#;
+        crate::http::write_request(&mut burst, "POST", "/invoke", None, invoke).unwrap();
+        crate::http::write_request(&mut burst, "GET", "/healthz", None, b"").unwrap();
+        client.send(&burst).unwrap();
+        let (status, verdict) = client.response().unwrap();
+        assert_eq!(status, 200, "{verdict}");
+        assert!(verdict.contains("\"verdict\":\"cold\""), "{verdict}");
+        let (status, health) = client.response().unwrap();
+        assert_eq!(status, 200, "{health}");
+        assert!(health.contains("\"status\":\"ok\""), "{health}");
         server.shutdown().unwrap();
     }
 
-    /// One `GET` on a fresh connection: `(status line, body)`.
-    fn get(addr: SocketAddr, path: &str) -> (String, String) {
-        let mut stream = TcpStream::connect(addr).unwrap();
-        write!(stream, "GET {path} HTTP/1.1\r\nconnection: close\r\n\r\n").unwrap();
-        let mut text = String::new();
-        stream.read_to_string(&mut text).unwrap();
-        // A reactor that died mid-request leaves an empty read.
-        let (head, body) = text.split_once("\r\n\r\n").unwrap_or_default();
-        (
-            head.lines().next().unwrap_or("").to_owned(),
-            body.to_owned(),
-        )
+    /// Regression (a debug-build panic before this PR): the node summed
+    /// its shards' default-tenant slices with `+=`. Timestamps are
+    /// client-supplied and the ledger saturates its idle integral at
+    /// `u64::MAX`, so two shards can both report a saturated slice.
+    #[test]
+    fn saturated_shard_slices_fold_into_one_report_without_overflow() {
+        let server = Server::start(ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            shards: 2,
+            policy: PolicySpec::NoUnloading,
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let mut client = crate::Client::connect(server.addr()).unwrap();
+        // One never-unloaded app per shard, each warm for ~2^64 ms.
+        for shard in 0..2 {
+            let app = (0..64)
+                .map(|i| format!("forever-{i}"))
+                .find(|app| shard_of(app, 2) == shard)
+                .unwrap();
+            for ts in [0, u64::MAX - 1] {
+                let (status, body) = client.invoke(None, &app, ts, None).unwrap();
+                assert_eq!(status, 200, "{body}");
+            }
+        }
+        let shards = server.metrics().shards;
+        assert!(shards
+            .iter()
+            .all(|s| s.tenants.iter().any(|t| t.idle_mb_ms == u64::MAX)));
+        let usage = server.ctx.tenant_usage();
+        assert_eq!(usage.len(), 1, "{usage:?}");
+        assert_eq!(usage[0].idle_mb_ms, u64::MAX);
+        assert_eq!(usage[0].invocations, 4);
+        server.shutdown().unwrap();
+    }
+
+    /// One `GET` on a fresh connection: `(status, body)`, or `None` when
+    /// the reactor died mid-request.
+    fn get(addr: SocketAddr, path: &str) -> Option<(u16, String)> {
+        let wait = Duration::from_secs(5);
+        crate::http::call(addr, "GET", path, b"", wait, wait).ok()
     }
 
     fn telem_server() -> Server {
@@ -1553,8 +1567,8 @@ mod tests {
                 include_str!("../tests/golden/node_debug_trace.json"),
             ),
         ] {
-            let (status, body) = get(addr, path);
-            assert_eq!(status, "HTTP/1.1 200 OK", "{path}");
+            let (status, body) = get(addr, path).expect(path);
+            assert_eq!(status, 200, "{path}");
             assert_eq!(body, golden, "{path}");
         }
         server.shutdown().unwrap();
@@ -1586,7 +1600,7 @@ mod tests {
             assert!(recorder.join().is_err());
             assert!(server.ctx.telem.events.is_poisoned());
             assert!(server.ctx.telem.reactors[0].is_poisoned());
-            if get(server.addr(), path).0 != "HTTP/1.1 200 OK" {
+            if get(server.addr(), path).map(|(status, _)| status) != Some(200) {
                 failed.push(path);
             }
             server.shutdown().unwrap();

@@ -1030,16 +1030,6 @@ impl ShardWorker {
     }
 }
 
-/// Stable names for the policy branch behind a verdict.
-fn kind_name(kind: DecisionKind) -> &'static str {
-    match kind {
-        DecisionKind::Histogram => "histogram",
-        DecisionKind::StandardKeepAlive => "standard-keep-alive",
-        DecisionKind::Arima => "arima",
-        DecisionKind::Static => "static",
-    }
-}
-
 /// Renders one app's live policy state as JSON — the decision
 /// provenance view `GET /debug/policy` serves: the current windows,
 /// the last verdict with its inputs, and (for hybrid apps) the learned
@@ -1076,7 +1066,7 @@ fn render_policy(t: &TenantShard, app: &str, state: &AppState) -> String {
             v.cold,
             v.prewarm_load,
             v.evicted,
-            kind_name(v.kind),
+            crate::wire::kind_str(v.kind),
         );
     }
     if let ServedPolicy::Hybrid(p) = &state.policy {

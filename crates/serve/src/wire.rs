@@ -289,6 +289,54 @@ pub fn render_decision(out: &mut Vec<u8>, d: &Decision) {
     out.push(b'}');
 }
 
+/// Parses an `/invoke` response body back into the [`Decision`] it
+/// renders — the inverse of [`render_decision`] on its fixed schema,
+/// for clients that check verdicts rather than count them.
+pub fn parse_decision(body: &str) -> Result<Decision, String> {
+    // The value after `key`, up to the next delimiter.
+    let field = |key: &str| match body.split_once(key) {
+        Some((_, rest)) => Ok(rest.split([',', '}', '"']).next().unwrap_or(rest)),
+        None => Err(format!("no {key} in {body}")),
+    };
+    let bad = |key: &str| format!("bad {key} in {body}");
+    let number = |key| field(key)?.parse::<u64>().map_err(|_| bad(key));
+    let flag = |key| field(key)?.parse::<bool>().map_err(|_| bad(key));
+    Ok(Decision {
+        cold: match field("\"verdict\":\"")? {
+            "cold" => true,
+            "warm" => false,
+            _ => return Err(bad("verdict")),
+        },
+        kind: kind_from_str(field("\"kind\":\"")?)?,
+        windows: sitw_core::Windows {
+            pre_warm_ms: number("\"pre_warm_ms\":")?,
+            keep_alive_ms: number("\"keep_alive_ms\":")?,
+        },
+        prewarm_load: flag("\"prewarm_load\":")?,
+        evicted: flag("\"evicted\":")?,
+    })
+}
+
+/// Parses a `GET /admin/tenants` listing (a node's, or a router's in
+/// the same shape) into tenant name → wire id.
+pub fn parse_tenant_listing(body: &str) -> std::collections::HashMap<String, u16> {
+    let mut ids = std::collections::HashMap::new();
+    let mut rest = body;
+    while let Some(pos) = rest.find("\"id\":") {
+        rest = &rest[pos + 5..];
+        let digits: String = rest.chars().take_while(|c| c.is_ascii_digit()).collect();
+        let Ok(id) = digits.parse::<u16>() else { break };
+        let Some(name_pos) = rest.find("\"name\":\"") else {
+            break;
+        };
+        let after = &rest[name_pos + 8..];
+        let Some(end) = after.find('"') else { break };
+        ids.insert(after[..end].to_owned(), id);
+        rest = &after[end..];
+    }
+    ids
+}
+
 /// JSON string escaping lives beside the debug bodies that need it;
 /// this is its serving-crate path (`wire::json_escape`).
 pub use sitw_telemetry::json_escape;
@@ -509,6 +557,31 @@ pub struct TenantUsage {
     pub idle_mb_ms: u64,
     /// Invocations served.
     pub invocations: u64,
+}
+
+impl TenantUsage {
+    /// Folds usage slices by tenant **name** — the cluster-stable key —
+    /// into one name-ordered entry per tenant: shard slices into a
+    /// node's report, node reports into the cluster view. Budgets take
+    /// the max (one enforcing owner per named tenant; the default
+    /// tenant's is replicated, not split); the rest sums, saturating —
+    /// the ledger saturates `idle_mb_ms` at `u64::MAX` and timestamps
+    /// are client-supplied, so two slices can both already be there.
+    pub fn fold(slices: impl IntoIterator<Item = TenantUsage>) -> Vec<TenantUsage> {
+        let mut by_name = std::collections::BTreeMap::<String, TenantUsage>::new();
+        for t in slices {
+            let Some(sum) = by_name.get_mut(&t.name) else {
+                by_name.insert(t.name.clone(), t);
+                continue;
+            };
+            sum.budget_mb = sum.budget_mb.max(t.budget_mb);
+            sum.warm_mb = sum.warm_mb.saturating_add(t.warm_mb);
+            sum.evictions = sum.evictions.saturating_add(t.evictions);
+            sum.idle_mb_ms = sum.idle_mb_ms.saturating_add(t.idle_mb_ms);
+            sum.invocations = sum.invocations.saturating_add(t.invocations);
+        }
+        by_name.into_values().collect()
+    }
 }
 
 /// The node's answer to a [`ControlRequest`], carried in a
@@ -1463,6 +1536,62 @@ mod tests {
             "{\"verdict\":\"cold\",\"kind\":\"standard\",\"pre_warm_ms\":0,\
              \"keep_alive_ms\":14400000,\"prewarm_load\":false,\"evicted\":false}"
         );
+    }
+
+    #[test]
+    fn decision_parses_back_from_its_rendering() {
+        use sitw_core::DecisionKind::*;
+        for (i, kind) in [Histogram, StandardKeepAlive, Arima, Static]
+            .into_iter()
+            .enumerate()
+        {
+            let d = Decision {
+                cold: i % 2 == 0,
+                prewarm_load: i == 1,
+                evicted: i == 2,
+                kind,
+                windows: Windows {
+                    pre_warm_ms: i as u64 * 540_000,
+                    keep_alive_ms: u64::MAX - i as u64,
+                },
+            };
+            let mut out = Vec::new();
+            render_decision(&mut out, &d);
+            assert_eq!(parse_decision(std::str::from_utf8(&out).unwrap()), Ok(d));
+        }
+        for body in [
+            "",
+            "{\"error\":\"throttled\"}",
+            "{\"verdict\":\"tepid\",\"kind\":\"static\"}",
+            "{\"verdict\":\"cold\",\"kind\":\"static\",\"pre_warm_ms\":x}",
+        ] {
+            assert!(parse_decision(body).is_err(), "{body}");
+        }
+    }
+
+    #[test]
+    fn tenant_usage_fold_saturates_instead_of_overflowing() {
+        // Regression: the node summed shard slices with `+=`. The ledger
+        // saturates the idle integral at u64::MAX (timestamps are
+        // client-supplied), so two default-tenant slices can both sit
+        // there — a debug-build panic on a reactor thread, a wrapped
+        // integral in release.
+        let slice = |name: &str, budget_mb| TenantUsage {
+            name: name.into(),
+            budget_mb,
+            warm_mb: u64::MAX,
+            evictions: 3,
+            idle_mb_ms: u64::MAX,
+            invocations: 7,
+        };
+        let folded = TenantUsage::fold([slice("default", 0), slice("t0", 64), slice("default", 9)]);
+        assert_eq!(folded.len(), 2, "{folded:?}");
+        let default = &folded[0];
+        assert_eq!(default.name, "default");
+        assert_eq!(default.budget_mb, 9, "budgets take the max");
+        assert_eq!((default.idle_mb_ms, default.warm_mb), (u64::MAX, u64::MAX));
+        assert_eq!((default.evictions, default.invocations), (6, 14));
+        assert_eq!(folded[1], slice("t0", 64));
     }
 
     #[test]

@@ -8,11 +8,12 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 
 use proptest::prelude::*;
+use sitw_serve::http::{ConnBuf, Reply};
 use sitw_serve::wire::{
     self, decode_request_frame_into, decode_server_frame, encode_request_frame, BinErrorCode,
     BinReply, FrameDecodeInto, ServerFrameDecode,
 };
-use sitw_serve::{ServeConfig, Server};
+use sitw_serve::{Client, ServeConfig, Server};
 use sitw_sim::PolicySpec;
 
 // ---------------------------------------------------------------------
@@ -172,6 +173,63 @@ proptest! {
         // same bytes (clients face a hostile network too).
         let _ = decode_server_frame(&frame);
     }
+
+    /// The reply direction faces a hostile network too. Whatever a peer
+    /// sends — garbage, a frame header or status line declaring any
+    /// length around garbage, a header flood — the reply reader answers
+    /// with replies, a clean `Eof` or a typed `io::Error`: never a
+    /// panic, and never more buffered than its caps plus one read chunk.
+    #[test]
+    fn arbitrary_reply_bytes_yield_replies_or_typed_errors(
+        shape in 0u64..7,
+        declared in prop::collection::vec(0u64..u64::MAX, 1..2),
+        noise in prop::collection::vec(0u64..256, 0..192),
+    ) {
+        let noise: Vec<u8> = noise.iter().map(|&b| b as u8).collect();
+        let declared = declared[0] >> (declared[0] % 64); // Every magnitude.
+        let frame_header = |payload_len: u32| {
+            let kind = noise.first().map_or(wire::FRAME_REPLY, |b| b % 12);
+            let mut h = vec![wire::BIN_MAGIC, 1 + (payload_len % 2) as u8, kind];
+            h.extend_from_slice(&payload_len.to_le_bytes());
+            h.extend_from_slice(&((noise.len() / wire::REPLY_RECORD_LEN) as u32).to_le_bytes());
+            h
+        };
+        let status_line = |len: u64| format!("HTTP/1.1 200 OK\r\ncontent-length: {len}\r\n\r\n");
+        let mut bytes = match shape {
+            0 => Vec::new(),
+            1 => vec![wire::BIN_MAGIC],
+            2 => frame_header(noise.len() as u32),
+            3 => frame_header(declared as u32),
+            4 => status_line(noise.len() as u64).into_bytes(),
+            5 => status_line(declared).into_bytes(),
+            // A header flood: four cap-fuls with no blank line in sight.
+            _ => b"HTTP/1.1 200 OK\r\nx-pad: ".repeat(64 * 1024 / 24),
+        };
+        bytes.extend_from_slice(&noise);
+
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (reader, _) = listener.accept().unwrap();
+        // The flood outgrows a socket buffer; write beside the reader.
+        // A reader that gave up mid-flood resets the writer: fine.
+        let writer = std::thread::spawn(move || drop(peer.write_all(&bytes)));
+        let mut conn = ConnBuf::new(reader);
+        let bound = 16 * 1024 + sitw_serve::http::MAX_REPLY_BODY_BYTES + 16 * 1024;
+        loop {
+            let outcome = conn.read_reply();
+            prop_assert!(conn.buffered() <= bound, "{} bytes buffered", conn.buffered());
+            match outcome {
+                Ok(Reply::Eof) | Err(_) => break,
+                Ok(Reply::Timeout) => prop_assert!(false, "no deadline was set"),
+                Ok(_) => prop_assert!(!conn.reply_raw().is_empty()),
+            }
+        }
+        if shape == 6 {
+            prop_assert!(conn.buffered() <= 2 * 16 * 1024, "flood cut at the header cap");
+        }
+        drop(conn);
+        writer.join().unwrap();
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -187,34 +245,9 @@ fn start_server(shards: usize) -> Server {
     .expect("server start")
 }
 
-/// Reads one server frame from `stream`, accumulating into `buf`.
-fn read_frame(stream: &mut TcpStream, buf: &mut Vec<u8>) -> ServerFrameDecode {
-    loop {
-        match decode_server_frame(buf) {
-            ServerFrameDecode::Incomplete => {
-                let mut chunk = [0u8; 4096];
-                let n = stream.read(&mut chunk).expect("read");
-                assert!(n > 0, "server closed mid-frame");
-                buf.extend_from_slice(&chunk[..n]);
-            }
-            done => {
-                let consumed = match &done {
-                    ServerFrameDecode::Reply { consumed, .. }
-                    | ServerFrameDecode::Error { consumed, .. } => *consumed,
-                    other => panic!("{other:?}"),
-                };
-                buf.drain(..consumed);
-                return done;
-            }
-        }
-    }
-}
-
-fn expect_reply(stream: &mut TcpStream, buf: &mut Vec<u8>) -> Vec<BinReply> {
-    match read_frame(stream, buf) {
-        ServerFrameDecode::Reply { records, .. } => records,
-        other => panic!("expected reply frame, got {other:?}"),
-    }
+/// Reads the next server frame as a reply frame's records.
+fn expect_reply(client: &mut Client) -> Vec<BinReply> {
+    client.recv().unwrap().records().unwrap()
 }
 
 // ---------------------------------------------------------------------
@@ -223,22 +256,19 @@ fn expect_reply(stream: &mut TcpStream, buf: &mut Vec<u8>) -> Vec<BinReply> {
 #[test]
 fn frame_written_one_byte_at_a_time_is_served() {
     let server = start_server(2);
-    let mut stream = TcpStream::connect(server.addr()).unwrap();
-    stream.set_nodelay(true).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
 
     let mut frame = Vec::new();
     encode_request_frame(
         &mut frame,
         &[("app-α-1", 0), ("app-α-1", 60_000), ("β", 1_000)],
     );
-    // One write + flush per byte: the daemon sees the worst possible
-    // fragmentation and must reassemble across all of it.
+    // One write per byte (Nagle off): the daemon sees the worst
+    // possible fragmentation and must reassemble across all of it.
     for &b in &frame {
-        stream.write_all(&[b]).unwrap();
-        stream.flush().unwrap();
+        client.send(&[b]).unwrap();
     }
-    let mut buf = Vec::new();
-    let records = expect_reply(&mut stream, &mut buf);
+    let records = expect_reply(&mut client);
     assert_eq!(records.len(), 3);
     assert!(matches!(records[0], BinReply::Verdict { cold: true, .. }));
     assert!(matches!(records[1], BinReply::Verdict { cold: false, .. }));
@@ -266,16 +296,13 @@ fn frames_split_at_every_boundary_across_two_writes() {
     let frame_len = frame_for(0).len();
     for split in 1..frame_len {
         let frame = frame_for(split);
-        let mut stream = TcpStream::connect(server.addr()).unwrap();
-        stream.set_nodelay(true).unwrap();
-        stream.write_all(&frame[..split]).unwrap();
-        stream.flush().unwrap();
+        let mut client = Client::connect(server.addr()).unwrap();
+        client.send(&frame[..split]).unwrap();
         // Let the server observe the partial frame (its read timeout is
         // 50 ms; any sleep forces at least one fill round).
         std::thread::sleep(std::time::Duration::from_millis(2));
-        stream.write_all(&frame[split..]).unwrap();
-        let mut buf = Vec::new();
-        let records = expect_reply(&mut stream, &mut buf);
+        client.send(&frame[split..]).unwrap();
+        let records = expect_reply(&mut client);
         assert_eq!(records.len(), 2, "split at {split}");
         assert!(
             matches!(records[0], BinReply::Verdict { cold: true, .. }),
@@ -332,8 +359,7 @@ fn large_batched_reply_survives_slow_draining_client() {
 #[test]
 fn malformed_frame_gets_typed_error_and_connection_stays_usable() {
     let server = start_server(2);
-    let mut stream = TcpStream::connect(server.addr()).unwrap();
-    stream.set_nodelay(true).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
 
     // Intact envelope, empty app name inside: Malformed, recoverable.
     // (A pad byte keeps the payload at the minimum record size, so the
@@ -346,41 +372,27 @@ fn malformed_frame_gets_typed_error_and_connection_stays_usable() {
     bad.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     bad.extend_from_slice(&1u32.to_le_bytes());
     bad.extend_from_slice(&payload);
-    stream.write_all(&bad).unwrap();
+    client.send(&bad).unwrap();
 
-    let mut buf = Vec::new();
-    match read_frame(&mut stream, &mut buf) {
-        ServerFrameDecode::Error { code, detail, .. } => {
+    match client.recv().unwrap() {
+        Reply::Frame(ServerFrameDecode::Error { code, detail, .. }) => {
             assert_eq!(code, BinErrorCode::Malformed);
             assert!(detail.contains("empty app"), "{detail}");
         }
         other => panic!("{other:?}"),
     }
 
-    // The same connection still serves: a good frame, then JSON, then
-    // the metrics endpoint — full protocol mixing after the error.
-    let mut good = Vec::new();
-    encode_request_frame(&mut good, &[("recovered", 1)]);
-    stream.write_all(&good).unwrap();
-    let records = expect_reply(&mut stream, &mut buf);
+    // The same connection still serves: a good frame, then JSON — full
+    // protocol mixing after the error.
+    let reply = client
+        .batch(|f| wire::encode_request_frame(f, &[("recovered", 1)]))
+        .unwrap();
+    let records = reply.records().unwrap();
     assert!(matches!(records[0], BinReply::Verdict { cold: true, .. }));
 
-    let body = br#"{"app":"recovered","ts":2}"#;
-    stream
-        .write_all(
-            format!(
-                "POST /invoke HTTP/1.1\r\ncontent-length: {}\r\n\r\n",
-                body.len()
-            )
-            .as_bytes(),
-        )
-        .unwrap();
-    stream.write_all(body).unwrap();
-    let mut http = [0u8; 1024];
-    let n = stream.read(&mut http).unwrap();
-    let text = String::from_utf8_lossy(&http[..n]);
-    assert!(text.starts_with("HTTP/1.1 200 OK"), "{text}");
-    assert!(text.contains("\"verdict\":\"warm\""), "{text}");
+    let (status, body) = client.invoke(None, "recovered", 2, None).unwrap();
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains("\"verdict\":\"warm\""), "{body}");
 
     // The error is counted; only the good frame counts as served.
     let proto = server.metrics().proto;
@@ -393,26 +405,25 @@ fn malformed_frame_gets_typed_error_and_connection_stays_usable() {
 #[test]
 fn oversized_batch_gets_typed_error_and_connection_stays_usable() {
     let server = start_server(1);
-    let mut stream = TcpStream::connect(server.addr()).unwrap();
-    stream.set_nodelay(true).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
 
     // count > MAX_BATCH with a small, intact envelope.
     let mut bad = vec![wire::BIN_MAGIC, wire::BIN_VERSION, wire::FRAME_REQUEST];
     bad.extend_from_slice(&16u32.to_le_bytes());
     bad.extend_from_slice(&((wire::MAX_BATCH + 1) as u32).to_le_bytes());
     bad.extend_from_slice(&[0u8; 16]);
-    stream.write_all(&bad).unwrap();
+    client.send(&bad).unwrap();
 
-    let mut buf = Vec::new();
-    match read_frame(&mut stream, &mut buf) {
-        ServerFrameDecode::Error { code, .. } => assert_eq!(code, BinErrorCode::Oversized),
+    match client.recv().unwrap() {
+        Reply::Frame(ServerFrameDecode::Error { code, .. }) => {
+            assert_eq!(code, BinErrorCode::Oversized)
+        }
         other => panic!("{other:?}"),
     }
-    let mut good = Vec::new();
-    encode_request_frame(&mut good, &[("still-alive", 3)]);
-    stream.write_all(&good).unwrap();
-    let records = expect_reply(&mut stream, &mut buf);
-    assert_eq!(records.len(), 1);
+    let reply = client
+        .batch(|f| wire::encode_request_frame(f, &[("still-alive", 3)]))
+        .unwrap();
+    assert_eq!(reply.records().unwrap().len(), 1);
     assert_eq!(server.metrics().proto.proto_errors, 1);
     server.shutdown().unwrap();
 }
@@ -422,40 +433,24 @@ fn unrecoverable_frame_errors_answer_then_close() {
     let server = start_server(1);
 
     // Bad version: typed error frame, then FIN.
-    let mut stream = TcpStream::connect(server.addr()).unwrap();
-    stream
-        .write_all(&[
-            wire::BIN_MAGIC,
-            99,
-            wire::FRAME_REQUEST,
-            0,
-            0,
-            0,
-            0,
-            0,
-            0,
-            0,
-            0,
-        ])
-        .unwrap();
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).unwrap(); // Returns only on FIN.
-    match decode_server_frame(&raw) {
-        ServerFrameDecode::Error { code, .. } => assert_eq!(code, BinErrorCode::BadVersion),
-        other => panic!("{other:?}"),
-    }
-
+    let mut bad_version = vec![wire::BIN_MAGIC, 99, wire::FRAME_REQUEST];
+    bad_version.extend_from_slice(&[0u8; 8]);
     // Payload length beyond the 1 MiB cap: same fate (mirrors HTTP 413).
-    let mut stream = TcpStream::connect(server.addr()).unwrap();
     let mut huge = vec![wire::BIN_MAGIC, wire::BIN_VERSION, wire::FRAME_REQUEST];
     huge.extend_from_slice(&((wire::MAX_FRAME_PAYLOAD + 1) as u32).to_le_bytes());
     huge.extend_from_slice(&1u32.to_le_bytes());
-    stream.write_all(&huge).unwrap();
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).unwrap();
-    match decode_server_frame(&raw) {
-        ServerFrameDecode::Error { code, .. } => assert_eq!(code, BinErrorCode::Oversized),
-        other => panic!("{other:?}"),
+    for (frame, want) in [
+        (bad_version, BinErrorCode::BadVersion),
+        (huge, BinErrorCode::Oversized),
+    ] {
+        let mut client = Client::connect(server.addr()).unwrap();
+        client.send(&frame).unwrap();
+        match client.recv().unwrap() {
+            Reply::Frame(ServerFrameDecode::Error { code, .. }) => assert_eq!(code, want),
+            other => panic!("{other:?}"),
+        }
+        // Nothing after the error frame but the FIN.
+        assert!(matches!(client.conn().read_reply().unwrap(), Reply::Eof));
     }
 
     assert_eq!(server.metrics().proto.proto_errors, 2);
@@ -471,8 +466,7 @@ fn unrecoverable_frame_errors_answer_then_close() {
 #[test]
 fn pipelined_frames_get_replies_in_frame_order() {
     let server = start_server(4);
-    let mut stream = TcpStream::connect(server.addr()).unwrap();
-    stream.set_nodelay(true).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
 
     // 60 single-record frames (the bin:batch=1 shape that used to pay a
     // synchronous round trip each), all written before any read. Each
@@ -491,11 +485,10 @@ fn pipelined_frames_get_replies_in_frame_order() {
     for k in 0..n {
         encode_request_frame(&mut batch, &[(format!("pipe-{k:02}").as_str(), 60_000 + k)]);
     }
-    stream.write_all(&batch).unwrap();
+    client.send(&batch).unwrap();
 
-    let mut buf = Vec::new();
     for k in 0..n {
-        let records = expect_reply(&mut stream, &mut buf);
+        let records = expect_reply(&mut client);
         assert_eq!(records.len(), 1, "frame {k}");
         assert!(
             matches!(records[0], BinReply::Verdict { cold: true, .. }),
@@ -504,7 +497,7 @@ fn pipelined_frames_get_replies_in_frame_order() {
         );
     }
     for k in 0..n {
-        let records = expect_reply(&mut stream, &mut buf);
+        let records = expect_reply(&mut client);
         assert!(
             matches!(records[0], BinReply::Verdict { cold: false, .. }),
             "frame {} must be the warm revisit of app {k}: {:?}",
@@ -525,8 +518,7 @@ fn pipelined_frames_interleave_with_errors_in_order() {
     // the two replies (errors join the pipeline queue, they do not jump
     // it).
     let server = start_server(2);
-    let mut stream = TcpStream::connect(server.addr()).unwrap();
-    stream.set_nodelay(true).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
 
     let mut batch = Vec::new();
     encode_request_frame(&mut batch, &[("inter-a", 1)]);
@@ -539,16 +531,17 @@ fn pipelined_frames_interleave_with_errors_in_order() {
     batch.extend_from_slice(&1u32.to_le_bytes());
     batch.extend_from_slice(&payload);
     encode_request_frame(&mut batch, &[("inter-b", 2)]);
-    stream.write_all(&batch).unwrap();
+    client.send(&batch).unwrap();
 
-    let mut buf = Vec::new();
-    let first = expect_reply(&mut stream, &mut buf);
+    let first = expect_reply(&mut client);
     assert!(matches!(first[0], BinReply::Verdict { cold: true, .. }));
-    match read_frame(&mut stream, &mut buf) {
-        ServerFrameDecode::Error { code, .. } => assert_eq!(code, BinErrorCode::Malformed),
+    match client.recv().unwrap() {
+        Reply::Frame(ServerFrameDecode::Error { code, .. }) => {
+            assert_eq!(code, BinErrorCode::Malformed)
+        }
         other => panic!("expected the error frame second, got {other:?}"),
     }
-    let third = expect_reply(&mut stream, &mut buf);
+    let third = expect_reply(&mut client);
     assert!(matches!(third[0], BinReply::Verdict { cold: true, .. }));
     server.shutdown().unwrap();
 }
@@ -556,17 +549,14 @@ fn pipelined_frames_interleave_with_errors_in_order() {
 #[test]
 fn out_of_order_records_are_per_record_errors_not_frame_errors() {
     let server = start_server(1);
-    let mut stream = TcpStream::connect(server.addr()).unwrap();
-    stream.set_nodelay(true).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
 
-    let mut frame = Vec::new();
-    encode_request_frame(
-        &mut frame,
-        &[("ooo", 600_000), ("ooo", 60_000), ("ooo", 700_000)],
-    );
-    stream.write_all(&frame).unwrap();
-    let mut buf = Vec::new();
-    let records = expect_reply(&mut stream, &mut buf);
+    let frame = [("ooo", 600_000), ("ooo", 60_000), ("ooo", 700_000)];
+    let records = client
+        .batch(|f| wire::encode_request_frame(f, &frame))
+        .unwrap()
+        .records()
+        .unwrap();
     assert!(matches!(records[0], BinReply::Verdict { cold: true, .. }));
     assert_eq!(records[1], BinReply::OutOfOrder { last_ts: 600_000 });
     assert!(matches!(records[2], BinReply::Verdict { cold: false, .. }));

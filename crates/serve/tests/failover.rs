@@ -12,158 +12,15 @@
 //! drives the dead-primary auto-promotion policy end to end.
 
 use std::collections::HashMap;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
+use sitw_core::Windows;
 use sitw_fleet::{footprint_mb, FleetEvent, TenantId, TenantRegistry};
-use sitw_serve::wire::{self, BinReply, ServerFrameDecode};
-use sitw_serve::{FollowConfig, Follower, ServeConfig, Server, TenantConfig};
+use sitw_serve::wire::{self, BinReply};
+use sitw_serve::{Client, Decision, FollowConfig, Follower, ServeConfig, Server, TenantConfig};
 use sitw_sim::{fleet_verdict_trace, FleetVerdict, PolicySpec};
 use sitw_trace::{app_invocations, build_population, PopulationConfig, TraceConfig, DAY_MS};
-
-/// One observed verdict, protocol-agnostic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Observed {
-    cold: bool,
-    prewarm_load: bool,
-    evicted: bool,
-    kind: &'static str,
-    pre_warm_ms: u64,
-    keep_alive_ms: u64,
-}
-
-/// Blocking JSON/HTTP client.
-struct JsonClient {
-    stream: TcpStream,
-    buf: Vec<u8>,
-}
-
-impl JsonClient {
-    fn connect(addr: SocketAddr) -> JsonClient {
-        let stream = TcpStream::connect(addr).expect("connect");
-        stream.set_nodelay(true).unwrap();
-        JsonClient {
-            stream,
-            buf: Vec::new(),
-        }
-    }
-
-    fn request(&mut self, method: &str, path: &str, body: &str) -> (u16, String) {
-        let req = format!(
-            "{method} {path} HTTP/1.1\r\ncontent-length: {}\r\n\r\n{body}",
-            body.len()
-        );
-        self.stream.write_all(req.as_bytes()).expect("write");
-        loop {
-            if let Some(header_end) = self.buf.windows(4).position(|w| w == b"\r\n\r\n") {
-                let header = String::from_utf8_lossy(&self.buf[..header_end]).into_owned();
-                let status: u16 = header
-                    .split_ascii_whitespace()
-                    .nth(1)
-                    .and_then(|s| s.parse().ok())
-                    .expect("status");
-                let content_length: usize = header
-                    .lines()
-                    .find_map(|l| {
-                        let (name, value) = l.split_once(':')?;
-                        name.eq_ignore_ascii_case("content-length")
-                            .then(|| value.trim().parse().ok())?
-                    })
-                    .unwrap_or(0);
-                let total = header_end + 4 + content_length;
-                while self.buf.len() < total {
-                    self.fill();
-                }
-                let body = String::from_utf8_lossy(&self.buf[header_end + 4..total]).into_owned();
-                self.buf.drain(..total);
-                return (status, body);
-            }
-            self.fill();
-        }
-    }
-
-    fn invoke(&mut self, tenant: Option<&str>, app: &str, ts: u64) -> (u16, String) {
-        let body = match tenant {
-            Some(t) => format!("{{\"tenant\":\"{t}\",\"app\":\"{app}\",\"ts\":{ts}}}"),
-            None => format!("{{\"app\":\"{app}\",\"ts\":{ts}}}"),
-        };
-        self.request("POST", "/invoke", &body)
-    }
-
-    fn fill(&mut self) {
-        let mut chunk = [0u8; 16 * 1024];
-        let n = self.stream.read(&mut chunk).expect("read");
-        assert!(n > 0, "server closed connection unexpectedly");
-        self.buf.extend_from_slice(&chunk[..n]);
-    }
-}
-
-fn parse_observed(body: &str) -> Observed {
-    let cold = body.contains("\"verdict\":\"cold\"");
-    assert!(cold || body.contains("\"verdict\":\"warm\""), "{body}");
-    let field = |name: &str| -> u64 {
-        let key = format!("\"{name}\":");
-        let rest = &body[body
-            .find(&key)
-            .unwrap_or_else(|| panic!("{name} in {body}"))
-            + key.len()..];
-        rest.chars()
-            .take_while(|c| c.is_ascii_digit())
-            .collect::<String>()
-            .parse()
-            .unwrap()
-    };
-    let kind_key = "\"kind\":\"";
-    let rest = &body[body.find(kind_key).unwrap() + kind_key.len()..];
-    let kind = &rest[..rest.find('"').unwrap()];
-    Observed {
-        cold,
-        prewarm_load: body.contains("\"prewarm_load\":true"),
-        evicted: body.contains("\"evicted\":true"),
-        kind: wire::kind_str(wire::kind_from_str(kind).unwrap()),
-        pre_warm_ms: field("pre_warm_ms"),
-        keep_alive_ms: field("keep_alive_ms"),
-    }
-}
-
-/// Blocking SITW-BIN v2 client.
-struct BinClient {
-    stream: TcpStream,
-    buf: Vec<u8>,
-}
-
-impl BinClient {
-    fn connect(addr: SocketAddr) -> BinClient {
-        let stream = TcpStream::connect(addr).expect("connect");
-        stream.set_nodelay(true).unwrap();
-        BinClient {
-            stream,
-            buf: Vec::new(),
-        }
-    }
-
-    fn batch(&mut self, records: &[(u16, &str, u64)]) -> Vec<BinReply> {
-        let mut frame = Vec::new();
-        wire::encode_request_frame_v2(&mut frame, records);
-        self.stream.write_all(&frame).expect("write frame");
-        loop {
-            match wire::decode_server_frame(&self.buf) {
-                ServerFrameDecode::Reply { records, consumed } => {
-                    self.buf.drain(..consumed);
-                    return records;
-                }
-                ServerFrameDecode::Incomplete => {
-                    let mut chunk = [0u8; 16 * 1024];
-                    let n = self.stream.read(&mut chunk).expect("read");
-                    assert!(n > 0, "server closed mid-frame");
-                    self.buf.extend_from_slice(&chunk[..n]);
-                }
-                other => panic!("unexpected server frame: {other:?}"),
-            }
-        }
-    }
-}
 
 /// Tenant layout of the test fleet (same shape as the fleet-parity
 /// tests: a budgeted hybrid tenant squeezed enough to guarantee
@@ -251,17 +108,17 @@ fn workload() -> (Vec<WorkloadEvent>, Vec<String>) {
 
 /// Replays `merged` in alternating protocol blocks (17 JSON requests,
 /// then one 29-record BIN frame), appending observations in order.
-fn replay_mixed(addr: SocketAddr, merged: &[WorkloadEvent], online: &mut Vec<Observed>) {
-    let mut json = JsonClient::connect(addr);
-    let mut bin = BinClient::connect(addr);
+fn replay_mixed(addr: SocketAddr, merged: &[WorkloadEvent], online: &mut Vec<Decision>) {
+    let mut json = Client::connect(addr).unwrap();
+    let mut bin = Client::connect(addr).unwrap();
     let mut i = 0usize;
     let mut use_json = true;
     while i < merged.len() {
         if use_json {
             for (name, _, app, ts) in merged[i..merged.len().min(i + 17)].iter() {
-                let (status, body) = json.invoke(*name, app, *ts);
+                let (status, body) = json.invoke(*name, app, *ts, None).unwrap();
                 assert_eq!(status, 200, "{body}");
-                online.push(parse_observed(&body));
+                online.push(wire::parse_decision(&body).unwrap());
             }
             i = merged.len().min(i + 17);
         } else {
@@ -270,7 +127,11 @@ fn replay_mixed(addr: SocketAddr, merged: &[WorkloadEvent], online: &mut Vec<Obs
                 .iter()
                 .map(|(_, tid, app, ts)| (*tid, app.as_str(), *ts))
                 .collect();
-            let replies = bin.batch(&records);
+            let replies = bin
+                .batch(|f| wire::encode_request_frame_v2(f, &records))
+                .unwrap()
+                .records()
+                .unwrap();
             assert_eq!(replies.len(), block.len());
             for reply in replies {
                 match reply {
@@ -281,13 +142,15 @@ fn replay_mixed(addr: SocketAddr, merged: &[WorkloadEvent], online: &mut Vec<Obs
                         kind,
                         pre_warm_ms,
                         keep_alive_ms,
-                    } => online.push(Observed {
+                    } => online.push(Decision {
                         cold,
                         prewarm_load,
                         evicted,
-                        kind: wire::kind_str(kind),
-                        pre_warm_ms: pre_warm_ms as u64,
-                        keep_alive_ms: keep_alive_ms as u64,
+                        kind,
+                        windows: Windows {
+                            pre_warm_ms: pre_warm_ms as u64,
+                            keep_alive_ms: keep_alive_ms as u64,
+                        },
                     }),
                     other => panic!("unexpected reply {other:?}"),
                 }
@@ -362,7 +225,7 @@ fn fleet_failover_replay_matches_uninterrupted_fleet_trace() {
 
     // Phase 1: first half against the primary, replication running
     // underneath the whole time.
-    let mut online: Vec<Observed> = Vec::new();
+    let mut online: Vec<Decision> = Vec::new();
     replay_mixed(primary.addr(), &merged[..half], &mut online);
     wait_caught_up(&follower);
 
@@ -387,12 +250,12 @@ fn fleet_failover_replay_matches_uninterrupted_fleet_trace() {
     );
 
     // The follower's control surface reports the live replication state.
-    let mut ctl = JsonClient::connect(follower.addr());
-    let (status, health) = ctl.request("GET", "/healthz", "");
+    let mut ctl = Client::connect(follower.addr()).unwrap();
+    let (status, health) = ctl.request("GET", "/healthz", "").unwrap();
     assert_eq!(status, 200, "{health}");
     assert!(health.contains("\"status\":\"following\""), "{health}");
     assert!(!health.contains("\"epoch\":0,"), "synced: {health}");
-    let (status, scrape) = ctl.request("GET", "/metrics", "");
+    let (status, scrape) = ctl.request("GET", "/metrics", "").unwrap();
     assert_eq!(status, 200);
     assert!(
         scrape.contains("sitw_serve_repl_full_syncs_total"),
@@ -404,13 +267,13 @@ fn fleet_failover_replay_matches_uninterrupted_fleet_trace() {
     let _ = primary.shutdown().unwrap();
 
     // Supervised promotion over the operator endpoint.
-    let (status, body) = ctl.request("POST", "/admin/promote", "");
+    let (status, body) = ctl.request("POST", "/admin/promote", "").unwrap();
     assert_eq!(status, 200, "{body}");
     let key = "\"serve_addr\":\"";
     let rest = &body[body.find(key).expect("serve_addr in promote reply") + key.len()..];
     let serve_addr: SocketAddr = rest[..rest.find('"').unwrap()].parse().unwrap();
     assert_eq!(follower.status().promoted, Some(serve_addr));
-    let (_, health) = ctl.request("GET", "/healthz", "");
+    let (_, health) = ctl.request("GET", "/healthz", "").unwrap();
     assert!(health.contains("\"status\":\"promoted\""), "{health}");
 
     // Phase 2: the rest of the trace against the promoted daemon.
@@ -443,13 +306,8 @@ fn fleet_failover_replay_matches_uninterrupted_fleet_trace() {
         assert_eq!(on.cold, off.cold, "cold mismatch at {}", ctx());
         assert_eq!(on.prewarm_load, off.prewarm_load, "prewarm at {}", ctx());
         assert_eq!(on.evicted, off.evicted, "evicted at {}", ctx());
-        assert_eq!(on.kind, wire::kind_str(off.kind), "kind at {}", ctx());
-        assert_eq!(
-            (on.pre_warm_ms, on.keep_alive_ms),
-            (off.windows.pre_warm_ms, off.windows.keep_alive_ms),
-            "windows at {}",
-            ctx()
-        );
+        assert_eq!(on.kind, off.kind, "kind at {}", ctx());
+        assert_eq!(on.windows, off.windows, "windows at {}", ctx());
         if off.evicted {
             evicted_seen += 1;
         }
@@ -464,8 +322,8 @@ fn fleet_failover_replay_matches_uninterrupted_fleet_trace() {
     for e in &events {
         sim.step(e.tenant, &e.app, e.ts).unwrap();
     }
-    let mut serve_client = JsonClient::connect(serve_addr);
-    let (status, text) = serve_client.request("GET", "/metrics", "");
+    let mut serve_client = Client::connect(serve_addr).unwrap();
+    let (status, text) = serve_client.request("GET", "/metrics", "").unwrap();
     assert_eq!(status, 200);
     // Invocation counters are observability state, not policy state —
     // they are not replicated (same as restore). The promoted daemon
@@ -501,7 +359,7 @@ fn fleet_failover_replay_matches_uninterrupted_fleet_trace() {
     }
 
     // The lifecycle trail: at least one full sync and the promotion.
-    let (_, ev) = ctl.request("GET", "/debug/events", "");
+    let (_, ev) = ctl.request("GET", "/debug/events", "").unwrap();
     assert!(ev.contains("\"kind\":\"repl-sync\""), "{ev}");
     assert!(ev.contains("\"kind\":\"promotion\""), "{ev}");
     assert!(ev.contains("operator request"), "{ev}");
@@ -560,15 +418,15 @@ fn follower_auto_promotes_when_primary_dies_silently() {
     })
     .unwrap();
 
-    let mut client = JsonClient::connect(primary.addr());
-    let mut online: HashMap<String, Vec<Observed>> = HashMap::new();
+    let mut client = Client::connect(primary.addr()).unwrap();
+    let mut online: HashMap<String, Vec<Decision>> = HashMap::new();
     for (app, ts) in &merged[..half] {
-        let (status, body) = client.invoke(None, app, *ts);
+        let (status, body) = client.invoke(None, app, *ts, None).unwrap();
         assert_eq!(status, 200, "{body}");
         online
             .entry(app.clone())
             .or_default()
-            .push(parse_observed(&body));
+            .push(wire::parse_decision(&body).unwrap());
     }
     wait_caught_up(&follower);
 
@@ -589,14 +447,14 @@ fn follower_auto_promotes_when_primary_dies_silently() {
         std::thread::sleep(Duration::from_millis(25));
     };
 
-    let mut client = JsonClient::connect(serve_addr);
+    let mut client = Client::connect(serve_addr).unwrap();
     for (app, ts) in &merged[half..] {
-        let (status, body) = client.invoke(None, app, *ts);
+        let (status, body) = client.invoke(None, app, *ts, None).unwrap();
         assert_eq!(status, 200, "{body}");
         online
             .entry(app.clone())
             .or_default()
-            .push(parse_observed(&body));
+            .push(wire::parse_decision(&body).unwrap());
     }
 
     // Bit-for-bit against the uninterrupted offline policy, per app.
@@ -607,17 +465,13 @@ fn follower_auto_promotes_when_primary_dies_silently() {
         assert_eq!(observed.len(), offline.len(), "{app}");
         for (i, (on, off)) in observed.iter().zip(&offline).enumerate() {
             assert_eq!(on.cold, off.cold, "{app} event {i}");
-            assert_eq!(
-                (on.pre_warm_ms, on.keep_alive_ms),
-                (off.windows.pre_warm_ms, off.windows.keep_alive_ms),
-                "{app} event {i}"
-            );
+            assert_eq!(on.windows, off.windows, "{app} event {i}");
         }
     }
 
     // The lifecycle trail names the cause.
-    let mut ctl = JsonClient::connect(follower.addr());
-    let (_, ev) = ctl.request("GET", "/debug/events", "");
+    let mut ctl = Client::connect(follower.addr()).unwrap();
+    let (_, ev) = ctl.request("GET", "/debug/events", "").unwrap();
     assert!(ev.contains("\"kind\":\"node-down\""), "{ev}");
     assert!(ev.contains("auto policy: primary unreachable"), "{ev}");
     follower.shutdown().unwrap();

@@ -8,153 +8,15 @@
 //! and its warm memory never exceeds the budget.
 
 use std::collections::HashMap;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 
+use sitw_core::Windows;
 use sitw_fleet::{footprint_mb, FleetEvent, TenantId, TenantRegistry};
+use sitw_serve::http::Reply;
 use sitw_serve::wire::{self, BinReply, ServerFrameDecode};
-use sitw_serve::{ServeConfig, Server, TenantConfig};
+use sitw_serve::{Client, Decision, ServeConfig, Server, TenantConfig};
 use sitw_sim::{fleet_verdict_trace, FleetVerdict, PolicySpec};
 use sitw_trace::{app_invocations, build_population, PopulationConfig, TraceConfig, DAY_MS};
-
-/// One observed verdict, protocol-agnostic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Observed {
-    cold: bool,
-    prewarm_load: bool,
-    evicted: bool,
-    kind: &'static str,
-    pre_warm_ms: u64,
-    keep_alive_ms: u64,
-}
-
-/// Blocking JSON client.
-struct JsonClient {
-    stream: TcpStream,
-    buf: Vec<u8>,
-}
-
-impl JsonClient {
-    fn connect(addr: SocketAddr) -> JsonClient {
-        let stream = TcpStream::connect(addr).expect("connect");
-        stream.set_nodelay(true).unwrap();
-        JsonClient {
-            stream,
-            buf: Vec::new(),
-        }
-    }
-
-    fn invoke(&mut self, tenant: Option<&str>, app: &str, ts: u64) -> (u16, String) {
-        let body = match tenant {
-            Some(t) => format!("{{\"tenant\":\"{t}\",\"app\":\"{app}\",\"ts\":{ts}}}"),
-            None => format!("{{\"app\":\"{app}\",\"ts\":{ts}}}"),
-        };
-        let req = format!(
-            "POST /invoke HTTP/1.1\r\ncontent-length: {}\r\n\r\n{body}",
-            body.len()
-        );
-        self.stream.write_all(req.as_bytes()).expect("write");
-        loop {
-            if let Some(header_end) = self.buf.windows(4).position(|w| w == b"\r\n\r\n") {
-                let header = String::from_utf8_lossy(&self.buf[..header_end]).into_owned();
-                let status: u16 = header
-                    .split_ascii_whitespace()
-                    .nth(1)
-                    .and_then(|s| s.parse().ok())
-                    .expect("status");
-                let content_length: usize = header
-                    .lines()
-                    .find_map(|l| {
-                        let (name, value) = l.split_once(':')?;
-                        name.eq_ignore_ascii_case("content-length")
-                            .then(|| value.trim().parse().ok())?
-                    })
-                    .unwrap_or(0);
-                let total = header_end + 4 + content_length;
-                while self.buf.len() < total {
-                    self.fill();
-                }
-                let body = String::from_utf8_lossy(&self.buf[header_end + 4..total]).into_owned();
-                self.buf.drain(..total);
-                return (status, body);
-            }
-            self.fill();
-        }
-    }
-
-    fn fill(&mut self) {
-        let mut chunk = [0u8; 16 * 1024];
-        let n = self.stream.read(&mut chunk).expect("read");
-        assert!(n > 0, "server closed connection unexpectedly");
-        self.buf.extend_from_slice(&chunk[..n]);
-    }
-}
-
-fn parse_observed(body: &str) -> Observed {
-    let cold = body.contains("\"verdict\":\"cold\"");
-    assert!(cold || body.contains("\"verdict\":\"warm\""), "{body}");
-    let field = |name: &str| -> u64 {
-        let key = format!("\"{name}\":");
-        let rest = &body[body
-            .find(&key)
-            .unwrap_or_else(|| panic!("{name} in {body}"))
-            + key.len()..];
-        rest.chars()
-            .take_while(|c| c.is_ascii_digit())
-            .collect::<String>()
-            .parse()
-            .unwrap()
-    };
-    let kind_key = "\"kind\":\"";
-    let rest = &body[body.find(kind_key).unwrap() + kind_key.len()..];
-    let kind = &rest[..rest.find('"').unwrap()];
-    Observed {
-        cold,
-        prewarm_load: body.contains("\"prewarm_load\":true"),
-        evicted: body.contains("\"evicted\":true"),
-        kind: wire::kind_str(wire::kind_from_str(kind).unwrap()),
-        pre_warm_ms: field("pre_warm_ms"),
-        keep_alive_ms: field("keep_alive_ms"),
-    }
-}
-
-/// Blocking SITW-BIN v2 client.
-struct BinClient {
-    stream: TcpStream,
-    buf: Vec<u8>,
-}
-
-impl BinClient {
-    fn connect(addr: SocketAddr) -> BinClient {
-        let stream = TcpStream::connect(addr).expect("connect");
-        stream.set_nodelay(true).unwrap();
-        BinClient {
-            stream,
-            buf: Vec::new(),
-        }
-    }
-
-    fn batch(&mut self, records: &[(u16, &str, u64)]) -> Vec<BinReply> {
-        let mut frame = Vec::new();
-        wire::encode_request_frame_v2(&mut frame, records);
-        self.stream.write_all(&frame).expect("write frame");
-        loop {
-            match wire::decode_server_frame(&self.buf) {
-                ServerFrameDecode::Reply { records, consumed } => {
-                    self.buf.drain(..consumed);
-                    return records;
-                }
-                ServerFrameDecode::Incomplete => {
-                    let mut chunk = [0u8; 16 * 1024];
-                    let n = self.stream.read(&mut chunk).expect("read");
-                    assert!(n > 0, "server closed mid-frame");
-                    self.buf.extend_from_slice(&chunk[..n]);
-                }
-                other => panic!("unexpected server frame: {other:?}"),
-            }
-        }
-    }
-}
 
 /// Tenant layout of the test fleet. The metered tenant's budget is
 /// derived from its apps' deterministic footprints so that it can hold
@@ -247,17 +109,17 @@ fn workload() -> (Vec<WorkloadEvent>, Vec<String>) {
 /// Replays `merged` against `addr` in alternating protocol blocks — 17
 /// invocations as sequential JSON requests, then 29 as one SITW-BIN v2
 /// frame — appending observations in event order.
-fn replay_mixed(addr: SocketAddr, merged: &[WorkloadEvent], online: &mut Vec<Observed>) {
-    let mut json = JsonClient::connect(addr);
-    let mut bin = BinClient::connect(addr);
+fn replay_mixed(addr: SocketAddr, merged: &[WorkloadEvent], online: &mut Vec<Decision>) {
+    let mut json = Client::connect(addr).unwrap();
+    let mut bin = Client::connect(addr).unwrap();
     let mut i = 0usize;
     let mut use_json = true;
     while i < merged.len() {
         if use_json {
             for (name, _, app, ts) in merged[i..merged.len().min(i + 17)].iter() {
-                let (status, body) = json.invoke(*name, app, *ts);
+                let (status, body) = json.invoke(*name, app, *ts, None).unwrap();
                 assert_eq!(status, 200, "{body}");
-                online.push(parse_observed(&body));
+                online.push(wire::parse_decision(&body).unwrap());
             }
             i = merged.len().min(i + 17);
         } else {
@@ -266,7 +128,11 @@ fn replay_mixed(addr: SocketAddr, merged: &[WorkloadEvent], online: &mut Vec<Obs
                 .iter()
                 .map(|(_, tid, app, ts)| (*tid, app.as_str(), *ts))
                 .collect();
-            let replies = bin.batch(&records);
+            let replies = bin
+                .batch(|f| wire::encode_request_frame_v2(f, &records))
+                .unwrap()
+                .records()
+                .unwrap();
             assert_eq!(replies.len(), block.len());
             for reply in replies {
                 match reply {
@@ -277,13 +143,15 @@ fn replay_mixed(addr: SocketAddr, merged: &[WorkloadEvent], online: &mut Vec<Obs
                         kind,
                         pre_warm_ms,
                         keep_alive_ms,
-                    } => online.push(Observed {
+                    } => online.push(Decision {
                         cold,
                         prewarm_load,
                         evicted,
-                        kind: wire::kind_str(kind),
-                        pre_warm_ms: pre_warm_ms as u64,
-                        keep_alive_ms: keep_alive_ms as u64,
+                        kind,
+                        windows: Windows {
+                            pre_warm_ms: pre_warm_ms as u64,
+                            keep_alive_ms: keep_alive_ms as u64,
+                        },
                     }),
                     other => panic!("unexpected reply {other:?}"),
                 }
@@ -316,7 +184,7 @@ fn fleet_replay_matches_fleet_verdict_trace_across_shard_change() {
 
     // Phase 1: first half against a 2-shard fleet.
     let server_a = Server::start(config(2, false)).unwrap();
-    let mut online: Vec<Observed> = Vec::new();
+    let mut online: Vec<Decision> = Vec::new();
     replay_mixed(server_a.addr(), &merged[..half], &mut online);
     server_a.shutdown().unwrap();
     let text = std::fs::read_to_string(&snap_path).unwrap();
@@ -358,19 +226,14 @@ fn fleet_replay_matches_fleet_verdict_trace_across_shard_change() {
         assert_eq!(on.cold, off.cold, "cold mismatch at {}", ctx());
         assert_eq!(on.prewarm_load, off.prewarm_load, "prewarm at {}", ctx());
         assert_eq!(on.evicted, off.evicted, "evicted at {}", ctx());
-        assert_eq!(on.kind, wire::kind_str(off.kind), "kind at {}", ctx());
+        assert_eq!(on.kind, off.kind, "kind at {}", ctx());
         assert!(
             off.windows.pre_warm_ms < u32::MAX as u64
                 && off.windows.keep_alive_ms < u32::MAX as u64,
             "windows exceed the u32 wire range at {}",
             ctx()
         );
-        assert_eq!(
-            (on.pre_warm_ms, on.keep_alive_ms),
-            (off.windows.pre_warm_ms, off.windows.keep_alive_ms),
-            "windows at {}",
-            ctx()
-        );
+        assert_eq!(on.windows, off.windows, "windows at {}", ctx());
         if off.evicted {
             evicted_seen += 1;
         }
@@ -432,61 +295,32 @@ fn unknown_tenants_rejected_on_both_protocols() {
     })
     .unwrap();
 
-    let mut json = JsonClient::connect(server.addr());
-    let (status, body) = json.invoke(Some("ghost"), "a", 0);
+    let mut json = Client::connect(server.addr()).unwrap();
+    let (status, body) = json.invoke(Some("ghost"), "a", 0, None).unwrap();
     assert_eq!(status, 400, "{body}");
     assert!(body.contains("unknown tenant"), "{body}");
     // The connection survives and known tenants serve.
-    let (status, body) = json.invoke(Some("known"), "a", 0);
+    let (status, body) = json.invoke(Some("known"), "a", 0, None).unwrap();
     assert_eq!(status, 200, "{body}");
 
-    let mut stream = TcpStream::connect(server.addr()).unwrap();
-    stream.set_nodelay(true).unwrap();
-    let mut frame = Vec::new();
-    wire::encode_request_frame_v2(&mut frame, &[(42, "a", 0)]);
-    stream.write_all(&frame).unwrap();
-    let mut buf = Vec::new();
-    loop {
-        match wire::decode_server_frame(&buf) {
-            ServerFrameDecode::Error {
-                code,
-                detail,
-                consumed,
-            } => {
-                assert_eq!(code, wire::BinErrorCode::Malformed);
-                assert!(detail.contains("unknown tenant id 42"), "{detail}");
-                buf.drain(..consumed);
-                break;
-            }
-            ServerFrameDecode::Incomplete => {
-                let mut chunk = [0u8; 4096];
-                let n = stream.read(&mut chunk).unwrap();
-                assert!(n > 0);
-                buf.extend_from_slice(&chunk[..n]);
-            }
-            other => panic!("{other:?}"),
+    let mut bin = Client::connect(server.addr()).unwrap();
+    match bin
+        .batch(|f| wire::encode_request_frame_v2(f, &[(42, "a", 0)]))
+        .unwrap()
+    {
+        Reply::Frame(ServerFrameDecode::Error { code, detail, .. }) => {
+            assert_eq!(code, wire::BinErrorCode::Malformed);
+            assert!(detail.contains("unknown tenant id 42"), "{detail}");
         }
+        other => panic!("{other:?}"),
     }
     // Still usable: a valid v2 frame for the known tenant (id 1).
-    let mut good = Vec::new();
-    wire::encode_request_frame_v2(&mut good, &[(1, "b", 5)]);
-    stream.write_all(&good).unwrap();
-    loop {
-        match wire::decode_server_frame(&buf) {
-            ServerFrameDecode::Reply { records, consumed } => {
-                buf.drain(..consumed);
-                assert!(matches!(records[0], BinReply::Verdict { cold: true, .. }));
-                break;
-            }
-            ServerFrameDecode::Incomplete => {
-                let mut chunk = [0u8; 4096];
-                let n = stream.read(&mut chunk).unwrap();
-                assert!(n > 0);
-                buf.extend_from_slice(&chunk[..n]);
-            }
-            other => panic!("{other:?}"),
-        }
-    }
+    let records = bin
+        .batch(|f| wire::encode_request_frame_v2(f, &[(1, "b", 5)]))
+        .unwrap()
+        .records()
+        .unwrap();
+    assert!(matches!(records[0], BinReply::Verdict { cold: true, .. }));
     assert_eq!(server.metrics().proto.proto_errors, 1);
     server.shutdown().unwrap();
 }
@@ -508,29 +342,21 @@ fn admin_registered_tenant_serves_and_survives_restore() {
         ..ServeConfig::default()
     })
     .unwrap();
-    let mut client = JsonClient::connect(server.addr());
+    let mut client = Client::connect(server.addr()).unwrap();
 
     // Register over HTTP with a budget; duplicate and garbage rejected.
-    let body = "ondemand=fixed:20,budget=256";
-    let req = format!(
-        "POST /admin/tenants HTTP/1.1\r\ncontent-length: {}\r\n\r\n{body}",
-        body.len()
-    );
-    client.stream.write_all(req.as_bytes()).unwrap();
-    let (status, resp) = read_http_response(&mut client);
+    let spec = "ondemand=fixed:20,budget=256";
+    let (status, resp) = client.request("POST", "/admin/tenants", spec).unwrap();
     assert_eq!(status, 200, "{resp}");
     assert!(resp.contains("\"id\":1"), "{resp}");
-    client.stream.write_all(req.as_bytes()).unwrap();
-    let (status, resp) = read_http_response(&mut client);
+    let (status, resp) = client.request("POST", "/admin/tenants", spec).unwrap();
     assert_eq!(status, 400, "duplicate must 400: {resp}");
 
-    let (status, body) = client.invoke(Some("ondemand"), "x", 0);
+    let (status, body) = client.invoke(Some("ondemand"), "x", 0, None).unwrap();
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("\"keep_alive_ms\":1200000"), "{body}");
 
-    let req = "GET /admin/tenants HTTP/1.1\r\n\r\n".to_owned();
-    client.stream.write_all(req.as_bytes()).unwrap();
-    let (status, listing) = read_http_response(&mut client);
+    let (status, listing) = client.request("GET", "/admin/tenants", "").unwrap();
     assert_eq!(status, 200);
     assert!(listing.contains("\"name\":\"ondemand\""), "{listing}");
     assert!(listing.contains("\"budget_mb\":256"), "{listing}");
@@ -548,8 +374,8 @@ fn admin_registered_tenant_serves_and_survives_restore() {
         ..ServeConfig::default()
     })
     .unwrap();
-    let mut client = JsonClient::connect(server.addr());
-    let (status, body) = client.invoke(Some("ondemand"), "x", 60_000);
+    let mut client = Client::connect(server.addr()).unwrap();
+    let (status, body) = client.invoke(Some("ondemand"), "x", 60_000, None).unwrap();
     assert_eq!(status, 200, "{body}");
     assert!(
         body.contains("\"verdict\":\"warm\""),
@@ -557,34 +383,4 @@ fn admin_registered_tenant_serves_and_survives_restore() {
     );
     server.shutdown().unwrap();
     std::fs::remove_dir_all(&dir).unwrap();
-}
-
-/// Reads one HTTP response off a [`JsonClient`]'s stream.
-fn read_http_response(client: &mut JsonClient) -> (u16, String) {
-    loop {
-        if let Some(header_end) = client.buf.windows(4).position(|w| w == b"\r\n\r\n") {
-            let header = String::from_utf8_lossy(&client.buf[..header_end]).into_owned();
-            let status: u16 = header
-                .split_ascii_whitespace()
-                .nth(1)
-                .and_then(|s| s.parse().ok())
-                .expect("status");
-            let content_length: usize = header
-                .lines()
-                .find_map(|l| {
-                    let (name, value) = l.split_once(':')?;
-                    name.eq_ignore_ascii_case("content-length")
-                        .then(|| value.trim().parse().ok())?
-                })
-                .unwrap_or(0);
-            let total = header_end + 4 + content_length;
-            while client.buf.len() < total {
-                client.fill();
-            }
-            let body = String::from_utf8_lossy(&client.buf[header_end + 4..total]).into_owned();
-            client.buf.drain(..total);
-            return (status, body);
-        }
-        client.fill();
-    }
 }

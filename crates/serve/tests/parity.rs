@@ -9,83 +9,16 @@
 //!   shutdown.
 
 use std::collections::HashMap;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 
 use sitw_core::{FixedKeepAlive, HybridConfig, PolicyFactory, ProductionConfig, ProductionManager};
-use sitw_serve::wire::{self, BinReply, ServerFrameDecode};
-use sitw_serve::{ServeConfig, Server};
+use sitw_serve::http::Reply;
+use sitw_serve::wire::{self, BinReply};
+use sitw_serve::{Client, ServeConfig, Server};
 use sitw_sim::{
     production_verdict_trace, simulate_app, verdict_trace, InvocationVerdict, PolicySpec,
 };
 use sitw_trace::{app_invocations, build_population, PopulationConfig, TraceConfig, DAY_MS};
-
-/// Blocking single-request client: sends one request, reads one response.
-struct TestClient {
-    stream: TcpStream,
-    buf: Vec<u8>,
-}
-
-impl TestClient {
-    fn connect(addr: SocketAddr) -> TestClient {
-        let stream = TcpStream::connect(addr).expect("connect");
-        stream.set_nodelay(true).unwrap();
-        TestClient {
-            stream,
-            buf: Vec::new(),
-        }
-    }
-
-    fn request(&mut self, method: &str, path: &str, body: &str) -> (u16, String) {
-        let req = format!(
-            "{method} {path} HTTP/1.1\r\ncontent-length: {}\r\n\r\n{body}",
-            body.len()
-        );
-        self.stream.write_all(req.as_bytes()).expect("write");
-        // Read until a complete response (headers + content-length body).
-        loop {
-            if let Some(header_end) = self.buf.windows(4).position(|w| w == b"\r\n\r\n") {
-                let header = String::from_utf8_lossy(&self.buf[..header_end]).into_owned();
-                let status: u16 = header
-                    .split_ascii_whitespace()
-                    .nth(1)
-                    .and_then(|s| s.parse().ok())
-                    .expect("status");
-                let content_length: usize = header
-                    .lines()
-                    .find_map(|l| {
-                        let (name, value) = l.split_once(':')?;
-                        name.eq_ignore_ascii_case("content-length")
-                            .then(|| value.trim().parse().ok())?
-                    })
-                    .unwrap_or(0);
-                let total = header_end + 4 + content_length;
-                while self.buf.len() < total {
-                    self.fill();
-                }
-                let body = String::from_utf8_lossy(&self.buf[header_end + 4..total]).into_owned();
-                self.buf.drain(..total);
-                return (status, body);
-            }
-            self.fill();
-        }
-    }
-
-    fn fill(&mut self) {
-        let mut chunk = [0u8; 16 * 1024];
-        let n = self.stream.read(&mut chunk).expect("read");
-        assert!(n > 0, "server closed connection unexpectedly");
-        self.buf.extend_from_slice(&chunk[..n]);
-    }
-
-    fn invoke(&mut self, app: &str, ts: u64) -> (u16, String) {
-        self.request(
-            "POST",
-            "/invoke",
-            &format!("{{\"app\":\"{app}\",\"ts\":{ts}}}"),
-        )
-    }
-}
 
 /// The merged `(app, ts)` request stream and the per-app event lists it
 /// was built from.
@@ -136,21 +69,8 @@ fn workload_with(num_apps: usize, horizon_ms: u64, cap_per_day: f64) -> Workload
 }
 
 fn parse_verdict(body: &str) -> (bool, u64, u64) {
-    let cold = body.contains("\"verdict\":\"cold\"");
-    assert!(cold || body.contains("\"verdict\":\"warm\""), "{body}");
-    let field = |name: &str| -> u64 {
-        let key = format!("\"{name}\":");
-        let rest = &body[body
-            .find(&key)
-            .unwrap_or_else(|| panic!("{name} in {body}"))
-            + key.len()..];
-        rest.chars()
-            .take_while(|c| c.is_ascii_digit())
-            .collect::<String>()
-            .parse()
-            .unwrap()
-    };
-    (cold, field("pre_warm_ms"), field("keep_alive_ms"))
+    let d = wire::parse_decision(body).unwrap();
+    (d.cold, d.windows.pre_warm_ms, d.windows.keep_alive_ms)
 }
 
 #[test]
@@ -164,12 +84,12 @@ fn online_verdicts_match_offline_simulator_bit_for_bit() {
         ..ServeConfig::default()
     })
     .expect("server start");
-    let mut client = TestClient::connect(server.addr());
+    let mut client = Client::connect(server.addr()).unwrap();
 
     // Online replay, recording per-app verdict sequences.
     let mut online: HashMap<String, Vec<(bool, u64, u64)>> = HashMap::new();
     for (app, ts) in &merged {
-        let (status, body) = client.invoke(app, *ts);
+        let (status, body) = client.invoke(None, app, *ts, None).unwrap();
         assert_eq!(status, 200, "{body}");
         online
             .entry(app.clone())
@@ -233,9 +153,9 @@ fn snapshot_restore_continues_decision_stream_exactly() {
         ..ServeConfig::default()
     })
     .unwrap();
-    let mut client = TestClient::connect(server_a.addr());
+    let mut client = Client::connect(server_a.addr()).unwrap();
     for (app, ts) in &merged[..half] {
-        let (status, _) = client.invoke(app, *ts);
+        let (status, _) = client.invoke(None, app, *ts, None).unwrap();
         assert_eq!(status, 200);
     }
     drop(client);
@@ -253,10 +173,10 @@ fn snapshot_restore_continues_decision_stream_exactly() {
         ..ServeConfig::default()
     })
     .unwrap();
-    let mut client = TestClient::connect(server_b.addr());
+    let mut client = Client::connect(server_b.addr()).unwrap();
     let mut online_tail: HashMap<String, Vec<(bool, u64, u64)>> = HashMap::new();
     for (app, ts) in &merged[half..] {
-        let (status, body) = client.invoke(app, *ts);
+        let (status, body) = client.invoke(None, app, *ts, None).unwrap();
         assert_eq!(status, 200, "{body}");
         online_tail
             .entry(app.clone())
@@ -291,9 +211,7 @@ fn snapshot_restore_continues_decision_stream_exactly() {
 
 /// Extracts the decision-branch name from an `/invoke` response body.
 fn parse_kind(body: &str) -> String {
-    let key = "\"kind\":\"";
-    let rest = &body[body.find(key).unwrap_or_else(|| panic!("kind in {body}")) + key.len()..];
-    rest[..rest.find('"').unwrap()].to_owned()
+    wire::kind_str(wire::parse_decision(body).unwrap().kind).to_owned()
 }
 
 /// The §6 serving mode end to end: a multi-day trace through a
@@ -321,10 +239,10 @@ fn production_mode_matches_offline_manager_across_shard_change() {
         ..ServeConfig::default()
     })
     .unwrap();
-    let mut client = TestClient::connect(server_a.addr());
+    let mut client = Client::connect(server_a.addr()).unwrap();
     let mut online: HashMap<String, Vec<(bool, u64, u64, String)>> = HashMap::new();
     for (app, ts) in &merged[..half] {
-        let (status, body) = client.invoke(app, *ts);
+        let (status, body) = client.invoke(None, app, *ts, None).unwrap();
         assert_eq!(status, 200, "{body}");
         let (cold, pw, ka) = parse_verdict(&body);
         online
@@ -348,9 +266,9 @@ fn production_mode_matches_offline_manager_across_shard_change() {
         ..ServeConfig::default()
     })
     .unwrap();
-    let mut client = TestClient::connect(server_b.addr());
+    let mut client = Client::connect(server_b.addr()).unwrap();
     for (app, ts) in &merged[half..] {
-        let (status, body) = client.invoke(app, *ts);
+        let (status, body) = client.invoke(None, app, *ts, None).unwrap();
         assert_eq!(status, 200, "{body}");
         let (cold, pw, ka) = parse_verdict(&body);
         online
@@ -385,7 +303,7 @@ fn production_mode_matches_offline_manager_across_shard_change() {
     }
 
     // §6 bookkeeping is visible in /metrics.
-    let (status, text) = client.request("GET", "/metrics", "");
+    let (status, text) = client.request("GET", "/metrics", "").unwrap();
     assert_eq!(status, 200);
     assert!(text.contains("sitw_serve_backups_total"), "{text}");
     assert!(
@@ -410,51 +328,13 @@ fn production_mode_matches_offline_manager_across_shard_change() {
     // Equal-timestamp regression: re-sending the last accepted (app, ts)
     // is warm (a concurrent arrival), never a 409 or a cold.
     let (last_app, last_ts) = merged.last().unwrap().clone();
-    let (status, body) = client.invoke(&last_app, last_ts);
+    let (status, body) = client.invoke(None, &last_app, last_ts, None).unwrap();
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("\"verdict\":\"warm\""), "{body}");
 
     drop(client);
     server_b.shutdown().unwrap();
     std::fs::remove_dir_all(&dir).unwrap();
-}
-
-/// Blocking SITW-BIN client: sends one frame, reads one reply frame.
-struct BinClient {
-    stream: TcpStream,
-    buf: Vec<u8>,
-}
-
-impl BinClient {
-    fn connect(addr: SocketAddr) -> BinClient {
-        let stream = TcpStream::connect(addr).expect("connect");
-        stream.set_nodelay(true).unwrap();
-        BinClient {
-            stream,
-            buf: Vec::new(),
-        }
-    }
-
-    fn batch(&mut self, records: &[(&str, u64)]) -> Vec<BinReply> {
-        let mut frame = Vec::new();
-        wire::encode_request_frame(&mut frame, records);
-        self.stream.write_all(&frame).expect("write frame");
-        loop {
-            match wire::decode_server_frame(&self.buf) {
-                ServerFrameDecode::Reply { records, consumed } => {
-                    self.buf.drain(..consumed);
-                    return records;
-                }
-                ServerFrameDecode::Incomplete => {
-                    let mut chunk = [0u8; 16 * 1024];
-                    let n = self.stream.read(&mut chunk).expect("read");
-                    assert!(n > 0, "server closed mid-frame");
-                    self.buf.extend_from_slice(&chunk[..n]);
-                }
-                other => panic!("unexpected server frame: {other:?}"),
-            }
-        }
-    }
 }
 
 /// One observed verdict, protocol-agnostic: cold, pre-warm window,
@@ -470,14 +350,14 @@ fn replay_mixed(
     merged: &[(String, u64)],
     online: &mut HashMap<String, Vec<Observed>>,
 ) {
-    let mut json = TestClient::connect(addr);
-    let mut bin = BinClient::connect(addr);
+    let mut json = Client::connect(addr).unwrap();
+    let mut bin = Client::connect(addr).unwrap();
     let mut i = 0usize;
     let mut use_json = true;
     while i < merged.len() {
         if use_json {
             for (app, ts) in merged[i..merged.len().min(i + 17)].iter() {
-                let (status, body) = json.invoke(app, *ts);
+                let (status, body) = json.invoke(None, app, *ts, None).unwrap();
                 assert_eq!(status, 200, "{body}");
                 let (cold, pw, ka) = parse_verdict(&body);
                 online.entry(app.clone()).or_default().push((
@@ -492,7 +372,11 @@ fn replay_mixed(
         } else {
             let block = &merged[i..merged.len().min(i + 29)];
             let records: Vec<(&str, u64)> = block.iter().map(|(a, ts)| (a.as_str(), *ts)).collect();
-            let replies = bin.batch(&records);
+            let replies = bin
+                .batch(|f| wire::encode_request_frame(f, &records))
+                .unwrap()
+                .records()
+                .unwrap();
             assert_eq!(replies.len(), block.len());
             for ((app, _), reply) in block.iter().zip(&replies) {
                 match reply {
@@ -647,21 +531,23 @@ fn oversized_body_declaration_gets_413() {
         ..ServeConfig::default()
     })
     .unwrap();
-    let mut stream = TcpStream::connect(server.addr()).unwrap();
-    stream
-        .write_all(b"POST /invoke HTTP/1.1\r\ncontent-length: 1099511627776\r\n\r\n")
+    let mut client = Client::connect(server.addr()).unwrap();
+    client
+        .send(b"POST /invoke HTTP/1.1\r\ncontent-length: 1099511627776\r\n\r\n")
         .unwrap();
     // Stream some of the declared body too: the server must drain it
     // before closing, so the 413 arrives as data + FIN, not an RST that
-    // would make this read fail with ECONNRESET.
-    stream.write_all(&vec![b'x'; 256 * 1024]).unwrap();
-    let mut response = String::new();
-    stream.read_to_string(&mut response).unwrap(); // Server closes after.
-    assert!(
-        response.starts_with("HTTP/1.1 413 Payload Too Large\r\n"),
-        "{response}"
-    );
-    assert!(response.contains("payload too large"), "{response}");
+    // would make these reads fail with ECONNRESET.
+    client.send(&vec![b'x'; 256 * 1024]).unwrap();
+    let (status, body) = client.response().unwrap();
+    assert_eq!(status, 413, "{body}");
+    assert!(client
+        .conn()
+        .reply_raw()
+        .starts_with(b"HTTP/1.1 413 Payload Too Large\r\n"));
+    assert!(body.contains("payload too large"), "{body}");
+    // The server closes after.
+    assert!(matches!(client.conn().read_reply().unwrap(), Reply::Eof));
     server.shutdown().unwrap();
 }
 
@@ -674,30 +560,30 @@ fn health_metrics_and_rejections() {
         ..ServeConfig::default()
     })
     .unwrap();
-    let mut client = TestClient::connect(server.addr());
+    let mut client = Client::connect(server.addr()).unwrap();
 
-    let (status, body) = client.request("GET", "/healthz", "");
+    let (status, body) = client.request("GET", "/healthz", "").unwrap();
     assert_eq!(status, 200);
     assert!(body.contains("\"status\":\"ok\""));
     assert!(body.contains("\"shards\":2"));
     assert!(body.contains("fixed-10min"));
 
     // Malformed body and unknown path.
-    let (status, _) = client.request("POST", "/invoke", "not json");
+    let (status, _) = client.request("POST", "/invoke", "not json").unwrap();
     assert_eq!(status, 400);
-    let (status, _) = client.request("GET", "/nope", "");
+    let (status, _) = client.request("GET", "/nope", "").unwrap();
     assert_eq!(status, 404);
-    let (status, _) = client.request("DELETE", "/metrics", "");
+    let (status, _) = client.request("DELETE", "/metrics", "").unwrap();
     assert_eq!(status, 405);
 
     // Out-of-order timestamps are a 409 with the last accepted ts.
-    assert_eq!(client.invoke("a", 1_000_000).0, 200);
-    let (status, body) = client.invoke("a", 500_000);
+    assert_eq!(client.invoke(None, "a", 1_000_000, None).unwrap().0, 200);
+    let (status, body) = client.invoke(None, "a", 500_000, None).unwrap();
     assert_eq!(status, 409);
     assert!(body.contains("\"last_ts\":1000000"), "{body}");
 
     // Metrics text includes per-shard counters and latency quantiles.
-    let (status, text) = client.request("GET", "/metrics", "");
+    let (status, text) = client.request("GET", "/metrics", "").unwrap();
     assert_eq!(status, 200);
     assert!(text.contains("sitw_serve_invocations_total{shard=\"0\"}"));
     assert!(text.contains("sitw_serve_out_of_order_total"));
@@ -715,9 +601,9 @@ fn admin_shutdown_stops_the_server() {
         ..ServeConfig::default()
     })
     .unwrap();
-    let mut client = TestClient::connect(server.addr());
-    assert_eq!(client.invoke("a", 0).0, 200);
-    let (status, body) = client.request("POST", "/admin/shutdown", "");
+    let mut client = Client::connect(server.addr()).unwrap();
+    assert_eq!(client.invoke(None, "a", 0, None).unwrap().0, 200);
+    let (status, body) = client.request("POST", "/admin/shutdown", "").unwrap();
     assert_eq!(status, 200);
     assert!(body.contains("stopping"));
     server.wait(); // Returns because the flag is now set.
@@ -738,47 +624,16 @@ fn pipelined_requests_get_ordered_responses() {
         ..ServeConfig::default()
     })
     .unwrap();
-    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
     let n = 200u64;
     let mut batch = Vec::new();
     for i in 0..n {
         let body = format!("{{\"app\":\"p\",\"ts\":{}}}", i * 1_000);
-        batch.extend_from_slice(
-            format!(
-                "POST /invoke HTTP/1.1\r\ncontent-length: {}\r\n\r\n{body}",
-                body.len()
-            )
-            .as_bytes(),
-        );
+        sitw_serve::http::write_request(&mut batch, "POST", "/invoke", None, body.as_bytes())
+            .unwrap();
     }
-    stream.write_all(&batch).unwrap();
-
-    let mut responses = Vec::new();
-    let mut buf = Vec::new();
-    let mut chunk = [0u8; 16 * 1024];
-    while responses.len() < n as usize {
-        let read = stream.read(&mut chunk).unwrap();
-        assert!(read > 0);
-        buf.extend_from_slice(&chunk[..read]);
-        // Split out complete responses.
-        while let Some(header_end) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
-            let header = String::from_utf8_lossy(&buf[..header_end]).into_owned();
-            let content_length: usize = header
-                .lines()
-                .find_map(|l| {
-                    let (name, value) = l.split_once(':')?;
-                    name.eq_ignore_ascii_case("content-length")
-                        .then(|| value.trim().parse().ok())?
-                })
-                .unwrap_or(0);
-            let total = header_end + 4 + content_length;
-            if buf.len() < total {
-                break;
-            }
-            responses.push(String::from_utf8_lossy(&buf[header_end + 4..total]).into_owned());
-            buf.drain(..total);
-        }
-    }
+    client.send(&batch).unwrap();
+    let responses: Vec<String> = (0..n).map(|_| client.response().unwrap().1).collect();
     assert!(responses[0].contains("\"verdict\":\"cold\""));
     for (i, r) in responses[1..].iter().enumerate() {
         assert!(

@@ -7,8 +7,9 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use sitw_serve::wire::{self, encode_request_frame, BinReply, ServerFrameDecode};
-use sitw_serve::{ServeConfig, Server};
+use sitw_serve::http::{write_request, Reply};
+use sitw_serve::wire::{self, encode_request_frame, BinReply};
+use sitw_serve::{Client, ServeConfig, Server};
 use sitw_sim::PolicySpec;
 
 fn start_server(cfg: ServeConfig) -> Server {
@@ -35,25 +36,6 @@ fn wait_until(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
             return false;
         }
         std::thread::sleep(Duration::from_millis(10));
-    }
-}
-
-/// Reads one SITW-BIN reply frame (blocking stream).
-fn read_reply(stream: &mut TcpStream, buf: &mut Vec<u8>) -> Vec<BinReply> {
-    loop {
-        match wire::decode_server_frame(buf) {
-            ServerFrameDecode::Reply { records, consumed } => {
-                buf.drain(..consumed);
-                return records;
-            }
-            ServerFrameDecode::Incomplete => {
-                let mut chunk = [0u8; 4096];
-                let n = stream.read(&mut chunk).expect("read");
-                assert!(n > 0, "server closed mid-reply");
-                buf.extend_from_slice(&chunk[..n]);
-            }
-            other => panic!("{other:?}"),
-        }
     }
 }
 
@@ -113,31 +95,18 @@ fn slowloris_half_message_is_disconnected_after_idle_timeout() {
 
     // A *fully idle* keep-alive connection is never timed out: after
     // sitting well past the idle timeout it still serves.
-    let mut idle = TcpStream::connect(server.addr()).unwrap();
+    let mut idle = Client::connect(server.addr()).unwrap();
     std::thread::sleep(Duration::from_millis(600));
-    let body = br#"{"app":"patient","ts":1}"#;
-    idle.write_all(
-        format!(
-            "POST /invoke HTTP/1.1\r\ncontent-length: {}\r\n\r\n",
-            body.len()
-        )
-        .as_bytes(),
-    )
-    .unwrap();
-    idle.write_all(body).unwrap();
-    let mut resp = [0u8; 512];
-    let n = idle.read(&mut resp).unwrap();
-    let text = String::from_utf8_lossy(&resp[..n]);
-    assert!(text.starts_with("HTTP/1.1 200 OK"), "{text}");
+    let (status, body) = idle.invoke(None, "patient", 1, None).unwrap();
+    assert_eq!(status, 200, "{body}");
 
     // A slowloris that *resumes* within the timeout is served normally.
-    let mut slow = TcpStream::connect(server.addr()).unwrap();
-    slow.write_all(b"GET /heal").unwrap();
+    let mut slow = Client::connect(server.addr()).unwrap();
+    slow.send(b"GET /heal").unwrap();
     std::thread::sleep(Duration::from_millis(50));
-    slow.write_all(b"thz HTTP/1.1\r\n\r\n").unwrap();
-    let n = slow.read(&mut resp).unwrap();
-    let text = String::from_utf8_lossy(&resp[..n]);
-    assert!(text.starts_with("HTTP/1.1 200 OK"), "{text}");
+    slow.send(b"thz HTTP/1.1\r\n\r\n").unwrap();
+    let (status, body) = slow.response().unwrap();
+    assert_eq!(status, 200, "{body}");
 
     server.shutdown().unwrap();
 }
@@ -151,16 +120,11 @@ fn thousand_connection_churn_leaks_nothing() {
     let server = start_server(base_config());
     let cycles = 1_000u64;
     for i in 0..cycles {
-        let mut stream = TcpStream::connect(server.addr()).unwrap();
-        let mut frame = Vec::new();
-        encode_request_frame(
-            &mut frame,
-            &[(format!("churn-{:03}", i % 500).as_str(), i * 7)],
-        );
-        stream.write_all(&frame).unwrap();
-        let mut buf = Vec::new();
-        let records = read_reply(&mut stream, &mut buf);
-        assert_eq!(records.len(), 1);
+        let mut client = Client::connect(server.addr()).unwrap();
+        let app = format!("churn-{:03}", i % 500);
+        let frame = [(app.as_str(), i * 7)];
+        let reply = client.batch(|f| encode_request_frame(f, &frame)).unwrap();
+        assert_eq!(reply.records().unwrap().len(), 1);
         // Drop without shutdown: the reactor sees EOF (or RST) and must
         // retire the slab entry either way.
     }
@@ -222,15 +186,13 @@ fn mid_frame_disconnect_drops_pending_batch_without_poisoning() {
     // keep their (already applied) state, and churned slab slots serve
     // their new occupants correctly.
     for round in 0..20 {
-        let mut stream = TcpStream::connect(server.addr()).unwrap();
-        let mut frame = Vec::new();
-        encode_request_frame(
-            &mut frame,
-            &[("gone-000", 1_000_000 + round), ("fresh", 5 + round)],
-        );
-        stream.write_all(&frame).unwrap();
-        let mut buf = Vec::new();
-        let records = read_reply(&mut stream, &mut buf);
+        let mut client = Client::connect(server.addr()).unwrap();
+        let frame = [("gone-000", 1_000_000 + round), ("fresh", 5 + round)];
+        let records = client
+            .batch(|f| wire::encode_request_frame(f, &frame))
+            .unwrap()
+            .records()
+            .unwrap();
         assert_eq!(records.len(), 2, "round {round}");
         assert!(matches!(records[0], BinReply::Verdict { .. }));
     }
@@ -253,20 +215,19 @@ fn mid_frame_disconnect_drops_pending_batch_without_poisoning() {
 fn two_hundred_fifty_six_concurrent_keepalive_connections() {
     let server = start_server(base_config());
     let n = 256usize;
-    let mut conns: Vec<TcpStream> = (0..n)
-        .map(|_| TcpStream::connect(server.addr()).unwrap())
+    let mut conns: Vec<Client> = (0..n)
+        .map(|_| Client::connect(server.addr()).unwrap())
         .collect();
 
     // All connections send one single-record frame...
-    for (i, stream) in conns.iter_mut().enumerate() {
+    for (i, client) in conns.iter_mut().enumerate() {
         let mut frame = Vec::new();
         encode_request_frame(&mut frame, &[(format!("fan-{i:03}").as_str(), 9)]);
-        stream.write_all(&frame).unwrap();
+        client.send(&frame).unwrap();
     }
     // ...and all replies come back while every connection stays open.
-    for stream in conns.iter_mut() {
-        let mut buf = Vec::new();
-        let records = read_reply(stream, &mut buf);
+    for client in conns.iter_mut() {
+        let records = client.recv().unwrap().records().unwrap();
         assert!(matches!(records[0], BinReply::Verdict { cold: true, .. }));
     }
     let m = server.metrics();
@@ -297,17 +258,16 @@ fn stress_2048_concurrent_connections_on_4_reactor_threads() {
         ..base_config()
     });
     let n = 2_048usize;
-    let mut conns: Vec<TcpStream> = (0..n)
-        .map(|_| TcpStream::connect(server.addr()).unwrap())
+    let mut conns: Vec<Client> = (0..n)
+        .map(|_| Client::connect(server.addr()).unwrap())
         .collect();
-    for (i, stream) in conns.iter_mut().enumerate() {
+    for (i, client) in conns.iter_mut().enumerate() {
         let mut frame = Vec::new();
         encode_request_frame(&mut frame, &[(format!("mass-{i:04}").as_str(), 1)]);
-        stream.write_all(&frame).unwrap();
+        client.send(&frame).unwrap();
     }
-    for stream in conns.iter_mut() {
-        let mut buf = Vec::new();
-        let records = read_reply(stream, &mut buf);
+    for client in conns.iter_mut() {
+        let records = client.recv().unwrap().records().unwrap();
         assert!(matches!(records[0], BinReply::Verdict { cold: true, .. }));
     }
     let m = server.metrics();
@@ -319,11 +279,8 @@ fn stress_2048_concurrent_connections_on_4_reactor_threads() {
     // more request over a random survivor to prove the pool still
     // serves while loaded with idle sockets.
     std::thread::sleep(Duration::from_millis(300));
-    let mut frame = Vec::new();
-    encode_request_frame(&mut frame, &[("mass-0000", 120_000)]);
-    conns[1_024].write_all(&frame).unwrap();
-    let mut buf = Vec::new();
-    let records = read_reply(&mut conns[1_024], &mut buf);
+    let reply = conns[1_024].batch(|f| wire::encode_request_frame(f, &[("mass-0000", 120_000)]));
+    let records = reply.unwrap().records().unwrap();
     assert!(matches!(records[0], BinReply::Verdict { .. }));
 
     drop(conns);
@@ -379,11 +336,9 @@ fn shutdown_completes_under_idle_and_slowloris_connections() {
 
 fn invoke_bytes(app: &str, ts: u64) -> Vec<u8> {
     let body = format!("{{\"app\":\"{app}\",\"ts\":{ts}}}");
-    format!(
-        "POST /invoke HTTP/1.1\r\ncontent-length: {}\r\n\r\n{body}",
-        body.len()
-    )
-    .into_bytes()
+    let mut bytes = Vec::new();
+    write_request(&mut bytes, "POST", "/invoke", None, body.as_bytes()).unwrap();
+    bytes
 }
 
 /// One server→client message of a mixed HTTP / SITW-BIN stream, with
@@ -409,78 +364,38 @@ impl Msg {
     }
 }
 
-/// Reads exactly `n` messages off the stream (blocking).
-fn read_msgs(stream: &mut TcpStream, n: usize) -> Vec<Msg> {
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    let mut buf: Vec<u8> = Vec::new();
-    let mut msgs = Vec::with_capacity(n);
-    while msgs.len() < n {
-        let complete = if buf.first() == Some(&wire::BIN_MAGIC) {
-            match wire::decode_server_frame(&buf) {
-                ServerFrameDecode::Reply { consumed, .. } => Some((None, consumed)),
-                ServerFrameDecode::Incomplete => None,
+/// Reads exactly `n` messages off the connection (blocking).
+fn read_msgs(client: &mut Client, n: usize) -> Vec<Msg> {
+    let wait = Some(Duration::from_secs(10));
+    client.conn().stream().set_read_timeout(wait).unwrap();
+    let msgs = (0..n)
+        .map(|i| {
+            let reply = client
+                .recv()
+                .unwrap_or_else(|e| panic!("after {i} of {n} messages: {e}"));
+            let raw = client.conn().reply_raw().to_vec();
+            match reply {
+                Reply::Http(status) => Msg::Http { status, raw },
+                Reply::Frame(_) => Msg::Bin { raw },
                 other => panic!("{other:?}"),
             }
-        } else {
-            buf.windows(4)
-                .position(|w| w == b"\r\n\r\n")
-                .and_then(|end| {
-                    let header = String::from_utf8_lossy(&buf[..end]).into_owned();
-                    let status: u16 = header.split(' ').nth(1)?.parse().ok()?;
-                    let len: usize = header
-                        .lines()
-                        .find_map(|l| l.strip_prefix("content-length: "))?
-                        .parse()
-                        .ok()?;
-                    (buf.len() >= end + 4 + len).then_some((Some(status), end + 4 + len))
-                })
-        };
-        match complete {
-            Some((status, consumed)) => {
-                let raw: Vec<u8> = buf.drain(..consumed).collect();
-                msgs.push(match status {
-                    Some(status) => Msg::Http { status, raw },
-                    None => Msg::Bin { raw },
-                });
-            }
-            None => {
-                let mut chunk = [0u8; 16 * 1024];
-                let got = stream.read(&mut chunk).expect("read");
-                assert!(
-                    got > 0,
-                    "server closed after {} of {n} messages",
-                    msgs.len()
-                );
-                buf.extend_from_slice(&chunk[..got]);
-            }
-        }
-    }
-    assert!(buf.is_empty(), "bytes beyond the {n} expected messages");
+        })
+        .collect();
+    let extra = client.conn().buffered();
+    assert_eq!(extra, 0, "bytes beyond the {n} expected messages");
     msgs
 }
 
-/// Asserts nothing more arrives on the stream for a little while.
-fn assert_quiet(stream: &mut TcpStream) {
-    stream
-        .set_read_timeout(Some(Duration::from_millis(150)))
-        .unwrap();
-    let mut chunk = [0u8; 256];
-    match stream.read(&mut chunk) {
-        Ok(0) => {}
-        Ok(n) => panic!(
-            "unexpected extra bytes: {}",
-            String::from_utf8_lossy(&chunk[..n])
-        ),
-        Err(e) => assert!(
-            matches!(
-                e.kind(),
-                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-            ),
-            "{e}"
-        ),
+/// Asserts nothing more arrives on the connection for a little while —
+/// not even part of a message.
+fn assert_quiet(client: &mut Client) {
+    let wait = Some(Duration::from_millis(150));
+    client.conn().stream().set_read_timeout(wait).unwrap();
+    match client.conn().read_reply() {
+        Ok(Reply::Timeout | Reply::Eof) => {}
+        other => panic!("unexpected extra message: {other:?}"),
     }
+    assert_eq!(client.conn().buffered(), 0, "unexpected extra bytes");
 }
 
 /// The mixed burst: 8 invokes, a malformed body, `GET /healthz`, a
@@ -533,7 +448,7 @@ fn assert_mixed_burst_replies(msgs: &[Msg]) {
         panic!("expected the reply frame, got {}", msgs[10].text());
     };
     match wire::decode_server_frame(raw) {
-        ServerFrameDecode::Reply { records, .. } => {
+        wire::ServerFrameDecode::Reply { records, .. } => {
             assert!(matches!(records[0], BinReply::Verdict { cold: true, .. }));
             assert_eq!(records[1], BinReply::OutOfOrder { last_ts: 7 });
         }
@@ -547,10 +462,10 @@ fn assert_mixed_burst_replies(msgs: &[Msg]) {
 #[test]
 fn mixed_burst_in_one_write_is_answered_strictly_in_order() {
     let server = start_server(base_config());
-    let mut stream = TcpStream::connect(server.addr()).unwrap();
-    stream.write_all(&mixed_burst("one")).unwrap();
-    assert_mixed_burst_replies(&read_msgs(&mut stream, 19));
-    assert_quiet(&mut stream);
+    let mut client = Client::connect(server.addr()).unwrap();
+    client.send(&mixed_burst("one")).unwrap();
+    assert_mixed_burst_replies(&read_msgs(&mut client, 19));
+    assert_quiet(&mut client);
     let m = server.metrics();
     assert_eq!(m.invocations(), 8 + 1, "409s and the 400 decide nothing");
     assert_eq!(m.proto.frames, 1, "JSON runs are not frames");
@@ -564,22 +479,21 @@ fn mixed_burst_split_at_every_byte_boundary_gives_identical_output() {
     // Same-length prefixes keep the request bytes — and so the set of
     // boundaries — identical; fresh apps keep the verdicts identical.
     let reference = {
-        let mut stream = TcpStream::connect(server.addr()).unwrap();
-        stream.write_all(&mixed_burst("s0000")).unwrap();
-        read_msgs(&mut stream, 19)
+        let mut client = Client::connect(server.addr()).unwrap();
+        client.send(&mixed_burst("s0000")).unwrap();
+        read_msgs(&mut client, 19)
     };
     assert_mixed_burst_replies(&reference);
     let len = mixed_burst("s0000").len();
     for cut in 1..len {
         let bytes = mixed_burst(&format!("s{cut:04}"));
         assert_eq!(bytes.len(), len);
-        let mut stream = TcpStream::connect(server.addr()).unwrap();
-        stream.set_nodelay(true).unwrap();
-        stream.write_all(&bytes[..cut]).unwrap();
+        let mut client = Client::connect(server.addr()).unwrap();
+        client.send(&bytes[..cut]).unwrap();
         // Let the reactor see the first segment as a burst of its own.
         std::thread::sleep(Duration::from_micros(200));
-        stream.write_all(&bytes[cut..]).unwrap();
-        let got = read_msgs(&mut stream, 19);
+        client.send(&bytes[cut..]).unwrap();
+        let got = read_msgs(&mut client, 19);
         for (i, (got, want)) in got.iter().zip(&reference).enumerate() {
             if i == 9 {
                 // /healthz carries uptime_ms; everything else is exact.
@@ -611,9 +525,9 @@ fn burst_spanning_every_shard_reorders_nothing() {
         bytes.extend_from_slice(&invoke_bytes(app, 5_000 + i as u64));
         bytes.extend_from_slice(&invoke_bytes(app, 0));
     }
-    let mut stream = TcpStream::connect(server.addr()).unwrap();
-    stream.write_all(&bytes).unwrap();
-    let msgs = read_msgs(&mut stream, 64);
+    let mut client = Client::connect(server.addr()).unwrap();
+    client.send(&bytes).unwrap();
+    let msgs = read_msgs(&mut client, 64);
     for i in 0..32 {
         assert_eq!(msgs[2 * i].status(), Some(200), "request {i}");
         assert_eq!(msgs[2 * i + 1].status(), Some(409), "request {i}");
@@ -624,7 +538,7 @@ fn burst_spanning_every_shard_reorders_nothing() {
             msgs[2 * i + 1].text()
         );
     }
-    assert_quiet(&mut stream);
+    assert_quiet(&mut client);
     server.shutdown().unwrap();
 }
 
@@ -664,10 +578,10 @@ fn dead_burst_leaks_nothing_into_the_next_connection() {
         server.metrics().invocations()
     );
 
-    let mut next = TcpStream::connect(server.addr()).unwrap();
+    let mut next = Client::connect(server.addr()).unwrap();
     let mut bytes = invoke_bytes("survivor", 99);
     bytes.extend_from_slice(b"GET /metrics HTTP/1.1\r\n\r\n");
-    next.write_all(&bytes).unwrap();
+    next.send(&bytes).unwrap();
     let msgs = read_msgs(&mut next, 2);
     assert_eq!(msgs[0].status(), Some(200));
     assert!(msgs[0].text().contains("\"verdict\":\"cold\""));

@@ -5,11 +5,11 @@
 //! reactor→shard→reply hops under a [`ManualClock`], and the
 //! `telemetry: false` off-switch.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 
-use sitw_serve::wire::{self, encode_request_frame, BinReply, ServerFrameDecode};
-use sitw_serve::{merge_spans, ServeConfig, Server};
+use sitw_serve::http::write_request;
+use sitw_serve::wire::{self, BinReply};
+use sitw_serve::{merge_spans, Client, ServeConfig, Server};
 use sitw_sim::PolicySpec;
 use sitw_telemetry::{Clock, FlightRecorder, ManualClock, SpanEvent, Stage, STAGES};
 
@@ -22,113 +22,21 @@ fn base_config() -> ServeConfig {
     }
 }
 
-/// One `POST /invoke` request, optionally carrying `x-sitw-trace`.
-fn invoke_request(app: &str, ts: u64, trace: Option<u64>) -> String {
+/// Appends one `POST /invoke` request, optionally carrying
+/// `x-sitw-trace`, to a burst.
+fn invoke_request(burst: &mut Vec<u8>, app: &str, ts: u64, trace: Option<u64>) {
     let body = format!("{{\"app\":\"{app}\",\"ts\":{ts}}}");
-    let trace = trace.map_or(String::new(), |id| format!("x-sitw-trace: {id:#018x}\r\n"));
-    format!(
-        "POST /invoke HTTP/1.1\r\n{trace}content-length: {}\r\n\r\n{body}",
-        body.len()
-    )
-}
-
-/// Minimal blocking HTTP/1.1 client over one keep-alive connection.
-struct Client {
-    stream: TcpStream,
-    buf: Vec<u8>,
-}
-
-impl Client {
-    fn connect(addr: SocketAddr) -> Client {
-        let stream = TcpStream::connect(addr).expect("connect");
-        stream.set_nodelay(true).unwrap();
-        Client {
-            stream,
-            buf: Vec::new(),
-        }
-    }
-
-    fn request(&mut self, method: &str, path: &str, body: &str) -> (u16, String) {
-        let req = format!(
-            "{method} {path} HTTP/1.1\r\ncontent-length: {}\r\n\r\n{body}",
-            body.len()
-        );
-        self.stream.write_all(req.as_bytes()).expect("write");
-        self.read_response()
-    }
-
-    fn read_response(&mut self) -> (u16, String) {
-        loop {
-            if let Some(header_end) = self.buf.windows(4).position(|w| w == b"\r\n\r\n") {
-                let header = String::from_utf8_lossy(&self.buf[..header_end]).into_owned();
-                let status: u16 = header
-                    .split_ascii_whitespace()
-                    .nth(1)
-                    .and_then(|s| s.parse().ok())
-                    .expect("status");
-                let content_length: usize = header
-                    .lines()
-                    .find_map(|l| {
-                        let (name, value) = l.split_once(':')?;
-                        name.eq_ignore_ascii_case("content-length")
-                            .then(|| value.trim().parse().ok())?
-                    })
-                    .unwrap_or(0);
-                let total = header_end + 4 + content_length;
-                while self.buf.len() < total {
-                    self.fill();
-                }
-                let body = String::from_utf8_lossy(&self.buf[header_end + 4..total]).into_owned();
-                self.buf.drain(..total);
-                return (status, body);
-            }
-            self.fill();
-        }
-    }
-
-    fn invoke(&mut self, app: &str, ts: u64) -> u16 {
-        let body = format!("{{\"app\":\"{app}\",\"ts\":{ts}}}");
-        self.request("POST", "/invoke", &body).0
-    }
-
-    /// `POST /invoke` carrying a propagated `x-sitw-trace` id.
-    fn invoke_traced(&mut self, app: &str, ts: u64, trace: u64) -> u16 {
-        let req = invoke_request(app, ts, Some(trace));
-        self.stream.write_all(req.as_bytes()).expect("write");
-        self.read_response().0
-    }
-
-    fn fill(&mut self) {
-        let mut chunk = [0u8; 16 * 1024];
-        let n = self.stream.read(&mut chunk).expect("read");
-        assert!(n > 0, "server closed connection unexpectedly");
-        self.buf.extend_from_slice(&chunk[..n]);
-    }
+    write_request(burst, "POST", "/invoke", trace, body.as_bytes()).unwrap();
 }
 
 /// Sends one SITW-BIN request frame and reads the whole reply frame.
 fn bin_roundtrip(addr: SocketAddr, records: &[(&str, u64)]) -> Vec<BinReply> {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.set_nodelay(true).unwrap();
-    let mut frame = Vec::new();
-    encode_request_frame(&mut frame, records);
-    stream.write_all(&frame).expect("write frame");
-    let mut buf = Vec::new();
-    loop {
-        match wire::decode_server_frame(&buf) {
-            ServerFrameDecode::Reply { records, consumed } => {
-                buf.drain(..consumed);
-                return records;
-            }
-            ServerFrameDecode::Incomplete => {
-                let mut chunk = [0u8; 4096];
-                let n = stream.read(&mut chunk).expect("read");
-                assert!(n > 0, "server closed mid-reply");
-                buf.extend_from_slice(&chunk[..n]);
-            }
-            other => panic!("{other:?}"),
-        }
-    }
+    let mut client = Client::connect(addr).unwrap();
+    client
+        .batch(|f| wire::encode_request_frame(f, records))
+        .unwrap()
+        .records()
+        .unwrap()
 }
 
 // ---------------------------------------------------------------------
@@ -139,10 +47,16 @@ fn bin_roundtrip(addr: SocketAddr, records: &[(&str, u64)]) -> Vec<BinReply> {
 #[test]
 fn stage_histograms_cover_every_request_and_merge_exactly() {
     let server = Server::start(base_config()).unwrap();
-    let mut client = Client::connect(server.addr());
+    let mut client = Client::connect(server.addr()).unwrap();
     const JSON_N: u64 = 20;
     for i in 0..JSON_N {
-        assert_eq!(client.invoke(&format!("app-{}", i % 5), 1_000 + i), 200);
+        assert_eq!(
+            client
+                .invoke(None, &format!("app-{}", i % 5), 1_000 + i, None)
+                .unwrap()
+                .0,
+            200
+        );
     }
     let bin_records: Vec<(String, u64)> = (0..30u64)
         .map(|i| (format!("bin-{}", i % 7), 5_000 + i))
@@ -187,7 +101,7 @@ fn stage_histograms_cover_every_request_and_merge_exactly() {
 
     // The exposition carries real histogram series for every stage and
     // the default tenant, with consistent _bucket/_sum/_count triples.
-    let (status, text) = client.request("GET", "/metrics", "");
+    let (status, text) = client.request("GET", "/metrics", "").unwrap();
     assert_eq!(status, 200);
     for stage in ["read", "decode", "queue", "decide", "render", "write"] {
         for proto in ["json", "bin"] {
@@ -212,15 +126,21 @@ fn stage_histograms_cover_every_request_and_merge_exactly() {
 #[test]
 fn debug_trace_and_threads_over_http() {
     let server = Server::start(base_config()).unwrap();
-    let mut client = Client::connect(server.addr());
+    let mut client = Client::connect(server.addr()).unwrap();
     for i in 0..10u64 {
-        assert_eq!(client.invoke(&format!("t-{i}"), 2_000 + i), 200);
+        assert_eq!(
+            client
+                .invoke(None, &format!("t-{i}"), 2_000 + i, None)
+                .unwrap()
+                .0,
+            200
+        );
     }
     let replies = bin_roundtrip(server.addr(), &[("b-0", 9_000), ("b-1", 9_001)]);
     assert_eq!(replies.len(), 2);
 
     // Text trace: every pipeline stage shows up in the merged spans.
-    let (status, trace) = client.request("GET", "/debug/trace?n=256", "");
+    let (status, trace) = client.request("GET", "/debug/trace?n=256", "").unwrap();
     assert_eq!(status, 200);
     assert!(trace.starts_with("# start_ns end_ns dur_ns span stage source"));
     for stage in ["read", "decode", "queue", "decide", "render", "write"] {
@@ -232,13 +152,15 @@ fn debug_trace_and_threads_over_http() {
     assert!(trace.contains("reactor-") && trace.contains("shard-"));
 
     // JSON trace honors n=K.
-    let (status, json) = client.request("GET", "/debug/trace?n=3&format=json", "");
+    let (status, json) = client
+        .request("GET", "/debug/trace?n=3&format=json", "")
+        .unwrap();
     assert_eq!(status, 200);
     assert!(json.starts_with('[') && json.ends_with(']'));
     assert_eq!(json.matches("\"span\":").count(), 3);
 
     // Thread introspection: sane queue gauges and reactor counters.
-    let (status, threads) = client.request("GET", "/debug/threads", "");
+    let (status, threads) = client.request("GET", "/debug/threads", "").unwrap();
     assert_eq!(status, 200);
     assert!(threads.contains("\"reactors\":[{\"id\":0,"));
     assert!(threads.contains("\"epoll_waits\":"));
@@ -251,8 +173,8 @@ fn debug_trace_and_threads_over_http() {
         "no shard ever saw a queued message: {threads}"
     );
     // Method guard: the debug paths are known, so wrong verbs are 405.
-    assert_eq!(client.request("POST", "/debug/trace", "").0, 405);
-    assert_eq!(client.request("POST", "/debug/threads", "").0, 405);
+    assert_eq!(client.request("POST", "/debug/trace", "").unwrap().0, 405);
+    assert_eq!(client.request("POST", "/debug/threads", "").unwrap().0, 405);
 
     server.shutdown().unwrap();
 }
@@ -363,15 +285,24 @@ fn manual_clock_spans_order_deterministically_across_hops() {
 #[test]
 fn debug_scrapes_are_non_destructive_and_carry_provenance() {
     let server = Server::start(base_config()).unwrap();
-    let mut client = Client::connect(server.addr());
+    let mut client = Client::connect(server.addr()).unwrap();
     let trace = (1u64 << 63) | 0xBEE;
-    assert_eq!(client.invoke_traced("traced-app", 1_000, trace), 200);
+    let (status, traced_verdict) = client
+        .invoke(None, "traced-app", 1_000, Some(trace))
+        .unwrap();
+    assert_eq!(status, 200, "{traced_verdict}");
     for i in 0..4u64 {
-        assert_eq!(client.invoke(&format!("app-{i}"), 2_000 + i), 200);
+        assert_eq!(
+            client
+                .invoke(None, &format!("app-{i}"), 2_000 + i, None)
+                .unwrap()
+                .0,
+            200
+        );
     }
 
     // The propagated id IS the span id of the node's pipeline stages.
-    let (status, trace_text) = client.request("GET", "/debug/trace?n=256", "");
+    let (status, trace_text) = client.request("GET", "/debug/trace?n=256", "").unwrap();
     assert_eq!(status, 200);
     let hex = format!("{trace:#018x}");
     assert!(
@@ -381,12 +312,12 @@ fn debug_scrapes_are_non_destructive_and_carry_provenance() {
 
     // Regression: a scrape observes the ring, it must not drain it.
     // Back-to-back scrapes with no traffic in between are identical.
-    let again = client.request("GET", "/debug/trace?n=256", "");
+    let again = client.request("GET", "/debug/trace?n=256", "").unwrap();
     assert_eq!(again, (200, trace_text), "trace scrape was destructive");
-    let hist = client.request("GET", "/debug/hist", "");
+    let hist = client.request("GET", "/debug/hist", "").unwrap();
     assert_eq!(hist.0, 200);
     assert_eq!(
-        client.request("GET", "/debug/hist", ""),
+        client.request("GET", "/debug/hist", "").unwrap(),
         hist,
         "hist scrape was destructive"
     );
@@ -395,28 +326,66 @@ fn debug_scrapes_are_non_destructive_and_carry_provenance() {
     assert!(hist.1.lines().any(|l| l.starts_with("tenant default ")));
 
     // Lifecycle provenance: five first-sight invocations = cold starts.
-    let (status, events) = client.request("GET", "/debug/events", "");
+    let (status, events) = client.request("GET", "/debug/events", "").unwrap();
     assert_eq!(status, 200);
     assert!(
         events.contains("\"kind\":\"cold-start\"") && events.contains("\"app\":\"traced-app\""),
         "missing cold-start provenance: {events}"
     );
     assert_eq!(
-        client.request("GET", "/debug/events", "").1,
+        client.request("GET", "/debug/events", "").unwrap().1,
         events,
         "events scrape was destructive"
     );
 
     // Decision provenance: the live verdict for one (tenant, app).
-    let (status, policy) = client.request("GET", "/debug/policy?app=traced-app", "");
+    let (status, policy) = client
+        .request("GET", "/debug/policy?app=traced-app", "")
+        .unwrap();
     assert_eq!(status, 200);
     assert!(policy.contains("\"tenant\":\"default\""));
     assert!(policy.contains("\"app\":\"traced-app\""));
     assert!(policy.contains("\"last_verdict\":{") && policy.contains("\"cold\":true"));
-    assert_eq!(client.request("GET", "/debug/policy", "").0, 400);
-    assert_eq!(client.request("GET", "/debug/policy?app=nope", "").0, 404);
+    assert_eq!(branch_of(&policy), kind_of(&traced_verdict), "{policy}");
+    assert_eq!(client.request("GET", "/debug/policy", "").unwrap().0, 400);
+    assert_eq!(
+        client
+            .request("GET", "/debug/policy?app=nope", "")
+            .unwrap()
+            .0,
+        404
+    );
+
+    // Regression: `/debug/policy` named branches through a table of its
+    // own, so the hybrid policy's learning-phase branch read
+    // "standard-keep-alive" here and "standard" on `/invoke`. One name
+    // per branch: a hybrid tenant's first verdict, both views.
+    let (status, body) = client
+        .request("POST", "/admin/tenants", "h=hybrid")
+        .unwrap();
+    assert_eq!(status, 200, "{body}");
+    let (status, verdict) = client.invoke(Some("h"), "learner", 5_000, None).unwrap();
+    assert_eq!(status, 200, "{verdict}");
+    assert_eq!(kind_of(&verdict), "standard");
+    let (status, policy) = client
+        .request("GET", "/debug/policy?app=learner&tenant=h", "")
+        .unwrap();
+    assert_eq!(status, 200, "{policy}");
+    assert_eq!(branch_of(&policy), "standard", "{policy}");
 
     server.shutdown().unwrap();
+}
+
+/// The decision branch an `/invoke` response names.
+fn kind_of(verdict: &str) -> &'static str {
+    wire::kind_str(wire::parse_decision(verdict).unwrap().kind)
+}
+
+/// The `last_verdict.branch` a `/debug/policy` body names.
+fn branch_of(policy: &str) -> &str {
+    let key = "\"branch\":\"";
+    let rest = &policy[policy.find(key).expect("branch in /debug/policy") + key.len()..];
+    &rest[..rest.find('"').unwrap()]
 }
 
 // ---------------------------------------------------------------------
@@ -429,20 +398,26 @@ fn no_telemetry_serves_but_exports_nothing() {
         ..base_config()
     })
     .unwrap();
-    let mut client = Client::connect(server.addr());
+    let mut client = Client::connect(server.addr()).unwrap();
     for i in 0..5u64 {
-        assert_eq!(client.invoke("quiet", 1_000 + i * 100_000), 200);
+        assert_eq!(
+            client
+                .invoke(None, "quiet", 1_000 + i * 100_000, None)
+                .unwrap()
+                .0,
+            200
+        );
     }
-    let (status, text) = client.request("GET", "/metrics", "");
+    let (status, text) = client.request("GET", "/metrics", "").unwrap();
     assert_eq!(status, 200);
     // Bucket series render as honest zeros (no garbage, no quantiles).
     assert!(text.contains("sitw_serve_decision_latency_count{stage=\"decide\",proto=\"json\"} 0"));
     assert!(!text.contains("sitw_serve_decision_latency_us{"));
     assert!(text.contains("sitw_serve_invocations_total"));
-    let (status, trace) = client.request("GET", "/debug/trace", "");
+    let (status, trace) = client.request("GET", "/debug/trace", "").unwrap();
     assert_eq!(status, 200);
     assert_eq!(trace.lines().count(), 1, "only the header line: {trace}");
-    let (status, threads) = client.request("GET", "/debug/threads", "");
+    let (status, threads) = client.request("GET", "/debug/threads", "").unwrap();
     assert_eq!(status, 200);
     assert!(threads.contains("\"reactors\":[]"));
     server.shutdown().unwrap();
@@ -457,16 +432,17 @@ fn no_telemetry_serves_but_exports_nothing() {
 #[test]
 fn pipelined_json_burst_counts_every_stage_exactly_and_no_frames() {
     let server = Server::start(base_config()).unwrap();
-    let mut client = Client::connect(server.addr());
+    let mut client = Client::connect(server.addr()).unwrap();
     const N: u64 = 96;
-    let burst: String = (0..N)
-        .map(|i| invoke_request(&format!("burst-{}", i % 11), 1_000 + i, None))
-        .collect();
-    client.stream.write_all(burst.as_bytes()).unwrap();
+    let mut burst = Vec::new();
     for i in 0..N {
-        assert_eq!(client.read_response().0, 200, "request {i}");
+        invoke_request(&mut burst, &format!("burst-{}", i % 11), 1_000 + i, None);
     }
-    let (status, text) = client.request("GET", "/metrics", "");
+    client.send(&burst).unwrap();
+    for i in 0..N {
+        assert_eq!(client.response().unwrap().0, 200, "request {i}");
+    }
+    let (status, text) = client.request("GET", "/metrics", "").unwrap();
     assert_eq!(status, 200);
     for stage in ["read", "decode", "queue", "decide", "render", "write"] {
         let count =
@@ -488,16 +464,18 @@ fn pipelined_json_burst_counts_every_stage_exactly_and_no_frames() {
 #[test]
 fn traced_request_inside_a_burst_keeps_six_spans_under_its_id() {
     let server = Server::start(base_config()).unwrap();
-    let mut client = Client::connect(server.addr());
+    let mut client = Client::connect(server.addr()).unwrap();
     let trace = (1u64 << 63) | 0xB0057;
-    let burst: String = (0..32u64)
-        .map(|i| invoke_request(&format!("mix-{i}"), 3_000 + i, (i == 17).then_some(trace)))
-        .collect();
-    client.stream.write_all(burst.as_bytes()).unwrap();
-    for i in 0..32 {
-        assert_eq!(client.read_response().0, 200, "request {i}");
+    let mut burst = Vec::new();
+    for i in 0..32u64 {
+        let trace = (i == 17).then_some(trace);
+        invoke_request(&mut burst, &format!("mix-{i}"), 3_000 + i, trace);
     }
-    let (status, text) = client.request("GET", "/debug/trace?n=512", "");
+    client.send(&burst).unwrap();
+    for i in 0..32 {
+        assert_eq!(client.response().unwrap().0, 200, "request {i}");
+    }
+    let (status, text) = client.request("GET", "/debug/trace?n=512", "").unwrap();
     assert_eq!(status, 200);
     let hex = format!("{trace:#018x}");
     // Line format: `start_ns end_ns dur_ns span stage source`.
