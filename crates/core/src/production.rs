@@ -16,6 +16,31 @@
 //! [`ProductionManager`] implements that scheme for a fleet of
 //! applications and exposes the same `(pre-warm, keep-alive)` decisions
 //! as [`crate::HybridConfig`], computed from the weighted aggregate.
+//!
+//! # Decision cost
+//!
+//! [`ProductionManager::aggregate`] is the definition: fold every
+//! retained day, oldest first, into fresh [`WeightedBins`] under its
+//! recency weight. A decision does not run it. Each app caches the
+//! weighted sum of every retained day **except the newest** as of the
+//! current day index, and [`ProductionManager::on_invocation`] reads head
+//! and tail off `older[i] + w_newest × newest[i]`, formed bin by bin
+//! during one percentile walk. Three events invalidate the cache — the
+//! day index of the decision differs from the one it was built for, a
+//! day is pushed or expired, the app is imported — and the next decision
+//! rebuilds it, so the full days × bins fold runs at most once per app
+//! per day and a decision is otherwise one walk over one day's bins with
+//! no allocation.
+//!
+//! The windows are bit-identical to the from-scratch ones, not merely
+//! close: days are kept oldest first, so the newest day is the last
+//! addend of the definition's fold, and `older[i] + w × newest[i]` is
+//! the very expression that last `add_scaled` step stores, over the same
+//! partial sums in the same order; both paths weight a day through
+//! `ProductionConfig::day_weight`. The cache is derived state: it is
+//! never exported, and an imported app rebuilds it on its first
+//! decision. It costs 240 `f64` = 1.9 KB per app, beside up to
+//! 14 × 960 B of daily histograms.
 
 use std::collections::HashMap;
 
@@ -23,6 +48,9 @@ use sitw_stats::histogram::WeightedBins;
 use sitw_stats::RangeHistogram;
 
 use crate::policy::{AppPolicy, DecisionKind, DurationMs, PolicyFactory, Windows, MINUTE_MS};
+
+/// One day of trace time; an instant's day index is `now_ms / DAY_MS`.
+const DAY_MS: DurationMs = 24 * 60 * MINUTE_MS;
 
 /// Weighting applied across a window of daily histograms.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -82,16 +110,165 @@ impl Default for ProductionConfig {
     }
 }
 
+impl ProductionConfig {
+    /// Weight of the histogram recorded on `day` in an aggregate taken
+    /// on day `today`, `None` once it has aged out of the retention
+    /// window. The one place a day is weighted: the from-scratch
+    /// aggregate and the cached decision both come through here.
+    fn day_weight(&self, today: u64, day: u64) -> Option<f64> {
+        let age = today.saturating_sub(day);
+        (age < self.retention_days).then(|| self.weighting.weight(age))
+    }
+
+    /// Replaces `into` with the weighted sum of `days` (oldest first) as
+    /// of day `today`.
+    fn fold_days(&self, days: &[(u64, RangeHistogram)], today: u64, into: &mut WeightedBins) {
+        into.clear();
+        for (day, hist) in days {
+            // Expiry normally happens when a record arrives, but an app
+            // that has been idle past the retention window still holds
+            // its stale days — they must not leak into decisions.
+            if let Some(weight) = self.day_weight(today, *day) {
+                into.add_scaled(hist, weight);
+            }
+        }
+    }
+
+    /// The windows for a head and tail cutoff in minutes (the hybrid
+    /// policy's rule: margins applied, bin-0 heads never unload).
+    fn windows_from(&self, head: u64, tail: u64) -> Windows {
+        let head_ms = (head as f64 * (1.0 - self.margin) * MINUTE_MS as f64) as DurationMs;
+        let tail_ms = (tail as f64 * (1.0 + self.margin) * MINUTE_MS as f64) as DurationMs;
+        if head == 0 {
+            Windows::keep_loaded(tail_ms)
+        } else {
+            Windows::pre_warmed(head_ms, tail_ms.saturating_sub(head_ms).max(MINUTE_MS))
+        }
+    }
+
+    /// The decision served while no usable aggregate exists: stay loaded
+    /// for the whole histogram range.
+    fn standard_keep_alive(&self) -> (Windows, DecisionKind) {
+        (
+            Windows::keep_loaded(self.range_minutes as DurationMs * MINUTE_MS),
+            DecisionKind::StandardKeepAlive,
+        )
+    }
+}
+
+/// Per-application daily histogram set, with the cached aggregate of
+/// every day but the newest (see the module docs).
+#[derive(Debug, Clone)]
+struct AppHistograms {
+    /// `(day_index, histogram)`. Invariant: day indices strictly
+    /// increasing, so the newest day is last — what `import_app` checks,
+    /// what `record` preserves, and what lets the cache leave exactly
+    /// one day out.
+    days: Vec<(u64, RangeHistogram)>,
+    /// Weighted sum of `days[..len - 1]` as of day `older_as_of`.
+    older: WeightedBins,
+    /// Day index `older` was folded for; `None` when it must be rebuilt
+    /// whatever the day.
+    older_as_of: Option<u64>,
+    /// Rebuilds of `older` so far: the cost the cache exists to bound.
+    #[cfg(test)]
+    rebuilds: u64,
+}
+
+impl AppHistograms {
+    fn new(config: &ProductionConfig, days: Vec<(u64, RangeHistogram)>) -> Self {
+        Self {
+            days,
+            older: WeightedBins::new(config.range_minutes, 1),
+            older_as_of: None,
+            #[cfg(test)]
+            rebuilds: 0,
+        }
+    }
+
+    /// Records an idle time observed at `now_ms` into the current day's
+    /// histogram and expires days that left the retention window.
+    fn record(&mut self, config: &ProductionConfig, now_ms: DurationMs, idle_ms: DurationMs) {
+        let day = now_ms / DAY_MS;
+        let newest = match self.days.last_mut() {
+            // A clock that steps back across midnight must not reorder
+            // history: the newest day takes the observation.
+            Some((newest, hist)) if *newest >= day => {
+                hist.record(idle_ms / MINUTE_MS);
+                *newest
+            }
+            _ => {
+                let mut hist = RangeHistogram::new(config.range_minutes, 1);
+                hist.record(idle_ms / MINUTE_MS);
+                self.days.push((day, hist));
+                self.older_as_of = None;
+                day
+            }
+        };
+        let cutoff = newest.saturating_sub(config.retention_days.saturating_sub(1));
+        if self
+            .days
+            .first()
+            .is_some_and(|(oldest, _)| *oldest < cutoff)
+        {
+            self.days.retain(|(d, _)| *d >= cutoff);
+            self.older_as_of = None;
+        }
+    }
+
+    /// The from-scratch weighted aggregate as of day `today`.
+    fn aggregate(&self, config: &ProductionConfig, today: u64) -> Option<WeightedBins> {
+        let mut agg = WeightedBins::new(config.range_minutes, 1);
+        config.fold_days(&self.days, today, &mut agg);
+        (!agg.is_empty()).then_some(agg)
+    }
+
+    /// The windows [`ProductionManager::windows`] computes from scratch,
+    /// read off the cached aggregate instead.
+    // sitw-lint: hot-path
+    fn cached_windows(&mut self, config: &ProductionConfig, now_ms: DurationMs) -> Option<Windows> {
+        let today = now_ms / DAY_MS;
+        let ((newest_day, newest), older_days) = self.days.split_last()?;
+        if self.older_as_of != Some(today) {
+            config.fold_days(older_days, today, &mut self.older);
+            self.older_as_of = Some(today);
+            #[cfg(test)]
+            {
+                self.rebuilds += 1;
+            }
+        }
+        // Every other day is older still: with the newest expired,
+        // nothing is left to aggregate.
+        let weight = config.day_weight(today, *newest_day)?;
+        let (head, tail) = self.older.head_tail_plus(
+            newest,
+            weight,
+            config.head_percentile,
+            config.tail_percentile,
+        )?;
+        Some(config.windows_from(head, tail))
+    }
+
+    /// One app's share of [`ProductionManager::on_invocation`].
+    fn on_invocation(
+        &mut self,
+        config: &ProductionConfig,
+        now_ms: DurationMs,
+        idle_ms: Option<DurationMs>,
+    ) -> (Windows, DecisionKind) {
+        if let Some(idle) = idle_ms {
+            self.record(config, now_ms, idle);
+        }
+        match self.cached_windows(config, now_ms) {
+            Some(w) => (w, DecisionKind::Histogram),
+            None => config.standard_keep_alive(),
+        }
+    }
+}
+
 /// Identifier type for applications managed by [`ProductionManager`]
 /// (opaque to this module).
 pub type AppKey = u64;
-
-/// Per-application daily histogram set.
-#[derive(Debug, Clone)]
-struct AppHistograms {
-    /// `(day_index, histogram)`, oldest first.
-    days: Vec<(u64, RangeHistogram)>,
-}
 
 /// A scheduled pre-warm event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -128,46 +305,24 @@ impl ProductionManager {
     }
 
     /// Records an idle time observed at absolute time `now_ms` for `app`,
-    /// updating the current day's histogram and expiring old days.
+    /// updating the current day's histogram and expiring old days. An
+    /// observation stamped on an earlier day than the newest retained
+    /// one (clock skew) goes into the newest day.
     pub fn record_idle_time(&mut self, app: AppKey, now_ms: DurationMs, idle_ms: DurationMs) {
-        let day = now_ms / (24 * 60 * MINUTE_MS);
-        let range = self.config.range_minutes;
-        let entry = self
-            .apps
+        let config = &self.config;
+        self.apps
             .entry(app)
-            .or_insert_with(|| AppHistograms { days: Vec::new() });
-        match entry.days.last_mut() {
-            Some((d, hist)) if *d == day => {
-                hist.record(idle_ms / MINUTE_MS);
-            }
-            _ => {
-                let mut hist = RangeHistogram::new(range, 1);
-                hist.record(idle_ms / MINUTE_MS);
-                entry.days.push((day, hist));
-            }
-        }
-        // Expire days older than the retention window.
-        let cutoff = day.saturating_sub(self.config.retention_days.saturating_sub(1));
-        entry.days.retain(|(d, _)| *d >= cutoff);
+            .or_insert_with(|| AppHistograms::new(config, Vec::new()))
+            .record(config, now_ms, idle_ms);
     }
 
     /// The weighted aggregate histogram for an app as of day
-    /// `today` (derived from `now_ms`).
+    /// `today` (derived from `now_ms`), folded from scratch: the
+    /// definition the cached decision path is tested against.
     pub fn aggregate(&self, app: AppKey, now_ms: DurationMs) -> Option<WeightedBins> {
-        let today = now_ms / (24 * 60 * MINUTE_MS);
-        let entry = self.apps.get(&app)?;
-        let mut agg = WeightedBins::new(self.config.range_minutes, 1);
-        for (day, hist) in &entry.days {
-            let age = today.saturating_sub(*day);
-            // Expiry normally happens inside `record_idle_time`, but an
-            // app that has been idle past the retention window still
-            // holds its stale days — they must not leak into decisions.
-            if age >= self.config.retention_days {
-                continue;
-            }
-            agg.add_scaled(hist, self.config.weighting.weight(age));
-        }
-        (!agg.is_empty()).then_some(agg)
+        self.apps
+            .get(&app)?
+            .aggregate(&self.config, now_ms / DAY_MS)
     }
 
     /// Computes the `(pre-warm, keep-alive)` windows for an app from the
@@ -177,13 +332,7 @@ impl ProductionManager {
         let agg = self.aggregate(app, now_ms)?;
         let head = agg.head_value(self.config.head_percentile)?;
         let tail = agg.tail_value(self.config.tail_percentile)?;
-        let head_ms = (head as f64 * (1.0 - self.config.margin) * MINUTE_MS as f64) as DurationMs;
-        let tail_ms = (tail as f64 * (1.0 + self.config.margin) * MINUTE_MS as f64) as DurationMs;
-        Some(if head == 0 {
-            Windows::keep_loaded(tail_ms)
-        } else {
-            Windows::pre_warmed(head_ms, tail_ms.saturating_sub(head_ms).max(MINUTE_MS))
-        })
+        Some(self.config.windows_from(head, tail))
     }
 
     /// Schedules the pre-warm event for an app that became idle at
@@ -264,23 +413,30 @@ impl ProductionManager {
     ///
     /// This is the single decision function both the offline replay
     /// (`sitw_sim`) and the serving daemon (`sitw-serve`) call, which is
-    /// what makes their verdict streams bit-for-bit comparable.
+    /// what makes their verdict streams bit-for-bit comparable. One map
+    /// lookup, no allocation once the app is known, and the windows of
+    /// [`ProductionManager::windows`] bit for bit (see the module docs).
+    // sitw-lint: hot-path
     pub fn on_invocation(
         &mut self,
         app: AppKey,
         now_ms: DurationMs,
         idle_ms: Option<DurationMs>,
     ) -> (Windows, DecisionKind) {
-        if let Some(idle) = idle_ms {
-            self.record_idle_time(app, now_ms, idle);
-        }
         self.tick_backup(now_ms);
-        match self.windows(app, now_ms) {
-            Some(w) => (w, DecisionKind::Histogram),
-            None => (
-                Windows::keep_loaded(self.config.range_minutes as DurationMs * MINUTE_MS),
-                DecisionKind::StandardKeepAlive,
-            ),
+        let config = &self.config;
+        let known = match idle_ms {
+            Some(_) => Some(self.apps.entry(app).or_insert_with(|| {
+                // First sight of the app: its day list and cache buffer.
+                // sitw-lint: allow(hot-path-alloc)
+                AppHistograms::new(config, Vec::new())
+            })),
+            // Nothing to record: an app never seen stays untracked.
+            None => self.apps.get_mut(&app),
+        };
+        match known {
+            Some(histograms) => histograms.on_invocation(config, now_ms, idle_ms),
+            None => config.standard_keep_alive(),
         }
     }
 
@@ -327,7 +483,8 @@ impl ProductionManager {
             prev_day = Some(d.day);
             days.push((d.day, RangeHistogram::from_parts(1, d.bins, d.oob)));
         }
-        self.apps.insert(app, AppHistograms { days });
+        self.apps
+            .insert(app, AppHistograms::new(&self.config, days));
         Ok(())
     }
 }
@@ -363,25 +520,27 @@ pub struct ProductionAppState {
 /// (`sitw_sim::production_verdict_trace`).
 #[derive(Debug)]
 pub struct ProductionPolicy {
+    /// Configuration and backup clock. Its app map stays empty: the one
+    /// app's histograms sit beside it, so a decision hashes nothing.
     manager: ProductionManager,
+    app: AppHistograms,
     now_ms: DurationMs,
     last_decision: DecisionKind,
 }
-
-/// The key the adapter's single app uses inside its private manager.
-const SOLE_APP: AppKey = 0;
 
 impl ProductionPolicy {
     /// Creates the single-app adapter.
     pub fn new(config: ProductionConfig) -> Self {
         Self {
             manager: ProductionManager::new(config),
+            app: AppHistograms::new(&config, Vec::new()),
             now_ms: 0,
             last_decision: DecisionKind::StandardKeepAlive,
         }
     }
 
-    /// The wrapped manager (e.g. for backup accounting in reports).
+    /// The wrapped manager: the configuration and the backup accounting
+    /// (e.g. for reports). The adapter's app is not in its map.
     pub fn manager(&self) -> &ProductionManager {
         &self.manager
     }
@@ -390,9 +549,10 @@ impl ProductionPolicy {
 impl AppPolicy for ProductionPolicy {
     fn on_invocation(&mut self, idle_time_ms: Option<DurationMs>) -> Windows {
         self.now_ms = self.now_ms.saturating_add(idle_time_ms.unwrap_or(0));
-        let (windows, kind) = self
-            .manager
-            .on_invocation(SOLE_APP, self.now_ms, idle_time_ms);
+        self.manager.tick_backup(self.now_ms);
+        let (windows, kind) =
+            self.app
+                .on_invocation(&self.manager.config, self.now_ms, idle_time_ms);
         self.last_decision = kind;
         windows
     }
@@ -428,6 +588,7 @@ impl PolicyFactory for ProductionConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     const DAY: DurationMs = 24 * 60 * MINUTE_MS;
 
@@ -631,6 +792,172 @@ mod tests {
             ],
         };
         assert!(m.import_app(1, out_of_order).is_err());
+    }
+
+    /// What `on_invocation` must return, from the from-scratch
+    /// definition.
+    fn from_scratch(
+        m: &ProductionManager,
+        app: AppKey,
+        now: DurationMs,
+    ) -> (Windows, DecisionKind) {
+        match m.windows(app, now) {
+            Some(w) => (w, DecisionKind::Histogram),
+            None => m.config.standard_keep_alive(),
+        }
+    }
+
+    #[test]
+    fn clock_skew_records_into_the_newest_day() {
+        // Regression: an observation stamped a day earlier used to be
+        // pushed *after* the newer day, producing state `import_app`
+        // rejects as out of order.
+        let cfg = ProductionConfig::default();
+        let mut a = ProductionManager::new(cfg);
+        for k in 0..20u64 {
+            a.record_idle_time(1, 3 * DAY + k * MINUTE_MS, 10 * MINUTE_MS);
+        }
+        a.record_idle_time(1, 2 * DAY, 40 * MINUTE_MS);
+        let state = a.export_app(1).unwrap();
+        assert_eq!(
+            state.days.iter().map(|d| d.day).collect::<Vec<_>>(),
+            [3],
+            "the skewed observation joins day 3"
+        );
+        let mut b = ProductionManager::new(cfg);
+        b.import_app(1, state).unwrap();
+        for (now, idle) in [
+            (2 * DAY + MINUTE_MS, Some(15 * MINUTE_MS)),
+            (3 * DAY + 30 * MINUTE_MS, Some(10 * MINUTE_MS)),
+            (4 * DAY, None),
+            (4 * DAY + 5 * MINUTE_MS, Some(12 * MINUTE_MS)),
+        ] {
+            let got = a.on_invocation(1, now, idle);
+            assert_eq!(got, b.on_invocation(1, now, idle), "at {now}");
+            assert_eq!(got, from_scratch(&a, 1, now), "at {now}");
+        }
+        assert_eq!(a.export_app(1), b.export_app(1));
+    }
+
+    #[test]
+    fn expiry_without_a_new_day_rebuilds_the_cache() {
+        // Only an import can hold days further apart than the retention
+        // window; the next record expires the old one without pushing a
+        // day, and under a skewed clock that old day is in the cache.
+        let day_of = |day, minute: usize| {
+            let mut bins = vec![0; 240];
+            bins[minute] = 50;
+            DayHistogram { day, bins, oob: 0 }
+        };
+        let mut m = ProductionManager::new(ProductionConfig::default());
+        let state = ProductionAppState {
+            days: vec![day_of(0, 200), day_of(20, 10)],
+        };
+        m.import_app(1, state).unwrap();
+        let before = m.on_invocation(1, 5 * DAY, None);
+        assert_eq!(before, from_scratch(&m, 1, 5 * DAY));
+        let after = m.on_invocation(1, 5 * DAY, Some(10 * MINUTE_MS));
+        assert_eq!(m.apps[&1].days.len(), 1, "day 0 left the window of day 20");
+        assert_eq!(after, from_scratch(&m, 1, 5 * DAY));
+        assert_ne!(before, after, "the expired day carried the tail");
+    }
+
+    proptest! {
+        /// The cached decision equals the from-scratch definition at
+        /// every step of a random stream — same-day bursts, multi-day
+        /// gaps, gaps past retention, backward clock steps, out-of-bounds
+        /// idles, `idle = None` on an app that already has days, three
+        /// apps on different days in one manager — and a manager that
+        /// imports an app mid-stream continues equal.
+        #[test]
+        fn cached_decisions_equal_from_scratch(
+            ops in prop::collection::vec(0u64..u64::MAX, 1..160),
+            shape in 0usize..6,
+        ) {
+            let cfg = ProductionConfig {
+                retention_days: [1, 2, 14][shape % 3],
+                weighting: if shape < 3 {
+                    RecencyWeighting::Uniform
+                } else {
+                    RecencyWeighting::Exponential { decay: 0.85 }
+                },
+                ..ProductionConfig::default()
+            };
+            let mut m = ProductionManager::new(cfg);
+            let mut twin = ProductionManager::new(cfg);
+            let mut imported = [false; 3];
+            let mut clocks = [0, 3 * DAY + 7 * MINUTE_MS, 40 * DAY];
+            for mut bits in ops {
+                let mut take = |n: u64| {
+                    let v = bits % n;
+                    bits /= n;
+                    v
+                };
+                let app = take(3);
+                let clock = &mut clocks[app as usize];
+                *clock = match take(8) {
+                    0 => *clock,
+                    1..=4 => *clock + take(45) * MINUTE_MS + take(60_000),
+                    5 => *clock + (1 + take(3)) * DAY,
+                    6 => *clock + (cfg.retention_days + take(3)) * DAY,
+                    _ => clock.saturating_sub(take(2 * 24 * 60) * MINUTE_MS),
+                };
+                let now = *clock;
+                let idle = match take(6) {
+                    0 => None,
+                    1 => Some((240 + take(100)) * MINUTE_MS),
+                    _ => Some(take(240) * MINUTE_MS + take(60_000)),
+                };
+                if take(12) == 0 {
+                    if let Some(state) = m.export_app(app) {
+                        prop_assert!(twin.import_app(app, state).is_ok());
+                        imported[app as usize] = true;
+                    }
+                }
+                let got = m.on_invocation(app, now, idle);
+                prop_assert_eq!(got, from_scratch(&m, app, now));
+                if imported[app as usize] {
+                    prop_assert_eq!(got, twin.on_invocation(app, now, idle));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn aggregate_is_rebuilt_once_per_app_per_day_not_per_invocation() {
+        // The cost guard, as a count rather than a timer: over a 7-day
+        // stream of four interleaved apps the days × bins fold may run
+        // once per app per day index seen, plus once per import.
+        let mut m = ProductionManager::new(ProductionConfig::default());
+        let mut stream: Vec<(DurationMs, AppKey, DurationMs)> = Vec::new();
+        for app in 0..4u64 {
+            let idle = (2 + 3 * app) * MINUTE_MS;
+            let mut t = app * 3_600_000;
+            while t < 7 * DAY {
+                t += idle;
+                stream.push((t, app, idle));
+            }
+        }
+        stream.sort_unstable();
+        let mut seen = std::collections::HashSet::new();
+        let mut imports = 0;
+        for (i, &(now, app, idle)) in stream.iter().enumerate() {
+            if i == stream.len() / 2 {
+                let state = m.export_app(app).unwrap();
+                m.import_app(app, state).unwrap();
+                imports += 1;
+            }
+            m.on_invocation(app, now, Some(idle));
+            seen.insert((app, now / DAY));
+        }
+        let rebuilds: u64 = m.apps.values().map(|a| a.rebuilds).sum();
+        assert!(stream.len() > 100 * seen.len(), "many decisions per day");
+        assert!(rebuilds > 0, "the counter is live");
+        assert!(
+            rebuilds <= seen.len() as u64 + imports,
+            "{rebuilds} rebuilds over {} (app, day) pairs and {imports} import",
+            seen.len()
+        );
     }
 
     #[test]

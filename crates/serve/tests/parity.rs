@@ -255,6 +255,10 @@ fn production_mode_matches_offline_manager_across_shard_change() {
     let text = std::fs::read_to_string(&snap_path).unwrap();
     assert!(text.contains("\nclock "), "backup clock must be persisted");
     assert!(text.contains(" production "), "per-app daily histograms");
+    // Byte for byte what the commit before the manager cached its
+    // aggregates wrote for this stream: the cache is derived state,
+    // never exported, and moves no window.
+    assert_eq!(text, include_str!("golden/production_2shard.snapshot"));
 
     // Phase 2: second half against a 5-shard server restored from the
     // snapshot — app slices land on entirely different managers.

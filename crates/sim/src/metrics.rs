@@ -20,7 +20,8 @@ pub struct PolicyAggregate {
     /// Policy label (from its factory).
     pub label: String,
     /// Cold-start percentage of every simulated app (with ≥ 1
-    /// invocation), unordered.
+    /// invocation), in the order the apps were folded in (population
+    /// order out of `run_sweep`).
     pub per_app_cold_pct: Vec<f64>,
     /// Applications simulated (with ≥ 1 invocation).
     pub apps: u64,

@@ -1,94 +1,96 @@
 //! Sweep driver: evaluates many policies over a population in parallel.
 //!
-//! Applications are independent under every policy, so the sweep
-//! partitions apps across threads; each thread generates an app's
-//! invocation stream **once** and replays it against every policy
-//! configuration, keeping results comparable and generation costs
-//! amortized. Merging is deterministic (chunk order), so sweeps are
-//! reproducible bit-for-bit.
+//! Applications are independent under every policy, and their streams
+//! differ in length by orders of magnitude, so no static split balances
+//! them: workers claim short runs of apps from a shared cursor until the
+//! population is exhausted. A worker generates an app's invocation
+//! stream **once** and replays it against every policy configuration,
+//! keeping results comparable and generation costs amortized, and hands
+//! back one result per app and policy. The calling thread then folds
+//! those into the aggregates in population order, whoever simulated
+//! them — so every field, the floating-point sums and the order of the
+//! per-app vectors included, is bit-for-bit the same for any thread
+//! count.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use sitw_trace::{app_invocations, Population, TraceConfig};
 
-use crate::engine::simulate_app;
+use crate::engine::{simulate_app, AppSimResult};
 use crate::metrics::PolicyAggregate;
 
 // The spec type moved to `sitw_core::spec` (the fleet subsystem shares
 // it); re-exported here so `sitw_sim::PolicySpec` keeps working.
 pub use sitw_core::PolicySpec;
 
+/// Apps a worker claims at a time: small against any population worth
+/// threading, so the last claims level out the workers' finish times.
+const CLAIM_APPS: usize = 4;
+
 /// Runs every policy over every application of the population.
 ///
-/// `threads` ≤ 1 runs serially. Results are independent of the thread
-/// count.
+/// `threads` ≤ 1 runs on the calling thread alone. Results are
+/// independent of the thread count.
 pub fn run_sweep(
     population: &Population,
     trace_cfg: &TraceConfig,
     specs: &[PolicySpec],
     threads: usize,
 ) -> Vec<PolicyAggregate> {
-    let threads = threads.max(1);
-    if threads == 1 || population.len() < 2 * threads {
-        let mut aggs: Vec<PolicyAggregate> = specs
-            .iter()
-            .map(|s| PolicyAggregate::new(s.label()))
-            .collect();
-        simulate_chunk(population, 0..population.len(), trace_cfg, specs, &mut aggs);
-        return aggs;
-    }
-
-    let chunk_size = population.len().div_ceil(threads);
-    let mut partials: Vec<Vec<PolicyAggregate>> = Vec::new();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for chunk_idx in 0..threads {
-            let lo = chunk_idx * chunk_size;
-            let hi = ((chunk_idx + 1) * chunk_size).min(population.len());
-            if lo >= hi {
-                continue;
+    let apps = &population.apps;
+    // Relaxed: the cursor hands out indices into data that is read-only
+    // for the whole sweep and publishes nothing else.
+    let cursor = AtomicUsize::new(0);
+    let work = || {
+        // Per simulated app: its index in the population and its result
+        // under each policy, in spec order.
+        let mut done = Vec::new();
+        loop {
+            let lo = cursor.fetch_add(CLAIM_APPS, Ordering::Relaxed);
+            if lo >= apps.len() {
+                return done;
             }
-            handles.push(scope.spawn(move || {
-                let mut aggs: Vec<PolicyAggregate> = specs
+            let hi = (lo + CLAIM_APPS).min(apps.len());
+            for (idx, app) in (lo..hi).zip(&apps[lo..hi]) {
+                let events = app_invocations(app, trace_cfg);
+                if events.is_empty() {
+                    continue;
+                }
+                let results: Vec<AppSimResult> = specs
                     .iter()
-                    .map(|s| PolicyAggregate::new(s.label()))
+                    .map(|spec| {
+                        let mut policy = spec.new_policy();
+                        simulate_app(&events, trace_cfg.horizon_ms, policy.as_mut())
+                    })
                     .collect();
-                simulate_chunk(population, lo..hi, trace_cfg, specs, &mut aggs);
-                aggs
-            }));
+                done.push((idx, results));
+            }
         }
+    };
+
+    // The calling thread is one of the workers; no more of them than
+    // there are claims to make.
+    let helpers = threads.min(apps.len().div_ceil(CLAIM_APPS)).max(1) - 1;
+    let mut done = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..helpers).map(|_| scope.spawn(work)).collect();
+        let mut done = work();
         for h in handles {
-            partials.push(h.join().expect("sweep worker panicked"));
+            done.extend(h.join().expect("sweep worker panicked"));
         }
+        done
     });
 
-    // Deterministic merge in chunk order.
-    let mut iter = partials.into_iter();
-    let mut merged = iter.next().expect("at least one chunk");
-    for partial in iter {
-        for (m, p) in merged.iter_mut().zip(&partial) {
-            m.merge(p);
+    done.sort_unstable_by_key(|(idx, _)| *idx);
+    let mut aggs: Vec<PolicyAggregate> = specs
+        .iter()
+        .map(|s| PolicyAggregate::new(s.label()))
+        .collect();
+    for (idx, results) in &done {
+        for (agg, result) in aggs.iter_mut().zip(results) {
+            agg.add(result, apps[*idx].memory_mb);
         }
     }
-    merged
-}
-
-fn simulate_chunk(
-    population: &Population,
-    range: std::ops::Range<usize>,
-    trace_cfg: &TraceConfig,
-    specs: &[PolicySpec],
-    aggs: &mut [PolicyAggregate],
-) {
-    for app in &population.apps[range] {
-        let events = app_invocations(app, trace_cfg);
-        if events.is_empty() {
-            continue;
-        }
-        for (spec, agg) in specs.iter().zip(aggs.iter_mut()) {
-            let mut policy = spec.new_policy();
-            let result = simulate_app(&events, trace_cfg.horizon_ms, policy.as_mut());
-            agg.add(&result, app.memory_mb);
-        }
-    }
+    aggs
 }
 
 #[cfg(test)]
@@ -119,22 +121,42 @@ mod tests {
         ]
     }
 
+    /// Everything an aggregate holds, floats by their bits.
+    fn exact(a: &PolicyAggregate) -> (String, Vec<u64>, [u64; 7], u128, u64) {
+        (
+            a.label.clone(),
+            a.per_app_cold_pct.iter().map(|p| p.to_bits()).collect(),
+            [
+                a.apps,
+                a.invocations,
+                a.cold_starts,
+                a.always_cold_apps,
+                a.single_invocation_apps,
+                a.apps_used_arima,
+                a.arima_decisions,
+            ],
+            a.wasted_ms,
+            a.wasted_mb_ms.to_bits(),
+        )
+    }
+
     #[test]
     fn serial_and_parallel_agree() {
         let (pop, cfg) = setup();
-        let serial = run_sweep(&pop, &cfg, &specs(), 1);
-        let parallel = run_sweep(&pop, &cfg, &specs(), 4);
-        for (s, p) in serial.iter().zip(&parallel) {
-            assert_eq!(s.label, p.label);
-            assert_eq!(s.apps, p.apps);
-            assert_eq!(s.invocations, p.invocations);
-            assert_eq!(s.cold_starts, p.cold_starts);
-            assert_eq!(s.wasted_ms, p.wasted_ms);
-            let mut a = s.per_app_cold_pct.clone();
-            let mut b = p.per_app_cold_pct.clone();
-            a.sort_by(f64::total_cmp);
-            b.sort_by(f64::total_cmp);
-            assert_eq!(a, b);
+        // Also a population with fewer apps than threads.
+        let few = Population {
+            apps: pop.apps[..3].to_vec(),
+        };
+        for pop in [&pop, &few] {
+            let serial = run_sweep(pop, &cfg, &specs(), 1);
+            assert_eq!(serial.len(), specs().len());
+            for threads in [2, 3, 4, 7] {
+                let parallel = run_sweep(pop, &cfg, &specs(), threads);
+                assert_eq!(serial.len(), parallel.len());
+                for (s, p) in serial.iter().zip(&parallel) {
+                    assert_eq!(exact(s), exact(p), "{} at {threads} threads", s.label);
+                }
+            }
         }
     }
 

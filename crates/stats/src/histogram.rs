@@ -274,23 +274,99 @@ impl WeightedBins {
         }
     }
 
-    /// Adds `weight ×` the counts of `h`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if geometries differ or `weight` is negative/non-finite.
-    pub fn add_scaled(&mut self, h: &RangeHistogram, weight: f64) {
+    /// Empties the bins, keeping their buffer for the next aggregation.
+    pub fn clear(&mut self) {
+        self.bins.fill(0.0);
+        self.in_bounds = 0.0;
+        self.oob = 0.0;
+    }
+
+    fn check_addend(&self, h: &RangeHistogram, weight: f64) {
         assert_eq!(self.bin_width, h.bin_width, "bin width mismatch");
         assert_eq!(self.bins.len(), h.bins.len(), "bin count mismatch");
         assert!(
             weight >= 0.0 && weight.is_finite(),
             "weight must be finite and non-negative"
         );
+    }
+
+    /// Adds `weight ×` the counts of `h`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if geometries differ or `weight` is negative/non-finite.
+    pub fn add_scaled(&mut self, h: &RangeHistogram, weight: f64) {
+        self.check_addend(h, weight);
         for (a, &b) in self.bins.iter_mut().zip(h.bins.iter()) {
             *a += weight * b as f64;
         }
         self.in_bounds += weight * h.in_bounds as f64;
         self.oob += weight * h.oob as f64;
+    }
+
+    /// `(head_value(head_p), tail_value(tail_p))` as they would read
+    /// after `add_scaled(h, weight)`, without performing the addition:
+    /// one walk that forms each bin as `self + weight × h` on the fly
+    /// and stops at the later of the two percentiles. That is the
+    /// expression `add_scaled` stores, summed in the same order, so for
+    /// any two percentiles (NaN aside) the pair is bit-identical to
+    /// materialising the sum and walking it twice.
+    ///
+    /// Returns `None` when the sum would hold no in-bounds weight.
+    ///
+    /// # Panics
+    ///
+    /// Panics if geometries differ or `weight` is negative/non-finite.
+    pub fn head_tail_plus(
+        &self,
+        h: &RangeHistogram,
+        weight: f64,
+        head_p: f64,
+        tail_p: f64,
+    ) -> Option<(u64, u64)> {
+        self.check_addend(h, weight);
+        let total = self.in_bounds + weight * h.in_bounds as f64;
+        if total <= 0.0 {
+            return None;
+        }
+        let head_target = head_p.clamp(0.0, 100.0) / 100.0 * total;
+        let tail_target = tail_p.clamp(0.0, 100.0) / 100.0 * total;
+        let mut sum = self
+            .bins
+            .iter()
+            .zip(h.bins.iter())
+            .map(|(&a, &b)| a + weight * b as f64)
+            .enumerate();
+        let mut cum = 0.0;
+        let mut at = None;
+        // Walks on to the first non-empty bin at which the running sum
+        // reaches `target`; when round-off leaves the sum a hair short,
+        // to the last non-empty bin, as in `percentile_bin_over`.
+        let mut reach = |target: f64| {
+            if at.is_some() && cum >= target {
+                return at;
+            }
+            for (i, c) in sum.by_ref() {
+                if c > 0.0 {
+                    cum += c;
+                    at = Some(i);
+                    if cum >= target {
+                        break;
+                    }
+                }
+            }
+            at
+        };
+        // The running sum only grows, so the lower target is met first.
+        let swapped = tail_target < head_target;
+        let lower = reach(if swapped { tail_target } else { head_target })? as u64;
+        let upper = reach(if swapped { head_target } else { tail_target })? as u64;
+        let (head, tail) = if swapped {
+            (upper, lower)
+        } else {
+            (lower, upper)
+        };
+        Some((head * self.bin_width, (tail + 1) * self.bin_width))
     }
 
     /// Total in-bounds weight.
@@ -562,6 +638,62 @@ mod tests {
         assert!(agg.is_empty());
         assert_eq!(agg.head_value(50.0), None);
         assert_eq!(agg.oob_fraction(), 0.0);
+    }
+
+    #[test]
+    fn head_tail_plus_equals_adding_then_walking() {
+        // Three "days" of splitmix-scattered counts under weights whose
+        // products are not exactly representable; every half percentile
+        // must land in the same bin either way, cumulative round-off
+        // included.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let z = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z ^ (z >> 27)
+        };
+        let mut day = |n: usize| {
+            let mut h = RangeHistogram::new(64, 1);
+            for _ in 0..n {
+                h.record(next() % 80); // A fifth lands out of bounds.
+            }
+            h
+        };
+        let (old, mid, new) = (day(300), day(40), day(7));
+        let mut older = WeightedBins::new(64, 1);
+        older.add_scaled(&old, 0.85f64.powi(2));
+        older.add_scaled(&mid, 0.85);
+        for weight in [1.0, 0.85, 0.0] {
+            let mut sum = older.clone();
+            sum.add_scaled(&new, weight);
+            for half in 0..=200 {
+                let (hp, tp) = (half as f64 / 2.0, 100.0 - half as f64 / 2.0);
+                assert_eq!(
+                    older.head_tail_plus(&new, weight, hp, tp),
+                    Some((sum.head_value(hp).unwrap(), sum.tail_value(tp).unwrap())),
+                    "weight {weight}, head {hp}, tail {tp}"
+                );
+            }
+        }
+        // Nothing in bounds on either side: no percentiles.
+        let empty = WeightedBins::new(64, 1);
+        let mut oob_only = RangeHistogram::new(64, 1);
+        oob_only.record(1000);
+        assert_eq!(empty.head_tail_plus(&oob_only, 1.0, 5.0, 99.0), None);
+        assert_eq!(empty.head_tail_plus(&new, 0.0, 5.0, 99.0), None);
+    }
+
+    #[test]
+    fn clear_keeps_geometry_and_forgets_weight() {
+        let mut h = RangeHistogram::new(16, 1);
+        h.record(3);
+        h.record(99);
+        let mut agg = WeightedBins::new(16, 1);
+        agg.add_scaled(&h, 0.5);
+        agg.clear();
+        assert_eq!(agg, WeightedBins::new(16, 1));
+        agg.add_scaled(&h, 1.0);
+        assert_eq!(agg.head_value(50.0), Some(3));
     }
 
     #[test]
