@@ -4,7 +4,7 @@
 //! | rule id             | invariant                                                     |
 //! |---------------------|---------------------------------------------------------------|
 //! | `unsafe-confinement`| `unsafe` only in `crates/reactor`; every other crate root has `#![forbid(unsafe_code)]` |
-//! | `hot-path-alloc`    | no `format!`/`.to_string()`/`String::from`/`Vec::new`/`Box::new`/`.clone()` in `// sitw-lint: hot-path` functions |
+//! | `hot-path-alloc`    | no `format!`/`.to_string()`/`.to_owned()`/`.to_vec()`/`String::from`/`Vec::new`/`Box::new`/`.clone()` in `// sitw-lint: hot-path` functions |
 //! | `panic-freedom`     | no `.unwrap()`/`.expect(`/`panic!`/`unreachable!`/`todo!`/`unimplemented!` in hot-path functions |
 //! | `clock-discipline`  | `Instant::now`/`SystemTime::now` only in `crates/telemetry`, test code, or allowlisted lines |
 //! | `directive`         | every `// sitw-lint:` comment parses                          |
@@ -426,6 +426,16 @@ fn rule_hot_path(file: &SourceFile, diags: &mut Vec<Diagnostic>) {
                 && file.is_punct(p + 2, '(')
             {
                 Some("`.to_string()` allocates a fresh String")
+            } else if file.is_punct(p, '.')
+                && file.is_ident(p + 1, "to_owned")
+                && file.is_punct(p + 2, '(')
+            {
+                Some("`.to_owned()` allocates an owned copy")
+            } else if file.is_punct(p, '.')
+                && file.is_ident(p + 1, "to_vec")
+                && file.is_punct(p + 2, '(')
+            {
+                Some("`.to_vec()` allocates a fresh Vec")
             } else if file.is_ident(p, "String")
                 && file.is_punct(p + 1, ':')
                 && file.is_punct(p + 2, ':')

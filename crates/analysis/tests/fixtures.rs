@@ -37,7 +37,11 @@ fn hot_path_alloc_fixture_reports_the_allocation() {
         rendered(&fixture("hot_path_alloc")),
         [
             "src/lib.rs:7: error[hot-path-alloc]: `.to_string()` allocates a fresh String \
-          inside a hot-path function"
+          inside a hot-path function",
+            "src/lib.rs:12: error[hot-path-alloc]: `.to_owned()` allocates an owned copy \
+          inside a hot-path function",
+            "src/lib.rs:13: error[hot-path-alloc]: `.to_vec()` allocates a fresh Vec \
+          inside a hot-path function",
         ]
     );
 }

@@ -19,20 +19,73 @@
 //! ledger replayed from the same event stream — online, offline, or
 //! across a snapshot/restore with a different shard layout — produces
 //! identical charges, identical evictions, and identical integrals.
+//!
+//! # The expiry queue is keyed lazily
+//!
+//! A charge runs once per decision, so it is written to cost one map
+//! lookup and no allocation once an app has been seen. Each app's name
+//! is one immutable `Arc<str>` shared by the map key, its entry and its
+//! heap nodes; an entry stays in the map when its charge lapses or is
+//! evicted (marked not warm), so the app's return re-charges it in place
+//! instead of building a key again.
+//!
+//! The heap holds **one live node per warm app**, and that node's key
+//! may be *earlier* than the app's true expiry:
+//!
+//! * a re-charge that moves the expiry **later** (the common case — an
+//!   app invoked again inside its keep-alive window) touches only the
+//!   entry;
+//! * a re-charge that moves it **earlier than the queued key** pushes a
+//!   fresh node under a new generation, which orphans the old one;
+//! * whoever pops the heap — [`TenantLedger::advance`] looking for
+//!   lapsed charges, the eviction loop looking for a victim — acts on a
+//!   live node only when its key *equals* the entry's expiry; a live
+//!   node that is early is pushed back under the true expiry and the
+//!   pop repeated.
+//!
+//! Expiry and eviction order are what they would be with exact keys.
+//! Every live key is ≤ its app's expiry, so when the heap's minimum is a
+//! live node whose key *is* its expiry, no warm app can expire earlier,
+//! and none with the same expiry has a smaller app id (its node's key
+//! would be ≤ that same tuple and would have popped first). Apps
+//! therefore leave in ascending `(true expiry, app id)` order, exactly
+//! as from a heap holding one exact node per charge — the reference
+//! implementation `ledger_ref` keeps, which a property test drives
+//! against this one charge by charge.
+//!
+//! Orphaned nodes are dropped when popped, and swept when they pile up:
+//! whenever the heap holds more than `2 × warm apps + COMPACT_SLACK`
+//! nodes it is rebuilt from its live ones (pop order depends only on the
+//! node tuples, never on the heap's layout). The heap is therefore
+//! bounded by the warm set, not by the charges made inside a keep-alive
+//! window, and a sweep's cost is paid for by the pushes that made it
+//! necessary.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
+use std::sync::Arc;
 
 use crate::evict::evict_until;
 
-/// One warm container's charge.
+/// Orphaned heap nodes tolerated on top of one per warm app before the
+/// heap is rebuilt from its live nodes.
+const COMPACT_SLACK: usize = 32;
+
+/// One app's charge. The entry outlives the charge: a lapsed or evicted
+/// app keeps its entry (not warm) so its next charge needs no new key.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WarmEntry {
     /// Absolute time the keep-alive lapses (the image unloads).
     pub expiry_ms: u64,
     /// Charged footprint in MB.
     pub mb: u64,
-    /// Lazy-deletion generation for the expiry heap (not persisted).
+    /// The app id, shared with the map key and the heap nodes.
+    name: Arc<str>,
+    /// Whether the charge is current (counted in `warm_mb`).
+    warm: bool,
+    /// Key of this app's live heap node; never later than `expiry_ms`.
+    queued_ms: u64,
+    /// Generation of the live heap node (not persisted).
     gen: u64,
 }
 
@@ -68,14 +121,25 @@ pub struct TenantLedger {
     /// Budget in MB; 0 = unlimited (accounting only, never evicts).
     budget_mb: u64,
     warm_mb: u64,
+    warm_apps: u64,
     evictions: u64,
     idle_mb_ms: u64,
     cursor_ms: u64,
-    warm: HashMap<String, WarmEntry>,
-    /// Earliest-expiry queue with lazy deletion: `(expiry, app, gen)`;
-    /// an entry is live iff its gen matches the map's.
-    heap: BinaryHeap<Reverse<(u64, String, u64)>>,
+    /// Every app ever charged; `warm` marks the current charges.
+    entries: HashMap<Arc<str>, WarmEntry>,
+    /// Earliest-expiry queue, `(key, app, gen)`. Three invariants tie it
+    /// to `entries`:
+    ///
+    /// 1. every warm app has exactly one *live* node — the one carrying
+    ///    its entry's `gen`; every other node is an orphan;
+    /// 2. a live node's key equals the entry's `queued_ms` and is never
+    ///    later than its `expiry_ms`;
+    /// 3. a popped live node is acted on (expired, evicted) only when
+    ///    its key equals `expiry_ms`; an early one is re-keyed to it.
+    heap: BinaryHeap<Reverse<(u64, Arc<str>, u64)>>,
     next_gen: u64,
+    /// The last charge's victims, in eviction order (buffer reused).
+    evicted: Vec<Arc<str>>,
 }
 
 impl TenantLedger {
@@ -84,12 +148,14 @@ impl TenantLedger {
         Self {
             budget_mb,
             warm_mb: 0,
+            warm_apps: 0,
             evictions: 0,
             idle_mb_ms: 0,
             cursor_ms: 0,
-            warm: HashMap::new(),
+            entries: HashMap::new(),
             heap: BinaryHeap::new(),
             next_gen: 0,
+            evicted: Vec::new(),
         }
     }
 
@@ -114,35 +180,125 @@ impl TenantLedger {
     /// An entry expiring exactly at `now` stays warm — mirroring
     /// [`sitw_core::Windows::classify_gap`], where an idle gap equal to
     /// the keep-alive window is still a warm hit.
+    // sitw-lint: hot-path
     pub fn advance(&mut self, now_ms: u64) {
-        while let Some(Reverse((expiry, _, _))) = self.heap.peek() {
-            if *expiry >= now_ms {
-                break;
-            }
-            let Reverse((expiry, app, gen)) = self.heap.pop().expect("peeked");
-            let live = self.warm.get(&app).is_some_and(|e| e.gen == gen);
-            if !live {
-                continue; // Superseded by a fresher charge.
-            }
-            let dt = expiry.saturating_sub(self.cursor_ms);
-            self.idle_mb_ms = self
-                .idle_mb_ms
-                .saturating_add(self.warm_mb.saturating_mul(dt));
-            self.cursor_ms = self.cursor_ms.max(expiry);
-            let entry = self.warm.remove(&app).expect("live entry");
-            self.warm_mb -= entry.mb;
+        while let Some((expiry_ms, mb, _)) = self.release_earliest(Some(now_ms)) {
+            self.accrue(expiry_ms);
+            self.warm_mb -= mb;
         }
-        let dt = now_ms.saturating_sub(self.cursor_ms);
+        self.accrue(now_ms);
+        self.compact_if_bloated();
+    }
+
+    /// Extends the integral to `to_ms` at the current warm memory.
+    fn accrue(&mut self, to_ms: u64) {
+        let dt = to_ms.saturating_sub(self.cursor_ms);
         self.idle_mb_ms = self
             .idle_mb_ms
             .saturating_add(self.warm_mb.saturating_mul(dt));
-        self.cursor_ms = self.cursor_ms.max(now_ms);
+        self.cursor_ms = self.cursor_ms.max(to_ms);
+    }
+
+    /// Ends the charge of the warm app with the smallest
+    /// `(expiry, app id)` — provided, under `before_ms`, that it expires
+    /// strictly before then — and returns `(expiry_ms, mb, app)`. The
+    /// caller takes `mb` off `warm_mb` (after the integral, when it is
+    /// an expiry). Orphans met on the way are dropped, early live nodes
+    /// re-keyed (invariant 3).
+    // sitw-lint: hot-path
+    fn release_earliest(&mut self, before_ms: Option<u64>) -> Option<(u64, u64, Arc<str>)> {
+        loop {
+            let Reverse((key, _, _)) = self.heap.peek()?;
+            // Live keys never exceed their expiries, so a minimum at or
+            // past the limit means nothing expires before it.
+            if before_ms.is_some_and(|limit| *key >= limit) {
+                return None;
+            }
+            let Reverse((key, name, gen)) = self.heap.pop()?;
+            let Some(entry) = self.entries.get_mut(&*name) else {
+                continue;
+            };
+            if !entry.warm || entry.gen != gen {
+                continue; // Orphaned by a fresher node, or by a release.
+            }
+            if key < entry.expiry_ms {
+                entry.queued_ms = entry.expiry_ms;
+                self.heap.push(Reverse((entry.expiry_ms, name, gen)));
+                continue;
+            }
+            entry.warm = false;
+            self.warm_apps -= 1;
+            return Some((key, entry.mb, name));
+        }
+    }
+
+    /// Rebuilds the heap from its live nodes once orphans outnumber
+    /// them by more than [`COMPACT_SLACK`].
+    fn compact_if_bloated(&mut self) {
+        if self.heap.len() > 2 * self.warm_apps as usize + COMPACT_SLACK {
+            let entries = &self.entries;
+            self.heap.retain(|Reverse((_, name, gen))| {
+                entries
+                    .get(&**name)
+                    .is_some_and(|e| e.warm && e.gen == *gen)
+            });
+        }
+    }
+
+    /// Records `app` as warm until `expiry_ms` holding `mb`: a known
+    /// app's entry is updated in place, and a heap node is pushed only
+    /// when the app has no live one or its key would be too late.
+    // sitw-lint: hot-path
+    fn admit(&mut self, app: &str, expiry_ms: u64, mb: u64) {
+        let gen = self.next_gen;
+        match self.entries.get_mut(app) {
+            Some(entry) => {
+                if entry.warm {
+                    // Re-charge: the previous interval's integral is
+                    // already accounted up to `now`; only the footprint
+                    // swaps.
+                    self.warm_mb -= entry.mb;
+                } else {
+                    self.warm_apps += 1;
+                }
+                if !entry.warm || expiry_ms < entry.queued_ms {
+                    self.next_gen += 1;
+                    entry.gen = gen;
+                    entry.queued_ms = expiry_ms;
+                    self.heap
+                        .push(Reverse((expiry_ms, Arc::clone(&entry.name), gen)));
+                }
+                entry.warm = true;
+                entry.expiry_ms = expiry_ms;
+                entry.mb = mb;
+            }
+            None => {
+                // First sight: the one allocation a name ever costs.
+                let name: Arc<str> = Arc::from(app);
+                self.next_gen += 1;
+                self.warm_apps += 1;
+                self.heap.push(Reverse((expiry_ms, Arc::clone(&name), gen)));
+                self.entries.insert(
+                    Arc::clone(&name),
+                    WarmEntry {
+                        expiry_ms,
+                        mb,
+                        name,
+                        warm: true,
+                        queued_ms: expiry_ms,
+                        gen,
+                    },
+                );
+            }
+        }
+        self.warm_mb += mb;
     }
 
     /// Charges `app` as warm from `now_ms` until `expiry_ms` holding
     /// `mb`, then enforces the budget. Returns the apps evicted to make
     /// room, in eviction order — possibly including `app` itself, when
-    /// even evicting everything else cannot fit its footprint.
+    /// even evicting everything else cannot fit its footprint. The
+    /// slice is the ledger's own buffer, valid until the next charge.
     ///
     /// Two contracts worth stating precisely:
     ///
@@ -163,57 +319,34 @@ impl TenantLedger {
     ///   tenant's events to arrive in timestamp order — true for any
     ///   single connection (the parity tests), not guaranteed when one
     ///   tenant's apps are spread across concurrent connections.
-    pub fn charge(&mut self, app: &str, now_ms: u64, expiry_ms: u64, mb: u64) -> Vec<String> {
+    // sitw-lint: hot-path
+    pub fn charge(&mut self, app: &str, now_ms: u64, expiry_ms: u64, mb: u64) -> &[Arc<str>] {
         self.advance(now_ms);
-        if let Some(prev) = self.warm.get(app) {
-            // Re-charge: the previous interval's integral is already
-            // accounted up to `now`; only the footprint swaps.
-            self.warm_mb -= prev.mb;
+        self.admit(app, expiry_ms.max(now_ms), mb);
+        self.evicted.clear();
+        if self.budget_mb != 0 {
+            // The budgeted-eviction engine shared with the platform's
+            // invoker pool: victims by earliest keep-alive expiry.
+            evict_until(
+                self,
+                |l| l.warm_mb <= l.budget_mb,
+                |l| l.release_earliest(None),
+                |l, (_, mb, victim)| {
+                    l.warm_mb -= mb;
+                    l.evictions += 1;
+                    l.evicted.push(victim);
+                },
+            );
         }
-        let gen = self.next_gen;
-        self.next_gen += 1;
-        self.warm.insert(
-            app.to_owned(),
-            WarmEntry {
-                expiry_ms: expiry_ms.max(now_ms),
-                mb,
-                gen,
-            },
-        );
-        self.warm_mb += mb;
-        self.heap
-            .push(Reverse((expiry_ms.max(now_ms), app.to_owned(), gen)));
-
-        let mut evicted = Vec::new();
-        if self.budget_mb == 0 {
-            return evicted;
-        }
-        // The budgeted-eviction engine shared with the platform's
-        // invoker pool: victims by earliest keep-alive expiry.
-        evict_until(
-            self,
-            |l| l.warm_mb <= l.budget_mb,
-            |l| loop {
-                let Reverse((_, app, gen)) = l.heap.pop()?;
-                if l.warm.get(&app).is_some_and(|e| e.gen == gen) {
-                    return Some(app);
-                }
-            },
-            |l, victim| {
-                let entry = l.warm.remove(&victim).expect("live victim");
-                l.warm_mb -= entry.mb;
-                l.evictions += 1;
-                evicted.push(victim);
-            },
-        );
-        evicted
+        self.compact_if_bloated();
+        &self.evicted
     }
 
     /// The current summary.
     pub fn stats(&self) -> LedgerStats {
         LedgerStats {
             warm_mb: self.warm_mb,
-            warm_apps: self.warm.len() as u64,
+            warm_apps: self.warm_apps,
             evictions: self.evictions,
             idle_mb_ms: self.idle_mb_ms,
         }
@@ -222,9 +355,10 @@ impl TenantLedger {
     /// Exports the persistable state (warm set sorted by app id).
     pub fn export(&self) -> LedgerExport {
         let mut warm: Vec<(String, u64, u64)> = self
-            .warm
-            .iter()
-            .map(|(app, e)| (app.clone(), e.expiry_ms, e.mb))
+            .entries
+            .values()
+            .filter(|e| e.warm)
+            .map(|e| (String::from(&*e.name), e.expiry_ms, e.mb))
             .collect();
         warm.sort();
         LedgerExport {
@@ -244,20 +378,46 @@ impl TenantLedger {
         ledger.evictions = export.evictions;
         ledger.idle_mb_ms = export.idle_mb_ms;
         ledger.cursor_ms = export.cursor_ms;
-        for (app, expiry_ms, mb) in export.warm {
-            let gen = ledger.next_gen;
-            ledger.next_gen += 1;
-            ledger.warm_mb += mb;
-            ledger.heap.push(Reverse((expiry_ms, app.clone(), gen)));
-            ledger.warm.insert(app, WarmEntry { expiry_ms, mb, gen });
+        for (app, expiry_ms, mb) in &export.warm {
+            ledger.admit(app, *expiry_ms, *mb);
         }
         ledger
+    }
+
+    /// Nodes in the expiry heap, live and orphaned.
+    #[cfg(test)]
+    pub(crate) fn heap_nodes(&self) -> usize {
+        self.heap.len()
+    }
+
+    /// Panics unless the heap invariants (see the `heap` field) and the
+    /// compaction bound hold.
+    #[cfg(test)]
+    pub(crate) fn check_invariants(&self) {
+        let mut live = 0;
+        for Reverse((key, name, gen)) in self.heap.iter() {
+            let entry = &self.entries[name];
+            if entry.warm && entry.gen == *gen {
+                live += 1;
+                assert_eq!(*key, entry.queued_ms, "live key is the queued key");
+                assert!(*key <= entry.expiry_ms, "live key later than expiry");
+            }
+        }
+        let warm = self.entries.values().filter(|e| e.warm).count();
+        assert_eq!(live, warm, "one live node per warm app");
+        assert_eq!(self.warm_apps, warm as u64);
+        assert!(self.heap.len() <= 2 * warm + COMPACT_SLACK);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Victim lists as the ledger returns them.
+    fn names(apps: &[&str]) -> Vec<Arc<str>> {
+        apps.iter().map(|&a| Arc::from(a)).collect()
+    }
 
     #[test]
     fn unbudgeted_ledger_accounts_without_evicting() {
@@ -293,7 +453,7 @@ mod tests {
         assert!(l.charge("early", 0, 1_000, 40).is_empty());
         // 40+40+40 > 100: the earliest expiry ("early") goes first.
         let evicted = l.charge("new", 10, 9_000, 40);
-        assert_eq!(evicted, vec!["early".to_owned()]);
+        assert_eq!(evicted, names(&["early"]));
         assert_eq!(l.stats().warm_mb, 80);
         assert_eq!(l.stats().evictions, 1);
 
@@ -302,9 +462,9 @@ mod tests {
         let mut l = TenantLedger::new(50);
         l.charge("b", 0, 1_000, 30);
         let evicted = l.charge("a", 0, 1_000, 30);
-        assert_eq!(evicted, vec!["a".to_owned()]);
+        assert_eq!(evicted, names(&["a"]));
         let evicted = l.charge("c", 0, 2_000, 30);
-        assert_eq!(evicted, vec!["b".to_owned()]);
+        assert_eq!(evicted, names(&["b"]));
     }
 
     #[test]
@@ -314,7 +474,7 @@ mod tests {
         let evicted = l.charge("huge", 5, 20_000, 500);
         // Everything goes: "small" first (earlier expiry), then "huge"
         // itself — the tenant cannot hold it at all.
-        assert_eq!(evicted, vec!["small".to_owned(), "huge".to_owned()]);
+        assert_eq!(evicted, names(&["small", "huge"]));
         assert_eq!(l.stats().warm_mb, 0);
         assert_eq!(l.stats().evictions, 2);
     }
@@ -333,6 +493,27 @@ mod tests {
         assert_eq!(l.stats().warm_apps, 0);
         // Integral: 100 MB × 3000 ms (warm the whole time).
         assert_eq!(l.stats().idle_mb_ms, 100 * 3_000);
+    }
+
+    #[test]
+    fn heap_is_bounded_by_the_warm_set() {
+        // 10⁵ re-charges of three apps, all inside one keep-alive
+        // window. Windows alternate long and short, so the expiry moves
+        // later (no push) and earlier than the queued key (a fresh node,
+        // an orphan) in turn. One node per charge would read 10⁵ here.
+        let mut l = TenantLedger::new(0);
+        let apps = ["a", "b", "c"];
+        for i in 0..100_000u64 {
+            let window = if i / 3 % 2 == 0 { 3_600_000 } else { 600_000 };
+            l.charge(apps[(i % 3) as usize], i, i + window, 10);
+        }
+        assert_eq!(l.stats().warm_apps, 3);
+        assert!(
+            l.heap_nodes() <= 2 * 3 + COMPACT_SLACK,
+            "{} heap nodes for 3 warm apps",
+            l.heap_nodes()
+        );
+        l.check_invariants();
     }
 
     #[test]

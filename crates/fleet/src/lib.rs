@@ -50,6 +50,8 @@
 pub mod evict;
 pub mod footprint;
 pub mod ledger;
+#[cfg(test)]
+mod ledger_ref;
 pub mod qos;
 pub mod registry;
 pub mod sim;

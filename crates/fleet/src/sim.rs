@@ -220,7 +220,7 @@ impl FleetSim {
         // app can itself be the victim when its footprint cannot fit.
         let expiry = verdict.windows.loaded_until(ts);
         for victim in t.ledger.charge(app, ts, expiry, mb) {
-            if let Some(v) = t.apps.get_mut(&victim) {
+            if let Some(v) = t.apps.get_mut(&**victim) {
                 v.evicted = true;
             }
         }
@@ -252,6 +252,7 @@ pub fn fleet_verdict_trace(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ledger::LedgerStats;
     use sitw_core::MINUTE_MS;
 
     fn registry(budget_mb: u64) -> TenantRegistry {
@@ -370,6 +371,93 @@ mod tests {
         }
         out
     }
+
+    /// A seeded four-tenant stream — the default tenant unbudgeted,
+    /// three named tenants under budgets that bite — with its
+    /// [`TenantRegistry`].
+    fn golden_fleet() -> (Vec<FleetEvent>, TenantRegistry) {
+        let mut r = TenantRegistry::new(PolicySpec::fixed_minutes(10));
+        r.register("g1", PolicySpec::parse("hybrid").unwrap(), 3_000)
+            .unwrap();
+        r.register("g2", PolicySpec::fixed_minutes(20), 1_500)
+            .unwrap();
+        r.register("g3", PolicySpec::parse("hybrid").unwrap(), 600)
+            .unwrap();
+        let mut ts = 0;
+        let events = (0..40_000u64)
+            .map(|i| {
+                let x = crate::mix64(0x5EED ^ i);
+                ts += (x >> 24) % 4_000;
+                FleetEvent {
+                    tenant: (x % 4) as TenantId,
+                    app: format!("app-{:02}", (x >> 8) % 60),
+                    ts,
+                }
+            })
+            .collect();
+        (events, r)
+    }
+
+    /// Online == offline parity cannot see a ledger change — daemon and
+    /// simulator share the ledger — so this pins the fleet trace to
+    /// constants captured from the build *before* the expiry queue went
+    /// lazy (exact keys, one heap node per charge): a fingerprint of all
+    /// 40 000 verdicts, and every tenant's final ledger summary.
+    #[test]
+    fn fleet_trace_matches_the_exact_key_ledger_golden() {
+        let (events, r) = golden_fleet();
+        let mut fingerprint = 0u64;
+        for v in fleet_verdict_trace(&events, &r) {
+            let v = v.unwrap();
+            let flags = v.cold as u64
+                | (v.prewarm_load as u64) << 1
+                | (v.evicted as u64) << 2
+                | (v.kind as u64) << 3;
+            for field in [flags, v.windows.pre_warm_ms, v.windows.keep_alive_ms] {
+                fingerprint = crate::mix64(fingerprint ^ field).wrapping_add(field);
+            }
+        }
+        assert_eq!(fingerprint, GOLDEN_FINGERPRINT);
+
+        let mut sim = FleetSim::new(&r);
+        for e in &events {
+            sim.step(e.tenant, &e.app, e.ts).unwrap();
+        }
+        let stats: Vec<LedgerStats> = (0..4).map(|t| sim.ledger(t).unwrap().stats()).collect();
+        assert_eq!(stats, GOLDEN_STATS);
+        // The budgets bit: the golden exercises eviction order, not
+        // just accounting.
+        assert!(stats[1..].iter().all(|s| s.evictions > 1_000));
+        assert_eq!(stats[0].evictions, 0);
+    }
+
+    const GOLDEN_FINGERPRINT: u64 = 0x086d_b9bf_4b44_7c0a;
+    const GOLDEN_STATS: [LedgerStats; 4] = [
+        LedgerStats {
+            warm_mb: 7_434,
+            warm_apps: 44,
+            evictions: 0,
+            idle_mb_ms: 636_215_880_846,
+        },
+        LedgerStats {
+            warm_mb: 2_953,
+            warm_apps: 18,
+            evictions: 6_710,
+            idle_mb_ms: 232_505_932_177,
+        },
+        LedgerStats {
+            warm_mb: 1_401,
+            warm_apps: 8,
+            evictions: 8_577,
+            idle_mb_ms: 111_955_854_925,
+        },
+        LedgerStats {
+            warm_mb: 595,
+            warm_apps: 4,
+            evictions: 9_579,
+            idle_mb_ms: 43_260_767_869,
+        },
+    ];
 
     #[test]
     fn production_tenant_day_aware_replay() {

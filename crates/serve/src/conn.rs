@@ -34,8 +34,14 @@
 //! through a reusable body scratch straight into the output buffer, and
 //! the output buffer itself persists across requests (shrunk when a
 //! burst inflates it). The per-record app-id `String` handed to the
-//! shard is the one remaining allocation — the shard map needs an owned
-//! key — and it is part of the dispatched message, not the connection.
+//! shard is the one remaining allocation per decision, and it is part
+//! of the dispatched message, not the connection. Per *batch* there is
+//! also the `Vec<BatchItem>` that carries the records: `dispatch`
+//! `mem::take`s the reactor's per-shard scratch, which therefore starts
+//! the next burst without capacity (re-grown, not reused), and the
+//! shard answers with a fresh result `Vec`. Past this hop the claim is
+//! stronger: the shard allocates nothing for an app it has seen before
+//! (`tests/alloc_free.rs` counts it).
 //!
 //! Failure handling mirrors the blocking server exactly, restated for an
 //! event loop:

@@ -35,7 +35,8 @@ use crate::metrics::ProtoHists;
 pub const TRACE_RING: usize = 512;
 
 /// Capacity of the node-wide lifecycle event ring (`/debug/events`).
-/// Events are rare relative to decisions, so one shared ring suffices.
+/// One shared ring: it keeps the most recent events, and a shard that
+/// finds it locked drops its event rather than wait.
 pub const EVENT_RING: usize = 256;
 
 /// Runtime-selected clock: production wall time or a test-driven manual

@@ -1,0 +1,227 @@
+//! "A steady-state decision on the shard thread allocates nothing" as a
+//! count, not a timing: this binary installs a counting global
+//! allocator and replays a two-tenant stream through a [`ShardWorker`].
+//!
+//! The count is thread-local, so the harness's other test threads do
+//! not disturb it, and it is read around each call under test — what
+//! the test itself allocates between calls is not charged to them.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use std::sync::{Arc, Mutex};
+
+use sitw_core::{DecisionKind, HybridConfig, MINUTE_MS};
+use sitw_fleet::{footprint_mb, mix64, TenantLedger, TenantSpec};
+use sitw_serve::shard::{ShardWorker, TenantRestore};
+use sitw_serve::telem::{ShardTelem, EVENT_RING};
+use sitw_sim::PolicySpec;
+use sitw_telemetry::{EventKind, EventRing};
+
+thread_local! {
+    /// Allocations made by this thread (`alloc_zeroed` and `realloc`
+    /// keep their default bodies, which go through `alloc`).
+    /// Const-initialised and without a destructor, so reading it never
+    /// allocates.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+fn count_one() {
+    // `try_with`: a thread may allocate while its locals are torn down.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// whose `GlobalAlloc` contract is therefore this type's; the counter is
+// a thread-local `Cell` and touches no memory the allocator manages.
+// sitw-lint: allow(unsafe-confinement)
+unsafe impl GlobalAlloc for Counting {
+    // sitw-lint: allow(unsafe-confinement)
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        System.alloc(layout)
+    }
+
+    // sitw-lint: allow(unsafe-confinement)
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller upholds `GlobalAlloc::dealloc`'s contract.
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Runs `f` and returns its result with the allocations it made.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCS.with(Cell::get);
+    let out = f();
+    (out, ALLOCS.with(Cell::get) - before)
+}
+
+const FREE: u16 = 1;
+const TIGHT: u16 = 2;
+const APPS_PER_TENANT: usize = 48;
+
+/// An endless two-tenant invocation stream in timestamp order. Each app
+/// beats at its own period of 1–9 minutes with a few seconds of jitter;
+/// one gap in 128 is three hours instead — inside the histogram's
+/// four-hour range (so no app turns out-of-bounds and asks ARIMA), far
+/// past the 99th-percentile keep-alive (so the app's charge lapses and
+/// it comes back cold).
+struct Stream {
+    names: Vec<String>,
+    /// `(next timestamp, tenant, app index)`, earliest first.
+    due: BinaryHeap<Reverse<(u64, u16, usize)>>,
+    beats: Vec<u64>,
+}
+
+impl Stream {
+    fn new() -> Stream {
+        let names = (0..APPS_PER_TENANT)
+            .map(|i| format!("app-{i:04}"))
+            .collect();
+        let due = [FREE, TIGHT]
+            .into_iter()
+            .flat_map(|t| (0..APPS_PER_TENANT).map(move |i| Reverse((i as u64 * 1_000, t, i))))
+            .collect();
+        Stream {
+            names,
+            due,
+            beats: vec![0; 2 * APPS_PER_TENANT],
+        }
+    }
+
+    fn next(&mut self) -> (u16, &str, u64) {
+        let Reverse((ts, tenant, i)) = self.due.pop().expect("endless");
+        let slot = (tenant - FREE) as usize * APPS_PER_TENANT + i;
+        self.beats[slot] += 1;
+        let r = mix64(self.beats[slot] << 16 | slot as u64);
+        let gap = if r.is_multiple_of(128) {
+            180 * MINUTE_MS
+        } else {
+            (1 + i as u64 % 9) * MINUTE_MS + (r >> 8) % 5_000
+        };
+        self.due.push(Reverse((ts + gap, tenant, i)));
+        (tenant, &self.names[i], ts)
+    }
+}
+
+#[test]
+fn steady_state_invoke_allocates_nothing() {
+    let tenant = |id, name: &str, budget_mb| {
+        TenantRestore::fresh(TenantSpec {
+            id,
+            name: name.into(),
+            policy: PolicySpec::Hybrid(HybridConfig::default()),
+            budget_mb,
+        })
+    };
+    // The tight tenant can hold about two thirds of its apps at once.
+    let total: u64 = (0..APPS_PER_TENANT)
+        .map(|i| footprint_mb("tight", &format!("app-{i:04}")))
+        .sum();
+    let events = Arc::new(Mutex::new(EventRing::new(EVENT_RING)));
+    let mut worker = ShardWorker::new(
+        0,
+        vec![
+            tenant(FREE, "free", 0),
+            tenant(TIGHT, "tight", total * 2 / 3),
+        ],
+    )
+    .unwrap()
+    .with_telem(ShardTelem {
+        events: Arc::clone(&events),
+        ..ShardTelem::default()
+    });
+    let mut stream = Stream::new();
+
+    // Warm-up: every app's idle-time history is past its cap (so it
+    // shifts instead of growing), and the event ring has wrapped four
+    // times over (so every slot's buffers have held an eviction).
+    let history_cap = HybridConfig::default().history_cap as u64;
+    while stream.beats.iter().any(|&b| b <= history_cap + 2)
+        || events.lock().unwrap().pushed() < 4 * EVENT_RING as u64
+    {
+        let (tenant, app, ts) = stream.next();
+        worker.invoke(tenant, app, ts).unwrap();
+    }
+
+    let pushed_before = events.lock().unwrap().pushed();
+    let (mut warm, mut lapsed, mut downgraded, mut arima) = (0u64, 0u64, 0u64, 0u64);
+    let mut allocated = 0u64;
+    for _ in 0..120_000 {
+        let (tenant, app, ts) = stream.next();
+        let (decision, allocs) = counted(|| worker.invoke(tenant, app, ts));
+        let decision = decision.unwrap();
+        if decision.kind == DecisionKind::Arima {
+            arima += 1; // The fit allocates; not this test's subject.
+            continue;
+        }
+        allocated += allocs;
+        match (decision.cold, decision.evicted) {
+            (false, _) => warm += 1,
+            (true, false) => lapsed += 1,
+            (true, true) => downgraded += 1,
+        }
+    }
+    // The replay took every path the claim covers...
+    let ring = events.lock().unwrap();
+    let evictions = ring
+        .events()
+        .filter(|e| e.kind == EventKind::Eviction)
+        .count();
+    assert!(warm > 50_000, "{warm} warm hits");
+    assert!(lapsed > 100, "{lapsed} keep-alive lapses");
+    assert!(downgraded > 5_000, "{downgraded} eviction downgrades");
+    assert!(evictions > 0 && ring.pushed() - pushed_before > 10_000);
+    assert_eq!(arima, 0, "the stream stays inside the histogram range");
+    // ...and none of them allocated.
+    assert_eq!(
+        allocated, 0,
+        "allocations over {warm} warm hits, {lapsed} lapses, {downgraded} downgrades"
+    );
+}
+
+#[test]
+fn ledger_charge_allocates_on_first_sight_only() {
+    let names: Vec<String> = (0..1_000).map(|i| format!("app-{i:04}")).collect();
+    let mut ledger = TenantLedger::new(0);
+    // The very first charge also creates the map and the heap.
+    ledger.charge(&names[0], 0, 1_000_000, 10);
+    let mut first_sight = 0;
+    for name in &names[1..] {
+        let ((), allocs) = counted(|| {
+            ledger.charge(name, 0, 1_000_000, 10);
+        });
+        // The shared name, plus the map or the heap growing.
+        assert!(allocs <= 2, "{allocs} allocations on first sight of {name}");
+        first_sight += allocs;
+    }
+    assert!(
+        first_sight < 1_000 + 32,
+        "{first_sight} over 999 first sights"
+    );
+
+    // Re-charges: expiry later (entry only), then earlier than the
+    // queued key (a fresh node). The first round grows the heap to its
+    // working size; after it neither arm allocates.
+    for round in 0..4u64 {
+        for (now, expiry) in [(1 + round, 2_000_000 + round), (1 + round, 500_000 - round)] {
+            for name in &names {
+                let ((), allocs) = counted(|| {
+                    ledger.charge(name, now, expiry, 10);
+                });
+                assert!(
+                    round == 0 || allocs == 0,
+                    "{allocs} allocations re-charging {name}"
+                );
+            }
+        }
+    }
+    assert_eq!(ledger.stats().warm_apps, 1_000);
+}

@@ -6,6 +6,7 @@
 //! `telemetry: false` off-switch.
 
 use std::net::SocketAddr;
+use std::time::{Duration, Instant};
 
 use sitw_serve::http::write_request;
 use sitw_serve::wire::{self, BinReply};
@@ -66,7 +67,20 @@ fn stage_histograms_cover_every_request_and_merge_exactly() {
     assert_eq!(replies.len(), 30);
     let bin_n = replies.len() as u64;
 
-    let report = server.metrics();
+    // The reactor records a reply's write stage *after* `write(2)`
+    // returns, so a client that scrapes the instant it holds the reply
+    // can get there first: poll until the write counts have settled.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let report = loop {
+        let report = server.metrics();
+        let (_, write) = &report.stage_hists()[5];
+        if (write.json.count() >= JSON_N && write.bin.count() >= bin_n)
+            || Instant::now() >= deadline
+        {
+            break report;
+        }
+        std::thread::sleep(Duration::from_millis(2));
+    };
     let stages = report.stage_hists();
     let names: Vec<&str> = stages.iter().map(|(n, _)| *n).collect();
     assert_eq!(

@@ -4,10 +4,17 @@
 //! Latency spans say where time went; lifecycle events say what the
 //! policy *did* — an app cold-started, a budget eviction fired, the
 //! router throttled a tenant, a tenant migrated, the ring epoch moved.
-//! Events are rare relative to decisions (thousands of invocations per
-//! eviction), so the ring is small, overwrites oldest-first, and is
-//! scraped non-destructively by `/debug/events` on both node and
-//! router.
+//! The ring is small, overwrites oldest-first, and is scraped
+//! non-destructively by `/debug/events` on both node and router.
+//!
+//! Control-plane events are rare, but the node's are not: a cold start
+//! is a tenth to a quarter of all decisions on the benchmark workloads,
+//! and under a biting budget evictions come as often. Those two are
+//! therefore *written into* the ring ([`EventRing::try_record`]): the
+//! slot about to be overwritten is handed back with its three strings
+//! emptied and their buffers kept, so once the ring has wrapped a
+//! recorded event allocates nothing. Everything else builds a
+//! [`LifecycleEvent`] and moves it in ([`EventRing::try_push`]).
 //!
 //! Timestamps are *domain* time: nodes stamp events with the workload
 //! (trace) timestamp of the invocation that caused them — zero extra
@@ -16,7 +23,7 @@
 //! are control-plane, not workload-driven).
 
 use std::fmt::Write as _;
-use std::sync::{Mutex, TryLockError};
+use std::sync::{Mutex, MutexGuard, TryLockError};
 
 use crate::{json_escape, lock_unpoisoned};
 
@@ -151,17 +158,47 @@ impl EventRing {
 
     /// Records one event, overwriting the oldest when full.
     pub fn push(&mut self, ev: LifecycleEvent) {
+        *self.next_slot() = ev;
+    }
+
+    /// Records one event in place: returns the slot the event occupies
+    /// — the oldest event's, once the ring is full — stamped with
+    /// `ts_ms` and `kind`, its strings emptied with their buffers kept
+    /// for the caller to write into.
+    // sitw-lint: hot-path
+    pub fn record(&mut self, ts_ms: u64, kind: EventKind) -> &mut LifecycleEvent {
+        let slot = self.next_slot();
+        slot.ts_ms = ts_ms;
+        slot.kind = kind;
+        slot.tenant.clear();
+        slot.app.clear();
+        slot.detail.clear();
+        slot
+    }
+
+    /// Advances the ring by one event and returns its slot, which still
+    /// holds whatever was there (an empty event until the ring wraps).
+    // sitw-lint: hot-path
+    fn next_slot(&mut self) -> &mut LifecycleEvent {
         if self.ring.len() < self.capacity {
-            self.ring.push(ev);
-        } else {
-            self.ring[self.head] = ev;
+            // Within the capacity reserved by `new`; empty strings own
+            // no buffer.
+            self.ring.push(LifecycleEvent {
+                ts_ms: 0,
+                kind: EventKind::ColdStart,
+                tenant: String::new(),
+                app: String::new(),
+                detail: String::new(),
+            });
         }
+        let at = self.head;
         self.head += 1;
         if self.head == self.capacity {
             self.head = 0;
             self.full = true;
         }
         self.pushed += 1;
+        &mut self.ring[at]
     }
 
     /// The held events, oldest first (non-destructive).
@@ -170,17 +207,37 @@ impl EventRing {
         self.ring[split..].iter().chain(self.ring[..split].iter())
     }
 
-    /// The one way a recording thread pushes into a shared ring:
-    /// `try_lock`, so a push that races a `/debug/events` scrape is
-    /// dropped instead of blocking the decision path, and the event is
-    /// only built (it owns three strings) once the lock is held.
+    /// The one way a recording thread reaches a shared ring:
+    /// `try_lock`, so an event that races a `/debug/events` scrape is
+    /// dropped instead of blocking the decision path.
+    fn try_lock(ring: &Mutex<EventRing>) -> Option<MutexGuard<'_, EventRing>> {
+        match ring.try_lock() {
+            Ok(guard) => Some(guard),
+            Err(TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
+            Err(TryLockError::WouldBlock) => None,
+        }
+    }
+
+    /// Pushes a built event unless a scrape holds the ring; the event
+    /// is only built (it owns three strings) once the lock is held.
     pub fn try_push(ring: &Mutex<EventRing>, event: impl FnOnce() -> LifecycleEvent) {
-        let mut ring = match ring.try_lock() {
-            Ok(guard) => guard,
-            Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
-            Err(TryLockError::WouldBlock) => return,
-        };
-        ring.push(event());
+        if let Some(mut ring) = Self::try_lock(ring) {
+            ring.push(event());
+        }
+    }
+
+    /// [`EventRing::record`] unless a scrape holds the ring: `fill`
+    /// writes the event's strings into the slot's kept buffers.
+    // sitw-lint: hot-path
+    pub fn try_record(
+        ring: &Mutex<EventRing>,
+        ts_ms: u64,
+        kind: EventKind,
+        fill: impl FnOnce(&mut LifecycleEvent),
+    ) {
+        if let Some(mut ring) = Self::try_lock(ring) {
+            fill(ring.record(ts_ms, kind));
+        }
     }
 
     /// The `/debug/events` body, identical on node, follower and router:
@@ -235,6 +292,43 @@ mod tests {
         assert_eq!(ring.pushed(), 5);
         let ts: Vec<u64> = ring.events().map(|e| e.ts_ms).collect();
         assert_eq!(ts, vec![2, 3, 4]);
+    }
+
+    #[test]
+    fn record_reuses_the_overwritten_slot_and_reads_like_push() {
+        let mut pushed = EventRing::new(2);
+        let mut recorded = EventRing::new(2);
+        for i in 0..5u64 {
+            let app = format!("app-{i}");
+            // Every other event has no detail: a kept buffer must not
+            // leak the previous occupant's text.
+            let detail = if i % 2 == 0 { "budget 64 MB" } else { "" };
+            pushed.push(LifecycleEvent {
+                ts_ms: i,
+                kind: EventKind::Eviction,
+                tenant: "t0".into(),
+                app: app.clone(),
+                detail: detail.into(),
+            });
+            let slot = recorded.record(i, EventKind::Eviction);
+            assert!(slot.tenant.is_empty() && slot.app.is_empty() && slot.detail.is_empty());
+            if i >= 2 {
+                assert!(
+                    slot.app.capacity() >= app.len(),
+                    "buffer kept across the wrap"
+                );
+            }
+            slot.tenant.push_str("t0");
+            slot.app.push_str(&app);
+            slot.detail.push_str(detail);
+        }
+        assert_eq!(recorded.pushed(), 5);
+        assert!(recorded.events().eq(pushed.events()));
+        let (pushed, recorded) = (Mutex::new(pushed), Mutex::new(recorded));
+        assert_eq!(
+            EventRing::snapshot_json(&recorded),
+            EventRing::snapshot_json(&pushed)
+        );
     }
 
     #[test]

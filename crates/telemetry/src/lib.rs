@@ -33,7 +33,8 @@
 //! ([`EventRing::snapshot_json`]). Node, follower and router call these.
 //!
 //! Everything here is allocation-free after construction (lifecycle
-//! events own their names, but events are rare) and does no syscalls,
+//! events own their names, so the frequent ones are written into the
+//! ring's kept buffers: [`EventRing::record`]) and does no syscalls,
 //! so recording on the hot path costs a clock read and a few arithmetic
 //! ops.
 
