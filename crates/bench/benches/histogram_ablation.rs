@@ -4,7 +4,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use sitw_stats::histogram::WeightedBins;
-use sitw_stats::RangeHistogram;
+use sitw_stats::{PercentileCursor, RangeHistogram, Recorded};
 
 fn bench_record(c: &mut Criterion) {
     let mut group = c.benchmark_group("histogram_record");
@@ -30,6 +30,32 @@ fn bench_percentiles_and_cv(c: &mut Criterion) {
         }
         group.bench_with_input(BenchmarkId::new("head_tail", bins), &h, |b, h| {
             b.iter(|| black_box((h.head_value(5.0), h.tail_value(99.0))))
+        });
+        // One policy decision's worth of histogram work on the same
+        // stream, as it was (record, then walk for both cutoffs) and as
+        // the hybrid policy does it now (record, move two cursors, read).
+        group.bench_with_input(BenchmarkId::new("record_walk", bins), &h, |b, h| {
+            let mut h = h.clone();
+            let mut i = 10_000u64;
+            b.iter(|| {
+                i += 1;
+                h.record((i * 37) % bins as u64);
+                black_box((h.head_value(5.0), h.tail_value(99.0)))
+            })
+        });
+        group.bench_with_input(BenchmarkId::new("record_cursor", bins), &h, |b, h| {
+            let mut h = h.clone();
+            let mut head = PercentileCursor::seek(&h, 5.0);
+            let mut tail = PercentileCursor::seek(&h, 99.0);
+            let mut i = 10_000u64;
+            b.iter(|| {
+                i += 1;
+                if let Recorded::InBounds { bin } = h.record((i * 37) % bins as u64) {
+                    head.on_record(&h, bin);
+                    tail.on_record(&h, bin);
+                }
+                black_box((head.head_value(&h), tail.tail_value(&h)))
+            })
         });
         group.bench_with_input(BenchmarkId::new("cv", bins), &h, |b, h| {
             b.iter(|| black_box(h.bin_count_cv()))

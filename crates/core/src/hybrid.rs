@@ -13,9 +13,32 @@
 //!    its bin edge, −10% margin) and keep alive until the 99th-percentile
 //!    IT (rounded up, +10% margin). A head that rounds to zero disables
 //!    unloading (Figure 12, middle column).
+//!
+//! # Cost of a decision
+//!
+//! Constant in the number of bins (§4.2, §6). Recording is one bin
+//! increment; the head and tail cutoffs are each read off a
+//! [`PercentileCursor`] that the policy feeds after every in-bounds
+//! record, so no decision walks the histogram; the OOB share and the
+//! bin-count CV are running totals. The idle-time history the ARIMA
+//! branch fits is a ring (`VecDeque`): once `history_cap` values are
+//! held a new one takes the oldest one's place, and only the ARIMA
+//! branch — which needs the values contiguous and oldest first —
+//! rotates the buffer.
+//!
+//! # What a snapshot holds
+//!
+//! The inputs of a decision, in an order that does not depend on the
+//! layout: bins, OOB count, history oldest first, decision counters and
+//! the last branch. The cursors and the ring position are derived state,
+//! like the histogram's running sum of squares: `snapshot()` leaves them
+//! out, `from_snapshot` seeks the cursors and starts the ring at its
+//! oldest value, and a restored policy decides bit-identically.
+
+use std::collections::VecDeque;
 
 use sitw_arima::{auto_arima, AutoArimaConfig};
-use sitw_stats::RangeHistogram;
+use sitw_stats::{PercentileCursor, RangeHistogram, Recorded};
 
 use crate::policy::{AppPolicy, DecisionKind, DurationMs, PolicyFactory, Windows, MINUTE_MS};
 
@@ -58,7 +81,9 @@ pub struct HybridConfig {
     pub arima_margin: f64,
     /// Minimum IT observations before fitting ARIMA.
     pub arima_min_history: usize,
-    /// Cap on the retained IT history for ARIMA fitting.
+    /// Cap on the retained IT history for ARIMA fitting. With 0 no
+    /// history is kept and the ARIMA path always falls back to standard
+    /// keep-alive.
     pub history_cap: usize,
     /// ARIMA order-search configuration.
     pub arima: AutoArimaConfig,
@@ -172,8 +197,13 @@ impl DecisionCounts {
 pub struct HybridPolicy {
     config: HybridConfig,
     hist: RangeHistogram,
-    /// Recent ITs in minutes (for the ARIMA path), most recent last.
-    history: Vec<f64>,
+    /// `hist`'s head-percentile bin, fed every in-bounds record.
+    head: PercentileCursor,
+    /// `hist`'s tail-percentile bin, likewise.
+    tail: PercentileCursor,
+    /// Recent ITs in minutes (for the ARIMA path), oldest first: a ring
+    /// of at most `history_cap` values.
+    history: VecDeque<f64>,
     counts: DecisionCounts,
     last_decision: DecisionKind,
 }
@@ -184,12 +214,31 @@ impl HybridPolicy {
         let width = config.bin_width_minutes.max(1);
         let bins = (config.range_minutes / width).max(1);
         let hist = RangeHistogram::new(bins, width as u64);
-        Self {
+        Self::with_state(
             config,
             hist,
-            history: Vec::new(),
-            counts: DecisionCounts::default(),
-            last_decision: DecisionKind::StandardKeepAlive,
+            VecDeque::new(),
+            DecisionCounts::default(),
+            DecisionKind::StandardKeepAlive,
+        )
+    }
+
+    /// The state around a histogram and a history.
+    fn with_state(
+        config: HybridConfig,
+        hist: RangeHistogram,
+        history: VecDeque<f64>,
+        counts: DecisionCounts,
+        last_decision: DecisionKind,
+    ) -> Self {
+        Self {
+            head: PercentileCursor::seek(&hist, config.head_percentile),
+            tail: PercentileCursor::seek(&hist, config.tail_percentile),
+            config,
+            hist,
+            history,
+            counts,
+            last_decision,
         }
     }
 
@@ -221,12 +270,24 @@ impl HybridPolicy {
         Windows::keep_loaded(self.range_ms())
     }
 
+    /// Records one idle time (in minutes) as the newest of the history.
+    fn push_history(&mut self, minutes: f64) {
+        // Full: the oldest value makes room. Under a cap of 0 there is
+        // none, and nothing is kept.
+        if self.history.len() >= self.config.history_cap && self.history.pop_front().is_none() {
+            return;
+        }
+        self.history.push_back(minutes);
+    }
+
     /// Attempts the ARIMA branch; `None` when the forecast is unusable.
     fn arima_windows(&mut self) -> Option<Windows> {
         if self.history.len() < self.config.arima_min_history {
             return None;
         }
-        let fit = auto_arima(&self.history, self.config.arima).ok()?;
+        // The fit reads the series oldest first in one slice.
+        let series = self.history.make_contiguous();
+        let fit = auto_arima(series, self.config.arima).ok()?;
         let pred_minutes = fit.forecast_one();
         if !pred_minutes.is_finite() || pred_minutes < 1.0 {
             return None;
@@ -243,8 +304,8 @@ impl HybridPolicy {
     /// The histogram branch: head/tail cutoffs with margins and the
     /// paper's rounding rule.
     fn histogram_windows(&mut self) -> Option<Windows> {
-        let head_min = self.hist.head_value(self.config.head_percentile)?;
-        let tail_min = self.hist.tail_value(self.config.tail_percentile)?;
+        let head_min = self.head.head_value(&self.hist)?;
+        let tail_min = self.tail.tail_value(&self.hist)?;
         let head_ms = (head_min as f64 * (1.0 - self.config.head_margin)) * MINUTE_MS as f64;
         let tail_ms = (tail_min as f64 * (1.0 + self.config.tail_margin)) * MINUTE_MS as f64;
         let windows = if head_min == 0 || !self.config.pre_warming {
@@ -290,7 +351,7 @@ impl HybridPolicy {
         HybridSnapshot {
             bins: self.hist.bins().to_vec(),
             oob_count: self.hist.oob_count(),
-            history: self.history.clone(),
+            history: self.history.iter().copied().collect(),
             counts: self.counts,
             last_decision: self.last_decision,
         }
@@ -320,26 +381,26 @@ impl HybridPolicy {
             ));
         }
         let hist = RangeHistogram::from_parts(width as u64, snap.bins, snap.oob_count);
-        Ok(Self {
+        Ok(Self::with_state(
             config,
             hist,
-            history: snap.history,
-            counts: snap.counts,
-            last_decision: snap.last_decision,
-        })
+            snap.history.into(),
+            snap.counts,
+            snap.last_decision,
+        ))
     }
 }
 
 impl AppPolicy for HybridPolicy {
+    // sitw-lint: hot-path
     fn on_invocation(&mut self, idle_time_ms: Option<DurationMs>) -> Windows {
         // Update the IT distribution (Figure 10, first box).
         if let Some(it) = idle_time_ms {
-            self.hist.record(it / MINUTE_MS);
-            let minutes = it as f64 / MINUTE_MS as f64;
-            if self.history.len() == self.config.history_cap {
-                self.history.remove(0);
+            if let Recorded::InBounds { bin } = self.hist.record(it / MINUTE_MS) {
+                self.head.on_record(&self.hist, bin);
+                self.tail.on_record(&self.hist, bin);
             }
-            self.history.push(minutes);
+            self.push_history(it as f64 / MINUTE_MS as f64);
         }
 
         // Not enough data yet: be conservative.
@@ -383,6 +444,8 @@ impl AppPolicy for HybridPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hybrid_ref::RefHybrid;
+    use proptest::prelude::*;
 
     const MIN: DurationMs = MINUTE_MS;
 
@@ -651,5 +714,195 @@ mod tests {
             p.on_invocation(Some((300 + i) * MIN));
         }
         assert!(p.history.len() <= 8);
+        // The last eight, oldest first, wherever the ring stands.
+        let kept: Vec<f64> = (342..350).map(f64::from).collect();
+        assert_eq!(p.snapshot().history, kept);
+    }
+
+    #[test]
+    fn zero_history_cap_keeps_nothing_and_stays_conservative() {
+        // Regression: the first idle time used to `remove(0)` from an
+        // empty vector.
+        let cfg = HybridConfig {
+            history_cap: 0,
+            arima_min_history: 0,
+            ..HybridConfig::default()
+        };
+        let mut p = cfg.new_policy();
+        p.on_invocation(None);
+        for _ in 0..12 {
+            let w = p.on_invocation(Some(300 * MIN));
+            assert_eq!(w, Windows::keep_loaded(240 * MIN));
+        }
+        assert!(p.snapshot().history.is_empty());
+        assert_eq!(p.decisions().arima, 0);
+        assert_eq!(p.hist.oob_count(), 12);
+    }
+
+    #[test]
+    fn full_bin_in_a_snapshot_restores_to_the_same_decisions() {
+        // Regression: a record into a bin at `u32::MAX` used to bump
+        // the in-bounds total without the bin, so the policy that wrote
+        // a snapshot and the one restored from it parted ways.
+        let mut bins = vec![0; 240];
+        bins[10] = u32::MAX;
+        bins[200] = u32::MAX / 99 - 1_000;
+        let snap = HybridSnapshot {
+            bins,
+            oob_count: 0,
+            history: vec![10.0; 64],
+            counts: DecisionCounts::default(),
+            last_decision: DecisionKind::Histogram,
+        };
+        let cfg = HybridConfig::default;
+        let mut writer = HybridPolicy::from_snapshot(cfg(), snap).unwrap();
+        // The 99th percentile sits in the full bin, a thousand counts
+        // from leaving it; a total that grew without its bin crosses.
+        for i in 0..20_000u64 {
+            let w = writer.on_invocation(Some(10 * MIN + i % 7));
+            assert_eq!(w.pre_warm_ms, 9 * MIN, "at {i}");
+            assert_eq!(w.keep_alive_ms, (3.1 * MIN as f64) as u64, "at {i}");
+        }
+        let mut restored = HybridPolicy::from_snapshot(cfg(), writer.snapshot()).unwrap();
+        for it in [10 * MIN, 200 * MIN, 10 * MIN, 30 * MIN] {
+            assert_eq!(
+                writer.on_invocation(Some(it)),
+                restored.on_invocation(Some(it))
+            );
+        }
+        assert_eq!(writer.snapshot(), restored.snapshot());
+    }
+
+    /// One configuration off the figure grid (Figures 15–19) plus the
+    /// bin-width ablation and a history cap small enough to wrap often.
+    fn grid_config(mut bits: u64) -> HybridConfig {
+        let mut take = |n: u64| {
+            let v = bits % n;
+            bits /= n;
+            v as usize
+        };
+        let (head, tail) = [
+            (0.0, 100.0),
+            (5.0, 100.0),
+            (1.0, 99.0),
+            (5.0, 99.0),
+            (1.0, 95.0),
+            (5.0, 95.0),
+        ][take(6)];
+        let mut cfg = HybridConfig::with_range_hours(1 + take(4))
+            .with_cutoffs(head, tail)
+            .with_cv_threshold([0.0, 2.0, 5.0, 10.0][take(4)]);
+        cfg.bin_width_minutes = [1, 5][take(2)];
+        cfg.history_cap = [1, 6, 16, 64][take(4)];
+        if take(4) == 0 {
+            cfg = cfg.without_arima();
+        }
+        if take(4) == 0 {
+            cfg = cfg.without_pre_warming();
+        }
+        cfg
+    }
+
+    /// One idle time of a stream that moves through regimes forty steps
+    /// long — mostly out of bounds, clustered, spread over the range —
+    /// so the out-of-bounds share crosses its threshold both ways.
+    fn regime_idle_time(cfg: &HybridConfig, step: usize, offset: usize, mut bits: u64) -> u64 {
+        let mut take = |n: u64| {
+            let v = bits % n;
+            bits /= n;
+            v
+        };
+        let range = cfg.range_minutes as u64;
+        let minutes = match ((step / 40 + offset) % 3, take(8)) {
+            (0, 1..) => range + take(120),
+            (1, 1..) => range / 5 + take(3),
+            _ => take(range),
+        };
+        minutes * MIN + take(MIN)
+    }
+
+    /// The property above on the benchmark's own input: every invocation
+    /// of the `sim-sweep` population (4 000 apps × 7 days, seed 1) under
+    /// both hybrids the sweep runs.
+    #[test]
+    #[ignore = "2 × 6.4 M decisions against the O(bins) reference; run with --release"]
+    fn every_sweep_invocation_equals_the_reference() {
+        use sitw_trace::{app_invocations, build_population, PopulationConfig, TraceConfig};
+        let population = build_population(&PopulationConfig {
+            num_apps: 4_000,
+            seed: 0x5171_7E57,
+        });
+        let trace_cfg = TraceConfig {
+            horizon_ms: 7 * sitw_trace::DAY_MS,
+            cap_per_day: 600.0,
+            seed: 1 ^ 0x10AD,
+        };
+        for cfg in [
+            HybridConfig::default(),
+            HybridConfig::default().without_arima(),
+        ] {
+            let (mut invocations, mut cold) = (0u64, 0u64);
+            let mut counts = DecisionCounts::default();
+            for app in &population.apps {
+                let mut policy = cfg.new_policy();
+                let mut reference = RefHybrid::new(cfg.clone());
+                let mut prev: Option<(u64, Windows)> = None;
+                for t in app_invocations(app, &trace_cfg) {
+                    let idle = prev.map(|(at, _)| t - at);
+                    cold += prev.map_or(1, |(at, w)| w.classify_gap(t - at).cold as u64);
+                    let w = policy.on_invocation(idle);
+                    assert_eq!(w, reference.on_invocation(idle), "app {}", app.id);
+                    assert_eq!(policy.last_decision(), reference.last_decision());
+                    prev = Some((t, w));
+                    invocations += 1;
+                }
+                assert_eq!(policy.snapshot(), reference.snapshot(), "app {}", app.id);
+                let d = policy.decisions();
+                counts.histogram += d.histogram;
+                counts.standard += d.standard;
+                counts.arima += d.arima;
+            }
+            println!(
+                "{}: {invocations} invocations, {cold} cold, {counts:?}",
+                cfg.label()
+            );
+            assert_eq!(invocations, 6_409_810);
+            assert_eq!(counts.total(), invocations);
+        }
+    }
+
+    proptest! {
+        /// The policy equals the walk-and-shift reference at every step:
+        /// windows, branch, counters and the whole snapshot — over
+        /// streams that wrap the history ring several times and enter
+        /// and leave the ARIMA branch, across the figure grid's
+        /// configurations, with the policy rebuilt from its own snapshot
+        /// mid-stream.
+        #[test]
+        fn policy_equals_the_walk_and_shift_reference(
+            shape in 0u64..u64::MAX,
+            ops in prop::collection::vec(0u64..u64::MAX, 1..400),
+        ) {
+            let cfg = grid_config(shape);
+            let offset = (shape >> 40) as usize;
+            let mut policy = HybridPolicy::new(cfg.clone());
+            let mut reference = RefHybrid::new(cfg.clone());
+            prop_assert_eq!(policy.on_invocation(None), reference.on_invocation(None));
+            for (step, bits) in ops.into_iter().enumerate() {
+                if bits >> 20 & 63 == 0 {
+                    let restored = HybridPolicy::from_snapshot(cfg.clone(), policy.snapshot());
+                    prop_assert!(restored.is_ok());
+                    policy = restored.unwrap();
+                }
+                let it = regime_idle_time(&cfg, step, offset, bits);
+                prop_assert_eq!(
+                    policy.on_invocation(Some(it)),
+                    reference.on_invocation(Some(it))
+                );
+                prop_assert_eq!(policy.last_decision(), reference.last_decision());
+                prop_assert_eq!(policy.decisions(), reference.decisions());
+                prop_assert_eq!(policy.snapshot(), reference.snapshot());
+            }
+        }
     }
 }

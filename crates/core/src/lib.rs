@@ -43,6 +43,8 @@
 
 pub mod fixed;
 pub mod hybrid;
+#[cfg(test)]
+mod hybrid_ref;
 pub mod policy;
 pub mod production;
 pub mod spec;

@@ -5,6 +5,12 @@
 //! The count is thread-local, so the harness's other test threads do
 //! not disturb it, and it is read around each call under test — what
 //! the test itself allocates between calls is not charged to them.
+//!
+//! The same allocator keeps the bytes a thread holds (allocated minus
+//! freed), which turns "bytes per app" into a count as well:
+//! `bytes_per_app_stay_under_their_ceilings` reports what a shard holds
+//! for an app at first sight, after its first idle time and after a
+//! hundred of them.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -25,13 +31,18 @@ thread_local! {
     /// Const-initialised and without a destructor, so reading it never
     /// allocates.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread allocated minus bytes it freed. A growing
+    /// `Vec` nets out to its new capacity (`realloc` is an `alloc`, a
+    /// copy and a `dealloc`).
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
 struct Counting;
 
-fn count_one() {
+fn count_one(size: usize) {
     // `try_with`: a thread may allocate while its locals are torn down.
     let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+    let _ = LIVE_BYTES.try_with(|c| c.set(c.get() + size as i64));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
@@ -41,13 +52,14 @@ fn count_one() {
 unsafe impl GlobalAlloc for Counting {
     // sitw-lint: allow(unsafe-confinement)
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         System.alloc(layout)
     }
 
     // sitw-lint: allow(unsafe-confinement)
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        let _ = LIVE_BYTES.try_with(|c| c.set(c.get() - layout.size() as i64));
         // SAFETY: the caller upholds `GlobalAlloc::dealloc`'s contract.
         System.dealloc(ptr, layout)
     }
@@ -141,8 +153,9 @@ fn steady_state_invoke_allocates_nothing() {
     let mut stream = Stream::new();
 
     // Warm-up: every app's idle-time history is past its cap (so it
-    // shifts instead of growing), and the event ring has wrapped four
-    // times over (so every slot's buffers have held an eviction).
+    // overwrites in place instead of growing), and the event ring has
+    // wrapped four times over (so every slot's buffers have held an
+    // eviction).
     let history_cap = HybridConfig::default().history_cap as u64;
     while stream.beats.iter().any(|&b| b <= history_cap + 2)
         || events.lock().unwrap().pushed() < 4 * EVENT_RING as u64
@@ -224,4 +237,79 @@ fn ledger_charge_allocates_on_first_sight_only() {
         }
     }
     assert_eq!(ledger.stats().warm_apps, 1_000);
+}
+
+/// What a shard holds per hybrid app, as counts: allocations made and
+/// bytes still held after first sight, after the first idle time and
+/// after a hundred idle times (the history ring is full at 64). Two
+/// figures per stage: the median over apps of what their own invokes
+/// cost (the app's own blocks: name twice, bins, history) and the mean
+/// of everything the shard holds (those plus the app table, the ledger's
+/// map and its expiry heap at whatever fill they stand).
+#[test]
+fn bytes_per_app_stay_under_their_ceilings() {
+    const APPS: usize = 1_000;
+    let names: Vec<String> = (0..APPS).map(|i| format!("app-{i:04}")).collect();
+    let held = || (ALLOCS.with(Cell::get), LIVE_BYTES.with(Cell::get));
+    let empty = held();
+    let mut worker = ShardWorker::new(
+        0,
+        vec![TenantRestore::fresh(TenantSpec {
+            id: FREE,
+            name: "free".into(),
+            policy: PolicySpec::Hybrid(HybridConfig::default()),
+            budget_mb: 0,
+        })],
+    )
+    .unwrap();
+    let mut own = vec![(0u64, 0i64); APPS];
+    let mut report = Vec::new();
+    for beat in 0..=100u64 {
+        for (i, name) in names.iter().enumerate() {
+            let before = held();
+            // A ten-minute rhythm: the histogram branch, never ARIMA.
+            let ts = beat * 10 * MINUTE_MS + i as u64;
+            worker.invoke(FREE, name, ts).unwrap();
+            let after = held();
+            own[i].0 += after.0 - before.0;
+            own[i].1 += after.1 - before.1;
+        }
+        if [0, 1, 100].contains(&beat) {
+            let mut sorted = own.clone();
+            sorted.sort_unstable_by_key(|&(_, bytes)| bytes);
+            let (allocs, bytes) = sorted[APPS / 2];
+            let all = held();
+            let mean = (all.1 - empty.1) as f64 / APPS as f64;
+            println!(
+                "after {beat:3} idle times: {allocs} allocations and {bytes} B per app (median of \
+                 its own invokes), {mean:.0} B per app held by the shard (mean)"
+            );
+            report.push((allocs, bytes, mean));
+        }
+    }
+    // First sight: 960 B of bins, the 8-byte name as map key and as
+    // the ledger's shared `Arc<str>` (24 B), the ledger's node. Then the
+    // history, which grows as a `Vec` does — 32 B at the first idle
+    // time, doubling to 512 B at the 33rd — and no further once the
+    // ring is full.
+    let [first_sight, first_idle, hundredth] = report[..] else {
+        unreachable!("three stages")
+    };
+    assert!(
+        first_sight.0 <= 4 && first_sight.1 <= 992,
+        "{first_sight:?}"
+    );
+    assert!(
+        first_idle.0 <= 5 && first_idle.1 <= 992 + 32,
+        "{first_idle:?}"
+    );
+    assert!(
+        hundredth.0 <= 9 && hundredth.1 <= 992 + 512,
+        "{hundredth:?}"
+    );
+    // With every table the shard keeps, at the fill a thousand apps
+    // leave them (2 620 B when this was written; 2 505 B before the
+    // policy held two percentile cursors and a ring position inline,
+    // 56 B in a table slot).
+    assert!(hundredth.2 <= 2_650.0, "{hundredth:?}");
 }

@@ -346,6 +346,69 @@ fn production_mode_matches_offline_manager_across_shard_change() {
 /// client does not parse it) the pre-warm-load flag.
 type Observed = (bool, u64, u64, String, Option<bool>);
 
+/// The hybrid policy's serialised state, byte for byte: five hand-made
+/// apps through a two-shard node — three whose idle-time histories have
+/// wrapped their 64-value cap more than once, two that were served by
+/// ARIMA, one of them leaving that branch again — and the snapshot the
+/// node writes on shutdown.
+#[test]
+fn hybrid_snapshot_is_byte_identical_to_the_walk_and_shift_build() {
+    const MIN: u64 = 60_000;
+    // (app, invocations, idle minutes before invocation i).
+    type Idle = fn(u64) -> u64;
+    let apps: [(&str, u64, Idle); 5] = [
+        ("beat", 160, |_| 10),
+        ("drift", 200, |i| 3 + i * 7919 % 90),
+        ("slow", 90, |i| 300 + i % 3),
+        ("swing", 150, |i| if i < 30 { 280 + i % 5 } else { 12 }),
+        ("brief", 6, |i| 20 + i),
+    ];
+    let mut merged: Vec<(u64, &str)> = Vec::new();
+    for (app, n, idle) in apps {
+        let mut ts = 0;
+        for i in 0..n {
+            // A few seconds off the minute, so history values differ
+            // from bin indices.
+            ts += idle(i) * MIN + i * 7_001 % 50_000;
+            merged.push((ts, app));
+        }
+    }
+    merged.sort_unstable();
+
+    let dir = std::env::temp_dir().join(format!("sitw-serve-hybrid-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let snap_path = dir.join("state.snapshot");
+    let server = Server::start(ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        shards: 2,
+        policy: PolicySpec::Hybrid(HybridConfig::default()),
+        snapshot_path: Some(snap_path.clone()),
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let mut kinds: HashMap<&str, Vec<String>> = HashMap::new();
+    for (ts, app) in &merged {
+        let (status, body) = client.invoke(None, app, *ts, None).unwrap();
+        assert_eq!(status, 200, "{body}");
+        kinds.entry(app).or_default().push(parse_kind(&body));
+    }
+    drop(client);
+    server.shutdown().unwrap();
+    let text = std::fs::read_to_string(&snap_path).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    // The stream did what the golden file is for.
+    let served = |app: &str, kind: &str| kinds[app].iter().filter(|k| *k == kind).count();
+    assert!(served("slow", "arima") > 64, "ARIMA on a wrapped history");
+    assert!(served("swing", "arima") > 0 && kinds["swing"].last().unwrap() == "histogram");
+    assert_eq!(served("beat", "histogram"), 160 - 5);
+    // Byte for byte what the commit before percentile cursors and the
+    // history ring wrote for this stream: both are derived state, never
+    // exported, and the history leaves oldest first.
+    assert_eq!(text, include_str!("golden/hybrid_2shard.snapshot"));
+}
+
 /// Replays `merged` against `addr` in alternating protocol blocks — 17
 /// invocations as sequential JSON requests, then 29 as one SITW-BIN
 /// frame — appending each app's observed verdicts to `online`.

@@ -589,6 +589,56 @@ mod tests {
         assert!(verdicts[0].cold, "first invocation is cold by definition");
     }
 
+    /// FNV-1a over every field of every verdict, in population order.
+    fn verdict_fingerprint(cfg: &HybridConfig) -> (u64, u64, u64) {
+        use sitw_trace::{app_invocations, build_population, PopulationConfig, TraceConfig};
+        let population = build_population(&PopulationConfig {
+            num_apps: 300,
+            seed: 2323,
+        });
+        let trace_cfg = TraceConfig {
+            horizon_ms: 5 * sitw_trace::DAY_MS,
+            cap_per_day: 400.0,
+            seed: 23,
+        };
+        let (mut fnv, mut verdicts, mut arima) = (0xCBF2_9CE4_8422_2325u64, 0u64, 0u64);
+        for app in &population.apps {
+            let mut policy = cfg.new_policy();
+            for v in verdict_trace(&app_invocations(app, &trace_cfg), &mut policy) {
+                let flags = (v.cold as u64) << 8 | (v.prewarm_load as u64) << 4 | v.kind as u64;
+                for field in [v.ts, flags, v.windows.pre_warm_ms, v.windows.keep_alive_ms] {
+                    for byte in field.to_le_bytes() {
+                        fnv = (fnv ^ byte as u64).wrapping_mul(0x0000_0100_0000_01B3);
+                    }
+                }
+                verdicts += 1;
+                arima += (v.kind == DecisionKind::Arima) as u64;
+            }
+        }
+        (fnv, verdicts, arima)
+    }
+
+    #[test]
+    fn hybrid_verdicts_equal_the_walk_and_shift_build() {
+        // Captured from the commit before the hybrid policy read its
+        // cutoffs off percentile cursors and kept its history as a ring:
+        // simulator, fleet and daemon share the one policy, so parity
+        // between them cannot see it change. These can.
+        assert_eq!(
+            verdict_fingerprint(&HybridConfig::default()),
+            (GOLDEN_HYBRID, GOLDEN_VERDICTS, GOLDEN_ARIMA)
+        );
+        assert_eq!(
+            verdict_fingerprint(&HybridConfig::default().without_arima()),
+            (GOLDEN_NOARIMA, GOLDEN_VERDICTS, 0)
+        );
+    }
+
+    const GOLDEN_HYBRID: u64 = 0x9830_6338_b4c7_5802;
+    const GOLDEN_NOARIMA: u64 = 0xab4d_cda3_6df6_00ad;
+    const GOLDEN_VERDICTS: u64 = 250_335;
+    const GOLDEN_ARIMA: u64 = 205;
+
     #[test]
     fn verdict_trace_empty_stream() {
         let mut p = FixedKeepAlive::minutes(10);

@@ -12,9 +12,38 @@
 //!   sum of squared counts,
 //! * head/tail percentile extraction with the paper's rounding rule
 //!   ("round to the next lower value for the head or the next higher value
-//!   for the tail"),
+//!   for the tail"): [`RangeHistogram::percentile_bin`] is the stateless
+//!   definition, one walk from bin 0,
+//! * O(1) percentile *maintenance*: a [`PercentileCursor`] follows one
+//!   percentile of one histogram from record to record and always reads
+//!   what the walk would return (see below),
 //! * merging and weighted aggregation ([`WeightedBins`]) for the
 //!   production-style daily histogram scheme of §6.
+//!
+//! # Percentile cursors
+//!
+//! The walk defines the `p`-th percentile bin as the first non-empty bin
+//! `i` whose cumulative count `Σ bins[..=i]` reaches
+//! `target = p/100 × in_bounds`. A cursor keeps that bin and
+//! `below = Σ bins[..bin]`; its invariant is
+//! `cursor.bin(&hist) == hist.percentile_bin(p)`. One record moves
+//! `target` by at most one count and `below` by at most one, so
+//! restoring the invariant is a step to a neighbouring non-empty bin or
+//! no step at all — the cost is the number of bins crossed, which on the
+//! concentrated distributions the policy acts on is almost always zero
+//! and is never more than the one walk it replaces.
+//!
+//! It is *exact*, not approximate, because the bins are integers: the
+//! histogram keeps `in_bounds == Σ bins` (a record into a bin already at
+//! `u32::MAX` is refused rather than half-counted), every partial sum
+//! is far below 2⁵³, so `below as f64` is the very value the walk
+//! accumulates in `f64`, `target` is computed by the walk's own
+//! expression, and each comparison the cursor makes is one the walk
+//! makes. [`WeightedBins`] cannot have such a cursor: its partial sums
+//! are rounded `f64` additions whose value depends on the order they
+//! were made in, so a sum maintained incrementally is not bit-equal to
+//! the sum a walk forms from bin 0 — which is why the production policy
+//! keeps its one-walk [`WeightedBins::head_tail_plus`] instead.
 
 /// Outcome of recording a value into a [`RangeHistogram`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -26,6 +55,9 @@ pub enum Recorded {
     },
     /// The value was at or beyond the histogram range.
     OutOfBounds,
+    /// The value's bin already holds `u32::MAX`: nothing was recorded,
+    /// so the totals stay equal to what the bins hold.
+    Saturated,
 }
 
 /// A fixed-width histogram over `u64` values with a bounded range.
@@ -50,6 +82,8 @@ pub enum Recorded {
 pub struct RangeHistogram {
     bin_width: u64,
     bins: Vec<u32>,
+    /// Sum of the bin counts. Invariant: `in_bounds == Σ bins` —
+    /// [`PercentileCursor`] and `from_parts` round trips rely on it.
     in_bounds: u64,
     oob: u64,
     /// Sum of squared bin counts, maintained incrementally so the CV of the
@@ -115,12 +149,16 @@ impl RangeHistogram {
         self.bins.len() as u64 * self.bin_width
     }
 
-    /// Records a value, returning where it landed.
+    /// Records a value, returning where it landed. A value whose bin is
+    /// full changes nothing.
     pub fn record(&mut self, value: u64) -> Recorded {
         let bin = (value / self.bin_width) as usize;
         if bin < self.bins.len() {
             let c = self.bins[bin];
-            self.bins[bin] = c.saturating_add(1);
+            if c == u32::MAX {
+                return Recorded::Saturated;
+            }
+            self.bins[bin] = c + 1;
             self.in_bounds += 1;
             self.sumsq += 2.0 * c as f64 + 1.0;
             Recorded::InBounds { bin }
@@ -195,7 +233,7 @@ impl RangeHistogram {
     ///
     /// Returns `None` when no in-bounds values exist.
     pub fn head_value(&self, p: f64) -> Option<u64> {
-        self.percentile_bin(p).map(|b| b as u64 * self.bin_width)
+        self.percentile_bin(p).map(|b| self.lower_edge(b))
     }
 
     /// Upper edge of the bin containing the in-bounds `p`-th percentile,
@@ -204,8 +242,17 @@ impl RangeHistogram {
     ///
     /// Returns `None` when no in-bounds values exist.
     pub fn tail_value(&self, p: f64) -> Option<u64> {
-        self.percentile_bin(p)
-            .map(|b| (b as u64 + 1) * self.bin_width)
+        self.percentile_bin(p).map(|b| self.upper_edge(b))
+    }
+
+    /// Where a head cutoff in `bin` rounds down to.
+    fn lower_edge(&self, bin: usize) -> u64 {
+        bin as u64 * self.bin_width
+    }
+
+    /// Where a tail cutoff in `bin` rounds up to.
+    fn upper_edge(&self, bin: usize) -> u64 {
+        (bin as u64 + 1) * self.bin_width
     }
 
     /// Index of the bin containing the in-bounds `p`-th percentile.
@@ -232,7 +279,9 @@ impl RangeHistogram {
         for (a, b) in self.bins.iter_mut().zip(&other.bins) {
             *a = a.saturating_add(*b);
         }
-        self.in_bounds += other.in_bounds;
+        // Recomputed, not added: a bin that saturated holds less than
+        // the two totals together.
+        self.in_bounds = self.bins.iter().map(|&c| c as u64).sum();
         self.oob += other.oob;
         self.sumsq = self.bins.iter().map(|&c| (c as f64) * (c as f64)).sum();
     }
@@ -243,6 +292,113 @@ impl RangeHistogram {
     /// 960 bytes per application (§6).
     pub fn memory_footprint_bytes(&self) -> usize {
         self.bins.len() * std::mem::size_of::<u32>()
+    }
+}
+
+/// One percentile of one [`RangeHistogram`], kept current from record to
+/// record instead of being walked for on every read (see the module
+/// docs for why this is exact).
+///
+/// Invariant, whenever the cursor has seen every in-bounds record since
+/// it was sought: `cursor.bin(&hist) == hist.percentile_bin(p)`. The
+/// cursor does not borrow the histogram; the owner of both feeds it.
+/// After [`RangeHistogram::reset`] or [`RangeHistogram::merge`], seek
+/// again.
+///
+/// # Examples
+///
+/// ```
+/// use sitw_stats::{PercentileCursor, RangeHistogram, Recorded};
+///
+/// let mut h = RangeHistogram::new(240, 1);
+/// let mut tail = PercentileCursor::seek(&h, 99.0);
+/// for v in [10, 10, 10, 200, 10, 500] {
+///     if let Recorded::InBounds { bin } = h.record(v) {
+///         tail.on_record(&h, bin);
+///     }
+///     assert_eq!(tail.bin(&h), h.percentile_bin(99.0));
+/// }
+/// assert_eq!(tail.tail_value(&h), Some(201));
+/// ```
+#[derive(Debug, Clone, PartialEq)]
+pub struct PercentileCursor {
+    /// `p.clamp(0, 100) / 100`, the factor the walk applies to the total.
+    fraction: f64,
+    /// The percentile bin, always a non-empty one; 0 and unread while
+    /// the histogram holds nothing in bounds.
+    bin: usize,
+    /// `Σ bins[..bin]`: what the walk has accumulated when it arrives.
+    below: u64,
+}
+
+impl PercentileCursor {
+    /// A cursor on the `p`-th percentile of `hist`, found with one walk.
+    pub fn seek(hist: &RangeHistogram, p: f64) -> Self {
+        // Under a NaN target the walk runs to the last non-empty bin,
+        // which is where the 100th percentile sits.
+        let fraction = if p.is_nan() {
+            1.0
+        } else {
+            percentile_fraction(p)
+        };
+        let bin = percentile_bin_at(&hist.bins, hist.in_bounds as f64, fraction).unwrap_or(0);
+        let below = hist.bins[..bin].iter().map(|&c| c as u64).sum();
+        Self {
+            fraction,
+            bin,
+            below,
+        }
+    }
+
+    /// Restores the invariant after `hist.record` returned
+    /// [`Recorded::InBounds`] with bin `recorded`. The other two outcomes
+    /// change nothing a percentile depends on and must not be reported.
+    // sitw-lint: hot-path
+    pub fn on_record(&mut self, hist: &RangeHistogram, recorded: usize) {
+        if hist.in_bounds == 1 {
+            // The first in-bounds value; nothing lies below it.
+            self.bin = recorded;
+            return;
+        }
+        let bins = hist.bins.as_slice();
+        let mut bin = self.bin;
+        if recorded < bin {
+            self.below += 1;
+        }
+        let target = self.fraction * hist.in_bounds as f64;
+        // Too far: the previous non-empty bin (there is one while
+        // `below > 0`) already reaches the target, so the walk would
+        // have stopped there.
+        while self.below > 0 && self.below as f64 >= target {
+            let Some(prev) = bins[..bin].iter().rposition(|&c| c > 0) else {
+                break;
+            };
+            self.below -= bins[prev] as u64;
+            bin = prev;
+        }
+        // Not far enough: the walk goes on until the sum reaches the
+        // target, which `in_bounds == Σ bins` puts at or before the last
+        // bin; the index test keeps that from being taken on trust.
+        while bin + 1 < bins.len() && ((self.below + bins[bin] as u64) as f64) < target {
+            self.below += bins[bin] as u64;
+            bin += 1;
+        }
+        self.bin = bin;
+    }
+
+    /// Index of the percentile bin: [`RangeHistogram::percentile_bin`].
+    pub fn bin(&self, hist: &RangeHistogram) -> Option<usize> {
+        (hist.in_bounds > 0).then_some(self.bin)
+    }
+
+    /// Lower edge of the percentile bin: [`RangeHistogram::head_value`].
+    pub fn head_value(&self, hist: &RangeHistogram) -> Option<u64> {
+        self.bin(hist).map(|b| hist.lower_edge(b))
+    }
+
+    /// Upper edge of the percentile bin: [`RangeHistogram::tail_value`].
+    pub fn tail_value(&self, hist: &RangeHistogram) -> Option<u64> {
+        self.bin(hist).map(|b| hist.upper_edge(b))
     }
 }
 
@@ -419,16 +575,25 @@ impl WeightedBins {
     }
 }
 
+/// `p`% as the factor a total is multiplied by.
+fn percentile_fraction(p: f64) -> f64 {
+    p.clamp(0.0, 100.0) / 100.0
+}
+
 /// Shared percentile-bin walk over integer or float counts.
 ///
 /// Finds the first non-empty bin at which the cumulative count reaches
 /// `p`% of `total`. Returns `None` when `total` is zero.
 fn percentile_bin_over<C: Copy + Into<f64>>(bins: &[C], total: f64, p: f64) -> Option<usize> {
+    percentile_bin_at(bins, total, percentile_fraction(p))
+}
+
+/// The walk of [`percentile_bin_over`] for a fraction already formed.
+fn percentile_bin_at<C: Copy + Into<f64>>(bins: &[C], total: f64, fraction: f64) -> Option<usize> {
     if total <= 0.0 {
         return None;
     }
-    let p = p.clamp(0.0, 100.0);
-    let target = p / 100.0 * total;
+    let target = fraction * total;
     let mut cum = 0.0;
     let mut last_nonempty = None;
     for (i, &c) in bins.iter().enumerate() {
@@ -449,6 +614,7 @@ fn percentile_bin_over<C: Copy + Into<f64>>(bins: &[C], total: f64, p: f64) -> O
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn record_and_bounds() {
@@ -570,6 +736,134 @@ mod tests {
         assert_eq!(rebuilt.bin_count_cv(), h.bin_count_cv());
         assert_eq!(rebuilt.head_value(5.0), h.head_value(5.0));
         assert_eq!(rebuilt.tail_value(99.0), h.tail_value(99.0));
+    }
+
+    /// Feeds `cursors` what `h.record(value)` reports, as an owner does.
+    fn record_tracked(h: &mut RangeHistogram, cursors: &mut [PercentileCursor], value: u64) {
+        if let Recorded::InBounds { bin } = h.record(value) {
+            for c in cursors.iter_mut() {
+                c.on_record(h, bin);
+            }
+        }
+    }
+
+    #[test]
+    fn full_bin_refuses_the_record_and_totals_stay_the_bins() {
+        // Only a snapshot can hold a full bin; `from_parts` takes the
+        // bins as read.
+        let parts = || RangeHistogram::from_parts(2, vec![3, u32::MAX, 0, 2], 1);
+        let mut h = parts();
+        let ps = [0.0, 5.0, 50.0, 99.0, 100.0];
+        let mut cursors = ps.map(|p| PercentileCursor::seek(&h, p));
+        for _ in 0..5 {
+            assert_eq!(h.record(3), Recorded::Saturated);
+        }
+        assert_eq!(h, parts(), "a refused record changes nothing");
+
+        for value in [2, 0, 7, 3, 99, 5, 1, 4, 6, 2] {
+            record_tracked(&mut h, &mut cursors, value);
+            let sum: u64 = h.bins().iter().map(|&c| c as u64).sum();
+            assert_eq!(h.in_bounds_count(), sum);
+            for (c, p) in cursors.iter().zip(ps) {
+                assert_eq!(c.bin(&h), h.percentile_bin(p), "p {p} after {value}");
+            }
+        }
+        assert_eq!(h.bins(), &[5, u32::MAX, 2, 4]);
+        assert_eq!(h.oob_count(), 2);
+        // What the snapshot of `h` restores decides as `h` does.
+        let restored = RangeHistogram::from_parts(2, h.bins().to_vec(), h.oob_count());
+        assert_eq!(restored.in_bounds_count(), h.in_bounds_count());
+        assert_eq!(restored.oob_fraction(), h.oob_fraction());
+        for (c, p) in cursors.iter().zip(ps) {
+            assert_eq!(PercentileCursor::seek(&restored, p), *c, "p {p}");
+        }
+
+        // Merging saturates per bin; the total follows the bins.
+        let mut a = parts();
+        a.merge(&parts());
+        assert_eq!(a.bins(), &[6, u32::MAX, 0, 4]);
+        assert_eq!(a.in_bounds_count(), 10 + u32::MAX as u64);
+    }
+
+    #[test]
+    fn cursor_reads_any_percentile_as_the_walk_does() {
+        // Beyond [0, 100] the walk clamps; under NaN it runs to the
+        // last non-empty bin.
+        let ps = [-3.0, 0.0, 100.0, 250.0, f64::NAN, f64::INFINITY];
+        let mut h = RangeHistogram::new(12, 3);
+        let mut cursors = ps.map(|p| PercentileCursor::seek(&h, p));
+        for value in [20, 8, 8, 33, 100, 2, 35, 20, 0] {
+            record_tracked(&mut h, &mut cursors, value);
+            for (c, p) in cursors.iter().zip(ps) {
+                assert_eq!(c.bin(&h), h.percentile_bin(p), "p {p} after {value}");
+                assert_eq!(c.head_value(&h), h.head_value(p));
+                assert_eq!(c.tail_value(&h), h.tail_value(p));
+            }
+        }
+    }
+
+    proptest! {
+        /// After every record the cursor is where the walk from bin 0
+        /// ends: any geometry, the figure grid's percentiles and random
+        /// ones, streams of scattered, clustered, bin-edge, last-bin and
+        /// out-of-bounds values, and a `from_parts` round trip with a
+        /// fresh `seek` mid-stream.
+        #[test]
+        fn cursor_equals_walk_after_every_record(
+            num_bins in 1usize..=300,
+            width in 1u64..=5,
+            shape in 0u64..u64::MAX,
+            ops in prop::collection::vec(0u64..u64::MAX, 1..400),
+        ) {
+            const GRID: [f64; 7] = [0.0, 1.0, 5.0, 50.0, 95.0, 99.0, 100.0];
+            let mut bits = shape;
+            let mut take = |n: u64| {
+                let v = bits % n;
+                bits /= n;
+                v
+            };
+            let mut pick = || match take(3) {
+                0 => take(100_001) as f64 / 1000.0,
+                _ => GRID[take(7) as usize],
+            };
+            let ps = [pick(), pick()];
+            let mut h = RangeHistogram::new(num_bins, width);
+            let range = h.range();
+            let centre = take(range);
+            let mut cursors = ps.map(|p| PercentileCursor::seek(&h, p));
+            for mut bits in ops {
+                let mut take = |n: u64| {
+                    let v = bits % n;
+                    bits /= n;
+                    v
+                };
+                let value = match take(8) {
+                    0 => take(range + 2 * width),
+                    1 => range - 1 + take(3),
+                    2 => take(num_bins as u64) * width + [0, width - 1][take(2) as usize],
+                    3 => range + take(1000),
+                    4 => take(width),
+                    _ => (centre + take(4 * width)).saturating_sub(2 * width),
+                };
+                if take(50) == 0 {
+                    let rebuilt =
+                        RangeHistogram::from_parts(width, h.bins().to_vec(), h.oob_count());
+                    prop_assert_eq!(&rebuilt, &h);
+                    for (c, p) in cursors.iter_mut().zip(ps) {
+                        let sought = PercentileCursor::seek(&rebuilt, p);
+                        prop_assert_eq!(&sought, &*c);
+                        *c = sought;
+                    }
+                    h = rebuilt;
+                }
+                record_tracked(&mut h, &mut cursors, value);
+                for (c, p) in cursors.iter().zip(ps) {
+                    prop_assert_eq!(c.bin(&h), h.percentile_bin(p));
+                    prop_assert_eq!(c.head_value(&h), h.head_value(p));
+                    prop_assert_eq!(c.tail_value(&h), h.tail_value(p));
+                }
+            }
+        }
     }
 
     #[test]
