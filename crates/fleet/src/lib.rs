@@ -25,10 +25,15 @@
 //!   limits: token buckets that run on *trace time* (the invocation
 //!   timestamps), never the wall clock, so a router admitting online
 //!   and `ClusterSim` replaying offline throttle the identical set.
-//! * [`sim`] — [`sim::FleetSim`], the offline ground truth: replays a
-//!   merged multi-tenant event stream and produces the exact verdicts a
-//!   fleet-mode daemon serves (re-exported as
-//!   `sitw_sim::fleet_verdict_trace`).
+//! * [`tenant`] — the decision kernel: one tenant's app records, policy
+//!   state and ledger behind one [`TenantState::step`] (classify the
+//!   gap, downgrade an evicted image, advance the policy, charge the
+//!   ledger, mark the victims). The daemon's shard workers and the
+//!   offline simulator both call it; nothing else composes those steps.
+//! * [`sim`] — [`sim::FleetSim`], the offline ground truth: a driver
+//!   over one [`TenantState`] per tenant that replays a merged
+//!   multi-tenant event stream into the exact verdicts a fleet-mode
+//!   daemon serves (re-exported as `sitw_sim::fleet_verdict_trace`).
 //!
 //! Determinism is the design center: eviction order (earliest expiry,
 //! ties by app id), footprints, and ledger arithmetic are all pure
@@ -44,6 +49,12 @@
 //! apps. (Routing hashes the tenant *name*, so placement survives
 //! restarts and registry rebuilds.)
 
+//!
+//! Stable for `benchmark/` (see `sitw_serve`'s crate docs):
+//! [`FleetSim`]`::{new, step}`, the fields of [`FleetVerdict`],
+//! [`fleet_verdict_trace`] / [`FleetEvent`], [`TenantLedger`]`::{new,
+//! charge}`, [`TenantRegistry`], [`footprint_mb`], [`fnv1a`], [`mix64`].
+
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -55,13 +66,20 @@ mod ledger_ref;
 pub mod qos;
 pub mod registry;
 pub mod sim;
+#[cfg(test)]
+mod sim_ref;
+pub mod tenant;
 
 pub use evict::evict_until;
 pub use footprint::footprint_mb;
 pub use ledger::{LedgerExport, LedgerStats, TenantLedger, WarmEntry};
 pub use qos::{Admission, QosClass, QosPolicy, RateLimit, TokenBucket};
 pub use registry::{TenantId, TenantRegistry, TenantSpec, DEFAULT_TENANT, DEFAULT_TENANT_NAME};
-pub use sim::{fleet_verdict_trace, FleetError, FleetEvent, FleetSim, FleetVerdict};
+pub use sim::{fleet_verdict_trace, FleetError, FleetEvent, FleetSim};
+pub use tenant::{
+    AppRecord, AppState, FleetVerdict, LastVerdict, OutOfOrder, PolicyState, Served, ServedPolicy,
+    TenantRestore, TenantState,
+};
 
 /// FNV-1a over a byte string — the workspace's stable, dependency-free
 /// hash. The serving daemon's app→shard routing and the fleet's

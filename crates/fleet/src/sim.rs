@@ -2,32 +2,24 @@
 //! measured against.
 //!
 //! [`FleetSim`] replays a merged multi-tenant `(tenant, app, ts)` stream
-//! through per-tenant policies and [`crate::TenantLedger`]s, producing
-//! the exact verdict the daemon serves for each invocation — cold/warm,
-//! pre-warm load, decision branch, the next windows, **and** the
-//! eviction downgrades memory pressure forces. `sitw_sim` re-exports
-//! [`fleet_verdict_trace`] next to its single-policy `verdict_trace`.
+//! through one [`TenantState`] per tenant — the same decision kernel the
+//! daemon's shard workers step — producing the exact verdict the daemon
+//! serves for each invocation: cold/warm, pre-warm load, decision
+//! branch, the next windows, **and** the eviction downgrades memory
+//! pressure forces. `sitw_sim` re-exports [`fleet_verdict_trace`] next
+//! to its single-policy `verdict_trace`.
 //!
-//! The composition rule per invocation (identical in the daemon's shard
-//! workers — the parity tests pin the two bit-for-bit):
-//!
-//! 1. classify the idle gap through
-//!    [`sitw_core::Windows::classify_gap`] (single source of truth);
-//! 2. if the app's image was **evicted during the gap**, downgrade the
-//!    verdict to cold (and suppress the phantom pre-warm load);
-//! 3. advance the tenant's policy to get the next windows;
-//! 4. charge the ledger: the app is warm until
-//!    [`sitw_core::Windows::loaded_until`], holding its deterministic
-//!    Burr footprint; any victims the budget forces out are marked
-//!    evicted for *their* next invocation.
+//! The composition rule per invocation lives in [`crate::tenant`] and
+//! nowhere else, so what the daemon and this simulator answer is equal
+//! by construction. What the online == offline suites (`fleet_parity`,
+//! `failover`, `migration_parity`) pin around it is everything else:
+//! transport, sharding, snapshot/restore, replication and migration.
 
 use std::collections::HashMap;
 
-use sitw_core::{AppKey, AppPolicy, DecisionKind, PolicySpec, ProductionManager, Windows};
-
-use crate::footprint::footprint_mb;
 use crate::ledger::TenantLedger;
 use crate::registry::{TenantId, TenantRegistry};
+use crate::tenant::{FleetVerdict, OutOfOrder, TenantState};
 
 /// One invocation of the merged multi-tenant stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -38,23 +30,6 @@ pub struct FleetEvent {
     pub app: String,
     /// Invocation timestamp (trace milliseconds).
     pub ts: u64,
-}
-
-/// The verdict for one fleet invocation — exactly what the daemon
-/// answers, so online and offline runs compare element by element.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FleetVerdict {
-    /// The invocation found no loaded image.
-    pub cold: bool,
-    /// A pre-warm load occurred in the gap ending here.
-    pub prewarm_load: bool,
-    /// The image was evicted for memory pressure during the gap (the
-    /// verdict was downgraded to cold).
-    pub evicted: bool,
-    /// The policy branch that produced the windows.
-    pub kind: DecisionKind,
-    /// Windows governing the gap until the app's next invocation.
-    pub windows: Windows,
 }
 
 /// Why a fleet invocation was rejected.
@@ -69,37 +44,10 @@ pub enum FleetError {
     },
 }
 
-/// Per-app offline state.
-struct AppSim {
-    /// Per-app policy instance (`None` in production mode, where state
-    /// lives in the tenant's manager).
-    policy: Option<Box<dyn AppPolicy + Send>>,
-    /// Key into the tenant's production manager (production mode only).
-    prod_key: AppKey,
-    last_kind: DecisionKind,
-    windows: Windows,
-    last_ts: u64,
-    /// The image was evicted during the gap in progress.
-    evicted: bool,
-    /// Deterministic Burr footprint, computed once at first sight
-    /// (mirrors the daemon's per-app cache).
-    footprint_mb: u64,
-}
-
-/// Per-tenant offline state.
-struct TenantSim {
-    name: String,
-    policy: PolicySpec,
-    ledger: TenantLedger,
-    apps: HashMap<String, AppSim>,
-    /// `Some` iff `policy` is [`PolicySpec::Production`].
-    production: Option<ProductionManager>,
-    next_key: AppKey,
-}
-
-/// The offline multi-tenant replay engine.
+/// The offline multi-tenant replay engine: a driver over one
+/// [`TenantState`] per registered tenant.
 pub struct FleetSim {
-    tenants: HashMap<TenantId, TenantSim>,
+    tenants: HashMap<TenantId, TenantState>,
 }
 
 impl FleetSim {
@@ -108,23 +56,7 @@ impl FleetSim {
         let tenants = registry
             .tenants()
             .iter()
-            .map(|spec| {
-                let production = match &spec.policy {
-                    PolicySpec::Production(cfg) => Some(ProductionManager::new(*cfg)),
-                    _ => None,
-                };
-                (
-                    spec.id,
-                    TenantSim {
-                        name: spec.name.clone(),
-                        policy: spec.policy.clone(),
-                        ledger: TenantLedger::new(spec.budget_mb),
-                        apps: HashMap::new(),
-                        production,
-                        next_key: 0,
-                    },
-                )
-            })
+            .map(|spec| (spec.id, TenantState::new(spec.clone())))
             .collect();
         Self { tenants }
     }
@@ -140,96 +72,16 @@ impl FleetSim {
             .tenants
             .get_mut(&tenant)
             .ok_or(FleetError::UnknownTenant(tenant))?;
-
-        let (verdict, mb) = match t.apps.get_mut(app) {
-            None => {
-                // First invocation: cold by definition (§5.1).
-                let (policy, prod_key, windows, kind) = match &mut t.production {
-                    Some(manager) => {
-                        let key = t.next_key;
-                        t.next_key += 1;
-                        let (windows, kind) = manager.on_invocation(key, ts, None);
-                        (None, key, windows, kind)
-                    }
-                    None => {
-                        let mut policy = t.policy.new_policy();
-                        let windows = policy.on_invocation(None);
-                        let kind = policy.last_decision();
-                        (Some(policy), 0, windows, kind)
-                    }
-                };
-                let mb = footprint_mb(&t.name, app);
-                t.apps.insert(
-                    app.to_owned(),
-                    AppSim {
-                        policy,
-                        prod_key,
-                        last_kind: kind,
-                        windows,
-                        last_ts: ts,
-                        evicted: false,
-                        footprint_mb: mb,
-                    },
-                );
-                (
-                    FleetVerdict {
-                        cold: true,
-                        prewarm_load: false,
-                        evicted: false,
-                        kind,
-                        windows,
-                    },
-                    mb,
-                )
-            }
-            Some(state) => {
-                if ts < state.last_ts {
-                    return Err(FleetError::OutOfOrder {
-                        last_ts: state.last_ts,
-                    });
-                }
-                let idle = ts - state.last_ts;
-                let outcome = state.windows.classify_gap(idle);
-                let was_evicted = state.evicted;
-                state.evicted = false;
-                let (windows, kind) = match (&mut t.production, &mut state.policy) {
-                    (Some(manager), _) => manager.on_invocation(state.prod_key, ts, Some(idle)),
-                    (None, Some(policy)) => {
-                        let windows = policy.on_invocation(Some(idle));
-                        (windows, policy.last_decision())
-                    }
-                    (None, None) => unreachable!("non-production app has a policy"),
-                };
-                state.windows = windows;
-                state.last_kind = kind;
-                state.last_ts = ts;
-                (
-                    FleetVerdict {
-                        cold: outcome.cold || was_evicted,
-                        prewarm_load: outcome.prewarm_load && !was_evicted,
-                        evicted: was_evicted,
-                        kind,
-                        windows,
-                    },
-                    state.footprint_mb,
-                )
-            }
-        };
-
-        // Charge the ledger and apply budget pressure. The just-invoked
-        // app can itself be the victim when its footprint cannot fit.
-        let expiry = verdict.windows.loaded_until(ts);
-        for victim in t.ledger.charge(app, ts, expiry, mb) {
-            if let Some(v) = t.apps.get_mut(&**victim) {
-                v.evicted = true;
-            }
+        // No replication frontier offline: every record is stamped 0.
+        match t.step(app, ts, 0) {
+            Ok(served) => Ok(served.verdict),
+            Err(OutOfOrder { last_ts }) => Err(FleetError::OutOfOrder { last_ts }),
         }
-        Ok(verdict)
     }
 
     /// The ledger of one tenant (stats/assertions).
     pub fn ledger(&self, tenant: TenantId) -> Option<&TenantLedger> {
-        self.tenants.get(&tenant).map(|t| &t.ledger)
+        self.tenants.get(&tenant).map(TenantState::ledger)
     }
 }
 
@@ -252,8 +104,9 @@ pub fn fleet_verdict_trace(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::footprint::footprint_mb;
     use crate::ledger::LedgerStats;
-    use sitw_core::MINUTE_MS;
+    use sitw_core::{AppPolicy, PolicySpec, Windows, MINUTE_MS};
 
     fn registry(budget_mb: u64) -> TenantRegistry {
         let mut r = TenantRegistry::new(PolicySpec::fixed_minutes(10));
@@ -458,6 +311,70 @@ mod tests {
             idle_mb_ms: 43_260_767_869,
         },
     ];
+
+    /// The golden above runs fixed and hybrid tenants through 22 hours
+    /// without an error. This one adds what it leaves out: a budgeted
+    /// production tenant, a stream crossing three day boundaries, and a
+    /// few hundred timestamps sent two hours late (rejected unless they
+    /// are the app's first sight). Captured from the build *before*
+    /// daemon and simulator shared one `TenantState::step`: every
+    /// verdict, the `last_ts` of every rejection, and each tenant's
+    /// final ledger summary, in one fingerprint.
+    #[test]
+    fn fleet_trace_with_production_and_rejections_matches_the_pre_kernel_golden() {
+        let mut r = TenantRegistry::new(PolicySpec::fixed_minutes(10));
+        r.register("g1", PolicySpec::parse("hybrid").unwrap(), 3_000)
+            .unwrap();
+        r.register("g2", PolicySpec::parse("production").unwrap(), 1_500)
+            .unwrap();
+        r.register("g3", PolicySpec::parse("hybrid").unwrap(), 600)
+            .unwrap();
+        let mut sim = FleetSim::new(&r);
+        let fold = |h: u64, field: u64| crate::mix64(h ^ field).wrapping_add(field);
+        let (mut fingerprint, mut rejected, mut ts) = (0u64, 0u64, 0u64);
+        for i in 0..40_000u64 {
+            let x = crate::mix64(0x005E_ED24 ^ i);
+            ts += (x >> 24) % 16_000;
+            let late = (x >> 44).is_multiple_of(128);
+            let sent = if late {
+                ts.saturating_sub(120 * MINUTE_MS)
+            } else {
+                ts
+            };
+            let app = format!("app-{:02}", (x >> 8) % 60);
+            match sim.step((x % 4) as TenantId, &app, sent) {
+                Ok(v) => {
+                    let flags = v.cold as u64
+                        | (v.prewarm_load as u64) << 1
+                        | (v.evicted as u64) << 2
+                        | (v.kind as u64) << 3;
+                    for field in [flags, v.windows.pre_warm_ms, v.windows.keep_alive_ms] {
+                        fingerprint = fold(fingerprint, field);
+                    }
+                }
+                Err(FleetError::OutOfOrder { last_ts }) => {
+                    rejected += 1;
+                    fingerprint = fold(fingerprint, last_ts);
+                }
+                Err(e) => panic!("{e:?}"),
+            }
+        }
+        let mut evictions = 0;
+        for t in 0..4 {
+            let s = sim.ledger(t).unwrap().stats();
+            evictions += s.evictions;
+            for field in [s.warm_mb, s.warm_apps, s.evictions, s.idle_mb_ms] {
+                fingerprint = fold(fingerprint, field);
+            }
+        }
+        assert!(ts / (1_440 * MINUTE_MS) >= 3, "three day boundaries");
+        assert_eq!(
+            (fingerprint, rejected, evictions),
+            (GOLDEN_PRODUCTION_FINGERPRINT, 303, 24_683)
+        );
+    }
+
+    const GOLDEN_PRODUCTION_FINGERPRINT: u64 = 0x3fa3_1388_0a8f_f53e;
 
     #[test]
     fn production_tenant_day_aware_replay() {

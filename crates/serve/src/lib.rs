@@ -52,11 +52,15 @@
 //!   ever pauses — and promotes into a serving primary (operator
 //!   command, router failover, or dead-primary auto policy) whose
 //!   decisions are bit-identical to an uninterrupted one.
-//! * **Verdict parity**: classification goes through
-//!   [`sitw_core::Windows::classify_gap`], the same single source of
-//!   truth the offline simulator uses, so an online replay of a trace
-//!   produces exactly [`sitw_sim::verdict_trace`]'s answers. The
-//!   integration tests assert this bit-for-bit.
+//! * **Verdict parity**: a shard decides by calling
+//!   [`sitw_fleet::TenantState::step`] — the step the offline
+//!   `FleetSim` replays — so fleet verdicts are equal by construction.
+//!   [`sitw_sim::verdict_trace`] is a second, independent
+//!   implementation (it shares only
+//!   [`sitw_core::Windows::classify_gap`] with that step), and an
+//!   online replay of a trace produces exactly its answers: that is
+//!   the check of the step itself, and `tests/parity.rs` asserts it
+//!   bit-for-bit.
 //! * **SITW-BIN v1** ([`wire`]): a length-prefixed batched binary
 //!   protocol on the same port, sniffed per message on its first byte
 //!   ([`wire::BIN_MAGIC`] vs an ASCII method letter). A frame of up to
@@ -75,8 +79,10 @@
 //!   `evicted` cold verdicts instead of silently over-committing.
 //!   Named tenants route whole to one shard, so their ledgers stay
 //!   single-writer and their eviction streams are identical for every
-//!   shard count; `sitw_sim::fleet_verdict_trace` is the offline ground
-//!   truth.
+//!   shard count. `sitw_sim::fleet_verdict_trace` drives the same
+//!   `TenantState::step` offline; `fleet_parity`, `failover` and the
+//!   cluster's `migration_parity` pin transport, sharding,
+//!   snapshot/restore, replication and migration around it.
 //! * **Load generator** ([`loadgen`]): replays `sitw_trace` workloads
 //!   open-loop at a configurable speedup (or flat out) over pipelined
 //!   connections — speaking JSON or SITW-BIN ([`loadgen::Proto`]),
@@ -101,6 +107,34 @@
 //! server.shutdown().unwrap();
 //! # let _ = addr;
 //! ```
+
+//!
+//! # Stable for `benchmark/`
+//!
+//! The frozen harness under `benchmark/` is a workspace of its own that
+//! compiles against this crate, so these names keep their shape (path,
+//! fields, signature) in every PR that is not a `[benchmark]` one —
+//! this list, not the forty-odd re-exports below, is the public API:
+//!
+//! * [`shard::ShardWorker`]`::{new, invoke, invoke_batch, run}` and
+//!   [`shard::ShardMsg`]`::{PolicyProbe, Shutdown}`;
+//! * struct literals of [`BatchItem`] (`idx`, `tenant`, `app`, `ts`) and
+//!   [`Decision`] (`cold`, `prewarm_load`, `evicted`, `kind`,
+//!   `windows`), and [`TenantRestore::fresh`];
+//! * [`Snapshot`] (`load`, `decode`, `decode_delta`, `encode`,
+//!   `encode_delta`, the `apps` and `tenants[..].apps` fields) and
+//!   [`apply_delta`];
+//! * [`http::ConnBuf`]`::{new, read_request}`, [`http::ReadOutcome`],
+//!   [`http::write_response`];
+//! * in [`wire`]: `BinInvoke`, `BinReply`, `ServerFrameDecode`,
+//!   `parse_invoke`, `render_decision`, `kind_from_str`, `push_u64`,
+//!   `encode_request_frame_v2{,_traced}`, `decode_request_frame_into`,
+//!   `encode_reply_records`, `decode_server_frame` and the constants
+//!   `BIN_MAGIC`, `BIN_VERSION_*`, `BIN_HEADER_LEN`, `FRAME_REPLY`,
+//!   `REPLY_RECORD_LEN`, `MAX_BATCH`, `MAX_FRAME_PAYLOAD`.
+//!
+//! `sitw_fleet` and `sitw_sim` carry the rest of the list in their own
+//! crate docs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -127,7 +161,7 @@ pub use metrics::{
 pub use reactor::ReplySink;
 pub use server::{ServeConfig, Server, TenantConfig};
 pub use shard::{
-    shard_of, BatchItem, BatchReply, BatchSpans, Decision, InvokeError, ServedPolicy, TenantRestore,
+    shard_of, BatchItem, BatchReply, BatchSpans, Decision, InvokeError, TenantRestore,
 };
 pub use snapshot::{
     apply_delta, AppRecord, PolicyState, ShardExport, Snapshot, SnapshotError, TenantExport,

@@ -11,32 +11,34 @@
 //! other — has a single writer and a shard-count-independent event
 //! order.
 //!
-//! Every tenant owns: its [`PolicySpec`]'s per-app policy state (or a
-//! tenant-local [`ProductionManager`] in production mode), a
-//! [`TenantLedger`] charging each warm container its deterministic Burr
-//! footprint, and eviction bookkeeping. When a charge pushes a budgeted
-//! tenant over its limit, victims (earliest keep-alive expiry first) are
-//! marked evicted; their next invocation is downgraded to a cold start
-//! with the `evicted` flag set — the memory-pressure dimension the
-//! paper's §3.4 trade-off implies but a stateless verdict oracle cannot
-//! express.
+//! Every tenant is one [`sitw_fleet::TenantState`] — the decision kernel
+//! the offline `FleetSim` steps too: per-app policy state (or a
+//! tenant-local [`sitw_core::ProductionManager`] in production mode) and
+//! a [`sitw_fleet::TenantLedger`] charging each warm container its
+//! deterministic Burr footprint. When a charge pushes a budgeted tenant
+//! over its limit, victims (earliest keep-alive expiry first) are marked
+//! evicted; their next invocation is downgraded to a cold start with
+//! the `evicted` flag set — the memory-pressure dimension the paper's
+//! §3.4 trade-off implies but a stateless verdict oracle cannot
+//! express. The worker adds what only a daemon has: counters, the
+//! replication frontier, lifecycle events, `/debug/policy`, export.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
 use std::sync::mpsc::{Receiver, Sender};
 
-use sitw_core::{
-    AppKey, AppPolicy, DecisionKind, FixedKeepAlive, HybridPolicy, NoUnloading, ProductionManager,
-    Windows,
-};
-use sitw_fleet::{footprint_mb, LedgerExport, TenantId, TenantLedger, TenantSpec};
-use sitw_sim::PolicySpec;
+use sitw_fleet::{AppState, OutOfOrder, ServedPolicy, TenantId, TenantSpec, TenantState};
 use sitw_telemetry::{EventKind, EventRing, LifecycleEvent, Log2Histogram, SpanEvent, Stage};
 
 use crate::metrics::{ShardStats, TenantStats};
 use crate::reactor::ReplySink;
-use crate::snapshot::{AppRecord, PolicyState, ShardExport, TenantExport};
+use crate::snapshot::{ShardExport, TenantExport};
 use crate::telem::ShardTelem;
+
+/// One keep-alive decision, as returned to a client: the kernel's
+/// verdict under the name the wire and the harness know it by.
+pub use sitw_fleet::FleetVerdict as Decision;
+pub use sitw_fleet::TenantRestore;
 
 /// Latency quantiles `/metrics` exports as compatibility gauges,
 /// derived from the shard's decision-latency log2 histogram.
@@ -45,122 +47,6 @@ pub const LATENCY_QUANTILES: [f64; 3] = [0.50, 0.95, 0.99];
 /// Mailbox messages a worker pulls non-blockingly behind each blocking
 /// `recv` (one telemetry *drain wave*) — bounds the wave's memory.
 const DRAIN_WAVE: usize = 128;
-
-/// A concrete per-application policy instance.
-///
-/// An enum rather than `Box<dyn AppPolicy>` for two reasons: decisions
-/// dispatch without a vtable on the hot path, and snapshot export can
-/// match on the variant instead of downcasting.
-// The hybrid variant dominates the size, but hybrid is also the policy
-// every realistic deployment serves — boxing it would add a pointer
-// chase per decision to shrink the two baseline variants nobody runs.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone)]
-pub enum ServedPolicy {
-    /// Fixed keep-alive baseline.
-    Fixed(FixedKeepAlive),
-    /// Never unload.
-    NoUnload(NoUnloading),
-    /// The hybrid histogram policy.
-    Hybrid(HybridPolicy),
-    /// Production-manager mode (§6): the per-app state lives in the
-    /// tenant's fleet-wide [`ProductionManager`]; this variant holds the
-    /// app's key into it plus the branch that served its last decision.
-    Production {
-        /// Key of this app inside the tenant's manager.
-        key: AppKey,
-        /// The branch that produced the most recent decision.
-        last: DecisionKind,
-    },
-}
-
-impl ServedPolicy {
-    /// Creates a fresh instance for one application under `spec`.
-    ///
-    /// # Panics
-    ///
-    /// Panics for [`PolicySpec::Production`]: production apps are
-    /// registered with their tenant's manager (see
-    /// [`ShardWorker::invoke`]), not built standalone.
-    pub fn new(spec: &PolicySpec) -> ServedPolicy {
-        match spec {
-            PolicySpec::Fixed(f) => ServedPolicy::Fixed(*f),
-            PolicySpec::NoUnloading => ServedPolicy::NoUnload(NoUnloading),
-            PolicySpec::Hybrid(cfg) => ServedPolicy::Hybrid(HybridPolicy::new(cfg.clone())),
-            PolicySpec::Production(_) => {
-                unreachable!("production apps are created by the tenant's manager")
-            }
-        }
-    }
-
-    // sitw-lint: hot-path
-    fn on_invocation(&mut self, idle_time_ms: Option<u64>) -> Windows {
-        match self {
-            ServedPolicy::Fixed(p) => p.on_invocation(idle_time_ms),
-            ServedPolicy::NoUnload(p) => p.on_invocation(idle_time_ms),
-            ServedPolicy::Hybrid(p) => p.on_invocation(idle_time_ms),
-            ServedPolicy::Production { .. } => {
-                // Production apps never reach this dispatcher: invoke()
-                // matches the Production variant first and routes through
-                // the tenant manager. A type-level split would duplicate
-                // the whole enum; the invariant is cheaper to state here.
-                // sitw-lint: allow(panic-freedom)
-                unreachable!("production decisions go through the tenant's manager")
-            }
-        }
-    }
-
-    fn last_decision(&self) -> DecisionKind {
-        match self {
-            ServedPolicy::Fixed(p) => p.last_decision(),
-            ServedPolicy::NoUnload(p) => p.last_decision(),
-            ServedPolicy::Hybrid(p) => p.last_decision(),
-            ServedPolicy::Production { last, .. } => *last,
-        }
-    }
-}
-
-/// Tenant-local production state: one manager covering the tenant's
-/// shard slice of the app space, plus §6 bookkeeping counters.
-struct ProductionShard {
-    manager: ProductionManager,
-    /// Next key to hand to a newly seen app. Keys are shard-local and
-    /// never serialized — snapshots are app-id-keyed, so a restore (even
-    /// with a different shard count) just re-assigns them.
-    next_key: AppKey,
-    /// Pre-warm events scheduled so far (each one `prewarm_slack_ms`
-    /// before the computed window, per §6).
-    prewarm_scheduled: u64,
-}
-
-impl ProductionShard {
-    fn decide(&mut self, key: AppKey, ts: u64, idle: Option<u64>) -> (Windows, DecisionKind) {
-        let (windows, kind) = self.manager.on_invocation(key, ts, idle);
-        // An unload/pre-warm cycle means a pre-warm event was put on the
-        // schedule (fired 90 s early, off the critical path).
-        if windows.pre_warm_ms > 0 {
-            self.prewarm_scheduled += 1;
-        }
-        (windows, kind)
-    }
-}
-
-/// One keep-alive decision, as returned to a client.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Decision {
-    /// The invocation found no loaded image.
-    pub cold: bool,
-    /// A pre-warm load occurred in the gap ending at this invocation.
-    pub prewarm_load: bool,
-    /// The image was evicted for memory pressure during the gap: a
-    /// would-be warm start was downgraded to cold (the fleet's budget
-    /// dimension; always false for unbudgeted tenants).
-    pub evicted: bool,
-    /// The policy branch that produced the new windows.
-    pub kind: DecisionKind,
-    /// Windows governing the gap until the app's next invocation.
-    pub windows: Windows,
-}
 
 /// Why an invocation was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -323,105 +209,27 @@ pub struct DirtyShardExport {
     pub export: ShardExport,
 }
 
-/// Per-application serving state.
-struct AppState {
-    policy: ServedPolicy,
-    windows: Windows,
-    last_ts: u64,
-    /// The image was evicted for memory pressure during the gap in
-    /// progress; the next invocation is downgraded to cold.
-    evicted: bool,
-    /// The app's deterministic Burr footprint, computed once at first
-    /// sight — a pure function of `(tenant, app)`, so the hot path
-    /// never re-runs the quantile transform.
-    footprint_mb: u64,
-    /// The most recent verdict served plus its inputs — the provenance
-    /// `GET /debug/policy` reports (`None` only for restored apps that
-    /// have not been invoked since).
-    last_verdict: Option<LastVerdict>,
-    /// The worker's mutation sequence when this app's state last
-    /// changed (invocation, eviction flag, or migration-restore).
-    /// Replication rounds export exactly the apps whose stamp is newer
-    /// than the follower's frontier — never the whole map.
-    dirty_seq: u64,
-}
-
-/// One served verdict with the inputs that produced it, kept per app
-/// for decision provenance.
-#[derive(Debug, Clone, Copy)]
-struct LastVerdict {
-    /// Invocation timestamp (trace milliseconds).
-    ts: u64,
-    /// The idle time classified (`None` for the app's first sight).
-    idle_ms: Option<u64>,
-    cold: bool,
-    prewarm_load: bool,
-    evicted: bool,
-    kind: DecisionKind,
-}
-
-/// One tenant's complete state on this shard.
+/// One tenant on this shard: its decision state, plus what only a
+/// daemon keeps beside it.
 struct TenantShard {
-    spec: TenantSpec,
-    apps: HashMap<String, AppState>,
-    /// `Some` iff the tenant's policy is [`PolicySpec::Production`].
-    production: Option<ProductionShard>,
-    ledger: TenantLedger,
+    state: TenantState,
     invocations: u64,
     cold: u64,
+    /// Pre-warm events scheduled so far in production mode (each one
+    /// `prewarm_slack_ms` before the computed window, per §6).
+    prewarm_scheduled: u64,
     /// Decision latency for this tenant's invocations, nanoseconds.
     decide_ns: Log2Histogram,
 }
 
 impl TenantShard {
-    fn new(spec: TenantSpec, ledger: TenantLedger, prod_clock: Option<u64>) -> TenantShard {
-        let production = match &spec.policy {
-            PolicySpec::Production(cfg) => {
-                let mut manager = ProductionManager::new(*cfg);
-                if let Some(at_ms) = prod_clock {
-                    manager.set_last_backup_ms(at_ms);
-                }
-                Some(ProductionShard {
-                    manager,
-                    next_key: 0,
-                    prewarm_scheduled: 0,
-                })
-            }
-            _ => None,
-        };
+    fn new(state: TenantState) -> TenantShard {
         TenantShard {
-            spec,
-            apps: HashMap::new(),
-            production,
-            ledger,
+            state,
             invocations: 0,
             cold: 0,
+            prewarm_scheduled: 0,
             decide_ns: Log2Histogram::new(),
-        }
-    }
-}
-
-/// Restore payload for one tenant on one shard: its spec plus the app
-/// records and ledger slice routed here.
-pub struct TenantRestore {
-    /// The tenant's configuration.
-    pub spec: TenantSpec,
-    /// This shard's app records (tenant-filtered, app-routed).
-    pub apps: Vec<AppRecord>,
-    /// This shard's slice of the tenant's ledger.
-    pub ledger: LedgerExport,
-    /// Production backup clock, when the tenant serves production mode.
-    pub prod_clock: Option<u64>,
-}
-
-impl TenantRestore {
-    /// An empty-state restore for `spec`.
-    pub fn fresh(spec: TenantSpec) -> TenantRestore {
-        TenantRestore {
-            spec,
-            apps: Vec::new(),
-            ledger: LedgerExport::default(),
-            prod_clock: None,
         }
     }
 }
@@ -481,61 +289,31 @@ impl ShardWorker {
     /// shared path behind startup restore and live tenant migration.
     /// Restored apps are stamped `dirty_seq` so a migrated-in tenant is
     /// visible to the next replication round (0 at startup, where the
-    /// follower full-syncs regardless).
+    /// follower full-syncs regardless). A record that does not belong
+    /// under the tenant's policy fails the whole restore.
     fn build_tenant(
         restore: TenantRestore,
         dirty_seq: u64,
     ) -> Result<(TenantId, TenantShard), String> {
-        let budget = restore.spec.budget_mb;
         let tid = restore.spec.id;
-        let mut shard = TenantShard::new(
-            restore.spec,
-            TenantLedger::restore(budget, restore.ledger),
-            restore.prod_clock,
-        );
-        shard.apps.reserve(restore.apps.len().max(16));
-        for rec in restore.apps {
-            let policy = match (rec.state, &mut shard.production) {
-                (PolicyState::Production { last, state }, Some(prod)) => {
-                    let key = prod.next_key;
-                    prod.next_key += 1;
-                    prod.manager.import_app(key, state)?;
-                    ServedPolicy::Production { key, last }
-                }
-                (state, _) => state.into_policy(&shard.spec.policy)?,
-            };
-            let footprint_mb = footprint_mb(&shard.spec.name, &rec.app);
-            shard.apps.insert(
-                rec.app,
-                AppState {
-                    policy,
-                    windows: rec.windows,
-                    last_ts: rec.last_ts,
-                    evicted: rec.evicted,
-                    footprint_mb,
-                    last_verdict: None,
-                    dirty_seq,
-                },
-            );
-        }
-        Ok((tid, shard))
+        let state = TenantState::restore(restore, dirty_seq)?;
+        Ok((tid, TenantShard::new(state)))
     }
 
     /// Registers a fresh tenant (admin path). Bumps the mutation
     /// sequence: the tenant list is part of the replicated state, so
     /// the next round must fire even though no app is dirty yet.
     pub fn add_tenant(&mut self, spec: TenantSpec) {
-        let budget = spec.budget_mb;
         self.mutation_seq += 1;
         self.tenants
             .entry(spec.id)
-            .or_insert_with(|| TenantShard::new(spec, TenantLedger::new(budget), None));
+            .or_insert_with(|| TenantShard::new(TenantState::new(spec)));
     }
 
-    /// Classifies one invocation. Mirrors `sitw_sim::fleet_verdict_trace`
-    /// exactly: both paths classify through
-    /// [`sitw_core::Windows::classify_gap`], apply the same eviction
-    /// downgrade, advance the policy, and charge the same ledger.
+    /// Serves one invocation: [`TenantState::step`] decides — the step
+    /// `sitw_sim::fleet_verdict_trace` replays offline — and the shard
+    /// adds what only a daemon has: the tenant lookup, its counters, the
+    /// replication frontier, and the lifecycle events.
     // sitw-lint: hot-path
     pub fn invoke(
         &mut self,
@@ -543,7 +321,7 @@ impl ShardWorker {
         app: &str,
         ts: u64,
     ) -> Result<Decision, InvokeError> {
-        // The dirty stamp of every state this invocation mutates
+        // The dirty stamp of every record this invocation mutates
         // (committed to `mutation_seq` only on the success path — an
         // out-of-order rejection changes no replicated state).
         let seq = self.mutation_seq + 1;
@@ -551,119 +329,25 @@ impl ShardWorker {
             .tenants
             .get_mut(&tenant)
             .ok_or(InvokeError::UnknownTenant)?;
-        let (decision, mb) = match t.apps.get_mut(app) {
-            None => {
-                // First invocation of this app: cold by definition (§5.1).
-                let (policy, windows, kind) = match &mut t.production {
-                    Some(prod) => {
-                        let key = prod.next_key;
-                        prod.next_key += 1;
-                        let (windows, kind) = prod.decide(key, ts, None);
-                        (ServedPolicy::Production { key, last: kind }, windows, kind)
-                    }
-                    None => {
-                        let mut policy = ServedPolicy::new(&t.spec.policy);
-                        let windows = policy.on_invocation(None);
-                        let kind = policy.last_decision();
-                        (policy, windows, kind)
-                    }
-                };
-                let mb = footprint_mb(&t.spec.name, app);
-                t.apps.insert(
-                    // First sight: the one allocation an app's name costs.
-                    app.to_owned(), // sitw-lint: allow(hot-path-alloc)
-                    AppState {
-                        policy,
-                        windows,
-                        last_ts: ts,
-                        evicted: false,
-                        footprint_mb: mb,
-                        last_verdict: Some(LastVerdict {
-                            ts,
-                            idle_ms: None,
-                            cold: true,
-                            prewarm_load: false,
-                            evicted: false,
-                            kind,
-                        }),
-                        dirty_seq: seq,
-                    },
-                );
-                (
-                    Decision {
-                        cold: true,
-                        prewarm_load: false,
-                        evicted: false,
-                        kind,
-                        windows,
-                    },
-                    mb,
-                )
-            }
-            Some(state) => {
-                if ts < state.last_ts {
-                    self.out_of_order += 1;
-                    return Err(InvokeError::OutOfOrder {
-                        last_ts: state.last_ts,
-                    });
-                }
-                let idle = ts - state.last_ts;
-                let outcome = state.windows.classify_gap(idle);
-                // The memory-pressure downgrade: a gap the policy would
-                // have served warm is cold when the budget evicted the
-                // image mid-gap (and the phantom pre-warm load with it).
-                let was_evicted = state.evicted;
-                state.evicted = false;
-                state.windows = match (&mut t.production, &mut state.policy) {
-                    (Some(prod), ServedPolicy::Production { key, last }) => {
-                        let (windows, kind) = prod.decide(*key, ts, Some(idle));
-                        *last = kind;
-                        windows
-                    }
-                    (_, policy) => policy.on_invocation(Some(idle)),
-                };
-                state.last_ts = ts;
-                let d = Decision {
-                    cold: outcome.cold || was_evicted,
-                    prewarm_load: outcome.prewarm_load && !was_evicted,
-                    evicted: was_evicted,
-                    kind: state.policy.last_decision(),
-                    windows: state.windows,
-                };
-                state.last_verdict = Some(LastVerdict {
-                    ts,
-                    idle_ms: Some(idle),
-                    cold: d.cold,
-                    prewarm_load: d.prewarm_load,
-                    evicted: d.evicted,
-                    kind: d.kind,
-                });
-                state.dirty_seq = seq;
-                (d, state.footprint_mb)
+        let served = match t.state.step(app, ts, seq) {
+            Ok(served) => served,
+            Err(OutOfOrder { last_ts }) => {
+                self.out_of_order += 1;
+                return Err(InvokeError::OutOfOrder { last_ts });
             }
         };
-
-        // Charge the ledger: the app is warm until its windows lapse,
-        // holding its deterministic Burr footprint (computed once at
-        // first sight, cached in its AppState). Budget overflows evict
-        // by earliest expiry — possibly the just-charged app itself,
-        // when its footprint cannot fit at all.
-        let expiry = decision.windows.loaded_until(ts);
-        for victim in t.ledger.charge(app, ts, expiry, mb) {
-            if let Some(v) = t.apps.get_mut(&**victim) {
-                v.evicted = true;
-                v.dirty_seq = seq;
-            }
-            // Under a biting budget evictions are as common as cold
-            // starts, so the event is written into the ring's own
-            // buffers — try_lock, never blocking the decision path.
-            // Stamped with workload time: the ring stays deterministic
-            // and costs no clock read.
-            if self.telem.enabled {
+        let decision = served.verdict;
+        // Under a biting budget evictions are as common as cold starts,
+        // so the event is written into the ring's own buffers —
+        // try_lock, never blocking the decision path. Stamped with
+        // workload time: the ring stays deterministic and costs no
+        // clock read.
+        if self.telem.enabled {
+            for victim in served.victims {
                 EventRing::try_record(&self.telem.events, ts, EventKind::Eviction, |ev| {
-                    ev.tenant.push_str(&t.spec.name);
+                    ev.tenant.push_str(&served.tenant.name);
                     ev.app.push_str(victim);
-                    let _ = write!(ev.detail, "budget {} MB", t.spec.budget_mb);
+                    let _ = write!(ev.detail, "budget {} MB", served.tenant.budget_mb);
                 });
             }
         }
@@ -671,6 +355,12 @@ impl ShardWorker {
         t.invocations += 1;
         self.invocations += 1;
         self.mutation_seq = seq;
+        // An unload/pre-warm cycle in production mode puts a pre-warm
+        // event on the schedule (fired 90 s early, off the critical
+        // path).
+        if decision.windows.pre_warm_ms > 0 && t.state.production().is_some() {
+            t.prewarm_scheduled += 1;
+        }
         if decision.cold {
             t.cold += 1;
             self.cold += 1;
@@ -678,7 +368,7 @@ impl ShardWorker {
             // and written in place like the eviction event.
             if self.telem.enabled {
                 EventRing::try_record(&self.telem.events, ts, EventKind::ColdStart, |ev| {
-                    ev.tenant.push_str(&t.spec.name);
+                    ev.tenant.push_str(&t.state.spec().name);
                     ev.app.push_str(app);
                     if decision.evicted {
                         ev.detail.push_str("eviction downgrade");
@@ -711,11 +401,12 @@ impl ShardWorker {
             .tenants
             .values()
             .map(|t| {
-                let ledger = t.ledger.stats();
+                let ledger = t.state.ledger().stats();
+                let spec = t.state.spec();
                 TenantStats {
-                    id: t.spec.id,
-                    name: t.spec.name.clone(),
-                    budget_mb: t.spec.budget_mb,
+                    id: spec.id,
+                    name: spec.name.clone(),
+                    budget_mb: spec.budget_mb,
                     warm_mb: ledger.warm_mb,
                     warm_apps: ledger.warm_apps,
                     evictions: ledger.evictions,
@@ -729,7 +420,11 @@ impl ShardWorker {
         tenants.sort_by_key(|t| t.id);
         ShardStats {
             shard: self.id,
-            apps: self.tenants.values().map(|t| t.apps.len() as u64).sum(),
+            apps: self
+                .tenants
+                .values()
+                .map(|t| t.state.num_apps() as u64)
+                .sum(),
             invocations: self.invocations,
             cold: self.cold,
             warm: self.invocations - self.cold,
@@ -738,15 +433,10 @@ impl ShardWorker {
             backups: self
                 .tenants
                 .values()
-                .filter_map(|t| t.production.as_ref())
-                .map(|p| p.manager.backups_taken())
+                .filter_map(|t| t.state.production())
+                .map(|m| m.backups_taken())
                 .sum(),
-            prewarm_scheduled: self
-                .tenants
-                .values()
-                .filter_map(|t| t.production.as_ref())
-                .map(|p| p.prewarm_scheduled)
-                .sum(),
+            prewarm_scheduled: self.tenants.values().map(|t| t.prewarm_scheduled).sum(),
             latency_us: {
                 // Compatibility quantile gauges, derived from the same
                 // buckets the histogram family exports. Empty until the
@@ -777,36 +467,16 @@ impl ShardWorker {
     /// carrying it every round is what lets delta application replace
     /// it wholesale instead of diffing.
     fn export_tenant_if(t: &TenantShard, keep: impl Fn(&AppState) -> bool) -> TenantExport {
-        let mut apps: Vec<AppRecord> = t
-            .apps
-            .iter()
-            .filter(|(_, state)| keep(state))
-            .map(|(app, state)| AppRecord {
-                app: app.clone(),
-                last_ts: state.last_ts,
-                windows: state.windows,
-                evicted: state.evicted,
-                state: match (&state.policy, &t.production) {
-                    (ServedPolicy::Production { key, last }, Some(prod)) => {
-                        PolicyState::Production {
-                            last: *last,
-                            state: prod.manager.export_app(*key).unwrap_or_default(),
-                        }
-                    }
-                    (policy, _) => PolicyState::export(policy),
-                },
-            })
-            .collect();
-        apps.sort_by(|a, b| a.app.cmp(&b.app));
+        let spec = t.state.spec();
         TenantExport {
-            id: t.spec.id,
-            name: t.spec.name.clone(),
-            policy_label: t.spec.policy.label(),
-            spec_str: t.spec.policy.spec_str(),
-            budget_mb: t.spec.budget_mb,
-            prod_clock: t.production.as_ref().map(|p| p.manager.last_backup_ms()),
-            ledger: t.ledger.export(),
-            apps,
+            id: spec.id,
+            name: spec.name.clone(),
+            policy_label: spec.policy.label(),
+            spec_str: spec.policy.spec_str(),
+            budget_mb: spec.budget_mb,
+            prod_clock: t.state.production().map(|m| m.last_backup_ms()),
+            ledger: t.state.ledger().export(),
+            apps: t.state.export_apps(keep),
         }
     }
 
@@ -826,7 +496,7 @@ impl ShardWorker {
         let mut tenants: Vec<TenantExport> = self
             .tenants
             .values()
-            .map(|t| Self::export_tenant_if(t, |s| s.dirty_seq > since))
+            .map(|t| Self::export_tenant_if(t, |s| s.stamp > since))
             .collect();
         tenants.sort_by_key(|t| t.id);
         DirtyShardExport {
@@ -969,8 +639,7 @@ impl ShardWorker {
                 } => {
                     let found = match self.tenants.get_mut(&tenant) {
                         Some(t) => {
-                            t.spec.budget_mb = budget_mb;
-                            t.ledger.set_budget(budget_mb);
+                            t.state.set_budget(budget_mb);
                             // Specs replicate with the tenant list, so
                             // the bump alone makes the next round carry
                             // the new budget.
@@ -986,7 +655,7 @@ impl ShardWorker {
                         // Removal replicates through the (authoritative)
                         // tenant list of the next round.
                         self.mutation_seq += 1;
-                        self.push_migration_event(&t.spec.name, "take");
+                        self.push_migration_event(&t.state.spec().name, "take");
                         Self::export_tenant(&t)
                     });
                     let _ = reply.send(export);
@@ -1004,10 +673,11 @@ impl ShardWorker {
                     let _ = ack.send(result);
                 }
                 ShardMsg::PolicyProbe { tenant, app, reply } => {
-                    let body = self
-                        .tenants
-                        .get(&tenant)
-                        .and_then(|t| t.apps.get(&app).map(|s| render_policy(t, &app, s)));
+                    let body = self.tenants.get(&tenant).and_then(|t| {
+                        t.state
+                            .app(&app)
+                            .map(|s| render_policy(t.state.spec(), &app, s))
+                    });
                     let _ = reply.send(body);
                 }
                 ShardMsg::Scrape(reply) => {
@@ -1031,7 +701,7 @@ impl ShardWorker {
 /// the last verdict with its inputs, and (for hybrid apps) the learned
 /// idle-time histogram plus the §4.2 classification the *next* gap
 /// would run against, next to the thresholds that gate it.
-fn render_policy(t: &TenantShard, app: &str, state: &AppState) -> String {
+fn render_policy(spec: &TenantSpec, app: &str, state: &AppState) -> String {
     use crate::wire::json_escape;
     let mut out = String::with_capacity(512);
     let _ = write!(
@@ -1039,9 +709,9 @@ fn render_policy(t: &TenantShard, app: &str, state: &AppState) -> String {
         "{{\"tenant\":\"{}\",\"app\":\"{}\",\"policy\":\"{}\",\"last_ts\":{},\
          \"evicted\":{},\"footprint_mb\":{},\
          \"windows\":{{\"pre_warm_ms\":{},\"keep_alive_ms\":{}}}",
-        json_escape(&t.spec.name),
+        json_escape(&spec.name),
         json_escape(app),
-        json_escape(&t.spec.policy.label()),
+        json_escape(&spec.policy.label()),
         state.last_ts,
         state.evicted,
         state.footprint_mb,
@@ -1136,8 +806,9 @@ pub fn shard_of(app: &str, shards: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sitw_core::MINUTE_MS;
-    use sitw_fleet::{DEFAULT_TENANT, DEFAULT_TENANT_NAME};
+    use crate::snapshot::{AppRecord, PolicyState};
+    use sitw_core::{PolicySpec, Windows, MINUTE_MS};
+    use sitw_fleet::{footprint_mb, LedgerExport, DEFAULT_TENANT, DEFAULT_TENANT_NAME};
 
     fn default_spec(spec: PolicySpec) -> TenantSpec {
         TenantSpec {
@@ -1542,6 +1213,58 @@ mod tests {
         // The pre-existing clean app does not ride along.
         let default = round.export.tenants.iter().find(|t| t.id == 0).unwrap();
         assert!(default.apps.is_empty());
+    }
+
+    #[test]
+    fn mismatched_records_are_refused_where_state_enters() {
+        use sitw_core::{DecisionKind, HybridConfig, HybridPolicy};
+        let tenant = |policy: &str| TenantSpec {
+            id: 1,
+            name: "moved".into(),
+            policy: PolicySpec::parse(policy).unwrap(),
+            budget_mb: 0,
+        };
+        let production = PolicyState::Production {
+            last: DecisionKind::Histogram,
+            state: Default::default(),
+        };
+        let hybrid = PolicyState::Hybrid(HybridPolicy::new(HybridConfig::default()).snapshot());
+        for (policy, state) in [
+            ("hybrid", production),
+            ("production", PolicyState::Stateless),
+            ("production", hybrid),
+        ] {
+            let restore = || TenantRestore {
+                apps: vec![AppRecord {
+                    app: "a".into(),
+                    last_ts: 5,
+                    windows: Windows::keep_loaded(600_000),
+                    evicted: false,
+                    state: state.clone(),
+                }],
+                ..TenantRestore::fresh(tenant(policy))
+            };
+            // At startup the worker does not come up ...
+            assert!(ShardWorker::new(0, vec![restore()]).is_err(), "{policy}");
+            // ... and a migration into a running one is refused with the
+            // tenant it would have replaced left as it was.
+            let mut w = worker(PolicySpec::fixed_minutes(10));
+            w.add_tenant(tenant(policy));
+            w.invoke(1, "kept", 7).unwrap();
+            let before = w.export();
+            let (tx, mailbox) = std::sync::mpsc::channel();
+            let (ack, refused) = std::sync::mpsc::channel();
+            tx.send(ShardMsg::RestoreTenant {
+                restore: Box::new(restore()),
+                ack,
+            })
+            .unwrap();
+            tx.send(ShardMsg::Shutdown).unwrap();
+            let after = w.run(mailbox);
+            let err = refused.recv().unwrap().unwrap_err();
+            assert!(err.contains("does not match policy"), "{policy}: {err}");
+            assert_eq!(after, before, "{policy}");
+        }
     }
 
     #[test]

@@ -30,15 +30,15 @@
 use std::io::{self, Write};
 use std::path::Path;
 
-use sitw_core::{
-    DayHistogram, DecisionCounts, DecisionKind, HybridPolicy, HybridSnapshot, ProductionAppState,
-    Windows,
-};
+use sitw_core::{DayHistogram, DecisionCounts, HybridSnapshot, ProductionAppState, Windows};
 use sitw_fleet::{LedgerExport, TenantId};
-use sitw_sim::PolicySpec;
 
-use crate::shard::ServedPolicy;
 use crate::wire::{kind_from_str, kind_str};
+
+/// The per-app record and its policy state are the decision kernel's
+/// (`sitw_fleet::TenantState` restores from them and exports them);
+/// this module gives them their text form.
+pub use sitw_fleet::{AppRecord, PolicyState};
 
 /// Magic first line of a snapshot file.
 const HEADER: &str = "sitw-serve-snapshot v1";
@@ -104,89 +104,6 @@ pub struct TenantExport {
     pub apps: Vec<AppRecord>,
 }
 
-/// Serializable policy state of one application.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PolicyState {
-    /// The policy keeps no per-app state beyond the windows themselves
-    /// (fixed keep-alive, no-unloading).
-    Stateless,
-    /// Full hybrid-policy state.
-    Hybrid(HybridSnapshot),
-    /// Production-manager state: the app's retained daily histograms.
-    Production {
-        /// The branch that served the app's most recent decision.
-        last: DecisionKind,
-        /// The retained daily histograms, oldest first.
-        state: ProductionAppState,
-    },
-}
-
-impl PolicyState {
-    /// Captures the state of one served policy instance.
-    ///
-    /// # Panics
-    ///
-    /// Panics for [`ServedPolicy::Production`]: production state lives in
-    /// the tenant's manager, which exports it directly (the app-local
-    /// variant only holds a key into it).
-    pub fn export(policy: &ServedPolicy) -> PolicyState {
-        match policy {
-            ServedPolicy::Fixed(_) | ServedPolicy::NoUnload(_) => PolicyState::Stateless,
-            ServedPolicy::Hybrid(h) => PolicyState::Hybrid(h.snapshot()),
-            ServedPolicy::Production { .. } => {
-                unreachable!("production state is exported by the tenant's manager")
-            }
-        }
-    }
-
-    /// Rebuilds a policy instance under `spec`.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the state variant does not match the spec (e.g. a
-    /// hybrid snapshot restored into a fixed-keep-alive server).
-    pub fn into_policy(self, spec: &PolicySpec) -> Result<ServedPolicy, String> {
-        match (self, spec) {
-            (PolicyState::Stateless, PolicySpec::Fixed(f)) => Ok(ServedPolicy::Fixed(*f)),
-            (PolicyState::Stateless, PolicySpec::NoUnloading) => {
-                Ok(ServedPolicy::NoUnload(sitw_core::NoUnloading))
-            }
-            (PolicyState::Hybrid(snap), PolicySpec::Hybrid(cfg)) => Ok(ServedPolicy::Hybrid(
-                HybridPolicy::from_snapshot(cfg.clone(), snap)?,
-            )),
-            (state, spec) => Err(format!(
-                "snapshot state {:?} does not match policy '{}'",
-                variant_name(&state),
-                spec.label()
-            )),
-        }
-    }
-}
-
-fn variant_name(s: &PolicyState) -> &'static str {
-    match s {
-        PolicyState::Stateless => "stateless",
-        PolicyState::Hybrid(_) => "hybrid",
-        PolicyState::Production { .. } => "production",
-    }
-}
-
-/// One application's complete serving state.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AppRecord {
-    /// Application id.
-    pub app: String,
-    /// Last accepted invocation timestamp.
-    pub last_ts: u64,
-    /// Windows governing the gap in progress.
-    pub windows: Windows,
-    /// The image was evicted for memory pressure during the gap in
-    /// progress (the next invocation is downgraded to cold).
-    pub evicted: bool,
-    /// Policy-internal state.
-    pub state: PolicyState,
-}
-
 /// A named tenant's complete snapshot state.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TenantSnapshot {
@@ -211,7 +128,7 @@ pub struct TenantSnapshot {
 /// A complete server snapshot.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
-    /// Label of the default tenant's policy ([`PolicySpec::label`]);
+    /// Label of the default tenant's policy ([`sitw_core::PolicySpec::label`]);
     /// restore refuses a mismatch.
     pub policy_label: String,
     /// Default tenant's production backup clock (`last_backup_ms`, the
@@ -794,7 +711,8 @@ fn parse_field<T: std::str::FromStr>(tok: Option<&str>, name: &str) -> Result<T,
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sitw_core::{AppPolicy, HybridConfig, PolicyFactory, MINUTE_MS};
+    use sitw_core::{AppPolicy, DecisionKind, HybridConfig, PolicyFactory, PolicySpec, MINUTE_MS};
+    use sitw_fleet::ServedPolicy;
 
     fn hybrid_record() -> AppRecord {
         let mut p = HybridConfig::default().new_policy();

@@ -3,7 +3,11 @@
 //! * [`engine`] replays one application's invocation timestamps against a
 //!   policy, classifying cold/warm starts and accounting wasted memory
 //!   time exactly as the paper's simulator does (zero execution times,
-//!   first invocation cold, equal memory per app);
+//!   first invocation cold, equal memory per app) — one replay loop
+//!   behind [`simulate_app`], [`simulate_app_with_exec`],
+//!   [`verdict_trace`] and [`production_verdict_trace`], kept apart from
+//!   the fleet's decision kernel so the daemon can be checked against
+//!   it;
 //! * [`metrics`] aggregates per-app results into the evaluation's
 //!   statistics (cold-start CDFs, 75th percentile, normalized waste,
 //!   always-cold share, ARIMA usage);
@@ -23,6 +27,13 @@
 //! // 30-minute gaps always exceed a 10-minute keep-alive: all cold.
 //! assert_eq!(result.cold_starts, 10);
 //! ```
+
+//!
+//! Stable for `benchmark/` (see `sitw_serve`'s crate docs):
+//! [`verdict_trace`], [`simulate_app`], [`run_sweep`],
+//! [`PolicyAggregate`] (`new`, and the fields the sweep check
+//! fingerprints: `label`, `apps`, `invocations`, `cold_starts`,
+//! `wasted_ms`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
