@@ -20,7 +20,7 @@
 //! rate-limit traffic it cannot attribute, and the model matches.
 
 use sitw_fleet::{
-    Admission, FleetError, FleetSim, FleetVerdict, QosPolicy, TenantId, TenantLedger,
+    Admission, AppState, FleetError, FleetSim, FleetVerdict, QosPolicy, TenantId, TenantLedger,
     TenantRegistry, DEFAULT_TENANT,
 };
 
@@ -79,7 +79,7 @@ impl ClusterSim {
     }
 
     /// The ledger of one tenant (conservation assertions).
-    pub fn ledger(&self, tenant: TenantId) -> Option<&TenantLedger> {
+    pub fn ledger(&self, tenant: TenantId) -> Option<&TenantLedger<AppState>> {
         self.fleet.ledger(tenant)
     }
 

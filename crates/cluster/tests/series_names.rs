@@ -2,7 +2,9 @@
 //! a `sitw_serve_*` / `sitw_router_*` family, so every mention of one
 //! anywhere else — docs, CI greps, test assertions — must resolve to a
 //! table row. (Successor of sitw-lint's `metrics-registry` rule, which
-//! never read the docs or the CI workflow.)
+//! never read the docs or the CI workflow.) Path drift, likewise: every
+//! backticked repo path or `*.md` name in the README, CONTRIBUTING and
+//! the crates' module docs must exist.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -136,6 +138,101 @@ fn every_series_is_declared_once_and_every_mention_resolves() {
         stale.is_empty(),
         "series names no table declares:\n{}",
         stale.join("\n")
+    );
+}
+
+/// Every backticked token in `line` that names a repo path — its first
+/// segment is a top-level entry of the repo (`crates/…`, `docs/…`) — or
+/// is a bare `*.md` name, with any `:line` suffix dropped. Routes
+/// (`/invoke`), globs and `<placeholders>` are not paths.
+fn path_tokens<'a>(line: &'a str, top: &BTreeSet<String>) -> Vec<&'a str> {
+    line.split('`')
+        .skip(1)
+        .step_by(2)
+        .map(|t| t.split(':').next().unwrap_or(t))
+        .filter(|t| {
+            !t.starts_with('/') && !t.contains(|c: char| c.is_whitespace() || "*<".contains(c))
+        })
+        .filter(|t| match t.split_once('/') {
+            Some((first, _)) => top.contains(first),
+            None => t.ends_with(".md"),
+        })
+        .collect()
+}
+
+/// `a/{b,c}/d` → `a/b/d`, `a/c/d`.
+fn expand_braces(path: &str) -> Vec<String> {
+    let Some((head, rest)) = path.split_once('{') else {
+        return vec![path.to_owned()];
+    };
+    let (alts, tail) = rest.split_once('}').unwrap_or((rest, ""));
+    alts.split(',')
+        .flat_map(|alt| expand_braces(&format!("{head}{alt}{tail}")))
+        .collect()
+}
+
+#[test]
+fn every_backticked_repo_path_in_the_docs_exists() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let top: BTreeSet<String> = std::fs::read_dir(&root)
+        .unwrap()
+        .flatten()
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .collect();
+    let crates = root.join("crates");
+    let mut files = vec![root.join("README.md"), root.join("CONTRIBUTING.md")];
+    rust_sources(&crates, &mut files);
+    let mut missing = Vec::new();
+    for file in &files {
+        let text = std::fs::read_to_string(file).unwrap_or_else(|e| panic!("{file:?}: {e}"));
+        // A crate's docs may also name paths relative to the crate.
+        let crate_dir = file
+            .strip_prefix(&crates)
+            .ok()
+            .and_then(|rel| rel.components().next())
+            .map(|c| crates.join(c));
+        let rust = file.extension().is_some_and(|e| e == "rs");
+        for (n, line) in text.lines().enumerate() {
+            if rust && !line.trim_start().starts_with("//!") {
+                continue;
+            }
+            for token in path_tokens(line, &top) {
+                let exists = |p: &String| {
+                    root.join(p).exists() || crate_dir.as_ref().is_some_and(|c| c.join(p).exists())
+                };
+                if !expand_braces(token).iter().all(exists) {
+                    let rel = file.strip_prefix(&root).unwrap_or(file);
+                    missing.push(format!("{}:{}: {token}", rel.display(), n + 1));
+                }
+            }
+        }
+    }
+    assert!(
+        missing.is_empty(),
+        "doc paths that do not exist:\n{}",
+        missing.join("\n")
+    );
+}
+
+#[test]
+fn path_tokens_are_repo_paths_and_md_names_only() {
+    let top: BTreeSet<String> = ["crates", "docs"].map(String::from).into();
+    assert_eq!(
+        path_tokens(
+            "`crates/a.rs:12`, `docs/x/` and `NOTES.md`; not `/invoke`, `a/b`, \
+             `crates/*/src`, `docs/<n>.md` or `sitw_serve::wire`",
+            &top
+        ),
+        ["crates/a.rs", "docs/x/", "NOTES.md"]
+    );
+    assert_eq!(
+        expand_braces("crates/{serve,cluster}/tests/{a,b}.rs"),
+        [
+            "crates/serve/tests/a.rs",
+            "crates/serve/tests/b.rs",
+            "crates/cluster/tests/a.rs",
+            "crates/cluster/tests/b.rs"
+        ]
     );
 }
 

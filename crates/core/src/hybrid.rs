@@ -192,6 +192,37 @@ impl DecisionCounts {
     }
 }
 
+/// Which §4.2 branch the histogram, as it stands, routes a decision to
+/// — [`HybridPolicy::regime`], checked in the paper's order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Regime {
+    /// Fewer idle times than `min_samples`: standard keep-alive.
+    Learning,
+    /// Too many out-of-bounds idle times, ARIMA enabled: a forecast
+    /// (standard keep-alive when it is unusable).
+    OutOfBoundsArima,
+    /// Too many out-of-bounds idle times, ARIMA disabled: standard
+    /// keep-alive.
+    OutOfBoundsStandard,
+    /// Bin-count CV below threshold: standard keep-alive.
+    NotRepresentative,
+    /// The head and tail cutoffs of the histogram.
+    Representative,
+}
+
+impl Regime {
+    /// The regime's name, as `/debug/policy` prints it.
+    pub fn label(self) -> &'static str {
+        match self {
+            Regime::Learning => "learning",
+            Regime::OutOfBoundsArima => "out-of-bounds-arima",
+            Regime::OutOfBoundsStandard => "out-of-bounds-standard",
+            Regime::NotRepresentative => "not-representative",
+            Regime::Representative => "representative",
+        }
+    }
+}
+
 /// Per-application state of the hybrid histogram policy.
 #[derive(Debug, Clone)]
 pub struct HybridPolicy {
@@ -257,6 +288,28 @@ impl HybridPolicy {
         self.counts
     }
 
+    /// The branch the next decision takes on the histogram as it
+    /// stands: not enough idle times, too many out of bounds, bin
+    /// counts too even, or representative — the one statement of §4.2's
+    /// order, which `on_invocation` branches on.
+    #[inline]
+    pub fn regime(&self) -> Regime {
+        let cfg = &self.config;
+        if self.hist.total_count() < cfg.min_samples {
+            Regime::Learning
+        } else if self.hist.oob_fraction() > cfg.oob_threshold {
+            if cfg.use_arima {
+                Regime::OutOfBoundsArima
+            } else {
+                Regime::OutOfBoundsStandard
+            }
+        } else if self.hist.bin_count_cv() < cfg.cv_threshold {
+            Regime::NotRepresentative
+        } else {
+            Regime::Representative
+        }
+    }
+
     /// Histogram range in milliseconds (bins × bin width).
     fn range_ms(&self) -> DurationMs {
         self.hist.range() * MINUTE_MS
@@ -280,7 +333,8 @@ impl HybridPolicy {
         self.history.push_back(minutes);
     }
 
-    /// Attempts the ARIMA branch; `None` when the forecast is unusable.
+    /// The ARIMA branch: a forecast wrapped in the margin; `None` when
+    /// it is unusable.
     fn arima_windows(&mut self) -> Option<Windows> {
         if self.history.len() < self.config.arima_min_history {
             return None;
@@ -295,6 +349,8 @@ impl HybridPolicy {
         let margin = self.config.arima_margin;
         let pre_warm = pred_minutes * (1.0 - margin);
         let keep_alive = 2.0 * margin * pred_minutes;
+        self.counts.arima += 1;
+        self.last_decision = DecisionKind::Arima;
         Some(Windows::pre_warmed(
             (pre_warm * MINUTE_MS as f64) as DurationMs,
             (keep_alive * MINUTE_MS as f64).max(MINUTE_MS as f64) as DurationMs,
@@ -403,33 +459,16 @@ impl AppPolicy for HybridPolicy {
             self.push_history(it as f64 / MINUTE_MS as f64);
         }
 
-        // Not enough data yet: be conservative.
-        if self.hist.total_count() < self.config.min_samples {
-            return self.standard_keep_alive();
-        }
-
-        // Too many OOB ITs → time-series forecast (or conservative
-        // fallback when ARIMA is disabled or unusable).
-        if self.hist.oob_fraction() > self.config.oob_threshold {
-            if self.config.use_arima {
-                if let Some(w) = self.arima_windows() {
-                    self.counts.arima += 1;
-                    self.last_decision = DecisionKind::Arima;
-                    return w;
-                }
-            }
-            return self.standard_keep_alive();
-        }
-
-        // Histogram representative? (CV of bin counts, Figure 18.)
-        if self.hist.bin_count_cv() < self.config.cv_threshold {
-            return self.standard_keep_alive();
-        }
-
-        match self.histogram_windows() {
-            Some(w) => w,
-            None => self.standard_keep_alive(),
-        }
+        let windows = match self.regime() {
+            // Too many OOB ITs → time-series forecast (or the
+            // conservative fallback when it is unusable).
+            Regime::OutOfBoundsArima => self.arima_windows(),
+            Regime::Representative => self.histogram_windows(),
+            // Not enough data, ARIMA disabled, or bin counts too even
+            // (CV, Figure 18): be conservative.
+            Regime::Learning | Regime::OutOfBoundsStandard | Regime::NotRepresentative => None,
+        };
+        windows.unwrap_or_else(|| self.standard_keep_alive())
     }
 
     fn last_decision(&self) -> DecisionKind {

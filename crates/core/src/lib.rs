@@ -50,7 +50,7 @@ pub mod production;
 pub mod spec;
 
 pub use fixed::{FixedKeepAlive, NoUnloading};
-pub use hybrid::{DecisionCounts, HybridConfig, HybridPolicy, HybridSnapshot};
+pub use hybrid::{DecisionCounts, HybridConfig, HybridPolicy, HybridSnapshot, Regime};
 pub use policy::{
     AppPolicy, DecisionKind, DurationMs, GapOutcome, PolicyFactory, Windows, MINUTE_MS,
 };

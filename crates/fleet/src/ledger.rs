@@ -1,9 +1,17 @@
-//! The cluster memory ledger: per-tenant warm-container accounting and
-//! budgeted eviction.
+//! The tenant's app table: one record per app, warm-memory accounting
+//! and budgeted eviction.
 //!
-//! A [`TenantLedger`] tracks, for one tenant, every application whose
-//! image is currently warm: when its keep-alive expires, and how many MB
-//! it holds ([`crate::footprint_mb`]). From that it maintains
+//! A [`TenantLedger`] is one tenant's table of every app it has seen.
+//! Each name is interned once, as one `Arc<str>`, into a dense *slot*:
+//! the app's one record of its footprint ([`crate::footprint_mb`], in
+//! MB), its charge (keep-alive expiry, and whether it is current) and
+//! the payload the table is keyed for — the kernel's [`crate::AppState`]
+//! in [`crate::TenantState`], `()` in a bare ledger. A decision hashes
+//! the name once, to find its slot; expiry, eviction, heap compaction
+//! and the victims' eviction marks reach records by slot index. A slot
+//! outlives its charge (a lapsed or evicted app is marked not warm), so
+//! an app's return re-charges it in place and allocates nothing. From
+//! the charges the table maintains
 //!
 //! * the current warm memory (`warm_mb`, a gauge),
 //! * the exact loaded-memory integral in MB·ms — the §5.3 idle-memory
@@ -22,39 +30,39 @@
 //!
 //! # The expiry queue is keyed lazily
 //!
-//! A charge runs once per decision, so it is written to cost one map
-//! lookup and no allocation once an app has been seen. Each app's name
-//! is one immutable `Arc<str>` shared by the map key, its entry and its
-//! heap nodes; an entry stays in the map when its charge lapses or is
-//! evicted (marked not warm), so the app's return re-charges it in place
-//! instead of building a key again.
+//! A heap node is `(key, name, slot, gen)`. The slot index is how a pop
+//! reaches its record without hashing. The name is there because
+//! eviction order is `(expiry, app id)`: slots are numbered in
+//! first-sight order, which no export records, so a tie broken by slot
+//! would not survive a restore. Nodes of one name carry one slot, so
+//! the heap orders exactly by `(key, name, gen)`.
 //!
-//! The heap holds **one live node per warm app**, and that node's key
-//! may be *earlier* than the app's true expiry:
+//! The heap holds **one live node per warm slot**, and that node's key
+//! may be *earlier* than the slot's true expiry:
 //!
 //! * a re-charge that moves the expiry **later** (the common case — an
 //!   app invoked again inside its keep-alive window) touches only the
-//!   entry;
+//!   slot;
 //! * a re-charge that moves it **earlier than the queued key** pushes a
 //!   fresh node under a new generation, which orphans the old one;
 //! * whoever pops the heap — [`TenantLedger::advance`] looking for
 //!   lapsed charges, the eviction loop looking for a victim — acts on a
-//!   live node only when its key *equals* the entry's expiry; a live
-//!   node that is early is pushed back under the true expiry and the
-//!   pop repeated.
+//!   live node only when its key *equals* the slot's expiry; a live node
+//!   that is early is pushed back under the true expiry and the pop
+//!   repeated.
 //!
 //! Expiry and eviction order are what they would be with exact keys.
-//! Every live key is ≤ its app's expiry, so when the heap's minimum is a
-//! live node whose key *is* its expiry, no warm app can expire earlier,
-//! and none with the same expiry has a smaller app id (its node's key
-//! would be ≤ that same tuple and would have popped first). Apps
-//! therefore leave in ascending `(true expiry, app id)` order, exactly
-//! as from a heap holding one exact node per charge — the reference
-//! implementation `ledger_ref` keeps, which a property test drives
-//! against this one charge by charge.
+//! Every live key is ≤ its slot's expiry, so when the heap's minimum is
+//! a live node whose key *is* its expiry, no warm slot can expire
+//! earlier, and none with the same expiry has a smaller app id (its
+//! node's key would be ≤ that same tuple and would have popped first).
+//! Apps therefore leave in ascending `(true expiry, app id)` order,
+//! exactly as from a heap holding one exact node per charge — the
+//! reference implementation `ledger_ref` keeps, which a property test
+//! drives against this one charge by charge.
 //!
 //! Orphaned nodes are dropped when popped, and swept when they pile up:
-//! whenever the heap holds more than `2 × warm apps + COMPACT_SLACK`
+//! whenever the heap holds more than `2 × warm slots + COMPACT_SLACK`
 //! nodes it is rebuilt from its live ones (pop order depends only on the
 //! node tuples, never on the heap's layout). The heap is therefore
 //! bounded by the warm set, not by the charges made inside a keep-alive
@@ -63,6 +71,7 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
+use std::convert::Infallible;
 use std::sync::Arc;
 
 use crate::evict::evict_until;
@@ -71,22 +80,27 @@ use crate::evict::evict_until;
 /// heap is rebuilt from its live nodes.
 const COMPACT_SLACK: usize = 32;
 
-/// One app's charge. The entry outlives the charge: a lapsed or evicted
-/// app keeps its entry (not warm) so its next charge needs no new key.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WarmEntry {
-    /// Absolute time the keep-alive lapses (the image unloads).
-    pub expiry_ms: u64,
-    /// Charged footprint in MB.
-    pub mb: u64,
+/// An expiry heap node, `(key, name, slot, gen)`, min-first.
+type Node = Reverse<(u64, Arc<str>, usize, u64)>;
+
+/// One app's record: its interned name, footprint and charge, plus the
+/// payload the table is keyed for.
+#[derive(Debug)]
+pub(crate) struct Slot<P> {
     /// The app id, shared with the map key and the heap nodes.
-    name: Arc<str>,
-    /// Whether the charge is current (counted in `warm_mb`).
-    warm: bool,
-    /// Key of this app's live heap node; never later than `expiry_ms`.
+    pub(crate) name: Arc<str>,
+    /// Footprint in MB: what a charge of this app holds.
+    pub(crate) mb: u64,
+    /// Absolute time the keep-alive lapses (the image unloads).
+    expiry_ms: u64,
+    /// Key of this slot's live heap node; never later than `expiry_ms`.
     queued_ms: u64,
     /// Generation of the live heap node (not persisted).
     gen: u64,
+    /// Whether the charge is current (counted in `warm_mb`).
+    warm: bool,
+    /// The kernel's `AppState`, or `()` in a bare ledger.
+    pub(crate) app: P,
 }
 
 /// A point-in-time summary of one ledger.
@@ -115,9 +129,11 @@ pub struct LedgerExport {
     pub cursor_ms: u64,
 }
 
-/// Per-tenant warm-memory ledger with budgeted eviction.
+/// Per-tenant app table and warm-memory ledger with budgeted eviction.
+/// `P` is the per-app payload each slot carries beside its charge: the
+/// kernel's [`crate::AppState`], or nothing for a bare ledger.
 #[derive(Debug)]
-pub struct TenantLedger {
+pub struct TenantLedger<P = ()> {
     /// Budget in MB; 0 = unlimited (accounting only, never evicts).
     budget_mb: u64,
     warm_mb: u64,
@@ -125,18 +141,20 @@ pub struct TenantLedger {
     evictions: u64,
     idle_mb_ms: u64,
     cursor_ms: u64,
-    /// Every app ever charged; `warm` marks the current charges.
-    entries: HashMap<Arc<str>, WarmEntry>,
-    /// Earliest-expiry queue, `(key, app, gen)`. Three invariants tie it
-    /// to `entries`:
+    /// Name → slot, the one map keyed by app name.
+    index: HashMap<Arc<str>, usize>,
+    /// Every app ever seen, in first-sight order; `warm` marks the
+    /// current charges.
+    pub(crate) slots: Vec<Slot<P>>,
+    /// Earliest-expiry queue. Three invariants tie it to `slots`:
     ///
-    /// 1. every warm app has exactly one *live* node — the one carrying
-    ///    its entry's `gen`; every other node is an orphan;
-    /// 2. a live node's key equals the entry's `queued_ms` and is never
+    /// 1. every warm slot has exactly one *live* node — the one carrying
+    ///    its `gen`; every other node is an orphan;
+    /// 2. a live node's key equals the slot's `queued_ms` and is never
     ///    later than its `expiry_ms`;
     /// 3. a popped live node is acted on (expired, evicted) only when
     ///    its key equals `expiry_ms`; an early one is re-keyed to it.
-    heap: BinaryHeap<Reverse<(u64, Arc<str>, u64)>>,
+    heap: BinaryHeap<Node>,
     next_gen: u64,
     /// The last charge's victims, in eviction order (buffer reused).
     evicted: Vec<Arc<str>>,
@@ -145,153 +163,7 @@ pub struct TenantLedger {
 impl TenantLedger {
     /// Creates an empty ledger under `budget_mb` (0 = unlimited).
     pub fn new(budget_mb: u64) -> Self {
-        Self {
-            budget_mb,
-            warm_mb: 0,
-            warm_apps: 0,
-            evictions: 0,
-            idle_mb_ms: 0,
-            cursor_ms: 0,
-            entries: HashMap::new(),
-            heap: BinaryHeap::new(),
-            next_gen: 0,
-            evicted: Vec::new(),
-        }
-    }
-
-    /// The configured budget (0 = unlimited).
-    pub fn budget_mb(&self) -> u64 {
-        self.budget_mb
-    }
-
-    /// Replaces the budget (0 = unlimited). Enforcement is lazy: the new
-    /// budget bites on the *next* charge, never retroactively — so a
-    /// cluster reconciler pushing shares mid-stream changes no verdict
-    /// that has already been served, and a replay that applies the same
-    /// budget updates at the same stream positions stays bit-identical.
-    pub fn set_budget(&mut self, budget_mb: u64) {
-        self.budget_mb = budget_mb;
-    }
-
-    /// Advances the clock to `now`: processes keep-alive expiries at
-    /// their true times (each contributes to the integral up to its
-    /// expiry) and extends the integral to `now`.
-    ///
-    /// An entry expiring exactly at `now` stays warm — mirroring
-    /// [`sitw_core::Windows::classify_gap`], where an idle gap equal to
-    /// the keep-alive window is still a warm hit.
-    // sitw-lint: hot-path
-    pub fn advance(&mut self, now_ms: u64) {
-        while let Some((expiry_ms, mb, _)) = self.release_earliest(Some(now_ms)) {
-            self.accrue(expiry_ms);
-            self.warm_mb -= mb;
-        }
-        self.accrue(now_ms);
-        self.compact_if_bloated();
-    }
-
-    /// Extends the integral to `to_ms` at the current warm memory.
-    fn accrue(&mut self, to_ms: u64) {
-        let dt = to_ms.saturating_sub(self.cursor_ms);
-        self.idle_mb_ms = self
-            .idle_mb_ms
-            .saturating_add(self.warm_mb.saturating_mul(dt));
-        self.cursor_ms = self.cursor_ms.max(to_ms);
-    }
-
-    /// Ends the charge of the warm app with the smallest
-    /// `(expiry, app id)` — provided, under `before_ms`, that it expires
-    /// strictly before then — and returns `(expiry_ms, mb, app)`. The
-    /// caller takes `mb` off `warm_mb` (after the integral, when it is
-    /// an expiry). Orphans met on the way are dropped, early live nodes
-    /// re-keyed (invariant 3).
-    // sitw-lint: hot-path
-    fn release_earliest(&mut self, before_ms: Option<u64>) -> Option<(u64, u64, Arc<str>)> {
-        loop {
-            let Reverse((key, _, _)) = self.heap.peek()?;
-            // Live keys never exceed their expiries, so a minimum at or
-            // past the limit means nothing expires before it.
-            if before_ms.is_some_and(|limit| *key >= limit) {
-                return None;
-            }
-            let Reverse((key, name, gen)) = self.heap.pop()?;
-            let Some(entry) = self.entries.get_mut(&*name) else {
-                continue;
-            };
-            if !entry.warm || entry.gen != gen {
-                continue; // Orphaned by a fresher node, or by a release.
-            }
-            if key < entry.expiry_ms {
-                entry.queued_ms = entry.expiry_ms;
-                self.heap.push(Reverse((entry.expiry_ms, name, gen)));
-                continue;
-            }
-            entry.warm = false;
-            self.warm_apps -= 1;
-            return Some((key, entry.mb, name));
-        }
-    }
-
-    /// Rebuilds the heap from its live nodes once orphans outnumber
-    /// them by more than [`COMPACT_SLACK`].
-    fn compact_if_bloated(&mut self) {
-        if self.heap.len() > 2 * self.warm_apps as usize + COMPACT_SLACK {
-            let entries = &self.entries;
-            self.heap.retain(|Reverse((_, name, gen))| {
-                entries
-                    .get(&**name)
-                    .is_some_and(|e| e.warm && e.gen == *gen)
-            });
-        }
-    }
-
-    /// Records `app` as warm until `expiry_ms` holding `mb`: a known
-    /// app's entry is updated in place, and a heap node is pushed only
-    /// when the app has no live one or its key would be too late.
-    // sitw-lint: hot-path
-    fn admit(&mut self, app: &str, expiry_ms: u64, mb: u64) {
-        let gen = self.next_gen;
-        match self.entries.get_mut(app) {
-            Some(entry) => {
-                if entry.warm {
-                    // Re-charge: the previous interval's integral is
-                    // already accounted up to `now`; only the footprint
-                    // swaps.
-                    self.warm_mb -= entry.mb;
-                } else {
-                    self.warm_apps += 1;
-                }
-                if !entry.warm || expiry_ms < entry.queued_ms {
-                    self.next_gen += 1;
-                    entry.gen = gen;
-                    entry.queued_ms = expiry_ms;
-                    self.heap
-                        .push(Reverse((expiry_ms, Arc::clone(&entry.name), gen)));
-                }
-                entry.warm = true;
-                entry.expiry_ms = expiry_ms;
-                entry.mb = mb;
-            }
-            None => {
-                // First sight: the one allocation a name ever costs.
-                let name: Arc<str> = Arc::from(app);
-                self.next_gen += 1;
-                self.warm_apps += 1;
-                self.heap.push(Reverse((expiry_ms, Arc::clone(&name), gen)));
-                self.entries.insert(
-                    Arc::clone(&name),
-                    WarmEntry {
-                        expiry_ms,
-                        mb,
-                        name,
-                        warm: true,
-                        queued_ms: expiry_ms,
-                        gen,
-                    },
-                );
-            }
-        }
-        self.warm_mb += mb;
+        Self::empty(budget_mb)
     }
 
     /// Charges `app` as warm from `now_ms` until `expiry_ms` holding
@@ -321,8 +193,201 @@ impl TenantLedger {
     ///   tenant's apps are spread across concurrent connections.
     // sitw-lint: hot-path
     pub fn charge(&mut self, app: &str, now_ms: u64, expiry_ms: u64, mb: u64) -> &[Arc<str>] {
+        let slot = self
+            .slot_of(app)
+            .unwrap_or_else(|| self.insert(app, mb, ()));
+        self.charge_slot(slot, now_ms, expiry_ms, mb, |()| {})
+    }
+
+    /// Rebuilds a ledger from an export. `warm_mb` is recomputed from
+    /// the entries (so a caller may partition an export across shards);
+    /// future expiry/eviction order is identical to the exporting
+    /// ledger's because ordering depends only on `(expiry, app)`.
+    pub fn restore(budget_mb: u64, export: LedgerExport) -> Self {
+        let mut ledger = Self::new(budget_mb);
+        let Ok(()) = ledger.load(export, |l, app, mb| -> Result<usize, Infallible> {
+            Ok(l.slot_of(app).unwrap_or_else(|| l.insert(app, mb, ())))
+        });
+        ledger
+    }
+}
+
+impl<P> TenantLedger<P> {
+    /// An empty table under `budget_mb` (0 = unlimited).
+    pub(crate) fn empty(budget_mb: u64) -> Self {
+        Self {
+            budget_mb,
+            warm_mb: 0,
+            warm_apps: 0,
+            evictions: 0,
+            idle_mb_ms: 0,
+            cursor_ms: 0,
+            index: HashMap::new(),
+            slots: Vec::new(),
+            heap: BinaryHeap::new(),
+            next_gen: 0,
+            evicted: Vec::new(),
+        }
+    }
+
+    /// The configured budget (0 = unlimited).
+    pub fn budget_mb(&self) -> u64 {
+        self.budget_mb
+    }
+
+    /// Replaces the budget (0 = unlimited). Enforcement is lazy: the new
+    /// budget bites on the *next* charge, never retroactively — so a
+    /// cluster reconciler pushing shares mid-stream changes no verdict
+    /// that has already been served, and a replay that applies the same
+    /// budget updates at the same stream positions stays bit-identical.
+    pub fn set_budget(&mut self, budget_mb: u64) {
+        self.budget_mb = budget_mb;
+    }
+
+    /// The slot `app` is interned in, if the table has seen it: the
+    /// one probe by name a charge makes.
+    pub(crate) fn slot_of(&self, app: &str) -> Option<usize> {
+        self.index.get(app).copied()
+    }
+
+    /// Interns `app` into a fresh slot, not warm, holding `mb` and
+    /// `app_state`; returns the slot.
+    pub(crate) fn insert(&mut self, app: &str, mb: u64, app_state: P) -> usize {
+        // First sight: the one allocation a name ever costs.
+        let name: Arc<str> = Arc::from(app);
+        let slot = self.slots.len();
+        self.index.insert(Arc::clone(&name), slot);
+        self.slots.push(Slot {
+            name,
+            mb,
+            expiry_ms: 0,
+            queued_ms: 0,
+            gen: 0,
+            warm: false,
+            app: app_state,
+        });
+        slot
+    }
+
+    /// Advances the clock to `now`: processes keep-alive expiries at
+    /// their true times (each contributes to the integral up to its
+    /// expiry) and extends the integral to `now`.
+    ///
+    /// An entry expiring exactly at `now` stays warm — mirroring
+    /// [`sitw_core::Windows::classify_gap`], where an idle gap equal to
+    /// the keep-alive window is still a warm hit.
+    // sitw-lint: hot-path
+    pub fn advance(&mut self, now_ms: u64) {
+        while let Some((slot, _)) = self.release_earliest(Some(now_ms)) {
+            let Slot { expiry_ms, mb, .. } = self.slots[slot];
+            self.accrue(expiry_ms);
+            self.warm_mb -= mb;
+        }
+        self.accrue(now_ms);
+        self.compact_if_bloated();
+    }
+
+    /// Extends the integral to `to_ms` at the current warm memory.
+    fn accrue(&mut self, to_ms: u64) {
+        let dt = to_ms.saturating_sub(self.cursor_ms);
+        self.idle_mb_ms = self
+            .idle_mb_ms
+            .saturating_add(self.warm_mb.saturating_mul(dt));
+        self.cursor_ms = self.cursor_ms.max(to_ms);
+    }
+
+    /// Ends the charge of the warm slot with the smallest
+    /// `(expiry, app id)` — provided, under `before_ms`, that it expires
+    /// strictly before then — and returns the slot with its name. The
+    /// caller takes the slot's `mb` off `warm_mb` (after the integral,
+    /// when it is an expiry). Orphans met on the way are dropped, early
+    /// live nodes re-keyed (invariant 3).
+    // sitw-lint: hot-path
+    fn release_earliest(&mut self, before_ms: Option<u64>) -> Option<(usize, Arc<str>)> {
+        loop {
+            let Reverse((key, ..)) = self.heap.peek()?;
+            // Live keys never exceed their expiries, so a minimum at or
+            // past the limit means nothing expires before it.
+            if before_ms.is_some_and(|limit| *key >= limit) {
+                return None;
+            }
+            let Reverse((key, name, slot, gen)) = self.heap.pop()?;
+            let record = &mut self.slots[slot];
+            if !record.warm || record.gen != gen {
+                continue; // Orphaned by a fresher node, or by a release.
+            }
+            if key < record.expiry_ms {
+                record.queued_ms = record.expiry_ms;
+                self.heap.push(Reverse((record.expiry_ms, name, slot, gen)));
+                continue;
+            }
+            record.warm = false;
+            self.warm_apps -= 1;
+            return Some((slot, name));
+        }
+    }
+
+    /// Rebuilds the heap from its live nodes once orphans outnumber
+    /// them by more than [`COMPACT_SLACK`].
+    fn compact_if_bloated(&mut self) {
+        if self.heap.len() > 2 * self.warm_apps as usize + COMPACT_SLACK {
+            let slots = &self.slots;
+            self.heap.retain(|Reverse((_, _, slot, gen))| {
+                let record = &slots[*slot];
+                record.warm && record.gen == *gen
+            });
+        }
+    }
+
+    /// Records `slot` as warm until `expiry_ms` holding `mb`, updated in
+    /// place; a heap node is pushed only when the slot has no live one
+    /// or its key would be too late.
+    // sitw-lint: hot-path
+    fn admit(&mut self, slot: usize, expiry_ms: u64, mb: u64) {
+        let record = &mut self.slots[slot];
+        if record.warm {
+            // Re-charge: the previous interval's integral is already
+            // accounted up to `now`; only the footprint swaps.
+            self.warm_mb -= record.mb;
+        } else {
+            self.warm_apps += 1;
+        }
+        let push = !record.warm || expiry_ms < record.queued_ms;
+        record.warm = true;
+        record.expiry_ms = expiry_ms;
+        record.mb = mb;
+        self.warm_mb += mb;
+        if push {
+            record.gen = self.next_gen;
+            record.queued_ms = expiry_ms;
+            self.next_gen += 1;
+            let node = Reverse((expiry_ms, Arc::clone(&record.name), slot, record.gen));
+            if self.heap.len() == self.heap.capacity() {
+                // Straight to the most nodes it holds between sweeps were
+                // every slot warm: it never grows on a re-charge, nor on
+                // the first sight that grows the slot vector.
+                let most = 2 * self.slots.len() + COMPACT_SLACK + 1;
+                self.heap
+                    .reserve_exact(most.saturating_sub(self.heap.len()));
+            }
+            self.heap.push(node);
+        }
+    }
+
+    /// [`TenantLedger::charge`] by slot, holding `mb`: the one eviction
+    /// loop, which hands each victim's payload to `mark` as it releases
+    /// the victim's charge.
+    // sitw-lint: hot-path
+    pub(crate) fn charge_slot(
+        &mut self,
+        slot: usize,
+        now_ms: u64,
+        expiry_ms: u64,
+        mb: u64,
+        mut mark: impl FnMut(&mut P),
+    ) -> &[Arc<str>] {
         self.advance(now_ms);
-        self.admit(app, expiry_ms.max(now_ms), mb);
+        self.admit(slot, expiry_ms.max(now_ms), mb);
         self.evicted.clear();
         if self.budget_mb != 0 {
             // The budgeted-eviction engine shared with the platform's
@@ -331,15 +396,35 @@ impl TenantLedger {
                 self,
                 |l| l.warm_mb <= l.budget_mb,
                 |l| l.release_earliest(None),
-                |l, (_, mb, victim)| {
-                    l.warm_mb -= mb;
+                |l, (victim, name)| {
+                    let record = &mut l.slots[victim];
+                    mark(&mut record.app);
+                    l.warm_mb -= record.mb;
                     l.evictions += 1;
-                    l.evicted.push(victim);
+                    l.evicted.push(name);
                 },
             );
         }
         self.compact_if_bloated();
         &self.evicted
+    }
+
+    /// Restores an export's counters and warm set, charging each warm
+    /// entry to the slot `slot_for(table, app, mb)` names — or failing
+    /// with its error, when the table refuses the charge.
+    pub(crate) fn load<E>(
+        &mut self,
+        export: LedgerExport,
+        mut slot_for: impl FnMut(&mut Self, &str, u64) -> Result<usize, E>,
+    ) -> Result<(), E> {
+        self.evictions = export.evictions;
+        self.idle_mb_ms = export.idle_mb_ms;
+        self.cursor_ms = export.cursor_ms;
+        for (app, expiry_ms, mb) in &export.warm {
+            let slot = slot_for(self, app, *mb)?;
+            self.admit(slot, *expiry_ms, *mb);
+        }
+        Ok(())
     }
 
     /// The current summary.
@@ -355,10 +440,10 @@ impl TenantLedger {
     /// Exports the persistable state (warm set sorted by app id).
     pub fn export(&self) -> LedgerExport {
         let mut warm: Vec<(String, u64, u64)> = self
-            .entries
-            .values()
-            .filter(|e| e.warm)
-            .map(|e| (String::from(&*e.name), e.expiry_ms, e.mb))
+            .slots
+            .iter()
+            .filter(|s| s.warm)
+            .map(|s| (String::from(&*s.name), s.expiry_ms, s.mb))
             .collect();
         warm.sort();
         LedgerExport {
@@ -369,44 +454,34 @@ impl TenantLedger {
         }
     }
 
-    /// Rebuilds a ledger from an export. `warm_mb` is recomputed from
-    /// the entries (so a caller may partition an export across shards);
-    /// future expiry/eviction order is identical to the exporting
-    /// ledger's because ordering depends only on `(expiry, app)`.
-    pub fn restore(budget_mb: u64, export: LedgerExport) -> Self {
-        let mut ledger = TenantLedger::new(budget_mb);
-        ledger.evictions = export.evictions;
-        ledger.idle_mb_ms = export.idle_mb_ms;
-        ledger.cursor_ms = export.cursor_ms;
-        for (app, expiry_ms, mb) in &export.warm {
-            ledger.admit(app, *expiry_ms, *mb);
-        }
-        ledger
-    }
-
     /// Nodes in the expiry heap, live and orphaned.
     #[cfg(test)]
     pub(crate) fn heap_nodes(&self) -> usize {
         self.heap.len()
     }
 
-    /// Panics unless the heap invariants (see the `heap` field) and the
-    /// compaction bound hold.
+    /// Panics unless the heap invariants (see the `heap` field), the
+    /// compaction bound and the name → slot map hold.
     #[cfg(test)]
     pub(crate) fn check_invariants(&self) {
         let mut live = 0;
-        for Reverse((key, name, gen)) in self.heap.iter() {
-            let entry = &self.entries[name];
-            if entry.warm && entry.gen == *gen {
+        for Reverse((key, name, slot, gen)) in self.heap.iter() {
+            let record = &self.slots[*slot];
+            assert_eq!(record.name, *name, "a node names its slot's app");
+            if record.warm && record.gen == *gen {
                 live += 1;
-                assert_eq!(*key, entry.queued_ms, "live key is the queued key");
-                assert!(*key <= entry.expiry_ms, "live key later than expiry");
+                assert_eq!(*key, record.queued_ms, "live key is the queued key");
+                assert!(*key <= record.expiry_ms, "live key later than expiry");
             }
         }
-        let warm = self.entries.values().filter(|e| e.warm).count();
+        let warm = self.slots.iter().filter(|s| s.warm).count();
         assert_eq!(live, warm, "one live node per warm app");
         assert_eq!(self.warm_apps, warm as u64);
         assert!(self.heap.len() <= 2 * warm + COMPACT_SLACK);
+        assert_eq!(self.index.len(), self.slots.len());
+        for (slot, record) in self.slots.iter().enumerate() {
+            assert_eq!(self.index[&record.name], slot, "one slot per name");
+        }
     }
 }
 

@@ -13,11 +13,12 @@
 //!   sampled by inverse transform from the paper's Burr XII fit
 //!   (Figure 8), so online serving, offline replay, and restores all
 //!   charge identical memory without storing anything.
-//! * [`ledger`] — the cluster memory ledger: a warm-container set with
-//!   keep-alive expiries, an exact loaded-memory integral (the §5.3
-//!   idle-memory metric), and budgeted eviction by earliest keep-alive
-//!   expiry. Ledgers are integer-valued (MB and MB·ms), so accounting is
-//!   bit-exact across snapshot/restore.
+//! * [`ledger`] — the tenant's one app table, which is also its memory
+//!   ledger: one slot per app holding its interned name, footprint,
+//!   keep-alive charge and the kernel's per-app state; an exact
+//!   loaded-memory integral (the §5.3 idle-memory metric); and budgeted
+//!   eviction by earliest keep-alive expiry. Ledgers are integer-valued
+//!   (MB and MB·ms), so accounting is bit-exact across snapshot/restore.
 //! * [`evict`] — the small budgeted-eviction engine shared with
 //!   `sitw_platform`'s invoker `make_room` (evict in a caller-chosen
 //!   order until the budget fits).
@@ -52,8 +53,11 @@
 //!
 //! Stable for `benchmark/` (see `sitw_serve`'s crate docs):
 //! [`FleetSim`]`::{new, step}`, the fields of [`FleetVerdict`],
-//! [`fleet_verdict_trace`] / [`FleetEvent`], [`TenantLedger`]`::{new,
-//! charge}`, [`TenantRegistry`], [`footprint_mb`], [`fnv1a`], [`mix64`].
+//! [`fleet_verdict_trace`] / [`FleetEvent`], the bare ledger
+//! [`TenantLedger`]`::{new, charge}` (payload `()`; `stats`, `export`
+//! and `restore` keep their shape too), [`TenantRegistry`],
+//! [`footprint_mb`], [`fnv1a`], [`mix64`]. A ledger's per-app record is
+//! crate-private: no entry type is exported.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -72,13 +76,13 @@ pub mod tenant;
 
 pub use evict::evict_until;
 pub use footprint::footprint_mb;
-pub use ledger::{LedgerExport, LedgerStats, TenantLedger, WarmEntry};
+pub use ledger::{LedgerExport, LedgerStats, TenantLedger};
 pub use qos::{Admission, QosClass, QosPolicy, RateLimit, TokenBucket};
 pub use registry::{TenantId, TenantRegistry, TenantSpec, DEFAULT_TENANT, DEFAULT_TENANT_NAME};
 pub use sim::{fleet_verdict_trace, FleetError, FleetEvent, FleetSim};
 pub use tenant::{
-    AppRecord, AppState, FleetVerdict, LastVerdict, OutOfOrder, PolicyState, Served, ServedPolicy,
-    TenantRestore, TenantState,
+    AppRecord, AppState, FleetVerdict, LastVerdict, OutOfOrder, PolicyState, RestoreError, Served,
+    ServedPolicy, TenantRestore, TenantState,
 };
 
 /// FNV-1a over a byte string — the workspace's stable, dependency-free

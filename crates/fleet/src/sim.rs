@@ -19,7 +19,7 @@ use std::collections::HashMap;
 
 use crate::ledger::TenantLedger;
 use crate::registry::{TenantId, TenantRegistry};
-use crate::tenant::{FleetVerdict, OutOfOrder, TenantState};
+use crate::tenant::{AppState, FleetVerdict, OutOfOrder, TenantState};
 
 /// One invocation of the merged multi-tenant stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -80,7 +80,7 @@ impl FleetSim {
     }
 
     /// The ledger of one tenant (stats/assertions).
-    pub fn ledger(&self, tenant: TenantId) -> Option<&TenantLedger> {
+    pub fn ledger(&self, tenant: TenantId) -> Option<&TenantLedger<AppState>> {
         self.tenants.get(&tenant).map(TenantState::ledger)
     }
 }

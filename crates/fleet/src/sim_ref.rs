@@ -285,7 +285,7 @@ mod tests {
                     due[t][a] = due[t][a].max(ts);
                 }
                 for tid in 0..tenants as TenantId {
-                    let view = |l: &crate::TenantLedger| -> (LedgerStats, LedgerExport) { (l.stats(), l.export()) };
+                    fn view<P>(l: &crate::TenantLedger<P>) -> (LedgerStats, LedgerExport) { (l.stats(), l.export()) }
                     let (got, want) = (new.ledger(tid).map(view), old.ledger(tid).map(view));
                     prop_assert!(got == want, "step {step}: tenant {tid} ledger {got:?}, want {want:?}");
                 }

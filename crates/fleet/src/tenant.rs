@@ -16,13 +16,20 @@
 //!    Burr footprint; any victims the budget forces out are marked
 //!    evicted for *their* next invocation.
 //!
+//! An app's [`AppState`] lives in its slot of the tenant's one table
+//! ([`TenantLedger`]), beside its footprint and charge. A step makes
+//! **one probe by app name**, for that slot (or a first sight), and then
+//! works by index: each victim is marked evicted inside the ledger's
+//! eviction loop as its charge is released, never looked up again. A
+//! production app's key into the tenant's manager is its slot index.
+//!
 //! Nothing outside this module composes those four. A change to the
 //! step is therefore invisible to online == offline parity; it is held
 //! by the differential proptest against the step it replaced
 //! (`sim_ref.rs`, test-only) and the parent-captured goldens in
 //! `sim.rs`.
 
-use std::collections::HashMap;
+use std::fmt;
 use std::sync::Arc;
 
 use sitw_core::{
@@ -97,11 +104,9 @@ pub enum ServedPolicy {
     /// The hybrid histogram policy.
     Hybrid(HybridPolicy),
     /// Production-manager mode (§6): the per-app state lives in the
-    /// tenant's [`ProductionManager`]; this variant holds the app's key
-    /// into it plus the branch that served its last decision.
+    /// tenant's [`ProductionManager`], keyed by the app's slot; this
+    /// variant holds the branch that served its last decision.
     Production {
-        /// Key of this app inside the tenant's manager.
-        key: AppKey,
         /// The branch that produced the most recent decision.
         last: DecisionKind,
     },
@@ -199,11 +204,9 @@ impl TenantRestore {
 }
 
 /// One served verdict with the inputs that produced it, kept per app
-/// for decision provenance.
+/// for decision provenance (its timestamp is the app's `last_ts`).
 #[derive(Debug, Clone, Copy)]
 pub struct LastVerdict {
-    /// Invocation timestamp (trace milliseconds).
-    pub ts: u64,
     /// The idle time classified (`None` for the app's first sight).
     pub idle_ms: Option<u64>,
     /// The invocation found no loaded image.
@@ -216,11 +219,12 @@ pub struct LastVerdict {
     pub kind: DecisionKind,
 }
 
-/// Per-application state: the kernel's one record per app. Callers see
-/// it read-only, through [`TenantState::app`].
+/// The kernel's half of an app's record: what [`TenantState::step`]
+/// keeps per app, in the same table slot as the app's footprint and
+/// charge. Callers see it read-only, through [`TenantState::app`].
 #[derive(Debug)]
 pub struct AppState {
-    /// The app's policy instance (or its key into the tenant manager).
+    /// The app's policy instance (production apps: the last branch).
     pub policy: ServedPolicy,
     /// Windows governing the gap in progress.
     pub windows: Windows,
@@ -229,10 +233,6 @@ pub struct AppState {
     /// The image was evicted for memory pressure during the gap in
     /// progress; the next invocation is downgraded to cold.
     pub evicted: bool,
-    /// The app's deterministic Burr footprint, computed once at first
-    /// sight — a pure function of `(tenant, app)`, so the hot path
-    /// never re-runs the quantile transform.
-    pub footprint_mb: u64,
     /// The most recent verdict served plus its inputs (`None` only for
     /// restored apps that have not been invoked since).
     pub last_verdict: Option<LastVerdict>,
@@ -244,19 +244,48 @@ pub struct AppState {
     pub stamp: u64,
 }
 
-/// One tenant's complete decision state: the app records, the
+/// Why [`TenantState::restore`] refused a payload: it does not
+/// describe one table of apps the step could serve. Nothing is
+/// installed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RestoreError {
+    /// A record does not belong under the tenant's policy, its days are
+    /// refused by the tenant's manager, or it names an app twice.
+    Record(String),
+    /// A ledger charge no record holds: an app with no record, or an MB
+    /// other than the app's footprint.
+    Charge {
+        /// The charged app.
+        app: String,
+        /// The charged MB.
+        mb: u64,
+    },
+}
+
+impl fmt::Display for RestoreError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RestoreError::Record(e) => f.write_str(e),
+            RestoreError::Charge { app, mb } => write!(
+                f,
+                "ledger charges app '{app}' {mb} MB, which is not a recorded app's footprint"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for RestoreError {}
+
+/// One tenant's complete decision state: the app table and the
 /// production manager when the tenant's policy is
-/// [`PolicySpec::Production`], and the memory ledger.
+/// [`PolicySpec::Production`].
 pub struct TenantState {
     spec: TenantSpec,
-    apps: HashMap<String, AppState>,
-    /// `Some` iff `spec.policy` is [`PolicySpec::Production`].
+    table: TenantLedger<AppState>,
+    /// `Some` iff `spec.policy` is [`PolicySpec::Production`]. Apps are
+    /// keyed by slot, never serialized — records are app-id-keyed, so a
+    /// restore (even with a different shard count) re-assigns them.
     production: Option<ProductionManager>,
-    /// Next key to hand to a newly seen production app. Keys are local
-    /// and never serialized — records are app-id-keyed, so a restore
-    /// (even with a different shard count) just re-assigns them.
-    next_key: AppKey,
-    ledger: TenantLedger,
 }
 
 impl TenantState {
@@ -267,9 +296,7 @@ impl TenantState {
                 PolicySpec::Production(cfg) => Some(ProductionManager::new(*cfg)),
                 _ => None,
             },
-            ledger: TenantLedger::new(spec.budget_mb),
-            apps: HashMap::new(),
-            next_key: 0,
+            table: TenantLedger::empty(spec.budget_mb),
             spec,
         }
     }
@@ -279,60 +306,71 @@ impl TenantState {
     ///
     /// # Errors
     ///
-    /// This is where state enters, so this is where a record that does
-    /// not belong under the tenant's policy is refused: production state
-    /// into a tenant without a manager, stateless or hybrid state into a
-    /// production tenant, hybrid state under a fixed policy, days a
-    /// manager will not import. [`TenantState::step`] never meets one.
-    pub fn restore(restore: TenantRestore, stamp: u64) -> Result<TenantState, String> {
+    /// This is where state enters, so this is where a payload the step
+    /// could not serve is refused: a record that does not belong under
+    /// the tenant's policy (production state into a tenant without a
+    /// manager, stateless or hybrid state into a production tenant,
+    /// hybrid state under a fixed policy, days a manager will not
+    /// import), two records of one app, and a ledger charge for an app
+    /// with no record or for an MB that is not the app's footprint.
+    /// [`TenantState::step`] never meets one.
+    pub fn restore(restore: TenantRestore, stamp: u64) -> Result<TenantState, RestoreError> {
         let mut tenant = Self::new(restore.spec);
-        tenant.ledger = TenantLedger::restore(tenant.spec.budget_mb, restore.ledger);
         if let (Some(manager), Some(at_ms)) = (&mut tenant.production, restore.prod_clock) {
             manager.set_last_backup_ms(at_ms);
         }
-        tenant.apps.reserve(restore.apps.len().max(16));
         for rec in restore.apps {
+            if tenant.table.slot_of(&rec.app).is_some() {
+                return Err(RestoreError::Record(format!(
+                    "app '{}' has two records",
+                    rec.app
+                )));
+            }
+            let key = tenant.table.slots.len() as AppKey;
             let policy = match (rec.state, &mut tenant.production) {
                 (PolicyState::Production { last, state }, Some(manager)) => {
-                    let key = tenant.next_key;
-                    tenant.next_key += 1;
-                    manager.import_app(key, state)?;
-                    ServedPolicy::Production { key, last }
+                    manager
+                        .import_app(key, state)
+                        .map_err(RestoreError::Record)?;
+                    ServedPolicy::Production { last }
                 }
-                (state, _) => state.into_policy(&tenant.spec.policy)?,
+                (state, _) => state
+                    .into_policy(&tenant.spec.policy)
+                    .map_err(RestoreError::Record)?,
             };
-            let footprint_mb = footprint_mb(&tenant.spec.name, &rec.app);
-            tenant.apps.insert(
-                rec.app,
-                AppState {
-                    policy,
-                    windows: rec.windows,
-                    last_ts: rec.last_ts,
-                    evicted: rec.evicted,
-                    footprint_mb,
-                    last_verdict: None,
-                    stamp,
-                },
-            );
+            let mb = footprint_mb(&tenant.spec.name, &rec.app);
+            let app = AppState {
+                policy,
+                windows: rec.windows,
+                last_ts: rec.last_ts,
+                evicted: rec.evicted,
+                last_verdict: None,
+                stamp,
+            };
+            tenant.table.insert(&rec.app, mb, app);
         }
+        tenant.table.load(restore.ledger, |table, app, mb| {
+            let slot = table
+                .slot_of(app)
+                .filter(|&slot| table.slots[slot].mb == mb);
+            slot.ok_or_else(|| RestoreError::Charge {
+                app: app.into(),
+                mb,
+            })
+        })?;
         Ok(tenant)
     }
 
     /// A policy instance for an app seen for the first time.
-    fn fresh_policy(&mut self) -> ServedPolicy {
+    fn fresh_policy(&self) -> ServedPolicy {
         match &self.spec.policy {
             PolicySpec::Fixed(f) => ServedPolicy::Fixed(*f),
             PolicySpec::NoUnloading => ServedPolicy::NoUnload(NoUnloading),
             PolicySpec::Hybrid(cfg) => ServedPolicy::Hybrid(HybridPolicy::new(cfg.clone())),
-            PolicySpec::Production(_) => {
-                let key = self.next_key;
-                self.next_key += 1;
-                // `last` is overwritten by the decision that follows.
-                ServedPolicy::Production {
-                    key,
-                    last: DecisionKind::StandardKeepAlive,
-                }
-            }
+            // `last` is overwritten by the decision that follows.
+            PolicySpec::Production(_) => ServedPolicy::Production {
+                last: DecisionKind::StandardKeepAlive,
+            },
         }
     }
 
@@ -341,76 +379,66 @@ impl TenantState {
     /// each victim's. A rejected step changes nothing.
     // sitw-lint: hot-path
     pub fn step(&mut self, app: &str, ts: u64, stamp: u64) -> Result<Served<'_>, OutOfOrder> {
-        let (verdict, mb) = match self.apps.get_mut(app) {
+        let (slot, idle) = match self.table.slot_of(app) {
+            Some(slot) => {
+                let last_ts = self.table.slots[slot].app.last_ts;
+                if ts < last_ts {
+                    return Err(OutOfOrder { last_ts });
+                }
+                (slot, Some(ts - last_ts))
+            }
+            // First invocation of this app: no idle time, so cold by
+            // definition (§5.1). The placeholder windows are replaced
+            // below, as on every step.
             None => {
-                // First invocation of this app: cold by definition (§5.1).
-                let mut policy = self.fresh_policy();
-                let (windows, kind) = advance(&mut self.production, &mut policy, ts, None);
-                let verdict = FleetVerdict {
-                    cold: true,
-                    prewarm_load: false,
+                let state = AppState {
+                    policy: self.fresh_policy(),
+                    windows: Windows::keep_loaded(0),
+                    last_ts: ts,
                     evicted: false,
-                    kind,
-                    windows,
+                    last_verdict: None,
+                    stamp,
                 };
                 let mb = footprint_mb(&self.spec.name, app);
-                self.apps.insert(
-                    // First sight: the one allocation an app's name costs.
-                    app.to_owned(), // sitw-lint: allow(hot-path-alloc)
-                    AppState {
-                        policy,
-                        windows,
-                        last_ts: ts,
-                        evicted: false,
-                        footprint_mb: mb,
-                        last_verdict: Some(LastVerdict::of(ts, None, &verdict)),
-                        stamp,
-                    },
-                );
-                (verdict, mb)
-            }
-            Some(state) => {
-                if ts < state.last_ts {
-                    return Err(OutOfOrder {
-                        last_ts: state.last_ts,
-                    });
-                }
-                let idle = ts - state.last_ts;
-                let outcome = state.windows.classify_gap(idle);
-                // The memory-pressure downgrade: a gap the policy would
-                // have served warm is cold when the budget evicted the
-                // image mid-gap (and the phantom pre-warm load with it).
-                // Cleared before the charge, which may set it again.
-                let was_evicted = state.evicted;
-                state.evicted = false;
-                let (windows, kind) =
-                    advance(&mut self.production, &mut state.policy, ts, Some(idle));
-                state.windows = windows;
-                state.last_ts = ts;
-                let verdict = FleetVerdict {
-                    cold: outcome.cold || was_evicted,
-                    prewarm_load: outcome.prewarm_load && !was_evicted,
-                    evicted: was_evicted,
-                    kind,
-                    windows,
-                };
-                state.last_verdict = Some(LastVerdict::of(ts, Some(idle), &verdict));
-                state.stamp = stamp;
-                (verdict, state.footprint_mb)
+                (self.table.insert(app, mb, state), None)
             }
         };
+        let state = &mut self.table.slots[slot].app;
+        let gap = idle.map(|idle| state.windows.classify_gap(idle));
+        // The memory-pressure downgrade: a gap the policy would have
+        // served warm is cold when the budget evicted the image mid-gap
+        // (and the phantom pre-warm load with it). Cleared before the
+        // charge, which may set it again.
+        let was_evicted = std::mem::take(&mut state.evicted);
+        let (windows, kind) = advance(&mut self.production, &mut state.policy, slot, ts, idle);
+        let verdict = FleetVerdict {
+            cold: gap.is_none_or(|g| g.cold) || was_evicted,
+            prewarm_load: gap.is_some_and(|g| g.prewarm_load) && !was_evicted,
+            evicted: was_evicted,
+            kind,
+            windows,
+        };
+        state.windows = windows;
+        state.last_ts = ts;
+        state.last_verdict = Some(LastVerdict {
+            idle_ms: idle,
+            cold: verdict.cold,
+            prewarm_load: verdict.prewarm_load,
+            evicted: was_evicted,
+            kind,
+        });
+        state.stamp = stamp;
 
         // Charge the ledger: the app is warm until its windows lapse,
         // holding its footprint. Budget overflows evict by earliest
-        // expiry — possibly the just-charged app itself.
+        // expiry — possibly the just-charged app itself — and each
+        // victim is marked as the eviction loop releases it.
         let expiry = verdict.windows.loaded_until(ts);
-        let victims = self.ledger.charge(app, ts, expiry, mb);
-        for victim in victims {
-            if let Some(v) = self.apps.get_mut(&**victim) {
-                v.evicted = true;
-                v.stamp = stamp;
-            }
-        }
+        let mb = self.table.slots[slot].mb;
+        let victims = self.table.charge_slot(slot, ts, expiry, mb, |victim| {
+            victim.evicted = true;
+            victim.stamp = stamp;
+        });
         Ok(Served {
             verdict,
             victims,
@@ -428,12 +456,12 @@ impl TenantState {
     /// never rewrites verdicts retroactively.
     pub fn set_budget(&mut self, budget_mb: u64) {
         self.spec.budget_mb = budget_mb;
-        self.ledger.set_budget(budget_mb);
+        self.table.set_budget(budget_mb);
     }
 
-    /// The tenant's memory ledger.
-    pub fn ledger(&self) -> &TenantLedger {
-        &self.ledger
+    /// The tenant's app table, as its memory ledger.
+    pub fn ledger(&self) -> &TenantLedger<AppState> {
+        &self.table
     }
 
     /// The tenant's production manager (`Some` iff it serves
@@ -444,12 +472,13 @@ impl TenantState {
 
     /// Number of apps the tenant has state for.
     pub fn num_apps(&self) -> usize {
-        self.apps.len()
+        self.table.slots.len()
     }
 
     /// One app's record, if the tenant has seen it.
     pub fn app(&self, app: &str) -> Option<&AppState> {
-        self.apps.get(app)
+        let slot = self.table.slot_of(app)?;
+        Some(&self.table.slots[slot].app)
     }
 
     /// Exports the records `keep` selects, sorted by app id — everything
@@ -457,25 +486,27 @@ impl TenantState {
     /// frontier for a replication round.
     pub fn export_apps(&self, keep: impl Fn(&AppState) -> bool) -> Vec<AppRecord> {
         let mut apps: Vec<AppRecord> = self
-            .apps
+            .table
+            .slots
             .iter()
-            .filter(|(_, state)| keep(state))
-            .map(|(app, state)| AppRecord {
-                app: app.clone(),
-                last_ts: state.last_ts,
-                windows: state.windows,
-                evicted: state.evicted,
-                state: match &state.policy {
+            .enumerate()
+            .filter(|(_, slot)| keep(&slot.app))
+            .map(|(key, slot)| AppRecord {
+                app: String::from(&*slot.name),
+                last_ts: slot.app.last_ts,
+                windows: slot.app.windows,
+                evicted: slot.app.evicted,
+                state: match &slot.app.policy {
                     ServedPolicy::Fixed(_) | ServedPolicy::NoUnload(_) => PolicyState::Stateless,
                     ServedPolicy::Hybrid(h) => PolicyState::Hybrid(h.snapshot()),
                     // An app the manager has recorded nothing for yet
                     // (first sight only) exports no days.
-                    ServedPolicy::Production { key, last } => PolicyState::Production {
+                    ServedPolicy::Production { last } => PolicyState::Production {
                         last: *last,
                         state: self
                             .production
                             .as_ref()
-                            .and_then(|m| m.export_app(*key))
+                            .and_then(|m| m.export_app(key as AppKey))
                             .unwrap_or_default(),
                     },
                 },
@@ -486,48 +517,38 @@ impl TenantState {
     }
 }
 
-impl LastVerdict {
-    fn of(ts: u64, idle_ms: Option<u64>, v: &FleetVerdict) -> LastVerdict {
-        LastVerdict {
-            ts,
-            idle_ms,
-            cold: v.cold,
-            prewarm_load: v.prewarm_load,
-            evicted: v.evicted,
-            kind: v.kind,
-        }
-    }
-}
-
 /// Advances one app's policy: the windows governing its next gap and
 /// the branch that produced them. The one place the tenant's manager
-/// and the app's policy variant meet.
+/// and the app's policy variant meet; `slot` is the app's key into the
+/// manager.
 // sitw-lint: hot-path
 fn advance(
     production: &mut Option<ProductionManager>,
     policy: &mut ServedPolicy,
+    slot: usize,
     ts: u64,
     idle: Option<u64>,
 ) -> (Windows, DecisionKind) {
     match (production, policy) {
-        (Some(manager), ServedPolicy::Production { key, last }) => {
-            let (windows, kind) = manager.on_invocation(*key, ts, idle);
+        (Some(manager), ServedPolicy::Production { last }) => {
+            let (windows, kind) = manager.on_invocation(slot as AppKey, ts, idle);
             *last = kind;
             (windows, kind)
         }
         (_, ServedPolicy::Fixed(p)) => (p.on_invocation(idle), p.last_decision()),
         (_, ServedPolicy::NoUnload(p)) => (p.on_invocation(idle), p.last_decision()),
         (_, ServedPolicy::Hybrid(p)) => (p.on_invocation(idle), p.last_decision()),
-        // A manager's key with no manager: `fresh_policy` hands keys out
+        // Production state with no manager: `fresh_policy` builds it
         // only under one and `restore` refuses the record, so no app is
         // in this state. Nothing to consult keeps nothing warm.
-        (None, ServedPolicy::Production { last, .. }) => (Windows::keep_loaded(0), *last),
+        (None, ServedPolicy::Production { last }) => (Windows::keep_loaded(0), *last),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use sitw_core::MINUTE_MS;
 
     fn spec(policy: &str, budget_mb: u64) -> TenantSpec {
@@ -629,5 +650,145 @@ mod tests {
         let t = TenantState::restore(restore, 7).unwrap();
         assert_eq!(t.app("a").unwrap().stamp, 7);
         assert!(t.app("a").unwrap().last_verdict.is_none());
+    }
+
+    /// The tenant's full state as a restore payload.
+    fn payload(t: &TenantState) -> TenantRestore {
+        TenantRestore {
+            spec: t.spec().clone(),
+            apps: t.export_apps(|_| true),
+            ledger: t.ledger().export(),
+            prod_clock: t.production().map(|m| m.last_backup_ms()),
+        }
+    }
+
+    #[test]
+    fn restore_refuses_a_ledger_that_is_not_the_records_charges() {
+        // Three apps under a budget that holds two: one is evicted.
+        let budget = footprint_mb("t", "a") + footprint_mb("t", "b");
+        let mut t = TenantState::new(spec("hybrid", budget));
+        for (i, app) in ["a", "b", "c"].into_iter().enumerate() {
+            t.step(app, i as u64 * 1_000, 0).unwrap();
+        }
+        assert!(t.ledger().stats().evictions > 0);
+        let edited = |edit: fn(&mut TenantRestore)| {
+            let mut restore = payload(&t);
+            edit(&mut restore);
+            TenantState::restore(restore, 0).map(|_| ()).unwrap_err()
+        };
+        // A charge for an app with no record: it would count toward
+        // `warm_mb` and evict real apps, and its own eviction would mark
+        // nothing.
+        let phantom = edited(|r| r.ledger.warm.push(("ghost".into(), 9_000, 10)));
+        let charge = |app: &str, mb| RestoreError::Charge {
+            app: app.into(),
+            mb,
+        };
+        assert_eq!(phantom, charge("ghost", 10));
+        // A charge of an MB that is not the app's footprint.
+        let resized = edited(|r| r.ledger.warm[0].2 += 1);
+        let (app, mb) = (
+            payload(&t).ledger.warm[0].0.clone(),
+            payload(&t).ledger.warm[0].2,
+        );
+        assert_eq!(resized, charge(&app, mb + 1));
+        // Two records of one app.
+        let twice = edited(|r| r.apps.push(r.apps[0].clone()));
+        assert_eq!(
+            twice,
+            RestoreError::Record("app 'a' has two records".into())
+        );
+        // The payload as exported restores.
+        assert!(TenantState::restore(payload(&t), 0).is_ok());
+    }
+
+    /// All four [`PolicySpec`] kinds.
+    const POLICIES: [&str; 4] = ["fixed:10", "no-unloading", "hybrid", "production"];
+    /// Budgets in MB: unlimited, one almost no footprint fits under (the
+    /// just-charged app is then its own victim), and three that bite
+    /// harder or softer.
+    const BUDGETS_MB: [u64; 5] = [0, 20, 150, 400, 1_200];
+    /// Per-app rhythms: ones the hybrid histogram learns, one past its
+    /// 4 h range (out of bounds, ARIMA), one longer than a day.
+    const PERIODS_MS: [u64; 6] = [
+        2 * MINUTE_MS,
+        5 * MINUTE_MS,
+        10 * MINUTE_MS,
+        45 * MINUTE_MS,
+        300 * MINUTE_MS,
+        1_800 * MINUTE_MS,
+    ];
+    const JUMPS_MS: [u64; 3] = [360 * MINUTE_MS, 1_560 * MINUTE_MS, 4_400 * MINUTE_MS];
+
+    proptest! {
+        /// A tenant exported and restored into a fresh [`TenantState`]
+        /// at random points continues exactly like one that never was:
+        /// after every step the verdict or rejection, the victim list
+        /// and the full export (records, ledger, production clock) are
+        /// equal. Streams are `kernel_step_equals_the_inline_reference`'s
+        /// for one tenant: every policy kind, budgets down to one no
+        /// footprint fits, rhythmic apps with exact ties, late
+        /// timestamps and jumps of hours to days.
+        #[test]
+        fn export_restore_continue_equals_uninterrupted(
+            policy in 0usize..POLICIES.len(),
+            budget in 0usize..BUDGETS_MB.len(),
+            apps in 3usize..=8,
+            seed in 0u64..u64::MAX,
+            words in prop::collection::vec(0u64..u64::MAX, 200..900),
+        ) {
+            let spec = spec(POLICIES[policy], BUDGETS_MB[budget]);
+            let names: Vec<String> = (0..apps).map(|i| format!("app-{i}")).collect();
+            let mix = |salt: u64| crate::mix64(seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            let period = |a: usize| PERIODS_MS[(mix(100 + a as u64) % PERIODS_MS.len() as u64) as usize];
+            let mut due: Vec<u64> = (0..apps).map(|a| mix(a as u64) % period(a)).collect();
+            let mut last: Vec<Option<u64>> = vec![None; apps];
+            let mut live = TenantState::new(spec.clone());
+            let mut restored = TenantState::new(spec);
+            let mut restores = 0;
+            for (step, &w) in words.iter().enumerate() {
+                let field = |salt: u64| crate::mix64(w ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+                if field(7) % 16 == 0 {
+                    restored = TenantState::restore(payload(&restored), step as u64)
+                        .map_err(|e| format!("step {step}: {e}"))?;
+                    restores += 1;
+                }
+                let ra = (field(3) % apps as u64) as usize;
+                let (a, ts) = match field(1) % 64 {
+                    // Late: before the app's last accepted timestamp.
+                    1..=3 => (ra, last[ra].map_or(0, |l| l.saturating_sub(1 + field(4) % 100_000))),
+                    // An exact tie with the last accepted timestamp.
+                    4..=6 => (ra, last[ra].unwrap_or(due[ra])),
+                    // Hours to days pass.
+                    7 => {
+                        let jump = JUMPS_MS[(field(4) % 3) as usize];
+                        due.iter_mut().for_each(|d| *d += jump);
+                        continue;
+                    }
+                    // Whichever app is due first, mostly on the beat.
+                    _ => {
+                        let a = (0..apps).min_by_key(|&a| due[a]).expect("apps");
+                        let ts = due[a];
+                        let p = period(a);
+                        due[a] = ts + if field(5) % 16 == 0 { 0 } else { p + field(6) % (p / 16) };
+                        (a, ts)
+                    }
+                };
+                let step_stamp = step as u64;
+                let got = restored.step(&names[a], ts, step_stamp).map(|s| (s.verdict, s.victims.to_vec()));
+                let want = live.step(&names[a], ts, step_stamp).map(|s| (s.verdict, s.victims.to_vec()));
+                prop_assert!(got == want, "step {step}: ({a}, {ts}) gave {got:?}, want {want:?}");
+                if want.is_ok() {
+                    last[a] = Some(ts);
+                    due[a] = due[a].max(ts);
+                }
+                let full = |t: &TenantState| {
+                    let p = payload(t);
+                    (p.apps, p.ledger, p.prod_clock)
+                };
+                prop_assert!(full(&restored) == full(&live), "step {step}: exports differ");
+            }
+            prop_assert!(restores > 0);
+        }
     }
 }

@@ -3,8 +3,8 @@
 //! The paper's §5.3 experiments run 68 mid-popularity applications for 8
 //! hours on a 19-VM OpenWhisk deployment (1 controller + 18 invokers)
 //! with FaaSProfiler replaying the trace. That testbed is unavailable
-//! here, so this crate models the same architecture as a deterministic
-//! discrete-event simulation (see `DESIGN.md`, substitution table):
+//! here, so this crate substitutes a deterministic discrete-event
+//! simulation of the same architecture for it:
 //!
 //! * [`config`] — cluster sizing and the published component latencies
 //!   (container init O(100 ms), runtime bootstrap O(10 ms)+);

@@ -27,7 +27,9 @@ use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
 use std::sync::mpsc::{Receiver, Sender};
 
-use sitw_fleet::{AppState, OutOfOrder, ServedPolicy, TenantId, TenantSpec, TenantState};
+use sitw_fleet::{
+    footprint_mb, AppState, OutOfOrder, ServedPolicy, TenantId, TenantSpec, TenantState,
+};
 use sitw_telemetry::{EventKind, EventRing, LifecycleEvent, Log2Histogram, SpanEvent, Stage};
 
 use crate::metrics::{ShardStats, TenantStats};
@@ -289,14 +291,14 @@ impl ShardWorker {
     /// shared path behind startup restore and live tenant migration.
     /// Restored apps are stamped `dirty_seq` so a migrated-in tenant is
     /// visible to the next replication round (0 at startup, where the
-    /// follower full-syncs regardless). A record that does not belong
-    /// under the tenant's policy fails the whole restore.
+    /// follower full-syncs regardless). A payload
+    /// [`TenantState::restore`] refuses fails the whole restore.
     fn build_tenant(
         restore: TenantRestore,
         dirty_seq: u64,
     ) -> Result<(TenantId, TenantShard), String> {
         let tid = restore.spec.id;
-        let state = TenantState::restore(restore, dirty_seq)?;
+        let state = TenantState::restore(restore, dirty_seq).map_err(|e| e.to_string())?;
         Ok((tid, TenantShard::new(state)))
     }
 
@@ -714,7 +716,7 @@ fn render_policy(spec: &TenantSpec, app: &str, state: &AppState) -> String {
         json_escape(&spec.policy.label()),
         state.last_ts,
         state.evicted,
-        state.footprint_mb,
+        footprint_mb(&spec.name, app),
         state.windows.pre_warm_ms,
         state.windows.keep_alive_ms,
     );
@@ -727,7 +729,7 @@ fn render_policy(spec: &TenantSpec, app: &str, state: &AppState) -> String {
             out,
             ",\"last_verdict\":{{\"ts\":{},\"idle_ms\":{idle},\"cold\":{},\
              \"prewarm_load\":{},\"evicted\":{},\"branch\":\"{}\"}}",
-            v.ts,
+            state.last_ts,
             v.cold,
             v.prewarm_load,
             v.evicted,
@@ -738,29 +740,15 @@ fn render_policy(spec: &TenantSpec, app: &str, state: &AppState) -> String {
         let h = p.histogram();
         let cfg = p.config();
         let counts = p.decisions();
-        // Mirror of HybridPolicy::on_invocation's branch order: the
-        // classification the next observed gap would fall under.
-        let class = if h.total_count() < cfg.min_samples {
-            "learning"
-        } else if h.oob_fraction() > cfg.oob_threshold {
-            if cfg.use_arima {
-                "out-of-bounds-arima"
-            } else {
-                "out-of-bounds-standard"
-            }
-        } else if h.bin_count_cv() < cfg.cv_threshold {
-            "not-representative"
-        } else {
-            "representative"
-        };
         let _ = write!(
             out,
-            ",\"hybrid\":{{\"classification\":\"{class}\",\"samples\":{},\
+            ",\"hybrid\":{{\"classification\":\"{}\",\"samples\":{},\
              \"oob_count\":{},\"oob_fraction\":{:.4},\"bin_count_cv\":{:.4},\
              \"thresholds\":{{\"min_samples\":{},\"oob_threshold\":{},\"cv_threshold\":{}}},\
              \"cutoffs\":{{\"head_percentile\":{},\"tail_percentile\":{}}},\
              \"decisions\":{{\"histogram\":{},\"standard\":{},\"arima\":{}}},\
              \"bin_width_minutes\":{},\"bins\":[",
+            p.regime().label(),
             h.total_count(),
             h.oob_count(),
             h.oob_fraction(),
@@ -808,7 +796,7 @@ mod tests {
     use super::*;
     use crate::snapshot::{AppRecord, PolicyState};
     use sitw_core::{PolicySpec, Windows, MINUTE_MS};
-    use sitw_fleet::{footprint_mb, LedgerExport, DEFAULT_TENANT, DEFAULT_TENANT_NAME};
+    use sitw_fleet::{LedgerExport, DEFAULT_TENANT, DEFAULT_TENANT_NAME};
 
     fn default_spec(spec: PolicySpec) -> TenantSpec {
         TenantSpec {
@@ -1229,10 +1217,28 @@ mod tests {
             state: Default::default(),
         };
         let hybrid = PolicyState::Hybrid(HybridPolicy::new(HybridConfig::default()).snapshot());
-        for (policy, state) in [
-            ("hybrid", production),
-            ("production", PolicyState::Stateless),
-            ("production", hybrid),
+        let mb = footprint_mb("moved", "a");
+        let policy_refusal = "does not match policy";
+        let charge_refusal = "not a recorded app's footprint";
+        // Records under the wrong policy, then ledger charges the
+        // records do not hold: an app with no record, and a recorded
+        // app at an MB that is not its footprint.
+        for (policy, state, warm, refusal) in [
+            ("hybrid", production, None, policy_refusal),
+            ("production", PolicyState::Stateless, None, policy_refusal),
+            ("production", hybrid, None, policy_refusal),
+            (
+                "fixed:10",
+                PolicyState::Stateless,
+                Some(("ghost", mb)),
+                charge_refusal,
+            ),
+            (
+                "fixed:10",
+                PolicyState::Stateless,
+                Some(("a", mb + 1)),
+                charge_refusal,
+            ),
         ] {
             let restore = || TenantRestore {
                 apps: vec![AppRecord {
@@ -1242,10 +1248,20 @@ mod tests {
                     evicted: false,
                     state: state.clone(),
                 }],
+                ledger: LedgerExport {
+                    warm: warm
+                        .map(|(app, mb)| (app.into(), 600_005, mb))
+                        .into_iter()
+                        .collect(),
+                    ..LedgerExport::default()
+                },
                 ..TenantRestore::fresh(tenant(policy))
             };
             // At startup the worker does not come up ...
-            assert!(ShardWorker::new(0, vec![restore()]).is_err(), "{policy}");
+            let err = ShardWorker::new(0, vec![restore()])
+                .map(|_| ())
+                .unwrap_err();
+            assert!(err.contains(refusal), "{policy}: {err}");
             // ... and a migration into a running one is refused with the
             // tenant it would have replaced left as it was.
             let mut w = worker(PolicySpec::fixed_minutes(10));
@@ -1262,7 +1278,7 @@ mod tests {
             tx.send(ShardMsg::Shutdown).unwrap();
             let after = w.run(mailbox);
             let err = refused.recv().unwrap().unwrap_err();
-            assert!(err.contains("does not match policy"), "{policy}: {err}");
+            assert!(err.contains(refusal), "{policy}: {err}");
             assert_eq!(after, before, "{policy}");
         }
     }

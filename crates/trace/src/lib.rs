@@ -3,8 +3,10 @@
 //!
 //! The paper characterizes the full production workload of Azure
 //! Functions and releases a sanitized trace; neither the production
-//! telemetry nor scale is available here, so this crate provides the
-//! documented substitution (see `DESIGN.md`):
+//! telemetry nor scale is available here, so this crate substitutes a
+//! synthetic population calibrated to the paper's published
+//! distributions for the dataset, and reads the released trace's schema
+//! for whoever has it:
 //!
 //! * a **synthetic population generator** ([`population`]) calibrated to
 //!   every published distribution — functions per app (Figure 1), trigger
