@@ -10,7 +10,8 @@ pub use sitw_stats::fit::{acf, autocorrelation};
 /// or has zero variance.
 pub fn pacf(xs: &[f64], max_lag: usize) -> Vec<f64> {
     let rho = acf(xs, max_lag);
-    if rho.len() < 2 || rho[1..].iter().all(|v| *v == 0.0) && xs.len() < 2 {
+    // Under two values or zero variance, the ACF is zero at lag 0 too.
+    if rho.len() < 2 || rho[0] == 0.0 {
         return Vec::new();
     }
     durbin_levinson(&rho).0
@@ -91,6 +92,17 @@ mod tests {
         for (i, &v) in p.iter().enumerate().skip(1) {
             assert!(v.abs() < 0.1, "pacf at lag {} = {v}", i + 1);
         }
+    }
+
+    #[test]
+    fn pacf_is_empty_on_zero_variance_or_short_series() {
+        // Regression: `a || b && c` bound as `a || (b && c)`, so a constant
+        // series got a PACF of zeros.
+        assert!(pacf(&[4.0; 20], 3).is_empty());
+        assert!(pacf(&[4.0], 3).is_empty());
+        assert!(pacf(&[], 3).is_empty());
+        assert!(pacf(&[1.0, 2.0, 4.0], 0).is_empty());
+        assert_eq!(pacf(&[1.0, 3.0, 2.0, 5.0], 2).len(), 2);
     }
 
     #[test]

@@ -5,10 +5,13 @@
 //! that produce the best fit", refitting after every invocation of the
 //! rare applications routed to the time-series path. This module
 //! reproduces that behaviour: a differencing heuristic picks `d`, then a
-//! grid search over `(p, q)` minimizes AIC.
+//! grid search over `(p, q)` minimizes AIC. The search runs in the
+//! thread's `Workspace`: the series is differenced once, each distinct
+//! long-AR order is fitted once, and only the winner becomes an
+//! [`ArimaFit`] — or, for the policy, just its forecast.
 
-use crate::diff::difference;
-use crate::model::{fit, ArimaError, ArimaFit, ArimaSpec};
+use crate::diff::diff_in_place;
+use crate::model::{ArimaError, ArimaFit, ArimaSpec, Workspace, WORKSPACE};
 
 /// Configuration for [`auto_arima`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,18 +42,26 @@ impl Default for AutoArimaConfig {
 /// rejected at 5%, up to `max_d`.
 ///
 /// Short series (where KPSS is unreliable) fall back to the classic
-/// variance-minimization heuristic of [`select_d_variance`].
+/// heuristic: the smallest `d` whose further differencing does not
+/// reduce the standard deviation by > 5%.
 pub fn select_d(series: &[f64], max_d: usize) -> usize {
+    select_d_in(series, max_d, &mut Vec::new())
+}
+
+/// [`select_d`], differencing in `scratch`.
+// sitw-lint: hot-path
+fn select_d_in(series: &[f64], max_d: usize, scratch: &mut Vec<f64>) -> usize {
+    scratch.clear();
+    scratch.extend_from_slice(series);
     if series.len() < 12 {
-        return select_d_variance(series, max_d);
+        return select_d_variance(series, max_d, scratch);
     }
     let mut d = 0;
-    let mut cur = series.to_vec();
-    while d < max_d && cur.len() >= 12 {
-        match kpss_statistic(&cur) {
+    while d < max_d && scratch.len() >= 12 {
+        match kpss_statistic(scratch) {
             // 5% critical value for level stationarity.
             Some(stat) if stat > 0.463 => {
-                cur = difference(&cur, 1);
+                diff_in_place(scratch);
                 d += 1;
             }
             _ => break,
@@ -64,6 +75,7 @@ pub fn select_d(series: &[f64], max_d: usize) -> usize {
 ///
 /// Returns `None` for series shorter than 4 points or with zero long-run
 /// variance (a constant series is trivially stationary).
+// sitw-lint: hot-path
 pub fn kpss_statistic(series: &[f64]) -> Option<f64> {
     let n = series.len();
     if n < 4 {
@@ -71,22 +83,21 @@ pub fn kpss_statistic(series: &[f64]) -> Option<f64> {
     }
     let nf = n as f64;
     let mean = series.iter().sum::<f64>() / nf;
-    let e: Vec<f64> = series.iter().map(|x| x - mean).collect();
+    let e = |t: usize| series[t] - mean;
 
     // Partial sums S_t.
     let mut s = 0.0;
     let mut sum_s2 = 0.0;
-    for &v in &e {
-        s += v;
+    for t in 0..n {
+        s += e(t);
         sum_s2 += s * s;
     }
 
     // Long-run variance with Bartlett weights, Schwert's short lag rule.
     let lags = (4.0 * (nf / 100.0).powf(0.25)).floor() as usize;
-    let gamma0: f64 = e.iter().map(|v| v * v).sum::<f64>() / nf;
-    let mut lrv = gamma0;
+    let mut lrv = (0..n).map(|t| e(t) * e(t)).sum::<f64>() / nf;
     for l in 1..=lags.min(n - 1) {
-        let gamma_l: f64 = (l..n).map(|t| e[t] * e[t - l]).sum::<f64>() / nf;
+        let gamma_l: f64 = (l..n).map(|t| e(t) * e(t - l)).sum::<f64>() / nf;
         lrv += 2.0 * (1.0 - l as f64 / (lags as f64 + 1.0)) * gamma_l;
     }
     if lrv <= 1e-12 {
@@ -95,16 +106,18 @@ pub fn kpss_statistic(series: &[f64]) -> Option<f64> {
     Some(sum_s2 / (nf * nf * lrv))
 }
 
-/// Variance-minimization fallback for choosing `d`: the smallest `d` whose
-/// further differencing does not reduce the standard deviation by > 5%.
-pub fn select_d_variance(series: &[f64], max_d: usize) -> usize {
+/// [`select_d`]'s variance-minimization fallback, with `diffed` holding
+/// `series` and differenced in place.
+// sitw-lint: hot-path
+fn select_d_variance(series: &[f64], max_d: usize, diffed: &mut Vec<f64>) -> usize {
     let mut best_d = 0;
     let mut best_std = std_of(series);
     for d in 1..=max_d {
         if series.len() <= d + 2 {
             break;
         }
-        let s = std_of(&difference(series, d));
+        diff_in_place(diffed);
+        let s = std_of(diffed);
         if s < best_std * 0.95 {
             best_d = d;
             best_std = s;
@@ -130,48 +143,53 @@ fn std_of(xs: &[f64]) -> f64 {
 /// series of length ≥ 3, so `auto_arima` succeeds on anything the policy
 /// will realistically hand it.
 pub fn auto_arima(series: &[f64], config: AutoArimaConfig) -> Result<ArimaFit, ArimaError> {
-    if series.iter().any(|v| !v.is_finite()) {
-        return Err(ArimaError::NonFinite);
-    }
-    if series.len() < 3 {
-        return Err(ArimaError::TooShort {
-            needed: 3,
-            got: series.len(),
-        });
-    }
+    WORKSPACE.with_borrow_mut(|ws| ws.auto(series, config).map(|()| ws.kept.clone()))
+}
 
-    // Constant series: the mean model is exact; skip the grid.
-    if std_of(series) < 1e-12 {
-        return fit(series, ArimaSpec::new(0, 0, 0));
-    }
+/// `auto_arima(series, config)?.forecast_one()` to the bit, without
+/// building the fit: the hybrid policy's next-idle-time prediction. Once
+/// the thread has searched a series this long, it allocates nothing.
+pub fn auto_forecast_one(series: &[f64], config: AutoArimaConfig) -> Result<f64, ArimaError> {
+    WORKSPACE.with_borrow_mut(|ws| ws.auto(series, config).map(|()| ws.kept.forecast_one()))
+}
 
-    let d = select_d(series, config.max_d);
-    let mut best: Option<ArimaFit> = None;
-    let mut last_err = ArimaError::TooShort {
-        needed: 3,
-        got: series.len(),
-    };
-    for p in 0..=config.max_p {
-        for q in 0..=config.max_q {
-            match fit(series, ArimaSpec::new(p, d, q)) {
-                Ok(candidate) => {
-                    let better = match &best {
-                        None => true,
-                        Some(b) => candidate.aic() < b.aic(),
-                    };
-                    if better {
-                        best = Some(candidate);
+impl Workspace {
+    /// [`auto_arima`] into [`Workspace::kept`].
+    // sitw-lint: hot-path
+    fn auto(&mut self, series: &[f64], config: AutoArimaConfig) -> Result<(), ArimaError> {
+        if series.iter().any(|v| !v.is_finite()) {
+            return Err(ArimaError::NonFinite);
+        }
+        let (needed, got) = (3, series.len());
+        if got < needed {
+            return Err(ArimaError::TooShort { needed, got });
+        }
+
+        // Constant series: the mean model is exact; skip the grid.
+        if std_of(series) < 1e-12 {
+            return self.fit(series, ArimaSpec::new(0, 0, 0));
+        }
+
+        let d = select_d_in(series, config.max_d, &mut self.w);
+        self.load(series, d);
+        // The last error until an order fits, then Ok.
+        let mut found = Err(ArimaError::TooShort { needed, got });
+        for p in 0..=config.max_p {
+            for q in 0..=config.max_q {
+                let spec = ArimaSpec::new(p, d, q);
+                match self.score(series.len(), spec) {
+                    Ok((sigma2, aic)) if found.is_err() || aic < self.kept.aic => {
+                        self.keep(spec, sigma2, aic, series.len());
+                        found = Ok(());
                     }
+                    Err(e) if found.is_err() => found = Err(e),
+                    _ => {}
                 }
-                Err(e) => last_err = e,
             }
         }
-    }
-    // If nothing fitted with the selected d (very short series), retry the
-    // simplest undifferenced mean model before giving up.
-    match best {
-        Some(b) => Ok(b),
-        None => fit(series, ArimaSpec::new(0, 0, 0)).map_err(|_| last_err),
+        // If nothing fitted with the selected d (very short series), retry
+        // the simplest undifferenced mean model before giving up.
+        found.or_else(|e| self.fit(series, ArimaSpec::new(0, 0, 0)).map_err(|_| e))
     }
 }
 

@@ -19,6 +19,14 @@ pub fn difference(series: &[f64], d: usize) -> Vec<f64> {
     out
 }
 
+/// [`diff_once`] in place: `s[t] = s[t+1] - s[t]`, one value shorter.
+pub(crate) fn diff_in_place(s: &mut Vec<f64>) {
+    for t in 1..s.len() {
+        s[t - 1] = s[t] - s[t - 1];
+    }
+    s.pop();
+}
+
 /// The trailing values needed to undo `d` levels of differencing.
 ///
 /// `tails[k]` is the last value of the series differenced `k` times

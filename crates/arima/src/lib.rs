@@ -5,15 +5,19 @@
 //! mostly out of the histogram's bounds. The paper used pmdarima's
 //! `auto_arima`; this crate provides the equivalent pipeline natively:
 //!
-//! * [`matrix`] — small dense linear algebra (Gaussian elimination,
-//!   normal-equation least squares);
+//! * [`matrix`] — least squares on normal equations accumulated
+//!   straight from the series, solved in place by Gaussian elimination;
 //! * [`diff`] — differencing and integration;
 //! * [`acf`] — ACF/PACF and Yule–Walker estimation (Durbin–Levinson);
 //! * [`model`] — ARIMA(p,d,q) fitting via Hannan–Rissanen and iterative
 //!   forecasting with ψ-weight standard errors;
-//! * [`auto`] — AIC-driven automatic order selection ([`auto_arima`]);
+//! * [`auto`] — AIC-driven automatic order selection ([`auto_arima`],
+//!   and [`auto_forecast_one`] for the forecast alone);
 //! * [`diagnostics`] — Ljung–Box / Box–Pierce portmanteau tests on
 //!   residuals (the paper's reference \[11\]).
+//!
+//! Fits run in one workspace per thread, not per app: no call reads what
+//! an earlier one left, so per-app state stays the policy's own.
 //!
 //! # Examples
 //!
@@ -36,8 +40,10 @@ pub mod diagnostics;
 pub mod diff;
 pub mod matrix;
 pub mod model;
+#[cfg(test)]
+mod reference;
 
 pub use acf::{pacf, yule_walker};
-pub use auto::{auto_arima, select_d, AutoArimaConfig};
+pub use auto::{auto_arima, auto_forecast_one, select_d, AutoArimaConfig};
 pub use diagnostics::{box_pierce, ljung_box, PortmanteauTest};
 pub use model::{fit, ArimaError, ArimaFit, ArimaSpec};

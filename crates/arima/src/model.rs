@@ -10,12 +10,24 @@
 //! * conditional-sum-of-squares residual variance and AIC,
 //! * iterative multi-step forecasting with ψ-weight standard errors,
 //! * differencing/integration handled transparently.
+//!
+//! Fits run in a `Workspace`, one per thread, on normal equations
+//! summed straight from the differenced series ([`crate::matrix`]); an
+//! order search differences once and fits each distinct long-AR order
+//! once. Every call loads its series afresh, so one workspace serves
+//! every app a thread decides for and no app's state grows by it. Once
+//! its buffers have grown to the longest series the thread has fitted,
+//! a fit allocates only the [`ArimaFit`] it returns, and
+//! [`crate::auto_forecast_one`] nothing.
 
-use crate::diff::{difference, integrate, integration_tails};
-use crate::matrix::{least_squares, Matrix};
+use std::cell::RefCell;
+use std::ops::Range;
+
+use crate::diff::{diff_in_place, integrate};
+use crate::matrix::Ols;
 
 /// Model order: the (p, d, q) triple.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct ArimaSpec {
     /// Autoregressive order.
     pub p: usize,
@@ -75,21 +87,21 @@ impl std::error::Error for ArimaError {}
 
 /// A fitted ARIMA model, retaining what is needed to forecast from the end
 /// of the training series.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ArimaFit {
-    spec: ArimaSpec,
-    phi: Vec<f64>,
-    theta: Vec<f64>,
-    intercept: f64,
-    sigma2: f64,
-    aic: f64,
+    pub(crate) spec: ArimaSpec,
+    pub(crate) phi: Vec<f64>,
+    pub(crate) theta: Vec<f64>,
+    pub(crate) intercept: f64,
+    pub(crate) sigma2: f64,
+    pub(crate) aic: f64,
     /// Trailing values of the differenced series (most recent last).
-    w_tail: Vec<f64>,
+    pub(crate) w_tail: Vec<f64>,
     /// Trailing residuals (most recent last).
-    e_tail: Vec<f64>,
+    pub(crate) e_tail: Vec<f64>,
     /// Tails for integrating forecasts back to the original scale.
-    int_tails: Vec<f64>,
-    n_obs: usize,
+    pub(crate) int_tails: Vec<f64>,
+    pub(crate) n_obs: usize,
 }
 
 impl ArimaFit {
@@ -153,22 +165,7 @@ impl ArimaFit {
         let mut e_hist: Vec<f64> = self.e_tail.clone();
         let mut diffed_forecast = Vec::with_capacity(horizon);
         for _ in 0..horizon {
-            let mut v = self.intercept;
-            for (i, &ph) in self.phi.iter().enumerate() {
-                let idx = w_hist.len() as isize - 1 - i as isize;
-                if idx >= 0 {
-                    v += ph * w_hist[idx as usize];
-                }
-            }
-            for (j, &th) in self.theta.iter().enumerate() {
-                let idx = e_hist.len() as isize - 1 - j as isize;
-                if idx >= 0 {
-                    v += th * e_hist[idx as usize];
-                }
-            }
-            if !v.is_finite() {
-                v = self.intercept;
-            }
+            let v = self.next_mean(&w_hist, &e_hist);
             diffed_forecast.push(v);
             w_hist.push(v);
             e_hist.push(0.0); // Future shocks have zero expectation.
@@ -209,10 +206,21 @@ impl ArimaFit {
             .collect()
     }
 
+    /// The mean recursion's next value on the differenced scale after the
+    /// histories `w` and `e`; the intercept alone where it is not finite.
+    fn next_mean(&self, w: &[f64], e: &[f64]) -> f64 {
+        match arma_mean(self.intercept, &self.phi, &self.theta, w, e) {
+            v if v.is_finite() => v,
+            _ => self.intercept,
+        }
+    }
+
     /// One-step-ahead forecast on the original scale (the policy's "next
-    /// idle time" prediction).
+    /// idle time" prediction): `forecast(1)[0]`, without allocating.
+    // sitw-lint: hot-path
     pub fn forecast_one(&self) -> f64 {
-        self.forecast(1)[0]
+        let v = self.next_mean(&self.w_tail, &self.e_tail);
+        self.int_tails.iter().rev().fold(v, |v, &tail| tail + v)
     }
 }
 
@@ -223,97 +231,20 @@ impl ArimaFit {
 /// regression. When `q = 0` this reduces to plain AR-with-intercept OLS;
 /// when `p = q = 0`, to the sample mean.
 pub fn fit(series: &[f64], spec: ArimaSpec) -> Result<ArimaFit, ArimaError> {
-    if series.iter().any(|v| !v.is_finite()) {
-        return Err(ArimaError::NonFinite);
+    WORKSPACE.with_borrow_mut(|ws| ws.fit(series, spec).map(|()| ws.kept.clone()))
+}
+
+/// `c + Σ φᵢ w[−i] + Σ θⱼ e[−j]`, counting back from the newest value of
+/// each history (newest last) as far as it reaches.
+fn arma_mean(intercept: f64, phi: &[f64], theta: &[f64], w: &[f64], e: &[f64]) -> f64 {
+    let mut v = intercept;
+    for (ph, x) in phi.iter().zip(w.iter().rev()) {
+        v += ph * x;
     }
-    let min_len = spec.d + spec.p + spec.q + 3;
-    if series.len() < min_len {
-        return Err(ArimaError::TooShort {
-            needed: min_len,
-            got: series.len(),
-        });
+    for (th, x) in theta.iter().zip(e.iter().rev()) {
+        v += th * x;
     }
-
-    let w = difference(series, spec.d);
-    let n = w.len();
-    let (p, q) = (spec.p, spec.q);
-
-    // Stage 1 (only for q > 0): long AR to estimate innovations.
-    let prelim_resid: Vec<f64> = if q > 0 {
-        let m = long_ar_order(n, p, q);
-        ar_residuals(&w, m)
-    } else {
-        vec![0.0; n]
-    };
-
-    // Stage 2: OLS of w_t on [1, w_{t-1..t-p}, e_{t-1..t-q}].
-    let start = p.max(q).max(if q > 0 { long_ar_order(n, p, q) } else { 0 });
-    let rows = n - start;
-    if rows < spec.num_params() + 1 {
-        return Err(ArimaError::TooShort {
-            needed: start + spec.num_params() + 1 + spec.d,
-            got: series.len(),
-        });
-    }
-
-    let ncols = 1 + p + q;
-    let mut x = Matrix::zeros(rows, ncols);
-    let mut y = vec![0.0; rows];
-    for (r, t) in (start..n).enumerate() {
-        x.set(r, 0, 1.0);
-        for i in 0..p {
-            x.set(r, 1 + i, w[t - 1 - i]);
-        }
-        for j in 0..q {
-            x.set(r, 1 + p + j, prelim_resid[t - 1 - j]);
-        }
-        y[r] = w[t];
-    }
-    let beta = least_squares(&x, &y).ok_or(ArimaError::Singular)?;
-    let intercept = beta[0];
-    let phi = beta[1..1 + p].to_vec();
-    let theta = beta[1 + p..].to_vec();
-
-    // Recompute residuals recursively over the full differenced series so
-    // the forecast state is consistent with the final coefficients.
-    let mut resid = vec![0.0; n];
-    for t in 0..n {
-        let mut pred = intercept;
-        for (i, &ph) in phi.iter().enumerate() {
-            if t > i {
-                pred += ph * w[t - 1 - i];
-            }
-        }
-        for (j, &th) in theta.iter().enumerate() {
-            if t > j {
-                pred += th * resid[t - 1 - j];
-            }
-        }
-        resid[t] = w[t] - pred;
-    }
-
-    // CSS variance over the stable region.
-    let burn = p.max(q);
-    let used = &resid[burn..];
-    let n_used = used.len().max(1) as f64;
-    let sigma2 = (used.iter().map(|e| e * e).sum::<f64>() / n_used).max(1e-12);
-    let k = spec.num_params() as f64;
-    let aic = n_used * sigma2.ln() + 2.0 * (k + 1.0);
-
-    let w_tail_len = p.max(1).min(w.len());
-    let e_tail_len = q.max(1).min(resid.len());
-    Ok(ArimaFit {
-        spec,
-        phi,
-        theta,
-        intercept,
-        sigma2,
-        aic,
-        w_tail: w[w.len() - w_tail_len..].to_vec(),
-        e_tail: resid[resid.len() - e_tail_len..].to_vec(),
-        int_tails: integration_tails(series, spec.d),
-        n_obs: series.len(),
-    })
+    v
 }
 
 /// Order of the preliminary long AR regression in Hannan–Rissanen.
@@ -322,35 +253,134 @@ fn long_ar_order(n: usize, p: usize, q: usize) -> usize {
     suggested.min(n / 3).max(1)
 }
 
-/// Residuals of an OLS AR(m)-with-intercept fit; the first `m` residuals
-/// are zero (no prediction available).
-fn ar_residuals(w: &[f64], m: usize) -> Vec<f64> {
-    let n = w.len();
-    if n <= m + 1 {
-        return vec![0.0; n];
-    }
-    let rows = n - m;
-    let mut x = Matrix::zeros(rows, m + 1);
-    let mut y = vec![0.0; rows];
-    for (r, t) in (m..n).enumerate() {
-        x.set(r, 0, 1.0);
-        for i in 0..m {
-            x.set(r, 1 + i, w[t - 1 - i]);
+thread_local! {
+    /// This thread's [`Workspace`].
+    pub(crate) static WORKSPACE: RefCell<Workspace> = RefCell::new(Workspace::default());
+}
+
+/// Everything a fit or an order search writes, reused from call to call
+/// on one thread (see the module docs).
+#[derive(Debug, Default)]
+pub(crate) struct Workspace {
+    /// The loaded series, differenced `d` times.
+    pub(crate) w: Vec<f64>,
+    /// What integrates forecasts of `w` back to the series' scale.
+    tails: Vec<f64>,
+    /// Long-AR residuals of `w`, `w.len()` for each order in `long_ar`.
+    long_resid: Vec<f64>,
+    long_ar: Vec<usize>,
+    ols: Ols,
+    /// Recursive residuals of the candidate last scored.
+    resid: Vec<f64>,
+    /// The best candidate so far, refilled in place.
+    pub(crate) kept: ArimaFit,
+}
+
+impl Workspace {
+    /// Loads `series` differenced `d` times (a series of `d` values or
+    /// fewer leaves `w` empty), forgetting the previous series' long-AR
+    /// residuals.
+    // sitw-lint: hot-path
+    pub(crate) fn load(&mut self, series: &[f64], d: usize) {
+        series.clone_into(&mut self.w);
+        self.tails.clear();
+        for _ in 0..d {
+            self.tails.extend(self.w.last());
+            diff_in_place(&mut self.w);
         }
-        y[r] = w[t];
+        self.long_ar.clear();
+        self.long_resid.clear();
     }
-    let Some(beta) = least_squares(&x, &y) else {
-        return vec![0.0; n];
-    };
-    let mut resid = vec![0.0; n];
-    for t in m..n {
-        let mut pred = beta[0];
-        for i in 0..m {
-            pred += beta[1 + i] * w[t - 1 - i];
+
+    /// [`fit`] into [`Workspace::kept`].
+    // sitw-lint: hot-path
+    pub(crate) fn fit(&mut self, series: &[f64], spec: ArimaSpec) -> Result<(), ArimaError> {
+        if series.iter().any(|v| !v.is_finite()) {
+            return Err(ArimaError::NonFinite);
         }
-        resid[t] = w[t] - pred;
+        self.load(series, spec.d);
+        let (sigma2, aic) = self.score(series.len(), spec)?;
+        self.keep(spec, sigma2, aic, series.len());
+        Ok(())
     }
-    resid
+
+    /// Scores `spec` on the loaded series, which had `len` values before
+    /// differencing: the Hannan–Rissanen estimates, then the CSS variance
+    /// and AIC of the recursive residuals.
+    // sitw-lint: hot-path
+    pub(crate) fn score(&mut self, len: usize, spec: ArimaSpec) -> Result<(f64, f64), ArimaError> {
+        let ArimaSpec { p, d, q } = spec;
+        let needed = d + p + q + 3;
+        if len < needed {
+            return Err(ArimaError::TooShort { needed, got: len });
+        }
+        let n = self.w.len();
+        // Stage 1 (only for q > 0): long AR to estimate innovations.
+        let m = if q > 0 { long_ar_order(n, p, q) } else { 0 };
+        // Stage 2: OLS of w_t on [1, w_{t-1..t-p}, e_{t-1..t-q}].
+        let start = p.max(q).max(m);
+        if n - start < spec.num_params() + 1 {
+            let needed = start + spec.num_params() + 1 + d;
+            return Err(ArimaError::TooShort { needed, got: len });
+        }
+        let e = if q > 0 { self.long_ar_resid(m) } else { 0..0 };
+        if !self.ols.fit(&self.w, &self.long_resid[e], p, q, start) {
+            return Err(ArimaError::Singular);
+        }
+        let (beta, w) = (&self.ols.beta, &self.w);
+        let (phi, theta) = beta[1..].split_at(p);
+        // Recompute residuals recursively over the full differenced series
+        // so the forecast state is consistent with the final coefficients.
+        self.resid.clear();
+        for t in 0..n {
+            let pred = arma_mean(beta[0], phi, theta, &w[..t], &self.resid);
+            self.resid.push(w[t] - pred);
+        }
+
+        // CSS variance over the stable region.
+        let used = &self.resid[p.max(q)..];
+        let n_used = used.len().max(1) as f64;
+        let sigma2 = (used.iter().map(|e| e * e).sum::<f64>() / n_used).max(1e-12);
+        let k = spec.num_params() as f64;
+        Ok((sigma2, n_used * sigma2.ln() + 2.0 * (k + 1.0)))
+    }
+
+    /// Where in `long_resid` the residuals of the OLS AR(m) fit of `w`
+    /// are, computed once per order per series (zero for the first `m`
+    /// values, and everywhere when the regression is singular).
+    // sitw-lint: hot-path
+    fn long_ar_resid(&mut self, m: usize) -> Range<usize> {
+        let n = self.w.len();
+        if let Some(slot) = self.long_ar.iter().position(|&order| order == m) {
+            return slot * n..(slot + 1) * n;
+        }
+        let at = self.long_resid.len();
+        self.long_ar.push(m);
+        self.long_resid.resize(at + n, 0.0);
+        if self.ols.fit(&self.w, &[], m, 0, m) {
+            let (beta, w) = (&self.ols.beta, &self.w);
+            for t in m..n {
+                self.long_resid[at + t] = w[t] - arma_mean(beta[0], &beta[1..], &[], &w[..t], &[]);
+            }
+        }
+        at..at + n
+    }
+
+    /// Keeps the candidate last scored as the fit of a series of `n_obs`
+    /// values.
+    // sitw-lint: hot-path
+    pub(crate) fn keep(&mut self, spec: ArimaSpec, sigma2: f64, aic: f64, n_obs: usize) {
+        let (beta, w, e, kept) = (&self.ols.beta, &self.w, &self.resid, &mut self.kept);
+        let (n, p) = (w.len(), spec.p);
+        // `clone_into` refills each vector in the buffer it has.
+        beta[1..1 + p].clone_into(&mut kept.phi);
+        beta[1 + p..].clone_into(&mut kept.theta);
+        w[n - p.max(1).min(n)..].clone_into(&mut kept.w_tail);
+        e[n - spec.q.max(1).min(n)..].clone_into(&mut kept.e_tail);
+        self.tails.clone_into(&mut kept.int_tails);
+        (kept.spec, kept.intercept, kept.sigma2, kept.aic) = (spec, beta[0], sigma2, aic);
+        kept.n_obs = n_obs;
+    }
 }
 
 #[cfg(test)]

@@ -24,7 +24,10 @@
 //! branch fits is a ring (`VecDeque`): once `history_cap` values are
 //! held a new one takes the oldest one's place, and only the ARIMA
 //! branch — which needs the values contiguous and oldest first —
-//! rotates the buffer.
+//! rotates the buffer. That branch asks `sitw_arima` for the one-step
+//! forecast alone; the order search runs in the thread's fit workspace,
+//! not in the app's state, and allocates nothing once the thread has
+//! searched a full history.
 //!
 //! # What a snapshot holds
 //!
@@ -37,7 +40,7 @@
 
 use std::collections::VecDeque;
 
-use sitw_arima::{auto_arima, AutoArimaConfig};
+use sitw_arima::{auto_forecast_one, AutoArimaConfig};
 use sitw_stats::{PercentileCursor, RangeHistogram, Recorded};
 
 use crate::policy::{AppPolicy, DecisionKind, DurationMs, PolicyFactory, Windows, MINUTE_MS};
@@ -341,8 +344,7 @@ impl HybridPolicy {
         }
         // The fit reads the series oldest first in one slice.
         let series = self.history.make_contiguous();
-        let fit = auto_arima(series, self.config.arima).ok()?;
-        let pred_minutes = fit.forecast_one();
+        let pred_minutes = auto_forecast_one(series, self.config.arima).ok()?;
         if !pred_minutes.is_finite() || pred_minutes < 1.0 {
             return None;
         }

@@ -171,10 +171,7 @@ fn steady_state_invoke_allocates_nothing() {
         let (tenant, app, ts) = stream.next();
         let (decision, allocs) = counted(|| worker.invoke(tenant, app, ts));
         let decision = decision.unwrap();
-        if decision.kind == DecisionKind::Arima {
-            arima += 1; // The fit allocates; not this test's subject.
-            continue;
-        }
+        arima += (decision.kind == DecisionKind::Arima) as u64;
         allocated += allocs;
         match (decision.cold, decision.evicted) {
             (false, _) => warm += 1,
@@ -198,6 +195,59 @@ fn steady_state_invoke_allocates_nothing() {
         allocated, 0,
         "allocations over {warm} warm hits, {lapsed} lapses, {downgraded} downgrades"
     );
+}
+
+/// The out-of-bounds branch as a count: apps on a rhythm of about five
+/// hours — past the histogram's four, so from the fifth idle time on
+/// every decision is an ARIMA forecast — through a shard worker. Their
+/// histories are constant (the mean model, no search), jittered,
+/// alternating and trending (differenced), so the order search takes
+/// its different paths. The fit workspace is the thread's: once the
+/// thread has searched a full history, and every history has stopped
+/// growing, an ARIMA decision allocates nothing.
+#[test]
+fn arima_decision_allocates_nothing() {
+    const APPS: usize = 24;
+    let mut worker = ShardWorker::new(
+        0,
+        vec![TenantRestore::fresh(TenantSpec {
+            id: FREE,
+            name: "free".into(),
+            policy: PolicySpec::Hybrid(HybridConfig::default()),
+            budget_mb: 0,
+        })],
+    )
+    .unwrap();
+    let names: Vec<String> = (0..APPS).map(|i| format!("oob-{i:02}")).collect();
+    let mut ts = [0u64; APPS];
+    let history_cap = HybridConfig::default().history_cap as u64;
+    let (mut first_arima, mut measured, mut allocated) = (None, 0u64, 0u64);
+    for beat in 0..history_cap + 40 {
+        for (i, name) in names.iter().enumerate() {
+            let minutes = match i % 4 {
+                0 => 300,
+                1 => 290 + mix64(beat << 8 | i as u64) % 20,
+                2 => [280, 320][beat as usize % 2],
+                _ => 250 + 2 * beat,
+            };
+            ts[i] += minutes * MINUTE_MS;
+            let (decision, allocs) = counted(|| worker.invoke(FREE, name, ts[i]));
+            let kind = decision.unwrap().kind;
+            if kind == DecisionKind::Arima {
+                first_arima.get_or_insert(beat);
+            }
+            // Past the cap every history is full and the thread has
+            // searched one: from here each decision is counted.
+            if beat > history_cap {
+                assert_eq!(kind, DecisionKind::Arima, "{name} at beat {beat}");
+                measured += 1;
+                allocated += allocs;
+            }
+        }
+    }
+    assert_eq!(first_arima, Some(5), "ARIMA from the fifth idle time on");
+    assert!(measured >= 900, "{measured} ARIMA decisions");
+    assert_eq!(allocated, 0, "allocations over {measured} ARIMA decisions");
 }
 
 #[test]

@@ -600,22 +600,37 @@ mod tests {
         }
     }
 
+    use sitw_trace::{PopulationConfig, TraceConfig};
+
     /// FNV-1a over every field of every verdict, in population order.
     fn verdict_fingerprint(cfg: &HybridConfig) -> (u64, u64, u64) {
-        use sitw_trace::{app_invocations, build_population, PopulationConfig, TraceConfig};
-        let population = build_population(&PopulationConfig {
-            num_apps: 300,
-            seed: 2323,
-        });
-        let trace_cfg = TraceConfig {
-            horizon_ms: 5 * sitw_trace::DAY_MS,
-            cap_per_day: 400.0,
-            seed: 23,
-        };
+        population_fingerprint(
+            cfg,
+            &PopulationConfig {
+                num_apps: 300,
+                seed: 2323,
+            },
+            &TraceConfig {
+                horizon_ms: 5 * sitw_trace::DAY_MS,
+                cap_per_day: 400.0,
+                seed: 23,
+            },
+        )
+    }
+
+    /// [`verdict_fingerprint`] over any population: (FNV, verdicts,
+    /// ARIMA verdicts).
+    fn population_fingerprint(
+        cfg: &HybridConfig,
+        population: &PopulationConfig,
+        trace_cfg: &TraceConfig,
+    ) -> (u64, u64, u64) {
+        use sitw_trace::{app_invocations, build_population};
+        let population = build_population(population);
         let (mut fnv, mut verdicts, mut arima) = (0xCBF2_9CE4_8422_2325u64, 0u64, 0u64);
         for app in &population.apps {
             let mut policy = cfg.new_policy();
-            for v in verdict_trace(&app_invocations(app, &trace_cfg), &mut policy) {
+            for v in verdict_trace(&app_invocations(app, trace_cfg), &mut policy) {
                 let flags = (v.cold as u64) << 8 | (v.prewarm_load as u64) << 4 | v.kind as u64;
                 for field in [v.ts, flags, v.windows.pre_warm_ms, v.windows.keep_alive_ms] {
                     for byte in field.to_le_bytes() {
@@ -649,6 +664,29 @@ mod tests {
     const GOLDEN_NOARIMA: u64 = 0xab4d_cda3_6df6_00ad;
     const GOLDEN_VERDICTS: u64 = 250_335;
     const GOLDEN_ARIMA: u64 = 205;
+
+    /// The same fingerprint over the benchmark's `sim-sweep` input (4 000
+    /// apps × 7 days, seed 1) under hybrid-4h, where ARIMA serves a few
+    /// thousand decisions instead of a few hundred.
+    #[test]
+    #[ignore = "6.4 M decisions; run with --release"]
+    fn every_sweep_verdict_equals_the_matrix_arima_build() {
+        // Captured from the commit before the ARIMA fit accumulated its
+        // normal equations straight from the idle-time history.
+        let fingerprint = population_fingerprint(
+            &HybridConfig::default(),
+            &PopulationConfig {
+                num_apps: 4_000,
+                seed: 0x5171_7E57,
+            },
+            &TraceConfig {
+                horizon_ms: 7 * sitw_trace::DAY_MS,
+                cap_per_day: 600.0,
+                seed: 1 ^ 0x10AD,
+            },
+        );
+        assert_eq!(fingerprint, (0xea7d_92ca_df87_1e06, 6_409_810, 5_664));
+    }
 
     #[test]
     fn verdict_trace_empty_stream() {
