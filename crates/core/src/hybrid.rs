@@ -159,7 +159,10 @@ impl PolicyFactory for HybridConfig {
     type Policy = HybridPolicy;
 
     fn new_policy(&self) -> HybridPolicy {
-        HybridPolicy::new(self.clone())
+        HybridPolicy {
+            config: self.clone(),
+            app: HybridApp::new(self),
+        }
     }
 
     fn label(&self) -> String {
@@ -196,7 +199,7 @@ impl DecisionCounts {
 }
 
 /// Which §4.2 branch the histogram, as it stands, routes a decision to
-/// — [`HybridPolicy::regime`], checked in the paper's order.
+/// — [`HybridApp::regime`], checked in the paper's order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Regime {
     /// Fewer idle times than `min_samples`: standard keep-alive.
@@ -226,10 +229,11 @@ impl Regime {
     }
 }
 
-/// Per-application state of the hybrid histogram policy.
+/// What the hybrid policy has learned about one application, without
+/// configuration: whatever decides or reads a threshold takes the
+/// [`HybridConfig`] it runs under (a tenant's, or a [`HybridPolicy`]'s).
 #[derive(Debug, Clone)]
-pub struct HybridPolicy {
-    config: HybridConfig,
+pub struct HybridApp {
     hist: RangeHistogram,
     /// `hist`'s head-percentile bin, fed every in-bounds record.
     head: PercentileCursor,
@@ -242,9 +246,9 @@ pub struct HybridPolicy {
     last_decision: DecisionKind,
 }
 
-impl HybridPolicy {
-    /// Creates the per-app state for a configuration.
-    pub fn new(config: HybridConfig) -> Self {
+impl HybridApp {
+    /// The state of an app not seen yet.
+    pub fn new(config: &HybridConfig) -> Self {
         let width = config.bin_width_minutes.max(1);
         let bins = (config.range_minutes / width).max(1);
         let hist = RangeHistogram::new(bins, width as u64);
@@ -259,7 +263,7 @@ impl HybridPolicy {
 
     /// The state around a histogram and a history.
     fn with_state(
-        config: HybridConfig,
+        config: &HybridConfig,
         hist: RangeHistogram,
         history: VecDeque<f64>,
         counts: DecisionCounts,
@@ -268,17 +272,11 @@ impl HybridPolicy {
         Self {
             head: PercentileCursor::seek(&hist, config.head_percentile),
             tail: PercentileCursor::seek(&hist, config.tail_percentile),
-            config,
             hist,
             history,
             counts,
             last_decision,
         }
-    }
-
-    /// The policy configuration.
-    pub fn config(&self) -> &HybridConfig {
-        &self.config
     }
 
     /// The underlying idle-time histogram.
@@ -291,13 +289,17 @@ impl HybridPolicy {
         self.counts
     }
 
+    /// Which branch served the most recent decision.
+    pub fn last_decision(&self) -> DecisionKind {
+        self.last_decision
+    }
+
     /// The branch the next decision takes on the histogram as it
     /// stands: not enough idle times, too many out of bounds, bin
     /// counts too even, or representative — the one statement of §4.2's
     /// order, which `on_invocation` branches on.
     #[inline]
-    pub fn regime(&self) -> Regime {
-        let cfg = &self.config;
+    pub fn regime(&self, cfg: &HybridConfig) -> Regime {
         if self.hist.total_count() < cfg.min_samples {
             Regime::Learning
         } else if self.hist.oob_fraction() > cfg.oob_threshold {
@@ -326,11 +328,12 @@ impl HybridPolicy {
         Windows::keep_loaded(self.range_ms())
     }
 
-    /// Records one idle time (in minutes) as the newest of the history.
-    fn push_history(&mut self, minutes: f64) {
+    /// Records one idle time (in minutes) as the newest of a history
+    /// capped at `cap` values.
+    fn push_history(&mut self, cap: usize, minutes: f64) {
         // Full: the oldest value makes room. Under a cap of 0 there is
         // none, and nothing is kept.
-        if self.history.len() >= self.config.history_cap && self.history.pop_front().is_none() {
+        if self.history.len() >= cap && self.history.pop_front().is_none() {
             return;
         }
         self.history.push_back(minutes);
@@ -338,17 +341,17 @@ impl HybridPolicy {
 
     /// The ARIMA branch: a forecast wrapped in the margin; `None` when
     /// it is unusable.
-    fn arima_windows(&mut self) -> Option<Windows> {
-        if self.history.len() < self.config.arima_min_history {
+    fn arima_windows(&mut self, cfg: &HybridConfig) -> Option<Windows> {
+        if self.history.len() < cfg.arima_min_history {
             return None;
         }
         // The fit reads the series oldest first in one slice.
         let series = self.history.make_contiguous();
-        let pred_minutes = auto_forecast_one(series, self.config.arima).ok()?;
+        let pred_minutes = auto_forecast_one(series, cfg.arima).ok()?;
         if !pred_minutes.is_finite() || pred_minutes < 1.0 {
             return None;
         }
-        let margin = self.config.arima_margin;
+        let margin = cfg.arima_margin;
         let pre_warm = pred_minutes * (1.0 - margin);
         let keep_alive = 2.0 * margin * pred_minutes;
         self.counts.arima += 1;
@@ -361,12 +364,12 @@ impl HybridPolicy {
 
     /// The histogram branch: head/tail cutoffs with margins and the
     /// paper's rounding rule.
-    fn histogram_windows(&mut self) -> Option<Windows> {
+    fn histogram_windows(&mut self, cfg: &HybridConfig) -> Option<Windows> {
         let head_min = self.head.head_value(&self.hist)?;
         let tail_min = self.tail.tail_value(&self.hist)?;
-        let head_ms = (head_min as f64 * (1.0 - self.config.head_margin)) * MINUTE_MS as f64;
-        let tail_ms = (tail_min as f64 * (1.0 + self.config.tail_margin)) * MINUTE_MS as f64;
-        let windows = if head_min == 0 || !self.config.pre_warming {
+        let head_ms = (head_min as f64 * (1.0 - cfg.head_margin)) * MINUTE_MS as f64;
+        let tail_ms = (tail_min as f64 * (1.0 + cfg.tail_margin)) * MINUTE_MS as f64;
+        let windows = if head_min == 0 || !cfg.pre_warming {
             // Head rounded down to zero (Figure 12, middle column) or
             // pre-warming disabled: do not unload.
             Windows::keep_loaded(tail_ms as DurationMs)
@@ -379,32 +382,34 @@ impl HybridPolicy {
         self.last_decision = DecisionKind::Histogram;
         Some(windows)
     }
-}
 
-/// Complete serializable state of a [`HybridPolicy`], excluding the
-/// configuration (which the restoring side must already hold — a
-/// snapshot is only meaningful under the policy that produced it).
-///
-/// Restoring via [`HybridPolicy::from_snapshot`] is exact: the restored
-/// policy emits bit-identical decisions to one that observed the
-/// original idle-time stream, because every decision input — histogram
-/// bins, out-of-bounds count, the capped ARIMA history — is captured.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HybridSnapshot {
-    /// Raw histogram bin counts.
-    pub bins: Vec<u32>,
-    /// Out-of-bounds recordings.
-    pub oob_count: u64,
-    /// Retained idle times in minutes (most recent last), for ARIMA.
-    pub history: Vec<f64>,
-    /// Decision counters so far.
-    pub counts: DecisionCounts,
-    /// The branch that served the most recent decision.
-    pub last_decision: DecisionKind,
-}
+    /// The policy's one decision body: records the idle time that just
+    /// ended (`None` at first sight) and returns the windows for the
+    /// gap that starts, under `cfg`.
+    // sitw-lint: hot-path
+    pub fn on_invocation(&mut self, cfg: &HybridConfig, idle: Option<DurationMs>) -> Windows {
+        // Update the IT distribution (Figure 10, first box).
+        if let Some(it) = idle {
+            if let Recorded::InBounds { bin } = self.hist.record(it / MINUTE_MS) {
+                self.head.on_record(&self.hist, bin);
+                self.tail.on_record(&self.hist, bin);
+            }
+            self.push_history(cfg.history_cap, it as f64 / MINUTE_MS as f64);
+        }
 
-impl HybridPolicy {
-    /// Captures the policy's complete mutable state.
+        let windows = match self.regime(cfg) {
+            // Too many OOB ITs → time-series forecast (or the
+            // conservative fallback when it is unusable).
+            Regime::OutOfBoundsArima => self.arima_windows(cfg),
+            Regime::Representative => self.histogram_windows(cfg),
+            // Not enough data, ARIMA disabled, or bin counts too even
+            // (CV, Figure 18): be conservative.
+            Regime::Learning | Regime::OutOfBoundsStandard | Regime::NotRepresentative => None,
+        };
+        windows.unwrap_or_else(|| self.standard_keep_alive())
+    }
+
+    /// Captures the app's complete mutable state.
     pub fn snapshot(&self) -> HybridSnapshot {
         HybridSnapshot {
             bins: self.hist.bins().to_vec(),
@@ -415,14 +420,14 @@ impl HybridPolicy {
         }
     }
 
-    /// Rebuilds a policy from a snapshot taken under the same
+    /// Rebuilds an app's state from a snapshot taken under the same
     /// configuration.
     ///
     /// # Errors
     ///
     /// Fails when the snapshot's histogram geometry or history length
     /// does not fit `config`.
-    pub fn from_snapshot(config: HybridConfig, snap: HybridSnapshot) -> Result<Self, String> {
+    pub fn from_snapshot(config: &HybridConfig, snap: HybridSnapshot) -> Result<Self, String> {
         let width = config.bin_width_minutes.max(1);
         let expected_bins = (config.range_minutes / width).max(1);
         if snap.bins.len() != expected_bins {
@@ -449,32 +454,51 @@ impl HybridPolicy {
     }
 }
 
-impl AppPolicy for HybridPolicy {
-    // sitw-lint: hot-path
-    fn on_invocation(&mut self, idle_time_ms: Option<DurationMs>) -> Windows {
-        // Update the IT distribution (Figure 10, first box).
-        if let Some(it) = idle_time_ms {
-            if let Recorded::InBounds { bin } = self.hist.record(it / MINUTE_MS) {
-                self.head.on_record(&self.hist, bin);
-                self.tail.on_record(&self.hist, bin);
-            }
-            self.push_history(it as f64 / MINUTE_MS as f64);
-        }
+/// Complete serializable state of a [`HybridApp`], excluding the
+/// configuration (which the restoring side must already hold — a
+/// snapshot is only meaningful under the policy that produced it).
+///
+/// Restoring via [`HybridApp::from_snapshot`] is exact: the restored
+/// state emits bit-identical decisions to one that observed the
+/// original idle-time stream, because every decision input — histogram
+/// bins, out-of-bounds count, the capped ARIMA history — is captured.
+#[derive(Debug, Clone, PartialEq)]
+pub struct HybridSnapshot {
+    /// Raw histogram bin counts.
+    pub bins: Vec<u32>,
+    /// Out-of-bounds recordings.
+    pub oob_count: u64,
+    /// Retained idle times in minutes (most recent last), for ARIMA.
+    pub history: Vec<f64>,
+    /// Decision counters so far.
+    pub counts: DecisionCounts,
+    /// The branch that served the most recent decision.
+    pub last_decision: DecisionKind,
+}
 
-        let windows = match self.regime() {
-            // Too many OOB ITs → time-series forecast (or the
-            // conservative fallback when it is unusable).
-            Regime::OutOfBoundsArima => self.arima_windows(),
-            Regime::Representative => self.histogram_windows(),
-            // Not enough data, ARIMA disabled, or bin counts too even
-            // (CV, Figure 18): be conservative.
-            Regime::Learning | Regime::OutOfBoundsStandard | Regime::NotRepresentative => None,
-        };
-        windows.unwrap_or_else(|| self.standard_keep_alive())
+/// The hybrid policy as an [`AppPolicy`]: one app's [`HybridApp`]
+/// beside the configuration it runs under, for the per-app replays
+/// (`sitw_sim`, the platform model) that hold no tenant.
+#[derive(Debug, Clone)]
+pub struct HybridPolicy {
+    config: HybridConfig,
+    app: HybridApp,
+}
+
+impl HybridPolicy {
+    /// The app's state: decision counters, histogram, snapshot.
+    pub fn app(&self) -> &HybridApp {
+        &self.app
+    }
+}
+
+impl AppPolicy for HybridPolicy {
+    fn on_invocation(&mut self, idle_time_ms: Option<DurationMs>) -> Windows {
+        self.app.on_invocation(&self.config, idle_time_ms)
     }
 
     fn last_decision(&self) -> DecisionKind {
-        self.last_decision
+        self.app.last_decision
     }
 
     fn name(&self) -> String {
@@ -554,9 +578,9 @@ mod tests {
         // distinct bins have a high CV); once the spread accumulates the
         // CV drops below threshold and the bulk must be conservative.
         assert!(
-            p.decisions().standard > 150,
+            p.app().decisions().standard > 150,
             "standard decisions: {:?}",
-            p.decisions()
+            p.app().decisions()
         );
     }
 
@@ -570,7 +594,7 @@ mod tests {
             last = p.on_invocation(Some((300 + (i % 3)) * MIN));
         }
         assert_eq!(p.last_decision(), DecisionKind::Arima);
-        assert!(p.decisions().arima > 0);
+        assert!(p.app().decisions().arima > 0);
         // Forecast ≈ 300 min ⇒ pre-warm ≈ 255 min, keep-alive ≈ 90 min.
         let pw_min = last.pre_warm_ms as f64 / MIN as f64;
         let ka_min = last.keep_alive_ms as f64 / MIN as f64;
@@ -590,7 +614,7 @@ mod tests {
         }
         assert_eq!(p.last_decision(), DecisionKind::StandardKeepAlive);
         assert_eq!(last, Windows::keep_loaded(240 * MIN));
-        assert_eq!(p.decisions().arima, 0);
+        assert_eq!(p.app().decisions().arima, 0);
         // 300-minute idle times are cold under a 240-minute keep-alive.
         assert!(!last.is_warm_at(300 * MIN));
     }
@@ -684,7 +708,7 @@ mod tests {
         for i in 0..50u64 {
             p.on_invocation(Some((i % 12) * MIN));
         }
-        let c = p.decisions();
+        let c = p.app().decisions();
         assert_eq!(c.total(), 51);
     }
 
@@ -719,16 +743,16 @@ mod tests {
             original.on_invocation(Some(it));
         }
 
-        let snap = original.snapshot();
-        let mut restored =
-            HybridPolicy::from_snapshot(HybridConfig::default(), snap.clone()).unwrap();
+        let cfg = HybridConfig::default();
+        let snap = original.app().snapshot();
+        let mut restored = HybridApp::from_snapshot(&cfg, snap.clone()).unwrap();
         assert_eq!(restored.snapshot(), snap);
         assert_eq!(restored.last_decision(), original.last_decision());
-        assert_eq!(restored.decisions(), original.decisions());
+        assert_eq!(restored.decisions(), original.app().decisions());
 
         for &it in &its[30..] {
             let a = original.on_invocation(Some(it));
-            let b = restored.on_invocation(Some(it));
+            let b = restored.on_invocation(&cfg, Some(it));
             assert_eq!(a, b, "diverged at idle time {it}");
             assert_eq!(original.last_decision(), restored.last_decision());
         }
@@ -738,8 +762,8 @@ mod tests {
     fn snapshot_restore_rejects_wrong_geometry() {
         let mut p = default_policy();
         p.on_invocation(None);
-        let snap = p.snapshot();
-        let err = HybridPolicy::from_snapshot(HybridConfig::with_range_hours(1), snap);
+        let snap = p.app().snapshot();
+        let err = HybridApp::from_snapshot(&HybridConfig::with_range_hours(1), snap);
         assert!(err.is_err());
     }
 
@@ -754,10 +778,10 @@ mod tests {
         for i in 0..50u64 {
             p.on_invocation(Some((300 + i) * MIN));
         }
-        assert!(p.history.len() <= 8);
+        assert!(p.app.history.len() <= 8);
         // The last eight, oldest first, wherever the ring stands.
         let kept: Vec<f64> = (342..350).map(f64::from).collect();
-        assert_eq!(p.snapshot().history, kept);
+        assert_eq!(p.app().snapshot().history, kept);
     }
 
     #[test]
@@ -775,9 +799,9 @@ mod tests {
             let w = p.on_invocation(Some(300 * MIN));
             assert_eq!(w, Windows::keep_loaded(240 * MIN));
         }
-        assert!(p.snapshot().history.is_empty());
-        assert_eq!(p.decisions().arima, 0);
-        assert_eq!(p.hist.oob_count(), 12);
+        assert!(p.app().snapshot().history.is_empty());
+        assert_eq!(p.app().decisions().arima, 0);
+        assert_eq!(p.app.hist.oob_count(), 12);
     }
 
     #[test]
@@ -795,20 +819,20 @@ mod tests {
             counts: DecisionCounts::default(),
             last_decision: DecisionKind::Histogram,
         };
-        let cfg = HybridConfig::default;
-        let mut writer = HybridPolicy::from_snapshot(cfg(), snap).unwrap();
+        let cfg = HybridConfig::default();
+        let mut writer = HybridApp::from_snapshot(&cfg, snap).unwrap();
         // The 99th percentile sits in the full bin, a thousand counts
         // from leaving it; a total that grew without its bin crosses.
         for i in 0..20_000u64 {
-            let w = writer.on_invocation(Some(10 * MIN + i % 7));
+            let w = writer.on_invocation(&cfg, Some(10 * MIN + i % 7));
             assert_eq!(w.pre_warm_ms, 9 * MIN, "at {i}");
             assert_eq!(w.keep_alive_ms, (3.1 * MIN as f64) as u64, "at {i}");
         }
-        let mut restored = HybridPolicy::from_snapshot(cfg(), writer.snapshot()).unwrap();
+        let mut restored = HybridApp::from_snapshot(&cfg, writer.snapshot()).unwrap();
         for it in [10 * MIN, 200 * MIN, 10 * MIN, 30 * MIN] {
             assert_eq!(
-                writer.on_invocation(Some(it)),
-                restored.on_invocation(Some(it))
+                writer.on_invocation(&cfg, Some(it)),
+                restored.on_invocation(&cfg, Some(it))
             );
         }
         assert_eq!(writer.snapshot(), restored.snapshot());
@@ -897,8 +921,13 @@ mod tests {
                     prev = Some((t, w));
                     invocations += 1;
                 }
-                assert_eq!(policy.snapshot(), reference.snapshot(), "app {}", app.id);
-                let d = policy.decisions();
+                assert_eq!(
+                    policy.app().snapshot(),
+                    reference.snapshot(),
+                    "app {}",
+                    app.id
+                );
+                let d = policy.app().decisions();
                 counts.histogram += d.histogram;
                 counts.standard += d.standard;
                 counts.arima += d.arima;
@@ -926,18 +955,18 @@ mod tests {
         ) {
             let cfg = grid_config(shape);
             let offset = (shape >> 40) as usize;
-            let mut policy = HybridPolicy::new(cfg.clone());
+            let mut policy = HybridApp::new(&cfg);
             let mut reference = RefHybrid::new(cfg.clone());
-            prop_assert_eq!(policy.on_invocation(None), reference.on_invocation(None));
+            prop_assert_eq!(policy.on_invocation(&cfg, None), reference.on_invocation(None));
             for (step, bits) in ops.into_iter().enumerate() {
                 if bits >> 20 & 63 == 0 {
-                    let restored = HybridPolicy::from_snapshot(cfg.clone(), policy.snapshot());
+                    let restored = HybridApp::from_snapshot(&cfg, policy.snapshot());
                     prop_assert!(restored.is_ok());
                     policy = restored.unwrap();
                 }
                 let it = regime_idle_time(&cfg, step, offset, bits);
                 prop_assert_eq!(
-                    policy.on_invocation(Some(it)),
+                    policy.on_invocation(&cfg, Some(it)),
                     reference.on_invocation(Some(it))
                 );
                 prop_assert_eq!(policy.last_decision(), reference.last_decision());

@@ -15,10 +15,11 @@
 //!   and margins, a CV-based representativeness gate with a conservative
 //!   fallback, and an ARIMA path for applications whose idle times
 //!   exceed the histogram range;
-//! * the production-style manager ([`production`]): daily histograms
+//! * the production-style scheme ([`production`]): daily histograms
 //!   with two-week retention, recency-weighted aggregation, hourly
 //!   backups, and pre-warm scheduling 90 s early, as deployed in Azure
-//!   Functions (§6).
+//!   Functions (§6); a learning policy's per-app state ([`HybridApp`],
+//!   [`ProductionApp`]) holds no configuration.
 //!
 //! # Examples
 //!
@@ -50,12 +51,12 @@ pub mod production;
 pub mod spec;
 
 pub use fixed::{FixedKeepAlive, NoUnloading};
-pub use hybrid::{DecisionCounts, HybridConfig, HybridPolicy, HybridSnapshot, Regime};
+pub use hybrid::{DecisionCounts, HybridApp, HybridConfig, HybridPolicy, HybridSnapshot, Regime};
 pub use policy::{
     AppPolicy, DecisionKind, DurationMs, GapOutcome, PolicyFactory, Windows, MINUTE_MS,
 };
 pub use production::{
-    AppKey, DayHistogram, PrewarmEvent, ProductionAppState, ProductionConfig, ProductionManager,
+    DayHistogram, ProductionApp, ProductionAppState, ProductionConfig, ProductionManager,
     ProductionPolicy, RecencyWeighting,
 };
-pub use spec::PolicySpec;
+pub use spec::{PolicySpec, SpecError};

@@ -13,17 +13,20 @@
 //! * pre-warm events scheduled at the computed interval **minus 90
 //!   seconds**, off the critical path.
 //!
-//! [`ProductionManager`] implements that scheme for a fleet of
-//! applications and exposes the same `(pre-warm, keep-alive)` decisions
-//! as [`crate::HybridConfig`], computed from the weighted aggregate.
+//! An app's state is one [`ProductionApp`] — its retained days and
+//! cached aggregate — held in its slot of the tenant's app table (or in
+//! a [`ProductionPolicy`] for per-app replays); [`ProductionManager`] is
+//! only the tenant's configuration and backup clock, with no map of
+//! apps. Decisions are [`crate::HybridConfig`]'s `(pre-warm,
+//! keep-alive)` pairs, computed from the weighted aggregate.
 //!
 //! # Decision cost
 //!
-//! [`ProductionManager::aggregate`] is the definition: fold every
+//! [`ProductionApp::aggregate`] is the definition: fold every
 //! retained day, oldest first, into fresh [`WeightedBins`] under its
 //! recency weight. A decision does not run it. Each app caches the
 //! weighted sum of every retained day **except the newest** as of the
-//! current day index, and [`ProductionManager::on_invocation`] reads head
+//! current day index, and [`ProductionApp::on_invocation`] reads head
 //! and tail off `older[i] + w_newest × newest[i]`, formed bin by bin
 //! during one percentile walk. Three events invalidate the cache — the
 //! day index of the decision differs from the one it was built for, a
@@ -41,8 +44,6 @@
 //! never exported, and an imported app rebuilds it on its first
 //! decision. It costs 240 `f64` = 1.9 KB per app, beside up to
 //! 14 × 960 B of daily histograms.
-
-use std::collections::HashMap;
 
 use sitw_stats::histogram::WeightedBins;
 use sitw_stats::RangeHistogram;
@@ -156,14 +157,15 @@ impl ProductionConfig {
     }
 }
 
-/// Per-application daily histogram set, with the cached aggregate of
-/// every day but the newest (see the module docs).
+/// One application's retained daily histograms and the cached aggregate
+/// of every day but the newest (see the module docs), without
+/// configuration: every method takes the [`ProductionConfig`].
 #[derive(Debug, Clone)]
-struct AppHistograms {
+pub struct ProductionApp {
     /// `(day_index, histogram)`. Invariant: day indices strictly
-    /// increasing, so the newest day is last — what `import_app` checks,
-    /// what `record` preserves, and what lets the cache leave exactly
-    /// one day out.
+    /// increasing, so the newest day is last — what `import` checks,
+    /// what `record_idle_time` preserves, and what lets the cache leave
+    /// exactly one day out.
     days: Vec<(u64, RangeHistogram)>,
     /// Weighted sum of `days[..len - 1]` as of day `older_as_of`.
     older: WeightedBins,
@@ -175,10 +177,13 @@ struct AppHistograms {
     rebuilds: u64,
 }
 
-impl AppHistograms {
-    fn new(config: &ProductionConfig, days: Vec<(u64, RangeHistogram)>) -> Self {
+impl ProductionApp {
+    /// The state of an app with nothing recorded yet. Its cache buffer
+    /// is allocated here, where the app is created, so that no decision
+    /// allocates it.
+    pub fn new(config: &ProductionConfig) -> Self {
         Self {
-            days,
+            days: Vec::new(),
             older: WeightedBins::new(config.range_minutes, 1),
             older_as_of: None,
             #[cfg(test)]
@@ -186,9 +191,16 @@ impl AppHistograms {
         }
     }
 
-    /// Records an idle time observed at `now_ms` into the current day's
-    /// histogram and expires days that left the retention window.
-    fn record(&mut self, config: &ProductionConfig, now_ms: DurationMs, idle_ms: DurationMs) {
+    /// Records an idle time observed at absolute time `now_ms` into the
+    /// current day's histogram and expires days that left the retention
+    /// window. An observation stamped on an earlier day than the newest
+    /// retained one (clock skew) goes into the newest day.
+    pub fn record_idle_time(
+        &mut self,
+        config: &ProductionConfig,
+        now_ms: DurationMs,
+        idle_ms: DurationMs,
+    ) {
         let day = now_ms / DAY_MS;
         let newest = match self.days.last_mut() {
             // A clock that steps back across midnight must not reorder
@@ -216,14 +228,53 @@ impl AppHistograms {
         }
     }
 
-    /// The from-scratch weighted aggregate as of day `today`.
-    fn aggregate(&self, config: &ProductionConfig, today: u64) -> Option<WeightedBins> {
+    /// The weighted aggregate histogram as of the day of `now_ms`,
+    /// folded from scratch: the definition the cached decision is
+    /// tested against. `None` when no retained day carries weight.
+    pub fn aggregate(&self, config: &ProductionConfig, now_ms: DurationMs) -> Option<WeightedBins> {
         let mut agg = WeightedBins::new(config.range_minutes, 1);
-        config.fold_days(&self.days, today, &mut agg);
+        config.fold_days(&self.days, now_ms / DAY_MS, &mut agg);
         (!agg.is_empty()).then_some(agg)
     }
 
-    /// The windows [`ProductionManager::windows`] computes from scratch,
+    /// The `(pre-warm, keep-alive)` windows from the weighted aggregate;
+    /// `None` when no data exists yet (callers then use their
+    /// conservative default).
+    pub fn windows(&self, config: &ProductionConfig, now_ms: DurationMs) -> Option<Windows> {
+        let agg = self.aggregate(config, now_ms)?;
+        let head = agg.head_value(config.head_percentile)?;
+        let tail = agg.tail_value(config.tail_percentile)?;
+        Some(config.windows_from(head, tail))
+    }
+
+    /// When to pre-warm an app that became idle at `idle_from_ms`: the
+    /// computed pre-warm interval minus the production slack (90 s),
+    /// clamped to not precede idleness. `None` when the app is not
+    /// unloaded at all.
+    pub fn schedule_prewarm(
+        &self,
+        config: &ProductionConfig,
+        idle_from_ms: DurationMs,
+    ) -> Option<DurationMs> {
+        let w = self.windows(config, idle_from_ms)?;
+        (w.pre_warm_ms > 0).then(|| {
+            idle_from_ms
+                .saturating_add(w.pre_warm_ms)
+                .saturating_sub(config.prewarm_slack_ms)
+                .max(idle_from_ms)
+        })
+    }
+
+    /// Bytes needed to persist the retained histograms (the §6 figure:
+    /// 960 bytes per histogram).
+    pub fn persisted_bytes(&self) -> usize {
+        self.days
+            .iter()
+            .map(|(_, h)| h.memory_footprint_bytes())
+            .sum()
+    }
+
+    /// The windows [`ProductionApp::windows`] computes from scratch,
     /// read off the cached aggregate instead.
     // sitw-lint: hot-path
     fn cached_windows(&mut self, config: &ProductionConfig, now_ms: DurationMs) -> Option<Windows> {
@@ -249,105 +300,104 @@ impl AppHistograms {
         Some(config.windows_from(head, tail))
     }
 
-    /// One app's share of [`ProductionManager::on_invocation`].
-    fn on_invocation(
+    /// The day-aware decision: observes one invocation at absolute time
+    /// `now_ms` and returns the windows governing the gap until the
+    /// app's next invocation, plus which branch produced them.
+    ///
+    /// `idle_ms` is the idle time that just *ended* (`None` for the
+    /// app's first observed invocation, which records nothing). The
+    /// weighted aggregate over the retained daily histograms drives the
+    /// decision ([`DecisionKind::Histogram`]); with no usable aggregate
+    /// the conservative standard keep-alive spans the histogram range
+    /// ([`DecisionKind::StandardKeepAlive`]).
+    ///
+    /// This is the single decision function both the offline replay
+    /// (`sitw_sim`) and the serving daemon (`sitw-serve`) call, which is
+    /// what makes their verdict streams bit-for-bit comparable. It
+    /// allocates only when a day opens, and returns the windows of
+    /// [`ProductionApp::windows`] bit for bit (see the module docs).
+    // sitw-lint: hot-path
+    pub fn on_invocation(
         &mut self,
         config: &ProductionConfig,
         now_ms: DurationMs,
         idle_ms: Option<DurationMs>,
     ) -> (Windows, DecisionKind) {
         if let Some(idle) = idle_ms {
-            self.record(config, now_ms, idle);
+            self.record_idle_time(config, now_ms, idle);
         }
         match self.cached_windows(config, now_ms) {
             Some(w) => (w, DecisionKind::Histogram),
             None => config.standard_keep_alive(),
         }
     }
+
+    /// The retained daily histograms in exportable form (the unit a §6
+    /// backup persists).
+    pub fn export(&self) -> ProductionAppState {
+        ProductionAppState {
+            days: self
+                .days
+                .iter()
+                .map(|(day, hist)| DayHistogram {
+                    day: *day,
+                    bins: hist.bins().to_vec(),
+                    oob: hist.oob_count(),
+                })
+                .collect(),
+        }
+    }
+
+    /// The inverse of [`ProductionApp::export`]: an exported-then-
+    /// imported app produces bit-identical decisions.
+    ///
+    /// # Errors
+    ///
+    /// Fails when a day's bin count does not match the configured range
+    /// or the days are not strictly ordered oldest-first.
+    pub fn import(config: &ProductionConfig, state: ProductionAppState) -> Result<Self, String> {
+        let mut days = Vec::with_capacity(state.days.len());
+        let mut prev_day = None;
+        for d in state.days {
+            if d.bins.len() != config.range_minutes {
+                return Err(format!(
+                    "day {} has {} bins but config expects {}",
+                    d.day,
+                    d.bins.len(),
+                    config.range_minutes
+                ));
+            }
+            if prev_day.is_some_and(|p| d.day <= p) {
+                return Err(format!("day {} out of order", d.day));
+            }
+            prev_day = Some(d.day);
+            days.push((d.day, RangeHistogram::from_parts(1, d.bins, d.oob)));
+        }
+        Ok(Self {
+            days,
+            ..Self::new(config)
+        })
+    }
 }
 
-/// Identifier type for applications managed by [`ProductionManager`]
-/// (opaque to this module).
-pub type AppKey = u64;
-
-/// A scheduled pre-warm event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PrewarmEvent {
-    /// Application to load.
-    pub app: AppKey,
-    /// Absolute time at which to load the image.
-    pub at_ms: DurationMs,
-}
-
-/// Fleet-wide production histogram manager.
+/// The production scheme's tenant-wide half: its configuration and the
+/// hourly backup clock (§6). Each app's state is its own
+/// [`ProductionApp`], held by whoever holds the app.
 #[derive(Debug)]
 pub struct ProductionManager {
     config: ProductionConfig,
-    apps: HashMap<AppKey, AppHistograms>,
     backups_taken: u64,
     last_backup_ms: DurationMs,
 }
 
 impl ProductionManager {
-    /// Creates an empty manager.
+    /// A manager with no backups taken.
     pub fn new(config: ProductionConfig) -> Self {
         Self {
             config,
-            apps: HashMap::new(),
             backups_taken: 0,
             last_backup_ms: 0,
         }
-    }
-
-    /// Number of applications currently tracked.
-    pub fn num_apps(&self) -> usize {
-        self.apps.len()
-    }
-
-    /// Records an idle time observed at absolute time `now_ms` for `app`,
-    /// updating the current day's histogram and expiring old days. An
-    /// observation stamped on an earlier day than the newest retained
-    /// one (clock skew) goes into the newest day.
-    pub fn record_idle_time(&mut self, app: AppKey, now_ms: DurationMs, idle_ms: DurationMs) {
-        let config = &self.config;
-        self.apps
-            .entry(app)
-            .or_insert_with(|| AppHistograms::new(config, Vec::new()))
-            .record(config, now_ms, idle_ms);
-    }
-
-    /// The weighted aggregate histogram for an app as of day
-    /// `today` (derived from `now_ms`), folded from scratch: the
-    /// definition the cached decision path is tested against.
-    pub fn aggregate(&self, app: AppKey, now_ms: DurationMs) -> Option<WeightedBins> {
-        self.apps
-            .get(&app)?
-            .aggregate(&self.config, now_ms / DAY_MS)
-    }
-
-    /// Computes the `(pre-warm, keep-alive)` windows for an app from the
-    /// weighted aggregate; `None` when no data exists yet (callers then
-    /// use their conservative default).
-    pub fn windows(&self, app: AppKey, now_ms: DurationMs) -> Option<Windows> {
-        let agg = self.aggregate(app, now_ms)?;
-        let head = agg.head_value(self.config.head_percentile)?;
-        let tail = agg.tail_value(self.config.tail_percentile)?;
-        Some(self.config.windows_from(head, tail))
-    }
-
-    /// Schedules the pre-warm event for an app that became idle at
-    /// `idle_from_ms`: the computed pre-warm interval minus the
-    /// production slack (90 s), clamped to not precede idleness.
-    pub fn schedule_prewarm(&self, app: AppKey, idle_from_ms: DurationMs) -> Option<PrewarmEvent> {
-        let w = self.windows(app, idle_from_ms)?;
-        if w.pre_warm_ms == 0 {
-            return None; // The app is not unloaded at all.
-        }
-        let at = idle_from_ms
-            .saturating_add(w.pre_warm_ms)
-            .saturating_sub(self.config.prewarm_slack_ms)
-            .max(idle_from_ms);
-        Some(PrewarmEvent { app, at_ms: at })
     }
 
     /// Advances the backup clock; returns how many (hourly) backups were
@@ -372,15 +422,6 @@ impl ProductionManager {
         self.backups_taken
     }
 
-    /// Bytes needed to persist one app's retained histograms (the §6
-    /// figure: 960 bytes per histogram).
-    pub fn persisted_bytes(&self, app: AppKey) -> usize {
-        self.apps
-            .get(&app)
-            .map(|e| e.days.iter().map(|(_, h)| h.memory_footprint_bytes()).sum())
-            .unwrap_or(0)
-    }
-
     /// The manager's configuration.
     pub fn config(&self) -> &ProductionConfig {
         &self.config
@@ -398,95 +439,6 @@ impl ProductionManager {
     pub fn set_last_backup_ms(&mut self, at_ms: DurationMs) {
         self.last_backup_ms = at_ms;
     }
-
-    /// The day-aware decision entry point: observes one invocation at
-    /// absolute time `now_ms` and returns the windows governing the gap
-    /// until the app's next invocation, plus which branch produced them.
-    ///
-    /// `idle_ms` is the idle time that just *ended* (`None` for the
-    /// app's first observed invocation, which records nothing). The
-    /// weighted aggregate over the retained daily histograms drives the
-    /// decision ([`DecisionKind::Histogram`]); with no usable aggregate
-    /// the conservative standard keep-alive spans the histogram range
-    /// ([`DecisionKind::StandardKeepAlive`]). The backup clock advances
-    /// as a side effect, mirroring the hourly cadence of §6.
-    ///
-    /// This is the single decision function both the offline replay
-    /// (`sitw_sim`) and the serving daemon (`sitw-serve`) call, which is
-    /// what makes their verdict streams bit-for-bit comparable. One map
-    /// lookup, no allocation once the app is known, and the windows of
-    /// [`ProductionManager::windows`] bit for bit (see the module docs).
-    // sitw-lint: hot-path
-    pub fn on_invocation(
-        &mut self,
-        app: AppKey,
-        now_ms: DurationMs,
-        idle_ms: Option<DurationMs>,
-    ) -> (Windows, DecisionKind) {
-        self.tick_backup(now_ms);
-        let config = &self.config;
-        let known = match idle_ms {
-            Some(_) => Some(self.apps.entry(app).or_insert_with(|| {
-                // First sight of the app: its day list and cache buffer.
-                // sitw-lint: allow(hot-path-alloc)
-                AppHistograms::new(config, Vec::new())
-            })),
-            // Nothing to record: an app never seen stays untracked.
-            None => self.apps.get_mut(&app),
-        };
-        match known {
-            Some(histograms) => histograms.on_invocation(config, now_ms, idle_ms),
-            None => config.standard_keep_alive(),
-        }
-    }
-
-    /// Exports one app's retained daily histograms (the unit a §6 backup
-    /// persists); `None` when the app is unknown.
-    pub fn export_app(&self, app: AppKey) -> Option<ProductionAppState> {
-        let entry = self.apps.get(&app)?;
-        Some(ProductionAppState {
-            days: entry
-                .days
-                .iter()
-                .map(|(day, hist)| DayHistogram {
-                    day: *day,
-                    bins: hist.bins().to_vec(),
-                    oob: hist.oob_count(),
-                })
-                .collect(),
-        })
-    }
-
-    /// Imports one app's daily histograms, replacing any existing state
-    /// for that app. The inverse of [`ProductionManager::export_app`]:
-    /// an exported-then-imported app produces bit-identical decisions.
-    ///
-    /// # Errors
-    ///
-    /// Fails when a day's bin count does not match the configured range
-    /// or the days are not strictly ordered oldest-first.
-    pub fn import_app(&mut self, app: AppKey, state: ProductionAppState) -> Result<(), String> {
-        let mut days = Vec::with_capacity(state.days.len());
-        let mut prev_day = None;
-        for d in state.days {
-            if d.bins.len() != self.config.range_minutes {
-                return Err(format!(
-                    "day {} has {} bins but config expects {}",
-                    d.day,
-                    d.bins.len(),
-                    self.config.range_minutes
-                ));
-            }
-            if prev_day.is_some_and(|p| d.day <= p) {
-                return Err(format!("day {} out of order", d.day));
-            }
-            prev_day = Some(d.day);
-            days.push((d.day, RangeHistogram::from_parts(1, d.bins, d.oob)));
-        }
-        self.apps
-            .insert(app, AppHistograms::new(&self.config, days));
-        Ok(())
-    }
 }
 
 /// One retained daily histogram of an app, in exportable form.
@@ -500,59 +452,38 @@ pub struct DayHistogram {
     pub oob: u64,
 }
 
-/// Complete exportable per-app state of a [`ProductionManager`]: the
-/// retained daily histograms, oldest first.
+/// Complete exportable state of a [`ProductionApp`]: the retained daily
+/// histograms, oldest first.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ProductionAppState {
     /// `(day, histogram)` exports, oldest first.
     pub days: Vec<DayHistogram>,
 }
 
-/// A single-application view of the production scheme, for replaying one
-/// app's idle-time stream through the standard [`AppPolicy`] interface
-/// (simulation sweeps treat every policy as a per-app state machine).
+/// The production scheme as an [`AppPolicy`]: one app's
+/// [`ProductionApp`] beside its configuration, for replaying one app's
+/// idle-time stream the way simulation sweeps replay every policy.
 ///
 /// Absolute time — which the daily rotation needs and `AppPolicy` does
 /// not carry — is reconstructed by accumulating idle times from 0, so a
 /// sweep sees the same *relative* day boundaries for every app. Replays
 /// that must match the serving daemon bit-for-bit use
-/// [`ProductionManager::on_invocation`] with real timestamps instead
+/// [`ProductionApp::on_invocation`] with real timestamps instead
 /// (`sitw_sim::production_verdict_trace`).
 #[derive(Debug)]
 pub struct ProductionPolicy {
-    /// Configuration and backup clock. Its app map stays empty: the one
-    /// app's histograms sit beside it, so a decision hashes nothing.
-    manager: ProductionManager,
-    app: AppHistograms,
+    config: ProductionConfig,
+    app: ProductionApp,
     now_ms: DurationMs,
     last_decision: DecisionKind,
-}
-
-impl ProductionPolicy {
-    /// Creates the single-app adapter.
-    pub fn new(config: ProductionConfig) -> Self {
-        Self {
-            manager: ProductionManager::new(config),
-            app: AppHistograms::new(&config, Vec::new()),
-            now_ms: 0,
-            last_decision: DecisionKind::StandardKeepAlive,
-        }
-    }
-
-    /// The wrapped manager: the configuration and the backup accounting
-    /// (e.g. for reports). The adapter's app is not in its map.
-    pub fn manager(&self) -> &ProductionManager {
-        &self.manager
-    }
 }
 
 impl AppPolicy for ProductionPolicy {
     fn on_invocation(&mut self, idle_time_ms: Option<DurationMs>) -> Windows {
         self.now_ms = self.now_ms.saturating_add(idle_time_ms.unwrap_or(0));
-        self.manager.tick_backup(self.now_ms);
-        let (windows, kind) =
-            self.app
-                .on_invocation(&self.manager.config, self.now_ms, idle_time_ms);
+        let (windows, kind) = self
+            .app
+            .on_invocation(&self.config, self.now_ms, idle_time_ms);
         self.last_decision = kind;
         windows
     }
@@ -562,7 +493,7 @@ impl AppPolicy for ProductionPolicy {
     }
 
     fn name(&self) -> String {
-        self.manager.config.label()
+        self.config.label()
     }
 }
 
@@ -570,7 +501,12 @@ impl PolicyFactory for ProductionConfig {
     type Policy = ProductionPolicy;
 
     fn new_policy(&self) -> ProductionPolicy {
-        ProductionPolicy::new(*self)
+        ProductionPolicy {
+            config: *self,
+            app: ProductionApp::new(self),
+            now_ms: 0,
+            last_decision: DecisionKind::StandardKeepAlive,
+        }
     }
 
     fn label(&self) -> String {
@@ -592,17 +528,22 @@ mod tests {
 
     const DAY: DurationMs = 24 * 60 * MINUTE_MS;
 
+    /// The default configuration and an app with nothing recorded.
+    fn fresh() -> (ProductionConfig, ProductionApp) {
+        let cfg = ProductionConfig::default();
+        (cfg, ProductionApp::new(&cfg))
+    }
+
     #[test]
     fn records_rotate_daily_and_expire() {
-        let mut m = ProductionManager::new(ProductionConfig::default());
+        let (cfg, mut a) = fresh();
         for day in 0..20u64 {
-            m.record_idle_time(1, day * DAY, 10 * MINUTE_MS);
+            a.record_idle_time(&cfg, day * DAY, 10 * MINUTE_MS);
         }
         // Only the last 14 days are retained.
-        let e = &m.apps[&1];
-        assert_eq!(e.days.len(), 14);
-        assert_eq!(e.days.first().unwrap().0, 6);
-        assert_eq!(e.days.last().unwrap().0, 19);
+        assert_eq!(a.days.len(), 14);
+        assert_eq!(a.days.first().unwrap().0, 6);
+        assert_eq!(a.days.last().unwrap().0, 19);
     }
 
     #[test]
@@ -611,13 +552,13 @@ mod tests {
             weighting: RecencyWeighting::Exponential { decay: 0.5 },
             ..ProductionConfig::default()
         };
-        let mut m = ProductionManager::new(cfg);
+        let mut a = ProductionApp::new(&cfg);
         // Day 0: idle times of 100 minutes. Day 1: 20 minutes.
         for _ in 0..10 {
-            m.record_idle_time(7, 0, 100 * MINUTE_MS);
-            m.record_idle_time(7, DAY, 20 * MINUTE_MS);
+            a.record_idle_time(&cfg, 0, 100 * MINUTE_MS);
+            a.record_idle_time(&cfg, DAY, 20 * MINUTE_MS);
         }
-        let agg = m.aggregate(7, DAY).unwrap();
+        let agg = a.aggregate(&cfg, DAY).unwrap();
         // As of day 1, day-1 weighs 1.0 and day-0 weighs 0.5: the median
         // sits in the recent mode.
         assert_eq!(agg.head_value(50.0), Some(20));
@@ -625,46 +566,42 @@ mod tests {
 
     #[test]
     fn windows_match_hybrid_semantics() {
-        let mut m = ProductionManager::new(ProductionConfig::default());
+        let (cfg, mut a) = fresh();
         for _ in 0..50 {
-            m.record_idle_time(3, 0, 10 * MINUTE_MS);
+            a.record_idle_time(&cfg, 0, 10 * MINUTE_MS);
         }
-        let w = m.windows(3, 0).unwrap();
+        let w = a.windows(&cfg, 0).unwrap();
         assert_eq!(w.pre_warm_ms, 9 * MINUTE_MS);
         assert!(w.is_warm_at(10 * MINUTE_MS));
     }
 
     #[test]
     fn windows_none_without_data() {
-        let m = ProductionManager::new(ProductionConfig::default());
-        assert!(m.windows(99, 0).is_none());
-        assert!(m.schedule_prewarm(99, 0).is_none());
+        let (cfg, a) = fresh();
+        assert!(a.windows(&cfg, 0).is_none());
+        assert!(a.schedule_prewarm(&cfg, 0).is_none());
     }
 
     #[test]
     fn prewarm_fires_90_seconds_early() {
-        let mut m = ProductionManager::new(ProductionConfig::default());
+        let (cfg, mut a) = fresh();
         for _ in 0..50 {
-            m.record_idle_time(5, 0, 60 * MINUTE_MS);
+            a.record_idle_time(&cfg, 0, 60 * MINUTE_MS);
         }
         let idle_from = 1_000_000;
-        let ev = m.schedule_prewarm(5, idle_from).unwrap();
-        let w = m.windows(5, idle_from).unwrap();
-        assert_eq!(
-            ev.at_ms,
-            idle_from + w.pre_warm_ms - 90_000,
-            "slack must be 90 s"
-        );
+        let at = a.schedule_prewarm(&cfg, idle_from).unwrap();
+        let w = a.windows(&cfg, idle_from).unwrap();
+        assert_eq!(at, idle_from + w.pre_warm_ms - 90_000, "slack must be 90 s");
     }
 
     #[test]
     fn prewarm_not_scheduled_when_kept_loaded() {
-        let mut m = ProductionManager::new(ProductionConfig::default());
+        let (cfg, mut a) = fresh();
         // Sub-minute idle times → head bin 0 → never unloaded.
         for _ in 0..50 {
-            m.record_idle_time(6, 0, 30_000);
+            a.record_idle_time(&cfg, 0, 30_000);
         }
-        assert!(m.schedule_prewarm(6, 0).is_none());
+        assert!(a.schedule_prewarm(&cfg, 0).is_none());
     }
 
     #[test]
@@ -687,17 +624,18 @@ mod tests {
         let taken = m.tick_backup(DurationMs::MAX);
         assert_eq!(taken, DurationMs::MAX / 3_600_000);
         assert_eq!(m.backups_taken(), taken);
-        let (_, kind) = m.on_invocation(1, DurationMs::MAX, Some(10 * MINUTE_MS));
+        let (cfg, mut a) = fresh();
+        let (_, kind) = a.on_invocation(&cfg, DurationMs::MAX, Some(10 * MINUTE_MS));
         assert_eq!(kind, DecisionKind::Histogram);
     }
 
     #[test]
     fn persisted_size_is_960_bytes_per_day() {
-        let mut m = ProductionManager::new(ProductionConfig::default());
-        m.record_idle_time(2, 0, MINUTE_MS);
-        m.record_idle_time(2, DAY, MINUTE_MS);
-        assert_eq!(m.persisted_bytes(2), 2 * 960);
-        assert_eq!(m.persisted_bytes(42), 0);
+        let (cfg, mut a) = fresh();
+        assert_eq!(a.persisted_bytes(), 0);
+        a.record_idle_time(&cfg, 0, MINUTE_MS);
+        a.record_idle_time(&cfg, DAY, MINUTE_MS);
+        assert_eq!(a.persisted_bytes(), 2 * 960);
     }
 
     #[test]
@@ -705,70 +643,69 @@ mod tests {
         // Regression: expiry used to run only inside `record_idle_time`,
         // so an app idle past the retention window kept serving windows
         // from data older than two weeks.
-        let mut m = ProductionManager::new(ProductionConfig::default());
+        let (cfg, mut a) = fresh();
         for _ in 0..50 {
-            m.record_idle_time(1, 0, 10 * MINUTE_MS);
+            a.record_idle_time(&cfg, 0, 10 * MINUTE_MS);
         }
         // Within retention the data is used...
-        assert!(m.aggregate(1, 13 * DAY).is_some());
-        assert!(m.windows(1, 13 * DAY).is_some());
+        assert!(a.aggregate(&cfg, 13 * DAY).is_some());
+        assert!(a.windows(&cfg, 13 * DAY).is_some());
         // ...but 14+ days later (no records in between) it has expired.
         assert!(
-            m.aggregate(1, 14 * DAY).is_none(),
+            a.aggregate(&cfg, 14 * DAY).is_none(),
             "day-0 data is 14 days old"
         );
-        assert!(m.windows(1, 20 * DAY).is_none());
-        assert!(m.schedule_prewarm(1, 20 * DAY).is_none());
+        assert!(a.windows(&cfg, 20 * DAY).is_none());
+        assert!(a.schedule_prewarm(&cfg, 20 * DAY).is_none());
         // A conservative default is served instead of a stale histogram.
-        let (w, kind) = m.on_invocation(1, 20 * DAY, None);
+        let (w, kind) = a.on_invocation(&cfg, 20 * DAY, None);
         assert_eq!(kind, DecisionKind::StandardKeepAlive);
         assert_eq!(w, Windows::keep_loaded(240 * MINUTE_MS));
     }
 
     #[test]
     fn on_invocation_matches_windows_and_falls_back() {
-        let mut m = ProductionManager::new(ProductionConfig::default());
+        let (cfg, mut a) = fresh();
         // First invocation: nothing recorded, conservative default.
-        let (w, kind) = m.on_invocation(9, 0, None);
+        let (w, kind) = a.on_invocation(&cfg, 0, None);
         assert_eq!(kind, DecisionKind::StandardKeepAlive);
         assert_eq!(w, Windows::keep_loaded(240 * MINUTE_MS));
         // A concentrated pattern flips to the (weighted) histogram.
         let mut last = (w, kind);
         for i in 1..=30u64 {
-            last = m.on_invocation(9, i * 10 * MINUTE_MS, Some(10 * MINUTE_MS));
+            last = a.on_invocation(&cfg, i * 10 * MINUTE_MS, Some(10 * MINUTE_MS));
         }
         assert_eq!(last.1, DecisionKind::Histogram);
-        assert_eq!(Some(last.0), m.windows(9, 300 * MINUTE_MS));
-        // Backups ticked as a side effect of the advancing clock.
-        assert_eq!(m.backups_taken(), 5);
+        assert_eq!(Some(last.0), a.windows(&cfg, 300 * MINUTE_MS));
     }
 
     #[test]
     fn export_import_round_trips_decisions() {
-        let cfg = ProductionConfig::default();
-        let mut a = ProductionManager::new(cfg);
+        let (cfg, mut a) = fresh();
         for day in 0..3u64 {
             for k in 0..20u64 {
-                a.record_idle_time(4, day * DAY + k * MINUTE_MS, (10 + day) * MINUTE_MS);
+                a.record_idle_time(&cfg, day * DAY + k * MINUTE_MS, (10 + day) * MINUTE_MS);
             }
         }
-        a.record_idle_time(4, 3 * DAY, 400 * MINUTE_MS); // An OOB idle.
-        let state = a.export_app(4).unwrap();
+        a.record_idle_time(&cfg, 3 * DAY, 400 * MINUTE_MS); // An OOB idle.
+        let state = a.export();
         assert_eq!(state.days.len(), 4);
         assert_eq!(state.days.last().unwrap().oob, 1);
 
-        let mut b = ProductionManager::new(cfg);
-        b.import_app(77, state).unwrap();
+        let b = ProductionApp::import(&cfg, state).unwrap();
         for now in [3 * DAY, 3 * DAY + 5 * MINUTE_MS, 10 * DAY] {
-            assert_eq!(a.windows(4, now), b.windows(77, now), "at {now}");
+            assert_eq!(a.windows(&cfg, now), b.windows(&cfg, now), "at {now}");
         }
-        assert_eq!(a.persisted_bytes(4), b.persisted_bytes(77));
-        assert!(b.export_app(999).is_none());
+        assert_eq!(a.persisted_bytes(), b.persisted_bytes());
+        assert_eq!(
+            ProductionApp::new(&cfg).export(),
+            ProductionAppState::default()
+        );
     }
 
     #[test]
     fn import_rejects_bad_geometry_and_order() {
-        let mut m = ProductionManager::new(ProductionConfig::default());
+        let cfg = ProductionConfig::default();
         let bad_bins = ProductionAppState {
             days: vec![DayHistogram {
                 day: 0,
@@ -776,7 +713,7 @@ mod tests {
                 oob: 0,
             }],
         };
-        assert!(m.import_app(1, bad_bins).is_err());
+        assert!(ProductionApp::import(&cfg, bad_bins).is_err());
         let out_of_order = ProductionAppState {
             days: vec![
                 DayHistogram {
@@ -791,52 +728,50 @@ mod tests {
                 },
             ],
         };
-        assert!(m.import_app(1, out_of_order).is_err());
+        assert!(ProductionApp::import(&cfg, out_of_order).is_err());
     }
 
     /// What `on_invocation` must return, from the from-scratch
     /// definition.
     fn from_scratch(
-        m: &ProductionManager,
-        app: AppKey,
+        cfg: &ProductionConfig,
+        app: &ProductionApp,
         now: DurationMs,
     ) -> (Windows, DecisionKind) {
-        match m.windows(app, now) {
+        match app.windows(cfg, now) {
             Some(w) => (w, DecisionKind::Histogram),
-            None => m.config.standard_keep_alive(),
+            None => cfg.standard_keep_alive(),
         }
     }
 
     #[test]
     fn clock_skew_records_into_the_newest_day() {
         // Regression: an observation stamped a day earlier used to be
-        // pushed *after* the newer day, producing state `import_app`
+        // pushed *after* the newer day, producing state `import`
         // rejects as out of order.
-        let cfg = ProductionConfig::default();
-        let mut a = ProductionManager::new(cfg);
+        let (cfg, mut a) = fresh();
         for k in 0..20u64 {
-            a.record_idle_time(1, 3 * DAY + k * MINUTE_MS, 10 * MINUTE_MS);
+            a.record_idle_time(&cfg, 3 * DAY + k * MINUTE_MS, 10 * MINUTE_MS);
         }
-        a.record_idle_time(1, 2 * DAY, 40 * MINUTE_MS);
-        let state = a.export_app(1).unwrap();
+        a.record_idle_time(&cfg, 2 * DAY, 40 * MINUTE_MS);
+        let state = a.export();
         assert_eq!(
             state.days.iter().map(|d| d.day).collect::<Vec<_>>(),
             [3],
             "the skewed observation joins day 3"
         );
-        let mut b = ProductionManager::new(cfg);
-        b.import_app(1, state).unwrap();
+        let mut b = ProductionApp::import(&cfg, state).unwrap();
         for (now, idle) in [
             (2 * DAY + MINUTE_MS, Some(15 * MINUTE_MS)),
             (3 * DAY + 30 * MINUTE_MS, Some(10 * MINUTE_MS)),
             (4 * DAY, None),
             (4 * DAY + 5 * MINUTE_MS, Some(12 * MINUTE_MS)),
         ] {
-            let got = a.on_invocation(1, now, idle);
-            assert_eq!(got, b.on_invocation(1, now, idle), "at {now}");
-            assert_eq!(got, from_scratch(&a, 1, now), "at {now}");
+            let got = a.on_invocation(&cfg, now, idle);
+            assert_eq!(got, b.on_invocation(&cfg, now, idle), "at {now}");
+            assert_eq!(got, from_scratch(&cfg, &a, now), "at {now}");
         }
-        assert_eq!(a.export_app(1), b.export_app(1));
+        assert_eq!(a.export(), b.export());
     }
 
     #[test]
@@ -849,16 +784,16 @@ mod tests {
             bins[minute] = 50;
             DayHistogram { day, bins, oob: 0 }
         };
-        let mut m = ProductionManager::new(ProductionConfig::default());
+        let cfg = ProductionConfig::default();
         let state = ProductionAppState {
             days: vec![day_of(0, 200), day_of(20, 10)],
         };
-        m.import_app(1, state).unwrap();
-        let before = m.on_invocation(1, 5 * DAY, None);
-        assert_eq!(before, from_scratch(&m, 1, 5 * DAY));
-        let after = m.on_invocation(1, 5 * DAY, Some(10 * MINUTE_MS));
-        assert_eq!(m.apps[&1].days.len(), 1, "day 0 left the window of day 20");
-        assert_eq!(after, from_scratch(&m, 1, 5 * DAY));
+        let mut a = ProductionApp::import(&cfg, state).unwrap();
+        let before = a.on_invocation(&cfg, 5 * DAY, None);
+        assert_eq!(before, from_scratch(&cfg, &a, 5 * DAY));
+        let after = a.on_invocation(&cfg, 5 * DAY, Some(10 * MINUTE_MS));
+        assert_eq!(a.days.len(), 1, "day 0 left the window of day 20");
+        assert_eq!(after, from_scratch(&cfg, &a, 5 * DAY));
         assert_ne!(before, after, "the expired day carried the tail");
     }
 
@@ -883,9 +818,8 @@ mod tests {
                 },
                 ..ProductionConfig::default()
             };
-            let mut m = ProductionManager::new(cfg);
-            let mut twin = ProductionManager::new(cfg);
-            let mut imported = [false; 3];
+            let mut m = [(); 3].map(|()| ProductionApp::new(&cfg));
+            let mut twin: [Option<ProductionApp>; 3] = Default::default();
             let mut clocks = [0, 3 * DAY + 7 * MINUTE_MS, 40 * DAY];
             for mut bits in ops {
                 let mut take = |n: u64| {
@@ -893,8 +827,8 @@ mod tests {
                     bits /= n;
                     v
                 };
-                let app = take(3);
-                let clock = &mut clocks[app as usize];
+                let app = take(3) as usize;
+                let clock = &mut clocks[app];
                 *clock = match take(8) {
                     0 => *clock,
                     1..=4 => *clock + take(45) * MINUTE_MS + take(60_000),
@@ -909,15 +843,14 @@ mod tests {
                     _ => Some(take(240) * MINUTE_MS + take(60_000)),
                 };
                 if take(12) == 0 {
-                    if let Some(state) = m.export_app(app) {
-                        prop_assert!(twin.import_app(app, state).is_ok());
-                        imported[app as usize] = true;
-                    }
+                    let imported = ProductionApp::import(&cfg, m[app].export());
+                    prop_assert!(imported.is_ok());
+                    twin[app] = imported.ok();
                 }
-                let got = m.on_invocation(app, now, idle);
-                prop_assert_eq!(got, from_scratch(&m, app, now));
-                if imported[app as usize] {
-                    prop_assert_eq!(got, twin.on_invocation(app, now, idle));
+                let got = m[app].on_invocation(&cfg, now, idle);
+                prop_assert_eq!(got, from_scratch(&cfg, &m[app], now));
+                if let Some(twin) = &mut twin[app] {
+                    prop_assert_eq!(got, twin.on_invocation(&cfg, now, idle));
                 }
             }
         }
@@ -928,11 +861,12 @@ mod tests {
         // The cost guard, as a count rather than a timer: over a 7-day
         // stream of four interleaved apps the days × bins fold may run
         // once per app per day index seen, plus once per import.
-        let mut m = ProductionManager::new(ProductionConfig::default());
-        let mut stream: Vec<(DurationMs, AppKey, DurationMs)> = Vec::new();
-        for app in 0..4u64 {
-            let idle = (2 + 3 * app) * MINUTE_MS;
-            let mut t = app * 3_600_000;
+        let cfg = ProductionConfig::default();
+        let mut apps = [(); 4].map(|()| ProductionApp::new(&cfg));
+        let mut stream: Vec<(DurationMs, usize, DurationMs)> = Vec::new();
+        for app in 0..4 {
+            let idle = (2 + 3 * app as u64) * MINUTE_MS;
+            let mut t = app as u64 * 3_600_000;
             while t < 7 * DAY {
                 t += idle;
                 stream.push((t, app, idle));
@@ -943,14 +877,13 @@ mod tests {
         let mut imports = 0;
         for (i, &(now, app, idle)) in stream.iter().enumerate() {
             if i == stream.len() / 2 {
-                let state = m.export_app(app).unwrap();
-                m.import_app(app, state).unwrap();
+                apps[app] = ProductionApp::import(&cfg, apps[app].export()).unwrap();
                 imports += 1;
             }
-            m.on_invocation(app, now, Some(idle));
+            apps[app].on_invocation(&cfg, now, Some(idle));
             seen.insert((app, now / DAY));
         }
-        let rebuilds: u64 = m.apps.values().map(|a| a.rebuilds).sum();
+        let rebuilds: u64 = apps.iter().map(|a| a.rebuilds).sum();
         assert!(stream.len() > 100 * seen.len(), "many decisions per day");
         assert!(rebuilds > 0, "the counter is live");
         assert!(
@@ -983,7 +916,7 @@ mod tests {
         assert_eq!(p.last_decision(), DecisionKind::Histogram);
         assert!(last.is_warm_at(10 * MINUTE_MS));
         // The adapter's clock accumulated 300 minutes of idle time.
-        assert_eq!(p.manager().backups_taken(), 5);
+        assert_eq!(p.now_ms, 300 * MINUTE_MS);
     }
 
     #[test]
@@ -1006,14 +939,14 @@ mod tests {
             weighting: RecencyWeighting::Uniform,
             ..ProductionConfig::default()
         };
-        let mut m = ProductionManager::new(cfg);
+        let mut a = ProductionApp::new(&cfg);
         for _ in 0..10 {
-            m.record_idle_time(1, 0, 100 * MINUTE_MS);
+            a.record_idle_time(&cfg, 0, 100 * MINUTE_MS);
         }
         for _ in 0..11 {
-            m.record_idle_time(1, DAY, 20 * MINUTE_MS);
+            a.record_idle_time(&cfg, DAY, 20 * MINUTE_MS);
         }
-        let agg = m.aggregate(1, DAY).unwrap();
+        let agg = a.aggregate(&cfg, DAY).unwrap();
         // 11 vs 10 observations: the 20-minute mode wins the median by
         // count, not by recency weighting.
         assert_eq!(agg.head_value(50.0), Some(20));

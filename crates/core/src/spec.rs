@@ -7,10 +7,48 @@
 //! snapshots persist them — so it lives here, next to the policy types
 //! it names. `sitw_sim` re-exports it, keeping the old path working.
 
+use std::fmt;
+use std::str::FromStr;
+
 use crate::fixed::{FixedKeepAlive, NoUnloading};
 use crate::hybrid::HybridConfig;
 use crate::policy::{AppPolicy, PolicyFactory, MINUTE_MS};
 use crate::production::{ProductionConfig, RecencyWeighting};
+
+/// The longest histogram range a parsed spec may ask for: one day, 1 440
+/// bins, which every app allocates at first sight (5.6 KB).
+pub const MAX_RANGE_MINUTES: usize = 24 * 60;
+
+/// Why [`PolicySpec::parse`] refused a string. Specs arrive from outside
+/// (`POST /admin/tenants`, tenant migration, the CLI and tenant files),
+/// so a string the decision kernel could not serve stops here.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SpecError {
+    /// Not a policy the grammar names.
+    Unknown(String),
+    /// Not a number the policy can serve: what the parameter sets, with
+    /// the values it can take, and the text given.
+    BadParameter(&'static str, String),
+}
+
+impl fmt::Display for SpecError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SpecError::Unknown(s) => write!(f, "unknown policy '{s}'"),
+            SpecError::BadParameter(what, value) => write!(f, "bad {what}: '{value}'"),
+        }
+    }
+}
+
+impl std::error::Error for SpecError {}
+
+/// `text` as a number `ok` accepts, or the error naming `what`.
+fn number<T: FromStr>(what: &'static str, text: &str, ok: fn(&T) -> bool) -> Result<T, SpecError> {
+    text.parse()
+        .ok()
+        .filter(ok)
+        .ok_or_else(|| SpecError::BadParameter(what, text.into()))
+}
 
 /// A heterogeneous policy configuration for sweeps, tenants, and the
 /// serving daemon.
@@ -67,7 +105,12 @@ impl PolicySpec {
     /// * `production` and its variants `production:<days>d` (retention),
     ///   `production:<decay>` (per-day exponential decay, e.g.
     ///   `production:0.5`), `production:uniform` (no recency weighting).
-    pub fn parse(s: &str) -> Result<PolicySpec, String> {
+    ///
+    /// # Errors
+    ///
+    /// Anything else, and numbers the kernel cannot serve (see
+    /// [`SpecError`] and [`MAX_RANGE_MINUTES`]).
+    pub fn parse(s: &str) -> Result<PolicySpec, SpecError> {
         if s == "production" {
             return Ok(PolicySpec::Production(ProductionConfig::default()));
         }
@@ -76,20 +119,12 @@ impl PolicySpec {
             if rest == "uniform" {
                 cfg.weighting = RecencyWeighting::Uniform;
             } else if let Some(days) = rest.strip_suffix('d') {
-                cfg.retention_days = days
-                    .parse()
-                    .map_err(|_| format!("bad retention '{rest}'"))?;
-                if cfg.retention_days == 0 {
-                    // Zero retention would expire even the current day:
-                    // the aggregate stays empty and the policy never
-                    // learns.
-                    return Err("retention must be at least 1 day".into());
-                }
+                // Zero retention would expire even the current day: the
+                // aggregate stays empty and the policy never learns.
+                let what = "retention (at least 1 day)";
+                cfg.retention_days = number(what, days, |&d| d > 0)?;
             } else {
-                let decay: f64 = rest.parse().map_err(|_| format!("bad decay '{rest}'"))?;
-                if !(0.0..=1.0).contains(&decay) || decay == 0.0 {
-                    return Err(format!("decay must be in (0, 1]: '{rest}'"));
-                }
+                let decay = number("decay (0, 1]", rest, |&d: &f64| d > 0.0 && d <= 1.0)?;
                 cfg.weighting = RecencyWeighting::Exponential { decay };
             }
             return Ok(PolicySpec::Production(cfg));
@@ -98,23 +133,24 @@ impl PolicySpec {
             return Ok(PolicySpec::Hybrid(HybridConfig::default()));
         }
         if let Some(rest) = s.strip_prefix("hybrid:") {
-            let hours: usize = rest
-                .trim_end_matches('h')
-                .parse()
-                .map_err(|_| format!("bad hybrid range '{rest}'"))?;
+            // Bounded before `with_range_hours` multiplies it, as the
+            // fixed keep-alive below is before `fixed_minutes` does.
+            let what = "hybrid range (1h to 24h)";
+            let hours = number(what, rest.trim_end_matches('h'), |h| {
+                (1..=MAX_RANGE_MINUTES / 60).contains(h)
+            })?;
             return Ok(PolicySpec::Hybrid(HybridConfig::with_range_hours(hours)));
         }
         if let Some(rest) = s.strip_prefix("fixed:") {
-            let minutes: u64 = rest
-                .trim_end_matches("min")
-                .parse()
-                .map_err(|_| format!("bad fixed keep-alive '{rest}'"))?;
+            let what = "fixed keep-alive (minutes up to u64::MAX ms)";
+            let fits = |m: &u64| m.checked_mul(MINUTE_MS).is_some();
+            let minutes = number(what, rest.trim_end_matches("min"), fits)?;
             return Ok(PolicySpec::fixed_minutes(minutes));
         }
         if s == "no-unloading" {
             return Ok(PolicySpec::NoUnloading);
         }
-        Err(format!("unknown policy '{s}'"))
+        Err(SpecError::Unknown(s.into()))
     }
 
     /// The canonical [`PolicySpec::parse`] string for this spec, when one
@@ -253,6 +289,43 @@ mod tests {
                 .spec_str()
                 .unwrap(),
             "fixed:10"
+        );
+    }
+
+    #[test]
+    fn parse_refuses_what_the_kernel_cannot_serve() {
+        let out_of_range =
+            |s: &str| matches!(PolicySpec::parse(s), Err(SpecError::BadParameter(..)));
+        // `minutes * MINUTE_MS` used to overflow: a panic in a debug
+        // build, a wrapped keep-alive in a release one.
+        assert!(out_of_range("fixed:400000000000000"));
+        assert!(out_of_range(&format!("fixed:{}", u64::MAX)));
+        // `hours * 60` likewise.
+        assert!(out_of_range(&format!("hybrid:{}h", usize::MAX)));
+        // A one-bin histogram, and a range whose bins every first sight
+        // would allocate (24 MB at 100 000 h).
+        assert!(out_of_range("hybrid:0h"));
+        assert!(out_of_range("hybrid:25h"));
+        assert!(out_of_range("hybrid:100000h"));
+        assert_eq!(
+            PolicySpec::parse("hybrid:24h").unwrap(),
+            PolicySpec::Hybrid(HybridConfig::with_range_hours(24))
+        );
+        let max_fixed = u64::MAX / MINUTE_MS;
+        assert_eq!(
+            PolicySpec::parse(&format!("fixed:{max_fixed}")).unwrap(),
+            PolicySpec::fixed_minutes(max_fixed)
+        );
+        assert_eq!(
+            PolicySpec::parse("hybrid:xh"),
+            Err(SpecError::BadParameter(
+                "hybrid range (1h to 24h)",
+                "x".into()
+            ))
+        );
+        assert_eq!(
+            PolicySpec::parse("bogus").unwrap_err().to_string(),
+            "unknown policy 'bogus'"
         );
     }
 

@@ -179,7 +179,7 @@ pub fn parse_tenant_arg(arg: &str) -> Result<(String, PolicySpec, u64), String> 
         ),
         None => (rest, 0),
     };
-    let policy = PolicySpec::parse(policy_str)?;
+    let policy = PolicySpec::parse(policy_str).map_err(|e| e.to_string())?;
     Ok((name.to_owned(), policy, budget_mb))
 }
 
@@ -200,7 +200,7 @@ pub fn parse_tenants_file(text: &str) -> Result<Vec<(String, PolicySpec, u64)>, 
         let name = tok.next().ok_or_else(|| err("missing tenant name"))?;
         validate_tenant_name(name).map_err(|e| err(&e))?;
         let policy_str = tok.next().ok_or_else(|| err("missing policy"))?;
-        let policy = PolicySpec::parse(policy_str).map_err(|e| err(&e))?;
+        let policy = PolicySpec::parse(policy_str).map_err(|e| err(&e.to_string()))?;
         let budget_mb = match tok.next() {
             None => 0,
             Some("budget") => {

@@ -2,15 +2,15 @@
 //! property test drives [`FleetSim`] against.
 //!
 //! [`RefFleetSim::step`] is the previous `FleetSim::step` verbatim:
-//! per-app `Box<dyn AppPolicy>` or a key into the tenant's production
-//! manager, classify → eviction downgrade → advance → charge → mark
-//! victims, written out in place. The daemon's shard workers and
+//! per-app `Box<dyn AppPolicy>` or production state beside the
+//! tenant's production manager, classify → eviction downgrade → advance
+//! → charge → mark victims, written out in place. The daemon's shard workers and
 //! `FleetSim` now call one `TenantState::step`, so online == offline
 //! parity cannot see that step drift; this can.
 
 use std::collections::HashMap;
 
-use sitw_core::{AppKey, AppPolicy, DecisionKind, PolicySpec, ProductionManager, Windows};
+use sitw_core::{AppPolicy, DecisionKind, PolicySpec, ProductionApp, ProductionManager, Windows};
 
 use crate::footprint::footprint_mb;
 use crate::ledger::TenantLedger;
@@ -20,11 +20,11 @@ use crate::tenant::FleetVerdict;
 
 /// Per-app offline state.
 struct AppSim {
-    /// Per-app policy instance (`None` in production mode, where state
-    /// lives in the tenant's manager).
+    /// Per-app policy instance (`None` in production mode, where `prod`
+    /// holds the state).
     policy: Option<Box<dyn AppPolicy + Send>>,
-    /// Key into the tenant's production manager (production mode only).
-    prod_key: AppKey,
+    /// The app's production state (production mode only).
+    prod: Option<ProductionApp>,
     last_kind: DecisionKind,
     windows: Windows,
     last_ts: u64,
@@ -43,7 +43,6 @@ struct TenantSim {
     apps: HashMap<String, AppSim>,
     /// `Some` iff `policy` is [`PolicySpec::Production`].
     production: Option<ProductionManager>,
-    next_key: AppKey,
 }
 
 /// The offline multi-tenant replay engine.
@@ -70,7 +69,6 @@ impl RefFleetSim {
                         ledger: TenantLedger::new(spec.budget_mb),
                         apps: HashMap::new(),
                         production,
-                        next_key: 0,
                     },
                 )
             })
@@ -93,18 +91,18 @@ impl RefFleetSim {
         let (verdict, mb) = match t.apps.get_mut(app) {
             None => {
                 // First invocation: cold by definition (§5.1).
-                let (policy, prod_key, windows, kind) = match &mut t.production {
+                let (policy, prod, windows, kind) = match &mut t.production {
                     Some(manager) => {
-                        let key = t.next_key;
-                        t.next_key += 1;
-                        let (windows, kind) = manager.on_invocation(key, ts, None);
-                        (None, key, windows, kind)
+                        let mut prod = ProductionApp::new(manager.config());
+                        manager.tick_backup(ts);
+                        let (windows, kind) = prod.on_invocation(manager.config(), ts, None);
+                        (None, Some(prod), windows, kind)
                     }
                     None => {
                         let mut policy = t.policy.new_policy();
                         let windows = policy.on_invocation(None);
                         let kind = policy.last_decision();
-                        (Some(policy), 0, windows, kind)
+                        (Some(policy), None, windows, kind)
                     }
                 };
                 let mb = footprint_mb(&t.name, app);
@@ -112,7 +110,7 @@ impl RefFleetSim {
                     app.to_owned(),
                     AppSim {
                         policy,
-                        prod_key,
+                        prod,
                         last_kind: kind,
                         windows,
                         last_ts: ts,
@@ -141,13 +139,17 @@ impl RefFleetSim {
                 let outcome = state.windows.classify_gap(idle);
                 let was_evicted = state.evicted;
                 state.evicted = false;
-                let (windows, kind) = match (&mut t.production, &mut state.policy) {
-                    (Some(manager), _) => manager.on_invocation(state.prod_key, ts, Some(idle)),
-                    (None, Some(policy)) => {
+                let (windows, kind) = match (&mut t.production, &mut state.policy, &mut state.prod)
+                {
+                    (Some(manager), _, Some(prod)) => {
+                        manager.tick_backup(ts);
+                        prod.on_invocation(manager.config(), ts, Some(idle))
+                    }
+                    (None, Some(policy), _) => {
                         let windows = policy.on_invocation(Some(idle));
                         (windows, policy.last_decision())
                     }
-                    (None, None) => unreachable!("non-production app has a policy"),
+                    _ => unreachable!("an app has a policy or production state"),
                 };
                 state.windows = windows;
                 state.last_kind = kind;

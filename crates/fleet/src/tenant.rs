@@ -9,8 +9,8 @@
 //!    [`sitw_core::Windows::classify_gap`] (single source of truth);
 //! 2. if the app's image was **evicted during the gap**, downgrade the
 //!    verdict to cold (and suppress the phantom pre-warm load);
-//! 3. advance the app's policy — its own instance, or the tenant's
-//!    [`ProductionManager`] — to get the next windows;
+//! 3. advance the app's policy state under the tenant's one
+//!    configuration (its [`PolicySpec`]) to get the next windows;
 //! 4. charge the ledger: the app is warm until
 //!    [`sitw_core::Windows::loaded_until`], holding its deterministic
 //!    Burr footprint; any victims the budget forces out are marked
@@ -20,8 +20,10 @@
 //! ([`TenantLedger`]), beside its footprint and charge. A step makes
 //! **one probe by app name**, for that slot (or a first sight), and then
 //! works by index: each victim is marked evicted inside the ledger's
-//! eviction loop as its charge is released, never looked up again. A
-//! production app's key into the tenant's manager is its slot index.
+//! eviction loop as its charge is released, never looked up again.
+//! Configuration lives once per tenant, in the spec; what an app's
+//! policy has learned lives once per app, in its slot. A production
+//! tenant adds only its backup clock, a [`ProductionManager`].
 //!
 //! Nothing outside this module composes those four. A change to the
 //! step is therefore invisible to online == offline parity; it is held
@@ -33,8 +35,8 @@ use std::fmt;
 use std::sync::Arc;
 
 use sitw_core::{
-    AppKey, AppPolicy, DecisionKind, FixedKeepAlive, HybridPolicy, HybridSnapshot, NoUnloading,
-    PolicySpec, ProductionAppState, ProductionManager, Windows,
+    DecisionKind, HybridApp, HybridSnapshot, PolicySpec, ProductionApp, ProductionAppState,
+    ProductionManager, Windows,
 };
 
 use crate::footprint::footprint_mb;
@@ -86,29 +88,25 @@ pub struct OutOfOrder {
     pub last_ts: u64,
 }
 
-/// A concrete per-application policy instance.
+/// What one application's policy has learned, without configuration:
+/// every decision reads that from the tenant's [`PolicySpec`].
 ///
 /// An enum rather than `Box<dyn AppPolicy>` for two reasons: decisions
 /// dispatch without a vtable on the hot path, and export can match on
 /// the variant instead of downcasting.
-// The hybrid variant dominates the size, but hybrid is also the policy
-// every realistic deployment serves — boxing it would add a pointer
-// chase per decision to shrink the two baseline variants nobody runs.
-#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
 pub enum ServedPolicy {
-    /// Fixed keep-alive baseline.
-    Fixed(FixedKeepAlive),
-    /// Never unload.
-    NoUnload(NoUnloading),
+    /// Fixed keep-alive or no-unloading: nothing to learn, the windows
+    /// are the spec's.
+    Stateless,
     /// The hybrid histogram policy.
-    Hybrid(HybridPolicy),
-    /// Production-manager mode (§6): the per-app state lives in the
-    /// tenant's [`ProductionManager`], keyed by the app's slot; this
-    /// variant holds the branch that served its last decision.
+    Hybrid(HybridApp),
+    /// The production scheme (§6).
     Production {
         /// The branch that produced the most recent decision.
         last: DecisionKind,
+        /// The app's retained daily histograms and cached aggregate.
+        app: ProductionApp,
     },
 }
 
@@ -130,24 +128,27 @@ pub enum PolicyState {
 }
 
 impl PolicyState {
-    /// Rebuilds a per-app policy instance under `spec`.
+    /// Rebuilds an app's policy state under `spec`.
     ///
     /// # Errors
     ///
     /// Fails when the state variant does not match the spec (e.g. a
-    /// hybrid snapshot restored into a fixed-keep-alive server), and for
-    /// every production pairing: production state is imported into the
-    /// tenant's manager by [`TenantState::restore`], never rebuilt
-    /// standalone.
+    /// hybrid snapshot restored into a fixed-keep-alive server) or the
+    /// spec's configuration refuses it (histogram geometry, day order).
     pub fn into_policy(self, spec: &PolicySpec) -> Result<ServedPolicy, String> {
         match (self, spec) {
-            (PolicyState::Stateless, PolicySpec::Fixed(f)) => Ok(ServedPolicy::Fixed(*f)),
-            (PolicyState::Stateless, PolicySpec::NoUnloading) => {
-                Ok(ServedPolicy::NoUnload(NoUnloading))
+            (PolicyState::Stateless, PolicySpec::Fixed(_) | PolicySpec::NoUnloading) => {
+                Ok(ServedPolicy::Stateless)
             }
-            (PolicyState::Hybrid(snap), PolicySpec::Hybrid(cfg)) => Ok(ServedPolicy::Hybrid(
-                HybridPolicy::from_snapshot(cfg.clone(), snap)?,
-            )),
+            (PolicyState::Hybrid(snap), PolicySpec::Hybrid(cfg)) => {
+                Ok(ServedPolicy::Hybrid(HybridApp::from_snapshot(cfg, snap)?))
+            }
+            (PolicyState::Production { last, state }, PolicySpec::Production(cfg)) => {
+                Ok(ServedPolicy::Production {
+                    last,
+                    app: ProductionApp::import(cfg, state)?,
+                })
+            }
             (state, spec) => Err(format!(
                 "snapshot state {:?} does not match policy '{}'",
                 match state {
@@ -224,7 +225,7 @@ pub struct LastVerdict {
 /// charge. Callers see it read-only, through [`TenantState::app`].
 #[derive(Debug)]
 pub struct AppState {
-    /// The app's policy instance (production apps: the last branch).
+    /// What the app's policy has learned.
     pub policy: ServedPolicy,
     /// Windows governing the gap in progress.
     pub windows: Windows,
@@ -249,8 +250,9 @@ pub struct AppState {
 /// installed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RestoreError {
-    /// A record does not belong under the tenant's policy, its days are
-    /// refused by the tenant's manager, or it names an app twice.
+    /// A record does not belong under the tenant's policy, its state
+    /// does not fit the policy's configuration, or it names an app
+    /// twice.
     Record(String),
     /// A ledger charge no record holds: an app with no record, or an MB
     /// other than the app's footprint.
@@ -276,15 +278,14 @@ impl fmt::Display for RestoreError {
 
 impl std::error::Error for RestoreError {}
 
-/// One tenant's complete decision state: the app table and the
-/// production manager when the tenant's policy is
-/// [`PolicySpec::Production`].
+/// One tenant's complete decision state: its spec, the app table and,
+/// when the tenant's policy is [`PolicySpec::Production`], the backup
+/// clock.
 pub struct TenantState {
     spec: TenantSpec,
     table: TenantLedger<AppState>,
-    /// `Some` iff `spec.policy` is [`PolicySpec::Production`]. Apps are
-    /// keyed by slot, never serialized — records are app-id-keyed, so a
-    /// restore (even with a different shard count) re-assigns them.
+    /// `Some` iff `spec.policy` is [`PolicySpec::Production`]: the
+    /// tenant's backup clock. It holds no app.
     production: Option<ProductionManager>,
 }
 
@@ -308,11 +309,12 @@ impl TenantState {
     ///
     /// This is where state enters, so this is where a payload the step
     /// could not serve is refused: a record that does not belong under
-    /// the tenant's policy (production state into a tenant without a
-    /// manager, stateless or hybrid state into a production tenant,
-    /// hybrid state under a fixed policy, days a manager will not
-    /// import), two records of one app, and a ledger charge for an app
-    /// with no record or for an MB that is not the app's footprint.
+    /// the tenant's policy (production state into a non-production
+    /// tenant, stateless or hybrid state into a production tenant,
+    /// hybrid state under a fixed policy, bins or days the tenant's
+    /// configuration refuses), two records of one app, and a ledger
+    /// charge for an app with no record or for an MB that is not the
+    /// app's footprint.
     /// [`TenantState::step`] never meets one.
     pub fn restore(restore: TenantRestore, stamp: u64) -> Result<TenantState, RestoreError> {
         let mut tenant = Self::new(restore.spec);
@@ -326,18 +328,10 @@ impl TenantState {
                     rec.app
                 )));
             }
-            let key = tenant.table.slots.len() as AppKey;
-            let policy = match (rec.state, &mut tenant.production) {
-                (PolicyState::Production { last, state }, Some(manager)) => {
-                    manager
-                        .import_app(key, state)
-                        .map_err(RestoreError::Record)?;
-                    ServedPolicy::Production { last }
-                }
-                (state, _) => state
-                    .into_policy(&tenant.spec.policy)
-                    .map_err(RestoreError::Record)?,
-            };
+            let policy = rec
+                .state
+                .into_policy(&tenant.spec.policy)
+                .map_err(RestoreError::Record)?;
             let mb = footprint_mb(&tenant.spec.name, &rec.app);
             let app = AppState {
                 policy,
@@ -361,15 +355,17 @@ impl TenantState {
         Ok(tenant)
     }
 
-    /// A policy instance for an app seen for the first time.
+    /// The policy state of an app seen for the first time. What it
+    /// allocates is allocated here, where the slot is created, so that
+    /// no decision body does.
     fn fresh_policy(&self) -> ServedPolicy {
         match &self.spec.policy {
-            PolicySpec::Fixed(f) => ServedPolicy::Fixed(*f),
-            PolicySpec::NoUnloading => ServedPolicy::NoUnload(NoUnloading),
-            PolicySpec::Hybrid(cfg) => ServedPolicy::Hybrid(HybridPolicy::new(cfg.clone())),
+            PolicySpec::Fixed(_) | PolicySpec::NoUnloading => ServedPolicy::Stateless,
+            PolicySpec::Hybrid(cfg) => ServedPolicy::Hybrid(HybridApp::new(cfg)),
             // `last` is overwritten by the decision that follows.
-            PolicySpec::Production(_) => ServedPolicy::Production {
+            PolicySpec::Production(cfg) => ServedPolicy::Production {
                 last: DecisionKind::StandardKeepAlive,
+                app: ProductionApp::new(cfg),
             },
         }
     }
@@ -410,7 +406,10 @@ impl TenantState {
         // (and the phantom pre-warm load with it). Cleared before the
         // charge, which may set it again.
         let was_evicted = std::mem::take(&mut state.evicted);
-        let (windows, kind) = advance(&mut self.production, &mut state.policy, slot, ts, idle);
+        if let Some(clock) = &mut self.production {
+            clock.tick_backup(ts);
+        }
+        let (windows, kind) = advance(&self.spec.policy, &mut state.policy, ts, idle);
         let verdict = FleetVerdict {
             cold: gap.is_none_or(|g| g.cold) || was_evicted,
             prewarm_load: gap.is_some_and(|g| g.prewarm_load) && !was_evicted,
@@ -464,8 +463,8 @@ impl TenantState {
         &self.table
     }
 
-    /// The tenant's production manager (`Some` iff it serves
-    /// [`PolicySpec::Production`]): backup clock and §6 counters.
+    /// The tenant's backup clock (`Some` iff it serves
+    /// [`PolicySpec::Production`]) and its §6 counters.
     pub fn production(&self) -> Option<&ProductionManager> {
         self.production.as_ref()
     }
@@ -489,25 +488,18 @@ impl TenantState {
             .table
             .slots
             .iter()
-            .enumerate()
-            .filter(|(_, slot)| keep(&slot.app))
-            .map(|(key, slot)| AppRecord {
+            .filter(|slot| keep(&slot.app))
+            .map(|slot| AppRecord {
                 app: String::from(&*slot.name),
                 last_ts: slot.app.last_ts,
                 windows: slot.app.windows,
                 evicted: slot.app.evicted,
                 state: match &slot.app.policy {
-                    ServedPolicy::Fixed(_) | ServedPolicy::NoUnload(_) => PolicyState::Stateless,
+                    ServedPolicy::Stateless => PolicyState::Stateless,
                     ServedPolicy::Hybrid(h) => PolicyState::Hybrid(h.snapshot()),
-                    // An app the manager has recorded nothing for yet
-                    // (first sight only) exports no days.
-                    ServedPolicy::Production { last } => PolicyState::Production {
+                    ServedPolicy::Production { last, app } => PolicyState::Production {
                         last: *last,
-                        state: self
-                            .production
-                            .as_ref()
-                            .and_then(|m| m.export_app(key as AppKey))
-                            .unwrap_or_default(),
+                        state: app.export(),
                     },
                 },
             })
@@ -517,31 +509,33 @@ impl TenantState {
     }
 }
 
-/// Advances one app's policy: the windows governing its next gap and
-/// the branch that produced them. The one place the tenant's manager
-/// and the app's policy variant meet; `slot` is the app's key into the
-/// manager.
+/// Advances one app's policy state under the tenant's spec: the
+/// windows governing its next gap and the branch that produced them.
 // sitw-lint: hot-path
 fn advance(
-    production: &mut Option<ProductionManager>,
+    spec: &PolicySpec,
     policy: &mut ServedPolicy,
-    slot: usize,
     ts: u64,
     idle: Option<u64>,
 ) -> (Windows, DecisionKind) {
-    match (production, policy) {
-        (Some(manager), ServedPolicy::Production { last }) => {
-            let (windows, kind) = manager.on_invocation(slot as AppKey, ts, idle);
+    match (policy, spec) {
+        (ServedPolicy::Stateless, PolicySpec::Fixed(f)) => {
+            (Windows::keep_loaded(f.keep_alive_ms), DecisionKind::Static)
+        }
+        (ServedPolicy::Stateless, PolicySpec::NoUnloading) => {
+            (Windows::NEVER_UNLOAD, DecisionKind::Static)
+        }
+        (ServedPolicy::Hybrid(app), PolicySpec::Hybrid(cfg)) => {
+            (app.on_invocation(cfg, idle), app.last_decision())
+        }
+        (ServedPolicy::Production { last, app }, PolicySpec::Production(cfg)) => {
+            let (windows, kind) = app.on_invocation(cfg, ts, idle);
             *last = kind;
             (windows, kind)
         }
-        (_, ServedPolicy::Fixed(p)) => (p.on_invocation(idle), p.last_decision()),
-        (_, ServedPolicy::NoUnload(p)) => (p.on_invocation(idle), p.last_decision()),
-        (_, ServedPolicy::Hybrid(p)) => (p.on_invocation(idle), p.last_decision()),
-        // Production state with no manager: `fresh_policy` builds it
-        // only under one and `restore` refuses the record, so no app is
-        // in this state. Nothing to consult keeps nothing warm.
-        (None, ServedPolicy::Production { last }) => (Windows::keep_loaded(0), *last),
+        // A state its spec did not build: `fresh_policy` and `restore`
+        // never make one. Nothing to consult keeps nothing warm.
+        _ => (Windows::keep_loaded(0), DecisionKind::Static),
     }
 }
 
@@ -611,6 +605,18 @@ mod tests {
             }
             assert_eq!(export(&live), export(&twin));
         }
+    }
+
+    #[test]
+    fn production_steps_tick_the_tenant_backup_clock() {
+        // The clock is the tenant's, not an app's: two apps, one clock.
+        let mut t = TenantState::new(spec("production", 0));
+        t.step("a", 2 * 3_600_000 + 5, 0).unwrap();
+        t.step("b", 5 * 3_600_000 + 5, 1).unwrap();
+        let clock = t.production().unwrap();
+        assert_eq!(clock.backups_taken(), 5);
+        assert_eq!(clock.last_backup_ms(), 5 * 3_600_000);
+        assert!(TenantState::new(spec("hybrid", 0)).production().is_none());
     }
 
     #[test]

@@ -66,7 +66,7 @@ use sitw_sim::PolicySpec;
 /// The CLI policy grammar is [`PolicySpec::parse`] — one grammar for
 /// `--policy`, `--tenant`, tenants files, admin bodies, and snapshots.
 fn parse_policy(s: &str) -> Result<PolicySpec, String> {
-    PolicySpec::parse(s)
+    PolicySpec::parse(s).map_err(|e| e.to_string())
 }
 
 fn usage() -> ! {

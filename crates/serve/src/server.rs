@@ -565,7 +565,7 @@ impl ServerCtx {
                         ),
                     )
                 })?;
-                let policy = PolicySpec::parse(spec_str).map_err(|e| (400u16, e))?;
+                let policy = PolicySpec::parse(spec_str).map_err(|e| (400u16, e.to_string()))?;
                 let spec = self
                     .register_tenant(&section.name, policy, section.budget_mb)
                     .map_err(|e| (400u16, e))?;
@@ -698,7 +698,8 @@ fn build_registry(cfg: &ServeConfig, snap: Option<&Snapshot>) -> Result<TenantRe
                             t.name
                         )
                     })?;
-                    (PolicySpec::parse(spec_str)?, t.budget_mb)
+                    let policy = PolicySpec::parse(spec_str).map_err(|e| e.to_string())?;
+                    (policy, t.budget_mb)
                 }
             };
             let id = registry.register(&t.name, policy, budget_mb)?;
@@ -1440,6 +1441,37 @@ mod tests {
         let (status, health) = client.response().unwrap();
         assert_eq!(status, 200, "{health}");
         assert!(health.contains("\"status\":\"ok\""), "{health}");
+        server.shutdown().unwrap();
+    }
+
+    /// Regression: `POST /admin/tenants` accepted any range and any
+    /// keep-alive. A `fixed:` overflowing `u64` milliseconds panicked
+    /// the reactor thread in a debug build; `hybrid:100000h` registered
+    /// a tenant whose every first sight allocated 24 MB of bins. Both
+    /// are now a 400 naming the parameter, and the node serves on.
+    #[test]
+    fn registration_refuses_specs_the_kernel_cannot_serve() {
+        let server = Server::start(ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            shards: 2,
+            policy: PolicySpec::fixed_minutes(10),
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let mut client = crate::Client::connect(server.addr()).unwrap();
+        for spec in ["a=fixed:400000000000000", "b=hybrid:100000h", "c=hybrid:0h"] {
+            let (status, body) = client.request("POST", "/admin/tenants", spec).unwrap();
+            assert_eq!(status, 400, "{spec}: {body}");
+            assert!(body.contains("bad "), "{spec}: {body}");
+        }
+        let (status, body) = client
+            .request("POST", "/admin/tenants", "d=hybrid:24h")
+            .unwrap();
+        assert_eq!(status, 200, "{body}");
+        let (status, listing) = client.request("GET", "/admin/tenants", "").unwrap();
+        assert_eq!(status, 200);
+        assert!(!listing.contains("\"name\":\"a\""), "{listing}");
+        assert!(listing.contains("\"name\":\"d\""), "{listing}");
         server.shutdown().unwrap();
     }
 

@@ -12,9 +12,9 @@
 //! order.
 //!
 //! Every tenant is one [`sitw_fleet::TenantState`] — the decision kernel
-//! the offline `FleetSim` steps too: per-app policy state (or a
-//! tenant-local [`sitw_core::ProductionManager`] in production mode) and
-//! a [`sitw_fleet::TenantLedger`] charging each warm container its
+//! the offline `FleetSim` steps too: per-app policy state under the
+//! tenant's one policy configuration (plus its backup clock in
+//! production mode) and a [`sitw_fleet::TenantLedger`] charging each warm container its
 //! deterministic Burr footprint. When a charge pushes a budgeted tenant
 //! over its limit, victims (earliest keep-alive expiry first) are marked
 //! evicted; their next invocation is downgraded to a cold start with
@@ -27,6 +27,7 @@ use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
 use std::sync::mpsc::{Receiver, Sender};
 
+use sitw_core::PolicySpec;
 use sitw_fleet::{
     footprint_mb, AppState, OutOfOrder, ServedPolicy, TenantId, TenantSpec, TenantState,
 };
@@ -736,9 +737,8 @@ fn render_policy(spec: &TenantSpec, app: &str, state: &AppState) -> String {
             crate::wire::kind_str(v.kind),
         );
     }
-    if let ServedPolicy::Hybrid(p) = &state.policy {
+    if let (ServedPolicy::Hybrid(p), PolicySpec::Hybrid(cfg)) = (&state.policy, &spec.policy) {
         let h = p.histogram();
-        let cfg = p.config();
         let counts = p.decisions();
         let _ = write!(
             out,
@@ -748,7 +748,7 @@ fn render_policy(spec: &TenantSpec, app: &str, state: &AppState) -> String {
              \"cutoffs\":{{\"head_percentile\":{},\"tail_percentile\":{}}},\
              \"decisions\":{{\"histogram\":{},\"standard\":{},\"arima\":{}}},\
              \"bin_width_minutes\":{},\"bins\":[",
-            p.regime().label(),
+            p.regime(cfg).label(),
             h.total_count(),
             h.oob_count(),
             h.oob_fraction(),
@@ -795,7 +795,7 @@ pub fn shard_of(app: &str, shards: usize) -> usize {
 mod tests {
     use super::*;
     use crate::snapshot::{AppRecord, PolicyState};
-    use sitw_core::{PolicySpec, Windows, MINUTE_MS};
+    use sitw_core::{Windows, MINUTE_MS};
     use sitw_fleet::{LedgerExport, DEFAULT_TENANT, DEFAULT_TENANT_NAME};
 
     fn default_spec(spec: PolicySpec) -> TenantSpec {
@@ -951,8 +951,10 @@ mod tests {
         let mut w = worker(PolicySpec::Production(ProductionConfig::default()));
         let online: Vec<Decision> = events.iter().map(|&t| w.invoke0("x", t).unwrap()).collect();
 
-        let mut manager = sitw_core::ProductionManager::new(ProductionConfig::default());
-        let offline = sitw_sim::production_verdict_trace(&events, &mut manager, 0);
+        let cfg = ProductionConfig::default();
+        let mut manager = sitw_core::ProductionManager::new(cfg);
+        let mut app = sitw_core::ProductionApp::new(&cfg);
+        let offline = sitw_sim::production_verdict_trace(&events, &mut manager, &mut app);
 
         assert_eq!(online.len(), offline.len());
         for (on, off) in online.iter().zip(&offline) {
@@ -1205,7 +1207,7 @@ mod tests {
 
     #[test]
     fn mismatched_records_are_refused_where_state_enters() {
-        use sitw_core::{DecisionKind, HybridConfig, HybridPolicy};
+        use sitw_core::{DecisionKind, HybridApp, HybridConfig};
         let tenant = |policy: &str| TenantSpec {
             id: 1,
             name: "moved".into(),
@@ -1216,7 +1218,7 @@ mod tests {
             last: DecisionKind::Histogram,
             state: Default::default(),
         };
-        let hybrid = PolicyState::Hybrid(HybridPolicy::new(HybridConfig::default()).snapshot());
+        let hybrid = PolicyState::Hybrid(HybridApp::new(&HybridConfig::default()).snapshot());
         let mb = footprint_mb("moved", "a");
         let policy_refusal = "does not match policy";
         let charge_refusal = "not a recorded app's footprint";

@@ -726,7 +726,7 @@ mod tests {
             last_ts: 123_456_789,
             windows,
             evicted: false,
-            state: PolicyState::Hybrid(p.snapshot()),
+            state: PolicyState::Hybrid(p.app().snapshot()),
         }
     }
 
@@ -963,8 +963,8 @@ mod tests {
 
     #[test]
     fn production_state_restores_only_into_production_shards() {
-        // into_policy cannot rebuild a production app (the state lives in
-        // the tenant's manager), so it must fail loudly for any spec.
+        // A production app's days are rebuilt under a production spec
+        // only; any other spec refuses them loudly.
         let state = PolicyState::Production {
             last: DecisionKind::StandardKeepAlive,
             state: ProductionAppState::default(),
@@ -977,7 +977,7 @@ mod tests {
             .into_policy(&PolicySpec::Production(
                 sitw_core::ProductionConfig::default()
             ))
-            .is_err());
+            .is_ok());
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //!
 //! The same allocator keeps the bytes a thread holds (allocated minus
 //! freed), which turns "bytes per app" into a count as well:
-//! `bytes_per_app_stay_under_their_ceilings` reports what a shard holds
-//! for an app at first sight, after its first idle time and after a
-//! hundred of them.
+//! `bytes_per_app_stay_under_their_ceilings` and its production twin
+//! report what a shard holds for an app at first sight, after its first
+//! idle time and after a hundred of them.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -18,7 +18,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::{Arc, Mutex};
 
-use sitw_core::{DecisionKind, HybridConfig, MINUTE_MS};
+use sitw_core::{DecisionKind, HybridConfig, ProductionConfig, MINUTE_MS};
 use sitw_fleet::{footprint_mb, mix64, TenantLedger, TenantSpec};
 use sitw_serve::shard::{ShardWorker, TenantRestore};
 use sitw_serve::telem::{ShardTelem, EVENT_RING};
@@ -289,15 +289,15 @@ fn ledger_charge_allocates_on_first_sight_only() {
     assert_eq!(ledger.stats().warm_apps, 1_000);
 }
 
-/// What a shard holds per hybrid app, as counts: allocations made and
-/// bytes still held after first sight, after the first idle time and
-/// after a hundred idle times (the history ring is full at 64). Two
-/// figures per stage: the median over apps of what their own invokes
-/// cost (the app's own blocks: name, bins, history) and the mean of
-/// everything the shard holds (those plus the tenant's app table, its
-/// name map and its expiry heap at whatever fill they stand).
-#[test]
-fn bytes_per_app_stay_under_their_ceilings() {
+/// What a shard holds per app under `policy`, as counts: allocations
+/// made and bytes still held after first sight, after the first idle
+/// time and after a hundred idle times, on a ten-minute rhythm (the
+/// hybrid histogram branch, never ARIMA; one trace day). Two figures per
+/// stage: the median over apps of what their own invokes cost (the
+/// app's own blocks) and the mean of everything the shard holds (those
+/// plus the tenant's app table, its name map and its expiry heap at
+/// whatever fill they stand).
+fn per_app_stages(label: &str, policy: PolicySpec) -> [(u64, i64, f64); 3] {
     const APPS: usize = 1_000;
     let names: Vec<String> = (0..APPS).map(|i| format!("app-{i:04}")).collect();
     let held = || (ALLOCS.with(Cell::get), LIVE_BYTES.with(Cell::get));
@@ -307,7 +307,7 @@ fn bytes_per_app_stay_under_their_ceilings() {
         vec![TenantRestore::fresh(TenantSpec {
             id: FREE,
             name: "free".into(),
-            policy: PolicySpec::Hybrid(HybridConfig::default()),
+            policy,
             budget_mb: 0,
         })],
     )
@@ -317,7 +317,6 @@ fn bytes_per_app_stay_under_their_ceilings() {
     for beat in 0..=100u64 {
         for (i, name) in names.iter().enumerate() {
             let before = held();
-            // A ten-minute rhythm: the histogram branch, never ARIMA.
             let ts = beat * 10 * MINUTE_MS + i as u64;
             worker.invoke(FREE, name, ts).unwrap();
             let after = held();
@@ -331,20 +330,24 @@ fn bytes_per_app_stay_under_their_ceilings() {
             let all = held();
             let mean = (all.1 - empty.1) as f64 / APPS as f64;
             println!(
-                "after {beat:3} idle times: {allocs} allocations and {bytes} B per app (median of \
-                 its own invokes), {mean:.0} B per app held by the shard (mean)"
+                "{label}: after {beat:3} idle times: {allocs} allocations and {bytes} B per app \
+                 (median of its own invokes), {mean:.0} B per app held by the shard (mean)"
             );
             report.push((allocs, bytes, mean));
         }
     }
+    report.try_into().expect("three stages")
+}
+
+#[test]
+fn bytes_per_app_stay_under_their_ceilings() {
+    let [first_sight, first_idle, hundredth] =
+        per_app_stages("hybrid", PolicySpec::Hybrid(HybridConfig::default()));
     // First sight: 960 B of bins and the 8-byte name, interned once as
     // the table's `Arc<str>` (24 B); the third allocation is the
     // footprint hash's scratch, freed on return. Then the history, which
     // grows as a `Vec` does — 32 B at the first idle time, doubling to
     // 512 B at the 33rd — and no further once the ring is full.
-    let [first_sight, first_idle, hundredth] = report[..] else {
-        unreachable!("three stages")
-    };
     assert!(
         first_sight.0 <= 3 && first_sight.1 <= 984,
         "{first_sight:?}"
@@ -358,6 +361,113 @@ fn bytes_per_app_stay_under_their_ceilings() {
         "{hundredth:?}"
     );
     // With every table the shard keeps, at the fill a thousand apps
-    // leave them (2 142 B when this was written).
-    assert!(hundredth.2 <= 2_150.0, "{hundredth:?}");
+    // leave them (2 003 B when this was written).
+    assert!(hundredth.2 <= 2_020.0, "{hundredth:?}");
+}
+
+/// The same three stages for a production tenant (§6).
+#[test]
+fn production_bytes_per_app_stay_under_their_ceilings() {
+    let [first_sight, first_idle, hundredth] = per_app_stages(
+        "production",
+        PolicySpec::Production(ProductionConfig::default()),
+    );
+    // First sight: the 24-byte name and the cached aggregate's 240 `f64`
+    // (1 920 B), allocated where the slot is created rather than in a
+    // decision; the third allocation is the footprint scratch. The
+    // first idle time opens the first day: its 960 B of bins and the
+    // day list (four 64-byte entries). A hundred idle times on one day
+    // add nothing.
+    assert!(
+        first_sight.0 <= 3 && first_sight.1 <= 24 + 1_920,
+        "{first_sight:?}"
+    );
+    assert!(
+        first_idle.0 <= 5 && first_idle.1 <= 24 + 1_920 + 960 + 256,
+        "{first_idle:?}"
+    );
+    assert!(
+        hundredth.0 <= 5 && hundredth.1 <= 24 + 1_920 + 960 + 256,
+        "{hundredth:?}"
+    );
+    // With every table the shard keeps (3 667 B when this was written).
+    assert!(hundredth.2 <= 3_670.0, "{hundredth:?}");
+}
+
+/// A production tenant's steady state over days, as counts: apps on
+/// rhythms of 3 to 11 minutes for twenty trace days, past the fourteen
+/// days of retention. Once every app has been seen, a decision that
+/// stays inside its app's current day allocates nothing, and one that
+/// opens a day allocates at most twice: the day's bins, and the day
+/// list growing until retention caps it.
+#[test]
+fn production_decisions_allocate_only_when_a_day_opens() {
+    const APPS: usize = 12;
+    const DAYS: u64 = 20;
+    const DAY_MS: u64 = 24 * 60 * MINUTE_MS;
+    let mut worker = ShardWorker::new(
+        0,
+        vec![TenantRestore::fresh(TenantSpec {
+            id: FREE,
+            name: "free".into(),
+            policy: PolicySpec::Production(ProductionConfig::default()),
+            budget_mb: 0,
+        })],
+    )
+    .unwrap()
+    // Telemetry off: this counts the decision, not the event ring.
+    .with_telem(ShardTelem {
+        enabled: false,
+        ..ShardTelem::default()
+    });
+    let names: Vec<String> = (0..APPS).map(|i| format!("prod-{i:02}")).collect();
+    let mut due: BinaryHeap<Reverse<(u64, usize)>> =
+        (0..APPS).map(|i| Reverse((i as u64 * 7_000, i))).collect();
+    // The day of each app's newest recorded idle time; `None` until its
+    // first, which opens its first day.
+    let mut seen = [false; APPS];
+    let mut newest_day = [None; APPS];
+    let (mut same_day, mut new_day) = ((0u64, 0u64), (0u64, 0u64));
+    let mut most_on_a_new_day = 0;
+    while let Some(Reverse((ts, i))) = due.pop() {
+        if ts >= DAYS * DAY_MS {
+            break;
+        }
+        let (decision, allocs) = counted(|| worker.invoke(FREE, &names[i], ts));
+        decision.unwrap();
+        let day = ts / DAY_MS;
+        // First sight records nothing and creates the app: not counted.
+        if std::mem::replace(&mut seen[i], true) {
+            if newest_day[i] == Some(day) {
+                same_day = (same_day.0 + 1, same_day.1 + allocs);
+            } else {
+                new_day = (new_day.0 + 1, new_day.1 + allocs);
+                most_on_a_new_day = most_on_a_new_day.max(allocs);
+            }
+            newest_day[i] = Some(day);
+        }
+        let r = mix64((ts << 8) | i as u64);
+        let gap = (3 + i as u64 % 9) * MINUTE_MS + (r >> 8) % 5_000;
+        due.push(Reverse((ts + gap, i)));
+    }
+    println!(
+        "production over {DAYS} days: {} same-day decisions, {} allocations; {} day openings, \
+         {} allocations, at most {most_on_a_new_day} on one",
+        same_day.0, same_day.1, new_day.0, new_day.1
+    );
+    assert!(same_day.0 > 40_000, "{same_day:?} same-day decisions");
+    assert_eq!(
+        new_day.0,
+        APPS as u64 * DAYS,
+        "one day opened per app per day"
+    );
+    assert_eq!(
+        same_day.1, 0,
+        "allocations over {} decisions inside an open day",
+        same_day.0
+    );
+    assert!(
+        most_on_a_new_day <= 2,
+        "{most_on_a_new_day} allocations opening a day ({new_day:?})"
+    );
 }

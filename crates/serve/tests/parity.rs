@@ -11,7 +11,9 @@
 use std::collections::HashMap;
 use std::net::SocketAddr;
 
-use sitw_core::{FixedKeepAlive, HybridConfig, PolicyFactory, ProductionConfig, ProductionManager};
+use sitw_core::{
+    FixedKeepAlive, HybridConfig, PolicyFactory, ProductionApp, ProductionConfig, ProductionManager,
+};
 use sitw_serve::http::Reply;
 use sitw_serve::wire::{self, BinReply};
 use sitw_serve::{Client, ServeConfig, Server};
@@ -284,7 +286,8 @@ fn production_mode_matches_offline_manager_across_shard_change() {
     // Offline ground truth: the uninterrupted day-aware replay.
     for (app, events) in &per_app {
         let mut manager = ProductionManager::new(ProductionConfig::default());
-        let offline = production_verdict_trace(events, &mut manager, 0);
+        let mut state = ProductionApp::new(manager.config());
+        let offline = production_verdict_trace(events, &mut manager, &mut state);
         let online_app = &online[app];
         assert_eq!(online_app.len(), offline.len(), "{app}");
         for (i, (on, off)) in online_app.iter().zip(&offline).enumerate() {
@@ -533,7 +536,8 @@ fn bin_and_json_streams_match_offline_for_fixed_and_production_across_restore() 
         multiday_workload(),
         |events| {
             let mut manager = ProductionManager::new(ProductionConfig::default());
-            production_verdict_trace(events, &mut manager, 0)
+            let mut state = ProductionApp::new(manager.config());
+            production_verdict_trace(events, &mut manager, &mut state)
         },
     );
 }

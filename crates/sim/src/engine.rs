@@ -260,10 +260,10 @@ pub fn verdict_trace<P: AppPolicy + ?Sized>(
     })
 }
 
-/// Replays one application's timestamps through a
-/// [`sitw_core::ProductionManager`] and returns the per-invocation
-/// verdict stream — the offline ground truth for a daemon serving in
-/// production mode.
+/// Replays one application's timestamps through its
+/// [`sitw_core::ProductionApp`] state, ticking the tenant's backup
+/// clock in `manager`, and returns the per-invocation verdict stream —
+/// the offline ground truth for a daemon serving in production mode.
 ///
 /// Unlike [`verdict_trace`], which drives a per-app [`AppPolicy`] on
 /// idle times alone, the production scheme is day-aware: `events` are
@@ -273,9 +273,12 @@ pub fn verdict_trace<P: AppPolicy + ?Sized>(
 pub fn production_verdict_trace(
     events: &[TimeMs],
     manager: &mut sitw_core::ProductionManager,
-    app: sitw_core::AppKey,
+    app: &mut sitw_core::ProductionApp,
 ) -> Vec<InvocationVerdict> {
-    trace(events, |ts, idle| manager.on_invocation(app, ts, idle))
+    trace(events, |ts, idle| {
+        manager.tick_backup(ts);
+        app.on_invocation(manager.config(), ts, idle)
+    })
 }
 
 #[cfg(test)]
@@ -692,24 +695,28 @@ mod tests {
     fn verdict_trace_empty_stream() {
         let mut p = FixedKeepAlive::minutes(10);
         assert!(verdict_trace(&[], &mut p).is_empty());
-        let mut m = sitw_core::ProductionManager::new(sitw_core::ProductionConfig::default());
-        assert!(production_verdict_trace(&[], &mut m, 0).is_empty());
+        let cfg = sitw_core::ProductionConfig::default();
+        let mut m = sitw_core::ProductionManager::new(cfg);
+        let mut app = sitw_core::ProductionApp::new(&cfg);
+        assert!(production_verdict_trace(&[], &mut m, &mut app).is_empty());
     }
 
     #[test]
     fn production_verdict_trace_uses_absolute_days() {
-        use sitw_core::{DayHistogram, ProductionConfig, ProductionManager};
+        use sitw_core::{DayHistogram, ProductionApp, ProductionConfig, ProductionManager};
         const DAY: TimeMs = 24 * 60 * MINUTE_MS;
         // Three days of a 30-minute pattern spanning day boundaries.
         let events: Vec<TimeMs> = (0..(3 * 48)).map(|i| i * 30 * MIN).collect();
-        let mut m = ProductionManager::new(ProductionConfig::default());
-        let verdicts = production_verdict_trace(&events, &mut m, 7);
+        let cfg = ProductionConfig::default();
+        let mut m = ProductionManager::new(cfg);
+        let mut app = ProductionApp::new(&cfg);
+        let verdicts = production_verdict_trace(&events, &mut m, &mut app);
 
         assert!(verdicts[0].cold, "first invocation cold by definition");
         assert_eq!(verdicts.len(), events.len());
         // Day boundaries fall at the absolute timestamps: one daily
         // histogram per trace day was retained.
-        let state = m.export_app(7).unwrap();
+        let state = app.export();
         assert_eq!(
             state.days.iter().map(|d| d.day).collect::<Vec<_>>(),
             vec![0, 1, 2]

@@ -37,7 +37,7 @@ fn show(policy: &mut HybridPolicy, name: &str, idle_times_min: &[u64]) {
             );
         }
     }
-    let d = policy.decisions();
+    let d = policy.app().decisions();
     println!(
         "decisions: histogram {} | standard keep-alive {} | ARIMA {}",
         d.histogram, d.standard, d.arima

@@ -56,9 +56,9 @@ pub use sitw_trace as trace;
 /// One-stop imports for examples and quick experiments.
 pub mod prelude {
     pub use sitw_core::{
-        AppPolicy, DecisionKind, FixedKeepAlive, HybridConfig, HybridPolicy, NoUnloading,
-        PolicyFactory, ProductionConfig, ProductionManager, ProductionPolicy, RecencyWeighting,
-        Windows,
+        AppPolicy, DecisionKind, FixedKeepAlive, HybridApp, HybridConfig, HybridPolicy,
+        NoUnloading, PolicyFactory, ProductionApp, ProductionConfig, ProductionManager,
+        ProductionPolicy, RecencyWeighting, Windows,
     };
     pub use sitw_fleet::{
         fleet_verdict_trace, footprint_mb, FleetEvent, FleetSim, FleetVerdict, TenantLedger,

@@ -125,7 +125,7 @@ proptest! {
             prop_assert!(w.keep_alive_ms > 0);
             w = policy.on_invocation(Some(it * 60_000));
         }
-        let d = policy.decisions();
+        let d = policy.app().decisions();
         prop_assert_eq!(d.total(), its.len() as u64 + 1);
     }
 
