@@ -4,7 +4,7 @@
 //! | rule id             | invariant                                                     |
 //! |---------------------|---------------------------------------------------------------|
 //! | `unsafe-confinement`| `unsafe` only in `crates/reactor`; every other crate root has `#![forbid(unsafe_code)]` |
-//! | `hot-path-alloc`    | no `format!`/`.to_string()`/`.to_owned()`/`.to_vec()`/`String::from`/`Vec::new`/`Box::new`/`.clone()` in `// sitw-lint: hot-path` functions |
+//! | `hot-path-alloc`    | no `format!`/`vec!`/`.to_string()`/`.to_owned()`/`.to_vec()`/`.collect()`/`String::from`/`Vec::new`/`Box::new`/`.clone()` in `// sitw-lint: hot-path` functions |
 //! | `panic-freedom`     | no `.unwrap()`/`.expect(`/`panic!`/`unreachable!`/`todo!`/`unimplemented!` in hot-path functions |
 //! | `clock-discipline`  | `Instant::now`/`SystemTime::now` only in `crates/telemetry`, test code, or allowlisted lines |
 //! | `directive`         | every `// sitw-lint:` comment parses                          |
@@ -421,6 +421,10 @@ fn rule_hot_path(file: &SourceFile, diags: &mut Vec<Diagnostic>) {
             // hot-path-alloc --------------------------------------------------
             let alloc: Option<&str> = if file.is_ident(p, "format") && file.is_punct(p + 1, '!') {
                 Some("`format!` allocates a fresh String")
+            } else if file.is_ident(p, "vec") && file.is_punct(p + 1, '!') {
+                Some("`vec!` allocates a fresh Vec")
+            } else if file.is_punct(p, '.') && file.is_ident(p + 1, "collect") {
+                Some("`.collect()` builds a fresh collection (extend a reused one)")
             } else if file.is_punct(p, '.')
                 && file.is_ident(p + 1, "to_string")
                 && file.is_punct(p + 2, '(')
@@ -583,12 +587,17 @@ fn hot(&mut self) {
     let s = value.to_string();
     self.out.push(s.clone());
     let x = map.get(&k).unwrap();
+    let slots = vec![None; n];
+    let ids: Vec<u64> = items.iter().map(|i| i.id).collect();
+    let named = items.iter().collect::<Vec<_>>();
 }
 
 fn cold() {
     let s = format!("fine here {}", 1);
     let v = Vec::new();
     let y = opt.unwrap();
+    let w = vec![0; 4];
+    let z: Vec<_> = it.collect();
 }
 "#;
         let d = diags_of(&[("crates/serve/src/conn.rs", src)]);
@@ -598,7 +607,10 @@ fn cold() {
             [
                 ("hot-path-alloc", 4),
                 ("hot-path-alloc", 5),
-                ("panic-freedom", 6)
+                ("panic-freedom", 6),
+                ("hot-path-alloc", 7),
+                ("hot-path-alloc", 8),
+                ("hot-path-alloc", 9),
             ],
             "{d:?}"
         );

@@ -42,6 +42,10 @@ fn hot_path_alloc_fixture_reports_the_allocation() {
           inside a hot-path function",
             "src/lib.rs:13: error[hot-path-alloc]: `.to_vec()` allocates a fresh Vec \
           inside a hot-path function",
+            "src/lib.rs:18: error[hot-path-alloc]: `.collect()` builds a fresh collection \
+          (extend a reused one) inside a hot-path function",
+            "src/lib.rs:18: error[hot-path-alloc]: `vec!` allocates a fresh Vec inside a \
+          hot-path function",
         ]
     );
 }

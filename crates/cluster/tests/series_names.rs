@@ -4,7 +4,8 @@
 //! table row. (Successor of sitw-lint's `metrics-registry` rule, which
 //! never read the docs or the CI workflow.) Path drift, likewise: every
 //! backticked repo path or `*.md` name in the README, CONTRIBUTING and
-//! the crates' module docs must exist.
+//! the crates' module docs must exist. And CHANGES.md stays one short
+//! paragraph per PR: run logs live in `docs/runs/`.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -211,6 +212,26 @@ fn every_backticked_repo_path_in_the_docs_exists() {
         missing.is_empty(),
         "doc paths that do not exist:\n{}",
         missing.join("\n")
+    );
+}
+
+/// The longest line (one PR's entry) CHANGES.md may hold.
+const MAX_CHANGES_LINE: usize = 4_000;
+
+#[test]
+fn every_changes_entry_is_one_short_paragraph() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let text = std::fs::read_to_string(root.join("CHANGES.md")).unwrap();
+    let long: Vec<String> = text
+        .lines()
+        .enumerate()
+        .filter(|(_, line)| line.chars().count() > MAX_CHANGES_LINE)
+        .map(|(n, line)| format!("CHANGES.md:{}: {} characters", n + 1, line.chars().count()))
+        .collect();
+    assert!(
+        long.is_empty(),
+        "entries over {MAX_CHANGES_LINE} characters (move the run detail to docs/runs/):\n{}",
+        long.join("\n")
     );
 }
 

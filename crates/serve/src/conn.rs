@@ -29,19 +29,21 @@
 //! dispatch/reply mechanism and pay the mailbox hop, reply send and
 //! waker check once per batch.
 //!
-//! The hot paths allocate nothing in steady state: the request scratch
-//! and record buffer are reused across messages, decisions render
-//! through a reusable body scratch straight into the output buffer, and
-//! the output buffer itself persists across requests (shrunk when a
-//! burst inflates it). The per-record app-id `String` handed to the
-//! shard is the one remaining allocation per decision, and it is part
-//! of the dispatched message, not the connection. Per *batch* there is
-//! also the `Vec<BatchItem>` that carries the records: `dispatch`
-//! `mem::take`s the reactor's per-shard scratch, which therefore starts
-//! the next burst without capacity (re-grown, not reused), and the
-//! shard answers with a fresh result `Vec`. Past this hop the claim is
-//! stronger: the shard allocates nothing for an app it has seen before
-//! (`tests/alloc_free.rs` counts it).
+//! The hot paths allocate nothing in steady state, from the socket to
+//! the shard and back. The request scratch, the parsed `/invoke` body
+//! and the record buffer are reused across messages, names and all;
+//! decisions render through a reusable body scratch straight into the
+//! output buffer, which persists across requests (shrunk when a burst
+//! inflates it). What crosses to a shard makes a round trip through the
+//! reactor's [`BatchPool`]: each record's app id is copied into a spare
+//! `String` of a spare `Vec<BatchItem>`, the shard hands both back in
+//! its [`BatchReply`] beside a result vector it filled instead of
+//! allocating, and a frame's or run's result slots and span ids are
+//! spares too. A record therefore costs a copy of its name, not an
+//! allocation here and a free on the shard thread; past the hop the
+//! shard allocates nothing for an app it has seen before.
+//! `tests/alloc_free.rs` counts the shard and `tests/alloc_free_wire.rs`
+//! the whole live node.
 //!
 //! Failure handling mirrors the blocking server exactly, restated for an
 //! event loop:
@@ -71,11 +73,12 @@ use sitw_reactor::Interest;
 use sitw_telemetry::{SpanEvent, Stage};
 
 use crate::http::{write_response, ConnBuf, DrainOutcome, ReadEvent, Request};
+use crate::pool::{BatchPool, Spares};
 use crate::reactor::ReactorIo;
 use crate::server::{handle_control, parse_and_route};
 use crate::shard::{BatchItem, BatchReply, BatchSpans, Decision, InvokeError, ShardMsg};
 use crate::telem::ReactorTelemHandle;
-use crate::wire::{self, push_u64, BinErrorCode, BinInvoke, ControlRequest};
+use crate::wire::{self, push_u64, BinErrorCode, BinInvoke, ControlRequest, InvokeRequest};
 
 /// Stop reading a connection whose un-written output backlog exceeds
 /// this (a client that pipelines but never reads must not buffer
@@ -102,6 +105,10 @@ const LAME_BUDGET: usize = 2 * crate::http::MAX_BODY_BYTES;
 
 /// Lame-duck linger: how long we wait for the peer to take the FIN.
 const LAME_LINGER: Duration = Duration::from_secs(1);
+
+/// Decoded records (and their name buffers) a connection keeps between
+/// frames; a longer frame's surplus is freed once it is dispatched.
+const RECORDS_KEPT: usize = 1024;
 
 /// What the reactor should do with the connection after a call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -193,8 +200,9 @@ impl Pipeline {
         seq
     }
 
+    /// Slots a reply's results in, leaving its buffers for the pool.
     // sitw-lint: hot-path
-    fn absorb_batch(&mut self, reply: BatchReply) {
+    fn absorb_batch(&mut self, reply: &mut BatchReply) {
         let Some(idx) = reply.frame_seq.checked_sub(self.front_seq) else {
             return;
         };
@@ -207,7 +215,7 @@ impl Pipeline {
             },
         ) = self.slots.get_mut(idx as usize)
         {
-            for (i, result) in reply.results {
+            for (i, result) in reply.results.drain(..) {
                 // A record index beyond the batch is a malformed reply;
                 // indexing would panic the whole reactor thread for one
                 // bad message, so drop the record instead. The slot still
@@ -257,9 +265,11 @@ pub(crate) struct Conn {
     /// Pending output and the partial-write cursor into it.
     out: Vec<u8>,
     out_pos: usize,
-    /// Reusable parse targets (see [`ConnBuf::read_event_into`]).
+    /// Reusable parse targets (see [`ConnBuf::read_event_into`]), and
+    /// the `/invoke` body parsed out of `req`.
     req: Request,
     records: Vec<BinInvoke>,
+    invoke: InvokeRequest,
     pipeline: Pipeline,
     /// Interest currently registered with epoll.
     read_armed: bool,
@@ -307,6 +317,7 @@ impl Conn {
             out_pos: 0,
             req: Request::default(),
             records: Vec::new(),
+            invoke: InvokeRequest::default(),
             pipeline: Pipeline::new(),
             read_armed: true,
             write_armed: false,
@@ -337,9 +348,11 @@ impl Conn {
         Interest::READ
     }
 
-    /// Absorbs one shard reply to (a slice of) a frame or JSON run.
-    pub fn on_batch_reply(&mut self, reply: BatchReply) {
-        self.pipeline.absorb_batch(reply);
+    /// Absorbs one shard reply to (a slice of) a frame or JSON run and
+    /// keeps its buffers in the reactor's pool.
+    pub fn on_batch_reply(&mut self, mut reply: BatchReply, pool: &mut BatchPool) {
+        self.pipeline.absorb_batch(&mut reply);
+        pool.recycle(reply);
     }
 
     /// Handles one epoll readiness event.
@@ -448,14 +461,16 @@ impl Conn {
             mark: io.telem.now(),
             registry: None,
             parked: 0,
-            spans: Vec::new(), // sitw-lint: allow(hot-path-alloc)
+            spans: io.pool.spans.take(),
             t_read_end: 0,
         };
         let flow = self.read_burst(io, &mut burst);
-        match self.flush_run(io, &mut burst) {
+        let flow = match self.flush_run(io, &mut burst) {
             Flow::Close => Flow::Close,
             Flow::Keep => flow,
-        }
+        };
+        io.pool.spans.put(burst.spans);
+        flow
     }
 
     /// The burst's parse loop: runs until the socket drains, backpressure
@@ -560,8 +575,13 @@ impl Conn {
                 burst.t_read_end = io.telem.now();
             }
             let registry = burst.registry.get_or_insert_with(|| ctx.registry_read());
-            match parse_and_route(&self.req.body, registry, ctx.shard_txs.len()) {
-                Ok((tenant, shard, inv)) => {
+            match parse_and_route(
+                &self.req.body,
+                &mut self.invoke,
+                registry,
+                ctx.shard_txs.len(),
+            ) {
+                Ok((tenant, shard)) => {
                     if io.telem.enabled() {
                         // A propagated fleet trace id becomes the span id,
                         // so the router can pick this request's stages out
@@ -574,8 +594,8 @@ impl Conn {
                     io.per_shard[shard].push(BatchItem {
                         idx: burst.parked,
                         tenant,
-                        app: inv.app,
-                        ts: inv.ts,
+                        app: io.pool.name(&self.invoke.app),
+                        ts: self.invoke.ts,
                     });
                     burst.parked += 1;
                     // Parked requests count against `pipeline_window`
@@ -622,7 +642,7 @@ impl Conn {
         if n == 0 {
             return Flow::Keep;
         }
-        let spans = std::mem::take(&mut burst.spans);
+        let spans = std::mem::replace(&mut burst.spans, io.pool.spans.take());
         let sent_ns = if io.telem.enabled() {
             let sent_ns = io.telem.now();
             let (mark, t_read_end, k) = (burst.mark, burst.t_read_end, n as u64);
@@ -651,23 +671,26 @@ impl Conn {
         } else {
             0
         };
-        let sent = self.dispatch(io, sent_ns, |items| {
+        let sent = self.dispatch(io, sent_ns, |items, spare| {
             // Each shard's spans ride index-aligned beside its items
             // (none when telemetry is off and `spans` is empty).
-            BatchSpans::Json(
+            let mut shard_spans = spare.take();
+            shard_spans.extend(
                 items
                     .iter()
-                    .filter_map(|item| spans.get(item.idx as usize).copied())
-                    .collect(),
-            )
+                    .filter_map(|item| spans.get(item.idx as usize).copied()),
+            );
+            BatchSpans::Json(shard_spans)
         });
         let Some(remaining) = sent else {
             return Flow::Close;
         };
+        let mut results = io.pool.slots.take();
+        results.resize(n, None);
         self.pipeline.push(Slot::Run {
             remaining,
             spans,
-            results: vec![None; n],
+            results,
         });
         Flow::Keep
     }
@@ -675,14 +698,16 @@ impl Conn {
     /// Sends every non-empty per-shard slice as one
     /// [`ShardMsg::InvokeBatch`], addressed to the slot the caller is
     /// about to push (replies cannot overtake that push: this thread
-    /// processes them). Returns how many shards now owe a reply, or
-    /// `None` when a shard is gone (shutting down / panicked).
+    /// processes them). Each slice leaves with a spare result vector
+    /// and is replaced by a spare item vector. Returns how many shards
+    /// now owe a reply, or `None` when a shard is gone (shutting down /
+    /// panicked).
     // sitw-lint: hot-path
     fn dispatch(
         &self,
         io: &mut ReactorIo<'_>,
         sent_ns: u64,
-        spans: impl Fn(&[BatchItem]) -> BatchSpans,
+        spans: impl Fn(&[BatchItem], &mut Spares<u64>) -> BatchSpans,
     ) -> Option<usize> {
         let frame_seq = self.pipeline.next_seq;
         let mut expected = 0usize;
@@ -690,13 +715,14 @@ impl Conn {
             if io.per_shard[shard].is_empty() {
                 continue;
             }
-            let items = std::mem::take(&mut io.per_shard[shard]);
+            let items = std::mem::replace(&mut io.per_shard[shard], io.pool.items.take());
             let msg = ShardMsg::InvokeBatch {
                 frame_seq,
-                spans: spans(&items),
+                spans: spans(&items, &mut io.pool.spans),
                 items,
                 sent_ns,
                 reply: io.reply_sink(self.token),
+                spare: io.pool.results.take(),
             };
             if io.ctx.shard_txs[shard].send(msg).is_err() {
                 // The scratch is reactor-wide: clear the not-yet-taken
@@ -732,7 +758,7 @@ impl Conn {
         let shards = ctx.shard_txs.len();
         {
             let registry = ctx.registry_read();
-            for (idx, rec) in self.records.drain(..).enumerate() {
+            for (idx, rec) in self.records.iter().enumerate() {
                 if registry.get(rec.tenant).is_none() {
                     for slice in io.per_shard.iter_mut() {
                         slice.clear();
@@ -749,11 +775,12 @@ impl Conn {
                 io.per_shard[shard].push(BatchItem {
                     idx: idx as u32,
                     tenant: rec.tenant,
-                    app: rec.app,
+                    app: io.pool.name(&rec.app),
                     ts: rec.ts,
                 });
             }
         }
+        self.records.truncate(RECORDS_KEPT);
         // One span covers the whole frame: read ends where decode
         // (partitioning) starts, and decode ends at dispatch. A
         // propagated fleet trace id becomes the frame's span id.
@@ -791,14 +818,16 @@ impl Conn {
         } else {
             (0, 0)
         };
-        let Some(remaining) = self.dispatch(io, sent_ns, |_| BatchSpans::Frame(span)) else {
+        let Some(remaining) = self.dispatch(io, sent_ns, |_, _| BatchSpans::Frame(span)) else {
             return Flow::Close;
         };
+        let mut results = io.pool.slots.take();
+        results.resize(n, None);
         self.pipeline.push(Slot::Frame {
             version,
             remaining,
             span,
-            results: vec![None; n],
+            results,
         });
         self.pipeline.inflight += n;
         Flow::Keep
@@ -874,10 +903,12 @@ impl Conn {
             };
             self.pipeline.front_seq += 1;
             match slot {
-                Slot::Run { spans, results, .. } => {
+                Slot::Run {
+                    spans, mut results, ..
+                } => {
                     let n = results.len() as u64;
                     self.pipeline.inflight -= results.len();
-                    for result in results {
+                    for result in results.drain(..) {
                         // A hole (a malformed shard reply was dropped by
                         // `absorb_batch`) renders as a typed rejection.
                         let result = result.unwrap_or(Err(InvokeError::UnknownTenant));
@@ -902,11 +933,13 @@ impl Conn {
                             .extend(spans.iter().map(|&span| (span, false, 1)));
                         t0 = t1;
                     }
+                    io.pool.slots.put(results);
+                    io.pool.spans.put(spans);
                 }
                 Slot::Frame {
                     version,
                     span,
-                    results,
+                    mut results,
                     ..
                 } => {
                     self.pipeline.inflight -= results.len();
@@ -916,9 +949,10 @@ impl Conn {
                     // rejection instead of panicking mid-render.
                     io.results.extend(
                         results
-                            .into_iter()
+                            .drain(..)
                             .map(|r| r.unwrap_or(Err(InvokeError::UnknownTenant))),
                     );
+                    io.pool.slots.put(results);
                     wire::encode_reply_frame(&mut self.out, version, io.results);
                     io.ctx
                         .batched_decisions
@@ -1099,12 +1133,13 @@ mod tests {
     #[test]
     fn absorb_batch_drops_out_of_range_record_index() {
         let mut p = frame_pipeline(2, 1);
-        p.absorb_batch(BatchReply {
+        p.absorb_batch(&mut BatchReply {
             frame_seq: 0,
             results: vec![
                 (1, Err(InvokeError::UnknownTenant)),
                 (9, Err(InvokeError::UnknownTenant)), // out of range
             ],
+            ..BatchReply::default()
         });
         let Some(Slot::Frame {
             remaining, results, ..
@@ -1128,9 +1163,10 @@ mod tests {
         let reply = || BatchReply {
             frame_seq: 0,
             results: vec![(0, Err(InvokeError::UnknownTenant))],
+            ..BatchReply::default()
         };
-        p.absorb_batch(reply());
-        p.absorb_batch(reply());
+        p.absorb_batch(&mut reply());
+        p.absorb_batch(&mut reply());
         let Some(Slot::Frame { remaining, .. }) = p.slots.front() else {
             panic!("frame slot");
         };
@@ -1144,9 +1180,10 @@ mod tests {
     fn absorb_batch_ignores_stale_sequence() {
         let mut p = frame_pipeline(1, 1);
         p.front_seq = 5;
-        p.absorb_batch(BatchReply {
+        p.absorb_batch(&mut BatchReply {
             frame_seq: 3,
             results: vec![(0, Err(InvokeError::UnknownTenant))],
+            ..BatchReply::default()
         });
         let Some(Slot::Frame { remaining, .. }) = p.slots.front() else {
             panic!("frame slot");

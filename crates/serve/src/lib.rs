@@ -10,11 +10,12 @@
 //!   pipelining. A fixed pool of event-loop threads multiplexes every
 //!   connection over `sitw_reactor`'s raw epoll/eventfd bindings —
 //!   thousands of mostly idle keep-alive clients cost a slab entry
-//!   each, not a thread — with per-connection buffer reuse (the
-//!   steady-state hot path allocates only the app-id `String` the
-//!   shard map needs), coalesced response writes, read-backpressure
-//!   hysteresis, a slowloris idle timeout, and connection gauges in
-//!   `/metrics`.
+//!   each, not a thread — with buffer reuse from the socket to the
+//!   shard and back (a dispatched batch's buffers return in its reply,
+//!   so a steady-state decision allocates nothing on either thread;
+//!   `tests/alloc_free_wire.rs` counts it), coalesced response writes,
+//!   read-backpressure hysteresis, a slowloris idle timeout, and
+//!   connection gauges in `/metrics`.
 //! * **Sharded policy state** ([`shard`]): N worker threads each own the
 //!   per-application policy state for their hash slice of the app space.
 //!   Requests reach shards through mailbox channels; there are **no
@@ -145,6 +146,7 @@ pub mod follow;
 pub mod http;
 pub mod loadgen;
 pub mod metrics;
+pub(crate) mod pool;
 pub mod reactor;
 pub mod server;
 pub mod shard;

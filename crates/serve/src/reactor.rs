@@ -40,6 +40,7 @@ use std::time::{Duration, Instant};
 use sitw_reactor::{Epoll, Events, Interest, Slab, Waker};
 
 use crate::conn::{Conn, Flow};
+use crate::pool::BatchPool;
 use crate::server::ServerCtx;
 use crate::shard::{BatchItem, BatchReply, Decision, InvokeError};
 use crate::telem::{QueueGauge, ReactorTelemHandle};
@@ -122,6 +123,9 @@ pub(crate) struct ReactorIo<'a> {
     /// while its read burst lasts. Reactor-wide, so every user leaves
     /// them empty.
     pub per_shard: &'a mut Vec<Vec<BatchItem>>,
+    /// Spare names and vectors, refilled by every shard reply that
+    /// reaches a live connection.
+    pub pool: &'a mut BatchPool,
     /// This reactor thread's telemetry handle (spans, stage hists).
     pub telem: &'a ReactorTelemHandle,
 }
@@ -166,6 +170,7 @@ pub(crate) fn reactor_loop(
     let mut scratch: Vec<u8> = Vec::with_capacity(256);
     let mut results: Vec<Result<Decision, InvokeError>> = Vec::new();
     let mut per_shard: Vec<Vec<BatchItem>> = vec![Vec::new(); ctx.shard_txs.len()];
+    let mut pool = BatchPool::default();
     let mut touched: Vec<u64> = Vec::new();
     let mut sweep_tokens: Vec<u64> = Vec::new();
 
@@ -188,6 +193,7 @@ pub(crate) fn reactor_loop(
                 scratch: &mut scratch,
                 results: &mut results,
                 per_shard: &mut per_shard,
+                pool: &mut pool,
                 telem: &telem,
             }
         };
@@ -211,7 +217,7 @@ pub(crate) fn reactor_loop(
                 Ok(msg) => {
                     worked = true;
                     drained += 1;
-                    handle_msg(msg, &ctx, &epoll, &mut conns, &mut touched);
+                    handle_msg(msg, &ctx, &epoll, &mut conns, &mut touched, &mut pool);
                 }
                 Err(TryRecvError::Empty) => break,
                 Err(TryRecvError::Disconnected) => return,
@@ -300,7 +306,7 @@ pub(crate) fn reactor_loop(
                 Ok(msg) => {
                     waker.disarm();
                     idle_spins = 0;
-                    handle_msg(msg, &ctx, &epoll, &mut conns, &mut touched);
+                    handle_msg(msg, &ctx, &epoll, &mut conns, &mut touched, &mut pool);
                     continue;
                 }
                 Err(TryRecvError::Empty) => {}
@@ -363,6 +369,7 @@ fn handle_msg(
     epoll: &Epoll,
     conns: &mut Slab<Conn>,
     touched: &mut Vec<u64>,
+    pool: &mut BatchPool,
 ) {
     match msg {
         ReactorMsg::Conn(stream) => match Conn::new(stream) {
@@ -392,16 +399,27 @@ fn handle_msg(
                 ctx.conns_live.fetch_sub(1, Ordering::Relaxed);
             }
         },
-        ReactorMsg::Batch { conn, reply } => {
-            // A stale token (connection died, slot possibly reused) is
-            // dropped here by the generation check.
-            if let Some(c) = conns.get_mut(conn) {
-                c.on_batch_reply(reply);
-                if !c.dirty {
-                    c.dirty = true;
-                    touched.push(conn);
-                }
-            }
+        ReactorMsg::Batch { conn, reply } => deliver(conns, touched, pool, conn, reply),
+    }
+}
+
+/// Slots a shard reply into its connection, keeps the reply's buffers
+/// in the pool and marks the connection touched. A stale token
+/// (connection died, slot possibly reused) fails the slab's generation
+/// check, and its reply is freed, buffers and all.
+// sitw-lint: hot-path
+fn deliver(
+    conns: &mut Slab<Conn>,
+    touched: &mut Vec<u64>,
+    pool: &mut BatchPool,
+    conn: u64,
+    reply: BatchReply,
+) {
+    if let Some(c) = conns.get_mut(conn) {
+        c.on_batch_reply(reply, pool);
+        if !c.dirty {
+            c.dirty = true;
+            touched.push(conn);
         }
     }
 }
@@ -431,5 +449,47 @@ fn close_conn(ctx: &ServerCtx, epoll: &Epoll, conns: &mut Slab<Conn>, token: u64
         let _ = epoll.delete(conn.raw_fd());
         ctx.conns_live.fetch_sub(1, Ordering::Relaxed);
         // Drop closes the socket.
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::net::TcpListener;
+
+    use super::*;
+
+    #[test]
+    fn a_dead_connections_reply_frees_its_buffers() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        let mut conns = Slab::new();
+        let token = conns.insert(Conn::new(stream).unwrap());
+        let reply = || BatchReply {
+            results: Vec::with_capacity(1),
+            items: vec![BatchItem {
+                idx: 0,
+                tenant: 0,
+                app: "app-000001".into(),
+                ts: 0,
+            }],
+            ..BatchReply::default()
+        };
+        let (mut touched, mut pool) = (Vec::new(), BatchPool::default());
+        deliver(&mut conns, &mut touched, &mut pool, token, reply());
+        assert_eq!(touched, [token]);
+        assert_eq!(
+            (pool.names(), pool.items.len(), pool.results.len()),
+            (1, 1, 1),
+            "a live connection's reply is kept"
+        );
+        conns.remove(token);
+        deliver(&mut conns, &mut touched, &mut pool, token, reply());
+        assert_eq!(touched, [token]);
+        assert_eq!(
+            (pool.names(), pool.items.len(), pool.results.len()),
+            (1, 1, 1),
+            "a dead one's is freed"
+        );
     }
 }

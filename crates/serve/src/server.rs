@@ -1050,16 +1050,18 @@ fn accept_loop(listener: TcpListener, ctx: Arc<ServerCtx>) {
     }
 }
 
-/// Parses an `/invoke` body and resolves its tenant and shard against
+/// Parses an `/invoke` body into `inv` (reused, so a warm one parses
+/// without allocating) and resolves its tenant and shard against
 /// `registry` — the caller's guard, taken once per read burst (see
 /// [`ServerCtx::registry_read`]), not once per request.
 // sitw-lint: hot-path
 pub(crate) fn parse_and_route(
     body: &[u8],
+    inv: &mut wire::InvokeRequest,
     registry: &TenantRegistry,
     shards: usize,
-) -> Result<(TenantId, usize, wire::InvokeRequest), String> {
-    let inv = wire::parse_invoke(body)?;
+) -> Result<(TenantId, usize), String> {
+    wire::parse_invoke_into(body, inv)?;
     let tenant = match &inv.tenant {
         None => DEFAULT_TENANT,
         Some(name) => registry
@@ -1069,7 +1071,7 @@ pub(crate) fn parse_and_route(
             .ok_or_else(|| format!("unknown tenant '{name}'"))?,
     };
     let shard = registry.shard_of(tenant, &inv.app, shards);
-    Ok((tenant, shard, inv))
+    Ok((tenant, shard))
 }
 
 /// Executes one SITW-BIN control frame (the cluster control plane).

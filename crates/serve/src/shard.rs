@@ -34,6 +34,7 @@ use sitw_fleet::{
 use sitw_telemetry::{EventKind, EventRing, LifecycleEvent, Log2Histogram, SpanEvent, Stage};
 
 use crate::metrics::{ShardStats, TenantStats};
+use crate::pool::{IndexedResult, Spares};
 use crate::reactor::ReplySink;
 use crate::snapshot::{ShardExport, TenantExport};
 use crate::telem::ShardTelem;
@@ -86,13 +87,18 @@ pub struct BatchItem {
 /// A shard's answers to one [`ShardMsg::InvokeBatch`]: `(idx, result)`
 /// pairs in submission order, tagged with the frame they belong to so
 /// connections can keep several frames in flight (server-side frame
-/// pipelining).
-#[derive(Debug)]
+/// pipelining). The batch's spent buffers ride back with it, so the
+/// reactor reuses them instead of allocating the next batch's.
+#[derive(Debug, Default)]
 pub struct BatchReply {
     /// The connection-local frame sequence this reply answers.
     pub frame_seq: u64,
     /// One result per submitted item, tagged with its frame index.
     pub results: Vec<(u32, Result<Decision, InvokeError>)>,
+    /// The decided items, names and all, handed back for reuse.
+    pub items: Vec<BatchItem>,
+    /// A JSON run's span ids, handed back for reuse (empty otherwise).
+    pub spans: Vec<u64>,
 }
 
 /// The protocol a batch arrived on and the span ids its stages are
@@ -105,6 +111,16 @@ pub enum BatchSpans {
     /// A run of JSON requests: one span per item, index-aligned with
     /// `items` (a request's propagated `x-sitw-trace` id is its span).
     Json(Vec<u64>),
+}
+
+impl BatchSpans {
+    /// The span vector to hand back in the reply (empty for a frame).
+    fn into_spent(self) -> Vec<u64> {
+        match self {
+            BatchSpans::Frame(_) => Vec::new(),
+            BatchSpans::Json(spans) => spans,
+        }
+    }
 }
 
 /// Messages a shard worker accepts.
@@ -128,6 +144,9 @@ pub enum ShardMsg {
         sent_ns: u64,
         /// Where to send the batched reply (the owning reactor's queue).
         reply: ReplySink,
+        /// An emptied result vector from an earlier reply, for the
+        /// worker to fill instead of allocating one (may be empty).
+        spare: Vec<(u32, Result<Decision, InvokeError>)>,
     },
     /// Registers a tenant on this shard (admin path). Acked so the
     /// registry only exposes the tenant once its shard can serve it.
@@ -253,6 +272,9 @@ pub struct ShardWorker {
     /// Per-frame `(tenant, records)` counts, reused across batches so
     /// per-tenant histogram attribution stays allocation-free.
     tenant_scratch: Vec<(TenantId, u64)>,
+    /// Emptied result vectors the reactors sent back with their
+    /// batches; `invoke_batch` fills one instead of allocating.
+    spare_results: Spares<IndexedResult>,
 }
 
 impl ShardWorker {
@@ -278,6 +300,7 @@ impl ShardWorker {
             mutation_seq: 0,
             telem: ShardTelem::default(),
             tenant_scratch: Vec::new(),
+            spare_results: Spares::default(),
         })
     }
 
@@ -389,14 +412,24 @@ impl ShardWorker {
     /// calling [`ShardWorker::invoke`] per item — batching only changes
     /// transport cost, never outcomes. Timing lives in the mailbox loop
     /// (the batch is clocked once and recorded per record at the batch
-    /// mean), so this method stays a pure decision function.
+    /// mean), so this method stays a pure decision function. The items
+    /// go back in the reply, and the results fill a spare vector when a
+    /// reactor has sent one.
     // sitw-lint: hot-path
     pub fn invoke_batch(&mut self, frame_seq: u64, items: Vec<BatchItem>) -> BatchReply {
-        let results: Vec<(u32, Result<Decision, InvokeError>)> = items
-            .into_iter()
-            .map(|item| (item.idx, self.invoke(item.tenant, &item.app, item.ts)))
-            .collect();
-        BatchReply { frame_seq, results }
+        let mut results = self.spare_results.take();
+        results.reserve(items.len());
+        for item in &items {
+            results.push((item.idx, self.invoke(item.tenant, &item.app, item.ts)));
+        }
+        BatchReply {
+            frame_seq,
+            results,
+            items,
+            // Empty, so no allocation; the mailbox loop hands a JSON
+            // run's span vector back here.
+            spans: Vec::new(), // sitw-lint: allow(hot-path-alloc)
+        }
     }
 
     fn stats(&self) -> ShardStats {
@@ -560,11 +593,15 @@ impl ShardWorker {
                     spans,
                     sent_ns,
                     reply,
+                    spare,
                 } => {
+                    self.spare_results.put(spare);
                     if !self.telem.enabled {
                         // Telemetry off: no clock reads, no histogram
                         // touches — the decisions are the whole hot path.
-                        reply.batch(self.invoke_batch(frame_seq, items));
+                        let mut batch = self.invoke_batch(frame_seq, items);
+                        batch.spans = spans.into_spent();
+                        reply.batch(batch);
                         continue;
                     }
                     // Per-tenant record counts, folded before `items`
@@ -583,10 +620,10 @@ impl ShardWorker {
                     }
                     let n = items.len() as u64;
                     let t0 = self.telem.clock.now_ns();
-                    let batch = self.invoke_batch(frame_seq, items);
+                    let mut batch = self.invoke_batch(frame_seq, items);
                     let t1 = self.telem.clock.now_ns();
                     let mean = t1.saturating_sub(t0).checked_div(n).unwrap_or(0);
-                    let (queue, decide, spans) = match &spans {
+                    let (queue, decide, span_ids) = match &spans {
                         BatchSpans::Frame(span) => (
                             &mut self.telem.queue.bin,
                             &mut self.telem.decide.bin,
@@ -610,7 +647,7 @@ impl ShardWorker {
                     // try_lock: losing the race to a /debug/trace scrape
                     // drops the spans, never blocks the decision path.
                     if let Ok(mut rec) = self.telem.recorder.try_lock() {
-                        for &span in spans {
+                        for &span in span_ids {
                             rec.push(SpanEvent {
                                 span,
                                 stage: Stage::Queue,
@@ -629,6 +666,7 @@ impl ShardWorker {
                     // the reactor's slab generation check; the decisions
                     // were still applied, which is correct (the
                     // invocations happened).
+                    batch.spans = spans.into_spent();
                     reply.batch(batch);
                 }
                 ShardMsg::AddTenant { spec, ack } => {

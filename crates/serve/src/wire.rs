@@ -21,7 +21,7 @@ use sitw_core::DecisionKind;
 use crate::shard::{Decision, InvokeError};
 
 /// A parsed `POST /invoke` body.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct InvokeRequest {
     /// Application identifier (the unit of keep-alive, §2).
     pub app: String,
@@ -36,164 +36,24 @@ pub struct InvokeRequest {
 /// Parses an `/invoke` body: `{"app":"app-000123","ts":86400000}`, with
 /// an optional `"tenant":"acme"` member naming the fleet tenant.
 pub fn parse_invoke(body: &[u8]) -> Result<InvokeRequest, String> {
-    let mut app: Option<String> = None;
+    let mut req = InvokeRequest::default();
+    parse_invoke_into(body, &mut req).map(|()| req)
+}
+
+/// [`parse_invoke`] into a reused request: keys are compared as byte
+/// slices and the `app` and `tenant` values are unescaped into `req`'s
+/// own `String`s, so a warm `req` parses without allocating. After an
+/// error `req` holds whatever was parsed so far.
+// sitw-lint: hot-path
+pub(crate) fn parse_invoke_into(body: &[u8], req: &mut InvokeRequest) -> Result<(), String> {
+    let mut has_app = false;
     let mut ts: Option<u64> = None;
-    let mut tenant: Option<String> = None;
-    let mut i = 0usize;
+    // Put back only when this body names a tenant: the buffer is reused
+    // for as long as consecutive requests name one.
+    let mut tenant = req.tenant.take().unwrap_or_default();
+    let mut has_tenant = false;
 
-    fn skip_ws(b: &[u8], mut i: usize) -> usize {
-        while i < b.len() && (b[i] == b' ' || b[i] == b'\t' || b[i] == b'\r' || b[i] == b'\n') {
-            i += 1;
-        }
-        i
-    }
-
-    /// Reads the four hex digits of a `\uXXXX` escape starting at `i`.
-    fn parse_hex4(b: &[u8], i: usize) -> Result<(u32, usize), String> {
-        if i + 4 > b.len() {
-            return Err("truncated \\u escape".into());
-        }
-        let mut v = 0u32;
-        for &c in &b[i..i + 4] {
-            let d = (c as char)
-                .to_digit(16)
-                .ok_or_else(|| format!("bad hex digit '{}' in \\u escape", c as char))?;
-            v = v * 16 + d;
-        }
-        Ok((v, i + 4))
-    }
-
-    fn parse_string(b: &[u8], mut i: usize) -> Result<(String, usize), String> {
-        if i >= b.len() || b[i] != b'"' {
-            return Err("expected string".into());
-        }
-        i += 1;
-        // Accumulate raw bytes and validate UTF-8 once at the end, so
-        // multi-byte characters survive intact.
-        let mut out: Vec<u8> = Vec::new();
-        while i < b.len() {
-            match b[i] {
-                b'"' => {
-                    let s = String::from_utf8(out).map_err(|_| "invalid utf-8 in string")?;
-                    return Ok((s, i + 1));
-                }
-                b'\\' => {
-                    i += 1;
-                    if i >= b.len() {
-                        break;
-                    }
-                    match b[i] {
-                        b'"' => out.push(b'"'),
-                        b'\\' => out.push(b'\\'),
-                        b'/' => out.push(b'/'),
-                        b'b' => out.push(0x08),
-                        b'f' => out.push(0x0C),
-                        b'n' => out.push(b'\n'),
-                        b't' => out.push(b'\t'),
-                        b'r' => out.push(b'\r'),
-                        b'u' => {
-                            let (unit, next) = parse_hex4(b, i + 1)?;
-                            i = next;
-                            let cp = match unit {
-                                // High surrogate: a \uDC00..\uDFFF low
-                                // surrogate must follow (RFC 8259 §7).
-                                0xD800..=0xDBFF => {
-                                    if b.get(i) != Some(&b'\\') || b.get(i + 1) != Some(&b'u') {
-                                        return Err("unpaired high surrogate".into());
-                                    }
-                                    let (lo, next) = parse_hex4(b, i + 2)?;
-                                    if !(0xDC00..=0xDFFF).contains(&lo) {
-                                        return Err(format!("invalid low surrogate \\u{lo:04x}"));
-                                    }
-                                    i = next;
-                                    0x10000 + ((unit - 0xD800) << 10) + (lo - 0xDC00)
-                                }
-                                0xDC00..=0xDFFF => {
-                                    return Err(format!("unpaired low surrogate \\u{unit:04x}"))
-                                }
-                                bmp => bmp,
-                            };
-                            let ch = char::from_u32(cp)
-                                .ok_or_else(|| format!("invalid codepoint U+{cp:04X}"))?;
-                            let mut utf8 = [0u8; 4];
-                            out.extend_from_slice(ch.encode_utf8(&mut utf8).as_bytes());
-                            continue; // `i` already points past the escape.
-                        }
-                        other => return Err(format!("unsupported escape \\{}", other as char)),
-                    }
-                    i += 1;
-                }
-                c => {
-                    out.push(c);
-                    i += 1;
-                }
-            }
-        }
-        Err("unterminated string".into())
-    }
-
-    /// Skips any well-formed JSON value (scalar, object, or array)
-    /// starting at `i`, returning the index just past it.
-    fn skip_value(b: &[u8], mut i: usize) -> Result<usize, String> {
-        match b.get(i) {
-            Some(b'"') => {
-                let (_, next) = parse_string(b, i)?;
-                Ok(next)
-            }
-            Some(b'{') | Some(b'[') => {
-                // Track nesting depth; strings inside may contain
-                // brackets, so skip them wholesale.
-                let mut depth = 0usize;
-                while i < b.len() {
-                    match b[i] {
-                        b'"' => {
-                            let (_, next) = parse_string(b, i)?;
-                            i = next;
-                        }
-                        b'{' | b'[' => {
-                            depth += 1;
-                            i += 1;
-                        }
-                        b'}' | b']' => {
-                            depth -= 1;
-                            i += 1;
-                            if depth == 0 {
-                                return Ok(i);
-                            }
-                        }
-                        _ => i += 1,
-                    }
-                }
-                Err("unterminated container".into())
-            }
-            Some(_) => {
-                // Number / true / false / null: runs to a delimiter.
-                while i < b.len() && !matches!(b[i], b',' | b'}' | b']') {
-                    i += 1;
-                }
-                Ok(i)
-            }
-            None => Err("expected value".into()),
-        }
-    }
-
-    fn parse_u64(b: &[u8], mut i: usize) -> Result<(u64, usize), String> {
-        let start = i;
-        let mut v: u64 = 0;
-        while i < b.len() && b[i].is_ascii_digit() {
-            v = v
-                .checked_mul(10)
-                .and_then(|v| v.checked_add((b[i] - b'0') as u64))
-                .ok_or("integer overflow")?;
-            i += 1;
-        }
-        if i == start {
-            return Err("expected integer".into());
-        }
-        Ok((v, i))
-    }
-
-    i = skip_ws(body, i);
+    let mut i = skip_ws(body, 0);
     if i >= body.len() || body[i] != b'{' {
         return Err("expected object".into());
     }
@@ -203,31 +63,27 @@ pub fn parse_invoke(body: &[u8]) -> Result<InvokeRequest, String> {
     } else {
         loop {
             i = skip_ws(body, i);
-            let (key, next) = parse_string(body, i)?;
+            let mut key = Key::default();
+            let next = scan_string(body, i, &mut key)?;
             i = skip_ws(body, next);
             if i >= body.len() || body[i] != b':' {
                 return Err("expected ':'".into());
             }
             i = skip_ws(body, i + 1);
-            match key.as_str() {
-                "app" => {
-                    let (v, next) = parse_string(body, i)?;
-                    app = Some(v);
-                    i = next;
-                }
-                "ts" => {
-                    let (v, next) = parse_u64(body, i)?;
-                    ts = Some(v);
-                    i = next;
-                }
-                "tenant" => {
-                    let (v, next) = parse_string(body, i)?;
-                    tenant = Some(v);
-                    i = next;
-                }
-                _ => {
-                    i = skip_value(body, i)?;
-                }
+            if key.is(b"app") {
+                req.app.clear();
+                i = scan_string(body, i, &mut req.app)?;
+                has_app = true;
+            } else if key.is(b"ts") {
+                let (v, next) = parse_u64(body, i)?;
+                ts = Some(v);
+                i = next;
+            } else if key.is(b"tenant") {
+                tenant.clear();
+                i = scan_string(body, i, &mut tenant)?;
+                has_tenant = true;
+            } else {
+                i = skip_value(body, i)?;
             }
             i = skip_ws(body, i);
             match body.get(i) {
@@ -238,15 +94,217 @@ pub fn parse_invoke(body: &[u8]) -> Result<InvokeRequest, String> {
         }
     }
 
-    let app = app.ok_or("missing \"app\"")?;
-    if app.is_empty() {
+    if !has_app {
+        return Err("missing \"app\"".into());
+    }
+    if req.app.is_empty() {
         return Err("empty \"app\"".into());
     }
-    if tenant.as_deref() == Some("") {
+    if has_tenant && tenant.is_empty() {
         return Err("empty \"tenant\"".into());
     }
-    let ts = ts.ok_or("missing \"ts\"")?;
-    Ok(InvokeRequest { app, ts, tenant })
+    req.ts = ts.ok_or("missing \"ts\"")?;
+    req.tenant = has_tenant.then_some(tenant);
+    Ok(())
+}
+
+fn skip_ws(b: &[u8], mut i: usize) -> usize {
+    while i < b.len() && (b[i] == b' ' || b[i] == b'\t' || b[i] == b'\r' || b[i] == b'\n') {
+        i += 1;
+    }
+    i
+}
+
+/// Where [`scan_string`] puts a JSON string's unescaped text.
+trait Unescaped {
+    fn put(&mut self, s: &str);
+}
+
+impl Unescaped for String {
+    fn put(&mut self, s: &str) {
+        self.push_str(s);
+    }
+}
+
+/// The text of a skipped value goes nowhere.
+struct Discard;
+
+impl Unescaped for Discard {
+    fn put(&mut self, _: &str) {}
+}
+
+/// A member key, held as far as the longest key the parser knows; a
+/// longer one matches none of them.
+#[derive(Default)]
+struct Key {
+    buf: [u8; 8],
+    len: usize,
+}
+
+impl Key {
+    fn is(&self, name: &[u8]) -> bool {
+        self.buf.get(..self.len) == Some(name)
+    }
+}
+
+impl Unescaped for Key {
+    fn put(&mut self, s: &str) {
+        let end = self.len.saturating_add(s.len());
+        if let Some(dst) = self.buf.get_mut(self.len..end) {
+            dst.copy_from_slice(s.as_bytes());
+        }
+        self.len = end;
+    }
+}
+
+/// Reads the four hex digits of a `\uXXXX` escape starting at `i`.
+fn parse_hex4(b: &[u8], i: usize) -> Result<(u32, usize), String> {
+    if i + 4 > b.len() {
+        return Err("truncated \\u escape".into());
+    }
+    let mut v = 0u32;
+    for &c in &b[i..i + 4] {
+        let d = (c as char)
+            .to_digit(16)
+            .ok_or_else(|| format!("bad hex digit '{}' in \\u escape", c as char))?;
+        v = v * 16 + d;
+    }
+    Ok((v, i + 4))
+}
+
+/// Decodes the `\uXXXX` escape (or surrogate pair) whose digits start at
+/// `i`, returning the character and the index past it.
+fn unicode_escape(b: &[u8], i: usize) -> Result<(char, usize), String> {
+    let (unit, mut i) = parse_hex4(b, i)?;
+    let cp = match unit {
+        // High surrogate: a \uDC00..\uDFFF low surrogate must follow
+        // (RFC 8259 §7).
+        0xD800..=0xDBFF => {
+            if b.get(i) != Some(&b'\\') || b.get(i + 1) != Some(&b'u') {
+                return Err("unpaired high surrogate".into());
+            }
+            let (lo, next) = parse_hex4(b, i + 2)?;
+            if !(0xDC00..=0xDFFF).contains(&lo) {
+                return Err(format!("invalid low surrogate \\u{lo:04x}"));
+            }
+            i = next;
+            0x10000 + ((unit - 0xD800) << 10) + (lo - 0xDC00)
+        }
+        0xDC00..=0xDFFF => return Err(format!("unpaired low surrogate \\u{unit:04x}")),
+        bmp => bmp,
+    };
+    let ch = char::from_u32(cp).ok_or_else(|| format!("invalid codepoint U+{cp:04X}"))?;
+    Ok((ch, i))
+}
+
+/// Scans the JSON string that opens at `b[i]` into `out`, unescaped,
+/// and returns the index just past its closing quote. The raw runs
+/// between escapes are checked as UTF-8 one by one: an escape decodes
+/// to whole characters, so the string is UTF-8 exactly when every run
+/// is, and the error waits for the closing quote as a check of the
+/// whole string would.
+// sitw-lint: hot-path
+fn scan_string(b: &[u8], mut i: usize, out: &mut impl Unescaped) -> Result<usize, String> {
+    if b.get(i) != Some(&b'"') {
+        return Err("expected string".into());
+    }
+    i += 1;
+    let mut utf8 = true;
+    loop {
+        let run = i;
+        while i < b.len() && b[i] != b'"' && b[i] != b'\\' {
+            i += 1;
+        }
+        match std::str::from_utf8(&b[run..i]) {
+            Ok(text) => out.put(text),
+            Err(_) => utf8 = false,
+        }
+        match b.get(i) {
+            Some(b'"') if utf8 => return Ok(i + 1),
+            Some(b'"') => return Err("invalid utf-8 in string".into()),
+            Some(_) => {
+                // A backslash.
+                let Some(&c) = b.get(i + 1) else { break };
+                let ch = match c {
+                    b'"' => '"',
+                    b'\\' => '\\',
+                    b'/' => '/',
+                    b'b' => '\u{8}',
+                    b'f' => '\u{c}',
+                    b'n' => '\n',
+                    b't' => '\t',
+                    b'r' => '\r',
+                    b'u' => {
+                        let (ch, next) = unicode_escape(b, i + 2)?;
+                        out.put(ch.encode_utf8(&mut [0u8; 4]));
+                        i = next;
+                        continue;
+                    }
+                    // sitw-lint: allow(hot-path-alloc)
+                    other => return Err(format!("unsupported escape \\{}", other as char)),
+                };
+                out.put(ch.encode_utf8(&mut [0u8; 4]));
+                i += 2;
+            }
+            None => break,
+        }
+    }
+    Err("unterminated string".into())
+}
+
+/// Skips any well-formed JSON value (scalar, object, or array)
+/// starting at `i`, returning the index just past it.
+fn skip_value(b: &[u8], mut i: usize) -> Result<usize, String> {
+    match b.get(i) {
+        Some(b'"') => scan_string(b, i, &mut Discard),
+        Some(b'{') | Some(b'[') => {
+            // Track nesting depth; strings inside may contain
+            // brackets, so skip them wholesale.
+            let mut depth = 0usize;
+            while i < b.len() {
+                match b[i] {
+                    b'"' => i = scan_string(b, i, &mut Discard)?,
+                    b'{' | b'[' => {
+                        depth += 1;
+                        i += 1;
+                    }
+                    b'}' | b']' => {
+                        depth -= 1;
+                        i += 1;
+                        if depth == 0 {
+                            return Ok(i);
+                        }
+                    }
+                    _ => i += 1,
+                }
+            }
+            Err("unterminated container".into())
+        }
+        Some(_) => {
+            // Number / true / false / null: runs to a delimiter.
+            while i < b.len() && !matches!(b[i], b',' | b'}' | b']') {
+                i += 1;
+            }
+            Ok(i)
+        }
+        None => Err("expected value".into()),
+    }
+}
+
+fn parse_u64(b: &[u8], mut i: usize) -> Result<(u64, usize), String> {
+    let start = i;
+    let mut v: u64 = 0;
+    while i < b.len() && b[i].is_ascii_digit() {
+        v = v
+            .checked_mul(10)
+            .and_then(|v| v.checked_add((b[i] - b'0') as u64))
+            .ok_or("integer overflow")?;
+        i += 1;
+    }
+    if i == start {
+        return Err("expected integer".into());
+    }
+    Ok((v, i))
 }
 
 /// Short stable name of a decision branch, used in responses and
@@ -729,11 +787,23 @@ pub enum FrameDecodeInto {
     },
 }
 
-/// Decodes one request frame into `records` (cleared first, reused
-/// across frames). `buf` must start at a frame boundary (its first byte
-/// was sniffed as [`BIN_MAGIC`]).
+/// Decodes one request frame into `records`, a buffer reused across
+/// frames. A well-formed request frame's records replace its contents,
+/// each name rewritten into the `String` already in its place, so a
+/// warm buffer decodes without allocating (a name whose buffer grew past
+/// [`crate::pool::NAME_CAP`] gets a fresh one). A malformed frame leaves
+/// `records` empty; an incomplete or control frame leaves it as it was.
+/// `buf` must start at a frame boundary (its first byte was sniffed as
+/// [`BIN_MAGIC`]).
 pub fn decode_request_frame_into(buf: &[u8], records: &mut Vec<BinInvoke>) -> FrameDecodeInto {
-    records.clear();
+    let decoded = decode_frame(buf, records);
+    if let FrameDecodeInto::Error { .. } = decoded {
+        records.clear();
+    }
+    decoded
+}
+
+fn decode_frame(buf: &[u8], records: &mut Vec<BinInvoke>) -> FrameDecodeInto {
     if buf.len() < BIN_HEADER_LEN {
         return FrameDecodeInto::Incomplete;
     }
@@ -832,18 +902,37 @@ pub fn decode_request_frame_into(buf: &[u8], records: &mut Vec<BinInvoke>) -> Fr
     } else {
         (None, payload)
     };
-    records.reserve(count);
+    if let Err(detail) = decode_records(payload, version == BIN_VERSION_2, count, records) {
+        return malformed(detail);
+    }
+    FrameDecodeInto::Request {
+        version,
+        trace,
+        consumed: total,
+    }
+}
+
+/// Decodes the `count` records of a complete request payload into
+/// `records` (see [`decode_request_frame_into`]).
+// sitw-lint: hot-path
+fn decode_records(
+    payload: &[u8],
+    v2: bool,
+    count: usize,
+    records: &mut Vec<BinInvoke>,
+) -> Result<(), String> {
+    records.reserve(count.saturating_sub(records.len()));
     let mut i = 0usize;
     for r in 0..count {
-        // The aggregate count*MIN check above cannot guarantee this:
-        // one oversized record can consume other records' minimum
+        // The aggregate count*MIN check of the header cannot guarantee
+        // this: one oversized record can consume other records' minimum
         // budget, leaving fewer than the fixed prefix here.
-        let prefix = if version == BIN_VERSION_2 { 4 } else { 2 };
+        let prefix = if v2 { 4 } else { 2 };
         if i + prefix > payload.len() {
-            records.clear();
-            return malformed(format!("record {r} truncated"));
+            // sitw-lint: allow(hot-path-alloc)
+            return Err(format!("record {r} truncated"));
         }
-        let tenant = if version == BIN_VERSION_2 {
+        let tenant = if v2 {
             let t = u16::from_le_bytes([payload[i], payload[i + 1]]);
             i += 2;
             t
@@ -853,35 +942,46 @@ pub fn decode_request_frame_into(buf: &[u8], records: &mut Vec<BinInvoke>) -> Fr
         let app_len = u16::from_le_bytes([payload[i], payload[i + 1]]) as usize;
         i += 2;
         if app_len == 0 {
-            records.clear();
-            return malformed(format!("record {r}: empty app"));
+            // sitw-lint: allow(hot-path-alloc)
+            return Err(format!("record {r}: empty app"));
         }
         if i + app_len + 8 > payload.len() {
-            records.clear();
-            return malformed(format!("record {r} overruns payload"));
+            // sitw-lint: allow(hot-path-alloc)
+            return Err(format!("record {r} overruns payload"));
         }
         let Ok(app) = std::str::from_utf8(&payload[i..i + app_len]) else {
-            records.clear();
-            return malformed(format!("record {r}: app is not utf-8"));
+            // sitw-lint: allow(hot-path-alloc)
+            return Err(format!("record {r}: app is not utf-8"));
         };
-        let app = app.to_owned();
         i += app_len;
         let ts = u64_at(payload, i);
         i += 8;
-        records.push(BinInvoke { tenant, app, ts });
+        match records.get_mut(r) {
+            Some(rec) => {
+                if rec.app.capacity() > crate::pool::NAME_CAP {
+                    rec.app = String::new();
+                }
+                rec.app.clear();
+                rec.app.push_str(app);
+                rec.tenant = tenant;
+                rec.ts = ts;
+            }
+            None => {
+                // The buffer's first frame this long: it grows once.
+                let app = app.to_owned(); // sitw-lint: allow(hot-path-alloc)
+                records.push(BinInvoke { tenant, app, ts });
+            }
+        }
     }
+    records.truncate(count);
     if i != payload.len() {
-        records.clear();
-        return malformed(format!(
+        // sitw-lint: allow(hot-path-alloc)
+        return Err(format!(
             "{} trailing bytes after records",
             payload.len() - i
         ));
     }
-    FrameDecodeInto::Request {
-        version,
-        trace,
-        consumed: total,
-    }
+    Ok(())
 }
 
 fn kind_to_bits(kind: DecisionKind) -> u8 {
@@ -2342,5 +2442,89 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn parse_invoke_into_reuses_the_request_strings() {
+        let mut req = InvokeRequest::default();
+        parse_invoke_into(br#"{"tenant":"acme","app":"app-000001","ts":1}"#, &mut req).unwrap();
+        let (app, tenant) = (req.app.as_ptr(), req.tenant.as_ref().unwrap().as_ptr());
+        // Keys compare as bytes, escaped or not; an unknown long key is
+        // skipped, strings inside it included.
+        let body = br#"{"\u0061pp":"app-2","a-long-unknown-key":"x","tenant":"b","ts":2}"#;
+        parse_invoke_into(body, &mut req).unwrap();
+        assert_eq!(
+            (req.app.as_str(), req.tenant.as_deref(), req.ts),
+            ("app-2", Some("b"), 2)
+        );
+        assert_eq!(req.app.as_ptr(), app, "the app id is rewritten in place");
+        assert_eq!(req.tenant.as_ref().unwrap().as_ptr(), tenant);
+        // A request without a tenant clears it.
+        parse_invoke_into(br#"{"app":"c","ts":3}"#, &mut req).unwrap();
+        assert_eq!(req, parse_invoke(br#"{"app":"c","ts":3}"#).unwrap());
+        assert_eq!(req.tenant, None);
+        // Errors are the ones a whole-string check reports, in its order.
+        for (body, err) in [
+            (
+                &b"{\"app\":\"\xff\\q\",\"ts\":1}"[..],
+                "unsupported escape \\q",
+            ),
+            (b"{\"app\":\"\xff\",\"ts\":1}", "invalid utf-8 in string"),
+            (b"{\"app\":\"\xff", "unterminated string"),
+        ] {
+            assert_eq!(parse_invoke(body).unwrap_err(), err);
+        }
+    }
+
+    #[test]
+    fn a_reused_record_buffer_keeps_its_names() {
+        let mut recs = Vec::new();
+        let mut f = Vec::new();
+        encode_request_frame_v2(&mut f, &[(1, "app-000001", 5), (2, "app-000002", 6)]);
+        assert!(matches!(
+            decode_request_frame_into(&f, &mut recs),
+            FrameDecodeInto::Request { .. }
+        ));
+        let names: Vec<*const u8> = recs.iter().map(|r| r.app.as_ptr()).collect();
+        // A shorter frame rewrites the first name in place.
+        f.clear();
+        encode_request_frame_v2(&mut f, &[(3, "app-3", 7)]);
+        assert!(matches!(
+            decode_request_frame_into(&f, &mut recs),
+            FrameDecodeInto::Request { .. }
+        ));
+        assert_eq!(
+            recs,
+            [BinInvoke {
+                tenant: 3,
+                app: "app-3".into(),
+                ts: 7
+            }]
+        );
+        assert_eq!(recs[0].app.as_ptr(), names[0]);
+        // An incomplete frame leaves the buffer as it was; a name grown
+        // past the pool's cap is not kept once a later frame rewrites it.
+        let long = "x".repeat(crate::pool::NAME_CAP + 1);
+        f.clear();
+        encode_request_frame_v2(&mut f, &[(0, &long, 8)]);
+        assert!(matches!(
+            decode_request_frame_into(&f[..f.len() - 1], &mut recs),
+            FrameDecodeInto::Incomplete
+        ));
+        assert_eq!(recs[0].app, "app-3");
+        decode_request_frame_into(&f, &mut recs);
+        assert_eq!(recs[0].app, long);
+        f.clear();
+        encode_request_frame_v2(&mut f, &[(0, "a", 9)]);
+        decode_request_frame_into(&f, &mut recs);
+        assert!(recs[0].app.capacity() <= crate::pool::NAME_CAP);
+        // A malformed frame leaves it empty.
+        f[BIN_HEADER_LEN + 2] = 0;
+        f[BIN_HEADER_LEN + 3] = 0;
+        assert!(matches!(
+            decode_request_frame_into(&f, &mut recs),
+            FrameDecodeInto::Error { .. }
+        ));
+        assert!(recs.is_empty());
     }
 }
