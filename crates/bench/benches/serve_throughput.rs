@@ -74,7 +74,7 @@ use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
 use sitw_cluster::{Router, RouterConfig};
 use sitw_core::{HybridConfig, ProductionConfig};
 use sitw_serve::{
-    run_loadgen, FollowConfig, Follower, LoadGenConfig, Proto, ServeConfig, Server, TenantConfig,
+    run_loadgen, FollowConfig, LoadGenConfig, Proto, ServeConfig, Server, TenantConfig,
 };
 use sitw_sim::PolicySpec;
 use sitw_trace::DAY_MS;
@@ -227,9 +227,9 @@ fn run_once_routed(shards: usize, policy: PolicySpec, proto: Proto, conns: usize
     report.throughput
 }
 
-/// Like [`run_once`], but with a warm standby (`sitw_serve::Follower`)
-/// pulling the replication stream for the whole measurement — the
-/// ISSUE-10 replication-on shapes.
+/// Like [`run_once`], but with a warm standby (a node with a
+/// [`ServeConfig::follow`] section) pulling the replication stream for
+/// the whole measurement: the replication-on shapes.
 fn run_once_replicated(shards: usize, policy: PolicySpec, proto: Proto, conns: usize) -> f64 {
     let server = Server::start(ServeConfig {
         addr: "127.0.0.1:0".into(),
@@ -238,16 +238,16 @@ fn run_once_replicated(shards: usize, policy: PolicySpec, proto: Proto, conns: u
         ..ServeConfig::default()
     })
     .expect("server start");
-    let follower = Follower::start(FollowConfig {
-        primary_addr: server.addr().to_string(),
-        pull_interval: Duration::from_millis(25),
-        serve: ServeConfig {
-            addr: "127.0.0.1:0".into(),
-            shards,
-            policy,
-            ..ServeConfig::default()
-        },
-        ..FollowConfig::default()
+    let follower = Server::start(ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        shards,
+        policy,
+        follow: Some(FollowConfig {
+            primary_addr: server.addr().to_string(),
+            pull_interval: Duration::from_millis(25),
+            ..FollowConfig::default()
+        }),
+        ..ServeConfig::default()
     })
     .expect("follower start");
     let report = run_loadgen(server.addr(), &loadgen_config(proto, 0, conns)).expect("loadgen");

@@ -21,7 +21,7 @@ USAGE:
                 [--tenant NAME=POLICY[,budget=MB][,qos=SPEC]]
                 [--reconcile-ms MS] [--trace-sample N]
                 [--failover off|supervised|auto] [--probe-ms MS]
-                [--standby IDX=CONTROL_ADDR] [--upstream-timeout-ms MS]
+                [--standby IDX=ADDR] [--upstream-timeout-ms MS]
 
 OPTIONS:
     --addr HOST:PORT     Listen address (default 127.0.0.1:7180)
@@ -47,11 +47,11 @@ OPTIONS:
                          auto: proposals are confirmed automatically.
     --probe-ms MS        Health-probe interval with failover on
                          (default 500).
-    --standby IDX=ADDR   Warm standby for ring slot IDX: the *control*
-                         address of a `sitw-serve --follow` replica.
-                         Confirming a failover of that slot promotes the
-                         standby in place instead of dropping the node.
-                         Repeatable, one per slot.
+    --standby IDX=ADDR   Warm standby for ring slot IDX: the address of
+                         a `sitw-serve --follow` node. Confirming a
+                         failover of that slot promotes the standby in
+                         place and puts ADDR in the slot instead of
+                         dropping the node. Repeatable, one per slot.
     --upstream-timeout-ms MS
                          Data-path upstream deadline (connect, read,
                          write; default 2000). A hung node surfaces as

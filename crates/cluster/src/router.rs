@@ -31,10 +31,10 @@
 //! on `GET /admin/ring/proposals` after three consecutive probe
 //! failures. Confirming it (`POST /admin/ring/proposals/confirm` — the
 //! auto policy is just an operator with zero think time) promotes the
-//! slot's configured warm standby (`--standby IDX=CONTROL_ADDR`,
-//! a `sitw-serve --follow` control address) via its
-//! `POST /admin/promote`, provisions the promoted node, swaps it into
-//! the dead slot, and bumps the ring epoch; with no standby the node is
+//! slot's configured warm standby (`--standby IDX=ADDR`, the address
+//! of a `sitw-serve --follow` node) via its `POST /admin/promote`,
+//! provisions it, swaps that address into the dead slot, and bumps the
+//! ring epoch; with no standby the node is
 //! dropped and its tenants rehash over the survivors. Every failover
 //! control-plane step retries with bounded exponential backoff plus
 //! deterministic jitter, and the whole lifecycle lands in
@@ -153,7 +153,7 @@ pub struct FailoverProposal {
     pub addr: String,
     /// Why the prober raised it.
     pub reason: String,
-    /// Control address of the slot's configured warm standby, if any.
+    /// Address of the slot's configured warm standby, if any.
     pub standby: Option<String>,
 }
 
@@ -216,10 +216,10 @@ pub struct RouterConfig {
     pub failover: FailoverMode,
     /// Health-probe interval in milliseconds (with failover on).
     pub probe_ms: u64,
-    /// Warm-standby control addresses by node slot: confirming a
-    /// failover of slot `i` promotes the standby registered for `i`
-    /// (a `sitw-serve --follow` control address) instead of dropping
-    /// the node.
+    /// Warm-standby addresses by node slot: confirming a failover of
+    /// slot `i` promotes the standby registered for `i` (a `sitw-serve
+    /// --follow` node) in place and swaps its address into the slot,
+    /// instead of dropping the node.
     pub standbys: Vec<(usize, String)>,
     /// Data-path upstream deadline (connect, read, and write): a hung
     /// node surfaces as a typed 503 / `Unavailable` naming the node
@@ -554,42 +554,37 @@ impl RouterCtx {
                 .ok_or_else(|| (404, format!("no pending proposal for node {node}")))?
         };
         let body = match &proposal.standby {
-            Some(ctrl) => {
-                let ctrl_addr = ctrl
+            Some(standby) => {
+                let addr = standby
                     .to_socket_addrs()
                     .ok()
                     .and_then(|mut a| a.next())
-                    .ok_or_else(|| (502, format!("cannot resolve standby '{ctrl}'")))?;
-                // Promote the follower. Idempotent on the standby side:
-                // an already-promoted follower answers with the same
-                // serve address, so a retried confirmation converges.
-                let serve = self
-                    .failover_retry("standby promote", || {
-                        let (status, body) = control_call(ctrl_addr, "POST", "/admin/promote", b"")
-                            .map_err(|e| e.to_string())?;
-                        if status != 200 {
-                            return Err(format!("promote failed ({status}): {body}"));
-                        }
-                        parse_str_field(&body, "serve_addr")
-                            .ok_or_else(|| format!("malformed promote response: {body}"))
-                    })
-                    .map_err(|e| (502, e))?;
-                let serve_addr: SocketAddr = serve
-                    .parse()
-                    .map_err(|_| (502, format!("standby reported bad serve addr '{serve}'")))?;
+                    .ok_or_else(|| (502, format!("cannot resolve standby '{standby}'")))?;
+                // Promote the standby in place: it serves on the address
+                // it was configured under. Idempotent on the standby
+                // side, so a retried confirmation converges.
+                self.failover_retry("standby promote", || {
+                    let (status, body) = control_call(addr, "POST", "/admin/promote", b"")
+                        .map_err(|e| e.to_string())?;
+                    match status {
+                        200 => Ok(()),
+                        _ => Err(format!("promote failed ({status}): {body}")),
+                    }
+                })
+                .map_err(|e| (502, e))?;
                 // Provision the promoted node: replication already
                 // carried the tenants, so this mostly just re-learns
                 // the wire-id map — but it also backfills any tenant
                 // registered after the last replication round.
                 let ids = self
                     .failover_retry("provision promoted node", || {
-                        provision_node(serve_addr, &self.cfg.tenants)
+                        provision_node(addr, &self.cfg.tenants)
                     })
                     .map_err(|e| (502, e))?;
                 let old = self.node_name(node);
                 {
-                    self.nodes.write().expect("nodes poisoned")[node] = serve_addr;
-                    self.node_names.write().expect("node names poisoned")[node] = serve.clone();
+                    self.nodes.write().expect("nodes poisoned")[node] = addr;
+                    self.node_names.write().expect("node names poisoned")[node] = standby.clone();
                     self.node_ids.write().expect("node_ids poisoned")[node] = ids;
                 }
                 let epoch = {
@@ -605,7 +600,7 @@ impl RouterCtx {
                     EventKind::Failover,
                     "",
                     "",
-                    format!("node {node}: {old} -> {serve} (standby promoted), epoch {epoch}"),
+                    format!("node {node}: {old} -> {standby} (standby promoted), epoch {epoch}"),
                 );
                 self.telem.event(
                     EventKind::RingEpoch,
@@ -614,7 +609,7 @@ impl RouterCtx {
                     format!("epoch={epoch} failover-node={node}"),
                 );
                 format!(
-                    "{{\"node\":{node},\"action\":\"promoted\",\"addr\":\"{serve}\",\
+                    "{{\"node\":{node},\"action\":\"promoted\",\"addr\":\"{standby}\",\
                      \"epoch\":{epoch}}}"
                 )
             }
@@ -2000,15 +1995,6 @@ fn control_call(
     call(addr, method, path, body, CONNECT_TIMEOUT, CONTROL_TIMEOUT)
 }
 
-/// Extracts the first `"key":"value"` string field of a JSON body.
-fn parse_str_field(body: &str, key: &str) -> Option<String> {
-    let marker = format!("\"{key}\":\"");
-    let pos = body.find(&marker)?;
-    let after = &body[pos + marker.len()..];
-    let end = after.find('"')?;
-    Some(after[..end].to_owned())
-}
-
 /// Extracts the first `"id":N` field of a JSON body.
 fn parse_id_field(body: &str) -> Option<u16> {
     let pos = body.find("\"id\":")?;
@@ -2100,17 +2086,6 @@ mod tests {
         assert!(FailoverMode::parse("eventually").is_err());
         assert_eq!(FailoverMode::Supervised.name(), "supervised");
         assert_eq!(FailoverMode::Auto.gauge(), 2);
-    }
-
-    #[test]
-    fn str_field_parser_extracts_promote_response() {
-        let body = r#"{"status":"promoted","serve_addr":"127.0.0.1:4071"}"#;
-        assert_eq!(
-            parse_str_field(body, "serve_addr").as_deref(),
-            Some("127.0.0.1:4071")
-        );
-        assert_eq!(parse_str_field(body, "status").as_deref(), Some("promoted"));
-        assert_eq!(parse_str_field(body, "missing"), None);
     }
 
     /// A router over one telemetry-off node, no background threads.

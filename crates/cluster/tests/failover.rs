@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 
 use sitw_cluster::{FailoverMode, Router, RouterConfig, RouterTenant};
 use sitw_core::PolicySpec;
-use sitw_serve::{Client, FollowConfig, Follower, ServeConfig};
+use sitw_serve::{Client, FollowConfig, ServeConfig, Server};
 
 use common::{http, start_fake_node, start_node};
 
@@ -77,16 +77,16 @@ fn hung_upstream_times_out_with_typed_503() {
 #[test]
 fn supervised_failover_promotes_standby_and_resumes_traffic() {
     let primary = start_node();
-    let follower = Follower::start(FollowConfig {
-        primary_addr: primary.addr().to_string(),
-        pull_interval: Duration::from_millis(15),
-        serve: ServeConfig {
-            addr: "127.0.0.1:0".into(),
-            shards: 2,
-            policy: PolicySpec::fixed_minutes(10),
-            ..ServeConfig::default()
-        },
-        ..FollowConfig::default()
+    let follower = Server::start(ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        shards: 2,
+        policy: PolicySpec::fixed_minutes(10),
+        follow: Some(FollowConfig {
+            primary_addr: primary.addr().to_string(),
+            pull_interval: Duration::from_millis(15),
+            ..FollowConfig::default()
+        }),
+        ..ServeConfig::default()
     })
     .expect("follower starts");
     let router = Router::start(RouterConfig {
@@ -142,12 +142,15 @@ fn supervised_failover_promotes_standby_and_resumes_traffic() {
     assert!(confirm.contains("\"action\":\"promoted\""), "{confirm}");
     assert!(confirm.contains("\"epoch\":1"), "{confirm}");
 
-    // The proposal is consumed and the slot now points at the promoted
-    // standby's serve address.
+    // The proposal is consumed and the slot now holds the standby's
+    // own address: it promoted in place.
+    let standby_addr = format!("\"addr\":\"{}\"", follower.addr());
+    assert!(confirm.contains(&standby_addr), "{confirm}");
     let (_, proposals) = http(router.addr(), "GET", "/admin/ring/proposals", "");
     assert!(proposals.contains("\"proposals\":[]"), "{proposals}");
     let (_, ring) = http(router.addr(), "GET", "/admin/ring", "");
     assert!(ring.contains("\"epoch\":1"), "{ring}");
+    assert!(ring.contains(&standby_addr), "{ring}");
     assert!(
         !ring.contains(&primary_addr),
         "dead primary gone from the ring: {ring}"
@@ -179,6 +182,7 @@ fn supervised_failover_promotes_standby_and_resumes_traffic() {
         "{metrics}"
     );
     router.shutdown();
+    follower.shutdown().unwrap();
 }
 
 #[test]

@@ -6,8 +6,8 @@
 //!            [--tenant NAME=POLICY[,budget=MB]]... [--tenants N]
 //!            [--tenants-file PATH]
 //!            [--snapshot PATH] [--restore PATH] [--no-telemetry]
-//!            [--follow PRIMARY_ADDR] [--serve-addr HOST:PORT]
-//!            [--repl-interval-ms 100] [--auto-promote-ms N]
+//!            [--follow PRIMARY_ADDR] [--repl-interval-ms 100]
+//!            [--auto-promote-ms N]
 //! ```
 //!
 //! `--no-telemetry` disables the flight recorder and per-stage latency
@@ -38,17 +38,18 @@
 //! [budget <MB>]` lines. More tenants can be added at runtime via
 //! `POST /admin/tenants`.
 //!
-//! Follower mode: `--follow PRIMARY_ADDR` starts a warm standby instead
-//! of a serving daemon — no shards, no decisions; it pulls the primary's
-//! replication stream every `--repl-interval-ms` and answers `/healthz`
-//! (with replication lag), `/metrics`, `/debug/events`,
-//! `POST /admin/promote`, and `POST /admin/shutdown` on `--addr`.
-//! Promotion starts a full server on `--serve-addr` (default port 0;
-//! the promote response reports the bound address) restored from the
-//! replicated state. `--auto-promote-ms N` additionally promotes
-//! without an operator once the primary has been unreachable for N ms.
-//! The policy/tenant flags describe the *primary's* configuration so
-//! the promoted server restores into matching shards.
+//! Standby mode: `--follow PRIMARY_ADDR` starts the same node as a warm
+//! standby. It pulls the primary's replication stream every
+//! `--repl-interval-ms` and refuses decisions and mutating admin verbs
+//! (503, or a SITW-BIN `Unavailable` error frame) until
+//! `POST /admin/promote`, which restores the replicated state into its
+//! shards and opens `--addr` to traffic. `/healthz` (with replication
+//! lag), `/metrics`, `/debug/*` and `POST /admin/shutdown` answer
+//! throughout; the startup line says `control on ADDR`. `--auto-promote-ms
+//! N` additionally promotes without an operator once the primary has
+//! been unreachable for N ms. The policy/tenant flags describe the
+//! *primary's* configuration so the replica restores into matching
+//! shards. An unpromoted standby's `--snapshot` is its replica.
 //!
 //! The daemon runs until `POST /admin/shutdown`; with `--snapshot` it
 //! writes its final state there on the way out (and on every
@@ -60,7 +61,7 @@ use std::path::PathBuf;
 use std::process::exit;
 
 use sitw_fleet::registry::{parse_tenant_arg, parse_tenants_file};
-use sitw_serve::{FollowConfig, Follower, ServeConfig, Server, TenantConfig};
+use sitw_serve::{FollowConfig, ServeConfig, Server, TenantConfig};
 use sitw_sim::PolicySpec;
 
 /// The CLI policy grammar is [`PolicySpec::parse`] — one grammar for
@@ -77,7 +78,7 @@ fn usage() -> ! {
          production[:<days>d|:<decay>|:uniform]] \
          [--tenant NAME=POLICY[,budget=MB]]... [--tenants N] \
          [--tenants-file PATH] [--snapshot PATH] [--restore PATH] \
-         [--no-telemetry] [--follow PRIMARY_ADDR] [--serve-addr HOST:PORT] \
+         [--no-telemetry] [--follow PRIMARY_ADDR] \
          [--repl-interval-ms N] [--auto-promote-ms N]"
     );
     exit(2)
@@ -88,10 +89,8 @@ fn main() {
     // `--tenants N` expands after parsing so it picks up `--policy`
     // regardless of flag order.
     let mut tenants_shorthand = 0usize;
-    let mut follow_primary: Option<String> = None;
-    let mut serve_addr = "127.0.0.1:0".to_owned();
-    let mut repl_interval = std::time::Duration::from_millis(100);
-    let mut auto_promote: Option<std::time::Duration> = None;
+    let mut follow = FollowConfig::default();
+    let mut following = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut value = |name: &str| {
@@ -168,19 +167,21 @@ fn main() {
             "--snapshot" => cfg.snapshot_path = Some(PathBuf::from(value("--snapshot"))),
             "--restore" => cfg.restore_path = Some(PathBuf::from(value("--restore"))),
             "--no-telemetry" => cfg.telemetry = false,
-            "--follow" => follow_primary = Some(value("--follow")),
-            "--serve-addr" => serve_addr = value("--serve-addr"),
+            "--follow" => {
+                follow.primary_addr = value("--follow");
+                following = true;
+            }
             "--repl-interval-ms" => {
                 let ms: u64 = value("--repl-interval-ms")
                     .parse()
                     .unwrap_or_else(|_| usage());
-                repl_interval = std::time::Duration::from_millis(ms);
+                follow.pull_interval = std::time::Duration::from_millis(ms);
             }
             "--auto-promote-ms" => {
                 let ms: u64 = value("--auto-promote-ms")
                     .parse()
                     .unwrap_or_else(|_| usage());
-                auto_promote = Some(std::time::Duration::from_millis(ms));
+                follow.auto_promote_after = Some(std::time::Duration::from_millis(ms));
             }
             "--help" | "-h" => usage(),
             other => {
@@ -198,10 +199,7 @@ fn main() {
         });
     }
 
-    if let Some(primary) = follow_primary {
-        run_follower(cfg, primary, serve_addr, repl_interval, auto_promote);
-        return;
-    }
+    cfg.follow = following.then_some(follow);
 
     let server = match Server::start(cfg.clone()) {
         Ok(s) => s,
@@ -210,8 +208,20 @@ fn main() {
             exit(1);
         }
     };
+    // A standby's line says `control on`: scripts wait for that marker.
+    let role = match &cfg.follow {
+        Some(f) => format!(
+            "following {} | pull every {}ms{} | control on",
+            f.primary_addr,
+            f.pull_interval.as_millis(),
+            f.auto_promote_after
+                .map(|d| format!(" | auto-promote after {}ms", d.as_millis()))
+                .unwrap_or_default()
+        ),
+        None => "listening on".to_owned(),
+    };
     println!(
-        "sitw-serve listening on {} | policy {} | {} shards | {} reactor thread(s) | {} tenant(s){}",
+        "sitw-serve {role} {} | policy {} | {} shards | {} reactor thread(s) | {} tenant(s){}",
         server.addr(),
         cfg.policy.label(),
         cfg.shards,
@@ -237,70 +247,14 @@ fn main() {
     println!(
         "endpoints: POST /invoke, GET /metrics, GET /healthz, \
          GET /debug/trace, GET /debug/threads, \
-         GET|POST /admin/tenants, POST /admin/snapshot, POST /admin/shutdown"
+         GET|POST /admin/tenants, POST /admin/snapshot, POST /admin/promote, \
+         POST /admin/shutdown"
     );
 
     server.wait();
     match server.shutdown() {
         Ok(snapshot) => {
             println!("stopped; {} apps in final state", snapshot.apps.len());
-        }
-        Err(e) => {
-            eprintln!("shutdown error: {e}");
-            exit(1);
-        }
-    }
-}
-
-/// Warm-standby mode: the parsed `ServeConfig` describes the primary's
-/// shape (policy, shards, tenants) and doubles as the promotion
-/// template; only its bind address moves to `--serve-addr`.
-fn run_follower(
-    cfg: ServeConfig,
-    primary: String,
-    serve_addr: String,
-    pull_interval: std::time::Duration,
-    auto_promote_after: Option<std::time::Duration>,
-) {
-    let follow_cfg = FollowConfig {
-        addr: cfg.addr.clone(),
-        primary_addr: primary,
-        pull_interval,
-        auto_promote_after,
-        serve: ServeConfig {
-            addr: serve_addr,
-            ..cfg
-        },
-        ..FollowConfig::default()
-    };
-    let follower = match Follower::start(follow_cfg.clone()) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("failed to start follower: {e}");
-            exit(1);
-        }
-    };
-    println!(
-        "sitw-serve following {} | control on {} | pull every {}ms{}",
-        follow_cfg.primary_addr,
-        follower.addr(),
-        follow_cfg.pull_interval.as_millis(),
-        follow_cfg
-            .auto_promote_after
-            .map(|d| format!(" | auto-promote after {}ms", d.as_millis()))
-            .unwrap_or_default()
-    );
-    println!(
-        "endpoints: GET /healthz, GET /metrics, GET /debug/events, \
-         POST /admin/promote, POST /admin/shutdown"
-    );
-    follower.wait();
-    match follower.shutdown() {
-        Ok(snapshot) => {
-            println!(
-                "stopped; {} apps in replica",
-                snapshot.map_or(0, |s| s.apps.len())
-            );
         }
         Err(e) => {
             eprintln!("shutdown error: {e}");

@@ -72,6 +72,7 @@ use sitw_fleet::TenantRegistry;
 use sitw_reactor::Interest;
 use sitw_telemetry::{SpanEvent, Stage};
 
+use crate::follow::NOT_PROMOTED;
 use crate::http::{write_response, ConnBuf, DrainOutcome, ReadEvent, Request};
 use crate::pool::{BatchPool, Spares};
 use crate::reactor::ReactorIo;
@@ -244,6 +245,9 @@ struct Burst<'a> {
     /// never held across a frame's partitioning (which takes its own —
     /// re-entrant reads can deadlock behind a queued writer).
     registry: Option<RwLockReadGuard<'a, TenantRegistry>>,
+    /// The node is an unpromoted standby: its invokes are refused. Read
+    /// once per burst.
+    following: bool,
     /// Requests parked on the open run (the next `BatchItem::idx`).
     parked: u32,
     /// Their span ids in arrival order (stays empty with telemetry off).
@@ -460,6 +464,7 @@ impl Conn {
         let mut burst = Burst {
             mark: io.telem.now(),
             registry: None,
+            following: io.ctx.following(),
             parked: 0,
             spans: io.pool.spans.take(),
             t_read_end: 0,
@@ -563,13 +568,15 @@ impl Conn {
     }
 
     /// Queues one parsed HTTP request: an `/invoke` is parked on the
-    /// burst's run, anything else ends the run and takes its own slot.
+    /// burst's run, anything else — a standby's invoke included, which
+    /// `handle_control` refuses — ends the run and takes its own slot.
     // sitw-lint: hot-path
     fn handle_request<'a>(&mut self, io: &mut ReactorIo<'a>, burst: &mut Burst<'a>) -> Flow {
         if self.req.close {
             self.close_requested = true;
         }
-        if self.req.method == "POST" && self.req.path == "/invoke" {
+        let path = self.req.path.split('?').next().unwrap_or_default();
+        if self.req.method == "POST" && path == "/invoke" && !burst.following {
             let ctx = io.ctx;
             if burst.parked == 0 {
                 burst.t_read_end = io.telem.now();
@@ -755,6 +762,15 @@ impl Conn {
         let n = self.records.len();
         let t_read_end = io.telem.now();
         ctx.frames.fetch_add(1, Ordering::Relaxed);
+        if ctx.following() {
+            self.pipeline.push(Slot::BinError {
+                code: BinErrorCode::Unavailable,
+                // Cold refusal path: a standby decides nothing.
+                // sitw-lint: allow(hot-path-alloc)
+                detail: NOT_PROMOTED.to_owned(),
+            });
+            return Flow::Keep;
+        }
         let shards = ctx.shard_txs.len();
         {
             let registry = ctx.registry_read();

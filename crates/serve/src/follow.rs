@@ -1,47 +1,53 @@
-//! Warm-standby follower mode: `sitw-serve --follow PRIMARY`.
+//! Warm standby: `sitw-serve --follow PRIMARY`.
 //!
-//! A follower holds no shards and serves no decisions. It pulls the
-//! primary's replication stream — a chunked full sync first, then
-//! per-round deltas of whatever mutated ([`crate::wire::FRAME_REPL_SYNC`]
-//! / [`crate::wire::FRAME_REPL_DELTA`] / [`crate::wire::FRAME_REPL_COMMIT`])
-//! — and accumulates the complete [`Snapshot`] in memory. Promotion
-//! (operator `POST /admin/promote`, the router's supervised failover, or
-//! the optional dead-primary auto policy) hands that snapshot straight to
-//! [`Server::start`] via [`ServeConfig::restore_snapshot`]: the restored
-//! primary rides the same partition/restore path the snapshot-parity
-//! tests prove bit-identical, so a failed-over daemon emits exactly the
-//! verdicts an uninterrupted one would (the paper's §6 hourly-backup
-//! story, upgraded from restart recovery to hot standby).
+//! A standby is a node. [`crate::Server::start`] with a
+//! [`crate::ServeConfig::follow`] section binds the same acceptor,
+//! reactor pool and shards as a primary and attaches a pull loop to them.
+//! The loop pulls the primary's replication stream — a chunked full sync
+//! first, then per-round deltas of whatever mutated
+//! ([`wire::FRAME_REPL_SYNC`] / [`wire::FRAME_REPL_DELTA`] /
+//! [`wire::FRAME_REPL_COMMIT`]) — and accumulates the complete
+//! [`Snapshot`] in memory.
 //!
-//! The follower's own listener is plain blocking thread-per-connection
-//! HTTP — it answers `/healthz` (replication lag), `/metrics` (the
-//! `sitw_serve_repl_*` families), `/debug/events`, and the two admin
-//! verbs, all control-plane rates where a reactor would be overkill.
+//! Until promotion the node's gate is closed. The decision path reads it
+//! once per read burst or frame and answers a JSON `/invoke` with 503 and
+//! a SITW-BIN frame, control frame or replication pull with a
+//! [`wire::BinErrorCode::Unavailable`] error frame; the tenant and
+//! snapshot admin verbs get 503 too. `/healthz` (replication lag),
+//! `/metrics` (whose `sitw_serve_repl_*` families count what was
+//! pulled), `/debug/*` and `/admin/shutdown` answer as on any node.
+//!
+//! Promotion (operator `POST /admin/promote`, the router's supervised
+//! failover, or the optional dead-primary auto policy) restores the
+//! replica into the running shards through the path the snapshot-parity
+//! tests prove bit-identical — `build_registry`, `partition_restore` and
+//! [`ShardMsg::Restore`], which replaces each shard's whole tenant set —
+//! and then opens the gate on the same address. A failed-over daemon
+//! therefore emits exactly the verdicts an uninterrupted one would (the
+//! paper's §6 hourly-backup story, upgraded from restart recovery to hot
+//! standby).
 
-use std::io::{self, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::Write;
+use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::{mpsc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use sitw_telemetry::{lock_unpoisoned, EventKind, EventRing, LifecycleEvent};
+use sitw_telemetry::{lock_unpoisoned, EventKind};
 
-use crate::http::{write_response, ConnBuf, ReadOutcome, Reply, Request, MAX_BODY_BYTES};
-use crate::metrics::{ConnStats, MetricsReport, ProtoStats, ReplStats};
-use crate::server::{ServeConfig, Server};
+use crate::http::{ConnBuf, Reply};
+use crate::metrics::ReplStats;
+use crate::server::{build_registry, partition_restore, ServerCtx};
+use crate::shard::ShardMsg;
 use crate::snapshot::{apply_delta, Snapshot};
 use crate::wire::{self, ServerFrameDecode};
 
-/// Capacity of the follower's lifecycle event ring.
-const FOLLOW_EVENT_RING: usize = 256;
+/// What a standby answers in place of a decision or a mutation.
+pub(crate) const NOT_PROMOTED: &str = "standby: not promoted";
 
-/// Follower configuration.
+/// The follow section of a [`crate::ServeConfig`].
 #[derive(Debug, Clone)]
 pub struct FollowConfig {
-    /// Bind address of the follower's control listener (health, metrics,
-    /// events, promote/shutdown); use port 0 to let the OS choose.
-    pub addr: String,
     /// The primary's serve address (the replication stream shares the
     /// primary's main port).
     pub primary_addr: String,
@@ -50,29 +56,19 @@ pub struct FollowConfig {
     /// Connect/read/write deadline on each pull, so a hung primary
     /// surfaces as a counted failure instead of a stuck puller.
     pub pull_timeout: Duration,
-    /// When set, the follower promotes itself once the primary has been
+    /// When set, the standby promotes itself once the primary has been
     /// unreachable for at least this long (and three consecutive pulls
     /// failed). `None` (supervised mode) waits for `/admin/promote`.
     pub auto_promote_after: Option<Duration>,
-    /// Template for the server started at promotion. Its `addr` is the
-    /// *serve* address (default port 0 — the promote response reports
-    /// what was bound); `restore_snapshot` is overwritten with the
-    /// accumulated replica state.
-    pub serve: ServeConfig,
 }
 
 impl Default for FollowConfig {
     fn default() -> Self {
         Self {
-            addr: "127.0.0.1:0".into(),
             primary_addr: "127.0.0.1:7071".into(),
             pull_interval: Duration::from_millis(100),
             pull_timeout: Duration::from_secs(2),
             auto_promote_after: None,
-            serve: ServeConfig {
-                addr: "127.0.0.1:0".into(),
-                ..ServeConfig::default()
-            },
         }
     }
 }
@@ -202,7 +198,7 @@ fn count_apps(snap: &Snapshot) -> u64 {
             .sum::<u64>()
 }
 
-/// Mutable follower state under one lock (control-plane rates only).
+/// Pull state under one lock (control-plane rates only).
 #[derive(Debug, Default)]
 struct FollowShared {
     replica: ReplicaState,
@@ -213,92 +209,21 @@ struct FollowShared {
     /// When the last round committed (any kind, including clean).
     last_commit: Option<Instant>,
     consecutive_failures: u64,
-    /// The promoted server's serve address, once promotion happened.
-    promoted: Option<SocketAddr>,
 }
 
-struct FollowCtx {
-    cfg: FollowConfig,
-    addr: SocketAddr,
-    started: Instant,
-    shutdown: AtomicBool,
+/// A standby's follow section at run time, shared by the pull loop and
+/// the control path.
+pub(crate) struct Follow {
+    pub(crate) cfg: FollowConfig,
+    /// The gate: set until promotion. Cleared with `Release` after the
+    /// shards and the registry hold the replica, read with `Acquire`, so
+    /// a reactor that finds it open routes against the restored state.
+    following: AtomicBool,
+    /// Also serializes promotions.
     shared: Mutex<FollowShared>,
-    /// The server started at promotion. Locked before `shared`
-    /// everywhere both are taken, so promotion cannot deadlock.
-    server: Mutex<Option<Server>>,
-    events: Mutex<EventRing>,
 }
 
-impl FollowCtx {
-    fn lock_shared(&self) -> std::sync::MutexGuard<'_, FollowShared> {
-        lock_unpoisoned(&self.shared)
-    }
-
-    fn push_event(&self, kind: EventKind, detail: String) {
-        EventRing::try_push(&self.events, || LifecycleEvent {
-            ts_ms: self.started.elapsed().as_millis() as u64,
-            kind,
-            tenant: String::new(),
-            app: String::new(),
-            detail,
-        });
-    }
-
-    /// The current replication status, as served on `/healthz`.
-    fn status(&self) -> FollowStatus {
-        let shared = self.lock_shared();
-        FollowStatus {
-            epoch: shared.replica.epoch,
-            rounds: shared.rounds,
-            full_syncs: shared.full_syncs,
-            apps_applied: shared.apps_applied,
-            bytes_received: shared.bytes_received,
-            lag_ms: shared
-                .last_commit
-                .map_or_else(|| self.started.elapsed(), |t| t.elapsed())
-                .as_millis() as u64,
-            consecutive_failures: shared.consecutive_failures,
-            apps: shared.replica.snap.as_ref().map_or(0, count_apps),
-            promoted: shared.promoted,
-        }
-    }
-
-    /// Promotes the accumulated replica into a serving primary.
-    /// Idempotent: a second call returns the already-bound serve
-    /// address. `reason` lands in the lifecycle event's detail.
-    fn promote(&self, reason: &str) -> Result<SocketAddr, String> {
-        let mut server_slot = lock_unpoisoned(&self.server);
-        if let Some(addr) = self.lock_shared().promoted {
-            return Ok(addr);
-        }
-        let (snap, epoch) = {
-            let shared = self.lock_shared();
-            (shared.replica.snap.clone(), shared.replica.epoch)
-        };
-        let mut cfg = self.cfg.serve.clone();
-        if let Some(s) = &snap {
-            if s.policy_label != cfg.policy.label() {
-                return Err(format!(
-                    "replica policy '{}' does not match configured '{}'",
-                    s.policy_label,
-                    cfg.policy.label()
-                ));
-            }
-        }
-        cfg.restore_snapshot = snap;
-        let server = Server::start(cfg).map_err(|e| format!("promotion failed: {e}"))?;
-        let addr = server.addr();
-        *server_slot = Some(server);
-        self.lock_shared().promoted = Some(addr);
-        self.push_event(
-            EventKind::Promotion,
-            format!("epoch {epoch}, serving on {addr} ({reason})"),
-        );
-        Ok(addr)
-    }
-}
-
-/// Point-in-time follower status (the `/healthz` fields).
+/// Point-in-time standby status (the `/healthz` fields).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FollowStatus {
     /// Replication epoch the replica holds (0 = nothing synced yet).
@@ -316,297 +241,143 @@ pub struct FollowStatus {
     pub lag_ms: u64,
     /// Consecutive failed pulls (0 after any success).
     pub consecutive_failures: u64,
-    /// App records currently held in the replica.
+    /// App records currently held in the replica (0 once promoted).
     pub apps: u64,
-    /// The promoted server's serve address, once promoted.
-    pub promoted: Option<SocketAddr>,
+    /// The node promoted: its gate is open.
+    pub promoted: bool,
 }
 
-/// A running warm standby.
-pub struct Follower {
-    ctx: Arc<FollowCtx>,
-    listener: Option<JoinHandle<()>>,
-    puller: Option<JoinHandle<()>>,
-}
-
-impl Follower {
-    /// Binds the control listener and starts pulling from the primary.
-    pub fn start(cfg: FollowConfig) -> io::Result<Follower> {
-        let listener = TcpListener::bind(&cfg.addr)?;
-        let addr = listener.local_addr()?;
-        // sitw-lint: allow(clock-discipline)
-        let started = Instant::now();
-        let ctx = Arc::new(FollowCtx {
+impl Follow {
+    pub(crate) fn new(cfg: FollowConfig) -> Follow {
+        Follow {
             cfg,
-            addr,
-            started,
-            shutdown: AtomicBool::new(false),
-            shared: Mutex::new(FollowShared::default()),
-            server: Mutex::new(None),
-            events: Mutex::new(EventRing::new(FOLLOW_EVENT_RING)),
-        });
-        let listener_ctx = Arc::clone(&ctx);
-        let listener = std::thread::Builder::new()
-            .name("sitw-follow-listener".into())
-            .spawn(move || listen_loop(listener, listener_ctx))?;
-        let puller_ctx = Arc::clone(&ctx);
-        let puller = std::thread::Builder::new()
-            .name("sitw-follow-puller".into())
-            .spawn(move || pull_loop(puller_ctx))?;
-        Ok(Follower {
-            ctx,
-            listener: Some(listener),
-            puller: Some(puller),
-        })
-    }
-
-    /// The control listener's bound address.
-    pub fn addr(&self) -> SocketAddr {
-        self.ctx.addr
-    }
-
-    /// The current replication status.
-    pub fn status(&self) -> FollowStatus {
-        self.ctx.status()
-    }
-
-    /// Promotes the replica into a serving primary (in-process
-    /// equivalent of `POST /admin/promote`); returns the serve address.
-    pub fn promote(&self) -> Result<SocketAddr, String> {
-        self.ctx.promote("operator request")
-    }
-
-    /// True once a shutdown was requested (`POST /admin/shutdown`).
-    pub fn shutdown_requested(&self) -> bool {
-        self.ctx.shutdown.load(Ordering::SeqCst)
-    }
-
-    /// Blocks until a shutdown is requested.
-    pub fn wait(&self) {
-        while !self.shutdown_requested() {
-            std::thread::sleep(Duration::from_millis(100));
+            following: AtomicBool::new(true),
+            shared: Mutex::default(),
         }
     }
 
-    /// Stops the follower. When it was promoted, the inner server shuts
-    /// down gracefully and its final snapshot is returned; otherwise the
-    /// accumulated replica (if any) is.
-    pub fn shutdown(mut self) -> io::Result<Option<Snapshot>> {
-        self.ctx.shutdown.store(true, Ordering::SeqCst);
-        // Unblock the accept loop.
-        let _ = TcpStream::connect(self.ctx.addr);
-        if let Some(handle) = self.listener.take() {
-            let _ = handle.join();
+    pub(crate) fn following(&self) -> bool {
+        self.following.load(Ordering::Acquire)
+    }
+
+    fn lock(&self) -> MutexGuard<'_, FollowShared> {
+        lock_unpoisoned(&self.shared)
+    }
+
+    pub(crate) fn status(&self, started: Instant) -> FollowStatus {
+        let shared = self.lock();
+        FollowStatus {
+            epoch: shared.replica.epoch,
+            rounds: shared.rounds,
+            full_syncs: shared.full_syncs,
+            apps_applied: shared.apps_applied,
+            bytes_received: shared.bytes_received,
+            lag_ms: shared.last_commit.unwrap_or(started).elapsed().as_millis() as u64,
+            consecutive_failures: shared.consecutive_failures,
+            apps: shared.replica.snap.as_ref().map_or(0, count_apps),
+            promoted: !self.following(),
         }
-        if let Some(handle) = self.puller.take() {
-            let _ = handle.join();
-        }
-        let server = lock_unpoisoned(&self.ctx.server).take();
-        match server {
-            Some(server) => server.shutdown().map(Some),
-            None => Ok(self.ctx.lock_shared().replica.snap.take()),
+    }
+
+    /// The replica, taken for an unpromoted standby's shutdown.
+    pub(crate) fn take_replica(&self) -> Option<Snapshot> {
+        self.lock().replica.snap.take()
+    }
+
+    /// Appends the standby's `/healthz` fields to a JSON object body.
+    pub(crate) fn write_health(&self, started: Instant, body: &mut Vec<u8>) {
+        let s = self.status(started);
+        let _ = write!(
+            body,
+            ",\"primary\":\"{}\",\"epoch\":{},\"lag_ms\":{},\"rounds\":{},\"full_syncs\":{},\
+             \"apps\":{},\"failures\":{}",
+            wire::json_escape(&self.cfg.primary_addr),
+            s.epoch,
+            s.lag_ms,
+            s.rounds,
+            s.full_syncs,
+            s.apps,
+            s.consecutive_failures,
+        );
+    }
+}
+
+impl FollowStatus {
+    /// What was pulled, in the shape a primary reports what it serves.
+    pub(crate) fn repl_stats(&self) -> ReplStats {
+        ReplStats {
+            epoch: self.epoch,
+            rounds: self.rounds,
+            full_syncs: self.full_syncs,
+            apps_streamed: self.apps_applied,
+            bytes_streamed: self.bytes_received,
+            lag_ms: self.lag_ms,
         }
     }
 }
 
-/// The control listener: blocking thread-per-connection HTTP.
-fn listen_loop(listener: TcpListener, ctx: Arc<FollowCtx>) {
-    for stream in listener.incoming() {
-        if ctx.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        let conn_ctx = Arc::clone(&ctx);
-        let _ = std::thread::Builder::new()
-            .name("sitw-follow-conn".into())
-            .spawn(move || serve_conn(stream, conn_ctx));
+/// Promotes a standby in place: restores its replica (when it holds one)
+/// into the running shards, each of which ends up holding exactly its
+/// partition, swaps in the replica's tenant registry, and then opens the
+/// gate. Idempotent: a promoted node answers `Ok` again. `reason` lands
+/// in the lifecycle event's detail.
+pub(crate) fn promote(ctx: &ServerCtx, reason: &str) -> Result<(), String> {
+    let follow = ctx.follow.as_ref().ok_or("not a standby")?;
+    let mut shared = follow.lock();
+    if !follow.following() {
+        return Ok(());
     }
-}
-
-fn serve_conn(stream: TcpStream, ctx: Arc<FollowCtx>) {
-    if stream
-        .set_read_timeout(Some(Duration::from_millis(50)))
-        .is_err()
-    {
-        return;
-    }
-    let mut conn = ConnBuf::new(stream);
-    let mut out = Vec::new();
-    loop {
-        match conn.read_request() {
-            Ok(ReadOutcome::Request(req)) => {
-                out.clear();
-                handle_follow_control(&req, &ctx, &mut out);
-                if conn.stream().write_all(&out).is_err() {
-                    return;
-                }
-                if req.close {
-                    return;
-                }
-            }
-            Ok(ReadOutcome::Timeout) => {
-                if ctx.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-            Ok(ReadOutcome::BodyTooLarge { .. }) => {
-                // The body was never read, so the stream cannot be
-                // resynchronized: 413, then discard what is still in
-                // flight so the close is a FIN, not an RST that destroys
-                // the response.
-                out.clear();
-                write_response(
-                    &mut out,
-                    413,
-                    "application/json",
-                    b"{\"error\":\"payload too large\"}",
-                );
-                if conn.stream().write_all(&out).is_ok() {
-                    conn.drain_for_close(2 * MAX_BODY_BYTES);
-                }
-                return;
-            }
-            Ok(ReadOutcome::Eof) | Err(_) => return,
-        }
-    }
-}
-
-/// The follower's control endpoints.
-fn handle_follow_control(req: &Request, ctx: &FollowCtx, out: &mut Vec<u8>) {
-    use std::fmt::Write as _;
-    let path = req
-        .path
-        .split_once('?')
-        .map_or(req.path.as_str(), |(p, _)| p);
-    match (req.method.as_str(), path) {
-        ("GET", "/healthz") => {
-            let s = ctx.status();
-            let mut body = String::with_capacity(192);
-            let _ = write!(
-                body,
-                "{{\"status\":\"{}\",\"epoch\":{},\"lag_ms\":{},\"rounds\":{},\
-                 \"full_syncs\":{},\"apps\":{},\"failures\":{},\"primary\":\"{}\"",
-                if s.promoted.is_some() {
-                    "promoted"
-                } else {
-                    "following"
-                },
-                s.epoch,
-                s.lag_ms,
-                s.rounds,
-                s.full_syncs,
-                s.apps,
-                s.consecutive_failures,
-                wire::json_escape(&ctx.cfg.primary_addr),
-            );
-            if let Some(addr) = s.promoted {
-                let _ = write!(body, ",\"serve_addr\":\"{addr}\"");
-            }
-            body.push('}');
-            write_response(out, 200, "application/json", body.as_bytes());
-        }
-        ("GET", "/metrics") => {
-            // The standard report shape with no shards or reactors: the
-            // repl families render from the same table the primary uses,
-            // so scrape configs need no special case.
-            let s = ctx.status();
-            let report = MetricsReport {
-                shards: Vec::new(),
-                reactors: Vec::new(),
-                proto: ProtoStats {
-                    frames: 0,
-                    batched_decisions: 0,
-                    proto_errors: 0,
-                    control_frames: 0,
-                },
-                conns: ConnStats {
-                    live: 0,
-                    accepted: 0,
-                    peak: 0,
-                    reactor_threads: 0,
-                },
-                repl: ReplStats {
-                    epoch: s.epoch,
-                    rounds: s.rounds,
-                    full_syncs: s.full_syncs,
-                    apps_streamed: s.apps_applied,
-                    bytes_streamed: s.bytes_received,
-                    lag_ms: s.lag_ms,
-                },
-                uptime_ms: ctx.started.elapsed().as_millis() as u64,
+    if let Some(snap) = &shared.replica.snap {
+        let registry = build_registry(&ctx.cfg, Some(snap))?;
+        let partition = partition_restore(&registry, Some(snap.clone()), ctx.shard_txs.len());
+        for (tx, tenants) in ctx.shard_txs.iter().zip(partition) {
+            let (ack, done) = mpsc::channel();
+            let restore = ShardMsg::Restore {
+                tenants,
+                replace_all: true,
+                ack,
             };
-            write_response(
-                out,
-                200,
-                "text/plain; version=0.0.4",
-                report.render().as_bytes(),
-            );
+            tx.send(restore).map_err(|_| "shard unavailable")?;
+            done.recv().map_err(|_| "shard unavailable")??;
         }
-        ("GET", "/debug/events") => {
-            let body = EventRing::snapshot_json(&ctx.events);
-            write_response(out, 200, "application/json", body.as_bytes());
-        }
-        ("POST", "/admin/promote") => match ctx.promote("operator request") {
-            Ok(addr) => {
-                let body = format!("{{\"status\":\"promoted\",\"serve_addr\":\"{addr}\"}}");
-                write_response(out, 200, "application/json", body.as_bytes());
-            }
-            Err(e) => {
-                let body = format!("{{\"error\":\"{}\"}}", wire::json_escape(&e));
-                write_response(out, 500, "application/json", body.as_bytes());
-            }
-        },
-        ("POST", "/admin/shutdown") => {
-            ctx.shutdown.store(true, Ordering::SeqCst);
-            let _ = TcpStream::connect(ctx.addr);
-            write_response(out, 200, "application/json", b"{\"status\":\"stopping\"}");
-        }
-        (_, "/healthz" | "/metrics" | "/debug/events" | "/admin/promote" | "/admin/shutdown") => {
-            write_response(
-                out,
-                405,
-                "application/json",
-                b"{\"error\":\"method not allowed\"}",
-            );
-        }
-        _ => {
-            write_response(out, 404, "application/json", b"{\"error\":\"not found\"}");
-        }
+        *ctx.registry.write().unwrap_or_else(PoisonError::into_inner) = registry;
     }
+    shared.replica.snap = None;
+    follow.following.store(false, Ordering::Release);
+    ctx.event(
+        EventKind::Promotion,
+        format!(
+            "epoch {}, serving on {} ({reason})",
+            shared.replica.epoch, ctx.addr
+        ),
+    );
+    Ok(())
 }
 
 /// The pull loop: one ack → round exchange per interval over a
 /// persistent connection, reconnecting (and counting failures) on any
 /// error. Stops at shutdown or promotion.
-fn pull_loop(ctx: Arc<FollowCtx>) {
+pub(crate) fn pull_loop(ctx: &ServerCtx) {
+    let Some(follow) = &ctx.follow else { return };
     let mut conn: Option<ConnBuf> = None;
-    loop {
-        if ctx.shutdown.load(Ordering::SeqCst) || ctx.lock_shared().promoted.is_some() {
-            return;
+    while follow.following() && !ctx.shutdown.load(Ordering::SeqCst) {
+        if pull_once(ctx, follow, &mut conn).is_ok() {
+            follow.lock().consecutive_failures = 0;
+        } else {
+            conn = None;
+            let failures = {
+                let mut shared = follow.lock();
+                shared.consecutive_failures += 1;
+                shared.consecutive_failures
+            };
+            maybe_auto_promote(ctx, follow, failures);
         }
-        match pull_once(&ctx, &mut conn) {
-            Ok(()) => {
-                ctx.lock_shared().consecutive_failures = 0;
-            }
-            Err(_) => {
-                conn = None;
-                let failures = {
-                    let mut shared = ctx.lock_shared();
-                    shared.consecutive_failures += 1;
-                    shared.consecutive_failures
-                };
-                maybe_auto_promote(&ctx, failures);
-            }
-        }
-        // Sleep in slices so shutdown/promotion is honored promptly.
-        let mut remaining = ctx.cfg.pull_interval;
-        while !remaining.is_zero() {
-            if ctx.shutdown.load(Ordering::SeqCst) {
-                return;
-            }
+        // Sleep in slices so shutdown is honored promptly.
+        let mut remaining = follow.cfg.pull_interval;
+        while !remaining.is_zero() && !ctx.shutdown.load(Ordering::SeqCst) {
             let slice = remaining.min(Duration::from_millis(20));
             std::thread::sleep(slice);
-            remaining = remaining.saturating_sub(slice);
+            remaining -= slice;
         }
     }
 }
@@ -614,46 +385,36 @@ fn pull_loop(ctx: Arc<FollowCtx>) {
 /// Promotes when the auto policy says the primary is dead: at least
 /// three consecutive pulls failed *and* nothing has committed for the
 /// configured window.
-fn maybe_auto_promote(ctx: &FollowCtx, failures: u64) {
-    let Some(window) = ctx.cfg.auto_promote_after else {
+fn maybe_auto_promote(ctx: &ServerCtx, follow: &Follow, failures: u64) {
+    let Some(window) = follow.cfg.auto_promote_after else {
         return;
     };
-    if failures < 3 {
+    let silent_for = follow.lock().last_commit.unwrap_or(ctx.started).elapsed();
+    if failures < 3 || silent_for < window {
         return;
     }
-    let silent_for = {
-        let shared = ctx.lock_shared();
-        shared
-            .last_commit
-            .map_or_else(|| ctx.started.elapsed(), |t| t.elapsed())
-    };
-    if silent_for < window {
-        return;
-    }
-    ctx.push_event(
+    ctx.event(
         EventKind::NodeDown,
         format!(
             "primary {} unreachable for {}ms ({failures} failed pulls)",
-            ctx.cfg.primary_addr,
+            follow.cfg.primary_addr,
             silent_for.as_millis()
         ),
     );
-    if let Err(e) = ctx.promote("auto policy: primary unreachable") {
-        ctx.push_event(EventKind::Failover, format!("auto-promotion failed: {e}"));
+    if let Err(e) = promote(ctx, "auto policy: primary unreachable") {
+        ctx.event(EventKind::Failover, format!("auto-promotion failed: {e}"));
     }
 }
 
 /// One pull: send the ack, reassemble the round, apply it.
-fn pull_once(ctx: &FollowCtx, conn: &mut Option<ConnBuf>) -> Result<(), String> {
-    let timeout = ctx.cfg.pull_timeout;
+fn pull_once(ctx: &ServerCtx, follow: &Follow, conn: &mut Option<ConnBuf>) -> Result<(), String> {
+    let (primary, timeout) = (&follow.cfg.primary_addr, follow.cfg.pull_timeout);
     if conn.is_none() {
-        let addr = ctx
-            .cfg
-            .primary_addr
+        let addr = primary
             .to_socket_addrs()
-            .map_err(|e| format!("resolve {}: {e}", ctx.cfg.primary_addr))?
+            .map_err(|e| format!("resolve {primary}: {e}"))?
             .next()
-            .ok_or_else(|| format!("resolve {}: no address", ctx.cfg.primary_addr))?;
+            .ok_or_else(|| format!("resolve {primary}: no address"))?;
         let stream = TcpStream::connect_timeout(&addr, timeout)
             .map_err(|e| format!("connect {addr}: {e}"))?;
         stream
@@ -662,11 +423,10 @@ fn pull_once(ctx: &FollowCtx, conn: &mut Option<ConnBuf>) -> Result<(), String> 
             .map_err(|e| format!("socket setup: {e}"))?;
         *conn = Some(ConnBuf::new(stream));
     }
-    let conn = conn.as_mut().expect("just connected");
+    let conn = conn.as_mut().ok_or("not connected")?;
 
-    let epoch = ctx.lock_shared().replica.epoch;
     let mut ack = Vec::with_capacity(wire::BIN_HEADER_LEN + 8);
-    wire::encode_repl_ack(&mut ack, epoch);
+    wire::encode_repl_ack(&mut ack, follow.lock().replica.epoch);
     conn.stream()
         .write_all(&ack)
         .map_err(|e| format!("send ack: {e}"))?;
@@ -689,21 +449,23 @@ fn pull_once(ctx: &FollowCtx, conn: &mut Option<ConnBuf>) -> Result<(), String> 
 
     let full_sync = round.full_sync && !round.doc.is_empty();
     let bytes = round.doc.len() as u64;
-    let (applied, new_epoch) = {
-        let mut shared = ctx.lock_shared();
-        let applied = shared.replica.apply(round)?;
-        shared.rounds += 1;
-        shared.full_syncs += u64::from(full_sync);
-        shared.apps_applied += applied;
-        shared.bytes_received += bytes;
-        // sitw-lint: allow(clock-discipline)
-        shared.last_commit = Some(Instant::now());
-        (applied, shared.replica.epoch)
-    };
+    let mut shared = follow.lock();
+    if !follow.following() {
+        return Ok(()); // Promoted meanwhile: the replica is spent.
+    }
+    let applied = shared.replica.apply(round)?;
+    shared.rounds += 1;
+    shared.full_syncs += u64::from(full_sync);
+    shared.apps_applied += applied;
+    shared.bytes_received += bytes;
+    // sitw-lint: allow(clock-discipline)
+    shared.last_commit = Some(Instant::now());
+    let epoch = shared.replica.epoch;
+    drop(shared);
     if full_sync {
-        ctx.push_event(
+        ctx.event(
             EventKind::ReplSync,
-            format!("epoch {new_epoch}, {applied} apps, {bytes} bytes"),
+            format!("epoch {epoch}, {applied} apps, {bytes} bytes"),
         );
     }
     Ok(())
@@ -713,7 +475,236 @@ fn pull_once(ctx: &FollowCtx, conn: &mut Option<ConnBuf>) -> Result<(), String> 
 mod tests {
     use super::*;
     use crate::snapshot::{AppRecord, PolicyState};
-    use sitw_core::Windows;
+    use crate::wire::BinErrorCode;
+    use crate::{Client, ServeConfig, Server, TenantConfig};
+    use sitw_core::{PolicySpec, Windows};
+    use std::net::TcpListener;
+    use std::path::PathBuf;
+
+    /// A standby of `primary` (nobody listens at port 1: every pull
+    /// fails and is counted) over 2 shards and one reactor.
+    fn standby_cfg(primary: &str, snapshot_path: Option<PathBuf>) -> ServeConfig {
+        ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            shards: 2,
+            reactor_threads: 1,
+            policy: PolicySpec::fixed_minutes(10),
+            snapshot_path,
+            follow: Some(FollowConfig {
+                primary_addr: primary.into(),
+                pull_interval: Duration::from_millis(15),
+                ..FollowConfig::default()
+            }),
+            ..ServeConfig::default()
+        }
+    }
+
+    /// Waits until a round commits without bumping the epoch: the
+    /// (quiescent) primary had nothing left to stream.
+    fn wait_caught_up(standby: &Server) {
+        let status = || standby.follow_status().unwrap();
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let mut prev = status();
+        loop {
+            std::thread::sleep(Duration::from_millis(20));
+            let s = status();
+            if s.epoch > 0 && s.rounds > prev.rounds && s.epoch == prev.epoch {
+                return;
+            }
+            assert!(Instant::now() < deadline, "standby never caught up: {s:?}");
+            prev = s;
+        }
+    }
+
+    fn temp_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("sitw-{name}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    #[test]
+    fn control_listener_answers_oversized_body_with_413() {
+        // The standby's one listener is the node's reactor.
+        let standby = Server::start(standby_cfg("127.0.0.1:1", None)).unwrap();
+        let mut client = Client::connect(standby.addr()).unwrap();
+        client
+            .send(b"POST /admin/promote HTTP/1.1\r\ncontent-length: 1099511627776\r\n\r\n")
+            .unwrap();
+        // Part of the declared body is in flight when the 413 goes out:
+        // the node must absorb it, or its close resets the response.
+        client.send(&vec![b'x'; 256 * 1024]).unwrap();
+        let response = client.response().unwrap();
+        assert_eq!(response.0, 413, "{response:?}");
+        assert!(client
+            .conn()
+            .reply_raw()
+            .starts_with(b"HTTP/1.1 413 Payload Too Large\r\n"));
+        // ...and then a FIN, not a reset.
+        assert!(matches!(client.conn().read_reply().unwrap(), Reply::Eof));
+        assert!(!standby.follow_status().unwrap().promoted);
+        standby.shutdown().unwrap();
+    }
+
+    #[test]
+    fn standby_refuses_what_it_cannot_serve_until_promoted() {
+        let standby = Server::start(standby_cfg("127.0.0.1:1", None)).unwrap();
+        let mut client = Client::connect(standby.addr()).unwrap();
+        let (status, body) = client.invoke(None, "a", 1, None).unwrap();
+        assert_eq!(
+            (status, body.as_str()),
+            (503, "{\"error\":\"standby: not promoted\"}")
+        );
+        let unavailable = |reply: Reply| {
+            matches!(
+                reply,
+                Reply::Frame(ServerFrameDecode::Error {
+                    code: BinErrorCode::Unavailable,
+                    ..
+                })
+            )
+        };
+        let frame = client.batch(|f| wire::encode_request_frame_v2(f, &[(0, "a", 1)]));
+        assert!(unavailable(frame.unwrap()), "a request frame");
+        let pull = client.batch(|f| wire::encode_repl_ack(f, 0));
+        assert!(unavailable(pull.unwrap()), "a replication pull");
+        for (path, body) in [
+            ("/admin/tenants", "t=fixed:10"),
+            ("/admin/snapshot", ""),
+            ("/admin/tenants/t/take", ""),
+            ("/admin/tenants/t/restore", ""),
+        ] {
+            let (status, text) = client.request("POST", path, body).unwrap();
+            assert_eq!(status, 503, "{path}: {text}");
+        }
+        for path in ["/healthz", "/metrics", "/debug/events", "/admin/tenants"] {
+            let (status, text) = client.request("GET", path, "").unwrap();
+            assert_eq!(status, 200, "{path}: {text}");
+        }
+        let (_, health) = client.request("GET", "/healthz", "").unwrap();
+        assert!(health.contains("\"status\":\"following\""), "{health}");
+        assert!(health.contains("\"full_syncs\":0,"), "{health}");
+
+        // Promotion opens the gate on the same address, and again is a
+        // no-op.
+        for _ in 0..2 {
+            let (status, body) = client.request("POST", "/admin/promote", "").unwrap();
+            assert_eq!((status, body.as_str()), (200, "{\"status\":\"promoted\"}"));
+        }
+        let (status, body) = client.invoke(None, "a", 1, None).unwrap();
+        assert_eq!(status, 200, "{body}");
+        let (_, health) = client.request("GET", "/healthz", "").unwrap();
+        assert!(health.contains("\"status\":\"ok\""), "{health}");
+        let (status, _) = client.request("POST", "/admin/shutdown", "").unwrap();
+        assert_eq!(status, 200);
+        assert!(standby.shutdown_requested());
+        assert_eq!(standby.shutdown().unwrap().apps.len(), 1);
+    }
+
+    #[test]
+    fn unpromoted_standby_shuts_down_to_its_replica() {
+        let dir = temp_dir("standby-shutdown");
+        let primary = Server::start(ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            shards: 2,
+            policy: PolicySpec::fixed_minutes(10),
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let mut client = Client::connect(primary.addr()).unwrap();
+        for (i, app) in ["x", "y", "z"].into_iter().enumerate() {
+            assert_eq!(client.invoke(None, app, i as u64, None).unwrap().0, 200);
+        }
+
+        // Before its first sync a standby holds nothing worth writing.
+        let never = dir.join("never.snap");
+        let lone = Server::start(standby_cfg("127.0.0.1:1", Some(never.clone()))).unwrap();
+        let (status, _) = Client::connect(lone.addr())
+            .unwrap()
+            .request("POST", "/admin/shutdown", "")
+            .unwrap();
+        assert_eq!(status, 200);
+        assert!(lone.shutdown().unwrap().apps.is_empty());
+        assert!(!never.exists(), "an unsynced standby wrote a snapshot");
+
+        let path = dir.join("standby.snap");
+        let standby = Server::start(standby_cfg(&primary.addr().to_string(), Some(path.clone())));
+        let standby = standby.unwrap();
+        wait_caught_up(&standby);
+        let replica = standby.shutdown().unwrap();
+        assert_eq!(replica, primary.snapshot());
+        assert_eq!(Snapshot::load(&path).unwrap(), replica);
+        primary.shutdown().unwrap();
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn promotion_leaves_no_ghost_tenant() {
+        let tenant = |name: &str, minutes| TenantConfig {
+            name: name.into(),
+            policy: PolicySpec::fixed_minutes(minutes),
+            budget_mb: 0,
+        };
+        let tenants = vec![tenant("a", 10), tenant("b", 20), tenant("c", 30)];
+        let primary = Server::start(ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            shards: 2,
+            policy: PolicySpec::fixed_minutes(10),
+            tenants: tenants.clone(),
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let mut client = Client::connect(primary.addr()).unwrap();
+        for name in [None, Some("a"), Some("b"), Some("c")] {
+            for k in 0..5u64 {
+                let (status, body) = client.invoke(name, &format!("app-{k}"), k, None).unwrap();
+                assert_eq!(status, 200, "{body}");
+            }
+        }
+
+        // The standby lists the same tenants in another order, so until
+        // promotion its ids are not the replica's.
+        let cfg = ServeConfig {
+            shards: 3,
+            tenants: tenants.into_iter().rev().collect(),
+            ..standby_cfg(&primary.addr().to_string(), None)
+        };
+        let standby = Server::start(cfg.clone()).unwrap();
+        let before: Vec<(u16, String)> = (standby.snapshot().tenants.iter())
+            .map(|t| (t.id, t.name.clone()))
+            .collect();
+        assert_eq!(before[0], (1, "c".to_owned()));
+        wait_caught_up(&standby);
+        let replica = primary.shutdown().unwrap();
+        assert_eq!(replica.tenants[0].name, "a");
+        standby.promote().unwrap();
+
+        // Every shard holds exactly its partition of the replica...
+        let registry = build_registry(&cfg, Some(&replica)).unwrap();
+        let partition = partition_restore(&registry, Some(replica.clone()), 3);
+        for (stats, part) in standby.metrics().shards.iter().zip(&partition) {
+            let held: Vec<(u16, &str)> = (stats.tenants.iter())
+                .map(|t| (t.id, t.name.as_str()))
+                .collect();
+            let mut want: Vec<(u16, &str)> = (part.iter())
+                .map(|r| (r.spec.id, r.spec.name.as_str()))
+                .collect();
+            want.sort_unstable();
+            assert_eq!(held, want, "shard {}", stats.shard);
+            let apps: usize = part.iter().map(|r| r.apps.len()).sum();
+            assert_eq!(stats.apps, apps as u64, "shard {}", stats.shard);
+        }
+        // ...so each tenant appears once, under the replica's id.
+        let (_, text) = Client::connect(standby.addr())
+            .unwrap()
+            .request("GET", "/metrics", "")
+            .unwrap();
+        for t in ["default", "a", "b", "c"] {
+            let row = format!("sitw_serve_tenant_invocations_total{{tenant=\"{t}\"}} 0\n");
+            assert_eq!(text.matches(&row).count(), 1, "{t}: {text}");
+        }
+        assert_eq!(standby.snapshot(), replica);
+        standby.shutdown().unwrap();
+    }
 
     fn snap_with(apps: &[(&str, u64)]) -> Snapshot {
         Snapshot {
@@ -798,32 +789,6 @@ mod tests {
         wire::encode_repl_chunk(&mut out, wire::FRAME_REPL_DELTA, 2, 1, true, b"x");
         let chunk = Reply::Frame(wire::decode_server_frame(&out));
         assert!(RoundAssembler::default().absorb(chunk).is_err());
-    }
-
-    #[test]
-    fn control_listener_answers_oversized_body_with_413() {
-        // No primary is listening there; failed pulls are just counted.
-        let follower = Follower::start(FollowConfig {
-            primary_addr: "127.0.0.1:1".into(),
-            ..FollowConfig::default()
-        })
-        .unwrap();
-        let mut client = crate::Client::connect(follower.addr()).unwrap();
-        client
-            .send(b"POST /admin/promote HTTP/1.1\r\ncontent-length: 1099511627776\r\n\r\n")
-            .unwrap();
-        // Part of the declared body is in flight when the 413 goes out:
-        // the listener must absorb it, or its close resets the response.
-        client.send(&vec![b'x'; 256 * 1024]).unwrap();
-        let response = client.response().unwrap();
-        assert_eq!(response.0, 413, "{response:?}");
-        assert!(client
-            .conn()
-            .reply_raw()
-            .starts_with(b"HTTP/1.1 413 Payload Too Large\r\n"));
-        // ...and then a FIN, not a reset.
-        assert!(matches!(client.conn().read_reply().unwrap(), Reply::Eof));
-        follower.shutdown().unwrap();
     }
 
     #[test]

@@ -47,12 +47,13 @@
 //!   keep emitting bit-identical decisions, mirroring the hourly
 //!   backups of §6.
 //! * **Replication & failover** ([`follow`]): a warm standby
-//!   (`sitw-serve --follow PRIMARY`) pulls chunked snapshot/delta
-//!   rounds over SITW-BIN replication frames — per-app dirty tracking
-//!   means steady-state rounds carry only what mutated, and no shard
-//!   ever pauses — and promotes into a serving primary (operator
-//!   command, router failover, or dead-primary auto policy) whose
-//!   decisions are bit-identical to an uninterrupted one.
+//!   (`sitw-serve --follow PRIMARY`) is a node that refuses decisions
+//!   while it pulls chunked snapshot/delta rounds over SITW-BIN
+//!   replication frames — per-app dirty tracking means steady-state
+//!   rounds carry only what mutated, and no shard ever pauses — and
+//!   promotes in place (operator command, router failover, or
+//!   dead-primary auto policy), on the same address, with decisions
+//!   bit-identical to an uninterrupted primary's.
 //! * **Verdict parity**: a shard decides by calling
 //!   [`sitw_fleet::TenantState::step`] — the step the offline
 //!   `FleetSim` replays — so fleet verdicts are equal by construction.
@@ -155,7 +156,7 @@ pub mod telem;
 pub mod wire;
 
 pub use client::Client;
-pub use follow::{FollowConfig, FollowStatus, Follower};
+pub use follow::{FollowConfig, FollowStatus};
 pub use loadgen::{run_loadgen, run_loadgen_cluster, LoadGenConfig, LoadGenReport, Proto};
 pub use metrics::{
     ConnStats, MetricsReport, ProtoHists, ProtoStats, ReactorStats, ShardStats, TenantStats,

@@ -28,7 +28,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Sender};
-use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
+use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -44,6 +44,7 @@ use sitw_telemetry::{
     LifecycleEvent, WallClock,
 };
 
+use crate::follow::{promote, pull_loop, Follow, FollowConfig, FollowStatus, NOT_PROMOTED};
 use crate::http::{write_response, Request};
 use crate::metrics::{ConnStats, MetricsReport, ProtoStats, ReactorStats, ReplStats, ShardStats};
 use crate::reactor::{reactor_loop, ReactorMsg, ReactorRef};
@@ -53,7 +54,7 @@ use crate::snapshot::{
     TenantSnapshot,
 };
 use crate::telem::{merge_spans, ShardTelem, TelemClock, TelemCtx, EVENT_RING, TRACE_RING};
-use crate::wire::{self, push_u64, ControlReply, ControlRequest, TenantUsage};
+use crate::wire::{self, push_u64, BinErrorCode, ControlReply, ControlRequest, TenantUsage};
 
 /// One tenant in the server configuration (CLI `--tenant`, a tenants
 /// file, or programmatic [`ServeConfig::tenants`]).
@@ -85,11 +86,11 @@ pub struct ServeConfig {
     pub snapshot_path: Option<PathBuf>,
     /// When set and the file exists, state is restored from it at start.
     pub restore_path: Option<PathBuf>,
-    /// An in-memory snapshot to restore from, taking precedence over
-    /// [`ServeConfig::restore_path`] — the promotion path: a follower
-    /// hands the replicated state it accumulated straight to the server
-    /// it starts, no disk round-trip.
-    pub restore_snapshot: Option<Snapshot>,
+    /// When set, the node starts as a warm standby of this primary (see
+    /// [`crate::follow`]): it refuses decisions until promoted, then
+    /// serves on the same address from the replicated state, restored
+    /// into shards this config describes.
+    pub follow: Option<FollowConfig>,
     /// The reactor poll tick: bounds how quickly shutdowns propagate and
     /// how often the slowloris sweep runs. (Historically the per-socket
     /// read timeout, which bounded the same things.)
@@ -122,7 +123,7 @@ impl Default for ServeConfig {
             tenants: Vec::new(),
             snapshot_path: None,
             restore_path: None,
-            restore_snapshot: None,
+            follow: None,
             read_timeout: Duration::from_millis(50),
             pipeline_window: 128,
             reactor_threads: 2,
@@ -154,14 +155,17 @@ struct ReplState {
 /// Shared state every reactor thread sees.
 pub(crate) struct ServerCtx {
     pub(crate) cfg: ServeConfig,
-    addr: SocketAddr,
+    pub(crate) addr: SocketAddr,
     pub(crate) shard_txs: Vec<Sender<ShardMsg>>,
     /// The tenant registry. Read-locked briefly per message to resolve
     /// names/ids and routes; write-locked only by the admin registration
-    /// path. Decision state itself stays lock-free in the shards.
+    /// and promotion paths. Decision state itself stays lock-free in the
+    /// shards.
     pub(crate) registry: RwLock<TenantRegistry>,
     pub(crate) shutdown: AtomicBool,
-    started: Instant,
+    pub(crate) started: Instant,
+    /// A standby's pull state and gate (`None` on a primary).
+    pub(crate) follow: Option<Follow>,
     /// SITW-BIN frames served (server-wide; connections are unsharded).
     pub(crate) frames: AtomicU64,
     /// Decisions delivered through batched binary frames.
@@ -198,9 +202,30 @@ impl ServerCtx {
     /// append-only tenant config), so recover the guard instead of
     /// taking every reactor thread down with the writer.
     pub(crate) fn registry_read(&self) -> RwLockReadGuard<'_, TenantRegistry> {
-        match self.registry.read() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
+        self.registry.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// True while this node is an unpromoted standby: the gate the
+    /// decision path reads once per read burst or frame.
+    pub(crate) fn following(&self) -> bool {
+        self.follow.as_ref().is_some_and(Follow::following)
+    }
+
+    pub(crate) fn uptime_ms(&self) -> u64 {
+        self.started.elapsed().as_millis() as u64
+    }
+
+    /// Records a lifecycle event on `/debug/events` (none with telemetry
+    /// off).
+    pub(crate) fn event(&self, kind: EventKind, detail: String) {
+        if self.telem.enabled {
+            EventRing::try_push(&self.telem.events, || LifecycleEvent {
+                ts_ms: self.uptime_ms(),
+                kind,
+                tenant: String::new(),
+                app: String::new(),
+                detail,
+            });
         }
     }
 
@@ -255,23 +280,27 @@ impl ServerCtx {
                 peak: self.conns_peak.load(Ordering::Relaxed),
                 reactor_threads: self.reactors.len() as u64,
             },
-            repl: {
-                let uptime_ms = self.started.elapsed().as_millis() as u64;
-                let repl = lock_unpoisoned(&self.repl);
-                ReplStats {
-                    epoch: repl.epoch,
-                    rounds: repl.rounds,
-                    full_syncs: repl.full_syncs,
-                    apps_streamed: repl.apps_streamed,
-                    bytes_streamed: repl.bytes_streamed,
-                    lag_ms: if repl.last_pull_ms == 0 {
-                        0
-                    } else {
-                        uptime_ms.saturating_sub(repl.last_pull_ms)
-                    },
+            // A standby reports the stream it pulls, a primary the one
+            // it serves.
+            repl: match self.follow.as_ref().filter(|f| f.following()) {
+                Some(follow) => follow.status(self.started).repl_stats(),
+                None => {
+                    let repl = lock_unpoisoned(&self.repl);
+                    ReplStats {
+                        epoch: repl.epoch,
+                        rounds: repl.rounds,
+                        full_syncs: repl.full_syncs,
+                        apps_streamed: repl.apps_streamed,
+                        bytes_streamed: repl.bytes_streamed,
+                        lag_ms: if repl.last_pull_ms == 0 {
+                            0
+                        } else {
+                            self.uptime_ms().saturating_sub(repl.last_pull_ms)
+                        },
+                    }
                 }
             },
-            uptime_ms: self.started.elapsed().as_millis() as u64,
+            uptime_ms: self.uptime_ms(),
         }
     }
 
@@ -330,10 +359,9 @@ impl ServerCtx {
     /// shards keep deciding while others export (the no-stop-the-world
     /// property the stage histograms assert).
     fn repl_round(&self, follower_epoch: u64, out: &mut Vec<u8>) {
-        let uptime_ms = self.started.elapsed().as_millis() as u64;
         let mut repl = lock_unpoisoned(&self.repl);
         repl.rounds += 1;
-        repl.last_pull_ms = uptime_ms.max(1);
+        repl.last_pull_ms = self.uptime_ms().max(1);
         let shards = self.shard_txs.len();
         if follower_epoch == 0 || follower_epoch != repl.epoch || repl.frontiers.len() != shards {
             // Full sync. Frontiers are read *before* the snapshot: a
@@ -354,15 +382,10 @@ impl ServerCtx {
             repl.full_syncs += 1;
             repl.bytes_streamed += doc.len() as u64;
             drop(repl);
-            if self.telem.enabled {
-                EventRing::try_push(&self.telem.events, || LifecycleEvent {
-                    ts_ms: uptime_ms,
-                    kind: EventKind::ReplSync,
-                    tenant: String::new(),
-                    app: String::new(),
-                    detail: format!("epoch {epoch}, {} bytes", doc.len()),
-                });
-            }
+            self.event(
+                EventKind::ReplSync,
+                format!("epoch {epoch}, {} bytes", doc.len()),
+            );
             return;
         }
         // Delta round: each shard's dirty subset since its frontier.
@@ -588,8 +611,9 @@ impl ServerCtx {
         };
         let (ack_tx, ack_rx) = mpsc::channel();
         self.shard_txs[home]
-            .send(ShardMsg::RestoreTenant {
-                restore: Box::new(restore),
+            .send(ShardMsg::Restore {
+                tenants: vec![restore],
+                replace_all: false,
                 ack: ack_tx,
             })
             .map_err(|_| (503, "shard unavailable (shutting down)".to_owned()))?;
@@ -618,6 +642,8 @@ impl ServerCtx {
 pub struct Server {
     ctx: Arc<ServerCtx>,
     acceptor: Option<JoinHandle<()>>,
+    /// A standby's pull loop (see [`crate::follow`]).
+    puller: Option<JoinHandle<()>>,
     reactor_handles: Vec<JoinHandle<()>>,
     shard_handles: Vec<JoinHandle<ShardExport>>,
 }
@@ -667,11 +693,23 @@ fn merge_exports(policy_label: String, exports: Vec<ShardExport>) -> Snapshot {
     }
 }
 
-/// Builds the tenant registry for a start: snapshot tenants first (ids
-/// preserved), configured tenants verified against or appended to them.
-fn build_registry(cfg: &ServeConfig, snap: Option<&Snapshot>) -> Result<TenantRegistry, String> {
+/// Builds the tenant registry for a start or a promotion: the snapshot's
+/// policy must be the configured one, its tenants come first (ids
+/// preserved), configured tenants are verified against or appended to
+/// them.
+pub(crate) fn build_registry(
+    cfg: &ServeConfig,
+    snap: Option<&Snapshot>,
+) -> Result<TenantRegistry, String> {
     let mut registry = TenantRegistry::new(cfg.policy.clone());
     if let Some(snap) = snap {
+        let expected = cfg.policy.label();
+        if snap.policy_label != expected {
+            return Err(format!(
+                "snapshot policy '{}' does not match configured '{expected}'",
+                snap.policy_label
+            ));
+        }
         for t in &snap.tenants {
             // Configured spec wins when present (it carries the actual
             // PolicySpec; the snapshot only proves the label). A tenant
@@ -721,7 +759,7 @@ fn build_registry(cfg: &ServeConfig, snap: Option<&Snapshot>) -> Result<TenantRe
 
 /// Partitions restored state across shards: default-tenant apps and
 /// warm entries by app hash, named tenants whole to their home shard.
-fn partition_restore(
+pub(crate) fn partition_restore(
     registry: &TenantRegistry,
     snap: Option<Snapshot>,
     shards: usize,
@@ -810,45 +848,26 @@ impl Server {
             events: Arc::new(std::sync::Mutex::new(EventRing::new(EVENT_RING))),
         };
 
-        // Restore before any thread exists. An in-memory snapshot (the
-        // follower-promotion path) wins over the file; a corrupt file
-        // degrades to empty state with the reason on /healthz — losing
-        // learned histograms costs cold starts, refusing to start
-        // costs availability (the regression this guards).
-        let mut snap: Option<Snapshot> = cfg.restore_snapshot.clone();
+        // Restore before any thread exists. A corrupt file degrades to
+        // empty state with the reason on /healthz — losing learned
+        // histograms costs cold starts, refusing to start costs
+        // availability (the regression this guards).
+        let mut snap: Option<Snapshot> = None;
         let mut restore_error: Option<String> = None;
-        if snap.is_none() {
-            if let Some(path) = &cfg.restore_path {
-                if path.exists() {
-                    match Snapshot::load(path) {
-                        Ok(loaded) => {
-                            let expected = cfg.policy.label();
-                            if loaded.policy_label != expected {
-                                return Err(io::Error::new(
-                                    io::ErrorKind::InvalidData,
-                                    format!(
-                                        "snapshot policy '{}' does not match configured \
-                                         '{expected}'",
-                                        loaded.policy_label
-                                    ),
-                                ));
-                            }
-                            snap = Some(loaded);
-                        }
-                        Err(SnapshotError::Corrupt(e)) => {
-                            eprintln!(
-                                "sitw-serve: snapshot {} is corrupt, serving from empty \
-                                 state: {e}",
-                                path.display()
-                            );
-                            restore_error = Some(e);
-                        }
-                        // The file exists but cannot be read (permissions,
-                        // I/O): a transient environment problem, so fail
-                        // loudly instead of silently dropping state.
-                        Err(SnapshotError::Io(e)) => return Err(e),
-                    }
+        if let Some(path) = cfg.restore_path.as_ref().filter(|p| p.exists()) {
+            match Snapshot::load(path) {
+                Ok(loaded) => snap = Some(loaded),
+                Err(SnapshotError::Corrupt(e)) => {
+                    eprintln!(
+                        "sitw-serve: snapshot {} is corrupt, serving from empty state: {e}",
+                        path.display()
+                    );
+                    restore_error = Some(e);
                 }
+                // The file exists but cannot be read (permissions, I/O): a
+                // transient environment problem, so fail loudly instead of
+                // silently dropping state.
+                Err(SnapshotError::Io(e)) => return Err(e),
             }
         }
         let registry = build_registry(&cfg, snap.as_ref())
@@ -895,6 +914,7 @@ impl Server {
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
         let ctx = Arc::new(ServerCtx {
+            follow: cfg.follow.clone().map(Follow::new),
             cfg,
             addr,
             shard_txs,
@@ -928,10 +948,21 @@ impl Server {
         let acceptor = std::thread::Builder::new()
             .name("sitw-acceptor".into())
             .spawn(move || accept_loop(listener, acceptor_ctx))?;
+        let puller = ctx
+            .follow
+            .as_ref()
+            .map(|_| {
+                let puller_ctx = Arc::clone(&ctx);
+                std::thread::Builder::new()
+                    .name("sitw-follow-puller".into())
+                    .spawn(move || pull_loop(&puller_ctx))
+            })
+            .transpose()?;
 
         Ok(Server {
             ctx,
             acceptor: Some(acceptor),
+            puller,
             reactor_handles,
             shard_handles,
         })
@@ -989,17 +1020,32 @@ impl Server {
         }
     }
 
+    /// The standby's replication status (`None` without
+    /// [`ServeConfig::follow`]).
+    pub fn follow_status(&self) -> Option<FollowStatus> {
+        (self.ctx.follow.as_ref()).map(|f| f.status(self.ctx.started))
+    }
+
+    /// Promotes a standby in place (in-process equivalent of
+    /// `POST /admin/promote`).
+    pub fn promote(&self) -> Result<(), String> {
+        promote(&self.ctx, "operator request")
+    }
+
     /// Gracefully stops: settles and closes connections (bounded — a
     /// client that never drains its responses is cut off after a grace
     /// period instead of hanging the daemon), stops shards, and writes
     /// the final snapshot to [`ServeConfig::snapshot_path`] when set.
-    /// Returns the final state.
+    /// Returns the final state. An unpromoted standby's state is its
+    /// replica, not its idle shards: that is what it returns and writes,
+    /// and before its first sync it writes nothing.
     pub fn shutdown(mut self) -> io::Result<Snapshot> {
         self.ctx.shutdown.store(true, Ordering::SeqCst);
         self.ctx.wake_acceptor();
         self.ctx.wake_reactors();
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
+        let threads = [self.acceptor.take(), self.puller.take()];
+        for thread in threads.into_iter().flatten() {
+            let _ = thread.join();
         }
         // Reactors keep the shards' reply sinks alive until every
         // connection settles; only then may the shards stop.
@@ -1018,8 +1064,12 @@ impl Server {
                 }
             }
         }
-        let snapshot = merge_exports(self.ctx.cfg.policy.label(), exports);
-        if let Some(path) = &self.ctx.cfg.snapshot_path {
+        let merged = merge_exports(self.ctx.cfg.policy.label(), exports);
+        let (snapshot, write) = match self.ctx.follow.as_ref().filter(|f| f.following()) {
+            Some(follow) => follow.take_replica().map_or((merged, false), |r| (r, true)),
+            None => (merged, true),
+        };
+        if let (true, Some(path)) = (write, &self.ctx.cfg.snapshot_path) {
             snapshot.write_to(path)?;
         }
         Ok(snapshot)
@@ -1081,6 +1131,11 @@ pub(crate) fn parse_and_route(
 /// frames, never inside one.
 pub(crate) fn handle_ctrl_frame(req: &ControlRequest, ctx: &ServerCtx, out: &mut Vec<u8>) {
     ctx.ctrl_frames.fetch_add(1, Ordering::Relaxed);
+    if ctx.following() {
+        // Not a cluster member (nor a replication source) until promoted.
+        wire::encode_error_frame(out, BinErrorCode::Unavailable, NOT_PROMOTED);
+        return;
+    }
     match req {
         ControlRequest::Report => {
             let usage = ctx.tenant_usage();
@@ -1096,6 +1151,23 @@ pub(crate) fn handle_ctrl_frame(req: &ControlRequest, ctx: &ServerCtx, out: &mut
     }
 }
 
+/// A JSON error response: `{"error":"<msg>"}`.
+fn write_error(out: &mut Vec<u8>, status: u16, msg: &str) {
+    let body = format!("{{\"error\":\"{}\"}}", wire::json_escape(msg));
+    write_response(out, status, "application/json", body.as_bytes());
+}
+
+/// The answer to a tenant registration or restore: `{"id":N,"name":"…"}`.
+fn write_tenant(out: &mut Vec<u8>, spec: &TenantSpec) {
+    let mut body = Vec::with_capacity(64);
+    body.extend_from_slice(b"{\"id\":");
+    push_u64(&mut body, spec.id as u64);
+    body.extend_from_slice(b",\"name\":\"");
+    body.extend_from_slice(spec.name.as_bytes());
+    body.extend_from_slice(b"\"}");
+    write_response(out, 200, "application/json", &body);
+}
+
 /// Non-invoke endpoints: health, metrics, admin.
 /// Runs on a reactor thread when the request reaches the head of its
 /// connection's response pipeline (i.e. once every earlier message has
@@ -1107,23 +1179,42 @@ pub(crate) fn handle_control(req: &Request, ctx: &ServerCtx, out: &mut Vec<u8>) 
         Some((p, q)) => (p, q),
         None => (req.path.as_str(), ""),
     };
+    // A standby refuses the data path and every mutating admin verb
+    // until it is promoted. An invoke reaches this function only from a
+    // read burst that found the gate closed.
+    let refused = match (req.method.as_str(), path) {
+        ("POST", "/invoke") => true,
+        ("POST", p) => {
+            ctx.following() && (p == "/admin/snapshot" || p.starts_with("/admin/tenants"))
+        }
+        _ => false,
+    };
+    if refused {
+        return write_error(out, 503, NOT_PROMOTED);
+    }
     match (req.method.as_str(), path) {
         ("GET", "/healthz") => {
             let mut body = Vec::with_capacity(96);
-            body.extend_from_slice(b"{\"status\":\"ok\",\"policy\":\"");
+            body.extend_from_slice(b"{\"status\":\"");
+            let status = if ctx.following() { "following" } else { "ok" };
+            body.extend_from_slice(status.as_bytes());
+            body.extend_from_slice(b"\",\"policy\":\"");
             body.extend_from_slice(ctx.cfg.policy.label().as_bytes());
             body.extend_from_slice(b"\",\"shards\":");
             push_u64(&mut body, ctx.shard_txs.len() as u64);
             body.extend_from_slice(b",\"tenants\":");
             push_u64(&mut body, ctx.registry_read().len() as u64);
             body.extend_from_slice(b",\"uptime_ms\":");
-            push_u64(&mut body, ctx.started.elapsed().as_millis() as u64);
+            push_u64(&mut body, ctx.uptime_ms());
             body.extend_from_slice(b",\"repl_epoch\":");
             push_u64(&mut body, lock_unpoisoned(&ctx.repl).epoch);
             if let Some(e) = &ctx.restore_error {
                 body.extend_from_slice(b",\"restore_error\":\"");
                 body.extend_from_slice(wire::json_escape(e).as_bytes());
                 body.push(b'"');
+            }
+            if let Some(follow) = &ctx.follow {
+                follow.write_health(ctx.started, &mut body);
             }
             body.push(b'}');
             write_response(out, 200, "application/json", &body);
@@ -1164,19 +1255,8 @@ pub(crate) fn handle_control(req: &Request, ctx: &ServerCtx, out: &mut Vec<u8>) 
             let result = sitw_fleet::registry::parse_tenant_arg(arg.trim())
                 .and_then(|(name, policy, budget)| ctx.register_tenant(&name, policy, budget));
             match result {
-                Ok(spec) => {
-                    let mut body = Vec::with_capacity(64);
-                    body.extend_from_slice(b"{\"id\":");
-                    push_u64(&mut body, spec.id as u64);
-                    body.extend_from_slice(b",\"name\":\"");
-                    body.extend_from_slice(spec.name.as_bytes());
-                    body.extend_from_slice(b"\"}");
-                    write_response(out, 200, "application/json", &body);
-                }
-                Err(e) => {
-                    let body = format!("{{\"error\":\"{}\"}}", wire::json_escape(&e));
-                    write_response(out, 400, "application/json", body.as_bytes());
-                }
+                Ok(spec) => write_tenant(out, &spec),
+                Err(e) => write_error(out, 400, &e),
             }
         }
         ("POST", "/admin/snapshot") => match &ctx.cfg.snapshot_path {
@@ -1190,21 +1270,14 @@ pub(crate) fn handle_control(req: &Request, ctx: &ServerCtx, out: &mut Vec<u8>) 
                         body.push(b'}');
                         write_response(out, 200, "application/json", &body);
                     }
-                    Err(e) => {
-                        let body =
-                            format!("{{\"error\":\"{}\"}}", wire::json_escape(&e.to_string()));
-                        write_response(out, 500, "application/json", body.as_bytes());
-                    }
+                    Err(e) => write_error(out, 500, &e.to_string()),
                 }
             }
-            None => {
-                write_response(
-                    out,
-                    400,
-                    "application/json",
-                    b"{\"error\":\"no snapshot path configured\"}",
-                );
-            }
+            None => write_error(out, 400, "no snapshot path configured"),
+        },
+        ("POST", "/admin/promote") => match promote(ctx, "operator request") {
+            Ok(()) => write_response(out, 200, "application/json", b"{\"status\":\"promoted\"}"),
+            Err(e) => write_error(out, 409, &e),
         },
         ("GET", "/debug/trace") => {
             let mut last = 64usize;
@@ -1268,21 +1341,11 @@ pub(crate) fn handle_control(req: &Request, ctx: &ServerCtx, out: &mut Vec<u8>) 
                 }
             }
             if app.is_empty() {
-                write_response(
-                    out,
-                    400,
-                    "application/json",
-                    b"{\"error\":\"missing app= query parameter\"}",
-                );
+                write_error(out, 400, "missing app= query parameter");
             } else {
                 match ctx.policy_probe(tenant, app) {
                     Some(body) => write_response(out, 200, "application/json", body.as_bytes()),
-                    None => write_response(
-                        out,
-                        404,
-                        "application/json",
-                        b"{\"error\":\"unknown tenant or app\"}",
-                    ),
+                    None => write_error(out, 404, "unknown tenant or app"),
                 }
             }
         }
@@ -1341,42 +1404,18 @@ pub(crate) fn handle_control(req: &Request, ctx: &ServerCtx, out: &mut Vec<u8>) 
             match (method, rest.rsplit_once('/')) {
                 ("POST", Some((name, "take"))) => match ctx.take_tenant(name) {
                     Ok(payload) => write_response(out, 200, "text/plain", payload.as_bytes()),
-                    Err((status, e)) => {
-                        let body = format!("{{\"error\":\"{}\"}}", wire::json_escape(&e));
-                        write_response(out, status, "application/json", body.as_bytes());
-                    }
+                    Err((status, e)) => write_error(out, status, &e),
                 },
+                // The payload itself names the tenant; the path segment
+                // is advisory (symmetry with /take).
                 ("POST", Some((_, "restore"))) => {
-                    // The payload itself names the tenant; the path
-                    // segment is advisory (symmetry with /take).
-                    let text = String::from_utf8_lossy(&req.body);
-                    match ctx.restore_tenant(&text) {
-                        Ok(spec) => {
-                            let mut body = Vec::with_capacity(64);
-                            body.extend_from_slice(b"{\"id\":");
-                            push_u64(&mut body, spec.id as u64);
-                            body.extend_from_slice(b",\"name\":\"");
-                            body.extend_from_slice(spec.name.as_bytes());
-                            body.extend_from_slice(b"\"}");
-                            write_response(out, 200, "application/json", &body);
-                        }
-                        Err((status, e)) => {
-                            let body = format!("{{\"error\":\"{}\"}}", wire::json_escape(&e));
-                            write_response(out, status, "application/json", body.as_bytes());
-                        }
+                    match ctx.restore_tenant(&String::from_utf8_lossy(&req.body)) {
+                        Ok(spec) => write_tenant(out, &spec),
+                        Err((status, e)) => write_error(out, status, &e),
                     }
                 }
-                (_, Some((_, "take" | "restore"))) => {
-                    write_response(
-                        out,
-                        405,
-                        "application/json",
-                        b"{\"error\":\"method not allowed\"}",
-                    );
-                }
-                _ => {
-                    write_response(out, 404, "application/json", b"{\"error\":\"not found\"}");
-                }
+                (_, Some((_, "take" | "restore"))) => write_error(out, 405, "method not allowed"),
+                _ => write_error(out, 404, "not found"),
             }
         }
         ("POST", "/admin/shutdown") => {
@@ -1385,23 +1424,13 @@ pub(crate) fn handle_control(req: &Request, ctx: &ServerCtx, out: &mut Vec<u8>) 
             ctx.wake_reactors();
             write_response(out, 200, "application/json", b"{\"status\":\"stopping\"}");
         }
-        ("POST", "/invoke") => unreachable!("handled by the caller"),
         (
             _,
             "/invoke" | "/healthz" | "/metrics" | "/debug/trace" | "/debug/threads" | "/debug/hist"
             | "/debug/events" | "/debug/policy" | "/admin/tenants" | "/admin/snapshot"
-            | "/admin/shutdown",
-        ) => {
-            write_response(
-                out,
-                405,
-                "application/json",
-                b"{\"error\":\"method not allowed\"}",
-            );
-        }
-        _ => {
-            write_response(out, 404, "application/json", b"{\"error\":\"not found\"}");
-        }
+            | "/admin/promote" | "/admin/shutdown",
+        ) => write_error(out, 405, "method not allowed"),
+        _ => write_error(out, 404, "not found"),
     }
 }
 
@@ -1518,6 +1547,30 @@ mod tests {
     fn get(addr: SocketAddr, path: &str) -> Option<(u16, String)> {
         let wait = Duration::from_secs(5);
         crate::http::call(addr, "GET", path, b"", wait, wait).ok()
+    }
+
+    /// Regression: the connection used to take `POST /invoke?x=1` for a
+    /// control request because it compared the raw path, so it reached
+    /// an `unreachable!` arm here and killed the reactor thread; on a
+    /// one-reactor node the next `/healthz` got a reset.
+    #[test]
+    fn invoke_with_a_query_is_served_and_the_reactor_lives() {
+        let server = Server::start(ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            shards: 2,
+            reactor_threads: 1,
+            policy: PolicySpec::fixed_minutes(10),
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let mut client = crate::Client::connect(server.addr()).unwrap();
+        let (status, body) = client
+            .request("POST", "/invoke?x=1", r#"{"app":"q","ts":1}"#)
+            .unwrap();
+        assert_eq!(status, 200, "{body}");
+        assert!(body.contains("\"verdict\":\"cold\""), "{body}");
+        assert_eq!(get(server.addr(), "/healthz").map(|r| r.0), Some(200));
+        server.shutdown().unwrap();
     }
 
     fn telem_server() -> Server {

@@ -178,11 +178,16 @@ pub enum ShardMsg {
         /// The exported state, or `None` if unknown.
         reply: Sender<Option<TenantExport>>,
     },
-    /// Installs a tenant from a migration payload (the second half of a
-    /// cross-node migration), replacing any existing state for that id.
-    RestoreTenant {
-        /// The tenant's spec, apps, and ledger to install.
-        restore: Box<TenantRestore>,
+    /// Installs tenants from restore payloads, replacing any existing
+    /// state for their ids: one tenant for the second half of a
+    /// cross-node migration, a standby's whole partition of its replica
+    /// at promotion. Nothing changes unless every payload restores.
+    Restore {
+        /// The tenants' specs, apps, and ledgers to install.
+        tenants: Vec<TenantRestore>,
+        /// Drop every tenant not in `tenants` first, so the shard holds
+        /// exactly its partition (promotion).
+        replace_all: bool,
         /// `Ok` once installed; `Err` carries the decode failure.
         ack: Sender<Result<(), String>>,
     },
@@ -701,15 +706,29 @@ impl ShardWorker {
                     });
                     let _ = reply.send(export);
                 }
-                ShardMsg::RestoreTenant { restore, ack } => {
-                    let name = restore.spec.name.clone();
-                    // Stamp past the frontier: every migrated-in app
-                    // must ride the next replication round.
+                ShardMsg::Restore {
+                    tenants,
+                    replace_all,
+                    ack,
+                } => {
+                    // Stamp past the frontier: every restored app must
+                    // ride the next replication round.
                     let seq = self.mutation_seq + 1;
-                    let result = Self::build_tenant(*restore, seq).map(|(tid, shard)| {
-                        self.tenants.insert(tid, shard);
+                    let built: Result<Vec<_>, String> = tenants
+                        .into_iter()
+                        .map(|restore| Self::build_tenant(restore, seq))
+                        .collect();
+                    let result = built.map(|built| {
+                        if replace_all {
+                            self.tenants.clear();
+                        }
+                        for (tid, shard) in built {
+                            if !replace_all {
+                                self.push_migration_event(&shard.state.spec().name, "restore");
+                            }
+                            self.tenants.insert(tid, shard);
+                        }
                         self.mutation_seq = seq;
-                        self.push_migration_event(&name, "restore");
                     });
                     let _ = ack.send(result);
                 }
@@ -1310,8 +1329,9 @@ mod tests {
             let before = w.export();
             let (tx, mailbox) = std::sync::mpsc::channel();
             let (ack, refused) = std::sync::mpsc::channel();
-            tx.send(ShardMsg::RestoreTenant {
-                restore: Box::new(restore()),
+            tx.send(ShardMsg::Restore {
+                tenants: vec![restore()],
+                replace_all: false,
                 ack,
             })
             .unwrap();

@@ -3,8 +3,9 @@
 //!
 //! A multi-tenant fleet replay (mixed JSON and SITW-BIN v2 blocks) runs
 //! against a 2-shard primary while a follower pulls the replication
-//! stream; the primary dies mid-trace, the follower promotes into a
-//! 5-shard serving daemon, and the remaining events replay against it.
+//! stream; the primary dies mid-trace, the follower — a 5-shard node
+//! refusing decisions until then — promotes in place, and the remaining
+//! events replay against its same address.
 //! Verdicts, windows, and the per-tenant ledger integrals must be
 //! **bit-identical** to `sitw_sim::fleet_verdict_trace` over the
 //! uninterrupted stream — no snapshot file is ever written, so every
@@ -18,7 +19,7 @@ use std::time::{Duration, Instant};
 use sitw_core::Windows;
 use sitw_fleet::{footprint_mb, FleetEvent, TenantId, TenantRegistry};
 use sitw_serve::wire::{self, BinReply};
-use sitw_serve::{Client, Decision, FollowConfig, Follower, ServeConfig, Server, TenantConfig};
+use sitw_serve::{Client, Decision, FollowConfig, ServeConfig, Server, TenantConfig};
 use sitw_sim::{fleet_verdict_trace, FleetVerdict, PolicySpec};
 use sitw_trace::{app_invocations, build_population, PopulationConfig, TraceConfig, DAY_MS};
 
@@ -165,12 +166,13 @@ fn replay_mixed(addr: SocketAddr, merged: &[WorkloadEvent], online: &mut Vec<Dec
 /// the (now quiescent) primary holds: once a round commits *without*
 /// bumping the epoch, that round was a clean commit — the primary had
 /// nothing dirty left to stream.
-fn wait_caught_up(follower: &Follower) {
+fn wait_caught_up(follower: &Server) {
+    let status = || follower.follow_status().unwrap();
     let deadline = Instant::now() + Duration::from_secs(30);
-    let mut prev = follower.status();
+    let mut prev = status();
     loop {
         std::thread::sleep(Duration::from_millis(20));
-        let s = follower.status();
+        let s = status();
         if s.epoch > 0 && s.rounds > prev.rounds && s.epoch == prev.epoch {
             return;
         }
@@ -209,17 +211,17 @@ fn fleet_failover_replay_matches_uninterrupted_fleet_trace() {
 
     // Warm standby, promoting into a *5-shard* fleet — failover parity
     // must hold across a shard-count change, like restore parity does.
-    let follower = Follower::start(FollowConfig {
-        primary_addr: primary.addr().to_string(),
-        pull_interval: Duration::from_millis(15),
-        serve: ServeConfig {
-            addr: "127.0.0.1:0".into(),
-            shards: 5,
-            policy: fleet.default_policy.clone(),
-            tenants: fleet.tenants.clone(),
-            ..ServeConfig::default()
-        },
-        ..FollowConfig::default()
+    let follower = Server::start(ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        shards: 5,
+        policy: fleet.default_policy.clone(),
+        tenants: fleet.tenants.clone(),
+        follow: Some(FollowConfig {
+            primary_addr: primary.addr().to_string(),
+            pull_interval: Duration::from_millis(15),
+            ..FollowConfig::default()
+        }),
+        ..ServeConfig::default()
     })
     .unwrap();
 
@@ -266,15 +268,14 @@ fn fleet_failover_replay_matches_uninterrupted_fleet_trace() {
     // semantics: the replica alone must carry the state forward.
     let _ = primary.shutdown().unwrap();
 
-    // Supervised promotion over the operator endpoint.
+    // Supervised promotion over the operator endpoint: the standby
+    // serves on its own address.
     let (status, body) = ctl.request("POST", "/admin/promote", "").unwrap();
     assert_eq!(status, 200, "{body}");
-    let key = "\"serve_addr\":\"";
-    let rest = &body[body.find(key).expect("serve_addr in promote reply") + key.len()..];
-    let serve_addr: SocketAddr = rest[..rest.find('"').unwrap()].parse().unwrap();
-    assert_eq!(follower.status().promoted, Some(serve_addr));
+    let serve_addr = follower.addr();
+    assert!(follower.follow_status().unwrap().promoted);
     let (_, health) = ctl.request("GET", "/healthz", "").unwrap();
-    assert!(health.contains("\"status\":\"promoted\""), "{health}");
+    assert!(health.contains("\"status\":\"ok\""), "{health}");
 
     // Phase 2: the rest of the trace against the promoted daemon.
     replay_mixed(serve_addr, &merged[half..], &mut online);
@@ -364,9 +365,12 @@ fn fleet_failover_replay_matches_uninterrupted_fleet_trace() {
     assert!(ev.contains("\"kind\":\"promotion\""), "{ev}");
     assert!(ev.contains("operator request"), "{ev}");
 
-    // Shutting the follower down drains the promoted server gracefully.
+    // Shutting the promoted node down drains it gracefully.
     let final_snap = follower.shutdown().unwrap();
-    assert!(final_snap.is_some(), "promoted server yields its snapshot");
+    assert!(
+        !final_snap.tenants.is_empty(),
+        "promoted node yields its snapshot"
+    );
 }
 
 #[test]
@@ -404,17 +408,17 @@ fn follower_auto_promotes_when_primary_dies_silently() {
         ..ServeConfig::default()
     })
     .unwrap();
-    let follower = Follower::start(FollowConfig {
-        primary_addr: primary.addr().to_string(),
-        pull_interval: Duration::from_millis(20),
-        auto_promote_after: Some(Duration::from_millis(250)),
-        serve: ServeConfig {
-            addr: "127.0.0.1:0".into(),
-            shards: 3,
-            policy: PolicySpec::fixed_minutes(10),
-            ..ServeConfig::default()
-        },
-        ..FollowConfig::default()
+    let follower = Server::start(ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        shards: 3,
+        policy: PolicySpec::fixed_minutes(10),
+        follow: Some(FollowConfig {
+            primary_addr: primary.addr().to_string(),
+            pull_interval: Duration::from_millis(20),
+            auto_promote_after: Some(Duration::from_millis(250)),
+            ..FollowConfig::default()
+        }),
+        ..ServeConfig::default()
     })
     .unwrap();
 
@@ -435,17 +439,15 @@ fn follower_auto_promotes_when_primary_dies_silently() {
     // its own.
     let _ = primary.shutdown().unwrap();
     let deadline = Instant::now() + Duration::from_secs(20);
-    let serve_addr = loop {
-        if let Some(addr) = follower.status().promoted {
-            break addr;
-        }
+    while !follower.follow_status().unwrap().promoted {
         assert!(
             Instant::now() < deadline,
             "auto-promotion never fired: {:?}",
-            follower.status()
+            follower.follow_status()
         );
         std::thread::sleep(Duration::from_millis(25));
-    };
+    }
+    let serve_addr = follower.addr();
 
     let mut client = Client::connect(serve_addr).unwrap();
     for (app, ts) in &merged[half..] {

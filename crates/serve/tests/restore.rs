@@ -13,17 +13,26 @@ use sitw_serve::{ServeConfig, Server, Snapshot};
 const HYBRID: &str = include_str!("golden/hybrid_2shard.snapshot");
 const PRODUCTION: &str = include_str!("golden/production_2shard.snapshot");
 
-/// Decodes `text` and starts a three-shard node on it (a shard count
-/// other than the one that wrote the goldens).
+/// Writes `text` to a file and starts a three-shard node restoring from
+/// it (a shard count other than the one that wrote the goldens).
 fn start(policy: PolicySpec, text: &str) -> io::Result<Server> {
-    let snapshot = Snapshot::decode(text).expect("the text format is well formed");
-    Server::start(ServeConfig {
+    Snapshot::decode(text).expect("the text format is well formed");
+    let dir = std::env::temp_dir().join(format!("sitw-restore-{}", std::process::id()));
+    std::fs::create_dir_all(&dir)?;
+    let path = dir.join(format!(
+        "{:016x}.snapshot",
+        sitw_fleet::fnv1a(text.as_bytes())
+    ));
+    std::fs::write(&path, text)?;
+    let server = Server::start(ServeConfig {
         addr: "127.0.0.1:0".into(),
         shards: 3,
         policy,
-        restore_snapshot: Some(snapshot),
+        restore_path: Some(path.clone()),
         ..ServeConfig::default()
-    })
+    });
+    std::fs::remove_file(path)?;
+    server
 }
 
 fn hybrid() -> PolicySpec {
