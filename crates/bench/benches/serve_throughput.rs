@@ -48,9 +48,9 @@
 //! `cpu_us_per_decision`, run on every PR).
 //!
 //! ISSUE-14 re-measured the ISSUE-3 gate. Its original premise — JSON
-//! pays a shard mailbox hop per request, a frame pays one per batch —
-//! no longer holds: JSON requests of one read burst now ride one
-//! `InvokeBatch` per shard, exactly like a frame. The gate still clears
+//! pays a shard hand-off per request, a frame pays one per batch — no
+//! longer holds: JSON requests of one read burst now take each shard's
+//! lock once, exactly like a frame. The gate still clears
 //! with room (four in-run measurements: bin batch=16 at 2.5–3.3× and
 //! batch=128 at 4.0–5.0× the json rate; 2.5× / 3.9× in the committed
 //! file before), for two reasons the floor now stands for. First, what
@@ -82,8 +82,8 @@ use sitw_trace::DAY_MS;
 const EVENTS: usize = 20_000;
 
 /// The ISSUE-3 acceptance floor: BIN at batch ≥ 16 vs JSON, same shards.
-/// Since ISSUE-14 both ride one mailbox hop per batch, so the ratio is
-/// the framing-and-codec gap (see the module docs).
+/// A JSON run and a frame both take each shard's lock once, so the
+/// ratio is the framing-and-codec gap (see the module docs).
 const GATE_RATIO: f64 = 1.5;
 
 /// The ISSUE-4 acceptance floor: 4-tenant fleet mode vs single-tenant,

@@ -16,9 +16,10 @@
 //! few clock reads per request; disable only to measure it.
 //!
 //! `--reactor-threads` sizes the epoll event-loop pool that multiplexes
-//! every client connection (a handful of threads serves thousands of
-//! mostly idle keep-alive connections; `--shards` sets decision
-//! throughput). `--idle-timeout-ms` bounds how long a *half-received*
+//! every client connection and decides its requests (a handful of
+//! threads serves thousands of mostly idle keep-alive connections, and
+//! sets how many cores decide at once); `--shards` sets the partitions
+//! of policy state, each behind its own lock. `--idle-timeout-ms` bounds how long a *half-received*
 //! message may stall before the connection is dropped (slowloris
 //! defense); fully idle keep-alive connections are never timed out.
 //!

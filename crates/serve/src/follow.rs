@@ -21,8 +21,8 @@
 //! failover, or the optional dead-primary auto policy) restores the
 //! replica into the running shards through the path the snapshot-parity
 //! tests prove bit-identical — `build_registry`, `partition_restore` and
-//! [`ShardMsg::Restore`], which replaces each shard's whole tenant set —
-//! and then opens the gate on the same address. A failed-over daemon
+//! a restore that replaces each shard's whole tenant set, under that
+//! shard's lock — and then opens the gate on the same address. A failed-over daemon
 //! therefore emits exactly the verdicts an uninterrupted one would (the
 //! paper's §6 hourly-backup story, upgraded from restart recovery to hot
 //! standby).
@@ -30,7 +30,7 @@
 use std::io::Write;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use sitw_telemetry::{lock_unpoisoned, EventKind};
@@ -38,7 +38,6 @@ use sitw_telemetry::{lock_unpoisoned, EventKind};
 use crate::http::{ConnBuf, Reply};
 use crate::metrics::ReplStats;
 use crate::server::{build_registry, partition_restore, ServerCtx};
-use crate::shard::ShardMsg;
 use crate::snapshot::{apply_delta, Snapshot};
 use crate::wire::{self, ServerFrameDecode};
 
@@ -219,7 +218,8 @@ pub(crate) struct Follow {
     /// shards and the registry hold the replica, read with `Acquire`, so
     /// a reactor that finds it open routes against the restored state.
     following: AtomicBool,
-    /// Also serializes promotions.
+    /// Also serializes promotions: the first lock in the server's lock
+    /// order, held while promotion takes the shards and the registry.
     shared: Mutex<FollowShared>,
 }
 
@@ -329,16 +329,9 @@ pub(crate) fn promote(ctx: &ServerCtx, reason: &str) -> Result<(), String> {
     }
     if let Some(snap) = &shared.replica.snap {
         let registry = build_registry(&ctx.cfg, Some(snap))?;
-        let partition = partition_restore(&registry, Some(snap.clone()), ctx.shard_txs.len());
-        for (tx, tenants) in ctx.shard_txs.iter().zip(partition) {
-            let (ack, done) = mpsc::channel();
-            let restore = ShardMsg::Restore {
-                tenants,
-                replace_all: true,
-                ack,
-            };
-            tx.send(restore).map_err(|_| "shard unavailable")?;
-            done.recv().map_err(|_| "shard unavailable")??;
+        let partition = partition_restore(&registry, Some(snap.clone()), ctx.shards.len());
+        for (i, tenants) in partition.into_iter().enumerate() {
+            ctx.shard(i)?.restore(tenants, true)?;
         }
         *ctx.registry.write().unwrap_or_else(PoisonError::into_inner) = registry;
     }
@@ -631,7 +624,7 @@ mod tests {
         let standby = standby.unwrap();
         wait_caught_up(&standby);
         let replica = standby.shutdown().unwrap();
-        assert_eq!(replica, primary.snapshot());
+        assert_eq!(replica, primary.snapshot().unwrap());
         assert_eq!(Snapshot::load(&path).unwrap(), replica);
         primary.shutdown().unwrap();
         let _ = std::fs::remove_dir_all(dir);
@@ -669,7 +662,7 @@ mod tests {
             ..standby_cfg(&primary.addr().to_string(), None)
         };
         let standby = Server::start(cfg.clone()).unwrap();
-        let before: Vec<(u16, String)> = (standby.snapshot().tenants.iter())
+        let before: Vec<(u16, String)> = (standby.snapshot().unwrap().tenants.iter())
             .map(|t| (t.id, t.name.clone()))
             .collect();
         assert_eq!(before[0], (1, "c".to_owned()));
@@ -702,7 +695,7 @@ mod tests {
             let row = format!("sitw_serve_tenant_invocations_total{{tenant=\"{t}\"}} 0\n");
             assert_eq!(text.matches(&row).count(), 1, "{t}: {text}");
         }
-        assert_eq!(standby.snapshot(), replica);
+        assert_eq!(standby.snapshot().unwrap(), replica);
         standby.shutdown().unwrap();
     }
 

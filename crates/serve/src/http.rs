@@ -458,6 +458,9 @@ impl ConnBuf {
     /// header block and returns the declared content length, which is
     /// checked against `max_body` *before* any of the body is waited
     /// for; the header block itself is capped at [`MAX_HEADER_BYTES`].
+    /// The cap is on where the blank line starts, not on what happens to
+    /// be buffered, so a block is refused or accepted the same way
+    /// however the peer's bytes were segmented.
     // sitw-lint: hot-path
     fn frame_http(
         &mut self,
@@ -467,6 +470,9 @@ impl ConnBuf {
         loop {
             let window = &self.buf[self.start..];
             if let Some(header_end) = find_crlfcrlf(window) {
+                if header_end > MAX_HEADER_BYTES {
+                    return Err(invalid("header too large"));
+                }
                 let declared = head(&window[..header_end]).map_err(invalid)?;
                 if declared > max_body as u64 {
                     return Ok(HttpFrame::TooLarge { declared });
@@ -483,7 +489,9 @@ impl ConnBuf {
                 }
                 return Ok(HttpFrame::Ready { head_len, body_len });
             }
-            if self.buffered() > MAX_HEADER_BYTES {
+            // No blank line yet: once none can start within the cap, the
+            // block is too large however the rest arrives.
+            if self.buffered() >= MAX_HEADER_BYTES + 4 {
                 return Err(invalid("header too large"));
             }
             if !self.fill_more("eof mid-header")? {

@@ -11,16 +11,15 @@
 //!   connection over `sitw_reactor`'s raw epoll/eventfd bindings —
 //!   thousands of mostly idle keep-alive clients cost a slab entry
 //!   each, not a thread — with buffer reuse from the socket to the
-//!   shard and back (a dispatched batch's buffers return in its reply,
-//!   so a steady-state decision allocates nothing on either thread;
-//!   `tests/alloc_free_wire.rs` counts it), coalesced response writes,
-//!   read-backpressure hysteresis, a slowloris idle timeout, and
+//!   shard and back (a steady-state decision allocates nothing;
+//!   `tests/alloc_free_wire.rs` counts it), one response write per read
+//!   burst, read-backpressure hysteresis, a slowloris idle timeout, and
 //!   connection gauges in `/metrics`.
-//! * **Sharded policy state** ([`shard`]): N worker threads each own the
-//!   per-application policy state for their hash slice of the app space.
-//!   Requests reach shards through mailbox channels; there are **no
-//!   shared locks on the decision path**, so a shard's state needs no
-//!   synchronization at all. In production mode
+//! * **Sharded policy state** ([`shard`]): N shards each hold the
+//!   per-application policy state for their hash slice of the app space,
+//!   each behind its own mutex. The reactor that read a frame or a run
+//!   of JSON requests decides it itself, one shard's slice at a time
+//!   under that shard's lock. In production mode
 //!   ([`sitw_sim::PolicySpec::Production`]) each shard runs a
 //!   shard-local [`sitw_core::ProductionManager`] — daily histograms,
 //!   two-week retention, recency-weighted aggregation, pre-warms
@@ -37,8 +36,8 @@
 //!   through six stages — read → decode → queue → decide → render →
 //!   write — into per-thread span rings and per-stage histograms, with
 //!   reactor introspection counters (epoll waits, wakeups, events per
-//!   wake, write-coalescing bursts, backpressure transitions, mailbox
-//!   depths). Recording is lock-light (`try_lock` per site) and
+//!   wake, write bursts, backpressure transitions, inbox depths).
+//!   Recording is lock-light (`try_lock` per site) and
 //!   allocation-free in steady state; `telemetry: false` removes every
 //!   clock read from the hot path.
 //! * **Snapshot/restore** ([`snapshot`]): the complete per-app policy
@@ -66,13 +65,13 @@
 //! * **SITW-BIN v1** ([`wire`]): a length-prefixed batched binary
 //!   protocol on the same port, sniffed per message on its first byte
 //!   ([`wire::BIN_MAGIC`] vs an ASCII method letter). A frame of up to
-//!   [`wire::MAX_BATCH`] invocations crosses each shard mailbox in one
-//!   message and is answered by fixed 9-byte verdict records, so the
-//!   per-decision parse/format/syscall/wake cost is amortized over the
-//!   whole batch. Malformed frames get typed error frames; whenever the
+//!   [`wire::MAX_BATCH`] invocations takes each owning shard's lock once
+//!   and is answered by fixed 9-byte verdict records, so the
+//!   per-decision parse/format/syscall cost is amortized over the whole
+//!   batch. Malformed frames get typed error frames; whenever the
 //!   length-prefixed envelope is intact the connection stays usable.
-//!   The batch is the *only* dispatch unit: pipelined JSON requests of
-//!   one read burst cross each shard mailbox as one message too.
+//!   The batch is the *only* decide unit: pipelined JSON requests of
+//!   one read burst take each shard's lock once too.
 //! * **Multi-tenant fleet** (`sitw_fleet` wired through [`shard`] /
 //!   [`server`]): per-tenant policies and keep-alive memory budgets, a
 //!   cluster memory ledger charging each warm container a deterministic
@@ -161,11 +160,8 @@ pub use loadgen::{run_loadgen, run_loadgen_cluster, LoadGenConfig, LoadGenReport
 pub use metrics::{
     ConnStats, MetricsReport, ProtoHists, ProtoStats, ReactorStats, ShardStats, TenantStats,
 };
-pub use reactor::ReplySink;
 pub use server::{ServeConfig, Server, TenantConfig};
-pub use shard::{
-    shard_of, BatchItem, BatchReply, BatchSpans, Decision, InvokeError, TenantRestore,
-};
+pub use shard::{shard_of, BatchItem, BatchReply, Decision, InvokeError, TenantRestore};
 pub use snapshot::{
     apply_delta, AppRecord, PolicyState, ShardExport, Snapshot, SnapshotError, TenantExport,
     TenantSnapshot,

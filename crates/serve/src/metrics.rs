@@ -44,9 +44,9 @@ pub struct ReactorStats {
     pub reactor: usize,
     /// Read-stage latency (socket readable → bytes buffered), ns.
     pub read: ProtoHists,
-    /// Decode-stage latency (bytes → parsed and dispatched), ns.
+    /// Decode-stage latency (bytes → parsed and routed), ns.
     pub decode: ProtoHists,
-    /// Render-stage latency (reply complete → bytes serialized), ns.
+    /// Render-stage latency (decided → bytes serialized), ns.
     pub render: ProtoHists,
     /// Write-stage latency (bytes serialized → flushed to socket), ns.
     pub write: ProtoHists,
@@ -124,14 +124,11 @@ pub struct ShardStats {
     /// decision-latency histogram (empty until the shard has observed
     /// at least one decision).
     pub latency_us: Vec<(f64, f64)>,
-    /// Mailbox wait (batch dispatch → dequeue) on this shard, nanoseconds.
+    /// Wait for this shard's lock (a reactor asking for it → holding
+    /// it), nanoseconds.
     pub queue_ns: ProtoHists,
     /// Policy decision latency on this shard, nanoseconds.
     pub decide_ns: ProtoHists,
-    /// Mailbox backlog drained at the most recent wave (drain-observed).
-    pub mailbox_depth: u64,
-    /// High-water mark of the drain-observed mailbox backlog.
-    pub mailbox_peak: u64,
     /// Per-tenant fleet counters on this shard, ordered by tenant id.
     pub tenants: Vec<TenantStats>,
 }
@@ -597,18 +594,6 @@ impl<'a> NodeScrape<'a> {
             },
         },
         Family {
-            name: "sitw_serve_shard_mailbox_depth",
-            kind: Kind::Gauge,
-            help: "Mailbox backlog drained at the most recent wave",
-            sample: |v, s| per_shard(v, s, |x| x.mailbox_depth),
-        },
-        Family {
-            name: "sitw_serve_shard_mailbox_peak",
-            kind: Kind::Gauge,
-            help: "High-water mark of the drain-observed mailbox backlog",
-            sample: |v, s| per_shard(v, s, |x| x.mailbox_peak),
-        },
-        Family {
             name: "sitw_serve_uptime_ms",
             kind: Kind::Gauge,
             help: "Time since server start",
@@ -642,8 +627,6 @@ mod tests {
             latency_us: vec![(0.5, 1.5), (0.95, 3.0), (0.99, 9.0)],
             queue_ns,
             decide_ns,
-            mailbox_depth: 1,
-            mailbox_peak: 6,
             tenants: vec![
                 TenantStats {
                     id: 0,
@@ -776,7 +759,7 @@ mod tests {
             .contains("sitw_serve_decision_latency_count{stage=\"decide\",tenant=\"default\"} 2"));
         assert!(text.contains("sitw_serve_decision_latency_count{stage=\"read\",proto=\"json\"} 1"));
         assert!(text.contains("sitw_serve_decision_latency_count{stage=\"write\",proto=\"bin\"} 1"));
-        // Reactor and shard introspection.
+        // Reactor introspection.
         assert!(text.contains("sitw_serve_reactor_epoll_waits_total{reactor=\"0\"} 500"));
         assert!(
             text.contains("sitw_serve_reactor_epoll_wait_seconds_total{reactor=\"0\"} 2.000000")
@@ -784,8 +767,6 @@ mod tests {
         assert!(text.contains("sitw_serve_reactor_wakeups_total{reactor=\"0\"} 40"));
         assert!(text.contains("sitw_serve_reactor_backpressure_pauses_total{reactor=\"0\"} 2"));
         assert!(text.contains("sitw_serve_reactor_queue_peak{reactor=\"0\"} 9"));
-        assert!(text.contains("sitw_serve_shard_mailbox_peak{shard=\"1\"} 6"));
-        assert!(text.contains("sitw_serve_shard_mailbox_depth{shard=\"0\"} 1"));
     }
 
     /// Regression (this PR's bugfix satellite): latency quantile gauges

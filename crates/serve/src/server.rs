@@ -1,34 +1,37 @@
-//! The daemon: listener, acceptor, the reactor pool, and lifecycle
-//! (restore → serve → snapshot → shutdown).
+//! The daemon: listener, acceptor, the reactor pool, the shards, and
+//! lifecycle (restore → serve → snapshot → shutdown).
 //!
-//! Threading model: **one acceptor thread, a small fixed pool of
+//! Threading model: **one acceptor thread and a small fixed pool of
 //! reactor threads** ([`ServeConfig::reactor_threads`], see
-//! [`crate::reactor`]), **and N shard worker threads**. The acceptor
-//! only accepts: each new socket is made non-blocking and handed
-//! round-robin to a reactor, which multiplexes all of its connections
-//! over epoll — thousands of mostly idle keep-alive clients cost a slab
-//! entry each, not an OS thread and stack. A reactor parses messages
-//! incrementally ([`crate::http::ConnBuf::read_event_into`]), routes
-//! `(tenant, app)` to a shard — default-tenant apps by app hash, named
-//! tenants whole by tenant hash (see
-//! [`sitw_fleet::TenantRegistry::shard_of`]) — and dispatches with a
-//! [`crate::reactor::ReplySink`] naming the connection's slab token;
-//! shards reply out of band into the reactor's eventfd-woken queue.
+//! [`crate::reactor`]); the N shards are state, each a
+//! [`ShardWorker`] behind its own mutex, not threads. The acceptor only
+//! accepts: each new socket is made non-blocking and handed round-robin
+//! to a reactor, which multiplexes all of its connections over epoll —
+//! thousands of mostly idle keep-alive clients cost a slab entry each,
+//! not an OS thread and stack. A reactor parses messages incrementally
+//! ([`crate::http::ConnBuf::read_event_into`]), routes `(tenant, app)`
+//! to a shard — default-tenant apps by app hash, named tenants whole by
+//! tenant hash (see [`sitw_fleet::TenantRegistry::shard_of`]) — and
+//! decides each shard's slice itself under that shard's lock. Per
+//! connection, every message is answered in arrival order before the
+//! next is read ([`crate::conn`]), so HTTP/1.1 response ordering, frame
+//! ordering under SITW-BIN pipelining, and ordering across protocol
+//! switches hold by construction.
 //!
-//! Per connection, every inbound message (JSON request, SITW-BIN frame,
-//! control request) occupies one slot in an ordered response pipeline
-//! ([`crate::conn`]); responses render strictly from the head, so
-//! HTTP/1.1 response ordering — and frame ordering under server-side
-//! SITW-BIN pipelining, and ordering across protocol switches — holds by
-//! construction while any number of decisions are in flight (bounded by
-//! [`ServeConfig::pipeline_window`] per connection).
+//! **Lock order.** The standby's promotion lock (see [`crate::follow`]),
+//! then the tenant registry, then the replication state, then **one
+//! shard at a time**: a thread holding a shard lock takes no other lock
+//! but the `try_lock`s of the telemetry rings, and never waits on I/O or
+//! a channel. A reactor releases its registry guard before it decides
+//! (`Conn::flush_run` and `Conn::submit_frame`), and the decide path
+//! takes shards in ascending order, each released before the next.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, Sender};
-use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard};
+use std::sync::mpsc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -47,8 +50,8 @@ use sitw_telemetry::{
 use crate::follow::{promote, pull_loop, Follow, FollowConfig, FollowStatus, NOT_PROMOTED};
 use crate::http::{write_response, Request};
 use crate::metrics::{ConnStats, MetricsReport, ProtoStats, ReactorStats, ReplStats, ShardStats};
-use crate::reactor::{reactor_loop, ReactorMsg, ReactorRef};
-use crate::shard::{shard_of, ShardMsg, ShardWorker, TenantRestore};
+use crate::reactor::{reactor_loop, ReactorRef};
+use crate::shard::{shard_of, DirtyShardExport, ShardWorker, TenantRestore};
 use crate::snapshot::{
     decode_tenant_section, encode_tenant_section, AppRecord, ShardExport, Snapshot, SnapshotError,
     TenantSnapshot,
@@ -73,7 +76,9 @@ pub struct TenantConfig {
 pub struct ServeConfig {
     /// Bind address; use port 0 to let the OS choose.
     pub addr: String,
-    /// Number of shard worker threads (≥ 1).
+    /// Number of shards (≥ 1): the partitions app and tenant routing,
+    /// snapshots and replication frontiers are keyed by. A shard is
+    /// state behind a lock, not a thread.
     pub shards: usize,
     /// The policy the default tenant's applications are served under.
     pub policy: PolicySpec,
@@ -95,12 +100,14 @@ pub struct ServeConfig {
     /// how often the slowloris sweep runs. (Historically the per-socket
     /// read timeout, which bounded the same things.)
     pub read_timeout: Duration,
-    /// Maximum in-flight decisions per connection (JSON requests, and
-    /// records across in-flight SITW-BIN frames).
+    /// Most pipelined JSON requests one run collects before it is
+    /// decided (reading pauses until it is). A SITW-BIN frame is decided
+    /// as it arrives; the output backlog cap bounds the rest.
     pub pipeline_window: usize,
-    /// Event-loop threads multiplexing the connections (≥ 1). A handful
-    /// serves thousands of mostly idle keep-alive connections; the shard
-    /// count, not this, sets decision throughput.
+    /// Event-loop threads multiplexing the connections (≥ 1). They do
+    /// all the deciding too, so this, not the shard count, sets how many
+    /// cores decide at once; a handful serves thousands of mostly idle
+    /// keep-alive connections.
     pub reactor_threads: usize,
     /// How long a *half-received* message may sit without progress
     /// before the connection is closed (slowloris defense, and the bound
@@ -156,11 +163,12 @@ struct ReplState {
 pub(crate) struct ServerCtx {
     pub(crate) cfg: ServeConfig,
     pub(crate) addr: SocketAddr,
-    pub(crate) shard_txs: Vec<Sender<ShardMsg>>,
-    /// The tenant registry. Read-locked briefly per message to resolve
-    /// names/ids and routes; write-locked only by the admin registration
-    /// and promotion paths. Decision state itself stays lock-free in the
-    /// shards.
+    /// The shards, in routing order (see the lock order in the module
+    /// docs). A poisoned shard is refused, never recovered.
+    pub(crate) shards: Vec<Mutex<ShardWorker>>,
+    /// The tenant registry. Read-locked briefly per read burst or frame
+    /// to resolve names/ids and routes; write-locked only by the admin
+    /// registration and promotion paths.
     pub(crate) registry: RwLock<TenantRegistry>,
     pub(crate) shutdown: AtomicBool,
     pub(crate) started: Instant,
@@ -186,7 +194,7 @@ pub(crate) struct ServerCtx {
     /// The reactor pool's queues and wakers.
     pub(crate) reactors: Vec<ReactorRef>,
     /// Shared telemetry state: per-reactor flight recorders/histograms,
-    /// per-shard recorders, and inbox depth gauges.
+    /// per-shard recorders, and reactor inbox gauges.
     pub(crate) telem: TelemCtx,
     /// Replication-source state (followers pull via `FRAME_REPL_ACK`).
     repl: Mutex<ReplState>,
@@ -229,17 +237,21 @@ impl ServerCtx {
         }
     }
 
+    /// Locks shard `i`. A poisoned shard — a panic while it was locked
+    /// may have left its decision state half updated — is refused with
+    /// a message, never recovered.
+    pub(crate) fn shard(&self, i: usize) -> Result<MutexGuard<'_, ShardWorker>, String> {
+        self.shards[i]
+            .lock()
+            .map_err(|_| format!("shard {i} unavailable (poisoned)"))
+    }
+
+    /// Every shard's counters; a poisoned shard is left out (its
+    /// `/debug/threads` entry says so).
     fn scrape(&self) -> MetricsReport {
-        let mut shards: Vec<ShardStats> = Vec::with_capacity(self.shard_txs.len());
-        for tx in &self.shard_txs {
-            let (reply_tx, reply_rx) = mpsc::channel();
-            if tx.send(ShardMsg::Scrape(reply_tx)).is_ok() {
-                if let Ok(stats) = reply_rx.recv() {
-                    shards.push(stats);
-                }
-            }
-        }
-        shards.sort_by_key(|s| s.shard);
+        let shards: Vec<ShardStats> = (0..self.shards.len())
+            .filter_map(|i| self.shard(i).ok().map(|w| w.stats()))
+            .collect();
         let mut reactors: Vec<ReactorStats> = Vec::new();
         if self.telem.enabled {
             for (i, shared) in self.telem.reactors.iter().enumerate() {
@@ -304,135 +316,103 @@ impl ServerCtx {
         }
     }
 
-    /// Resolves `(tenant name, app)` to the owning shard and asks it to
-    /// render the app's live policy state (decision provenance). `None`
-    /// when the tenant name or app is unknown.
-    fn policy_probe(&self, tenant: &str, app: &str) -> Option<String> {
+    /// Resolves `(tenant name, app)` to the owning shard and renders the
+    /// app's live policy state (decision provenance): 404 when the
+    /// tenant name or app is unknown, 503 when the shard is unavailable.
+    fn policy_probe(&self, tenant: &str, app: &str) -> Result<String, (u16, String)> {
+        let unknown = || (404, "unknown tenant or app".to_owned());
         let (id, shard) = {
             let registry = self.registry_read();
-            let id = registry.resolve(tenant)?;
-            (id, registry.shard_of(id, app, self.shard_txs.len()))
+            let id = registry.resolve(tenant).ok_or_else(unknown)?;
+            (id, registry.shard_of(id, app, self.shards.len()))
         };
-        let (reply_tx, reply_rx) = mpsc::channel();
-        self.shard_txs[shard]
-            .send(ShardMsg::PolicyProbe {
-                tenant: id,
-                app: app.to_owned(),
-                reply: reply_tx,
-            })
-            .ok()?;
-        reply_rx.recv().ok()?
+        let worker = self.shard(shard).map_err(|e| (503, e))?;
+        worker.policy_probe(id, app).ok_or_else(unknown)
     }
 
-    fn snapshot(&self) -> Snapshot {
-        let mut exports: Vec<ShardExport> = Vec::new();
-        for tx in &self.shard_txs {
-            let (reply_tx, reply_rx) = mpsc::channel();
-            if tx.send(ShardMsg::Snapshot(reply_tx)).is_ok() {
-                if let Ok(export) = reply_rx.recv() {
-                    exports.push(export);
-                }
-            }
-        }
-        merge_exports(self.cfg.policy.label(), exports)
+    /// Every shard's export, each taken under its own lock with the
+    /// frontier it was taken at: the records mutated after `since[i]`
+    /// for a replication delta, everything for `None`. Fails on the
+    /// first unavailable shard rather than return part of the state.
+    fn export_shards(&self, since: Option<&[u64]>) -> Result<Vec<DirtyShardExport>, String> {
+        (0..self.shards.len())
+            .map(|i| Ok(self.shard(i)?.export_dirty(since.map(|f| f[i]))))
+            .collect()
     }
 
-    /// Asks one shard for its dirty export since `since`. `None` when
-    /// the shard is shutting down.
-    fn pull_dirty(&self, shard: usize, since: u64) -> Option<crate::shard::DirtyShardExport> {
-        let (reply_tx, reply_rx) = mpsc::channel();
-        self.shard_txs[shard]
-            .send(ShardMsg::ExportDirty {
-                since,
-                reply: reply_tx,
-            })
-            .ok()?;
-        reply_rx.recv().ok()
+    fn snapshot(&self) -> Result<Snapshot, String> {
+        let exports = self.export_shards(None)?;
+        Ok(merge_exports(
+            self.cfg.policy.label(),
+            exports.into_iter().map(|d| d.export),
+        ))
     }
 
     /// Serves one replication round to a pulling follower
     /// ([`wire::FRAME_REPL_ACK`]): a chunked full sync when the
     /// follower's epoch is stale (or 0), a chunked delta of the state
     /// mutated since the last round when it matches, or a lone commit
-    /// (no epoch bump) when nothing changed. Each shard streams its
-    /// dirty subset from its own mailbox turn — no shard pauses, and
-    /// shards keep deciding while others export (the no-stop-the-world
-    /// property the stage histograms assert).
+    /// (no epoch bump) when nothing changed. Each shard exports under its
+    /// own lock, one at a time — no shard pauses while another exports —
+    /// and a round with an unavailable shard is refused with an
+    /// `Unavailable` error frame instead of skipping its state.
     fn repl_round(&self, follower_epoch: u64, out: &mut Vec<u8>) {
         let mut repl = lock_unpoisoned(&self.repl);
         repl.rounds += 1;
         repl.last_pull_ms = self.uptime_ms().max(1);
-        let shards = self.shard_txs.len();
-        if follower_epoch == 0 || follower_epoch != repl.epoch || repl.frontiers.len() != shards {
-            // Full sync. Frontiers are read *before* the snapshot: a
-            // mutation landing in between is both in this sync and in
-            // the next delta — re-sent, never skipped (records carry
-            // absolute state, so re-application is idempotent).
-            let mut frontiers = Vec::with_capacity(shards);
-            for shard in 0..shards {
-                // u64::MAX matches no app: this only reads the frontier.
-                let seq = self.pull_dirty(shard, u64::MAX).map_or(0, |d| d.seq);
-                frontiers.push(seq);
-            }
-            let doc = self.snapshot().encode();
-            let epoch = repl.epoch + 1;
-            wire::encode_repl_round(out, wire::FRAME_REPL_SYNC, epoch, doc.as_bytes());
-            repl.epoch = epoch;
-            repl.frontiers = frontiers;
-            repl.full_syncs += 1;
-            repl.bytes_streamed += doc.len() as u64;
-            drop(repl);
-            self.event(
-                EventKind::ReplSync,
-                format!("epoch {epoch}, {} bytes", doc.len()),
-            );
-            return;
-        }
-        // Delta round: each shard's dirty subset since its frontier.
-        let mut frontiers = Vec::with_capacity(shards);
-        let mut exports: Vec<ShardExport> = Vec::with_capacity(shards);
-        let mut dirty = false;
-        for shard in 0..shards {
-            let since = repl.frontiers[shard];
-            match self.pull_dirty(shard, since) {
-                Some(d) => {
-                    dirty |= d.seq != since;
-                    frontiers.push(d.seq);
-                    exports.push(d.export);
-                }
-                None => {
-                    // Shard unavailable (shutting down): hold the
-                    // frontier so nothing is skipped if we come back.
-                    frontiers.push(since);
-                    exports.push(ShardExport {
-                        tenants: Vec::new(),
-                    });
-                }
-            }
-        }
+        let full = follower_epoch == 0
+            || follower_epoch != repl.epoch
+            || repl.frontiers.len() != self.shards.len();
+        let since = (!full).then(|| repl.frontiers.clone());
+        let exports = match self.export_shards(since.as_deref()) {
+            Ok(exports) => exports,
+            Err(e) => return wire::encode_error_frame(out, BinErrorCode::Unavailable, &e),
+        };
+        let dirty = since
+            .as_ref()
+            .is_none_or(|since| exports.iter().zip(since).any(|(d, &f)| d.seq != f));
         if !dirty {
             // Nothing mutated since the last round: commit the epoch
             // the follower already holds, no bump, no document.
-            wire::encode_repl_commit(out, repl.epoch);
-            return;
+            return wire::encode_repl_commit(out, repl.epoch);
         }
+        // Each export's frontier is exactly its state, so the next delta
+        // starts where this round ends.
+        repl.frontiers = exports.iter().map(|d| d.seq).collect();
         let apps: u64 = exports
             .iter()
-            .flat_map(|e| e.tenants.iter())
+            .flat_map(|d| d.export.tenants.iter())
             .map(|t| t.apps.len() as u64)
             .sum();
-        let doc = merge_exports(self.cfg.policy.label(), exports).encode_delta();
+        let snap = merge_exports(
+            self.cfg.policy.label(),
+            exports.into_iter().map(|d| d.export),
+        );
+        let (kind, doc) = if full {
+            (wire::FRAME_REPL_SYNC, snap.encode())
+        } else {
+            (wire::FRAME_REPL_DELTA, snap.encode_delta())
+        };
         let epoch = repl.epoch + 1;
-        wire::encode_repl_round(out, wire::FRAME_REPL_DELTA, epoch, doc.as_bytes());
+        wire::encode_repl_round(out, kind, epoch, doc.as_bytes());
         repl.epoch = epoch;
-        repl.frontiers = frontiers;
-        repl.apps_streamed += apps;
         repl.bytes_streamed += doc.len() as u64;
+        if !full {
+            repl.apps_streamed += apps;
+            return;
+        }
+        repl.full_syncs += 1;
+        drop(repl);
+        self.event(
+            EventKind::ReplSync,
+            format!("epoch {epoch}, {} bytes", doc.len()),
+        );
     }
 
     /// Registers a tenant at runtime: the owning shard learns about it
-    /// (and acks) *before* the registry exposes the name, so no request
-    /// can race ahead of the shard's state.
+    /// *before* the registry exposes the name (the registry's write lock
+    /// is held across both), so no request can race ahead of the
+    /// shard's state.
     fn register_tenant(
         &self,
         name: &str,
@@ -443,17 +423,8 @@ impl ServerCtx {
         let mut staged = registry.clone();
         let id = staged.register(name, policy, budget_mb)?;
         let spec = staged.get(id).expect("just registered").clone();
-        let home = staged.shard_of(id, "", self.shard_txs.len());
-        let (ack_tx, ack_rx) = mpsc::channel();
-        self.shard_txs[home]
-            .send(ShardMsg::AddTenant {
-                spec: spec.clone(),
-                ack: ack_tx,
-            })
-            .map_err(|_| "shard unavailable (shutting down)".to_owned())?;
-        ack_rx
-            .recv()
-            .map_err(|_| "shard unavailable (shutting down)".to_owned())?;
+        let home = staged.shard_of(id, "", self.shards.len());
+        self.shard(home)?.add_tenant(spec.clone());
         *registry = staged;
         Ok(spec)
     }
@@ -462,52 +433,44 @@ impl ServerCtx {
     /// cluster-stable key (ids are per-node registration order and
     /// diverge after migrations). Default-tenant slices sum across
     /// shards; named tenants live whole on one shard.
-    fn tenant_usage(&self) -> Vec<TenantUsage> {
-        let scrapes = self.shard_txs.iter().filter_map(|tx| {
-            let (reply_tx, reply_rx) = mpsc::channel();
-            tx.send(ShardMsg::Scrape(reply_tx)).ok()?;
-            reply_rx.recv().ok()
-        });
-        let slices = scrapes.flat_map(|stats| stats.tenants);
-        TenantUsage::fold(slices.map(|t| TenantUsage {
+    fn tenant_usage(&self) -> Result<Vec<TenantUsage>, String> {
+        let mut slices = Vec::new();
+        for i in 0..self.shards.len() {
+            slices.extend(self.shard(i)?.stats().tenants);
+        }
+        Ok(TenantUsage::fold(slices.into_iter().map(|t| TenantUsage {
             name: t.name,
             budget_mb: t.budget_mb,
             warm_mb: t.warm_mb,
             evictions: t.evictions,
             idle_mb_ms: t.idle_mb_ms,
             invocations: t.invocations,
-        }))
+        })))
     }
 
     /// Applies a budget push: each named tenant's ledger budget is
     /// replaced by its owning shard (lazy enforcement — no retroactive
     /// verdict changes), and the registry copy follows for display
-    /// coherence. Unknown names and the default tenant (whose sharded
-    /// ledger cannot be budgeted) are skipped, not errors: the router
-    /// reconciles against a snapshot of the node's tenant set, which a
-    /// concurrent migration may have changed.
+    /// coherence. Unknown names, the default tenant (whose sharded
+    /// ledger cannot be budgeted) and tenants on an unavailable shard are
+    /// skipped, not errors: the router reconciles against a snapshot of
+    /// the node's tenant set, which a concurrent migration may have
+    /// changed.
     fn set_budgets(&self, pairs: &[(String, u64)]) -> u32 {
         let mut applied = 0u32;
         for (name, budget_mb) in pairs {
             if name == DEFAULT_TENANT_NAME {
                 continue;
             }
-            let resolved = {
-                let registry = self.registry_read();
-                registry
-                    .resolve(name)
-                    .map(|id| (id, registry.shard_of(id, "", self.shard_txs.len())))
+            let Some((id, home)) = self.home_of(name) else {
+                continue;
             };
-            let Some((id, home)) = resolved else { continue };
-            let (ack_tx, ack_rx) = mpsc::channel();
-            let sent = self.shard_txs[home]
-                .send(ShardMsg::SetBudget {
-                    tenant: id,
-                    budget_mb: *budget_mb,
-                    ack: ack_tx,
-                })
-                .is_ok();
-            if sent && ack_rx.recv() == Ok(true) {
+            // The shard guard is a temporary, released before the
+            // registry is taken again.
+            let found = self
+                .shard(home)
+                .is_ok_and(|mut w| w.set_budget(id, *budget_mb));
+            if found {
                 if let Ok(mut registry) = self.registry.write() {
                     registry.set_budget(id, *budget_mb);
                 }
@@ -517,6 +480,13 @@ impl ServerCtx {
         applied
     }
 
+    /// A named tenant's id and home shard.
+    fn home_of(&self, name: &str) -> Option<(TenantId, usize)> {
+        let registry = self.registry_read();
+        let id = registry.resolve(name)?;
+        Some((id, registry.shard_of(id, "", self.shards.len())))
+    }
+
     /// Exports a tenant's complete state and removes it from this node
     /// (the source half of a migration). Returns the text payload the
     /// target node's `/admin/tenants/<name>/restore` accepts.
@@ -524,26 +494,13 @@ impl ServerCtx {
         if name == DEFAULT_TENANT_NAME {
             return Err((400, "the default tenant cannot migrate".to_owned()));
         }
-        let resolved = {
-            let registry = self.registry_read();
-            registry
-                .resolve(name)
-                .map(|id| (id, registry.shard_of(id, "", self.shard_txs.len())))
-        };
-        let Some((id, home)) = resolved else {
+        let Some((id, home)) = self.home_of(name) else {
             return Err((404, format!("unknown tenant '{name}'")));
         };
-        let (reply_tx, reply_rx) = mpsc::channel();
-        self.shard_txs[home]
-            .send(ShardMsg::TakeTenant {
-                tenant: id,
-                reply: reply_tx,
-            })
-            .map_err(|_| (503, "shard unavailable (shutting down)".to_owned()))?;
-        match reply_rx.recv() {
-            Ok(Some(export)) => Ok(encode_tenant_section(&export)),
-            Ok(None) => Err((409, format!("tenant '{name}' already taken"))),
-            Err(_) => Err((503, "shard unavailable (shutting down)".to_owned())),
+        let export = self.shard(home).map_err(|e| (503, e))?.take_tenant(id);
+        match export {
+            Some(export) => Ok(encode_tenant_section(&export)),
+            None => Err((409, format!("tenant '{name}' already taken"))),
         }
     }
 
@@ -560,7 +517,7 @@ impl ServerCtx {
             let registry = self.registry_read();
             registry.resolve(&section.name).map(|id| {
                 let spec = registry.get(id).expect("resolved id exists").clone();
-                (spec, registry.shard_of(id, "", self.shard_txs.len()))
+                (spec, registry.shard_of(id, "", self.shards.len()))
             })
         };
         let (mut spec, home) = match existing {
@@ -594,7 +551,7 @@ impl ServerCtx {
                     .map_err(|e| (400u16, e))?;
                 let home = {
                     let registry = self.registry_read();
-                    registry.shard_of(spec.id, "", self.shard_txs.len())
+                    registry.shard_of(spec.id, "", self.shards.len())
                 };
                 (spec, home)
             }
@@ -609,19 +566,9 @@ impl ServerCtx {
             ledger: section.ledger,
             prod_clock: section.prod_clock,
         };
-        let (ack_tx, ack_rx) = mpsc::channel();
-        self.shard_txs[home]
-            .send(ShardMsg::Restore {
-                tenants: vec![restore],
-                replace_all: false,
-                ack: ack_tx,
-            })
-            .map_err(|_| (503, "shard unavailable (shutting down)".to_owned()))?;
-        match ack_rx.recv() {
-            Ok(Ok(())) => Ok(spec),
-            Ok(Err(e)) => Err((400, e)),
-            Err(_) => Err((503, "shard unavailable (shutting down)".to_owned())),
-        }
+        let mut worker = self.shard(home).map_err(|e| (503, e))?;
+        worker.restore(vec![restore], false).map_err(|e| (400, e))?;
+        Ok(spec)
     }
 
     /// Unblocks the acceptor's `accept()` after the shutdown flag flips.
@@ -645,13 +592,12 @@ pub struct Server {
     /// A standby's pull loop (see [`crate::follow`]).
     puller: Option<JoinHandle<()>>,
     reactor_handles: Vec<JoinHandle<()>>,
-    shard_handles: Vec<JoinHandle<ShardExport>>,
 }
 
 /// Merges per-shard exports into one snapshot. Default-tenant state is
 /// the union of per-shard slices (apps concatenated, ledger counters
 /// summed, clocks as maxima); named tenants live whole on one shard.
-fn merge_exports(policy_label: String, exports: Vec<ShardExport>) -> Snapshot {
+fn merge_exports(policy_label: String, exports: impl IntoIterator<Item = ShardExport>) -> Snapshot {
     let mut apps: Vec<AppRecord> = Vec::new();
     let mut prod_clock: Option<u64> = None;
     let mut default_ledger = LedgerExport::default();
@@ -842,10 +788,9 @@ impl Server {
             reactors: (0..cfg.reactor_threads).map(|_| Arc::default()).collect(),
             reactor_gauges: (0..cfg.reactor_threads).map(|_| Arc::default()).collect(),
             shard_recorders: (0..cfg.shards)
-                .map(|_| Arc::new(std::sync::Mutex::new(FlightRecorder::new(TRACE_RING))))
+                .map(|_| Arc::new(Mutex::new(FlightRecorder::new(TRACE_RING))))
                 .collect(),
-            shard_gauges: (0..cfg.shards).map(|_| Arc::default()).collect(),
-            events: Arc::new(std::sync::Mutex::new(EventRing::new(EVENT_RING))),
+            events: Arc::new(Mutex::new(EventRing::new(EVENT_RING))),
         };
 
         // Restore before any thread exists. A corrupt file degrades to
@@ -874,8 +819,7 @@ impl Server {
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
         let per_shard = partition_restore(&registry, snap, cfg.shards);
 
-        let mut shard_txs = Vec::with_capacity(cfg.shards);
-        let mut shard_handles = Vec::with_capacity(cfg.shards);
+        let mut shards = Vec::with_capacity(cfg.shards);
         for (id, restore) in per_shard.into_iter().enumerate() {
             let worker = ShardWorker::new(id, restore)
                 .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?
@@ -883,32 +827,22 @@ impl Server {
                     enabled: telem.enabled,
                     clock: telem.clock.clone(),
                     recorder: Arc::clone(&telem.shard_recorders[id]),
-                    gauge: Arc::clone(&telem.shard_gauges[id]),
                     queue: Default::default(),
                     decide: Default::default(),
                     events: Arc::clone(&telem.events),
                 });
-            let (tx, rx) = mpsc::channel();
-            shard_txs.push(tx);
-            shard_handles.push(
-                std::thread::Builder::new()
-                    .name(format!("sitw-shard-{id}"))
-                    .spawn(move || worker.run(rx))?,
-            );
+            shards.push(Mutex::new(worker));
         }
 
         // The reactor pool's plumbing exists before the context so the
         // context can carry every reactor's queue and waker.
         let mut reactors: Vec<ReactorRef> = Vec::with_capacity(cfg.reactor_threads);
-        let mut reactor_parts = Vec::with_capacity(cfg.reactor_threads);
+        let mut inboxes = Vec::with_capacity(cfg.reactor_threads);
         for _ in 0..cfg.reactor_threads {
-            let (tx, rx) = mpsc::channel::<ReactorMsg>();
+            let (tx, rx) = mpsc::channel();
             let waker = Arc::new(Waker::new()?);
-            reactors.push(ReactorRef {
-                tx: tx.clone(),
-                waker: Arc::clone(&waker),
-            });
-            reactor_parts.push((rx, tx, waker));
+            reactors.push(ReactorRef { tx, waker });
+            inboxes.push(rx);
         }
 
         let listener = TcpListener::bind(&cfg.addr)?;
@@ -917,7 +851,7 @@ impl Server {
             follow: cfg.follow.clone().map(Follow::new),
             cfg,
             addr,
-            shard_txs,
+            shards,
             registry: RwLock::new(registry),
             shutdown: AtomicBool::new(false),
             started,
@@ -934,13 +868,13 @@ impl Server {
             restore_error,
         });
 
-        let mut reactor_handles = Vec::with_capacity(reactor_parts.len());
-        for (id, (rx, tx, waker)) in reactor_parts.into_iter().enumerate() {
+        let mut reactor_handles = Vec::with_capacity(inboxes.len());
+        for (id, rx) in inboxes.into_iter().enumerate() {
             let reactor_ctx = Arc::clone(&ctx);
             reactor_handles.push(
                 std::thread::Builder::new()
                     .name(format!("sitw-reactor-{id}"))
-                    .spawn(move || reactor_loop(id, reactor_ctx, rx, tx, waker))?,
+                    .spawn(move || reactor_loop(id, reactor_ctx, rx))?,
             );
         }
 
@@ -964,7 +898,6 @@ impl Server {
             acceptor: Some(acceptor),
             puller,
             reactor_handles,
-            shard_handles,
         })
     }
 
@@ -978,8 +911,9 @@ impl Server {
         self.ctx.scrape()
     }
 
-    /// Captures a snapshot of all shards without stopping the server.
-    pub fn snapshot(&self) -> Snapshot {
+    /// Captures a snapshot of all shards without stopping the server;
+    /// an error names an unavailable (poisoned) shard.
+    pub fn snapshot(&self) -> Result<Snapshot, String> {
         self.ctx.snapshot()
     }
 
@@ -1034,9 +968,10 @@ impl Server {
 
     /// Gracefully stops: settles and closes connections (bounded — a
     /// client that never drains its responses is cut off after a grace
-    /// period instead of hanging the daemon), stops shards, and writes
-    /// the final snapshot to [`ServeConfig::snapshot_path`] when set.
-    /// Returns the final state. An unpromoted standby's state is its
+    /// period instead of hanging the daemon), exports the shards, and
+    /// writes the final snapshot to [`ServeConfig::snapshot_path`] when
+    /// set. Returns the final state, or an error naming a poisoned shard
+    /// (then nothing is written). An unpromoted standby's state is its
     /// replica, not its idle shards: that is what it returns and writes,
     /// and before its first sync it writes nothing.
     pub fn shutdown(mut self) -> io::Result<Snapshot> {
@@ -1047,24 +982,11 @@ impl Server {
         for thread in threads.into_iter().flatten() {
             let _ = thread.join();
         }
-        // Reactors keep the shards' reply sinks alive until every
-        // connection settles; only then may the shards stop.
+        // Every connection has settled: no reactor decides any more.
         for handle in self.reactor_handles.drain(..) {
             let _ = handle.join();
         }
-        for tx in &self.ctx.shard_txs {
-            let _ = tx.send(ShardMsg::Shutdown);
-        }
-        let mut exports: Vec<ShardExport> = Vec::new();
-        for handle in self.shard_handles.drain(..) {
-            match handle.join() {
-                Ok(export) => exports.push(export),
-                Err(_) => {
-                    return Err(io::Error::other("shard panicked"));
-                }
-            }
-        }
-        let merged = merge_exports(self.ctx.cfg.policy.label(), exports);
+        let merged = self.ctx.snapshot().map_err(io::Error::other)?;
         let (snapshot, write) = match self.ctx.follow.as_ref().filter(|f| f.following()) {
             Some(follow) => follow.take_replica().map_or((merged, false), |r| (r, true)),
             None => (merged, true),
@@ -1091,7 +1013,7 @@ fn accept_loop(listener: TcpListener, ctx: Arc<ServerCtx>) {
         let idx = next % ctx.reactors.len();
         let reactor = &ctx.reactors[idx];
         next = next.wrapping_add(1);
-        if reactor.tx.send(ReactorMsg::Conn(stream)).is_err() {
+        if reactor.tx.send(stream).is_err() {
             // Reactor gone (shutting down): the stream just dropped.
             ctx.conns_live.fetch_sub(1, Ordering::Relaxed);
         } else {
@@ -1137,10 +1059,10 @@ pub(crate) fn handle_ctrl_frame(req: &ControlRequest, ctx: &ServerCtx, out: &mut
         return;
     }
     match req {
-        ControlRequest::Report => {
-            let usage = ctx.tenant_usage();
-            wire::encode_control_reply(out, &ControlReply::Report(usage));
-        }
+        ControlRequest::Report => match ctx.tenant_usage() {
+            Ok(usage) => wire::encode_control_reply(out, &ControlReply::Report(usage)),
+            Err(e) => wire::encode_error_frame(out, BinErrorCode::Unavailable, &e),
+        },
         ControlRequest::BudgetSet(pairs) => {
             let applied = ctx.set_budgets(pairs);
             wire::encode_control_reply(out, &ControlReply::BudgetAck { applied });
@@ -1152,7 +1074,7 @@ pub(crate) fn handle_ctrl_frame(req: &ControlRequest, ctx: &ServerCtx, out: &mut
 }
 
 /// A JSON error response: `{"error":"<msg>"}`.
-fn write_error(out: &mut Vec<u8>, status: u16, msg: &str) {
+pub(crate) fn write_error(out: &mut Vec<u8>, status: u16, msg: &str) {
     let body = format!("{{\"error\":\"{}\"}}", wire::json_escape(msg));
     write_response(out, status, "application/json", body.as_bytes());
 }
@@ -1201,7 +1123,7 @@ pub(crate) fn handle_control(req: &Request, ctx: &ServerCtx, out: &mut Vec<u8>) 
             body.extend_from_slice(b"\",\"policy\":\"");
             body.extend_from_slice(ctx.cfg.policy.label().as_bytes());
             body.extend_from_slice(b"\",\"shards\":");
-            push_u64(&mut body, ctx.shard_txs.len() as u64);
+            push_u64(&mut body, ctx.shards.len() as u64);
             body.extend_from_slice(b",\"tenants\":");
             push_u64(&mut body, ctx.registry_read().len() as u64);
             body.extend_from_slice(b",\"uptime_ms\":");
@@ -1260,9 +1182,8 @@ pub(crate) fn handle_control(req: &Request, ctx: &ServerCtx, out: &mut Vec<u8>) 
             }
         }
         ("POST", "/admin/snapshot") => match &ctx.cfg.snapshot_path {
-            Some(path) => {
-                let snapshot = ctx.snapshot();
-                match snapshot.write_to(path) {
+            Some(path) => match ctx.snapshot() {
+                Ok(snapshot) => match snapshot.write_to(path) {
                     Ok(()) => {
                         let mut body = Vec::with_capacity(64);
                         body.extend_from_slice(b"{\"apps\":");
@@ -1271,8 +1192,9 @@ pub(crate) fn handle_control(req: &Request, ctx: &ServerCtx, out: &mut Vec<u8>) 
                         write_response(out, 200, "application/json", &body);
                     }
                     Err(e) => write_error(out, 500, &e.to_string()),
-                }
-            }
+                },
+                Err(e) => write_error(out, 503, &e),
+            },
             None => write_error(out, 400, "no snapshot path configured"),
         },
         ("POST", "/admin/promote") => match promote(ctx, "operator request") {
@@ -1344,8 +1266,8 @@ pub(crate) fn handle_control(req: &Request, ctx: &ServerCtx, out: &mut Vec<u8>) 
                 write_error(out, 400, "missing app= query parameter");
             } else {
                 match ctx.policy_probe(tenant, app) {
-                    Some(body) => write_response(out, 200, "application/json", body.as_bytes()),
-                    None => write_error(out, 404, "unknown tenant or app"),
+                    Ok(body) => write_response(out, 200, "application/json", body.as_bytes()),
+                    Err((status, e)) => write_error(out, status, &e),
                 }
             }
         }
@@ -1376,18 +1298,15 @@ pub(crate) fn handle_control(req: &Request, ctx: &ServerCtx, out: &mut Vec<u8>) 
                     );
                 }
             }
+            // A shard is state, not a thread: what it can report here is
+            // whether it still serves (a poisoned one does not).
             body.push_str("],\"shards\":[");
-            if ctx.telem.enabled {
-                for (i, gauge) in ctx.telem.shard_gauges.iter().enumerate() {
-                    let (depth, peak) = gauge.read();
-                    if i > 0 {
-                        body.push(',');
-                    }
-                    let _ = write!(
-                        body,
-                        "{{\"id\":{i},\"mailbox_depth\":{depth},\"mailbox_peak\":{peak}}}"
-                    );
+            for (i, shard) in ctx.shards.iter().enumerate() {
+                if i > 0 {
+                    body.push(',');
                 }
+                let available = !shard.is_poisoned();
+                let _ = write!(body, "{{\"id\":{i},\"available\":{available}}}");
             }
             let _ = write!(
                 body,
@@ -1535,7 +1454,7 @@ mod tests {
         assert!(shards
             .iter()
             .all(|s| s.tenants.iter().any(|t| t.idle_mb_ms == u64::MAX)));
-        let usage = server.ctx.tenant_usage();
+        let usage = server.ctx.tenant_usage().unwrap();
         assert_eq!(usage.len(), 1, "{usage:?}");
         assert_eq!(usage[0].idle_mb_ms, u64::MAX);
         assert_eq!(usage[0].invocations, 4);
@@ -1693,5 +1612,271 @@ mod tests {
             server.shutdown().unwrap();
         }
         assert!(failed.is_empty(), "no 200 from {failed:?}");
+    }
+
+    /// One verdict as both wire protocols carry it: cold, pre-warm
+    /// load, branch, and the two windows.
+    type Verdict = (bool, bool, sitw_core::DecisionKind, u64, u64);
+
+    /// Runs `body` on its own thread and fails the test if it has not
+    /// returned by `deadline`: a lock-order deadlock fails, not hangs.
+    fn within(deadline: Duration, body: impl FnOnce() + Send + 'static) {
+        let (done, finished) = mpsc::channel();
+        let handle = std::thread::spawn(move || {
+            body();
+            let _ = done.send(());
+        });
+        match finished.recv_timeout(deadline) {
+            Ok(()) => handle.join().unwrap(),
+            Err(mpsc::RecvTimeoutError::Timeout) => panic!("still running after {deadline:?}"),
+            Err(mpsc::RecvTimeoutError::Disconnected) => {
+                std::panic::resume_unwind(handle.join().unwrap_err())
+            }
+        }
+    }
+
+    /// Two reactors decide into the same two shards while four
+    /// connections interleave JSON runs and SITW-BIN frames and a fifth
+    /// scrapes, registers a tenant and snapshots mid-stream. Every
+    /// connection's verdicts equal the offline trace of its own apps.
+    #[test]
+    fn two_reactors_share_the_shards() {
+        use sitw_core::PolicyFactory;
+        const CONNS: usize = 4;
+        const APPS: usize = 6;
+        const ROUNDS: u64 = 40;
+        // Each app beats every ~7 minutes, with a jitter.
+        let ts = |round: u64, k: usize| round * 420_000 + (round % 3) * 20_000 + k as u64;
+        let owned: Vec<Vec<String>> = (0..CONNS)
+            .map(|c| (0..APPS).map(|k| format!("c{c}-app-{k}")).collect())
+            .collect();
+        for apps in &owned {
+            assert!((0..2).all(|s| apps.iter().any(|a| shard_of(a, 2) == s)));
+        }
+        let snap = std::env::temp_dir().join(format!("sitw-shared-{}.snap", std::process::id()));
+        let server = Server::start(ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            shards: 2,
+            reactor_threads: 2,
+            snapshot_path: Some(snap.clone()),
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let addr = server.addr();
+        let progress = Arc::new(AtomicU64::new(0));
+        let clients = owned.clone();
+        within(Duration::from_secs(60), move || {
+            let got: Vec<Vec<Vec<Verdict>>> = std::thread::scope(|scope| {
+                let admin = scope.spawn(|| {
+                    while progress.load(Ordering::Relaxed) < CONNS as u64 * ROUNDS / 2 {
+                        std::thread::yield_now();
+                    }
+                    let mut client = crate::Client::connect(addr).unwrap();
+                    let mut burst = Vec::new();
+                    for (method, path, body) in [
+                        ("GET", "/metrics", ""),
+                        ("POST", "/admin/tenants", "mid=fixed:10"),
+                        ("POST", "/admin/snapshot", ""),
+                    ] {
+                        crate::http::write_request(&mut burst, method, path, None, body.as_bytes())
+                            .unwrap();
+                    }
+                    client.send(&burst).unwrap();
+                    (0..3)
+                        .map(|_| client.response().unwrap())
+                        .collect::<Vec<_>>()
+                });
+                let workers: Vec<_> = clients
+                    .iter()
+                    .map(|apps| {
+                        let progress = &progress;
+                        scope.spawn(move || {
+                            let mut client = crate::Client::connect(addr).unwrap();
+                            let mut seen = vec![Vec::new(); APPS];
+                            for round in 0..ROUNDS {
+                                if round % 2 == 0 {
+                                    let mut burst = Vec::new();
+                                    for (k, app) in apps.iter().enumerate() {
+                                        let body = format!(
+                                            "{{\"app\":\"{app}\",\"ts\":{}}}",
+                                            ts(round, k)
+                                        );
+                                        crate::http::write_request(
+                                            &mut burst,
+                                            "POST",
+                                            "/invoke",
+                                            None,
+                                            body.as_bytes(),
+                                        )
+                                        .unwrap();
+                                    }
+                                    client.send(&burst).unwrap();
+                                    for verdicts in seen.iter_mut() {
+                                        let (status, body) = client.response().unwrap();
+                                        assert_eq!(status, 200, "{body}");
+                                        let d = wire::parse_decision(&body).unwrap();
+                                        verdicts.push((
+                                            d.cold,
+                                            d.prewarm_load,
+                                            d.kind,
+                                            d.windows.pre_warm_ms,
+                                            d.windows.keep_alive_ms,
+                                        ));
+                                    }
+                                } else {
+                                    let records: Vec<(u16, &str, u64)> = (apps.iter().enumerate())
+                                        .map(|(k, app)| (0, app.as_str(), ts(round, k)))
+                                        .collect();
+                                    let reply = client
+                                        .batch(|f| wire::encode_request_frame_v2(f, &records))
+                                        .unwrap();
+                                    for (verdicts, r) in
+                                        seen.iter_mut().zip(reply.records().unwrap())
+                                    {
+                                        let wire::BinReply::Verdict {
+                                            cold,
+                                            prewarm_load,
+                                            kind,
+                                            pre_warm_ms,
+                                            keep_alive_ms,
+                                            ..
+                                        } = r
+                                        else {
+                                            panic!("{r:?}");
+                                        };
+                                        verdicts.push((
+                                            cold,
+                                            prewarm_load,
+                                            kind,
+                                            pre_warm_ms as u64,
+                                            keep_alive_ms as u64,
+                                        ));
+                                    }
+                                }
+                                progress.fetch_add(1, Ordering::Relaxed);
+                            }
+                            seen
+                        })
+                    })
+                    .collect();
+                let got = workers.into_iter().map(|w| w.join().unwrap()).collect();
+                for (status, body) in admin.join().unwrap() {
+                    assert_eq!(status, 200, "{body}");
+                }
+                got
+            });
+            for (apps, got) in owned.iter().zip(got) {
+                for (k, (app, got)) in apps.iter().zip(got).enumerate() {
+                    let events: Vec<u64> = (0..ROUNDS).map(|r| ts(r, k)).collect();
+                    let mut policy = HybridConfig::default().new_policy();
+                    let want: Vec<Verdict> = sitw_sim::verdict_trace(&events, &mut policy)
+                        .iter()
+                        .map(|v| {
+                            let w = v.windows;
+                            (
+                                v.cold,
+                                v.prewarm_load,
+                                v.kind,
+                                w.pre_warm_ms,
+                                w.keep_alive_ms,
+                            )
+                        })
+                        .collect();
+                    assert_eq!(got, want, "{app}");
+                }
+            }
+            let m = server.metrics();
+            assert_eq!(m.invocations(), (CONNS * APPS) as u64 * ROUNDS);
+            assert_eq!(m.conns.reactor_threads, 2);
+            server.shutdown().unwrap();
+        });
+        let _ = std::fs::remove_file(snap);
+    }
+
+    /// A panic while a shard is locked leaves its state suspect, so the
+    /// shard is refused with a typed error on every path — JSON 503, an
+    /// `Unavailable` frame, a 503 from the control paths — while the
+    /// other shard serves both protocols and `/healthz` stays 200.
+    #[test]
+    fn a_poisoned_shard_is_refused_and_the_others_serve() {
+        let snap = std::env::temp_dir().join(format!("sitw-poisoned-{}.snap", std::process::id()));
+        let _ = std::fs::remove_file(&snap);
+        let server = Server::start(ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            shards: 2,
+            policy: PolicySpec::fixed_minutes(10),
+            snapshot_path: Some(snap.clone()),
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let ctx = Arc::clone(&server.ctx);
+        let poisoner = std::thread::spawn(move || {
+            let _shard = ctx.shards[0].lock().unwrap();
+            panic!("a step dies holding shard 0 (expected in this test)");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(server.ctx.shards[0].is_poisoned());
+        let on = |s| {
+            (0..64)
+                .map(|i| format!("p-{i}"))
+                .find(|a| shard_of(a, 2) == s)
+                .unwrap()
+        };
+        let (lost, kept) = (on(0), on(1));
+        let mut client = crate::Client::connect(server.addr()).unwrap();
+
+        // One JSON run across both shards: answered in order, the
+        // poisoned shard's request with 503.
+        let mut burst = Vec::new();
+        for (app, ts) in [(&kept, 1), (&lost, 1), (&kept, 2)] {
+            let body = format!("{{\"app\":\"{app}\",\"ts\":{ts}}}");
+            crate::http::write_request(&mut burst, "POST", "/invoke", None, body.as_bytes())
+                .unwrap();
+        }
+        client.send(&burst).unwrap();
+        let statuses: Vec<u16> = (0..3).map(|_| client.response().unwrap().0).collect();
+        assert_eq!(statuses, [200, 503, 200]);
+
+        // SITW-BIN: a frame on the healthy shard is decided, one that
+        // touches the poisoned shard is refused whole.
+        let records = client
+            .batch(|f| wire::encode_request_frame_v2(f, &[(0, kept.as_str(), 3)]))
+            .unwrap()
+            .records()
+            .unwrap();
+        assert!(matches!(records[..], [wire::BinReply::Verdict { .. }]));
+        let both = [(0, kept.as_str(), 4), (0, lost.as_str(), 4)];
+        match client
+            .batch(|f| wire::encode_request_frame_v2(f, &both))
+            .unwrap()
+        {
+            crate::http::Reply::Frame(wire::ServerFrameDecode::Error { code, .. }) => {
+                assert_eq!(code, BinErrorCode::Unavailable)
+            }
+            other => panic!("{other:?}"),
+        }
+
+        // The control paths report the shard instead of panicking.
+        let (status, health) = client.request("GET", "/healthz", "").unwrap();
+        assert_eq!(status, 200, "{health}");
+        let (status, metrics) = client.request("GET", "/metrics", "").unwrap();
+        assert_eq!(status, 200);
+        assert!(metrics.contains("sitw_serve_invocations_total{shard=\"1\"} 3"));
+        assert!(!metrics.contains("sitw_serve_invocations_total{shard=\"0\"}"));
+        let (_, threads) = client.request("GET", "/debug/threads", "").unwrap();
+        assert!(
+            threads.contains("{\"id\":0,\"available\":false}"),
+            "{threads}"
+        );
+        let policy = |app: &str| format!("/debug/policy?app={app}");
+        assert_eq!(client.request("GET", &policy(&lost), "").unwrap().0, 503);
+        assert_eq!(client.request("GET", &policy(&kept), "").unwrap().0, 200);
+        let (status, body) = client.request("POST", "/admin/snapshot", "").unwrap();
+        assert_eq!(status, 503, "{body}");
+        assert!(server.snapshot().is_err());
+        // Shutdown refuses to write a snapshot missing a shard.
+        drop(client);
+        assert!(server.shutdown().is_err());
+        assert!(!snap.exists());
     }
 }

@@ -1,15 +1,24 @@
-//! Shard workers: each worker thread exclusively owns the per-tenant,
-//! per-application policy state for its slice of the fleet.
+//! Shards: each [`ShardWorker`] holds the per-tenant, per-application
+//! policy state for one slice of the fleet, and the server keeps each one
+//! behind its own mutex.
 //!
-//! The decision path is lock-free by construction — connection threads
-//! route `(tenant, app)` to a shard and exchange messages over `mpsc`
-//! channels, so a shard's state is touched by exactly one thread. The
-//! fleet extends the PR-1 isolation argument one level up: default-tenant
+//! There is no shard thread. The reactor thread that read a SITW-BIN
+//! frame or a run of JSON requests partitions it by `(tenant, app)`
+//! route, then locks each touched shard in ascending order, one at a
+//! time, and decides that shard's slice in arrival order
+//! ([`ShardWorker::decide`]); control paths lock a shard and call its
+//! methods the same way. A shard is therefore touched by one thread at a
+//! time, and uncontended its lock costs two atomic operations. The fleet
+//! extends the per-app isolation argument one level up: default-tenant
 //! apps spread over shards by app hash (apps are independent, §5.1), and
 //! each *named* tenant lands whole on one shard (tenant-name hash), so
 //! its memory ledger — whose eviction decisions couple apps to each
-//! other — has a single writer and a shard-count-independent event
+//! other — has one writer at a time and a shard-count-independent event
 //! order.
+//!
+//! A panic while a shard is locked may leave its decision state half
+//! updated, so the lock is never recovered: the server refuses work for a
+//! poisoned shard with a typed error and keeps serving the others.
 //!
 //! Every tenant is one [`sitw_fleet::TenantState`] — the decision kernel
 //! the offline `FleetSim` steps too: per-app policy state under the
@@ -23,7 +32,7 @@
 //! express. The worker adds what only a daemon has: counters, the
 //! replication frontier, lifecycle events, `/debug/policy`, export.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::mpsc::{Receiver, Sender};
 
@@ -34,10 +43,9 @@ use sitw_fleet::{
 use sitw_telemetry::{EventKind, EventRing, LifecycleEvent, Log2Histogram, SpanEvent, Stage};
 
 use crate::metrics::{ShardStats, TenantStats};
-use crate::pool::{IndexedResult, Spares};
-use crate::reactor::ReplySink;
 use crate::snapshot::{ShardExport, TenantExport};
 use crate::telem::ShardTelem;
+use crate::wire::BinInvoke;
 
 /// One keep-alive decision, as returned to a client: the kernel's
 /// verdict under the name the wire and the harness know it by.
@@ -47,10 +55,6 @@ pub use sitw_fleet::TenantRestore;
 /// Latency quantiles `/metrics` exports as compatibility gauges,
 /// derived from the shard's decision-latency log2 histogram.
 pub const LATENCY_QUANTILES: [f64; 3] = [0.50, 0.95, 0.99];
-
-/// Mailbox messages a worker pulls non-blockingly behind each blocking
-/// `recv` (one telemetry *drain wave*) — bounds the wave's memory.
-const DRAIN_WAVE: usize = 128;
 
 /// Why an invocation was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -64,9 +68,14 @@ pub enum InvokeError {
     },
     /// The tenant id is not registered on this shard. Unreachable from
     /// the daemon's connection path (ids are validated against the
-    /// registry before dispatch); kept as a typed error so the shard
+    /// registry before deciding); kept as a typed error so the shard
     /// never panics on a protocol-level race.
     UnknownTenant,
+    /// The owning shard's lock is poisoned: a panic mid-step may have
+    /// left its state half updated, so it decides nothing more. The
+    /// daemon answers a JSON request with 503 and a frame with an
+    /// `Unavailable` error frame.
+    Unavailable,
 }
 
 /// One record of a batched invoke: the frame-relative index plus the
@@ -84,113 +93,33 @@ pub struct BatchItem {
     pub ts: u64,
 }
 
-/// A shard's answers to one [`ShardMsg::InvokeBatch`]: `(idx, result)`
-/// pairs in submission order, tagged with the frame they belong to so
-/// connections can keep several frames in flight (server-side frame
-/// pipelining). The batch's spent buffers ride back with it, so the
-/// reactor reuses them instead of allocating the next batch's.
+/// A shard's answers to one [`ShardWorker::invoke_batch`]: `(idx,
+/// result)` pairs in submission order, tagged with the batch they
+/// answer.
 #[derive(Debug, Default)]
 pub struct BatchReply {
-    /// The connection-local frame sequence this reply answers.
+    /// The sequence number the batch was submitted with.
     pub frame_seq: u64,
     /// One result per submitted item, tagged with its frame index.
     pub results: Vec<(u32, Result<Decision, InvokeError>)>,
-    /// The decided items, names and all, handed back for reuse.
-    pub items: Vec<BatchItem>,
-    /// A JSON run's span ids, handed back for reuse (empty otherwise).
-    pub spans: Vec<u64>,
 }
 
-/// The protocol a batch arrived on and the span ids its stages are
-/// recorded under, carried beside [`BatchItem`]s so `invoke_batch` stays
-/// a pure decision function.
-#[derive(Debug)]
-pub enum BatchSpans {
+/// The span ids one slice's queue and decide stages are recorded under,
+/// and the protocol whose histograms they land in.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Spans<'a> {
     /// A SITW-BIN frame: one span covers every record.
     Frame(u64),
-    /// A run of JSON requests: one span per item, index-aligned with
-    /// `items` (a request's propagated `x-sitw-trace` id is its span).
-    Json(Vec<u64>),
+    /// A run of JSON requests: one span per request, indexed like the
+    /// run (a request's propagated `x-sitw-trace` id is its span). Empty
+    /// when telemetry is off.
+    Json(&'a [u64]),
 }
 
-impl BatchSpans {
-    /// The span vector to hand back in the reply (empty for a frame).
-    fn into_spent(self) -> Vec<u64> {
-        match self {
-            BatchSpans::Frame(_) => Vec::new(),
-            BatchSpans::Json(spans) => spans,
-        }
-    }
-}
-
-/// Messages a shard worker accepts.
+/// Messages [`ShardWorker::run`] accepts: a mailbox over the methods
+/// the server calls under the shard's lock, for a worker that owns its
+/// thread.
 pub enum ShardMsg {
-    /// One shard's slice of a dispatched batch in one mpsc hop — the
-    /// only way an invocation reaches a worker. A SITW-BIN frame sends
-    /// every record that hashed here; the JSON path sends the run of
-    /// `POST /invoke` requests one read burst parked for this shard. The
-    /// mailbox, reply and wake costs are paid once per batch either way.
-    InvokeBatch {
-        /// Connection-local pipeline sequence of the frame or run
-        /// (echoed in the reply so the connection can pipeline them).
-        frame_seq: u64,
-        /// The shard's slice of the batch, in arrival order.
-        items: Vec<BatchItem>,
-        /// Which protocol the batch arrived on, with its telemetry span
-        /// ids (zeros / empty when telemetry is disabled).
-        spans: BatchSpans,
-        /// Dispatch timestamp (ns since server start; 0 when disabled).
-        /// The shard records dequeue-minus-dispatch as queue wait.
-        sent_ns: u64,
-        /// Where to send the batched reply (the owning reactor's queue).
-        reply: ReplySink,
-        /// An emptied result vector from an earlier reply, for the
-        /// worker to fill instead of allocating one (may be empty).
-        spare: Vec<(u32, Result<Decision, InvokeError>)>,
-    },
-    /// Registers a tenant on this shard (admin path). Acked so the
-    /// registry only exposes the tenant once its shard can serve it.
-    AddTenant {
-        /// The tenant to create (empty state).
-        spec: TenantSpec,
-        /// Acked once the tenant exists.
-        ack: Sender<()>,
-    },
-    /// Replaces a tenant's memory budget (0 = unlimited). Enforcement is
-    /// lazy — the new budget bites on the *next* charge — so applying a
-    /// cluster-reconciled share never rewrites verdicts retroactively.
-    /// Acked with `true` iff the tenant lives on this shard.
-    SetBudget {
-        /// The tenant whose budget to replace.
-        tenant: TenantId,
-        /// The new budget in MB (0 = unlimited).
-        budget_mb: u64,
-        /// Acked with whether the tenant was found.
-        ack: Sender<bool>,
-    },
-    /// Exports a tenant's complete state and removes it from the shard
-    /// (the first half of a cross-node migration). Replies `None` when
-    /// the tenant does not live here. Traffic arriving after the take
-    /// gets typed `UnknownTenant` errors, never a panic.
-    TakeTenant {
-        /// The tenant to export and drop.
-        tenant: TenantId,
-        /// The exported state, or `None` if unknown.
-        reply: Sender<Option<TenantExport>>,
-    },
-    /// Installs tenants from restore payloads, replacing any existing
-    /// state for their ids: one tenant for the second half of a
-    /// cross-node migration, a standby's whole partition of its replica
-    /// at promotion. Nothing changes unless every payload restores.
-    Restore {
-        /// The tenants' specs, apps, and ledgers to install.
-        tenants: Vec<TenantRestore>,
-        /// Drop every tenant not in `tenants` first, so the shard holds
-        /// exactly its partition (promotion).
-        replace_all: bool,
-        /// `Ok` once installed; `Err` carries the decode failure.
-        ack: Sender<Result<(), String>>,
-    },
     /// Renders one app's live policy state as JSON — the decision
     /// provenance view behind `GET /debug/policy`. Replies `None` when
     /// the tenant or app has no state on this shard.
@@ -202,30 +131,13 @@ pub enum ShardMsg {
         /// The rendered JSON body, or `None` if unknown.
         reply: Sender<Option<String>>,
     },
-    /// Report counters and latency percentiles.
-    Scrape(Sender<ShardStats>),
-    /// Export the complete per-app state.
-    Snapshot(Sender<ShardExport>),
-    /// Export only the state mutated after `since` — one shard's half
-    /// of a replication round. The tenant list is always complete
-    /// (specs, ledgers, clocks are cheap and carried wholesale every
-    /// round); only the per-app records are filtered, so the export
-    /// cost scales with the mutation rate, not the fleet size.
-    ExportDirty {
-        /// The replication frontier: apps stamped at or before this
-        /// sequence are skipped (0 exports everything mutated since
-        /// the worker started).
-        since: u64,
-        /// The filtered export plus the new frontier.
-        reply: Sender<DirtyShardExport>,
-    },
-    /// Drain and exit; the worker returns its final state to `join`.
+    /// Stop; the worker returns its final state.
     Shutdown,
 }
 
-/// One shard's answer to [`ShardMsg::ExportDirty`]: the state mutated
-/// since the requested frontier, plus the frontier to ask from next
-/// round.
+/// One shard's half of a replication round ([`ShardWorker::export_dirty`]):
+/// the state mutated since the requested frontier, plus the frontier to
+/// ask from next round.
 #[derive(Debug)]
 pub struct DirtyShardExport {
     /// The worker's mutation sequence at export time. Feeding it back
@@ -261,7 +173,7 @@ impl TenantShard {
     }
 }
 
-/// The state owned by one shard worker thread.
+/// One shard's state: its tenants, counters and telemetry.
 pub struct ShardWorker {
     id: usize,
     tenants: HashMap<TenantId, TenantShard>,
@@ -274,12 +186,9 @@ pub struct ShardWorker {
     /// rounds can export the dirty subset without pausing the shard.
     mutation_seq: u64,
     telem: ShardTelem,
-    /// Per-frame `(tenant, records)` counts, reused across batches so
+    /// Per-slice `(tenant, records)` counts, reused across slices so
     /// per-tenant histogram attribution stays allocation-free.
     tenant_scratch: Vec<(TenantId, u64)>,
-    /// Emptied result vectors the reactors sent back with their
-    /// batches; `invoke_batch` fills one instead of allocating.
-    spare_results: Spares<IndexedResult>,
 }
 
 impl ShardWorker {
@@ -305,7 +214,6 @@ impl ShardWorker {
             mutation_seq: 0,
             telem: ShardTelem::default(),
             tenant_scratch: Vec::new(),
-            spare_results: Spares::default(),
         })
     }
 
@@ -415,29 +323,171 @@ impl ShardWorker {
 
     /// Classifies a whole batch in order. Decisions are identical to
     /// calling [`ShardWorker::invoke`] per item — batching only changes
-    /// transport cost, never outcomes. Timing lives in the mailbox loop
-    /// (the batch is clocked once and recorded per record at the batch
-    /// mean), so this method stays a pure decision function. The items
-    /// go back in the reply, and the results fill a spare vector when a
-    /// reactor has sent one.
-    // sitw-lint: hot-path
+    /// transport cost, never outcomes.
     pub fn invoke_batch(&mut self, frame_seq: u64, items: Vec<BatchItem>) -> BatchReply {
-        let mut results = self.spare_results.take();
-        results.reserve(items.len());
-        for item in &items {
-            results.push((item.idx, self.invoke(item.tenant, &item.app, item.ts)));
+        let results = items
+            .iter()
+            .map(|item| (item.idx, self.invoke(item.tenant, &item.app, item.ts)))
+            .collect();
+        BatchReply { frame_seq, results }
+    }
+
+    /// Decides this shard's slice of a frame or JSON run: the records at
+    /// `slice`'s indexes, in that order, each result written at its
+    /// record's index. Decisions are identical to calling
+    /// [`ShardWorker::invoke`] per record. The caller holds the shard's
+    /// lock and asked for it at `wait_ns`, so with telemetry on the queue
+    /// stage is the lock wait; the slice is clocked once and each record
+    /// recorded at the slice mean, which keeps the stage histograms
+    /// invocation-weighted with exact counts and no clock read per
+    /// decision. An index out of range is skipped, not a panic.
+    // sitw-lint: hot-path
+    pub(crate) fn decide(
+        &mut self,
+        records: &[BinInvoke],
+        slice: &[u32],
+        results: &mut [Result<Decision, InvokeError>],
+        spans: Spans<'_>,
+        wait_ns: u64,
+    ) {
+        let mut decide_all = |worker: &mut Self| {
+            for &i in slice {
+                let i = i as usize;
+                if let (Some(r), Some(slot)) = (records.get(i), results.get_mut(i)) {
+                    *slot = worker.invoke(r.tenant, &r.app, r.ts);
+                }
+            }
+        };
+        if !self.telem.enabled {
+            // Telemetry off: no clock reads, no histogram touches — the
+            // decisions are the whole hot path.
+            decide_all(self);
+            return;
         }
-        BatchReply {
-            frame_seq,
-            results,
-            items,
-            // Empty, so no allocation; the mailbox loop hands a JSON
-            // run's span vector back here.
-            spans: Vec::new(), // sitw-lint: allow(hot-path-alloc)
+        // Per-tenant record counts (scratch reused across slices).
+        self.tenant_scratch.clear();
+        for r in slice.iter().filter_map(|&i| records.get(i as usize)) {
+            match self.tenant_scratch.iter_mut().find(|(t, _)| *t == r.tenant) {
+                Some((_, c)) => *c += 1,
+                None => self.tenant_scratch.push((r.tenant, 1)),
+            }
+        }
+        let n = slice.len() as u64;
+        let t0 = self.telem.clock.now_ns();
+        decide_all(self);
+        let t1 = self.telem.clock.now_ns();
+        let mean = t1.saturating_sub(t0).checked_div(n).unwrap_or(0);
+        let (queue, decide) = match spans {
+            Spans::Frame(_) => (&mut self.telem.queue.bin, &mut self.telem.decide.bin),
+            Spans::Json(_) => (&mut self.telem.queue.json, &mut self.telem.decide.json),
+        };
+        queue.record_n(t0.saturating_sub(wait_ns), n);
+        decide.record_n(mean, n);
+        for &(tid, c) in &self.tenant_scratch {
+            if let Some(t) = self.tenants.get_mut(&tid) {
+                t.decide_ns.record_n(mean, c);
+            }
+        }
+        // try_lock: losing the race to a /debug/trace scrape drops the
+        // spans, never blocks the decision path.
+        let Ok(mut rec) = self.telem.recorder.try_lock() else {
+            return;
+        };
+        let mut push = |span| {
+            rec.push(SpanEvent {
+                span,
+                stage: Stage::Queue,
+                start_ns: wait_ns,
+                end_ns: t0,
+            });
+            rec.push(SpanEvent {
+                span,
+                stage: Stage::Decide,
+                start_ns: t0,
+                end_ns: t1,
+            });
+        };
+        match spans {
+            Spans::Frame(span) => push(span),
+            Spans::Json(ids) => {
+                for &i in slice {
+                    if let Some(&span) = ids.get(i as usize) {
+                        push(span);
+                    }
+                }
+            }
         }
     }
 
-    fn stats(&self) -> ShardStats {
+    /// Replaces a tenant's memory budget (0 = unlimited); `false` when
+    /// the tenant does not live here. Enforcement is lazy — the new
+    /// budget bites on the *next* charge — so applying a
+    /// cluster-reconciled share never rewrites verdicts retroactively.
+    pub(crate) fn set_budget(&mut self, tenant: TenantId, budget_mb: u64) -> bool {
+        let Some(t) = self.tenants.get_mut(&tenant) else {
+            return false;
+        };
+        t.state.set_budget(budget_mb);
+        // Specs replicate with the tenant list, so the bump alone makes
+        // the next round carry the new budget.
+        self.mutation_seq += 1;
+        true
+    }
+
+    /// Exports a tenant's complete state and removes it from the shard
+    /// (the first half of a cross-node migration); `None` when the
+    /// tenant does not live here. Traffic arriving after the take gets
+    /// typed `UnknownTenant` errors, never a panic.
+    pub(crate) fn take_tenant(&mut self, tenant: TenantId) -> Option<TenantExport> {
+        let t = self.tenants.remove(&tenant)?;
+        // Removal replicates through the (authoritative) tenant list of
+        // the next round.
+        self.mutation_seq += 1;
+        self.push_migration_event(&t.state.spec().name, "take");
+        Some(Self::export_tenant(&t))
+    }
+
+    /// Installs tenants from restore payloads, replacing any existing
+    /// state for their ids: one tenant for the second half of a
+    /// cross-node migration, a standby's whole partition of its replica
+    /// at promotion (`replace_all` drops every tenant not in `tenants`
+    /// first, so the shard holds exactly its partition). Nothing changes
+    /// unless every payload restores.
+    pub(crate) fn restore(
+        &mut self,
+        tenants: Vec<TenantRestore>,
+        replace_all: bool,
+    ) -> Result<(), String> {
+        // Stamp past the frontier: every restored app must ride the next
+        // replication round.
+        let seq = self.mutation_seq + 1;
+        let built = tenants
+            .into_iter()
+            .map(|restore| Self::build_tenant(restore, seq))
+            .collect::<Result<Vec<_>, String>>()?;
+        if replace_all {
+            self.tenants.clear();
+        }
+        for (tid, shard) in built {
+            if !replace_all {
+                self.push_migration_event(&shard.state.spec().name, "restore");
+            }
+            self.tenants.insert(tid, shard);
+        }
+        self.mutation_seq = seq;
+        Ok(())
+    }
+
+    /// Renders one app's live policy state as JSON (`GET
+    /// /debug/policy`); `None` when the tenant or app has no state here.
+    pub fn policy_probe(&self, tenant: TenantId, app: &str) -> Option<String> {
+        let t = self.tenants.get(&tenant)?;
+        let state = t.state.app(app)?;
+        Some(render_policy(t.state.spec(), app, state))
+    }
+
+    /// Counters and latency percentiles.
+    pub(crate) fn stats(&self) -> ShardStats {
         let mut tenants: Vec<TenantStats> = self
             .tenants
             .values()
@@ -491,8 +541,6 @@ impl ShardWorker {
             },
             queue_ns: self.telem.queue.clone(),
             decide_ns: self.telem.decide.clone(),
-            mailbox_depth: self.telem.gauge.read().0,
-            mailbox_peak: self.telem.gauge.read().1,
             tenants,
         }
     }
@@ -521,23 +569,26 @@ impl ShardWorker {
         }
     }
 
-    fn export(&self) -> ShardExport {
-        let mut tenants: Vec<TenantExport> =
-            self.tenants.values().map(Self::export_tenant).collect();
-        tenants.sort_by_key(|t| t.id);
-        ShardExport { tenants }
+    /// The complete per-app state.
+    pub(crate) fn export(&self) -> ShardExport {
+        self.export_dirty(None).export
     }
 
     /// One shard's half of a replication round: every tenant, with the
-    /// app records mutated after `since`. Walks the app maps without
-    /// mutating anything — decisions in flight on other shards are
-    /// unaffected, and this shard resumes its mailbox immediately
-    /// after.
-    fn export_dirty(&self, since: u64) -> DirtyShardExport {
+    /// app records mutated after `since` (all of them for `None`, a full
+    /// sync), and the frontier they were taken at. Walks the app maps
+    /// without mutating anything; under the shard's lock, so the
+    /// frontier is exactly the exported state.
+    ///
+    /// The tenant list is always complete (specs, ledgers, clocks are
+    /// cheap and carried wholesale every round); only the per-app
+    /// records are filtered, so a delta costs the mutation rate, not the
+    /// fleet size. Apps stamped at or before `since` are skipped.
+    pub(crate) fn export_dirty(&self, since: Option<u64>) -> DirtyShardExport {
         let mut tenants: Vec<TenantExport> = self
             .tenants
             .values()
-            .map(|t| Self::export_tenant_if(t, |s| s.stamp > since))
+            .map(|t| Self::export_tenant_if(t, |s| since.is_none_or(|f| s.stamp > f)))
             .collect();
         tenants.sort_by_key(|t| t.id);
         DirtyShardExport {
@@ -562,192 +613,14 @@ impl ShardWorker {
         });
     }
 
-    /// The worker loop: drains the mailbox until `Shutdown`, then
-    /// returns the final per-app state (for the shutdown snapshot).
-    ///
-    /// With telemetry on, each blocking `recv` starts a *drain wave*:
-    /// the backlog behind it is pulled non-blockingly (bounded by
-    /// [`DRAIN_WAVE`]) and observed once on the mailbox gauge — `mpsc`
-    /// has no `len()`, so draining is how depth is seen at all. Every
-    /// batch is clocked once and recorded per record at the batch mean,
-    /// so the stage histograms stay invocation-weighted with exact
-    /// counts and no clock read per decision.
-    pub fn run(mut self, mailbox: Receiver<ShardMsg>) -> ShardExport {
-        let mut pending: VecDeque<ShardMsg> = VecDeque::new();
-        loop {
-            let msg = match pending.pop_front() {
-                Some(msg) => msg,
-                None => {
-                    let Ok(msg) = mailbox.recv() else { break };
-                    if self.telem.enabled {
-                        while pending.len() < DRAIN_WAVE {
-                            match mailbox.try_recv() {
-                                Ok(m) => pending.push_back(m),
-                                Err(_) => break,
-                            }
-                        }
-                        self.telem.gauge.observe(1 + pending.len() as u64);
-                    }
-                    msg
-                }
-            };
+    /// Serves a mailbox on the caller's thread until `Shutdown` (or every
+    /// sender is gone), then returns the final per-app state. Each
+    /// message calls the method the server calls under the shard's lock.
+    pub fn run(self, mailbox: Receiver<ShardMsg>) -> ShardExport {
+        while let Ok(msg) = mailbox.recv() {
             match msg {
-                ShardMsg::InvokeBatch {
-                    frame_seq,
-                    items,
-                    spans,
-                    sent_ns,
-                    reply,
-                    spare,
-                } => {
-                    self.spare_results.put(spare);
-                    if !self.telem.enabled {
-                        // Telemetry off: no clock reads, no histogram
-                        // touches — the decisions are the whole hot path.
-                        let mut batch = self.invoke_batch(frame_seq, items);
-                        batch.spans = spans.into_spent();
-                        reply.batch(batch);
-                        continue;
-                    }
-                    // Per-tenant record counts, folded before `items`
-                    // moves into the decision loop (scratch is reused
-                    // across batches — no steady-state allocation).
-                    self.tenant_scratch.clear();
-                    for item in &items {
-                        match self
-                            .tenant_scratch
-                            .iter_mut()
-                            .find(|(tid, _)| *tid == item.tenant)
-                        {
-                            Some((_, c)) => *c += 1,
-                            None => self.tenant_scratch.push((item.tenant, 1)),
-                        }
-                    }
-                    let n = items.len() as u64;
-                    let t0 = self.telem.clock.now_ns();
-                    let mut batch = self.invoke_batch(frame_seq, items);
-                    let t1 = self.telem.clock.now_ns();
-                    let mean = t1.saturating_sub(t0).checked_div(n).unwrap_or(0);
-                    let (queue, decide, span_ids) = match &spans {
-                        BatchSpans::Frame(span) => (
-                            &mut self.telem.queue.bin,
-                            &mut self.telem.decide.bin,
-                            std::slice::from_ref(span),
-                        ),
-                        BatchSpans::Json(spans) => (
-                            &mut self.telem.queue.json,
-                            &mut self.telem.decide.json,
-                            spans.as_slice(),
-                        ),
-                    };
-                    queue.record_n(t0.saturating_sub(sent_ns), n);
-                    decide.record_n(mean, n);
-                    let scratch = std::mem::take(&mut self.tenant_scratch);
-                    for &(tid, c) in &scratch {
-                        if let Some(t) = self.tenants.get_mut(&tid) {
-                            t.decide_ns.record_n(mean, c);
-                        }
-                    }
-                    self.tenant_scratch = scratch;
-                    // try_lock: losing the race to a /debug/trace scrape
-                    // drops the spans, never blocks the decision path.
-                    if let Ok(mut rec) = self.telem.recorder.try_lock() {
-                        for &span in span_ids {
-                            rec.push(SpanEvent {
-                                span,
-                                stage: Stage::Queue,
-                                start_ns: sent_ns,
-                                end_ns: t0,
-                            });
-                            rec.push(SpanEvent {
-                                span,
-                                stage: Stage::Decide,
-                                start_ns: t0,
-                                end_ns: t1,
-                            });
-                        }
-                    }
-                    // A reply to a connection that died is dropped by
-                    // the reactor's slab generation check; the decisions
-                    // were still applied, which is correct (the
-                    // invocations happened).
-                    batch.spans = spans.into_spent();
-                    reply.batch(batch);
-                }
-                ShardMsg::AddTenant { spec, ack } => {
-                    self.add_tenant(spec);
-                    let _ = ack.send(());
-                }
-                ShardMsg::SetBudget {
-                    tenant,
-                    budget_mb,
-                    ack,
-                } => {
-                    let found = match self.tenants.get_mut(&tenant) {
-                        Some(t) => {
-                            t.state.set_budget(budget_mb);
-                            // Specs replicate with the tenant list, so
-                            // the bump alone makes the next round carry
-                            // the new budget.
-                            self.mutation_seq += 1;
-                            true
-                        }
-                        None => false,
-                    };
-                    let _ = ack.send(found);
-                }
-                ShardMsg::TakeTenant { tenant, reply } => {
-                    let export = self.tenants.remove(&tenant).map(|t| {
-                        // Removal replicates through the (authoritative)
-                        // tenant list of the next round.
-                        self.mutation_seq += 1;
-                        self.push_migration_event(&t.state.spec().name, "take");
-                        Self::export_tenant(&t)
-                    });
-                    let _ = reply.send(export);
-                }
-                ShardMsg::Restore {
-                    tenants,
-                    replace_all,
-                    ack,
-                } => {
-                    // Stamp past the frontier: every restored app must
-                    // ride the next replication round.
-                    let seq = self.mutation_seq + 1;
-                    let built: Result<Vec<_>, String> = tenants
-                        .into_iter()
-                        .map(|restore| Self::build_tenant(restore, seq))
-                        .collect();
-                    let result = built.map(|built| {
-                        if replace_all {
-                            self.tenants.clear();
-                        }
-                        for (tid, shard) in built {
-                            if !replace_all {
-                                self.push_migration_event(&shard.state.spec().name, "restore");
-                            }
-                            self.tenants.insert(tid, shard);
-                        }
-                        self.mutation_seq = seq;
-                    });
-                    let _ = ack.send(result);
-                }
                 ShardMsg::PolicyProbe { tenant, app, reply } => {
-                    let body = self.tenants.get(&tenant).and_then(|t| {
-                        t.state
-                            .app(&app)
-                            .map(|s| render_policy(t.state.spec(), &app, s))
-                    });
-                    let _ = reply.send(body);
-                }
-                ShardMsg::Scrape(reply) => {
-                    let _ = reply.send(self.stats());
-                }
-                ShardMsg::Snapshot(reply) => {
-                    let _ = reply.send(self.export());
-                }
-                ShardMsg::ExportDirty { since, reply } => {
-                    let _ = reply.send(self.export_dirty(since));
+                    let _ = reply.send(self.policy_probe(tenant, &app));
                 }
                 ShardMsg::Shutdown => break,
             }
@@ -1125,8 +998,8 @@ mod tests {
         // that has decided nothing exports no quantile pairs at all.
         let mut w = worker(PolicySpec::fixed_minutes(10));
         assert!(w.stats().latency_us.is_empty());
-        // Direct invokes are untimed (timing lives in the mailbox
-        // loop), so the quantiles stay absent rather than garbage.
+        // Direct invokes are untimed (timing lives in `decide`), so the
+        // quantiles stay absent rather than garbage.
         w.invoke0("a", 0).unwrap();
         assert!(w.stats().latency_us.is_empty());
         // Once the decision histogram has a sample, quantiles appear.
@@ -1143,7 +1016,7 @@ mod tests {
         w.invoke0("b", 1_000).unwrap();
 
         // From frontier 0: both apps are dirty.
-        let round1 = w.export_dirty(0);
+        let round1 = w.export_dirty(Some(0));
         let apps: Vec<&str> = round1.export.tenants[0]
             .apps
             .iter()
@@ -1152,14 +1025,14 @@ mod tests {
         assert_eq!(apps, vec!["a", "b"]);
 
         // Nothing mutated since: tenant still listed, zero apps.
-        let idle = w.export_dirty(round1.seq);
+        let idle = w.export_dirty(Some(round1.seq));
         assert_eq!(idle.seq, round1.seq, "no mutation, no frontier move");
         assert_eq!(idle.export.tenants.len(), 1, "tenant list stays whole");
         assert!(idle.export.tenants[0].apps.is_empty());
 
         // Only the re-invoked app rides the next round.
         w.invoke0("b", 2_000).unwrap();
-        let round2 = w.export_dirty(round1.seq);
+        let round2 = w.export_dirty(Some(round1.seq));
         assert!(round2.seq > round1.seq);
         let apps: Vec<&str> = round2.export.tenants[0]
             .apps
@@ -1187,12 +1060,12 @@ mod tests {
         )
         .unwrap();
         w.invoke(1, "a", 0).unwrap();
-        let frontier = w.export_dirty(0).seq;
+        let frontier = w.export_dirty(Some(0)).seq;
         // b's invocation evicts a: *both* must ride the next round —
         // a follower that misses the eviction flag would serve a's
         // next invocation warm where the primary serves it cold.
         w.invoke(1, "b", 1_000).unwrap();
-        let round = w.export_dirty(frontier);
+        let round = w.export_dirty(Some(frontier));
         let dirty = &round.export.tenants[0].apps;
         let a = dirty.iter().find(|r| r.app == "a").expect("victim dirty");
         assert!(a.evicted);
@@ -1202,7 +1075,7 @@ mod tests {
     #[test]
     fn control_mutations_advance_the_frontier() {
         let mut w = worker(PolicySpec::fixed_minutes(10));
-        let f0 = w.export_dirty(0).seq;
+        let f0 = w.export_dirty(Some(0)).seq;
         // A fresh tenant has no dirty apps, but the tenant list is
         // replicated state — the frontier must move so a round fires.
         w.add_tenant(TenantSpec {
@@ -1211,7 +1084,7 @@ mod tests {
             policy: PolicySpec::fixed_minutes(5),
             budget_mb: 0,
         });
-        let round = w.export_dirty(f0);
+        let round = w.export_dirty(Some(f0));
         assert!(round.seq > f0);
         assert_eq!(round.export.tenants.len(), 2);
         assert!(round.export.tenants.iter().all(|t| t.apps.is_empty()));
@@ -1223,7 +1096,7 @@ mod tests {
         // must be stamped past the current frontier.
         let mut w = worker(PolicySpec::fixed_minutes(10));
         w.invoke0("a", 0).unwrap();
-        let frontier = w.export_dirty(0).seq;
+        let frontier = w.export_dirty(Some(0)).seq;
         let seq = w.mutation_seq + 1;
         let (tid, shard) = ShardWorker::build_tenant(
             TenantRestore {
@@ -1248,7 +1121,7 @@ mod tests {
         .unwrap();
         w.tenants.insert(tid, shard);
         w.mutation_seq = seq;
-        let round = w.export_dirty(frontier);
+        let round = w.export_dirty(Some(frontier));
         let moved = round
             .export
             .tenants
@@ -1327,19 +1200,9 @@ mod tests {
             w.add_tenant(tenant(policy));
             w.invoke(1, "kept", 7).unwrap();
             let before = w.export();
-            let (tx, mailbox) = std::sync::mpsc::channel();
-            let (ack, refused) = std::sync::mpsc::channel();
-            tx.send(ShardMsg::Restore {
-                tenants: vec![restore()],
-                replace_all: false,
-                ack,
-            })
-            .unwrap();
-            tx.send(ShardMsg::Shutdown).unwrap();
-            let after = w.run(mailbox);
-            let err = refused.recv().unwrap().unwrap_err();
+            let err = w.restore(vec![restore()], false).unwrap_err();
             assert!(err.contains(refusal), "{policy}: {err}");
-            assert_eq!(after, before, "{policy}");
+            assert_eq!(w.export(), before, "{policy}");
         }
     }
 

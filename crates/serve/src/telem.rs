@@ -12,10 +12,10 @@
 //! reactor thread, and a guard held across a blocking wait would stall
 //! scrapers for a full tick.
 //!
-//! Shard workers own their stage histograms outright (scraped via the
-//! existing `Scrape` mailbox message, so no locking at all) and share
-//! only their [`FlightRecorder`] and mailbox [`QueueGauge`] with the
-//! control path.
+//! A shard's stage histograms live in its [`ShardTelem`], behind the
+//! shard's own lock: the reactor deciding a slice records into them and
+//! a scrape reads them under that lock. Only the shard's
+//! [`FlightRecorder`] is shared beyond it, with `/debug/trace`.
 //!
 //! When telemetry is disabled (`--no-telemetry`) the handles keep their
 //! structure but every recording site short-circuits before reading the
@@ -66,13 +66,12 @@ impl Default for TelemClock {
     }
 }
 
-/// Drain-observed depth/high-water gauge for a queue (reactor inbox or
-/// shard mailbox).
+/// Drain-observed depth/high-water gauge for a reactor's inbox.
 ///
 /// Only the queue's *consumer* writes: each time it drains a wave of
 /// messages it [`QueueGauge::observe`]s the backlog it found, so `depth`
 /// is the most recent wave's backlog and `peak` its high-water mark.
-/// Producers never touch the gauge — the dispatch path costs zero
+/// The acceptor never touches the gauge — handing a connection over costs zero
 /// shared-cacheline RMWs — and the single writer means plain relaxed
 /// stores suffice (the read-then-store peak update cannot race itself).
 #[derive(Debug, Default)]
@@ -106,10 +105,10 @@ pub struct ReactorTelem {
     /// Socket-readable → request bytes buffered, per protocol (for a
     /// JSON run: until its first request parsed out).
     pub read: ProtoHists,
-    /// Bytes buffered → parsed and dispatched, per protocol (for a JSON
-    /// run: the rest of the burst's parsing, up to dispatch).
+    /// Bytes buffered → parsed and routed, per protocol (for a JSON run:
+    /// the rest of the burst's parsing, up to deciding).
     pub decode: ProtoHists,
-    /// Reply slot completed → response bytes serialized, per protocol.
+    /// Decided → response bytes serialized, per protocol.
     pub render: ProtoHists,
     /// Response bytes → flushed to the socket, per protocol.
     pub write: ProtoHists,
@@ -225,12 +224,11 @@ impl ReactorTelemHandle {
     }
 }
 
-/// Per-shard-worker telemetry: stage histograms owned outright by the
-/// worker thread (scraped through the `Scrape` mailbox message), plus
-/// the flight recorder and mailbox gauge shared with the control path.
+/// Per-shard telemetry: stage histograms kept under the shard's lock,
+/// plus the flight recorder and event ring shared with the control path.
 #[derive(Debug)]
 pub struct ShardTelem {
-    /// Master switch; when off the worker does no timing at all.
+    /// Master switch; when off the shard does no timing at all.
     pub enabled: bool,
     /// Shared-epoch clock.
     pub clock: TelemClock,
@@ -241,9 +239,7 @@ pub struct ShardTelem {
     /// (`/debug/events` snapshots it). Events are pushed via `try_lock`
     /// with workload timestamps — no clock reads, no blocking.
     pub events: Arc<Mutex<EventRing>>,
-    /// Mailbox depth gauge (this worker observes drain waves).
-    pub gauge: Arc<QueueGauge>,
-    /// Mailbox wait (batch dispatch → dequeue), per protocol.
+    /// Shard lock wait (asked for → held), per protocol.
     pub queue: ProtoHists,
     /// Policy decision latency, per protocol.
     pub decide: ProtoHists,
@@ -256,22 +252,8 @@ impl Default for ShardTelem {
             clock: TelemClock::default(),
             recorder: Arc::new(Mutex::new(FlightRecorder::new(TRACE_RING))),
             events: Arc::new(Mutex::new(EventRing::new(EVENT_RING))),
-            gauge: Arc::default(),
             queue: ProtoHists::default(),
             decide: ProtoHists::default(),
-        }
-    }
-}
-
-impl ShardTelem {
-    /// Current timestamp, or 0 when disabled (never stored in that
-    /// case — every recording site is gated on `enabled`).
-    #[inline]
-    pub fn now(&self) -> u64 {
-        if self.enabled {
-            self.clock.now_ns()
-        } else {
-            0
         }
     }
 }
@@ -300,8 +282,7 @@ pub fn merge_spans(sources: &[(String, &FlightRecorder)], last: usize) -> Vec<Tr
 }
 
 /// Shared telemetry state hung off the server context: one slot per
-/// reactor thread and per shard worker, created at start and never
-/// resized.
+/// reactor thread and per shard, created at start and never resized.
 #[derive(Debug)]
 pub(crate) struct TelemCtx {
     /// Master switch (from `ServeConfig::telemetry`).
@@ -312,11 +293,10 @@ pub(crate) struct TelemCtx {
     pub reactors: Vec<Arc<Mutex<ReactorTelem>>>,
     /// Per-reactor inbox gauges (each loop observes its drain waves).
     pub reactor_gauges: Vec<Arc<QueueGauge>>,
-    /// Per-shard flight recorders (workers push, scrapers snapshot).
+    /// Per-shard flight recorders (deciding reactors push, scrapers
+    /// snapshot).
     pub shard_recorders: Vec<Arc<Mutex<FlightRecorder>>>,
-    /// Per-shard mailbox gauges (each worker observes its drain waves).
-    pub shard_gauges: Vec<Arc<QueueGauge>>,
-    /// Node-wide lifecycle event ring, shared by every shard worker
+    /// Node-wide lifecycle event ring, shared by every shard
     /// (`/debug/events`).
     pub events: Arc<Mutex<EventRing>>,
 }
@@ -329,7 +309,6 @@ impl Default for TelemCtx {
             reactors: Vec::new(),
             reactor_gauges: Vec::new(),
             shard_recorders: Vec::new(),
-            shard_gauges: Vec::new(),
             events: Arc::new(Mutex::new(EventRing::new(EVENT_RING))),
         }
     }

@@ -14,7 +14,7 @@
 //!   second half of this module). A frame carries up to
 //!   [`MAX_BATCH`] invocations and is answered by one reply frame of
 //!   fixed 9-byte verdict records, amortizing parse, syscall, and
-//!   shard-mailbox costs across the whole batch.
+//!   shard-lock costs across the whole batch.
 
 use sitw_core::DecisionKind;
 
@@ -45,7 +45,7 @@ pub fn parse_invoke(body: &[u8]) -> Result<InvokeRequest, String> {
 /// own `String`s, so a warm `req` parses without allocating. After an
 /// error `req` holds whatever was parsed so far.
 // sitw-lint: hot-path
-pub(crate) fn parse_invoke_into(body: &[u8], req: &mut InvokeRequest) -> Result<(), String> {
+pub fn parse_invoke_into(body: &[u8], req: &mut InvokeRequest) -> Result<(), String> {
     let mut has_app = false;
     let mut ts: Option<u64> = None;
     // Put back only when this body names a tenant: the buffer is reused
@@ -1042,12 +1042,12 @@ pub fn encode_reply_frame(
                 out.push(VB_OUT_OF_ORDER);
                 out.extend_from_slice(&last_ts.to_le_bytes());
             }
-            Err(InvokeError::UnknownTenant) => {
+            Err(InvokeError::UnknownTenant | InvokeError::Unavailable) => {
                 // Unreachable in the daemon: tenant ids are validated
-                // against the registry before a frame is dispatched, and
-                // an unknown id rejects the whole frame with a typed
-                // error. Encoded defensively as an out-of-order record
-                // with a sentinel timestamp.
+                // against the registry before a frame is decided, and an
+                // unknown id or an unavailable shard rejects the whole
+                // frame with a typed error frame. Encoded defensively as
+                // an out-of-order record with a sentinel timestamp.
                 out.push(VB_OUT_OF_ORDER);
                 out.extend_from_slice(&u64::MAX.to_le_bytes());
             }

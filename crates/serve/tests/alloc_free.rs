@@ -1,4 +1,4 @@
-//! "A steady-state decision on the shard thread allocates nothing" as a
+//! "A steady-state decision on a shard allocates nothing" as a
 //! count, not a timing: this binary installs a counting global
 //! allocator and replays a two-tenant stream through a [`ShardWorker`].
 //!
@@ -199,7 +199,7 @@ fn steady_state_invoke_allocates_nothing() {
 
 /// The out-of-bounds branch as a count: apps on a rhythm of about five
 /// hours — past the histogram's four, so from the fifth idle time on
-/// every decision is an ARIMA forecast — through a shard worker. Their
+/// every decision is an ARIMA forecast — through a [`ShardWorker`]. Their
 /// histories are constant (the mean model, no search), jittered,
 /// alternating and trending (differenced), so the order search takes
 /// its different paths. The fit workspace is the thread's: once the

@@ -1,8 +1,8 @@
 //! Flight-recorder telemetry acceptance tests: per-stage histogram
 //! export on `/metrics` (real Prometheus `histogram` series), exact
 //! shard-merge of bucket counts, the `/debug/trace` and `/debug/threads`
-//! endpoints over HTTP, deterministic span ordering across
-//! reactor→shard→reply hops under a [`ManualClock`], and the
+//! endpoints over HTTP, deterministic span ordering across the reactor
+//! and shard recorders under a [`ManualClock`], and the
 //! `telemetry: false` off-switch.
 
 use std::net::SocketAddr;
@@ -173,18 +173,15 @@ fn debug_trace_and_threads_over_http() {
     assert!(json.starts_with('[') && json.ends_with(']'));
     assert_eq!(json.matches("\"span\":").count(), 3);
 
-    // Thread introspection: sane queue gauges and reactor counters.
+    // Thread introspection: reactor counters, and every shard serving.
     let (status, threads) = client.request("GET", "/debug/threads", "").unwrap();
     assert_eq!(status, 200);
     assert!(threads.contains("\"reactors\":[{\"id\":0,"));
     assert!(threads.contains("\"epoll_waits\":"));
-    assert!(threads.contains("\"shards\":[{\"id\":0,\"mailbox_depth\":"));
-    // The gauges are drain-observed: depth is the backlog of the most
-    // recent wave, peak its high-water mark — real dispatches must have
-    // driven at least one shard's peak above zero.
     assert!(
-        threads.matches("\"mailbox_peak\":0}").count() < 2,
-        "no shard ever saw a queued message: {threads}"
+        threads
+            .contains("\"shards\":[{\"id\":0,\"available\":true},{\"id\":1,\"available\":true}]"),
+        "{threads}"
     );
     // Method guard: the debug paths are known, so wrong verbs are 405.
     assert_eq!(client.request("POST", "/debug/trace", "").unwrap().0, 405);
@@ -194,9 +191,9 @@ fn debug_trace_and_threads_over_http() {
 }
 
 // ---------------------------------------------------------------------
-// Satellite: deterministic-clock span ordering across the
-// reactor→shard→reply hops, using the same recorder + merge machinery
-// the server runs.
+// Satellite: deterministic-clock span ordering across the reactor and
+// shard recorders, using the same recorder + merge machinery the server
+// runs.
 
 #[test]
 fn manual_clock_spans_order_deterministically_across_hops() {
@@ -225,7 +222,7 @@ fn manual_clock_spans_order_deterministically_across_hops() {
         start_ns: d0,
         end_ns: d1,
     });
-    // Hop to the shard: mailbox wait then the decision itself.
+    // The shard: lock wait then the decision itself.
     let (q0, q1) = tick(25);
     shard.push(SpanEvent {
         span,
@@ -438,8 +435,8 @@ fn no_telemetry_serves_but_exports_nothing() {
 }
 
 // ---------------------------------------------------------------------
-// Burst-coalesced JSON: a pipelined burst rides one `InvokeBatch` per
-// shard, yet telemetry stays invocation-weighted and exact — every
+// Burst-coalesced JSON: a pipelined burst takes each shard's lock once,
+// yet telemetry stays invocation-weighted and exact — every
 // stage counts every request, nothing is booked as a frame, and a
 // traced request keeps all six stages under its own id.
 

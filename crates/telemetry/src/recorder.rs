@@ -32,11 +32,11 @@ pub enum Stage {
     Read,
     /// Bytes buffered → request parsed and routed.
     Decode,
-    /// Dispatched to a shard mailbox → dequeued by the shard.
+    /// Waiting for the owning shard's lock → holding it.
     Queue,
     /// The keep-alive policy decision itself.
     Decide,
-    /// Reply slot completed → response bytes serialized.
+    /// Decided → response bytes serialized.
     Render,
     /// Response bytes → written to the socket.
     Write,

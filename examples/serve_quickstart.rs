@@ -22,7 +22,7 @@
 use serverless_in_the_wild::prelude::*;
 
 fn main() {
-    // 1. The daemon: four shard threads, the paper's default policy.
+    // 1. The daemon: four shards, the paper's default policy.
     let server = Server::start(ServeConfig {
         addr: "127.0.0.1:0".into(),
         shards: 4,
