@@ -53,10 +53,11 @@ OPTIONS:
                          place and puts ADDR in the slot instead of
                          dropping the node. Repeatable, one per slot.
     --upstream-timeout-ms MS
-                         Data-path upstream deadline (connect, read,
-                         write; default 2000). A hung node surfaces as
-                         a typed 503 / Unavailable naming the node
-                         within this bound.
+                         Data-path upstream deadline (a connect, and
+                         the wait for a node's oldest owed reply;
+                         default 2000). A hung node surfaces as a
+                         typed 503 / Unavailable naming the node within
+                         this bound, to the clients it owes only.
 ";
 
 fn parse_args() -> Result<RouterConfig, String> {

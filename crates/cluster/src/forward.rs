@@ -1,0 +1,736 @@
+//! The router's client side: the node's reactor driver and connection
+//! state machine, with the nodes as remote partitions.
+//!
+//! A [`Front`] is one reactor's handler. It reads a client's messages
+//! off the shared [`Conn`] as a node's handler does; where a node
+//! decides, it forwards. A frame's records are partitioned by ring owner
+//! with the node's counting sort ([`Partition`]), throttled records into
+//! one partition past the last node, and each owner's slice goes to the
+//! reactor's one connection to that node ([`Upstream`]: non-blocking
+//! after connect, in the same epoll, written once per loop round).
+//!
+//! The one mechanism a node lacks is the owed answer. Each client keeps
+//! its answers in request order ([`Client`]); each upstream keeps a FIFO
+//! of the slices it owes, naming the client and the answer. A reply fills
+//! its slice — a JSON response or a v2 single-owner frame verbatim, a
+//! split frame's records at their positions — and an answer goes out once
+//! its slices are in and everything before it has gone. Local answers
+//! (429s, parse errors, typed error frames) queue behind owed ones.
+//!
+//! An upstream that fails a read or write, closes, sends a reply nobody
+//! is owed, or lets its oldest owed slice pass `upstream_timeout` is
+//! retired: every answer it owes gets the typed 503 / `Unavailable`
+//! naming the node, and the next forward reconnects. That connect,
+//! bounded by `upstream_timeout`, is the one blocking call on the path.
+
+use std::collections::VecDeque;
+use std::io::{self, Write};
+use std::net::TcpStream;
+use std::os::unix::io::AsRawFd;
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+use std::time::Instant;
+
+use sitw_reactor::{Event, Interest};
+use sitw_serve::conn::Conn;
+use sitw_serve::http::{write_request, write_response, ConnBuf, ReadEvent, Reply};
+use sitw_serve::pool::Partition;
+use sitw_serve::reactor::{Conns, Handler, WINDOW};
+use sitw_serve::server::write_error;
+use sitw_serve::wire::{self, BinErrorCode, BinInvoke, BinReply, InvokeRequest, ServerFrameDecode};
+use sitw_serve::ReactorTelemHandle;
+use sitw_telemetry::{lock_unpoisoned, EventKind, Stage};
+
+use crate::router::{control, read, RouterCtx};
+use crate::telem::RouterTelem;
+
+/// Upstream tokens count down from here, one per node slot — far above
+/// any client connection's slab token.
+const UPSTREAM_TOKEN: u64 = u64::MAX - 2;
+
+/// Buffer capacity a released answer may keep for the next one.
+const ANSWER_KEPT: usize = 64 * 1024;
+
+/// One answer a client is owed.
+#[derive(Debug, Default)]
+struct Answer {
+    /// Slices whose replies are still to come.
+    missing: u32,
+    /// What the client gets, once nothing is missing.
+    bytes: Vec<u8>,
+    /// A frame reassembled for a client speaking this version, rather
+    /// than a reply relayed whole.
+    split: Option<u8>,
+    /// A split frame's records in request order (`Throttled` where
+    /// admission refused), and their positions, slice after slice.
+    replies: Vec<BinReply>,
+    positions: Vec<u32>,
+    /// A split frame's error from its lowest node slot: it answers the
+    /// whole frame.
+    error: Option<(usize, BinErrorCode, String)>,
+    /// A traced answer: its trace id, and when its current hop began.
+    hop: Option<(u64, u64)>,
+}
+
+impl Answer {
+    fn fail(&mut self, node: usize, code: BinErrorCode, detail: String) {
+        if self.error.as_ref().is_none_or(|(first, ..)| node < *first) {
+            self.error = Some((node, code, detail));
+        }
+    }
+
+    /// One slice's reply is in. The last one renders a split frame and
+    /// closes a traced answer's `await` and `reassemble` hops (its
+    /// `egress` closes when the client's output flushes).
+    // sitw-lint: hot-path
+    fn arrived(&mut self, telem: &RouterTelem) {
+        self.missing = self.missing.saturating_sub(1);
+        if self.missing > 0 {
+            return;
+        }
+        let t_reply = telem.now_ns();
+        match (self.split, &self.error) {
+            (Some(_), Some((_, code, detail))) => {
+                wire::encode_error_frame(&mut self.bytes, *code, detail)
+            }
+            (Some(version), None) => {
+                wire::encode_reply_records(&mut self.bytes, version, &self.replies)
+            }
+            (None, _) => {}
+        }
+        if let Some((id, t_fwd)) = self.hop {
+            let t_out = telem.now_ns();
+            telem.record(id, Stage::Await, t_fwd, t_reply);
+            telem.record(id, Stage::Reassemble, t_reply, t_out);
+            self.hop = Some((id, t_out));
+        }
+    }
+}
+
+/// What the router keeps per client connection: the answers it owes,
+/// in request order.
+#[derive(Debug, Default)]
+pub(crate) struct Client {
+    answers: VecDeque<Answer>,
+    /// The sequence number of `answers[0]`.
+    head: u64,
+    /// Released answers, kept for their buffers.
+    spare: Vec<Answer>,
+}
+
+impl Client {
+    /// Queues an answer awaiting `missing` replies; returns its sequence
+    /// number and the answer.
+    // sitw-lint: hot-path
+    fn push(&mut self, missing: u32, split: Option<u8>) -> (u64, &mut Answer) {
+        let mut answer = self.spare.pop().unwrap_or_default();
+        (answer.missing, answer.split, answer.error, answer.hop) = (missing, split, None, None);
+        answer.bytes.clear();
+        answer.replies.clear();
+        answer.positions.clear();
+        let at = self.answers.len();
+        self.answers.push_back(answer);
+        (self.head + at as u64, &mut self.answers[at])
+    }
+
+    fn get(&mut self, seq: u64) -> Option<&mut Answer> {
+        self.answers.get_mut(seq.checked_sub(self.head)? as usize)
+    }
+}
+
+/// Where a local answer goes: straight out when nothing is owed, else
+/// into a complete answer queued behind what is.
+// sitw-lint: hot-path
+fn local(conn: &mut Conn<Client>) -> &mut Vec<u8> {
+    if conn.state.answers.is_empty() {
+        &mut conn.out
+    } else {
+        &mut conn.state.push(0, None).1.bytes
+    }
+}
+
+/// Moves the complete answers at the front into the client's output.
+// sitw-lint: hot-path
+fn release(conn: &mut Conn<Client>) {
+    let client = &mut conn.state;
+    while client.answers.front().is_some_and(|a| a.missing == 0) {
+        let Some(answer) = client.answers.pop_front() else {
+            break;
+        };
+        conn.out.extend_from_slice(&answer.bytes);
+        conn.spans.extend(answer.hop);
+        client.head += 1;
+        let small = answer.bytes.capacity() <= ANSWER_KEPT && answer.replies.capacity() <= 1024;
+        if small && client.spare.len() < WINDOW {
+            client.spare.push(answer);
+        }
+    }
+}
+
+/// This reactor's connection to one node.
+#[derive(Default)]
+struct Upstream {
+    conn: Option<ConnBuf>,
+    /// Requests not yet written, and how much of them is.
+    out: Vec<u8>,
+    written: usize,
+    /// Write readiness is registered: the socket took less than offered.
+    blocked: bool,
+    /// The replies owed, oldest first.
+    owed: VecDeque<Slice>,
+}
+
+impl Upstream {
+    fn owe(&mut self, token: u64, seq: u64, since: Instant, frame: Option<(u32, u32)>) {
+        let slice = Slice {
+            token,
+            seq,
+            since,
+            frame,
+        };
+        self.owed.push_back(slice);
+    }
+
+    /// Writes what the socket takes; returns whether some is left.
+    // sitw-lint: hot-path
+    fn write(&mut self) -> io::Result<bool> {
+        let Some(buf) = &self.conn else {
+            return Ok(false);
+        };
+        let mut stream = buf.stream();
+        while let Some(rest) = self.out.get(self.written..).filter(|r| !r.is_empty()) {
+            match stream.write(rest) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => self.written += n,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(true),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        self.out.clear();
+        self.written = 0;
+        Ok(false)
+    }
+}
+
+/// One reply an upstream owes: its part of answer `seq` of client
+/// `token`.
+struct Slice {
+    token: u64,
+    seq: u64,
+    /// When it was forwarded (the reactor's round clock).
+    since: Instant,
+    /// A frame's slice — where its positions start in the answer, and
+    /// how many records it carries — or `None` for an HTTP response.
+    frame: Option<(u32, u32)>,
+}
+
+/// One reactor's handler (see the module docs).
+pub(crate) struct Front {
+    ctx: Arc<RouterCtx>,
+    id: usize,
+    /// The router keeps no reactor telemetry of its own.
+    telem: ReactorTelemHandle,
+    upstreams: Vec<Upstream>,
+    /// A frame's records by owner; throttled records past the last node.
+    part: Partition,
+    /// A frame's records' owners and the tenants' wire ids there.
+    owners: Vec<(usize, u16)>,
+    /// The `/invoke` body parsed out of a request, reused.
+    invoke: InvokeRequest,
+    /// The round's clock.
+    now: Instant,
+}
+
+impl Front {
+    /// The handler of reactor `id`.
+    pub(crate) fn new(ctx: Arc<RouterCtx>, id: usize) -> Front {
+        Front {
+            upstreams: (0..ctx.slots).map(|_| Upstream::default()).collect(),
+            ctx,
+            id,
+            telem: ReactorTelemHandle::disabled(),
+            part: Partition::default(),
+            owners: Vec::new(),
+            invoke: InvokeRequest::default(),
+            // Every round sets it before anything is forwarded.
+            // sitw-lint: allow(clock-discipline)
+            now: Instant::now(),
+        }
+    }
+
+    /// Admission, placement and forward for one JSON `/invoke`.
+    // sitw-lint: hot-path
+    fn invoke(&mut self, token: u64, conn: &mut Conn<Client>) {
+        let (ctx, inv) = (&*self.ctx, &mut self.invoke);
+        let telem = &ctx.telem;
+        let t0 = telem.now_ns();
+        let trace = telem.sample(conn.req.trace);
+        if trace.is_some() {
+            ctx.metrics.traced_requests.fetch_add(1, Ordering::Relaxed);
+        }
+        if let Err(e) = wire::parse_invoke_into(&conn.req.body, inv) {
+            return write_error(local(conn), 400, &e);
+        }
+        ctx.metrics.json_requests.fetch_add(1, Ordering::Relaxed);
+        if let Some(name) = inv.tenant.as_deref().filter(|_| ctx.has_qos) {
+            if !lock_unpoisoned(&ctx.admission).admit(name, inv.ts) {
+                ctx.metrics.throttled.fetch_add(1, Ordering::Relaxed);
+                // Cold path: the request is refused.
+                // sitw-lint: allow(hot-path-alloc)
+                let detail = format!("proto=json ts={}", inv.ts);
+                ctx.telem.event(EventKind::Throttle, name, &inv.app, detail);
+                // sitw-lint: allow(hot-path-alloc)
+                let body = format!("{{\"error\":\"throttled\",\"tenant\":\"{name}\"}}");
+                return write_response(local(conn), 429, "application/json", body.as_bytes());
+            }
+        }
+        // Ingress covers parse + admission; the ring lookup is `route`.
+        let t1 = telem.now_ns();
+        let node = match &inv.tenant {
+            Some(name) => read(&ctx.ring).node_of_tenant(name),
+            None => read(&ctx.ring).node_of_app(&inv.app),
+        };
+        let Some(node) = node else {
+            return write_error(local(conn), 503, "no live nodes");
+        };
+        let t2 = telem.now_ns();
+        if let Some(id) = trace {
+            telem.record(id, Stage::Ingress, t0, t1);
+            telem.record(id, Stage::Route, t1, t2);
+        }
+        let up = match upstream(&mut self.upstreams, ctx, self.id, node) {
+            Ok(up) => up,
+            Err(e) => return write_error(local(conn), 503, &down(ctx, node, &e)),
+        };
+        // Tenant names are the cluster-wide key, so the body forwards
+        // verbatim; a trace id rides in the `x-sitw-trace` header.
+        let _ = write_request(&mut up.out, "POST", "/invoke", trace, &conn.req.body);
+        let (seq, answer) = conn.state.push(1, None);
+        answer.hop = forwarded(telem, trace, t2);
+        up.owe(token, seq, self.now, None);
+    }
+
+    /// Admission, partition by owner and forward for one SITW-BIN frame.
+    // sitw-lint: hot-path
+    fn frame(&mut self, token: u64, conn: &mut Conn<Client>, version: u8, trace: Option<u64>) {
+        let ctx: &RouterCtx = &self.ctx;
+        let telem = &ctx.telem;
+        let t0 = telem.now_ns();
+        let trace = telem.sample(trace);
+        if trace.is_some() {
+            ctx.metrics.traced_requests.fetch_add(1, Ordering::Relaxed);
+        }
+        let n = conn.records.len();
+        ctx.metrics.bin_frames.fetch_add(1, Ordering::Relaxed);
+        (ctx.metrics.bin_records).fetch_add(n as u64, Ordering::Relaxed);
+        // Ingress ends where placement (the `route` hop) begins. Every
+        // record's owner is resolved before any is admitted: a frame
+        // refused whole spends no QoS tokens.
+        let t1 = telem.now_ns();
+        if let Err((code, detail)) = resolve(ctx, &conn.records, &mut self.owners) {
+            return wire::encode_error_frame(local(conn), code, &detail);
+        }
+        let throttled = ctx.slots;
+        let mut admission = ctx.has_qos.then(|| lock_unpoisoned(&ctx.admission));
+        for (rec, &(node, _)) in conn.records.iter().zip(&self.owners) {
+            let tenant = (rec.tenant as usize).checked_sub(1);
+            let name = tenant.and_then(|t| ctx.cfg.tenants.get(t)).map(|t| &t.name);
+            let refused = match (admission.as_mut(), name) {
+                (Some(admission), Some(name)) => !admission.admit(name, rec.ts),
+                _ => false,
+            };
+            if let (true, Some(name)) = (refused, name) {
+                ctx.metrics.throttled.fetch_add(1, Ordering::Relaxed);
+                // sitw-lint: allow(hot-path-alloc)
+                let detail = format!("proto=bin ts={}", rec.ts);
+                ctx.telem.event(EventKind::Throttle, name, &rec.app, detail);
+            }
+            self.part.route(if refused { throttled } else { node });
+        }
+        drop(admission);
+        self.part.sort(throttled + 1);
+        let t2 = telem.now_ns();
+        if let Some(id) = trace {
+            telem.record(id, Stage::Ingress, t0, t1);
+            telem.record(id, Stage::Route, t1, t2);
+        }
+        // Connect every owner before sending anything, so a dead node
+        // fails the frame without leaving part of it in flight elsewhere.
+        let mut owners = 0;
+        for node in (0..throttled).filter(|&node| !self.part.slice(node).is_empty()) {
+            owners += 1;
+            if let Err(e) = upstream(&mut self.upstreams, ctx, self.id, node) {
+                let detail = down(ctx, node, &e);
+                return wire::encode_error_frame(local(conn), BinErrorCode::Unavailable, &detail);
+            }
+        }
+        // A v2 frame whole on one node with nothing throttled needs no
+        // reassembly: the node's reply (or typed error) frame is the
+        // client's answer, byte for byte. A v1 client's is re-encoded:
+        // the upstream always speaks v2. A frame with no owner (empty,
+        // or all throttled) completes at once.
+        let whole =
+            version == wire::BIN_VERSION_2 && owners == 1 && self.part.slice(throttled).is_empty();
+        let (seq, answer) = conn.state.push(owners.max(1), (!whole).then_some(version));
+        if !whole {
+            answer.replies.resize(n, BinReply::Throttled);
+        }
+        let (records, ids) = (&conn.records, &self.owners);
+        for (node, up) in self.upstreams.iter_mut().enumerate() {
+            let slice = self.part.slice(node);
+            if slice.is_empty() {
+                continue;
+            }
+            let at = answer.positions.len() as u32;
+            if !whole {
+                answer.positions.extend_from_slice(slice);
+            }
+            let subframe = slice.iter().map(|&i| {
+                let (rec, (_, id)) = (&records[i as usize], ids[i as usize]);
+                (id, rec.app.as_str(), rec.ts)
+            });
+            wire::encode_request_frame_v2_from(&mut up.out, subframe, trace);
+            up.owe(token, seq, self.now, Some((at, slice.len() as u32)));
+            (ctx.metrics.forwarded_subframes).fetch_add(1, Ordering::Relaxed);
+        }
+        answer.hop = forwarded(telem, trace, t2);
+        if owners == 0 {
+            answer.arrived(telem);
+            release(conn);
+        }
+    }
+
+    /// Writes upstream `node`'s pending requests and keeps its write
+    /// readiness in step; a failed write retires it.
+    // sitw-lint: hot-path
+    fn send(&mut self, node: usize, conns: &mut Conns<Client>, ready: &mut Vec<u64>) {
+        let (ctx, id, up) = (&self.ctx, self.id, &mut self.upstreams[node]);
+        let result = up.write().and_then(|blocked| match &up.conn {
+            Some(buf) if blocked != up.blocked => {
+                up.blocked = blocked;
+                let interest = Interest {
+                    readable: true,
+                    writable: blocked,
+                };
+                let (fd, token) = (buf.stream().as_raw_fd(), UPSTREAM_TOKEN - node as u64);
+                ctx.pool.epoll(id).modify(fd, token, interest)
+            }
+            _ => Ok(()),
+        });
+        if let Err(e) = result {
+            self.fail(node, e, conns, ready);
+        }
+    }
+
+    /// Reads the replies upstream `node` has in, each filling the slice
+    /// it owes. A failed read, a close, or a reply nobody is owed
+    /// retires the upstream.
+    // sitw-lint: hot-path
+    fn receive(&mut self, node: usize, conns: &mut Conns<Client>, ready: &mut Vec<u64>) {
+        let failure = loop {
+            let up = &mut self.upstreams[node];
+            let Some(buf) = up.conn.as_mut() else {
+                return;
+            };
+            let reply = match buf.read_reply() {
+                Ok(Reply::Timeout) => return,
+                Ok(Reply::Eof) => {
+                    let closed = "peer closed the connection";
+                    break io::Error::new(io::ErrorKind::UnexpectedEof, closed);
+                }
+                Ok(reply) => reply,
+                Err(e) => break e,
+            };
+            let Some(slice) = up.owed.pop_front() else {
+                break unexpected();
+            };
+            if let Err(e) = deliver(&self.ctx, node, &slice, reply, buf.reply_raw(), conns) {
+                break e;
+            }
+            wake(ready, slice.token);
+        };
+        self.fail(node, failure, conns, ready);
+    }
+
+    /// Retires upstream `node` after `err`: every answer it owes gets the
+    /// typed error naming the node, and the next forward reconnects.
+    fn fail(
+        &mut self,
+        node: usize,
+        err: io::Error,
+        conns: &mut Conns<Client>,
+        ready: &mut Vec<u64>,
+    ) {
+        let (ctx, up) = (&self.ctx, &mut self.upstreams[node]);
+        if let Some(buf) = up.conn.take() {
+            let _ = ctx.pool.epoll(self.id).delete(buf.stream().as_raw_fd());
+        }
+        (up.written, up.blocked) = (0, false);
+        up.out.clear();
+        if up.owed.is_empty() {
+            return;
+        }
+        let detail = down(ctx, node, &err);
+        for slice in up.owed.drain(..) {
+            let Some(conn) = conns.get_mut(slice.token) else {
+                continue;
+            };
+            let Some(answer) = conn.state.get(slice.seq) else {
+                continue;
+            };
+            if answer.split.is_some() {
+                answer.fail(node, BinErrorCode::Unavailable, detail.clone());
+            } else if slice.frame.is_none() {
+                write_error(&mut answer.bytes, 503, &detail);
+            } else {
+                wire::encode_error_frame(&mut answer.bytes, BinErrorCode::Unavailable, &detail);
+            }
+            answer.arrived(&ctx.telem);
+            release(conn);
+            wake(ready, slice.token);
+        }
+    }
+}
+
+impl Handler for Front {
+    type State = Client;
+
+    fn telem(&self) -> &ReactorTelemHandle {
+        &self.telem
+    }
+
+    fn window(&self) -> usize {
+        WINDOW
+    }
+
+    fn owed(state: &Client) -> usize {
+        state.answers.len()
+    }
+
+    /// Forwards `/invoke`s and frames; answers the rest locally, a
+    /// control request once nothing is owed on its connection.
+    // sitw-lint: hot-path
+    fn readable(&mut self, token: u64, conn: &mut Conn<Client>) {
+        while let Some(event) = conn.next(conn.state.answers.len(), WINDOW, &self.telem) {
+            match event {
+                ReadEvent::Request => {
+                    let path = conn.req.path.split('?').next().unwrap_or_default();
+                    if conn.req.method == "POST" && path == "/invoke" {
+                        self.invoke(token, conn);
+                    } else if conn.state.answers.is_empty() {
+                        control(&self.ctx, &conn.req, &mut conn.out);
+                    } else {
+                        conn.hold();
+                    }
+                }
+                ReadEvent::Frame { version, trace } => self.frame(token, conn, version, trace),
+                // The control plane flows router → node, never client →
+                // router.
+                ReadEvent::Ctrl(_) => {
+                    let detail = "control frames terminate at nodes";
+                    wire::encode_error_frame(local(conn), BinErrorCode::Malformed, detail)
+                }
+                ReadEvent::FrameError { code, detail, .. } => {
+                    wire::encode_error_frame(local(conn), code, &detail)
+                }
+                ReadEvent::BodyTooLarge { .. } => {
+                    write_error(local(conn), 413, "payload too large")
+                }
+                ReadEvent::Eof | ReadEvent::Timeout => {}
+            }
+        }
+    }
+
+    /// Closes the `egress` hop of the traced answers just flushed.
+    fn flushed(&self, spans: &[(u64, u64)], _t0: u64, _written: usize) {
+        let telem = &self.ctx.telem;
+        let t = telem.now_ns();
+        for &(id, start) in spans {
+            telem.record(id, Stage::Egress, start, t);
+        }
+    }
+
+    /// Keeps the round's clock and, on the tick, retires every upstream
+    /// whose oldest owed reply is past `upstream_timeout`.
+    fn round(
+        &mut self,
+        now: Instant,
+        sweep: bool,
+        conns: &mut Conns<Client>,
+        ready: &mut Vec<u64>,
+    ) {
+        self.now = now;
+        if !sweep {
+            return;
+        }
+        let timeout = self.ctx.cfg.upstream_timeout;
+        for node in 0..self.upstreams.len() {
+            let oldest = self.upstreams[node].owed.front();
+            if oldest.is_some_and(|s| now.saturating_duration_since(s.since) >= timeout) {
+                let late = io::Error::new(io::ErrorKind::TimedOut, "read timed out");
+                self.fail(node, late, conns, ready);
+            }
+        }
+    }
+
+    fn event(&mut self, ev: Event, conns: &mut Conns<Client>, ready: &mut Vec<u64>) {
+        let node = UPSTREAM_TOKEN.wrapping_sub(ev.token) as usize;
+        if node >= self.upstreams.len() {
+            return; // A client connection retired earlier this round.
+        }
+        if ev.writable {
+            self.send(node, conns, ready);
+        }
+        if ev.readable || ev.hangup {
+            self.receive(node, conns, ready);
+        }
+    }
+
+    /// Writes what this round forwarded.
+    fn flush(&mut self, conns: &mut Conns<Client>, ready: &mut Vec<u64>) {
+        for node in 0..self.upstreams.len() {
+            let up = &self.upstreams[node];
+            if !up.blocked && !up.out.is_empty() {
+                self.send(node, conns, ready);
+            }
+        }
+    }
+}
+
+/// This reactor's connection to `node`, connected first if it has none:
+/// the one blocking call of the data path, bounded by
+/// `upstream_timeout`.
+// sitw-lint: hot-path
+fn upstream<'u>(
+    ups: &'u mut [Upstream],
+    ctx: &RouterCtx,
+    id: usize,
+    node: usize,
+) -> io::Result<&'u mut Upstream> {
+    let up = &mut ups[node];
+    if up.conn.is_none() {
+        let stream = TcpStream::connect_timeout(&ctx.node_addr(node), ctx.cfg.upstream_timeout)?;
+        stream.set_nonblocking(true)?;
+        stream.set_nodelay(true)?;
+        let token = UPSTREAM_TOKEN - node as u64;
+        (ctx.pool.epoll(id)).add(stream.as_raw_fd(), token, Interest::READ)?;
+        up.conn = Some(ConnBuf::new(stream));
+    }
+    Ok(up)
+}
+
+/// Resolves every record of a frame to its ring owner and the tenant's
+/// wire id there, or to the typed error that refuses the frame whole.
+// sitw-lint: hot-path
+fn resolve(
+    ctx: &RouterCtx,
+    records: &[BinInvoke],
+    owners: &mut Vec<(usize, u16)>,
+) -> Result<(), (BinErrorCode, String)> {
+    owners.clear();
+    let (ring, node_ids) = (read(&ctx.ring), read(&ctx.node_ids));
+    // sitw-lint: allow(hot-path-alloc)
+    let no_live = || (BinErrorCode::Unavailable, String::from("no live nodes"));
+    for rec in records {
+        let Some(t) = (rec.tenant as usize).checked_sub(1) else {
+            owners.push((ring.node_of_app(&rec.app).ok_or_else(no_live)?, 0));
+            continue;
+        };
+        let Some(tenant) = ctx.cfg.tenants.get(t) else {
+            // sitw-lint: allow(hot-path-alloc)
+            let detail = format!("unknown tenant id {}", rec.tenant);
+            return Err((BinErrorCode::Malformed, detail));
+        };
+        let node = ring.node_of_tenant(&tenant.name).ok_or_else(no_live)?;
+        let Some(&id) = node_ids.get(node).and_then(|ids| ids.get(&tenant.name)) else {
+            let (name, node) = (&tenant.name, ctx.node_name(node));
+            // sitw-lint: allow(hot-path-alloc)
+            let detail = format!("tenant '{name}' not provisioned on node {node}");
+            return Err((BinErrorCode::Unavailable, detail));
+        };
+        owners.push((node, id));
+    }
+    Ok(())
+}
+
+/// Fills `slice`'s part of its answer with one upstream reply (`raw`, its
+/// exact bytes) and releases what became ready. An error: the reply is
+/// not what the slice is owed.
+// sitw-lint: hot-path
+fn deliver(
+    ctx: &RouterCtx,
+    node: usize,
+    slice: &Slice,
+    reply: Reply,
+    raw: &[u8],
+    conns: &mut Conns<Client>,
+) -> io::Result<()> {
+    use ServerFrameDecode::{Error, Reply as Records};
+    let frame = match reply {
+        Reply::Http(_) if slice.frame.is_none() => None,
+        Reply::Frame(frame @ (Records { .. } | Error { .. })) if slice.frame.is_some() => {
+            Some(frame)
+        }
+        _ => return Err(unexpected()),
+    };
+    // The client may be gone; its reply was read all the same, which
+    // keeps the upstream in step.
+    let Some(conn) = conns.get_mut(slice.token) else {
+        return Ok(());
+    };
+    let Some(answer) = conn.state.get(slice.seq) else {
+        return Ok(());
+    };
+    match (answer.split, frame) {
+        (Some(_), Some(Records { records, .. })) => {
+            let (at, n) = slice.frame.unwrap_or_default();
+            let positions = answer.positions.get(at as usize..(at + n) as usize);
+            let positions = positions.unwrap_or_default();
+            let short = records.len() < positions.len();
+            for (&pos, rec) in positions.iter().zip(records) {
+                if let Some(reply) = answer.replies.get_mut(pos as usize) {
+                    *reply = rec;
+                }
+            }
+            if short {
+                // sitw-lint: allow(hot-path-alloc)
+                let detail = format!("node {} returned a short reply", ctx.node_name(node));
+                answer.fail(node, BinErrorCode::Unavailable, detail);
+            }
+        }
+        (Some(_), Some(Error { code, detail, .. })) => answer.fail(node, code, detail),
+        _ => answer.bytes.extend_from_slice(raw),
+    }
+    answer.arrived(&ctx.telem);
+    release(conn);
+    Ok(())
+}
+
+/// Closes a traced request's `forward` hop, begun at `t2`, and opens its
+/// `await`.
+fn forwarded(telem: &RouterTelem, trace: Option<u64>, t2: u64) -> Option<(u64, u64)> {
+    let id = trace.filter(|_| telem.enabled)?;
+    let t3 = telem.now_ns();
+    telem.record(id, Stage::Forward, t2, t3);
+    Some((id, t3))
+}
+
+/// The detail of a failed node's typed error, naming the node; counts
+/// the failure against it.
+fn down(ctx: &RouterCtx, node: usize, e: &io::Error) -> String {
+    ctx.metrics.node_error(node);
+    format!("node {} down: {e}", ctx.node_name(node))
+}
+
+/// Marks a client connection for pumping (once per run of replies to
+/// it, so the list stays as short as the clients a read served).
+fn wake(ready: &mut Vec<u64>, token: u64) {
+    if ready.last() != Some(&token) {
+        ready.push(token);
+    }
+}
+
+fn unexpected() -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, "unexpected upstream reply")
+}

@@ -14,14 +14,17 @@
 //!   tenants land whole on one node by name hash, the default tenant
 //!   spreads by app hash, and migrations pin overrides. Every change
 //!   advances the epoch.
-//! * [`Router`] — the routing daemon. Speaks both wire protocols on one
-//!   port (JSON over HTTP and SITW-BIN frames), splits batched frames
-//!   across nodes and reassembles replies in request order, answers
+//! * [`Router`] — the routing daemon, a node whose partitions are
+//!   remote: its clients run on the node's reactor driver and connection
+//!   state machine ([`sitw_serve::reactor`]), a few event-loop threads
+//!   for every client. It speaks both wire protocols on one port (JSON
+//!   over HTTP and SITW-BIN frames), partitions batched frames by ring
+//!   owner and reassembles the nodes' replies in request order, answers
 //!   admission rejections itself (HTTP 429 / the `Throttled` verdict
 //!   bit), and surfaces a dead node as the typed
 //!   [`sitw_serve::wire::BinErrorCode::Unavailable`] error (HTTP 503)
-//!   rather than a hung or reset connection — every data-path upstream
-//!   exchange is bounded by a configurable deadline. With `--failover
+//!   rather than a hung or reset connection — every answer a node owes
+//!   is bounded by a configurable deadline. With `--failover
 //!   supervised|auto` a health prober raises drop/promote proposals for
 //!   nodes failing consecutive probes; confirming one promotes the
 //!   slot's warm standby (a `sitw-serve --follow` replica) in place and
@@ -44,6 +47,7 @@
 #![warn(missing_docs)]
 
 pub mod federate;
+mod forward;
 pub mod metrics;
 pub mod reconcile;
 pub mod ring;

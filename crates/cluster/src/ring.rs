@@ -66,9 +66,12 @@ impl ClusterRing {
         self.live.get(node).copied().unwrap_or(false)
     }
 
-    /// The live node indices, ascending — the hash space.
-    fn live_nodes(&self) -> Vec<usize> {
-        (0..self.live.len()).filter(|&i| self.live[i]).collect()
+    /// Hash placement over the live node list, ascending: the node at
+    /// `hash` modulo the live count, found without allocating. `None`
+    /// when no node is live.
+    fn live_node(&self, hash: u64) -> Option<usize> {
+        let k = hash.checked_rem(self.live_count() as u64)? as usize;
+        (0..self.live.len()).filter(|&i| self.live[i]).nth(k)
     }
 
     /// Routes a named tenant: its override if migrated, else the hash of
@@ -82,21 +85,13 @@ impl ClusterRing {
             // The pinned node died: fall through to the hash placement
             // (the same rehash an epoch advance applies to everyone).
         }
-        let live = self.live_nodes();
-        if live.is_empty() {
-            return None;
-        }
-        Some(live[(fnv1a(tenant.as_bytes()) % live.len() as u64) as usize])
+        self.live_node(fnv1a(tenant.as_bytes()))
     }
 
     /// Routes a default-tenant invocation by app id — mirroring how the
     /// default tenant spreads over shards inside a node.
     pub fn node_of_app(&self, app: &str) -> Option<usize> {
-        let live = self.live_nodes();
-        if live.is_empty() {
-            return None;
-        }
-        Some(live[(fnv1a(app.as_bytes()) % live.len() as u64) as usize])
+        self.live_node(fnv1a(app.as_bytes()))
     }
 
     /// Marks a node dead and advances the epoch. Overrides pointing at

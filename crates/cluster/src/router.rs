@@ -7,22 +7,24 @@
 //! state**: every verdict is produced by a node, so a one-node cluster
 //! answers bit-for-bit what the bare node would.
 //!
-//! Per client connection the router runs a single thread over a FIFO of
-//! pending responses: it parses and forwards every message the client
-//! has buffered, then drains the queue — reading node replies and
-//! answering the client — before blocking on the socket again. Request
-//! pipelining survives the extra hop as whole-burst batching (one
-//! upstream flush and one client write per burst rather than a
-//! syscall per request), with no cross-thread handoff on the hot path.
-//! A batched SITW-BIN frame is split into at most one subframe per
-//! owning node; the drain reassembles the per-node reply frames into
-//! one client frame in request order, splicing in locally generated
-//! `Throttled` records for the invocations admission rejected.
+//! The router is a node whose partitions are remote. Its clients run on
+//! the node's reactor driver and connection state machine
+//! ([`sitw_serve::reactor`], [`sitw_serve::conn`]), a few reactor
+//! threads multiplexing every client connection; only the handler
+//! differs ([`crate::forward`]). Where a node sorts a frame's records by
+//! shard and decides each slice, the router sorts them by ring owner and
+//! forwards each slice to that node over its reactor's connection to it,
+//! then splices the replies back into one client frame in request
+//! order, with locally generated `Throttled` records for the
+//! invocations admission rejected. The answer is owed until every
+//! slice's reply is in; a control request waits until nothing is owed
+//! on its connection, exactly as on a node.
 //!
 //! Failure is typed, never silent: a dead node surfaces as the
-//! [`BinErrorCode::Unavailable`] error frame (or HTTP 503 with the node
-//! address in the body) within the `upstream_timeout` bound — a hung
-//! node (SIGSTOP, dead disk) cannot stall a client drain forever.
+//! [`sitw_serve::wire::BinErrorCode::Unavailable`] error frame (or HTTP
+//! 503 with the node address in the body) within the `upstream_timeout`
+//! bound — a hung node (SIGSTOP, dead disk) stalls only the clients it
+//! owes answers, and only that long.
 //! Recovery stays an explicit epoch advance, so the ring remains a
 //! deterministic function of operator actions — which is what lets
 //! [`crate::sim`] model the cluster offline. An operator acknowledges a
@@ -40,30 +42,27 @@
 //! deterministic jitter, and the whole lifecycle lands in
 //! `/debug/events` and the `sitw_router_failover_*` metric families.
 
-use std::collections::{HashMap, VecDeque};
-use std::io::{self, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::collections::HashMap;
+use std::io;
+use std::net::{SocketAddr, ToSocketAddrs};
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
 use sitw_core::PolicySpec;
 use sitw_fleet::{fnv1a, registry::parse_tenant_arg, Admission, QosPolicy};
-use sitw_serve::http::{
-    call, write_request, write_response, ConnBuf, ReadEvent, Reply, Request, MAX_BODY_BYTES,
-};
-use sitw_serve::wire::{
-    self, encode_error_frame, encode_reply_records, encode_request_frame_v2,
-    encode_request_frame_v2_traced, BinErrorCode, BinInvoke, BinReply, ControlReply,
-    ControlRequest, ServerFrameDecode, TenantUsage,
-};
+use sitw_serve::http::{call, write_response, Request};
+use sitw_serve::reactor::{self, Pool};
+use sitw_serve::server::write_error;
+use sitw_serve::wire::{self, ControlReply, ControlRequest, TenantUsage};
 
 use sitw_telemetry::{
     is_trace_span, lock_unpoisoned, write_trace_json, write_trace_text, EventKind, EventRing, Stage,
 };
 
 use crate::federate::{parse_hist_body, parse_trace_spans, rebase, FleetHists, NodeSpan};
+use crate::forward::Front;
 use crate::metrics::{render_fleet, RouterMetrics};
 use crate::reconcile::{control_roundtrip, reconcile_shares};
 use crate::ring::ClusterRing;
@@ -205,8 +204,9 @@ pub struct RouterConfig {
     /// Budget reconciliation interval in milliseconds; 0 disables the
     /// background reconciler (`POST /admin/reconcile` still works).
     pub reconcile_ms: u64,
-    /// Client-side read timeout — the shutdown poll interval of reader
-    /// threads.
+    /// The reactor poll tick: bounds how quickly a shutdown propagates,
+    /// how often the slowloris sweep runs, and how late past
+    /// `upstream_timeout` a hung node is noticed.
     pub read_timeout: Duration,
     /// Tag every Nth untraced request with a router-originated trace id
     /// and record hop spans for all traced requests; 0 disables hop
@@ -221,9 +221,10 @@ pub struct RouterConfig {
     /// --follow` node) in place and swaps its address into the slot,
     /// instead of dropping the node.
     pub standbys: Vec<(usize, String)>,
-    /// Data-path upstream deadline (connect, read, and write): a hung
-    /// node surfaces as a typed 503 / `Unavailable` naming the node
-    /// within this bound instead of stalling the client thread forever.
+    /// Data-path upstream deadline: a connect, and the wait for the
+    /// oldest reply a node owes. A hung node surfaces as a typed 503 /
+    /// `Unavailable` naming the node within this bound (plus a tick) to
+    /// every client it owes, instead of stalling them forever.
     pub upstream_timeout: Duration,
 }
 
@@ -245,11 +246,13 @@ impl Default for RouterConfig {
 }
 
 /// Shared state of a running router.
-struct RouterCtx {
-    cfg: RouterConfig,
+pub(crate) struct RouterCtx {
+    pub(crate) cfg: RouterConfig,
+    /// The listener, the reactors' epolls and the connection counts.
+    pub(crate) pool: Arc<Pool>,
     /// Node slot count — fixed for the router's life (a failover swaps
     /// a slot's address, never adds or removes slots).
-    slots: usize,
+    pub(crate) slots: usize,
     /// Resolved node addresses, by ring slot. Writable: a confirmed
     /// failover swaps the promoted standby's address into the dead
     /// node's slot.
@@ -259,55 +262,46 @@ struct RouterCtx {
     node_names: RwLock<Vec<String>>,
     /// Pending failover proposals (supervised/auto modes).
     proposals: Mutex<Vec<FailoverProposal>>,
-    /// The router's own listen address (used to wake the acceptor).
-    addr: SocketAddr,
-    ring: RwLock<ClusterRing>,
+    pub(crate) ring: RwLock<ClusterRing>,
     /// Cluster-wide QoS admission state, shared by every connection.
-    admission: Mutex<Admission>,
+    pub(crate) admission: Mutex<Admission>,
     /// Whether any tenant carries a QoS policy. When false the hot
     /// paths skip the admission mutex entirely — `admit` would answer
     /// an unconditional yes for every tenant anyway.
-    has_qos: bool,
+    pub(crate) has_qos: bool,
     /// Per-node tenant name → node-local wire id (ids diverge across
     /// nodes once tenants migrate).
-    node_ids: RwLock<Vec<HashMap<String, u16>>>,
-    metrics: RouterMetrics,
+    pub(crate) node_ids: RwLock<Vec<HashMap<String, u16>>>,
+    pub(crate) metrics: RouterMetrics,
     /// Hop span recorder, lifecycle event ring, and trace sampler.
-    telem: RouterTelem,
-    shutdown: AtomicBool,
+    pub(crate) telem: RouterTelem,
 }
 
 impl RouterCtx {
     fn shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
+        self.pool.shutting_down()
     }
 
     /// The current address of one node slot.
-    fn node_addr(&self, node: usize) -> SocketAddr {
-        self.nodes.read().expect("nodes poisoned")[node]
+    pub(crate) fn node_addr(&self, node: usize) -> SocketAddr {
+        read(&self.nodes)[node]
     }
 
     /// The current display name of one node slot.
-    fn node_name(&self, node: usize) -> String {
-        self.node_names.read().expect("node names poisoned")[node].clone()
+    pub(crate) fn node_name(&self, node: usize) -> String {
+        read(&self.node_names)[node].clone()
     }
 
     /// A snapshot of every slot's display name (metric labels).
     fn node_names_snapshot(&self) -> Vec<String> {
-        self.node_names.read().expect("node names poisoned").clone()
-    }
-
-    fn request_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        // Unblock the acceptor with a throwaway connection.
-        let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(500));
+        read(&self.node_names).clone()
     }
 
     /// One budget reconciliation cycle: poll reports, aggregate for
     /// `/metrics`, push budget shares to ring owners. Returns
     /// `(nodes reporting, shares acknowledged)`.
     fn reconcile_once(&self) -> (usize, u32) {
-        let ring = self.ring.read().expect("ring poisoned").clone();
+        let ring = read(&self.ring).clone();
         let (mut nodes_reporting, mut usage) = (0, Vec::new());
         for node in 0..self.slots {
             if !ring.is_live(node) {
@@ -360,7 +354,7 @@ impl RouterCtx {
             return Err((404, format!("unknown tenant '{tenant}'")));
         }
         let from = {
-            let ring = self.ring.read().expect("ring poisoned");
+            let ring = read(&self.ring);
             if !ring.is_live(to) {
                 return Err((400, format!("target node {to} is not live")));
             }
@@ -393,12 +387,12 @@ impl RouterCtx {
             }
             let id = parse_id_field(&resp)
                 .ok_or_else(|| (502, format!("malformed restore response: {resp}")))?;
-            let mut ids = self.node_ids.write().expect("node_ids poisoned");
+            let mut ids = write(&self.node_ids);
             ids[to].insert(tenant.to_owned(), id);
             ids[from].remove(tenant);
         }
         let epoch = {
-            let mut ring = self.ring.write().expect("ring poisoned");
+            let mut ring = write(&self.ring);
             ring.set_override(tenant, to).map_err(|e| (400, e))?;
             let epoch = ring.epoch();
             self.sync_ring_gauges(&ring);
@@ -421,7 +415,7 @@ impl RouterCtx {
     /// parse failures count a node error and leave that node out of the
     /// merge (`sitw_router_fleet_nodes` reports the coverage).
     fn fleet_scrape(&self) -> FleetHists {
-        let ring = self.ring.read().expect("ring poisoned").clone();
+        let ring = read(&self.ring).clone();
         let mut fleet = FleetHists::default();
         for node in 0..self.slots {
             if !ring.is_live(node) {
@@ -463,7 +457,7 @@ impl RouterCtx {
                 });
             }
         }
-        let ring = self.ring.read().expect("ring poisoned").clone();
+        let ring = read(&self.ring).clone();
         for node in 0..self.slots {
             if !ring.is_live(node) {
                 continue;
@@ -506,7 +500,7 @@ impl RouterCtx {
     /// Raises a failover proposal for `node` unless one is already
     /// pending. Returns whether a new proposal was raised.
     fn raise_proposal(&self, node: usize, reason: &str) -> bool {
-        let mut proposals = self.proposals.lock().expect("proposals poisoned");
+        let mut proposals = lock_unpoisoned(&self.proposals);
         if proposals.iter().any(|p| p.node == node) {
             return false;
         }
@@ -546,7 +540,7 @@ impl RouterCtx {
     /// HTTP-shaped error.
     fn confirm_failover(&self, node: usize) -> Result<String, (u16, String)> {
         let proposal = {
-            let proposals = self.proposals.lock().expect("proposals poisoned");
+            let proposals = lock_unpoisoned(&self.proposals);
             proposals
                 .iter()
                 .find(|p| p.node == node)
@@ -583,12 +577,12 @@ impl RouterCtx {
                     .map_err(|e| (502, e))?;
                 let old = self.node_name(node);
                 {
-                    self.nodes.write().expect("nodes poisoned")[node] = addr;
-                    self.node_names.write().expect("node names poisoned")[node] = standby.clone();
-                    self.node_ids.write().expect("node_ids poisoned")[node] = ids;
+                    write(&self.nodes)[node] = addr;
+                    write(&self.node_names)[node] = standby.clone();
+                    write(&self.node_ids)[node] = ids;
                 }
                 let epoch = {
-                    let mut ring = self.ring.write().expect("ring poisoned");
+                    let mut ring = write(&self.ring);
                     let epoch = ring.bump_epoch();
                     self.sync_ring_gauges(&ring);
                     epoch
@@ -615,7 +609,7 @@ impl RouterCtx {
             }
             None => {
                 let (epoch, live) = {
-                    let mut ring = self.ring.write().expect("ring poisoned");
+                    let mut ring = write(&self.ring);
                     ring.drop_node(node);
                     self.sync_ring_gauges(&ring);
                     (ring.epoch(), ring.live_count())
@@ -641,10 +635,7 @@ impl RouterCtx {
             }
         };
         // Only a successful confirmation consumes the proposal.
-        self.proposals
-            .lock()
-            .expect("proposals poisoned")
-            .retain(|p| p.node != node);
+        lock_unpoisoned(&self.proposals).retain(|p| p.node != node);
         Ok(body)
     }
 
@@ -680,8 +671,7 @@ impl RouterCtx {
 /// A running router daemon.
 pub struct Router {
     ctx: Arc<RouterCtx>,
-    addr: SocketAddr,
-    acceptor: Option<JoinHandle<()>>,
+    reactors: Vec<JoinHandle<()>>,
     reconciler: Option<JoinHandle<()>>,
     prober: Option<JoinHandle<()>>,
 }
@@ -690,7 +680,8 @@ impl Router {
     /// Starts the router: resolves and provisions the nodes (registering
     /// any configured tenant a node doesn't know yet and learning each
     /// node's tenant wire ids), binds the listen socket, and spawns the
-    /// acceptor and the background reconciler.
+    /// reactors (as many as a node runs by default) and the background
+    /// reconciler.
     pub fn start(cfg: RouterConfig) -> io::Result<Router> {
         if cfg.nodes.is_empty() {
             return Err(io::Error::new(
@@ -719,8 +710,6 @@ impl Router {
             node_ids.push(ids);
         }
 
-        let listener = TcpListener::bind(&cfg.addr)?;
-        let addr = listener.local_addr()?;
         let mut admission = Admission::new();
         for t in &cfg.tenants {
             if let Some(qos) = &t.qos {
@@ -747,50 +736,43 @@ impl Router {
         let has_qos = cfg.tenants.iter().any(|t| t.qos.is_some());
         let telem = RouterTelem::new(cfg.trace_sample);
         let failover = cfg.failover;
+        let pool = Pool::bind(
+            &cfg.addr,
+            reactor::REACTORS,
+            cfg.read_timeout,
+            reactor::IDLE_TIMEOUT,
+        )?;
         let ctx = Arc::new(RouterCtx {
+            pool: Arc::clone(&pool),
             ring: RwLock::new(ClusterRing::new(nodes.len())),
             admission: Mutex::new(admission),
             has_qos,
             node_ids: RwLock::new(node_ids),
             metrics,
             telem,
-            shutdown: AtomicBool::new(false),
             slots: nodes.len(),
             nodes: RwLock::new(nodes),
             node_names: RwLock::new(node_names),
             proposals: Mutex::new(Vec::new()),
-            addr,
             cfg,
         });
 
-        let accept_ctx = ctx.clone();
-        let acceptor = thread::Builder::new()
-            .name("router-accept".into())
-            .spawn(move || accept_loop(accept_ctx, listener))?;
-        let reconciler = if reconcile_ms > 0 {
-            let rec_ctx = ctx.clone();
-            Some(
+        let fronts = (0..pool.reactors()).map(|id| Front::new(Arc::clone(&ctx), id));
+        let reactors = reactor::spawn(&pool, "router-reactor", fronts)?;
+        let background = |on: bool, name: &str, run: fn(Arc<RouterCtx>)| {
+            let ctx = Arc::clone(&ctx);
+            let spawn = || {
                 thread::Builder::new()
-                    .name("router-reconcile".into())
-                    .spawn(move || reconcile_loop(rec_ctx))?,
-            )
-        } else {
-            None
+                    .name(name.into())
+                    .spawn(move || run(ctx))
+            };
+            on.then(spawn).transpose()
         };
-        let prober = if failover != FailoverMode::Off {
-            let probe_ctx = ctx.clone();
-            Some(
-                thread::Builder::new()
-                    .name("router-probe".into())
-                    .spawn(move || probe_loop(probe_ctx))?,
-            )
-        } else {
-            None
-        };
+        let reconciler = background(reconcile_ms > 0, "router-reconcile", reconcile_loop)?;
+        let prober = background(failover != FailoverMode::Off, "router-probe", probe_loop)?;
         Ok(Router {
             ctx,
-            addr,
-            acceptor: Some(acceptor),
+            reactors,
             reconciler,
             prober,
         })
@@ -798,7 +780,7 @@ impl Router {
 
     /// The bound listen address.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.ctx.pool.addr()
     }
 
     /// The router's metrics (tests and embedding callers).
@@ -829,52 +811,35 @@ impl Router {
 
     /// Requests shutdown and joins the daemon threads.
     pub fn shutdown(mut self) {
-        self.ctx.request_shutdown();
+        self.ctx.pool.shutdown();
         self.join();
     }
 
     fn join(&mut self) {
-        if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.reconciler.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.prober.take() {
+        let threads = self.reactors.drain(..);
+        for h in threads
+            .chain(self.reconciler.take())
+            .chain(self.prober.take())
+        {
             let _ = h.join();
         }
     }
 }
 
-fn accept_loop(ctx: Arc<RouterCtx>, listener: TcpListener) {
-    for stream in listener.incoming() {
-        if ctx.shutting_down() {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        let conn_ctx = ctx.clone();
-        let _ = thread::Builder::new()
-            .name("router-conn".into())
-            .spawn(move || client_thread(conn_ctx, stream));
+/// Sleeps `interval` in small slices, so shutdown is honored promptly;
+/// false once shutdown is requested.
+fn pause(ctx: &RouterCtx, interval: Duration) -> bool {
+    let mut remaining = interval;
+    while !ctx.shutting_down() && remaining > Duration::ZERO {
+        let slice = remaining.min(Duration::from_millis(50));
+        thread::sleep(slice);
+        remaining = remaining.saturating_sub(slice);
     }
+    !ctx.shutting_down()
 }
 
 fn reconcile_loop(ctx: Arc<RouterCtx>) {
-    let interval = Duration::from_millis(ctx.cfg.reconcile_ms);
-    'outer: loop {
-        // Sleep in small slices so shutdown is honored promptly.
-        let mut remaining = interval;
-        while remaining > Duration::ZERO {
-            if ctx.shutting_down() {
-                break 'outer;
-            }
-            let slice = remaining.min(Duration::from_millis(50));
-            thread::sleep(slice);
-            remaining = remaining.saturating_sub(slice);
-        }
-        if ctx.shutting_down() {
-            break;
-        }
+    while pause(&ctx, Duration::from_millis(ctx.cfg.reconcile_ms)) {
         let _ = ctx.reconcile_once();
     }
 }
@@ -888,21 +853,8 @@ fn probe_loop(ctx: Arc<RouterCtx>) {
     let interval = Duration::from_millis(ctx.cfg.probe_ms.max(10));
     let timeout = ctx.cfg.upstream_timeout;
     let mut fails = vec![0u32; ctx.slots];
-    'outer: loop {
-        // Sleep in small slices so shutdown is honored promptly.
-        let mut remaining = interval;
-        while remaining > Duration::ZERO {
-            if ctx.shutting_down() {
-                break 'outer;
-            }
-            let slice = remaining.min(Duration::from_millis(50));
-            thread::sleep(slice);
-            remaining = remaining.saturating_sub(slice);
-        }
-        if ctx.shutting_down() {
-            break;
-        }
-        let ring = ctx.ring.read().expect("ring poisoned").clone();
+    while pause(&ctx, interval) {
+        let ring = read(&ctx.ring).clone();
         for (node, fail_count) in fails.iter_mut().enumerate() {
             if !ring.is_live(node) {
                 *fail_count = 0;
@@ -930,7 +882,7 @@ fn probe_loop(ctx: Arc<RouterCtx>) {
         }
         if ctx.cfg.failover == FailoverMode::Auto {
             let pending: Vec<usize> = {
-                let proposals = ctx.proposals.lock().expect("proposals poisoned");
+                let proposals = lock_unpoisoned(&ctx.proposals);
                 proposals.iter().map(|p| p.node).collect()
             };
             for node in pending {
@@ -947,1041 +899,228 @@ fn probe_loop(ctx: Arc<RouterCtx>) {
     }
 }
 
-/// Where one record of a client frame goes.
-enum Slot {
-    /// Rejected by admission; the router answers `Throttled` itself.
-    Throttled,
-    /// Forwarded to this node's subframe.
-    Node(usize),
-}
-
-/// One queued response, drained in FIFO order.
-enum Pending {
-    /// A new upstream connection's read half. Always enqueued before any
-    /// pending that reads from it.
-    Register { node: usize, stream: TcpStream },
-    /// A locally produced response (admin, throttle, typed errors).
-    Local(Vec<u8>),
-    /// `count` consecutive JSON requests were forwarded to `node`;
-    /// relay their responses in order. A pipelined same-node run
-    /// coalesces into one pending — except traced requests, which get a
-    /// dedicated `count == 1` pending so the drain can time their
-    /// `await`/`reassemble` hop spans.
-    Json {
-        node: usize,
-        count: u32,
-        /// `(trace id, forward-end ns)` when this pending is one traced
-        /// request and hop recording is on.
-        hop: Option<(u64, u64)>,
-    },
-    /// One client SITW-BIN v2 frame whose records all mapped to `node`
-    /// with nothing throttled locally: the node's reply (or typed
-    /// error) frame answers the client verbatim, no reassembly.
-    WholeFrame {
-        node: usize,
-        /// `(trace id, forward-end ns)` when traced (see `Json::hop`).
-        hop: Option<(u64, u64)>,
-    },
-    /// One client BIN frame, split across nodes.
-    Frame {
-        /// The client frame's protocol version (replies echo it).
-        version: u8,
-        /// Per-record destination, in request order.
-        slots: Vec<Slot>,
-        /// Nodes whose subframes were fully written, in send order.
-        sent: Vec<usize>,
-        /// An upstream write failed; answer `Unavailable` with this
-        /// detail after draining the nodes that did receive subframes.
-        failed: Option<String>,
-        /// `(trace id, forward-end ns)` when traced (see `Json::hop`).
-        hop: Option<(u64, u64)>,
-    },
-}
-
-/// Estimated client-facing bytes for one relayed JSON response, used
-/// only to bound the pending queue (below).
-const JSON_RESPONSE_ESTIMATE: usize = 256;
-
-/// Drain the pending queue once its estimated response bytes exceed
-/// this, even if the client is still streaming requests. Draining
-/// blocks on upstream reads, which is deadlock-free only while every
-/// undrained reply fits in the node→router socket buffers (~208 KiB
-/// each side on Linux): a node never needs the router to accept more
-/// requests in order to answer the ones it already read, so as long as
-/// its pending replies fit in kernel buffers, our buffered request
-/// writes can always make progress too.
-const QUEUED_RESPONSE_BYTES_CAP: usize = 128 * 1024;
-
-fn client_thread(ctx: Arc<RouterCtx>, stream: TcpStream) {
-    if stream.set_read_timeout(Some(ctx.cfg.read_timeout)).is_err() {
-        return;
-    }
-    // Writes are batched explicitly (flushed when the input drains), so
-    // Nagle only adds latency on the already-coalesced segments.
-    let _ = stream.set_nodelay(true);
-    let Ok(write_half) = stream.try_clone() else {
-        return;
+/// Answers one control request — everything but `POST /invoke` — into
+/// `out`, on the reactor that read it. Its connection owes nothing by
+/// then (settle-then-serve), so a side effect lands after every earlier
+/// request on the connection was answered. The endpoints that call
+/// nodes block the reactor for their round trips, as a node's admin
+/// verbs do.
+pub(crate) fn control(ctx: &RouterCtx, req: &Request, out: &mut Vec<u8>) {
+    let (path, query) = match req.path.split_once('?') {
+        Some((p, q)) => (p, q),
+        None => (req.path.as_str(), ""),
     };
-    let upstream = (0..ctx.slots).map(|_| None).collect();
-    let readers = (0..ctx.slots).map(|_| None).collect();
-    let mut conn = ClientConn {
-        ctx,
-        conn: ConnBuf::new(stream),
-        writer: write_half,
-        upstream,
-        readers,
-        pendings: VecDeque::new(),
-        queued_bytes: 0,
-        out_buf: Vec::new(),
-        json_run: None,
-        egress: Vec::new(),
+    let json = |out: &mut Vec<u8>, status: u16, body: &str| {
+        write_response(out, status, "application/json", body.as_bytes())
     };
-    conn.run();
-}
-
-/// One client connection: parse, forward, drain — all on one thread.
-struct ClientConn {
-    ctx: Arc<RouterCtx>,
-    conn: ConnBuf,
-    /// The client socket's write half.
-    writer: TcpStream,
-    /// Upstream write halves, connected lazily per node. Buffered so a
-    /// pipelined burst of client messages coalesces into few upstream
-    /// segments; flushed whenever the client input drains.
-    upstream: Vec<Option<io::BufWriter<TcpStream>>>,
-    /// Upstream read halves, registered through the pending queue so a
-    /// reconnect never overtakes replies owed by the old connection.
-    readers: Vec<Option<ConnBuf>>,
-    /// Responses owed to the client, in request order.
-    pendings: VecDeque<Pending>,
-    /// Estimated client-facing bytes of the queued responses; drained
-    /// at [`QUEUED_RESPONSE_BYTES_CAP`].
-    queued_bytes: usize,
-    /// Rendered-but-unwritten client bytes.
-    out_buf: Vec<u8>,
-    /// A not-yet-enqueued run of forwarded JSON requests, coalesced
-    /// while consecutive requests keep hitting the same node. Flushed
-    /// before any other pending is enqueued (the FIFO order is the
-    /// response order) and before draining.
-    json_run: Option<(usize, u32)>,
-    /// Traced responses rendered but not yet written to the client:
-    /// `(trace id, reassemble-end ns)`. Their `egress` hop spans close
-    /// when the next client flush succeeds.
-    egress: Vec<(u64, u64)>,
-}
-
-impl ClientConn {
-    fn run(&mut self) {
-        // Parse scratch, refilled in place: a warm connection reads
-        // without allocating.
-        let mut req = Request::default();
-        let mut records: Vec<BinInvoke> = Vec::new();
-        // Set when the loop ends on an error that leaves part of the
-        // client's message unread.
-        let mut unread_input = false;
-        loop {
-            if self.ctx.shutting_down() {
-                break;
-            }
-            // About to block on the client socket: anything buffered for
-            // the nodes must go out first (or their replies — and thus
-            // the client's next request — never come), and everything
-            // owed to the client must be answered, or a request/reply
-            // lockstep client never sends the next burst.
-            if self.conn.buffered() == 0 && !self.settle() {
-                break;
-            }
-            let event = match self.conn.read_event_into(&mut req, &mut records) {
-                Ok(ev) => ev,
-                Err(_) => break,
-            };
-            match event {
-                ReadEvent::Timeout => {
-                    // A stalled mid-message client still gets the
-                    // responses it is owed, bounded by the read
-                    // timeout — it can't hold earlier replies hostage.
-                    if !self.settle() {
-                        break;
-                    }
-                    continue;
-                }
-                ReadEvent::Eof => break,
-                ReadEvent::Request => {
-                    if !self.handle_request(&req) {
-                        break;
-                    }
-                }
-                ReadEvent::Frame { version, trace } => {
-                    if !self.handle_frame(&records, version, trace) {
-                        break;
-                    }
-                }
-                ReadEvent::Ctrl(_) => {
-                    // The control plane flows router → node, never
-                    // client → router.
-                    if !self.send_error_frame(
-                        BinErrorCode::Malformed,
-                        "control frames terminate at nodes",
-                    ) {
-                        break;
-                    }
-                }
-                ReadEvent::FrameError {
-                    code,
-                    detail,
-                    recoverable,
-                } => {
-                    if !self.send_error_frame(code, &detail) {
-                        break;
-                    }
-                    if !recoverable {
-                        unread_input = true;
-                        break;
-                    }
-                }
-                ReadEvent::BodyTooLarge { declared } => {
-                    let body = format!("{{\"error\":\"body of {declared} bytes too large\"}}");
-                    self.send_response(413, "application/json", body.as_bytes());
-                    unread_input = true;
-                    break;
-                }
-            }
-            if self.queued_bytes >= QUEUED_RESPONSE_BYTES_CAP && !self.settle() {
-                break;
-            }
-        }
-        // Requests already forwarded still deserve their responses,
-        // even if the client half-closed mid-buffer.
-        let answered = self.settle();
-        if unread_input && answered {
-            // The stream could not be resynchronized, so the rest of the
-            // client's message is still in flight. Closing over unread
-            // bytes turns the close into an RST that can destroy the
-            // error response just written.
-            self.conn.drain_for_close(2 * MAX_BODY_BYTES);
-        }
-    }
-
-    /// Flushes buffered upstream requests, drains every owed response,
-    /// and answers the client. Returns false when the client write half
-    /// is beyond saving.
-    fn settle(&mut self) -> bool {
-        self.flush_json_run();
-        self.flush_upstream();
-        while let Some(pending) = self.pendings.pop_front() {
-            handle_pending(
-                &self.ctx,
-                pending,
-                &mut self.readers,
-                &mut self.out_buf,
-                &mut self.egress,
+    let node_arg = || {
+        query
+            .strip_prefix("node=")
+            .and_then(|v| v.parse::<usize>().ok())
+    };
+    match (req.method.as_str(), path) {
+        ("GET", "/healthz") => {
+            let ring = read(&ctx.ring);
+            let body = format!(
+                "{{\"status\":\"ok\",\"role\":\"router\",\"nodes\":{},\"live\":{},\
+                 \"epoch\":{},\"tenants\":{},\"failover\":\"{}\"}}",
+                ring.len(),
+                ring.live_count(),
+                ring.epoch(),
+                ctx.cfg.tenants.len() + 1,
+                ctx.cfg.failover.name(),
             );
-            if self.out_buf.len() >= 64 * 1024 && !self.flush_client() {
-                return false;
-            }
+            drop(ring);
+            json(out, 200, &body);
         }
-        self.queued_bytes = 0;
-        self.flush_client()
-    }
-
-    fn flush_client(&mut self) -> bool {
-        if self.out_buf.is_empty() {
-            return true;
+        ("GET", "/metrics") => {
+            let text = ctx.metrics.render(&ctx.node_names_snapshot());
+            write_response(out, 200, "text/plain; version=0.0.4", text.as_bytes());
         }
-        let ok = self.writer.write_all(&self.out_buf).is_ok();
-        self.out_buf.clear();
-        if ok {
-            let t = self.ctx.telem.now_ns();
-            for (id, start) in self.egress.drain(..) {
-                self.ctx.telem.record(id, Stage::Egress, start, t);
-            }
-        } else {
-            self.egress.clear();
+        ("GET", "/metrics/fleet") => {
+            // Federation pass: pull every live node's raw log2 buckets
+            // and merge exactly.
+            let text = render_fleet(&ctx.fleet_scrape());
+            write_response(out, 200, "text/plain; version=0.0.4", text.as_bytes());
         }
-        ok
-    }
-
-    fn send_local(&mut self, bytes: Vec<u8>) -> bool {
-        self.queued_bytes += bytes.len();
-        self.pendings.push_back(Pending::Local(bytes));
-        true
-    }
-
-    fn send_response(&mut self, status: u16, content_type: &str, body: &[u8]) -> bool {
-        self.flush_json_run();
-        let mut out = Vec::new();
-        write_response(&mut out, status, content_type, body);
-        self.send_local(out)
-    }
-
-    fn send_error_frame(&mut self, code: BinErrorCode, detail: &str) -> bool {
-        self.flush_json_run();
-        let mut out = Vec::new();
-        encode_error_frame(&mut out, code, detail);
-        self.send_local(out)
-    }
-
-    /// Records one forwarded JSON request for `node`, extending the
-    /// current same-node run or starting a new one. A traced request
-    /// (`hop` set) gets its own single-request pending so the drain can
-    /// time its hop spans.
-    fn queue_json(&mut self, node: usize, hop: Option<(u64, u64)>) -> bool {
-        self.queued_bytes += JSON_RESPONSE_ESTIMATE;
-        if hop.is_some() {
-            self.flush_json_run();
-            self.pendings.push_back(Pending::Json {
-                node,
-                count: 1,
-                hop,
-            });
-            return true;
-        }
-        match &mut self.json_run {
-            Some((n, count)) if *n == node => *count += 1,
-            _ => {
-                self.flush_json_run();
-                self.json_run = Some((node, 1));
-            }
-        }
-        true
-    }
-
-    /// Enqueues the coalesced JSON run (if any) behind earlier pendings.
-    fn flush_json_run(&mut self) {
-        if let Some((node, count)) = self.json_run.take() {
-            self.pendings.push_back(Pending::Json {
-                node,
-                count,
-                hop: None,
-            });
-        }
-    }
-
-    /// Flushes every buffered upstream writer. A flush failure drops the
-    /// writer and counts a node error; the reply thread turns the dead
-    /// connection into a typed `Unavailable` when it tries to read the
-    /// response.
-    fn flush_upstream(&mut self) {
-        for node in 0..self.upstream.len() {
-            if let Some(w) = self.upstream[node].as_mut() {
-                if w.flush().is_err() {
-                    self.ctx.metrics.node_error(node);
-                    self.upstream[node] = None;
-                }
-            }
-        }
-    }
-
-    /// Connects to `node` if this connection hasn't yet, queueing the
-    /// read half behind everything already owed.
-    fn ensure_node(&mut self, node: usize) -> io::Result<()> {
-        if self.upstream[node].is_some() {
-            return Ok(());
-        }
-        // A pending JSON run may still reference this node's *previous*
-        // connection (dropped on a flush failure); it must sit ahead of
-        // the `Register` that replaces that reader.
-        self.flush_json_run();
-        // The whole upstream exchange is deadline-bounded: a killed node
-        // surfaces as an immediate reset/EOF, and a *hung* one (SIGSTOP,
-        // dead disk) as a timeout — either way a typed error within
-        // `upstream_timeout`, never a stalled client drain.
-        let timeout = self.ctx.cfg.upstream_timeout;
-        let stream = TcpStream::connect_timeout(&self.ctx.node_addr(node), timeout)?;
-        let _ = stream.set_nodelay(true);
-        stream.set_write_timeout(Some(timeout))?;
-        let read_half = stream.try_clone()?;
-        read_half.set_read_timeout(Some(timeout))?;
-        self.pendings.push_back(Pending::Register {
-            node,
-            stream: read_half,
-        });
-        self.upstream[node] = Some(io::BufWriter::with_capacity(64 * 1024, stream));
-        Ok(())
-    }
-
-    /// Routes one HTTP request. Returns false to close the connection.
-    fn handle_request(&mut self, req: &Request) -> bool {
-        let (path, query) = match req.path.split_once('?') {
-            Some((p, q)) => (p, q),
-            None => (req.path.as_str(), ""),
-        };
-        let ok = match (req.method.as_str(), path) {
-            ("POST", "/invoke") => self.forward_invoke(req),
-            ("GET", "/healthz") => {
-                let ring = self.ctx.ring.read().expect("ring poisoned");
-                let body = format!(
-                    "{{\"status\":\"ok\",\"role\":\"router\",\"nodes\":{},\"live\":{},\
-                     \"epoch\":{},\"tenants\":{},\"failover\":\"{}\"}}",
-                    ring.len(),
-                    ring.live_count(),
-                    ring.epoch(),
-                    self.ctx.cfg.tenants.len() + 1,
-                    self.ctx.cfg.failover.name(),
-                );
-                drop(ring);
-                self.send_response(200, "application/json", body.as_bytes())
-            }
-            ("GET", "/metrics") => {
-                let text = self.ctx.metrics.render(&self.ctx.node_names_snapshot());
-                self.send_response(200, "text/plain; version=0.0.4", text.as_bytes())
-            }
-            ("GET", "/metrics/fleet") => {
-                // Federation pass: pull every live node's raw log2
-                // buckets and merge exactly. This blocks on node
-                // round-trips, which is fine on the control path — the
-                // data path never calls it.
-                let text = render_fleet(&self.ctx.fleet_scrape());
-                self.send_response(200, "text/plain; version=0.0.4", text.as_bytes())
-            }
-            ("GET", "/debug/trace") => {
-                // The node's text shape with fleet sources, or (with
-                // `format=json`) span objects keyed by hex trace id.
-                let spans = self.ctx.merged_trace();
-                let (content_type, body) = if query.split('&').any(|p| p == "format=json") {
-                    ("application/json", write_trace_json(&spans, true))
-                } else {
-                    ("text/plain", write_trace_text(&spans))
-                };
-                self.send_response(200, content_type, body.as_bytes())
-            }
-            ("GET", "/debug/events") => {
-                let body = EventRing::snapshot_json(&self.ctx.telem.events);
-                self.send_response(200, "application/json", body.as_bytes())
-            }
-            ("GET", "/admin/ring") => {
-                let names = self.ctx.node_names_snapshot();
-                let ring = self.ctx.ring.read().expect("ring poisoned");
-                let mut body = format!("{{\"epoch\":{},\"nodes\":[", ring.epoch());
-                for (i, name) in names.iter().enumerate() {
-                    if i > 0 {
-                        body.push(',');
-                    }
-                    body.push_str(&format!(
-                        "{{\"node\":{i},\"addr\":\"{name}\",\"live\":{}}}",
-                        ring.is_live(i)
-                    ));
-                }
-                body.push_str("],\"overrides\":[");
-                for (i, (tenant, node)) in ring.overrides().enumerate() {
-                    if i > 0 {
-                        body.push(',');
-                    }
-                    body.push_str(&format!("{{\"tenant\":\"{tenant}\",\"node\":{node}}}"));
-                }
-                body.push_str("]}");
-                drop(ring);
-                self.send_response(200, "application/json", body.as_bytes())
-            }
-            ("GET", "/admin/tenants") => {
-                // Same shape as a node's listing (id immediately before
-                // name), so `sitw-loadgen` resolves ids against the
-                // router transparently.
-                let mut body = String::from(
-                    "[{\"id\":0,\"name\":\"default\",\"policy\":\"-\",\"budget_mb\":0}",
-                );
-                for (i, t) in self.ctx.cfg.tenants.iter().enumerate() {
-                    body.push_str(&format!(
-                        ",{{\"id\":{},\"name\":\"{}\",\"policy\":\"{}\",\"budget_mb\":{},\
-                         \"qos\":\"{}\"}}",
-                        i + 1,
-                        t.name,
-                        t.policy.label(),
-                        t.budget_mb,
-                        t.qos
-                            .as_ref()
-                            .map(|q| q.label())
-                            .unwrap_or_else(|| "-".into()),
-                    ));
-                }
-                body.push(']');
-                self.send_response(200, "application/json", body.as_bytes())
-            }
-            ("POST", "/admin/ring/drop") => {
-                match query
-                    .strip_prefix("node=")
-                    .and_then(|v| v.parse::<usize>().ok())
-                {
-                    Some(node) if node < self.ctx.slots => {
-                        let (dropped, epoch, live) = {
-                            let mut ring = self.ctx.ring.write().expect("ring poisoned");
-                            let dropped = ring.drop_node(node);
-                            self.ctx.sync_ring_gauges(&ring);
-                            (dropped, ring.epoch(), ring.live_count())
-                        };
-                        if dropped {
-                            self.ctx.telem.event(
-                                EventKind::RingEpoch,
-                                "",
-                                "",
-                                format!("epoch={epoch} drop-node={node} live={live}"),
-                            );
-                        }
-                        let body =
-                            format!("{{\"dropped\":{dropped},\"epoch\":{epoch},\"live\":{live}}}");
-                        self.send_response(200, "application/json", body.as_bytes())
-                    }
-                    _ => self.send_response(
-                        400,
-                        "application/json",
-                        b"{\"error\":\"expected ?node=INDEX\"}",
-                    ),
-                }
-            }
-            ("GET", "/admin/ring/proposals") => {
-                let proposals = self.ctx.proposals.lock().expect("proposals poisoned");
-                let mut body = String::from("{\"proposals\":[");
-                for (i, p) in proposals.iter().enumerate() {
-                    if i > 0 {
-                        body.push(',');
-                    }
-                    body.push_str(&format!(
-                        "{{\"node\":{},\"addr\":\"{}\",\"reason\":\"{}\",\"standby\":{}}}",
-                        p.node,
-                        wire::json_escape(&p.addr),
-                        wire::json_escape(&p.reason),
-                        match &p.standby {
-                            Some(s) => format!("\"{}\"", wire::json_escape(s)),
-                            None => "null".to_owned(),
-                        },
-                    ));
-                }
-                body.push_str("]}");
-                drop(proposals);
-                self.send_response(200, "application/json", body.as_bytes())
-            }
-            ("POST", "/admin/ring/proposals/confirm") => {
-                match query
-                    .strip_prefix("node=")
-                    .and_then(|v| v.parse::<usize>().ok())
-                {
-                    Some(node) => match self.ctx.confirm_failover(node) {
-                        Ok(body) => self.send_response(200, "application/json", body.as_bytes()),
-                        Err((status, e)) => {
-                            let body = format!("{{\"error\":\"{}\"}}", wire::json_escape(&e));
-                            self.send_response(status, "application/json", body.as_bytes())
-                        }
-                    },
-                    None => self.send_response(
-                        400,
-                        "application/json",
-                        b"{\"error\":\"expected ?node=INDEX\"}",
-                    ),
-                }
-            }
-            ("POST", "/admin/migrate") => {
-                let mut tenant = None;
-                let mut to = None;
-                for pair in query.split('&') {
-                    if let Some(v) = pair.strip_prefix("tenant=") {
-                        tenant = Some(v);
-                    } else if let Some(v) = pair.strip_prefix("to=") {
-                        to = v.parse::<usize>().ok();
-                    }
-                }
-                match (tenant, to) {
-                    (Some(tenant), Some(to)) => match self.ctx.migrate(tenant, to) {
-                        Ok((from, to, epoch)) => {
-                            let body = format!(
-                                "{{\"tenant\":\"{tenant}\",\"from\":{from},\"to\":{to},\
-                                 \"epoch\":{epoch}}}"
-                            );
-                            self.send_response(200, "application/json", body.as_bytes())
-                        }
-                        Err((status, e)) => {
-                            let body = format!("{{\"error\":\"{}\"}}", wire::json_escape(&e));
-                            self.send_response(status, "application/json", body.as_bytes())
-                        }
-                    },
-                    _ => self.send_response(
-                        400,
-                        "application/json",
-                        b"{\"error\":\"expected ?tenant=NAME&to=INDEX\"}",
-                    ),
-                }
-            }
-            ("POST", "/admin/reconcile") => {
-                let (nodes, pushes) = self.ctx.reconcile_once();
-                let body = format!("{{\"nodes\":{nodes},\"pushes\":{pushes}}}");
-                self.send_response(200, "application/json", body.as_bytes())
-            }
-            ("POST", "/admin/shutdown") => {
-                let sent =
-                    self.send_response(200, "application/json", b"{\"status\":\"stopping\"}");
-                self.ctx.request_shutdown();
-                sent
-            }
-            (
-                _,
-                "/invoke"
-                | "/healthz"
-                | "/metrics"
-                | "/metrics/fleet"
-                | "/debug/trace"
-                | "/debug/events"
-                | "/admin/ring"
-                | "/admin/ring/drop"
-                | "/admin/ring/proposals"
-                | "/admin/ring/proposals/confirm"
-                | "/admin/migrate"
-                | "/admin/reconcile"
-                | "/admin/tenants"
-                | "/admin/shutdown",
-            ) => self.send_response(
-                405,
-                "application/json",
-                b"{\"error\":\"method not allowed\"}",
-            ),
-            _ => self.send_response(404, "application/json", b"{\"error\":\"not found\"}"),
-        };
-        ok && !req.close
-    }
-
-    /// Admission + placement + forward for one JSON `/invoke`.
-    fn forward_invoke(&mut self, req: &Request) -> bool {
-        let t0 = self.ctx.telem.now_ns();
-        let trace = self.ctx.telem.sample(req.trace);
-        if trace.is_some() {
-            self.ctx
-                .metrics
-                .traced_requests
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        let inv = match wire::parse_invoke(&req.body) {
-            Ok(inv) => inv,
-            Err(e) => {
-                let body = format!("{{\"error\":\"{}\"}}", wire::json_escape(&e));
-                return self.send_response(400, "application/json", body.as_bytes());
-            }
-        };
-        self.ctx
-            .metrics
-            .json_requests
-            .fetch_add(1, Ordering::Relaxed);
-        if let Some(name) = inv.tenant.as_deref().filter(|_| self.ctx.has_qos) {
-            let admitted = self
-                .ctx
-                .admission
-                .lock()
-                .expect("admission poisoned")
-                .admit(name, inv.ts);
-            if !admitted {
-                self.ctx.metrics.throttled.fetch_add(1, Ordering::Relaxed);
-                self.ctx.telem.event(
-                    EventKind::Throttle,
-                    name,
-                    &inv.app,
-                    format!("proto=json ts={}", inv.ts),
-                );
-                let body = format!("{{\"error\":\"throttled\",\"tenant\":\"{name}\"}}");
-                return self.send_response(429, "application/json", body.as_bytes());
-            }
-        }
-        // Ingress covers parse + admission; the ring lookup is `route`.
-        let t1 = self.ctx.telem.now_ns();
-        let node = {
-            let ring = self.ctx.ring.read().expect("ring poisoned");
-            match &inv.tenant {
-                Some(name) => ring.node_of_tenant(name),
-                None => ring.node_of_app(&inv.app),
-            }
-        };
-        let Some(node) = node else {
-            return self.send_response(503, "application/json", b"{\"error\":\"no live nodes\"}");
-        };
-        if let Some(id) = trace {
-            let t2 = self.ctx.telem.now_ns();
-            self.ctx.telem.record(id, Stage::Ingress, t0, t1);
-            self.ctx.telem.record(id, Stage::Route, t1, t2);
-        }
-        // Tenant names are the cluster-wide key, so the body forwards
-        // verbatim — no id rewrite on the JSON path.
-        self.forward_invoke_to(node, req, trace)
-    }
-
-    /// Writes one `/invoke` forward for `node` into its buffered
-    /// upstream writer and queues the response relay. A traced request
-    /// carries its id to the node as an `x-sitw-trace` header, and its
-    /// `forward` hop span closes here.
-    fn forward_invoke_to(&mut self, node: usize, req: &Request, trace: Option<u64>) -> bool {
-        let t_f0 = self.ctx.telem.now_ns();
-        let forwarded = self.ensure_node(node).and_then(|()| {
-            let Some(stream) = self.upstream[node].as_mut() else {
-                return Err(io::Error::other("upstream vanished"));
+        ("GET", "/debug/trace") => {
+            // The node's text shape with fleet sources, or (with
+            // `format=json`) span objects keyed by hex trace id.
+            let spans = ctx.merged_trace();
+            let (content_type, body) = if query.split('&').any(|p| p == "format=json") {
+                ("application/json", write_trace_json(&spans, true))
+            } else {
+                ("text/plain", write_trace_text(&spans))
             };
-            // Straight into the buffered writer — no intermediate
-            // allocation on the per-request path.
-            write_request(stream, "POST", "/invoke", trace, &req.body)
-        });
-        match forwarded {
-            Ok(()) => {
-                let hop = if self.ctx.telem.enabled {
-                    let t_f1 = self.ctx.telem.now_ns();
-                    if let Some(id) = trace {
-                        self.ctx.telem.record(id, Stage::Forward, t_f0, t_f1);
-                    }
-                    trace.map(|id| (id, t_f1))
-                } else {
-                    None
-                };
-                self.queue_json(node, hop)
-            }
-            Err(e) => {
-                self.ctx.metrics.node_error(node);
-                self.upstream[node] = None;
-                let body = format!(
-                    "{{\"error\":\"node {} down: {}\"}}",
-                    self.ctx.node_name(node),
-                    wire::json_escape(&e.to_string())
-                );
-                self.send_response(503, "application/json", body.as_bytes())
-            }
+            write_response(out, 200, content_type, body.as_bytes());
         }
-    }
-
-    /// Admission + split + forward for one client SITW-BIN frame.
-    fn handle_frame(
-        &mut self,
-        records: &[BinInvoke],
-        version: u8,
-        client_trace: Option<u64>,
-    ) -> bool {
-        self.flush_json_run();
-        let t0 = self.ctx.telem.now_ns();
-        let trace = self.ctx.telem.sample(client_trace);
-        if trace.is_some() {
-            self.ctx
-                .metrics
-                .traced_requests
-                .fetch_add(1, Ordering::Relaxed);
+        ("GET", "/debug/events") => json(out, 200, &EventRing::snapshot_json(&ctx.telem.events)),
+        ("GET", "/admin/ring") => {
+            let names = ctx.node_names_snapshot();
+            let ring = read(&ctx.ring);
+            let mut body = format!("{{\"epoch\":{},\"nodes\":[", ring.epoch());
+            for (i, name) in names.iter().enumerate() {
+                if i > 0 {
+                    body.push(',');
+                }
+                body.push_str(&format!(
+                    "{{\"node\":{i},\"addr\":\"{name}\",\"live\":{}}}",
+                    ring.is_live(i)
+                ));
+            }
+            body.push_str("],\"overrides\":[");
+            for (i, (tenant, node)) in ring.overrides().enumerate() {
+                if i > 0 {
+                    body.push(',');
+                }
+                body.push_str(&format!("{{\"tenant\":\"{tenant}\",\"node\":{node}}}"));
+            }
+            body.push_str("]}");
+            drop(ring);
+            json(out, 200, &body);
         }
-        self.ctx.metrics.bin_frames.fetch_add(1, Ordering::Relaxed);
-        self.ctx
-            .metrics
-            .bin_records
-            .fetch_add(records.len() as u64, Ordering::Relaxed);
-
-        // Ingress ends where the slot loop (admission + placement —
-        // the `route` hop) begins.
-        let t1 = self.ctx.telem.now_ns();
-        let mut slots = Vec::with_capacity(records.len());
-        let mut batches: Vec<Vec<(u16, &str, u64)>> =
-            (0..self.ctx.slots).map(|_| Vec::new()).collect();
-        {
-            let ring = self.ctx.ring.read().expect("ring poisoned");
-            let node_ids = self.ctx.node_ids.read().expect("node_ids poisoned");
-            let mut admission = self
-                .ctx
-                .has_qos
-                .then(|| self.ctx.admission.lock().expect("admission poisoned"));
-            for rec in records {
-                let (name, node) = if rec.tenant == 0 {
-                    match ring.node_of_app(&rec.app) {
-                        Some(node) => (None, node),
-                        None => {
-                            drop((ring, node_ids, admission));
-                            return self
-                                .send_error_frame(BinErrorCode::Unavailable, "no live nodes");
-                        }
-                    }
-                } else {
-                    let Some(rt) = self.ctx.cfg.tenants.get(rec.tenant as usize - 1) else {
-                        drop((ring, node_ids, admission));
-                        return self.send_error_frame(
-                            BinErrorCode::Malformed,
-                            &format!("unknown tenant id {}", rec.tenant),
-                        );
-                    };
-                    let admitted = admission.as_mut().is_none_or(|a| a.admit(&rt.name, rec.ts));
-                    if !admitted {
-                        self.ctx.metrics.throttled.fetch_add(1, Ordering::Relaxed);
-                        self.ctx.telem.event(
-                            EventKind::Throttle,
-                            &rt.name,
-                            &rec.app,
-                            format!("proto=bin ts={}", rec.ts),
-                        );
-                        slots.push(Slot::Throttled);
-                        continue;
-                    }
-                    match ring.node_of_tenant(&rt.name) {
-                        Some(node) => (Some(rt.name.as_str()), node),
-                        None => {
-                            drop((ring, node_ids, admission));
-                            return self
-                                .send_error_frame(BinErrorCode::Unavailable, "no live nodes");
-                        }
-                    }
+        ("GET", "/admin/tenants") => {
+            // Same shape as a node's listing (id immediately before
+            // name), so `sitw-loadgen` resolves ids against the router
+            // transparently.
+            let mut body =
+                String::from("[{\"id\":0,\"name\":\"default\",\"policy\":\"-\",\"budget_mb\":0}");
+            for (i, t) in ctx.cfg.tenants.iter().enumerate() {
+                body.push_str(&format!(
+                    ",{{\"id\":{},\"name\":\"{}\",\"policy\":\"{}\",\"budget_mb\":{},\
+                     \"qos\":\"{}\"}}",
+                    i + 1,
+                    t.name,
+                    t.policy.label(),
+                    t.budget_mb,
+                    t.qos
+                        .as_ref()
+                        .map(|q| q.label())
+                        .unwrap_or_else(|| "-".into()),
+                ));
+            }
+            body.push(']');
+            json(out, 200, &body);
+        }
+        ("POST", "/admin/ring/drop") => match node_arg() {
+            Some(node) if node < ctx.slots => {
+                let (dropped, epoch, live) = {
+                    let mut ring = write(&ctx.ring);
+                    let dropped = ring.drop_node(node);
+                    ctx.sync_ring_gauges(&ring);
+                    (dropped, ring.epoch(), ring.live_count())
                 };
-                let local_id = match name {
-                    None => 0,
-                    Some(name) => match node_ids[node].get(name) {
-                        Some(&id) => id,
-                        None => {
-                            drop((ring, node_ids, admission));
-                            return self.send_error_frame(
-                                BinErrorCode::Unavailable,
-                                &format!(
-                                    "tenant '{name}' not provisioned on node {}",
-                                    self.ctx.node_name(node)
-                                ),
-                            );
-                        }
+                if dropped {
+                    ctx.telem.event(
+                        EventKind::RingEpoch,
+                        "",
+                        "",
+                        format!("epoch={epoch} drop-node={node} live={live}"),
+                    );
+                }
+                let body = format!("{{\"dropped\":{dropped},\"epoch\":{epoch},\"live\":{live}}}");
+                json(out, 200, &body);
+            }
+            _ => write_error(out, 400, "expected ?node=INDEX"),
+        },
+        ("GET", "/admin/ring/proposals") => {
+            let proposals = lock_unpoisoned(&ctx.proposals);
+            let mut body = String::from("{\"proposals\":[");
+            for (i, p) in proposals.iter().enumerate() {
+                if i > 0 {
+                    body.push(',');
+                }
+                body.push_str(&format!(
+                    "{{\"node\":{},\"addr\":\"{}\",\"reason\":\"{}\",\"standby\":{}}}",
+                    p.node,
+                    wire::json_escape(&p.addr),
+                    wire::json_escape(&p.reason),
+                    match &p.standby {
+                        Some(s) => format!("\"{}\"", wire::json_escape(s)),
+                        None => "null".to_owned(),
                     },
-                };
-                slots.push(Slot::Node(node));
-                batches[node].push((local_id, rec.app.as_str(), rec.ts));
+                ));
             }
+            body.push_str("]}");
+            drop(proposals);
+            json(out, 200, &body);
         }
-
-        let t2 = self.ctx.telem.now_ns();
-        if let Some(id) = trace {
-            self.ctx.telem.record(id, Stage::Ingress, t0, t1);
-            self.ctx.telem.record(id, Stage::Route, t1, t2);
-        }
-
-        // Pre-flight: connect every needed node before sending anything,
-        // so a dead node fails the frame without leaving half a batch in
-        // flight elsewhere.
-        let needed: Vec<usize> = (0..batches.len())
-            .filter(|&n| !batches[n].is_empty())
-            .collect();
-        for &node in &needed {
-            if let Err(e) = self.ensure_node(node) {
-                self.ctx.metrics.node_error(node);
-                return self.send_error_frame(
-                    BinErrorCode::Unavailable,
-                    &format!("node {} down: {e}", self.ctx.node_name(node)),
-                );
-            }
-        }
-        let mut sent = Vec::with_capacity(needed.len());
-        let mut failed = None;
-        for &node in &needed {
-            let mut frame = Vec::new();
-            // Traced frames carry the id to each node's subframe, so
-            // every node tags its pipeline stages with the same span.
-            match trace {
-                Some(id) => encode_request_frame_v2_traced(&mut frame, &batches[node], id),
-                None => encode_request_frame_v2(&mut frame, &batches[node]),
-            }
-            let result = match self.upstream[node].as_mut() {
-                Some(stream) => stream.write_all(&frame),
-                None => Err(io::Error::other("upstream vanished")),
-            };
-            match result {
-                Ok(()) => {
-                    self.ctx
-                        .metrics
-                        .forwarded_subframes
-                        .fetch_add(1, Ordering::Relaxed);
-                    sent.push(node);
-                }
-                Err(e) => {
-                    self.ctx.metrics.node_error(node);
-                    self.upstream[node] = None;
-                    failed = Some(format!("node {} down: {e}", self.ctx.node_name(node)));
-                    break;
+        ("POST", "/admin/ring/proposals/confirm") => match node_arg() {
+            Some(node) => match ctx.confirm_failover(node) {
+                Ok(body) => json(out, 200, &body),
+                Err((status, e)) => write_error(out, status, &e),
+            },
+            None => write_error(out, 400, "expected ?node=INDEX"),
+        },
+        ("POST", "/admin/migrate") => {
+            let mut tenant = None;
+            let mut to = None;
+            for pair in query.split('&') {
+                if let Some(v) = pair.strip_prefix("tenant=") {
+                    tenant = Some(v);
+                } else if let Some(v) = pair.strip_prefix("to=") {
+                    to = v.parse::<usize>().ok();
                 }
             }
-        }
-        let hop = if self.ctx.telem.enabled {
-            let t3 = self.ctx.telem.now_ns();
-            if let Some(id) = trace {
-                self.ctx.telem.record(id, Stage::Forward, t2, t3);
+            match (tenant, to) {
+                (Some(tenant), Some(to)) => match ctx.migrate(tenant, to) {
+                    Ok((from, to, epoch)) => json(
+                        out,
+                        200,
+                        &format!(
+                            "{{\"tenant\":\"{tenant}\",\"from\":{from},\"to\":{to},\
+                             \"epoch\":{epoch}}}"
+                        ),
+                    ),
+                    Err((status, e)) => write_error(out, status, &e),
+                },
+                _ => write_error(out, 400, "expected ?tenant=NAME&to=INDEX"),
             }
-            trace.map(|id| (id, t3))
-        } else {
-            None
-        };
-        // Fast path: a v2 frame that mapped whole onto one node with
-        // nothing throttled needs no reassembly — the node's reply (or
-        // typed error) frame IS the client's answer, byte for byte.
-        // (v1 clients stay on the slow path: the upstream always speaks
-        // v2, so their replies need re-encoding.)
-        self.queued_bytes += wire::BIN_HEADER_LEN + wire::REPLY_RECORD_LEN * slots.len();
-        if failed.is_none()
-            && version == wire::BIN_VERSION_2
-            && sent.len() == 1
-            && slots.len() == batches[sent[0]].len()
-        {
-            self.pendings
-                .push_back(Pending::WholeFrame { node: sent[0], hop });
-            return true;
         }
-        self.pendings.push_back(Pending::Frame {
-            version,
-            slots,
-            sent,
-            failed,
-            hop,
-        });
-        true
+        ("POST", "/admin/reconcile") => {
+            let (nodes, pushes) = ctx.reconcile_once();
+            json(
+                out,
+                200,
+                &format!("{{\"nodes\":{nodes},\"pushes\":{pushes}}}"),
+            );
+        }
+        ("POST", "/admin/shutdown") => {
+            json(out, 200, "{\"status\":\"stopping\"}");
+            ctx.pool.shutdown();
+        }
+        (
+            _,
+            "/invoke"
+            | "/healthz"
+            | "/metrics"
+            | "/metrics/fleet"
+            | "/debug/trace"
+            | "/debug/events"
+            | "/admin/ring"
+            | "/admin/ring/drop"
+            | "/admin/ring/proposals"
+            | "/admin/ring/proposals/confirm"
+            | "/admin/migrate"
+            | "/admin/reconcile"
+            | "/admin/tenants"
+            | "/admin/shutdown",
+        ) => write_error(out, 405, "method not allowed"),
+        _ => write_error(out, 404, "not found"),
     }
 }
 
-/// Reads the reply `node` owes on this client's upstream connection,
-/// with its exact bytes — what the verbatim relays forward, no record
-/// re-encode, no header rewrite. A clean close or an expired
-/// `upstream_timeout` is an error like any other: the router only reads
-/// while a reply is owed.
-fn upstream_reply(readers: &mut [Option<ConnBuf>], node: usize) -> io::Result<(Reply, &[u8])> {
-    let Some(reader) = readers[node].as_mut() else {
-        return Err(io::Error::other("no upstream reader"));
-    };
-    Ok((reader.read_reply()?.owed()?, reader.reply_raw()))
+/// Read access that survives a writer's panic: the router state behind
+/// these locks changes in steps that cannot panic part-way, so a
+/// poisoned lock still guards coherent data — and a reactor serving many
+/// clients must not turn one panic into theirs.
+pub(crate) fn read<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    lock.read().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// An [`upstream_reply`] failed, or was not the reply its pending
-/// expected: charges the node, drops its reader — whatever else was
-/// owed on it is lost with it — and returns the detail of the typed
-/// error, naming the node. (`failed` is taken before `readers` so the
-/// reply's borrow of them has ended by then.)
-fn node_down(
-    ctx: &RouterCtx,
-    failed: Option<io::Error>,
-    readers: &mut [Option<ConnBuf>],
-    node: usize,
-) -> String {
-    let e = failed.unwrap_or_else(|| io::Error::other("unexpected upstream reply"));
-    ctx.metrics.node_error(node);
-    readers[node] = None;
-    format!("node {} down: {e}", ctx.node_name(node))
-}
-
-/// Processes one pending response, appending client bytes to `out`.
-/// A traced pending (`hop` set) closes its `await` and `reassemble`
-/// hop spans here and leaves an entry in `egress` so the next
-/// successful client flush can close the `egress` span.
-fn handle_pending(
-    ctx: &RouterCtx,
-    pending: Pending,
-    readers: &mut [Option<ConnBuf>],
-    out_buf: &mut Vec<u8>,
-    egress: &mut Vec<(u64, u64)>,
-) {
-    match pending {
-        Pending::Register { node, stream } => {
-            readers[node] = Some(ConnBuf::new(stream));
-        }
-        Pending::Local(bytes) => {
-            out_buf.extend_from_slice(&bytes);
-        }
-        Pending::Json { node, count, hop } => {
-            // One pending covers a coalesced run; each response still
-            // answers its own request, so a mid-run failure turns the
-            // rest of the run into per-request 503s.
-            for _ in 0..count {
-                match upstream_reply(readers, node) {
-                    Ok((Reply::Http(_), raw)) => out_buf.extend_from_slice(raw),
-                    other => {
-                        let detail = node_down(ctx, other.err(), readers, node);
-                        let body = format!("{{\"error\":\"{}\"}}", wire::json_escape(&detail));
-                        write_response(out_buf, 503, "application/json", body.as_bytes());
-                    }
-                }
-            }
-            if let Some((id, t_fwd)) = hop {
-                // A relayed JSON response involves no re-encoding, so
-                // `reassemble` is a zero-width span.
-                let t_reply = ctx.telem.now_ns();
-                ctx.telem.record(id, Stage::Await, t_fwd, t_reply);
-                ctx.telem.record(id, Stage::Reassemble, t_reply, t_reply);
-                egress.push((id, t_reply));
-            }
-        }
-        Pending::WholeFrame { node, hop } => {
-            use ServerFrameDecode::{Error, Reply as Records};
-            match upstream_reply(readers, node) {
-                Ok((Reply::Frame(Records { .. } | Error { .. }), raw)) => {
-                    out_buf.extend_from_slice(raw)
-                }
-                other => {
-                    let detail = node_down(ctx, other.err(), readers, node);
-                    encode_error_frame(out_buf, BinErrorCode::Unavailable, &detail);
-                }
-            }
-            if let Some((id, t_fwd)) = hop {
-                let t_reply = ctx.telem.now_ns();
-                ctx.telem.record(id, Stage::Await, t_fwd, t_reply);
-                ctx.telem.record(id, Stage::Reassemble, t_reply, t_reply);
-                egress.push((id, t_reply));
-            }
-        }
-        Pending::Frame {
-            version,
-            slots,
-            sent,
-            failed,
-            hop,
-        } => {
-            let mut error: Option<(BinErrorCode, String)> =
-                failed.map(|d| (BinErrorCode::Unavailable, d));
-            let mut per_node: HashMap<usize, VecDeque<BinReply>> = HashMap::new();
-            // Drain one reply frame per node that received a
-            // subframe — even after an error, to keep surviving
-            // upstream connections in sync for later pendings.
-            for node in sent {
-                match upstream_reply(readers, node) {
-                    Ok((Reply::Frame(ServerFrameDecode::Reply { records, .. }), _)) => {
-                        per_node.insert(node, records.into());
-                    }
-                    Ok((Reply::Frame(ServerFrameDecode::Error { code, detail, .. }), _)) => {
-                        // A node's own typed error covers the whole
-                        // client frame.
-                        if error.is_none() {
-                            error = Some((code, detail));
-                        }
-                    }
-                    other => {
-                        let detail = node_down(ctx, other.err(), readers, node);
-                        error.get_or_insert((BinErrorCode::Unavailable, detail));
-                    }
-                }
-            }
-            // Every subframe reply is in: `await` ends, `reassemble`
-            // starts.
-            let t_reply = if hop.is_some() { ctx.telem.now_ns() } else { 0 };
-            if error.is_none() {
-                // Reassemble: per-node replies interleave back into
-                // request order, with local Throttled records
-                // spliced in.
-                let mut merged = Vec::with_capacity(slots.len());
-                for slot in &slots {
-                    match slot {
-                        Slot::Throttled => merged.push(BinReply::Throttled),
-                        Slot::Node(node) => {
-                            match per_node.get_mut(node).and_then(|q| q.pop_front()) {
-                                Some(rec) => merged.push(rec),
-                                None => {
-                                    error = Some((
-                                        BinErrorCode::Unavailable,
-                                        format!(
-                                            "node {} returned a short reply",
-                                            ctx.node_name(*node)
-                                        ),
-                                    ));
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                }
-                if error.is_none() {
-                    encode_reply_records(out_buf, version, &merged);
-                }
-            }
-            if let Some((code, detail)) = error {
-                encode_error_frame(out_buf, code, &detail);
-            }
-            if let Some((id, t_fwd)) = hop {
-                let t_out = ctx.telem.now_ns();
-                ctx.telem.record(id, Stage::Await, t_fwd, t_reply);
-                ctx.telem.record(id, Stage::Reassemble, t_reply, t_out);
-                egress.push((id, t_out));
-            }
-        }
-    }
+/// Write access, likewise (see [`read`]).
+fn write<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    lock.write().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// One control-plane exchange ([`call`]) under the router's

@@ -1,0 +1,200 @@
+//! The router on the node's reactor: its clients share a few event-loop
+//! threads, so what a thread per client gave for free — a control request
+//! seeing its connection's earlier requests answered, and a hung node
+//! stalling only its own clients — the reactor has to earn.
+
+mod common;
+
+use std::io::Read;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::thread;
+use std::time::{Duration, Instant};
+
+use common::{http, records, start_fake_node, start_node};
+use sitw_cluster::{ClusterRing, Router, RouterConfig, RouterTenant};
+use sitw_serve::http::{write_request, Reply};
+use sitw_serve::wire::{self, BinErrorCode, BinReply, ServerFrameDecode};
+use sitw_serve::Client;
+
+fn router_over(nodes: &[String], tenants: &[&str], upstream_timeout: Duration) -> Router {
+    Router::start(RouterConfig {
+        nodes: nodes.to_vec(),
+        tenants: tenants
+            .iter()
+            .map(|t| RouterTenant::parse(t).expect("tenant spec"))
+            .collect(),
+        reconcile_ms: 0,
+        upstream_timeout,
+        ..RouterConfig::default()
+    })
+    .expect("router starts")
+}
+
+/// Regression (the invoke got `400 unknown tenant` before): an invoke
+/// and a migration of its tenant in one write. The migration took the
+/// tenant from its owner while the invoke still sat in the client's
+/// unflushed upstream buffer. A control request now runs only once
+/// everything earlier on its connection is answered.
+#[test]
+fn a_control_request_waits_for_the_invokes_before_it() {
+    let nodes = [start_node(), start_node()];
+    let addrs: Vec<String> = nodes.iter().map(|n| n.addr().to_string()).collect();
+    let router = router_over(&addrs, &["t0=fixed:10"], Duration::from_secs(2));
+    let to = 1 - ClusterRing::new(2).node_of_tenant("t0").unwrap();
+
+    let mut burst = Vec::new();
+    let invoke = br#"{"app":"a","ts":1000,"tenant":"t0"}"#;
+    write_request(&mut burst, "POST", "/invoke", None, invoke).unwrap();
+    let migrate = format!("/admin/migrate?tenant=t0&to={to}");
+    write_request(&mut burst, "POST", &migrate, None, b"").unwrap();
+    let mut client = Client::connect(router.addr()).unwrap();
+    client.send(&burst).unwrap();
+    let (status, body) = client.response().unwrap();
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains("\"verdict\":\"cold\""), "{body}");
+    let (status, body) = client.response().unwrap();
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains(&format!("\"to\":{to}")), "{body}");
+
+    // The tenant serves from its new owner, warm: its state moved.
+    let (status, body) = client.invoke(Some("t0"), "a", 2_000, None).unwrap();
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains("\"verdict\":\"warm\""), "{body}");
+    router.shutdown();
+    for node in nodes {
+        node.shutdown().unwrap();
+    }
+}
+
+/// Regression (the follow-up frame came back `Throttled` 3/3 before): a
+/// frame refused whole for an unknown tenant id had already admitted
+/// its first records, spending their tenant's QoS tokens. Every record
+/// is resolved before any is admitted.
+#[test]
+fn a_rejected_frame_spends_no_qos_tokens() {
+    let node = start_node();
+    let addrs = [node.addr().to_string()];
+    let tenants = ["t0=fixed:10,qos=bronze:rate=1:burst=3"];
+    let router = router_over(&addrs, &tenants, Duration::from_secs(2));
+    let mut client = Client::connect(router.addr()).unwrap();
+    let bad = [
+        (1, "a", 1_000),
+        (1, "b", 1_000),
+        (1, "c", 1_000),
+        (9, "d", 1_000),
+    ];
+    match client
+        .batch(|f| wire::encode_request_frame_v2(f, &bad))
+        .unwrap()
+    {
+        Reply::Frame(ServerFrameDecode::Error { code, detail, .. }) => {
+            assert_eq!(code, BinErrorCode::Malformed);
+            assert!(detail.contains("unknown tenant id 9"), "{detail}");
+        }
+        other => panic!("expected the Malformed frame, got {other:?}"),
+    }
+    let good = [(1, "a", 1_000), (1, "b", 1_000), (1, "c", 1_000)];
+    let replies = records(client.batch(|f| wire::encode_request_frame_v2(f, &good)));
+    let admitted = replies
+        .iter()
+        .filter(|r| matches!(r, BinReply::Verdict { .. }))
+        .count();
+    assert_eq!(admitted, 3, "{replies:?}");
+    let (_, metrics) = http(router.addr(), "GET", "/metrics", "");
+    assert!(
+        metrics.contains("sitw_router_throttled_total 0"),
+        "{metrics}"
+    );
+    let (_, events) = http(router.addr(), "GET", "/debug/events", "");
+    assert!(!events.contains("\"kind\":\"throttle\""), "{events}");
+    router.shutdown();
+    node.shutdown().unwrap();
+}
+
+/// A router fronts a healthy node and one that accepts and never
+/// answers. The client the hung node owes gets the typed `Unavailable`
+/// within the upstream timeout plus one tick, while four other clients —
+/// on whichever reactors hold them — keep getting verdicts, every round
+/// trip well under the timeout.
+#[test]
+fn a_hung_node_stalls_only_the_clients_it_owes() {
+    const TIMEOUT: Duration = Duration::from_secs(1);
+    const TICK: Duration = Duration::from_millis(50);
+    let healthy = start_node();
+    // Holds the router's connection open, reading, until it is dropped.
+    let hung = start_fake_node(|mut stream, _| {
+        let mut sink = [0u8; 4096];
+        while matches!(stream.read(&mut sink), Ok(n) if n > 0) {}
+    });
+    let router = Router::start(RouterConfig {
+        nodes: vec![healthy.addr().to_string(), hung.to_string()],
+        reconcile_ms: 0,
+        upstream_timeout: TIMEOUT,
+        read_timeout: TICK,
+        ..RouterConfig::default()
+    })
+    .expect("router starts");
+    let ring = ClusterRing::new(2);
+    let mut apps = (0..).map(|i| format!("app-{i}"));
+    let mut on = |node| apps.find(|a| ring.node_of_app(a) == Some(node)).unwrap();
+    let stuck = on(1);
+    let served: Vec<String> = (0..4).map(|_| on(0)).collect();
+
+    let done = AtomicBool::new(false);
+    thread::scope(|scope| {
+        let workers: Vec<_> = served
+            .iter()
+            .map(|app| {
+                let (router, done) = (&router, &done);
+                scope.spawn(move || {
+                    let mut client = Client::connect(router.addr()).unwrap();
+                    let (mut rounds, mut slowest) = (0u64, Duration::ZERO);
+                    while rounds == 0 || !done.load(Ordering::SeqCst) {
+                        rounds += 1;
+                        let t = Instant::now();
+                        let (status, body) =
+                            client.invoke(None, app, rounds * 1_000, None).unwrap();
+                        slowest = slowest.max(t.elapsed());
+                        assert_eq!(status, 200, "{body}");
+                    }
+                    (rounds, slowest)
+                })
+            })
+            .collect();
+        let mut client = Client::connect(router.addr()).unwrap();
+        // A router that never answers fails the test instead of hanging it.
+        let patience = Some(Duration::from_secs(10));
+        client.conn().stream().set_read_timeout(patience).unwrap();
+        let t0 = Instant::now();
+        let reply =
+            client.batch(|f| wire::encode_request_frame_v2(f, &[(0, stuck.as_str(), 1_000)]));
+        let waited = t0.elapsed();
+        done.store(true, Ordering::SeqCst);
+        match reply.unwrap() {
+            Reply::Frame(ServerFrameDecode::Error { code, detail, .. }) => {
+                assert_eq!(code, BinErrorCode::Unavailable, "{detail}");
+                assert!(
+                    detail.contains(&hung.to_string()),
+                    "names the node: {detail}"
+                );
+            }
+            other => panic!("expected Unavailable, got {other:?}"),
+        }
+        // Scheduling slack on a loaded host comes on top of the tick.
+        let bound = TIMEOUT + TICK + Duration::from_millis(150);
+        assert!(
+            waited >= TIMEOUT && waited < bound,
+            "answered after {waited:?}"
+        );
+        for worker in workers {
+            let (rounds, slowest) = worker.join().unwrap();
+            assert!(rounds > 10, "{rounds} round trips while the node hung");
+            assert!(
+                slowest < Duration::from_millis(100),
+                "a round trip took {slowest:?}"
+            );
+        }
+    });
+    router.shutdown();
+    healthy.shutdown().unwrap();
+}

@@ -106,6 +106,17 @@ impl Epoll {
         sys::sys_epoll_ctl(self.fd, sys::EPOLL_CTL_ADD, fd, interest.bits(), token)
     }
 
+    /// Registers a descriptor shared by several epoll instances (a
+    /// listening socket) for read readiness with `EPOLLEXCLUSIVE`: a new
+    /// connection wakes one of the threads waiting on those instances,
+    /// not all of them. Linux refuses [`Epoll::modify`] on such a
+    /// registration, so pausing it is [`Epoll::delete`] and resuming it
+    /// is this call again.
+    pub fn add_exclusive(&self, fd: RawFd, token: u64) -> io::Result<()> {
+        let bits = sys::EPOLLIN | sys::EPOLLEXCLUSIVE;
+        sys::sys_epoll_ctl(self.fd, sys::EPOLL_CTL_ADD, fd, bits, token)
+    }
+
     /// Changes the interest of an already registered descriptor.
     pub fn modify(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
         sys::sys_epoll_ctl(self.fd, sys::EPOLL_CTL_MOD, fd, interest.bits(), token)
@@ -189,6 +200,25 @@ mod tests {
 
         epoll.delete(server.as_raw_fd()).unwrap();
         assert_eq!(epoll.wait(&mut events, 0).unwrap(), 0);
+    }
+
+    #[test]
+    fn an_exclusive_listener_pauses_by_delete_and_resumes_by_add() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let fd = listener.as_raw_fd();
+        let (paused, open) = (Epoll::new().unwrap(), Epoll::new().unwrap());
+        paused.add_exclusive(fd, 3).unwrap();
+        open.add_exclusive(fd, 3).unwrap();
+        assert!(paused.modify(fd, 3, Interest::READ).is_err());
+        paused.delete(fd).unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let mut events = Events::with_capacity(4);
+        assert_eq!(paused.wait(&mut events, 50).unwrap(), 0);
+        assert_eq!(open.wait(&mut events, 1_000).unwrap(), 1);
+        // Re-registered, it sees the connection still waiting.
+        paused.add_exclusive(fd, 3).unwrap();
+        assert_eq!(paused.wait(&mut events, 1_000).unwrap(), 1);
+        assert!(events.iter().next().unwrap().readable);
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //!
 //! * [`Epoll`] — a level-triggered readiness multiplexer. Register a
 //!   file descriptor with a `u64` token and an [`Interest`]; [`Epoll::wait`]
-//!   fills a reusable [`Events`] buffer without allocating.
+//!   fills a reusable [`Events`] buffer without allocating. A listening
+//!   socket shared by several event loops is registered with
+//!   [`Epoll::add_exclusive`], so a new connection wakes one of them.
 //! * [`Waker`] — an `eventfd` plus an *armed* flag. Event-loop threads
 //!   arm it just before blocking in `epoll_wait`; producers on other
 //!   threads call [`Waker::wake`], which only pays the `write(2)` when

@@ -15,6 +15,7 @@ pub(crate) const EPOLLOUT: u32 = 0x004;
 pub(crate) const EPOLLERR: u32 = 0x008;
 pub(crate) const EPOLLHUP: u32 = 0x010;
 pub(crate) const EPOLLRDHUP: u32 = 0x2000;
+pub(crate) const EPOLLEXCLUSIVE: u32 = 1 << 28;
 
 pub(crate) const EPOLL_CTL_ADD: c_int = 1;
 pub(crate) const EPOLL_CTL_DEL: c_int = 2;

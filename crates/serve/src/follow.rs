@@ -1,7 +1,7 @@
 //! Warm standby: `sitw-serve --follow PRIMARY`.
 //!
 //! A standby is a node. [`crate::Server::start`] with a
-//! [`crate::ServeConfig::follow`] section binds the same acceptor,
+//! [`crate::ServeConfig::follow`] section binds the same listener,
 //! reactor pool and shards as a primary and attaches a pull loop to them.
 //! The loop pulls the primary's replication stream — a chunked full sync
 //! first, then per-round deltas of whatever mutated
@@ -341,7 +341,8 @@ pub(crate) fn promote(ctx: &ServerCtx, reason: &str) -> Result<(), String> {
         EventKind::Promotion,
         format!(
             "epoch {}, serving on {} ({reason})",
-            shared.replica.epoch, ctx.addr
+            shared.replica.epoch,
+            ctx.pool.addr()
         ),
     );
     Ok(())
@@ -353,7 +354,7 @@ pub(crate) fn promote(ctx: &ServerCtx, reason: &str) -> Result<(), String> {
 pub(crate) fn pull_loop(ctx: &ServerCtx) {
     let Some(follow) = &ctx.follow else { return };
     let mut conn: Option<ConnBuf> = None;
-    while follow.following() && !ctx.shutdown.load(Ordering::SeqCst) {
+    while follow.following() && !ctx.pool.shutting_down() {
         if pull_once(ctx, follow, &mut conn).is_ok() {
             follow.lock().consecutive_failures = 0;
         } else {
@@ -367,7 +368,7 @@ pub(crate) fn pull_loop(ctx: &ServerCtx) {
         }
         // Sleep in slices so shutdown is honored promptly.
         let mut remaining = follow.cfg.pull_interval;
-        while !remaining.is_zero() && !ctx.shutdown.load(Ordering::SeqCst) {
+        while !remaining.is_zero() && !ctx.pool.shutting_down() {
             let slice = remaining.min(Duration::from_millis(20));
             std::thread::sleep(slice);
             remaining -= slice;

@@ -3,10 +3,11 @@
 //! protocol sniff that lets SITW-BIN frames share the same port.
 //!
 //! [`ConnBuf`] owns the read side of a connection with an explicit
-//! buffer, so a read timeout mid-request loses nothing: partial bytes
-//! stay buffered and parsing resumes on the next call. That property is
-//! what lets connection threads poll a shutdown flag between reads, and
-//! it is exactly what reassembles SITW-BIN frames split across TCP
+//! buffer, so a read timeout or `EAGAIN` mid-request loses nothing:
+//! partial bytes stay buffered and parsing resumes on the next call.
+//! That property is what lets a reactor serve a connection one
+//! readiness event at a time, and it is exactly what reassembles
+//! SITW-BIN frames split across TCP
 //! segment boundaries: [`ConnBuf::read_event_into`] peeks the first
 //! unconsumed byte — [`crate::wire::BIN_MAGIC`] means a binary frame,
 //! anything else (in practice an ASCII method letter) means HTTP — and
@@ -19,7 +20,7 @@
 //! follower, load generator, tests — reads replies through them.
 
 use std::io::{self, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::ops::Range;
 use std::time::Duration;
 
@@ -315,9 +316,11 @@ impl ConnBuf {
         Ok(Ok(self.buf[self.start]))
     }
 
-    /// Non-blocking flavour of [`ConnBuf::drain_for_close`] for the
-    /// reactor's lame-duck state: discards everything buffered plus
-    /// whatever the socket can deliver right now, decrementing `budget`.
+    /// The reactor's lame-duck drain after a fatal error's response: the
+    /// write side is shut down, and unread request bytes are discarded so
+    /// the close cannot turn into an RST that destroys the response.
+    /// Discards everything buffered plus whatever the socket can deliver
+    /// right now, decrementing `budget`.
     /// The caller keeps the connection registered for reads and calls
     /// this again until EOF (clean close), an exhausted budget, or its
     /// own deadline.
@@ -338,28 +341,6 @@ impl ConnBuf {
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 // The connection is unusable either way; treat as gone.
                 Err(_) => return DrainOutcome::Eof,
-            }
-        }
-    }
-
-    /// The polite close after a fatal error response (e.g. a 413) has
-    /// been written: half-closes the write side, then discards unread
-    /// request bytes, best effort. Without the discard, closing with
-    /// data still queued in the kernel receive buffer sends an RST that
-    /// can destroy the response before the peer reads it. Bounded by
-    /// `max_bytes`; gives up at EOF, the first timeout, or any error.
-    pub fn drain_for_close(&mut self, max_bytes: usize) {
-        let _ = self.stream.shutdown(Shutdown::Write);
-        let mut discarded = self.buffered();
-        self.buf.clear();
-        self.start = 0;
-        while discarded < max_bytes {
-            match self.fill() {
-                Ok(0) | Err(_) => break,
-                Ok(n) => {
-                    discarded += n;
-                    self.buf.clear();
-                }
             }
         }
     }

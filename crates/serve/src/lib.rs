@@ -36,7 +36,7 @@
 //!   through six stages — read → decode → queue → decide → render →
 //!   write — into per-thread span rings and per-stage histograms, with
 //!   reactor introspection counters (epoll waits, wakeups, events per
-//!   wake, write bursts, backpressure transitions, inbox depths).
+//!   wake, write bursts, backpressure transitions, live connections).
 //!   Recording is lock-light (`try_lock` per site) and
 //!   allocation-free in steady state; `telemetry: false` removes every
 //!   clock read from the hot path.
@@ -141,12 +141,12 @@
 #![warn(missing_docs)]
 
 pub mod client;
-pub(crate) mod conn;
+pub mod conn;
 pub mod follow;
 pub mod http;
 pub mod loadgen;
 pub mod metrics;
-pub(crate) mod pool;
+pub mod pool;
 pub mod reactor;
 pub mod server;
 pub mod shard;
@@ -167,5 +167,5 @@ pub use snapshot::{
     TenantSnapshot,
 };
 pub use telem::{
-    merge_spans, QueueGauge, ReactorTelem, ReactorTelemHandle, ShardTelem, TelemClock, TRACE_RING,
+    merge_spans, ReactorTelem, ReactorTelemHandle, ShardTelem, TelemClock, TRACE_RING,
 };

@@ -64,10 +64,8 @@ pub struct ReactorStats {
     pub bp_pauses: u64,
     /// Backpressure transitions out of the read-paused state.
     pub bp_resumes: u64,
-    /// Inbox backlog drained at the most recent wave (drain-observed).
-    pub queue_depth: u64,
-    /// High-water mark of the drain-observed inbox backlog.
-    pub queue_peak: u64,
+    /// Live connections this reactor holds.
+    pub conns: u64,
 }
 
 /// One tenant's counters as seen by one shard (the default tenant's
@@ -149,13 +147,13 @@ pub struct ProtoStats {
     pub control_frames: u64,
 }
 
-/// Connection-level gauges (server-wide; maintained by the acceptor and
-/// the reactor pool).
+/// Connection-level gauges (server-wide; maintained by the reactors
+/// that accept and retire the connections).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ConnStats {
-    /// Connections currently open (reactor slab entries plus any still
-    /// in flight from the acceptor). Returns to 0 when every client
-    /// disconnects — the leak-freedom invariant the churn tests assert.
+    /// Connections currently open (reactor slab entries). Returns to 0
+    /// when every client disconnects — the leak-freedom invariant the
+    /// churn tests assert.
     pub live: u64,
     /// Connections accepted since start.
     pub accepted: u64,
@@ -568,16 +566,10 @@ impl<'a> NodeScrape<'a> {
             sample: |v, s| per_reactor(v, s, |r| r.bp_resumes),
         },
         Family {
-            name: "sitw_serve_reactor_queue_depth",
+            name: "sitw_serve_reactor_conns",
             kind: Kind::Gauge,
-            help: "Inbox backlog drained at the most recent wave",
-            sample: |v, s| per_reactor(v, s, |r| r.queue_depth),
-        },
-        Family {
-            name: "sitw_serve_reactor_queue_peak",
-            kind: Kind::Gauge,
-            help: "High-water mark of the drain-observed inbox backlog",
-            sample: |v, s| per_reactor(v, s, |r| r.queue_peak),
+            help: "Live connections this reactor holds",
+            sample: |v, s| per_reactor(v, s, |r| r.conns),
         },
         Family {
             name: "sitw_serve_reactor_epoll_wait_seconds_total",
@@ -699,8 +691,7 @@ mod tests {
             wakeups: 40,
             bp_pauses: 2,
             bp_resumes: 2,
-            queue_depth: 0,
-            queue_peak: 9,
+            conns: 9,
             ..ReactorStats::default()
         };
         reactor.read.json.record(300);
@@ -766,7 +757,7 @@ mod tests {
         );
         assert!(text.contains("sitw_serve_reactor_wakeups_total{reactor=\"0\"} 40"));
         assert!(text.contains("sitw_serve_reactor_backpressure_pauses_total{reactor=\"0\"} 2"));
-        assert!(text.contains("sitw_serve_reactor_queue_peak{reactor=\"0\"} 9"));
+        assert!(text.contains("sitw_serve_reactor_conns{reactor=\"0\"} 9"));
     }
 
     /// Regression (this PR's bugfix satellite): latency quantile gauges
@@ -820,8 +811,7 @@ mod tests {
             wakeups: 40,
             bp_pauses: 2,
             bp_resumes: 1,
-            queue_depth: 0,
-            queue_peak: 9,
+            conns: 2,
             ..ReactorStats::default()
         };
         r0.read.json.record(300);
@@ -831,6 +821,7 @@ mod tests {
             reactor: 1,
             epoll_waits: 7,
             epoll_wait_ns: 1_500,
+            conns: 1,
             ..ReactorStats::default()
         };
         r1.read.json.record(900);

@@ -1,36 +1,34 @@
-//! The daemon: listener, acceptor, the reactor pool, the shards, and
-//! lifecycle (restore → serve → snapshot → shutdown).
+//! The daemon: the reactor pool, the shards, and lifecycle (restore →
+//! serve → snapshot → shutdown).
 //!
-//! Threading model: **one acceptor thread and a small fixed pool of
-//! reactor threads** ([`ServeConfig::reactor_threads`], see
-//! [`crate::reactor`]); the N shards are state, each a
-//! [`ShardWorker`] behind its own mutex, not threads. The acceptor only
-//! accepts: each new socket is made non-blocking and handed round-robin
-//! to a reactor, which multiplexes all of its connections over epoll —
-//! thousands of mostly idle keep-alive clients cost a slab entry each,
-//! not an OS thread and stack. A reactor parses messages incrementally
+//! Threading model: **a small fixed pool of reactor threads**
+//! ([`ServeConfig::reactor_threads`], see [`crate::reactor`]); the N
+//! shards are state, each a [`ShardWorker`] behind its own mutex, not
+//! threads. Every reactor accepts from the shared listener and
+//! multiplexes its connections over epoll — thousands of mostly idle
+//! keep-alive clients cost a slab entry each, not an OS thread and
+//! stack. A reactor parses messages incrementally
 //! ([`crate::http::ConnBuf::read_event_into`]), routes `(tenant, app)`
 //! to a shard — default-tenant apps by app hash, named tenants whole by
 //! tenant hash (see [`sitw_fleet::TenantRegistry::shard_of`]) — and
-//! decides each shard's slice itself under that shard's lock. Per
-//! connection, every message is answered in arrival order before the
-//! next is read ([`crate::conn`]), so HTTP/1.1 response ordering, frame
-//! ordering under SITW-BIN pipelining, and ordering across protocol
-//! switches hold by construction.
+//! decides each shard's slice itself under that shard's lock
+//! ([`crate::pool::Node`]). Per connection, every message is answered
+//! in arrival order before the next is read ([`crate::conn`]), so
+//! HTTP/1.1 response ordering, frame ordering under SITW-BIN pipelining,
+//! and ordering across protocol switches hold by construction.
 //!
 //! **Lock order.** The standby's promotion lock (see [`crate::follow`]),
 //! then the tenant registry, then the replication state, then **one
 //! shard at a time**: a thread holding a shard lock takes no other lock
 //! but the `try_lock`s of the telemetry rings, and never waits on I/O or
 //! a channel. A reactor releases its registry guard before it decides
-//! (`Conn::flush_run` and `Conn::submit_frame`), and the decide path
+//! (`Burst::flush_run` and `Burst::frame` in [`crate::pool`]), and the decide path
 //! takes shards in ascending order, each released before the next.
 
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -39,7 +37,6 @@ use sitw_core::HybridConfig;
 use sitw_fleet::{
     LedgerExport, TenantId, TenantRegistry, TenantSpec, DEFAULT_TENANT, DEFAULT_TENANT_NAME,
 };
-use sitw_reactor::Waker;
 use sitw_sim::PolicySpec;
 
 use sitw_telemetry::{
@@ -50,7 +47,8 @@ use sitw_telemetry::{
 use crate::follow::{promote, pull_loop, Follow, FollowConfig, FollowStatus, NOT_PROMOTED};
 use crate::http::{write_response, Request};
 use crate::metrics::{ConnStats, MetricsReport, ProtoStats, ReactorStats, ReplStats, ShardStats};
-use crate::reactor::{reactor_loop, ReactorRef};
+use crate::pool::Node;
+use crate::reactor::{self, Pool};
 use crate::shard::{shard_of, DirtyShardExport, ShardWorker, TenantRestore};
 use crate::snapshot::{
     decode_tenant_section, encode_tenant_section, AppRecord, ShardExport, Snapshot, SnapshotError,
@@ -132,9 +130,9 @@ impl Default for ServeConfig {
             restore_path: None,
             follow: None,
             read_timeout: Duration::from_millis(50),
-            pipeline_window: 128,
-            reactor_threads: 2,
-            idle_timeout: Duration::from_secs(10),
+            pipeline_window: reactor::WINDOW,
+            reactor_threads: reactor::REACTORS,
+            idle_timeout: reactor::IDLE_TIMEOUT,
             telemetry: true,
         }
     }
@@ -162,7 +160,8 @@ struct ReplState {
 /// Shared state every reactor thread sees.
 pub(crate) struct ServerCtx {
     pub(crate) cfg: ServeConfig,
-    pub(crate) addr: SocketAddr,
+    /// The listener, the reactors' epolls and the connection counts.
+    pub(crate) pool: Arc<Pool>,
     /// The shards, in routing order (see the lock order in the module
     /// docs). A poisoned shard is refused, never recovered.
     pub(crate) shards: Vec<Mutex<ShardWorker>>,
@@ -170,7 +169,6 @@ pub(crate) struct ServerCtx {
     /// to resolve names/ids and routes; write-locked only by the admin
     /// registration and promotion paths.
     pub(crate) registry: RwLock<TenantRegistry>,
-    pub(crate) shutdown: AtomicBool,
     pub(crate) started: Instant,
     /// A standby's pull state and gate (`None` on a primary).
     pub(crate) follow: Option<Follow>,
@@ -182,19 +180,8 @@ pub(crate) struct ServerCtx {
     pub(crate) proto_errors: AtomicU64,
     /// SITW-BIN control frames served (reports + budget pushes).
     pub(crate) ctrl_frames: AtomicU64,
-    /// Connections accepted since start.
-    pub(crate) conns_accepted: AtomicU64,
-    /// Connections currently registered with a reactor (or in flight to
-    /// one). Incremented by the acceptor, decremented when a reactor
-    /// retires the slab entry — so "live returns to 0" proves the slab
-    /// leaked nothing.
-    pub(crate) conns_live: AtomicU64,
-    /// High-water mark of `conns_live`.
-    pub(crate) conns_peak: AtomicU64,
-    /// The reactor pool's queues and wakers.
-    pub(crate) reactors: Vec<ReactorRef>,
-    /// Shared telemetry state: per-reactor flight recorders/histograms,
-    /// per-shard recorders, and reactor inbox gauges.
+    /// Shared telemetry state: per-reactor flight recorders/histograms
+    /// and per-shard recorders.
     pub(crate) telem: TelemCtx,
     /// Replication-source state (followers pull via `FRAME_REPL_ACK`).
     repl: Mutex<ReplState>,
@@ -258,7 +245,6 @@ impl ServerCtx {
                 // Brief blocking lock: recording sites only try_lock and
                 // never hold the guard across a wait, so this settles fast.
                 let t = lock_unpoisoned(shared);
-                let (queue_depth, queue_peak) = self.telem.reactor_gauges[i].read();
                 reactors.push(ReactorStats {
                     reactor: i,
                     read: t.read.clone(),
@@ -272,8 +258,7 @@ impl ServerCtx {
                     write_bursts: t.write_bursts.clone(),
                     bp_pauses: t.bp_pauses,
                     bp_resumes: t.bp_resumes,
-                    queue_depth,
-                    queue_peak,
+                    conns: self.pool.conns(i),
                 });
             }
         }
@@ -287,10 +272,10 @@ impl ServerCtx {
                 control_frames: self.ctrl_frames.load(Ordering::Relaxed),
             },
             conns: ConnStats {
-                live: self.conns_live.load(Ordering::Relaxed),
-                accepted: self.conns_accepted.load(Ordering::Relaxed),
-                peak: self.conns_peak.load(Ordering::Relaxed),
-                reactor_threads: self.reactors.len() as u64,
+                live: self.pool.live(),
+                accepted: self.pool.accepted.load(Ordering::Relaxed),
+                peak: self.pool.peak.load(Ordering::Relaxed),
+                reactor_threads: self.pool.reactors() as u64,
             },
             // A standby reports the stream it pulls, a primary the one
             // it serves.
@@ -570,25 +555,11 @@ impl ServerCtx {
         worker.restore(vec![restore], false).map_err(|e| (400, e))?;
         Ok(spec)
     }
-
-    /// Unblocks the acceptor's `accept()` after the shutdown flag flips.
-    fn wake_acceptor(&self) {
-        let _ = TcpStream::connect(self.addr);
-    }
-
-    /// Wakes every reactor unconditionally (shutdown must not wait out
-    /// a poll tick).
-    pub(crate) fn wake_reactors(&self) {
-        for reactor in &self.reactors {
-            reactor.waker.wake_force();
-        }
-    }
 }
 
 /// A running decision service.
 pub struct Server {
     ctx: Arc<ServerCtx>,
-    acceptor: Option<JoinHandle<()>>,
     /// A standby's pull loop (see [`crate::follow`]).
     puller: Option<JoinHandle<()>>,
     reactor_handles: Vec<JoinHandle<()>>,
@@ -786,7 +757,6 @@ impl Server {
             enabled: cfg.telemetry,
             clock: TelemClock::Wall(WallClock::new(started)),
             reactors: (0..cfg.reactor_threads).map(|_| Arc::default()).collect(),
-            reactor_gauges: (0..cfg.reactor_threads).map(|_| Arc::default()).collect(),
             shard_recorders: (0..cfg.shards)
                 .map(|_| Arc::new(Mutex::new(FlightRecorder::new(TRACE_RING))))
                 .collect(),
@@ -834,54 +804,29 @@ impl Server {
             shards.push(Mutex::new(worker));
         }
 
-        // The reactor pool's plumbing exists before the context so the
-        // context can carry every reactor's queue and waker.
-        let mut reactors: Vec<ReactorRef> = Vec::with_capacity(cfg.reactor_threads);
-        let mut inboxes = Vec::with_capacity(cfg.reactor_threads);
-        for _ in 0..cfg.reactor_threads {
-            let (tx, rx) = mpsc::channel();
-            let waker = Arc::new(Waker::new()?);
-            reactors.push(ReactorRef { tx, waker });
-            inboxes.push(rx);
-        }
-
-        let listener = TcpListener::bind(&cfg.addr)?;
-        let addr = listener.local_addr()?;
+        let pool = Pool::bind(
+            &cfg.addr,
+            cfg.reactor_threads,
+            cfg.read_timeout,
+            cfg.idle_timeout,
+        )?;
         let ctx = Arc::new(ServerCtx {
             follow: cfg.follow.clone().map(Follow::new),
             cfg,
-            addr,
+            pool: Arc::clone(&pool),
             shards,
             registry: RwLock::new(registry),
-            shutdown: AtomicBool::new(false),
             started,
             frames: AtomicU64::new(0),
             batched_decisions: AtomicU64::new(0),
             proto_errors: AtomicU64::new(0),
             ctrl_frames: AtomicU64::new(0),
-            conns_accepted: AtomicU64::new(0),
-            conns_live: AtomicU64::new(0),
-            conns_peak: AtomicU64::new(0),
-            reactors,
             telem,
             repl: Mutex::new(ReplState::default()),
             restore_error,
         });
-
-        let mut reactor_handles = Vec::with_capacity(inboxes.len());
-        for (id, rx) in inboxes.into_iter().enumerate() {
-            let reactor_ctx = Arc::clone(&ctx);
-            reactor_handles.push(
-                std::thread::Builder::new()
-                    .name(format!("sitw-reactor-{id}"))
-                    .spawn(move || reactor_loop(id, reactor_ctx, rx))?,
-            );
-        }
-
-        let acceptor_ctx = Arc::clone(&ctx);
-        let acceptor = std::thread::Builder::new()
-            .name("sitw-acceptor".into())
-            .spawn(move || accept_loop(listener, acceptor_ctx))?;
+        let nodes = (0..pool.reactors()).map(|id| Node::new(Arc::clone(&ctx), id));
+        let reactor_handles = reactor::spawn(&pool, "sitw-reactor", nodes)?;
         let puller = ctx
             .follow
             .as_ref()
@@ -895,7 +840,6 @@ impl Server {
 
         Ok(Server {
             ctx,
-            acceptor: Some(acceptor),
             puller,
             reactor_handles,
         })
@@ -903,7 +847,7 @@ impl Server {
 
     /// The bound address (useful with port 0).
     pub fn addr(&self) -> SocketAddr {
-        self.ctx.addr
+        self.ctx.pool.addr()
     }
 
     /// Scrapes all shards (in-process equivalent of `GET /metrics`).
@@ -944,7 +888,7 @@ impl Server {
     /// True once a shutdown has been requested (e.g. via
     /// `POST /admin/shutdown`).
     pub fn shutdown_requested(&self) -> bool {
-        self.ctx.shutdown.load(Ordering::SeqCst)
+        self.ctx.pool.shutting_down()
     }
 
     /// Blocks until a shutdown is requested.
@@ -975,12 +919,9 @@ impl Server {
     /// replica, not its idle shards: that is what it returns and writes,
     /// and before its first sync it writes nothing.
     pub fn shutdown(mut self) -> io::Result<Snapshot> {
-        self.ctx.shutdown.store(true, Ordering::SeqCst);
-        self.ctx.wake_acceptor();
-        self.ctx.wake_reactors();
-        let threads = [self.acceptor.take(), self.puller.take()];
-        for thread in threads.into_iter().flatten() {
-            let _ = thread.join();
+        self.ctx.pool.shutdown();
+        if let Some(puller) = self.puller.take() {
+            let _ = puller.join();
         }
         // Every connection has settled: no reactor decides any more.
         for handle in self.reactor_handles.drain(..) {
@@ -995,30 +936,6 @@ impl Server {
             snapshot.write_to(path)?;
         }
         Ok(snapshot)
-    }
-}
-
-/// The acceptor: accepts, counts, and hands each connection round-robin
-/// to a reactor. No per-connection thread exists anywhere.
-fn accept_loop(listener: TcpListener, ctx: Arc<ServerCtx>) {
-    let mut next = 0usize;
-    for stream in listener.incoming() {
-        if ctx.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        ctx.conns_accepted.fetch_add(1, Ordering::Relaxed);
-        let live = ctx.conns_live.fetch_add(1, Ordering::Relaxed) + 1;
-        ctx.conns_peak.fetch_max(live, Ordering::Relaxed);
-        let idx = next % ctx.reactors.len();
-        let reactor = &ctx.reactors[idx];
-        next = next.wrapping_add(1);
-        if reactor.tx.send(stream).is_err() {
-            // Reactor gone (shutting down): the stream just dropped.
-            ctx.conns_live.fetch_sub(1, Ordering::Relaxed);
-        } else {
-            reactor.waker.wake();
-        }
     }
 }
 
@@ -1047,10 +964,10 @@ pub(crate) fn parse_and_route(
 }
 
 /// Executes one SITW-BIN control frame (the cluster control plane).
-/// Like [`handle_control`], this runs when the frame reaches the head of
-/// its connection's response pipeline: a usage report reflects every
-/// earlier decision on the connection, and a budget push lands between
-/// frames, never inside one.
+/// Like [`handle_control`], this runs once every earlier message on its
+/// connection is answered: a usage report reflects every earlier
+/// decision on the connection, and a budget push lands between frames,
+/// never inside one.
 pub(crate) fn handle_ctrl_frame(req: &ControlRequest, ctx: &ServerCtx, out: &mut Vec<u8>) {
     ctx.ctrl_frames.fetch_add(1, Ordering::Relaxed);
     if ctx.following() {
@@ -1073,8 +990,9 @@ pub(crate) fn handle_ctrl_frame(req: &ControlRequest, ctx: &ServerCtx, out: &mut
     }
 }
 
-/// A JSON error response: `{"error":"<msg>"}`.
-pub(crate) fn write_error(out: &mut Vec<u8>, status: u16, msg: &str) {
+/// A JSON error response, `{"error":"<msg>"}`: the node's, and the
+/// router's for the same failures.
+pub fn write_error(out: &mut Vec<u8>, status: u16, msg: &str) {
     let body = format!("{{\"error\":\"{}\"}}", wire::json_escape(msg));
     write_response(out, status, "application/json", body.as_bytes());
 }
@@ -1090,11 +1008,9 @@ fn write_tenant(out: &mut Vec<u8>, spec: &TenantSpec) {
     write_response(out, 200, "application/json", &body);
 }
 
-/// Non-invoke endpoints: health, metrics, admin.
-/// Runs on a reactor thread when the request reaches the head of its
-/// connection's response pipeline (i.e. once every earlier message has
-/// answered, preserving the settle-then-serve semantics of the
-/// thread-per-connection model).
+/// Non-invoke endpoints: health, metrics, admin. Runs on a reactor
+/// thread once every earlier message on its connection is answered
+/// (settle-then-serve, see [`crate::conn`]).
 pub(crate) fn handle_control(req: &Request, ctx: &ServerCtx, out: &mut Vec<u8>) {
     use std::fmt::Write as _;
     let (path, query) = match req.path.split_once('?') {
@@ -1277,7 +1193,6 @@ pub(crate) fn handle_control(req: &Request, ctx: &ServerCtx, out: &mut Vec<u8>) 
             if ctx.telem.enabled {
                 for (i, shared) in ctx.telem.reactors.iter().enumerate() {
                     let t = lock_unpoisoned(shared);
-                    let (queue_depth, queue_peak) = ctx.telem.reactor_gauges[i].read();
                     if i > 0 {
                         body.push(',');
                     }
@@ -1286,7 +1201,7 @@ pub(crate) fn handle_control(req: &Request, ctx: &ServerCtx, out: &mut Vec<u8>) 
                         "{{\"id\":{i},\"epoll_waits\":{},\"epoll_wait_ns\":{},\"wakeups\":{},\
                          \"events_per_wake_mean\":{:.2},\"events_per_wake_max\":{},\
                          \"write_burst_mean_bytes\":{:.0},\"bp_pauses\":{},\"bp_resumes\":{},\
-                         \"queue_depth\":{queue_depth},\"queue_peak\":{queue_peak}}}",
+                         \"conns\":{}}}",
                         t.epoll_waits,
                         t.epoll_wait_ns,
                         t.wakeups,
@@ -1295,6 +1210,7 @@ pub(crate) fn handle_control(req: &Request, ctx: &ServerCtx, out: &mut Vec<u8>) 
                         t.write_bursts.mean().unwrap_or(0.0),
                         t.bp_pauses,
                         t.bp_resumes,
+                        ctx.pool.conns(i),
                     );
                 }
             }
@@ -1308,11 +1224,7 @@ pub(crate) fn handle_control(req: &Request, ctx: &ServerCtx, out: &mut Vec<u8>) 
                 let available = !shard.is_poisoned();
                 let _ = write!(body, "{{\"id\":{i},\"available\":{available}}}");
             }
-            let _ = write!(
-                body,
-                "],\"conns\":{}}}",
-                ctx.conns_live.load(Ordering::Relaxed)
-            );
+            let _ = write!(body, "],\"conns\":{}}}", ctx.pool.live());
             write_response(out, 200, "application/json", body.as_bytes());
         }
         (method, p) if p.starts_with("/admin/tenants/") => {
@@ -1338,9 +1250,7 @@ pub(crate) fn handle_control(req: &Request, ctx: &ServerCtx, out: &mut Vec<u8>) 
             }
         }
         ("POST", "/admin/shutdown") => {
-            ctx.shutdown.store(true, Ordering::SeqCst);
-            ctx.wake_acceptor();
-            ctx.wake_reactors();
+            ctx.pool.shutdown();
             write_response(out, 200, "application/json", b"{\"status\":\"stopping\"}");
         }
         (
@@ -1356,6 +1266,7 @@ pub(crate) fn handle_control(req: &Request, ctx: &ServerCtx, out: &mut Vec<u8>) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
 
     /// Regression (failing before this PR): the JSON path took the
     /// registry with `.expect("registry poisoned")`, so one panicked

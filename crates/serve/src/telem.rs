@@ -1,5 +1,5 @@
-//! Serving-stack telemetry plumbing: per-thread flight recorders,
-//! stage histograms, and queue gauges.
+//! Serving-stack telemetry plumbing: per-thread flight recorders and
+//! stage histograms.
 //!
 //! Layout follows the threading model. Each reactor thread owns a
 //! [`ReactorTelemHandle`] wrapping an `Arc<Mutex<ReactorTelem>>`; the
@@ -22,11 +22,11 @@
 //! clock — the steady state does no timing work at all.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use sitw_telemetry::{
-    Clock, EventRing, FlightRecorder, Log2Histogram, ManualClock, TraceSpan, WallClock,
+    Clock, EventRing, FlightRecorder, Log2Histogram, ManualClock, SpanEvent, Stage, TraceSpan,
+    WallClock,
 };
 
 use crate::metrics::ProtoHists;
@@ -63,39 +63,6 @@ impl TelemClock {
 impl Default for TelemClock {
     fn default() -> Self {
         TelemClock::Wall(WallClock::default())
-    }
-}
-
-/// Drain-observed depth/high-water gauge for a reactor's inbox.
-///
-/// Only the queue's *consumer* writes: each time it drains a wave of
-/// messages it [`QueueGauge::observe`]s the backlog it found, so `depth`
-/// is the most recent wave's backlog and `peak` its high-water mark.
-/// The acceptor never touches the gauge — handing a connection over costs zero
-/// shared-cacheline RMWs — and the single writer means plain relaxed
-/// stores suffice (the read-then-store peak update cannot race itself).
-#[derive(Debug, Default)]
-pub struct QueueGauge {
-    depth: AtomicU64,
-    peak: AtomicU64,
-}
-
-impl QueueGauge {
-    /// Records the backlog found at one drain wave.
-    #[inline]
-    pub fn observe(&self, backlog: u64) {
-        self.depth.store(backlog, Ordering::Relaxed);
-        if backlog > self.peak.load(Ordering::Relaxed) {
-            self.peak.store(backlog, Ordering::Relaxed);
-        }
-    }
-
-    /// Current `(depth, peak)` reading.
-    pub fn read(&self) -> (u64, u64) {
-        (
-            self.depth.load(Ordering::Relaxed),
-            self.peak.load(Ordering::Relaxed),
-        )
     }
 }
 
@@ -145,6 +112,26 @@ impl Default for ReactorTelem {
             wakeups: 0,
             bp_pauses: 0,
             bp_resumes: 0,
+        }
+    }
+}
+
+impl ReactorTelem {
+    /// Records `stage` from `start_ns` to `end_ns` for every span.
+    pub fn spans(
+        &mut self,
+        spans: impl IntoIterator<Item = u64>,
+        stage: Stage,
+        start_ns: u64,
+        end_ns: u64,
+    ) {
+        for span in spans {
+            self.recorder.push(SpanEvent {
+                span,
+                stage,
+                start_ns,
+                end_ns,
+            });
         }
     }
 }
@@ -291,8 +278,6 @@ pub(crate) struct TelemCtx {
     pub clock: TelemClock,
     /// Per-reactor shared state (locked briefly by scrapers).
     pub reactors: Vec<Arc<Mutex<ReactorTelem>>>,
-    /// Per-reactor inbox gauges (each loop observes its drain waves).
-    pub reactor_gauges: Vec<Arc<QueueGauge>>,
     /// Per-shard flight recorders (deciding reactors push, scrapers
     /// snapshot).
     pub shard_recorders: Vec<Arc<Mutex<FlightRecorder>>>,
@@ -307,7 +292,6 @@ impl Default for TelemCtx {
             enabled: false,
             clock: TelemClock::default(),
             reactors: Vec::new(),
-            reactor_gauges: Vec::new(),
             shard_recorders: Vec::new(),
             events: Arc::new(Mutex::new(EventRing::new(EVENT_RING))),
         }
@@ -317,19 +301,6 @@ impl Default for TelemCtx {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sitw_telemetry::{SpanEvent, Stage};
-
-    #[test]
-    fn queue_gauge_tracks_depth_and_peak() {
-        let g = QueueGauge::default();
-        g.observe(3);
-        assert_eq!(g.read(), (3, 3));
-        g.observe(1);
-        assert_eq!(g.read(), (1, 3));
-        g.observe(7);
-        g.observe(2);
-        assert_eq!(g.read(), (2, 7));
-    }
 
     #[test]
     fn span_ids_are_unique_per_reactor() {

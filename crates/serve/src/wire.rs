@@ -704,7 +704,7 @@ pub fn encode_request_frame(out: &mut Vec<u8>, records: &[(&str, u64)]) {
 /// Panics if an app name exceeds `u16::MAX` bytes or the batch exceeds
 /// [`MAX_BATCH`].
 pub fn encode_request_frame_v2(out: &mut Vec<u8>, records: &[(u16, &str, u64)]) {
-    encode_v2_frame(out, records, None);
+    encode_request_frame_v2_from(out, records.iter().copied(), None);
 }
 
 /// Encodes one v2 request frame carrying a propagated trace id: the
@@ -717,15 +717,26 @@ pub fn encode_request_frame_v2(out: &mut Vec<u8>, records: &[(u16, &str, u64)]) 
 /// Panics if an app name exceeds `u16::MAX` bytes or the batch exceeds
 /// [`MAX_BATCH`].
 pub fn encode_request_frame_v2_traced(out: &mut Vec<u8>, records: &[(u16, &str, u64)], trace: u64) {
-    encode_v2_frame(out, records, Some(trace));
+    encode_request_frame_v2_from(out, records.iter().copied(), Some(trace));
 }
 
-fn encode_v2_frame(out: &mut Vec<u8>, records: &[(u16, &str, u64)], trace: Option<u64>) {
+/// Encodes one v2 request frame from borrowed records — a router's
+/// subframe of its client's records — carrying `trace` when given.
+///
+/// # Panics
+///
+/// Panics if an app name exceeds `u16::MAX` bytes or the batch exceeds
+/// [`MAX_BATCH`].
+pub fn encode_request_frame_v2_from<'a>(
+    out: &mut Vec<u8>,
+    records: impl ExactSizeIterator<Item = (u16, &'a str, u64)> + Clone,
+    trace: Option<u64>,
+) {
     assert!(records.len() <= MAX_BATCH, "batch exceeds MAX_BATCH");
     let prefix = if trace.is_some() { TRACE_FIELD_LEN } else { 0 };
     let payload_len: usize = prefix
         + records
-            .iter()
+            .clone()
             .map(|(_, app, _)| 2 + 2 + app.len() + 8)
             .sum::<usize>();
     out.reserve(BIN_HEADER_LEN + payload_len);

@@ -244,6 +244,30 @@ fn two_hundred_fifty_six_concurrent_keepalive_connections() {
     server.shutdown().unwrap();
 }
 
+/// Every reactor accepts, and a reactor over its share of the live
+/// connections stops listening, so connections opened one after another
+/// spread evenly however the kernel picks among the listeners.
+#[test]
+fn sequential_connections_spread_evenly_over_the_reactors() {
+    let server = start_server(base_config());
+    let conns: Vec<Client> = (0..16)
+        .map(|i| {
+            let mut client = Client::connect(server.addr()).unwrap();
+            let (status, body) = client
+                .invoke(None, &format!("spread-{i}"), 1, None)
+                .unwrap();
+            assert_eq!(status, 200, "{body}");
+            client
+        })
+        .collect();
+    let held: Vec<u64> = server.metrics().reactors.iter().map(|r| r.conns).collect();
+    assert_eq!(held.iter().sum::<u64>(), 16, "{held:?}");
+    let (min, max) = (held.iter().min().unwrap(), held.iter().max().unwrap());
+    assert!(max - min <= 1, "per-reactor connections {held:?}");
+    drop(conns);
+    server.shutdown().unwrap();
+}
+
 /// The acceptance-scale stress: 2048 concurrent keep-alive connections
 /// served by 4 reactor threads. Ignored in the default run (it wants a
 /// raised file-descriptor limit and a few seconds); run with
