@@ -19,6 +19,11 @@ use crate::production::{ProductionConfig, RecencyWeighting};
 /// bins, which every app allocates at first sight (5.6 KB).
 pub const MAX_RANGE_MINUTES: usize = 24 * 60;
 
+/// The longest retention a parsed production spec may ask for: a year
+/// of daily histograms. It bounds the longest app record a snapshot can
+/// carry, which the snapshot reader's line cap must hold.
+pub const MAX_RETENTION_DAYS: u64 = 366;
+
 /// Why [`PolicySpec::parse`] refused a string. Specs arrive from outside
 /// (`POST /admin/tenants`, tenant migration, the CLI and tenant files),
 /// so a string the decision kernel could not serve stops here.
@@ -102,7 +107,8 @@ impl PolicySpec {
     /// * `hybrid` (paper defaults), `hybrid:<hours>h` (histogram range);
     /// * `fixed:<minutes>` / `fixed:<minutes>min` (fixed keep-alive);
     /// * `no-unloading`;
-    /// * `production` and its variants `production:<days>d` (retention),
+    /// * `production` and its variants `production:<days>d` (retention,
+    ///   up to [`MAX_RETENTION_DAYS`]),
     ///   `production:<decay>` (per-day exponential decay, e.g.
     ///   `production:0.5`), `production:uniform` (no recency weighting).
     ///
@@ -121,8 +127,8 @@ impl PolicySpec {
             } else if let Some(days) = rest.strip_suffix('d') {
                 // Zero retention would expire even the current day: the
                 // aggregate stays empty and the policy never learns.
-                let what = "retention (at least 1 day)";
-                cfg.retention_days = number(what, days, |&d| d > 0)?;
+                let what = "retention (1 to 366 days)";
+                cfg.retention_days = number(what, days, |d| (1..=MAX_RETENTION_DAYS).contains(d))?;
             } else {
                 let decay = number("decay (0, 1]", rest, |&d: &f64| d > 0.0 && d <= 1.0)?;
                 cfg.weighting = RecencyWeighting::Exponential { decay };
@@ -307,6 +313,13 @@ mod tests {
         assert!(out_of_range("hybrid:0h"));
         assert!(out_of_range("hybrid:25h"));
         assert!(out_of_range("hybrid:100000h"));
+        // A retention past a year would let one app's record outgrow
+        // what a snapshot reader holds in one line.
+        assert!(out_of_range("production:367d"));
+        assert_eq!(
+            PolicySpec::parse("production:366d").unwrap().label(),
+            "production-240m-366d[5,99]exp0.85"
+        );
         assert_eq!(
             PolicySpec::parse("hybrid:24h").unwrap(),
             PolicySpec::Hybrid(HybridConfig::with_range_hours(24))

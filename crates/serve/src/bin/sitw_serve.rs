@@ -28,7 +28,7 @@
 //! `production` — the §6 production-manager scheme (daily histograms,
 //! two-week retention, recency-weighted aggregation, pre-warms 90 s
 //! early, hourly backup accounting). Variants: `production:<days>d`
-//! (retention), `production:<decay>` (per-day exponential decay, e.g.
+//! (retention, 1 to 366 days), `production:<decay>` (per-day exponential decay, e.g.
 //! `production:0.5`), `production:uniform` (no recency weighting).
 //!
 //! Fleet mode: `--tenant acme=hybrid,budget=4096` registers a tenant

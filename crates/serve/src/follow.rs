@@ -7,7 +7,8 @@
 //! first, then per-round deltas of whatever mutated
 //! ([`wire::FRAME_REPL_SYNC`] / [`wire::FRAME_REPL_DELTA`] /
 //! [`wire::FRAME_REPL_COMMIT`]) — and accumulates the complete
-//! [`Snapshot`] in memory.
+//! [`Snapshot`] in memory. Each chunk goes through a [`Decoder`] as it
+//! arrives, so no round is ever held as text.
 //!
 //! Until promotion the node's gate is closed. The decision path reads it
 //! once per read burst or frame and answers a JSON `/invoke` with 503 and
@@ -38,7 +39,7 @@ use sitw_telemetry::{lock_unpoisoned, EventKind};
 use crate::http::{ConnBuf, Reply};
 use crate::metrics::ReplStats;
 use crate::server::{build_registry, partition_restore, ServerCtx};
-use crate::snapshot::{apply_delta, Snapshot};
+use crate::snapshot::{apply_delta, Decoder, Snapshot};
 use crate::wire::{self, ServerFrameDecode};
 
 /// What a standby answers in place of a decision or a mutation.
@@ -72,22 +73,29 @@ impl Default for FollowConfig {
     }
 }
 
-/// One replication round reassembled from chunk frames, ready to apply.
-#[derive(Debug, PartialEq, Eq)]
+/// One replication round decoded from its chunk frames, ready to apply.
+#[derive(Debug, PartialEq)]
 struct CommittedRound {
     epoch: u64,
     /// `true` when the chunks were a full sync, `false` for a delta.
-    /// Meaningless for a lone commit (empty `doc`).
+    /// Meaningless for a lone commit.
     full_sync: bool,
-    doc: Vec<u8>,
+    /// Document bytes the chunks carried.
+    bytes: u64,
+    /// The decoded document, `None` for a lone commit (no chunks).
+    doc: Result<Option<Snapshot>, String>,
 }
 
-/// Incremental reassembly of one replication round from its frames.
+/// Incremental decoding of one replication round from its frames: each
+/// chunk goes through a [`Decoder`] for the round's kind as it arrives.
 /// Chunks must arrive in sequence order and agree on kind and epoch —
-/// anything else is a protocol error that forces a resync.
+/// anything else is a protocol error that forces a resync. A document
+/// that does not decode is the round's `doc` error, applied (and
+/// refused) like any other.
 #[derive(Debug, Default)]
 struct RoundAssembler {
-    doc: Vec<u8>,
+    decoder: Option<Decoder>,
+    bytes: u64,
     next_seq: u32,
     full_sync: Option<bool>,
     epoch: Option<u64>,
@@ -116,7 +124,16 @@ impl RoundAssembler {
                 self.full_sync = Some(full_sync);
                 self.epoch = Some(epoch);
                 self.next_seq += 1;
-                self.doc.extend_from_slice(&data);
+                self.bytes += data.len() as u64;
+                let decoder = self.decoder.get_or_insert_with(|| {
+                    if full_sync {
+                        Decoder::snapshot()
+                    } else {
+                        Decoder::delta()
+                    }
+                });
+                // A decode error stays in the decoder until the commit.
+                let _ = decoder.feed(&data);
                 Ok(None)
             }
             Reply::Frame(ServerFrameDecode::ReplCommit { epoch, .. }) => {
@@ -126,7 +143,8 @@ impl RoundAssembler {
                 let round = CommittedRound {
                     epoch,
                     full_sync: self.full_sync.unwrap_or(false),
-                    doc: std::mem::take(&mut self.doc),
+                    bytes: self.bytes,
+                    doc: self.decoder.take().map(Decoder::finish).transpose(),
                 };
                 *self = Self::default();
                 Ok(Some(round))
@@ -156,7 +174,7 @@ impl ReplicaState {
     }
 
     fn try_apply(&mut self, round: CommittedRound) -> Result<u64, String> {
-        if round.doc.is_empty() {
+        let Some(doc) = round.doc? else {
             // Lone commit: nothing mutated. The epoch must be the one we
             // already hold, or primary and follower have diverged.
             if round.epoch != self.epoch {
@@ -166,25 +184,19 @@ impl ReplicaState {
                 ));
             }
             return Ok(0);
-        }
-        let text = std::str::from_utf8(&round.doc).map_err(|_| "round is not UTF-8".to_owned())?;
+        };
+        let apps = count_apps(&doc);
         if round.full_sync {
-            let snap = Snapshot::decode(text)?;
-            let apps = count_apps(&snap);
-            self.snap = Some(snap);
-            self.epoch = round.epoch;
-            Ok(apps)
+            self.snap = Some(doc);
         } else {
-            let delta = Snapshot::decode_delta(text)?;
             let base = self
                 .snap
                 .as_mut()
                 .ok_or_else(|| "delta round before any full sync".to_owned())?;
-            let apps = count_apps(&delta);
-            apply_delta(base, delta);
-            self.epoch = round.epoch;
-            Ok(apps)
+            apply_delta(base, doc);
         }
+        self.epoch = round.epoch;
+        Ok(apps)
     }
 }
 
@@ -441,8 +453,8 @@ fn pull_once(ctx: &ServerCtx, follow: &Follow, conn: &mut Option<ConnBuf>) -> Re
         }
     };
 
-    let full_sync = round.full_sync && !round.doc.is_empty();
-    let bytes = round.doc.len() as u64;
+    let full_sync = round.full_sync && matches!(round.doc, Ok(Some(_)));
+    let bytes = round.bytes;
     let mut shared = follow.lock();
     if !follow.following() {
         return Ok(()); // Promoted meanwhile: the replica is spent.
@@ -719,6 +731,48 @@ mod tests {
         }
     }
 
+    /// A round carrying `doc` cut into chunks of `size` bytes, framed
+    /// (an empty `doc` is the lone commit).
+    fn framed(full_sync: bool, epoch: u64, doc: &[u8], size: usize) -> Vec<u8> {
+        let kind = if full_sync {
+            wire::FRAME_REPL_SYNC
+        } else {
+            wire::FRAME_REPL_DELTA
+        };
+        let pieces: Vec<&[u8]> = doc.chunks(size).collect();
+        let mut out = Vec::new();
+        for (seq, piece) in pieces.iter().enumerate() {
+            let last = seq + 1 == pieces.len();
+            wire::encode_repl_chunk(&mut out, kind, epoch, seq as u32, last, piece);
+        }
+        wire::encode_repl_commit(&mut out, epoch);
+        out
+    }
+
+    /// What an assembler commits for a framed round.
+    fn assemble(mut framed: &[u8]) -> CommittedRound {
+        let mut asm = RoundAssembler::default();
+        loop {
+            let frame = wire::decode_server_frame(framed);
+            let consumed = match &frame {
+                ServerFrameDecode::ReplChunk { consumed, .. }
+                | ServerFrameDecode::ReplCommit { consumed, .. } => *consumed,
+                other => panic!("{other:?}"),
+            };
+            framed = &framed[consumed..];
+            if let Some(round) = asm.absorb(Reply::Frame(frame)).unwrap() {
+                assert!(framed.is_empty(), "frames after the commit");
+                return round;
+            }
+        }
+    }
+
+    /// The round a primary commits for the document `text`.
+    fn round(epoch: u64, full_sync: bool, text: &str) -> CommittedRound {
+        let doc = text.as_bytes();
+        assemble(&framed(full_sync, epoch, doc, wire::REPL_CHUNK_BYTES))
+    }
+
     /// Reads frames off `conn` into `asm` until the round commits
     /// (`Some`) or the socket runs dry (`None`).
     fn pump(conn: &mut ConnBuf, asm: &mut RoundAssembler) -> Option<CommittedRound> {
@@ -736,9 +790,16 @@ mod tests {
 
     #[test]
     fn assembler_reassembles_chunked_rounds_at_any_split() {
-        let doc = vec![0xABu8; wire::REPL_CHUNK_BYTES + 100];
+        // A full-sync document a little over one chunk.
+        let names: Vec<String> = (0..3_000).map(|i| format!("app-{i:05}")).collect();
+        let apps: Vec<(&str, u64)> = names.iter().map(|n| (n.as_str(), 7)).collect();
+        let snap = snap_with(&apps);
+        let doc = snap.encode().into_bytes();
+        assert!(doc.len() > wire::REPL_CHUNK_BYTES + 100);
         let mut out = Vec::new();
-        wire::encode_repl_round(&mut out, wire::FRAME_REPL_SYNC, 5, &doc);
+        let mut sync = wire::ReplRound::new(&mut out, wire::FRAME_REPL_SYNC, 5);
+        snap.encode_into(&mut sync).unwrap();
+        sync.commit();
         // The stream arrives in two arbitrary pieces at every boundary
         // that matters (frame edges and mid-payload); the bytes are
         // reassembled by the shared reply reader, the round by the
@@ -772,8 +833,58 @@ mod tests {
             };
             assert_eq!(round.epoch, 5);
             assert!(round.full_sync);
-            assert_eq!(round.doc, doc);
+            assert_eq!(round.bytes, doc.len() as u64);
+            assert_eq!(round.doc, Ok(Some(snap.clone())));
             drop(writer.join().unwrap());
+        }
+    }
+
+    /// A round decodes the same whatever its chunk size: a full sync and
+    /// then a delta, each cut at every size of a sweep, leave the replica
+    /// (and report the app counts) the whole documents do.
+    #[test]
+    fn a_round_decodes_the_same_at_any_split() {
+        let full = crate::snapshot::samples::snapshot(11, 24);
+        let mut delta = crate::snapshot::samples::snapshot(12, 24);
+        // A delta carries the whole tenant list, its apps a dirty subset.
+        delta.policy_label = full.policy_label.clone();
+        delta.apps.truncate(3);
+        let (full_doc, delta_doc) = (full.encode(), delta.encode_delta());
+        let mut whole = ReplicaState::default();
+        let counts = (
+            whole.apply(round(1, true, &full_doc)).unwrap(),
+            whole.apply(round(2, false, &delta_doc)).unwrap(),
+        );
+        let expected = whole.snap.clone().unwrap();
+        assert_ne!(expected, full, "the delta changed the replica");
+        let longest = full_doc.len().max(delta_doc.len());
+        let sizes = (1..=64).chain([97, 1_000, 4_095, 4_096, 65_536, longest]);
+        for size in sizes {
+            let mut replica = ReplicaState::default();
+            let sync = assemble(&framed(true, 1, full_doc.as_bytes(), size));
+            let d = assemble(&framed(false, 2, delta_doc.as_bytes(), size));
+            assert_eq!(sync.bytes, full_doc.len() as u64, "size {size}");
+            let got = (replica.apply(sync).unwrap(), replica.apply(d).unwrap());
+            assert_eq!(got, counts, "size {size}");
+            assert_eq!(replica.epoch, 2, "size {size}");
+            assert_eq!(replica.snap.as_ref(), Some(&expected), "size {size}");
+        }
+    }
+
+    /// A round whose document does not decode is refused with the
+    /// decoder's reason, and the replica asks for a full sync.
+    #[test]
+    fn a_round_that_does_not_decode_forces_a_resync() {
+        let mut replica = ReplicaState::default();
+        let full = snap_with(&[("a", 1)]);
+        replica.apply(round(1, true, &full.encode())).unwrap();
+        let cut = &full.encode_delta()[..20];
+        for (epoch, text) in [(2, "garbage"), (1, "garbage"), (2, cut)] {
+            replica.epoch = 1;
+            let refused = replica.apply(round(epoch, false, text)).unwrap_err();
+            let want = Snapshot::decode_delta(text).unwrap_err();
+            assert_eq!(refused, want, "epoch {epoch}, {text:?}");
+            assert_eq!(replica.epoch, 0);
         }
     }
 
@@ -790,23 +901,13 @@ mod tests {
         let mut replica = ReplicaState::default();
         // Full sync at epoch 1.
         let full = snap_with(&[("a", 10), ("b", 20)]);
-        let applied = replica
-            .apply(CommittedRound {
-                epoch: 1,
-                full_sync: true,
-                doc: full.encode().into_bytes(),
-            })
-            .unwrap();
+        let applied = replica.apply(round(1, true, &full.encode())).unwrap();
         assert_eq!(applied, 2);
         assert_eq!(replica.epoch, 1);
         // Delta at epoch 2: app b mutated, app c appeared.
         let delta = snap_with(&[("b", 99), ("c", 30)]);
         replica
-            .apply(CommittedRound {
-                epoch: 2,
-                full_sync: false,
-                doc: delta.encode_delta().into_bytes(),
-            })
+            .apply(round(2, false, &delta.encode_delta()))
             .unwrap();
         assert_eq!(replica.epoch, 2);
         let snap = replica.snap.as_ref().unwrap();
@@ -817,13 +918,7 @@ mod tests {
             .collect();
         assert_eq!(got, vec![("a", 10), ("b", 99), ("c", 30)]);
         // Clean commit at the held epoch: a no-op.
-        replica
-            .apply(CommittedRound {
-                epoch: 2,
-                full_sync: false,
-                doc: Vec::new(),
-            })
-            .unwrap();
+        replica.apply(round(2, false, "")).unwrap();
         assert_eq!(replica.epoch, 2);
     }
 
@@ -833,21 +928,11 @@ mod tests {
         // A delta before any sync is divergence.
         let delta = snap_with(&[("a", 1)]);
         assert!(replica
-            .apply(CommittedRound {
-                epoch: 3,
-                full_sync: false,
-                doc: delta.encode_delta().into_bytes(),
-            })
+            .apply(round(3, false, &delta.encode_delta()))
             .is_err());
         assert_eq!(replica.epoch, 0, "error resets to full-sync request");
         // So is a clean commit for an epoch we do not hold.
-        assert!(replica
-            .apply(CommittedRound {
-                epoch: 7,
-                full_sync: false,
-                doc: Vec::new(),
-            })
-            .is_err());
+        assert!(replica.apply(round(7, false, "")).is_err());
         assert_eq!(replica.epoch, 0);
     }
 }

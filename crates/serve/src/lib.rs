@@ -151,6 +151,8 @@ pub mod reactor;
 pub mod server;
 pub mod shard;
 pub mod snapshot;
+#[cfg(test)]
+mod snapshot_ref;
 pub mod telem;
 pub mod wire;
 

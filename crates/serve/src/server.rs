@@ -373,25 +373,30 @@ impl ServerCtx {
             self.cfg.policy.label(),
             exports.into_iter().map(|d| d.export),
         );
-        let (kind, doc) = if full {
-            (wire::FRAME_REPL_SYNC, snap.encode())
-        } else {
-            (wire::FRAME_REPL_DELTA, snap.encode_delta())
-        };
+        // The document is encoded straight into its chunk frames.
         let epoch = repl.epoch + 1;
-        wire::encode_repl_round(out, kind, epoch, doc.as_bytes());
+        let kind = if full {
+            wire::FRAME_REPL_SYNC
+        } else {
+            wire::FRAME_REPL_DELTA
+        };
+        let mut round = wire::ReplRound::new(out, kind, epoch);
+        let encoded = if full {
+            snap.encode_into(&mut round)
+        } else {
+            snap.encode_delta_into(&mut round)
+        };
+        debug_assert!(encoded.is_ok(), "a replication round's writes never fail");
+        let bytes = round.commit();
         repl.epoch = epoch;
-        repl.bytes_streamed += doc.len() as u64;
+        repl.bytes_streamed += bytes;
         if !full {
             repl.apps_streamed += apps;
             return;
         }
         repl.full_syncs += 1;
         drop(repl);
-        self.event(
-            EventKind::ReplSync,
-            format!("epoch {epoch}, {} bytes", doc.len()),
-        );
+        self.event(EventKind::ReplSync, format!("epoch {epoch}, {bytes} bytes"));
     }
 
     /// Registers a tenant at runtime: the owning shard learns about it

@@ -19,6 +19,16 @@
 //! its header line. Pre-fleet files (no tenant lines) decode as a
 //! default-tenant-only snapshot, unchanged.
 //!
+//! Documents are read and written in bounded memory, byte for byte the
+//! format they always were. Every reader — [`Snapshot::load`], a
+//! standby's replication rounds, [`Snapshot::decode`] — pushes bytes
+//! through one [`Decoder`], which holds the records decoded so far and at
+//! most one partial line of at most [`MAX_LINE_BYTES`]. Every writer —
+//! [`Snapshot::write_to`], a primary's replication round,
+//! [`Snapshot::encode`] — runs one encoder over an [`io::Write`] sink a
+//! line at a time. So restoring a node, writing its snapshot and serving
+//! a full sync never hold the document beside the state it describes.
+//!
 //! One deliberate imprecision: the default tenant's ledger is sharded by
 //! app hash, so its *integral* is merged (summed, cursor = max) at
 //! snapshot time and re-seeded on shard 0 at restore. Decisions are
@@ -27,13 +37,17 @@
 //! also changes the shard count. Budgeted tenants live whole on one
 //! shard, so their ledgers restore exactly.
 
-use std::io::{self, Write};
-use std::path::Path;
+use std::ffi::OsStr;
+use std::fs::File;
+use std::io::{self, BufWriter, Read, Write};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
+use sitw_core::spec::MAX_RETENTION_DAYS;
 use sitw_core::{DayHistogram, DecisionCounts, HybridSnapshot, ProductionAppState, Windows};
 use sitw_fleet::{LedgerExport, TenantId};
 
-use crate::wire::{kind_from_str, kind_str};
+use crate::wire::{kind_from_str, kind_str, push_u64};
 
 /// The per-app record and its policy state are the decision kernel's
 /// (`sitw_fleet::TenantState` restores from them and exports them);
@@ -47,6 +61,23 @@ const HEADER: &str = "sitw-serve-snapshot v1";
 /// grammar as a snapshot, but apps are a *dirty subset* — the receiver
 /// upserts them into its accumulated state instead of replacing it.
 const DELTA_HEADER: &str = "sitw-serve-delta v1";
+
+/// The longest line a [`Decoder`] takes, counting every byte before its
+/// `\n`; a longer one is corrupt. It holds the longest app record a
+/// node can write: an app name as long as a whole `/invoke` body with
+/// every byte escaped to three, plus the largest policy state a parsed
+/// spec allows — a production app keeping [`MAX_RETENTION_DAYS`] days of
+/// 240 ten-digit bins, about 960 KiB (a 24 h hybrid histogram with its
+/// history is under 20 KiB).
+pub const MAX_LINE_BYTES: usize = 4 << 20;
+
+/// How many records an `apps` or `tenant` line's count reserves room for
+/// before they arrive: a lying count costs at most this much.
+const MAX_RESERVED_APPS: usize = 1 << 16;
+
+/// The read size of [`Snapshot::load`] and the write buffer of
+/// [`Snapshot::write_to`].
+const IO_BYTES: usize = 64 * 1024;
 
 /// Why a snapshot failed to load — typed so the daemon can distinguish
 /// "the file is unreadable" from "the file is corrupt" and degrade to
@@ -143,19 +174,18 @@ pub struct Snapshot {
     pub tenants: Vec<TenantSnapshot>,
 }
 
-/// Percent-encodes the characters that would break the line format.
-fn encode_app(app: &str) -> String {
-    let mut out = String::with_capacity(app.len());
-    for c in app.chars() {
-        match c {
-            ' ' => out.push_str("%20"),
-            '%' => out.push_str("%25"),
-            '\n' => out.push_str("%0A"),
-            '\r' => out.push_str("%0D"),
-            c => out.push(c),
+/// Appends `app` with the characters that would break the line format
+/// percent-encoded.
+fn push_app(out: &mut Vec<u8>, app: &str) {
+    for b in app.bytes() {
+        match b {
+            b' ' => out.extend_from_slice(b"%20"),
+            b'%' => out.extend_from_slice(b"%25"),
+            b'\n' => out.extend_from_slice(b"%0A"),
+            b'\r' => out.extend_from_slice(b"%0D"),
+            b => out.push(b),
         }
     }
-    out
 }
 
 fn decode_app(enc: &str) -> Result<String, String> {
@@ -163,7 +193,7 @@ fn decode_app(enc: &str) -> Result<String, String> {
     let mut chars = enc.chars();
     while let Some(c) = chars.next() {
         if c == '%' {
-            // Escapes are always two ASCII hex digits (see encode_app).
+            // Escapes are always two ASCII hex digits (see push_app).
             let hi = chars.next().ok_or("truncated escape")?;
             let lo = chars.next().ok_or("truncated escape")?;
             let hex: String = [hi, lo].iter().collect();
@@ -176,83 +206,143 @@ fn decode_app(enc: &str) -> Result<String, String> {
     Ok(out)
 }
 
-/// Writes one app record's line payload (everything after the leading
+/// Appends `values` as a comma-separated list, each written by `push`.
+fn push_list<T: Copy>(out: &mut Vec<u8>, values: &[T], push: fn(&mut Vec<u8>, T)) {
+    for (i, &v) in values.iter().enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        push(out, v);
+    }
+}
+
+fn push_u32(out: &mut Vec<u8>, v: u32) {
+    push_u64(out, u64::from(v));
+}
+
+/// Appends a float's IEEE-754 bit pattern as 16 lowercase hex digits.
+fn push_bits(out: &mut Vec<u8>, v: f64) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let bits = v.to_bits();
+    out.extend((0..16).rev().map(|i| HEX[(bits >> (4 * i)) as usize & 0xf]));
+}
+
+/// Appends one app record's line payload (everything after the leading
 /// keyword and optional tenant id).
-fn encode_app_record(out: &mut String, rec: &AppRecord) {
-    use std::fmt::Write as _;
-    let _ = write!(
-        out,
-        "{} {} {} {}",
-        encode_app(&rec.app),
+fn push_app_record(out: &mut Vec<u8>, rec: &AppRecord) {
+    push_app(out, &rec.app);
+    for v in [
         rec.last_ts,
         rec.windows.pre_warm_ms,
-        rec.windows.keep_alive_ms
-    );
+        rec.windows.keep_alive_ms,
+    ] {
+        out.push(b' ');
+        push_u64(out, v);
+    }
     if rec.evicted {
-        out.push_str(" evicted");
+        out.extend_from_slice(b" evicted");
     }
     match &rec.state {
         PolicyState::Stateless => {}
         PolicyState::Production { last, state } => {
-            let _ = write!(
-                out,
-                " production {} days {}",
-                kind_str(*last),
-                state.days.len()
-            );
+            out.extend_from_slice(b" production ");
+            out.extend_from_slice(kind_str(*last).as_bytes());
+            out.extend_from_slice(b" days ");
+            push_u64(out, state.days.len() as u64);
             for d in &state.days {
-                let _ = write!(out, " {}:{}:", d.day, d.oob);
-                for (i, b) in d.bins.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    let _ = write!(out, "{b}");
-                }
+                out.push(b' ');
+                push_u64(out, d.day);
+                out.push(b':');
+                push_u64(out, d.oob);
+                out.push(b':');
+                push_list(out, &d.bins, push_u32);
             }
         }
         PolicyState::Hybrid(h) => {
-            let _ = write!(
-                out,
-                " hybrid {} {} {} {} {}",
-                h.oob_count,
-                h.counts.histogram,
-                h.counts.standard,
-                h.counts.arima,
-                kind_str(h.last_decision)
-            );
-            let _ = write!(out, " bins ");
+            out.extend_from_slice(b" hybrid");
+            let c = &h.counts;
+            for v in [h.oob_count, c.histogram, c.standard, c.arima] {
+                out.push(b' ');
+                push_u64(out, v);
+            }
+            out.push(b' ');
+            out.extend_from_slice(kind_str(h.last_decision).as_bytes());
+            out.extend_from_slice(b" bins ");
             if h.bins.is_empty() {
-                out.push('-');
-            } else {
-                for (i, b) in h.bins.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    let _ = write!(out, "{b}");
-                }
+                out.push(b'-');
             }
-            let _ = write!(out, " hist ");
+            push_list(out, &h.bins, push_u32);
+            out.extend_from_slice(b" hist ");
             if h.history.is_empty() {
-                out.push('-');
-            } else {
-                for (i, v) in h.history.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    let _ = write!(out, "{:016x}", v.to_bits());
-                }
+                out.push(b'-');
             }
+            push_list(out, &h.history, push_bits);
         }
     }
+}
+
+/// An unsigned number in base `RADIX` as `u64::from_str_radix` (and so
+/// `str::parse`) reads one: an optional `+`, then at least one digit,
+/// and no overflow.
+fn number<const RADIX: u32>(b: &[u8]) -> Option<u64> {
+    let digits = b.strip_prefix(b"+").unwrap_or(b);
+    if digits.is_empty() {
+        return None;
+    }
+    digits.iter().try_fold(0u64, |v, &c| {
+        let d = (c as char).to_digit(RADIX)?;
+        v.checked_mul(u64::from(RADIX))?.checked_add(u64::from(d))
+    })
+}
+
+/// The next token as a `T`: `missing {name}` when there is none, `bad
+/// {name}` when it does not parse.
+fn field<'a, T: TryFrom<u64>>(
+    tok: &mut impl Iterator<Item = &'a str>,
+    name: &str,
+) -> Result<T, String> {
+    let t = tok.next().ok_or_else(|| format!("missing {name}"))?;
+    number::<10>(t.as_bytes())
+        .and_then(|v| T::try_from(v).ok())
+        .ok_or_else(|| format!("bad {name}"))
+}
+
+/// A comma-separated list of [`number`]s (never empty: `""` is one
+/// empty item) narrowed by `narrow`, in a vector sized from its count.
+/// An item that does not parse is named in a `bad {what} '{item}'`
+/// error.
+fn list<T, const RADIX: u32>(
+    tok: &str,
+    what: &str,
+    narrow: fn(u64) -> Option<T>,
+) -> Result<Vec<T>, String> {
+    let b = tok.as_bytes();
+    let mut out = Vec::with_capacity(1 + b.iter().filter(|&&c| c == b',').count());
+    let mut start = 0;
+    loop {
+        let end = (b[start..].iter().position(|&c| c == b',')).map_or(b.len(), |i| start + i);
+        match number::<RADIX>(&b[start..end]).and_then(narrow) {
+            Some(v) => out.push(v),
+            None => return Err(format!("bad {what} '{}'", &tok[start..end])),
+        }
+        if end == b.len() {
+            return Ok(out);
+        }
+        start = end + 1;
+    }
+}
+
+fn bin(v: u64) -> Option<u32> {
+    u32::try_from(v).ok()
 }
 
 /// Parses one app record from its tokens (everything after the leading
 /// keyword and optional tenant id).
 fn decode_app_record<'a>(mut tok: impl Iterator<Item = &'a str>) -> Result<AppRecord, String> {
     let app = decode_app(tok.next().ok_or("missing app id")?)?;
-    let last_ts = parse_field::<u64>(tok.next(), "last_ts")?;
-    let pre_warm_ms = parse_field::<u64>(tok.next(), "pre_warm_ms")?;
-    let keep_alive_ms = parse_field::<u64>(tok.next(), "keep_alive_ms")?;
+    let last_ts = field(&mut tok, "last_ts")?;
+    let pre_warm_ms = field(&mut tok, "pre_warm_ms")?;
+    let keep_alive_ms = field(&mut tok, "keep_alive_ms")?;
     let mut next = tok.next();
     let evicted = next == Some("evicted");
     if evicted {
@@ -265,19 +355,14 @@ fn decode_app_record<'a>(mut tok: impl Iterator<Item = &'a str>) -> Result<AppRe
             if tok.next() != Some("days") {
                 return Err("expected 'days'".into());
             }
-            let num_days: usize = parse_field(tok.next(), "day count")?;
-            let mut days = Vec::with_capacity(num_days);
+            let num_days: usize = field(&mut tok, "day count")?;
+            let mut days = Vec::with_capacity(num_days.min(MAX_RETENTION_DAYS as usize));
             for _ in 0..num_days {
                 let group = tok.next().ok_or("missing day group")?;
                 let mut parts = group.splitn(3, ':');
-                let day = parse_field::<u64>(parts.next(), "day index")?;
-                let oob = parse_field::<u64>(parts.next(), "day oob")?;
-                let bins = parts
-                    .next()
-                    .ok_or("missing day bins")?
-                    .split(',')
-                    .map(|s| s.parse::<u32>().map_err(|_| format!("bad bin '{s}'")))
-                    .collect::<Result<_, _>>()?;
+                let day = field(&mut parts, "day index")?;
+                let oob = field(&mut parts, "day oob")?;
+                let bins = list::<_, 10>(parts.next().ok_or("missing day bins")?, "bin", bin)?;
                 days.push(DayHistogram { day, bins, oob });
             }
             PolicyState::Production {
@@ -286,40 +371,26 @@ fn decode_app_record<'a>(mut tok: impl Iterator<Item = &'a str>) -> Result<AppRe
             }
         }
         Some("hybrid") => {
-            let oob_count = parse_field::<u64>(tok.next(), "oob")?;
+            let oob_count = field(&mut tok, "oob")?;
             let counts = DecisionCounts {
-                histogram: parse_field::<u64>(tok.next(), "hist count")?,
-                standard: parse_field::<u64>(tok.next(), "std count")?,
-                arima: parse_field::<u64>(tok.next(), "arima count")?,
+                histogram: field(&mut tok, "hist count")?,
+                standard: field(&mut tok, "std count")?,
+                arima: field(&mut tok, "arima count")?,
             };
             let last_decision = kind_from_str(tok.next().ok_or("missing kind")?)?;
             if tok.next() != Some("bins") {
                 return Err("expected 'bins'".into());
             }
-            let bins_tok = tok.next().ok_or("missing bins")?;
-            let bins = if bins_tok == "-" {
-                Vec::new()
-            } else {
-                bins_tok
-                    .split(',')
-                    .map(|s| s.parse::<u32>().map_err(|_| format!("bad bin '{s}'")))
-                    .collect::<Result<_, _>>()?
+            let bins = match tok.next().ok_or("missing bins")? {
+                "-" => Vec::new(),
+                t => list::<_, 10>(t, "bin", bin)?,
             };
             if tok.next() != Some("hist") {
                 return Err("expected 'hist'".into());
             }
-            let hist_tok = tok.next().ok_or("missing history")?;
-            let history = if hist_tok == "-" {
-                Vec::new()
-            } else {
-                hist_tok
-                    .split(',')
-                    .map(|s| {
-                        u64::from_str_radix(s, 16)
-                            .map(f64::from_bits)
-                            .map_err(|_| format!("bad history value '{s}'"))
-                    })
-                    .collect::<Result<_, _>>()?
+            let history = match tok.next().ok_or("missing history")? {
+                "-" => Vec::new(),
+                t => list::<_, 16>(t, "history value", |v| Some(f64::from_bits(v)))?,
             };
             PolicyState::Hybrid(HybridSnapshot {
                 bins,
@@ -343,233 +414,156 @@ fn decode_app_record<'a>(mut tok: impl Iterator<Item = &'a str>) -> Result<AppRe
     })
 }
 
+/// The index of the first `\n` in `bytes`, eight bytes at a time.
+fn find_newline(bytes: &[u8]) -> Option<usize> {
+    const ONES: u64 = u64::from_le_bytes([1; 8]);
+    const HIGH: u64 = u64::from_le_bytes([0x80; 8]);
+    const NEWLINES: u64 = u64::from_le_bytes([b'\n'; 8]);
+    let mut words = bytes.chunks_exact(8);
+    for (i, word) in (&mut words).enumerate() {
+        let x = u64::from_le_bytes(word.try_into().unwrap_or_default()) ^ NEWLINES;
+        // The lowest byte that is zero sets its high bit here; a higher
+        // one may be a false positive, but the lowest is exact.
+        let zero = x.wrapping_sub(ONES) & !x & HIGH;
+        if zero != 0 {
+            return Some(i * 8 + zero.trailing_zeros() as usize / 8);
+        }
+    }
+    let tail = bytes.len() - words.remainder().len();
+    words
+        .remainder()
+        .iter()
+        .position(|&b| b == b'\n')
+        .map(|i| tail + i)
+}
+
 /// Whether a ledger export carries any information worth a line.
 fn ledger_is_empty(l: &LedgerExport) -> bool {
     l.warm.is_empty() && l.evictions == 0 && l.idle_mb_ms == 0 && l.cursor_ms == 0
 }
 
-impl Snapshot {
-    /// Serializes to the text format.
-    pub fn encode(&self) -> String {
-        self.encode_with_header(HEADER)
+/// Reserves room for the records an `apps` or `tenant` line declares,
+/// trusting the count only as far as [`MAX_RESERVED_APPS`] before the
+/// records arrive.
+fn reserve_declared(apps: &mut Vec<AppRecord>, declared: usize) {
+    let want = declared.min(MAX_RESERVED_APPS);
+    apps.reserve_exact(want.saturating_sub(apps.len()));
+}
+
+fn tenant_mut(tenants: &mut [TenantSnapshot], id: TenantId) -> Result<&mut TenantSnapshot, String> {
+    tenants
+        .iter_mut()
+        .find(|t| t.id == id)
+        .ok_or_else(|| format!("unknown tenant id {id}"))
+}
+
+/// The push decoder of one snapshot or delta document: bytes go in
+/// through [`Decoder::feed`] in pieces of any size, split anywhere, and
+/// [`Decoder::finish`] returns the document. It holds the records
+/// decoded so far and at most one partial line, never longer than
+/// [`MAX_LINE_BYTES`].
+///
+/// Lines split as `str::lines` splits them: at `\n`, a `\r` before it
+/// dropped, a last line without `\n` still a line. Each complete line
+/// must be UTF-8 on its own. Once an error is returned every later call
+/// returns it again.
+#[derive(Debug)]
+pub struct Decoder {
+    /// The first line the document must carry.
+    header: &'static str,
+    /// The line begun by the last feed, its `\n` not seen yet.
+    partial: Vec<u8>,
+    /// Complete lines taken so far.
+    lines: usize,
+    error: Option<String>,
+    snap: Snapshot,
+    saw_end: bool,
+    /// The `apps` line's count.
+    declared: Option<usize>,
+    /// Each `tenant` line's id and app count, in document order.
+    tenant_declared: Vec<(TenantId, usize)>,
+}
+
+impl Decoder {
+    /// A decoder for a snapshot document ([`Snapshot::encode`]).
+    pub fn snapshot() -> Decoder {
+        Decoder::new(HEADER)
     }
 
-    /// Serializes as a replication delta document: identical line
-    /// grammar, delta header. The caller is responsible for `self`
-    /// carrying only dirty apps (tenant lines, ledgers, and clocks are
-    /// always carried whole — they are absolute values the receiver
-    /// replaces wholesale).
-    pub fn encode_delta(&self) -> String {
-        self.encode_with_header(DELTA_HEADER)
+    /// A decoder for a replication delta ([`Snapshot::encode_delta`]).
+    pub fn delta() -> Decoder {
+        Decoder::new(DELTA_HEADER)
     }
 
-    fn encode_with_header(&self, header: &str) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::with_capacity(64 + self.apps.len() * 128);
-        let _ = writeln!(out, "{header}");
-        let _ = writeln!(out, "policy {}", self.policy_label);
-        if let Some(clock) = self.prod_clock {
-            let _ = writeln!(out, "clock {clock}");
+    fn new(header: &'static str) -> Decoder {
+        Decoder {
+            header,
+            partial: Vec::new(),
+            lines: 0,
+            error: None,
+            snap: Snapshot {
+                policy_label: String::new(),
+                prod_clock: None,
+                apps: Vec::new(),
+                default_ledger: LedgerExport::default(),
+                tenants: Vec::new(),
+            },
+            saw_end: false,
+            declared: None,
+            tenant_declared: Vec::new(),
         }
-        if !ledger_is_empty(&self.default_ledger) {
-            let l = &self.default_ledger;
-            let _ = writeln!(
-                out,
-                "dledger {} {} {}",
-                l.evictions, l.idle_mb_ms, l.cursor_ms
-            );
-            for (app, expiry, mb) in &l.warm {
-                let _ = writeln!(out, "dwarm {} {expiry} {mb}", encode_app(app));
-            }
-        }
-        for t in &self.tenants {
-            let _ = write!(
-                out,
-                "tenant {} {} {} {} {}",
-                t.id,
-                t.name,
-                t.budget_mb,
-                t.apps.len(),
-                t.policy_label
-            );
-            if let Some(spec) = &t.spec_str {
-                let _ = write!(out, " spec {spec}");
-            }
-            out.push('\n');
-            if let Some(clock) = t.prod_clock {
-                let _ = writeln!(out, "tclock {} {clock}", t.id);
-            }
-            if !ledger_is_empty(&t.ledger) {
-                let _ = writeln!(
-                    out,
-                    "tledger {} {} {} {}",
-                    t.id, t.ledger.evictions, t.ledger.idle_mb_ms, t.ledger.cursor_ms
-                );
-                for (app, expiry, mb) in &t.ledger.warm {
-                    let _ = writeln!(out, "twarm {} {} {expiry} {mb}", t.id, encode_app(app));
-                }
-            }
-        }
-        let _ = writeln!(out, "apps {}", self.apps.len());
-        for rec in &self.apps {
-            out.push_str("app ");
-            encode_app_record(&mut out, rec);
-            out.push('\n');
-        }
-        for t in &self.tenants {
-            for rec in &t.apps {
-                let _ = write!(out, "tapp {} ", t.id);
-                encode_app_record(&mut out, rec);
-                out.push('\n');
-            }
-        }
-        // The explicit trailer is what makes *tail* truncation
-        // detectable: the line grammar alone cannot tell a complete
-        // document from one whose final record lines were cut off.
-        out.push_str("end\n");
-        out
     }
 
-    /// Parses the text format.
-    pub fn decode(text: &str) -> Result<Snapshot, String> {
-        Self::decode_with_header(text, HEADER)
+    /// Takes the next bytes of the document.
+    ///
+    /// # Errors
+    ///
+    /// The first line that is corrupt, too long or not UTF-8.
+    pub fn feed(&mut self, bytes: &[u8]) -> Result<(), String> {
+        if let Some(e) = &self.error {
+            return Err(e.clone());
+        }
+        let result = self.feed_lines(bytes);
+        if let Err(e) = &result {
+            self.error = Some(e.clone());
+        }
+        result
     }
 
-    /// Parses a replication delta document (see [`Snapshot::encode_delta`]).
-    pub fn decode_delta(text: &str) -> Result<Snapshot, String> {
-        Self::decode_with_header(text, DELTA_HEADER)
-    }
-
-    fn decode_with_header(text: &str, want: &str) -> Result<Snapshot, String> {
-        let mut lines = text.lines();
-        let header = lines.next().ok_or("empty snapshot")?;
-        if header != want {
-            return Err(format!("bad header '{header}'"));
+    /// Ends the document and returns it.
+    ///
+    /// # Errors
+    ///
+    /// An error [`Decoder::feed`] returned, a corrupt last line, or a
+    /// document that is cut short or whose counts do not match its
+    /// records.
+    pub fn finish(mut self) -> Result<Snapshot, String> {
+        if let Some(e) = self.error {
+            return Err(e);
         }
-        let policy_line = lines.next().ok_or("missing policy line")?;
-        let policy_label = policy_line
-            .strip_prefix("policy ")
-            .ok_or("missing policy line")?
-            .to_owned();
-
-        let mut prod_clock = None;
-        let mut saw_end = false;
-        let mut apps: Vec<AppRecord> = Vec::new();
-        let mut declared: Option<usize> = None;
-        let mut default_ledger = LedgerExport::default();
-        let mut tenants: Vec<TenantSnapshot> = Vec::new();
-        let mut tenant_declared: Vec<(TenantId, usize)> = Vec::new();
-
-        fn tenant_mut(
-            tenants: &mut [TenantSnapshot],
-            id: TenantId,
-        ) -> Result<&mut TenantSnapshot, String> {
-            tenants
-                .iter_mut()
-                .find(|t| t.id == id)
-                .ok_or_else(|| format!("unknown tenant id {id}"))
+        if !self.partial.is_empty() {
+            let last = std::mem::take(&mut self.partial);
+            self.line(&last, false)?;
         }
-
-        for line in lines {
-            if line.is_empty() {
-                continue;
-            }
-            if saw_end {
-                return Err(format!("content after end marker: '{line}'"));
-            }
-            let mut tok = line.split(' ');
-            match tok.next() {
-                Some("end") => {
-                    saw_end = true;
-                }
-                Some("clock") => {
-                    prod_clock = Some(parse_field::<u64>(tok.next(), "clock")?);
-                }
-                Some("dledger") => {
-                    default_ledger.evictions = parse_field(tok.next(), "evictions")?;
-                    default_ledger.idle_mb_ms = parse_field(tok.next(), "idle_mb_ms")?;
-                    default_ledger.cursor_ms = parse_field(tok.next(), "cursor_ms")?;
-                }
-                Some("dwarm") => {
-                    let app = decode_app(tok.next().ok_or("missing warm app")?)?;
-                    let expiry = parse_field::<u64>(tok.next(), "warm expiry")?;
-                    let mb = parse_field::<u64>(tok.next(), "warm mb")?;
-                    default_ledger.warm.push((app, expiry, mb));
-                }
-                Some("tenant") => {
-                    let id = parse_field::<TenantId>(tok.next(), "tenant id")?;
-                    let name = tok.next().ok_or("missing tenant name")?.to_owned();
-                    let budget_mb = parse_field::<u64>(tok.next(), "tenant budget")?;
-                    let napps = parse_field::<usize>(tok.next(), "tenant app count")?;
-                    let policy_label = tok.next().ok_or("missing tenant policy")?.to_owned();
-                    let spec_str = match tok.next() {
-                        None => None,
-                        Some("spec") => Some(tok.next().ok_or("missing spec")?.to_owned()),
-                        Some(other) => return Err(format!("unexpected token '{other}'")),
-                    };
-                    if tenant_declared.iter().any(|(i, _)| *i == id) {
-                        return Err(format!("duplicate tenant id {id}"));
-                    }
-                    tenant_declared.push((id, napps));
-                    tenants.push(TenantSnapshot {
-                        id,
-                        name,
-                        policy_label,
-                        spec_str,
-                        budget_mb,
-                        prod_clock: None,
-                        ledger: LedgerExport::default(),
-                        apps: Vec::with_capacity(napps),
-                    });
-                }
-                Some("tclock") => {
-                    let id = parse_field::<TenantId>(tok.next(), "tenant id")?;
-                    let clock = parse_field::<u64>(tok.next(), "tclock")?;
-                    tenant_mut(&mut tenants, id)?.prod_clock = Some(clock);
-                }
-                Some("tledger") => {
-                    let id = parse_field::<TenantId>(tok.next(), "tenant id")?;
-                    let t = tenant_mut(&mut tenants, id)?;
-                    t.ledger.evictions = parse_field(tok.next(), "evictions")?;
-                    t.ledger.idle_mb_ms = parse_field(tok.next(), "idle_mb_ms")?;
-                    t.ledger.cursor_ms = parse_field(tok.next(), "cursor_ms")?;
-                }
-                Some("twarm") => {
-                    let id = parse_field::<TenantId>(tok.next(), "tenant id")?;
-                    let app = decode_app(tok.next().ok_or("missing warm app")?)?;
-                    let expiry = parse_field::<u64>(tok.next(), "warm expiry")?;
-                    let mb = parse_field::<u64>(tok.next(), "warm mb")?;
-                    tenant_mut(&mut tenants, id)?
-                        .ledger
-                        .warm
-                        .push((app, expiry, mb));
-                }
-                Some("apps") => {
-                    declared = Some(parse_field::<usize>(tok.next(), "app count")?);
-                }
-                Some("app") => {
-                    apps.push(decode_app_record(tok)?);
-                }
-                Some("tapp") => {
-                    let id = parse_field::<TenantId>(tok.next(), "tenant id")?;
-                    let rec = decode_app_record(tok)?;
-                    tenant_mut(&mut tenants, id)?.apps.push(rec);
-                }
-                _ => return Err(format!("unexpected line '{line}'")),
-            }
+        match self.lines {
+            0 => return Err("empty snapshot".into()),
+            1 => return Err("missing policy line".into()),
+            _ => {}
         }
-        if !saw_end {
+        if !self.saw_end {
             return Err("missing end marker (truncated document?)".into());
         }
-        let declared = declared.ok_or("missing apps line")?;
-        if apps.len() != declared {
+        let snap = self.snap;
+        let declared = self.declared.ok_or("missing apps line")?;
+        if snap.apps.len() != declared {
             return Err(format!(
                 "app count mismatch: declared {declared}, found {}",
-                apps.len()
+                snap.apps.len()
             ));
         }
-        for (id, napps) in tenant_declared {
-            let t = tenants
+        for (id, napps) in self.tenant_declared {
+            let t = snap
+                .tenants
                 .iter()
                 .find(|t| t.id == id)
                 .expect("declared tenants were pushed");
@@ -580,24 +574,341 @@ impl Snapshot {
                 ));
             }
         }
-        Ok(Snapshot {
-            policy_label,
-            prod_clock,
-            apps,
-            default_ledger,
-            tenants,
-        })
+        Ok(snap)
     }
 
-    /// Writes the snapshot to a file (atomically via a sibling temp file).
-    pub fn write_to(&self, path: &Path) -> io::Result<()> {
-        let tmp = path.with_extension("tmp");
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(self.encode().as_bytes())?;
-            f.sync_all()?;
+    /// A whole document: one feed, then the finish.
+    fn whole(mut self, bytes: &[u8]) -> Result<Snapshot, String> {
+        self.feed(bytes)?;
+        self.finish()
+    }
+
+    fn feed_lines(&mut self, mut bytes: &[u8]) -> Result<(), String> {
+        while let Some(nl) = find_newline(bytes) {
+            let (head, rest) = (&bytes[..nl], &bytes[nl + 1..]);
+            bytes = rest;
+            if self.partial.is_empty() {
+                self.line(head, true)?;
+            } else {
+                self.carry(head)?;
+                let mut line = std::mem::take(&mut self.partial);
+                let result = self.line(&line, true);
+                line.clear();
+                self.partial = line;
+                result?;
+            }
         }
-        std::fs::rename(&tmp, path)
+        self.carry(bytes)
+    }
+
+    /// Appends to the partial line, refusing to hold more than the cap.
+    fn carry(&mut self, bytes: &[u8]) -> Result<(), String> {
+        if self.partial.len() + bytes.len() > MAX_LINE_BYTES {
+            return Err(self.too_long());
+        }
+        self.partial.extend_from_slice(bytes);
+        Ok(())
+    }
+
+    fn too_long(&self) -> String {
+        format!(
+            "line {} is longer than {MAX_LINE_BYTES} bytes",
+            self.lines + 1
+        )
+    }
+
+    /// Takes one complete line, its `\n` (when `terminated`) already cut.
+    fn line(&mut self, raw: &[u8], terminated: bool) -> Result<(), String> {
+        if raw.len() > MAX_LINE_BYTES {
+            return Err(self.too_long());
+        }
+        let raw = match raw {
+            [head @ .., b'\r'] if terminated => head,
+            raw => raw,
+        };
+        let line = std::str::from_utf8(raw)
+            .map_err(|_| format!("line {} is not UTF-8 text", self.lines + 1))?;
+        self.lines += 1;
+        match self.lines {
+            1 if line != self.header => Err(format!("bad header '{line}'")),
+            1 => Ok(()),
+            2 => {
+                let label = line.strip_prefix("policy ").ok_or("missing policy line")?;
+                self.snap.policy_label = label.to_owned();
+                Ok(())
+            }
+            _ => self.body_line(line),
+        }
+    }
+
+    fn body_line(&mut self, line: &str) -> Result<(), String> {
+        if line.is_empty() {
+            return Ok(());
+        }
+        if self.saw_end {
+            return Err(format!("content after end marker: '{line}'"));
+        }
+        let snap = &mut self.snap;
+        let mut tok = line.split(' ');
+        match tok.next() {
+            Some("end") => {
+                self.saw_end = true;
+            }
+            Some("clock") => {
+                snap.prod_clock = Some(field(&mut tok, "clock")?);
+            }
+            Some("dledger") => {
+                let l = &mut snap.default_ledger;
+                l.evictions = field(&mut tok, "evictions")?;
+                l.idle_mb_ms = field(&mut tok, "idle_mb_ms")?;
+                l.cursor_ms = field(&mut tok, "cursor_ms")?;
+            }
+            Some("dwarm") => {
+                let app = decode_app(tok.next().ok_or("missing warm app")?)?;
+                let expiry = field(&mut tok, "warm expiry")?;
+                let mb = field(&mut tok, "warm mb")?;
+                snap.default_ledger.warm.push((app, expiry, mb));
+            }
+            Some("tenant") => {
+                let id = field(&mut tok, "tenant id")?;
+                let name = tok.next().ok_or("missing tenant name")?.to_owned();
+                let budget_mb = field(&mut tok, "tenant budget")?;
+                let napps = field(&mut tok, "tenant app count")?;
+                let policy_label = tok.next().ok_or("missing tenant policy")?.to_owned();
+                let spec_str = match tok.next() {
+                    None => None,
+                    Some("spec") => Some(tok.next().ok_or("missing spec")?.to_owned()),
+                    Some(other) => return Err(format!("unexpected token '{other}'")),
+                };
+                if self.tenant_declared.iter().any(|(i, _)| *i == id) {
+                    return Err(format!("duplicate tenant id {id}"));
+                }
+                self.tenant_declared.push((id, napps));
+                let mut apps = Vec::new();
+                reserve_declared(&mut apps, napps);
+                snap.tenants.push(TenantSnapshot {
+                    id,
+                    name,
+                    policy_label,
+                    spec_str,
+                    budget_mb,
+                    prod_clock: None,
+                    ledger: LedgerExport::default(),
+                    apps,
+                });
+            }
+            Some("tclock") => {
+                let id = field(&mut tok, "tenant id")?;
+                let clock = field(&mut tok, "tclock")?;
+                tenant_mut(&mut snap.tenants, id)?.prod_clock = Some(clock);
+            }
+            Some("tledger") => {
+                let id = field(&mut tok, "tenant id")?;
+                let l = &mut tenant_mut(&mut snap.tenants, id)?.ledger;
+                l.evictions = field(&mut tok, "evictions")?;
+                l.idle_mb_ms = field(&mut tok, "idle_mb_ms")?;
+                l.cursor_ms = field(&mut tok, "cursor_ms")?;
+            }
+            Some("twarm") => {
+                let id = field(&mut tok, "tenant id")?;
+                let app = decode_app(tok.next().ok_or("missing warm app")?)?;
+                let expiry = field(&mut tok, "warm expiry")?;
+                let mb = field(&mut tok, "warm mb")?;
+                let t = tenant_mut(&mut snap.tenants, id)?;
+                t.ledger.warm.push((app, expiry, mb));
+            }
+            Some("apps") => {
+                let declared = field(&mut tok, "app count")?;
+                reserve_declared(&mut snap.apps, declared);
+                self.declared = Some(declared);
+            }
+            Some("app") => {
+                snap.apps.push(decode_app_record(tok)?);
+            }
+            Some("tapp") => {
+                let id = field(&mut tok, "tenant id")?;
+                let rec = decode_app_record(tok)?;
+                tenant_mut(&mut snap.tenants, id)?.apps.push(rec);
+            }
+            _ => return Err(format!("unexpected line '{line}'")),
+        }
+        Ok(())
+    }
+}
+
+/// A temp file beside `path` that no other path's write, and no other
+/// write in this process, shares: the full file name, the process id and
+/// a per-process sequence number.
+fn temp_path(path: &Path) -> PathBuf {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let mut name = path
+        .file_name()
+        .map(OsStr::to_os_string)
+        .unwrap_or_default();
+    let seq = NEXT.fetch_add(1, Ordering::Relaxed);
+    name.push(format!(".{}.{seq}.tmp", std::process::id()));
+    path.with_file_name(name)
+}
+
+impl Snapshot {
+    /// Serializes to the text format.
+    pub fn encode(&self) -> String {
+        self.encode_text(HEADER)
+    }
+
+    /// Serializes as a replication delta document: identical line
+    /// grammar, delta header. The caller is responsible for `self`
+    /// carrying only dirty apps (tenant lines, ledgers, and clocks are
+    /// always carried whole — they are absolute values the receiver
+    /// replaces wholesale).
+    pub fn encode_delta(&self) -> String {
+        self.encode_text(DELTA_HEADER)
+    }
+
+    fn encode_text(&self, header: &str) -> String {
+        let mut out = Vec::with_capacity(64 + self.apps.len() * 128);
+        let written = self.encode_with_header(header, &mut out);
+        written.expect("writing to a Vec cannot fail");
+        String::from_utf8(out).expect("the encoder writes UTF-8")
+    }
+
+    /// Writes [`Snapshot::encode`]'s document to `out`, one line at a
+    /// time.
+    ///
+    /// # Errors
+    ///
+    /// The first error `out` returns.
+    pub fn encode_into(&self, out: impl Write) -> io::Result<()> {
+        self.encode_with_header(HEADER, out)
+    }
+
+    /// Writes [`Snapshot::encode_delta`]'s document to `out`, one line at
+    /// a time.
+    ///
+    /// # Errors
+    ///
+    /// The first error `out` returns.
+    pub fn encode_delta_into(&self, out: impl Write) -> io::Result<()> {
+        self.encode_with_header(DELTA_HEADER, out)
+    }
+
+    fn encode_with_header(&self, header: &str, mut out: impl Write) -> io::Result<()> {
+        // Each line is built here and handed over whole, so the sink
+        // sees one write per line and nothing longer than the longest.
+        let mut line = Vec::with_capacity(4096);
+        let mut put = |line: &mut Vec<u8>| {
+            line.push(b'\n');
+            let result = out.write_all(line);
+            line.clear();
+            result
+        };
+        let _ = write!(line, "{header}");
+        put(&mut line)?;
+        let _ = write!(line, "policy {}", self.policy_label);
+        put(&mut line)?;
+        if let Some(clock) = self.prod_clock {
+            let _ = write!(line, "clock {clock}");
+            put(&mut line)?;
+        }
+        if !ledger_is_empty(&self.default_ledger) {
+            let l = &self.default_ledger;
+            let _ = write!(
+                line,
+                "dledger {} {} {}",
+                l.evictions, l.idle_mb_ms, l.cursor_ms
+            );
+            put(&mut line)?;
+            for (app, expiry, mb) in &l.warm {
+                line.extend_from_slice(b"dwarm ");
+                push_app(&mut line, app);
+                let _ = write!(line, " {expiry} {mb}");
+                put(&mut line)?;
+            }
+        }
+        for t in &self.tenants {
+            let _ = write!(
+                line,
+                "tenant {} {} {} {} {}",
+                t.id,
+                t.name,
+                t.budget_mb,
+                t.apps.len(),
+                t.policy_label
+            );
+            if let Some(spec) = &t.spec_str {
+                let _ = write!(line, " spec {spec}");
+            }
+            put(&mut line)?;
+            if let Some(clock) = t.prod_clock {
+                let _ = write!(line, "tclock {} {clock}", t.id);
+                put(&mut line)?;
+            }
+            if !ledger_is_empty(&t.ledger) {
+                let l = &t.ledger;
+                let _ = write!(
+                    line,
+                    "tledger {} {} {} {}",
+                    t.id, l.evictions, l.idle_mb_ms, l.cursor_ms
+                );
+                put(&mut line)?;
+                for (app, expiry, mb) in &l.warm {
+                    let _ = write!(line, "twarm {} ", t.id);
+                    push_app(&mut line, app);
+                    let _ = write!(line, " {expiry} {mb}");
+                    put(&mut line)?;
+                }
+            }
+        }
+        let _ = write!(line, "apps {}", self.apps.len());
+        put(&mut line)?;
+        for rec in &self.apps {
+            line.extend_from_slice(b"app ");
+            push_app_record(&mut line, rec);
+            put(&mut line)?;
+        }
+        for t in &self.tenants {
+            for rec in &t.apps {
+                let _ = write!(line, "tapp {} ", t.id);
+                push_app_record(&mut line, rec);
+                put(&mut line)?;
+            }
+        }
+        // The explicit trailer is what makes *tail* truncation
+        // detectable: the line grammar alone cannot tell a complete
+        // document from one whose final record lines were cut off.
+        line.extend_from_slice(b"end");
+        put(&mut line)
+    }
+
+    /// Parses the text format.
+    pub fn decode(text: &str) -> Result<Snapshot, String> {
+        Decoder::snapshot().whole(text.as_bytes())
+    }
+
+    /// Parses a replication delta document (see [`Snapshot::encode_delta`]).
+    pub fn decode_delta(text: &str) -> Result<Snapshot, String> {
+        Decoder::delta().whole(text.as_bytes())
+    }
+
+    /// Writes the snapshot to a file, atomically: streamed into a temp
+    /// file beside it that no other write shares, synced, renamed over
+    /// `path`, and the directory synced so the rename lasts.
+    pub fn write_to(&self, path: &Path) -> io::Result<()> {
+        let tmp = temp_path(path);
+        let written = File::create(&tmp).and_then(|f| {
+            let mut out = BufWriter::with_capacity(IO_BYTES, f);
+            self.encode_into(&mut out)?;
+            out.into_inner()
+                .map_err(io::IntoInnerError::into_error)?
+                .sync_all()?;
+            std::fs::rename(&tmp, path)?;
+            let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+            File::open(dir.unwrap_or(Path::new(".")))?.sync_all()
+        });
+        if written.is_err() {
+            let _ = std::fs::remove_file(&tmp);
+        }
+        written
     }
 
     /// Reads a snapshot file.
@@ -612,13 +923,21 @@ impl Snapshot {
     /// Reads a snapshot file with a typed error, so callers can tell a
     /// missing/unreadable file from a truncated or corrupt one (the
     /// daemon degrades to empty state on the latter instead of dying).
+    /// The file streams through the [`Decoder`] in [`IO_BYTES`] reads.
     pub fn load(path: &Path) -> Result<Snapshot, SnapshotError> {
-        let bytes = std::fs::read(path).map_err(SnapshotError::Io)?;
-        // Non-UTF-8 content is a corrupt *file*, not an I/O failure:
-        // the read succeeded, the contents are garbage.
-        let text = String::from_utf8(bytes)
-            .map_err(|_| SnapshotError::Corrupt("snapshot is not UTF-8 text".into()))?;
-        Snapshot::decode(&text).map_err(SnapshotError::Corrupt)
+        let mut file = File::open(path).map_err(SnapshotError::Io)?;
+        let mut buf = vec![0u8; IO_BYTES];
+        let mut decoder = Decoder::snapshot();
+        loop {
+            // Non-UTF-8 content is a corrupt *file*, not an I/O failure:
+            // the read succeeded, the contents are garbage.
+            match file.read(&mut buf) {
+                Ok(0) => return decoder.finish().map_err(SnapshotError::Corrupt),
+                Ok(n) => decoder.feed(&buf[..n]).map_err(SnapshotError::Corrupt)?,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(SnapshotError::Io(e)),
+            }
+        }
     }
 }
 
@@ -700,12 +1019,6 @@ pub fn decode_tenant_section(text: &str) -> Result<TenantSnapshot, String> {
         return Err("migration payload must not carry default-tenant apps".into());
     }
     Ok(snap.tenants.into_iter().next().expect("length checked"))
-}
-
-fn parse_field<T: std::str::FromStr>(tok: Option<&str>, name: &str) -> Result<T, String> {
-    tok.ok_or_else(|| format!("missing {name}"))?
-        .parse::<T>()
-        .map_err(|_| format!("bad {name}"))
 }
 
 #[cfg(test)]
@@ -1149,5 +1462,866 @@ mod tests {
         ));
 
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+/// Seeded snapshots for the codec's tests: every record shape, tenant
+/// shape and escape the grammar has.
+#[cfg(test)]
+pub(crate) mod samples {
+    use super::*;
+    use sitw_core::DecisionKind;
+
+    /// A small deterministic generator (SplitMix64).
+    pub(crate) struct Rng(pub(crate) u64);
+
+    impl Rng {
+        pub(crate) fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            sitw_fleet::mix64(self.0)
+        }
+
+        pub(crate) fn below(&mut self, n: u64) -> u64 {
+            self.next() % n.max(1)
+        }
+
+        pub(crate) fn pick<T: Copy>(&mut self, items: &[T]) -> T {
+            items[self.below(items.len() as u64) as usize]
+        }
+
+        /// A number of any width, from one digit to `u64::MAX`.
+        fn wide(&mut self) -> u64 {
+            self.next() >> self.below(64)
+        }
+    }
+
+    const KINDS: [DecisionKind; 4] = [
+        DecisionKind::Histogram,
+        DecisionKind::StandardKeepAlive,
+        DecisionKind::Arima,
+        DecisionKind::Static,
+    ];
+
+    /// App names, escapes and multi-byte characters included.
+    fn app_name(rng: &mut Rng, i: usize) -> String {
+        let odd = [
+            "", " ", "%", "%20", "a b", "\n", "\r", "x\r\ny", "é", "日本", "🦀", "+1", "-",
+        ];
+        match rng.below(4) {
+            0 => format!("{}{i}{}", rng.pick(&odd), rng.pick(&odd)),
+            _ => format!("app-{i:06}"),
+        }
+    }
+
+    fn record(rng: &mut Rng, app: String) -> AppRecord {
+        let state = match rng.below(3) {
+            0 => PolicyState::Stateless,
+            1 => PolicyState::Production {
+                last: rng.pick(&KINDS),
+                state: ProductionAppState {
+                    days: (0..rng.below(4))
+                        .map(|d| DayHistogram {
+                            day: d * 2 + rng.below(2),
+                            bins: (0..1 + rng.below(240)).map(|_| rng.wide() as u32).collect(),
+                            oob: rng.wide(),
+                        })
+                        .collect(),
+                },
+            },
+            _ => PolicyState::Hybrid(HybridSnapshot {
+                bins: (0..[0, 1, 240][rng.below(3) as usize])
+                    .map(|_| {
+                        if rng.below(4) == 0 {
+                            rng.wide() as u32
+                        } else {
+                            0
+                        }
+                    })
+                    .collect(),
+                oob_count: rng.wide(),
+                // Finite values only, so records compare equal to
+                // themselves.
+                history: (0..rng.below(65))
+                    .map(|_| f64::from_bits(rng.next() & !(1 << 62)))
+                    .collect(),
+                counts: DecisionCounts {
+                    histogram: rng.wide(),
+                    standard: rng.wide(),
+                    arima: rng.wide(),
+                },
+                last_decision: rng.pick(&KINDS),
+            }),
+        };
+        AppRecord {
+            app,
+            last_ts: rng.wide(),
+            windows: Windows {
+                pre_warm_ms: rng.wide(),
+                keep_alive_ms: rng.wide(),
+            },
+            evicted: rng.below(5) == 0,
+            state,
+        }
+    }
+
+    fn ledger(rng: &mut Rng, apps: &[AppRecord]) -> LedgerExport {
+        if rng.below(3) == 0 {
+            return LedgerExport::default();
+        }
+        let mut warm = Vec::new();
+        for a in apps {
+            if rng.below(3) == 0 {
+                warm.push((a.app.clone(), rng.wide(), rng.below(4096)));
+            }
+        }
+        LedgerExport {
+            warm,
+            evictions: rng.wide(),
+            idle_mb_ms: rng.wide(),
+            cursor_ms: rng.wide(),
+        }
+    }
+
+    /// A snapshot of up to `max_apps` apps per tenant and up to four
+    /// named tenants.
+    pub(crate) fn snapshot(seed: u64, max_apps: u64) -> Snapshot {
+        let rng = &mut Rng(seed);
+        let mut next_app = 0usize;
+        let mut apps = |rng: &mut Rng| -> Vec<AppRecord> {
+            let n = rng.below(max_apps + 1) as usize;
+            next_app += n;
+            (next_app - n..next_app)
+                .map(|i| {
+                    let name = app_name(rng, i);
+                    record(rng, name)
+                })
+                .collect()
+        };
+        let default_apps = apps(rng);
+        let default_ledger = ledger(rng, &default_apps);
+        let labels = [
+            "hybrid-4h[5,99]cv2",
+            "production-240m-14d[5,99]exp0.85",
+            "fixed-10min",
+        ];
+        let tenants = (1..=rng.below(5) as TenantId)
+            .map(|id| {
+                let apps = apps(rng);
+                TenantSnapshot {
+                    id: id * 3,
+                    name: format!("t{id}"),
+                    policy_label: rng.pick(&labels).into(),
+                    spec_str: (rng.below(2) == 0).then(|| "hybrid".into()),
+                    budget_mb: rng.wide(),
+                    prod_clock: (rng.below(2) == 0).then(|| rng.wide()),
+                    ledger: ledger(rng, &apps),
+                    apps,
+                }
+            })
+            .collect();
+        Snapshot {
+            policy_label: rng.pick(&labels).into(),
+            prod_clock: (rng.below(2) == 0).then(|| rng.wide()),
+            apps: default_apps,
+            default_ledger,
+            tenants,
+        }
+    }
+}
+
+/// The streaming codec against the whole-string one it replaced
+/// (`crate::snapshot_ref`, the parent's code kept test-only).
+#[cfg(test)]
+mod streaming {
+    use super::samples::{self, Rng};
+    use super::*;
+    use crate::snapshot_ref::{decode_ref, encode_ref};
+    use proptest::prelude::*;
+    use sitw_core::{DecisionKind, ProductionConfig};
+
+    /// `bytes` through a decoder in pieces cut at `cuts`.
+    fn decode_split(
+        mut decoder: Decoder,
+        bytes: &[u8],
+        cuts: &[usize],
+    ) -> Result<Snapshot, String> {
+        let mut at = 0;
+        for &cut in cuts {
+            let cut = cut.clamp(at, bytes.len());
+            decoder.feed(&bytes[at..cut])?;
+            at = cut;
+        }
+        decoder.feed(&bytes[at..])?;
+        decoder.finish()
+    }
+
+    /// Cut points that land mid-`\r\n` and mid-character as often as
+    /// anywhere else.
+    fn cuts(rng: &mut Rng, text: &[u8]) -> Vec<usize> {
+        let mut cuts: Vec<usize> = (0..rng.below(6))
+            .map(|_| {
+                let at = rng.below(text.len() as u64 + 1) as usize;
+                // Slide to the next `\r` or to inside the next multi-byte
+                // character half the time.
+                let special = text[at..]
+                    .iter()
+                    .position(|&b| b == b'\r' || b >= 0x80)
+                    .map(|i| at + i + 1);
+                match special {
+                    Some(s) if rng.below(2) == 0 => s,
+                    _ => at,
+                }
+            })
+            .collect();
+        cuts.sort_unstable();
+        cuts
+    }
+
+    /// Arbitrary UTF-8 text over the grammar's own words: a header most
+    /// of the time, then fragments in any order.
+    fn text(rng: &mut Rng) -> String {
+        const WORDS: [&str; 58] = [
+            "sitw-serve-snapshot v1",
+            "sitw-serve-delta v1",
+            "policy ",
+            "policy",
+            "apps ",
+            "app ",
+            "tapp ",
+            "tenant ",
+            "tclock ",
+            "tledger ",
+            "twarm ",
+            "dledger ",
+            "dwarm ",
+            "clock ",
+            "end",
+            "hybrid ",
+            "production ",
+            "days ",
+            " bins ",
+            " hist ",
+            "evicted ",
+            "spec ",
+            "histogram ",
+            "standard ",
+            "arima ",
+            "static",
+            "bogus ",
+            "-",
+            ",",
+            ":",
+            " ",
+            "  ",
+            "\n",
+            "\n",
+            "\n",
+            "\r\n",
+            "\r",
+            "0",
+            "1",
+            "2",
+            "7",
+            "42",
+            "+3",
+            "+",
+            "00",
+            "18446744073709551616",
+            "%20",
+            "%",
+            "%zz",
+            "%+F",
+            "é",
+            "日本",
+            "ff",
+            "3fe0000000000000",
+            "a",
+            "t",
+            "fixed-10min",
+            "x",
+        ];
+        let mut out = String::new();
+        match rng.below(4) {
+            0 => {}
+            1 => out.push_str("sitw-serve-delta v1\npolicy p\n"),
+            _ => out.push_str("sitw-serve-snapshot v1\npolicy p\n"),
+        }
+        for _ in 0..rng.below(40) {
+            out.push_str(rng.pick(&WORDS));
+        }
+        out
+    }
+
+    /// Tokens a field may be corrupted to: what some field accepts and
+    /// what each refuses. No count here is large enough to make the
+    /// reference reserve for it (it trusts counts, and would abort).
+    const TOKENS: [&str; 44] = [
+        "0",
+        "1",
+        "2",
+        "3",
+        "6",
+        "9",
+        "+5",
+        "+",
+        "",
+        "-",
+        "x",
+        "t1",
+        "%20",
+        "%zz",
+        "%4",
+        "é",
+        "spec",
+        "hybrid",
+        "production",
+        "evicted",
+        "days",
+        "bins",
+        "hist",
+        "histogram",
+        "standard",
+        "arima",
+        "static",
+        "nope",
+        "0,1,2",
+        "1,,2",
+        "7,",
+        "+1,2",
+        "0,4294967296",
+        "ffffffffffffffff",
+        "18446744073709551616",
+        "3fe0000000000000",
+        "3fe0000000000000,+ff",
+        "ffffffffffffffff0",
+        "0000000000000000f",
+        "1:2:0,0",
+        "1:2",
+        "1",
+        "1:x:0",
+        "5:0:3,4:5",
+    ];
+
+    /// The tokens of one well-formed body line.
+    fn line_tokens(rng: &mut Rng) -> Vec<String> {
+        // Numbers as `str::parse` takes them, a `+` and leading zeros
+        // included.
+        let n = |rng: &mut Rng| {
+            let v = rng.below(3) * rng.below(1000);
+            match rng.below(6) {
+                0 => format!("+{v}"),
+                1 => format!("00{v}"),
+                _ => format!("{v}"),
+            }
+        };
+        let id = |rng: &mut Rng| format!("{}", 1 + rng.below(3));
+        let list = |rng: &mut Rng, hex: bool| {
+            let items: Vec<String> = (0..1 + rng.below(4))
+                .map(|_| match hex {
+                    true => format!("{:016x}", rng.next() & !(1 << 62)),
+                    false => format!("{}", rng.below(20)),
+                })
+                .collect();
+            items.join(",")
+        };
+        let mut t: Vec<String> = Vec::new();
+        let keyword = rng.pick(&[
+            "clock", "dledger", "dwarm", "tenant", "tclock", "tledger", "twarm", "apps", "app",
+            "app", "tapp", "tapp", "end",
+        ]);
+        t.push(keyword.into());
+        match keyword {
+            "clock" | "apps" => t.push(n(rng)),
+            "dledger" => (0..3).for_each(|_| t.push(n(rng))),
+            "dwarm" => t.extend(["a%20b".into(), n(rng), n(rng)]),
+            "tenant" => {
+                t.extend([
+                    id(rng),
+                    "t".into(),
+                    n(rng),
+                    format!("{}", rng.below(2)),
+                    "p".into(),
+                ]);
+                if rng.below(2) == 0 {
+                    t.extend(["spec".into(), "hybrid".into()]);
+                }
+            }
+            "tclock" => t.extend([id(rng), n(rng)]),
+            "tledger" => t.extend([id(rng), n(rng), n(rng), n(rng)]),
+            "twarm" => t.extend([id(rng), "a".into(), n(rng), n(rng)]),
+            "app" | "tapp" => {
+                if keyword == "tapp" {
+                    t.push(id(rng));
+                }
+                t.extend([format!("a{}", rng.below(5)), n(rng), n(rng), n(rng)]);
+                if rng.below(3) == 0 {
+                    t.push("evicted".into());
+                }
+                match rng.below(3) {
+                    0 => {}
+                    1 => {
+                        let days = rng.below(3);
+                        t.extend(["production".into(), "static".into(), "days".into()]);
+                        t.push(format!("{days}"));
+                        for d in 0..days {
+                            t.push(format!("{d}:{}:{}", n(rng), list(rng, false)));
+                        }
+                    }
+                    _ => {
+                        t.push("hybrid".into());
+                        (0..4).for_each(|_| t.push(n(rng)));
+                        t.extend(["arima".into(), "bins".into(), list(rng, false)]);
+                        t.extend(["hist".into(), list(rng, true)]);
+                    }
+                }
+            }
+            _ => {}
+        }
+        t
+    }
+
+    /// Lines of the grammar's shape, about a third of them with one token
+    /// corrupted, dropped or cut short: a header and policy line most of
+    /// the time, then body lines.
+    fn lines(rng: &mut Rng) -> String {
+        let mut out = String::new();
+        if rng.below(5) > 0 {
+            out.push_str(if rng.below(2) == 0 {
+                HEADER
+            } else {
+                DELTA_HEADER
+            });
+            out.push_str("\npolicy p\n");
+        }
+        // Mostly declared tenants, so tenant lines get past their ids.
+        for id in 1..=rng.below(4) {
+            out.push_str(&format!("tenant {id} t 0 {} p\n", rng.below(2)));
+        }
+        if rng.below(2) == 0 {
+            out.push_str(&format!("apps {}\n", rng.below(2)));
+        }
+        for _ in 0..rng.below(12) + 1 {
+            let mut t = line_tokens(rng);
+            if rng.below(3) == 0 {
+                let at = rng.below(t.len() as u64) as usize;
+                match rng.below(3) {
+                    0 => t[at] = rng.pick(&TOKENS).into(),
+                    1 => drop(t.remove(at)),
+                    _ => t.truncate(at.max(1)),
+                }
+            }
+            out.push_str(&t.join(" "));
+            out.push_str(rng.pick(&["\n", "\n", "\n", "\r\n", " \n", ""]));
+        }
+        if rng.below(2) == 0 {
+            out.push_str("\nend\n");
+        }
+        out
+    }
+
+    /// A valid document after a few random edits at character
+    /// boundaries.
+    fn mutated(rng: &mut Rng, doc: &str) -> String {
+        let mut chars: Vec<char> = doc.chars().collect();
+        for _ in 0..1 + rng.below(3) {
+            let at = rng.below(chars.len() as u64 + 1) as usize;
+            match rng.below(4) {
+                0 => chars.truncate(at),
+                1 => {
+                    let end = (at + 1 + rng.below(8) as usize).min(chars.len());
+                    chars.drain(at.min(end)..end);
+                }
+                2 => {
+                    let word =
+                        rng.pick(&["\n", " ", ",", "0", "x", "-", "%", "\r\n", "é", "end\n"]);
+                    chars.splice(at..at, word.chars());
+                }
+                _ => {
+                    if at < chars.len() {
+                        chars[at] = rng.pick(&['0', '9', 'a', ' ', '\n', ':', ',', '+']);
+                    }
+                }
+            }
+        }
+        chars.into_iter().collect()
+    }
+
+    /// The reference's result, or `None` when `text` declares a tenant
+    /// app count or a day count so large that the reference, which
+    /// reserves whatever a count says, would abort.
+    fn reference(text: &str, header: &str) -> Option<Result<Snapshot, String>> {
+        let huge = |t: &str| t.parse::<usize>().is_ok_and(|n| n > 1 << 20);
+        let aborts = text.lines().any(|line| {
+            let t: Vec<&str> = line.split(' ').collect();
+            (t[0] == "tenant" && t.get(4).is_some_and(|n| huge(n)))
+                || t.windows(2).any(|w| w[0] == "days" && huge(w[1]))
+        });
+        (!aborts).then(|| decode_ref(text, header))
+    }
+
+    fn check_text(text: &str, rng: &mut Rng) -> Result<(), String> {
+        let cuts = cuts(rng, text.as_bytes());
+        for (header, decode, decoder) in [
+            (
+                HEADER,
+                Snapshot::decode as fn(&str) -> _,
+                Decoder::snapshot as fn() -> _,
+            ),
+            (DELTA_HEADER, Snapshot::decode_delta, Decoder::delta),
+        ] {
+            let got = decode(text);
+            prop_assert_eq!(decode_split(decoder(), text.as_bytes(), &cuts), got.clone());
+            if let Some(want) = reference(text, header) {
+                prop_assert_eq!(got, want);
+            }
+        }
+        Ok(())
+    }
+
+    fn temp_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("sitw-{name}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    proptest! {
+        /// On any text, decoding equals the reference, error message
+        /// included, whole or fed in pieces.
+        #[test]
+        fn decode_equals_the_reference_on_any_text(seed in 0u64..u64::MAX) {
+            let rng = &mut Rng(seed);
+            let snap = samples::snapshot(rng.next(), 4);
+            let doc = if rng.below(2) == 0 { snap.encode() } else { snap.encode_delta() };
+            let mut texts = vec![text(rng), mutated(rng, &doc)];
+            texts.extend((0..4).map(|_| lines(rng)));
+            for text in texts {
+                check_text(&text, rng)?;
+            }
+        }
+
+        /// Every valid document, in either line ending, fed in pieces cut
+        /// anywhere (mid-`\r\n` and mid-character included), decodes to
+        /// the snapshot it encodes, as the reference does.
+        #[test]
+        fn decode_equals_the_reference_on_valid_documents(seed in 0u64..u64::MAX) {
+            let rng = &mut Rng(seed);
+            let snap = samples::snapshot(rng.next(), 12);
+            let (mut full, mut delta) = (snap.encode(), snap.encode_delta());
+            if rng.below(2) == 0 {
+                full = full.replace('\n', "\r\n");
+                delta = delta.replace('\n', "\r\n");
+            }
+            check_text(&full, rng)?;
+            check_text(&delta, rng)?;
+            let at = cuts(rng, full.as_bytes());
+            prop_assert_eq!(decode_split(Decoder::snapshot(), full.as_bytes(), &at), Ok(snap.clone()));
+            let at = cuts(rng, delta.as_bytes());
+            prop_assert_eq!(decode_split(Decoder::delta(), delta.as_bytes(), &at), Ok(snap));
+        }
+
+        /// The encoder writes the reference's bytes.
+        #[test]
+        fn encode_equals_the_reference(seed in 0u64..u64::MAX) {
+            let snap = samples::snapshot(seed, 12);
+            prop_assert_eq!(snap.encode(), encode_ref(&snap, HEADER));
+            prop_assert_eq!(snap.encode_delta(), encode_ref(&snap, DELTA_HEADER));
+            let mut written = Vec::new();
+            snap.encode_into(&mut written).unwrap();
+            prop_assert_eq!(written, encode_ref(&snap, HEADER).into_bytes());
+        }
+
+        /// `load` returns what the reference's whole-file read returns
+        /// on every `Ok`, and fails the same way (`Io` or `Corrupt`)
+        /// otherwise, non-UTF-8 files included.
+        #[test]
+        fn load_equals_the_reference(seed in 0u64..u64::MAX) {
+            let rng = &mut Rng(seed);
+            let dir = temp_dir("load-ref");
+            let path = dir.join(format!("{seed:016x}.snap"));
+            let snap = samples::snapshot(rng.next(), 8);
+            let mut bytes = match rng.below(4) {
+                0 => snap.encode().into_bytes(),
+                1 => mutated(rng, &snap.encode()).into_bytes(),
+                2 => lines(rng).into_bytes(),
+                _ => text(rng).into_bytes(),
+            };
+            if rng.below(4) == 0 {
+                let bad: &[u8] = rng.pick(&[&[0xFF][..], &[0xC3], &[0xE6, 0x97], &[0xED, 0xA0, 0x80]]);
+                let at = rng.below(bytes.len() as u64 + 1) as usize;
+                bytes.splice(at..at, bad.iter().copied());
+            }
+            std::fs::write(&path, &bytes).unwrap();
+            let got = Snapshot::load(&path);
+            let want = match String::from_utf8(bytes) {
+                Ok(text) => reference(&text, HEADER).map(|r| r.map_err(|_| "corrupt")),
+                Err(_) => Some(Err("corrupt")),
+            };
+            std::fs::remove_file(&path).unwrap();
+            match (got, want) {
+                (_, None) => {}
+                (Ok(got), Some(Ok(want))) => prop_assert_eq!(got, want),
+                (Err(SnapshotError::Corrupt(_)), Some(Err(_))) => {}
+                (got, want) => return Err(format!("load {got:?}, reference {want:?}")),
+            }
+            let missing = Snapshot::load(&dir.join("missing.snap"));
+            prop_assert!(matches!(missing, Err(SnapshotError::Io(_))));
+        }
+    }
+
+    /// Every line of the grammar with any one token removed, replaced
+    /// or cut short decodes as the reference decodes it — the same error
+    /// first, for tenants declared and not.
+    #[test]
+    fn every_one_token_edit_equals_the_reference() {
+        let valid = [
+            "clock 5",
+            "dledger 1 2 3",
+            "dwarm a%20b 4 5",
+            "tenant 2 t 0 0 p spec hybrid",
+            "tclock 1 9",
+            "tclock 3 9",
+            "tledger 1 1 2 3",
+            "tledger 3 1 2 3",
+            "twarm 1 a 4 5",
+            "twarm 3 a 4 5",
+            "apps 0",
+            "app a 1 2 3 evicted",
+            "app a 1 2 3 production static days 2 0:1:2,3 1:0:4",
+            "tapp 1 a 1 2 3 hybrid 4 5 6 7 arima bins 1,2 hist 3fe0000000000000,-",
+            "tapp 3 a 1 2 3 hybrid 4 5 6 7 arima bins - hist -",
+            "end",
+        ];
+        let prefix = format!("{HEADER}\npolicy p\ntenant 1 t 0 0 p\n");
+        for line in valid {
+            let tokens: Vec<&str> = line.split(' ').collect();
+            let mut edits = Vec::new();
+            for at in 0..tokens.len() {
+                edits.push([&tokens[..at], &tokens[at + 1..]].concat());
+                edits.push(tokens[..at].to_vec());
+                for t in TOKENS {
+                    let mut edit = tokens.clone();
+                    edit[at] = t;
+                    edits.push(edit);
+                }
+            }
+            for edit in edits {
+                let text = format!("{prefix}{}\napps 0\nend\n", edit.join(" "));
+                let want = reference(&text, HEADER).expect("no large count");
+                assert_eq!(Snapshot::decode(&text), want, "{text}");
+            }
+        }
+    }
+
+    #[test]
+    fn golden_snapshots_re_encode_byte_identical() {
+        for text in [
+            include_str!("../tests/golden/hybrid_2shard.snapshot"),
+            include_str!("../tests/golden/production_2shard.snapshot"),
+        ] {
+            let snap = Snapshot::decode(text).unwrap();
+            assert_eq!(Ok(&snap), decode_ref(text, HEADER).as_ref());
+            assert_eq!(snap.encode(), text);
+            assert_eq!(encode_ref(&snap, HEADER), text);
+        }
+    }
+
+    #[test]
+    fn lines_split_as_str_lines_splits_them() {
+        // A `\r` is dropped only before a `\n`: a last line keeps it.
+        for text in [
+            "sitw-serve-snapshot v1\r\npolicy p\r\napps 0\r\nend\r\n",
+            "sitw-serve-snapshot v1\npolicy p\napps 0\nend",
+            "sitw-serve-snapshot v1\npolicy p\napps 0\nend\r",
+            "sitw-serve-snapshot v1\npolicy p\napps 0\nend\n\n\r\n",
+            "sitw-serve-snapshot v1\r",
+            "\n",
+            "",
+        ] {
+            assert_eq!(Snapshot::decode(text), decode_ref(text, HEADER), "{text:?}");
+        }
+    }
+
+    /// The longest record a node can write: an app name one whole
+    /// `/invoke` body long, all of it escaped, in a production app
+    /// keeping the most days a parsed spec allows, every number at its
+    /// widest — and the longest hybrid record beside it.
+    #[test]
+    fn the_largest_legal_line_decodes() {
+        let days = MAX_RETENTION_DAYS;
+        let bins = ProductionConfig::default().range_minutes;
+        let production = AppRecord {
+            app: " ".repeat(crate::http::MAX_BODY_BYTES),
+            last_ts: u64::MAX,
+            windows: Windows::pre_warmed(u64::MAX, u64::MAX),
+            evicted: true,
+            state: PolicyState::Production {
+                last: DecisionKind::Histogram,
+                state: ProductionAppState {
+                    days: (0..days)
+                        .map(|d| DayHistogram {
+                            day: u64::MAX - days + d,
+                            bins: vec![u32::MAX; bins],
+                            oob: u64::MAX,
+                        })
+                        .collect(),
+                },
+            },
+        };
+        let hybrid = AppRecord {
+            state: PolicyState::Hybrid(HybridSnapshot {
+                bins: vec![u32::MAX; sitw_core::spec::MAX_RANGE_MINUTES],
+                oob_count: u64::MAX,
+                history: vec![-f64::MAX; sitw_core::HybridConfig::default().history_cap],
+                counts: DecisionCounts {
+                    histogram: u64::MAX,
+                    standard: u64::MAX,
+                    arima: u64::MAX,
+                },
+                last_decision: DecisionKind::StandardKeepAlive,
+            }),
+            ..production.clone()
+        };
+        let snap = Snapshot {
+            policy_label: "production-240m-366d[5,99]exp0.85".into(),
+            prod_clock: None,
+            apps: Vec::new(),
+            default_ledger: LedgerExport::default(),
+            tenants: vec![TenantSnapshot {
+                id: TenantId::MAX,
+                name: "t".repeat(64),
+                policy_label: "production-240m-366d[5,99]exp0.85".into(),
+                spec_str: Some("production:366d".into()),
+                budget_mb: u64::MAX,
+                prod_clock: Some(u64::MAX),
+                ledger: LedgerExport::default(),
+                apps: vec![production, hybrid],
+            }],
+        };
+        let text = snap.encode();
+        let longest = text.lines().map(str::len).max().unwrap();
+        assert!(
+            longest > 4 * crate::http::MAX_BODY_BYTES - (1 << 20),
+            "{longest}"
+        );
+        assert!(longest <= MAX_LINE_BYTES, "{longest} > {MAX_LINE_BYTES}");
+        let cuts = [1, IO_BYTES, text.len() / 2, text.len() - 1];
+        assert_eq!(
+            decode_split(Decoder::snapshot(), text.as_bytes(), &cuts),
+            Ok(snap.clone())
+        );
+        let dir = temp_dir("largest-line");
+        snap.write_to(&dir.join("largest.snap")).unwrap();
+        assert_eq!(Snapshot::load(&dir.join("largest.snap")).unwrap(), snap);
+
+        // One byte past the cap is corrupt, whether it arrives whole or
+        // in pieces, and a load says so.
+        let over = format!("{HEADER}\npolicy {}\n", "p".repeat(MAX_LINE_BYTES + 1 - 7));
+        let refused = Err(format!("line 2 is longer than {MAX_LINE_BYTES} bytes"));
+        assert_eq!(Snapshot::decode(&over), refused);
+        assert_eq!(
+            decode_split(Decoder::snapshot(), over.as_bytes(), &[30, 5000]),
+            refused
+        );
+        // Fed in reads with no `\n` in sight, the line is refused as
+        // soon as it would outgrow the cap, not when it ends.
+        let mut decoder = Decoder::snapshot();
+        decoder
+            .feed(format!("{HEADER}\npolicy ").as_bytes())
+            .unwrap();
+        let read = vec![b'p'; IO_BYTES];
+        let reads = 0..MAX_LINE_BYTES / IO_BYTES + 2;
+        let taken = reads.take_while(|_| decoder.feed(&read).is_ok()).count();
+        assert_eq!(taken, MAX_LINE_BYTES / IO_BYTES - 1);
+        assert_eq!(decoder.finish(), refused);
+        let at_cap = format!(
+            "{HEADER}\npolicy {}\napps 0\nend\n",
+            "p".repeat(MAX_LINE_BYTES - 7)
+        );
+        assert!(Snapshot::decode(&at_cap).is_ok());
+        let path = dir.join("over.snap");
+        std::fs::write(&path, &over).unwrap();
+        assert!(matches!(
+            Snapshot::load(&path),
+            Err(SnapshotError::Corrupt(_))
+        ));
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    /// A count nothing backs reserves a bounded amount up front, and the
+    /// document is refused, never aborted.
+    #[test]
+    fn lying_counts_are_refused_not_reserved() {
+        for text in [
+            format!(
+                "{HEADER}\npolicy p\ntenant 1 t 0 {} x\napps 0\nend\n",
+                u64::MAX
+            ),
+            format!("{HEADER}\npolicy p\napps {}\nend\n", usize::MAX),
+            format!(
+                "{HEADER}\npolicy p\napps 1\napp a 1 2 3 production static days {} 0:0:1\nend\n",
+                u64::MAX
+            ),
+        ] {
+            assert!(Snapshot::decode(&text).is_err(), "{text}");
+        }
+        assert_eq!(
+            Snapshot::decode(&format!("{HEADER}\npolicy p\napps 1\napp a 1 2 3 hybrid 0 0 0 0 static bins 4294967296 hist -\nend\n")),
+            Err("bad bin '4294967296'".into())
+        );
+    }
+
+    #[test]
+    fn temp_files_are_named_after_the_whole_file_name() {
+        for target in [
+            "dir/s.snap",
+            "dir/s.tmp",
+            "dir/node.a",
+            "dir/node.b",
+            "noext",
+            "a.b.c",
+        ] {
+            let target = Path::new(target);
+            let tmp = temp_path(target);
+            assert_ne!(tmp, target);
+            assert_eq!(tmp.parent(), target.parent());
+            let name = tmp.file_name().unwrap().to_str().unwrap();
+            let target_name = target.file_name().unwrap().to_str().unwrap();
+            assert!(
+                name.starts_with(&format!("{target_name}.{}.", std::process::id())),
+                "{name}"
+            );
+        }
+        assert_ne!(
+            temp_path(Path::new("node.a")),
+            temp_path(Path::new("node.b"))
+        );
+        assert_ne!(
+            temp_path(Path::new("s")),
+            temp_path(Path::new("s")),
+            "two writes, two files"
+        );
+    }
+
+    /// `write_to` used to write through `path.with_extension("tmp")`,
+    /// truncating a sibling `s.tmp` and renaming it away.
+    #[test]
+    fn write_to_leaves_sibling_files_alone() {
+        let dir = temp_dir("write-to-sibling");
+        let sibling = dir.join("s.tmp");
+        std::fs::write(&sibling, b"someone else's bytes").unwrap();
+        let snap = samples::snapshot(7, 20);
+        snap.write_to(&dir.join("s.snap")).unwrap();
+        assert_eq!(std::fs::read(&sibling).unwrap(), b"someone else's bytes");
+        assert_eq!(Snapshot::load(&dir.join("s.snap")).unwrap(), snap);
+        // A target that is itself a `.tmp` file is still written whole.
+        snap.write_to(&sibling).unwrap();
+        assert_eq!(Snapshot::load(&sibling).unwrap(), snap);
+        let mut left: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        left.sort();
+        assert_eq!(left, ["s.snap", "s.tmp"], "no temp file is left behind");
+        std::fs::remove_dir_all(dir).unwrap();
     }
 }

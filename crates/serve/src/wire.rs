@@ -16,6 +16,8 @@
 //!   fixed 9-byte verdict records, amortizing parse, syscall, and
 //!   shard-lock costs across the whole batch.
 
+use std::io;
+
 use sitw_core::DecisionKind;
 
 use crate::shard::{Decision, InvokeError};
@@ -1290,18 +1292,99 @@ pub fn encode_repl_commit(out: &mut Vec<u8>, epoch: u64) {
     out.extend_from_slice(&epoch.to_le_bytes());
 }
 
-/// Encodes one complete replication round: `doc` split into
-/// [`REPL_CHUNK_BYTES`]-sized chunk frames of `kind`, closed by an
-/// epoch-commit. An empty `doc` emits the lone commit (nothing dirty).
-pub fn encode_repl_round(out: &mut Vec<u8>, kind: u8, epoch: u64, doc: &[u8]) {
-    if !doc.is_empty() {
-        let chunks: Vec<&[u8]> = doc.chunks(REPL_CHUNK_BYTES).collect();
-        for (seq, chunk) in chunks.iter().enumerate() {
-            let last = seq + 1 == chunks.len();
-            encode_repl_chunk(out, kind, epoch, seq as u32, last, chunk);
+/// One replication round, framed as it is written: an [`io::Write`]
+/// sink whose bytes land in `out` as [`REPL_CHUNK_BYTES`]-sized chunk
+/// frames of one kind, closed by [`ReplRound::commit`]'s epoch-commit. A
+/// round with no bytes is the lone commit (nothing dirty). The open chunk
+/// is framed in place and held back until more bytes show it was not the
+/// last, so a document encoded into a round is never held whole beside
+/// its frames. Writing never fails.
+pub struct ReplRound<'a> {
+    out: &'a mut Vec<u8>,
+    kind: u8,
+    epoch: u64,
+    /// Where the open chunk's frame starts in `out`.
+    open: Option<usize>,
+    seq: u32,
+    bytes: u64,
+}
+
+impl<'a> ReplRound<'a> {
+    /// A round of `kind` ([`FRAME_REPL_SYNC`] or [`FRAME_REPL_DELTA`])
+    /// committing to `epoch`, appended to `out`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `kind` is not a replication chunk kind.
+    pub fn new(out: &'a mut Vec<u8>, kind: u8, epoch: u64) -> Self {
+        assert!(
+            kind == FRAME_REPL_SYNC || kind == FRAME_REPL_DELTA,
+            "not a replication chunk kind"
+        );
+        ReplRound {
+            out,
+            kind,
+            epoch,
+            open: None,
+            seq: 0,
+            bytes: 0,
         }
     }
-    encode_repl_commit(out, epoch);
+
+    /// Closes the round — the held chunk is the last, and the
+    /// epoch-commit follows it — and returns the document's length. A
+    /// round with no bytes is the lone commit.
+    pub fn commit(mut self) -> u64 {
+        if let Some(start) = self.open.take() {
+            self.seal(start, true);
+        }
+        encode_repl_commit(self.out, self.epoch);
+        self.bytes
+    }
+
+    /// Document bytes in the chunk framed at `start`.
+    fn chunk_len(&self, start: usize) -> usize {
+        self.out.len() - start - BIN_HEADER_LEN - REPL_CHUNK_HEADER
+    }
+
+    /// Writes the final payload length (the frame header's
+    /// `payload_len`, at offset 3) and `last` flag (after the chunk's
+    /// epoch and seq) of the chunk framed at `start`.
+    fn seal(&mut self, start: usize, last: bool) {
+        let payload = (REPL_CHUNK_HEADER + self.chunk_len(start)) as u32;
+        self.out[start + 3..start + 7].copy_from_slice(&payload.to_le_bytes());
+        self.out[start + BIN_HEADER_LEN + 12] = u8::from(last);
+    }
+}
+
+impl io::Write for ReplRound<'_> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let mut bytes = buf;
+        self.bytes += bytes.len() as u64;
+        while !bytes.is_empty() {
+            let start = match self.open {
+                Some(start) if self.chunk_len(start) < REPL_CHUNK_BYTES => start,
+                held => {
+                    if let Some(start) = held {
+                        self.seal(start, false);
+                    }
+                    let start = self.out.len();
+                    encode_repl_chunk(self.out, self.kind, self.epoch, self.seq, false, &[]);
+                    self.seq += 1;
+                    self.open = Some(start);
+                    start
+                }
+            };
+            let take = bytes.len().min(REPL_CHUNK_BYTES - self.chunk_len(start));
+            self.out.extend_from_slice(&bytes[..take]);
+            bytes = &bytes[take..];
+        }
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
 }
 
 /// Decodes a [`FRAME_CONTROL_REPLY`] payload.
@@ -2386,7 +2469,9 @@ mod tests {
             .map(|i| (i % 251) as u8)
             .collect();
         let mut out = Vec::new();
-        encode_repl_round(&mut out, FRAME_REPL_DELTA, 9, &doc);
+        let mut round = ReplRound::new(&mut out, FRAME_REPL_DELTA, 9);
+        io::Write::write_all(&mut round, &doc).unwrap();
+        assert_eq!(round.commit(), doc.len() as u64);
         let mut buf = &out[..];
         let mut assembled = Vec::new();
         let mut next_seq = 0u32;
@@ -2430,7 +2515,7 @@ mod tests {
     #[test]
     fn repl_empty_round_is_lone_commit() {
         let mut out = Vec::new();
-        encode_repl_round(&mut out, FRAME_REPL_SYNC, 3, &[]);
+        assert_eq!(ReplRound::new(&mut out, FRAME_REPL_SYNC, 3).commit(), 0);
         match decode_server_frame(&out) {
             ServerFrameDecode::ReplCommit { epoch, consumed } => {
                 assert_eq!(epoch, 3);
