@@ -11,7 +11,7 @@
 
 use sitw_stats::distributions::{Burr, ContinuousDist};
 
-use crate::{fnv1a, mix64};
+use crate::{fnv1a_extend, mix64, FNV1A_OFFSET};
 
 /// Footprints are clamped to this range (MB). The floor keeps every
 /// container chargeable; the ceiling caps the Burr tail at 4 GiB — the
@@ -28,12 +28,10 @@ pub const MAX_FOOTPRINT_MB: u64 = 4096;
 /// to drift across snapshot/restore or shard layouts).
 pub fn footprint_mb(tenant: &str, app: &str) -> u64 {
     // Hash the pair with an unambiguous separator (0x1F, which tenant
-    // names cannot contain) so ("ab","c") and ("a","bc") differ.
-    let mut bytes = Vec::with_capacity(tenant.len() + 1 + app.len());
-    bytes.extend_from_slice(tenant.as_bytes());
-    bytes.push(0x1F);
-    bytes.extend_from_slice(app.as_bytes());
-    let h = mix64(fnv1a(&bytes));
+    // names cannot contain) so ("ab","c") and ("a","bc") differ; folded
+    // part by part, so a first sight copies nothing.
+    let parts: [&[u8]; 3] = [tenant.as_bytes(), &[0x1F], app.as_bytes()];
+    let h = mix64(parts.iter().fold(FNV1A_OFFSET, |h, p| fnv1a_extend(h, p)));
     // 53 bits of hash → uniform in (0, 1): the +0.5 keeps the variate
     // strictly inside the open interval where the quantile is finite.
     let u = ((h >> 11) as f64 + 0.5) * (1.0 / (1u64 << 53) as f64);
@@ -55,6 +53,54 @@ mod tests {
         assert_ne!(a, b);
         // The separator disambiguates the pair.
         assert_ne!(footprint_mb("ab", "c"), footprint_mb("a", "bc"));
+    }
+
+    /// Folding the hash over the parts gives the footprint of the hash
+    /// of their concatenation `tenant ‖ 0x1F ‖ app`, empty and non-ASCII
+    /// names included.
+    #[test]
+    fn folded_hash_equals_the_concatenated_one() {
+        let concatenated = |tenant: &str, app: &str| {
+            let mut bytes = Vec::with_capacity(tenant.len() + 1 + app.len());
+            bytes.extend_from_slice(tenant.as_bytes());
+            bytes.push(0x1F);
+            bytes.extend_from_slice(app.as_bytes());
+            let h = mix64(crate::fnv1a(&bytes));
+            let u = ((h >> 11) as f64 + 0.5) * (1.0 / (1u64 << 53) as f64);
+            let mb = Burr::memory_fit().quantile(u).ceil() as u64;
+            mb.clamp(MIN_FOOTPRINT_MB, MAX_FOOTPRINT_MB)
+        };
+        let words = [
+            "",
+            "a",
+            "acme",
+            "app-000042",
+            "é",
+            "日本",
+            "🦀",
+            "a\u{1F}b",
+            " %\n",
+        ];
+        let mut state = 0x5EED_u64;
+        for i in 0..4_000u64 {
+            state = mix64(state ^ i);
+            let tenant = format!("{}{}", words[state as usize % words.len()], state % 7);
+            let app = match i % 3 {
+                0 => words[(state >> 8) as usize % words.len()].to_owned(),
+                1 => format!("app-{:06}", state >> 40),
+                _ => format!(
+                    "{}{}",
+                    words[(state >> 16) as usize % words.len()],
+                    state >> 50
+                ),
+            };
+            let tenant = if i % 5 == 0 { String::new() } else { tenant };
+            assert_eq!(
+                footprint_mb(&tenant, &app),
+                concatenated(&tenant, &app),
+                "{tenant:?} {app:?}"
+            );
+        }
     }
 
     #[test]

@@ -89,8 +89,21 @@ pub use tenant::{
 /// hash. The serving daemon's app→shard routing and the fleet's
 /// tenant→shard routing and footprint sampling all build on it, so the
 /// mapping survives restarts and crate boundaries alike.
+// Inline across crates: it routes every request, and as a caller of
+// `fnv1a_extend` it is no longer a leaf the compiler would inline there
+// on its own.
+#[inline]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
+    fnv1a_extend(FNV1A_OFFSET, bytes)
+}
+
+/// FNV-1a's starting state: the hash of no bytes.
+pub(crate) const FNV1A_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+
+/// Continues an FNV-1a hash `h` over `bytes`, so a concatenation hashes
+/// part by part without being built.
+#[inline]
+pub(crate) fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for b in bytes {
         h ^= *b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01B3);

@@ -489,7 +489,7 @@ impl ServerCtx {
         };
         let export = self.shard(home).map_err(|e| (503, e))?.take_tenant(id);
         match export {
-            Some(export) => Ok(encode_tenant_section(&export)),
+            Some(export) => Ok(encode_tenant_section(export)),
             None => Err((409, format!("tenant '{name}' already taken"))),
         }
     }

@@ -29,6 +29,21 @@
 //! line at a time. So restoring a node, writing its snapshot and serving
 //! a full sync never hold the document beside the state it describes.
 //!
+//! A record's two comma lists — histogram bins and ARIMA history — are
+//! nearly all of a document and nearly all of a decode. Each is parsed
+//! in one scan into a vector allocated once at its length, with fast
+//! paths for exactly what the encoder writes: a bin that is one decimal
+//! digit, a history value that is 16 hex digits, each followed by a `,`
+//! or the token's end, both checked and converted a word at a time. An
+//! item a fast path does not take whole — a `+`, a longer or shorter
+//! run, a non-digit anywhere in the window, a comma inside it — goes to
+//! the parser every other number field uses. So the fast paths never
+//! widen what the decoder accepts or change an error it returns; the
+//! whole-string codec kept test-only in `snapshot_ref` is the reference
+//! for both. An app name without a `%` is copied once; only escaped
+//! names are decoded character by character. The encoder writes the
+//! same two shapes without its general number loop.
+//!
 //! One deliberate imprecision: the default tenant's ledger is sharded by
 //! app hash, so its *integral* is merged (summed, cursor = max) at
 //! snapshot time and re-seeded on shard 0 at restore. Decisions are
@@ -189,6 +204,11 @@ fn push_app(out: &mut Vec<u8>, app: &str) {
 }
 
 fn decode_app(enc: &str) -> Result<String, String> {
+    // What the encoder writes for an ordinary name: nothing escaped, so
+    // one exact copy.
+    if !enc.as_bytes().contains(&b'%') {
+        return Ok(enc.to_owned());
+    }
     let mut out = String::with_capacity(enc.len());
     let mut chars = enc.chars();
     while let Some(c) = chars.next() {
@@ -207,7 +227,7 @@ fn decode_app(enc: &str) -> Result<String, String> {
 }
 
 /// Appends `values` as a comma-separated list, each written by `push`.
-fn push_list<T: Copy>(out: &mut Vec<u8>, values: &[T], push: fn(&mut Vec<u8>, T)) {
+fn push_list<T: Copy>(out: &mut Vec<u8>, values: &[T], push: impl Fn(&mut Vec<u8>, T)) {
     for (i, &v) in values.iter().enumerate() {
         if i > 0 {
             out.push(b',');
@@ -216,15 +236,23 @@ fn push_list<T: Copy>(out: &mut Vec<u8>, values: &[T], push: fn(&mut Vec<u8>, T)
     }
 }
 
-fn push_u32(out: &mut Vec<u8>, v: u32) {
-    push_u64(out, u64::from(v));
+/// Appends a bin; most are one digit, written without the general loop.
+fn push_bin(out: &mut Vec<u8>, v: u32) {
+    match u8::try_from(v) {
+        Ok(d @ 0..=9) => out.push(b'0' + d),
+        _ => push_u64(out, u64::from(v)),
+    }
 }
 
 /// Appends a float's IEEE-754 bit pattern as 16 lowercase hex digits.
 fn push_bits(out: &mut Vec<u8>, v: f64) {
     const HEX: &[u8; 16] = b"0123456789abcdef";
     let bits = v.to_bits();
-    out.extend((0..16).rev().map(|i| HEX[(bits >> (4 * i)) as usize & 0xf]));
+    let mut digits = [0u8; 16];
+    for (i, d) in digits.iter_mut().enumerate() {
+        *d = HEX[(bits >> (60 - 4 * i)) as usize & 0xf];
+    }
+    out.extend_from_slice(&digits);
 }
 
 /// Appends one app record's line payload (everything after the leading
@@ -255,7 +283,7 @@ fn push_app_record(out: &mut Vec<u8>, rec: &AppRecord) {
                 out.push(b':');
                 push_u64(out, d.oob);
                 out.push(b':');
-                push_list(out, &d.bins, push_u32);
+                push_list(out, &d.bins, push_bin);
             }
         }
         PolicyState::Hybrid(h) => {
@@ -271,7 +299,7 @@ fn push_app_record(out: &mut Vec<u8>, rec: &AppRecord) {
             if h.bins.is_empty() {
                 out.push(b'-');
             }
-            push_list(out, &h.bins, push_u32);
+            push_list(out, &h.bins, push_bin);
             out.extend_from_slice(b" hist ");
             if h.history.is_empty() {
                 out.push(b'-');
@@ -281,18 +309,64 @@ fn push_app_record(out: &mut Vec<u8>, rec: &AppRecord) {
     }
 }
 
+/// Each byte's value as a hexadecimal digit (so also as a decimal one
+/// below 10), or `0xFF` for a byte that is no digit in either base.
+const DIGITS: [u8; 256] = {
+    let mut table = [0xFF; 256];
+    let mut i = 0;
+    while i < 10 {
+        table[b'0' as usize + i] = i as u8;
+        i += 1;
+    }
+    let mut i = 0;
+    while i < 6 {
+        table[b'a' as usize + i] = 10 + i as u8;
+        table[b'A' as usize + i] = 10 + i as u8;
+        i += 1;
+    }
+    table
+};
+
+/// How many base-`radix` digits always fit a `u64`, so that wrapping
+/// arithmetic over that many is exact.
+const fn safe_digits(radix: u32) -> usize {
+    match radix {
+        10 => 19,
+        16 => 16,
+        _ => panic!("numbers are decimal or hexadecimal"),
+    }
+}
+
+/// `digits` read in base `RADIX` with wrapping arithmetic (exact up to
+/// [`safe_digits`] of them), or `None` when one is not a digit.
+#[inline(always)]
+fn wrapping_digits<const RADIX: u32>(digits: &[u8]) -> Option<u64> {
+    let (mut v, mut bad) = (0u64, false);
+    for &c in digits {
+        let d = DIGITS[c as usize];
+        bad |= u32::from(d) >= RADIX;
+        v = v.wrapping_mul(u64::from(RADIX)).wrapping_add(u64::from(d));
+    }
+    (!bad).then_some(v)
+}
+
 /// An unsigned number in base `RADIX` as `u64::from_str_radix` (and so
 /// `str::parse`) reads one: an optional `+`, then at least one digit,
-/// and no overflow.
+/// and no overflow. Only a number longer than [`safe_digits`] pays for
+/// checked arithmetic.
 fn number<const RADIX: u32>(b: &[u8]) -> Option<u64> {
     let digits = b.strip_prefix(b"+").unwrap_or(b);
-    if digits.is_empty() {
-        return None;
+    match digits.len() {
+        0 => None,
+        n if n <= safe_digits(RADIX) => wrapping_digits::<RADIX>(digits),
+        _ => digits.iter().try_fold(0u64, |v, &c| {
+            let d = DIGITS[c as usize];
+            if u32::from(d) >= RADIX {
+                return None;
+            }
+            v.checked_mul(u64::from(RADIX))?.checked_add(u64::from(d))
+        }),
     }
-    digits.iter().try_fold(0u64, |v, &c| {
-        let d = (c as char).to_digit(RADIX)?;
-        v.checked_mul(u64::from(RADIX))?.checked_add(u64::from(d))
-    })
 }
 
 /// The next token as a `T`: `missing {name}` when there is none, `bad
@@ -307,21 +381,135 @@ fn field<'a, T: TryFrom<u64>>(
         .ok_or_else(|| format!("bad {name}"))
 }
 
+/// How wide the encoder writes a list item in the common case: nearly
+/// every bin is one digit, every history value 16.
+const fn fast_width(radix: u32) -> usize {
+    match radix {
+        10 => 1,
+        16 => 16,
+        _ => panic!("lists are decimal or hexadecimal"),
+    }
+}
+
+/// `b` in every byte of a word.
+const fn bytes(b: u8) -> u64 {
+    u64::from_le_bytes([b; 8])
+}
+
+/// How many `,` are in `token`, eight bytes at a time.
+fn count_commas(token: &[u8]) -> usize {
+    let mut words = token.chunks_exact(8);
+    let mut commas = 0;
+    for word in &mut words {
+        let x = u64::from_le_bytes(word.try_into().unwrap_or_default()) ^ bytes(b',');
+        // A byte's high bit survives exactly when the byte is zero: its
+        // low seven bits plus 0x7F stay below 0x100, so no carry crosses
+        // into the next byte.
+        let low = bytes(0x7F);
+        commas += (!(((x & low) + low) | x | low)).count_ones() as usize;
+    }
+    commas + words.remainder().iter().filter(|&&c| c == b',').count()
+}
+
+/// The high bit of each byte of `x` that lies in `lo..=hi`, for a word
+/// whose bytes are all below 0x80: then no byte's sum carries into the
+/// next, and `x + 0x80 - lo` sets a byte's high bit exactly when it is
+/// at least `lo`, `x + 0x7F - hi` exactly when it is above `hi`.
+#[inline(always)]
+fn within(x: u64, lo: u8, hi: u8) -> u64 {
+    let at_least = x.wrapping_add(bytes(0x80 - lo));
+    let above = x.wrapping_add(bytes(0x7F - hi));
+    at_least & !above & bytes(0x80)
+}
+
+/// Eight hex digits of either case as their value, the first the most
+/// significant, or `None` unless every byte is one — a word at a time.
+#[inline(always)]
+fn hex8(word: [u8; 8]) -> Option<u64> {
+    let x = u64::from_le_bytes(word);
+    let digit = within(x, b'0', b'9');
+    // Setting 0x20 folds `A`–`F` onto `a`–`f` and no other byte onto them.
+    let letter = within(x | bytes(0x20), b'a', b'f');
+    if x & bytes(0x80) != 0 || digit | letter != bytes(0x80) {
+        return None;
+    }
+    // A digit's value is its low four bits; a letter's those plus 9.
+    let nibbles = (x & bytes(0x0F)) + (letter >> 7) * 9;
+    // Join neighbours into bytes, bytes into 16-bit halves, halves into
+    // the value.
+    let pairs = ((nibbles << 4) + (nibbles >> 8)) & 0x00FF_00FF_00FF_00FF;
+    let quads = ((pairs << 8) + (pairs >> 16)) & 0x0000_FFFF_0000_FFFF;
+    Some(((quads << 16) | (quads >> 32)) & 0xFFFF_FFFF)
+}
+
+/// The item at the head of `rest` when it is exactly [`fast_width`]
+/// digits followed by a `,` or the token's end — what the encoder
+/// writes. `None` sends the item to [`number`], which accepts and
+/// refuses what it always did.
+#[inline(always)]
+fn fast_item<const RADIX: u32>(rest: &[u8]) -> Option<u64> {
+    let width = fast_width(RADIX);
+    let digits = rest.get(..width)?;
+    if rest.get(width).is_some_and(|&c| c != b',') {
+        return None;
+    }
+    if RADIX == 16 {
+        let (hi, lo) = (digits.first_chunk()?, digits.last_chunk()?);
+        return Some(hex8(*hi)? << 32 | hex8(*lo)?);
+    }
+    wrapping_digits::<RADIX>(digits)
+}
+
+/// Four one-digit items at the head of `rest`, each followed by its
+/// comma — [`fast_item`]'s decimal case, a word at a time.
+#[inline(always)]
+fn four_digits(rest: &[u8]) -> Option<[u64; 4]> {
+    const EVEN: u64 = 0x00FF_00FF_00FF_00FF;
+    let x = u64::from_le_bytes(*rest.first_chunk()?);
+    if x & bytes(0x80) != 0
+        || x & !EVEN != bytes(b',') & !EVEN
+        || within(x & EVEN, b'0', b'9') != bytes(0x80) & EVEN
+    {
+        return None;
+    }
+    let d = x & bytes(0x0F);
+    Some([d & 0xF, (d >> 16) & 0xF, (d >> 32) & 0xF, (d >> 48) & 0xF])
+}
+
 /// A comma-separated list of [`number`]s (never empty: `""` is one
-/// empty item) narrowed by `narrow`, in a vector sized from its count.
+/// empty item) narrowed by `narrow`, in a vector of exactly its length.
 /// An item that does not parse is named in a `bad {what} '{item}'`
-/// error.
+/// error. An item the encoder would write takes [`fast_item`] (a run of
+/// one-digit bins [`four_digits`], four at a time), any other
+/// [`number`], so the grammar is `number`'s either way.
 fn list<T, const RADIX: u32>(
     tok: &str,
     what: &str,
-    narrow: fn(u64) -> Option<T>,
+    narrow: impl Fn(u64) -> Option<T>,
 ) -> Result<Vec<T>, String> {
     let b = tok.as_bytes();
-    let mut out = Vec::with_capacity(1 + b.iter().filter(|&&c| c == b',').count());
+    let mut out = Vec::with_capacity(1 + count_commas(b));
     let mut start = 0;
     loop {
-        let end = (b[start..].iter().position(|&c| c == b',')).map_or(b.len(), |i| start + i);
-        match number::<RADIX>(&b[start..end]).and_then(narrow) {
+        if RADIX == 10 {
+            // A value `narrow` refuses is left to the item-by-item path,
+            // which names it.
+            while let Some([Some(w), Some(x), Some(y), Some(z)]) =
+                four_digits(&b[start..]).map(|four| four.map(&narrow))
+            {
+                out.extend([w, x, y, z]);
+                start += 8;
+            }
+        }
+        let (value, end) = match fast_item::<RADIX>(&b[start..]) {
+            Some(v) => (Some(v), start + fast_width(RADIX)),
+            None => {
+                let end =
+                    (b[start..].iter().position(|&c| c == b',')).map_or(b.len(), |i| start + i);
+                (number::<RADIX>(&b[start..end]), end)
+            }
+        };
+        match value.and_then(&narrow) {
             Some(v) => out.push(v),
             None => return Err(format!("bad {what} '{}'", &tok[start..end])),
         }
@@ -981,7 +1169,22 @@ pub fn apply_delta(base: &mut Snapshot, delta: Snapshot) {
 /// payload — the snapshot text format carrying exactly one tenant
 /// section and no default-tenant state. The placeholder policy label
 /// `-` marks the file as a section, not a full snapshot.
-pub fn encode_tenant_section(t: &TenantExport) -> String {
+///
+/// The export is encoded where it lies, never copied, and the payload is
+/// measured before it is written, so it is allocated once at its size
+/// instead of growing beside a half-size copy of itself.
+pub fn encode_tenant_section(t: TenantExport) -> String {
+    /// A sink that keeps only how much was written to it.
+    struct Measure(usize);
+    impl Write for Measure {
+        fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+            self.0 += bytes.len();
+            Ok(bytes.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
     let snap = Snapshot {
         policy_label: "-".into(),
         prod_clock: None,
@@ -989,16 +1192,22 @@ pub fn encode_tenant_section(t: &TenantExport) -> String {
         default_ledger: LedgerExport::default(),
         tenants: vec![TenantSnapshot {
             id: t.id,
-            name: t.name.clone(),
-            policy_label: t.policy_label.clone(),
-            spec_str: t.spec_str.clone(),
+            name: t.name,
+            policy_label: t.policy_label,
+            spec_str: t.spec_str,
             budget_mb: t.budget_mb,
             prod_clock: t.prod_clock,
-            ledger: t.ledger.clone(),
-            apps: t.apps.clone(),
+            ledger: t.ledger,
+            apps: t.apps,
         }],
     };
-    snap.encode()
+    let mut size = Measure(0);
+    let measured = snap.encode_into(&mut size);
+    measured.expect("measuring cannot fail");
+    let mut out = Vec::with_capacity(size.0);
+    let written = snap.encode_into(&mut out);
+    written.expect("writing to a Vec cannot fail");
+    String::from_utf8(out).expect("the encoder writes UTF-8")
 }
 
 /// Parses a migration payload produced by [`encode_tenant_section`].
@@ -1185,7 +1394,27 @@ mod tests {
                 state: PolicyState::Stateless,
             }],
         };
-        let text = encode_tenant_section(&export);
+        let text = encode_tenant_section(export.clone());
+        // The payload is the one-tenant document it always was, allocated
+        // once at its length.
+        let document = Snapshot {
+            policy_label: "-".into(),
+            prod_clock: None,
+            apps: Vec::new(),
+            default_ledger: LedgerExport::default(),
+            tenants: vec![TenantSnapshot {
+                id: export.id,
+                name: export.name.clone(),
+                policy_label: export.policy_label.clone(),
+                spec_str: export.spec_str.clone(),
+                budget_mb: export.budget_mb,
+                prod_clock: export.prod_clock,
+                ledger: export.ledger.clone(),
+                apps: export.apps.clone(),
+            }],
+        };
+        assert_eq!(text, crate::snapshot_ref::encode_ref(&document, HEADER));
+        assert_eq!(text.capacity(), text.len());
         let section = decode_tenant_section(&text).unwrap();
         assert_eq!(section.name, export.name);
         assert_eq!(section.budget_mb, export.budget_mb);
@@ -1978,6 +2207,105 @@ mod streaming {
         Ok(())
     }
 
+    /// One bin or history list token built around the fast paths'
+    /// edges: items of 0, 1, 2, 15, 16, 17 and 20 or more digits, `+`
+    /// prefixes, upper-case hex, short items that put a comma inside a
+    /// 16-byte window, a digit followed by something other than a comma,
+    /// a byte just outside a digit range inside a window, `u32` and `u64`
+    /// overflow, and empty items. `valid` keeps every
+    /// item inside what both list grammars take (for a record that must
+    /// decode whole), except that a decimal item may still overflow a
+    /// bin's `u32`.
+    fn list_token(rng: &mut Rng, hex: bool, valid: bool) -> String {
+        let alphabet: &[u8] = if hex {
+            b"0123456789abcdefABCDEF"
+        } else {
+            b"0123456789"
+        };
+        let run = |rng: &mut Rng, n: usize| -> String {
+            (0..n).map(|_| rng.pick(alphabet) as char).collect()
+        };
+        let width = |rng: &mut Rng| rng.pick(&[0, 1, 1, 2, 15, 16, 16, 17, 19, 20, 21, 24, 40]);
+        let item = |rng: &mut Rng| -> String {
+            let modes = if valid { 4 } else { 8 };
+            match rng.below(modes) {
+                // What the encoder writes.
+                0 | 1 => match hex {
+                    true => format!("{:016x}", rng.next()),
+                    false => format!("{}", rng.below(10)),
+                },
+                2 => {
+                    let n = width(rng).max(1);
+                    let digits = run(rng, n);
+                    match rng.below(3) {
+                        0 => format!("+{digits}"),
+                        _ => digits,
+                    }
+                }
+                3 => rng
+                    .pick(&[
+                        "0",
+                        "9",
+                        "4294967295",
+                        "4294967296",
+                        "9999999999999999999",
+                        "18446744073709551615",
+                        "00000000000000000000000000001",
+                        "+0000000000000000",
+                        "0000000000000000f",
+                        "ffffffffffffffff",
+                        "FFFFFFFFFFFFFFFF",
+                    ])
+                    .into(),
+                // A run of any width, the empty item included, or one
+                // digit whose item goes on past it.
+                4 => {
+                    let n = width(rng);
+                    run(rng, n)
+                }
+                5 => format!(
+                    "{}{}",
+                    run(rng, 1),
+                    rng.pick(&["x", "+", "-", ":", "é", "g", "G", "0"])
+                ),
+                // What the encoder writes with one byte just outside a
+                // digit range, or not ASCII.
+                6 => {
+                    let mut item: Vec<char> = match hex {
+                        true => format!("{:016x}", rng.next()).chars().collect(),
+                        false => vec!['0'],
+                    };
+                    let at = rng.below(item.len() as u64) as usize;
+                    item[at] = rng.pick(&['/', ':', '@', 'G', '`', 'g', '\u{10}', '\u{19}', 'é']);
+                    item.into_iter().collect()
+                }
+                _ => rng
+                    .pick(&[
+                        "",
+                        "+",
+                        "++1",
+                        "-1",
+                        "18446744073709551616",
+                        "99999999999999999999",
+                        "10000000000000000",
+                        "ffffffffffffffff0",
+                        "fffffffffffffff,",
+                        "1,23456789abcdef",
+                        "0x10",
+                    ])
+                    .into(),
+            }
+        };
+        let items: Vec<String> = (0..1 + rng.below(12)).map(|_| item(rng)).collect();
+        items.join(",")
+    }
+
+    /// `r` with every float as its bit pattern, so a NaN in a decoded
+    /// history compares equal to itself.
+    fn as_bits(r: Result<Snapshot, String>) -> Result<String, String> {
+        r.map(|snap| snap.encode())
+    }
+
     fn temp_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("sitw-{name}-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -2065,6 +2393,38 @@ mod streaming {
             }
             let missing = Snapshot::load(&dir.join("missing.snap"));
             prop_assert!(matches!(missing, Err(SnapshotError::Io(_))));
+        }
+    }
+
+    proptest! {
+        /// Bin and history lists at the edges of the fast paths decode as
+        /// the reference decodes them, error message included, whole or
+        /// fed in pieces: whatever a fast path does not take exactly, the
+        /// general loop reads as it always did.
+        #[test]
+        fn list_fast_paths_equal_the_reference(seed in 0u64..u64::MAX) {
+            let rng = &mut Rng(seed);
+            for _ in 0..8 {
+                let valid = rng.below(2) == 0;
+                // Mostly each list in its own base; sometimes the other's.
+                let bins_hex = rng.below(6) == 0;
+                let hist_hex = rng.below(6) != 0;
+                let bins = list_token(rng, bins_hex, valid);
+                let hist = list_token(rng, hist_hex, valid);
+                let day = list_token(rng, false, valid);
+                let text = format!(
+                    "{HEADER}\npolicy p\napps 2\n\
+                     app a 1 2 3 hybrid 4 5 6 7 arima bins {bins} hist {hist}\n\
+                     app b 1 2 3 production static days 1 0:1:{day}\nend\n"
+                );
+                let got = Snapshot::decode(&text);
+                let at = cuts(rng, text.as_bytes());
+                let split = decode_split(Decoder::snapshot(), text.as_bytes(), &at);
+                let want = decode_ref(&text, HEADER);
+                let got = (as_bits(got), &text);
+                prop_assert_eq!(&got, &(as_bits(split), &text));
+                prop_assert_eq!(&got, &(as_bits(want), &text));
+            }
         }
     }
 

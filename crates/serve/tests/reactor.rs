@@ -152,6 +152,7 @@ fn thousand_connection_churn_leaks_nothing() {
 #[test]
 fn mid_frame_disconnect_drops_pending_batch_without_poisoning() {
     let server = start_server(base_config());
+    let accepted = server.metrics().conns.accepted;
 
     // Scenario A: a full 1000-record frame, connection torn down
     // immediately — replies land after the connection is gone and must
@@ -177,9 +178,15 @@ fn mid_frame_disconnect_drops_pending_batch_without_poisoning() {
         drop(stream);
     }
 
+    // Accepted first: before a reactor takes them from the backlog they
+    // are not live either, and round 0 could then be decided ahead of
+    // scenario A's frame, turning its `gone-000` records out of order.
     assert!(
-        wait_until(Duration::from_secs(5), || server.metrics().conns.live == 0),
-        "dead connections must be retired"
+        wait_until(Duration::from_secs(5), || {
+            let conns = server.metrics().conns;
+            conns.accepted >= accepted + 2 && conns.live == 0
+        }),
+        "dead connections must be accepted and retired"
     );
 
     // The server is fully healthy: new connections serve, the same apps

@@ -10,13 +10,21 @@
 //! and written a line at a time it costs a read or write buffer and the
 //! longest line. The count covers every thread, so the binary holds
 //! exactly one test.
+//!
+//! The same allocator counts allocations, which turns "a decode copies
+//! each list once, at its size" into a count too: decoding the document
+//! allocates each app's name, bins and history once and every vector at
+//! exactly its length, and encoding a migration section holds no more
+//! than the payload and one line beyond the tenant it consumes.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicI64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
 use sitw_core::{AppPolicy, HybridConfig, PolicyFactory, MINUTE_MS};
 use sitw_fleet::LedgerExport;
-use sitw_serve::snapshot::{AppRecord, PolicyState, TenantSnapshot, MAX_LINE_BYTES};
+use sitw_serve::snapshot::{
+    encode_tenant_section, AppRecord, PolicyState, TenantExport, TenantSnapshot, MAX_LINE_BYTES,
+};
 use sitw_serve::{ServeConfig, Server, Snapshot};
 use sitw_sim::PolicySpec;
 
@@ -26,6 +34,9 @@ use sitw_sim::PolicySpec;
 static LIVE: AtomicI64 = AtomicI64::new(0);
 /// The highest `LIVE` since the last [`peak_since`] reset.
 static PEAK: AtomicI64 = AtomicI64::new(0);
+/// Allocations made, by every thread (`alloc_zeroed` and `realloc` go
+/// through `alloc`).
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
 struct Counting;
 
@@ -38,6 +49,7 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let live = LIVE.fetch_add(layout.size() as i64, Ordering::Relaxed) + layout.size() as i64;
         PEAK.fetch_max(live, Ordering::Relaxed);
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         System.alloc(layout)
     }
@@ -65,6 +77,13 @@ fn peak_during<T>(f: impl FnOnce() -> T) -> (T, i64) {
     (out, PEAK.load(Ordering::Relaxed))
 }
 
+/// Runs `f` and returns its result with the allocations it made.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let out = f();
+    (out, ALLOCS.load(Ordering::Relaxed) - before)
+}
+
 const APPS: usize = 5_000;
 const TENANTS: u16 = 3;
 
@@ -72,6 +91,18 @@ const TENANTS: u16 = 3;
 /// and bookkeeping, on top of one line no longer than the decoder's cap.
 const SLACK: i64 = 256 * 1024;
 const CEILING: i64 = SLACK + MAX_LINE_BYTES as i64;
+
+/// What decoding allocates beyond three per app: per named tenant its
+/// name, policy label, spec and app list; per document its policy label,
+/// the default app list and the two tenant lists (their first push).
+const PER_TENANT: u64 = 4;
+const PER_DOCUMENT: u64 = 4;
+/// The decoded state may not grow past what vectors sized from their
+/// counts made it (8 130 800 B when that was measured).
+const DECODED_CEILING: i64 = 8_130_800;
+/// What encoding a section may hold beyond its payload: the encoder's
+/// 4 KiB line buffer and the section's wrapper.
+const SECTION_CEILING: i64 = 4096 + 512;
 
 /// A hybrid app that has seen `beats` invocations at a seeded rhythm
 /// inside the histogram's range, so its bins and its history are full.
@@ -160,10 +191,66 @@ fn load_restore_and_write_hold_no_whole_document() {
     let write_excess = peak - before;
     std::fs::remove_dir_all(&dir).unwrap();
 
+    // Decoding: one allocation for each app's name, bins and history,
+    // each at exactly its length, plus the document's and each tenant's
+    // own few (labels, names, app lists, the tenant lists).
+    let text = snap.encode();
+    let (decoded, decode_allocs) = counted(|| Snapshot::decode(&text).unwrap());
+    assert_eq!(decoded, snap);
+    let app_lists = std::iter::once(&decoded.apps).chain(decoded.tenants.iter().map(|t| &t.apps));
+    for apps in app_lists {
+        assert_eq!(apps.capacity(), apps.len(), "an app list");
+        for rec in apps {
+            let PolicyState::Hybrid(h) = &rec.state else {
+                panic!("{} is not a hybrid app", rec.app);
+            };
+            assert_eq!(rec.app.capacity(), rec.app.len(), "{}'s name", rec.app);
+            assert_eq!(h.bins.capacity(), h.bins.len(), "{}'s bins", rec.app);
+            assert_eq!(
+                h.history.capacity(),
+                h.history.len(),
+                "{}'s history",
+                rec.app
+            );
+        }
+    }
+    drop((decoded, text));
+
+    // A migration section of every app: the payload and one line beyond
+    // the tenant it consumes, never a copy of the tenant.
+    let export = TenantExport {
+        id: 1,
+        name: "t1".into(),
+        policy_label: snap.policy_label.clone(),
+        spec_str: Some("hybrid".into()),
+        budget_mb: 0,
+        prod_clock: None,
+        ledger: LedgerExport::default(),
+        apps: std::iter::once(&snap.apps)
+            .chain(snap.tenants.iter().map(|t| &t.apps))
+            .flatten()
+            .cloned()
+            .collect(),
+    };
+    let before = live();
+    let (payload, peak) = peak_during(|| encode_tenant_section(export));
+    let section_excess = peak - before - payload.capacity() as i64;
+
     println!(
         "{APPS} apps, {doc} B document, {held} B decoded; beyond the state: \
          load {load_excess} B, restore {start_excess} B, write {write_excess} B \
-         (ceiling {CEILING} B)"
+         (ceiling {CEILING} B); decode {decode_allocs} allocations; a {} B section \
+         {section_excess} B beyond its payload (ceiling {SECTION_CEILING} B)",
+        payload.len()
+    );
+    assert!(
+        decode_allocs <= 3 * APPS as u64 + PER_TENANT * u64::from(TENANTS) + PER_DOCUMENT,
+        "{decode_allocs} allocations decoding {APPS} apps"
+    );
+    assert!(held <= DECODED_CEILING, "{held} B decoded");
+    assert!(
+        section_excess <= SECTION_CEILING,
+        "encoding a section held {section_excess} B beyond its payload"
     );
     assert!(
         doc > CEILING,
