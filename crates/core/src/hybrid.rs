@@ -269,9 +269,11 @@ impl HybridApp {
         counts: DecisionCounts,
         last_decision: DecisionKind,
     ) -> Self {
+        let [head, tail] =
+            PercentileCursor::seek_pair(&hist, [config.head_percentile, config.tail_percentile]);
         Self {
-            head: PercentileCursor::seek(&hist, config.head_percentile),
-            tail: PercentileCursor::seek(&hist, config.tail_percentile),
+            head,
+            tail,
             hist,
             history,
             counts,

@@ -70,6 +70,7 @@
 //! necessary.
 
 use std::cmp::Reverse;
+use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, HashMap};
 use std::convert::Infallible;
 use std::sync::Arc;
@@ -255,8 +256,12 @@ impl<P> TenantLedger<P> {
     pub(crate) fn insert(&mut self, app: &str, mb: u64, app_state: P) -> usize {
         // First sight: the one allocation a name ever costs.
         let name: Arc<str> = Arc::from(app);
-        let slot = self.slots.len();
-        self.index.insert(Arc::clone(&name), slot);
+        self.index.insert(Arc::clone(&name), self.slots.len());
+        self.push_slot(name, mb, app_state)
+    }
+
+    /// Appends the slot the index already maps `name` to.
+    fn push_slot(&mut self, name: Arc<str>, mb: u64, app: P) -> usize {
         self.slots.push(Slot {
             name,
             mb,
@@ -264,9 +269,36 @@ impl<P> TenantLedger<P> {
             queued_ms: 0,
             gen: 0,
             warm: false,
-            app: app_state,
+            app,
         });
-        slot
+        self.slots.len() - 1
+    }
+
+    /// Makes room for `apps` more apps before the table grows.
+    pub(crate) fn reserve(&mut self, apps: usize) {
+        self.index.reserve(apps);
+        self.slots.reserve_exact(apps);
+    }
+
+    /// Interns `name` into a fresh slot holding the footprint and
+    /// payload `make` returns, hashing it once; returns the slot, or
+    /// `None` — with nothing made — when the table holds the app already.
+    ///
+    /// # Errors
+    ///
+    /// `make`'s; the table is unchanged.
+    pub(crate) fn insert_new<E>(
+        &mut self,
+        name: Arc<str>,
+        make: impl FnOnce() -> Result<(u64, P), E>,
+    ) -> Result<Option<usize>, E> {
+        let Entry::Vacant(entry) = self.index.entry(name) else {
+            return Ok(None);
+        };
+        let (mb, app_state) = make()?;
+        let name = Arc::clone(entry.key());
+        entry.insert(self.slots.len());
+        Ok(Some(self.push_slot(name, mb, app_state)))
     }
 
     /// Advances the clock to `now`: processes keep-alive expiries at

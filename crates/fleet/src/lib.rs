@@ -81,8 +81,8 @@ pub use qos::{Admission, QosClass, QosPolicy, RateLimit, TokenBucket};
 pub use registry::{TenantId, TenantRegistry, TenantSpec, DEFAULT_TENANT, DEFAULT_TENANT_NAME};
 pub use sim::{fleet_verdict_trace, FleetError, FleetEvent, FleetSim};
 pub use tenant::{
-    AppRecord, AppState, FleetVerdict, LastVerdict, OutOfOrder, PolicyState, RestoreError, Served,
-    ServedPolicy, TenantRestore, TenantState,
+    AppRecord, AppState, FleetVerdict, LastVerdict, OutOfOrder, PolicyState, RestoreError,
+    RestoredApp, Served, ServedPolicy, TenantRestore, TenantState,
 };
 
 /// FNV-1a over a byte string — the workspace's stable, dependency-free

@@ -204,6 +204,37 @@ impl TenantRestore {
     }
 }
 
+/// One app record rebuilt under its tenant's spec — its interned name,
+/// footprint and policy state — before it meets the tenant's table:
+/// the part of a restore that reads no table, so a restore can make it
+/// on any thread and insert it ([`TenantState::insert_app`]) in order.
+#[derive(Debug)]
+pub struct RestoredApp {
+    name: Arc<str>,
+    mb: u64,
+    /// The refusal, when the record does not belong under the spec.
+    state: Result<AppState, RestoreError>,
+}
+
+impl RestoredApp {
+    /// Rebuilds `rec` under `spec`, stamped `stamp`.
+    pub fn new(spec: &TenantSpec, rec: AppRecord, stamp: u64) -> RestoredApp {
+        let state = rec.state.into_policy(&spec.policy).map(|policy| AppState {
+            policy,
+            windows: rec.windows,
+            last_ts: rec.last_ts,
+            evicted: rec.evicted,
+            last_verdict: None,
+            stamp,
+        });
+        RestoredApp {
+            mb: footprint_mb(&spec.name, &rec.app),
+            name: Arc::from(rec.app),
+            state: state.map_err(RestoreError::Record),
+        }
+    }
+}
+
 /// One served verdict with the inputs that produced it, kept per app
 /// for decision provenance (its timestamp is the app's `last_ts`).
 #[derive(Debug, Clone, Copy)]
@@ -302,8 +333,11 @@ impl TenantState {
         }
     }
 
-    /// Rebuilds a tenant from a restore payload — startup restore and
-    /// live tenant migration alike — stamping every record `stamp`.
+    /// Rebuilds a tenant from a restore payload — live tenant migration,
+    /// and any caller holding a tenant's records at once — stamping every
+    /// record `stamp`: [`TenantState::new`] and [`TenantState::reserve`], then
+    /// [`TenantState::restore_app`] per record in order, then
+    /// [`TenantState::restore_ledger`].
     ///
     /// # Errors
     ///
@@ -318,32 +352,72 @@ impl TenantState {
     /// [`TenantState::step`] never meets one.
     pub fn restore(restore: TenantRestore, stamp: u64) -> Result<TenantState, RestoreError> {
         let mut tenant = Self::new(restore.spec);
-        if let (Some(manager), Some(at_ms)) = (&mut tenant.production, restore.prod_clock) {
+        tenant.reserve(restore.apps.len());
+        for rec in restore.apps {
+            tenant.restore_app(rec, stamp)?;
+        }
+        tenant.restore_ledger(restore.ledger, restore.prod_clock)?;
+        Ok(tenant)
+    }
+
+    /// Makes room for `apps` more apps before the table grows: a
+    /// restore whose records arrive one at a time presizes with the
+    /// count its document declares (the daemon's restore builds each
+    /// tenant this way, on the thread of the shard that owns it).
+    pub fn reserve(&mut self, apps: usize) {
+        self.table.reserve(apps);
+    }
+
+    /// Adds one restored app to the table, stamped `stamp`:
+    /// [`RestoredApp::new`] under this tenant's spec, then
+    /// [`TenantState::insert_app`].
+    ///
+    /// # Errors
+    ///
+    /// [`RestoreError::Record`] for a record [`TenantState::restore`]
+    /// refuses; nothing is added.
+    pub fn restore_app(&mut self, rec: AppRecord, stamp: u64) -> Result<(), RestoreError> {
+        let app = RestoredApp::new(&self.spec, rec, stamp);
+        self.insert_app(app)
+    }
+
+    /// Adds an app [`RestoredApp::new`] made under this tenant's spec to
+    /// the table, hashing its name once.
+    ///
+    /// # Errors
+    ///
+    /// The table holds the app already, or the record did not belong
+    /// under the spec; nothing is added. (A record that is both is
+    /// refused as the second.)
+    pub fn insert_app(&mut self, app: RestoredApp) -> Result<(), RestoreError> {
+        let RestoredApp { name, mb, state } = app;
+        let inserted = self
+            .table
+            .insert_new(Arc::clone(&name), || Ok((mb, state?)))?;
+        match inserted {
+            Some(_) => Ok(()),
+            None => Err(RestoreError::Record(format!(
+                "app '{name}' has two records"
+            ))),
+        }
+    }
+
+    /// Ends a restore: sets the backup clock (production tenants) and
+    /// loads the ledger over the apps restored so far.
+    ///
+    /// # Errors
+    ///
+    /// [`RestoreError::Charge`] for a ledger charge no restored app
+    /// holds.
+    pub fn restore_ledger(
+        &mut self,
+        ledger: LedgerExport,
+        prod_clock: Option<u64>,
+    ) -> Result<(), RestoreError> {
+        if let (Some(manager), Some(at_ms)) = (&mut self.production, prod_clock) {
             manager.set_last_backup_ms(at_ms);
         }
-        for rec in restore.apps {
-            if tenant.table.slot_of(&rec.app).is_some() {
-                return Err(RestoreError::Record(format!(
-                    "app '{}' has two records",
-                    rec.app
-                )));
-            }
-            let policy = rec
-                .state
-                .into_policy(&tenant.spec.policy)
-                .map_err(RestoreError::Record)?;
-            let mb = footprint_mb(&tenant.spec.name, &rec.app);
-            let app = AppState {
-                policy,
-                windows: rec.windows,
-                last_ts: rec.last_ts,
-                evicted: rec.evicted,
-                last_verdict: None,
-                stamp,
-            };
-            tenant.table.insert(&rec.app, mb, app);
-        }
-        tenant.table.load(restore.ledger, |table, app, mb| {
+        self.table.load(ledger, |table, app, mb| {
             let slot = table
                 .slot_of(app)
                 .filter(|&slot| table.slots[slot].mb == mb);
@@ -351,8 +425,7 @@ impl TenantState {
                 app: app.into(),
                 mb,
             })
-        })?;
-        Ok(tenant)
+        })
     }
 
     /// The policy state of an app seen for the first time. What it

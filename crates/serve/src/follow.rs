@@ -20,10 +20,11 @@
 //!
 //! Promotion (operator `POST /admin/promote`, the router's supervised
 //! failover, or the optional dead-primary auto policy) restores the
-//! replica into the running shards through the path the snapshot-parity
-//! tests prove bit-identical — `build_registry`, `partition_restore` and
-//! a restore that replaces each shard's whole tenant set, under that
-//! shard's lock — and then opens the gate on the same address. A failed-over daemon
+//! replica through the pipeline a restarting node restores its snapshot
+//! file through (`crate::restore`), which the snapshot-parity tests
+//! prove bit-identical; only once every shard's tenants are built does
+//! it replace each shard's whole tenant set, under that shard's lock, and
+//! open the gate on the same address. A failed-over daemon
 //! therefore emits exactly the verdicts an uninterrupted one would (the
 //! paper's §6 hourly-backup story, upgraded from restart recovery to hot
 //! standby).
@@ -38,7 +39,8 @@ use sitw_telemetry::{lock_unpoisoned, EventKind};
 
 use crate::http::{ConnBuf, Reply};
 use crate::metrics::ReplStats;
-use crate::server::{build_registry, partition_restore, ServerCtx};
+use crate::restore;
+use crate::server::ServerCtx;
 use crate::snapshot::{apply_delta, Decoder, Snapshot};
 use crate::wire::{self, ServerFrameDecode};
 
@@ -340,10 +342,14 @@ pub(crate) fn promote(ctx: &ServerCtx, reason: &str) -> Result<(), String> {
         return Ok(());
     }
     if let Some(snap) = &shared.replica.snap {
-        let registry = build_registry(&ctx.cfg, Some(snap))?;
-        let partition = partition_restore(&registry, Some(snap.clone()), ctx.shards.len());
-        for (i, tenants) in partition.into_iter().enumerate() {
-            ctx.shard(i)?.restore(tenants, true)?;
+        // Every restored app is stamped past its shard's frontier, so it
+        // rides the next replication round.
+        let stamps = (0..ctx.shards.len())
+            .map(|i| Ok(ctx.shard(i)?.restore_stamp()))
+            .collect::<Result<Vec<_>, String>>()?;
+        let (registry, tenants) = restore::from_replica(&ctx.cfg, snap.clone(), &stamps)?;
+        for (i, tenants) in tenants.into_iter().enumerate() {
+            ctx.shard(i)?.replace_tenants(tenants, stamps[i]);
         }
         *ctx.registry.write().unwrap_or_else(PoisonError::into_inner) = registry;
     }
@@ -643,6 +649,49 @@ mod tests {
         let _ = std::fs::remove_dir_all(dir);
     }
 
+    /// A promotion the replica cannot restore into — here the standby
+    /// serves the replica's tenant under another policy — installs
+    /// nothing: the standby keeps following, its shards and its replica
+    /// as they were.
+    #[test]
+    fn a_refused_promotion_installs_nothing_and_keeps_following() {
+        let tenant = |minutes| {
+            vec![TenantConfig {
+                name: "a".into(),
+                policy: PolicySpec::fixed_minutes(minutes),
+                budget_mb: 0,
+            }]
+        };
+        let primary = Server::start(ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            shards: 2,
+            policy: PolicySpec::fixed_minutes(10),
+            tenants: tenant(10),
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let mut client = Client::connect(primary.addr()).unwrap();
+        for (i, app) in ["x", "y", "z"].into_iter().enumerate() {
+            for name in [None, Some("a")] {
+                assert_eq!(client.invoke(name, app, i as u64, None).unwrap().0, 200);
+            }
+        }
+        let standby = Server::start(ServeConfig {
+            shards: 3,
+            tenants: tenant(20),
+            ..standby_cfg(&primary.addr().to_string(), None)
+        })
+        .unwrap();
+        wait_caught_up(&standby);
+        let before = standby.snapshot().unwrap();
+        let err = standby.promote().unwrap_err();
+        assert!(err.contains("does not match configured"), "{err}");
+        assert!(!standby.follow_status().unwrap().promoted);
+        assert_eq!(standby.snapshot().unwrap(), before);
+        assert_eq!(standby.shutdown().unwrap(), primary.snapshot().unwrap());
+        primary.shutdown().unwrap();
+    }
+
     #[test]
     fn promotion_leaves_no_ghost_tenant() {
         let tenant = |name: &str, minutes| TenantConfig {
@@ -685,6 +734,7 @@ mod tests {
         standby.promote().unwrap();
 
         // Every shard holds exactly its partition of the replica...
+        use crate::restore_ref::{build_registry, partition_restore};
         let registry = build_registry(&cfg, Some(&replica)).unwrap();
         let partition = partition_restore(&registry, Some(replica.clone()), 3);
         for (stats, part) in standby.metrics().shards.iter().zip(&partition) {

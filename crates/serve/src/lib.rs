@@ -148,6 +148,9 @@ pub mod loadgen;
 pub mod metrics;
 pub mod pool;
 pub mod reactor;
+mod restore;
+#[cfg(test)]
+mod restore_ref;
 pub mod server;
 pub mod shard;
 pub mod snapshot;

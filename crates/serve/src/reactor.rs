@@ -9,8 +9,10 @@
 //! reactor — so the least-loaded one always listens — and accepts until
 //! it is over that share or the backlog is empty. Whoever changes a count
 //! re-registers the listener with exactly the reactors within their
-//! share, so no reactor has to be woken to listen again; the wakers
-//! serve shutdown only.
+//! share, so no reactor has to be woken to listen again. A reactor that
+//! leaves the listener may take a connection's one wakeup with it, so
+//! its leaving wakes the reactors that listen to accept; otherwise the
+//! wakers serve shutdown.
 //!
 //! Each loop round: wind down on shutdown (pump every connection until it
 //! settles, bounded by [`SHUTDOWN_GRACE`], then exit); poll, re-polling
@@ -216,17 +218,35 @@ impl Pool {
 
     /// Registers the listener with exactly the reactors within their
     /// share (none after shutdown).
+    ///
+    /// A connection's `EPOLLEXCLUSIVE` wakeup goes to one reactor. When
+    /// that reactor leaves the listener before it accepts — deregistered
+    /// here, or over its share by the time it looks — nothing wakes the
+    /// others, and the connection would wait in the backlog for the next
+    /// one to arrive. So whenever a reactor leaves, the reactors that
+    /// listen are woken to accept what is pending.
     fn rebalance(&self) {
         let mut listening = lock_unpoisoned(&self.listening);
         let fd = self.listener.as_raw_fd();
+        let mut left = false;
         for (id, on) in listening.iter_mut().enumerate() {
             let want = !self.shutting_down() && self.within_share(id);
             let done = match (want, *on) {
                 (true, false) => self.epolls[id].add_exclusive(fd, LISTENER_TOKEN),
-                (false, true) => self.epolls[id].delete(fd),
+                (false, true) => {
+                    left = true;
+                    self.epolls[id].delete(fd)
+                }
                 _ => continue,
             };
             *on ^= done.is_ok();
+        }
+        if left {
+            for (id, &on) in listening.iter().enumerate() {
+                if on {
+                    self.wakers[id].wake_force();
+                }
+            }
         }
     }
 
@@ -380,6 +400,8 @@ fn run<H: Handler>(pool: &Pool, id: usize, h: &mut H) {
                 WAKER_TOKEN => {
                     waker.drain();
                     h.telem().with(|t| t.wakeups += 1);
+                    // A listening reactor is woken to accept.
+                    pool.accept(id, &mut conns);
                 }
                 LISTENER_TOKEN => pool.accept(id, &mut conns),
                 token => match conns.get_mut(token) {

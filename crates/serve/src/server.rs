@@ -49,10 +49,10 @@ use crate::http::{write_response, Request};
 use crate::metrics::{ConnStats, MetricsReport, ProtoStats, ReactorStats, ReplStats, ShardStats};
 use crate::pool::Node;
 use crate::reactor::{self, Pool};
-use crate::shard::{shard_of, DirtyShardExport, ShardWorker, TenantRestore};
+use crate::restore::{self, Restored};
+use crate::shard::{DirtyShardExport, ShardWorker, TenantRestore};
 use crate::snapshot::{
-    decode_tenant_section, encode_tenant_section, AppRecord, ShardExport, Snapshot, SnapshotError,
-    TenantSnapshot,
+    decode_tenant_section, encode_tenant_section, AppRecord, ShardExport, Snapshot, TenantSnapshot,
 };
 use crate::telem::{merge_spans, ShardTelem, TelemClock, TelemCtx, EVENT_RING, TRACE_RING};
 use crate::wire::{self, push_u64, BinErrorCode, ControlReply, ControlRequest, TenantUsage};
@@ -557,7 +557,7 @@ impl ServerCtx {
             prod_clock: section.prod_clock,
         };
         let mut worker = self.shard(home).map_err(|e| (503, e))?;
-        worker.restore(vec![restore], false).map_err(|e| (400, e))?;
+        worker.restore(restore).map_err(|e| (400, e))?;
         Ok(spec)
     }
 }
@@ -573,7 +573,10 @@ pub struct Server {
 /// Merges per-shard exports into one snapshot. Default-tenant state is
 /// the union of per-shard slices (apps concatenated, ledger counters
 /// summed, clocks as maxima); named tenants live whole on one shard.
-fn merge_exports(policy_label: String, exports: impl IntoIterator<Item = ShardExport>) -> Snapshot {
+pub(crate) fn merge_exports(
+    policy_label: String,
+    exports: impl IntoIterator<Item = ShardExport>,
+) -> Snapshot {
     let mut apps: Vec<AppRecord> = Vec::new();
     let mut prod_clock: Option<u64> = None;
     let mut default_ledger = LedgerExport::default();
@@ -615,131 +618,6 @@ fn merge_exports(policy_label: String, exports: impl IntoIterator<Item = ShardEx
     }
 }
 
-/// Builds the tenant registry for a start or a promotion: the snapshot's
-/// policy must be the configured one, its tenants come first (ids
-/// preserved), configured tenants are verified against or appended to
-/// them.
-pub(crate) fn build_registry(
-    cfg: &ServeConfig,
-    snap: Option<&Snapshot>,
-) -> Result<TenantRegistry, String> {
-    let mut registry = TenantRegistry::new(cfg.policy.clone());
-    if let Some(snap) = snap {
-        let expected = cfg.policy.label();
-        if snap.policy_label != expected {
-            return Err(format!(
-                "snapshot policy '{}' does not match configured '{expected}'",
-                snap.policy_label
-            ));
-        }
-        for t in &snap.tenants {
-            // Configured spec wins when present (it carries the actual
-            // PolicySpec; the snapshot only proves the label). A tenant
-            // the new process was not configured with is rebuilt from
-            // its canonical spec string.
-            let configured = cfg.tenants.iter().find(|c| c.name == t.name);
-            let (policy, budget_mb) = match configured {
-                Some(c) => {
-                    if c.policy.label() != t.policy_label {
-                        return Err(format!(
-                            "tenant '{}': snapshot policy '{}' does not match configured '{}'",
-                            t.name,
-                            t.policy_label,
-                            c.policy.label()
-                        ));
-                    }
-                    (c.policy.clone(), c.budget_mb)
-                }
-                None => {
-                    let spec_str = t.spec_str.as_ref().ok_or_else(|| {
-                        format!(
-                            "tenant '{}' has no canonical spec in the snapshot; \
-                             configure it explicitly to restore",
-                            t.name
-                        )
-                    })?;
-                    let policy = PolicySpec::parse(spec_str).map_err(|e| e.to_string())?;
-                    (policy, t.budget_mb)
-                }
-            };
-            let id = registry.register(&t.name, policy, budget_mb)?;
-            if id != t.id {
-                return Err(format!(
-                    "tenant '{}': snapshot id {} cannot be preserved (got {id})",
-                    t.name, t.id
-                ));
-            }
-        }
-    }
-    for c in &cfg.tenants {
-        if registry.resolve(&c.name).is_none() {
-            registry.register(&c.name, c.policy.clone(), c.budget_mb)?;
-        }
-    }
-    Ok(registry)
-}
-
-/// Partitions restored state across shards: default-tenant apps and
-/// warm entries by app hash, named tenants whole to their home shard.
-pub(crate) fn partition_restore(
-    registry: &TenantRegistry,
-    snap: Option<Snapshot>,
-    shards: usize,
-) -> Vec<Vec<TenantRestore>> {
-    let default_spec = registry
-        .get(DEFAULT_TENANT)
-        .expect("default tenant always exists")
-        .clone();
-    let mut per_shard: Vec<Vec<TenantRestore>> = (0..shards)
-        .map(|_| vec![TenantRestore::fresh(default_spec.clone())])
-        .collect();
-    let Some(snap) = snap else {
-        for spec in registry.tenants() {
-            if spec.id != DEFAULT_TENANT {
-                let home = registry.shard_of(spec.id, "", shards);
-                per_shard[home].push(TenantRestore::fresh(spec.clone()));
-            }
-        }
-        return per_shard;
-    };
-    for rec in snap.apps {
-        let shard = shard_of(&rec.app, shards);
-        per_shard[shard][0].apps.push(rec);
-    }
-    for (app, expiry, mb) in snap.default_ledger.warm {
-        let shard = shard_of(&app, shards);
-        per_shard[shard][0].ledger.warm.push((app, expiry, mb));
-    }
-    for shard in per_shard.iter_mut() {
-        shard[0].prod_clock = snap.prod_clock;
-        shard[0].ledger.cursor_ms = snap.default_ledger.cursor_ms;
-    }
-    // The merged integral/eviction counters are scalars; seed them on
-    // shard 0 so the aggregate `/metrics` view stays continuous.
-    per_shard[0][0].ledger.evictions = snap.default_ledger.evictions;
-    per_shard[0][0].ledger.idle_mb_ms = snap.default_ledger.idle_mb_ms;
-
-    let mut snap_tenants: std::collections::HashMap<TenantId, TenantSnapshot> =
-        snap.tenants.into_iter().map(|t| (t.id, t)).collect();
-    for spec in registry.tenants() {
-        if spec.id == DEFAULT_TENANT {
-            continue;
-        }
-        let home = registry.shard_of(spec.id, "", shards);
-        let restore = match snap_tenants.remove(&spec.id) {
-            Some(t) => TenantRestore {
-                spec: spec.clone(),
-                apps: t.apps,
-                ledger: t.ledger,
-                prod_clock: t.prod_clock,
-            },
-            None => TenantRestore::fresh(spec.clone()),
-        };
-        per_shard[home].push(restore);
-    }
-    per_shard
-}
-
 impl Server {
     /// Binds, restores state if configured, and starts serving.
     pub fn start(cfg: ServeConfig) -> io::Result<Server> {
@@ -768,44 +646,26 @@ impl Server {
             events: Arc::new(Mutex::new(EventRing::new(EVENT_RING))),
         };
 
-        // Restore before any thread exists. A corrupt file degrades to
-        // empty state with the reason on /healthz — losing learned
-        // histograms costs cold starts, refusing to start costs
+        // Restore before the node serves: the shards' tables are built
+        // on restore threads that have all ended here. A corrupt file
+        // degrades to empty state with the reason on /healthz — losing
+        // learned histograms costs cold starts, refusing to start costs
         // availability (the regression this guards).
-        let mut snap: Option<Snapshot> = None;
-        let mut restore_error: Option<String> = None;
-        if let Some(path) = cfg.restore_path.as_ref().filter(|p| p.exists()) {
-            match Snapshot::load(path) {
-                Ok(loaded) => snap = Some(loaded),
-                Err(SnapshotError::Corrupt(e)) => {
-                    eprintln!(
-                        "sitw-serve: snapshot {} is corrupt, serving from empty state: {e}",
-                        path.display()
-                    );
-                    restore_error = Some(e);
-                }
-                // The file exists but cannot be read (permissions, I/O): a
-                // transient environment problem, so fail loudly instead of
-                // silently dropping state.
-                Err(SnapshotError::Io(e)) => return Err(e),
-            }
-        }
-        let registry = build_registry(&cfg, snap.as_ref())
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        let per_shard = partition_restore(&registry, snap, cfg.shards);
-
+        let Restored {
+            registry,
+            shards: tenants,
+            restore_error,
+        } = restore::from_file(&cfg)?;
         let mut shards = Vec::with_capacity(cfg.shards);
-        for (id, restore) in per_shard.into_iter().enumerate() {
-            let worker = ShardWorker::new(id, restore)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?
-                .with_telem(ShardTelem {
-                    enabled: telem.enabled,
-                    clock: telem.clock.clone(),
-                    recorder: Arc::clone(&telem.shard_recorders[id]),
-                    queue: Default::default(),
-                    decide: Default::default(),
-                    events: Arc::clone(&telem.events),
-                });
+        for (id, tenants) in tenants.into_iter().enumerate() {
+            let worker = ShardWorker::with_tenants(id, tenants).with_telem(ShardTelem {
+                enabled: telem.enabled,
+                clock: telem.clock.clone(),
+                recorder: Arc::clone(&telem.shard_recorders[id]),
+                queue: Default::default(),
+                decide: Default::default(),
+                events: Arc::clone(&telem.events),
+            });
             shards.push(Mutex::new(worker));
         }
 
@@ -1271,6 +1131,7 @@ pub(crate) fn handle_control(req: &Request, ctx: &ServerCtx, out: &mut Vec<u8>) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shard::shard_of;
     use std::sync::mpsc;
 
     /// Regression (failing before this PR): the JSON path took the

@@ -196,17 +196,22 @@ impl ShardWorker {
     /// tenant plus every named tenant routed to this shard), optionally
     /// restoring their state.
     pub fn new(id: usize, tenants: Vec<TenantRestore>) -> Result<Self, String> {
-        let mut map = HashMap::with_capacity(tenants.len());
-        for restore in tenants {
-            // Startup-restored apps stamp dirty sequence 0: a follower
-            // attaching to a fresh primary full-syncs anyway, so they
-            // need no delta visibility.
-            let (tid, shard) = Self::build_tenant(restore, 0)?;
-            map.insert(tid, shard);
-        }
-        Ok(Self {
+        // Startup-restored apps stamp dirty sequence 0: a follower
+        // attaching to a fresh primary full-syncs anyway, so they need
+        // no delta visibility.
+        let tenants = tenants
+            .into_iter()
+            .map(|restore| TenantState::restore(restore, 0).map_err(|e| e.to_string()))
+            .collect::<Result<Vec<_>, String>>()?;
+        Ok(Self::with_tenants(id, tenants))
+    }
+
+    /// A worker for shard `id` serving `tenants`, already built (the
+    /// daemon's restore, [`crate::restore`]).
+    pub(crate) fn with_tenants(id: usize, tenants: Vec<TenantState>) -> Self {
+        let mut worker = Self {
             id,
-            tenants: map,
+            tenants: HashMap::with_capacity(tenants.len()),
             invocations: 0,
             cold: 0,
             prewarm_loads: 0,
@@ -214,7 +219,16 @@ impl ShardWorker {
             mutation_seq: 0,
             telem: ShardTelem::default(),
             tenant_scratch: Vec::new(),
-        })
+        };
+        worker.install(tenants);
+        worker
+    }
+
+    fn install(&mut self, tenants: Vec<TenantState>) {
+        for state in tenants {
+            self.tenants
+                .insert(state.spec().id, TenantShard::new(state));
+        }
     }
 
     /// Replaces the worker's telemetry wiring (recorder, gauge, clock,
@@ -222,21 +236,6 @@ impl ShardWorker {
     pub fn with_telem(mut self, telem: ShardTelem) -> Self {
         self.telem = telem;
         self
-    }
-
-    /// Builds one tenant's in-memory state from a restore payload — the
-    /// shared path behind startup restore and live tenant migration.
-    /// Restored apps are stamped `dirty_seq` so a migrated-in tenant is
-    /// visible to the next replication round (0 at startup, where the
-    /// follower full-syncs regardless). A payload
-    /// [`TenantState::restore`] refuses fails the whole restore.
-    fn build_tenant(
-        restore: TenantRestore,
-        dirty_seq: u64,
-    ) -> Result<(TenantId, TenantShard), String> {
-        let tid = restore.spec.id;
-        let state = TenantState::restore(restore, dirty_seq).map_err(|e| e.to_string())?;
-        Ok((tid, TenantShard::new(state)))
     }
 
     /// Registers a fresh tenant (admin path). Bumps the mutation
@@ -447,35 +446,32 @@ impl ShardWorker {
         Some(Self::export_tenant(&t))
     }
 
-    /// Installs tenants from restore payloads, replacing any existing
-    /// state for their ids: one tenant for the second half of a
-    /// cross-node migration, a standby's whole partition of its replica
-    /// at promotion (`replace_all` drops every tenant not in `tenants`
-    /// first, so the shard holds exactly its partition). Nothing changes
-    /// unless every payload restores.
-    pub(crate) fn restore(
-        &mut self,
-        tenants: Vec<TenantRestore>,
-        replace_all: bool,
-    ) -> Result<(), String> {
-        // Stamp past the frontier: every restored app must ride the next
-        // replication round.
-        let seq = self.mutation_seq + 1;
-        let built = tenants
-            .into_iter()
-            .map(|restore| Self::build_tenant(restore, seq))
-            .collect::<Result<Vec<_>, String>>()?;
-        if replace_all {
-            self.tenants.clear();
-        }
-        for (tid, shard) in built {
-            if !replace_all {
-                self.push_migration_event(&shard.state.spec().name, "restore");
-            }
-            self.tenants.insert(tid, shard);
-        }
+    /// The stamp state restored into this shard now must carry: past
+    /// the replication frontier, so every restored app rides the next
+    /// round.
+    pub(crate) fn restore_stamp(&self) -> u64 {
+        self.mutation_seq + 1
+    }
+
+    /// Installs a migrated tenant from its payload (the target half of a
+    /// migration), replacing any state for its id. Nothing changes
+    /// unless the payload restores.
+    pub(crate) fn restore(&mut self, tenant: TenantRestore) -> Result<(), String> {
+        let seq = self.restore_stamp();
+        let state = TenantState::restore(tenant, seq).map_err(|e| e.to_string())?;
+        self.push_migration_event(&state.spec().name, "restore");
+        self.install(vec![state]);
         self.mutation_seq = seq;
         Ok(())
+    }
+
+    /// Replaces every tenant with `tenants`, built stamped `seq` (this
+    /// shard's [`ShardWorker::restore_stamp`]): a standby's whole
+    /// partition of its replica at promotion.
+    pub(crate) fn replace_tenants(&mut self, tenants: Vec<TenantState>, seq: u64) {
+        self.tenants.clear();
+        self.install(tenants);
+        self.mutation_seq = seq;
     }
 
     /// Renders one app's live policy state as JSON (`GET
@@ -1097,30 +1093,24 @@ mod tests {
         let mut w = worker(PolicySpec::fixed_minutes(10));
         w.invoke0("a", 0).unwrap();
         let frontier = w.export_dirty(Some(0)).seq;
-        let seq = w.mutation_seq + 1;
-        let (tid, shard) = ShardWorker::build_tenant(
-            TenantRestore {
-                spec: TenantSpec {
-                    id: 3,
-                    name: "moved".into(),
-                    policy: PolicySpec::fixed_minutes(10),
-                    budget_mb: 0,
-                },
-                apps: vec![AppRecord {
-                    app: "m".into(),
-                    last_ts: 7,
-                    windows: Windows::keep_loaded(600_000),
-                    evicted: false,
-                    state: PolicyState::Stateless,
-                }],
-                ledger: LedgerExport::default(),
-                prod_clock: None,
+        w.restore(TenantRestore {
+            spec: TenantSpec {
+                id: 3,
+                name: "moved".into(),
+                policy: PolicySpec::fixed_minutes(10),
+                budget_mb: 0,
             },
-            seq,
-        )
+            apps: vec![AppRecord {
+                app: "m".into(),
+                last_ts: 7,
+                windows: Windows::keep_loaded(600_000),
+                evicted: false,
+                state: PolicyState::Stateless,
+            }],
+            ledger: LedgerExport::default(),
+            prod_clock: None,
+        })
         .unwrap();
-        w.tenants.insert(tid, shard);
-        w.mutation_seq = seq;
         let round = w.export_dirty(Some(frontier));
         let moved = round
             .export
@@ -1200,7 +1190,7 @@ mod tests {
             w.add_tenant(tenant(policy));
             w.invoke(1, "kept", 7).unwrap();
             let before = w.export();
-            let err = w.restore(vec![restore()], false).unwrap_err();
+            let err = w.restore(restore()).unwrap_err();
             assert!(err.contains(refusal), "{policy}: {err}");
             assert_eq!(w.export(), before, "{policy}");
         }

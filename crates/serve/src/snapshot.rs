@@ -21,9 +21,13 @@
 //!
 //! Documents are read and written in bounded memory, byte for byte the
 //! format they always were. Every reader — [`Snapshot::load`], a
-//! standby's replication rounds, [`Snapshot::decode`] — pushes bytes
-//! through one [`Decoder`], which holds the records decoded so far and at
-//! most one partial line of at most [`MAX_LINE_BYTES`]. Every writer —
+//! standby's replication rounds, [`Snapshot::decode`], a node restoring
+//! its snapshot file — pushes bytes through one [`Decoder`], which holds
+//! at most one partial line of at most [`MAX_LINE_BYTES`] and hands each
+//! app record to its [`Records`]: [`Collect`] keeps them in the decoded
+//! [`Snapshot`], and a restoring node sends them to the threads that
+//! build its shards (`crate::restore`), so no `Snapshot` of the file is
+//! ever built. Every writer —
 //! [`Snapshot::write_to`], a primary's replication round,
 //! [`Snapshot::encode`] — runs one encoder over an [`io::Write`] sink a
 //! line at a time. So restoring a node, writing its snapshot and serving
@@ -88,7 +92,7 @@ pub const MAX_LINE_BYTES: usize = 4 << 20;
 
 /// How many records an `apps` or `tenant` line's count reserves room for
 /// before they arrive: a lying count costs at most this much.
-const MAX_RESERVED_APPS: usize = 1 << 16;
+pub(crate) const MAX_RESERVED_APPS: usize = 1 << 16;
 
 /// The read size of [`Snapshot::load`] and the write buffer of
 /// [`Snapshot::write_to`].
@@ -203,7 +207,7 @@ fn push_app(out: &mut Vec<u8>, app: &str) {
     }
 }
 
-fn decode_app(enc: &str) -> Result<String, String> {
+pub(crate) fn decode_app(enc: &str) -> Result<String, String> {
     // What the encoder writes for an ordinary name: nothing escaped, so
     // one exact copy.
     if !enc.as_bytes().contains(&b'%') {
@@ -645,18 +649,99 @@ fn tenant_mut(tenants: &mut [TenantSnapshot], id: TenantId) -> Result<&mut Tenan
         .ok_or_else(|| format!("unknown tenant id {id}"))
 }
 
+/// Where a [`Decoder`] puts a document's app records — the `app` and
+/// `tapp` lines that are nearly all of it — while it keeps the rest (the
+/// policy, tenants, ledgers and clocks) in its [`Snapshot`] itself.
+/// [`Collect`] pushes each record onto that snapshot; the daemon's
+/// restore hands each to the thread building the shard that owns it.
+pub trait Records {
+    /// A `tenant` line was taken: it is the last of `snap.tenants`, and
+    /// declares `apps` records.
+    fn tenant(&mut self, _snap: &mut Snapshot, _apps: usize) {}
+
+    /// The `apps` line declared `apps` default-tenant records.
+    fn apps(&mut self, _snap: &mut Snapshot, _apps: usize) {}
+
+    /// One record, parsed, of the tenant at `tenant` in `snap.tenants`
+    /// (`None`: the default tenant).
+    fn parsed(&mut self, snap: &mut Snapshot, tenant: Option<usize>, rec: AppRecord);
+
+    /// One record line, number `no`, from its app name on, before it
+    /// is parsed or checked to be UTF-8 (everything before the name is
+    /// ASCII the decoder has read). By default it is parsed here.
+    ///
+    /// # Errors
+    ///
+    /// What [`Snapshot::decode`] says of the line, when it is corrupt.
+    fn text(
+        &mut self,
+        snap: &mut Snapshot,
+        no: usize,
+        tenant: Option<usize>,
+        rest: &[u8],
+    ) -> Result<(), String> {
+        let rec = parse_record(no, rest)?;
+        self.parsed(snap, tenant, rec);
+        Ok(())
+    }
+}
+
+/// The [`Records`] that keeps every record in the decoded [`Snapshot`].
+#[derive(Debug, Default)]
+pub struct Collect;
+
+impl Records for Collect {
+    fn tenant(&mut self, snap: &mut Snapshot, apps: usize) {
+        if let Some(t) = snap.tenants.last_mut() {
+            reserve_declared(&mut t.apps, apps);
+        }
+    }
+
+    fn apps(&mut self, snap: &mut Snapshot, apps: usize) {
+        reserve_declared(&mut snap.apps, apps);
+    }
+
+    fn parsed(&mut self, snap: &mut Snapshot, tenant: Option<usize>, rec: AppRecord) {
+        match tenant {
+            None => snap.apps.push(rec),
+            Some(i) => snap.tenants[i].apps.push(rec),
+        }
+    }
+}
+
+/// Parses record line `no` from its app name on ([`Records::text`]).
+///
+/// # Errors
+///
+/// The line is not UTF-8, or its record is corrupt.
+pub(crate) fn parse_record(no: usize, rest: &[u8]) -> Result<AppRecord, String> {
+    let rest = std::str::from_utf8(rest).map_err(|_| not_utf8(no))?;
+    decode_app_record(rest.split(' '))
+}
+
+fn not_utf8(no: usize) -> String {
+    format!("line {no} is not UTF-8 text")
+}
+
 /// The push decoder of one snapshot or delta document: bytes go in
 /// through [`Decoder::feed`] in pieces of any size, split anywhere, and
-/// [`Decoder::finish`] returns the document. It holds the records
-/// decoded so far and at most one partial line, never longer than
-/// [`MAX_LINE_BYTES`].
+/// [`Decoder::finish`] returns the document. It holds at most one
+/// partial line, never longer than [`MAX_LINE_BYTES`], and what its
+/// [`Records`] keeps: with [`Collect`], the records decoded so far.
 ///
 /// Lines split as `str::lines` splits them: at `\n`, a `\r` before it
 /// dropped, a last line without `\n` still a line. Each complete line
 /// must be UTF-8 on its own. Once an error is returned every later call
 /// returns it again.
+///
+/// The decoder runs every check that spans lines — header, order,
+/// tenant ids, declared counts, the end marker — and reads of a record
+/// line only what says whose it is; [`Records::text`] parses the rest.
+/// A record line that fails before its record would be parsed (an
+/// unknown tenant, a bad tenant id, content after the end marker) is
+/// decoded whole, so it fails with the message it always did.
 #[derive(Debug)]
-pub struct Decoder {
+pub struct Decoder<R = Collect> {
     /// The first line the document must carry.
     header: &'static str,
     /// The line begun by the last feed, its `\n` not seen yet.
@@ -668,22 +753,45 @@ pub struct Decoder {
     saw_end: bool,
     /// The `apps` line's count.
     declared: Option<usize>,
-    /// Each `tenant` line's id and app count, in document order.
-    tenant_declared: Vec<(TenantId, usize)>,
+    /// Default-tenant records taken so far.
+    found: usize,
+    /// Each `tenant` line's id, app count and records taken so far, in
+    /// document order (the order of `snap.tenants`).
+    tenant_declared: Vec<(TenantId, usize, usize)>,
+    records: R,
 }
 
 impl Decoder {
     /// A decoder for a snapshot document ([`Snapshot::encode`]).
     pub fn snapshot() -> Decoder {
-        Decoder::new(HEADER)
+        Decoder::with_records(Collect)
     }
 
     /// A decoder for a replication delta ([`Snapshot::encode_delta`]).
     pub fn delta() -> Decoder {
-        Decoder::new(DELTA_HEADER)
+        Decoder::new(DELTA_HEADER, Collect)
     }
 
-    fn new(header: &'static str) -> Decoder {
+    /// Ends the document and returns it.
+    ///
+    /// # Errors
+    ///
+    /// An error [`Decoder::feed`] returned, a corrupt last line, or a
+    /// document that is cut short or whose counts do not match its
+    /// records.
+    pub fn finish(self) -> Result<Snapshot, String> {
+        self.finish_parts().map(|(snap, Collect)| snap)
+    }
+}
+
+impl<R: Records> Decoder<R> {
+    /// A decoder for a snapshot document that hands its records to
+    /// `records`.
+    pub(crate) fn with_records(records: R) -> Decoder<R> {
+        Decoder::new(HEADER, records)
+    }
+
+    fn new(header: &'static str, records: R) -> Decoder<R> {
         Decoder {
             header,
             partial: Vec::new(),
@@ -698,7 +806,9 @@ impl Decoder {
             },
             saw_end: false,
             declared: None,
+            found: 0,
             tenant_declared: Vec::new(),
+            records,
         }
     }
 
@@ -718,14 +828,13 @@ impl Decoder {
         result
     }
 
-    /// Ends the document and returns it.
+    /// Ends the document: [`Decoder::finish`]'s checks, returning the
+    /// document beside the records.
     ///
     /// # Errors
     ///
-    /// An error [`Decoder::feed`] returned, a corrupt last line, or a
-    /// document that is cut short or whose counts do not match its
-    /// records.
-    pub fn finish(mut self) -> Result<Snapshot, String> {
+    /// As [`Decoder::finish`].
+    pub(crate) fn finish_parts(mut self) -> Result<(Snapshot, R), String> {
         if let Some(e) = self.error {
             return Err(e);
         }
@@ -741,34 +850,21 @@ impl Decoder {
         if !self.saw_end {
             return Err("missing end marker (truncated document?)".into());
         }
-        let snap = self.snap;
         let declared = self.declared.ok_or("missing apps line")?;
-        if snap.apps.len() != declared {
+        if self.found != declared {
             return Err(format!(
                 "app count mismatch: declared {declared}, found {}",
-                snap.apps.len()
+                self.found
             ));
         }
-        for (id, napps) in self.tenant_declared {
-            let t = snap
-                .tenants
-                .iter()
-                .find(|t| t.id == id)
-                .expect("declared tenants were pushed");
-            if t.apps.len() != napps {
+        for &(id, napps, found) in &self.tenant_declared {
+            if found != napps {
                 return Err(format!(
-                    "tenant {id} app count mismatch: declared {napps}, found {}",
-                    t.apps.len()
+                    "tenant {id} app count mismatch: declared {napps}, found {found}"
                 ));
             }
         }
-        Ok(snap)
-    }
-
-    /// A whole document: one feed, then the finish.
-    fn whole(mut self, bytes: &[u8]) -> Result<Snapshot, String> {
-        self.feed(bytes)?;
-        self.finish()
+        Ok((self.snap, self.records))
     }
 
     fn feed_lines(&mut self, mut bytes: &[u8]) -> Result<(), String> {
@@ -814,8 +910,15 @@ impl Decoder {
             [head @ .., b'\r'] if terminated => head,
             raw => raw,
         };
-        let line = std::str::from_utf8(raw)
-            .map_err(|_| format!("line {} is not UTF-8 text", self.lines + 1))?;
+        if let Some((tenant, rest)) = self.route(raw) {
+            self.lines += 1;
+            match tenant {
+                None => self.found += 1,
+                Some(i) => self.tenant_declared[i].2 += 1,
+            }
+            return self.records.text(&mut self.snap, self.lines, tenant, rest);
+        }
+        let line = std::str::from_utf8(raw).map_err(|_| not_utf8(self.lines + 1))?;
         self.lines += 1;
         match self.lines {
             1 if line != self.header => Err(format!("bad header '{line}'")),
@@ -826,6 +929,25 @@ impl Decoder {
                 Ok(())
             }
             _ => self.body_line(line),
+        }
+    }
+
+    /// Whose record a body line is, and where its record starts: `None`
+    /// for any other line, and for a record line that fails before its
+    /// record would be parsed.
+    fn route<'a>(&self, raw: &'a [u8]) -> Option<(Option<usize>, &'a [u8])> {
+        if self.lines < 2 || self.saw_end {
+            return None;
+        }
+        match raw {
+            [b'a', b'p', b'p', b' ', rest @ ..] => Some((None, rest)),
+            [b't', b'a', b'p', b'p', b' ', rest @ ..] => {
+                let space = rest.iter().position(|&b| b == b' ')?;
+                let id = number::<10>(&rest[..space]).and_then(|v| TenantId::try_from(v).ok())?;
+                let i = self.snap.tenants.iter().position(|t| t.id == id)?;
+                Some((Some(i), &rest[space + 1..]))
+            }
+            _ => None,
         }
     }
 
@@ -868,12 +990,10 @@ impl Decoder {
                     Some("spec") => Some(tok.next().ok_or("missing spec")?.to_owned()),
                     Some(other) => return Err(format!("unexpected token '{other}'")),
                 };
-                if self.tenant_declared.iter().any(|(i, _)| *i == id) {
+                if self.tenant_declared.iter().any(|(i, ..)| *i == id) {
                     return Err(format!("duplicate tenant id {id}"));
                 }
-                self.tenant_declared.push((id, napps));
-                let mut apps = Vec::new();
-                reserve_declared(&mut apps, napps);
+                self.tenant_declared.push((id, napps, 0));
                 snap.tenants.push(TenantSnapshot {
                     id,
                     name,
@@ -882,8 +1002,9 @@ impl Decoder {
                     budget_mb,
                     prod_clock: None,
                     ledger: LedgerExport::default(),
-                    apps,
+                    apps: Vec::new(),
                 });
+                self.records.tenant(snap, napps);
             }
             Some("tclock") => {
                 let id = field(&mut tok, "tenant id")?;
@@ -907,16 +1028,22 @@ impl Decoder {
             }
             Some("apps") => {
                 let declared = field(&mut tok, "app count")?;
-                reserve_declared(&mut snap.apps, declared);
+                self.records.apps(snap, declared);
                 self.declared = Some(declared);
             }
+            // The record lines `route` turned away.
             Some("app") => {
-                snap.apps.push(decode_app_record(tok)?);
+                let rec = decode_app_record(tok)?;
+                self.found += 1;
+                self.records.parsed(snap, None, rec);
             }
             Some("tapp") => {
                 let id = field(&mut tok, "tenant id")?;
                 let rec = decode_app_record(tok)?;
-                tenant_mut(&mut snap.tenants, id)?.apps.push(rec);
+                let i = snap.tenants.iter().position(|t| t.id == id);
+                let i = i.ok_or_else(|| format!("unknown tenant id {id}"))?;
+                self.tenant_declared[i].2 += 1;
+                self.records.parsed(snap, Some(i), rec);
             }
             _ => return Err(format!("unexpected line '{line}'")),
         }
@@ -1070,12 +1197,16 @@ impl Snapshot {
 
     /// Parses the text format.
     pub fn decode(text: &str) -> Result<Snapshot, String> {
-        Decoder::snapshot().whole(text.as_bytes())
+        let mut decoder = Decoder::snapshot();
+        decoder.feed(text.as_bytes())?;
+        decoder.finish()
     }
 
     /// Parses a replication delta document (see [`Snapshot::encode_delta`]).
     pub fn decode_delta(text: &str) -> Result<Snapshot, String> {
-        Decoder::delta().whole(text.as_bytes())
+        let mut decoder = Decoder::delta();
+        decoder.feed(text.as_bytes())?;
+        decoder.finish()
     }
 
     /// Writes the snapshot to a file, atomically: streamed into a temp
@@ -1113,15 +1244,27 @@ impl Snapshot {
     /// daemon degrades to empty state on the latter instead of dying).
     /// The file streams through the [`Decoder`] in [`IO_BYTES`] reads.
     pub fn load(path: &Path) -> Result<Snapshot, SnapshotError> {
+        Decoder::snapshot().read(path).map(|(snap, Collect)| snap)
+    }
+}
+
+impl<R: Records> Decoder<R> {
+    /// Streams the file at `path` through the decoder in 64 KiB reads
+    /// and finishes it ([`Decoder::finish_parts`]).
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Io`] when the file cannot be read,
+    /// [`SnapshotError::Corrupt`] when the decoder refuses it.
+    pub(crate) fn read(mut self, path: &Path) -> Result<(Snapshot, R), SnapshotError> {
         let mut file = File::open(path).map_err(SnapshotError::Io)?;
         let mut buf = vec![0u8; IO_BYTES];
-        let mut decoder = Decoder::snapshot();
         loop {
             // Non-UTF-8 content is a corrupt *file*, not an I/O failure:
             // the read succeeded, the contents are garbage.
             match file.read(&mut buf) {
-                Ok(0) => return decoder.finish().map_err(SnapshotError::Corrupt),
-                Ok(n) => decoder.feed(&buf[..n]).map_err(SnapshotError::Corrupt)?,
+                Ok(0) => return self.finish_parts().map_err(SnapshotError::Corrupt),
+                Ok(n) => self.feed(&buf[..n]).map_err(SnapshotError::Corrupt)?,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(SnapshotError::Io(e)),
             }

@@ -478,3 +478,56 @@ fn follower_auto_promotes_when_primary_dies_silently() {
     assert!(ev.contains("auto policy: primary unreachable"), "{ev}");
     follower.shutdown().unwrap();
 }
+
+/// Control calls to a primary that a standby pulls from every 15 ms are
+/// answered promptly: fresh nodes, each registering tenants over fresh
+/// connections (as a router provisions them) while its standby attaches
+/// and pulls; any call slower than a second fails.
+#[test]
+fn control_calls_under_a_pull_loop_are_answered_promptly() {
+    let limit = Duration::from_secs(1);
+    for round in 0..20 {
+        let primary = Server::start(ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            shards: 2,
+            policy: PolicySpec::fixed_minutes(10),
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let follower = Server::start(ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            shards: 2,
+            policy: PolicySpec::fixed_minutes(10),
+            follow: Some(FollowConfig {
+                primary_addr: primary.addr().to_string(),
+                pull_interval: Duration::from_millis(15),
+                ..FollowConfig::default()
+            }),
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        for k in 0..5 {
+            for (method, path, body) in [
+                ("GET", "/admin/tenants", String::new()),
+                ("POST", "/admin/tenants", format!("t{k}=fixed:10")),
+            ] {
+                let at = Instant::now();
+                let call = sitw_serve::http::call(
+                    primary.addr(),
+                    method,
+                    path,
+                    body.as_bytes(),
+                    limit,
+                    limit,
+                );
+                let took = at.elapsed();
+                assert!(
+                    matches!(call, Ok((200, _))) && took < limit,
+                    "round {round}, {method} {path} {body}: {call:?} after {took:?}"
+                );
+            }
+        }
+        follower.shutdown().unwrap();
+        primary.shutdown().unwrap();
+    }
+}

@@ -14,8 +14,9 @@
 //! The same allocator counts allocations, which turns "a decode copies
 //! each list once, at its size" into a count too: decoding the document
 //! allocates each app's name, bins and history once and every vector at
-//! exactly its length, and encoding a migration section holds no more
-//! than the payload and one line beyond the tenant it consumes.
+//! exactly its length, restoring a node adds only each name's interned
+//! copy per app, and encoding a migration section holds no more than
+//! the payload and one line beyond the tenant it consumes.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -97,6 +98,17 @@ const CEILING: i64 = SLACK + MAX_LINE_BYTES as i64;
 /// the default app list and the two tenant lists (their first push).
 const PER_TENANT: u64 = 4;
 const PER_DOCUMENT: u64 = 4;
+/// What restoring a node allocates: per app its name, bins and history
+/// as parsed and its name interned in its table; per named tenant its
+/// table, spec and ledger; per document the default tenant on every
+/// shard, the node itself (listener, reactors, telemetry rings), the
+/// restore's threads and their batches — eight more of which a slow
+/// builder can make the reading thread allocate. The load-then-build
+/// restore this replaced made 20 191 for this document; the pipeline
+/// makes 20 129.
+const RESTORE_PER_APP: u64 = 4;
+const RESTORE_PER_TENANT: u64 = 12;
+const RESTORE_PER_DOCUMENT: u64 = 93 + 2 * 8;
 /// The decoded state may not grow past what vectors sized from their
 /// counts made it (8 130 800 B when that was measured).
 const DECODED_CEILING: i64 = 8_130_800;
@@ -169,16 +181,18 @@ fn load_restore_and_write_hold_no_whole_document() {
     drop(loaded);
 
     // Restoring a node: the peak minus what the started node holds.
-    let (server, peak) = peak_during(|| {
-        Server::start(ServeConfig {
-            addr: "127.0.0.1:0".into(),
-            shards: 2,
-            reactor_threads: 1,
-            policy: PolicySpec::Hybrid(cfg.clone()),
-            restore_path: Some(path.clone()),
-            ..ServeConfig::default()
+    let ((server, peak), restore_allocs) = counted(|| {
+        peak_during(|| {
+            Server::start(ServeConfig {
+                addr: "127.0.0.1:0".into(),
+                shards: 2,
+                reactor_threads: 1,
+                policy: PolicySpec::Hybrid(cfg.clone()),
+                restore_path: Some(path.clone()),
+                ..ServeConfig::default()
+            })
+            .unwrap()
         })
-        .unwrap()
     });
     let start_excess = peak - live();
     let restored = server.shutdown().unwrap();
@@ -239,13 +253,22 @@ fn load_restore_and_write_hold_no_whole_document() {
     println!(
         "{APPS} apps, {doc} B document, {held} B decoded; beyond the state: \
          load {load_excess} B, restore {start_excess} B, write {write_excess} B \
-         (ceiling {CEILING} B); decode {decode_allocs} allocations; a {} B section \
+         (ceiling {CEILING} B); decode {decode_allocs} allocations; restore \
+         {restore_allocs} allocations ({:.2} per app); a {} B section \
          {section_excess} B beyond its payload (ceiling {SECTION_CEILING} B)",
+        restore_allocs as f64 / APPS as f64,
         payload.len()
     );
     assert!(
         decode_allocs <= 3 * APPS as u64 + PER_TENANT * u64::from(TENANTS) + PER_DOCUMENT,
         "{decode_allocs} allocations decoding {APPS} apps"
+    );
+    assert!(
+        restore_allocs
+            <= RESTORE_PER_APP * APPS as u64
+                + RESTORE_PER_TENANT * u64::from(TENANTS)
+                + RESTORE_PER_DOCUMENT,
+        "{restore_allocs} allocations restoring {APPS} apps"
     );
     assert!(held <= DECODED_CEILING, "{held} B decoded");
     assert!(

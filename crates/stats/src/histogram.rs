@@ -122,8 +122,7 @@ impl RangeHistogram {
     pub fn from_parts(bin_width: u64, bins: Vec<u32>, oob: u64) -> Self {
         assert!(!bins.is_empty(), "histogram needs at least one bin");
         assert!(bin_width > 0, "bin width must be positive");
-        let in_bounds = bins.iter().map(|&c| c as u64).sum();
-        let sumsq = bins.iter().map(|&c| (c as f64) * (c as f64)).sum();
+        let (in_bounds, sumsq) = sums(&bins);
         Self {
             bin_width,
             bins,
@@ -281,9 +280,8 @@ impl RangeHistogram {
         }
         // Recomputed, not added: a bin that saturated holds less than
         // the two totals together.
-        self.in_bounds = self.bins.iter().map(|&c| c as u64).sum();
+        (self.in_bounds, self.sumsq) = sums(&self.bins);
         self.oob += other.oob;
-        self.sumsq = self.bins.iter().map(|&c| (c as f64) * (c as f64)).sum();
     }
 
     /// Approximate in-memory footprint of the count array, in bytes.
@@ -334,20 +332,71 @@ pub struct PercentileCursor {
 impl PercentileCursor {
     /// A cursor on the `p`-th percentile of `hist`, found with one walk.
     pub fn seek(hist: &RangeHistogram, p: f64) -> Self {
+        let [cursor, _] = Self::seek_pair(hist, [p, p]);
+        cursor
+    }
+
+    /// Cursors on two percentiles of `hist` — a policy's head and tail —
+    /// found in one walk from bin 0 that places the lower target first
+    /// and stops at the bin of the higher.
+    ///
+    /// The walk sums the bins as integers. While the in-bounds total is
+    /// at most 2⁵³ every running sum `cum` converts to `f64` exactly, so
+    /// `cum as f64 >= target` — the comparison
+    /// [`RangeHistogram::percentile_bin`]'s `f64` walk makes — is
+    /// `cum >= ⌈target⌉`; and the first bin whose running sum reaches
+    /// `max(⌈target⌉, 1)` is the first *non-empty* one reaching `target`,
+    /// the bin the walk returns. So each bin costs one add and one
+    /// compare that fails until the end. Past 2⁵³ (only a histogram of
+    /// millions of full bins gets there) each cursor takes the `f64`
+    /// walk itself.
+    pub fn seek_pair(hist: &RangeHistogram, ps: [f64; 2]) -> [Self; 2] {
         // Under a NaN target the walk runs to the last non-empty bin,
         // which is where the 100th percentile sits.
-        let fraction = if p.is_nan() {
-            1.0
-        } else {
-            percentile_fraction(p)
-        };
-        let bin = percentile_bin_at(&hist.bins, hist.in_bounds as f64, fraction).unwrap_or(0);
-        let below = hist.bins[..bin].iter().map(|&c| c as u64).sum();
-        Self {
-            fraction,
-            bin,
-            below,
+        let mut cursors = ps.map(|p| Self {
+            fraction: if p.is_nan() {
+                1.0
+            } else {
+                percentile_fraction(p)
+            },
+            bin: 0,
+            below: 0,
+        });
+        let total = hist.in_bounds;
+        if total == 0 {
+            return cursors;
         }
+        if total > 1 << 53 {
+            for c in &mut cursors {
+                c.bin = percentile_bin_at(&hist.bins, total as f64, c.fraction).unwrap_or(0);
+                c.below = hist.bins[..c.bin].iter().map(|&n| u64::from(n)).sum();
+            }
+            return cursors;
+        }
+        let order = if cursors[1].fraction < cursors[0].fraction {
+            [1, 0]
+        } else {
+            [0, 1]
+        };
+        // A target is at most the total (a fraction of at most 1 times
+        // it, rounded), which the last non-empty bin reaches, so the
+        // walk places both cursors.
+        let needs = order.map(|k| ((cursors[k].fraction * total as f64).ceil() as u64).max(1));
+        let mut placed = 0;
+        let mut cum = 0u64;
+        for (bin, &n) in hist.bins.iter().enumerate() {
+            cum += u64::from(n);
+            while placed < 2 && cum >= needs[placed] {
+                let c = &mut cursors[order[placed]];
+                (c.bin, c.below) = (bin, cum - u64::from(n));
+                placed += 1;
+            }
+            if placed == 2 {
+                break;
+            }
+        }
+        debug_assert_eq!(placed, 2, "a percentile target beyond the total");
+        cursors
     }
 
     /// Restores the invariant after `hist.record` returned
@@ -578,6 +627,28 @@ impl WeightedBins {
 /// `p`% as the factor a total is multiplied by.
 fn percentile_fraction(p: f64) -> f64 {
     p.clamp(0.0, 100.0) / 100.0
+}
+
+/// `Σ bins` and `Σ bins²` in one pass. The squares are summed as
+/// integers: while that sum is at most 2⁵³, every running sum of the
+/// `f64` fold `Σ (c as f64)²` is an exact integer too, so the integer
+/// sum converted once is the fold's result bit for bit. A sum that
+/// could pass 2⁵³ is folded in `f64` as it always was, rounding and all.
+fn sums(bins: &[u32]) -> (u64, f64) {
+    let (mut total, mut squares, mut any) = (0u64, 0u64, 0u32);
+    for &c in bins {
+        total += u64::from(c);
+        squares = squares.wrapping_add(u64::from(c) * u64::from(c));
+        any |= c;
+    }
+    // Every square below 2⁵² and at most 2¹¹ of them: the sum did not
+    // wrap, so it can be compared with 2⁵³.
+    if any < 1 << 26 && bins.len() <= 1 << 11 && squares <= 1 << 53 {
+        (total, squares as f64)
+    } else {
+        let folded = bins.iter().map(|&c| f64::from(c) * f64::from(c)).sum();
+        (total, folded)
+    }
 }
 
 /// Shared percentile-bin walk over integer or float counts.
@@ -862,6 +933,122 @@ mod tests {
                     prop_assert_eq!(c.head_value(&h), h.head_value(p));
                     prop_assert_eq!(c.tail_value(&h), h.tail_value(p));
                 }
+            }
+        }
+    }
+
+    /// Bins for the rebuild property: empty, one non-empty bin, small
+    /// counts, runs at `u32::MAX`, and squares whose sum lands on either
+    /// side of 2⁵³ (a few counts near 2²⁶, where the integer sum stops
+    /// being exact for the `f64` fold).
+    fn rebuild_bins(num_bins: usize, shape: u64, seeds: &[u64]) -> Vec<u32> {
+        let mut bins = vec![0u32; num_bins];
+        let at = |k: u64| (k % num_bins as u64) as usize;
+        match shape % 6 {
+            0 => {}
+            1 => bins[at(seeds[0])] = (shape >> 8) as u32 % 1000 + 1,
+            2 => {
+                for &s in seeds {
+                    bins[at(s)] = (s >> 20) as u32 % 12;
+                }
+            }
+            3 => {
+                for &s in seeds.iter().take(1 + (shape >> 3) as usize % 4) {
+                    bins[at(s)] = u32::MAX;
+                }
+                bins[at(shape)] = (shape >> 10) as u32;
+            }
+            4 => {
+                // k counts just under 2^26: the squares' sum passes 2^53
+                // at k = 3 and 2^54 at k = 5, where the f64 fold rounds
+                // more than once.
+                for &s in seeds.iter().take(1 + (shape >> 3) as usize % 6) {
+                    bins[at(s)] = (1u32 << 26) - 1 - (s >> 40) as u32 % 4096;
+                }
+            }
+            _ => {
+                for &s in seeds {
+                    bins[at(s)] = bins[at(s)].saturating_add((s >> 8) as u32);
+                }
+            }
+        }
+        bins
+    }
+
+    proptest! {
+        /// `from_parts` and `seek_pair` — one summing pass, then one
+        /// walk for both cursors — equal the two-pass rebuild and two
+        /// walks they replaced (`histogram_ref`): the in-bounds total,
+        /// the bits of the squared-count sum, and each cursor's fraction,
+        /// bin and count below, for percentiles in and out of range and
+        /// NaN, in either order.
+        #[test]
+        fn one_pass_rebuild_equals_the_parent(
+            size in 0u64..u64::MAX,
+            shape in 0u64..u64::MAX,
+            seeds in prop::collection::vec(0u64..u64::MAX, 1..40),
+            picks in prop::collection::vec(0usize..12, 2..3),
+            free in 0.0f64..100.0,
+        ) {
+            const PS: [f64; 11] =
+                [0.0, 100.0, f64::NAN, -5.0, 150.0, 5.0, 99.0, 50.0, f64::INFINITY, -0.0, 1e-9];
+            let ps = [0, 1].map(|k| PS.get(picks[k]).copied().unwrap_or(free));
+            // Up to three bins, the policy's few hundred, or past the
+            // 2^11 bins the exact square sum is taken for.
+            let num_bins = match size % 3 {
+                0 => 1 + (size / 3 % 3) as usize,
+                1 => 1 + (size / 3 % 300) as usize,
+                _ => 2000 + (size / 3 % 101) as usize,
+            };
+            let bins = rebuild_bins(num_bins, shape, &seeds);
+            let (in_bounds, sumsq) = crate::histogram_ref::sums(&bins);
+            let h = RangeHistogram::from_parts(1, bins.clone(), 7);
+            prop_assert_eq!(h.in_bounds, in_bounds);
+            prop_assert_eq!(h.sumsq.to_bits(), sumsq.to_bits());
+            let cursors = PercentileCursor::seek_pair(&h, ps);
+            for (c, p) in cursors.iter().zip(ps) {
+                let (fraction, bin, below) = crate::histogram_ref::seek(&bins, in_bounds, p);
+                prop_assert_eq!((c.fraction.to_bits(), c.bin, c.below), (fraction.to_bits(), bin, below));
+                prop_assert_eq!(&PercentileCursor::seek(&h, p), c);
+            }
+        }
+    }
+
+    /// Squares that wrap a `u64` sum past 2⁶⁴ to a small value are not
+    /// taken for an exact sum: one square too large, or too many bins.
+    #[test]
+    fn a_square_sum_that_wraps_is_folded() {
+        // u32::MAX² + 92 682² = 2⁶⁴ + 18 532, and 4 097 · (2²⁶ − 1)²
+        // wraps to under 2⁵².
+        for bins in [vec![u32::MAX, 92_682, 0], vec![(1 << 26) - 1; 4097]] {
+            let (_, sumsq) = crate::histogram_ref::sums(&bins);
+            let h = RangeHistogram::from_parts(1, bins, 0);
+            assert_eq!(h.sumsq.to_bits(), sumsq.to_bits());
+        }
+    }
+
+    /// Past 2⁵³ in bounds each cursor takes the `f64` walk, whose sums
+    /// round: a small last bin is one the rounded walk never reaches.
+    #[test]
+    fn cursors_past_two_to_the_53_take_the_f64_walk() {
+        let mut bins = vec![u32::MAX; (1 << 21) + 2];
+        bins.push(2);
+        let (in_bounds, sumsq) = crate::histogram_ref::sums(&bins);
+        assert!(in_bounds > 1 << 53);
+        let h = RangeHistogram::from_parts(1, bins.clone(), 0);
+        assert_eq!(
+            (h.in_bounds, h.sumsq.to_bits()),
+            (in_bounds, sumsq.to_bits())
+        );
+        let ps = [0.0, 5.0, 50.0, 99.0, 100.0, f64::NAN];
+        for pair in ps.windows(2) {
+            let cursors = PercentileCursor::seek_pair(&h, [pair[1], pair[0]]);
+            for (c, p) in cursors.iter().zip([pair[1], pair[0]]) {
+                let (fraction, bin, below) = crate::histogram_ref::seek(&bins, in_bounds, p);
+                assert_eq!(
+                    (c.fraction.to_bits(), c.bin, c.below),
+                    (fraction.to_bits(), bin, below)
+                );
             }
         }
     }

@@ -31,6 +31,8 @@ pub mod distributions;
 pub mod ecdf;
 pub mod fit;
 pub mod histogram;
+#[cfg(test)]
+mod histogram_ref;
 pub mod online;
 pub mod percentile;
 pub mod report;
