@@ -12,9 +12,10 @@
 //! The one mechanism a node lacks is the owed answer. Each client keeps
 //! its answers in request order ([`Client`]); each upstream keeps a FIFO
 //! of the slices it owes, naming the client and the answer. A reply fills
-//! its slice — a JSON response or a v2 single-owner frame verbatim, a
-//! split frame's records at their positions — and an answer goes out once
-//! its slices are in and everything before it has gone. Local answers
+//! its slice — a JSON response or a single-owner frame verbatim, a split
+//! frame's records at their positions — and an answer goes out once its
+//! slices are in and everything before it has gone. A frame reply with
+//! more or fewer records than its slice fails the answer. Local answers
 //! (429s, parse errors, typed error frames) queue behind owed ones.
 //!
 //! An upstream that fails a read or write, closes, sends a reply nobody
@@ -58,15 +59,15 @@ struct Answer {
     missing: u32,
     /// What the client gets, once nothing is missing.
     bytes: Vec<u8>,
-    /// A frame reassembled for a client speaking this version, rather
-    /// than a reply relayed whole.
-    split: Option<u8>,
+    /// A frame reassembled from its records, rather than a reply
+    /// relayed whole.
+    split: bool,
     /// A split frame's records in request order (`Throttled` where
     /// admission refused), and their positions, slice after slice.
     replies: Vec<BinReply>,
     positions: Vec<u32>,
-    /// A split frame's error from its lowest node slot: it answers the
-    /// whole frame.
+    /// A frame's error from its lowest node slot: it answers the whole
+    /// frame.
     error: Option<(usize, BinErrorCode, String)>,
     /// A traced answer: its trace id, and when its current hop began.
     hop: Option<(u64, u64)>,
@@ -79,9 +80,9 @@ impl Answer {
         }
     }
 
-    /// One slice's reply is in. The last one renders a split frame and
-    /// closes a traced answer's `await` and `reassemble` hops (its
-    /// `egress` closes when the client's output flushes).
+    /// One slice's reply is in. The last one renders a split or failed
+    /// frame and closes a traced answer's `await` and `reassemble` hops
+    /// (its `egress` closes when the client's output flushes).
     // sitw-lint: hot-path
     fn arrived(&mut self, telem: &RouterTelem) {
         self.missing = self.missing.saturating_sub(1);
@@ -89,14 +90,12 @@ impl Answer {
             return;
         }
         let t_reply = telem.now_ns();
-        match (self.split, &self.error) {
-            (Some(_), Some((_, code, detail))) => {
-                wire::encode_error_frame(&mut self.bytes, *code, detail)
+        match &self.error {
+            Some((_, code, detail)) => wire::encode_error_frame(&mut self.bytes, *code, detail),
+            None if self.split => {
+                wire::encode_reply_records(&mut self.bytes, wire::BIN_VERSION_2, &self.replies)
             }
-            (Some(version), None) => {
-                wire::encode_reply_records(&mut self.bytes, version, &self.replies)
-            }
-            (None, _) => {}
+            None => {}
         }
         if let Some((id, t_fwd)) = self.hop {
             let t_out = telem.now_ns();
@@ -122,7 +121,7 @@ impl Client {
     /// Queues an answer awaiting `missing` replies; returns its sequence
     /// number and the answer.
     // sitw-lint: hot-path
-    fn push(&mut self, missing: u32, split: Option<u8>) -> (u64, &mut Answer) {
+    fn push(&mut self, missing: u32, split: bool) -> (u64, &mut Answer) {
         let mut answer = self.spare.pop().unwrap_or_default();
         (answer.missing, answer.split, answer.error, answer.hop) = (missing, split, None, None);
         answer.bytes.clear();
@@ -145,7 +144,7 @@ fn local(conn: &mut Conn<Client>) -> &mut Vec<u8> {
     if conn.state.answers.is_empty() {
         &mut conn.out
     } else {
-        &mut conn.state.push(0, None).1.bytes
+        &mut conn.state.push(0, false).1.bytes
     }
 }
 
@@ -306,14 +305,14 @@ impl Front {
         // Tenant names are the cluster-wide key, so the body forwards
         // verbatim; a trace id rides in the `x-sitw-trace` header.
         let _ = write_request(&mut up.out, "POST", "/invoke", trace, &conn.req.body);
-        let (seq, answer) = conn.state.push(1, None);
+        let (seq, answer) = conn.state.push(1, false);
         answer.hop = forwarded(telem, trace, t2);
         up.owe(token, seq, self.now, None);
     }
 
     /// Admission, partition by owner and forward for one SITW-BIN frame.
     // sitw-lint: hot-path
-    fn frame(&mut self, token: u64, conn: &mut Conn<Client>, version: u8, trace: Option<u64>) {
+    fn frame(&mut self, token: u64, conn: &mut Conn<Client>, trace: Option<u64>) {
         let ctx: &RouterCtx = &self.ctx;
         let telem = &ctx.telem;
         let t0 = telem.now_ns();
@@ -365,14 +364,12 @@ impl Front {
                 return wire::encode_error_frame(local(conn), BinErrorCode::Unavailable, &detail);
             }
         }
-        // A v2 frame whole on one node with nothing throttled needs no
+        // A frame whole on one node with nothing throttled needs no
         // reassembly: the node's reply (or typed error) frame is the
-        // client's answer, byte for byte. A v1 client's is re-encoded:
-        // the upstream always speaks v2. A frame with no owner (empty,
+        // client's answer, byte for byte. A frame with no owner (empty,
         // or all throttled) completes at once.
-        let whole =
-            version == wire::BIN_VERSION_2 && owners == 1 && self.part.slice(throttled).is_empty();
-        let (seq, answer) = conn.state.push(owners.max(1), (!whole).then_some(version));
+        let whole = owners == 1 && self.part.slice(throttled).is_empty();
+        let (seq, answer) = conn.state.push(owners.max(1), !whole);
         if !whole {
             answer.replies.resize(n, BinReply::Throttled);
         }
@@ -479,12 +476,10 @@ impl Front {
             let Some(answer) = conn.state.get(slice.seq) else {
                 continue;
             };
-            if answer.split.is_some() {
+            if slice.frame.is_some() {
                 answer.fail(node, BinErrorCode::Unavailable, detail.clone());
-            } else if slice.frame.is_none() {
-                write_error(&mut answer.bytes, 503, &detail);
             } else {
-                wire::encode_error_frame(&mut answer.bytes, BinErrorCode::Unavailable, &detail);
+                write_error(&mut answer.bytes, 503, &detail);
             }
             answer.arrived(&ctx.telem);
             release(conn);
@@ -524,7 +519,7 @@ impl Handler for Front {
                         conn.hold();
                     }
                 }
-                ReadEvent::Frame { version, trace } => self.frame(token, conn, version, trace),
+                ReadEvent::Frame { trace } => self.frame(token, conn, trace),
                 // The control plane flows router → node, never client →
                 // router.
                 ReadEvent::Ctrl(_) => {
@@ -655,8 +650,9 @@ fn resolve(
 }
 
 /// Fills `slice`'s part of its answer with one upstream reply (`raw`, its
-/// exact bytes) and releases what became ready. An error: the reply is
-/// not what the slice is owed.
+/// exact bytes) and releases what became ready. A reply frame whose
+/// record count is not the slice's fails the answer with `Unavailable`.
+/// An error: the reply is not the kind the slice is owed.
 // sitw-lint: hot-path
 fn deliver(
     ctx: &RouterCtx,
@@ -682,24 +678,23 @@ fn deliver(
     let Some(answer) = conn.state.get(slice.seq) else {
         return Ok(());
     };
-    match (answer.split, frame) {
-        (Some(_), Some(Records { records, .. })) => {
-            let (at, n) = slice.frame.unwrap_or_default();
+    let (at, n) = slice.frame.unwrap_or_default();
+    match frame {
+        Some(Records { records, .. }) if records.len() != n as usize => {
+            let (name, got) = (ctx.node_name(node), records.len());
+            // sitw-lint: allow(hot-path-alloc)
+            let detail = format!("node {name} returned {got} records for {n}");
+            answer.fail(node, BinErrorCode::Unavailable, detail);
+        }
+        Some(Records { records, .. }) if answer.split => {
             let positions = answer.positions.get(at as usize..(at + n) as usize);
-            let positions = positions.unwrap_or_default();
-            let short = records.len() < positions.len();
-            for (&pos, rec) in positions.iter().zip(records) {
+            for (&pos, rec) in positions.unwrap_or_default().iter().zip(records) {
                 if let Some(reply) = answer.replies.get_mut(pos as usize) {
                     *reply = rec;
                 }
             }
-            if short {
-                // sitw-lint: allow(hot-path-alloc)
-                let detail = format!("node {} returned a short reply", ctx.node_name(node));
-                answer.fail(node, BinErrorCode::Unavailable, detail);
-            }
         }
-        (Some(_), Some(Error { code, detail, .. })) => answer.fail(node, code, detail),
+        Some(Error { code, detail, .. }) if answer.split => answer.fail(node, code, detail),
         _ => answer.bytes.extend_from_slice(raw),
     }
     answer.arrived(&ctx.telem);

@@ -4,7 +4,7 @@
 //! The router records the six hop stages (`ingress` → `route` →
 //! `forward` → `await` → `reassemble` → `egress`) for *traced* requests
 //! only: either the client propagated an `X-Sitw-Trace` id (or the
-//! SITW-BIN v2 trace field), or `--trace-sample N` tagged every Nth
+//! SITW-BIN trace field), or `--trace-sample N` tagged every Nth
 //! arriving request with a router-originated id. The id is stamped onto
 //! the forwarded work, the node adopts it as the span id for its own
 //! six pipeline stages, and `GET /debug/trace` on the router merges

@@ -50,7 +50,7 @@ fn routes_both_protocols_and_reassembles_batches() {
         assert!(body.contains("\"verdict\":\"warm\""), "{body}");
     }
 
-    // BIN v2: one frame mixing every tenant and the default — the router
+    // SITW-BIN: one frame mixing every tenant and the default — the router
     // splits it across nodes and reassembles replies in request order.
     let mut bin = Client::connect(router.addr()).unwrap();
     let batch: Vec<(u16, &str, u64)> = vec![
@@ -79,10 +79,10 @@ fn routes_both_protocols_and_reassembles_batches() {
         }
     }
 
-    // BIN v1 still works through the router (default tenant traffic).
-    let mut v1 = Client::connect(router.addr()).unwrap();
-    let frame = [("app-v1", 30_000), ("app-b", 30_000)];
-    let replies = records(v1.batch(|f| wire::encode_request_frame(f, &frame)));
+    // Default-tenant records (tenant id 0) work through the router.
+    let mut default = Client::connect(router.addr()).unwrap();
+    let frame = [(0, "app-v1", 30_000), (0, "app-b", 30_000)];
+    let replies = records(default.batch(|f| wire::encode_request_frame_v2(f, &frame)));
     assert_eq!(replies.len(), 2);
     assert!(matches!(replies[1], BinReply::Verdict { cold: false, .. }));
 
@@ -383,7 +383,9 @@ fn trace_ids_span_router_and_node_timelines() {
     );
     let mut bin = Client::connect(router.addr()).unwrap();
     let frame = [(1, "app-tb", 2_000), (2, "app-tb", 2_000)];
-    let replies = records(bin.batch(|f| wire::encode_request_frame_v2_traced(f, &frame, bin_id)));
+    let traced =
+        |f: &mut Vec<u8>| wire::encode_request_frame_v2_from(f, frame.into_iter(), Some(bin_id));
+    let replies = records(bin.batch(traced));
     assert_eq!(replies.len(), 2);
 
     // The router records a request's `egress` hop *after* writing the
@@ -583,8 +585,8 @@ fn post_invoke(out: &mut Vec<u8>, header: &str, body: &str) {
 
 /// An over-`MAX_BATCH` request frame with an intact envelope: a
 /// recoverable `Oversized` error the parser skips past.
-fn oversized_batch_frame(out: &mut Vec<u8>, version: u8) {
-    out.extend_from_slice(&[wire::BIN_MAGIC, version, wire::FRAME_REQUEST]);
+fn oversized_batch_frame(out: &mut Vec<u8>) {
+    out.extend_from_slice(&[wire::BIN_MAGIC, wire::BIN_VERSION_2, wire::FRAME_REQUEST]);
     out.extend_from_slice(&4u32.to_le_bytes());
     out.extend_from_slice(&((wire::MAX_BATCH + 1) as u32).to_le_bytes());
     out.extend_from_slice(&[0u8; 4]);
@@ -616,21 +618,20 @@ fn mixed_stream(run: usize) -> Vec<u8> {
         "x-sitw-trace: 0x8000000000000abc\r\n",
         &format!("{{\"tenant\":\"t1\",\"app\":\"{app}\",\"ts\":7}}"),
     );
-    // SITW-BIN v1 (default tenant), including an out-of-order record.
-    wire::encode_request_frame(&mut s, &[(app, 1_000), (other, 1_000), (app, 500)]);
-    wire::encode_request_frame(&mut s, &[]);
-    // v2: every tenant id alone, then all of them in one frame.
+    // SITW-BIN for the default tenant, including an out-of-order record.
+    wire::encode_request_frame_v2(&mut s, &[(0, app, 1_000), (0, other, 1_000), (0, app, 500)]);
+    wire::encode_request_frame_v2(&mut s, &[]);
+    // Every tenant id alone, then all of them in one frame.
     for id in 0..=PARITY_TENANTS.len() as u16 {
         wire::encode_request_frame_v2(&mut s, &[(id, app, 2_000), (id, other, 2_000)]);
     }
     wire::encode_request_frame_v2(&mut s, &[(2, app, 3_000), (0, app, 3_000), (1, app, 3_000)]);
-    wire::encode_request_frame_v2_traced(
+    wire::encode_request_frame_v2_from(
         &mut s,
-        &[(1, other, 4_000), (1, app, 4_000)],
-        0x8000_0000_0000_0def,
+        [(1, other, 4_000), (1, app, 4_000)].into_iter(),
+        Some(0x8000_0000_0000_0def),
     );
-    oversized_batch_frame(&mut s, wire::BIN_VERSION);
-    oversized_batch_frame(&mut s, wire::BIN_VERSION_2);
+    oversized_batch_frame(&mut s);
     // The connection survived all of it.
     post_invoke(&mut s, "", &format!("{{\"app\":\"{app}\",\"ts\":700000}}"));
     s
@@ -770,7 +771,8 @@ fn bad_version_frame_gets_its_typed_error_through_the_router_not_a_reset() {
     let router = router_over(&[node.addr()], &[]);
     for attempt in 0..20 {
         let mut client = Client::connect(router.addr()).unwrap();
-        let mut frame = vec![wire::BIN_MAGIC, 9, wire::FRAME_REQUEST];
+        let version = [9, 1][attempt % 2];
+        let mut frame = vec![wire::BIN_MAGIC, version, wire::FRAME_REQUEST];
         frame.extend_from_slice(&(256u32 * 1024).to_le_bytes());
         frame.extend_from_slice(&1u32.to_le_bytes());
         frame.resize(wire::BIN_HEADER_LEN + 256 * 1024, 0);
@@ -779,7 +781,11 @@ fn bad_version_frame_gets_its_typed_error_through_the_router_not_a_reset() {
             .unwrap_or_else(|e| panic!("attempt {attempt}: frame write: {e}"));
         match client.recv() {
             Ok(Reply::Frame(ServerFrameDecode::Error { code, .. })) => {
-                assert_eq!(code, BinErrorCode::BadVersion, "attempt {attempt}")
+                assert_eq!(
+                    code,
+                    BinErrorCode::BadVersion,
+                    "attempt {attempt} v{version}"
+                )
             }
             other => panic!("attempt {attempt}: {other:?}"),
         }

@@ -1,7 +1,7 @@
 //! What a routed decision allocates, as a count: this binary installs a
 //! process-wide counting allocator, starts two in-process nodes and a
 //! `Router` in front of them, and drives the router over loopback TCP
-//! with SITW-BIN v2 frames of 16 records split over both nodes, and with
+//! with SITW-BIN frames of 16 records split over both nodes, and with
 //! pipelined runs of JSON `POST /invoke` requests.
 //!
 //! The count covers every thread of the process — the router's reactors

@@ -82,8 +82,8 @@ impl Client {
     }
 
     /// Sends the one request `encode` writes and reads the reply to it.
-    /// For a SITW-BIN frame — any [`crate::wire`] request encoder: v1,
-    /// v2, traced v2 — that is a reply frame ([`Reply::records`] unwraps
+    /// For a SITW-BIN frame — any [`crate::wire`] request encoder,
+    /// traced or not — that is a reply frame ([`Reply::records`] unwraps
     /// it) or a typed error frame; its raw bytes are
     /// `conn().reply_raw()`.
     pub fn batch<T>(&mut self, encode: impl FnOnce(&mut Vec<u8>) -> T) -> io::Result<Reply> {

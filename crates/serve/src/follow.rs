@@ -5,8 +5,8 @@
 //! reactor pool and shards as a primary and attaches a pull loop to them.
 //! The loop pulls the primary's replication stream — a chunked full sync
 //! first, then per-round deltas of whatever mutated
-//! ([`wire::FRAME_REPL_SYNC`] / [`wire::FRAME_REPL_DELTA`] /
-//! [`wire::FRAME_REPL_COMMIT`]) — and accumulates the complete
+//! (`wire::FRAME_REPL_SYNC` / `wire::FRAME_REPL_DELTA` /
+//! `wire::FRAME_REPL_COMMIT`) — and accumulates the complete
 //! [`Snapshot`] in memory. Each chunk goes through a [`Decoder`] as it
 //! arrives, so no round is ever held as text.
 //!

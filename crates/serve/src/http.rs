@@ -97,8 +97,6 @@ pub enum ReadEvent {
     /// A complete SITW-BIN request frame was written into the caller's
     /// record buffer.
     Frame {
-        /// The frame's protocol version (replies must echo it).
-        version: u8,
         /// The propagated trace id, when the frame carried one.
         trace: Option<u64>,
     },
@@ -381,13 +379,9 @@ impl ConnBuf {
     fn read_frame_into(&mut self, records: &mut Vec<BinInvoke>) -> io::Result<ReadEvent> {
         loop {
             match wire::decode_request_frame_into(&self.buf[self.start..], records) {
-                FrameDecodeInto::Request {
-                    version,
-                    trace,
-                    consumed,
-                } => {
+                FrameDecodeInto::Request { trace, consumed } => {
                     self.start += consumed;
-                    return Ok(ReadEvent::Frame { version, trace });
+                    return Ok(ReadEvent::Frame { trace });
                 }
                 FrameDecodeInto::Control { req, consumed } => {
                     self.start += consumed;
@@ -930,11 +924,11 @@ mod tests {
         let mut conn = ConnBuf::new(server);
         let (mut req, mut records) = (Request::default(), Vec::new());
         let mut frame = Vec::new();
-        wire::encode_request_frame_v2_traced(&mut frame, &[(1, "app-000001", 7)], 0xBEEF);
+        let records_in = [(1, "app-000001", 7)].into_iter();
+        wire::encode_request_frame_v2_from(&mut frame, records_in, Some(0xBEEF));
         client.write_all(&frame).unwrap();
         match conn.read_event_into(&mut req, &mut records).unwrap() {
-            ReadEvent::Frame { version, trace } => {
-                assert_eq!(version, wire::BIN_VERSION_2);
+            ReadEvent::Frame { trace } => {
                 assert_eq!(trace, Some(0xBEEF));
                 assert_eq!(records.len(), 1);
             }
@@ -955,7 +949,7 @@ mod tests {
         // sniff is per message, not per connection.
         client.write_all(b"GET /healthz HTTP/1.1\r\n\r\n").unwrap();
         let mut frame = Vec::new();
-        wire::encode_request_frame(&mut frame, &[("app-000001", 7), ("caf\u{e9}", 8)]);
+        wire::encode_request_frame_v2(&mut frame, &[(0, "app-000001", 7), (0, "caf\u{e9}", 8)]);
         client.write_all(&frame).unwrap();
         client.write_all(b"GET /metrics HTTP/1.1\r\n\r\n").unwrap();
 
@@ -964,8 +958,7 @@ mod tests {
             other => panic!("{other:?}"),
         }
         match conn.read_event_into(&mut req, &mut records).unwrap() {
-            ReadEvent::Frame { version, trace } => {
-                assert_eq!(version, wire::BIN_VERSION);
+            ReadEvent::Frame { trace } => {
                 assert_eq!(trace, None);
                 assert_eq!(records.len(), 2);
                 assert_eq!(records[0].app, "app-000001");
@@ -986,7 +979,7 @@ mod tests {
         // the first read must surface Timeout (partial frame preserved),
         // the second must complete it.
         let mut frame = Vec::new();
-        wire::encode_request_frame(&mut frame, &[("app-β-000001", 123_456_789), ("x", 0)]);
+        wire::encode_request_frame_v2(&mut frame, &[(0, "app-β-000001", 123_456_789), (0, "x", 0)]);
         let (mut req, mut records) = (Request::default(), Vec::new());
         for i in 1..frame.len() {
             let (mut client, server) = pair();
@@ -1025,18 +1018,19 @@ mod tests {
 
         // A malformed frame (empty app) with an intact envelope,
         // followed immediately by a good frame.
-        let mut bad_payload = vec![0u8, 0];
+        let mut bad_payload = vec![0u8, 0, 0, 0];
         bad_payload.extend_from_slice(&7u64.to_le_bytes());
+        bad_payload.push(0xAA);
         let mut bad = Vec::new();
         bad.push(wire::BIN_MAGIC);
-        bad.push(wire::BIN_VERSION);
+        bad.push(wire::BIN_VERSION_2);
         bad.push(wire::FRAME_REQUEST);
         bad.extend_from_slice(&(bad_payload.len() as u32).to_le_bytes());
         bad.extend_from_slice(&1u32.to_le_bytes());
         bad.extend_from_slice(&bad_payload);
         client.write_all(&bad).unwrap();
         let mut good = Vec::new();
-        wire::encode_request_frame(&mut good, &[("ok", 1)]);
+        wire::encode_request_frame_v2(&mut good, &[(0, "ok", 1)]);
         client.write_all(&good).unwrap();
 
         match conn.read_event_into(&mut req, &mut records).unwrap() {
@@ -1075,7 +1069,7 @@ mod tests {
         let payload_len = 256 * 1024;
         let mut bad = Vec::new();
         bad.push(wire::BIN_MAGIC);
-        bad.push(wire::BIN_VERSION);
+        bad.push(wire::BIN_VERSION_2);
         bad.push(wire::FRAME_REQUEST);
         bad.extend_from_slice(&(payload_len as u32).to_le_bytes());
         bad.extend_from_slice(&((wire::MAX_BATCH + 1) as u32).to_le_bytes());
@@ -1094,7 +1088,7 @@ mod tests {
         // Stream the dead payload from a thread (it exceeds the socket
         // buffer), then the good frame.
         let mut good = Vec::new();
-        wire::encode_request_frame(&mut good, &[("alive", 9)]);
+        wire::encode_request_frame_v2(&mut good, &[(0, "alive", 9)]);
         let writer = std::thread::spawn(move || {
             client.write_all(&vec![0u8; payload_len]).unwrap();
             client.write_all(&good).unwrap();
@@ -1309,7 +1303,7 @@ mod tests {
             .unwrap();
         let mut conn = ConnBuf::new(client);
         let mut frame = Vec::new();
-        wire::encode_reply_records(&mut frame, wire::BIN_VERSION, &[BinReply::Throttled; 4]);
+        wire::encode_reply_records(&mut frame, wire::BIN_VERSION_2, &[BinReply::Throttled; 4]);
         for piece in [
             &b"HTTP/1.1 200 OK\r\ncontent-le"[..],
             b"ngth: 10\r\n\r\n01234",

@@ -62,7 +62,7 @@
 //!   online replay of a trace produces exactly its answers: that is
 //!   the check of the step itself, and `tests/parity.rs` asserts it
 //!   bit-for-bit.
-//! * **SITW-BIN v1** ([`wire`]): a length-prefixed batched binary
+//! * **SITW-BIN** ([`wire`]): a length-prefixed batched binary
 //!   protocol on the same port, sniffed per message on its first byte
 //!   ([`wire::BIN_MAGIC`] vs an ASCII method letter). A frame of up to
 //!   [`wire::MAX_BATCH`] invocations takes each owning shard's lock once
@@ -129,9 +129,10 @@
 //!   [`http::write_response`];
 //! * in [`wire`]: `BinInvoke`, `BinReply`, `ServerFrameDecode`,
 //!   `parse_invoke`, `render_decision`, `kind_from_str`, `push_u64`,
-//!   `encode_request_frame_v2{,_traced}`, `decode_request_frame_into`,
-//!   `encode_reply_records`, `decode_server_frame` and the constants
-//!   `BIN_MAGIC`, `BIN_VERSION_*`, `BIN_HEADER_LEN`, `FRAME_REPLY`,
+//!   `encode_request_frame_v2`, `decode_request_frame_into`,
+//!   `encode_reply_records` (with its `version` argument),
+//!   `decode_server_frame` and the constants `BIN_MAGIC`,
+//!   `BIN_VERSION_2`, `BIN_HEADER_LEN`, `FRAME_REPLY`,
 //!   `REPLY_RECORD_LEN`, `MAX_BATCH`, `MAX_FRAME_PAYLOAD`.
 //!
 //! `sitw_fleet` and `sitw_sim` carry the rest of the list in their own

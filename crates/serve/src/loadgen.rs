@@ -21,8 +21,8 @@
 //! deterministically assigned to one of N tenants — optionally with
 //! Zipf-skewed popularity (`--tenants N:zipf=s`, rank r weighing
 //! `1/(r+1)^s`) — and every request carries the tenant: JSON bodies gain
-//! a `"tenant":"tK"` member, SITW-BIN frames switch to v2 records with
-//! the tenant id. Tenant names are `t0..tN-1`, wire ids `1..=N` (the
+//! a `"tenant":"tK"` member, SITW-BIN records carry the tenant id instead
+//! of the default tenant's 0. Tenant names are `t0..tN-1`, wire ids `1..=N` (the
 //! server's registration order). The summary reports per-tenant
 //! throughput and verdict mix, including budget-eviction downgrades.
 
@@ -44,7 +44,7 @@ use sitw_fleet::{fnv1a, mix64};
 pub enum Proto {
     /// One `POST /invoke` JSON request per invocation (pipelined).
     Json,
-    /// SITW-BIN v1 frames of `batch` invocations each.
+    /// SITW-BIN frames of `batch` invocations each.
     Bin {
         /// Records per frame (clamped to `1..=`[`wire::MAX_BATCH`]).
         batch: usize,
@@ -108,7 +108,7 @@ pub struct LoadGenConfig {
     /// Zipf skew of the per-app tenant assignment (0 = uniform).
     pub zipf: f64,
     /// Tag every Nth request (JSON) or frame (SITW-BIN) with a client
-    /// trace id — `X-Sitw-Trace` header / the v2 trace field — so its
+    /// trace id — `X-Sitw-Trace` header / the frame's trace field — so its
     /// spans can be found end to end in `/debug/trace` output. 0 = off.
     /// Sampled ids and their RTTs land in the `--out` JSON report.
     pub trace_sample: usize,
@@ -456,7 +456,7 @@ pub fn run_loadgen_cluster(
             Some(stream)
         });
     }
-    // BIN v2 records carry registry-assigned tenant ids, which are only
+    // SITW-BIN records carry registry-assigned tenant ids, which are only
     // 1..=N when t0..tN-1 were the first tenants registered — resolve
     // the real ids up front so other registration orders route
     // correctly, per target (each node assigns its own ids). (JSON
@@ -859,16 +859,16 @@ fn drive_connection_bin(
             return;
         }
         // A frame is the wire unit of work, so sampling tags every Nth
-        // *frame*; its trace id spans every record it carries. Traced
-        // frames must speak v2 (the trace field is version-gated), so
-        // an untenanted sampled frame encodes v2 with the default
-        // tenant id rather than v1.
+        // *frame*; its trace id spans every record it carries.
         let trace = if trace_sample > 0 && frames_sent.is_multiple_of(trace_sample as u64) {
             Some(TRACE_MARK | ((conn as u64) << 32) | (*frames_sent & 0xFFFF_FFFF))
         } else {
             None
         };
         *frames_sent += 1;
+        // Map the logical tenant index (1-based `tK`) to the wire id the
+        // server's registry assigned; untenanted runs speak for the
+        // default tenant, id 0.
         let wire_id = |t: u16| {
             if tenanted {
                 tenant_ids[t as usize - 1]
@@ -876,31 +876,10 @@ fn drive_connection_bin(
                 0
             }
         };
-        match trace {
-            Some(id) => {
-                let records: Vec<(u16, &str, u64)> = building
-                    .iter()
-                    .map(|(t, a, ts)| (wire_id(*t), a.as_str(), *ts))
-                    .collect();
-                wire::encode_request_frame_v2_traced(out, &records, id);
-            }
-            None if tenanted => {
-                // Map the logical tenant index (1-based `tK`) to the
-                // wire id the server's registry assigned.
-                let records: Vec<(u16, &str, u64)> = building
-                    .iter()
-                    .map(|(t, a, ts)| (wire_id(*t), a.as_str(), *ts))
-                    .collect();
-                wire::encode_request_frame_v2(out, &records);
-            }
-            None => {
-                let records: Vec<(&str, u64)> = building
-                    .iter()
-                    .map(|(_, a, ts)| (a.as_str(), *ts))
-                    .collect();
-                wire::encode_request_frame(out, &records);
-            }
-        }
+        let records = building
+            .iter()
+            .map(|(t, a, ts)| (wire_id(*t), a.as_str(), *ts));
+        wire::encode_request_frame_v2_from(out, records, trace);
         let tenants_of_frame: Vec<u16> = building.iter().map(|(t, _, _)| *t).collect();
         *in_flight_records += tenants_of_frame.len();
         // sitw-lint: allow(clock-discipline)

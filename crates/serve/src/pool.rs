@@ -296,7 +296,7 @@ impl Handler for Node {
             }
             match event {
                 ReadEvent::Request => b.request(conn),
-                ReadEvent::Frame { version, trace } => b.frame(conn, version, trace),
+                ReadEvent::Frame { trace } => b.frame(conn, trace),
                 ReadEvent::Ctrl(ctrl) => handle_ctrl_frame(&ctrl, ctx, &mut conn.out),
                 ReadEvent::FrameError { code, detail, .. } => b.bin_error(conn, code, &detail),
                 ReadEvent::BodyTooLarge { .. } => {
@@ -452,7 +452,7 @@ impl Burst<'_> {
     /// its lock, and the reply frame is encoded in record order. A frame
     /// touching a poisoned shard gets an `Unavailable` error frame.
     // sitw-lint: hot-path
-    fn frame(&mut self, conn: &mut Conn<()>, version: u8, trace: Option<u64>) {
+    fn frame(&mut self, conn: &mut Conn<()>, trace: Option<u64>) {
         let (ctx, telem) = (self.ctx, self.telem);
         let n = conn.records.len();
         let t_read_end = telem.now();
@@ -505,7 +505,7 @@ impl Burst<'_> {
             return self.bin_error(conn, BinErrorCode::Unavailable, "shard unavailable");
         }
         let t0 = telem.now();
-        wire::encode_reply_frame(&mut conn.out, version, &self.batch.results);
+        wire::encode_reply_frame(&mut conn.out, &self.batch.results);
         ctx.batched_decisions.fetch_add(n as u64, Ordering::Relaxed);
         conn.records.truncate(RECORDS_KEPT);
         if telem.enabled() {

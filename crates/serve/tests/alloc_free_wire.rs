@@ -1,7 +1,7 @@
 //! "From the socket to the shard and back, a steady-state decision
 //! allocates nothing" as a count on a live node: this binary installs a
 //! process-wide counting allocator, starts an in-process [`Server`] and
-//! drives it over loopback TCP with SITW-BIN v2 frames of 128 records
+//! drives it over loopback TCP with SITW-BIN frames of 128 records
 //! and with pipelined runs of JSON `POST /invoke` requests.
 //!
 //! The count covers every thread of the node — the reactors, which
@@ -75,7 +75,7 @@ impl Stream {
     }
 }
 
-/// `n` SITW-BIN v2 request frames of [`FRAME`] records each.
+/// `n` SITW-BIN request frames of [`FRAME`] records each.
 fn bin_frames(stream: &mut Stream, n: usize) -> Vec<Vec<u8>> {
     (0..n)
         .map(|_| {

@@ -1,8 +1,9 @@
-//! SITW-BIN v1 protocol conformance: codec round-trip fuzzing (the CI
-//! "protocol-conformance" step runs this file by name), partial-I/O
-//! reassembly against a live daemon, short-write handling on batched
-//! replies, and the typed-error-frame behaviour that keeps connections
-//! usable after malformed or oversized frames.
+//! SITW-BIN protocol conformance: codec round-trip fuzzing of request,
+//! traced and control frames (the CI "protocol-conformance" step runs
+//! this file by name), partial-I/O reassembly against a live daemon,
+//! short-write handling on batched replies, and the typed-error-frame
+//! behaviour that keeps connections usable after malformed or oversized
+//! frames.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -10,8 +11,9 @@ use std::net::TcpStream;
 use proptest::prelude::*;
 use sitw_serve::http::{ConnBuf, Reply};
 use sitw_serve::wire::{
-    self, decode_request_frame_into, decode_server_frame, encode_request_frame, BinErrorCode,
-    BinReply, FrameDecodeInto, ServerFrameDecode,
+    self, decode_request_frame_into, decode_server_frame, encode_request_frame_v2,
+    encode_request_frame_v2_from, BinErrorCode, BinInvoke, BinReply, ControlRequest,
+    FrameDecodeInto, ServerFrameDecode,
 };
 use sitw_serve::{Client, ServeConfig, Server};
 use sitw_sim::PolicySpec;
@@ -35,7 +37,17 @@ fn edge_ts(selector: u64, raw: u64) -> u64 {
     }
 }
 
-fn build_records(shape: &[(Vec<usize>, u64, u64)]) -> Vec<(String, u64)> {
+/// Tenant id edge values — the default tenant and the last id — by a
+/// fuzzed selector.
+fn edge_tenant(selector: u64, raw: u64) -> u16 {
+    match selector % 7 {
+        0 | 1 => 0,
+        2 => u16::MAX,
+        _ => raw as u16,
+    }
+}
+
+fn build_records(shape: &[(Vec<usize>, u64, u64)]) -> Vec<(u16, String, u64)> {
     shape
         .iter()
         .map(|(chars, sel, raw)| {
@@ -46,18 +58,40 @@ fn build_records(shape: &[(Vec<usize>, u64, u64)]) -> Vec<(String, u64)> {
             if app.is_empty() {
                 app.push('a'); // Non-empty by protocol rule.
             }
-            (app, edge_ts(*sel, *raw))
+            (edge_tenant(sel / 5, *raw), app, edge_ts(*sel, *raw))
         })
         .collect()
 }
 
+/// Encodes `records`, traced with `trace` when its low bit is set.
+fn encode(records: &[(u16, String, u64)], trace: u64) -> Vec<u8> {
+    let mut frame = Vec::new();
+    let borrowed = records.iter().map(|(t, a, ts)| (*t, a.as_str(), *ts));
+    encode_request_frame_v2_from(&mut frame, borrowed, (trace & 1 == 1).then_some(trace));
+    frame
+}
+
+/// A frame with the magic, version and kind of the frame `template`
+/// encodes, and the given payload and record count.
+fn under_header_of(template: impl FnOnce(&mut Vec<u8>), payload: &[u8], count: u64) -> Vec<u8> {
+    let mut frame = Vec::new();
+    template(&mut frame);
+    frame.truncate(3);
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&(count as u32).to_le_bytes());
+    frame.extend_from_slice(payload);
+    frame
+}
+
 proptest! {
-    /// Any batch of records — arbitrary UTF-8 app names, edge-value
-    /// timestamps — round-trips bit-for-bit through the request codec.
+    /// Any batch of records — edge tenant ids, arbitrary UTF-8 app
+    /// names, edge-value timestamps — round-trips bit-for-bit through
+    /// the request codec, traced or not.
     #[test]
     fn request_frame_roundtrips(
         lens in prop::collection::vec(0usize..24, 0..40),
         sels in prop::collection::vec(0u64..1_000_000, 0..40),
+        trace in 0u64..u64::MAX,
     ) {
         let shape: Vec<(Vec<usize>, u64, u64)> = lens
             .iter()
@@ -65,15 +99,15 @@ proptest! {
             .map(|(&n, &sel)| (((sel as usize)..(sel as usize) + n).collect(), sel, sel.wrapping_mul(0x9E37)))
             .collect();
         let records = build_records(&shape);
-        let borrowed: Vec<(&str, u64)> = records.iter().map(|(a, t)| (a.as_str(), *t)).collect();
-        let mut frame = Vec::new();
-        encode_request_frame(&mut frame, &borrowed);
+        let frame = encode(&records, trace);
         let mut got = Vec::new();
         match decode_request_frame_into(&frame, &mut got) {
-            FrameDecodeInto::Request { consumed, .. } => {
+            FrameDecodeInto::Request { trace: got_trace, consumed } => {
                 prop_assert_eq!(consumed, frame.len());
+                prop_assert_eq!(got_trace, (trace & 1 == 1).then_some(trace));
                 prop_assert_eq!(got.len(), records.len());
-                for (g, (app, ts)) in got.iter().zip(&records) {
+                for (g, (tenant, app, ts)) in got.iter().zip(&records) {
+                    prop_assert_eq!(g.tenant, *tenant);
                     prop_assert_eq!(&g.app, app);
                     prop_assert_eq!(g.ts, *ts);
                 }
@@ -82,22 +116,21 @@ proptest! {
         }
     }
 
-    /// Every proper prefix of a valid frame is `Incomplete` — the
-    /// incremental parser never misfires on a split frame.
+    /// Every proper prefix of a valid frame, traced or not, is
+    /// `Incomplete` — the incremental parser never misfires on a split
+    /// frame.
     #[test]
     fn truncated_frames_are_incomplete(
         lens in prop::collection::vec(1usize..12, 1..8),
         cut_frac in 0u64..10_000,
+        trace in 0u64..u64::MAX,
     ) {
         let shape: Vec<(Vec<usize>, u64, u64)> = lens
             .iter()
             .enumerate()
             .map(|(i, &n)| ((i..i + n).collect(), i as u64, (i as u64) << 20))
             .collect();
-        let records = build_records(&shape);
-        let borrowed: Vec<(&str, u64)> = records.iter().map(|(a, t)| (a.as_str(), *t)).collect();
-        let mut frame = Vec::new();
-        encode_request_frame(&mut frame, &borrowed);
+        let frame = encode(&build_records(&shape), trace);
         let cut = (cut_frac as usize * frame.len()) / 10_000; // < len.
         prop_assert!(
             matches!(
@@ -108,25 +141,28 @@ proptest! {
         );
     }
 
-    /// Frames with a *valid envelope* (magic, version, kind, consistent
-    /// payload_len) but arbitrary payload bytes never panic: they parse
-    /// or yield a skippable typed error. Random garbage almost never
-    /// forms a valid header, so this targets the record parser directly
-    /// (regression: an oversized first record used to drive the next
-    /// record's app_len read out of bounds).
+    /// Frames with a *valid envelope* (magic, version, kind — traced or
+    /// not — and consistent payload_len) but arbitrary payload bytes
+    /// never panic: they parse or yield a skippable typed error. Random
+    /// garbage almost never forms a valid header, so this targets the
+    /// record parser directly (regression: an oversized first record
+    /// used to drive the next record's app_len read out of bounds).
     #[test]
     fn arbitrary_payloads_under_valid_headers_never_panic(
-        payload in prop::collection::vec(0u64..256, 0..128),
+        payload in prop::collection::vec(0u8..=255, 0..128),
         count in 0u64..64,
+        traced in 0u8..2,
     ) {
-        let mut frame = vec![wire::BIN_MAGIC, wire::BIN_VERSION, wire::FRAME_REQUEST];
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&(count as u32).to_le_bytes());
-        frame.extend(payload.iter().map(|&b| b as u8));
+        let frame = under_header_of(
+            |f| encode_request_frame_v2_from(f, std::iter::empty(), (traced == 1).then_some(0)),
+            &payload,
+            count,
+        );
         let mut records = Vec::new();
         match decode_request_frame_into(&frame, &mut records) {
-            FrameDecodeInto::Request { consumed, .. } => {
+            FrameDecodeInto::Request { consumed, trace } => {
                 prop_assert_eq!(consumed, frame.len());
+                prop_assert_eq!(trace.is_some(), traced == 1);
                 prop_assert_eq!(records.len(), count as usize);
             }
             FrameDecodeInto::Incomplete => prop_assert!(false, "complete frame reported Incomplete"),
@@ -137,6 +173,61 @@ proptest! {
             FrameDecodeInto::Control { .. } => {
                 prop_assert!(false, "request frame decoded as control")
             }
+        }
+    }
+
+    /// Control frames (a report poll, a budget set, an unknown op) and
+    /// replication pulls under valid headers, with payloads from
+    /// well-formed to garbage: each yields `Control` or an error that
+    /// skips exactly the frame — never a request, never a panic — and
+    /// leaves the caller's record buffer alone.
+    #[test]
+    fn control_payloads_under_valid_headers_yield_control_or_skippable_errors(
+        kind in 0u8..4,
+        names in prop::collection::vec(0usize..APP_CHARS.len(), 0..24),
+        noise in prop::collection::vec(0u8..=255, 0..48),
+        cut in 0usize..64,
+        count in 0u64..6,
+    ) {
+        let op_of = |req: ControlRequest| {
+            let mut f = Vec::new();
+            wire::encode_control_frame(&mut f, &req);
+            f[wire::BIN_HEADER_LEN]
+        };
+        let (report, budget_set) = (op_of(ControlRequest::Report), op_of(ControlRequest::BudgetSet(vec![])));
+        // Well-formed budget records: as they are, cut short, followed by
+        // noise, or miscounted.
+        let (mut budgets, mut shares) = (vec![budget_set], 0);
+        for chunk in names.chunks(3) {
+            let name: String = chunk.iter().map(|&i| APP_CHARS[i]).collect();
+            budgets.extend_from_slice(&(name.len() as u16).to_le_bytes());
+            budgets.extend_from_slice(name.as_bytes());
+            budgets.extend_from_slice(&(noise.len() as u64).to_le_bytes());
+            shares += 1;
+        }
+        match cut % 4 {
+            0 => budgets.truncate(1 + cut),
+            1 => budgets.extend_from_slice(&noise),
+            2 => shares = count,
+            _ => {}
+        }
+        let ctrl = |f: &mut Vec<u8>| wire::encode_control_frame(f, &ControlRequest::Report);
+        let ack = |f: &mut Vec<u8>| wire::encode_control_frame(f, &ControlRequest::ReplPull { epoch: 0 });
+        let frame = match kind {
+            0 => under_header_of(ctrl, &[&[report], &noise[..noise.len() % 2]].concat(), count % 2),
+            1 => under_header_of(ctrl, &budgets, shares),
+            2 => under_header_of(ctrl, &noise, count),
+            _ => under_header_of(ack, &noise[..noise.len().min(cut % 12)], count % 2),
+        };
+        let sentinel = BinInvoke { tenant: 7, app: "kept".into(), ts: 9 };
+        let mut records = vec![sentinel.clone()];
+        match decode_request_frame_into(&frame, &mut records) {
+            FrameDecodeInto::Control { consumed, .. } => {
+                prop_assert_eq!(consumed, frame.len());
+                prop_assert_eq!(&records, &vec![sentinel]);
+            }
+            FrameDecodeInto::Error { skip, .. } => prop_assert_eq!(skip, Some(frame.len())),
+            other => prop_assert!(false, "control frame decoded as {:?}", other),
         }
     }
 
@@ -189,7 +280,7 @@ proptest! {
         let declared = declared[0] >> (declared[0] % 64); // Every magnitude.
         let frame_header = |payload_len: u32| {
             let kind = noise.first().map_or(wire::FRAME_REPLY, |b| b % 12);
-            let mut h = vec![wire::BIN_MAGIC, 1 + (payload_len % 2) as u8, kind];
+            let mut h = vec![wire::BIN_MAGIC, wire::BIN_VERSION_2, kind];
             h.extend_from_slice(&payload_len.to_le_bytes());
             h.extend_from_slice(&((noise.len() / wire::REPLY_RECORD_LEN) as u32).to_le_bytes());
             h
@@ -259,9 +350,9 @@ fn frame_written_one_byte_at_a_time_is_served() {
     let mut client = Client::connect(server.addr()).unwrap();
 
     let mut frame = Vec::new();
-    encode_request_frame(
+    encode_request_frame_v2(
         &mut frame,
-        &[("app-α-1", 0), ("app-α-1", 60_000), ("β", 1_000)],
+        &[(0, "app-α-1", 0), (0, "app-α-1", 60_000), (0, "β", 1_000)],
     );
     // One write per byte (Nagle off): the daemon sees the worst
     // possible fragmentation and must reassemble across all of it.
@@ -290,7 +381,7 @@ fn frames_split_at_every_boundary_across_two_writes() {
         let mut frame = Vec::new();
         let a = format!("sp-{split:03}-a");
         let b = format!("sp-{split:03}-功");
-        encode_request_frame(&mut frame, &[(a.as_str(), 5), (b.as_str(), 7)]);
+        encode_request_frame_v2(&mut frame, &[(0, a.as_str(), 5), (0, b.as_str(), 7)]);
         frame
     };
     let frame_len = frame_for(0).len();
@@ -325,9 +416,10 @@ fn large_batched_reply_survives_slow_draining_client() {
     let records: Vec<(String, u64)> = (0..n)
         .map(|i| (format!("bulk-{:04}", i % 997), (i as u64) * 10))
         .collect();
-    let borrowed: Vec<(&str, u64)> = records.iter().map(|(a, t)| (a.as_str(), *t)).collect();
+    let borrowed: Vec<(u16, &str, u64)> =
+        records.iter().map(|(a, t)| (0, a.as_str(), *t)).collect();
     let mut frame = Vec::new();
-    encode_request_frame(&mut frame, &borrowed);
+    encode_request_frame_v2(&mut frame, &borrowed);
     stream.write_all(&frame).unwrap();
 
     let mut buf = Vec::new();
@@ -365,10 +457,10 @@ fn malformed_frame_gets_typed_error_and_connection_stays_usable() {
     // (A pad byte keeps the payload at the minimum record size, so the
     // header-level count/payload check passes and the record parser is
     // the one that rejects.)
-    let mut payload = vec![0u8, 0];
+    let mut payload = vec![0u8, 0, 0, 0];
     payload.extend_from_slice(&7u64.to_le_bytes());
     payload.push(0xAA);
-    let mut bad = vec![wire::BIN_MAGIC, wire::BIN_VERSION, wire::FRAME_REQUEST];
+    let mut bad = vec![wire::BIN_MAGIC, wire::BIN_VERSION_2, wire::FRAME_REQUEST];
     bad.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     bad.extend_from_slice(&1u32.to_le_bytes());
     bad.extend_from_slice(&payload);
@@ -385,7 +477,7 @@ fn malformed_frame_gets_typed_error_and_connection_stays_usable() {
     // The same connection still serves: a good frame, then JSON — full
     // protocol mixing after the error.
     let reply = client
-        .batch(|f| wire::encode_request_frame(f, &[("recovered", 1)]))
+        .batch(|f| encode_request_frame_v2(f, &[(0, "recovered", 1)]))
         .unwrap();
     let records = reply.records().unwrap();
     assert!(matches!(records[0], BinReply::Verdict { cold: true, .. }));
@@ -408,7 +500,7 @@ fn oversized_batch_gets_typed_error_and_connection_stays_usable() {
     let mut client = Client::connect(server.addr()).unwrap();
 
     // count > MAX_BATCH with a small, intact envelope.
-    let mut bad = vec![wire::BIN_MAGIC, wire::BIN_VERSION, wire::FRAME_REQUEST];
+    let mut bad = vec![wire::BIN_MAGIC, wire::BIN_VERSION_2, wire::FRAME_REQUEST];
     bad.extend_from_slice(&16u32.to_le_bytes());
     bad.extend_from_slice(&((wire::MAX_BATCH + 1) as u32).to_le_bytes());
     bad.extend_from_slice(&[0u8; 16]);
@@ -421,7 +513,7 @@ fn oversized_batch_gets_typed_error_and_connection_stays_usable() {
         other => panic!("{other:?}"),
     }
     let reply = client
-        .batch(|f| wire::encode_request_frame(f, &[("still-alive", 3)]))
+        .batch(|f| encode_request_frame_v2(f, &[(0, "still-alive", 3)]))
         .unwrap();
     assert_eq!(reply.records().unwrap().len(), 1);
     assert_eq!(server.metrics().proto.proto_errors, 1);
@@ -435,12 +527,20 @@ fn unrecoverable_frame_errors_answer_then_close() {
     // Bad version: typed error frame, then FIN.
     let mut bad_version = vec![wire::BIN_MAGIC, 99, wire::FRAME_REQUEST];
     bad_version.extend_from_slice(&[0u8; 8]);
+    // Version 1, the retired tenant-less dialect: `{u16 app_len, app,
+    // u64 ts}` records, here one of app "a".
+    let mut v1 = vec![wire::BIN_MAGIC, 1, wire::FRAME_REQUEST];
+    v1.extend_from_slice(&11u32.to_le_bytes());
+    v1.extend_from_slice(&1u32.to_le_bytes());
+    v1.extend_from_slice(&[1, 0, b'a']);
+    v1.extend_from_slice(&7u64.to_le_bytes());
     // Payload length beyond the 1 MiB cap: same fate (mirrors HTTP 413).
-    let mut huge = vec![wire::BIN_MAGIC, wire::BIN_VERSION, wire::FRAME_REQUEST];
+    let mut huge = vec![wire::BIN_MAGIC, wire::BIN_VERSION_2, wire::FRAME_REQUEST];
     huge.extend_from_slice(&((wire::MAX_FRAME_PAYLOAD + 1) as u32).to_le_bytes());
     huge.extend_from_slice(&1u32.to_le_bytes());
     for (frame, want) in [
         (bad_version, BinErrorCode::BadVersion),
+        (v1, BinErrorCode::BadVersion),
         (huge, BinErrorCode::Oversized),
     ] {
         let mut client = Client::connect(server.addr()).unwrap();
@@ -453,7 +553,7 @@ fn unrecoverable_frame_errors_answer_then_close() {
         assert!(matches!(client.conn().read_reply().unwrap(), Reply::Eof));
     }
 
-    assert_eq!(server.metrics().proto.proto_errors, 2);
+    assert_eq!(server.metrics().proto.proto_errors, 3);
     server.shutdown().unwrap();
 }
 
@@ -480,10 +580,11 @@ fn pipelined_frames_get_replies_in_frame_order() {
     let n = 30u64;
     let mut batch = Vec::new();
     for k in 0..n {
-        encode_request_frame(&mut batch, &[(format!("pipe-{k:02}").as_str(), 0)]);
+        encode_request_frame_v2(&mut batch, &[(0, format!("pipe-{k:02}").as_str(), 0)]);
     }
     for k in 0..n {
-        encode_request_frame(&mut batch, &[(format!("pipe-{k:02}").as_str(), 60_000 + k)]);
+        let app = format!("pipe-{k:02}");
+        encode_request_frame_v2(&mut batch, &[(0, app.as_str(), 60_000 + k)]);
     }
     client.send(&batch).unwrap();
 
@@ -521,16 +622,16 @@ fn pipelined_frames_interleave_with_errors_in_order() {
     let mut client = Client::connect(server.addr()).unwrap();
 
     let mut batch = Vec::new();
-    encode_request_frame(&mut batch, &[("inter-a", 1)]);
+    encode_request_frame_v2(&mut batch, &[(0, "inter-a", 1)]);
     // Malformed-but-delimited: empty app with an intact envelope.
-    let mut payload = vec![0u8, 0];
+    let mut payload = vec![0u8, 0, 0, 0];
     payload.extend_from_slice(&7u64.to_le_bytes());
     payload.push(0xAA);
-    batch.extend_from_slice(&[wire::BIN_MAGIC, wire::BIN_VERSION, wire::FRAME_REQUEST]);
+    batch.extend_from_slice(&[wire::BIN_MAGIC, wire::BIN_VERSION_2, wire::FRAME_REQUEST]);
     batch.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     batch.extend_from_slice(&1u32.to_le_bytes());
     batch.extend_from_slice(&payload);
-    encode_request_frame(&mut batch, &[("inter-b", 2)]);
+    encode_request_frame_v2(&mut batch, &[(0, "inter-b", 2)]);
     client.send(&batch).unwrap();
 
     let first = expect_reply(&mut client);
@@ -551,9 +652,9 @@ fn out_of_order_records_are_per_record_errors_not_frame_errors() {
     let server = start_server(1);
     let mut client = Client::connect(server.addr()).unwrap();
 
-    let frame = [("ooo", 600_000), ("ooo", 60_000), ("ooo", 700_000)];
+    let frame = [(0, "ooo", 600_000), (0, "ooo", 60_000), (0, "ooo", 700_000)];
     let records = client
-        .batch(|f| wire::encode_request_frame(f, &frame))
+        .batch(|f| encode_request_frame_v2(f, &frame))
         .unwrap()
         .records()
         .unwrap();

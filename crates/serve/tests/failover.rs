@@ -1,7 +1,7 @@
 //! The ISSUE-10 acceptance tests: primary → warm-standby failover is
 //! invisible in the decision stream.
 //!
-//! A multi-tenant fleet replay (mixed JSON and SITW-BIN v2 blocks) runs
+//! A multi-tenant fleet replay (mixed JSON and SITW-BIN blocks) runs
 //! against a 2-shard primary while a follower pulls the replication
 //! stream; the primary dies mid-trace, the follower — a 5-shard node
 //! refusing decisions until then — promotes in place, and the remaining

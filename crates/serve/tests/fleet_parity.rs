@@ -1,6 +1,6 @@
 //! The ISSUE-4 acceptance test: a multi-tenant fleet replay — distinct
 //! per-tenant policies (fixed / hybrid / production), one tenant over
-//! its memory budget — driven through mixed JSON and SITW-BIN v2
+//! its memory budget — driven through mixed JSON and SITW-BIN
 //! blocks, is **bit-identical** to `sitw_sim::fleet_verdict_trace`
 //! (cold/warm, pre-warm load, eviction downgrade, decision branch, both
 //! windows), across a snapshot/restore that changes the shard count
@@ -107,7 +107,7 @@ fn workload() -> (Vec<WorkloadEvent>, Vec<String>) {
 }
 
 /// Replays `merged` against `addr` in alternating protocol blocks — 17
-/// invocations as sequential JSON requests, then 29 as one SITW-BIN v2
+/// invocations as sequential JSON requests, then 29 as one SITW-BIN
 /// frame — appending observations in event order.
 fn replay_mixed(addr: SocketAddr, merged: &[WorkloadEvent], online: &mut Vec<Decision>) {
     let mut json = Client::connect(addr).unwrap();
@@ -279,7 +279,7 @@ fn fleet_replay_matches_fleet_verdict_trace_across_shard_change() {
 }
 
 /// Unknown tenants are rejected cleanly on both protocols: JSON with a
-/// 400, SITW-BIN v2 with a typed (recoverable) error frame.
+/// 400, SITW-BIN with a typed (recoverable) error frame.
 #[test]
 fn unknown_tenants_rejected_on_both_protocols() {
     let server = Server::start(ServeConfig {
@@ -314,7 +314,7 @@ fn unknown_tenants_rejected_on_both_protocols() {
         }
         other => panic!("{other:?}"),
     }
-    // Still usable: a valid v2 frame for the known tenant (id 1).
+    // Still usable: a valid frame for the known tenant (id 1).
     let records = bin
         .batch(|f| wire::encode_request_frame_v2(f, &[(1, "b", 5)]))
         .unwrap()

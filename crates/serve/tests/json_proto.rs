@@ -62,9 +62,7 @@ fn read_events(
                 );
                 (text, false)
             }
-            Ok(ReadEvent::Frame { version, trace }) => {
-                (format!("frame v{version} {trace:?} {records:?}"), false)
-            }
+            Ok(ReadEvent::Frame { trace }) => (format!("frame {trace:?} {records:?}"), false),
             Ok(ReadEvent::Ctrl(ctrl)) => (format!("ctrl {ctrl:?}"), false),
             Ok(ReadEvent::FrameError {
                 code,

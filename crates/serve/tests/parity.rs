@@ -441,9 +441,9 @@ fn replay_mixed(
             i = merged.len().min(i + 17);
         } else {
             let block = &merged[i..merged.len().min(i + 29)];
-            let records: Vec<(&str, u64)> = block.iter().map(|(a, ts)| (a.as_str(), *ts)).collect();
+            let records = block.iter().map(|(a, ts)| (0, a.as_str(), *ts));
             let replies = bin
-                .batch(|f| wire::encode_request_frame(f, &records))
+                .batch(|f| wire::encode_request_frame_v2_from(f, records, None))
                 .unwrap()
                 .records()
                 .unwrap();

@@ -8,7 +8,7 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use sitw_serve::http::{write_request, Reply};
-use sitw_serve::wire::{self, encode_request_frame, BinReply};
+use sitw_serve::wire::{self, encode_request_frame_v2, BinReply};
 use sitw_serve::{Client, ServeConfig, Server};
 use sitw_sim::PolicySpec;
 
@@ -57,14 +57,14 @@ fn slowloris_half_message_is_disconnected_after_idle_timeout() {
     http.write_all(b"POST /inv").unwrap();
     // Half a SITW-BIN frame (magic + version only), then silence.
     let mut bin = TcpStream::connect(server.addr()).unwrap();
-    bin.write_all(&[wire::BIN_MAGIC, wire::BIN_VERSION])
+    bin.write_all(&[wire::BIN_MAGIC, wire::BIN_VERSION_2])
         .unwrap();
     // A malformed-but-delimited frame whose declared payload is only
     // partially sent, then silence: the typed error is answered but the
     // connection is mid-*skip* (parse buffer empty, the peer still owes
     // skip bytes) — the idle clock must cover that state too.
     let mut skip = TcpStream::connect(server.addr()).unwrap();
-    let mut bad = vec![wire::BIN_MAGIC, wire::BIN_VERSION, wire::FRAME_REQUEST];
+    let mut bad = vec![wire::BIN_MAGIC, wire::BIN_VERSION_2, wire::FRAME_REQUEST];
     // 1000 declared records cannot fit a 4 KiB payload: malformed,
     // decidable from the header alone, so the payload is a lazy skip.
     bad.extend_from_slice(&4096u32.to_le_bytes()); // payload_len
@@ -122,8 +122,10 @@ fn thousand_connection_churn_leaks_nothing() {
     for i in 0..cycles {
         let mut client = Client::connect(server.addr()).unwrap();
         let app = format!("churn-{:03}", i % 500);
-        let frame = [(app.as_str(), i * 7)];
-        let reply = client.batch(|f| encode_request_frame(f, &frame)).unwrap();
+        let frame = [(0, app.as_str(), i * 7)];
+        let reply = client
+            .batch(|f| encode_request_frame_v2(f, &frame))
+            .unwrap();
         assert_eq!(reply.records().unwrap().len(), 1);
         // Drop without shutdown: the reactor sees EOF (or RST) and must
         // retire the slab entry either way.
@@ -162,9 +164,10 @@ fn mid_frame_disconnect_drops_pending_batch_without_poisoning() {
         let records: Vec<(String, u64)> = (0..1_000)
             .map(|i| (format!("gone-{:03}", i % 200), 1_000 + i as u64))
             .collect();
-        let borrowed: Vec<(&str, u64)> = records.iter().map(|(a, t)| (a.as_str(), *t)).collect();
+        let borrowed: Vec<(u16, &str, u64)> =
+            records.iter().map(|(a, t)| (0, a.as_str(), *t)).collect();
         let mut frame = Vec::new();
-        encode_request_frame(&mut frame, &borrowed);
+        encode_request_frame_v2(&mut frame, &borrowed);
         stream.write_all(&frame).unwrap();
         drop(stream); // No read: the reply hits a dead connection.
     }
@@ -173,7 +176,7 @@ fn mid_frame_disconnect_drops_pending_batch_without_poisoning() {
     {
         let mut stream = TcpStream::connect(server.addr()).unwrap();
         let mut frame = Vec::new();
-        encode_request_frame(&mut frame, &[("half", 1), ("frame", 2)]);
+        encode_request_frame_v2(&mut frame, &[(0, "half", 1), (0, "frame", 2)]);
         stream.write_all(&frame[..frame.len() / 2]).unwrap();
         drop(stream);
     }
@@ -194,9 +197,9 @@ fn mid_frame_disconnect_drops_pending_batch_without_poisoning() {
     // their new occupants correctly.
     for round in 0..20 {
         let mut client = Client::connect(server.addr()).unwrap();
-        let frame = [("gone-000", 1_000_000 + round), ("fresh", 5 + round)];
+        let frame = [(0, "gone-000", 1_000_000 + round), (0, "fresh", 5 + round)];
         let records = client
-            .batch(|f| wire::encode_request_frame(f, &frame))
+            .batch(|f| encode_request_frame_v2(f, &frame))
             .unwrap()
             .records()
             .unwrap();
@@ -229,7 +232,7 @@ fn two_hundred_fifty_six_concurrent_keepalive_connections() {
     // All connections send one single-record frame...
     for (i, client) in conns.iter_mut().enumerate() {
         let mut frame = Vec::new();
-        encode_request_frame(&mut frame, &[(format!("fan-{i:03}").as_str(), 9)]);
+        encode_request_frame_v2(&mut frame, &[(0, format!("fan-{i:03}").as_str(), 9)]);
         client.send(&frame).unwrap();
     }
     // ...and all replies come back while every connection stays open.
@@ -294,7 +297,7 @@ fn stress_2048_concurrent_connections_on_4_reactor_threads() {
         .collect();
     for (i, client) in conns.iter_mut().enumerate() {
         let mut frame = Vec::new();
-        encode_request_frame(&mut frame, &[(format!("mass-{i:04}").as_str(), 1)]);
+        encode_request_frame_v2(&mut frame, &[(0, format!("mass-{i:04}").as_str(), 1)]);
         client.send(&frame).unwrap();
     }
     for client in conns.iter_mut() {
@@ -310,7 +313,7 @@ fn stress_2048_concurrent_connections_on_4_reactor_threads() {
     // more request over a random survivor to prove the pool still
     // serves while loaded with idle sockets.
     std::thread::sleep(Duration::from_millis(300));
-    let reply = conns[1_024].batch(|f| wire::encode_request_frame(f, &[("mass-0000", 120_000)]));
+    let reply = conns[1_024].batch(|f| encode_request_frame_v2(f, &[(0, "mass-0000", 120_000)]));
     let records = reply.unwrap().records().unwrap();
     assert!(matches!(records[0], BinReply::Verdict { .. }));
 
@@ -430,7 +433,7 @@ fn assert_quiet(client: &mut Client) {
 }
 
 /// The mixed burst: 8 invokes, a malformed body, `GET /healthz`, a
-/// SITW-BIN v2 frame, 8 more invokes — 19 messages. Every invoke pair is
+/// SITW-BIN frame, 8 more invokes — 19 messages. Every invoke pair is
 /// `(app @ ts, app @ 0)`: a 200 followed by a 409 echoing `last_ts = ts`,
 /// so each position in the reply stream is distinguishable.
 fn mixed_burst(prefix: &str) -> Vec<u8> {

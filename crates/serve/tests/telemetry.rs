@@ -34,7 +34,9 @@ fn invoke_request(burst: &mut Vec<u8>, app: &str, ts: u64, trace: Option<u64>) {
 fn bin_roundtrip(addr: SocketAddr, records: &[(&str, u64)]) -> Vec<BinReply> {
     let mut client = Client::connect(addr).unwrap();
     client
-        .batch(|f| wire::encode_request_frame(f, records))
+        .batch(|f| {
+            wire::encode_request_frame_v2_from(f, records.iter().map(|&(a, ts)| (0, a, ts)), None)
+        })
         .unwrap()
         .records()
         .unwrap()
