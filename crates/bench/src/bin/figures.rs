@@ -31,7 +31,7 @@ use sitw_trace::subset::{filter_by_weighted_exec, mid_popularity_subset, paper_m
 use sitw_trace::{for_each_app, generate_trace, Population, TraceConfig, HOUR_MS};
 
 fn main() {
-    let (cfg, figs) = parse_args();
+    let (cfg, figs) = parse_args(std::env::args().skip(1));
     if figs.is_empty() {
         eprintln!("no figures requested; try `figures all`");
         std::process::exit(2);
@@ -96,10 +96,9 @@ fn main() {
     }
 }
 
-fn parse_args() -> (HarnessConfig, Vec<String>) {
+fn parse_args(mut args: impl Iterator<Item = String>) -> (HarnessConfig, Vec<String>) {
     let mut cfg = HarnessConfig::default();
     let mut figs = Vec::new();
-    let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut next = |name: &str| {
             args.next()
@@ -142,7 +141,10 @@ fn parse_args() -> (HarnessConfig, Vec<String>) {
             other => figs.push(other.to_owned()),
         }
     }
-    figs.dedup();
+    // Each figure once, in the order first asked for (`all fig14`
+    // names fig14 twice, not next to each other).
+    let mut seen = std::collections::HashSet::new();
+    figs.retain(|f| seen.insert(f.clone()));
     (cfg, figs)
 }
 
@@ -991,4 +993,17 @@ fn ablation_oob(cfg: &HarnessConfig) {
         "out-of-bounds share that reroutes an app to the ARIMA path",
         variants,
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_args;
+
+    #[test]
+    fn a_figure_named_twice_runs_once() {
+        let args = |list: &[&str]| parse_args(list.iter().map(|s| s.to_string())).1;
+        let all = args(&["all"]);
+        assert_eq!(args(&["all", "fig14"]), all);
+        assert_eq!(args(&["fig15", "fig14", "fig15"]), ["fig15", "fig14"]);
+    }
 }

@@ -112,12 +112,15 @@ pub const CUTOFFS: [(f64, f64); 6] = [
 pub const CV_THRESHOLDS: [f64; 4] = [0.0, 2.0, 5.0, 10.0];
 
 /// Builds the complete policy grid covering every evaluation figure.
-/// Labels are unique; duplicate configurations are emitted once.
+/// A configuration several figures share (the default hybrid is in
+/// four of them) is emitted once; distinct configurations have distinct
+/// labels, which [`run_full_grid`] keys its map by.
 pub fn full_policy_grid() -> Vec<PolicySpec> {
     let mut specs: Vec<PolicySpec> = Vec::new();
-    let mut seen: HashMap<String, ()> = HashMap::new();
-    let mut push = |spec: PolicySpec, specs: &mut Vec<PolicySpec>| {
-        if seen.insert(spec.label(), ()).is_none() {
+    // Equal specs, not equal labels: a label leaves out most of a hybrid
+    // configuration (bin width, thresholds, history cap, margins).
+    let push = |spec: PolicySpec, specs: &mut Vec<PolicySpec>| {
+        if !specs.contains(&spec) {
             specs.push(spec);
         }
     };
@@ -162,10 +165,13 @@ pub fn run_full_grid(cfg: &HarnessConfig) -> HashMap<String, PolicyAggregate> {
     let population = cfg.sim_population();
     let trace_cfg = cfg.sim_trace_config();
     let specs = full_policy_grid();
-    run_sweep(&population, &trace_cfg, &specs, cfg.threads)
-        .into_iter()
-        .map(|a| (a.label.clone(), a))
-        .collect()
+    let grid: HashMap<String, PolicyAggregate> =
+        run_sweep(&population, &trace_cfg, &specs, cfg.threads)
+            .into_iter()
+            .map(|a| (a.label.clone(), a))
+            .collect();
+    assert_eq!(grid.len(), specs.len(), "two grid specs share a label");
+    grid
 }
 
 /// Label helpers matching [`PolicySpec::label`] output.
@@ -251,6 +257,18 @@ pub fn dir_exists(path: &Path) -> bool {
 mod tests {
     use super::*;
     use sitw_trace::DAY_MS;
+
+    #[test]
+    fn grid_labels_are_unique() {
+        // Every spec once, and no two of them under one label: the map
+        // `run_full_grid` returns would keep only one of them.
+        let specs = full_policy_grid();
+        for (i, spec) in specs.iter().enumerate() {
+            assert!(!specs[..i].contains(spec), "{} twice", spec.label());
+        }
+        let labels: std::collections::HashSet<String> = specs.iter().map(|s| s.label()).collect();
+        assert_eq!(labels.len(), specs.len(), "two specs share a label");
+    }
 
     #[test]
     fn grid_has_unique_labels_and_covers_figures() {

@@ -29,6 +29,19 @@
 //! not in the app's state, and allocates nothing once the thread has
 //! searched a full history.
 //!
+//! # One decision body, two owners
+//!
+//! [`HybridApp::on_invocation`] — the daemon's and the fleet's path —
+//! records an idle time and decides through two private functions,
+//! `record` and `decide`. A [`HybridGroup`] calls the same two for a
+//! replay that runs several configurations over one stream: the
+//! configurations that share [`HybridConfig::state_key`] (bin count, bin
+//! width, history cap) build identical histograms and histories, so the
+//! group records each idle time once, feeds one cursor per distinct
+//! percentile, and lets each configuration decide on its own head and
+//! tail cursor. The decision counters and the last branch belong to
+//! whoever calls `decide`.
+//!
 //! # What a snapshot holds
 //!
 //! The inputs of a decision, in an order that does not depend on the
@@ -153,6 +166,21 @@ impl HybridConfig {
         self.pre_warming = false;
         self
     }
+
+    /// Everything of the configuration that shapes what an app's idle
+    /// times build — bin count, bin width (minutes) and history cap.
+    /// Configurations with one key record identically and differ only in
+    /// how they decide; a [`HybridGroup`] serves them all.
+    pub fn state_key(&self) -> (usize, usize, usize) {
+        let width = self.bin_width_minutes.max(1);
+        ((self.range_minutes / width).max(1), width, self.history_cap)
+    }
+
+    /// An empty histogram of this configuration's geometry.
+    fn new_histogram(&self) -> RangeHistogram {
+        let (bins, width, _) = self.state_key();
+        RangeHistogram::new(bins, width as u64)
+    }
 }
 
 impl PolicyFactory for HybridConfig {
@@ -196,6 +224,16 @@ impl DecisionCounts {
     pub fn total(&self) -> u64 {
         self.histogram + self.standard + self.arima
     }
+
+    /// Counts one decision of the hybrid policy's branch `kind`.
+    #[inline]
+    fn count(&mut self, kind: DecisionKind) {
+        match kind {
+            DecisionKind::Histogram => self.histogram += 1,
+            DecisionKind::Arima => self.arima += 1,
+            _ => self.standard += 1,
+        }
+    }
 }
 
 /// Which §4.2 branch the histogram, as it stands, routes a decision to
@@ -235,10 +273,9 @@ impl Regime {
 #[derive(Debug, Clone)]
 pub struct HybridApp {
     hist: RangeHistogram,
-    /// `hist`'s head-percentile bin, fed every in-bounds record.
-    head: PercentileCursor,
-    /// `hist`'s tail-percentile bin, likewise.
-    tail: PercentileCursor,
+    /// `hist`'s head- and tail-percentile bins, fed every in-bounds
+    /// record.
+    cursors: [PercentileCursor; 2],
     /// Recent ITs in minutes (for the ARIMA path), oldest first: a ring
     /// of at most `history_cap` values.
     history: VecDeque<f64>,
@@ -249,12 +286,9 @@ pub struct HybridApp {
 impl HybridApp {
     /// The state of an app not seen yet.
     pub fn new(config: &HybridConfig) -> Self {
-        let width = config.bin_width_minutes.max(1);
-        let bins = (config.range_minutes / width).max(1);
-        let hist = RangeHistogram::new(bins, width as u64);
         Self::with_state(
             config,
-            hist,
+            config.new_histogram(),
             VecDeque::new(),
             DecisionCounts::default(),
             DecisionKind::StandardKeepAlive,
@@ -269,11 +303,10 @@ impl HybridApp {
         counts: DecisionCounts,
         last_decision: DecisionKind,
     ) -> Self {
-        let [head, tail] =
+        let cursors =
             PercentileCursor::seek_pair(&hist, [config.head_percentile, config.tail_percentile]);
         Self {
-            head,
-            tail,
+            cursors,
             hist,
             history,
             counts,
@@ -302,113 +335,29 @@ impl HybridApp {
     /// order, which `on_invocation` branches on.
     #[inline]
     pub fn regime(&self, cfg: &HybridConfig) -> Regime {
-        if self.hist.total_count() < cfg.min_samples {
-            Regime::Learning
-        } else if self.hist.oob_fraction() > cfg.oob_threshold {
-            if cfg.use_arima {
-                Regime::OutOfBoundsArima
-            } else {
-                Regime::OutOfBoundsStandard
-            }
-        } else if self.hist.bin_count_cv() < cfg.cv_threshold {
-            Regime::NotRepresentative
-        } else {
-            Regime::Representative
-        }
+        Shape::of(&self.hist).regime(cfg)
     }
 
-    /// Histogram range in milliseconds (bins × bin width).
-    fn range_ms(&self) -> DurationMs {
-        self.hist.range() * MINUTE_MS
-    }
-
-    /// The conservative fallback: no unloading, keep-alive spanning the
-    /// whole histogram range.
-    fn standard_keep_alive(&mut self) -> Windows {
-        self.counts.standard += 1;
-        self.last_decision = DecisionKind::StandardKeepAlive;
-        Windows::keep_loaded(self.range_ms())
-    }
-
-    /// Records one idle time (in minutes) as the newest of a history
-    /// capped at `cap` values.
-    fn push_history(&mut self, cap: usize, minutes: f64) {
-        // Full: the oldest value makes room. Under a cap of 0 there is
-        // none, and nothing is kept.
-        if self.history.len() >= cap && self.history.pop_front().is_none() {
-            return;
-        }
-        self.history.push_back(minutes);
-    }
-
-    /// The ARIMA branch: a forecast wrapped in the margin; `None` when
-    /// it is unusable.
-    fn arima_windows(&mut self, cfg: &HybridConfig) -> Option<Windows> {
-        if self.history.len() < cfg.arima_min_history {
-            return None;
-        }
-        // The fit reads the series oldest first in one slice.
-        let series = self.history.make_contiguous();
-        let pred_minutes = auto_forecast_one(series, cfg.arima).ok()?;
-        if !pred_minutes.is_finite() || pred_minutes < 1.0 {
-            return None;
-        }
-        let margin = cfg.arima_margin;
-        let pre_warm = pred_minutes * (1.0 - margin);
-        let keep_alive = 2.0 * margin * pred_minutes;
-        self.counts.arima += 1;
-        self.last_decision = DecisionKind::Arima;
-        Some(Windows::pre_warmed(
-            (pre_warm * MINUTE_MS as f64) as DurationMs,
-            (keep_alive * MINUTE_MS as f64).max(MINUTE_MS as f64) as DurationMs,
-        ))
-    }
-
-    /// The histogram branch: head/tail cutoffs with margins and the
-    /// paper's rounding rule.
-    fn histogram_windows(&mut self, cfg: &HybridConfig) -> Option<Windows> {
-        let head_min = self.head.head_value(&self.hist)?;
-        let tail_min = self.tail.tail_value(&self.hist)?;
-        let head_ms = (head_min as f64 * (1.0 - cfg.head_margin)) * MINUTE_MS as f64;
-        let tail_ms = (tail_min as f64 * (1.0 + cfg.tail_margin)) * MINUTE_MS as f64;
-        let windows = if head_min == 0 || !cfg.pre_warming {
-            // Head rounded down to zero (Figure 12, middle column) or
-            // pre-warming disabled: do not unload.
-            Windows::keep_loaded(tail_ms as DurationMs)
-        } else {
-            let pw = head_ms as DurationMs;
-            let ka = (tail_ms - head_ms).max(MINUTE_MS as f64) as DurationMs;
-            Windows::pre_warmed(pw, ka)
-        };
-        self.counts.histogram += 1;
-        self.last_decision = DecisionKind::Histogram;
-        Some(windows)
-    }
-
-    /// The policy's one decision body: records the idle time that just
-    /// ended (`None` at first sight) and returns the windows for the
-    /// gap that starts, under `cfg`.
+    /// The policy's decision path: records the idle time that just ended
+    /// (`None` at first sight) and returns the windows for the gap that
+    /// starts, under `cfg`.
     // sitw-lint: hot-path
     pub fn on_invocation(&mut self, cfg: &HybridConfig, idle: Option<DurationMs>) -> Windows {
-        // Update the IT distribution (Figure 10, first box).
         if let Some(it) = idle {
-            if let Recorded::InBounds { bin } = self.hist.record(it / MINUTE_MS) {
-                self.head.on_record(&self.hist, bin);
-                self.tail.on_record(&self.hist, bin);
-            }
-            self.push_history(cfg.history_cap, it as f64 / MINUTE_MS as f64);
+            record(
+                &mut self.hist,
+                &mut self.cursors,
+                &mut self.history,
+                cfg.history_cap,
+                it,
+            );
         }
-
-        let windows = match self.regime(cfg) {
-            // Too many OOB ITs → time-series forecast (or the
-            // conservative fallback when it is unusable).
-            Regime::OutOfBoundsArima => self.arima_windows(cfg),
-            Regime::Representative => self.histogram_windows(cfg),
-            // Not enough data, ARIMA disabled, or bin counts too even
-            // (CV, Figure 18): be conservative.
-            Regime::Learning | Regime::OutOfBoundsStandard | Regime::NotRepresentative => None,
-        };
-        windows.unwrap_or_else(|| self.standard_keep_alive())
+        let [head, tail] = &self.cursors;
+        let shape = Shape::of(&self.hist);
+        let (windows, kind) = decide(cfg, shape, &self.hist, head, tail, &mut self.history);
+        self.counts.count(kind);
+        self.last_decision = kind;
+        windows
     }
 
     /// Captures the app's complete mutable state.
@@ -430,8 +379,7 @@ impl HybridApp {
     /// Fails when the snapshot's histogram geometry or history length
     /// does not fit `config`.
     pub fn from_snapshot(config: &HybridConfig, snap: HybridSnapshot) -> Result<Self, String> {
-        let width = config.bin_width_minutes.max(1);
-        let expected_bins = (config.range_minutes / width).max(1);
+        let (expected_bins, width, _) = config.state_key();
         if snap.bins.len() != expected_bins {
             return Err(format!(
                 "snapshot has {} bins but config expects {expected_bins}",
@@ -453,6 +401,239 @@ impl HybridApp {
             snap.counts,
             snap.last_decision,
         ))
+    }
+}
+
+/// What [`Regime`] reads off a histogram, whatever the thresholds: a
+/// [`HybridGroup`] computes it once per record for all its members.
+// Cached per group rather than read off the histogram per member: on
+// `figures fig14 … fig19` (eleven members in the 4 h group) that took
+// the wall time from 2.33 s to 2.05 s, medians of eight alternating
+// runs on a 2-vCPU host.
+#[derive(Debug, Clone, Copy)]
+struct Shape {
+    total: u64,
+    oob_fraction: f64,
+    cv: f64,
+}
+
+impl Shape {
+    #[inline]
+    fn of(hist: &RangeHistogram) -> Self {
+        Self {
+            total: hist.total_count(),
+            oob_fraction: hist.oob_fraction(),
+            cv: hist.bin_count_cv(),
+        }
+    }
+
+    /// The branch the next decision under `cfg` takes; see
+    /// [`HybridApp::regime`].
+    #[inline]
+    fn regime(self, cfg: &HybridConfig) -> Regime {
+        if self.total < cfg.min_samples {
+            Regime::Learning
+        } else if self.oob_fraction > cfg.oob_threshold {
+            if cfg.use_arima {
+                Regime::OutOfBoundsArima
+            } else {
+                Regime::OutOfBoundsStandard
+            }
+        } else if self.cv < cfg.cv_threshold {
+            Regime::NotRepresentative
+        } else {
+            Regime::Representative
+        }
+    }
+}
+
+/// Records one idle time (Figure 10, first box): one bin increment,
+/// every cursor on `hist` fed, and the time in minutes pushed as the
+/// newest of a history capped at `cap` values.
+// sitw-lint: hot-path
+#[inline]
+fn record(
+    hist: &mut RangeHistogram,
+    cursors: &mut [PercentileCursor],
+    history: &mut VecDeque<f64>,
+    cap: usize,
+    it: DurationMs,
+) {
+    if let Recorded::InBounds { bin } = hist.record(it / MINUTE_MS) {
+        for cursor in cursors {
+            cursor.on_record(hist, bin);
+        }
+    }
+    // Full: the oldest value makes room. Under a cap of 0 there is none,
+    // and nothing is kept.
+    if history.len() >= cap && history.pop_front().is_none() {
+        return;
+    }
+    history.push_back(it as f64 / MINUTE_MS as f64);
+}
+
+/// The policy's one decision body: the windows for the gap that starts
+/// under `cfg`, read off the histogram (and its `shape`), its `head` and
+/// `tail` cursors and the history, with the branch that produced them.
+// sitw-lint: hot-path
+#[inline]
+fn decide(
+    cfg: &HybridConfig,
+    shape: Shape,
+    hist: &RangeHistogram,
+    head: &PercentileCursor,
+    tail: &PercentileCursor,
+    history: &mut VecDeque<f64>,
+) -> (Windows, DecisionKind) {
+    let decided = match shape.regime(cfg) {
+        // Too many OOB ITs → time-series forecast (or the conservative
+        // fallback when it is unusable).
+        Regime::OutOfBoundsArima => arima_windows(cfg, history).map(|w| (w, DecisionKind::Arima)),
+        Regime::Representative => {
+            histogram_windows(cfg, hist, head, tail).map(|w| (w, DecisionKind::Histogram))
+        }
+        // Not enough data, ARIMA disabled, or bin counts too even (CV,
+        // Figure 18): be conservative.
+        Regime::Learning | Regime::OutOfBoundsStandard | Regime::NotRepresentative => None,
+    };
+    // The conservative fallback: no unloading, keep-alive spanning the
+    // whole histogram range.
+    decided.unwrap_or((
+        Windows::keep_loaded(hist.range() * MINUTE_MS),
+        DecisionKind::StandardKeepAlive,
+    ))
+}
+
+/// The ARIMA branch: a forecast wrapped in the margin; `None` when it is
+/// unusable.
+fn arima_windows(cfg: &HybridConfig, history: &mut VecDeque<f64>) -> Option<Windows> {
+    if history.len() < cfg.arima_min_history {
+        return None;
+    }
+    // The fit reads the series oldest first in one slice.
+    let series = history.make_contiguous();
+    let pred_minutes = auto_forecast_one(series, cfg.arima).ok()?;
+    if !pred_minutes.is_finite() || pred_minutes < 1.0 {
+        return None;
+    }
+    let margin = cfg.arima_margin;
+    let pre_warm = pred_minutes * (1.0 - margin);
+    let keep_alive = 2.0 * margin * pred_minutes;
+    Some(Windows::pre_warmed(
+        (pre_warm * MINUTE_MS as f64) as DurationMs,
+        (keep_alive * MINUTE_MS as f64).max(MINUTE_MS as f64) as DurationMs,
+    ))
+}
+
+/// The histogram branch: head/tail cutoffs with margins and the paper's
+/// rounding rule.
+fn histogram_windows(
+    cfg: &HybridConfig,
+    hist: &RangeHistogram,
+    head: &PercentileCursor,
+    tail: &PercentileCursor,
+) -> Option<Windows> {
+    let head_min = head.head_value(hist)?;
+    let tail_min = tail.tail_value(hist)?;
+    let head_ms = (head_min as f64 * (1.0 - cfg.head_margin)) * MINUTE_MS as f64;
+    let tail_ms = (tail_min as f64 * (1.0 + cfg.tail_margin)) * MINUTE_MS as f64;
+    Some(if head_min == 0 || !cfg.pre_warming {
+        // Head rounded down to zero (Figure 12, middle column) or
+        // pre-warming disabled: do not unload.
+        Windows::keep_loaded(tail_ms as DurationMs)
+    } else {
+        let pw = head_ms as DurationMs;
+        let ka = (tail_ms - head_ms).max(MINUTE_MS as f64) as DurationMs;
+        Windows::pre_warmed(pw, ka)
+    })
+}
+
+/// One app's learned state shared by every hybrid configuration with
+/// one [`HybridConfig::state_key`], for a replay that runs several
+/// configurations over one stream: each idle time is recorded once —
+/// one bin increment, one feed per distinct percentile's cursor, one
+/// history push — and each configuration decides through the body
+/// [`HybridApp::on_invocation`] runs, reading its own two cursors. The
+/// counters and the last branch are the caller's.
+///
+/// A configuration deciding here sees exactly the histogram, cursors
+/// and history its own [`HybridApp`] would hold, so its windows and
+/// branches are that app's, bit for bit.
+#[derive(Debug, Clone)]
+pub struct HybridGroup {
+    hist: RangeHistogram,
+    /// `hist`'s shape, as of the last record.
+    shape: Shape,
+    /// One cursor per percentile [`HybridGroup::new`] was given.
+    cursors: Vec<PercentileCursor>,
+    history: VecDeque<f64>,
+    history_cap: usize,
+}
+
+impl HybridGroup {
+    /// The state of an app not seen yet under `config`'s
+    /// [`HybridConfig::state_key`], with one cursor per entry of
+    /// `percentiles`: [`HybridGroup::decide`] names them by index.
+    pub fn new(config: &HybridConfig, percentiles: &[f64]) -> Self {
+        let hist = config.new_histogram();
+        Self {
+            cursors: percentiles
+                .iter()
+                .map(|&p| PercentileCursor::seek(&hist, p))
+                .collect(),
+            shape: Shape::of(&hist),
+            hist,
+            history: VecDeque::new(),
+            history_cap: config.history_cap,
+        }
+    }
+
+    /// Records the idle time that just ended, once for every member.
+    // sitw-lint: hot-path
+    #[inline]
+    pub fn record(&mut self, idle_ms: DurationMs) {
+        record(
+            &mut self.hist,
+            &mut self.cursors,
+            &mut self.history,
+            self.history_cap,
+            idle_ms,
+        );
+        self.shape = Shape::of(&self.hist);
+    }
+
+    /// One member's decision under `cfg` — which must have this group's
+    /// [`HybridConfig::state_key`] — on the cursors at indices `head` and
+    /// `tail`, which must hold its head and tail percentiles: the
+    /// windows for the gap that starts, and the branch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `head` or `tail` is not a cursor index.
+    #[inline]
+    pub fn decide(
+        &mut self,
+        cfg: &HybridConfig,
+        head: usize,
+        tail: usize,
+    ) -> (Windows, DecisionKind) {
+        debug_assert_eq!(
+            cfg.state_key(),
+            (
+                self.hist.num_bins(),
+                self.hist.bin_width() as usize,
+                self.history_cap
+            ),
+            "one group, one key"
+        );
+        decide(
+            cfg,
+            self.shape,
+            &self.hist,
+            &self.cursors[head],
+            &self.cursors[tail],
+            &mut self.history,
+        )
     }
 }
 

@@ -51,7 +51,9 @@ pub mod production;
 pub mod spec;
 
 pub use fixed::{FixedKeepAlive, NoUnloading};
-pub use hybrid::{DecisionCounts, HybridApp, HybridConfig, HybridPolicy, HybridSnapshot, Regime};
+pub use hybrid::{
+    DecisionCounts, HybridApp, HybridConfig, HybridGroup, HybridPolicy, HybridSnapshot, Regime,
+};
 pub use policy::{
     AppPolicy, DecisionKind, DurationMs, GapOutcome, PolicyFactory, Windows, MINUTE_MS,
 };

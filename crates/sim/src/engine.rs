@@ -18,6 +18,13 @@
 //!   (the load never happened — the pending pre-warm is cancelled), one
 //!   inside `[pre_warm, pre_warm+keep_alive]` is warm (waste = arrival −
 //!   load), one after is cold (waste = the keep-alive window).
+//!
+//! One loop, `replay`, walks a stream and hands each idle gap to its
+//! caller, which keeps the windows in force; the accounting of a closed
+//! gap, a decision's branch and the trailing window up to the horizon
+//! are [`AppSimResult`]'s own. [`simulate_app`] folds one policy through
+//! them; the sweep (`crate::sweep`) folds every configuration of a run
+//! through the same loop and the same accounting in one walk.
 
 use sitw_core::{AppPolicy, DecisionKind, GapOutcome, Windows};
 use sitw_trace::TimeMs;
@@ -58,38 +65,47 @@ impl AppSimResult {
     }
 }
 
-/// The one replay loop. Classifies every idle gap against the windows
-/// in force ([`sitw_core::Windows::classify_gap`]) and hands each served
-/// invocation to `serve(ts, idle, gap)`, which advances the policy and
-/// returns the next windows. The first invocation is cold by definition
-/// (§5.1): `idle` is `None` and the gap it closes is cold and wasted
-/// nothing. `exec_ms(i)` is how long invocation `i` busies the image;
-/// an arrival inside a running execution is served by a concurrent
-/// container — it extends the busy period and never reaches `serve`.
-/// Returns the windows left in force and when the last execution ended
-/// (`None` for an empty stream).
+/// The gap the first invocation closes: cold by definition (§5.1), and
+/// nothing was loaded to waste.
+const FIRST_SIGHT: GapOutcome = GapOutcome {
+    cold: true,
+    wasted_ms: 0,
+    prewarm_load: false,
+};
+
+/// The gap an invocation closes under the `windows` in force: `idle` is
+/// `None` at first sight, when `windows` is never read.
+#[inline]
+pub(crate) fn classify(windows: &Windows, idle: Option<TimeMs>) -> GapOutcome {
+    idle.map_or(FIRST_SIGHT, |it| windows.classify_gap(it))
+}
+
+/// The one replay loop. Hands each served invocation to
+/// `serve(ts, idle)`, which classifies the gap it closes against its
+/// windows ([`classify`]) and advances its policies; the first
+/// invocation's `idle` is `None`. `exec_ms(i)` is how long invocation
+/// `i` busies the image; an arrival inside a running execution is served
+/// by a concurrent container — it extends the busy period and never
+/// reaches `serve`. Returns when the last execution ended (`None` for an
+/// empty stream).
 ///
 /// Generic over its closures, so each caller gets its own fold with
-/// nothing boxed or collected; one `serve` rather than an advance and a
-/// sink, so a caller accounts the gap *before* calling into the policy
-/// and carries nothing across that call. Deliberately not the fleet's
+/// nothing boxed or collected; the windows live with the caller, so one
+/// walk serves one policy ([`fold_app`], [`trace`]) or a sweep's every
+/// configuration at once (`crate::sweep`). Deliberately not the fleet's
 /// `TenantState::step` — they share `classify_gap` and nothing else,
 /// which keeps daemon-vs-`verdict_trace` parity a check of two
 /// implementations.
-fn replay(
+#[inline]
+pub(crate) fn replay(
     events: &[TimeMs],
     exec_ms: impl Fn(usize) -> TimeMs,
-    mut serve: impl FnMut(TimeMs, Option<TimeMs>, GapOutcome) -> Windows,
-) -> Option<(Windows, TimeMs)> {
+    mut serve: impl FnMut(TimeMs, Option<TimeMs>),
+) -> Option<TimeMs> {
     let (&first, rest) = events.split_first()?;
     debug_assert!(events.windows(2).all(|w| w[0] <= w[1]), "events sorted");
 
-    let first_sight = GapOutcome {
-        cold: true,
-        wasted_ms: 0,
-        prewarm_load: false,
-    };
-    let mut windows = serve(first, None, first_sight);
+    serve(first, None);
     let mut prev_end = first.saturating_add(exec_ms(0));
 
     for (i, &t) in rest.iter().enumerate() {
@@ -100,11 +116,63 @@ fn replay(
             prev_end = prev_end.max(busy_until);
             continue;
         }
-        let it = t - prev_end;
-        windows = serve(t, Some(it), windows.classify_gap(it));
+        serve(t, Some(t - prev_end));
         prev_end = busy_until;
     }
-    Some((windows, prev_end))
+    Some(prev_end)
+}
+
+impl AppSimResult {
+    /// A result for a stream of `invocations` with nothing accounted
+    /// yet: concurrent arrivals are invocations too, though no gap ends
+    /// at them.
+    pub(crate) fn new(invocations: usize) -> Self {
+        Self {
+            invocations: invocations as u64,
+            ..Self::default()
+        }
+    }
+
+    /// Accounts one closed gap.
+    #[inline]
+    pub(crate) fn add_gap(&mut self, gap: GapOutcome) {
+        if gap.prewarm_load {
+            self.prewarm_loads += 1;
+            self.loads += 1;
+        }
+        if gap.cold {
+            self.cold_starts += 1;
+            self.loads += 1;
+        }
+        self.wasted_ms = self.wasted_ms.saturating_add(gap.wasted_ms);
+    }
+
+    /// Accounts the branch of one decision.
+    #[inline]
+    pub(crate) fn add_decision(&mut self, kind: DecisionKind) {
+        if kind == DecisionKind::Arima {
+            self.arima_decisions += 1;
+            self.used_arima = true;
+        }
+    }
+
+    /// Accounts the trailing window after the last execution ended at
+    /// `prev_end`, under the `windows` left in force, clipped to the
+    /// horizon.
+    pub(crate) fn add_trailing(&mut self, windows: Windows, prev_end: TimeMs, horizon_ms: TimeMs) {
+        let remaining = horizon_ms.saturating_sub(prev_end);
+        if windows.pre_warm_ms == 0 {
+            self.wasted_ms = self
+                .wasted_ms
+                .saturating_add(remaining.min(windows.keep_alive_ms));
+        } else if remaining > windows.pre_warm_ms {
+            self.prewarm_loads += 1;
+            self.loads += 1;
+            self.wasted_ms = self
+                .wasted_ms
+                .saturating_add((remaining - windows.pre_warm_ms).min(windows.keep_alive_ms));
+        }
+    }
 }
 
 /// Replays one application's invocation timestamps against a policy,
@@ -158,44 +226,16 @@ fn fold_app<P: AppPolicy + ?Sized>(
     horizon_ms: TimeMs,
     policy: &mut P,
 ) -> AppSimResult {
-    let mut res = AppSimResult {
-        // Concurrent arrivals are invocations too, though no gap ends
-        // at them.
-        invocations: events.len() as u64,
-        ..AppSimResult::default()
-    };
-    let last = replay(events, exec_ms, |_, idle, gap| {
-        if gap.prewarm_load {
-            res.prewarm_loads += 1;
-            res.loads += 1;
-        }
-        if gap.cold {
-            res.cold_starts += 1;
-            res.loads += 1;
-        }
-        res.wasted_ms = res.wasted_ms.saturating_add(gap.wasted_ms);
-        let windows = policy.on_invocation(idle);
-        if policy.last_decision() == DecisionKind::Arima {
-            res.arima_decisions += 1;
-            res.used_arima = true;
-        }
-        windows
+    let mut res = AppSimResult::new(events.len());
+    // Read only once a gap closes, by then the policy's.
+    let mut windows = Windows::NEVER_UNLOAD;
+    let last = replay(events, exec_ms, |_, idle| {
+        res.add_gap(classify(&windows, idle));
+        windows = policy.on_invocation(idle);
+        res.add_decision(policy.last_decision());
     });
-    let Some((windows, prev_end)) = last else {
-        return res;
-    };
-
-    let remaining = horizon_ms.saturating_sub(prev_end);
-    if windows.pre_warm_ms == 0 {
-        res.wasted_ms = res
-            .wasted_ms
-            .saturating_add(remaining.min(windows.keep_alive_ms));
-    } else if remaining > windows.pre_warm_ms {
-        res.prewarm_loads += 1;
-        res.loads += 1;
-        res.wasted_ms = res
-            .wasted_ms
-            .saturating_add((remaining - windows.pre_warm_ms).min(windows.keep_alive_ms));
+    if let Some(prev_end) = last {
+        res.add_trailing(windows, prev_end, horizon_ms);
     }
     res
 }
@@ -225,11 +265,14 @@ fn trace(
     mut decide: impl FnMut(TimeMs, Option<TimeMs>) -> (Windows, DecisionKind),
 ) -> Vec<InvocationVerdict> {
     let mut out = Vec::with_capacity(events.len());
+    let mut windows = Windows::NEVER_UNLOAD;
     replay(
         events,
         |_| 0,
-        |ts, idle, gap| {
-            let (windows, kind) = decide(ts, idle);
+        |ts, idle| {
+            let gap = classify(&windows, idle);
+            let kind;
+            (windows, kind) = decide(ts, idle);
             out.push(InvocationVerdict {
                 ts,
                 cold: gap.cold,
@@ -237,7 +280,6 @@ fn trace(
                 kind,
                 windows,
             });
-            windows
         },
     );
     out

@@ -4,15 +4,20 @@
 //!   policy, classifying cold/warm starts and accounting wasted memory
 //!   time exactly as the paper's simulator does (zero execution times,
 //!   first invocation cold, equal memory per app) — one replay loop
-//!   behind [`simulate_app`], [`simulate_app_with_exec`],
-//!   [`verdict_trace`] and [`production_verdict_trace`], kept apart from
-//!   the fleet's decision kernel so the daemon can be checked against
-//!   it;
+//!   behind [`simulate_app`] (the entry point for one policy),
+//!   [`simulate_app_with_exec`], [`verdict_trace`],
+//!   [`production_verdict_trace`] and the sweep, kept apart from the
+//!   fleet's decision kernel so the daemon can be checked against it;
 //! * [`metrics`] aggregates per-app results into the evaluation's
 //!   statistics (cold-start CDFs, 75th percentile, normalized waste,
 //!   always-cold share, ARIMA usage);
 //! * [`sweep`] evaluates many policy configurations over a population in
-//!   parallel, generating each app's stream once.
+//!   parallel, generating each app's stream once and walking it once for
+//!   every configuration: hybrid configurations with one bin count, bin
+//!   width and history cap share one histogram, one cursor per distinct
+//!   percentile and one history, and each configuration still decides
+//!   and accounts on its own, so every aggregate is bit-identical to
+//!   folding [`simulate_app`] under that configuration's own policy.
 //!
 //! # Examples
 //!
