@@ -24,34 +24,66 @@
 //!
 //! [`ProductionApp::aggregate`] is the definition: fold every
 //! retained day, oldest first, into fresh [`WeightedBins`] under its
-//! recency weight. A decision does not run it. Each app caches the
-//! weighted sum of every retained day **except the newest** as of the
-//! current day index, and [`ProductionApp::on_invocation`] reads head
-//! and tail off `older[i] + w_newest × newest[i]`, formed bin by bin
-//! during one percentile walk. Three events invalidate the cache — the
+//! recency weight, and walk it from bin 0 to each percentile. A
+//! decision runs neither. Each app caches the weighted sum of every
+//! retained day **except the newest** as of the current day index
+//! (`older`), and the decision's aggregate is the [`WeightedSum`]
+//! `older[i] + w_newest × newest[i]`: the very expression the
+//! definition's last `add_scaled` stores, over the same partial sums in
+//! the same order (days are kept oldest first, so the newest day is the
+//! last addend; both paths weight a day through
+//! `ProductionConfig::day_weight`). Three events rebuild `older` — the
 //! day index of the decision differs from the one it was built for, a
-//! day is pushed or expired, the app is imported — and the next decision
-//! rebuilds it, so the full days × bins fold runs at most once per app
-//! per day and a decision is otherwise one walk over one day's bins with
-//! no allocation.
+//! day is pushed or expired, the app is imported — so the days × bins
+//! fold runs at most once per app per day.
 //!
-//! The windows are bit-identical to the from-scratch ones, not merely
-//! close: days are kept oldest first, so the newest day is the last
-//! addend of the definition's fold, and `older[i] + w × newest[i]` is
-//! the very expression that last `add_scaled` step stores, over the same
-//! partial sums in the same order; both paths weight a day through
-//! `ProductionConfig::day_weight`. The cache is derived state: it is
-//! never exported, and an imported app rebuilds it on its first
-//! decision. It costs 240 `f64` = 1.9 KB per app, beside up to
-//! 14 × 960 B of daily histograms.
+//! Head and tail are read off two [`WeightedCursor`]s, one per
+//! percentile, with no walk. Each keeps its bin `t`, an estimate `Q` of
+//! the exact prefix sum up to `t`, and the count `m` of updates since
+//! it was seated; a record into bin `r ≤ t` of the newest day adds the
+//! change of term `r` to `Q`. A decision recomputes the total and the
+//! target `T` by the walk's own expressions and takes `t` when the
+//! certificate holds:
+//!
+//! ```text
+//! c_t > 0,   Q − B ≥ T,   (Q − c_t) + B < T,   B = (n + 2m + 8) · ε · 2 · total
+//! ```
+//!
+//! for `n` bins and `ε = f64::EPSILON`. `B` bounds, rigorously, how far
+//! the walk's rounded running sums stray from the exact prefix sums (the
+//! standard `γ_n` bound for summing non-negative terms, `≈ (n/2) ε` of
+//! the sum) plus how far `Q` has drifted (as much again from its seat,
+//! `ε` of the sum per update), with a factor of two to spare and the sum
+//! bounded by twice the total; the derivation is on [`WeightedCursor`].
+//! Since the walk's partial sums only grow, the certificate places the
+//! walk's answer at `t` exactly, so the windows are bit-identical to the
+//! definition's, not merely close; debug builds assert it on every
+//! certified decision. When either cursor cannot certify, one walk
+//! re-seats both; a rebuild of `older` unseats them, so the first
+//! decision of each day walks. The windows of the seated bins are kept
+//! beside the cursors, so a certified decision returns them as they are.
+//!
+//! On the `sim-sweep` population (4 000 apps × 7 days, seeds 1 and 3)
+//! 98.6 % of decisions are certified and 1.3 % walk: a quarter of those
+//! the first decision after a rebuild, the rest a percentile that moved
+//! to another bin or sits too near a tie to certify. A decision
+//! allocates nothing. The cache and the cursors are derived state: never
+//! exported, rebuilt by an imported app on its first decision. The cache
+//! costs 240 `f64` = 1.9 KB per app, beside up to 14 × 960 B of daily
+//! histograms; the cursors and their windows live in the app's slot.
 
-use sitw_stats::histogram::WeightedBins;
-use sitw_stats::RangeHistogram;
+use sitw_stats::histogram::{WeightedBins, WeightedCursor, WeightedSum};
+use sitw_stats::{RangeHistogram, Recorded};
 
 use crate::policy::{AppPolicy, DecisionKind, DurationMs, PolicyFactory, Windows, MINUTE_MS};
 
 /// One day of trace time; an instant's day index is `now_ms / DAY_MS`.
 const DAY_MS: DurationMs = 24 * 60 * MINUTE_MS;
+
+/// [`ProductionApp`]'s `older_as_of` when the cache must be rebuilt
+/// whatever the day: no day index reaches it (`u64::MAX / DAY_MS` is far
+/// below), and a plain `u64` keeps the app inside its slot's bytes.
+const STALE: u64 = u64::MAX;
 
 /// Weighting applied across a window of daily histograms.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -157,9 +189,10 @@ impl ProductionConfig {
     }
 }
 
-/// One application's retained daily histograms and the cached aggregate
-/// of every day but the newest (see the module docs), without
-/// configuration: every method takes the [`ProductionConfig`].
+/// One application's retained daily histograms, the cached aggregate
+/// of every day but the newest and the head/tail cursors over the
+/// decision's sum (see the module docs), without configuration: every
+/// method takes the [`ProductionConfig`].
 #[derive(Debug, Clone)]
 pub struct ProductionApp {
     /// `(day_index, histogram)`. Invariant: day indices strictly
@@ -169,12 +202,23 @@ pub struct ProductionApp {
     days: Vec<(u64, RangeHistogram)>,
     /// Weighted sum of `days[..len - 1]` as of day `older_as_of`.
     older: WeightedBins,
-    /// Day index `older` was folded for; `None` when it must be rebuilt
-    /// whatever the day.
-    older_as_of: Option<u64>,
+    /// Day index `older` was folded for, or [`STALE`].
+    older_as_of: u64,
+    /// The newest day's weight as of `older_as_of`: 0 once that day has
+    /// expired, when every older day has too and the sum holds nothing.
+    newest_weight: f64,
+    /// Head and tail cursors over `older + newest_weight × newest`,
+    /// unseated whenever `older` is rebuilt.
+    cursors: [WeightedCursor; 2],
+    /// The windows of the bins the cursors were seated on: what a
+    /// decision they both certify returns.
+    windows: Windows,
     /// Rebuilds of `older` so far: the cost the cache exists to bound.
     #[cfg(test)]
     rebuilds: u64,
+    /// Exact walks (cursor seeks) so far: the cost the cursors bound.
+    #[cfg(test)]
+    walks: u64,
 }
 
 impl ProductionApp {
@@ -185,16 +229,22 @@ impl ProductionApp {
         Self {
             days: Vec::new(),
             older: WeightedBins::new(config.range_minutes, 1),
-            older_as_of: None,
+            older_as_of: STALE,
+            newest_weight: 0.0,
+            cursors: [WeightedCursor::default(); 2],
+            windows: Windows::NEVER_UNLOAD,
             #[cfg(test)]
             rebuilds: 0,
+            #[cfg(test)]
+            walks: 0,
         }
     }
 
     /// Records an idle time observed at absolute time `now_ms` into the
-    /// current day's histogram and expires days that left the retention
-    /// window. An observation stamped on an earlier day than the newest
-    /// retained one (clock skew) goes into the newest day.
+    /// current day's histogram, moves the decision's cursors, and
+    /// expires days that left the retention window. An observation
+    /// stamped on an earlier day than the newest retained one (clock
+    /// skew) goes into the newest day.
     pub fn record_idle_time(
         &mut self,
         config: &ProductionConfig,
@@ -206,14 +256,24 @@ impl ProductionApp {
             // A clock that steps back across midnight must not reorder
             // history: the newest day takes the observation.
             Some((newest, hist)) if *newest >= day => {
-                hist.record(idle_ms / MINUTE_MS);
+                // The cursors follow the sum they were seated on until
+                // the next rebuild, which unseats them.
+                match hist.record(idle_ms / MINUTE_MS) {
+                    Recorded::InBounds { bin } if self.older_as_of != STALE => {
+                        let sum = WeightedSum::new(&self.older, hist, self.newest_weight);
+                        for cursor in &mut self.cursors {
+                            cursor.on_record(&sum, bin);
+                        }
+                    }
+                    _ => {}
+                }
                 *newest
             }
             _ => {
                 let mut hist = RangeHistogram::new(config.range_minutes, 1);
                 hist.record(idle_ms / MINUTE_MS);
                 self.days.push((day, hist));
-                self.older_as_of = None;
+                self.older_as_of = STALE;
                 day
             }
         };
@@ -224,7 +284,7 @@ impl ProductionApp {
             .is_some_and(|(oldest, _)| *oldest < cutoff)
         {
             self.days.retain(|(d, _)| *d >= cutoff);
-            self.older_as_of = None;
+            self.older_as_of = STALE;
         }
     }
 
@@ -275,29 +335,41 @@ impl ProductionApp {
     }
 
     /// The windows [`ProductionApp::windows`] computes from scratch,
-    /// read off the cached aggregate instead.
+    /// read off the cursors over the cached aggregate instead, with one
+    /// walk when they cannot certify their bins.
     // sitw-lint: hot-path
     fn cached_windows(&mut self, config: &ProductionConfig, now_ms: DurationMs) -> Option<Windows> {
         let today = now_ms / DAY_MS;
         let ((newest_day, newest), older_days) = self.days.split_last()?;
-        if self.older_as_of != Some(today) {
+        if self.older_as_of != today {
             config.fold_days(older_days, today, &mut self.older);
-            self.older_as_of = Some(today);
+            self.older_as_of = today;
+            self.newest_weight = config.day_weight(today, *newest_day).unwrap_or(0.0);
+            self.cursors = [WeightedCursor::default(); 2];
             #[cfg(test)]
             {
                 self.rebuilds += 1;
             }
         }
-        // Every other day is older still: with the newest expired,
-        // nothing is left to aggregate.
-        let weight = config.day_weight(today, *newest_day)?;
-        let (head, tail) = self.older.head_tail_plus(
-            newest,
-            weight,
-            config.head_percentile,
-            config.tail_percentile,
-        )?;
-        Some(config.windows_from(head, tail))
+        let sum = WeightedSum::new(&self.older, newest, self.newest_weight);
+        let head = self.cursors[0].certified_bin(&sum);
+        let tail = self.cursors[1].certified_bin(&sum);
+        if head.is_some() && tail.is_some() {
+            return Some(self.windows);
+        }
+        let ps = [config.head_percentile, config.tail_percentile];
+        #[cfg(test)]
+        {
+            self.walks += 1;
+        }
+        // With the newest day expired, so is every other: the sum holds
+        // no weight and the seek finds no bin.
+        let ([head, tail], cursors) = WeightedCursor::seek_pair(&sum, ps)?;
+        self.cursors = cursors;
+        // One-minute bins: the head rounds down to its bin's lower edge,
+        // the tail up to its upper edge.
+        self.windows = config.windows_from(head as u64, tail as u64 + 1);
+        Some(self.windows)
     }
 
     /// The day-aware decision: observes one invocation at absolute time
@@ -860,7 +932,8 @@ mod tests {
     fn aggregate_is_rebuilt_once_per_app_per_day_not_per_invocation() {
         // The cost guard, as a count rather than a timer: over a 7-day
         // stream of four interleaved apps the days × bins fold may run
-        // once per app per day index seen, plus once per import.
+        // once per app per day index seen, plus once per import, and the
+        // exact head/tail walk on at most 5 % of decisions.
         let cfg = ProductionConfig::default();
         let mut apps = [(); 4].map(|()| ProductionApp::new(&cfg));
         let mut stream: Vec<(DurationMs, usize, DurationMs)> = Vec::new();
@@ -890,6 +963,15 @@ mod tests {
             rebuilds <= seen.len() as u64 + imports,
             "{rebuilds} rebuilds over {} (app, day) pairs and {imports} import",
             seen.len()
+        );
+        // And the walk itself: each rebuild unseats the cursors, so the
+        // next decision seeks; the rest are certified.
+        let walks: u64 = apps.iter().map(|a| a.walks).sum();
+        assert!(walks >= rebuilds, "the counter is live");
+        assert!(
+            walks * 20 <= stream.len() as u64,
+            "{walks} exact walks over {} decisions",
+            stream.len()
         );
     }
 

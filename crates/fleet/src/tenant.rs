@@ -639,6 +639,18 @@ mod tests {
     }
 
     #[test]
+    fn served_policy_stays_168_bytes_with_production_inside() {
+        // Every app slot holds one, so its size is in every per-app
+        // ceiling. The hybrid variant sets it; a production app, with its
+        // cached aggregate and head/tail cursors, fits beside its last
+        // branch inside the hybrid variant's bytes.
+        use std::mem::size_of;
+        assert_eq!(size_of::<ServedPolicy>(), 168);
+        assert_eq!(size_of::<HybridApp>(), 168);
+        assert!(size_of::<ProductionApp>() + size_of::<DecisionKind>() <= size_of::<HybridApp>());
+    }
+
+    #[test]
     fn a_rejected_step_changes_nothing() {
         for policy in ["fixed:10", "hybrid", "production"] {
             // A budget two of the three apps fit under: steps evict.

@@ -90,8 +90,9 @@ enum Lane<'p> {
     Constant,
     /// A decision on the app's groups.
     Hybrid(&'p HybridStep),
-    /// The app's own production policy.
-    Production(ProductionPolicy),
+    /// The app's own production policy, boxed: its days, cached
+    /// aggregate and cursors are many times the size of the other lanes.
+    Production(Box<ProductionPolicy>),
 }
 
 /// The index of the first entry of `list` that `is` accepts; `new()`
@@ -155,9 +156,10 @@ impl Plan {
                 let (windows, lane) = match step {
                     Step::Constant(w) => (*w, Lane::Constant),
                     Step::Hybrid(h) => (Windows::NEVER_UNLOAD, Lane::Hybrid(h)),
-                    Step::Production(p) => {
-                        (Windows::NEVER_UNLOAD, Lane::Production(p.new_policy()))
-                    }
+                    Step::Production(p) => (
+                        Windows::NEVER_UNLOAD,
+                        Lane::Production(Box::new(p.new_policy())),
+                    ),
                 };
                 (windows, AppSimResult::new(events.len()), lane)
             })

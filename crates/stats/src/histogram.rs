@@ -18,7 +18,9 @@
 //!   percentile of one histogram from record to record and always reads
 //!   what the walk would return (see below),
 //! * merging and weighted aggregation ([`WeightedBins`]) for the
-//!   production-style daily histogram scheme of §6.
+//!   production-style daily histogram scheme of §6, and O(1) percentile
+//!   reads off a weighted sum through certified [`WeightedCursor`]s
+//!   (see below).
 //!
 //! # Percentile cursors
 //!
@@ -39,11 +41,22 @@
 //! is far below 2⁵³, so `below as f64` is the very value the walk
 //! accumulates in `f64`, `target` is computed by the walk's own
 //! expression, and each comparison the cursor makes is one the walk
-//! makes. [`WeightedBins`] cannot have such a cursor: its partial sums
-//! are rounded `f64` additions whose value depends on the order they
-//! were made in, so a sum maintained incrementally is not bit-equal to
-//! the sum a walk forms from bin 0 — which is why the production policy
-//! keeps its one-walk [`WeightedBins::head_tail_plus`] instead.
+//! makes.
+//!
+//! # Certified cursors over weighted sums
+//!
+//! The production policy's aggregate (§6) is a [`WeightedSum`]: the
+//! [`WeightedBins`] of every day but the newest plus `w ×` the newest
+//! day's histogram. Its partial sums are rounded `f64` additions whose
+//! value depends on the order they were made in, so a sum kept
+//! incrementally is not bit-equal to the one a walk forms from bin 0,
+//! and a cursor cannot repeat the walk's comparisons. A
+//! [`WeightedCursor`] does not try to. It keeps an estimate of the real
+//! prefix sum up to its bin and answers only when a rigorous round-off
+//! bound *certifies* that the walk stops at that bin; otherwise its
+//! owner seeks again with the walk. Either way the answer is the walk's,
+//! bit for bit, and on the concentrated distributions the policy acts on
+//! the certificate almost always holds (see [`WeightedCursor`]).
 
 /// Outcome of recording a value into a [`RangeHistogram`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -486,11 +499,14 @@ impl WeightedBins {
         self.oob = 0.0;
     }
 
+    #[inline]
     fn check_addend(&self, h: &RangeHistogram, weight: f64) {
-        assert_eq!(self.bin_width, h.bin_width, "bin width mismatch");
-        assert_eq!(self.bins.len(), h.bins.len(), "bin count mismatch");
+        assert!(self.bin_width == h.bin_width, "bin width mismatch");
+        assert!(self.bins.len() == h.bins.len(), "bin count mismatch");
+        // Two comparisons, on the path of every production decision: NaN
+        // and the infinities fall outside the range.
         assert!(
-            weight >= 0.0 && weight.is_finite(),
+            (0.0..=f64::MAX).contains(&weight),
             "weight must be finite and non-negative"
         );
     }
@@ -507,71 +523,6 @@ impl WeightedBins {
         }
         self.in_bounds += weight * h.in_bounds as f64;
         self.oob += weight * h.oob as f64;
-    }
-
-    /// `(head_value(head_p), tail_value(tail_p))` as they would read
-    /// after `add_scaled(h, weight)`, without performing the addition:
-    /// one walk that forms each bin as `self + weight × h` on the fly
-    /// and stops at the later of the two percentiles. That is the
-    /// expression `add_scaled` stores, summed in the same order, so for
-    /// any two percentiles (NaN aside) the pair is bit-identical to
-    /// materialising the sum and walking it twice.
-    ///
-    /// Returns `None` when the sum would hold no in-bounds weight.
-    ///
-    /// # Panics
-    ///
-    /// Panics if geometries differ or `weight` is negative/non-finite.
-    pub fn head_tail_plus(
-        &self,
-        h: &RangeHistogram,
-        weight: f64,
-        head_p: f64,
-        tail_p: f64,
-    ) -> Option<(u64, u64)> {
-        self.check_addend(h, weight);
-        let total = self.in_bounds + weight * h.in_bounds as f64;
-        if total <= 0.0 {
-            return None;
-        }
-        let head_target = head_p.clamp(0.0, 100.0) / 100.0 * total;
-        let tail_target = tail_p.clamp(0.0, 100.0) / 100.0 * total;
-        let mut sum = self
-            .bins
-            .iter()
-            .zip(h.bins.iter())
-            .map(|(&a, &b)| a + weight * b as f64)
-            .enumerate();
-        let mut cum = 0.0;
-        let mut at = None;
-        // Walks on to the first non-empty bin at which the running sum
-        // reaches `target`; when round-off leaves the sum a hair short,
-        // to the last non-empty bin, as in `percentile_bin_over`.
-        let mut reach = |target: f64| {
-            if at.is_some() && cum >= target {
-                return at;
-            }
-            for (i, c) in sum.by_ref() {
-                if c > 0.0 {
-                    cum += c;
-                    at = Some(i);
-                    if cum >= target {
-                        break;
-                    }
-                }
-            }
-            at
-        };
-        // The running sum only grows, so the lower target is met first.
-        let swapped = tail_target < head_target;
-        let lower = reach(if swapped { tail_target } else { head_target })? as u64;
-        let upper = reach(if swapped { head_target } else { tail_target })? as u64;
-        let (head, tail) = if swapped {
-            (upper, lower)
-        } else {
-            (lower, upper)
-        };
-        Some((head * self.bin_width, (tail + 1) * self.bin_width))
     }
 
     /// Total in-bounds weight.
@@ -624,7 +575,297 @@ impl WeightedBins {
     }
 }
 
+/// `older + weight × newest`: weighted bins plus one more histogram
+/// under its weight, read without being formed. Bin `i` is
+/// `older[i] + weight × newest[i]` and the in-bounds total is
+/// `older.in_bounds_weight() + weight × newest.in_bounds_count()`, the
+/// expressions [`WeightedBins::add_scaled`] stores, so every percentile
+/// of the sum is the one `older` reads after `add_scaled(newest,
+/// weight)`, bit for bit. The production policy (§6) decides on such a
+/// sum: every retained day but the newest, plus the newest.
+#[derive(Debug, Clone, Copy)]
+pub struct WeightedSum<'a> {
+    older: &'a WeightedBins,
+    newest: &'a RangeHistogram,
+    weight: f64,
+}
+
+impl<'a> WeightedSum<'a> {
+    /// The sum `older + weight × newest`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if geometries differ or `weight` is negative/non-finite.
+    #[inline]
+    pub fn new(older: &'a WeightedBins, newest: &'a RangeHistogram, weight: f64) -> Self {
+        older.check_addend(newest, weight);
+        Self {
+            older,
+            newest,
+            weight,
+        }
+    }
+
+    /// The in-bounds total, as `add_scaled` would leave it.
+    #[inline]
+    pub fn total(&self) -> f64 {
+        self.older.in_bounds + self.weight * self.newest.in_bounds as f64
+    }
+
+    /// Bin `i` of the sum were the newest histogram to hold `count`
+    /// there.
+    #[inline]
+    fn term(&self, i: usize, count: u32) -> f64 {
+        self.older.bins[i] + self.weight * f64::from(count)
+    }
+}
+
+/// [`WeightedCursor`]'s `updates` while it holds nothing it can vouch
+/// for; counting up into it unseats the cursor too.
+const UNSEATED: u32 = u32::MAX;
+
+/// One percentile of a [`WeightedSum`], carried from record to record
+/// and read without the walk whenever a round-off bound *certifies*
+/// that the walk would stop at the cursor's bin.
+///
+/// Write `c_i = older[i] + w × newest[i]` for the walk's terms (rounded
+/// `f64` values, as the walk forms them), `P_k = Σ_{i≤k} c_i` for their
+/// prefix sums taken exactly, `Σ` for `P` over all `n` bins, `S_k` for
+/// the walk's rounded running sum after bin `k`, and `T = p/100 × total`
+/// for its target. The walk answers the first bin with `c_k > 0` and
+/// `S_k ≥ T`, or the last non-empty bin when round-off leaves every sum
+/// short.
+///
+/// The cursor keeps its percentile as the factor `p/100`, a bin `t`, an
+/// estimate `Q` of `P_t`, and the number `m` of updates since it was
+/// seated. The walk seats it with
+/// `Q = S_t`, `m = 0` ([`WeightedCursor::seek_pair`]); a record into bin
+/// `r ≤ t` adds `c_r(new) − c_r(old)` to `Q` and counts one update; a
+/// record above `t` leaves `P_t` and `Q` alone. A read recomputes
+/// `total` and `T` by the walk's own expressions and answers `t` when
+///
+/// ```text
+/// c_t > 0,   Q − B ≥ T,   (Q − c_t) + B < T,   B = (n + 2m + 8) · ε · 2 · total
+/// ```
+///
+/// with `ε = f64::EPSILON`, twice the unit round-off `u`, and `total` a
+/// normal number.
+///
+/// **Why the bound holds.** Recursive summation of non-negative terms
+/// errs by at most `γ_{k−1} · P_k`, `γ_j = j·u / (1 − j·u)` (Higham,
+/// *Accuracy and Stability of Numerical Algorithms*, §4.2), so
+/// `|S_k − P_k| ≤ γ_n Σ ≈ (n/2) ε Σ` at every bin, and the seated `Q`
+/// errs by as much. An update rounds twice, the difference and the sum,
+/// on values no larger than `Σ` (terms only grow between seatings, so
+/// today's `Σ` bounds every earlier one): at most `ε Σ` per update.
+/// Hence `|S_k − P_k| + |Q − P_t| ≤ (n + m) ε Σ`, up to factors
+/// `1 + O(nε)`. `Σ` and `total` are the same weighted integer counts
+/// added in different orders — `add_scaled` adds each histogram to the
+/// bins and to the total alike — so over `d` folded histograms they
+/// agree to a relative `(2d + 4) u`, and `Σ ≤ 2 · total` with room to
+/// spare; that the total is normal keeps underflowing products out of
+/// it. The rest of `B` — the `2m`, the `8` and the factor 2 — covers the
+/// few roundings in forming `B` and the two checks many times over.
+/// So `Q − B ≥ T` gives `S_t ≥ T`, and `(Q − c_t) + B < T` gives
+/// `S_k < T` at every non-empty `k < t`, exactly: `f64` addition of
+/// non-negative terms is monotone, so the walk's partial sums before `t`
+/// are at most the one at the last non-empty bin before it, which is
+/// within the bound of `P_t − c_t`. With `c_t > 0` the walk stops at `t`.
+///
+/// A failed check proves nothing, and the owner seeks again, which also
+/// resets `m` and keeps `Q`'s drift bounded. Anything that changes
+/// `older` or `w` — in the production policy a day roll, an expired day
+/// or an import — invalidates `Q`: unseat the cursor or seek again.
+///
+/// # Examples
+///
+/// ```
+/// use sitw_stats::histogram::{WeightedBins, WeightedCursor, WeightedSum};
+/// use sitw_stats::{RangeHistogram, Recorded};
+///
+/// let mut yesterday = RangeHistogram::new(240, 1);
+/// for v in [10, 10, 11, 200] {
+///     yesterday.record(v);
+/// }
+/// let mut older = WeightedBins::new(240, 1);
+/// older.add_scaled(&yesterday, 0.85);
+/// let mut today = RangeHistogram::new(240, 1);
+/// let ps = [5.0, 99.0];
+/// let mut cursors = [WeightedCursor::default(); 2];
+/// for v in [10, 10, 12, 10, 11, 10] {
+///     if let Recorded::InBounds { bin } = today.record(v) {
+///         let sum = WeightedSum::new(&older, &today, 1.0);
+///         cursors.iter_mut().for_each(|c| c.on_record(&sum, bin));
+///     }
+///     let sum = WeightedSum::new(&older, &today, 1.0);
+///     let certified = cursors.map(|c| c.certified_bin(&sum));
+///     let bins = match certified {
+///         [Some(head), Some(tail)] => [head, tail],
+///         _ => {
+///             let (bins, seated) = WeightedCursor::seek_pair(&sum, ps).unwrap();
+///             cursors = seated;
+///             bins
+///         }
+///     };
+///     // What the walk over the formed sum reads.
+///     let mut formed = older.clone();
+///     formed.add_scaled(&today, 1.0);
+///     assert_eq!(bins[0] as u64, formed.head_value(ps[0]).unwrap());
+///     assert_eq!(bins[1] as u64 + 1, formed.tail_value(ps[1]).unwrap());
+/// }
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct WeightedCursor {
+    /// `Q`, the estimate of the prefix sum up to and including `bin`.
+    sum: f64,
+    /// `p.clamp(0, 100) / 100`, the factor the walk applies to the total
+    /// (NaN for a NaN percentile, as in the walk).
+    fraction: f64,
+    /// `t`, the bin the walk stopped at when it seated the cursor.
+    bin: u32,
+    /// `m`, the updates since the cursor was seated, or [`UNSEATED`].
+    updates: u32,
+}
+
+impl Default for WeightedCursor {
+    /// A cursor that vouches for nothing until
+    /// [`WeightedCursor::seek_pair`] seats it.
+    fn default() -> Self {
+        Self {
+            sum: 0.0,
+            fraction: f64::NAN,
+            bin: 0,
+            updates: UNSEATED,
+        }
+    }
+}
+
+impl WeightedCursor {
+    /// The bins of the `ps[0]`-th and `ps[1]`-th percentiles of `sum` —
+    /// a policy's head and tail — and a cursor seated on each, from one
+    /// walk that stops at the later of the two; `None` when no bin holds
+    /// weight.
+    ///
+    /// The walk is the definition: it forms each bin by the expression
+    /// `add_scaled` stores and stops at the first non-empty bin whose
+    /// running sum reaches the target, or falls back to the last
+    /// non-empty bin when round-off leaves the sum a hair short (as a
+    /// NaN target always does), as [`WeightedBins::head_value`]'s walk
+    /// over the formed sum does.
+    pub fn seek_pair(sum: &WeightedSum, ps: [f64; 2]) -> Option<([usize; 2], [Self; 2])> {
+        Self::seek(sum, ps.map(percentile_fraction))
+    }
+
+    /// [`WeightedCursor::seek_pair`] for percentiles already made factors.
+    fn seek(sum: &WeightedSum, fractions: [f64; 2]) -> Option<([usize; 2], [Self; 2])> {
+        let total = sum.total();
+        if total <= 0.0 {
+            return None;
+        }
+        let targets = fractions.map(|f| f * total);
+        // The running sum only grows, so the lower target is met first;
+        // a NaN one never is, so it goes last.
+        let order = if targets[1] < targets[0] || targets[0].is_nan() {
+            [1, 0]
+        } else {
+            [0, 1]
+        };
+        let mut seated = [(0usize, 0.0f64); 2];
+        let mut placed = 0;
+        let (mut cum, mut last) = (0.0, None);
+        for (i, (&a, &b)) in sum.older.bins.iter().zip(&sum.newest.bins).enumerate() {
+            let c = a + sum.weight * f64::from(b);
+            if c > 0.0 {
+                cum += c;
+                last = Some(i);
+                while placed < 2 && cum >= targets[order[placed]] {
+                    seated[order[placed]] = (i, cum);
+                    placed += 1;
+                }
+                if placed == 2 {
+                    break;
+                }
+            }
+        }
+        // A target not met falls to the last non-empty bin; the loop ran
+        // to the end, so `cum` is the running sum there.
+        let last = last?;
+        for &k in &order[placed..] {
+            seated[k] = (last, cum);
+        }
+        let cursors = [0, 1].map(|k| {
+            let (bin, sum) = seated[k];
+            match u32::try_from(bin) {
+                Ok(bin) => Self {
+                    sum,
+                    fraction: fractions[k],
+                    bin,
+                    updates: 0,
+                },
+                Err(_) => Self::default(),
+            }
+        });
+        Some((seated.map(|(bin, _)| bin), cursors))
+    }
+
+    /// Moves the estimate after the newest histogram of `sum` recorded
+    /// into bin `recorded` (a [`Recorded::InBounds`]; the other outcomes
+    /// change no bin and must not be reported). `sum` is the one the
+    /// cursor was seated on, with that record.
+    #[inline]
+    // sitw-lint: hot-path
+    pub fn on_record(&mut self, sum: &WeightedSum, recorded: usize) {
+        if self.updates == UNSEATED || recorded > self.bin as usize {
+            return;
+        }
+        let count = sum.newest.bins[recorded];
+        self.sum += sum.term(recorded, count) - sum.term(recorded, count.saturating_sub(1));
+        self.updates += 1;
+    }
+
+    /// The bin the walk over `sum` returns for the cursor's percentile,
+    /// when the certificate proves it; `None` when the cursor cannot
+    /// vouch for any bin, and the owner seeks again.
+    #[inline]
+    // sitw-lint: hot-path
+    pub fn certified_bin(&self, sum: &WeightedSum) -> Option<usize> {
+        if self.updates == UNSEATED {
+            return None;
+        }
+        let t = self.bin as usize;
+        let total = sum.total();
+        let target = self.fraction * total;
+        let c_t = sum.term(t, sum.newest.bins[t]);
+        let terms = sum.older.bins.len() as f64 + 2.0 * f64::from(self.updates) + 8.0;
+        let bound = terms * f64::EPSILON * 2.0 * total;
+        let certified = total.is_normal()
+            && c_t > 0.0
+            && self.sum - bound >= target
+            && (self.sum - c_t) + bound < target;
+        if certified {
+            debug_assert_eq!(
+                Some(t),
+                Self::seek(sum, [self.fraction; 2]).map(|([bin, _], _)| bin),
+                "a certified bin the walk denies"
+            );
+        }
+        certified.then_some(t)
+    }
+
+    /// The cursor with its percentile changed to `p` and all else kept.
+    /// The certificate checks the bin against whatever target it is
+    /// given, so an aimed cursor still answers only what the walk would.
+    #[cfg(test)]
+    fn aimed(self, p: f64) -> Self {
+        Self {
+            fraction: percentile_fraction(p),
+            ..self
+        }
+    }
+}
+
 /// `p`% as the factor a total is multiplied by.
+#[inline]
 fn percentile_fraction(p: f64) -> f64 {
     p.clamp(0.0, 100.0) / 100.0
 }
@@ -1122,7 +1363,7 @@ mod tests {
     }
 
     #[test]
-    fn head_tail_plus_equals_adding_then_walking() {
+    fn seek_pair_equals_adding_then_walking() {
         // Three "days" of splitmix-scattered counts under weights whose
         // products are not exactly representable; every half percentile
         // must land in the same bin either way, cumulative round-off
@@ -1147,11 +1388,13 @@ mod tests {
         for weight in [1.0, 0.85, 0.0] {
             let mut sum = older.clone();
             sum.add_scaled(&new, weight);
+            let lazy = WeightedSum::new(&older, &new, weight);
             for half in 0..=200 {
                 let (hp, tp) = (half as f64 / 2.0, 100.0 - half as f64 / 2.0);
+                let (bins, _) = WeightedCursor::seek_pair(&lazy, [hp, tp]).unwrap();
                 assert_eq!(
-                    older.head_tail_plus(&new, weight, hp, tp),
-                    Some((sum.head_value(hp).unwrap(), sum.tail_value(tp).unwrap())),
+                    (bins[0] as u64, bins[1] as u64 + 1),
+                    (sum.head_value(hp).unwrap(), sum.tail_value(tp).unwrap()),
                     "weight {weight}, head {hp}, tail {tp}"
                 );
             }
@@ -1160,8 +1403,10 @@ mod tests {
         let empty = WeightedBins::new(64, 1);
         let mut oob_only = RangeHistogram::new(64, 1);
         oob_only.record(1000);
-        assert_eq!(empty.head_tail_plus(&oob_only, 1.0, 5.0, 99.0), None);
-        assert_eq!(empty.head_tail_plus(&new, 0.0, 5.0, 99.0), None);
+        for (h, weight) in [(&oob_only, 1.0), (&new, 0.0)] {
+            let lazy = WeightedSum::new(&empty, h, weight);
+            assert_eq!(WeightedCursor::seek_pair(&lazy, [5.0, 99.0]), None);
+        }
     }
 
     #[test]
@@ -1190,5 +1435,185 @@ mod tests {
             assert_eq!(agg.tail_value(p), h.tail_value(p), "tail at {p}");
         }
         assert!((agg.bin_count_cv() - h.bin_count_cv()).abs() < 1e-12);
+    }
+
+    /// The walk over the formed sum `older + weight × newest`, the
+    /// definition a seek and a certified cursor must both equal.
+    fn formed_bin(
+        older: &WeightedBins,
+        newest: &RangeHistogram,
+        weight: f64,
+        p: f64,
+    ) -> Option<usize> {
+        let mut formed = older.clone();
+        formed.add_scaled(newest, weight);
+        percentile_bin_over(&formed.bins, formed.in_bounds, p)
+    }
+
+    /// A head and tail read as their owner reads them: certified, or
+    /// sought again. Also says whether it walked.
+    fn read_pair(
+        cursors: &mut [WeightedCursor; 2],
+        sum: &WeightedSum,
+        ps: [f64; 2],
+    ) -> (Option<[usize; 2]>, bool) {
+        match [0, 1].map(|k| cursors[k].aimed(ps[k]).certified_bin(sum)) {
+            [Some(head), Some(tail)] => (Some([head, tail]), false),
+            _ => match WeightedCursor::seek_pair(sum, ps) {
+                Some((bins, seated)) => {
+                    *cursors = seated;
+                    (Some(bins), true)
+                }
+                None => (None, true),
+            },
+        }
+    }
+
+    /// A percentile whose target lands within an ulp or two of the
+    /// running sum the walk holds at the `pick`-th non-empty bin of the
+    /// formed sum, so that round-off alone decides where the walk stops.
+    fn near_tie(older: &WeightedBins, newest: &RangeHistogram, weight: f64, pick: u64) -> f64 {
+        let mut formed = older.clone();
+        formed.add_scaled(newest, weight);
+        let mut cum = 0.0;
+        let sums: Vec<f64> = formed
+            .bins
+            .iter()
+            .filter(|&&c| c > 0.0)
+            .map(|&c| {
+                cum += c;
+                cum
+            })
+            .collect();
+        if sums.is_empty() {
+            return 50.0;
+        }
+        let p = sums[(pick % sums.len() as u64) as usize] / formed.in_bounds * 100.0;
+        let bits = p.to_bits();
+        f64::from_bits(match (pick / 64) % 3 {
+            0 => bits,
+            1 => bits + 1,
+            _ => bits.saturating_sub(1),
+        })
+    }
+
+    proptest! {
+        /// After every record a cursor pair reads what the walk over the
+        /// formed sum reads. Uniform weights (integer sums, so the running
+        /// sum meets the target exactly) and 0.85^k weights; percentiles
+        /// 0, 50, 99, 100, NaN and near ties re-aimed at every read, the
+        /// head above the tail as often as below; records on, below and
+        /// above a cursor's bin, into an empty bin below it and out of
+        /// bounds; and a day roll now and then that folds the newest day
+        /// into `older` and unseats the cursors.
+        #[test]
+        fn weighted_cursor_equals_the_walk(
+            num_bins in 1usize..=48,
+            shape in 0u64..u64::MAX,
+            days in prop::collection::vec(prop::collection::vec(0u64..u64::MAX, 0..40), 0..4),
+            ops in prop::collection::vec(0u64..u64::MAX, 1..300),
+        ) {
+            const FIXED: [f64; 5] = [0.0, 50.0, 99.0, 100.0, f64::NAN];
+            let mut bits = shape;
+            let mut take = |n: u64| {
+                let v = bits % n;
+                bits /= n;
+                v
+            };
+            let uniform = take(2) == 0;
+            let weight_of = |age: usize| if uniform { 1.0 } else { 0.85f64.powi(age as i32) };
+            let n = num_bins as u64;
+            let mut older = WeightedBins::new(num_bins, 1);
+            for (k, values) in days.iter().enumerate() {
+                let mut h = RangeHistogram::new(num_bins, 1);
+                for v in values {
+                    h.record(v % (n + 2));
+                }
+                older.add_scaled(&h, weight_of(days.len() - k));
+            }
+            let mut weight = weight_of(take(2) as usize);
+            // A fixed percentile, or (kinds 5 and 6) a near tie.
+            let kinds = [take(7), take(7)];
+            let mut newest = RangeHistogram::new(num_bins, 1);
+            let mut cursors = [WeightedCursor::default(); 2];
+            let mut at = [0usize; 2];
+            for mut bits in ops {
+                let mut take = |n: u64| {
+                    let v = bits % n;
+                    bits /= n;
+                    v
+                };
+                if take(40) == 0 {
+                    older.add_scaled(&newest, weight);
+                    newest = RangeHistogram::new(num_bins, 1);
+                    weight = weight_of(take(2) as usize);
+                    cursors = [WeightedCursor::default(); 2];
+                }
+                let t = at[take(2) as usize] as u64;
+                let value = match take(6) {
+                    0 => t,
+                    1 => take(t + 1),
+                    2 => {
+                        let empty: Vec<u64> = (0..t)
+                            .filter(|&i| older.bins[i as usize] == 0.0 && newest.bins[i as usize] == 0)
+                            .collect();
+                        if empty.is_empty() {
+                            t
+                        } else {
+                            empty[take(empty.len() as u64) as usize]
+                        }
+                    }
+                    3 => t + 1 + take(n - t),
+                    4 => n + take(3),
+                    _ => take(n),
+                };
+                if let Recorded::InBounds { bin } = newest.record(value) {
+                    let sum = WeightedSum::new(&older, &newest, weight);
+                    for c in &mut cursors {
+                        c.on_record(&sum, bin);
+                    }
+                }
+                let ps = kinds.map(|k| match k {
+                    0..=4 => FIXED[k as usize],
+                    _ => near_tie(&older, &newest, weight, take(1 << 12)),
+                });
+                let sum = WeightedSum::new(&older, &newest, weight);
+                let (got, _) = read_pair(&mut cursors, &sum, ps);
+                let want = ps.map(|p| formed_bin(&older, &newest, weight, p));
+                prop_assert_eq!(got.map_or([None; 2], |b| b.map(Some)), want);
+                if let Some(bins) = got {
+                    at = bins;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_concentrated_stream_is_certified_almost_always() {
+        // Two weeks of a 10-minute rhythm with a little jitter: after the
+        // first read of each day, reads need no walk.
+        let (mut reads, mut walks) = (0, 0);
+        let mut older = WeightedBins::new(240, 1);
+        let mut x = 7u64;
+        for day in 0..14 {
+            let mut newest = RangeHistogram::new(240, 1);
+            let mut cursors = [WeightedCursor::default(); 2];
+            for _ in 0..144 {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                if let Recorded::InBounds { bin } = newest.record(9 + (x >> 62)) {
+                    let sum = WeightedSum::new(&older, &newest, 1.0);
+                    cursors.iter_mut().for_each(|c| c.on_record(&sum, bin));
+                }
+                let sum = WeightedSum::new(&older, &newest, 1.0);
+                let (bins, walked) = read_pair(&mut cursors, &sum, [5.0, 99.0]);
+                assert_eq!(bins.map(|b| b[1]), formed_bin(&older, &newest, 1.0, 99.0));
+                reads += 1;
+                walks += walked as u32;
+            }
+            older.add_scaled(&newest, 0.85f64.powi(day));
+        }
+        assert!(walks * 100 <= reads, "{walks} walks in {reads} reads");
     }
 }

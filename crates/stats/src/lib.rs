@@ -39,6 +39,6 @@ pub mod report;
 
 pub use distributions::{Burr, ContinuousDist, Exponential, LogNormal, Normal, Pareto, Uniform};
 pub use ecdf::Ecdf;
-pub use histogram::{PercentileCursor, RangeHistogram, Recorded};
+pub use histogram::{PercentileCursor, RangeHistogram, Recorded, WeightedCursor, WeightedSum};
 pub use online::{MinMaxMean, Welford};
 pub use percentile::{percentile_sorted, WeightedSamples};
