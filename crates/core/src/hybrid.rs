@@ -394,10 +394,20 @@ impl HybridApp {
             ));
         }
         let hist = RangeHistogram::from_parts(width as u64, snap.bins, snap.oob_count);
+        // The snapshot decoder allocates the list at its length, and a
+        // full ring doubles: restored at 40 values it would grow to 80
+        // slots under a cap of 64. It starts where a fresh ring holding
+        // as many stands — a power of two, at least 4 — never past the
+        // cap.
+        let mut history = VecDeque::from(snap.history);
+        if !history.is_empty() {
+            let fresh = history.len().next_power_of_two().max(4);
+            history.reserve_exact(fresh.min(config.history_cap) - history.len());
+        }
         Ok(Self::with_state(
             config,
             hist,
-            snap.history.into(),
+            history,
             snap.counts,
             snap.last_decision,
         ))
@@ -965,6 +975,21 @@ mod tests {
         // The last eight, oldest first, wherever the ring stands.
         let kept: Vec<f64> = (342..350).map(f64::from).collect();
         assert_eq!(p.app().snapshot().history, kept);
+    }
+
+    #[test]
+    fn a_restored_history_grows_no_further_than_a_fresh_one() {
+        // Regression: a ring restored at 40 values (allocated exactly)
+        // doubled to 80 slots on its next push, past the cap of 64.
+        let cfg = HybridConfig::default();
+        let mut snap = HybridApp::new(&cfg).snapshot();
+        snap.history = (0..40).map(f64::from).collect();
+        let mut app = HybridApp::from_snapshot(&cfg, snap).unwrap();
+        for i in 0..30u64 {
+            app.on_invocation(&cfg, Some((300 + i) * MIN));
+        }
+        assert_eq!(app.history.len(), 64);
+        assert!(app.history.capacity() <= 64, "{}", app.history.capacity());
     }
 
     #[test]

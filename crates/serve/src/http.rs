@@ -18,6 +18,24 @@
 //! [`write_response`], and [`call`] the one-shot exchange built from the
 //! two. Everything that talks *to* a daemon — router, reconciler,
 //! follower, load generator, tests — reads replies through them.
+//!
+//! A request header block is read in one pass when it is the one every
+//! client in this workspace sends for a decision ([`write_request`]
+//! untraced, the load generator, the benchmark harness):
+//!
+//! ```text
+//! POST /invoke HTTP/1.1( CRLF line )*
+//! line = printable ASCII (0x20..=0x7E); any name but `connection` and
+//!        `x-sitw-trace`; a `content-length` value of 1 to 19 digits
+//! ```
+//!
+//! The early exit never refuses anything: on the first byte it does not
+//! accept it hands the whole block to the general parser, which stays
+//! because it is the only path for every other supported request — any
+//! other request line, HTTP/1.0, a trace id, `connection`, non-ASCII or
+//! control bytes, an over-long or malformed length. It is also the
+//! reference the early exit is tested against: both give the same
+//! [`Request`] fields or the same error on any block.
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -588,15 +606,79 @@ fn is_timeout(e: &io::Error) -> bool {
     )
 }
 
+/// Where the first `\r\n\r\n` in `buf` starts. A skip-ahead (Horspool)
+/// scan: the byte under the window's last position says how far the
+/// window can move — four on anything that is neither `\r` nor `\n`,
+/// which is almost every byte of a header.
+// sitw-lint: hot-path
 fn find_crlfcrlf(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n")
+    let mut i = 0;
+    while let Some(&last) = buf.get(i + 3) {
+        match last {
+            b'\n' if buf.get(i..i + 3) == Some(b"\r\n\r") => return Some(i),
+            b'\n' => i += 2,
+            b'\r' => i += 1,
+            _ => i += 4,
+        }
+    }
+    None
 }
 
 /// Parses a header block into `req` (method, path, close flag; the body
 /// is the caller's job) and returns the declared content length. Writes
 /// into `req`'s existing `String`s so a reused `Request` parses without
 /// allocating.
+// sitw-lint: hot-path
 fn parse_header(header: &[u8], req: &mut Request) -> Result<u64, String> {
+    match parse_invoke_header(header, req) {
+        Some(content_length) => Ok(content_length),
+        None => parse_header_general(header, req),
+    }
+}
+
+/// The request line of a decision, as every client here writes it.
+const INVOKE_LINE: &[u8] = b"POST /invoke HTTP/1.1";
+
+/// The early exit of [`parse_header`] (grammar in the module docs): the
+/// declared content length when it accepts the whole block, `None` —
+/// with `req` untouched — on the first byte it does not.
+// sitw-lint: hot-path
+pub(crate) fn parse_invoke_header(header: &[u8], req: &mut Request) -> Option<u64> {
+    let mut rest = header.strip_prefix(INVOKE_LINE)?;
+    let mut content_length = 0;
+    while !rest.is_empty() {
+        rest = rest.strip_prefix(b"\r\n")?;
+        let end = rest
+            .iter()
+            .position(|b| !(b' '..=b'~').contains(b))
+            .unwrap_or(rest.len());
+        let (line, next) = rest.split_at(end);
+        rest = next;
+        let Some(colon) = line.iter().position(|&b| b == b':') else {
+            continue;
+        };
+        let (name, value) = (&line[..colon], &line[colon + 1..]);
+        if name.eq_ignore_ascii_case(b"content-length") {
+            content_length = wire::short_decimal(value.trim_ascii())?;
+        } else if name.eq_ignore_ascii_case(b"connection")
+            || name.eq_ignore_ascii_case(b"x-sitw-trace")
+        {
+            return None;
+        }
+    }
+    req.method.clear();
+    req.method.push_str("POST");
+    req.path.clear();
+    req.path.push_str("/invoke");
+    req.close = false;
+    req.trace = None;
+    Some(content_length)
+}
+
+/// The general request-header parser: any request line and header set
+/// [`parse_header`] supports, and the reference its early exit is held
+/// to.
+fn parse_header_general(header: &[u8], req: &mut Request) -> Result<u64, String> {
     let text = std::str::from_utf8(header).map_err(|_| "non-utf8 header")?;
     let mut lines = text.split("\r\n");
     let request_line = lines.next().ok_or("empty request")?;
@@ -748,6 +830,7 @@ pub fn write_response(out: &mut Vec<u8>, status: u16, content_type: &str, body: 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::samples::Rng;
     use std::io::Write;
     use std::net::{TcpListener, TcpStream};
     use std::time::Duration;
@@ -1409,6 +1492,190 @@ mod tests {
         );
         drop(conn);
         flood.join().unwrap();
+    }
+
+    // -----------------------------------------------------------------
+    // The one-pass request read: the skip-ahead scan and the header
+    // early exit against the general code they stand in front of.
+
+    /// The scan the skip-ahead one replaced.
+    fn find_crlfcrlf_ref(buf: &[u8]) -> Option<usize> {
+        buf.windows(4).position(|w| w == b"\r\n\r\n")
+    }
+
+    /// A decision's header block as a client here writes it, sometimes
+    /// with more header lines around the length.
+    fn canonical_header(rng: &mut Rng) -> Vec<u8> {
+        let mut lines = vec![format!("content-length: {}", rng.below(100_000))];
+        for _ in 0..rng.below(3) {
+            let extra = ["host: 127.0.0.1:7201", "user-agent: curl/8.5", "x-note:"];
+            let at = rng.below(lines.len() as u64 + 1) as usize;
+            lines.insert(at, rng.pick(&extra).into());
+        }
+        let mut out = INVOKE_LINE.to_vec();
+        for line in lines {
+            out.extend_from_slice(b"\r\n");
+            out.extend_from_slice(line.as_bytes());
+        }
+        out
+    }
+
+    /// One to three edits of the kinds the early exit must hand over:
+    /// case, every ASCII whitespace byte and `\x0B`, non-ASCII, leading
+    /// zeros, 19- and 20-digit lengths, a trace id, `connection`, another
+    /// version, deleted and replaced bytes.
+    fn mutate_header(rng: &mut Rng, h: &mut Vec<u8>) {
+        fn insert(h: &mut Vec<u8>, at: usize, bytes: &[u8]) {
+            h.splice(at..at, bytes.iter().copied()).for_each(drop);
+        }
+        for _ in 0..1 + rng.below(3) {
+            let at = rng.below(h.len() as u64 + 1) as usize;
+            match rng.below(11) {
+                0 => {
+                    if let Some(b) = h.get_mut(at) {
+                        *b ^= if b.is_ascii_alphabetic() { 0x20 } else { 0 };
+                    }
+                }
+                1 => h.insert(at, rng.pick(b" \t\x0B\x0C\r\n")),
+                2 => insert(h, at, "é".as_bytes()),
+                3 => h.insert(at, rng.pick(&[0x80, 0xFF, 0x00, 0x7F])),
+                4 => h.extend_from_slice(rng.pick(&[
+                    &b"\r\ncontent-length: 0007"[..],
+                    b"\r\ncontent-length: 1234567890123456789",
+                    b"\r\ncontent-length: 12345678901234567890",
+                    b"\r\ncontent-length: 18446744073709551616",
+                    b"\r\nContent-Length:  99999999999999999999999 ",
+                    b"\r\ncontent-length:",
+                    b"\r\ncontent-length: 4x",
+                ])),
+                5 => h.extend_from_slice(rng.pick(&[
+                    &b"\r\nx-sitw-trace: 0x8000000000000bee"[..],
+                    b"\r\nX-Sitw-Trace: ff",
+                    b"\r\nx-sitw-trace: nope",
+                    b"\r\nconnection: close",
+                    b"\r\nConnection: keep-alive",
+                ])),
+                6 => {
+                    let version = rng.pick(&["HTTP/1.0", "HTTP/2", "HTTP/1.1 extra", "HTTP/1.10"]);
+                    h.splice(13..21.min(h.len()), version.bytes())
+                        .for_each(drop);
+                }
+                7 if at < h.len() => {
+                    h.remove(at);
+                }
+                8 if at < h.len() => h[at] = rng.next() as u8,
+                _ => insert(h, at, b"\r\n"),
+            }
+        }
+    }
+
+    /// What one parser made of a block: its verdict and the scratch.
+    type Parsed = (Result<u64, String>, Request);
+
+    /// Both parsers from the same dirty scratch, as a reused connection's.
+    fn both_parsers(header: &[u8]) -> (Parsed, Parsed) {
+        let dirty = Request {
+            method: "GET".into(),
+            path: "/stale".into(),
+            body: b"old".to_vec(),
+            close: true,
+            trace: Some(7),
+        };
+        let (mut fast, mut general) = (dirty.clone(), dirty);
+        let got = parse_header(header, &mut fast);
+        let want = parse_header_general(header, &mut general);
+        ((got, fast), (want, general))
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn skip_ahead_scan_equals_the_window_scan(
+            bytes in proptest::collection::vec(0u8..=255, 0..96),
+            picks in proptest::collection::vec(0usize..6, 0..96),
+        ) {
+            // Arbitrary bytes, and text over `\r`, `\n` and two others,
+            // where blank lines start at every offset mod 4.
+            let dense: Vec<u8> = picks.iter().map(|&i| b"\r\n\r\nab"[i]).collect();
+            for buf in [&bytes, &dense] {
+                let (got, want) = (find_crlfcrlf(buf), find_crlfcrlf_ref(buf));
+                proptest::prop_assert!(got == want, "{got:?} != {want:?} on {buf:?}");
+            }
+        }
+
+        #[test]
+        fn header_early_exit_equals_the_general_parser(
+            seed in 0u64..=u64::MAX,
+            arbitrary in proptest::collection::vec(0u8..=255, 0..64),
+        ) {
+            let rng = &mut Rng(seed);
+            let canonical = canonical_header(rng);
+            let mut mutated = canonical.clone();
+            mutate_header(rng, &mut mutated);
+            let mut tail = INVOKE_LINE.to_vec();
+            tail.extend_from_slice(b"\r\n");
+            tail.extend_from_slice(&arbitrary);
+            for header in [&canonical, &mutated, &arbitrary, &tail] {
+                let (got, want) = both_parsers(header);
+                proptest::prop_assert!(
+                    got == want,
+                    "{got:?} != {want:?} on {:?}",
+                    String::from_utf8_lossy(header)
+                );
+            }
+            // The canonical block is the early exit's own.
+            let mut req = Request::default();
+            proptest::prop_assert!(parse_invoke_header(&canonical, &mut req).is_some());
+        }
+    }
+
+    #[test]
+    fn header_early_exit_hands_over_at_each_documented_edge() {
+        // Each block is one the early exit must not answer: the general
+        // parser's verdict is different from, or not provable by, a
+        // canonical read.
+        for header in [
+            &b"POST /invoke HTTP/1.1\r\nx-sitw-trace: 0x10\r\ncontent-length: 2"[..],
+            b"POST /invoke HTTP/1.1\r\ncontent-length: 2\r\nconnection: close",
+            b"POST /invoke HTTP/1.1\r\ncontent-length: 12345678901234567890",
+            b"POST /invoke HTTP/1.1\r\ncontent-length: 2\r\nx-name: caf\xc3\xa9",
+            b"POST /invoke HTTP/1.1\r\ncontent-length:\x0B2",
+            b"POST /invoke HTTP/1.0\r\ncontent-length: 2",
+            b"POST /invoke?x=1 HTTP/1.1\r\ncontent-length: 2",
+            b"post /invoke HTTP/1.1\r\ncontent-length: 2",
+        ] {
+            assert_eq!(
+                parse_invoke_header(header, &mut Request::default()),
+                None,
+                "{}",
+                String::from_utf8_lossy(header)
+            );
+            let (got, want) = both_parsers(header);
+            assert_eq!(got, want);
+        }
+        // Within the grammar: names in any case, spaces around values, a
+        // 19-digit length with leading zeros, the last length winning.
+        for (header, len) in [
+            (&b"POST /invoke HTTP/1.1"[..], 0),
+            (
+                b"POST /invoke HTTP/1.1\r\nContent-Length:   0000000000000000042  ",
+                42,
+            ),
+            (
+                b"POST /invoke HTTP/1.1\r\ncontent-length: 1\r\nx: y\r\ncontent-length: 9",
+                9,
+            ),
+            (
+                b"POST /invoke HTTP/1.1\r\nno colon here\r\ncontent-length: 3",
+                3,
+            ),
+        ] {
+            assert_eq!(
+                parse_invoke_header(header, &mut Request::default()),
+                Some(len)
+            );
+            let (got, want) = both_parsers(header);
+            assert_eq!(got, want);
+        }
     }
 
     #[test]

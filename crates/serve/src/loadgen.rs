@@ -1090,6 +1090,43 @@ mod tests {
     use super::*;
 
     #[test]
+    fn replayed_requests_take_both_early_exits() {
+        // Bytes exactly as the send loop writes them (`write_request`,
+        // untraced): the server reads their header in one pass, and an
+        // untenanted body too (a tenant's goes to the general parser). A
+        // refactor that silently turns either early exit off fails here.
+        for event in [
+            Event {
+                ts: 0,
+                app: 17,
+                tenant: 0,
+            },
+            Event {
+                ts: 86_400_000,
+                app: 999_999,
+                tenant: 3,
+            },
+        ] {
+            let (mut body, mut out) = (Vec::new(), Vec::new());
+            write_invoke_body(&mut body, &event);
+            write_request(&mut out, "POST", "/invoke", None, &body).unwrap();
+            let head = out.len() - body.len() - 4;
+            assert_eq!(&out[head..head + 4], b"\r\n\r\n");
+            let mut req = http::Request::default();
+            let declared = http::parse_invoke_header(&out[..head], &mut req);
+            assert_eq!(declared, Some(body.len() as u64));
+            let mut invoke = wire::InvokeRequest::default();
+            let one_pass = wire::parse_canonical_invoke(&body, &mut invoke);
+            assert_eq!(one_pass.is_some(), event.tenant == 0);
+            // A traced request is the general parser's.
+            out.clear();
+            write_request(&mut out, "POST", "/invoke", Some(1), &body).unwrap();
+            let head = out.len() - body.len() - 4;
+            assert_eq!(http::parse_invoke_header(&out[..head], &mut req), None);
+        }
+    }
+
+    #[test]
     fn schedules_partition_by_app_and_stay_ordered() {
         let cfg = LoadGenConfig {
             apps: 40,

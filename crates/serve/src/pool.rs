@@ -308,21 +308,27 @@ impl Handler for Node {
         b.flush_run(conn);
     }
 
-    /// Settles the write-stage spans of a full flush; a frame's write
-    /// cost is amortized over its records so every stage histogram stays
-    /// invocation-weighted.
+    /// Settles the write-stage spans of a full flush. One write carries
+    /// every answer it holds, so its cost is amortized over all of their
+    /// decisions — each JSON answer one, each frame its record count —
+    /// and every stage histogram stays invocation-weighted: the write
+    /// stage sums to the flush, as the others sum to their own clocks.
     fn flushed(&self, spans: &[(u64, u64)], t0: u64, written: usize) {
         if !self.telem.enabled() {
             return;
         }
         let t1 = self.telem.now();
-        let dt = t1.saturating_sub(t0);
+        let decisions: u64 = spans
+            .iter()
+            .map(|&(_, n)| if n == JSON_SPAN { 1 } else { n })
+            .sum();
+        let per = t1.saturating_sub(t0) / decisions.max(1);
         self.telem.with(|t| {
             t.write_bursts.record(written as u64);
             for &(_, n) in spans {
                 match n {
-                    JSON_SPAN => t.write.json.record(dt),
-                    n => t.write.bin.record_n(dt / n.max(1), n),
+                    JSON_SPAN => t.write.json.record(per),
+                    n => t.write.bin.record_n(per, n),
                 }
             }
             t.spans(spans.iter().map(|&(span, _)| span), Stage::Write, t0, t1);

@@ -10,6 +10,24 @@
 //!   (`"app"`: string, `"ts"`: non-negative integer milliseconds) and
 //!   tolerates any other well-formed members. It is not a general JSON
 //!   parser and does not try to be one.
+//!
+//!   The body every client in this workspace sends is read by an early
+//!   exit in one pass:
+//!
+//!   ```text
+//!   {"app":"NAME","ts":DIGITS}
+//!   NAME   = 1+ bytes of printable ASCII (0x20..=0x7E) but `"` and `\`
+//!   DIGITS = 1 to 19 ASCII digits (no u64 overflow possible)
+//!   ```
+//!
+//!   Byte for byte, with no whitespace and nothing after the `}`.
+//!   Anything else — whitespace, escapes, non-ASCII, a tenant, members
+//!   in another order or of another name, a longer number, an empty
+//!   name, trailing bytes — goes to the general scan, never to an error
+//!   of its own. The scan stays because it is the only path for those
+//!   supported bodies, and it is the reference the early exit is tested
+//!   against: both give the same [`InvokeRequest`] or the same error on
+//!   any body.
 //! * **SITW-BIN** — a length-prefixed batched binary protocol (the
 //!   second half of this module, whose layout comment is its spec). A
 //!   frame carries up to [`MAX_BATCH`] invocations and is answered by
@@ -48,6 +66,50 @@ pub fn parse_invoke(body: &[u8]) -> Result<InvokeRequest, String> {
 /// error `req` holds whatever was parsed so far.
 // sitw-lint: hot-path
 pub fn parse_invoke_into(body: &[u8], req: &mut InvokeRequest) -> Result<(), String> {
+    match parse_canonical_invoke(body, req) {
+        Some(()) => Ok(()),
+        None => parse_invoke_general(body, req),
+    }
+}
+
+/// The early exit of [`parse_invoke_into`] (grammar in the module
+/// docs): `None` — with `req` untouched — on the first byte it does not
+/// accept.
+// sitw-lint: hot-path
+pub(crate) fn parse_canonical_invoke(body: &[u8], req: &mut InvokeRequest) -> Option<()> {
+    let rest = body.strip_prefix(b"{\"app\":\"")?;
+    // The name runs to the first byte that is not printable ASCII or is
+    // a quote or a backslash; only a quote may end it.
+    let end = rest
+        .iter()
+        .position(|&c| !matches!(c, b' '..=b'~') || c == b'"' || c == b'\\')?;
+    let (app, rest) = rest.split_at(end);
+    let ts = short_decimal(rest.strip_prefix(b"\",\"ts\":")?.strip_suffix(b"}")?)?;
+    let app = std::str::from_utf8(app)
+        .ok()
+        .filter(|app| !app.is_empty())?;
+    req.app.clear();
+    req.app.push_str(app);
+    req.ts = ts;
+    req.tenant = None;
+    Some(())
+}
+
+/// The value of 1 to 19 ASCII digits, too few to overflow a `u64`;
+/// `None` for anything else.
+// sitw-lint: hot-path
+pub(crate) fn short_decimal(digits: &[u8]) -> Option<u64> {
+    if digits.is_empty() || digits.len() > 19 {
+        return None;
+    }
+    digits.iter().try_fold(0u64, |v, &b| {
+        b.is_ascii_digit().then(|| v * 10 + u64::from(b - b'0'))
+    })
+}
+
+/// The general body parser: any body [`parse_invoke_into`] supports,
+/// and the reference its early exit is held to.
+fn parse_invoke_general(body: &[u8], req: &mut InvokeRequest) -> Result<(), String> {
     let mut has_app = false;
     let mut ts: Option<u64> = None;
     // Put back only when this body names a tenant: the buffer is reused
@@ -1562,6 +1624,7 @@ pub fn decode_server_frame(buf: &[u8]) -> ServerFrameDecode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::samples::Rng;
     use sitw_core::Windows;
 
     #[test]
@@ -2714,6 +2777,179 @@ mod tests {
         ] {
             assert_eq!(parse_invoke(body).unwrap_err(), err);
         }
+    }
+
+    // -----------------------------------------------------------------
+    // The body early exit against the general scan it stands in front of.
+
+    /// A body as the load generator and the benchmark write it: app ids
+    /// of their shape or any printable ASCII, `ts` of any width up to
+    /// 19 digits.
+    fn canonical_body(rng: &mut Rng) -> Vec<u8> {
+        let app: String = match rng.below(3) {
+            0 => format!("app-{:06}", rng.below(1_000_000)),
+            _ => (0..=rng.below(12))
+                .map(|_| rng.pick(b" !#$%&'()*+,-./09:;<=>?@AZ[]^_`az{|}~") as char)
+                .collect(),
+        };
+        let ts = (rng.next() >> rng.below(64)) % 10u64.pow(19);
+        format!("{{\"app\":\"{app}\",\"ts\":{ts}}}").into_bytes()
+    }
+
+    /// `ts` values at the edges of the early exit's number: leading
+    /// zeros, 19 digits, 20 that fit a `u64` and 20 that do not, and
+    /// what is no number at all.
+    const EDGE_TS: [&str; 8] = [
+        "0007",
+        "1234567890123456789",
+        "12345678901234567890",
+        "18446744073709551616",
+        "99999999999999999999999",
+        "-1",
+        "1.5",
+        "",
+    ];
+
+    /// `b` with the digits after its first `"ts":` replaced by `ts`.
+    fn set_ts(b: &mut Vec<u8>, ts: &str) {
+        if let Some(at) = b.windows(5).position(|w| w == br#""ts":"#) {
+            let digits = b[at + 5..].iter().take_while(|c| c.is_ascii_digit());
+            let end = at + 5 + digits.count();
+            b.splice(at + 5..end, ts.bytes()).for_each(drop);
+        }
+    }
+
+    /// One to three edits of the kinds the early exit must hand over:
+    /// case, every whitespace byte and `\x0B`, non-ASCII, escapes,
+    /// leading zeros, 19- and 20-digit numbers, a tenant, reordered and
+    /// extra members, empty names, trailing, deleted and replaced bytes.
+    fn mutate_body(rng: &mut Rng, b: &mut Vec<u8>) {
+        fn insert(b: &mut Vec<u8>, at: usize, bytes: &[u8]) {
+            b.splice(at..at, bytes.iter().copied()).for_each(drop);
+        }
+        for _ in 0..1 + rng.below(3) {
+            let at = rng.below(b.len() as u64 + 1) as usize;
+            match rng.below(11) {
+                0 => {
+                    if let Some(c) = b.get_mut(at) {
+                        c.make_ascii_uppercase();
+                    }
+                }
+                1 => b.insert(at, rng.pick(b" \t\x0B\x0C\r\n")),
+                2 => insert(b, at, "é".as_bytes()),
+                3 => insert(
+                    b,
+                    at,
+                    rng.pick(&[&br"\u0041"[..], br"\n", br"\\", br#"\""#, b"\xff"]),
+                ),
+                4 => set_ts(b, rng.pick(&EDGE_TS)),
+                5 => {
+                    *b = rng
+                        .pick(&[
+                            &br#"{"ts":1,"app":"app-000001"}"#[..],
+                            br#"{"app":"","ts":1}"#,
+                            br#"{"app":"a","ts":1,"tenant":""}"#,
+                            br#"{"app":"a","ts":1,"tenant":"t0"}"#,
+                            br#"{"tenant":"t","app":"a","ts":1}"#,
+                        ])
+                        .to_vec()
+                }
+                6 => insert(b, b.len().saturating_sub(1), br#","extra":[1,{"a":"}"}]"#),
+                7 => b.extend_from_slice(rng.pick(&[&b" "[..], b"}", b"garbage", b"\n"])),
+                8 if at < b.len() => {
+                    b.remove(at);
+                }
+                9 if at < b.len() => b[at] = rng.next() as u8,
+                _ => b.truncate(at),
+            }
+        }
+    }
+
+    /// What one parser made of a block: its verdict and the scratch.
+    type Parsed = (Result<(), String>, InvokeRequest);
+
+    /// Both parsers from the same dirty scratch, as a reused reactor's.
+    fn both_parsers(body: &[u8]) -> (Parsed, Parsed) {
+        let dirty = InvokeRequest {
+            app: "stale-app".into(),
+            ts: 77,
+            tenant: Some("stale-tenant".into()),
+        };
+        let (mut fast, mut general) = (dirty.clone(), dirty);
+        let got = parse_invoke_into(body, &mut fast);
+        let want = parse_invoke_general(body, &mut general);
+        ((got, fast), (want, general))
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn body_early_exit_equals_the_general_parser(
+            seed in 0u64..=u64::MAX,
+            arbitrary in proptest::collection::vec(0u8..=255, 0..48),
+        ) {
+            let rng = &mut Rng(seed);
+            let canonical = canonical_body(rng);
+            let mut mutated = canonical.clone();
+            mutate_body(rng, &mut mutated);
+            let mut edge = canonical.clone();
+            set_ts(&mut edge, rng.pick(&EDGE_TS));
+            let mut tail = br#"{"app":"#.to_vec();
+            tail.extend_from_slice(&arbitrary);
+            for body in [&canonical, &mutated, &edge, &arbitrary, &tail] {
+                let (got, want) = both_parsers(body);
+                proptest::prop_assert!(
+                    got == want,
+                    "{got:?} != {want:?} on {:?}",
+                    String::from_utf8_lossy(body)
+                );
+            }
+            // The canonical body is the early exit's own.
+            let mut req = InvokeRequest::default();
+            proptest::prop_assert!(parse_canonical_invoke(&canonical, &mut req).is_some());
+        }
+    }
+
+    #[test]
+    fn body_early_exit_hands_over_at_each_documented_edge() {
+        for body in [
+            &br#"{"app":"a\u0062","ts":1}"#[..],
+            br#"{"app":"a\"b","ts":1}"#,
+            "{\"app\":\"caf\u{e9}\",\"ts\":1}".as_bytes(),
+            br#"{"app":"a","ts":12345678901234567890}"#,
+            br#"{"ts":1,"app":"a"}"#,
+            br#"{ "app":"a","ts":1}"#,
+            br#"{"app":"a","ts":1} "#,
+            br#"{"app":"","ts":1}"#,
+            br#"{"app":"a","ts":1,"tenant":""}"#,
+            br#"{"app":"a","ts":}"#,
+            b"{\"app\":\"a\tb\",\"ts\":1}",
+        ] {
+            let mut req = InvokeRequest::default();
+            assert_eq!(
+                parse_canonical_invoke(body, &mut req),
+                None,
+                "{}",
+                String::from_utf8_lossy(body)
+            );
+            assert_eq!(req, InvokeRequest::default(), "untouched on a hand-over");
+            let (got, want) = both_parsers(body);
+            assert_eq!(got, want);
+        }
+        // Within the grammar: leading zeros, 19 digits, any printable
+        // name; a tenant left by an earlier request is cleared.
+        let mut req = InvokeRequest {
+            tenant: Some("stale".into()),
+            ..InvokeRequest::default()
+        };
+        let body = br#"{"app":"a b}{:,","ts":0009999999999999999999}"#;
+        assert_eq!(parse_canonical_invoke(body, &mut req), None, "22 digits");
+        let body = br#"{"app":"a b}{:,","ts":0999999999999999999}"#;
+        assert_eq!(parse_canonical_invoke(body, &mut req), Some(()));
+        assert_eq!(
+            (req.app.as_str(), req.ts, req.tenant.as_deref()),
+            ("a b}{:,", 999_999_999_999_999_999, None)
+        );
+        assert_eq!(both_parsers(body).0, both_parsers(body).1);
     }
 
     #[test]

@@ -18,8 +18,10 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::{Arc, Mutex};
 
-use sitw_core::{DecisionKind, HybridConfig, ProductionConfig, MINUTE_MS};
-use sitw_fleet::{footprint_mb, mix64, TenantLedger, TenantSpec};
+use sitw_core::{DecisionKind, HybridApp, HybridConfig, ProductionConfig, Windows, MINUTE_MS};
+use sitw_fleet::{
+    footprint_mb, mix64, AppRecord, PolicyState, RestoredApp, TenantLedger, TenantSpec,
+};
 use sitw_serve::shard::{ShardWorker, TenantRestore};
 use sitw_serve::telem::{ShardTelem, EVENT_RING};
 use sitw_sim::PolicySpec;
@@ -363,6 +365,74 @@ fn bytes_per_app_stay_under_their_ceilings() {
     // With every table the shard keeps, at the fill a thousand apps
     // leave them (2 003 B when this was written).
     assert!(hundredth.2 <= 2_020.0, "{hundredth:?}");
+    // Restored with 40 idle times, then 30 more: the bins, the interned
+    // name and a history that grows as a fresh one does — to 512 B and
+    // no further — hold what a fresh app holds.
+    let restored = restored_app_stage();
+    assert!(restored.1 <= 984 + 512, "{restored:?}");
+}
+
+/// What a hybrid app restored from a snapshot with 40 idle times holds
+/// after 30 more, as counts: the median over apps of the allocations and
+/// bytes of its record, of its rebuild, and of its own invokes. The
+/// rebuild (`RestoredApp::new`, the per-app part of a restore: the
+/// interned name and the policy state) is counted on a twin of the
+/// record, since the shard rebuilds all of them in one call.
+fn restored_app_stage() -> (u64, i64) {
+    const APPS: usize = 1_000;
+    let cfg = HybridConfig::default();
+    let spec = TenantSpec {
+        id: FREE,
+        name: "free".into(),
+        policy: PolicySpec::Hybrid(cfg.clone()),
+        budget_mb: 0,
+    };
+    let held = || (ALLOCS.with(Cell::get), LIVE_BYTES.with(Cell::get));
+    let names: Vec<String> = (0..APPS).map(|i| format!("app-{i:04}")).collect();
+    let mut own = vec![(0u64, 0i64); APPS];
+    let add = |own: &mut (u64, i64), before: (u64, i64), after: (u64, i64)| {
+        own.0 += after.0 - before.0;
+        own.1 += after.1 - before.1;
+    };
+    let mut apps = Vec::with_capacity(APPS);
+    for (name, own) in names.iter().zip(&mut own) {
+        let before = held();
+        let mut snap = HybridApp::new(&cfg).snapshot();
+        snap.history = (0..40).map(|m| 10.0 + f64::from(m)).collect();
+        let record = AppRecord {
+            app: name.clone(),
+            last_ts: 0,
+            windows: Windows::keep_loaded(0),
+            evicted: false,
+            state: PolicyState::Hybrid(snap),
+        };
+        add(own, before, held());
+        let twin = record.clone();
+        let before = held();
+        let rebuilt = RestoredApp::new(&spec, twin, 0);
+        add(own, before, held());
+        drop(rebuilt);
+        apps.push(record);
+    }
+    let restore = TenantRestore {
+        apps,
+        ..TenantRestore::fresh(spec)
+    };
+    let mut worker = ShardWorker::new(0, vec![restore]).unwrap();
+    for beat in 1..=30u64 {
+        for (name, own) in names.iter().zip(&mut own) {
+            let before = held();
+            worker.invoke(FREE, name, beat * 10 * MINUTE_MS).unwrap();
+            add(own, before, held());
+        }
+    }
+    own.sort_unstable_by_key(|&(_, bytes)| bytes);
+    let (allocs, bytes) = own[APPS / 2];
+    println!(
+        "hybrid: restored at 40 idle times, after 30 more: {allocs} allocations and {bytes} B \
+         per app (median of its record, its rebuild and its own invokes)"
+    );
+    (allocs, bytes)
 }
 
 /// The same three stages for a production tenant (§6).

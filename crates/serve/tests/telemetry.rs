@@ -505,3 +505,54 @@ fn traced_request_inside_a_burst_keeps_six_spans_under_its_id() {
     );
     server.shutdown().unwrap();
 }
+
+#[test]
+fn one_flush_is_charged_once_across_the_answers_it_carries() {
+    // Regression: every JSON answer in a flush was charged the whole
+    // flush, so a burst of N read as N flushes in the write stage.
+    let server = Server::start(base_config()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    const N: u64 = 64;
+    let mut burst = Vec::new();
+    for i in 0..N {
+        invoke_request(&mut burst, &format!("flush-{}", i % 9), 1_000 + i, None);
+    }
+    client.send(&burst).unwrap();
+    for i in 0..N {
+        assert_eq!(client.response().unwrap().0, 200, "request {i}");
+    }
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let write = loop {
+        let write = server.metrics().stage_hists()[5].1.json.clone();
+        if write.count() >= N || Instant::now() >= deadline {
+            break write;
+        }
+        std::thread::sleep(Duration::from_millis(2));
+    };
+    assert_eq!(write.count(), N);
+    // Every answer's write span is its flush's window: the distinct
+    // windows are the flushes, and their durations the time spent.
+    let (status, text) = client.request("GET", "/debug/trace?n=512", "").unwrap();
+    assert_eq!(status, 200);
+    let mut flushes: Vec<(u64, u64)> = text
+        .lines()
+        .filter(|l| l.split(' ').nth(4) == Some("write"))
+        .map(|l| {
+            let mut f = l.split(' ').map(|v| v.parse::<u64>().unwrap_or(0));
+            (f.next().unwrap(), f.next().unwrap())
+        })
+        .collect();
+    let answers = flushes.len();
+    flushes.sort_unstable();
+    flushes.dedup();
+    assert_eq!(answers as u64, N, "{text}");
+    assert!(flushes.len() < answers, "the burst was flushed in one go");
+    let flush_ns: u64 = flushes.iter().map(|&(t0, t1)| t1 - t0).sum();
+    assert!(
+        write.sum() <= flush_ns,
+        "write stage sums to {} ns over {} flushes of {flush_ns} ns",
+        write.sum(),
+        flushes.len()
+    );
+    server.shutdown().unwrap();
+}
