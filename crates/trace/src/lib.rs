@@ -29,6 +29,8 @@
 
 pub mod analysis;
 pub mod archetype;
+#[cfg(test)]
+mod archetype_ref;
 pub mod calibration;
 pub mod generator;
 pub mod model;
