@@ -95,8 +95,14 @@ impl Archetype {
 /// Poisson process with it approximately preserves the app's mean rate.
 pub fn load_shape(t: TimeMs, peak_hour: f64) -> f64 {
     let (weekend, hour) = clock(t);
+    shape(bump(hour - peak_hour), weekend)
+}
+
+/// [`load_shape`] from the bump's value and the day.
+#[inline]
+fn shape(bump: f64, weekend: bool) -> f64 {
     let baseline = crate::calibration::DIURNAL_BASELINE;
-    (baseline + (1.0 - baseline) * bump(hour - peak_hour) * amplitude(weekend)) / shape_mean()
+    (baseline + (1.0 - baseline) * bump * amplitude(weekend)) / shape_mean()
 }
 
 /// Whether `t` falls on a weekend day, and its hour of day.
@@ -540,12 +546,17 @@ fn bursty_events<R: Rng + ?Sized>(
 /// every bursty stream, so it stands; the squeeze's bounds hold for
 /// ratios above 1.
 fn shape_sq_stats(peak_hour: f64) -> (f64, f64) {
+    const QUARTER_MS: TimeMs = 15 * 60 * 1000;
+    const PER_DAY: usize = (DAY_MS / QUARTER_MS) as usize;
+    // The grid repeats daily: one bump per quarter hour of the day.
+    let bumps: [f64; PER_DAY] =
+        std::array::from_fn(|q| bump(clock(q as TimeMs * QUARTER_MS).1 - peak_hour));
     let mut sum = 0.0;
     let mut max = 0.0f64;
-    let steps = 7 * 24 * 4;
+    let steps = 7 * PER_DAY;
     for i in 0..steps {
-        let t = i as u64 * 15 * 60 * 1000;
-        let s = load_shape(t, peak_hour);
+        let t = i as TimeMs * QUARTER_MS;
+        let s = shape(bumps[i % PER_DAY], clock(t).0);
         let sq = s * s;
         sum += sq;
         if sq > max {
@@ -761,6 +772,20 @@ mod tests {
             }
         }
         assert!(checked > 50_000, "{checked} decisions checked");
+    }
+
+    /// The memoized grid statistics equal the per-point ones bit for bit,
+    /// for peaks across and beyond the day, on and off the grid.
+    #[test]
+    fn squeeze_grid_stats_equal_the_reference() {
+        let odd = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e12, -1e12];
+        let grid = (0..4_000).map(|k| -30.0 + k as f64 * 0.021);
+        for peak in grid.chain(odd) {
+            let (mean, max) = shape_sq_stats(peak);
+            let (ref_mean, ref_max) = archetype_ref::shape_sq_stats(peak);
+            assert_eq!(mean.to_bits(), ref_mean.to_bits(), "mean at peak {peak}");
+            assert_eq!(max.to_bits(), ref_max.to_bits(), "max at peak {peak}");
+        }
     }
 
     /// Count the work: over diurnal and bursty streams with peaks across

@@ -210,7 +210,7 @@ fn bursty_events<R: Rng + ?Sized>(
 
 /// Weekly mean and max of the squared load shape (coarse 15-minute grid;
 /// exact enough for thinning normalization).
-fn shape_sq_stats(peak_hour: f64) -> (f64, f64) {
+pub(crate) fn shape_sq_stats(peak_hour: f64) -> (f64, f64) {
     let mut sum = 0.0;
     let mut max = 0.0f64;
     let steps = 7 * 24 * 4;
