@@ -643,7 +643,9 @@ mod tests {
     }
 
     /// The archetype a property case draws, by kind `0..6`. Peaks range
-    /// over `[-30, 54)`, in and out of the squeeze table.
+    /// over `[-30, 54)`, in and out of the squeeze table. Timer sets
+    /// hold one to three timers; the first and third are identical, so
+    /// their firings tie.
     fn drawn_archetype(kind: u64, peak_hour: f64, size: f64, period_ms: TimeMs) -> Archetype {
         let timers = [
             TimerSpec {
