@@ -25,6 +25,7 @@
 //! bounded by `upstream_timeout`, is the one blocking call on the path.
 
 use std::collections::VecDeque;
+use std::fmt::Write as _;
 use std::io::{self, Write};
 use std::net::TcpStream;
 use std::os::unix::io::AsRawFd;
@@ -40,10 +41,9 @@ use sitw_serve::reactor::{Conns, Handler, WINDOW};
 use sitw_serve::server::write_error;
 use sitw_serve::wire::{self, BinErrorCode, BinInvoke, BinReply, InvokeRequest, ServerFrameDecode};
 use sitw_serve::ReactorTelemHandle;
-use sitw_telemetry::{lock_unpoisoned, EventKind, Stage};
+use sitw_telemetry::{lock_unpoisoned, EventKind, Gate, Stage};
 
-use crate::router::{control, read, RouterCtx};
-use crate::telem::RouterTelem;
+use crate::router::{control, read, RouterCtx, RouterTelem};
 
 /// Upstream tokens count down from here, one per node slot — far above
 /// any client connection's slab token.
@@ -89,7 +89,7 @@ impl Answer {
         if self.missing > 0 {
             return;
         }
-        let t_reply = telem.now_ns();
+        let t_reply = telem.now();
         match &self.error {
             Some((_, code, detail)) => wire::encode_error_frame(&mut self.bytes, *code, detail),
             None if self.split => {
@@ -98,9 +98,11 @@ impl Answer {
             None => {}
         }
         if let Some((id, t_fwd)) = self.hop {
-            let t_out = telem.now_ns();
-            telem.record(id, Stage::Await, t_fwd, t_reply);
-            telem.record(id, Stage::Reassemble, t_reply, t_out);
+            let t_out = telem.now();
+            telem.try_with(&telem.recorder, |r| {
+                r.push_spans([id], Stage::Await, t_fwd, t_reply);
+                r.push_spans([id], Stage::Reassemble, t_reply, t_out);
+            });
             self.hop = Some((id, t_out));
         }
     }
@@ -263,7 +265,7 @@ impl Front {
     fn invoke(&mut self, token: u64, conn: &mut Conn<Client>) {
         let (ctx, inv) = (&*self.ctx, &mut self.invoke);
         let telem = &ctx.telem;
-        let t0 = telem.now_ns();
+        let t0 = telem.now();
         let trace = telem.sample(conn.req.trace);
         if trace.is_some() {
             ctx.metrics.traced_requests.fetch_add(1, Ordering::Relaxed);
@@ -275,17 +277,20 @@ impl Front {
         if let Some(name) = inv.tenant.as_deref().filter(|_| ctx.has_qos) {
             if !lock_unpoisoned(&ctx.admission).admit(name, inv.ts) {
                 ctx.metrics.throttled.fetch_add(1, Ordering::Relaxed);
+                let t = &ctx.telem;
+                t.event(&t.events, t.wall_ms(), EventKind::Throttle, |ev| {
+                    ev.tenant.push_str(name);
+                    ev.app.push_str(&inv.app);
+                    let _ = write!(ev.detail, "proto=json ts={}", inv.ts);
+                });
                 // Cold path: the request is refused.
-                // sitw-lint: allow(hot-path-alloc)
-                let detail = format!("proto=json ts={}", inv.ts);
-                ctx.telem.event(EventKind::Throttle, name, &inv.app, detail);
                 // sitw-lint: allow(hot-path-alloc)
                 let body = format!("{{\"error\":\"throttled\",\"tenant\":\"{name}\"}}");
                 return write_response(local(conn), 429, "application/json", body.as_bytes());
             }
         }
         // Ingress covers parse + admission; the ring lookup is `route`.
-        let t1 = telem.now_ns();
+        let t1 = telem.now();
         let node = match &inv.tenant {
             Some(name) => read(&ctx.ring).node_of_tenant(name),
             None => read(&ctx.ring).node_of_app(&inv.app),
@@ -293,10 +298,12 @@ impl Front {
         let Some(node) = node else {
             return write_error(local(conn), 503, "no live nodes");
         };
-        let t2 = telem.now_ns();
+        let t2 = telem.now();
         if let Some(id) = trace {
-            telem.record(id, Stage::Ingress, t0, t1);
-            telem.record(id, Stage::Route, t1, t2);
+            telem.try_with(&telem.recorder, |r| {
+                r.push_spans([id], Stage::Ingress, t0, t1);
+                r.push_spans([id], Stage::Route, t1, t2);
+            });
         }
         let up = match upstream(&mut self.upstreams, ctx, self.id, node) {
             Ok(up) => up,
@@ -315,7 +322,7 @@ impl Front {
     fn frame(&mut self, token: u64, conn: &mut Conn<Client>, trace: Option<u64>) {
         let ctx: &RouterCtx = &self.ctx;
         let telem = &ctx.telem;
-        let t0 = telem.now_ns();
+        let t0 = telem.now();
         let trace = telem.sample(trace);
         if trace.is_some() {
             ctx.metrics.traced_requests.fetch_add(1, Ordering::Relaxed);
@@ -326,7 +333,7 @@ impl Front {
         // Ingress ends where placement (the `route` hop) begins. Every
         // record's owner is resolved before any is admitted: a frame
         // refused whole spends no QoS tokens.
-        let t1 = telem.now_ns();
+        let t1 = telem.now();
         if let Err((code, detail)) = resolve(ctx, &conn.records, &mut self.owners) {
             return wire::encode_error_frame(local(conn), code, &detail);
         }
@@ -341,18 +348,23 @@ impl Front {
             };
             if let (true, Some(name)) = (refused, name) {
                 ctx.metrics.throttled.fetch_add(1, Ordering::Relaxed);
-                // sitw-lint: allow(hot-path-alloc)
-                let detail = format!("proto=bin ts={}", rec.ts);
-                ctx.telem.event(EventKind::Throttle, name, &rec.app, detail);
+                let t = &ctx.telem;
+                t.event(&t.events, t.wall_ms(), EventKind::Throttle, |ev| {
+                    ev.tenant.push_str(name);
+                    ev.app.push_str(&rec.app);
+                    let _ = write!(ev.detail, "proto=bin ts={}", rec.ts);
+                });
             }
             self.part.route(if refused { throttled } else { node });
         }
         drop(admission);
         self.part.sort(throttled + 1);
-        let t2 = telem.now_ns();
+        let t2 = telem.now();
         if let Some(id) = trace {
-            telem.record(id, Stage::Ingress, t0, t1);
-            telem.record(id, Stage::Route, t1, t2);
+            telem.try_with(&telem.recorder, |r| {
+                r.push_spans([id], Stage::Ingress, t0, t1);
+                r.push_spans([id], Stage::Route, t1, t2);
+            });
         }
         // Connect every owner before sending anything, so a dead node
         // fails the frame without leaving part of it in flight elsewhere.
@@ -540,10 +552,12 @@ impl Handler for Front {
     /// Closes the `egress` hop of the traced answers just flushed.
     fn flushed(&self, spans: &[(u64, u64)], _t0: u64, _written: usize) {
         let telem = &self.ctx.telem;
-        let t = telem.now_ns();
-        for &(id, start) in spans {
-            telem.record(id, Stage::Egress, start, t);
-        }
+        let t = telem.now();
+        telem.try_with(&telem.recorder, |r| {
+            for &(id, start) in spans {
+                r.push_spans([id], Stage::Egress, start, t);
+            }
+        });
     }
 
     /// Keeps the round's clock and, on the tick, retires every upstream
@@ -705,9 +719,11 @@ fn deliver(
 /// Closes a traced request's `forward` hop, begun at `t2`, and opens its
 /// `await`.
 fn forwarded(telem: &RouterTelem, trace: Option<u64>, t2: u64) -> Option<(u64, u64)> {
-    let id = trace.filter(|_| telem.enabled)?;
-    let t3 = telem.now_ns();
-    telem.record(id, Stage::Forward, t2, t3);
+    let id = trace.filter(|_| telem.enabled())?;
+    let t3 = telem.now();
+    telem.try_with(&telem.recorder, |r| {
+        r.push_spans([id], Stage::Forward, t2, t3)
+    });
     Some((id, t3))
 }
 

@@ -37,7 +37,8 @@
 //!   [`sitw_fleet::FleetSim`] over the union registry. Because
 //!   migration moves tenant state bit-for-bit, placement is invisible
 //!   to verdicts, and one `FleetSim` models the whole cluster.
-//! * [`federate`] + [`telem`] — the fleet observability plane: the
+//! * [`federate`] + the router's telemetry ([`router`]) — the fleet
+//!   observability plane: the
 //!   router stamps sampled trace ids onto forwarded work and records
 //!   its own hop stages, `GET /debug/trace` merges router and node
 //!   spans into one end-to-end timeline, and `GET /metrics/fleet`
@@ -53,12 +54,12 @@ pub mod reconcile;
 pub mod ring;
 pub mod router;
 pub mod sim;
-pub mod telem;
 
 pub use federate::{parse_hist_body, parse_trace_spans, FleetHists, NodeHists, NodeSpan};
 pub use metrics::{render_fleet, RouterMetrics};
 pub use reconcile::{control_roundtrip, reconcile_shares};
 pub use ring::ClusterRing;
-pub use router::{FailoverMode, FailoverProposal, Router, RouterConfig, RouterTenant};
+pub use router::{
+    FailoverMode, FailoverProposal, Router, RouterConfig, RouterTenant, ROUTER_TRACE_ORIGIN,
+};
 pub use sim::{ClusterOutcome, ClusterSim};
-pub use telem::{RouterTelem, ROUTER_TRACE_ORIGIN};

@@ -43,9 +43,10 @@
 //! `/debug/events` and the `sitw_router_failover_*` metric families.
 
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs};
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
@@ -58,7 +59,8 @@ use sitw_serve::server::write_error;
 use sitw_serve::wire::{self, ControlReply, ControlRequest, TenantUsage};
 
 use sitw_telemetry::{
-    is_trace_span, lock_unpoisoned, write_trace_json, write_trace_text, EventKind, EventRing, Stage,
+    is_trace_span, lock_unpoisoned, write_trace_json, write_trace_text, Clock, EventKind,
+    EventRing, FlightRecorder, Gate, Stage, WallClock, EVENT_RING, TRACE_MARK,
 };
 
 use crate::federate::{parse_hist_body, parse_trace_spans, rebase, FleetHists, NodeSpan};
@@ -66,7 +68,6 @@ use crate::forward::Front;
 use crate::metrics::{render_fleet, RouterMetrics};
 use crate::reconcile::{control_roundtrip, reconcile_shares};
 use crate::ring::ClusterRing;
-use crate::telem::RouterTelem;
 
 /// How long the router waits for a control-plane TCP connect
 /// (provisioning, migration, scrapes). The data path uses the
@@ -245,6 +246,94 @@ impl Default for RouterConfig {
     }
 }
 
+/// Bit 62 distinguishes router-originated trace ids from client
+/// (loadgen) ones; both carry [`TRACE_MARK`] in bit 63.
+pub const ROUTER_TRACE_ORIGIN: u64 = 1 << 62;
+
+/// Hop span ring capacity: 6 stages × ~680 traced requests.
+const ROUTER_RECORDER_CAP: usize = 4096;
+
+/// The router's telemetry: the hop flight recorder, the lifecycle event
+/// ring, and fleet trace sampling.
+///
+/// The router records its six hop stages (`ingress` → `route` →
+/// `forward` → `await` → `reassemble` → `egress`) for *traced* requests
+/// only: the client propagated an `X-Sitw-Trace` id (or the SITW-BIN
+/// trace field), or `--trace-sample N` tagged every Nth arriving
+/// request with a router-originated id. The id rides on the forwarded
+/// work, the node adopts it as the span id of its own six stages, and
+/// `GET /debug/trace` merges both sides into one timeline. With
+/// sampling off (`trace_sample == 0`) hop recording is a constant
+/// branch, while lifecycle events (migrations, ring epochs, throttles)
+/// are always recorded: they are rare by construction.
+#[derive(Debug)]
+pub(crate) struct RouterTelem {
+    /// Hop span recording on (`--trace-sample` was given).
+    enabled: bool,
+    /// Tag every Nth request with a router-originated id.
+    sample: u64,
+    /// Requests seen by the sampler (also the id counter).
+    seq: AtomicU64,
+    /// Wall nanoseconds since router start — the hop span timebase.
+    clock: WallClock,
+    /// The hop span ring.
+    pub(crate) recorder: Mutex<FlightRecorder>,
+    /// Lifecycle events: migrations, ring epochs, throttles.
+    pub(crate) events: Mutex<EventRing>,
+}
+
+impl RouterTelem {
+    fn new(trace_sample: usize) -> Self {
+        Self {
+            enabled: trace_sample > 0,
+            sample: trace_sample as u64,
+            seq: AtomicU64::new(0),
+            clock: WallClock::default(),
+            recorder: Mutex::new(FlightRecorder::new(ROUTER_RECORDER_CAP)),
+            events: Mutex::new(EventRing::new(EVENT_RING)),
+        }
+    }
+
+    /// The trace id of one arriving request: a client-propagated id is
+    /// always adopted (and forwarded); otherwise, when sampling is on,
+    /// every Nth request gets a fresh router-originated id.
+    #[inline]
+    pub(crate) fn sample(&self, client: Option<u64>) -> Option<u64> {
+        if client.is_some() {
+            return client;
+        }
+        if !self.enabled {
+            return None;
+        }
+        let n = self.seq.fetch_add(1, Ordering::Relaxed);
+        n.is_multiple_of(self.sample)
+            .then_some(TRACE_MARK | ROUTER_TRACE_ORIGIN | (n & (ROUTER_TRACE_ORIGIN - 1)))
+    }
+
+    /// Wall milliseconds since router start: the stamp of router events,
+    /// which are control-plane, so there is no domain timestamp to
+    /// reuse.
+    pub(crate) fn wall_ms(&self) -> u64 {
+        self.clock.now_ns() / 1_000_000
+    }
+}
+
+impl Gate for RouterTelem {
+    #[inline]
+    fn enabled(&self) -> bool {
+        self.enabled
+    }
+
+    #[inline]
+    fn clock(&self) -> &WallClock {
+        &self.clock
+    }
+
+    fn events_enabled(&self) -> bool {
+        true
+    }
+}
+
 /// Shared state of a running router.
 pub(crate) struct RouterCtx {
     pub(crate) cfg: RouterConfig,
@@ -399,14 +488,14 @@ impl RouterCtx {
             epoch
         };
         self.metrics.migrations.fetch_add(1, Ordering::Relaxed);
-        self.telem.event(
-            EventKind::Migration,
-            tenant,
-            "",
-            format!("from={from} to={to}"),
-        );
-        self.telem
-            .event(EventKind::RingEpoch, "", "", format!("epoch={epoch}"));
+        let t = &self.telem;
+        t.event(&t.events, t.wall_ms(), EventKind::Migration, |ev| {
+            ev.tenant.push_str(tenant);
+            let _ = write!(ev.detail, "from={from} to={to}");
+        });
+        t.event(&t.events, t.wall_ms(), EventKind::RingEpoch, |ev| {
+            let _ = write!(ev.detail, "epoch={epoch}");
+        });
         Ok((from, to, epoch))
     }
 
@@ -511,15 +600,14 @@ impl RouterCtx {
             .iter()
             .find(|(i, _)| *i == node)
             .map(|(_, ctrl)| ctrl.clone());
-        self.telem.event(
-            EventKind::NodeDown,
-            "",
-            "",
-            format!(
+        let t = &self.telem;
+        t.event(&t.events, t.wall_ms(), EventKind::NodeDown, |ev| {
+            let _ = write!(
+                ev.detail,
                 "node {node} ({addr}): {reason}; proposal raised (standby: {})",
                 standby.as_deref().unwrap_or("none")
-            ),
-        );
+            );
+        });
         proposals.push(FailoverProposal {
             node,
             addr,
@@ -590,18 +678,16 @@ impl RouterCtx {
                 self.metrics
                     .failover_promotions
                     .fetch_add(1, Ordering::Relaxed);
-                self.telem.event(
-                    EventKind::Failover,
-                    "",
-                    "",
-                    format!("node {node}: {old} -> {standby} (standby promoted), epoch {epoch}"),
-                );
-                self.telem.event(
-                    EventKind::RingEpoch,
-                    "",
-                    "",
-                    format!("epoch={epoch} failover-node={node}"),
-                );
+                let t = &self.telem;
+                t.event(&t.events, t.wall_ms(), EventKind::Failover, |ev| {
+                    let _ = write!(
+                        ev.detail,
+                        "node {node}: {old} -> {standby} (standby promoted), epoch {epoch}"
+                    );
+                });
+                t.event(&t.events, t.wall_ms(), EventKind::RingEpoch, |ev| {
+                    let _ = write!(ev.detail, "epoch={epoch} failover-node={node}");
+                });
                 format!(
                     "{{\"node\":{node},\"action\":\"promoted\",\"addr\":\"{standby}\",\
                      \"epoch\":{epoch}}}"
@@ -614,21 +700,17 @@ impl RouterCtx {
                     self.sync_ring_gauges(&ring);
                     (ring.epoch(), ring.live_count())
                 };
-                self.telem.event(
-                    EventKind::Failover,
-                    "",
-                    "",
-                    format!(
+                let t = &self.telem;
+                t.event(&t.events, t.wall_ms(), EventKind::Failover, |ev| {
+                    let _ = write!(
+                        ev.detail,
                         "node {node} ({}) dropped, no standby, epoch {epoch}",
                         proposal.addr
-                    ),
-                );
-                self.telem.event(
-                    EventKind::RingEpoch,
-                    "",
-                    "",
-                    format!("epoch={epoch} failover-node={node}"),
-                );
+                    );
+                });
+                t.event(&t.events, t.wall_ms(), EventKind::RingEpoch, |ev| {
+                    let _ = write!(ev.detail, "epoch={epoch} failover-node={node}");
+                });
                 format!(
                     "{{\"node\":{node},\"action\":\"dropped\",\"epoch\":{epoch},\"live\":{live}}}"
                 )
@@ -887,12 +969,13 @@ fn probe_loop(ctx: Arc<RouterCtx>) {
             };
             for node in pending {
                 if let Err((_, e)) = ctx.confirm_failover(node) {
-                    ctx.telem.event(
-                        EventKind::NodeDown,
-                        "",
-                        "",
-                        format!("auto failover of node {node} failed (will retry): {e}"),
-                    );
+                    let t = &ctx.telem;
+                    t.event(&t.events, t.wall_ms(), EventKind::NodeDown, |ev| {
+                        let _ = write!(
+                            ev.detail,
+                            "auto failover of node {node} failed (will retry): {e}"
+                        );
+                    });
                 }
             }
         }
@@ -1011,12 +1094,10 @@ pub(crate) fn control(ctx: &RouterCtx, req: &Request, out: &mut Vec<u8>) {
                     (dropped, ring.epoch(), ring.live_count())
                 };
                 if dropped {
-                    ctx.telem.event(
-                        EventKind::RingEpoch,
-                        "",
-                        "",
-                        format!("epoch={epoch} drop-node={node} live={live}"),
-                    );
+                    let t = &ctx.telem;
+                    t.event(&t.events, t.wall_ms(), EventKind::RingEpoch, |ev| {
+                        let _ = write!(ev.detail, "epoch={epoch} drop-node={node} live={live}");
+                    });
                 }
                 let body = format!("{{\"dropped\":{dropped},\"epoch\":{epoch},\"live\":{live}}}");
                 json(out, 200, &body);
@@ -1190,6 +1271,44 @@ mod tests {
     use super::*;
 
     #[test]
+    fn sampling_tags_every_nth_and_adopts_client_ids() {
+        let t = RouterTelem::new(3);
+        assert!(t.enabled());
+        // Client ids pass through untouched and don't consume the
+        // sampling sequence.
+        assert_eq!(t.sample(Some(0xAB)), Some(0xAB));
+        // Requests 0, 3, 6, ... get router-originated ids.
+        let ids: Vec<Option<u64>> = (0..6).map(|_| t.sample(None)).collect();
+        assert!(ids[0].is_some() && ids[3].is_some());
+        assert!(ids[1].is_none() && ids[2].is_none() && ids[4].is_none() && ids[5].is_none());
+        let id = ids[0].unwrap();
+        assert!(is_trace_span(id));
+        assert_ne!(id & ROUTER_TRACE_ORIGIN, 0);
+        assert_ne!(ids[0], ids[3], "sampled ids must be distinct");
+    }
+
+    #[test]
+    fn disabled_sampler_still_propagates_but_never_originates() {
+        let t = RouterTelem::new(0);
+        assert!(!t.enabled());
+        assert_eq!(t.sample(Some(7)), Some(7));
+        for _ in 0..10 {
+            assert_eq!(t.sample(None), None);
+        }
+        assert_eq!(t.now(), 0);
+        // Hop spans are not recorded, lifecycle events are.
+        t.try_with(&t.recorder, |r| {
+            r.push_spans([TRACE_MARK], Stage::Ingress, 1, 2)
+        });
+        assert!(t.recorder.lock().unwrap().is_empty());
+        t.event(&t.events, t.wall_ms(), EventKind::Migration, |ev| {
+            ev.tenant.push_str("t0");
+            ev.detail.push_str("take");
+        });
+        assert_eq!(t.events.lock().unwrap().len(), 1);
+    }
+
+    #[test]
     fn tenant_arg_grammar_with_qos_suffix() {
         let t = RouterTenant::parse("t0=hybrid,budget=64,qos=bronze:rate=50:burst=100").unwrap();
         assert_eq!(t.name, "t0");
@@ -1251,8 +1370,7 @@ mod tests {
     /// the merged timeline is exactly the injected hop spans.
     #[test]
     fn golden_debug_events_and_trace() {
-        use crate::telem::ROUTER_TRACE_ORIGIN;
-        use sitw_telemetry::{LifecycleEvent, SpanEvent, TRACE_MARK};
+        use sitw_telemetry::{LifecycleEvent, SpanEvent};
         let (node, router) = node_and_router();
         {
             let mut ring = router.ctx.telem.events.lock().unwrap();

@@ -28,10 +28,10 @@ use std::os::unix::io::{AsRawFd, RawFd};
 use std::time::{Duration, Instant};
 
 use sitw_reactor::Interest;
+use sitw_telemetry::Gate;
 
 use crate::http::{ConnBuf, DrainOutcome, ReadEvent, Request};
-use crate::reactor::Handler;
-use crate::telem::ReactorTelemHandle;
+use crate::reactor::{Handler, ReactorTelemHandle};
 use crate::wire::BinInvoke;
 
 /// Stop reading a connection whose un-written output backlog exceeds

@@ -29,13 +29,14 @@
 //! paper's §6 hourly-backup story, upgraded from restart recovery to hot
 //! standby).
 
+use std::fmt::Write as _;
 use std::io::Write;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use sitw_telemetry::{lock_unpoisoned, EventKind};
+use sitw_telemetry::{lock_unpoisoned, EventKind, Gate};
 
 use crate::http::{ConnBuf, Reply};
 use crate::metrics::ReplStats;
@@ -355,14 +356,11 @@ pub(crate) fn promote(ctx: &ServerCtx, reason: &str) -> Result<(), String> {
     }
     shared.replica.snap = None;
     follow.following.store(false, Ordering::Release);
-    ctx.event(
-        EventKind::Promotion,
-        format!(
-            "epoch {}, serving on {} ({reason})",
-            shared.replica.epoch,
-            ctx.pool.addr()
-        ),
-    );
+    let (epoch, addr) = (shared.replica.epoch, ctx.pool.addr());
+    let (telem, ts_ms) = (&ctx.telem, ctx.uptime_ms());
+    telem.event(&telem.events, ts_ms, EventKind::Promotion, |ev| {
+        let _ = write!(ev.detail, "epoch {epoch}, serving on {addr} ({reason})");
+    });
     Ok(())
 }
 
@@ -405,16 +403,18 @@ fn maybe_auto_promote(ctx: &ServerCtx, follow: &Follow, failures: u64) {
     if failures < 3 || silent_for < window {
         return;
     }
-    ctx.event(
-        EventKind::NodeDown,
-        format!(
-            "primary {} unreachable for {}ms ({failures} failed pulls)",
-            follow.cfg.primary_addr,
-            silent_for.as_millis()
-        ),
-    );
+    let (telem, ts_ms) = (&ctx.telem, ctx.uptime_ms());
+    telem.event(&telem.events, ts_ms, EventKind::NodeDown, |ev| {
+        let (primary, ms) = (&follow.cfg.primary_addr, silent_for.as_millis());
+        let _ = write!(
+            ev.detail,
+            "primary {primary} unreachable for {ms}ms ({failures} failed pulls)"
+        );
+    });
     if let Err(e) = promote(ctx, "auto policy: primary unreachable") {
-        ctx.event(EventKind::Failover, format!("auto-promotion failed: {e}"));
+        telem.event(&telem.events, ctx.uptime_ms(), EventKind::Failover, |ev| {
+            let _ = write!(ev.detail, "auto-promotion failed: {e}");
+        });
     }
 }
 
@@ -475,10 +475,10 @@ fn pull_once(ctx: &ServerCtx, follow: &Follow, conn: &mut Option<ConnBuf>) -> Re
     let epoch = shared.replica.epoch;
     drop(shared);
     if full_sync {
-        ctx.event(
-            EventKind::ReplSync,
-            format!("epoch {epoch}, {applied} apps, {bytes} bytes"),
-        );
+        let (telem, ts_ms) = (&ctx.telem, ctx.uptime_ms());
+        telem.event(&telem.events, ts_ms, EventKind::ReplSync, |ev| {
+            let _ = write!(ev.detail, "epoch {epoch}, {applied} apps, {bytes} bytes");
+        });
     }
     Ok(())
 }

@@ -30,9 +30,10 @@
 //!   **histograms** — mergeable log2 buckets from `sitw_telemetry`,
 //!   exported as real Prometheus `histogram` series), `GET /healthz`,
 //!   the flight-recorder debug endpoints `GET /debug/trace` and
-//!   `GET /debug/threads` ([`telem`]), and admin verbs for snapshotting
+//!   `GET /debug/threads` ([`server`]), and admin verbs for snapshotting
 //!   and graceful shutdown.
-//! * **Flight-recorder telemetry** ([`telem`]): every request is traced
+//! * **Flight-recorder telemetry** ([`ReactorTelem`], [`ShardTelem`],
+//!   recording through [`sitw_telemetry::Gate`]): every request is traced
 //!   through six stages — read → decode → queue → decide → render →
 //!   write — into per-thread span rings and per-stage histograms, with
 //!   reactor introspection counters (epoll waits, wakeups, events per
@@ -157,21 +158,21 @@ pub mod shard;
 pub mod snapshot;
 #[cfg(test)]
 mod snapshot_ref;
-pub mod telem;
 pub mod wire;
 
 pub use client::Client;
 pub use follow::{FollowConfig, FollowStatus};
 pub use loadgen::{run_loadgen, run_loadgen_cluster, LoadGenConfig, LoadGenReport, Proto};
 pub use metrics::{
-    ConnStats, MetricsReport, ProtoHists, ProtoStats, ReactorStats, ShardStats, TenantStats,
+    ConnStats, MetricsReport, ProtoHists, ProtoStats, ReactorTelem, ShardStats, TenantStats,
+    TRACE_RING,
 };
+pub use reactor::ReactorTelemHandle;
 pub use server::{ServeConfig, Server, TenantConfig};
-pub use shard::{shard_of, BatchItem, BatchReply, Decision, InvokeError, TenantRestore};
+pub use shard::{
+    shard_of, BatchItem, BatchReply, Decision, InvokeError, ShardTelem, TenantRestore,
+};
 pub use snapshot::{
     apply_delta, AppRecord, PolicyState, ShardExport, Snapshot, SnapshotError, TenantExport,
     TenantSnapshot,
-};
-pub use telem::{
-    merge_spans, ReactorTelem, ReactorTelemHandle, ShardTelem, TelemClock, TRACE_RING,
 };

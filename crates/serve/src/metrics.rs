@@ -6,11 +6,13 @@
 //! and merged exactly at scrape time, so the exported
 //! `sitw_serve_decision_latency` histogram's bucket counts equal the
 //! sum of the per-shard (and per-reactor) recordings — no estimator
-//! drift. The legacy `sitw_serve_decision_latency_us` quantile gauges
-//! are kept for dashboard compatibility, derived from the same buckets.
+//! drift.
 
 use sitw_telemetry::expo::{self, Family, Kind, Samples};
-use sitw_telemetry::{write_hist_line, HistKey, Log2Histogram};
+use sitw_telemetry::{write_hist_line, FlightRecorder, HistKey, Log2Histogram};
+
+/// Capacity of each per-thread flight-recorder ring.
+pub const TRACE_RING: usize = 512;
 
 /// A latency histogram split by wire protocol (JSON/HTTP vs SITW-BIN).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -37,35 +39,61 @@ impl ProtoHists {
     }
 }
 
-/// Introspection counters reported by one reactor (event-loop) thread.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ReactorStats {
-    /// Reactor index.
-    pub reactor: usize,
-    /// Read-stage latency (socket readable → bytes buffered), ns.
+/// Everything one reactor (event-loop) thread records, under one
+/// mutex its [`crate::reactor::ReactorTelemHandle`] only ever
+/// `try_lock`s. A scrape copies it out whole: `/metrics` and
+/// `/debug/threads` read the copy.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ReactorTelem {
+    /// Socket-readable → request bytes buffered, per protocol (for a
+    /// JSON run: until its first request parsed out).
     pub read: ProtoHists,
-    /// Decode-stage latency (bytes → parsed and routed), ns.
+    /// Bytes buffered → parsed and routed, per protocol (for a JSON run:
+    /// the rest of the burst's parsing, up to deciding).
     pub decode: ProtoHists,
-    /// Render-stage latency (decided → bytes serialized), ns.
+    /// Decided → response bytes serialized, per protocol.
     pub render: ProtoHists,
-    /// Write-stage latency (bytes serialized → flushed to socket), ns.
+    /// Response bytes → flushed to the socket, per protocol.
     pub write: ProtoHists,
+    /// Events delivered per productive `epoll_wait` wake.
+    pub events_per_wake: Log2Histogram,
+    /// Bytes per completed coalesced socket write.
+    pub write_bursts: Log2Histogram,
     /// Total `epoll_wait` calls (blocking and non-blocking).
     pub epoll_waits: u64,
     /// Nanoseconds spent inside blocking `epoll_wait` calls.
     pub epoll_wait_ns: u64,
     /// Eventfd waker fires observed.
     pub wakeups: u64,
-    /// Events delivered per productive `epoll_wait` wake.
-    pub events_per_wake: Log2Histogram,
-    /// Bytes per completed coalesced socket write.
-    pub write_bursts: Log2Histogram,
     /// Backpressure transitions into the read-paused state.
     pub bp_pauses: u64,
     /// Backpressure transitions out of the read-paused state.
     pub bp_resumes: u64,
-    /// Live connections this reactor holds.
+    /// Live connections this reactor holds: the pool's count, which a
+    /// scrape fills in (the reactor does not record it).
     pub conns: u64,
+    /// Recent span events recorded on this thread.
+    pub recorder: FlightRecorder,
+}
+
+impl Default for ReactorTelem {
+    fn default() -> Self {
+        Self {
+            read: ProtoHists::default(),
+            decode: ProtoHists::default(),
+            render: ProtoHists::default(),
+            write: ProtoHists::default(),
+            events_per_wake: Log2Histogram::new(),
+            write_bursts: Log2Histogram::new(),
+            epoll_waits: 0,
+            epoll_wait_ns: 0,
+            wakeups: 0,
+            bp_pauses: 0,
+            bp_resumes: 0,
+            conns: 0,
+            recorder: FlightRecorder::new(TRACE_RING),
+        }
+    }
 }
 
 /// One tenant's counters as seen by one shard (the default tenant's
@@ -96,8 +124,8 @@ pub struct TenantStats {
     pub decision_ns: Log2Histogram,
 }
 
-/// Counters and latency estimates reported by one shard.
-#[derive(Debug, Clone, PartialEq)]
+/// Counters and latency histograms reported by one shard.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardStats {
     /// Shard index.
     pub shard: usize,
@@ -118,10 +146,6 @@ pub struct ShardStats {
     pub backups: u64,
     /// Pre-warm events scheduled 90 s early (production mode only).
     pub prewarm_scheduled: u64,
-    /// `(quantile, estimate_in_µs)` pairs derived from the shard's
-    /// decision-latency histogram (empty until the shard has observed
-    /// at least one decision).
-    pub latency_us: Vec<(f64, f64)>,
     /// Wait for this shard's lock (a reactor asking for it → holding
     /// it), nanoseconds.
     pub queue_ns: ProtoHists,
@@ -187,9 +211,9 @@ pub struct ReplStats {
 pub struct MetricsReport {
     /// Per-shard statistics, ordered by shard index.
     pub shards: Vec<ShardStats>,
-    /// Per-reactor introspection, ordered by reactor index (empty when
-    /// telemetry is disabled).
-    pub reactors: Vec<ReactorStats>,
+    /// Per-reactor telemetry, indexed by reactor (empty when telemetry
+    /// is disabled).
+    pub reactors: Vec<ReactorTelem>,
     /// Server-wide SITW-BIN protocol counters.
     pub proto: ProtoStats,
     /// Server-wide connection gauges.
@@ -322,9 +346,9 @@ fn per_tenant(v: &NodeScrape<'_>, s: &mut Samples<'_>, get: fn(&TenantStats) -> 
 }
 
 /// Reactor rows render with no samples when telemetry is off.
-fn per_reactor(v: &NodeScrape<'_>, s: &mut Samples<'_>, get: fn(&ReactorStats) -> u64) {
-    for r in &v.report.reactors {
-        s.labeled(format_args!("reactor=\"{}\"", r.reactor), get(r));
+fn per_reactor(v: &NodeScrape<'_>, s: &mut Samples<'_>, get: fn(&ReactorTelem) -> u64) {
+    for (i, r) in v.report.reactors.iter().enumerate() {
+        s.labeled(format_args!("reactor=\"{i}\""), get(r));
     }
 }
 
@@ -396,22 +420,6 @@ impl<'a> NodeScrape<'a> {
                 for t in &v.tenants {
                     let labels = format_args!("stage=\"decide\",tenant=\"{}\"", t.name);
                     s.hist(labels, &t.decision_ns);
-                }
-            },
-        },
-        // Legacy quantile gauges. Non-finite estimates are suppressed:
-        // NaN/inf are not valid Prometheus sample values, and an
-        // underfilled estimator must not export garbage.
-        Family {
-            name: "sitw_serve_decision_latency_us",
-            kind: Kind::Gauge,
-            help: "Decision latency percentiles (derived from the log2 histogram buckets)",
-            sample: |v, s| {
-                for x in &v.report.shards {
-                    for (q, us) in x.latency_us.iter().filter(|(_, us)| us.is_finite()) {
-                        let labels = format_args!("shard=\"{}\",quantile=\"{q}\"", x.shard);
-                        s.labeled(labels, format_args!("{us:.3}"));
-                    }
                 }
             },
         },
@@ -576,12 +584,9 @@ impl<'a> NodeScrape<'a> {
             kind: Kind::Counter,
             help: "Time spent blocked in epoll_wait",
             sample: |v, s| {
-                for r in &v.report.reactors {
+                for (i, r) in v.report.reactors.iter().enumerate() {
                     let secs = r.epoll_wait_ns as f64 / 1e9;
-                    s.labeled(
-                        format_args!("reactor=\"{}\"", r.reactor),
-                        format_args!("{secs:.6}"),
-                    );
+                    s.labeled(format_args!("reactor=\"{i}\""), format_args!("{secs:.6}"));
                 }
             },
         },
@@ -616,7 +621,6 @@ mod tests {
             out_of_order: 1,
             backups: 7,
             prewarm_scheduled: 11,
-            latency_us: vec![(0.5, 1.5), (0.95, 3.0), (0.99, 9.0)],
             queue_ns,
             decide_ns,
             tenants: vec![
@@ -684,15 +688,14 @@ mod tests {
 
     #[test]
     fn renders_prometheus_text() {
-        let mut reactor = ReactorStats {
-            reactor: 0,
+        let mut reactor = ReactorTelem {
             epoll_waits: 500,
             epoll_wait_ns: 2_000_000_000,
             wakeups: 40,
             bp_pauses: 2,
             bp_resumes: 2,
             conns: 9,
-            ..ReactorStats::default()
+            ..ReactorTelem::default()
         };
         reactor.read.json.record(300);
         reactor.write.bin.record(12_000);
@@ -719,7 +722,6 @@ mod tests {
         assert!(text.contains("sitw_serve_invocations_total{shard=\"1\"} 100"));
         assert!(text.contains("sitw_serve_backups_total{shard=\"0\"} 7"));
         assert!(text.contains("sitw_serve_prewarm_scheduled_total{shard=\"1\"} 11"));
-        assert!(text.contains("sitw_serve_decision_latency_us{shard=\"0\",quantile=\"0.99\"}"));
         assert!(text.contains("# TYPE sitw_serve_frames_total counter"));
         assert!(text.contains("sitw_serve_frames_total 13"));
         assert!(text.contains("sitw_serve_batched_decisions_total 1664"));
@@ -760,69 +762,31 @@ mod tests {
         assert!(text.contains("sitw_serve_reactor_conns{reactor=\"0\"} 9"));
     }
 
-    /// Regression (this PR's bugfix satellite): latency quantile gauges
-    /// from an empty or underfilled estimator used to leak `NaN`/`inf`
-    /// sample values — invalid Prometheus exposition. Non-finite
-    /// estimates must be suppressed, finite ones kept.
-    #[test]
-    fn non_finite_latency_quantiles_are_suppressed() {
-        let mut s = stats(0);
-        s.latency_us = vec![(0.5, f64::NAN), (0.95, f64::INFINITY), (0.99, 9.0)];
-        let r = MetricsReport {
-            shards: vec![s],
-            reactors: vec![],
-            proto: ProtoStats::default(),
-            conns: ConnStats::default(),
-            repl: ReplStats::default(),
-            uptime_ms: 0,
-        };
-        let text = r.render();
-        // Every sample value in the whole exposition must parse finite
-        // (HELP text may legitimately contain words like "inferred").
-        for line in text.lines() {
-            if line.starts_with('#') || line.is_empty() {
-                continue;
-            }
-            let val = line.rsplit(' ').next().expect("sample line has a value");
-            let v: f64 = val
-                .parse()
-                .unwrap_or_else(|_| panic!("unparsable sample '{val}' in line '{line}'"));
-            assert!(v.is_finite(), "non-finite sample leaked: {line}");
-        }
-        assert!(
-            text.contains("sitw_serve_decision_latency_us{shard=\"0\",quantile=\"0.99\"} 9.000")
-        );
-    }
-
     /// The fixed scrape the golden files were captured from: two
     /// shards, two tenants (both present on both shards, so the merge is
-    /// exercised), two reactors, and a non-finite quantile that must
-    /// stay suppressed.
+    /// exercised) and two reactors.
     fn golden_report() -> MetricsReport {
         let mut s1 = stats(1);
         s1.apps = 4;
-        s1.latency_us = vec![(0.5, f64::NAN), (0.95, 2.25), (0.99, f64::INFINITY)];
         s1.decide_ns.bin.record(70_000_000_000);
         s1.tenants[1].decision_ns.record(40);
-        let mut r0 = ReactorStats {
-            reactor: 0,
+        let mut r0 = ReactorTelem {
             epoll_waits: 500,
             epoll_wait_ns: 2_000_000_123,
             wakeups: 40,
             bp_pauses: 2,
             bp_resumes: 1,
             conns: 2,
-            ..ReactorStats::default()
+            ..ReactorTelem::default()
         };
         r0.read.json.record(300);
         r0.decode.json.record(0);
         r0.write.bin.record(12_000);
-        let mut r1 = ReactorStats {
-            reactor: 1,
+        let mut r1 = ReactorTelem {
             epoll_waits: 7,
             epoll_wait_ns: 1_500,
             conns: 1,
-            ..ReactorStats::default()
+            ..ReactorTelem::default()
         };
         r1.read.json.record(900);
         r1.render.bin.record_n(2_000, 3);
@@ -859,9 +823,6 @@ mod tests {
     fn golden_node_metrics() {
         let text = golden_report().render();
         assert_eq!(text, include_str!("../tests/golden/node_metrics.txt"));
-        // Shard 1's NaN and inf quantiles are suppressed, the finite one kept.
-        let shard1 = "sitw_serve_decision_latency_us{shard=\"1\"";
-        assert_eq!(text.matches(shard1).count(), 1);
     }
 
     /// `/debug/hist` is byte-identical to the captured federation body.
@@ -904,10 +865,7 @@ mod tests {
     fn every_series_has_help_and_type() {
         let r = MetricsReport {
             shards: vec![stats(0), stats(1)],
-            reactors: vec![ReactorStats {
-                reactor: 0,
-                ..ReactorStats::default()
-            }],
+            reactors: vec![ReactorTelem::default()],
             proto: ProtoStats::default(),
             conns: ConnStats::default(),
             repl: ReplStats::default(),

@@ -24,15 +24,14 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, RwLockReadGuard};
 
 use sitw_fleet::{TenantId, TenantRegistry};
-use sitw_telemetry::Stage;
+use sitw_telemetry::{Gate, Stage};
 
 use crate::conn::Conn;
 use crate::follow::NOT_PROMOTED;
 use crate::http::{write_response, ReadEvent};
-use crate::reactor::Handler;
+use crate::reactor::{Handler, ReactorTelemHandle};
 use crate::server::{handle_control, handle_ctrl_frame, parse_and_route, write_error, ServerCtx};
 use crate::shard::{Decision, InvokeError, ShardWorker, Spans};
-use crate::telem::ReactorTelemHandle;
 use crate::wire::{self, push_u64, BinErrorCode, BinInvoke, InvokeRequest};
 
 /// Largest name capacity (bytes) a parked request keeps for the next
@@ -242,7 +241,7 @@ impl Node {
     pub fn new(ctx: Arc<ServerCtx>, id: usize) -> Node {
         let telem = ReactorTelemHandle::new(
             ctx.telem.enabled,
-            ctx.telem.clock.clone(),
+            ctx.telem.clock,
             Arc::clone(&ctx.telem.reactors[id]),
             id,
         );
@@ -331,7 +330,8 @@ impl Handler for Node {
                     n => t.write.bin.record_n(per, n),
                 }
             }
-            t.spans(spans.iter().map(|&(span, _)| span), Stage::Write, t0, t1);
+            t.recorder
+                .push_spans(spans.iter().map(|&(span, _)| span), Stage::Write, t0, t1);
         });
     }
 }
@@ -427,8 +427,10 @@ impl Burst<'_> {
                 t.decode
                     .json
                     .record_n(decoded.saturating_sub(t_read_end) / n, n);
-                t.spans(spans.iter().copied(), Stage::Read, mark, t_read_end);
-                t.spans(spans.iter().copied(), Stage::Decode, t_read_end, decoded);
+                t.recorder
+                    .push_spans(spans.iter().copied(), Stage::Read, mark, t_read_end);
+                t.recorder
+                    .push_spans(spans.iter().copied(), Stage::Decode, t_read_end, decoded);
             });
         }
         // A poisoned shard's requests come back `Unavailable` (503).
@@ -444,7 +446,8 @@ impl Burst<'_> {
             let spans = &self.batch.spans;
             telem.with(|t| {
                 t.render.json.record_n(t1.saturating_sub(t0) / n, n);
-                t.spans(spans.iter().copied(), Stage::Render, t0, t1);
+                t.recorder
+                    .push_spans(spans.iter().copied(), Stage::Render, t0, t1);
             });
             conn.spans
                 .extend(spans.iter().map(|&span| (span, JSON_SPAN)));
@@ -498,8 +501,9 @@ impl Burst<'_> {
                 t.decode
                     .bin
                     .record_n(per(decoded.saturating_sub(t_read_end)), n as u64);
-                t.spans([span], Stage::Read, mark, t_read_end);
-                t.spans([span], Stage::Decode, t_read_end, decoded);
+                t.recorder.push_spans([span], Stage::Read, mark, t_read_end);
+                t.recorder
+                    .push_spans([span], Stage::Decode, t_read_end, decoded);
             });
             span
         } else {
@@ -519,7 +523,7 @@ impl Burst<'_> {
             let n = n as u64;
             telem.with(|t| {
                 t.render.bin.record_n(t1.saturating_sub(t0) / n.max(1), n);
-                t.spans([span], Stage::Render, t0, t1);
+                t.recorder.push_spans([span], Stage::Render, t0, t1);
             });
             conn.spans.push((span, n));
             self.mark = t1;

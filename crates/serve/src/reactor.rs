@@ -33,10 +33,15 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use sitw_reactor::{Epoll, Event, Events, Interest, Slab, Waker};
-use sitw_telemetry::lock_unpoisoned;
+use sitw_telemetry::{lock_unpoisoned, Gate, Handle};
 
 use crate::conn::{Conn, Flow};
-use crate::telem::ReactorTelemHandle;
+use crate::metrics::ReactorTelem;
+
+/// A reactor thread's telemetry handle: its [`ReactorTelem`], which
+/// scrapers lock briefly, and its span ids. A router's reactors hold a
+/// disabled one.
+pub type ReactorTelemHandle = Handle<ReactorTelem>;
 
 /// Reactor threads a daemon runs by default.
 pub const REACTORS: usize = 2;

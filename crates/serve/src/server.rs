@@ -25,6 +25,7 @@
 //! (`Burst::flush_run` and `Burst::frame` in [`crate::pool`]), and the decide path
 //! takes shards in ascending order, each released before the next.
 
+use std::fmt::Write as _;
 use std::io;
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -40,21 +41,22 @@ use sitw_fleet::{
 use sitw_sim::PolicySpec;
 
 use sitw_telemetry::{
-    lock_unpoisoned, write_trace_json, write_trace_text, EventKind, EventRing, FlightRecorder,
-    LifecycleEvent, WallClock,
+    lock_unpoisoned, merge_spans, write_trace_json, write_trace_text, EventKind, EventRing,
+    FlightRecorder, Gate, WallClock, EVENT_RING,
 };
 
 use crate::follow::{promote, pull_loop, Follow, FollowConfig, FollowStatus, NOT_PROMOTED};
 use crate::http::{write_response, Request};
-use crate::metrics::{ConnStats, MetricsReport, ProtoStats, ReactorStats, ReplStats, ShardStats};
+use crate::metrics::{
+    ConnStats, MetricsReport, ProtoStats, ReactorTelem, ReplStats, ShardStats, TRACE_RING,
+};
 use crate::pool::Node;
 use crate::reactor::{self, Pool};
 use crate::restore::{self, Restored};
-use crate::shard::{DirtyShardExport, ShardWorker, TenantRestore};
+use crate::shard::{DirtyShardExport, ShardTelem, ShardWorker, TenantRestore};
 use crate::snapshot::{
     decode_tenant_section, encode_tenant_section, AppRecord, ShardExport, Snapshot, TenantSnapshot,
 };
-use crate::telem::{merge_spans, ShardTelem, TelemClock, TelemCtx, EVENT_RING, TRACE_RING};
 use crate::wire::{self, push_u64, BinErrorCode, ControlReply, ControlRequest, TenantUsage};
 
 /// One tenant in the server configuration (CLI `--tenant`, a tenants
@@ -157,6 +159,36 @@ struct ReplState {
     last_pull_ms: u64,
 }
 
+/// Shared telemetry state hung off the server context: one slot per
+/// reactor thread and per shard, created at start and never resized.
+/// Recording sites only ever `try_lock` these; scrapers lock them
+/// briefly, never across a wait.
+#[derive(Debug)]
+pub(crate) struct TelemCtx {
+    /// Master switch (from `ServeConfig::telemetry`).
+    pub enabled: bool,
+    /// Shared-epoch clock every thread stamps spans with.
+    pub clock: WallClock,
+    /// Per-reactor shared state (locked briefly by scrapers).
+    pub reactors: Vec<Arc<Mutex<ReactorTelem>>>,
+    /// Per-shard flight recorders (deciding reactors push, scrapers
+    /// snapshot).
+    pub shard_recorders: Vec<Arc<Mutex<FlightRecorder>>>,
+    /// Node-wide lifecycle event ring, shared by every shard
+    /// (`/debug/events`).
+    pub events: Arc<Mutex<EventRing>>,
+}
+
+impl Gate for TelemCtx {
+    fn enabled(&self) -> bool {
+        self.enabled
+    }
+
+    fn clock(&self) -> &WallClock {
+        &self.clock
+    }
+}
+
 /// Shared state every reactor thread sees.
 pub(crate) struct ServerCtx {
     pub(crate) cfg: ServeConfig,
@@ -210,20 +242,6 @@ impl ServerCtx {
         self.started.elapsed().as_millis() as u64
     }
 
-    /// Records a lifecycle event on `/debug/events` (none with telemetry
-    /// off).
-    pub(crate) fn event(&self, kind: EventKind, detail: String) {
-        if self.telem.enabled {
-            EventRing::try_push(&self.telem.events, || LifecycleEvent {
-                ts_ms: self.uptime_ms(),
-                kind,
-                tenant: String::new(),
-                app: String::new(),
-                detail,
-            });
-        }
-    }
-
     /// Locks shard `i`. A poisoned shard — a panic while it was locked
     /// may have left its decision state half updated — is refused with
     /// a message, never recovered.
@@ -233,38 +251,33 @@ impl ServerCtx {
             .map_err(|_| format!("shard {i} unavailable (poisoned)"))
     }
 
+    /// A copy of every reactor's telemetry with its live connection
+    /// count (none with telemetry off): what `/metrics` and
+    /// `/debug/threads` read. Brief blocking locks: recording sites only
+    /// `try_lock` and never hold a guard across a wait, so this settles
+    /// fast.
+    fn reactor_telem(&self) -> Vec<ReactorTelem> {
+        if !self.telem.enabled {
+            return Vec::new();
+        }
+        let reactors = self.telem.reactors.iter().enumerate();
+        reactors
+            .map(|(i, shared)| ReactorTelem {
+                conns: self.pool.conns(i),
+                ..lock_unpoisoned(shared).clone()
+            })
+            .collect()
+    }
+
     /// Every shard's counters; a poisoned shard is left out (its
     /// `/debug/threads` entry says so).
     fn scrape(&self) -> MetricsReport {
         let shards: Vec<ShardStats> = (0..self.shards.len())
             .filter_map(|i| self.shard(i).ok().map(|w| w.stats()))
             .collect();
-        let mut reactors: Vec<ReactorStats> = Vec::new();
-        if self.telem.enabled {
-            for (i, shared) in self.telem.reactors.iter().enumerate() {
-                // Brief blocking lock: recording sites only try_lock and
-                // never hold the guard across a wait, so this settles fast.
-                let t = lock_unpoisoned(shared);
-                reactors.push(ReactorStats {
-                    reactor: i,
-                    read: t.read.clone(),
-                    decode: t.decode.clone(),
-                    render: t.render.clone(),
-                    write: t.write.clone(),
-                    epoll_waits: t.epoll_waits,
-                    epoll_wait_ns: t.epoll_wait_ns,
-                    wakeups: t.wakeups,
-                    events_per_wake: t.events_per_wake.clone(),
-                    write_bursts: t.write_bursts.clone(),
-                    bp_pauses: t.bp_pauses,
-                    bp_resumes: t.bp_resumes,
-                    conns: self.pool.conns(i),
-                });
-            }
-        }
         MetricsReport {
             shards,
-            reactors,
+            reactors: self.reactor_telem(),
             proto: ProtoStats {
                 frames: self.frames.load(Ordering::Relaxed),
                 batched_decisions: self.batched_decisions.load(Ordering::Relaxed),
@@ -396,7 +409,10 @@ impl ServerCtx {
         }
         repl.full_syncs += 1;
         drop(repl);
-        self.event(EventKind::ReplSync, format!("epoch {epoch}, {bytes} bytes"));
+        let (telem, ts_ms) = (&self.telem, self.uptime_ms());
+        telem.event(&telem.events, ts_ms, EventKind::ReplSync, |ev| {
+            let _ = write!(ev.detail, "epoch {epoch}, {bytes} bytes");
+        });
     }
 
     /// Registers a tenant at runtime: the owning shard learns about it
@@ -638,7 +654,7 @@ impl Server {
         let started = Instant::now();
         let telem = TelemCtx {
             enabled: cfg.telemetry,
-            clock: TelemClock::Wall(WallClock::new(started)),
+            clock: WallClock::new(started),
             reactors: (0..cfg.reactor_threads).map(|_| Arc::default()).collect(),
             shard_recorders: (0..cfg.shards)
                 .map(|_| Arc::new(Mutex::new(FlightRecorder::new(TRACE_RING))))
@@ -660,7 +676,7 @@ impl Server {
         for (id, tenants) in tenants.into_iter().enumerate() {
             let worker = ShardWorker::with_tenants(id, tenants).with_telem(ShardTelem {
                 enabled: telem.enabled,
-                clock: telem.clock.clone(),
+                clock: telem.clock,
                 recorder: Arc::clone(&telem.shard_recorders[id]),
                 queue: Default::default(),
                 decide: Default::default(),
@@ -877,7 +893,6 @@ fn write_tenant(out: &mut Vec<u8>, spec: &TenantSpec) {
 /// thread once every earlier message on its connection is answered
 /// (settle-then-serve, see [`crate::conn`]).
 pub(crate) fn handle_control(req: &Request, ctx: &ServerCtx, out: &mut Vec<u8>) {
-    use std::fmt::Write as _;
     let (path, query) = match req.path.split_once('?') {
         Some((p, q)) => (p, q),
         None => (req.path.as_str(), ""),
@@ -1055,29 +1070,26 @@ pub(crate) fn handle_control(req: &Request, ctx: &ServerCtx, out: &mut Vec<u8>) 
         ("GET", "/debug/threads") => {
             let mut body = String::with_capacity(512);
             body.push_str("{\"reactors\":[");
-            if ctx.telem.enabled {
-                for (i, shared) in ctx.telem.reactors.iter().enumerate() {
-                    let t = lock_unpoisoned(shared);
-                    if i > 0 {
-                        body.push(',');
-                    }
-                    let _ = write!(
-                        body,
-                        "{{\"id\":{i},\"epoll_waits\":{},\"epoll_wait_ns\":{},\"wakeups\":{},\
-                         \"events_per_wake_mean\":{:.2},\"events_per_wake_max\":{},\
-                         \"write_burst_mean_bytes\":{:.0},\"bp_pauses\":{},\"bp_resumes\":{},\
-                         \"conns\":{}}}",
-                        t.epoll_waits,
-                        t.epoll_wait_ns,
-                        t.wakeups,
-                        t.events_per_wake.mean().unwrap_or(0.0),
-                        t.events_per_wake.max_bound().unwrap_or(0),
-                        t.write_bursts.mean().unwrap_or(0.0),
-                        t.bp_pauses,
-                        t.bp_resumes,
-                        ctx.pool.conns(i),
-                    );
+            for (i, t) in ctx.reactor_telem().iter().enumerate() {
+                if i > 0 {
+                    body.push(',');
                 }
+                let _ = write!(
+                    body,
+                    "{{\"id\":{i},\"epoll_waits\":{},\"epoll_wait_ns\":{},\"wakeups\":{},\
+                     \"events_per_wake_mean\":{:.2},\"events_per_wake_max\":{},\
+                     \"write_burst_mean_bytes\":{:.0},\"bp_pauses\":{},\"bp_resumes\":{},\
+                     \"conns\":{}}}",
+                    t.epoll_waits,
+                    t.epoll_wait_ns,
+                    t.wakeups,
+                    t.events_per_wake.mean().unwrap_or(0.0),
+                    t.events_per_wake.max_bound().unwrap_or(0),
+                    t.write_bursts.mean().unwrap_or(0.0),
+                    t.bp_pauses,
+                    t.bp_resumes,
+                    t.conns,
+                );
             }
             // A shard is state, not a thread: what it can report here is
             // whether it still serves (a poisoned one does not).
@@ -1286,7 +1298,7 @@ mod tests {
     /// injected state is all the endpoints see.
     #[test]
     fn golden_debug_events_and_trace() {
-        use sitw_telemetry::{SpanEvent, Stage, TRACE_MARK};
+        use sitw_telemetry::{LifecycleEvent, SpanEvent, Stage, TRACE_MARK};
         let server = telem_server();
         {
             let mut ring = server.ctx.telem.events.lock().unwrap();

@@ -35,26 +35,24 @@
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::mpsc::{Receiver, Sender};
+use std::sync::{Arc, Mutex};
 
 use sitw_core::PolicySpec;
 use sitw_fleet::{
     footprint_mb, AppState, OutOfOrder, ServedPolicy, TenantId, TenantSpec, TenantState,
 };
-use sitw_telemetry::{EventKind, EventRing, LifecycleEvent, Log2Histogram, SpanEvent, Stage};
+use sitw_telemetry::{
+    EventKind, EventRing, FlightRecorder, Gate, Log2Histogram, Stage, WallClock, EVENT_RING,
+};
 
-use crate::metrics::{ShardStats, TenantStats};
+use crate::metrics::{ProtoHists, ShardStats, TenantStats, TRACE_RING};
 use crate::snapshot::{ShardExport, TenantExport};
-use crate::telem::ShardTelem;
 use crate::wire::BinInvoke;
 
 /// One keep-alive decision, as returned to a client: the kernel's
 /// verdict under the name the wire and the harness know it by.
 pub use sitw_fleet::FleetVerdict as Decision;
 pub use sitw_fleet::TenantRestore;
-
-/// Latency quantiles `/metrics` exports as compatibility gauges,
-/// derived from the shard's decision-latency log2 histogram.
-pub const LATENCY_QUANTILES: [f64; 3] = [0.50, 0.95, 0.99];
 
 /// Why an invocation was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -114,6 +112,55 @@ pub(crate) enum Spans<'a> {
     /// run (a request's propagated `x-sitw-trace` id is its span). Empty
     /// when telemetry is off.
     Json(&'a [u64]),
+}
+
+/// Per-shard telemetry: stage histograms kept under the shard's lock,
+/// plus the flight recorder and event ring shared with the control
+/// path. The reactor deciding a slice records into them; a scrape reads
+/// the histograms under the shard's lock, and only the recorder and the
+/// ring reach beyond it.
+#[derive(Debug)]
+pub struct ShardTelem {
+    /// Master switch; when off the shard does no timing at all.
+    pub enabled: bool,
+    /// Shared-epoch clock.
+    pub clock: WallClock,
+    /// Recent spans recorded by this worker (`/debug/trace` snapshots
+    /// it non-destructively).
+    pub recorder: Arc<Mutex<FlightRecorder>>,
+    /// Node-wide lifecycle event ring, shared across shards
+    /// (`/debug/events`). Events carry workload timestamps: no clock
+    /// reads.
+    pub events: Arc<Mutex<EventRing>>,
+    /// Shard lock wait (asked for → held), per protocol.
+    pub queue: ProtoHists,
+    /// Policy decision latency, per protocol.
+    pub decide: ProtoHists,
+}
+
+impl Default for ShardTelem {
+    fn default() -> Self {
+        Self {
+            enabled: true,
+            clock: WallClock::default(),
+            recorder: Arc::new(Mutex::new(FlightRecorder::new(TRACE_RING))),
+            events: Arc::new(Mutex::new(EventRing::new(EVENT_RING))),
+            queue: ProtoHists::default(),
+            decide: ProtoHists::default(),
+        }
+    }
+}
+
+impl Gate for ShardTelem {
+    #[inline]
+    fn enabled(&self) -> bool {
+        self.enabled
+    }
+
+    #[inline]
+    fn clock(&self) -> &WallClock {
+        &self.clock
+    }
 }
 
 /// Messages [`ShardWorker::run`] accepts: a mailbox over the methods
@@ -280,14 +327,13 @@ impl ShardWorker {
         // try_lock, never blocking the decision path. Stamped with
         // workload time: the ring stays deterministic and costs no
         // clock read.
-        if self.telem.enabled {
-            for victim in served.victims {
-                EventRing::try_record(&self.telem.events, ts, EventKind::Eviction, |ev| {
+        for victim in served.victims {
+            self.telem
+                .event(&self.telem.events, ts, EventKind::Eviction, |ev| {
                     ev.tenant.push_str(&served.tenant.name);
                     ev.app.push_str(victim);
                     let _ = write!(ev.detail, "budget {} MB", served.tenant.budget_mb);
                 });
-            }
         }
 
         t.invocations += 1;
@@ -302,17 +348,16 @@ impl ShardWorker {
         if decision.cold {
             t.cold += 1;
             self.cold += 1;
-            // A tenth to a quarter of decisions: enabled-gated, try_lock
-            // and written in place like the eviction event.
-            if self.telem.enabled {
-                EventRing::try_record(&self.telem.events, ts, EventKind::ColdStart, |ev| {
+            // A tenth to a quarter of decisions: written in place like
+            // the eviction event.
+            self.telem
+                .event(&self.telem.events, ts, EventKind::ColdStart, |ev| {
                     ev.tenant.push_str(&t.state.spec().name);
                     ev.app.push_str(app);
                     if decision.evicted {
                         ev.detail.push_str("eviction downgrade");
                     }
                 });
-            }
         }
         if decision.prewarm_load {
             self.prewarm_loads += 1;
@@ -357,7 +402,7 @@ impl ShardWorker {
                 }
             }
         };
-        if !self.telem.enabled {
+        if !self.telem.enabled() {
             // Telemetry off: no clock reads, no histogram touches — the
             // decisions are the whole hot path.
             decide_all(self);
@@ -372,9 +417,9 @@ impl ShardWorker {
             }
         }
         let n = slice.len() as u64;
-        let t0 = self.telem.clock.now_ns();
+        let t0 = self.telem.now();
         decide_all(self);
-        let t1 = self.telem.clock.now_ns();
+        let t1 = self.telem.now();
         let mean = t1.saturating_sub(t0).checked_div(n).unwrap_or(0);
         let (queue, decide) = match spans {
             Spans::Frame(_) => (&mut self.telem.queue.bin, &mut self.telem.decide.bin),
@@ -387,35 +432,24 @@ impl ShardWorker {
                 t.decide_ns.record_n(mean, c);
             }
         }
-        // try_lock: losing the race to a /debug/trace scrape drops the
-        // spans, never blocks the decision path.
-        let Ok(mut rec) = self.telem.recorder.try_lock() else {
-            return;
-        };
-        let mut push = |span| {
-            rec.push(SpanEvent {
-                span,
-                stage: Stage::Queue,
-                start_ns: wait_ns,
-                end_ns: t0,
-            });
-            rec.push(SpanEvent {
-                span,
-                stage: Stage::Decide,
-                start_ns: t0,
-                end_ns: t1,
-            });
-        };
-        match spans {
-            Spans::Frame(span) => push(span),
-            Spans::Json(ids) => {
-                for &i in slice {
-                    if let Some(&span) = ids.get(i as usize) {
-                        push(span);
+        // Losing the race to a /debug/trace scrape drops the spans,
+        // never blocks the decision path.
+        self.telem.try_with(&self.telem.recorder, |rec| {
+            let mut push = |span| {
+                rec.push_spans([span], Stage::Queue, wait_ns, t0);
+                rec.push_spans([span], Stage::Decide, t0, t1);
+            };
+            match spans {
+                Spans::Frame(span) => push(span),
+                Spans::Json(ids) => {
+                    for &i in slice {
+                        if let Some(&span) = ids.get(i as usize) {
+                            push(span);
+                        }
                     }
                 }
             }
-        }
+        });
     }
 
     /// Replaces a tenant's memory budget (0 = unlimited); `false` when
@@ -442,7 +476,13 @@ impl ShardWorker {
         // Removal replicates through the (authoritative) tenant list of
         // the next round.
         self.mutation_seq += 1;
-        self.push_migration_event(&t.state.spec().name, "take");
+        // Migrations carry no workload timestamp: domain time 0, the
+        // direction in `detail`.
+        self.telem
+            .event(&self.telem.events, 0, EventKind::Migration, |ev| {
+                ev.tenant.push_str(&t.state.spec().name);
+                ev.detail.push_str("take");
+            });
         Some(Self::export_tenant(&t))
     }
 
@@ -459,7 +499,11 @@ impl ShardWorker {
     pub(crate) fn restore(&mut self, tenant: TenantRestore) -> Result<(), String> {
         let seq = self.restore_stamp();
         let state = TenantState::restore(tenant, seq).map_err(|e| e.to_string())?;
-        self.push_migration_event(&state.spec().name, "restore");
+        self.telem
+            .event(&self.telem.events, 0, EventKind::Migration, |ev| {
+                ev.tenant.push_str(&state.spec().name);
+                ev.detail.push_str("restore");
+            });
         self.install(vec![state]);
         self.mutation_seq = seq;
         Ok(())
@@ -482,7 +526,7 @@ impl ShardWorker {
         Some(render_policy(t.state.spec(), app, state))
     }
 
-    /// Counters and latency percentiles.
+    /// Counters and latency histograms.
     pub(crate) fn stats(&self) -> ShardStats {
         let mut tenants: Vec<TenantStats> = self
             .tenants
@@ -524,17 +568,6 @@ impl ShardWorker {
                 .map(|m| m.backups_taken())
                 .sum(),
             prewarm_scheduled: self.tenants.values().map(|t| t.prewarm_scheduled).sum(),
-            latency_us: {
-                // Compatibility quantile gauges, derived from the same
-                // buckets the histogram family exports. Empty until the
-                // shard has observed a decision — an empty estimator
-                // must not export garbage (the NaN-suppression bugfix).
-                let decide = self.telem.decide.merged();
-                LATENCY_QUANTILES
-                    .iter()
-                    .filter_map(|&q| decide.quantile(q).map(|ns| (q, ns / 1_000.0)))
-                    .collect()
-            },
             queue_ns: self.telem.queue.clone(),
             decide_ns: self.telem.decide.clone(),
             tenants,
@@ -591,22 +624,6 @@ impl ShardWorker {
             seq: self.mutation_seq,
             export: ShardExport { tenants },
         }
-    }
-
-    /// Records a tenant migration on the lifecycle event ring (take or
-    /// restore). Migrations carry no workload timestamp, so they stamp
-    /// domain time 0 and name the direction in `detail`.
-    fn push_migration_event(&self, tenant: &str, detail: &str) {
-        if !self.telem.enabled {
-            return;
-        }
-        EventRing::try_push(&self.telem.events, || LifecycleEvent {
-            ts_ms: 0,
-            kind: EventKind::Migration,
-            tenant: tenant.to_owned(),
-            app: String::new(),
-            detail: detail.to_owned(),
-        });
     }
 
     /// Serves a mailbox on the caller's thread until `Shutdown` (or every
@@ -986,23 +1003,6 @@ mod tests {
         );
         assert!(reply.results[1].1.as_ref().unwrap().cold.eq(&false));
         assert_eq!(w.stats().out_of_order, 1);
-    }
-
-    #[test]
-    fn latency_gauges_absent_until_observed() {
-        // Regression companion to the render-side NaN guard: a shard
-        // that has decided nothing exports no quantile pairs at all.
-        let mut w = worker(PolicySpec::fixed_minutes(10));
-        assert!(w.stats().latency_us.is_empty());
-        // Direct invokes are untimed (timing lives in `decide`), so the
-        // quantiles stay absent rather than garbage.
-        w.invoke0("a", 0).unwrap();
-        assert!(w.stats().latency_us.is_empty());
-        // Once the decision histogram has a sample, quantiles appear.
-        w.telem.decide.json.record(1_500);
-        let lat = w.stats().latency_us;
-        assert_eq!(lat.len(), LATENCY_QUANTILES.len());
-        assert!(lat.iter().all(|(_, v)| v.is_finite()));
     }
 
     #[test]

@@ -22,10 +22,9 @@ use sitw_core::{DecisionKind, HybridApp, HybridConfig, ProductionConfig, Windows
 use sitw_fleet::{
     footprint_mb, mix64, AppRecord, PolicyState, RestoredApp, TenantLedger, TenantSpec,
 };
-use sitw_serve::shard::{ShardWorker, TenantRestore};
-use sitw_serve::telem::{ShardTelem, EVENT_RING};
+use sitw_serve::shard::{ShardTelem, ShardWorker, TenantRestore};
 use sitw_sim::PolicySpec;
-use sitw_telemetry::{EventKind, EventRing};
+use sitw_telemetry::{EventKind, EventRing, EVENT_RING};
 
 thread_local! {
     /// Allocations made by this thread (`alloc_zeroed` and `realloc`

@@ -653,12 +653,12 @@ fn health_metrics_and_rejections() {
     assert_eq!(status, 409);
     assert!(body.contains("\"last_ts\":1000000"), "{body}");
 
-    // Metrics text includes per-shard counters and latency quantiles.
+    // Metrics text includes per-shard counters and decision latency.
     let (status, text) = client.request("GET", "/metrics", "").unwrap();
     assert_eq!(status, 200);
     assert!(text.contains("sitw_serve_invocations_total{shard=\"0\"}"));
     assert!(text.contains("sitw_serve_out_of_order_total"));
-    assert!(text.contains("quantile=\"0.99\""));
+    assert!(text.contains("sitw_serve_decision_latency_count{stage=\"decide\",proto=\"json\"}"));
 
     server.shutdown().unwrap();
 }

@@ -9,12 +9,12 @@
 //!
 //! Control-plane events are rare, but the node's are not: a cold start
 //! is a tenth to a quarter of all decisions on the benchmark workloads,
-//! and under a biting budget evictions come as often. Those two are
-//! therefore *written into* the ring ([`EventRing::try_record`]): the
-//! slot about to be overwritten is handed back with its three strings
+//! and under a biting budget evictions come as often. Events are
+//! therefore *written into* the ring ([`EventRing::record`]): the slot
+//! about to be overwritten is handed back with its three strings
 //! emptied and their buffers kept, so once the ring has wrapped a
-//! recorded event allocates nothing. Everything else builds a
-//! [`LifecycleEvent`] and moves it in ([`EventRing::try_push`]).
+//! recorded event allocates nothing. Recording sites reach a shared
+//! ring through [`crate::Gate::event`].
 //!
 //! Timestamps are *domain* time: nodes stamp events with the workload
 //! (trace) timestamp of the invocation that caused them — zero extra
@@ -207,36 +207,15 @@ impl EventRing {
         self.ring[split..].iter().chain(self.ring[..split].iter())
     }
 
-    /// The one way a recording thread reaches a shared ring:
-    /// `try_lock`, so an event that races a `/debug/events` scrape is
-    /// dropped instead of blocking the decision path.
-    fn try_lock(ring: &Mutex<EventRing>) -> Option<MutexGuard<'_, EventRing>> {
+    /// The one way a recording thread reaches a shared ring
+    /// ([`crate::Gate::event`]): `try_lock`, so an event that races a
+    /// `/debug/events` scrape is dropped instead of blocking the
+    /// decision path.
+    pub(crate) fn try_lock(ring: &Mutex<EventRing>) -> Option<MutexGuard<'_, EventRing>> {
         match ring.try_lock() {
             Ok(guard) => Some(guard),
             Err(TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
             Err(TryLockError::WouldBlock) => None,
-        }
-    }
-
-    /// Pushes a built event unless a scrape holds the ring; the event
-    /// is only built (it owns three strings) once the lock is held.
-    pub fn try_push(ring: &Mutex<EventRing>, event: impl FnOnce() -> LifecycleEvent) {
-        if let Some(mut ring) = Self::try_lock(ring) {
-            ring.push(event());
-        }
-    }
-
-    /// [`EventRing::record`] unless a scrape holds the ring: `fill`
-    /// writes the event's strings into the slot's kept buffers.
-    // sitw-lint: hot-path
-    pub fn try_record(
-        ring: &Mutex<EventRing>,
-        ts_ms: u64,
-        kind: EventKind,
-        fill: impl FnOnce(&mut LifecycleEvent),
-    ) {
-        if let Some(mut ring) = Self::try_lock(ring) {
-            fill(ring.record(ts_ms, kind));
         }
     }
 

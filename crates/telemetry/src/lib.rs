@@ -23,6 +23,13 @@
 //! * [`EventRing`] — a bounded ring of policy [`LifecycleEvent`]s (cold
 //!   starts, evictions, throttles, migrations, ring-epoch changes)
 //!   scraped by `/debug/events`.
+//! * [`Gate`] — what every recording handle is: a switch and a clock.
+//!   Its provided methods are the one place a site reads the clock
+//!   (only while recording is on), reaches state it shares with a
+//!   scraper (`try_lock`, or drop the sample) and pushes a lifecycle
+//!   event. Node reactors record through a [`Handle`], node shards and
+//!   the router through handles of their own; [`merge_spans`] turns the
+//!   threads' recorders into one timeline.
 //!
 //! Each wire format these types travel in has its one writer (and, where
 //! another process reads it back, its one parser) beside the type: the
@@ -47,6 +54,7 @@ pub mod expo;
 mod hist;
 mod json;
 mod recorder;
+mod telem;
 mod trace;
 
 pub use clock::{Clock, ManualClock, WallClock};
@@ -56,6 +64,7 @@ pub use json::json_escape;
 pub use recorder::{
     is_trace_span, FlightRecorder, SpanEvent, Stage, ROUTER_STAGES, STAGES, TRACE_MARK,
 };
+pub use telem::{merge_spans, Gate, Handle, EVENT_RING};
 pub use trace::{parse_trace_json, write_trace_json, write_trace_text, TraceSpan};
 
 use std::sync::{Mutex, MutexGuard};

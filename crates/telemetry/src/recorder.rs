@@ -135,7 +135,7 @@ pub struct SpanEvent {
 /// let events: Vec<u64> = rec.events().map(|e| e.span).collect();
 /// assert_eq!(events, vec![1, 2]); // span 0 was overwritten
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlightRecorder {
     ring: Vec<SpanEvent>,
     capacity: usize,
@@ -192,6 +192,26 @@ impl FlightRecorder {
         if self.head == self.capacity {
             self.head = 0;
             self.full = true;
+        }
+    }
+
+    /// Records `stage` from `start_ns` to `end_ns` for every span: the
+    /// one way a recording site pushes spans, node and router alike.
+    #[inline]
+    pub fn push_spans(
+        &mut self,
+        spans: impl IntoIterator<Item = u64>,
+        stage: Stage,
+        start_ns: u64,
+        end_ns: u64,
+    ) {
+        for span in spans {
+            self.push(SpanEvent {
+                span,
+                stage,
+                start_ns,
+                end_ns,
+            });
         }
     }
 

@@ -51,12 +51,8 @@ fn main() {
     // 3. What the server saw, per shard.
     let metrics = server.metrics();
     for shard in &metrics.shards {
-        let p99 = shard
-            .latency_us
-            .iter()
-            .find(|(q, _)| *q == 0.99)
-            .map(|(_, v)| *v)
-            .unwrap_or(0.0);
+        let decide = shard.decide_ns.merged();
+        let p99 = decide.quantile(0.99).map_or(0.0, |ns| ns / 1_000.0);
         println!(
             "shard {}: {} apps, {} invocations, {} cold, decision p99 {:.1} µs",
             shard.shard, shard.apps, shard.invocations, shard.cold, p99
@@ -134,10 +130,9 @@ fn main() {
             );
         }
     }
-    for r in &metrics.reactors {
+    for (i, r) in metrics.reactors.iter().enumerate() {
         println!(
-            "reactor {}: {} epoll_waits, {} wakeups, mean {:.1} events/wake",
-            r.reactor,
+            "reactor {i}: {} epoll_waits, {} wakeups, mean {:.1} events/wake",
             r.epoll_waits,
             r.wakeups,
             r.events_per_wake.mean().unwrap_or(0.0)
