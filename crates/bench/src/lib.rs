@@ -6,7 +6,7 @@
 #![warn(missing_docs)]
 
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use sitw_core::HybridConfig;
 use sitw_sim::{run_sweep, PolicyAggregate, PolicySpec};
@@ -246,11 +246,6 @@ pub fn cold_summary_row(agg: &PolicyAggregate) -> Vec<String> {
         fnum(agg.cold_pct_percentile(90.0), 1),
         format!("{}", agg.cold_starts),
     ]
-}
-
-/// Returns true when `path` exists and is a directory (used by tests).
-pub fn dir_exists(path: &Path) -> bool {
-    path.is_dir()
 }
 
 #[cfg(test)]

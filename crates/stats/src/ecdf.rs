@@ -104,11 +104,6 @@ impl Ecdf {
         }
         out
     }
-
-    /// Evaluates the ECDF on a caller-supplied grid of `x` values.
-    pub fn eval_on(&self, grid: &[f64]) -> Vec<(f64, f64)> {
-        grid.iter().map(|&x| (x, self.eval(x))).collect()
-    }
 }
 
 /// A logarithmically spaced grid of `n` points covering `[lo, hi]`,

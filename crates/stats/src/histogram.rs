@@ -530,11 +530,6 @@ impl WeightedBins {
         self.in_bounds
     }
 
-    /// Total out-of-bounds weight.
-    pub fn oob_weight(&self) -> f64 {
-        self.oob
-    }
-
     /// Fraction of weight that is out of bounds (0 when empty).
     pub fn oob_fraction(&self) -> f64 {
         let total = self.in_bounds + self.oob;

@@ -83,11 +83,6 @@ impl Welford {
         self.population_variance().sqrt()
     }
 
-    /// Sample standard deviation.
-    pub fn sample_std(&self) -> f64 {
-        self.sample_variance().sqrt()
-    }
-
     /// Coefficient of variation: population std divided by mean.
     ///
     /// Returns 0 for an empty accumulator and `f64::INFINITY` when the mean

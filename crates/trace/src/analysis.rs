@@ -322,23 +322,6 @@ pub fn it_iat_gap(trace: &Trace) -> f64 {
     }
 }
 
-/// Helper: builds a `(value, F)` series from a CDF over sorted samples,
-/// downsampled for export.
-pub fn cdf_series(ecdf: &Ecdf, max_points: usize) -> Vec<(f64, f64)> {
-    ecdf.points_downsampled(max_points)
-}
-
-/// Shared quantile summary used in reports: `(p25, p50, p75, p90, p99)`.
-pub fn quantile_summary(ecdf: &Ecdf) -> [f64; 5] {
-    [
-        ecdf.quantile(0.25),
-        ecdf.quantile(0.50),
-        ecdf.quantile(0.75),
-        ecdf.quantile(0.90),
-        ecdf.quantile(0.99),
-    ]
-}
-
 /// Fraction of hours (`0..1`) whose load is at least `threshold` × peak —
 /// used to verify Figure 4's "constant baseline of roughly 50%".
 pub fn baseline_fraction(hourly: &[f64], threshold: f64) -> f64 {
@@ -346,11 +329,6 @@ pub fn baseline_fraction(hourly: &[f64], threshold: f64) -> f64 {
         return 0.0;
     }
     hourly.iter().filter(|&&v| v >= threshold).count() as f64 / hourly.len() as f64
-}
-
-/// Timestamp helper: hour index within the trace for a timestamp.
-pub fn hour_index(t: TimeMs) -> u64 {
-    t / HOUR_MS
 }
 
 /// Streaming accumulator for the trace-dependent characterization figures

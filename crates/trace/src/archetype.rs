@@ -237,6 +237,14 @@ fn merge_sorted(a: &[TimeMs], b: &[TimeMs]) -> Vec<TimeMs> {
     out
 }
 
+/// An empty stream with room for `daily_rate` events a day over
+/// `horizon` ms, plus 5 % and 16: the Poisson-based arms average that
+/// rate (the load shapes are normalized to a mean of 1), so this holds
+/// the whole stream almost always, without doubling's slack.
+fn presized(daily_rate: f64, horizon: f64) -> Vec<TimeMs> {
+    Vec::with_capacity((1.05 * daily_rate * horizon / DAY_MS as f64) as usize + 16)
+}
+
 /// Homogeneous Poisson process via exponential IATs.
 pub(crate) fn poisson_events<R: Rng + ?Sized>(
     daily_rate: f64,
@@ -247,9 +255,9 @@ pub(crate) fn poisson_events<R: Rng + ?Sized>(
         return Vec::new();
     }
     let rate_per_ms = daily_rate / DAY_MS as f64;
-    let mut out = Vec::new();
-    let mut t = 0.0f64;
     let horizon = horizon_ms as f64;
+    let mut out = presized(daily_rate, horizon);
+    let mut t = 0.0f64;
     loop {
         let u: f64 = rng.random::<f64>().max(f64::MIN_POSITIVE);
         t += -u.ln() / rate_per_ms;
@@ -465,9 +473,7 @@ fn diurnal_events<R: Rng + ?Sized>(
     let mut thinning = Thinning::diurnal(peak_hour);
     let lambda_max = daily_rate / DAY_MS as f64 * thinning.max;
     let horizon = horizon_ms as f64;
-    // The shape averages about 1, so this is room for the whole stream
-    // almost always, without doubling's slack.
-    let mut out = Vec::with_capacity((1.05 * daily_rate * horizon / DAY_MS as f64) as usize + 16);
+    let mut out = presized(daily_rate, horizon);
     let mut t = 0.0f64;
     loop {
         let u: f64 = rng.random::<f64>().max(f64::MIN_POSITIVE);
@@ -505,8 +511,13 @@ fn bursty_events<R: Rng + ?Sized>(
     let (mean_sq, max_sq) = shape_sq_stats(peak_hour);
     let mut thinning = Thinning::bursty(peak_hour, max_sq);
     let lambda_max = burst_rate_per_ms * max_sq / mean_sq;
+    if !lambda_max.is_finite() {
+        // A NaN or infinite `peak_hour`: no load shape, no stream (and
+        // a NaN rate would never reach the horizon).
+        return Vec::new();
+    }
     let horizon = horizon_ms as f64;
-    let mut out = Vec::new();
+    let mut out = presized(daily_rate, horizon);
     let mut t = 0.0f64;
     loop {
         // Candidate burst start at the peak rate; thin by shape².
@@ -609,7 +620,9 @@ pub(crate) fn rare_periodic_events<R: Rng + ?Sized>(
         let u2: f64 = rng.random();
         let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
         t += period_ms as f64 + z * jitter_ms;
-        if t >= horizon_ms as f64 {
+        // A NaN or infinite jitter (or one so large the walk overflows)
+        // leaves `t` non-finite for good: the stream ends there.
+        if t >= horizon_ms as f64 || !t.is_finite() {
             break;
         }
         if t >= 0.0 {
@@ -1002,5 +1015,40 @@ mod tests {
         let a = generate_events(&arch, 100.0, DAY_MS, 1e9, &mut StdRng::seed_from_u64(42));
         let b = generate_events(&arch, 100.0, DAY_MS, 1e9, &mut StdRng::seed_from_u64(42));
         assert_eq!(a, b);
+    }
+
+    /// A NaN or infinite bursty peak or rare-periodic jitter yields an
+    /// empty stream, as a NaN diurnal peak does. Each stream is drawn
+    /// on its own thread with a deadline: the loops these guard never
+    /// returned (and the bursty one grew its stream until allocation
+    /// failed).
+    #[test]
+    fn non_finite_peaks_and_jitters_give_empty_streams() {
+        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let arms = [
+                Archetype::Diurnal { peak_hour: x },
+                Archetype::Bursty {
+                    mean_burst_size: 4.0,
+                    intra_gap_ms: 20_000.0,
+                    peak_hour: x,
+                },
+                Archetype::RarePeriodic {
+                    period_ms: HOUR_MS,
+                    jitter_ms: x,
+                },
+            ];
+            for arch in arms {
+                let (tx, rx) = std::sync::mpsc::channel();
+                let label = format!("{arch:?}");
+                std::thread::spawn(move || {
+                    let mut rng = StdRng::seed_from_u64(7);
+                    let _ = tx.send(generate_events(&arch, 10.0, WEEK_MS, 600.0, &mut rng));
+                });
+                let events = rx
+                    .recv_timeout(std::time::Duration::from_secs(10))
+                    .unwrap_or_else(|_| panic!("{label}: no stream within 10 s"));
+                assert!(events.is_empty(), "{label}: {} events", events.len());
+            }
+        }
     }
 }
