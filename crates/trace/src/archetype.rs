@@ -1040,13 +1040,14 @@ mod tests {
             for arch in arms {
                 let (tx, rx) = std::sync::mpsc::channel();
                 let label = format!("{arch:?}");
-                std::thread::spawn(move || {
+                let drawn = std::thread::spawn(move || {
                     let mut rng = StdRng::seed_from_u64(7);
                     let _ = tx.send(generate_events(&arch, 10.0, WEEK_MS, 600.0, &mut rng));
                 });
                 let events = rx
                     .recv_timeout(std::time::Duration::from_secs(10))
                     .unwrap_or_else(|_| panic!("{label}: no stream within 10 s"));
+                drawn.join().expect("the drawing thread returned");
                 assert!(events.is_empty(), "{label}: {} events", events.len());
             }
         }
