@@ -277,8 +277,7 @@ impl Front {
         if let Some(name) = inv.tenant.as_deref().filter(|_| ctx.has_qos) {
             if !lock_unpoisoned(&ctx.admission).admit(name, inv.ts) {
                 ctx.metrics.throttled.fetch_add(1, Ordering::Relaxed);
-                let t = &ctx.telem;
-                t.event(&t.events, t.wall_ms(), EventKind::Throttle, |ev| {
+                telem.event(&telem.events, telem.wall_ms(), EventKind::Throttle, |ev| {
                     ev.tenant.push_str(name);
                     ev.app.push_str(&inv.app);
                     let _ = write!(ev.detail, "proto=json ts={}", inv.ts);
@@ -348,8 +347,7 @@ impl Front {
             };
             if let (true, Some(name)) = (refused, name) {
                 ctx.metrics.throttled.fetch_add(1, Ordering::Relaxed);
-                let t = &ctx.telem;
-                t.event(&t.events, t.wall_ms(), EventKind::Throttle, |ev| {
+                telem.event(&telem.events, telem.wall_ms(), EventKind::Throttle, |ev| {
                     ev.tenant.push_str(name);
                     ev.app.push_str(&rec.app);
                     let _ = write!(ev.detail, "proto=bin ts={}", rec.ts);
