@@ -36,6 +36,7 @@
 //!
 //! [`simulate_app`]: crate::simulate_app
 
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use sitw_core::{
@@ -242,8 +243,10 @@ pub fn run_sweep(
     let mut done = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..helpers).map(|_| scope.spawn(work)).collect();
         let mut done = work();
+        // A helper's panic surfaces with its own payload, as it would
+        // have on the calling thread.
         for h in handles {
-            done.extend(h.join().expect("sweep worker panicked"));
+            done.extend(h.join().unwrap_or_else(|payload| resume_unwind(payload)));
         }
         done
     });
@@ -265,7 +268,7 @@ pub fn run_sweep(
 mod tests {
     use super::*;
     use sitw_core::{HybridConfig, ProductionConfig};
-    use sitw_trace::{build_population, PopulationConfig, DAY_MS};
+    use sitw_trace::{build_population, Archetype, PopulationConfig, TimerSpec, DAY_MS};
 
     fn setup() -> (Population, TraceConfig) {
         let pop = build_population(&PopulationConfig {
@@ -336,6 +339,32 @@ mod tests {
                 for (s, p) in serial.iter().zip(&parallel) {
                     assert_eq!(exact(s), exact(p), "{} at {threads} threads", s.label);
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn a_worker_panic_keeps_its_message() {
+        let (pop, cfg) = setup();
+        let mut broken = pop.apps[0].clone();
+        broken.archetype = Archetype::Timers(vec![TimerSpec {
+            period_ms: 0,
+            phase_ms: 0,
+        }]);
+        // Claims are dynamic, so which worker draws the app is not
+        // known; across five places, helpers draw some.
+        for at in (0..pop.len()).step_by(30) {
+            let mut apps = pop.apps.clone();
+            apps[at] = broken.clone();
+            let bad = Population { apps };
+            for threads in [1, 3] {
+                let payload = std::panic::catch_unwind(|| run_sweep(&bad, &cfg, &specs(), threads))
+                    .expect_err("a zero period panics");
+                assert_eq!(
+                    payload.downcast_ref::<&str>().copied(),
+                    Some("timer period must be positive"),
+                    "app {at}, {threads} threads"
+                );
             }
         }
     }

@@ -150,7 +150,9 @@ fn shape_mean() -> f64 {
 /// Each arm yields its stream in order: the Poisson-based ones by
 /// construction, timers and a `Mixed` overlay by merging sorted
 /// sequences, rare-periodic arrivals (whose jitter may reorder them) by
-/// one sort.
+/// one sort. A non-finite clamped rate (`daily_rate` and `cap_per_day`
+/// both infinite, say) draws nothing: the Poisson-based arms return an
+/// empty stream and a `Mixed` app keeps its timers alone.
 pub fn generate_events<R: Rng + ?Sized>(
     archetype: &Archetype,
     daily_rate: f64,
@@ -240,9 +242,11 @@ fn merge_sorted(a: &[TimeMs], b: &[TimeMs]) -> Vec<TimeMs> {
 /// An empty stream with room for `daily_rate` events a day over
 /// `horizon` ms, plus 5 % and 16: the Poisson-based arms average that
 /// rate (the load shapes are normalized to a mean of 1), so this holds
-/// the whole stream almost always, without doubling's slack.
+/// the whole stream almost always, without doubling's slack. The count
+/// saturates: a rate too large to hold asks for `usize::MAX` and fails
+/// as a capacity overflow, never as a wrapped small reservation.
 fn presized(daily_rate: f64, horizon: f64) -> Vec<TimeMs> {
-    Vec::with_capacity((1.05 * daily_rate * horizon / DAY_MS as f64) as usize + 16)
+    Vec::with_capacity(((1.05 * daily_rate * horizon / DAY_MS as f64) as usize).saturating_add(16))
 }
 
 /// Homogeneous Poisson process via exponential IATs.
@@ -251,7 +255,9 @@ pub(crate) fn poisson_events<R: Rng + ?Sized>(
     horizon_ms: TimeMs,
     rng: &mut R,
 ) -> Vec<TimeMs> {
-    if daily_rate <= 0.0 {
+    // A non-finite rate (an infinite one under an infinite cap, or a NaN
+    // `Mixed` overlay) has no gaps: `t` would never leave 0.
+    if daily_rate <= 0.0 || !daily_rate.is_finite() {
         return Vec::new();
     }
     let rate_per_ms = daily_rate / DAY_MS as f64;
@@ -466,7 +472,8 @@ fn diurnal_events<R: Rng + ?Sized>(
     horizon_ms: TimeMs,
     rng: &mut R,
 ) -> Vec<TimeMs> {
-    if daily_rate <= 0.0 {
+    // As in `poisson_events`: a non-finite rate never leaves `t = 0`.
+    if daily_rate <= 0.0 || !daily_rate.is_finite() {
         return Vec::new();
     }
     // Max of load_shape over a week occurs at the weekday peak.
@@ -1017,11 +1024,28 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    /// Draws a stream on its own thread, failing after a deadline: the
+    /// loops the non-finite guards stand in front of never returned.
+    fn drawn_within_deadline(arch: Archetype, rate: f64, cap: f64) -> Vec<TimeMs> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let label = format!("{arch:?} at rate {rate}, cap {cap}");
+        let drawn = std::thread::spawn(move || {
+            let mut rng = StdRng::seed_from_u64(7);
+            let _ = tx.send(generate_events(&arch, rate, WEEK_MS, cap, &mut rng));
+        });
+        let events = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .unwrap_or_else(|_| panic!("{label}: no stream within 10 s"));
+        drawn.join().expect("the drawing thread returned");
+        events
+    }
+
     /// A NaN or infinite bursty peak or rare-periodic jitter yields an
-    /// empty stream, as a NaN diurnal peak does. Each stream is drawn
-    /// on its own thread with a deadline: the loops these guard never
-    /// returned (and the bursty one grew its stream until allocation
-    /// failed).
+    /// empty stream, as a NaN diurnal peak does; so does an infinite rate
+    /// under an infinite cap, and a `Mixed` app keeps only its timers.
+    /// Unguarded, the bursty loop (non-finite peak) and the Poisson loop
+    /// (infinite rate) grew their streams until allocation failed, and
+    /// the diurnal loop (infinite rate) spun at `t = 0`.
     #[test]
     fn non_finite_peaks_and_jitters_give_empty_streams() {
         for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
@@ -1038,18 +1062,61 @@ mod tests {
                 },
             ];
             for arch in arms {
-                let (tx, rx) = std::sync::mpsc::channel();
                 let label = format!("{arch:?}");
-                let drawn = std::thread::spawn(move || {
-                    let mut rng = StdRng::seed_from_u64(7);
-                    let _ = tx.send(generate_events(&arch, 10.0, WEEK_MS, 600.0, &mut rng));
-                });
-                let events = rx
-                    .recv_timeout(std::time::Duration::from_secs(10))
-                    .unwrap_or_else(|_| panic!("{label}: no stream within 10 s"));
-                drawn.join().expect("the drawing thread returned");
+                let events = drawn_within_deadline(arch, 10.0, 600.0);
                 assert!(events.is_empty(), "{label}: {} events", events.len());
             }
         }
+        let timers = vec![TimerSpec {
+            period_ms: HOUR_MS,
+            phase_ms: 0,
+        }];
+        let only_timers = timer_events(&timers, WEEK_MS);
+        let inf = f64::INFINITY;
+        let arms = [
+            (Archetype::Poisson, inf, Vec::new()),
+            (Archetype::Diurnal { peak_hour: 13.0 }, inf, Vec::new()),
+            (
+                Archetype::Bursty {
+                    mean_burst_size: 4.0,
+                    intra_gap_ms: 20_000.0,
+                    peak_hour: 13.0,
+                },
+                inf,
+                Vec::new(),
+            ),
+            (
+                Archetype::Mixed {
+                    timers: timers.clone(),
+                    overlay_daily_rate: inf,
+                },
+                inf,
+                only_timers.clone(),
+            ),
+            // `NaN.min(NaN)` is the overlay's rate.
+            (
+                Archetype::Mixed {
+                    timers,
+                    overlay_daily_rate: f64::NAN,
+                },
+                f64::NAN,
+                only_timers,
+            ),
+        ];
+        for (arch, cap, want) in arms {
+            let label = format!("{arch:?} under cap {cap}");
+            let events = drawn_within_deadline(arch, inf, cap);
+            assert_eq!(events, want, "{label}");
+        }
+    }
+
+    /// A rate too large to hold asks for `usize::MAX` events, which
+    /// `Vec` refuses; the unsaturated sum wrapped to 15 (or overflowed).
+    #[test]
+    fn presized_saturates() {
+        let payload = std::panic::catch_unwind(|| presized(1e300, WEEK_MS as f64))
+            .expect_err("a rate too large to hold is refused");
+        let message = payload.downcast_ref::<&str>().copied().unwrap_or_default();
+        assert_eq!(message, "capacity overflow");
     }
 }

@@ -16,7 +16,7 @@
 //! * **arrival archetypes** ([`archetype`]) generating per-app invocation
 //!   streams (timers, Poisson, diurnal, bursty, rare-periodic);
 //! * a **trace generator** ([`generator`]) with per-app deterministic
-//!   seeding, streaming or materialized;
+//!   seeding, streaming or materialized, on every core;
 //! * **AzurePublicDataset schema I/O** ([`schema`]) so the real released
 //!   trace can be dropped in place of the synthetic one;
 //! * **characterization analysis** ([`analysis`]) computing the data

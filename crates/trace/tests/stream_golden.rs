@@ -6,10 +6,13 @@
 //! fixture `golden/streams.txt` was captured from the plain thinning
 //! loops (one `load_shape` per candidate, the streams sorted after
 //! generation); the squeeze-bounded thinning and the merged timer
-//! sequences must reproduce it bit for bit. On a mismatch the assertion
-//! prints the lines this build computes.
+//! sequences must reproduce it bit for bit. The streams are read from
+//! `generate_trace`, so the golden holds its multi-threaded materializer
+//! (the generator's unit tests hold that to the per-app
+//! `app_invocations`). On a mismatch the assertion prints the lines this
+//! build computes.
 
-use sitw_trace::{app_invocations, build_population, PopulationConfig, TraceConfig, DAY_MS};
+use sitw_trace::{build_population, generate_trace, PopulationConfig, TraceConfig, DAY_MS};
 
 /// The population seed of the sweep benchmark's input builder.
 const POPULATION_SEED: u64 = 0x5171_7E57;
@@ -50,16 +53,16 @@ fn fingerprint(case: &str, num_apps: usize, trace_seed: u64) -> String {
     let mut apps = [0u64; LABELS.len()];
     let mut events = [0u64; LABELS.len()];
     let mut hashes: Vec<Fnv> = LABELS.iter().map(|_| Fnv::new()).collect();
-    for profile in &population.apps {
+    for app in &generate_trace(&population, &cfg).apps {
         let k = LABELS
             .iter()
-            .position(|&l| l == profile.archetype.label())
+            .position(|&l| l == app.profile.archetype.label())
             .expect("known archetype");
-        let stream = app_invocations(profile, &cfg);
+        let stream = &app.invocations;
         apps[k] += 1;
         events[k] += stream.len() as u64;
         hashes[k].word(stream.len() as u64);
-        for &t in &stream {
+        for &t in stream {
             hashes[k].word(t);
         }
     }
