@@ -8,13 +8,10 @@
 //! * [`matrix`] — least squares on normal equations accumulated
 //!   straight from the series, solved in place by Gaussian elimination;
 //! * [`diff`] — differencing and integration;
-//! * [`acf`] — ACF/PACF and Yule–Walker estimation (Durbin–Levinson);
 //! * [`model`] — ARIMA(p,d,q) fitting via Hannan–Rissanen and iterative
 //!   forecasting with ψ-weight standard errors;
 //! * [`auto`] — AIC-driven automatic order selection ([`auto_arima`],
-//!   and [`auto_forecast_one`] for the forecast alone);
-//! * [`diagnostics`] — Ljung–Box / Box–Pierce portmanteau tests on
-//!   residuals (the paper's reference \[11\]).
+//!   and [`auto_forecast_one`] for the forecast alone).
 //!
 //! Fits run in one workspace per thread, not per app: no call reads what
 //! an earlier one left, so per-app state stays the policy's own.
@@ -34,16 +31,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod acf;
 pub mod auto;
-pub mod diagnostics;
 pub mod diff;
 pub mod matrix;
 pub mod model;
 #[cfg(test)]
 mod reference;
 
-pub use acf::{pacf, yule_walker};
 pub use auto::{auto_arima, auto_forecast_one, select_d, AutoArimaConfig};
-pub use diagnostics::{box_pierce, ljung_box, PortmanteauTest};
 pub use model::{fit, ArimaError, ArimaFit, ArimaSpec};

@@ -11,7 +11,7 @@
 //! the node's reactor driver and connection state machine
 //! ([`sitw_serve::reactor`], [`sitw_serve::conn`]), a few reactor
 //! threads multiplexing every client connection; only the handler
-//! differs ([`crate::forward`]). Where a node sorts a frame's records by
+//! differs (`forward.rs`). Where a node sorts a frame's records by
 //! shard and decides each slice, the router sorts them by ring owner and
 //! forwards each slice to that node over its reactor's connection to it,
 //! then splices the replies back into one client frame in request
@@ -143,7 +143,7 @@ impl FailoverMode {
 }
 
 /// One pending failover proposal: the prober saw `node` fail
-/// [`PROBE_FAILURE_THRESHOLD`] consecutive health probes; confirmation
+/// `PROBE_FAILURE_THRESHOLD` consecutive health probes; confirmation
 /// (operator or auto policy) promotes its standby or drops it.
 #[derive(Debug, Clone)]
 pub struct FailoverProposal {

@@ -3,7 +3,7 @@
 //! The workspace builds with no crates.io access, so this crate is the
 //! offline stand-in for the corner of `mio`/`libc` the daemon needs: raw
 //! `extern "C"` bindings to the Linux `epoll`, `eventfd`, and `rlimit`
-//! syscalls ([`sys`], the only module containing `unsafe`), wrapped in
+//! syscalls (`sys`, the only module containing `unsafe`), wrapped in
 //! safe, misuse-resistant types:
 //!
 //! * [`Epoll`] — a level-triggered readiness multiplexer. Register a

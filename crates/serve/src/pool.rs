@@ -1,5 +1,5 @@
-//! The node's connection handler ([`Node`]) and its decide scratch
-//! ([`Batch`]), where a SITW-BIN frame or a JSON run is partitioned by
+//! The node's connection handler (`Node`) and its decide scratch
+//! (`Batch`), where a SITW-BIN frame or a JSON run is partitioned by
 //! shard and decided.
 //!
 //! [`Partition`] is the routing half, shared with the cluster router,
@@ -8,7 +8,7 @@
 //! frame's records sit in its connection's record buffer; a JSON run's
 //! requests are parked in the batch while their read burst lasts, each
 //! name copied into a buffer an earlier run left (at most
-//! [`SPARE_NAMES`] kept, none past [`NAME_CAP`]). Deciding takes each
+//! `SPARE_NAMES` kept, none past `NAME_CAP`). Deciding takes each
 //! touched shard's lock in ascending order and writes every result at
 //! its record's index; nothing allocates in steady state.
 //!

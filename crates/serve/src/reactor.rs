@@ -15,12 +15,12 @@
 //! wakers serve shutdown.
 //!
 //! Each loop round: wind down on shutdown (pump every connection until it
-//! settles, bounded by [`SHUTDOWN_GRACE`], then exit); poll, re-polling
+//! settles, bounded by `SHUTDOWN_GRACE`, then exit); poll, re-polling
 //! once without blocking after a busy round; on the tick, sweep for
 //! slowloris timeouts; serve readiness — accept, drive client connections
 //! through [`Conn::on_event`], hand any other token to the handler — and
 //! pump the connections whose answers became ready off their own socket.
-//! A node's handler ([`crate::pool::Node`]) answers at once; a router's
+//! A node's handler (`pool::Node`) answers at once; a router's
 //! may answer later, when replies arrive on descriptors it registered in
 //! the same epoll.
 

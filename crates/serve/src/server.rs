@@ -12,7 +12,7 @@
 //! to a shard — default-tenant apps by app hash, named tenants whole by
 //! tenant hash (see [`sitw_fleet::TenantRegistry::shard_of`]) — and
 //! decides each shard's slice itself under that shard's lock
-//! ([`crate::pool::Node`]). Per connection, every message is answered
+//! (`pool::Node`). Per connection, every message is answered
 //! in arrival order before the next is read ([`crate::conn`]), so
 //! HTTP/1.1 response ordering, frame ordering under SITW-BIN pipelining,
 //! and ordering across protocol switches hold by construction.
@@ -740,30 +740,6 @@ impl Server {
     /// an error names an unavailable (poisoned) shard.
     pub fn snapshot(&self) -> Result<Snapshot, String> {
         self.ctx.snapshot()
-    }
-
-    /// Registers a tenant at runtime (in-process equivalent of
-    /// `POST /admin/tenants`).
-    pub fn register_tenant(
-        &self,
-        name: &str,
-        policy: PolicySpec,
-        budget_mb: u64,
-    ) -> Result<TenantSpec, String> {
-        self.ctx.register_tenant(name, policy, budget_mb)
-    }
-
-    /// Exports a tenant's state and removes it from this node
-    /// (in-process equivalent of `POST /admin/tenants/<name>/take`).
-    /// Returns the migration payload for [`Server::restore_tenant`].
-    pub fn take_tenant(&self, name: &str) -> Result<String, String> {
-        self.ctx.take_tenant(name).map_err(|(_, e)| e)
-    }
-
-    /// Installs a migrated tenant from a take payload (in-process
-    /// equivalent of `POST /admin/tenants/<name>/restore`).
-    pub fn restore_tenant(&self, payload: &str) -> Result<TenantSpec, String> {
-        self.ctx.restore_tenant(payload).map_err(|(_, e)| e)
     }
 
     /// True once a shutdown has been requested (e.g. via

@@ -6,7 +6,7 @@
 //! frame or a run of JSON requests partitions it by `(tenant, app)`
 //! route, then locks each touched shard in ascending order, one at a
 //! time, and decides that shard's slice in arrival order
-//! ([`ShardWorker::decide`]); control paths lock a shard and call its
+//! (`ShardWorker::decide`); control paths lock a shard and call its
 //! methods the same way. A shard is therefore touched by one thread at a
 //! time, and uncontended its lock costs two atomic operations. The fleet
 //! extends the per-app isolation argument one level up: default-tenant
@@ -182,7 +182,7 @@ pub enum ShardMsg {
     Shutdown,
 }
 
-/// One shard's half of a replication round ([`ShardWorker::export_dirty`]):
+/// One shard's half of a replication round (`ShardWorker::export_dirty`):
 /// the state mutated since the requested frontier, plus the frontier to
 /// ask from next round.
 #[derive(Debug)]

@@ -1230,19 +1230,10 @@ impl Snapshot {
         written
     }
 
-    /// Reads a snapshot file.
-    pub fn read_from(path: &Path) -> io::Result<Snapshot> {
-        match Snapshot::load(path) {
-            Ok(snap) => Ok(snap),
-            Err(SnapshotError::Io(e)) => Err(e),
-            Err(SnapshotError::Corrupt(e)) => Err(io::Error::new(io::ErrorKind::InvalidData, e)),
-        }
-    }
-
     /// Reads a snapshot file with a typed error, so callers can tell a
     /// missing/unreadable file from a truncated or corrupt one (the
     /// daemon degrades to empty state on the latter instead of dying).
-    /// The file streams through the [`Decoder`] in [`IO_BYTES`] reads.
+    /// The file streams through the [`Decoder`] in `IO_BYTES` reads.
     pub fn load(path: &Path) -> Result<Snapshot, SnapshotError> {
         Decoder::snapshot().read(path).map(|(snap, Collect)| snap)
     }
@@ -1700,7 +1691,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("snap.txt");
         snap.write_to(&path).unwrap();
-        assert_eq!(Snapshot::read_from(&path).unwrap(), snap);
+        assert_eq!(Snapshot::load(&path).unwrap(), snap);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

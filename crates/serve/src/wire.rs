@@ -835,7 +835,7 @@ pub enum FrameDecodeInto {
 /// frames. A well-formed request frame's records replace its contents,
 /// each name rewritten into the `String` already in its place, so a
 /// warm buffer decodes without allocating (a name whose buffer grew past
-/// [`crate::pool::NAME_CAP`] gets a fresh one). A malformed frame leaves
+/// `pool::NAME_CAP` gets a fresh one). A malformed frame leaves
 /// `records` empty; an incomplete or control frame leaves it as it was.
 /// `buf` must start at a frame boundary (its first byte was sniffed as
 /// [`BIN_MAGIC`]).

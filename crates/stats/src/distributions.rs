@@ -116,42 +116,6 @@ pub fn std_normal_quantile(q: f64) -> f64 {
     }
 }
 
-/// Normal distribution `N(mean, std²)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Normal {
-    /// Mean of the distribution.
-    pub mean: f64,
-    /// Standard deviation (must be positive).
-    pub std: f64,
-}
-
-impl Normal {
-    /// Creates a normal distribution.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `std > 0` and both parameters are finite.
-    pub fn new(mean: f64, std: f64) -> Self {
-        assert!(std > 0.0 && std.is_finite() && mean.is_finite());
-        Self { mean, std }
-    }
-}
-
-impl ContinuousDist for Normal {
-    fn pdf(&self, x: f64) -> f64 {
-        let z = (x - self.mean) / self.std;
-        (-0.5 * z * z).exp() / (self.std * (2.0 * std::f64::consts::PI).sqrt())
-    }
-
-    fn cdf(&self, x: f64) -> f64 {
-        std_normal_cdf((x - self.mean) / self.std)
-    }
-
-    fn quantile(&self, q: f64) -> f64 {
-        self.mean + self.std * std_normal_quantile(q)
-    }
-}
-
 /// Log-normal distribution: `ln X ~ N(mu, sigma²)`.
 ///
 /// The paper's execution-time fit is `LogNormal { mu: -0.38, sigma: 2.36 }`
@@ -179,27 +143,6 @@ impl LogNormal {
     /// seconds (Figure 7).
     pub fn execution_time_fit() -> Self {
         Self::new(-0.38, 2.36)
-    }
-
-    /// Maximum-likelihood fit from positive samples: `mu` and `sigma` are
-    /// the mean and (population) std of the logs.
-    ///
-    /// Returns `None` when fewer than 2 positive samples exist or the logs
-    /// are degenerate.
-    pub fn fit_mle(samples: &[f64]) -> Option<Self> {
-        let logs: Vec<f64> = samples
-            .iter()
-            .filter(|&&x| x > 0.0)
-            .map(|x| x.ln())
-            .collect();
-        if logs.len() < 2 {
-            return None;
-        }
-        let n = logs.len() as f64;
-        let mu = logs.iter().sum::<f64>() / n;
-        let var = logs.iter().map(|l| (l - mu).powi(2)).sum::<f64>() / n;
-        let sigma = var.sqrt();
-        (sigma > 0.0).then(|| Self::new(mu, sigma))
     }
 
     /// Median of the distribution (`e^mu`).
@@ -290,148 +233,6 @@ impl ContinuousDist for Burr {
             return f64::INFINITY;
         }
         self.lambda * ((1.0 - q).powf(-1.0 / self.k) - 1.0).powf(1.0 / self.c)
-    }
-}
-
-/// Exponential distribution with the given rate (events per unit time);
-/// the IAT distribution of a Poisson arrival process (§3.3).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Exponential {
-    /// Rate parameter (λ > 0).
-    pub rate: f64,
-}
-
-impl Exponential {
-    /// Creates an exponential distribution.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `rate > 0` and finite.
-    pub fn new(rate: f64) -> Self {
-        assert!(rate > 0.0 && rate.is_finite());
-        Self { rate }
-    }
-
-    /// Mean inter-arrival time (`1 / rate`).
-    pub fn mean(&self) -> f64 {
-        1.0 / self.rate
-    }
-}
-
-impl ContinuousDist for Exponential {
-    fn pdf(&self, x: f64) -> f64 {
-        if x < 0.0 {
-            0.0
-        } else {
-            self.rate * (-self.rate * x).exp()
-        }
-    }
-
-    fn cdf(&self, x: f64) -> f64 {
-        if x < 0.0 {
-            0.0
-        } else {
-            1.0 - (-self.rate * x).exp()
-        }
-    }
-
-    fn quantile(&self, q: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&q));
-        -(1.0 - q).ln() / self.rate
-    }
-}
-
-/// Pareto (type I) distribution: heavy-tailed IATs for bursty applications
-/// (CV > 1 in Figure 6).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Pareto {
-    /// Minimum value / scale (x_m > 0).
-    pub xm: f64,
-    /// Tail index (α > 0); CV is finite only for α > 2.
-    pub alpha: f64,
-}
-
-impl Pareto {
-    /// Creates a Pareto distribution.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless both parameters are positive and finite.
-    pub fn new(xm: f64, alpha: f64) -> Self {
-        assert!(xm > 0.0 && alpha > 0.0);
-        assert!(xm.is_finite() && alpha.is_finite());
-        Self { xm, alpha }
-    }
-
-    /// Mean, finite for `alpha > 1`.
-    pub fn mean(&self) -> Option<f64> {
-        (self.alpha > 1.0).then(|| self.alpha * self.xm / (self.alpha - 1.0))
-    }
-}
-
-impl ContinuousDist for Pareto {
-    fn pdf(&self, x: f64) -> f64 {
-        if x < self.xm {
-            0.0
-        } else {
-            self.alpha * self.xm.powf(self.alpha) / x.powf(self.alpha + 1.0)
-        }
-    }
-
-    fn cdf(&self, x: f64) -> f64 {
-        if x < self.xm {
-            0.0
-        } else {
-            1.0 - (self.xm / x).powf(self.alpha)
-        }
-    }
-
-    fn quantile(&self, q: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&q));
-        if q == 1.0 {
-            return f64::INFINITY;
-        }
-        self.xm / (1.0 - q).powf(1.0 / self.alpha)
-    }
-}
-
-/// Uniform distribution on `[lo, hi)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Uniform {
-    /// Inclusive lower bound.
-    pub lo: f64,
-    /// Exclusive upper bound.
-    pub hi: f64,
-}
-
-impl Uniform {
-    /// Creates a uniform distribution.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `lo < hi` and both are finite.
-    pub fn new(lo: f64, hi: f64) -> Self {
-        assert!(lo < hi && lo.is_finite() && hi.is_finite());
-        Self { lo, hi }
-    }
-}
-
-impl ContinuousDist for Uniform {
-    fn pdf(&self, x: f64) -> f64 {
-        if x >= self.lo && x < self.hi {
-            1.0 / (self.hi - self.lo)
-        } else {
-            0.0
-        }
-    }
-
-    fn cdf(&self, x: f64) -> f64 {
-        ((x - self.lo) / (self.hi - self.lo)).clamp(0.0, 1.0)
-    }
-
-    fn quantile(&self, q: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&q));
-        self.lo + q * (self.hi - self.lo)
     }
 }
 
@@ -567,28 +368,6 @@ mod tests {
     }
 
     #[test]
-    fn lognormal_mle_recovers_parameters() {
-        let truth = LogNormal::new(1.5, 0.7);
-        let mut rng = StdRng::seed_from_u64(7);
-        let samples = truth.sample_n(&mut rng, 20_000);
-        let fit = LogNormal::fit_mle(&samples).unwrap();
-        assert!((fit.mu - truth.mu).abs() < 0.05, "mu {}", fit.mu);
-        assert!(
-            (fit.sigma - truth.sigma).abs() < 0.05,
-            "sigma {}",
-            fit.sigma
-        );
-    }
-
-    #[test]
-    fn lognormal_fit_rejects_degenerate() {
-        assert!(LogNormal::fit_mle(&[]).is_none());
-        assert!(LogNormal::fit_mle(&[1.0]).is_none());
-        assert!(LogNormal::fit_mle(&[2.0, 2.0, 2.0]).is_none());
-        assert!(LogNormal::fit_mle(&[-1.0, 0.0]).is_none());
-    }
-
-    #[test]
     fn burr_paper_fit_shape() {
         // Figure 8: 50% of applications allocate at most ~170MB and 90%
         // stay below ~400MB; the Burr fit should be in that ballpark.
@@ -601,68 +380,6 @@ mod tests {
         let p90 = d.quantile(0.9);
         assert!((150.0..600.0).contains(&p90), "p90 memory {p90} MB");
         check_quantile_roundtrip(&d, &[0.05, 0.25, 0.5, 0.75, 0.95], 1e-9);
-    }
-
-    #[test]
-    fn exponential_mean_and_roundtrip() {
-        let d = Exponential::new(0.25);
-        assert_eq!(d.mean(), 4.0);
-        check_quantile_roundtrip(&d, &[0.1, 0.5, 0.9, 0.99], 1e-9);
-
-        let mut rng = StdRng::seed_from_u64(11);
-        let n = 50_000;
-        let mean = d.sample_n(&mut rng, n).iter().sum::<f64>() / n as f64;
-        assert!((mean - 4.0).abs() < 0.1, "sample mean {mean}");
-    }
-
-    #[test]
-    fn exponential_cv_is_one() {
-        let d = Exponential::new(2.0);
-        let mut rng = StdRng::seed_from_u64(13);
-        let mut w = crate::Welford::new();
-        for _ in 0..50_000 {
-            w.push(d.sample(&mut rng));
-        }
-        assert!((w.cv() - 1.0).abs() < 0.05, "cv {}", w.cv());
-    }
-
-    #[test]
-    fn pareto_tail_and_mean() {
-        let d = Pareto::new(1.0, 2.5);
-        assert_eq!(d.cdf(0.5), 0.0);
-        check_quantile_roundtrip(&d, &[0.1, 0.5, 0.9, 0.999], 1e-9);
-        let mean = d.mean().unwrap();
-        assert!((mean - 2.5 / 1.5).abs() < 1e-12);
-        assert!(Pareto::new(1.0, 0.9).mean().is_none());
-    }
-
-    #[test]
-    fn pareto_heavy_tail_cv_above_one() {
-        // α = 2.2 gives CV = sqrt(α / (α−2)) / (α−1) … > 1.
-        let d = Pareto::new(1.0, 2.2);
-        let mut rng = StdRng::seed_from_u64(17);
-        let mut w = crate::Welford::new();
-        for _ in 0..200_000 {
-            w.push(d.sample(&mut rng));
-        }
-        assert!(w.cv() > 1.0, "cv {}", w.cv());
-    }
-
-    #[test]
-    fn uniform_basics() {
-        let d = Uniform::new(2.0, 4.0);
-        assert_eq!(d.cdf(3.0), 0.5);
-        assert_eq!(d.quantile(0.25), 2.5);
-        assert_eq!(d.pdf(3.0), 0.5);
-        assert_eq!(d.pdf(5.0), 0.0);
-    }
-
-    #[test]
-    fn normal_symmetry() {
-        let d = Normal::new(10.0, 2.0);
-        assert!((d.cdf(10.0) - 0.5).abs() < 1e-9);
-        assert!((d.quantile(0.5) - 10.0).abs() < 1e-9);
-        assert!((d.cdf(12.0) + d.cdf(8.0) - 1.0).abs() < 1e-6);
     }
 
     #[test]

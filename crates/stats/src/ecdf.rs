@@ -122,19 +122,6 @@ pub fn log_grid(lo: f64, hi: f64, n: usize) -> Vec<f64> {
         .collect()
 }
 
-/// A linearly spaced grid of `n` points covering `[lo, hi]`.
-///
-/// # Panics
-///
-/// Panics unless `lo < hi` and `n ≥ 2`.
-pub fn linear_grid(lo: f64, hi: f64, n: usize) -> Vec<f64> {
-    assert!(hi > lo, "need lo < hi");
-    assert!(n >= 2, "need at least two grid points");
-    (0..n)
-        .map(|i| lo + (hi - lo) * i as f64 / (n - 1) as f64)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -200,11 +187,5 @@ mod tests {
         assert!(g.windows(2).all(|w| w[0] < w[1]));
         // Even spacing in log10: each step is one decade.
         assert!((g[1] / g[0] - 10.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn linear_grid_spans() {
-        let g = linear_grid(0.0, 10.0, 5);
-        assert_eq!(g, vec![0.0, 2.5, 5.0, 7.5, 10.0]);
     }
 }

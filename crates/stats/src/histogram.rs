@@ -185,15 +185,6 @@ impl RangeHistogram {
         &self.bins
     }
 
-    /// Count held by bin `idx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    pub fn bin_count(&self, idx: usize) -> u32 {
-        self.bins[idx]
-    }
-
     /// Number of in-bounds recordings.
     pub fn in_bounds_count(&self) -> u64 {
         self.in_bounds
@@ -272,14 +263,6 @@ impl RangeHistogram {
         percentile_bin_over(&self.bins, self.in_bounds as f64, p)
     }
 
-    /// Clears all counts.
-    pub fn reset(&mut self) {
-        self.bins.fill(0);
-        self.in_bounds = 0;
-        self.oob = 0;
-        self.sumsq = 0.0;
-    }
-
     /// Merges another histogram with identical geometry into this one.
     ///
     /// # Panics
@@ -313,8 +296,7 @@ impl RangeHistogram {
 /// Invariant, whenever the cursor has seen every in-bounds record since
 /// it was sought: `cursor.bin(&hist) == hist.percentile_bin(p)`. The
 /// cursor does not borrow the histogram; the owner of both feeds it.
-/// After [`RangeHistogram::reset`] or [`RangeHistogram::merge`], seek
-/// again.
+/// After [`RangeHistogram::merge`], seek again.
 ///
 /// # Examples
 ///
@@ -1290,17 +1272,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_everything() {
-        let mut h = RangeHistogram::new(4, 1);
-        h.record(1);
-        h.record(100);
-        h.reset();
-        assert!(h.is_empty());
-        assert_eq!(h.bins(), &[0, 0, 0, 0]);
-        assert_eq!(h.bin_count_cv(), 0.0);
-    }
-
-    #[test]
     fn merge_adds_counts_and_rebuilds_cv() {
         let mut a = RangeHistogram::new(8, 1);
         let mut b = RangeHistogram::new(8, 1);
@@ -1309,8 +1280,8 @@ mod tests {
         b.record(1);
         b.record(3);
         a.merge(&b);
-        assert_eq!(a.bin_count(1), 2);
-        assert_eq!(a.bin_count(3), 1);
+        assert_eq!(a.bins()[1], 2);
+        assert_eq!(a.bins()[3], 1);
         assert_eq!(a.in_bounds_count(), 3);
         assert_eq!(a.oob_count(), 1);
 

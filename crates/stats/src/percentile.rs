@@ -1,10 +1,6 @@
-//! Percentiles over plain and weighted samples.
-//!
-//! §3.1 of the paper explains that execution-time and memory distributions
-//! are reconstructed from aggregated `(average, count)` records by keeping
-//! *weighted percentiles*: "if we see an average time of 100ms over 45
-//! samples, the resulting percentiles are equivalent to those computed over
-//! a distribution where 100ms are replicated 45 times".
+//! Percentiles over plain samples: one linear-interpolation rule, shared
+//! by [`Ecdf::quantile`](crate::Ecdf::quantile), the simulators' reports
+//! and the load generator's latency percentiles.
 
 /// Linear-interpolation percentile over a **sorted** slice.
 ///
@@ -43,171 +39,6 @@ pub fn percentile_sorted(xs: &[f64], p: f64) -> f64 {
     }
 }
 
-/// Sorts a copy of `xs` and evaluates several percentiles at once.
-///
-/// # Panics
-///
-/// Panics if `xs` is empty.
-pub fn percentiles_of(xs: &[f64], ps: &[f64]) -> Vec<f64> {
-    let mut sorted = xs.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    ps.iter().map(|&p| percentile_sorted(&sorted, p)).collect()
-}
-
-/// Median convenience wrapper.
-///
-/// # Panics
-///
-/// Panics if `xs` is empty.
-pub fn median(xs: &[f64]) -> f64 {
-    percentiles_of(xs, &[50.0])[0]
-}
-
-/// A collection of `(value, weight)` samples supporting weighted
-/// percentiles, as used to rebuild full distributions from the trace's
-/// aggregated records.
-///
-/// Weights need not be integers; any non-negative weight works. Zero-weight
-/// entries are accepted and ignored.
-///
-/// # Examples
-///
-/// ```
-/// use sitw_stats::WeightedSamples;
-///
-/// let mut ws = WeightedSamples::new();
-/// ws.push(100.0, 45.0); // an average of 100ms observed over 45 samples
-/// ws.push(500.0, 5.0);
-/// assert_eq!(ws.percentile(50.0), 100.0);
-/// assert_eq!(ws.percentile(99.0), 500.0);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct WeightedSamples {
-    entries: Vec<(f64, f64)>,
-    total_weight: f64,
-    sorted: bool,
-}
-
-impl WeightedSamples {
-    /// Creates an empty collection.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates a collection from `(value, weight)` pairs.
-    pub fn from_pairs(pairs: impl IntoIterator<Item = (f64, f64)>) -> Self {
-        let mut ws = Self::new();
-        for (v, w) in pairs {
-            ws.push(v, w);
-        }
-        ws
-    }
-
-    /// Adds a value with the given weight.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weight` is negative or not finite, or `value` is NaN.
-    pub fn push(&mut self, value: f64, weight: f64) {
-        assert!(
-            weight >= 0.0 && weight.is_finite(),
-            "weight must be finite and non-negative"
-        );
-        assert!(!value.is_nan(), "value must not be NaN");
-        if weight == 0.0 {
-            return;
-        }
-        self.entries.push((value, weight));
-        self.total_weight += weight;
-        self.sorted = false;
-    }
-
-    /// Number of distinct entries (not the total weight).
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when no entries have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Sum of all weights.
-    pub fn total_weight(&self) -> f64 {
-        self.total_weight
-    }
-
-    /// Weighted mean of the values; `None` when empty.
-    pub fn mean(&self) -> Option<f64> {
-        if self.is_empty() {
-            return None;
-        }
-        let sum: f64 = self.entries.iter().map(|(v, w)| v * w).sum();
-        Some(sum / self.total_weight)
-    }
-
-    fn ensure_sorted(&mut self) {
-        if !self.sorted {
-            self.entries.sort_by(|a, b| a.0.total_cmp(&b.0));
-            self.sorted = true;
-        }
-    }
-
-    /// The weighted `p`-th percentile (`0 ≤ p ≤ 100`).
-    ///
-    /// Returns the smallest value `v` such that the cumulative weight of
-    /// entries `≤ v` reaches `p`% of the total weight — i.e. the
-    /// inverse-CDF ("lower" convention), which is exact for the replicated-
-    /// samples interpretation in the paper.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the collection is empty.
-    pub fn percentile(&mut self, p: f64) -> f64 {
-        assert!(!self.is_empty(), "percentile of empty weighted samples");
-        let p = p.clamp(0.0, 100.0);
-        self.ensure_sorted();
-        let target = p / 100.0 * self.total_weight;
-        let mut cum = 0.0;
-        for &(v, w) in &self.entries {
-            cum += w;
-            if cum >= target {
-                return v;
-            }
-        }
-        self.entries.last().unwrap().0
-    }
-
-    /// Evaluates several percentiles at once (single sort).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the collection is empty.
-    pub fn percentiles(&mut self, ps: &[f64]) -> Vec<f64> {
-        ps.iter().map(|&p| self.percentile(p)).collect()
-    }
-
-    /// Produces `(value, cumulative_fraction)` points of the weighted CDF,
-    /// suitable for plotting.
-    pub fn cdf_points(&mut self) -> Vec<(f64, f64)> {
-        self.ensure_sorted();
-        let mut out = Vec::with_capacity(self.entries.len());
-        let mut cum = 0.0;
-        for &(v, w) in &self.entries {
-            cum += w;
-            out.push((v, cum / self.total_weight));
-        }
-        out
-    }
-
-    /// Merges another collection into this one.
-    pub fn merge(&mut self, other: &WeightedSamples) {
-        self.entries.extend_from_slice(&other.entries);
-        self.total_weight += other.total_weight;
-        self.sorted = false;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -243,80 +74,5 @@ mod tests {
     #[should_panic(expected = "empty")]
     fn percentile_empty_panics() {
         percentile_sorted(&[], 50.0);
-    }
-
-    #[test]
-    fn percentiles_of_unsorted_input() {
-        let xs = [5.0, 1.0, 3.0, 2.0, 4.0];
-        let ps = percentiles_of(&xs, &[0.0, 50.0, 100.0]);
-        assert_eq!(ps, vec![1.0, 3.0, 5.0]);
-        assert_eq!(median(&xs), 3.0);
-    }
-
-    #[test]
-    fn weighted_replication_equivalence() {
-        // Weighted percentiles must equal plain percentiles over the
-        // replicated data (the paper's §3.1 construction).
-        let mut ws = WeightedSamples::new();
-        ws.push(100.0, 45.0);
-        ws.push(500.0, 5.0);
-
-        let mut replicated: Vec<f64> = Vec::new();
-        replicated.extend(std::iter::repeat_n(100.0, 45));
-        replicated.extend(std::iter::repeat_n(500.0, 5));
-        replicated.sort_by(f64::total_cmp);
-
-        for p in [1.0, 10.0, 50.0, 89.0, 90.0, 95.0, 99.0] {
-            let w = ws.percentile(p);
-            // The inverse-CDF convention picks an actual sample value.
-            assert!(
-                replicated.contains(&w),
-                "weighted percentile {p} produced non-sample value {w}"
-            );
-        }
-        assert_eq!(ws.percentile(90.0), 100.0);
-        assert_eq!(ws.percentile(91.0), 500.0);
-    }
-
-    #[test]
-    fn weighted_mean() {
-        let mut ws = WeightedSamples::new();
-        ws.push(10.0, 1.0);
-        ws.push(20.0, 3.0);
-        assert_eq!(ws.mean(), Some(17.5));
-    }
-
-    #[test]
-    fn weighted_zero_weight_ignored() {
-        let mut ws = WeightedSamples::new();
-        ws.push(999.0, 0.0);
-        assert!(ws.is_empty());
-        ws.push(1.0, 2.0);
-        assert_eq!(ws.percentile(50.0), 1.0);
-    }
-
-    #[test]
-    fn weighted_cdf_points_monotone() {
-        let mut ws = WeightedSamples::from_pairs([(3.0, 1.0), (1.0, 2.0), (2.0, 1.0)]);
-        let pts = ws.cdf_points();
-        assert_eq!(pts.len(), 3);
-        assert!(pts.windows(2).all(|w| w[0].0 <= w[1].0 && w[0].1 <= w[1].1));
-        assert!((pts.last().unwrap().1 - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn weighted_merge() {
-        let mut a = WeightedSamples::from_pairs([(1.0, 1.0)]);
-        let b = WeightedSamples::from_pairs([(2.0, 3.0)]);
-        a.merge(&b);
-        assert_eq!(a.total_weight(), 4.0);
-        assert_eq!(a.percentile(100.0), 2.0);
-    }
-
-    #[test]
-    fn weighted_fractional_weights() {
-        let mut ws = WeightedSamples::from_pairs([(1.0, 0.5), (2.0, 0.5)]);
-        assert_eq!(ws.percentile(50.0), 1.0);
-        assert_eq!(ws.percentile(51.0), 2.0);
     }
 }

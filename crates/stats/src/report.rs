@@ -144,14 +144,6 @@ pub fn fnum(x: f64, digits: usize) -> String {
     }
 }
 
-/// Formats an `(value, cdf)` series as CSV rows.
-pub fn series_rows(points: &[(f64, f64)], digits: usize) -> Vec<Vec<String>> {
-    points
-        .iter()
-        .map(|&(x, y)| vec![fnum(x, digits), fnum(y, 6)])
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -207,11 +199,5 @@ mod tests {
         assert_eq!(fnum(f64::NAN, 2), "nan");
         assert_eq!(fnum(f64::INFINITY, 2), "inf");
         assert_eq!(fnum(f64::NEG_INFINITY, 2), "-inf");
-    }
-
-    #[test]
-    fn series_rows_shape() {
-        let rows = series_rows(&[(1.0, 0.5), (2.0, 1.0)], 1);
-        assert_eq!(rows[0], vec!["1.0".to_owned(), "0.500000".to_owned()]);
     }
 }

@@ -3,6 +3,8 @@
 //!
 //! Each function returns plottable series (or table rows) mirroring one
 //! figure; the `figures` binary in `sitw-bench` prints and exports them.
+//! The figures read off the invocation streams (4, 5a, 6) come from one
+//! place, [`StreamingCharacterization`], fed one application at a time.
 
 use std::collections::BTreeMap;
 
@@ -132,44 +134,6 @@ pub fn combo_shares(pop: &Population) -> Vec<(String, f64, f64)> {
         .collect()
 }
 
-/// Figure 4: invocations per hour across the platform, normalized to the
-/// peak hour.
-pub fn hourly_load(trace: &Trace) -> Vec<f64> {
-    let hours = (trace.horizon_ms / HOUR_MS).max(1) as usize;
-    let mut counts = vec![0u64; hours];
-    for app in &trace.apps {
-        for &t in &app.invocations {
-            let h = (t / HOUR_MS) as usize;
-            if h < hours {
-                counts[h] += 1;
-            }
-        }
-    }
-    let peak = counts.iter().copied().max().unwrap_or(1).max(1) as f64;
-    counts.into_iter().map(|c| c as f64 / peak).collect()
-}
-
-/// Figure 5(a): ECDFs of average invocations per day, for applications
-/// (realized from the trace) and functions (realized app rate × profile
-/// share).
-pub fn daily_rate_ecdfs(trace: &Trace) -> (Ecdf, Ecdf) {
-    let days = (trace.horizon_ms as f64 / crate::time::DAY_MS as f64).max(1e-9);
-    let mut app_rates = Vec::with_capacity(trace.apps.len());
-    let mut func_rates = Vec::new();
-    for app in &trace.apps {
-        let rate = app.invocations.len() as f64 / days;
-        // Apps with zero realized invocations have no measurable rate;
-        // give them a floor below the axis range so the CDF still counts
-        // them (the paper's sample has a minimum of ~1 per 2 weeks).
-        let rate = rate.max(1.0 / (2.0 * 14.0));
-        app_rates.push(rate);
-        for f in &app.profile.functions {
-            func_rates.push((rate * f.invocation_share).max(1.0 / (2.0 * 14.0)));
-        }
-    }
-    (Ecdf::new(app_rates), Ecdf::new(func_rates))
-}
-
 /// Figure 5(b): cumulative fraction of invocations versus the fraction of
 /// most popular applications. Returns `(popularity_fraction,
 /// invocation_fraction)` points, popularity ascending.
@@ -226,36 +190,6 @@ pub struct IatCvStats {
     pub at_least_one_timer: Vec<f64>,
     /// Apps without timer triggers.
     pub no_timers: Vec<f64>,
-}
-
-/// Computes Figure 6 from realized streams.
-pub fn iat_cv(trace: &Trace) -> IatCvStats {
-    let mut stats = IatCvStats {
-        all: Vec::new(),
-        only_timers: Vec::new(),
-        at_least_one_timer: Vec::new(),
-        no_timers: Vec::new(),
-    };
-    for app in &trace.apps {
-        if app.invocations.len() < 3 {
-            continue;
-        }
-        let mut w = Welford::new();
-        for pair in app.invocations.windows(2) {
-            w.push((pair[1] - pair[0]) as f64);
-        }
-        let cv = w.cv();
-        stats.all.push(cv);
-        if app.profile.only_timers() {
-            stats.only_timers.push(cv);
-        }
-        if app.profile.has_timer() {
-            stats.at_least_one_timer.push(cv);
-        } else {
-            stats.no_timers.push(cv);
-        }
-    }
-    stats
 }
 
 /// Figure 7: execution-time distributions (minimum, average, maximum of
@@ -354,7 +288,6 @@ pub struct StreamingCharacterization {
     app_rates: Vec<f64>,
     func_rates: Vec<f64>,
     cv: IatCvStats,
-    total_events: u64,
 }
 
 impl StreamingCharacterization {
@@ -372,7 +305,6 @@ impl StreamingCharacterization {
                 at_least_one_timer: Vec::new(),
                 no_timers: Vec::new(),
             },
-            total_events: 0,
         }
     }
 
@@ -385,7 +317,6 @@ impl StreamingCharacterization {
                 self.hourly[h] += 1;
             }
         }
-        self.total_events += events.len() as u64;
         let rate = (events.len() as f64 / days).max(1.0 / 28.0);
         self.app_rates.push(rate);
         for f in &profile.functions {
@@ -432,32 +363,45 @@ impl StreamingCharacterization {
     pub fn iat_cv(&self) -> &IatCvStats {
         &self.cv
     }
-
-    /// Total events folded in.
-    pub fn total_events(&self) -> u64 {
-        self.total_events
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generator::{generate_trace, TraceConfig};
+    use crate::generator::{for_each_app, generate_trace, TraceConfig};
     use crate::population::{build_population, PopulationConfig};
     use crate::time::DAY_MS;
 
-    fn setup() -> (Population, Trace) {
-        let pop = build_population(&PopulationConfig {
+    fn population() -> Population {
+        build_population(&PopulationConfig {
             num_apps: 600,
             seed: 42,
-        });
-        let cfg = TraceConfig {
+        })
+    }
+
+    fn config() -> TraceConfig {
+        TraceConfig {
             horizon_ms: 2 * DAY_MS,
             cap_per_day: 3000.0,
             seed: 1,
-        };
-        let trace = generate_trace(&pop, &cfg);
+        }
+    }
+
+    fn setup() -> (Population, Trace) {
+        let pop = population();
+        let trace = generate_trace(&pop, &config());
         (pop, trace)
+    }
+
+    /// The streamed figures over the same population and trace as
+    /// [`setup`].
+    fn streamed() -> StreamingCharacterization {
+        let cfg = config();
+        let mut sc = StreamingCharacterization::new(cfg.horizon_ms);
+        for_each_app(&population(), &cfg, |profile, events| {
+            sc.add(profile, &events)
+        });
+        sc
     }
 
     #[test]
@@ -510,8 +454,7 @@ mod tests {
 
     #[test]
     fn fig4_load_normalized() {
-        let (_, trace) = setup();
-        let hourly = hourly_load(&trace);
+        let hourly = streamed().hourly_normalized();
         assert_eq!(hourly.len(), 48);
         let peak = hourly.iter().cloned().fold(f64::MIN, f64::max);
         assert!((peak - 1.0).abs() < 1e-12);
@@ -520,8 +463,7 @@ mod tests {
 
     #[test]
     fn fig5a_app_function_rates() {
-        let (_, trace) = setup();
-        let (apps, funcs) = daily_rate_ecdfs(&trace);
+        let (apps, funcs) = streamed().daily_rate_ecdfs();
         assert!(!apps.is_empty() && funcs.len() >= apps.len());
         // Median app rate far below 1/minute (most apps are infrequent).
         assert!(apps.quantile(0.5) < 1440.0);
@@ -554,8 +496,8 @@ mod tests {
 
     #[test]
     fn fig6_cv_subsets_partition() {
-        let (_, trace) = setup();
-        let stats = iat_cv(&trace);
+        let sc = streamed();
+        let stats = sc.iat_cv();
         assert_eq!(
             stats.all.len(),
             stats.at_least_one_timer.len() + stats.no_timers.len()

@@ -2,15 +2,12 @@
 //!
 //! §5.3 of the paper replays "68 randomly selected mid-range popularity
 //! applications" for 8 hours against a 19-VM OpenWhisk deployment. This
-//! module reproduces that selection against any population and slices
-//! traces to sub-horizons.
+//! module reproduces that selection against any population.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::generator::{AppTrace, Trace};
 use crate::model::Population;
-use crate::time::TimeMs;
 
 /// Selects `n` applications with daily rates inside `[min_rate, max_rate)`
 /// uniformly at random (deterministic in `seed`).
@@ -77,37 +74,10 @@ pub fn filter_by_weighted_exec(pop: &Population, max_secs: f64) -> Population {
     }
 }
 
-/// Restricts a trace to the window `[start, end)`, re-basing timestamps
-/// to 0 and dropping apps left without invocations.
-pub fn slice_trace(trace: &Trace, start: TimeMs, end: TimeMs) -> Trace {
-    assert!(start < end, "empty slice window");
-    let apps = trace
-        .apps
-        .iter()
-        .filter_map(|app| {
-            let lo = app.invocations.partition_point(|&t| t < start);
-            let hi = app.invocations.partition_point(|&t| t < end);
-            if lo == hi {
-                return None;
-            }
-            Some(AppTrace {
-                profile: app.profile.clone(),
-                invocations: app.invocations[lo..hi].iter().map(|&t| t - start).collect(),
-            })
-        })
-        .collect();
-    Trace {
-        horizon_ms: end - start,
-        apps,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generator::{generate_trace, TraceConfig};
     use crate::population::{build_population, PopulationConfig};
-    use crate::time::{DAY_MS, HOUR_MS};
 
     #[test]
     fn subset_respects_band_and_count() {
@@ -171,50 +141,5 @@ mod tests {
         });
         let sub = mid_popularity_subset(&pop, 1000, 24.0, 1440.0, 1);
         assert!(sub.len() < 1000);
-    }
-
-    #[test]
-    fn slice_rebases_and_filters() {
-        let pop = build_population(&PopulationConfig {
-            num_apps: 200,
-            seed: 14,
-        });
-        let trace = generate_trace(
-            &pop,
-            &TraceConfig {
-                horizon_ms: DAY_MS,
-                cap_per_day: 2000.0,
-                seed: 2,
-            },
-        );
-        let sliced = slice_trace(&trace, 2 * HOUR_MS, 10 * HOUR_MS);
-        assert_eq!(sliced.horizon_ms, 8 * HOUR_MS);
-        for app in &sliced.apps {
-            assert!(!app.invocations.is_empty());
-            assert!(*app.invocations.last().unwrap() < 8 * HOUR_MS);
-        }
-        // Events must correspond to the original window.
-        let orig_count: usize = trace
-            .apps
-            .iter()
-            .map(|a| {
-                a.invocations
-                    .iter()
-                    .filter(|&&t| (2 * HOUR_MS..10 * HOUR_MS).contains(&t))
-                    .count()
-            })
-            .sum();
-        let sliced_count: usize = sliced.apps.iter().map(|a| a.invocations.len()).sum();
-        assert_eq!(orig_count, sliced_count);
-    }
-
-    #[test]
-    #[should_panic(expected = "empty slice")]
-    fn slice_rejects_empty_window() {
-        let trace = Trace {
-            horizon_ms: 100,
-            apps: vec![],
-        };
-        let _ = slice_trace(&trace, 10, 10);
     }
 }

@@ -23,30 +23,6 @@ pub const DAY_MS: TimeMs = 24 * HOUR_MS;
 /// One week in milliseconds.
 pub const WEEK_MS: TimeMs = 7 * DAY_MS;
 
-/// Converts fractional minutes to milliseconds (saturating at 0 below).
-pub fn minutes_to_ms(minutes: f64) -> TimeMs {
-    if minutes <= 0.0 {
-        0
-    } else {
-        (minutes * MINUTE_MS as f64).round() as TimeMs
-    }
-}
-
-/// Converts milliseconds to fractional minutes.
-pub fn ms_to_minutes(ms: TimeMs) -> f64 {
-    ms as f64 / MINUTE_MS as f64
-}
-
-/// The minute index (0-based) containing the given time.
-pub fn minute_of(ms: TimeMs) -> u64 {
-    ms / MINUTE_MS
-}
-
-/// The hour index (0-based) containing the given time.
-pub fn hour_of(ms: TimeMs) -> u64 {
-    ms / HOUR_MS
-}
-
 /// The day index (0-based) containing the given time.
 pub fn day_of(ms: TimeMs) -> u64 {
     ms / DAY_MS
@@ -65,19 +41,7 @@ mod tests {
     }
 
     #[test]
-    fn minute_conversions_roundtrip() {
-        assert_eq!(minutes_to_ms(1.0), MINUTE_MS);
-        assert_eq!(minutes_to_ms(0.5), 30_000);
-        assert_eq!(minutes_to_ms(-3.0), 0);
-        assert_eq!(ms_to_minutes(90_000), 1.5);
-    }
-
-    #[test]
     fn indices() {
-        assert_eq!(minute_of(0), 0);
-        assert_eq!(minute_of(59_999), 0);
-        assert_eq!(minute_of(60_000), 1);
-        assert_eq!(hour_of(HOUR_MS - 1), 0);
         assert_eq!(day_of(DAY_MS + 1), 1);
     }
 }

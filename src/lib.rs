@@ -3,7 +3,7 @@
 //! This crate re-exports the workspace's components behind one façade so
 //! examples and downstream users need a single dependency:
 //!
-//! * [`stats`] — statistics substrate (Welford, weighted percentiles,
+//! * [`stats`] — statistics substrate (Welford CVs, percentiles,
 //!   range-limited histograms, ECDFs, the paper's log-normal/Burr fits);
 //! * [`arima`] — from-scratch ARIMA with automatic order selection;
 //! * [`trace`] — workload model, synthetic Azure-Functions-like trace

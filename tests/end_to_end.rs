@@ -131,8 +131,11 @@ fn hourly_load_has_diurnal_structure() {
         cap_per_day: 1_000.0,
         seed: 7,
     };
-    let trace = generate_trace(&population, &cfg);
-    let hourly = analysis::hourly_load(&trace);
+    let mut sc = analysis::StreamingCharacterization::new(cfg.horizon_ms);
+    for_each_app(&population, &cfg, |profile, events| {
+        sc.add(profile, &events)
+    });
+    let hourly = sc.hourly_normalized();
     assert_eq!(hourly.len(), 24 * 7);
     // Figure 4: a substantial flat baseline — the minimum hour stays
     // well above zero.

@@ -21,24 +21,6 @@ proptest! {
         prop_assert!((w.population_variance() - var).abs() < 1e-4 * (1.0 + var));
     }
 
-    /// Merging two Welford accumulators equals accumulating everything.
-    #[test]
-    fn welford_merge_associative(
-        xs in prop::collection::vec(-1.0e3f64..1.0e3, 0..100),
-        ys in prop::collection::vec(-1.0e3f64..1.0e3, 0..100),
-    ) {
-        let mut a = Welford::new();
-        for &x in &xs { a.push(x); }
-        let mut b = Welford::new();
-        for &y in &ys { b.push(y); }
-        a.merge(&b);
-        let mut whole = Welford::new();
-        for &v in xs.iter().chain(&ys) { whole.push(v); }
-        prop_assert_eq!(a.count(), whole.count());
-        prop_assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        prop_assert!((a.population_variance() - whole.population_variance()).abs() < 1e-6);
-    }
-
     /// Percentiles are monotone in `p` and bounded by min/max.
     #[test]
     fn percentiles_monotone(
