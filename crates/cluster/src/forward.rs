@@ -530,10 +530,9 @@ impl Handler for Front {
                     }
                 }
                 ReadEvent::Frame { trace } => self.frame(token, conn, trace),
-                // The control plane flows router → node, never client →
-                // router.
-                ReadEvent::Ctrl(_) => {
-                    let detail = "control frames terminate at nodes";
+                // Replication flows standby → node, never through a router.
+                ReadEvent::ReplPull { .. } => {
+                    let detail = "replication pulls terminate at nodes";
                     wire::encode_error_frame(local(conn), BinErrorCode::Malformed, detail)
                 }
                 ReadEvent::FrameError { code, detail, .. } => {

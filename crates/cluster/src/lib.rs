@@ -30,9 +30,9 @@
 //!   slot's warm standby (a `sitw-serve --follow` replica) in place and
 //!   bumps the ring epoch, or drops the node when no standby exists.
 //! * [`reconcile`] — the epoch-based budget reconciler: polls each
-//!   node's per-tenant ledger integrals over SITW-BIN control frames,
+//!   node's per-tenant ledger integrals (`GET /admin/usage`),
 //!   aggregates them cluster-wide, and pushes each tenant's budget to
-//!   its current ring owner.
+//!   its current ring owner (`POST /admin/budgets`).
 //! * [`ClusterSim`] — the offline model: QoS admission composed with
 //!   [`sitw_fleet::FleetSim`] over the union registry. Because
 //!   migration moves tenant state bit-for-bit, placement is invisible
@@ -57,7 +57,7 @@ pub mod sim;
 
 pub use federate::{parse_hist_body, parse_trace_spans, FleetHists, NodeHists, NodeSpan};
 pub use metrics::{render_fleet, RouterMetrics};
-pub use reconcile::{control_roundtrip, reconcile_shares};
+pub use reconcile::reconcile_shares;
 pub use ring::ClusterRing;
 pub use router::{
     FailoverMode, FailoverProposal, Router, RouterConfig, RouterTenant, ROUTER_TRACE_ORIGIN,

@@ -4,27 +4,25 @@
 //! keeps those local budgets meaningful cluster-wide. Every cycle it
 //!
 //! 1. polls each live node's per-tenant ledger integrals
-//!    ([`ControlRequest::Report`] over a SITW-BIN control frame),
+//!    (`GET /admin/usage`, read by [`sitw_serve::wire::parse_usage`]),
 //! 2. aggregates the reports name-keyed into one cluster view
 //!    ([`sitw_serve::wire::TenantUsage::fold`], on `/metrics`), and
 //! 3. pushes each budgeted tenant's **full** budget to its current ring
-//!    owner ([`reconcile_shares`], a pure function of the ring epoch).
+//!    owner ([`reconcile_shares`], a pure function of the ring epoch) as
+//!    a `POST /admin/budgets` body ([`sitw_serve::wire::write_budgets`]).
+//!
+//! Both are HTTP admin verbs of the node, made under the router's
+//! control-plane deadlines like every other router-to-node exchange.
 //!
 //! Budget follows ownership: named tenants land whole on one node, so
 //! the owner gets the whole budget and nobody else needs a share — a
 //! node that loses a tenant loses its state with the take, and a node
-//! that never owns it skips unknown names in a `BudgetSet` (uncounted in
-//! the ack). Shares are recomputed from the ring on every cycle, so a
-//! migration or node drop is reconciled one cycle after its epoch
-//! advance, without any per-change bookkeeping.
+//! that never owns it skips unknown names in a push (uncounted in its
+//! `{"applied":N}` answer). Shares are recomputed from the ring on every
+//! cycle, so a migration or node drop is reconciled one cycle after its
+//! epoch advance, without any per-change bookkeeping.
 
 use std::collections::BTreeMap;
-use std::io::{self, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
-
-use sitw_serve::http::{ConnBuf, Reply};
-use sitw_serve::wire::{encode_control_frame, ControlReply, ControlRequest, ServerFrameDecode};
 
 use crate::ring::ClusterRing;
 
@@ -50,29 +48,6 @@ pub fn reconcile_shares(
         }
     }
     per_node.into_iter().collect()
-}
-
-/// One control-plane round trip: connects to `addr`, sends `req` as a
-/// SITW-BIN control frame, and reads the node's control reply. Used by
-/// the reconciler and by parity tests that read ledger integrals off
-/// live nodes.
-pub fn control_roundtrip(addr: SocketAddr, req: &ControlRequest) -> io::Result<ControlReply> {
-    let stream = TcpStream::connect_timeout(&addr, Duration::from_secs(2))?;
-    stream.set_read_timeout(Some(Duration::from_secs(5)))?;
-    let mut conn = ConnBuf::new(stream);
-    let mut frame = Vec::new();
-    encode_control_frame(&mut frame, req);
-    conn.stream().write_all(&frame)?;
-    match conn.read_reply()?.owed()? {
-        Reply::Frame(ServerFrameDecode::Control { reply, .. }) => Ok(reply),
-        Reply::Frame(ServerFrameDecode::Error { code, detail, .. }) => Err(io::Error::other(
-            format!("control error {code:?}: {detail}"),
-        )),
-        other => Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("unexpected reply to a control request: {other:?}"),
-        )),
-    }
 }
 
 #[cfg(test)]

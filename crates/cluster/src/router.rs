@@ -56,7 +56,7 @@ use sitw_fleet::{fnv1a, registry::parse_tenant_arg, Admission, QosPolicy};
 use sitw_serve::http::{call, write_response, Request};
 use sitw_serve::reactor::{self, Pool};
 use sitw_serve::server::write_error;
-use sitw_serve::wire::{self, ControlReply, ControlRequest, TenantUsage};
+use sitw_serve::wire::{self, TenantUsage};
 
 use sitw_telemetry::{
     is_trace_span, lock_unpoisoned, write_trace_json, write_trace_text, Clock, EventKind,
@@ -66,7 +66,7 @@ use sitw_telemetry::{
 use crate::federate::{parse_hist_body, parse_trace_spans, rebase, FleetHists, NodeSpan};
 use crate::forward::Front;
 use crate::metrics::{render_fleet, RouterMetrics};
-use crate::reconcile::{control_roundtrip, reconcile_shares};
+use crate::reconcile::reconcile_shares;
 use crate::ring::ClusterRing;
 
 /// How long the router waits for a control-plane TCP connect
@@ -396,12 +396,13 @@ impl RouterCtx {
             if !ring.is_live(node) {
                 continue;
             }
-            match control_roundtrip(self.node_addr(node), &ControlRequest::Report) {
-                Ok(ControlReply::Report(tenants)) => {
+            let report = control_call(self.node_addr(node), "GET", "/admin/usage", b"");
+            match report.map(|(status, body)| (status, wire::parse_usage(body.as_bytes()))) {
+                Ok((200, Ok(tenants))) => {
                     nodes_reporting += 1;
                     usage.extend(tenants);
                 }
-                Ok(ControlReply::BudgetAck { .. }) | Err(_) => self.metrics.node_error(node),
+                _ => self.metrics.node_error(node),
             }
         }
         let budgets: Vec<(String, u64)> = self
@@ -412,9 +413,12 @@ impl RouterCtx {
             .collect();
         let mut pushes = 0u32;
         for (node, shares) in reconcile_shares(&budgets, &ring) {
-            match control_roundtrip(self.node_addr(node), &ControlRequest::BudgetSet(shares)) {
-                Ok(ControlReply::BudgetAck { applied }) => pushes += applied,
-                Ok(ControlReply::Report(_)) | Err(_) => self.metrics.node_error(node),
+            let mut body = Vec::new();
+            wire::write_budgets(&mut body, &shares);
+            let ack = control_call(self.node_addr(node), "POST", "/admin/budgets", &body);
+            match ack.map(|(status, body)| (status, parse_applied(&body))) {
+                Ok((200, Some(applied))) => pushes += applied,
+                _ => self.metrics.node_error(node),
             }
         }
         *lock_unpoisoned(&self.metrics.usage) = TenantUsage::fold(usage);
@@ -1213,6 +1217,12 @@ fn control_call(
     body: &[u8],
 ) -> io::Result<(u16, String)> {
     call(addr, method, path, body, CONNECT_TIMEOUT, CONTROL_TIMEOUT)
+}
+
+/// The count of a `POST /admin/budgets` answer, `{"applied":N}`.
+fn parse_applied(body: &str) -> Option<u32> {
+    let digits = body.strip_prefix("{\"applied\":")?.strip_suffix('}')?;
+    digits.parse().ok()
 }
 
 /// Extracts the first `"id":N` field of a JSON body.

@@ -2,7 +2,7 @@
 //! in-process `Router` over real `sitw-serve` nodes — placement
 //! determinism, batched-frame split/reassembly, typed QoS throttling,
 //! typed node-down errors with explicit ring-drop recovery, and budget
-//! reconciliation over control frames.
+//! reconciliation over the nodes' admin verbs.
 
 mod common;
 
@@ -10,12 +10,10 @@ use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::time::Duration;
 
-use common::{http, records, start_node};
-use sitw_cluster::{control_roundtrip, ClusterRing, Router, RouterConfig, RouterTenant};
+use common::{http, records, start_node, usage};
+use sitw_cluster::{ClusterRing, Router, RouterConfig, RouterTenant};
 use sitw_serve::http::Reply;
-use sitw_serve::wire::{
-    self, BinErrorCode, BinReply, ControlReply, ControlRequest, ServerFrameDecode,
-};
+use sitw_serve::wire::{self, BinErrorCode, BinReply, ServerFrameDecode};
 use sitw_serve::Client;
 
 fn router_over(nodes: &[SocketAddr], tenants: &[&str]) -> Router {
@@ -279,10 +277,7 @@ fn reconciler_pushes_budgets_to_ring_owners() {
 
     // The owner node's ledger carries the budget and the invocations.
     let owner = ClusterRing::new(2).node_of_tenant("metered").unwrap();
-    let reply = control_roundtrip(addrs[owner], &ControlRequest::Report).unwrap();
-    let ControlReply::Report(tenants) = reply else {
-        panic!("expected a report, got {reply:?}");
-    };
+    let tenants = usage(addrs[owner]);
     let metered = tenants.iter().find(|t| t.name == "metered").unwrap();
     assert_eq!(metered.budget_mb, 48);
     assert_eq!(metered.invocations, 5);
@@ -791,6 +786,45 @@ fn bad_version_frame_gets_its_typed_error_through_the_router_not_a_reset() {
         }
         // Nothing but the error frame, then the close.
         expect_fin(&mut client, attempt);
+    }
+    router.shutdown();
+    node.shutdown().unwrap();
+}
+
+/// A frame of kind 4 or 5 — the retired control frames, here the bytes
+/// of a usage poll — gets the generic skippable `Malformed`, and the
+/// next request on the connection is served.
+#[test]
+fn a_retired_control_frame_is_malformed_and_the_connection_serves_on() {
+    let node = start_node();
+    let router = router_over(&[node.addr()], &[]);
+    let mut client = Client::connect(router.addr()).unwrap();
+    for (ts, kind) in [(1, 4u8), (2, 5)] {
+        client
+            .send(&[
+                wire::BIN_MAGIC,
+                wire::BIN_VERSION_2,
+                kind,
+                1,
+                0,
+                0,
+                0,
+                0,
+                0,
+                0,
+                0,
+                1,
+            ])
+            .unwrap();
+        match client.recv().unwrap() {
+            Reply::Frame(ServerFrameDecode::Error { code, detail, .. }) => {
+                assert_eq!(code, BinErrorCode::Malformed);
+                assert_eq!(detail, format!("unexpected frame kind {kind}"));
+            }
+            other => panic!("kind {kind}: {other:?}"),
+        }
+        let (status, body) = client.invoke(None, "a", ts, None).unwrap();
+        assert_eq!(status, 200, "{body}");
     }
     router.shutdown();
     node.shutdown().unwrap();

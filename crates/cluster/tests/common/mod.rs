@@ -14,7 +14,7 @@ use std::time::Duration;
 
 use sitw_core::PolicySpec;
 use sitw_serve::http::Reply;
-use sitw_serve::wire::BinReply;
+use sitw_serve::wire::{self, BinReply, TenantUsage};
 use sitw_serve::{ServeConfig, Server, TenantConfig};
 
 /// Starts one bare node: no tenants (the router provisions them), the
@@ -34,6 +34,13 @@ pub fn start_node() -> Server {
 pub fn http(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
     let wait = Duration::from_secs(10);
     sitw_serve::http::call(addr, method, path, body.as_bytes(), wait, wait).expect("http call")
+}
+
+/// A node's per-tenant ledger integrals, off its `GET /admin/usage`.
+pub fn usage(addr: SocketAddr) -> Vec<TenantUsage> {
+    let (status, body) = http(addr, "GET", "/admin/usage", "");
+    assert_eq!(status, 200, "{body}");
+    wire::parse_usage(body.as_bytes()).expect("usage body")
 }
 
 /// The verdicts of the reply frame a `Client::batch` got back.

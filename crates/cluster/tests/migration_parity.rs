@@ -4,21 +4,19 @@
 //! another node mid-replay. Every verdict (cold/warm, pre-warm load,
 //! eviction downgrade, decision branch, both windows) and every QoS
 //! throttle matches the offline model, and after the replay the
-//! per-tenant ledger integrals summed across the nodes' control-frame
-//! reports equal the model's ledgers exactly: migration moves state
+//! per-tenant ledger integrals summed across the nodes' usage reports
+//! equal the model's ledgers exactly: migration moves state
 //! bit-for-bit, it doesn't reset or double-count it.
 
 mod common;
 
 use std::net::SocketAddr;
 
-use common::{http, records, start_node};
-use sitw_cluster::{
-    control_roundtrip, ClusterOutcome, ClusterRing, ClusterSim, Router, RouterConfig, RouterTenant,
-};
+use common::{http, records, start_node, usage};
+use sitw_cluster::{ClusterOutcome, ClusterRing, ClusterSim, Router, RouterConfig, RouterTenant};
 use sitw_core::PolicySpec;
 use sitw_fleet::{footprint_mb, TenantId, TenantRegistry};
-use sitw_serve::wire::{self, BinReply, ControlReply, ControlRequest, TenantUsage};
+use sitw_serve::wire::{self, BinReply, TenantUsage};
 use sitw_serve::Client;
 use sitw_trace::{app_invocations, build_population, PopulationConfig, TraceConfig, DAY_MS};
 
@@ -248,18 +246,12 @@ fn migration_mid_replay_is_bit_identical_to_cluster_sim() {
     );
 
     // Conservation: per named tenant, the ledger integrals summed over
-    // the nodes' control-frame reports equal the offline model's ledger
+    // the nodes' usage reports equal the offline model's ledger
     // exactly. (Named tenants live whole on one node; migration carries
     // evictions, idle integral, and the warm set bit-for-bit. The
     // default tenant is excluded: its ledger is sharded by design, and
     // per-shard idle integrals advance on per-shard arrivals.)
-    let mut reports: Vec<Vec<TenantUsage>> = Vec::new();
-    for addr in &addrs {
-        match control_roundtrip(*addr, &ControlRequest::Report).unwrap() {
-            ControlReply::Report(tenants) => reports.push(tenants),
-            other => panic!("expected a report: {other:?}"),
-        }
-    }
+    let reports: Vec<Vec<TenantUsage>> = addrs.iter().map(|&addr| usage(addr)).collect();
     for (name, tid) in [("alpha", 1u16), ("metered", 2), ("limited", 3)] {
         let (mut warm_mb, mut evictions, mut idle_mb_ms, mut invocations) =
             (0u64, 0u64, 0u64, 0u64);
@@ -295,13 +287,9 @@ fn migration_mid_replay_is_bit_identical_to_cluster_sim() {
     let (nodes_ok, pushes) = router.reconcile_now();
     assert_eq!(nodes_ok, 3);
     assert_eq!(pushes, 1, "one budgeted tenant");
-    match control_roundtrip(addrs[migrate_to], &ControlRequest::Report).unwrap() {
-        ControlReply::Report(tenants) => {
-            let metered = tenants.iter().find(|t| t.name == "metered").unwrap();
-            assert_eq!(metered.budget_mb, metered_budget, "budget follows the move");
-        }
-        other => panic!("expected a report: {other:?}"),
-    }
+    let tenants = usage(addrs[migrate_to]);
+    let metered = tenants.iter().find(|t| t.name == "metered").unwrap();
+    assert_eq!(metered.budget_mb, metered_budget, "budget follows the move");
 
     router.shutdown();
     for n in nodes {

@@ -23,8 +23,8 @@ impl Interest {
         writable: false,
     };
 
-    /// No readiness at all (backpressured connection with nothing to
-    /// write); errors and hang-ups still wake the loop.
+    /// A registration with no readiness interest (errors and hang-ups
+    /// only); `interest_modification_and_delete` alone registers one.
     pub const NONE: Interest = Interest {
         readable: false,
         writable: false,

@@ -235,7 +235,7 @@ impl<S> Conn<S> {
     }
 
     /// The next message of the read burst — a request in [`Conn::req`],
-    /// a frame's records in [`Conn::records`], a control frame, or a
+    /// a frame's records in [`Conn::records`], a replication pull, or a
     /// protocol error to answer (never `Eof` or `Timeout`) — or `None`
     /// once the burst is over: the socket drained, backpressure latched
     /// (`open` answers against `window`), the peer closed, a fatal error,

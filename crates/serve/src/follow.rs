@@ -12,9 +12,9 @@
 //!
 //! Until promotion the node's gate is closed. The decision path reads it
 //! once per read burst or frame and answers a JSON `/invoke` with 503 and
-//! a SITW-BIN frame, control frame or replication pull with a
-//! [`wire::BinErrorCode::Unavailable`] error frame; the tenant and
-//! snapshot admin verbs get 503 too. `/healthz` (replication lag),
+//! a SITW-BIN frame or replication pull with a
+//! [`wire::BinErrorCode::Unavailable`] error frame; the tenant, snapshot,
+//! usage and budget admin verbs get 503 too. `/healthz` (replication lag),
 //! `/metrics` (whose `sitw_serve_repl_*` families count what was
 //! pulled), `/debug/*` and `/admin/shutdown` answer as on any node.
 //!
@@ -48,6 +48,10 @@ use crate::wire::{self, ServerFrameDecode};
 /// What a standby answers in place of a decision or a mutation.
 pub(crate) const NOT_PROMOTED: &str = "standby: not promoted";
 
+/// Connect/read/write deadline on each pull, so a hung primary surfaces
+/// as a counted failure instead of a stuck puller.
+const PULL_TIMEOUT: Duration = Duration::from_secs(2);
+
 /// The follow section of a [`crate::ServeConfig`].
 #[derive(Debug, Clone)]
 pub struct FollowConfig {
@@ -56,9 +60,6 @@ pub struct FollowConfig {
     pub primary_addr: String,
     /// Delay between replication pulls.
     pub pull_interval: Duration,
-    /// Connect/read/write deadline on each pull, so a hung primary
-    /// surfaces as a counted failure instead of a stuck puller.
-    pub pull_timeout: Duration,
     /// When set, the standby promotes itself once the primary has been
     /// unreachable for at least this long (and three consecutive pulls
     /// failed). `None` (supervised mode) waits for `/admin/promote`.
@@ -70,7 +71,6 @@ impl Default for FollowConfig {
         Self {
             primary_addr: "127.0.0.1:7071".into(),
             pull_interval: Duration::from_millis(100),
-            pull_timeout: Duration::from_secs(2),
             auto_promote_after: None,
         }
     }
@@ -420,18 +420,18 @@ fn maybe_auto_promote(ctx: &ServerCtx, follow: &Follow, failures: u64) {
 
 /// One pull: send the ack, reassemble the round, apply it.
 fn pull_once(ctx: &ServerCtx, follow: &Follow, conn: &mut Option<ConnBuf>) -> Result<(), String> {
-    let (primary, timeout) = (&follow.cfg.primary_addr, follow.cfg.pull_timeout);
+    let primary = &follow.cfg.primary_addr;
     if conn.is_none() {
         let addr = primary
             .to_socket_addrs()
             .map_err(|e| format!("resolve {primary}: {e}"))?
             .next()
             .ok_or_else(|| format!("resolve {primary}: no address"))?;
-        let stream = TcpStream::connect_timeout(&addr, timeout)
+        let stream = TcpStream::connect_timeout(&addr, PULL_TIMEOUT)
             .map_err(|e| format!("connect {addr}: {e}"))?;
         stream
-            .set_read_timeout(Some(timeout))
-            .and_then(|()| stream.set_write_timeout(Some(timeout)))
+            .set_read_timeout(Some(PULL_TIMEOUT))
+            .and_then(|()| stream.set_write_timeout(Some(PULL_TIMEOUT)))
             .map_err(|e| format!("socket setup: {e}"))?;
         *conn = Some(ConnBuf::new(stream));
     }
@@ -445,7 +445,7 @@ fn pull_once(ctx: &ServerCtx, follow: &Follow, conn: &mut Option<ConnBuf>) -> Re
 
     let mut assembler = RoundAssembler::default();
     // sitw-lint: allow(clock-discipline)
-    let deadline = Instant::now() + timeout;
+    let deadline = Instant::now() + PULL_TIMEOUT;
     let round = loop {
         // The socket deadline bounds each read; this one bounds a
         // primary that keeps trickling frames without ever committing.
@@ -559,7 +559,15 @@ mod tests {
 
     #[test]
     fn standby_refuses_what_it_cannot_serve_until_promoted() {
-        let standby = Server::start(standby_cfg("127.0.0.1:1", None)).unwrap();
+        let standby = Server::start(ServeConfig {
+            tenants: vec![TenantConfig {
+                name: "t".into(),
+                policy: PolicySpec::fixed_minutes(10),
+                budget_mb: 0,
+            }],
+            ..standby_cfg("127.0.0.1:1", None)
+        })
+        .unwrap();
         let mut client = Client::connect(standby.addr()).unwrap();
         let (status, body) = client.invoke(None, "a", 1, None).unwrap();
         assert_eq!(
@@ -584,10 +592,13 @@ mod tests {
             ("/admin/snapshot", ""),
             ("/admin/tenants/t/take", ""),
             ("/admin/tenants/t/restore", ""),
+            ("/admin/budgets", "t=64\n"),
         ] {
             let (status, text) = client.request("POST", path, body).unwrap();
             assert_eq!(status, 503, "{path}: {text}");
         }
+        let (status, text) = client.request("GET", "/admin/usage", "").unwrap();
+        assert_eq!(status, 503, "/admin/usage: {text}");
         for path in ["/healthz", "/metrics", "/debug/events", "/admin/tenants"] {
             let (status, text) = client.request("GET", path, "").unwrap();
             assert_eq!(status, 200, "{path}: {text}");
@@ -606,6 +617,17 @@ mod tests {
         assert_eq!(status, 200, "{body}");
         let (_, health) = client.request("GET", "/healthz", "").unwrap();
         assert!(health.contains("\"status\":\"ok\""), "{health}");
+        // The refused budget push applied nothing; the same push now does.
+        let budget_of_t = |client: &mut Client| {
+            let (status, body) = client.request("GET", "/admin/usage", "").unwrap();
+            assert_eq!(status, 200, "{body}");
+            let rows = wire::parse_usage(body.as_bytes()).unwrap();
+            rows.iter().find(|u| u.name == "t").unwrap().budget_mb
+        };
+        assert_eq!(budget_of_t(&mut client), 0);
+        let (status, body) = client.request("POST", "/admin/budgets", "t=64\n").unwrap();
+        assert_eq!((status, body.as_str()), (200, "{\"applied\":1}"));
+        assert_eq!(budget_of_t(&mut client), 64);
         let (status, _) = client.request("POST", "/admin/shutdown", "").unwrap();
         assert_eq!(status, 200);
         assert!(standby.shutdown_requested());

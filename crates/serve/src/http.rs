@@ -42,9 +42,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::ops::Range;
 use std::time::Duration;
 
-use crate::wire::{
-    self, BinErrorCode, BinInvoke, BinReply, ControlRequest, FrameDecodeInto, ServerFrameDecode,
-};
+use crate::wire::{self, BinErrorCode, BinInvoke, BinReply, FrameDecodeInto, ServerFrameDecode};
 
 /// Maximum accepted header block (request or status line + headers),
 /// in either direction.
@@ -118,9 +116,12 @@ pub enum ReadEvent {
         /// The propagated trace id, when the frame carried one.
         trace: Option<u64>,
     },
-    /// A complete SITW-BIN cluster control frame (never touches the
-    /// caller's record buffer).
-    Ctrl(ControlRequest),
+    /// A complete SITW-BIN replication pull (never touches the caller's
+    /// record buffer).
+    ReplPull {
+        /// The epoch the follower holds (0 = nothing yet).
+        epoch: u64,
+    },
     /// A SITW-BIN protocol error. When `recoverable`, the offending
     /// frame has been skipped (its envelope was intact) and the
     /// connection stays usable; otherwise the caller must answer the
@@ -401,9 +402,9 @@ impl ConnBuf {
                     self.start += consumed;
                     return Ok(ReadEvent::Frame { trace });
                 }
-                FrameDecodeInto::Control { req, consumed } => {
+                FrameDecodeInto::ReplPull { epoch, consumed } => {
                     self.start += consumed;
-                    return Ok(ReadEvent::Ctrl(req));
+                    return Ok(ReadEvent::ReplPull { epoch });
                 }
                 FrameDecodeInto::Error { code, detail, skip } => {
                     let recoverable = skip.is_some();
@@ -440,7 +441,7 @@ impl ConnBuf {
             ReadEvent::Eof => Ok(ReadOutcome::Eof),
             ReadEvent::Timeout => Ok(ReadOutcome::Timeout),
             ReadEvent::BodyTooLarge { declared } => Ok(ReadOutcome::BodyTooLarge { declared }),
-            ReadEvent::Frame { .. } | ReadEvent::Ctrl(_) | ReadEvent::FrameError { .. } => {
+            ReadEvent::Frame { .. } | ReadEvent::ReplPull { .. } | ReadEvent::FrameError { .. } => {
                 Err(invalid("unexpected binary frame on an http-only reader"))
             }
         }
@@ -560,7 +561,6 @@ impl ConnBuf {
             let consumed = match &frame {
                 ServerFrameDecode::Reply { consumed, .. }
                 | ServerFrameDecode::Error { consumed, .. }
-                | ServerFrameDecode::Control { consumed, .. }
                 | ServerFrameDecode::ReplChunk { consumed, .. }
                 | ServerFrameDecode::ReplCommit { consumed, .. } => *consumed,
                 ServerFrameDecode::Incomplete => {
@@ -1276,17 +1276,6 @@ mod tests {
             wire::encode_error_frame(s, BinErrorCode::Unavailable, "node n1 down")
         });
         push(&mut s, &|s| {
-            let usage = wire::TenantUsage {
-                name: "t0".into(),
-                budget_mb: 64,
-                warm_mb: 10,
-                evictions: 1,
-                idle_mb_ms: 50,
-                invocations: 3,
-            };
-            wire::encode_control_reply(s, &wire::ControlReply::Report(vec![usage]));
-        });
-        push(&mut s, &|s| {
             wire::encode_repl_chunk(s, wire::FRAME_REPL_SYNC, 9, 0, true, b"doc")
         });
         push(&mut s, &|s| wire::encode_repl_commit(s, 9));
@@ -1341,7 +1330,6 @@ mod tests {
                 "Reply",
                 "Http",
                 "Error",
-                "Control",
                 "ReplChunk",
                 "ReplCommit",
                 "Http"
@@ -1352,9 +1340,9 @@ mod tests {
             whole[1].0.contains("OutOfOrder { last_ts: 77 }") && whole[1].0.contains("Throttled")
         );
         assert!(whole[3].0.contains("Unavailable") && whole[3].0.contains("node n1 down"));
-        assert!(whole[4].0.contains("budget_mb: 64") && whole[5].0.contains("[100, 111, 99]"));
+        assert!(whole[4].0.contains("[100, 111, 99]"));
         assert_eq!(whole[0].1, b"{\"verdict\":\"cold\"}");
-        assert!(whole[1].1.is_empty() && whole[7].1.is_empty());
+        assert!(whole[1].1.is_empty() && whole[6].1.is_empty());
         for ((_, _, raw), span) in whole.iter().zip(&spans) {
             assert_eq!(raw, &stream[span.clone()]);
         }

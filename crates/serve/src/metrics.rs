@@ -166,9 +166,6 @@ pub struct ProtoStats {
     /// Typed SITW-BIN protocol errors answered (malformed frames,
     /// oversized batches, bad versions).
     pub proto_errors: u64,
-    /// SITW-BIN control frames served (usage reports and budget pushes
-    /// from a cluster router's reconciler).
-    pub control_frames: u64,
 }
 
 /// Connection-level gauges (server-wide; maintained by the reactors
@@ -484,12 +481,6 @@ impl<'a> NodeScrape<'a> {
             sample: |v, s| s.scalar(v.report.proto.proto_errors),
         },
         Family {
-            name: "sitw_serve_control_frames_total",
-            kind: Kind::Counter,
-            help: "SITW-BIN control frames served (reports and budget pushes)",
-            sample: |v, s| s.scalar(v.report.proto.control_frames),
-        },
-        Family {
             name: "sitw_serve_connections_live",
             kind: Kind::Gauge,
             help: "Connections currently open",
@@ -706,7 +697,6 @@ mod tests {
                 frames: 13,
                 batched_decisions: 1664,
                 proto_errors: 2,
-                control_frames: 5,
             },
             conns: ConnStats {
                 live: 3,
@@ -726,7 +716,6 @@ mod tests {
         assert!(text.contains("sitw_serve_frames_total 13"));
         assert!(text.contains("sitw_serve_batched_decisions_total 1664"));
         assert!(text.contains("sitw_serve_proto_errors_total 2"));
-        assert!(text.contains("sitw_serve_control_frames_total 5"));
         assert!(text.contains("# TYPE sitw_serve_connections_live gauge"));
         assert!(text.contains("sitw_serve_connections_live 3"));
         assert!(text.contains("# TYPE sitw_serve_connections_accepted_total counter"));
@@ -797,7 +786,6 @@ mod tests {
                 frames: 13,
                 batched_decisions: 1664,
                 proto_errors: 2,
-                control_frames: 5,
             },
             conns: ConnStats {
                 live: 3,

@@ -16,7 +16,7 @@
 //! /invoke`s are parked and decided together when the burst ends — the
 //! socket drained, backpressure, EOF, or any other message, which the run
 //! ends before it is answered. There is no timer: a lone request is a run
-//! of one, and `pipeline_window` bounds a run. JSON and SITW-BIN share
+//! of one, and `reactor::WINDOW` bounds a run. JSON and SITW-BIN share
 //! one decide path, one lock per touched shard per run or frame, and
 //! everything else is answered as it is read: a node never owes.
 
@@ -29,8 +29,8 @@ use sitw_telemetry::{Gate, Stage};
 use crate::conn::Conn;
 use crate::follow::NOT_PROMOTED;
 use crate::http::{write_response, ReadEvent};
-use crate::reactor::{Handler, ReactorTelemHandle};
-use crate::server::{handle_control, handle_ctrl_frame, parse_and_route, write_error, ServerCtx};
+use crate::reactor::{self, Handler, ReactorTelemHandle};
+use crate::server::{handle_control, parse_and_route, write_error, ServerCtx};
 use crate::shard::{Decision, InvokeError, ShardWorker, Spans};
 use crate::wire::{self, push_u64, BinErrorCode, BinInvoke, InvokeRequest};
 
@@ -263,7 +263,7 @@ impl Handler for Node {
     }
 
     fn window(&self) -> usize {
-        self.ctx.cfg.pipeline_window
+        reactor::WINDOW
     }
 
     /// Parses and answers everything the socket has: one read burst.
@@ -285,8 +285,7 @@ impl Handler for Node {
             following: ctx.following(),
             t_read_end: 0,
         };
-        let window = ctx.cfg.pipeline_window;
-        while let Some(event) = conn.next(b.batch.parked(), window, b.telem) {
+        while let Some(event) = conn.next(b.batch.parked(), reactor::WINDOW, b.telem) {
             if !matches!(event, ReadEvent::Request) {
                 // Only another request can extend the run; anything
                 // else ends it *before* answering itself (arrival
@@ -296,7 +295,7 @@ impl Handler for Node {
             match event {
                 ReadEvent::Request => b.request(conn),
                 ReadEvent::Frame { trace } => b.frame(conn, trace),
-                ReadEvent::Ctrl(ctrl) => handle_ctrl_frame(&ctrl, ctx, &mut conn.out),
+                ReadEvent::ReplPull { epoch } => ctx.repl_round(epoch, &mut conn.out),
                 ReadEvent::FrameError { code, detail, .. } => b.bin_error(conn, code, &detail),
                 ReadEvent::BodyTooLarge { .. } => {
                     write_error(&mut conn.out, 413, "payload too large")

@@ -54,6 +54,10 @@ pub const IDLE_TIMEOUT: Duration = Duration::from_secs(10);
 /// default.
 pub const WINDOW: usize = 128;
 
+/// A node's poll tick: bounds how quickly shutdowns propagate and how
+/// often the slowloris sweep runs.
+pub(crate) const TICK: Duration = Duration::from_millis(50);
+
 const WAKER_TOKEN: u64 = u64::MAX;
 const LISTENER_TOKEN: u64 = u64::MAX - 1;
 

@@ -57,7 +57,7 @@ use crate::shard::{DirtyShardExport, ShardTelem, ShardWorker, TenantRestore};
 use crate::snapshot::{
     decode_tenant_section, encode_tenant_section, AppRecord, ShardExport, Snapshot, TenantSnapshot,
 };
-use crate::wire::{self, push_u64, BinErrorCode, ControlReply, ControlRequest, TenantUsage};
+use crate::wire::{self, push_u64, BinErrorCode, TenantUsage};
 
 /// One tenant in the server configuration (CLI `--tenant`, a tenants
 /// file, or programmatic [`ServeConfig::tenants`]).
@@ -96,14 +96,6 @@ pub struct ServeConfig {
     /// serves on the same address from the replicated state, restored
     /// into shards this config describes.
     pub follow: Option<FollowConfig>,
-    /// The reactor poll tick: bounds how quickly shutdowns propagate and
-    /// how often the slowloris sweep runs. (Historically the per-socket
-    /// read timeout, which bounded the same things.)
-    pub read_timeout: Duration,
-    /// Most pipelined JSON requests one run collects before it is
-    /// decided (reading pauses until it is). A SITW-BIN frame is decided
-    /// as it arrives; the output backlog cap bounds the rest.
-    pub pipeline_window: usize,
     /// Event-loop threads multiplexing the connections (≥ 1). They do
     /// all the deciding too, so this, not the shard count, sets how many
     /// cores decide at once; a handful serves thousands of mostly idle
@@ -131,8 +123,6 @@ impl Default for ServeConfig {
             snapshot_path: None,
             restore_path: None,
             follow: None,
-            read_timeout: Duration::from_millis(50),
-            pipeline_window: reactor::WINDOW,
             reactor_threads: reactor::REACTORS,
             idle_timeout: reactor::IDLE_TIMEOUT,
             telemetry: true,
@@ -210,8 +200,6 @@ pub(crate) struct ServerCtx {
     pub(crate) batched_decisions: AtomicU64,
     /// Typed SITW-BIN protocol errors answered.
     pub(crate) proto_errors: AtomicU64,
-    /// SITW-BIN control frames served (reports + budget pushes).
-    pub(crate) ctrl_frames: AtomicU64,
     /// Shared telemetry state: per-reactor flight recorders/histograms
     /// and per-shard recorders.
     pub(crate) telem: TelemCtx,
@@ -282,7 +270,6 @@ impl ServerCtx {
                 frames: self.frames.load(Ordering::Relaxed),
                 batched_decisions: self.batched_decisions.load(Ordering::Relaxed),
                 proto_errors: self.proto_errors.load(Ordering::Relaxed),
-                control_frames: self.ctrl_frames.load(Ordering::Relaxed),
             },
             conns: ConnStats {
                 live: self.pool.live(),
@@ -353,8 +340,12 @@ impl ServerCtx {
     /// (no epoch bump) when nothing changed. Each shard exports under its
     /// own lock, one at a time — no shard pauses while another exports —
     /// and a round with an unavailable shard is refused with an
-    /// `Unavailable` error frame instead of skipping its state.
-    fn repl_round(&self, follower_epoch: u64, out: &mut Vec<u8>) {
+    /// `Unavailable` error frame instead of skipping its state, as is
+    /// every pull to an unpromoted standby.
+    pub(crate) fn repl_round(&self, follower_epoch: u64, out: &mut Vec<u8>) {
+        if self.following() {
+            return wire::encode_error_frame(out, BinErrorCode::Unavailable, NOT_PROMOTED);
+        }
         let mut repl = lock_unpoisoned(&self.repl);
         repl.rounds += 1;
         repl.last_pull_ms = self.uptime_ms().max(1);
@@ -688,7 +679,7 @@ impl Server {
         let pool = Pool::bind(
             &cfg.addr,
             cfg.reactor_threads,
-            cfg.read_timeout,
+            reactor::TICK,
             cfg.idle_timeout,
         )?;
         let ctx = Arc::new(ServerCtx {
@@ -701,7 +692,6 @@ impl Server {
             frames: AtomicU64::new(0),
             batched_decisions: AtomicU64::new(0),
             proto_errors: AtomicU64::new(0),
-            ctrl_frames: AtomicU64::new(0),
             telem,
             repl: Mutex::new(ReplState::default()),
             restore_error,
@@ -820,33 +810,6 @@ pub(crate) fn parse_and_route(
     Ok((tenant, shard))
 }
 
-/// Executes one SITW-BIN control frame (the cluster control plane).
-/// Like [`handle_control`], this runs once every earlier message on its
-/// connection is answered: a usage report reflects every earlier
-/// decision on the connection, and a budget push lands between frames,
-/// never inside one.
-pub(crate) fn handle_ctrl_frame(req: &ControlRequest, ctx: &ServerCtx, out: &mut Vec<u8>) {
-    ctx.ctrl_frames.fetch_add(1, Ordering::Relaxed);
-    if ctx.following() {
-        // Not a cluster member (nor a replication source) until promoted.
-        wire::encode_error_frame(out, BinErrorCode::Unavailable, NOT_PROMOTED);
-        return;
-    }
-    match req {
-        ControlRequest::Report => match ctx.tenant_usage() {
-            Ok(usage) => wire::encode_control_reply(out, &ControlReply::Report(usage)),
-            Err(e) => wire::encode_error_frame(out, BinErrorCode::Unavailable, &e),
-        },
-        ControlRequest::BudgetSet(pairs) => {
-            let applied = ctx.set_budgets(pairs);
-            wire::encode_control_reply(out, &ControlReply::BudgetAck { applied });
-        }
-        ControlRequest::ReplPull { epoch } => {
-            ctx.repl_round(*epoch, out);
-        }
-    }
-}
-
 /// A JSON error response, `{"error":"<msg>"}`: the node's, and the
 /// router's for the same failures.
 pub fn write_error(out: &mut Vec<u8>, status: u16, msg: &str) {
@@ -878,9 +841,8 @@ pub(crate) fn handle_control(req: &Request, ctx: &ServerCtx, out: &mut Vec<u8>) 
     // read burst that found the gate closed.
     let refused = match (req.method.as_str(), path) {
         ("POST", "/invoke") => true,
-        ("POST", p) => {
-            ctx.following() && (p == "/admin/snapshot" || p.starts_with("/admin/tenants"))
-        }
+        ("POST", "/admin/snapshot" | "/admin/budgets") | ("GET", "/admin/usage") => ctx.following(),
+        ("POST", p) => ctx.following() && p.starts_with("/admin/tenants"),
         _ => false,
     };
     if refused {
@@ -953,6 +915,21 @@ pub(crate) fn handle_control(req: &Request, ctx: &ServerCtx, out: &mut Vec<u8>) 
                 Err(e) => write_error(out, 400, &e),
             }
         }
+        ("GET", "/admin/usage") => match ctx.tenant_usage() {
+            Ok(rows) => {
+                let mut body = Vec::new();
+                wire::write_usage(&mut body, &rows);
+                write_response(out, 200, "application/json", &body);
+            }
+            Err(e) => write_error(out, 503, &e),
+        },
+        ("POST", "/admin/budgets") => match wire::parse_budgets(&req.body) {
+            Ok(shares) => {
+                let body = format!("{{\"applied\":{}}}", ctx.set_budgets(&shares));
+                write_response(out, 200, "application/json", body.as_bytes());
+            }
+            Err(e) => write_error(out, 400, &e.to_string()),
+        },
         ("POST", "/admin/snapshot") => match &ctx.cfg.snapshot_path {
             Some(path) => match ctx.snapshot() {
                 Ok(snapshot) => match snapshot.write_to(path) {
@@ -1109,8 +1086,8 @@ pub(crate) fn handle_control(req: &Request, ctx: &ServerCtx, out: &mut Vec<u8>) 
         (
             _,
             "/invoke" | "/healthz" | "/metrics" | "/debug/trace" | "/debug/threads" | "/debug/hist"
-            | "/debug/events" | "/debug/policy" | "/admin/tenants" | "/admin/snapshot"
-            | "/admin/promote" | "/admin/shutdown",
+            | "/debug/events" | "/debug/policy" | "/admin/tenants" | "/admin/usage"
+            | "/admin/budgets" | "/admin/snapshot" | "/admin/promote" | "/admin/shutdown",
         ) => write_error(out, 405, "method not allowed"),
         _ => write_error(out, 404, "not found"),
     }

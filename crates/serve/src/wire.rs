@@ -459,6 +459,208 @@ pub fn parse_tenant_listing(body: &str) -> std::collections::HashMap<String, u16
     ids
 }
 
+/// One tenant's ledger integrals: a row of a node's `GET /admin/usage`
+/// report.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TenantUsage {
+    /// Tenant name (the cluster-wide key).
+    pub name: String,
+    /// The budget currently enforced on this node, MB (0 = unlimited).
+    pub budget_mb: u64,
+    /// Warm memory currently charged, MB.
+    pub warm_mb: u64,
+    /// Budget evictions so far.
+    pub evictions: u64,
+    /// Loaded-memory integral, MB·ms.
+    pub idle_mb_ms: u64,
+    /// Invocations served.
+    pub invocations: u64,
+}
+
+impl TenantUsage {
+    /// Folds usage slices by tenant **name** — the cluster-stable key —
+    /// into one name-ordered entry per tenant: shard slices into a
+    /// node's report, node reports into the cluster view. Budgets take
+    /// the max (one enforcing owner per named tenant; the default
+    /// tenant's is replicated, not split); the rest sums, saturating —
+    /// the ledger saturates `idle_mb_ms` at `u64::MAX` and timestamps
+    /// are client-supplied, so two slices can both already be there.
+    pub fn fold(slices: impl IntoIterator<Item = TenantUsage>) -> Vec<TenantUsage> {
+        let mut by_name = std::collections::BTreeMap::<String, TenantUsage>::new();
+        for t in slices {
+            let Some(sum) = by_name.get_mut(&t.name) else {
+                by_name.insert(t.name.clone(), t);
+                continue;
+            };
+            sum.budget_mb = sum.budget_mb.max(t.budget_mb);
+            sum.warm_mb = sum.warm_mb.saturating_add(t.warm_mb);
+            sum.evictions = sum.evictions.saturating_add(t.evictions);
+            sum.idle_mb_ms = sum.idle_mb_ms.saturating_add(t.idle_mb_ms);
+            sum.invocations = sum.invocations.saturating_add(t.invocations);
+        }
+        by_name.into_values().collect()
+    }
+}
+
+/// The members after `"name"` in a usage row, in order.
+const USAGE_KEYS: [&str; 5] = [
+    ",\"budget_mb\":",
+    ",\"warm_mb\":",
+    ",\"evictions\":",
+    ",\"idle_mb_ms\":",
+    ",\"invocations\":",
+];
+
+/// Writes a `GET /admin/usage` body:
+/// `[{"name":…,"budget_mb":…,"warm_mb":…,"evictions":…,"idle_mb_ms":…,"invocations":…}]`,
+/// one object per row, no whitespace. Tenant names are
+/// `[A-Za-z0-9._-]`, so none needs escaping.
+pub(crate) fn write_usage(out: &mut Vec<u8>, rows: &[TenantUsage]) {
+    out.push(b'[');
+    for (i, t) in rows.iter().enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        out.extend_from_slice(b"{\"name\":\"");
+        out.extend_from_slice(t.name.as_bytes());
+        out.push(b'"');
+        let values = [
+            t.budget_mb,
+            t.warm_mb,
+            t.evictions,
+            t.idle_mb_ms,
+            t.invocations,
+        ];
+        for (key, v) in USAGE_KEYS.iter().zip(values) {
+            out.extend_from_slice(key.as_bytes());
+            push_u64(out, v);
+        }
+        out.push(b'}');
+    }
+    out.push(b']');
+}
+
+/// Parses exactly what the node's `write_usage` writes (a number may
+/// carry leading zeros); anything else is a [`BodyError`].
+pub fn parse_usage(body: &[u8]) -> Result<Vec<TenantUsage>, BodyError> {
+    let mut c = Cursor { body, at: 0 };
+    let mut rows = Vec::new();
+    c.expect("[")?;
+    while !c.eat("]") {
+        c.expect(if rows.is_empty() {
+            "{\"name\":\""
+        } else {
+            ",{\"name\":\""
+        })?;
+        let name = c.name(b'"')?;
+        let mut v = [0u64; 5];
+        for (key, v) in USAGE_KEYS.iter().zip(&mut v) {
+            c.expect(key)?;
+            *v = c.number()?;
+        }
+        c.expect("}")?;
+        let [budget_mb, warm_mb, evictions, idle_mb_ms, invocations] = v;
+        rows.push(TenantUsage {
+            name,
+            budget_mb,
+            warm_mb,
+            evictions,
+            idle_mb_ms,
+            invocations,
+        });
+    }
+    c.end()?;
+    Ok(rows)
+}
+
+/// Writes a `POST /admin/budgets` body: one `NAME=MB` line per share.
+pub fn write_budgets(out: &mut Vec<u8>, shares: &[(String, u64)]) {
+    for (name, budget_mb) in shares {
+        out.extend_from_slice(name.as_bytes());
+        out.push(b'=');
+        push_u64(out, *budget_mb);
+        out.push(b'\n');
+    }
+}
+
+/// Parses what [`write_budgets`] writes, the last newline optional;
+/// anything else is a [`BodyError`].
+pub(crate) fn parse_budgets(body: &[u8]) -> Result<Vec<(String, u64)>, BodyError> {
+    let mut c = Cursor { body, at: 0 };
+    let mut shares = Vec::new();
+    while c.at < body.len() {
+        let name = c.name(b'=')?;
+        shares.push((name, c.number()?));
+        if !c.eat("\n") {
+            c.end()?;
+        }
+    }
+    Ok(shares)
+}
+
+/// Why [`parse_usage`] or the node's `parse_budgets` refused a body.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BodyError {
+    /// The byte offset where the parser stopped.
+    pub at: usize,
+    /// What it expected there.
+    pub expected: &'static str,
+}
+
+impl std::fmt::Display for BodyError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "expected {} at byte {}", self.expected, self.at)
+    }
+}
+
+/// A left-to-right reader over a control-plane body.
+struct Cursor<'a> {
+    body: &'a [u8],
+    at: usize,
+}
+
+impl Cursor<'_> {
+    fn error(&self, expected: &'static str) -> BodyError {
+        BodyError {
+            at: self.at,
+            expected,
+        }
+    }
+
+    /// Consumes `lit` when the body continues with it.
+    fn eat(&mut self, lit: &str) -> bool {
+        let hit = self.body[self.at..].starts_with(lit.as_bytes());
+        self.at += if hit { lit.len() } else { 0 };
+        hit
+    }
+
+    fn expect(&mut self, lit: &'static str) -> Result<(), BodyError> {
+        self.eat(lit).then_some(()).ok_or(self.error(lit))
+    }
+
+    fn end(&self) -> Result<(), BodyError> {
+        let end = self.at == self.body.len();
+        end.then_some(()).ok_or(self.error("the end of the body"))
+    }
+
+    /// A valid tenant name, and the `end` byte after it.
+    fn name(&mut self, end: u8) -> Result<String, BodyError> {
+        let rest = &self.body[self.at..];
+        let name = (rest.iter().position(|&b| b == end))
+            .and_then(|len| std::str::from_utf8(&rest[..len]).ok())
+            .filter(|name| sitw_fleet::registry::validate_tenant_name(name).is_ok())
+            .ok_or(self.error("a tenant name"))?;
+        self.at += name.len() + 1;
+        Ok(name.to_owned())
+    }
+
+    fn number(&mut self) -> Result<u64, BodyError> {
+        let (v, next) = parse_u64(self.body, self.at).map_err(|_| self.error("a decimal u64"))?;
+        self.at = next;
+        Ok(v)
+    }
+}
+
 /// JSON string escaping lives beside the debug bodies that need it;
 /// this is its serving-crate path (`wire::json_escape`).
 pub use sitw_telemetry::json_escape;
@@ -493,8 +695,9 @@ pub fn push_u64(out: &mut Vec<u8>, v: u64) {
 //      0     1  magic        0x5B (one past ASCII 'Z': never a method)
 //      1     1  version      2
 //      2     1  kind         1 = request, 2 = reply, 3 = error,
-//                            4/5 = control request/reply,
 //                            6/7/8/9 = repl sync/delta/commit/ack
+//                            (4 and 5 are retired: any other kind is
+//                            a skippable `Malformed`)
 //      3     4  payload_len  u32, bytes after the 11-byte header
 //      7     4  count        u32, records in the payload
 //     11     …  payload
@@ -505,9 +708,10 @@ pub fn push_u64(out: &mut Vec<u8>, v: u64) {
 // Tenant ids are the node's registry order (`GET /admin/tenants`); 0 is
 // the default tenant. With [`FRAME_FLAG_TRACE`] set in the kind byte,
 // an 8-byte trace id precedes the records.
-// Control payloads (kinds 4/5): one op byte then name-keyed records, see
-// [`ControlRequest`] / [`ControlReply`]. Replication payloads (kinds 6–9)
-// are in the docs of their kinds.
+// Replication payloads (kinds 6–9) are in the docs of their kinds. The
+// router's control plane (usage reports, budget pushes) is HTTP, not
+// frames: `GET /admin/usage` and `POST /admin/budgets`, whose bodies
+// are `write_usage` and `write_budgets`.
 // Reply payload: `count` fixed 9-byte records in request order — one
 // verdict byte (bit 0 = cold, bit 1 = pre-warm load, bits 2–3 =
 // decision branch, bit 4 = evicted, bit 5 = throttled, bit 7 =
@@ -541,12 +745,6 @@ pub const FRAME_REQUEST: u8 = 1;
 pub const FRAME_REPLY: u8 = 2;
 /// Frame kind: a typed protocol error (server → client).
 pub(crate) const FRAME_ERROR: u8 = 3;
-/// Frame kind: a cluster control request (router → node): a ledger
-/// report poll or a budget-share push. See [`ControlRequest`].
-pub(crate) const FRAME_CONTROL: u8 = 4;
-/// Frame kind: the node's answer to a control request. See
-/// [`ControlReply`].
-pub(crate) const FRAME_CONTROL_REPLY: u8 = 5;
 /// Frame kind: one chunk of a full snapshot sync (primary → follower).
 /// Payload: `{u64 epoch, u32 seq, u8 last, chunk bytes}` — the chunks,
 /// concatenated in `seq` order, are one complete snapshot document.
@@ -571,10 +769,6 @@ pub(crate) const FRAME_FLAG_TRACE: u8 = 0x80;
 /// [`FRAME_FLAG_TRACE`]).
 pub(crate) const TRACE_FIELD_LEN: usize = 8;
 
-/// Control op: report per-tenant ledger integrals (empty body).
-pub(crate) const CTRL_REPORT: u8 = 1;
-/// Control op: set per-tenant budget shares (name-keyed records).
-pub(crate) const CTRL_BUDGET_SET: u8 = 2;
 /// Maximum frame payload, mirroring [`crate::http::MAX_BODY_BYTES`].
 pub const MAX_FRAME_PAYLOAD: usize = crate::http::MAX_BODY_BYTES;
 /// Maximum records per frame.
@@ -637,91 +831,6 @@ pub struct BinInvoke {
     pub app: String,
     /// Invocation timestamp (trace milliseconds).
     pub ts: u64,
-}
-
-/// A cluster control request, carried in a `FRAME_CONTROL` frame
-/// (router → node). The record payloads are keyed by tenant *name*, not
-/// id: ids are per-node registration order and diverge across nodes as
-/// soon as a tenant migrates, while names are the stable cluster-wide
-/// key (the same reason tenant→shard routing hashes names).
-///
-/// Wire layout: the frame payload opens with one op byte
-/// (`CTRL_REPORT` or `CTRL_BUDGET_SET`), then `count` records.
-/// `Report` carries no records; `BudgetSet` records are
-/// `{u16 name_len, name bytes, u64 budget_mb}`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ControlRequest {
-    /// Poll the node's per-tenant ledger integrals.
-    Report,
-    /// Install per-tenant budget shares (`(tenant name, budget MB)`;
-    /// 0 = unlimited). Unknown tenants are skipped and uncounted.
-    BudgetSet(Vec<(String, u64)>),
-    /// A follower's replication pull (`FRAME_REPL_ACK`): stream the
-    /// state mutated since `epoch`, or a full sync when the epoch is
-    /// stale. Rides the control plumbing so replication needs no new
-    /// connection machinery.
-    ReplPull {
-        /// The epoch the follower holds (0 = nothing yet).
-        epoch: u64,
-    },
-}
-
-/// One tenant's ledger integrals, as reported over the control plane.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TenantUsage {
-    /// Tenant name (the cluster-wide key).
-    pub name: String,
-    /// The budget currently enforced on this node, MB (0 = unlimited).
-    pub budget_mb: u64,
-    /// Warm memory currently charged, MB.
-    pub warm_mb: u64,
-    /// Budget evictions so far.
-    pub evictions: u64,
-    /// Loaded-memory integral, MB·ms.
-    pub idle_mb_ms: u64,
-    /// Invocations served.
-    pub invocations: u64,
-}
-
-impl TenantUsage {
-    /// Folds usage slices by tenant **name** — the cluster-stable key —
-    /// into one name-ordered entry per tenant: shard slices into a
-    /// node's report, node reports into the cluster view. Budgets take
-    /// the max (one enforcing owner per named tenant; the default
-    /// tenant's is replicated, not split); the rest sums, saturating —
-    /// the ledger saturates `idle_mb_ms` at `u64::MAX` and timestamps
-    /// are client-supplied, so two slices can both already be there.
-    pub fn fold(slices: impl IntoIterator<Item = TenantUsage>) -> Vec<TenantUsage> {
-        let mut by_name = std::collections::BTreeMap::<String, TenantUsage>::new();
-        for t in slices {
-            let Some(sum) = by_name.get_mut(&t.name) else {
-                by_name.insert(t.name.clone(), t);
-                continue;
-            };
-            sum.budget_mb = sum.budget_mb.max(t.budget_mb);
-            sum.warm_mb = sum.warm_mb.saturating_add(t.warm_mb);
-            sum.evictions = sum.evictions.saturating_add(t.evictions);
-            sum.idle_mb_ms = sum.idle_mb_ms.saturating_add(t.idle_mb_ms);
-            sum.invocations = sum.invocations.saturating_add(t.invocations);
-        }
-        by_name.into_values().collect()
-    }
-}
-
-/// The node's answer to a [`ControlRequest`], carried in a
-/// `FRAME_CONTROL_REPLY` frame. Report records are
-/// `{u16 name_len, name, u64 budget_mb, u64 warm_mb, u64 evictions,
-/// u64 idle_mb_ms, u64 invocations}`; a budget ack has no records and
-/// echoes the number of shares applied in the header count.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ControlReply {
-    /// Per-tenant usage, in tenant-id order (default tenant first).
-    Report(Vec<TenantUsage>),
-    /// Budget shares applied.
-    BudgetAck {
-        /// How many of the pushed shares named a known tenant.
-        applied: u32,
-    },
 }
 
 fn u32_at(buf: &[u8], i: usize) -> u32 {
@@ -808,10 +917,10 @@ pub enum FrameDecodeInto {
         /// Total frame length in bytes.
         consumed: usize,
     },
-    /// A complete cluster control frame (never writes `records`).
-    Control {
-        /// The decoded control request.
-        req: ControlRequest,
+    /// A complete replication pull (never writes `records`).
+    ReplPull {
+        /// The epoch the follower holds (0 = nothing yet).
+        epoch: u64,
         /// Total frame length in bytes.
         consumed: usize,
     },
@@ -836,7 +945,7 @@ pub enum FrameDecodeInto {
 /// each name rewritten into the `String` already in its place, so a
 /// warm buffer decodes without allocating (a name whose buffer grew past
 /// `pool::NAME_CAP` gets a fresh one). A malformed frame leaves
-/// `records` empty; an incomplete or control frame leaves it as it was.
+/// `records` empty; an incomplete frame or a pull leaves it as it was.
 /// `buf` must start at a frame boundary (its first byte was sniffed as
 /// [`BIN_MAGIC`]).
 pub fn decode_request_frame_into(buf: &[u8], records: &mut Vec<BinInvoke>) -> FrameDecodeInto {
@@ -884,18 +993,6 @@ fn decode_frame(buf: &[u8], records: &mut Vec<BinInvoke>) -> FrameDecodeInto {
         detail,
         skip: Some(total),
     };
-    if kind == FRAME_CONTROL {
-        if buf.len() < total {
-            return FrameDecodeInto::Incomplete;
-        }
-        return match decode_control_payload(&buf[BIN_HEADER_LEN..total], count) {
-            Ok(req) => FrameDecodeInto::Control {
-                req,
-                consumed: total,
-            },
-            Err(detail) => malformed(detail),
-        };
-    }
     if kind == FRAME_REPL_ACK {
         if buf.len() < total {
             return FrameDecodeInto::Incomplete;
@@ -903,10 +1000,8 @@ fn decode_frame(buf: &[u8], records: &mut Vec<BinInvoke>) -> FrameDecodeInto {
         if payload_len != 8 || count != 0 {
             return malformed("repl ack carries exactly one u64 epoch".into());
         }
-        return FrameDecodeInto::Control {
-            req: ControlRequest::ReplPull {
-                epoch: u64_at(buf, BIN_HEADER_LEN),
-            },
+        return FrameDecodeInto::ReplPull {
+            epoch: u64_at(buf, BIN_HEADER_LEN),
             consumed: total,
         };
     }
@@ -1124,109 +1219,6 @@ pub fn encode_error_frame(out: &mut Vec<u8>, code: BinErrorCode, detail: &str) {
     out.extend_from_slice(detail);
 }
 
-/// Encodes one cluster control request frame (router → node).
-pub fn encode_control_frame(out: &mut Vec<u8>, req: &ControlRequest) {
-    match req {
-        ControlRequest::Report => {
-            frame_header(out, FRAME_CONTROL, 1, 0);
-            out.push(CTRL_REPORT);
-        }
-        ControlRequest::BudgetSet(shares) => {
-            assert!(shares.len() <= MAX_BATCH, "budget set exceeds MAX_BATCH");
-            let payload_len: usize = 1 + shares.iter().map(|(n, _)| 2 + n.len() + 8).sum::<usize>();
-            frame_header(out, FRAME_CONTROL, payload_len, shares.len());
-            out.push(CTRL_BUDGET_SET);
-            for (name, budget_mb) in shares {
-                assert!(name.len() <= u16::MAX as usize, "tenant name too long");
-                out.extend_from_slice(&(name.len() as u16).to_le_bytes());
-                out.extend_from_slice(name.as_bytes());
-                out.extend_from_slice(&budget_mb.to_le_bytes());
-            }
-        }
-        // Replication pulls have their own frame kind, not a control
-        // opcode — they ride this encoder for symmetry only.
-        ControlRequest::ReplPull { epoch } => encode_repl_ack(out, *epoch),
-    }
-}
-
-/// Decodes a [`FRAME_CONTROL`] payload (the op byte plus records).
-fn decode_control_payload(payload: &[u8], count: usize) -> Result<ControlRequest, String> {
-    let Some(&op) = payload.first() else {
-        return Err("empty control payload".into());
-    };
-    match op {
-        CTRL_REPORT => {
-            if payload.len() != 1 || count != 0 {
-                return Err("report request carries no records".into());
-            }
-            Ok(ControlRequest::Report)
-        }
-        CTRL_BUDGET_SET => {
-            if count > MAX_BATCH {
-                return Err(format!("budget set of {count} exceeds {MAX_BATCH}"));
-            }
-            let mut shares = Vec::with_capacity(count);
-            let mut i = 1usize;
-            for r in 0..count {
-                if i + 2 > payload.len() {
-                    return Err(format!("budget record {r} truncated"));
-                }
-                let name_len = u16::from_le_bytes([payload[i], payload[i + 1]]) as usize;
-                i += 2;
-                if name_len == 0 || i + name_len + 8 > payload.len() {
-                    return Err(format!("budget record {r} overruns payload"));
-                }
-                let Ok(name) = std::str::from_utf8(&payload[i..i + name_len]) else {
-                    return Err(format!("budget record {r}: name is not utf-8"));
-                };
-                let name = name.to_owned();
-                i += name_len;
-                let budget_mb = u64_at(payload, i);
-                i += 8;
-                shares.push((name, budget_mb));
-            }
-            if i != payload.len() {
-                return Err(format!("{} trailing control bytes", payload.len() - i));
-            }
-            Ok(ControlRequest::BudgetSet(shares))
-        }
-        other => Err(format!("unknown control op {other}")),
-    }
-}
-
-/// Encodes one control reply frame (node → router).
-pub(crate) fn encode_control_reply(out: &mut Vec<u8>, reply: &ControlReply) {
-    match reply {
-        ControlReply::Report(tenants) => {
-            assert!(tenants.len() <= MAX_BATCH, "report exceeds MAX_BATCH");
-            let payload_len: usize = 1 + tenants
-                .iter()
-                .map(|t| 2 + t.name.len() + 8 * 5)
-                .sum::<usize>();
-            frame_header(out, FRAME_CONTROL_REPLY, payload_len, tenants.len());
-            out.push(CTRL_REPORT);
-            for t in tenants {
-                assert!(t.name.len() <= u16::MAX as usize, "tenant name too long");
-                out.extend_from_slice(&(t.name.len() as u16).to_le_bytes());
-                out.extend_from_slice(t.name.as_bytes());
-                for v in [
-                    t.budget_mb,
-                    t.warm_mb,
-                    t.evictions,
-                    t.idle_mb_ms,
-                    t.invocations,
-                ] {
-                    out.extend_from_slice(&v.to_le_bytes());
-                }
-            }
-        }
-        ControlReply::BudgetAck { applied } => {
-            frame_header(out, FRAME_CONTROL_REPLY, 1, *applied as usize);
-            out.push(CTRL_BUDGET_SET);
-        }
-    }
-}
-
 /// Maximum chunk body per replication frame — comfortably under
 /// [`MAX_FRAME_PAYLOAD`] with the 13-byte chunk header on top, and
 /// small enough that streaming a large document never monopolizes the
@@ -1372,63 +1364,6 @@ impl io::Write for ReplRound<'_> {
     }
 }
 
-/// Decodes a [`FRAME_CONTROL_REPLY`] payload.
-fn decode_control_reply_payload(payload: &[u8], count: usize) -> Result<ControlReply, String> {
-    let Some(&op) = payload.first() else {
-        return Err("empty control reply".into());
-    };
-    match op {
-        CTRL_REPORT => {
-            if count > MAX_BATCH {
-                return Err(format!("report of {count} exceeds {MAX_BATCH}"));
-            }
-            let mut tenants = Vec::with_capacity(count);
-            let mut i = 1usize;
-            for r in 0..count {
-                if i + 2 > payload.len() {
-                    return Err(format!("usage record {r} truncated"));
-                }
-                let name_len = u16::from_le_bytes([payload[i], payload[i + 1]]) as usize;
-                i += 2;
-                if name_len == 0 || i + name_len + 40 > payload.len() {
-                    return Err(format!("usage record {r} overruns payload"));
-                }
-                let Ok(name) = std::str::from_utf8(&payload[i..i + name_len]) else {
-                    return Err(format!("usage record {r}: name is not utf-8"));
-                };
-                let name = name.to_owned();
-                i += name_len;
-                let mut vals = [0u64; 5];
-                for v in &mut vals {
-                    *v = u64_at(payload, i);
-                    i += 8;
-                }
-                tenants.push(TenantUsage {
-                    name,
-                    budget_mb: vals[0],
-                    warm_mb: vals[1],
-                    evictions: vals[2],
-                    idle_mb_ms: vals[3],
-                    invocations: vals[4],
-                });
-            }
-            if i != payload.len() {
-                return Err(format!("{} trailing reply bytes", payload.len() - i));
-            }
-            Ok(ControlReply::Report(tenants))
-        }
-        CTRL_BUDGET_SET => {
-            if payload.len() != 1 {
-                return Err("budget ack carries no records".into());
-            }
-            Ok(ControlReply::BudgetAck {
-                applied: count as u32,
-            })
-        }
-        other => Err(format!("unknown control reply op {other}")),
-    }
-}
-
 /// One decoded reply record, as seen by a client.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BinReply {
@@ -1475,13 +1410,6 @@ pub enum ServerFrameDecode {
         code: BinErrorCode,
         /// Server-provided detail.
         detail: String,
-        /// Total frame length in bytes.
-        consumed: usize,
-    },
-    /// A complete control reply frame (node → router).
-    Control {
-        /// The decoded control reply.
-        reply: ControlReply,
         /// Total frame length in bytes.
         consumed: usize,
     },
@@ -1588,13 +1516,6 @@ pub fn decode_server_frame(buf: &[u8]) -> ServerFrameDecode {
                 consumed: total,
             }
         }
-        FRAME_CONTROL_REPLY => match decode_control_reply_payload(payload, count) {
-            Ok(reply) => ServerFrameDecode::Control {
-                reply,
-                consumed: total,
-            },
-            Err(detail) => ServerFrameDecode::Malformed(detail),
-        },
         FRAME_REPL_SYNC | FRAME_REPL_DELTA => {
             if payload.len() < REPL_CHUNK_HEADER {
                 return ServerFrameDecode::Malformed("truncated repl chunk".into());
@@ -2269,23 +2190,6 @@ mod tests {
             });
         }
         replies.extend([BinReply::Throttled, BinReply::OutOfOrder { last_ts: 55 }]);
-        let usage = |name: &str, vals: [u64; 5]| TenantUsage {
-            name: name.into(),
-            budget_mb: vals[0],
-            warm_mb: vals[1],
-            evictions: vals[2],
-            idle_mb_ms: vals[3],
-            invocations: vals[4],
-        };
-        let report = ControlReply::Report(vec![
-            usage("default", [0, 123, 0, u64::MAX, 10_000]),
-            usage("acme", [4096, 4095, 17, 5, 1]),
-        ]);
-        let shares = vec![
-            ("acme".to_owned(), 4096),
-            ("café".to_owned(), 0),
-            ("t7".to_owned(), u64::MAX),
-        ];
         let trace = sitw_telemetry::TRACE_MARK | 0xBEEF;
         let request = [
             (1, "app-000001", 7),
@@ -2340,22 +2244,6 @@ mod tests {
                 "error_truncated",
                 frame(&|o| encode_error_frame(o, Malformed, &long)),
             ),
-            (
-                "control_report",
-                frame(&|o| encode_control_frame(o, &ControlRequest::Report)),
-            ),
-            (
-                "control_budget_set",
-                frame(&|o| encode_control_frame(o, &ControlRequest::BudgetSet(shares.clone()))),
-            ),
-            (
-                "control_report_reply",
-                frame(&|o| encode_control_reply(o, &report)),
-            ),
-            (
-                "control_budget_ack",
-                frame(&|o| encode_control_reply(o, &ControlReply::BudgetAck { applied: 2 })),
-            ),
             ("repl_ack", frame(&|o| encode_repl_ack(o, 42))),
             (
                 "repl_sync_chunk",
@@ -2372,18 +2260,15 @@ mod tests {
     /// Decodes one whole frame and encodes what the decoder read.
     fn reencode(frame: &[u8]) -> Vec<u8> {
         let mut out = Vec::new();
-        if matches!(
-            frame[2] & !FRAME_FLAG_TRACE,
-            FRAME_REQUEST | FRAME_CONTROL | FRAME_REPL_ACK
-        ) {
+        if matches!(frame[2] & !FRAME_FLAG_TRACE, FRAME_REQUEST | FRAME_REPL_ACK) {
             let mut recs = Vec::new();
             match decode_request_frame_into(frame, &mut recs) {
                 FrameDecodeInto::Request { trace, consumed } if consumed == frame.len() => {
                     let recs = recs.iter().map(|r| (r.tenant, r.app.as_str(), r.ts));
                     encode_request_frame_v2_from(&mut out, recs, trace);
                 }
-                FrameDecodeInto::Control { req, consumed } if consumed == frame.len() => {
-                    encode_control_frame(&mut out, &req)
+                FrameDecodeInto::ReplPull { epoch, consumed } if consumed == frame.len() => {
+                    encode_repl_ack(&mut out, epoch)
                 }
                 other => panic!("{other:?}"),
             }
@@ -2398,9 +2283,6 @@ mod tests {
                 detail,
                 consumed,
             } if consumed == frame.len() => encode_error_frame(&mut out, code, &detail),
-            ServerFrameDecode::Control { reply, consumed } if consumed == frame.len() => {
-                encode_control_reply(&mut out, &reply)
-            }
             ServerFrameDecode::ReplChunk {
                 full_sync,
                 epoch,
@@ -2449,76 +2331,11 @@ mod tests {
         }
     }
 
-    // ---- Cluster control frames ----
-
-    #[test]
-    fn control_report_request_roundtrips() {
-        let mut recs = Vec::new();
-        let mut out = Vec::new();
-        encode_control_frame(&mut out, &ControlRequest::Report);
-        match decode_request_frame_into(&out, &mut recs) {
-            FrameDecodeInto::Control { req, consumed } => {
-                assert_eq!(req, ControlRequest::Report);
-                assert_eq!(consumed, out.len());
-            }
-            other => panic!("{other:?}"),
-        }
-        for i in 0..out.len() {
-            assert!(matches!(
-                decode_request_frame_into(&out[..i], &mut recs),
-                FrameDecodeInto::Incomplete
-            ));
-        }
-    }
-
-    #[test]
-    fn control_budget_set_roundtrips() {
-        let mut recs = Vec::new();
-        let shares = vec![
-            ("acme".to_owned(), 4096u64),
-            ("café".to_owned(), 0),
-            ("t7".to_owned(), u64::MAX),
-        ];
-        let mut out = Vec::new();
-        encode_control_frame(&mut out, &ControlRequest::BudgetSet(shares.clone()));
-        match decode_request_frame_into(&out, &mut recs) {
-            FrameDecodeInto::Control { req, consumed } => {
-                assert_eq!(req, ControlRequest::BudgetSet(shares));
-                assert_eq!(consumed, out.len());
-            }
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
-    fn control_decode_rejects_malformed_payloads() {
-        let mut recs = Vec::new();
-        // Unknown op, truncated records, trailing bytes: all skippable
-        // (the envelope is intact), so the connection survives.
-        let cases: Vec<Vec<u8>> = vec![
-            vec![99],                       // Unknown op.
-            vec![CTRL_REPORT, 1],           // Report with body.
-            vec![CTRL_BUDGET_SET, 5],       // Truncated record.
-            vec![CTRL_BUDGET_SET, 0, 0, 0], // Zero-length name.
-        ];
-        for (k, payload) in cases.into_iter().enumerate() {
-            let count = if payload[0] == CTRL_BUDGET_SET { 1 } else { 0 };
-            let mut f = Vec::new();
-            frame_header(&mut f, FRAME_CONTROL, payload.len(), count);
-            f.extend_from_slice(&payload);
-            match decode_request_frame_into(&f, &mut recs) {
-                FrameDecodeInto::Error { code, skip, .. } => {
-                    assert_eq!(code, BinErrorCode::Malformed, "case {k}");
-                    assert_eq!(skip, Some(f.len()), "case {k}");
-                }
-                other => panic!("case {k} → {other:?}"),
-            }
-        }
-    }
+    // ---- Control-plane bodies (`/admin/usage`, `/admin/budgets`) ----
 
     #[test]
     fn control_report_reply_roundtrips() {
-        let tenants = vec![
+        let tenants = [
             TenantUsage {
                 name: "default".into(),
                 budget_mb: 0,
@@ -2536,32 +2353,202 @@ mod tests {
                 invocations: 1,
             },
         ];
-        let mut out = Vec::new();
-        encode_control_reply(&mut out, &ControlReply::Report(tenants.clone()));
-        match decode_server_frame(&out) {
-            ServerFrameDecode::Control { reply, consumed } => {
-                assert_eq!(reply, ControlReply::Report(tenants));
-                assert_eq!(consumed, out.len());
+        let mut body = Vec::new();
+        write_usage(&mut body, &tenants[1..]);
+        assert_eq!(
+            std::str::from_utf8(&body).unwrap(),
+            "[{\"name\":\"acme\",\"budget_mb\":4096,\"warm_mb\":4095,\"evictions\":17,\
+             \"idle_mb_ms\":5,\"invocations\":1}]"
+        );
+        for rows in [&tenants[..0], &tenants[..]] {
+            body.clear();
+            write_usage(&mut body, rows);
+            assert_eq!(parse_usage(&body).unwrap(), rows);
+            for cut in 0..body.len() {
+                assert!(parse_usage(&body[..cut]).is_err(), "prefix {cut}");
             }
-            other => panic!("{other:?}"),
-        }
-        for i in 0..out.len() {
-            assert!(matches!(
-                decode_server_frame(&out[..i]),
-                ServerFrameDecode::Incomplete
-            ));
         }
     }
 
     #[test]
-    fn control_budget_ack_roundtrips() {
-        let mut out = Vec::new();
-        encode_control_reply(&mut out, &ControlReply::BudgetAck { applied: 42 });
-        match decode_server_frame(&out) {
-            ServerFrameDecode::Control { reply, .. } => {
-                assert_eq!(reply, ControlReply::BudgetAck { applied: 42 });
+    fn control_budget_set_roundtrips() {
+        let shares = vec![
+            ("acme".to_owned(), 4096u64),
+            ("c.a-f_e".to_owned(), 0),
+            ("t7".to_owned(), u64::MAX),
+        ];
+        let mut body = Vec::new();
+        write_budgets(&mut body, &shares);
+        assert_eq!(body, b"acme=4096\nc.a-f_e=0\nt7=18446744073709551615\n");
+        assert_eq!(parse_budgets(&body).unwrap(), shares);
+        // The last newline is optional; an empty body is no shares.
+        assert_eq!(parse_budgets(&body[..body.len() - 1]).unwrap(), shares);
+        assert_eq!(parse_budgets(b"").unwrap(), vec![]);
+    }
+
+    #[test]
+    fn control_decode_rejects_malformed_payloads() {
+        let error = |at, expected| Err(BodyError { at, expected });
+        for (body, want) in [
+            (&b"acme"[..], error(0, "a tenant name")),
+            (b"=5\n", error(0, "a tenant name")),
+            (b"caf\xc3\xa9=5\n", error(0, "a tenant name")),
+            (b"acme=\n", error(5, "a decimal u64")),
+            (b"acme=-1\n", error(5, "a decimal u64")),
+            (b"acme=18446744073709551616\n", error(5, "a decimal u64")),
+            (b"acme=5 \n", error(6, "the end of the body")),
+            (b"acme=5\n\n", error(7, "a tenant name")),
+        ] {
+            let got = parse_budgets(body).map(|_| ());
+            assert_eq!(got, want, "{}", String::from_utf8_lossy(body));
+        }
+        let row = "{\"name\":\"t\",\"budget_mb\":1,\"warm_mb\":2,\"evictions\":3,\
+                   \"idle_mb_ms\":4,\"invocations\":5}";
+        for (body, want) in [
+            (String::new(), error(0, "[")),
+            (format!("[{row}"), error(row.len() + 1, ",{\"name\":\"")),
+            (
+                format!("[{row}] "),
+                error(row.len() + 2, "the end of the body"),
+            ),
+            (format!("[{row},]"), error(row.len() + 1, ",{\"name\":\"")),
+            (
+                format!("[{}]", row.replace("\"t\"", "\"\"")),
+                error(10, "a tenant name"),
+            ),
+            (
+                format!("[{}]", row.replace("2,", "2 ,")),
+                error(38, ",\"evictions\":"),
+            ),
+            (
+                format!("[{}]", row.replace(":1", ":x")),
+                error(25, "a decimal u64"),
+            ),
+        ] {
+            assert_eq!(parse_usage(body.as_bytes()).map(|_| ()), want, "{body}");
+        }
+    }
+
+    /// Names over `[A-Za-z0-9._-]`, 1 to 64 bytes.
+    const NAME_CHARS: &[u8] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789._-";
+
+    fn name_of(picks: &[usize]) -> String {
+        let name: String = picks
+            .iter()
+            .map(|&i| NAME_CHARS[i % NAME_CHARS.len()] as char)
+            .collect();
+        if name.is_empty() {
+            "t".into()
+        } else {
+            name
+        }
+    }
+
+    /// A count: 0, `u64::MAX` or `raw`, by `pick`.
+    fn count_of(pick: u64, raw: u64) -> u64 {
+        match pick % 3 {
+            0 => 0,
+            1 => u64::MAX,
+            _ => raw,
+        }
+    }
+
+    /// Text of the shape a body parser reads: its delimiters, digits,
+    /// name bytes and anything else.
+    fn body_text(picks: &[usize], raw: &[u8]) -> Vec<u8> {
+        const PARTS: [&[u8]; 12] = [
+            b"[",
+            b"]",
+            b"{\"name\":\"",
+            b"\"",
+            b",",
+            b"}",
+            b"=",
+            b"\n",
+            b"0",
+            b"18446744073709551615",
+            b"t",
+            b",\"warm_mb\":",
+        ];
+        let mut text: Vec<u8> = picks
+            .iter()
+            .flat_map(|&i| PARTS[i % PARTS.len()])
+            .copied()
+            .collect();
+        text.extend_from_slice(raw);
+        text
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn usage_body_roundtrips(
+            names in proptest::collection::vec(proptest::collection::vec(0usize..65, 0..65), 0..6),
+            counts in proptest::collection::vec(0u64..=u64::MAX, 30..31),
+        ) {
+            let rows: Vec<TenantUsage> = names
+                .iter()
+                .zip(counts.chunks(5))
+                .map(|(picks, c)| TenantUsage {
+                    name: name_of(picks),
+                    budget_mb: count_of(c[0], c[1]),
+                    warm_mb: count_of(c[1], c[2]),
+                    evictions: count_of(c[2], c[3]),
+                    idle_mb_ms: count_of(c[3], c[4]),
+                    invocations: count_of(c[4], c[0]),
+                })
+                .collect();
+            let mut body = Vec::new();
+            write_usage(&mut body, &rows);
+            proptest::prop_assert_eq!(parse_usage(&body), Ok(rows));
+        }
+
+        #[test]
+        fn usage_body_parses_or_refuses_any_text(
+            picks in proptest::collection::vec(0usize..12, 0..48),
+            raw in proptest::collection::vec(0u8..=255, 0..16),
+        ) {
+            for body in [body_text(&picks, &raw), raw.clone()] {
+                match parse_usage(&body) {
+                    Ok(parsed) => {
+                        let mut again = Vec::new();
+                        write_usage(&mut again, &parsed);
+                        proptest::prop_assert_eq!(parse_usage(&again), Ok(parsed));
+                    }
+                    Err(e) => proptest::prop_assert!(e.at <= body.len(), "{e}"),
+                }
             }
-            other => panic!("{other:?}"),
+        }
+
+        #[test]
+        fn budget_body_roundtrips(
+            names in proptest::collection::vec(proptest::collection::vec(0usize..65, 0..65), 0..6),
+            counts in proptest::collection::vec(0u64..=u64::MAX, 12..13),
+        ) {
+            let shares: Vec<(String, u64)> = names
+                .iter()
+                .zip(counts.chunks(2))
+                .map(|(picks, c)| (name_of(picks), count_of(c[0], c[1])))
+                .collect();
+            let mut body = Vec::new();
+            write_budgets(&mut body, &shares);
+            proptest::prop_assert_eq!(parse_budgets(&body), Ok(shares));
+        }
+
+        #[test]
+        fn budget_body_parses_or_refuses_any_text(
+            picks in proptest::collection::vec(0usize..12, 0..48),
+            raw in proptest::collection::vec(0u8..=255, 0..16),
+        ) {
+            for body in [body_text(&picks, &raw), raw.clone()] {
+                match parse_budgets(&body) {
+                    Ok(parsed) => {
+                        let mut again = Vec::new();
+                        write_budgets(&mut again, &parsed);
+                        proptest::prop_assert_eq!(parse_budgets(&again), Ok(parsed));
+                    }
+                    Err(e) => proptest::prop_assert!(e.at <= body.len(), "{e}"),
+                }
+            }
         }
     }
 
@@ -2638,8 +2625,8 @@ mod tests {
         let mut out = Vec::new();
         encode_repl_ack(&mut out, 42);
         match decode_request_frame_into(&out, &mut recs) {
-            FrameDecodeInto::Control { req, consumed } => {
-                assert_eq!(req, ControlRequest::ReplPull { epoch: 42 });
+            FrameDecodeInto::ReplPull { epoch, consumed } => {
+                assert_eq!(epoch, 42);
                 assert_eq!(consumed, out.len());
             }
             other => panic!("{other:?}"),

@@ -1,6 +1,6 @@
-//! SITW-BIN protocol conformance: codec round-trip fuzzing of request,
-//! traced and control frames (the CI "protocol-conformance" step runs
-//! this file by name), partial-I/O reassembly against a live daemon,
+//! SITW-BIN protocol conformance: codec round-trip fuzzing of request
+//! and traced frames, replication pulls and the retired control kinds
+//! (the CI "protocol-conformance" step runs this file by name), partial-I/O reassembly against a live daemon,
 //! short-write handling on batched replies, and the typed-error-frame
 //! behaviour that keeps connections usable after malformed or oversized
 //! frames.
@@ -12,8 +12,8 @@ use proptest::prelude::*;
 use sitw_serve::http::{ConnBuf, Reply};
 use sitw_serve::wire::{
     self, decode_request_frame_into, decode_server_frame, encode_request_frame_v2,
-    encode_request_frame_v2_from, BinErrorCode, BinInvoke, BinReply, ControlRequest,
-    FrameDecodeInto, ServerFrameDecode,
+    encode_request_frame_v2_from, BinErrorCode, BinInvoke, BinReply, FrameDecodeInto,
+    ServerFrameDecode,
 };
 use sitw_serve::{Client, ServeConfig, Server};
 use sitw_sim::PolicySpec;
@@ -170,17 +170,20 @@ proptest! {
                 // An intact envelope must always be skippable.
                 prop_assert_eq!(skip, Some(frame.len()));
             }
-            FrameDecodeInto::Control { .. } => {
-                prop_assert!(false, "request frame decoded as control")
+            FrameDecodeInto::ReplPull { .. } => {
+                prop_assert!(false, "request frame decoded as a pull")
             }
         }
     }
 
-    /// Control frames (a report poll, a budget set, an unknown op) and
-    /// replication pulls under valid headers, with payloads from
-    /// well-formed to garbage: each yields `Control` or an error that
-    /// skips exactly the frame — never a request, never a panic — and
-    /// leaves the caller's record buffer alone.
+    /// Control payloads under valid headers: replication pulls, the one
+    /// control message a frame still carries, and frames of the retired
+    /// control kinds (4 and 5) carrying what they used to — a report
+    /// poll, a budget set, an unknown op — with payloads from well-formed
+    /// to garbage. A pull yields `ReplPull` or an error that skips
+    /// exactly the frame, a retired kind always the skippable
+    /// `Malformed` — never a request, never a panic — and a pull leaves
+    /// the caller's record buffer alone.
     #[test]
     fn control_payloads_under_valid_headers_yield_control_or_skippable_errors(
         kind in 0u8..4,
@@ -189,12 +192,8 @@ proptest! {
         cut in 0usize..64,
         count in 0u64..6,
     ) {
-        let op_of = |req: ControlRequest| {
-            let mut f = Vec::new();
-            wire::encode_control_frame(&mut f, &req);
-            f[wire::BIN_HEADER_LEN]
-        };
-        let (report, budget_set) = (op_of(ControlRequest::Report), op_of(ControlRequest::BudgetSet(vec![])));
+        // The retired ops: 1 polled usage, 2 set budgets.
+        let (report, budget_set) = (1u8, 2u8);
         // Well-formed budget records: as they are, cut short, followed by
         // noise, or miscounted.
         let (mut budgets, mut shares) = (vec![budget_set], 0);
@@ -211,23 +210,28 @@ proptest! {
             2 => shares = count,
             _ => {}
         }
-        let ctrl = |f: &mut Vec<u8>| wire::encode_control_frame(f, &ControlRequest::Report);
-        let ack = |f: &mut Vec<u8>| wire::encode_control_frame(f, &ControlRequest::ReplPull { epoch: 0 });
+        let of_kind = |k: u8| move |f: &mut Vec<u8>| f.extend_from_slice(&[wire::BIN_MAGIC, wire::BIN_VERSION_2, k]);
+        let retired = of_kind(4 + (names.len() % 2) as u8);
+        let pull = of_kind(9);
         let frame = match kind {
-            0 => under_header_of(ctrl, &[&[report], &noise[..noise.len() % 2]].concat(), count % 2),
-            1 => under_header_of(ctrl, &budgets, shares),
-            2 => under_header_of(ctrl, &noise, count),
-            _ => under_header_of(ack, &noise[..noise.len().min(cut % 12)], count % 2),
+            0 => under_header_of(retired, &[&[report], &noise[..noise.len() % 2]].concat(), count % 2),
+            1 => under_header_of(retired, &budgets, shares),
+            2 => under_header_of(retired, &noise, count),
+            _ => under_header_of(pull, &noise[..noise.len().min(cut % 12)], count % 2),
         };
         let sentinel = BinInvoke { tenant: 7, app: "kept".into(), ts: 9 };
         let mut records = vec![sentinel.clone()];
         match decode_request_frame_into(&frame, &mut records) {
-            FrameDecodeInto::Control { consumed, .. } => {
+            FrameDecodeInto::ReplPull { consumed, .. } => {
+                prop_assert_eq!(kind, 3);
                 prop_assert_eq!(consumed, frame.len());
                 prop_assert_eq!(&records, &vec![sentinel]);
             }
-            FrameDecodeInto::Error { skip, .. } => prop_assert_eq!(skip, Some(frame.len())),
-            other => prop_assert!(false, "control frame decoded as {:?}", other),
+            FrameDecodeInto::Error { code, skip, .. } => {
+                prop_assert_eq!(code, BinErrorCode::Malformed);
+                prop_assert_eq!(skip, Some(frame.len()));
+            }
+            other => prop_assert!(false, "kind {} frame decoded as {:?}", frame[2], other),
         }
     }
 
@@ -255,9 +259,9 @@ proptest! {
                     prop_assert!(n <= wire::BIN_HEADER_LEN + wire::MAX_FRAME_PAYLOAD);
                 }
             }
-            FrameDecodeInto::Control { .. } => {
+            FrameDecodeInto::ReplPull { .. } => {
                 // Reachable only when the random bytes form a valid
-                // control frame; nothing further to assert.
+                // pull; nothing further to assert.
             }
         }
         // The server-frame decoder must be just as panic-free on the
@@ -491,6 +495,43 @@ fn malformed_frame_gets_typed_error_and_connection_stays_usable() {
     assert_eq!(proto.proto_errors, 1);
     assert_eq!(proto.frames, 1);
     assert_eq!(proto.batched_decisions, 1);
+    server.shutdown().unwrap();
+}
+
+/// A frame of kind 4 or 5 — the retired control frames, here the bytes
+/// of a usage poll — gets the generic skippable `Malformed`, and the
+/// next request on the connection is served.
+#[test]
+fn retired_control_frame_gets_malformed_and_connection_stays_usable() {
+    let server = start_server(2);
+    let mut client = Client::connect(server.addr()).unwrap();
+    for (ts, kind) in [(1, 4u8), (2, 5)] {
+        client
+            .send(&[
+                wire::BIN_MAGIC,
+                wire::BIN_VERSION_2,
+                kind,
+                1,
+                0,
+                0,
+                0,
+                0,
+                0,
+                0,
+                0,
+                1,
+            ])
+            .unwrap();
+        match client.recv().unwrap() {
+            Reply::Frame(ServerFrameDecode::Error { code, detail, .. }) => {
+                assert_eq!(code, BinErrorCode::Malformed);
+                assert_eq!(detail, format!("unexpected frame kind {kind}"));
+            }
+            other => panic!("kind {kind}: {other:?}"),
+        }
+        let (status, body) = client.invoke(None, "a", ts, None).unwrap();
+        assert_eq!(status, 200, "{body}");
+    }
     server.shutdown().unwrap();
 }
 

@@ -416,7 +416,6 @@ fn follower_auto_promotes_when_primary_dies_silently() {
             primary_addr: primary.addr().to_string(),
             pull_interval: Duration::from_millis(20),
             auto_promote_after: Some(Duration::from_millis(250)),
-            ..FollowConfig::default()
         }),
         ..ServeConfig::default()
     })

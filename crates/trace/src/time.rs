@@ -23,11 +23,6 @@ pub const DAY_MS: TimeMs = 24 * HOUR_MS;
 /// One week in milliseconds.
 pub const WEEK_MS: TimeMs = 7 * DAY_MS;
 
-/// The day index (0-based) containing the given time.
-pub fn day_of(ms: TimeMs) -> u64 {
-    ms / DAY_MS
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -38,10 +33,5 @@ mod tests {
         assert_eq!(HOUR_MS, 3_600_000);
         assert_eq!(DAY_MS, 86_400_000);
         assert_eq!(WEEK_MS, 7 * 86_400_000);
-    }
-
-    #[test]
-    fn indices() {
-        assert_eq!(day_of(DAY_MS + 1), 1);
     }
 }
