@@ -3,6 +3,8 @@
 //! One port in front of N `sitw-serve` nodes: tenant-keyed consistent
 //! routing, cluster-wide QoS admission, and epoch-based budget
 //! reconciliation. See the crate docs of `sitw-cluster` for the design.
+//! The startup `endpoints:` line lists every verb it answers, printed
+//! from the route table in `router.rs`.
 
 #![forbid(unsafe_code)]
 
@@ -123,12 +125,6 @@ fn parse_args() -> Result<RouterConfig, String> {
                     .map_err(|e| format!("--upstream-timeout-ms: {e}"))?;
                 cfg.upstream_timeout = Duration::from_millis(ms.max(1));
             }
-            "--read-timeout-ms" => {
-                let ms: u64 = value("--read-timeout-ms")?
-                    .parse()
-                    .map_err(|e| format!("--read-timeout-ms: {e}"))?;
-                cfg.read_timeout = Duration::from_millis(ms.max(1));
-            }
             "--help" | "-h" => {
                 print!("{USAGE}");
                 std::process::exit(0);
@@ -167,6 +163,7 @@ fn main() -> ExitCode {
         nodes.join(", "),
         tenants,
     );
+    println!("{}", Router::endpoints());
     router.wait();
     ExitCode::SUCCESS
 }

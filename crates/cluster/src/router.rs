@@ -53,7 +53,7 @@ use std::time::Duration;
 
 use sitw_core::PolicySpec;
 use sitw_fleet::{fnv1a, registry::parse_tenant_arg, Admission, QosPolicy};
-use sitw_serve::http::{call, write_response, Request};
+use sitw_serve::http::{call, endpoints_line, lookup, write_response, Request, Route};
 use sitw_serve::reactor::{self, Pool};
 use sitw_serve::server::write_error;
 use sitw_serve::wire::{self, TenantUsage};
@@ -205,10 +205,6 @@ pub struct RouterConfig {
     /// Budget reconciliation interval in milliseconds; 0 disables the
     /// background reconciler (`POST /admin/reconcile` still works).
     pub reconcile_ms: u64,
-    /// The reactor poll tick: bounds how quickly a shutdown propagates,
-    /// how often the slowloris sweep runs, and how late past
-    /// `upstream_timeout` a hung node is noticed.
-    pub read_timeout: Duration,
     /// Tag every Nth untraced request with a router-originated trace id
     /// and record hop spans for all traced requests; 0 disables hop
     /// recording (client trace ids still propagate to the nodes).
@@ -236,7 +232,6 @@ impl Default for RouterConfig {
             nodes: Vec::new(),
             tenants: Vec::new(),
             reconcile_ms: 1_000,
-            read_timeout: Duration::from_millis(50),
             trace_sample: 0,
             failover: FailoverMode::Off,
             probe_ms: 500,
@@ -822,12 +817,7 @@ impl Router {
         let has_qos = cfg.tenants.iter().any(|t| t.qos.is_some());
         let telem = RouterTelem::new(cfg.trace_sample);
         let failover = cfg.failover;
-        let pool = Pool::bind(
-            &cfg.addr,
-            reactor::REACTORS,
-            cfg.read_timeout,
-            reactor::IDLE_TIMEOUT,
-        )?;
+        let pool = Pool::bind(&cfg.addr, reactor::REACTORS, reactor::IDLE_TIMEOUT)?;
         let ctx = Arc::new(RouterCtx {
             pool: Arc::clone(&pool),
             ring: RwLock::new(ClusterRing::new(nodes.len())),
@@ -867,6 +857,12 @@ impl Router {
     /// The bound listen address.
     pub fn addr(&self) -> SocketAddr {
         self.ctx.pool.addr()
+    }
+
+    /// The startup `endpoints:` line: every row of the router's route
+    /// table.
+    pub fn endpoints() -> String {
+        endpoints_line(ROUTES)
     }
 
     /// The router's metrics (tests and embedding callers).
@@ -986,6 +982,46 @@ fn probe_loop(ctx: Arc<RouterCtx>) {
     }
 }
 
+/// What answers a row of [`ROUTES`].
+#[derive(Clone, Copy)]
+pub(crate) enum Verb {
+    Invoke,
+    Healthz,
+    Metrics,
+    FleetMetrics,
+    Trace,
+    Events,
+    Ring,
+    RingDrop,
+    Proposals,
+    ConfirmProposal,
+    Migrate,
+    Reconcile,
+    ListTenants,
+    Shutdown,
+}
+
+/// The router's HTTP surface, one row per `(method, path)`. `POST
+/// /invoke` is forwarded on the data path (`forward`); its row gives it
+/// its 405.
+#[rustfmt::skip]
+pub(crate) const ROUTES: &[Route<Verb>] = &[
+    ("POST", "/invoke",                       Verb::Invoke),
+    ("GET",  "/healthz",                      Verb::Healthz),
+    ("GET",  "/metrics",                      Verb::Metrics),
+    ("GET",  "/metrics/fleet",                Verb::FleetMetrics),
+    ("GET",  "/debug/trace",                  Verb::Trace),
+    ("GET",  "/debug/events",                 Verb::Events),
+    ("GET",  "/admin/ring",                   Verb::Ring),
+    ("POST", "/admin/ring/drop",              Verb::RingDrop),
+    ("GET",  "/admin/ring/proposals",         Verb::Proposals),
+    ("POST", "/admin/ring/proposals/confirm", Verb::ConfirmProposal),
+    ("POST", "/admin/migrate",                Verb::Migrate),
+    ("POST", "/admin/reconcile",              Verb::Reconcile),
+    ("GET",  "/admin/tenants",                Verb::ListTenants),
+    ("POST", "/admin/shutdown",               Verb::Shutdown),
+];
+
 /// Answers one control request — everything but `POST /invoke` — into
 /// `out`, on the reactor that read it. Its connection owes nothing by
 /// then (settle-then-serve), so a side effect lands after every earlier
@@ -993,9 +1029,9 @@ fn probe_loop(ctx: Arc<RouterCtx>) {
 /// nodes block the reactor for their round trips, as a node's admin
 /// verbs do.
 pub(crate) fn control(ctx: &RouterCtx, req: &Request, out: &mut Vec<u8>) {
-    let (path, query) = match req.path.split_once('?') {
-        Some((p, q)) => (p, q),
-        None => (req.path.as_str(), ""),
+    let (&verb, _, query) = match lookup(ROUTES, &req.method, &req.path) {
+        Ok(found) => found,
+        Err((status, e)) => return write_error(out, status, e),
     };
     let json = |out: &mut Vec<u8>, status: u16, body: &str| {
         write_response(out, status, "application/json", body.as_bytes())
@@ -1005,8 +1041,10 @@ pub(crate) fn control(ctx: &RouterCtx, req: &Request, out: &mut Vec<u8>) {
             .strip_prefix("node=")
             .and_then(|v| v.parse::<usize>().ok())
     };
-    match (req.method.as_str(), path) {
-        ("GET", "/healthz") => {
+    match verb {
+        // The data path forwards every invoke before control is asked.
+        Verb::Invoke => write_error(out, 500, "an invoke reached the control path"),
+        Verb::Healthz => {
             let ring = read(&ctx.ring);
             let body = format!(
                 "{{\"status\":\"ok\",\"role\":\"router\",\"nodes\":{},\"live\":{},\
@@ -1020,17 +1058,17 @@ pub(crate) fn control(ctx: &RouterCtx, req: &Request, out: &mut Vec<u8>) {
             drop(ring);
             json(out, 200, &body);
         }
-        ("GET", "/metrics") => {
+        Verb::Metrics => {
             let text = ctx.metrics.render(&ctx.node_names_snapshot());
             write_response(out, 200, "text/plain; version=0.0.4", text.as_bytes());
         }
-        ("GET", "/metrics/fleet") => {
+        Verb::FleetMetrics => {
             // Federation pass: pull every live node's raw log2 buckets
             // and merge exactly.
             let text = render_fleet(&ctx.fleet_scrape());
             write_response(out, 200, "text/plain; version=0.0.4", text.as_bytes());
         }
-        ("GET", "/debug/trace") => {
+        Verb::Trace => {
             // The node's text shape with fleet sources, or (with
             // `format=json`) span objects keyed by hex trace id.
             let spans = ctx.merged_trace();
@@ -1041,8 +1079,8 @@ pub(crate) fn control(ctx: &RouterCtx, req: &Request, out: &mut Vec<u8>) {
             };
             write_response(out, 200, content_type, body.as_bytes());
         }
-        ("GET", "/debug/events") => json(out, 200, &EventRing::snapshot_json(&ctx.telem.events)),
-        ("GET", "/admin/ring") => {
+        Verb::Events => json(out, 200, &EventRing::snapshot_json(&ctx.telem.events)),
+        Verb::Ring => {
             let names = ctx.node_names_snapshot();
             let ring = read(&ctx.ring);
             let mut body = format!("{{\"epoch\":{},\"nodes\":[", ring.epoch());
@@ -1066,7 +1104,7 @@ pub(crate) fn control(ctx: &RouterCtx, req: &Request, out: &mut Vec<u8>) {
             drop(ring);
             json(out, 200, &body);
         }
-        ("GET", "/admin/tenants") => {
+        Verb::ListTenants => {
             // Same shape as a node's listing (id immediately before
             // name), so `sitw-loadgen` resolves ids against the router
             // transparently.
@@ -1089,7 +1127,7 @@ pub(crate) fn control(ctx: &RouterCtx, req: &Request, out: &mut Vec<u8>) {
             body.push(']');
             json(out, 200, &body);
         }
-        ("POST", "/admin/ring/drop") => match node_arg() {
+        Verb::RingDrop => match node_arg() {
             Some(node) if node < ctx.slots => {
                 let (dropped, epoch, live) = {
                     let mut ring = write(&ctx.ring);
@@ -1108,7 +1146,7 @@ pub(crate) fn control(ctx: &RouterCtx, req: &Request, out: &mut Vec<u8>) {
             }
             _ => write_error(out, 400, "expected ?node=INDEX"),
         },
-        ("GET", "/admin/ring/proposals") => {
+        Verb::Proposals => {
             let proposals = lock_unpoisoned(&ctx.proposals);
             let mut body = String::from("{\"proposals\":[");
             for (i, p) in proposals.iter().enumerate() {
@@ -1130,14 +1168,14 @@ pub(crate) fn control(ctx: &RouterCtx, req: &Request, out: &mut Vec<u8>) {
             drop(proposals);
             json(out, 200, &body);
         }
-        ("POST", "/admin/ring/proposals/confirm") => match node_arg() {
+        Verb::ConfirmProposal => match node_arg() {
             Some(node) => match ctx.confirm_failover(node) {
                 Ok(body) => json(out, 200, &body),
                 Err((status, e)) => write_error(out, status, &e),
             },
             None => write_error(out, 400, "expected ?node=INDEX"),
         },
-        ("POST", "/admin/migrate") => {
+        Verb::Migrate => {
             let mut tenant = None;
             let mut to = None;
             for pair in query.split('&') {
@@ -1162,7 +1200,7 @@ pub(crate) fn control(ctx: &RouterCtx, req: &Request, out: &mut Vec<u8>) {
                 _ => write_error(out, 400, "expected ?tenant=NAME&to=INDEX"),
             }
         }
-        ("POST", "/admin/reconcile") => {
+        Verb::Reconcile => {
             let (nodes, pushes) = ctx.reconcile_once();
             json(
                 out,
@@ -1170,28 +1208,10 @@ pub(crate) fn control(ctx: &RouterCtx, req: &Request, out: &mut Vec<u8>) {
                 &format!("{{\"nodes\":{nodes},\"pushes\":{pushes}}}"),
             );
         }
-        ("POST", "/admin/shutdown") => {
+        Verb::Shutdown => {
             json(out, 200, "{\"status\":\"stopping\"}");
             ctx.pool.shutdown();
         }
-        (
-            _,
-            "/invoke"
-            | "/healthz"
-            | "/metrics"
-            | "/metrics/fleet"
-            | "/debug/trace"
-            | "/debug/events"
-            | "/admin/ring"
-            | "/admin/ring/drop"
-            | "/admin/ring/proposals"
-            | "/admin/ring/proposals/confirm"
-            | "/admin/migrate"
-            | "/admin/reconcile"
-            | "/admin/tenants"
-            | "/admin/shutdown",
-        ) => write_error(out, 405, "method not allowed"),
-        _ => write_error(out, 404, "not found"),
     }
 }
 
@@ -1471,5 +1491,95 @@ mod tests {
         }
         router.shutdown();
         node.shutdown().unwrap();
+    }
+
+    /// Every row answered with a method no row lists for its path is a
+    /// 405, and a path no row lists is a 404, both with their JSON error.
+    #[test]
+    fn every_route_refuses_other_methods_and_unlisted_paths_are_404() {
+        let (node, router) = node_and_router();
+        let mut client = sitw_serve::Client::connect(router.addr()).unwrap();
+        let mut checked = 0;
+        for &(_, path, _) in ROUTES {
+            for method in ["GET", "POST", "PUT", "DELETE"] {
+                if ROUTES.iter().any(|r| (r.0, r.1) == (method, path)) {
+                    continue;
+                }
+                let (status, body) = client.request(method, path, "").unwrap();
+                assert_eq!(
+                    (status, body.as_str()),
+                    (405, "{\"error\":\"method not allowed\"}"),
+                    "{method} {path}"
+                );
+                checked += 1;
+            }
+        }
+        assert!(checked >= 3 * ROUTES.len(), "{checked}");
+        for path in [
+            "/",
+            "/nope",
+            "/admin",
+            "/admin/ring/x",
+            "/debug/hist",
+            "/admin/usage",
+        ] {
+            for method in ["GET", "POST"] {
+                let (status, body) = client.request(method, path, "").unwrap();
+                assert_eq!(
+                    (status, body.as_str()),
+                    (404, "{\"error\":\"not found\"}"),
+                    "{method} {path}"
+                );
+            }
+        }
+        drop(client);
+        router.shutdown();
+        node.shutdown().unwrap();
+    }
+
+    /// The startup line names every row once, in table order, in a form
+    /// that looks back up to the row.
+    #[test]
+    fn endpoints_line_names_every_row() {
+        let line = Router::endpoints();
+        let listed: Vec<&str> = line
+            .strip_prefix("endpoints: ")
+            .unwrap()
+            .split(", ")
+            .collect();
+        assert_eq!(listed.len(), 14, "{line}");
+        for (entry, row) in listed.iter().zip(ROUTES) {
+            let (method, path) = entry.split_once(' ').unwrap();
+            assert_eq!((method, path), (row.0, row.1));
+            assert!(lookup(ROUTES, method, path).is_ok(), "{entry}");
+        }
+    }
+
+    /// Each `CONTRIBUTING.md` endpoint row tagged `router` names a route
+    /// of the router's table.
+    #[test]
+    fn contributing_router_endpoints_are_routes() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../CONTRIBUTING.md");
+        let doc = std::fs::read_to_string(path).unwrap();
+        let table = doc.lines().skip_while(|l| !l.starts_with("| endpoint |"));
+        let mut checked = 0;
+        for line in table.skip(2).take_while(|l| l.starts_with('|')) {
+            let cells: Vec<&str> = line.split('|').map(str::trim).collect();
+            if !cells[2].contains("router") {
+                continue;
+            }
+            let endpoint = cells[1].trim_matches('`');
+            let (method, path) = endpoint.split_once(' ').unwrap();
+            let path = path.split(['[', '?']).next().unwrap();
+            assert!(
+                lookup(ROUTES, method, path).is_ok(),
+                "CONTRIBUTING.md names `{endpoint}`, which the router does not route"
+            );
+            checked += 1;
+        }
+        assert!(
+            checked >= 3,
+            "found {checked} router rows in CONTRIBUTING.md"
+        );
     }
 }

@@ -119,6 +119,7 @@ fn a_rejected_frame_spends_no_qos_tokens() {
 #[test]
 fn a_hung_node_stalls_only_the_clients_it_owes() {
     const TIMEOUT: Duration = Duration::from_secs(1);
+    // The reactors' poll tick.
     const TICK: Duration = Duration::from_millis(50);
     let healthy = start_node();
     // Holds the router's connection open, reading, until it is dropped.
@@ -130,7 +131,6 @@ fn a_hung_node_stalls_only_the_clients_it_owes() {
         nodes: vec![healthy.addr().to_string(), hung.to_string()],
         reconcile_ms: 0,
         upstream_timeout: TIMEOUT,
-        read_timeout: TICK,
         ..RouterConfig::default()
     })
     .expect("router starts");

@@ -8,7 +8,8 @@
 //!
 //! * [`registry`] — tenants: each gets its own [`sitw_core::PolicySpec`],
 //!   a keep-alive memory budget in MB, and an isolated `tenant/app`
-//!   namespace; parsed from CLI args and config files with one grammar.
+//!   namespace; `--tenant` flags and `POST /admin/tenants` bodies share
+//!   one grammar.
 //! * [`footprint`] — deterministic per-`(tenant, app)` memory footprints
 //!   sampled by inverse transform from the paper's Burr XII fit
 //!   (Figure 8), so online serving, offline replay, and restores all

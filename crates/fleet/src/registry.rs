@@ -183,40 +183,6 @@ pub fn parse_tenant_arg(arg: &str) -> Result<(String, PolicySpec, u64), String> 
     Ok((name.to_owned(), policy, budget_mb))
 }
 
-/// Parses a tenants config file: one `tenant <name> <policy> [budget
-/// <MB>]` per line; blank lines and `#` comments ignored.
-pub fn parse_tenants_file(text: &str) -> Result<Vec<(String, PolicySpec, u64)>, String> {
-    let mut out = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut tok = line.split_ascii_whitespace();
-        let err = |msg: &str| format!("line {}: {msg}: '{line}'", lineno + 1);
-        if tok.next() != Some("tenant") {
-            return Err(err("expected 'tenant <name> <policy> [budget <MB>]'"));
-        }
-        let name = tok.next().ok_or_else(|| err("missing tenant name"))?;
-        validate_tenant_name(name).map_err(|e| err(&e))?;
-        let policy_str = tok.next().ok_or_else(|| err("missing policy"))?;
-        let policy = PolicySpec::parse(policy_str).map_err(|e| err(&e.to_string()))?;
-        let budget_mb = match tok.next() {
-            None => 0,
-            Some("budget") => {
-                let mb = tok.next().ok_or_else(|| err("missing budget value"))?;
-                mb.parse::<u64>().map_err(|_| err("bad budget"))?
-            }
-            Some(other) => return Err(err(&format!("unexpected token '{other}'"))),
-        };
-        if tok.next().is_some() {
-            return Err(err("trailing tokens"));
-        }
-        out.push((name.to_owned(), policy, budget_mb));
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -287,23 +253,5 @@ mod tests {
         assert!(parse_tenant_arg("noequals").is_err());
         assert!(parse_tenant_arg("n=bogus").is_err());
         assert!(parse_tenant_arg("n=hybrid,budget=x").is_err());
-    }
-
-    #[test]
-    fn parse_tenants_file_lines() {
-        let text = "\
-# fleet config
-tenant acme hybrid budget 4096
-
-tenant batch fixed:10
-";
-        let parsed = parse_tenants_file(text).unwrap();
-        assert_eq!(parsed.len(), 2);
-        assert_eq!(parsed[0].0, "acme");
-        assert_eq!(parsed[0].2, 4096);
-        assert_eq!(parsed[1].2, 0);
-        assert!(parse_tenants_file("tenant x hybrid budget").is_err());
-        assert!(parse_tenants_file("nottenant x hybrid").is_err());
-        assert!(parse_tenants_file("tenant x hybrid budget 1 extra").is_err());
     }
 }

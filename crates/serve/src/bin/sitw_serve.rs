@@ -4,7 +4,6 @@
 //! sitw-serve [--addr 127.0.0.1:7071] [--shards 4] [--policy hybrid]
 //!            [--reactor-threads 2] [--idle-timeout-ms 10000]
 //!            [--tenant NAME=POLICY[,budget=MB]]... [--tenants N]
-//!            [--tenants-file PATH]
 //!            [--snapshot PATH] [--restore PATH] [--no-telemetry]
 //!            [--follow PRIMARY_ADDR] [--repl-interval-ms 100]
 //!            [--auto-promote-ms N]
@@ -35,9 +34,8 @@
 //! with its own policy and keep-alive memory budget (MB; omit for
 //! unlimited); repeatable. `--tenants N` is shorthand for N tenants
 //! `t0..tN-1` under the global policy (matching `sitw-loadgen
-//! --tenants N`). `--tenants-file` reads `tenant <name> <policy>
-//! [budget <MB>]` lines. More tenants can be added at runtime via
-//! `POST /admin/tenants`.
+//! --tenants N`). More tenants can be added at runtime via
+//! `POST /admin/tenants`, whose body is the `--tenant` grammar.
 //!
 //! Standby mode: `--follow PRIMARY_ADDR` starts the same node as a warm
 //! standby. It pulls the primary's replication stream every
@@ -54,19 +52,20 @@
 //!
 //! The daemon runs until `POST /admin/shutdown`; with `--snapshot` it
 //! writes its final state there on the way out (and on every
-//! `POST /admin/snapshot`).
+//! `POST /admin/snapshot`). Its startup `endpoints:` line lists every
+//! verb it answers, printed from the route table in `server.rs`.
 
 #![forbid(unsafe_code)]
 
 use std::path::PathBuf;
 use std::process::exit;
 
-use sitw_fleet::registry::{parse_tenant_arg, parse_tenants_file};
+use sitw_fleet::registry::parse_tenant_arg;
 use sitw_serve::{FollowConfig, ServeConfig, Server, TenantConfig};
 use sitw_sim::PolicySpec;
 
 /// The CLI policy grammar is [`PolicySpec::parse`] — one grammar for
-/// `--policy`, `--tenant`, tenants files, admin bodies, and snapshots.
+/// `--policy`, `--tenant`, admin bodies, and snapshots.
 fn parse_policy(s: &str) -> Result<PolicySpec, String> {
     PolicySpec::parse(s).map_err(|e| e.to_string())
 }
@@ -78,7 +77,7 @@ fn usage() -> ! {
          [--policy hybrid|hybrid:<h>h|fixed:<min>|no-unloading|\
          production[:<days>d|:<decay>|:uniform]] \
          [--tenant NAME=POLICY[,budget=MB]]... [--tenants N] \
-         [--tenants-file PATH] [--snapshot PATH] [--restore PATH] \
+         [--snapshot PATH] [--restore PATH] \
          [--no-telemetry] [--follow PRIMARY_ADDR] \
          [--repl-interval-ms N] [--auto-promote-ms N]"
     );
@@ -142,28 +141,6 @@ fn main() {
             }
             "--tenants" => {
                 tenants_shorthand = value("--tenants").parse().unwrap_or_else(|_| usage());
-            }
-            "--tenants-file" => {
-                let path = value("--tenants-file");
-                let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-                    eprintln!("cannot read '{path}': {e}");
-                    exit(1);
-                });
-                match parse_tenants_file(&text) {
-                    Ok(entries) => {
-                        for (name, policy, budget_mb) in entries {
-                            cfg.tenants.push(TenantConfig {
-                                name,
-                                policy,
-                                budget_mb,
-                            });
-                        }
-                    }
-                    Err(e) => {
-                        eprintln!("{path}: {e}");
-                        exit(1);
-                    }
-                }
             }
             "--snapshot" => cfg.snapshot_path = Some(PathBuf::from(value("--snapshot"))),
             "--restore" => cfg.restore_path = Some(PathBuf::from(value("--restore"))),
@@ -245,17 +222,12 @@ fn main() {
             }
         );
     }
-    println!(
-        "endpoints: POST /invoke, GET /metrics, GET /healthz, \
-         GET /debug/trace, GET /debug/threads, \
-         GET|POST /admin/tenants, POST /admin/snapshot, POST /admin/promote, \
-         POST /admin/shutdown"
-    );
+    println!("{}", Server::endpoints());
 
     server.wait();
     match server.shutdown() {
         Ok(snapshot) => {
-            println!("stopped; {} apps in final state", snapshot.apps.len());
+            println!("stopped; {} apps in final state", snapshot.app_count());
         }
         Err(e) => {
             eprintln!("shutdown error: {e}");

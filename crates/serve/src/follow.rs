@@ -188,7 +188,7 @@ impl ReplicaState {
             }
             return Ok(0);
         };
-        let apps = count_apps(&doc);
+        let apps = doc.app_count();
         if round.full_sync {
             self.snap = Some(doc);
         } else {
@@ -201,15 +201,6 @@ impl ReplicaState {
         self.epoch = round.epoch;
         Ok(apps)
     }
-}
-
-fn count_apps(snap: &Snapshot) -> u64 {
-    snap.apps.len() as u64
-        + snap
-            .tenants
-            .iter()
-            .map(|t| t.apps.len() as u64)
-            .sum::<u64>()
 }
 
 /// Pull state under one lock (control-plane rates only).
@@ -289,7 +280,7 @@ impl Follow {
             bytes_received: shared.bytes_received,
             lag_ms: shared.last_commit.unwrap_or(started).elapsed().as_millis() as u64,
             consecutive_failures: shared.consecutive_failures,
-            apps: shared.replica.snap.as_ref().map_or(0, count_apps),
+            apps: shared.replica.snap.as_ref().map_or(0, Snapshot::app_count),
             promoted: !self.following(),
         }
     }

@@ -827,6 +827,61 @@ pub fn write_response(out: &mut Vec<u8>, status: u16, content_type: &str, body: 
     out.extend_from_slice(body);
 }
 
+/// One row of a daemon's route table: `(method, path, handler tag)`. A
+/// daemon declares its HTTP surface once, as a table of these; dispatch
+/// ([`lookup`]), its 404s and 405s, and its startup `endpoints:` line
+/// ([`endpoints_line`]) all read that table.
+///
+/// A `<name>` in a path is a placeholder: it matches whatever lies
+/// between the fixed text around it (slashes included, possibly
+/// nothing), and the handler judges the name.
+pub type Route<T> = (&'static str, &'static str, T);
+
+/// The text `pattern`'s placeholder matched in `path` (`""` if it has
+/// none), or `None` when `path` does not match.
+fn path_match<'p>(pattern: &str, path: &'p str) -> Option<&'p str> {
+    let Some((head, rest)) = pattern.split_once('<') else {
+        return (path == pattern).then_some("");
+    };
+    let tail = rest.split_once('>').map_or("", |(_, tail)| tail);
+    path.strip_prefix(head)?.strip_suffix(tail)
+}
+
+/// Looks `method` and `target` (a path with an optional `?query`) up in
+/// `table`: the matching row's handler tag, the text its placeholder
+/// matched and the query (`""` for either when absent). A path some row
+/// has under another method is refused `405`, any other path `404`.
+/// Linear: tables are a few dozen rows and only control requests come
+/// here.
+pub fn lookup<'a, T>(
+    table: &'a [Route<T>],
+    method: &str,
+    target: &'a str,
+) -> Result<(&'a T, &'a str, &'a str), (u16, &'static str)> {
+    let (path, query) = target.split_once('?').unwrap_or((target, ""));
+    let mut known = false;
+    for (row_method, pattern, to) in table {
+        if let Some(name) = path_match(pattern, path) {
+            if *row_method == method {
+                return Ok((to, name, query));
+            }
+            known = true;
+        }
+    }
+    Err(if known {
+        (405, "method not allowed")
+    } else {
+        (404, "not found")
+    })
+}
+
+/// The `endpoints:` line a daemon prints at startup: every row of its
+/// table, `METHOD PATH`, in table order.
+pub fn endpoints_line<T>(table: &[Route<T>]) -> String {
+    let rows: Vec<String> = table.iter().map(|(m, p, _)| format!("{m} {p}")).collect();
+    format!("endpoints: {}", rows.join(", "))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -841,6 +896,41 @@ mod tests {
         let client = TcpStream::connect(addr).unwrap();
         let (server, _) = listener.accept().unwrap();
         (client, server)
+    }
+
+    #[test]
+    fn lookup_finds_rows_and_tells_405_from_404() {
+        const TABLE: &[Route<u8>] = &[
+            ("GET", "/items", 0),
+            ("POST", "/items", 1),
+            ("POST", "/items/<name>/take", 2),
+        ];
+        assert_eq!(lookup(TABLE, "GET", "/items"), Ok((&0, "", "")));
+        assert_eq!(lookup(TABLE, "POST", "/items?x=1&y"), Ok((&1, "", "x=1&y")));
+        assert_eq!(lookup(TABLE, "POST", "/items/a/take"), Ok((&2, "a", "")));
+        // The placeholder takes what lies between its fixed neighbours.
+        assert_eq!(
+            lookup(TABLE, "POST", "/items/a/b/take?q"),
+            Ok((&2, "a/b", "q"))
+        );
+        assert_eq!(lookup(TABLE, "POST", "/items//take"), Ok((&2, "", "")));
+        for (method, path) in [("PUT", "/items"), ("GET", "/items/a/take")] {
+            assert_eq!(
+                lookup(TABLE, method, path),
+                Err((405, "method not allowed"))
+            );
+        }
+        for path in ["/item", "/items/", "/items/take", "/items/a/give", "/", ""] {
+            assert_eq!(
+                lookup(TABLE, "POST", path),
+                Err((404, "not found")),
+                "{path}"
+            );
+        }
+        assert_eq!(
+            endpoints_line(TABLE),
+            "endpoints: GET /items, POST /items, POST /items/<name>/take"
+        );
     }
 
     #[test]

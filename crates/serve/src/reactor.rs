@@ -54,8 +54,9 @@ pub const IDLE_TIMEOUT: Duration = Duration::from_secs(10);
 /// default.
 pub const WINDOW: usize = 128;
 
-/// A node's poll tick: bounds how quickly shutdowns propagate and how
-/// often the slowloris sweep runs.
+/// Every reactor's poll tick, a node's or a router's: bounds how quickly
+/// shutdowns propagate, how often the slowloris sweep runs and (on a
+/// router) how late past its upstream deadline a hung node is noticed.
 pub(crate) const TICK: Duration = Duration::from_millis(50);
 
 const WAKER_TOKEN: u64 = u64::MAX;
@@ -122,8 +123,6 @@ pub trait Handler {
 pub struct Pool {
     listener: TcpListener,
     addr: SocketAddr,
-    /// Poll tick: bounds shutdown latency and the sweep cadence.
-    tick: Duration,
     idle_timeout: Duration,
     /// One epoll instance per reactor, shared so any reactor can
     /// (de)register the listener with any other.
@@ -143,14 +142,9 @@ pub struct Pool {
 
 impl Pool {
     /// Binds `addr` (non-blocking) for `reactors` event loops polling on
-    /// `tick` and closing half-received messages idle for
+    /// `TICK` and closing half-received messages idle for
     /// `idle_timeout`.
-    pub fn bind(
-        addr: &str,
-        reactors: usize,
-        tick: Duration,
-        idle_timeout: Duration,
-    ) -> io::Result<Arc<Pool>> {
+    pub fn bind(addr: &str, reactors: usize, idle_timeout: Duration) -> io::Result<Arc<Pool>> {
         if reactors == 0 {
             return Err(io::Error::new(io::ErrorKind::InvalidInput, "no reactors"));
         }
@@ -166,7 +160,6 @@ impl Pool {
         let pool = Pool {
             addr: listener.local_addr()?,
             listener,
-            tick: tick.max(Duration::from_millis(1)),
             idle_timeout,
             epolls,
             wakers,
@@ -327,11 +320,11 @@ fn run<H: Handler>(pool: &Pool, id: usize, h: &mut H) {
     let mut conns: Conns<H::State> = Slab::new();
     let mut events = Events::with_capacity(EVENTS_PER_WAIT);
     let (mut tokens, mut ready): (Vec<u64>, Vec<u64>) = (Vec::new(), Vec::new());
-    let tick_ms = pool.tick.as_millis().min(i32::MAX as u128) as i32;
+    let tick_ms = TICK.as_millis() as i32;
     // Wall-clock deadlines (sweep cadence, shutdown grace) are real
     // time by design, not simulated trace time.
     // sitw-lint: allow(clock-discipline)
-    let mut next_sweep = Instant::now() + pool.tick;
+    let mut next_sweep = Instant::now() + TICK;
     let mut shutdown_deadline: Option<Instant> = None;
     // Empty spin rounds buffer their epoll_wait count and flush it on
     // the next eventful or blocking wait: no telemetry lock per spin.
@@ -390,7 +383,7 @@ fn run<H: Handler>(pool: &Pool, id: usize, h: &mut H) {
         let now = Instant::now();
         let sweep = now >= next_sweep;
         if sweep {
-            next_sweep = now + pool.tick;
+            next_sweep = now + TICK;
             tokens.clear();
             tokens.extend(conns.tokens());
             for &token in &tokens {

@@ -46,7 +46,7 @@ use sitw_telemetry::{
 };
 
 use crate::follow::{promote, pull_loop, Follow, FollowConfig, FollowStatus, NOT_PROMOTED};
-use crate::http::{write_response, Request};
+use crate::http::{lookup, write_response, Request, Route};
 use crate::metrics::{
     ConnStats, MetricsReport, ProtoStats, ReactorTelem, ReplStats, ShardStats, TRACE_RING,
 };
@@ -59,8 +59,8 @@ use crate::snapshot::{
 };
 use crate::wire::{self, push_u64, BinErrorCode, TenantUsage};
 
-/// One tenant in the server configuration (CLI `--tenant`, a tenants
-/// file, or programmatic [`ServeConfig::tenants`]).
+/// One tenant in the server configuration (CLI `--tenant` or
+/// programmatic [`ServeConfig::tenants`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TenantConfig {
     /// Tenant name.
@@ -676,12 +676,7 @@ impl Server {
             shards.push(Mutex::new(worker));
         }
 
-        let pool = Pool::bind(
-            &cfg.addr,
-            cfg.reactor_threads,
-            reactor::TICK,
-            cfg.idle_timeout,
-        )?;
+        let pool = Pool::bind(&cfg.addr, cfg.reactor_threads, cfg.idle_timeout)?;
         let ctx = Arc::new(ServerCtx {
             follow: cfg.follow.clone().map(Follow::new),
             cfg,
@@ -719,6 +714,12 @@ impl Server {
     /// The bound address (useful with port 0).
     pub fn addr(&self) -> SocketAddr {
         self.ctx.pool.addr()
+    }
+
+    /// The startup `endpoints:` line: every row of the node's route
+    /// table.
+    pub fn endpoints() -> String {
+        crate::http::endpoints_line(ROUTES)
     }
 
     /// Scrapes all shards (in-process equivalent of `GET /metrics`).
@@ -828,28 +829,76 @@ fn write_tenant(out: &mut Vec<u8>, spec: &TenantSpec) {
     write_response(out, 200, "application/json", &body);
 }
 
-/// Non-invoke endpoints: health, metrics, admin. Runs on a reactor
-/// thread once every earlier message on its connection is answered
-/// (settle-then-serve, see [`crate::conn`]).
+/// What answers a row of [`ROUTES`].
+#[derive(Clone, Copy)]
+pub(crate) enum Verb {
+    Invoke,
+    Healthz,
+    Metrics,
+    Trace,
+    Threads,
+    Hist,
+    Events,
+    Policy,
+    ListTenants,
+    RegisterTenant,
+    Take,
+    Restore,
+    Usage,
+    Budgets,
+    Snapshot,
+    Promote,
+    Shutdown,
+}
+
+/// Whether an unpromoted standby answers a row or refuses it (503).
+#[derive(Clone, Copy, PartialEq)]
+pub(crate) enum Standby {
+    Serves,
+    Refuses,
+}
+
+/// The node's HTTP surface, one row per `(method, path)`. A standby
+/// refuses the data path and every verb that changes or exports tenant
+/// state until it is promoted. `POST /invoke` is decided on the
+/// reactors' data path (`pool`); its row gives it its 405 and its
+/// refusal.
+#[rustfmt::skip]
+pub(crate) const ROUTES: &[Route<(Verb, Standby)>] = &[
+    ("POST", "/invoke",                       (Verb::Invoke,         Standby::Refuses)),
+    ("GET",  "/healthz",                      (Verb::Healthz,        Standby::Serves)),
+    ("GET",  "/metrics",                      (Verb::Metrics,        Standby::Serves)),
+    ("GET",  "/debug/trace",                  (Verb::Trace,          Standby::Serves)),
+    ("GET",  "/debug/threads",                (Verb::Threads,        Standby::Serves)),
+    ("GET",  "/debug/hist",                   (Verb::Hist,           Standby::Serves)),
+    ("GET",  "/debug/events",                 (Verb::Events,         Standby::Serves)),
+    ("GET",  "/debug/policy",                 (Verb::Policy,         Standby::Serves)),
+    ("GET",  "/admin/tenants",                (Verb::ListTenants,    Standby::Serves)),
+    ("POST", "/admin/tenants",                (Verb::RegisterTenant, Standby::Refuses)),
+    ("POST", "/admin/tenants/<name>/take",    (Verb::Take,           Standby::Refuses)),
+    ("POST", "/admin/tenants/<name>/restore", (Verb::Restore,        Standby::Refuses)),
+    ("GET",  "/admin/usage",                  (Verb::Usage,          Standby::Refuses)),
+    ("POST", "/admin/budgets",                (Verb::Budgets,        Standby::Refuses)),
+    ("POST", "/admin/snapshot",               (Verb::Snapshot,       Standby::Refuses)),
+    ("POST", "/admin/promote",                (Verb::Promote,        Standby::Serves)),
+    ("POST", "/admin/shutdown",               (Verb::Shutdown,       Standby::Serves)),
+];
+
+/// Every request but a decision the data path takes: health, metrics,
+/// debug, admin. Runs on a reactor thread once every earlier message on
+/// its connection is answered (settle-then-serve, see [`crate::conn`]).
 pub(crate) fn handle_control(req: &Request, ctx: &ServerCtx, out: &mut Vec<u8>) {
-    let (path, query) = match req.path.split_once('?') {
-        Some((p, q)) => (p, q),
-        None => (req.path.as_str(), ""),
+    let (&(verb, standby), name, query) = match lookup(ROUTES, &req.method, &req.path) {
+        Ok(found) => found,
+        Err((status, e)) => return write_error(out, status, e),
     };
-    // A standby refuses the data path and every mutating admin verb
-    // until it is promoted. An invoke reaches this function only from a
-    // read burst that found the gate closed.
-    let refused = match (req.method.as_str(), path) {
-        ("POST", "/invoke") => true,
-        ("POST", "/admin/snapshot" | "/admin/budgets") | ("GET", "/admin/usage") => ctx.following(),
-        ("POST", p) => ctx.following() && p.starts_with("/admin/tenants"),
-        _ => false,
-    };
-    if refused {
+    if standby == Standby::Refuses && ctx.following() {
         return write_error(out, 503, NOT_PROMOTED);
     }
-    match (req.method.as_str(), path) {
-        ("GET", "/healthz") => {
+    match verb {
+        // Only an invoke read while the gate was closed comes here.
+        Verb::Invoke => write_error(out, 503, NOT_PROMOTED),
+        Verb::Healthz => {
             let mut body = Vec::with_capacity(96);
             body.extend_from_slice(b"{\"status\":\"");
             let status = if ctx.following() { "following" } else { "ok" };
@@ -875,7 +924,7 @@ pub(crate) fn handle_control(req: &Request, ctx: &ServerCtx, out: &mut Vec<u8>) 
             body.push(b'}');
             write_response(out, 200, "application/json", &body);
         }
-        ("GET", "/metrics") => {
+        Verb::Metrics => {
             let report = ctx.scrape();
             write_response(
                 out,
@@ -884,7 +933,7 @@ pub(crate) fn handle_control(req: &Request, ctx: &ServerCtx, out: &mut Vec<u8>) 
                 report.render().as_bytes(),
             );
         }
-        ("GET", "/admin/tenants") => {
+        Verb::ListTenants => {
             let registry = ctx.registry_read();
             let mut body = Vec::with_capacity(128);
             body.push(b'[');
@@ -905,7 +954,7 @@ pub(crate) fn handle_control(req: &Request, ctx: &ServerCtx, out: &mut Vec<u8>) 
             body.push(b']');
             write_response(out, 200, "application/json", &body);
         }
-        ("POST", "/admin/tenants") => {
+        Verb::RegisterTenant => {
             // Body: the CLI argument grammar, `NAME=POLICY[,budget=MB]`.
             let arg = String::from_utf8_lossy(&req.body);
             let result = sitw_fleet::registry::parse_tenant_arg(arg.trim())
@@ -915,7 +964,7 @@ pub(crate) fn handle_control(req: &Request, ctx: &ServerCtx, out: &mut Vec<u8>) 
                 Err(e) => write_error(out, 400, &e),
             }
         }
-        ("GET", "/admin/usage") => match ctx.tenant_usage() {
+        Verb::Usage => match ctx.tenant_usage() {
             Ok(rows) => {
                 let mut body = Vec::new();
                 wire::write_usage(&mut body, &rows);
@@ -923,20 +972,20 @@ pub(crate) fn handle_control(req: &Request, ctx: &ServerCtx, out: &mut Vec<u8>) 
             }
             Err(e) => write_error(out, 503, &e),
         },
-        ("POST", "/admin/budgets") => match wire::parse_budgets(&req.body) {
+        Verb::Budgets => match wire::parse_budgets(&req.body) {
             Ok(shares) => {
                 let body = format!("{{\"applied\":{}}}", ctx.set_budgets(&shares));
                 write_response(out, 200, "application/json", body.as_bytes());
             }
             Err(e) => write_error(out, 400, &e.to_string()),
         },
-        ("POST", "/admin/snapshot") => match &ctx.cfg.snapshot_path {
+        Verb::Snapshot => match &ctx.cfg.snapshot_path {
             Some(path) => match ctx.snapshot() {
                 Ok(snapshot) => match snapshot.write_to(path) {
                     Ok(()) => {
                         let mut body = Vec::with_capacity(64);
                         body.extend_from_slice(b"{\"apps\":");
-                        push_u64(&mut body, snapshot.apps.len() as u64);
+                        push_u64(&mut body, snapshot.app_count());
                         body.push(b'}');
                         write_response(out, 200, "application/json", &body);
                     }
@@ -946,11 +995,11 @@ pub(crate) fn handle_control(req: &Request, ctx: &ServerCtx, out: &mut Vec<u8>) 
             },
             None => write_error(out, 400, "no snapshot path configured"),
         },
-        ("POST", "/admin/promote") => match promote(ctx, "operator request") {
+        Verb::Promote => match promote(ctx, "operator request") {
             Ok(()) => write_response(out, 200, "application/json", b"{\"status\":\"promoted\"}"),
             Err(e) => write_error(out, 409, &e),
         },
-        ("GET", "/debug/trace") => {
+        Verb::Trace => {
             let mut last = 64usize;
             let mut json = false;
             for pair in query.split('&') {
@@ -989,19 +1038,19 @@ pub(crate) fn handle_control(req: &Request, ctx: &ServerCtx, out: &mut Vec<u8>) 
             };
             write_response(out, 200, content_type, body.as_bytes());
         }
-        ("GET", "/debug/hist") => {
+        Verb::Hist => {
             // Raw per-stage bucket vectors — the federation wire format
             // a cluster router reconstructs and merges exactly (its
             // `/metrics/fleet` bucket counts equal the sum over nodes).
             let report = ctx.scrape();
             write_response(out, 200, "text/plain", report.render_raw().as_bytes());
         }
-        ("GET", "/debug/events") => {
+        Verb::Events => {
             // With telemetry off nothing is ever pushed: an empty ring.
             let body = EventRing::snapshot_json(&ctx.telem.events);
             write_response(out, 200, "application/json", body.as_bytes());
         }
-        ("GET", "/debug/policy") => {
+        Verb::Policy => {
             let mut tenant = DEFAULT_TENANT_NAME;
             let mut app = "";
             for pair in query.split('&') {
@@ -1020,7 +1069,7 @@ pub(crate) fn handle_control(req: &Request, ctx: &ServerCtx, out: &mut Vec<u8>) 
                 }
             }
         }
-        ("GET", "/debug/threads") => {
+        Verb::Threads => {
             let mut body = String::with_capacity(512);
             body.push_str("{\"reactors\":[");
             for (i, t) in ctx.reactor_telem().iter().enumerate() {
@@ -1057,39 +1106,20 @@ pub(crate) fn handle_control(req: &Request, ctx: &ServerCtx, out: &mut Vec<u8>) 
             let _ = write!(body, "],\"conns\":{}}}", ctx.pool.live());
             write_response(out, 200, "application/json", body.as_bytes());
         }
-        (method, p) if p.starts_with("/admin/tenants/") => {
-            // Migration endpoints: `POST /admin/tenants/<name>/take`
-            // exports-and-removes; `POST /admin/tenants/<name>/restore`
-            // installs the take payload on this node.
-            let rest = &p["/admin/tenants/".len()..];
-            match (method, rest.rsplit_once('/')) {
-                ("POST", Some((name, "take"))) => match ctx.take_tenant(name) {
-                    Ok(payload) => write_response(out, 200, "text/plain", payload.as_bytes()),
-                    Err((status, e)) => write_error(out, status, &e),
-                },
-                // The payload itself names the tenant; the path segment
-                // is advisory (symmetry with /take).
-                ("POST", Some((_, "restore"))) => {
-                    match ctx.restore_tenant(&String::from_utf8_lossy(&req.body)) {
-                        Ok(spec) => write_tenant(out, &spec),
-                        Err((status, e)) => write_error(out, status, &e),
-                    }
-                }
-                (_, Some((_, "take" | "restore"))) => write_error(out, 405, "method not allowed"),
-                _ => write_error(out, 404, "not found"),
-            }
-        }
-        ("POST", "/admin/shutdown") => {
+        Verb::Take => match ctx.take_tenant(name) {
+            Ok(payload) => write_response(out, 200, "text/plain", payload.as_bytes()),
+            Err((status, e)) => write_error(out, status, &e),
+        },
+        // The payload itself names the tenant; the path's name is
+        // advisory (symmetry with take).
+        Verb::Restore => match ctx.restore_tenant(&String::from_utf8_lossy(&req.body)) {
+            Ok(spec) => write_tenant(out, &spec),
+            Err((status, e)) => write_error(out, status, &e),
+        },
+        Verb::Shutdown => {
             ctx.pool.shutdown();
             write_response(out, 200, "application/json", b"{\"status\":\"stopping\"}");
         }
-        (
-            _,
-            "/invoke" | "/healthz" | "/metrics" | "/debug/trace" | "/debug/threads" | "/debug/hist"
-            | "/debug/events" | "/debug/policy" | "/admin/tenants" | "/admin/usage"
-            | "/admin/budgets" | "/admin/snapshot" | "/admin/promote" | "/admin/shutdown",
-        ) => write_error(out, 405, "method not allowed"),
-        _ => write_error(out, 404, "not found"),
     }
 }
 
@@ -1620,5 +1650,221 @@ mod tests {
         drop(client);
         assert!(server.shutdown().is_err());
         assert!(!snap.exists());
+    }
+
+    /// A node serving named-tenant apps only counts them in its
+    /// `POST /admin/snapshot` answer (regression: it counted the default
+    /// tenant's apps alone, so this node answered `{"apps":0}`).
+    #[test]
+    fn snapshot_answer_counts_every_tenants_apps() {
+        let snap = std::env::temp_dir().join(format!("sitw-count-{}.snap", std::process::id()));
+        let server = Server::start(ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            shards: 2,
+            policy: PolicySpec::fixed_minutes(10),
+            snapshot_path: Some(snap.clone()),
+            tenants: vec![TenantConfig {
+                name: "metered".into(),
+                policy: PolicySpec::fixed_minutes(10),
+                budget_mb: 0,
+            }],
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let mut client = crate::Client::connect(server.addr()).unwrap();
+        for i in 0..5 {
+            let (status, body) = client
+                .invoke(Some("metered"), &format!("app-{i}"), 1, None)
+                .unwrap();
+            assert_eq!(status, 200, "{body}");
+        }
+        let (status, body) = client.request("POST", "/admin/snapshot", "").unwrap();
+        assert_eq!((status, body.as_str()), (200, "{\"apps\":5}"));
+        drop(client);
+        assert_eq!(server.shutdown().unwrap().app_count(), 5);
+        let _ = std::fs::remove_file(&snap);
+    }
+
+    /// A concrete path for a row: its `<name>` placeholder filled.
+    fn concrete(path: &str) -> String {
+        path.replace("<name>", "t")
+    }
+
+    /// Every row answered with a method no row lists for its path is a
+    /// 405, and a path no row lists is a 404, both with their JSON error.
+    #[test]
+    fn every_route_refuses_other_methods_and_unlisted_paths_are_404() {
+        let server = telem_server();
+        let mut client = crate::Client::connect(server.addr()).unwrap();
+        let mut checked = 0;
+        for &(_, pattern, _) in ROUTES {
+            for method in ["GET", "POST", "PUT", "DELETE"] {
+                if ROUTES.iter().any(|r| (r.0, r.1) == (method, pattern)) {
+                    continue;
+                }
+                let path = concrete(pattern);
+                let (status, body) = client.request(method, &path, "").unwrap();
+                assert_eq!(
+                    (status, body.as_str()),
+                    (405, "{\"error\":\"method not allowed\"}"),
+                    "{method} {path}"
+                );
+                checked += 1;
+            }
+        }
+        assert!(checked >= 2 * ROUTES.len(), "{checked}");
+        for path in [
+            "/",
+            "/nope",
+            "/debug",
+            "/invoke/x",
+            "/admin/tenants/t",
+            "/admin/tenants/t/x",
+        ] {
+            for method in ["GET", "POST"] {
+                let (status, body) = client.request(method, path, "").unwrap();
+                assert_eq!(
+                    (status, body.as_str()),
+                    (404, "{\"error\":\"not found\"}"),
+                    "{method} {path}"
+                );
+            }
+        }
+        assert_eq!(get(server.addr(), "/healthz").map(|r| r.0), Some(200));
+        server.shutdown().unwrap();
+    }
+
+    /// Every row the table gates answers 503 on an unpromoted standby and
+    /// changes nothing: after promotion no tenant was added, taken,
+    /// restored or re-budgeted, no app decided and no snapshot written.
+    #[test]
+    fn an_unpromoted_standby_refuses_every_gated_row_and_applies_nothing() {
+        let tenant = |name: &str| TenantConfig {
+            name: name.into(),
+            policy: PolicySpec::fixed_minutes(10),
+            budget_mb: 0,
+        };
+        // A real take payload, from a node of its own.
+        let source = Server::start(ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            tenants: vec![tenant("v")],
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let wait = Duration::from_secs(5);
+        let take = crate::http::call(
+            source.addr(),
+            "POST",
+            "/admin/tenants/v/take",
+            b"",
+            wait,
+            wait,
+        );
+        let (status, payload) = take.unwrap();
+        assert_eq!(status, 200, "{payload}");
+        source.shutdown().unwrap();
+
+        let snap = std::env::temp_dir().join(format!("sitw-gate-{}.snap", std::process::id()));
+        let _ = std::fs::remove_file(&snap);
+        let standby = Server::start(ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            shards: 2,
+            policy: PolicySpec::fixed_minutes(10),
+            tenants: vec![tenant("t")],
+            snapshot_path: Some(snap.clone()),
+            follow: Some(FollowConfig {
+                primary_addr: "127.0.0.1:1".into(),
+                ..FollowConfig::default()
+            }),
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let mut client = crate::Client::connect(standby.addr()).unwrap();
+        let gated: Vec<_> = ROUTES
+            .iter()
+            .filter(|(_, _, (_, gate))| *gate == Standby::Refuses)
+            .collect();
+        assert_eq!(gated.len(), 7);
+        for &(method, path, (verb, _)) in gated {
+            let body = match verb {
+                Verb::Invoke => r#"{"app":"a","ts":1}"#,
+                Verb::RegisterTenant => "u=fixed:10",
+                Verb::Restore => payload.as_str(),
+                Verb::Budgets => "t=64\n",
+                _ => "",
+            };
+            let path = concrete(path);
+            let (status, text) = client.request(method, &path, body).unwrap();
+            assert_eq!(
+                (status, text.as_str()),
+                (503, "{\"error\":\"standby: not promoted\"}"),
+                "{method} {path}"
+            );
+        }
+        let (status, body) = client.request("POST", "/admin/promote", "").unwrap();
+        assert_eq!(status, 200, "{body}");
+        let (_, listing) = client.request("GET", "/admin/tenants", "").unwrap();
+        assert!(listing.contains("\"name\":\"t\""), "{listing}");
+        assert!(!listing.contains("\"name\":\"u\""), "{listing}");
+        assert!(!listing.contains("\"name\":\"v\""), "{listing}");
+        let (status, usage) = client.request("GET", "/admin/usage", "").unwrap();
+        assert_eq!(status, 200, "{usage}");
+        let rows = wire::parse_usage(usage.as_bytes()).unwrap();
+        assert!(
+            rows.iter().all(|u| u.budget_mb == 0 && u.invocations == 0),
+            "{rows:?}"
+        );
+        assert!(!snap.exists());
+        drop(client);
+        assert_eq!(standby.snapshot().unwrap().app_count(), 0);
+        standby.shutdown().unwrap();
+        let _ = std::fs::remove_file(&snap);
+    }
+
+    /// The startup line names every row once, in table order, in a form
+    /// that looks back up to the row.
+    #[test]
+    fn endpoints_line_names_every_row() {
+        let line = Server::endpoints();
+        let listed: Vec<&str> = line
+            .strip_prefix("endpoints: ")
+            .unwrap()
+            .split(", ")
+            .collect();
+        assert_eq!(listed.len(), 17, "{line}");
+        for (entry, row) in listed.iter().zip(ROUTES) {
+            let (method, path) = entry.split_once(' ').unwrap();
+            assert_eq!((method, path), (row.0, row.1));
+            let path = concrete(path);
+            assert!(lookup(ROUTES, method, &path).is_ok(), "{entry}");
+        }
+    }
+
+    /// Each `CONTRIBUTING.md` endpoint row tagged `node` names a route of
+    /// the node's table.
+    #[test]
+    fn contributing_node_endpoints_are_routes() {
+        let doc = std::fs::read_to_string(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../CONTRIBUTING.md"
+        ))
+        .unwrap();
+        let table = doc.lines().skip_while(|l| !l.starts_with("| endpoint |"));
+        let mut checked = 0;
+        for line in table.skip(2).take_while(|l| l.starts_with('|')) {
+            let cells: Vec<&str> = line.split('|').map(str::trim).collect();
+            if !cells[2].contains("node") {
+                continue;
+            }
+            let endpoint = cells[1].trim_matches('`');
+            let (method, path) = endpoint.split_once(' ').unwrap();
+            let path = path.split(['[', '?']).next().unwrap();
+            assert!(
+                lookup(ROUTES, method, path).is_ok(),
+                "CONTRIBUTING.md names `{endpoint}`, which the node does not route"
+            );
+            checked += 1;
+        }
+        assert!(checked >= 5, "found {checked} node rows in CONTRIBUTING.md");
     }
 }

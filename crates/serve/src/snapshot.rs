@@ -1066,6 +1066,13 @@ fn temp_path(path: &Path) -> PathBuf {
 }
 
 impl Snapshot {
+    /// Apps held, every tenant's: the default tenant's plus each named
+    /// tenant's.
+    pub fn app_count(&self) -> u64 {
+        let named: usize = self.tenants.iter().map(|t| t.apps.len()).sum();
+        (self.apps.len() + named) as u64
+    }
+
     /// Serializes to the text format.
     pub fn encode(&self) -> String {
         self.encode_text(HEADER)
