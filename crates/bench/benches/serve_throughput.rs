@@ -35,7 +35,7 @@
 //! through an in-process `sitw-router` in front of the one node — are
 //! recorded as trajectory points and no longer gated in-run. The ISSUE-8
 //! gate (routed ≥ 0.8× direct) was measuring a byte relay that only a
-//! one-node ring without QoS or hop tracing ever took; ISSUE-15 deleted
+//! one-node ring without hop tracing ever took; ISSUE-15 deleted
 //! the relay, so these rows now time the decoded path every ring runs.
 //! Measured on the 2-vCPU dev box when the relay went (`SITW_BENCH_MS=200`,
 //! paired direct/routed runs): `json-routed` 0.66 / 0.68 / 0.96× direct,
@@ -245,7 +245,6 @@ fn run_once_replicated(shards: usize, policy: PolicySpec, proto: Proto, conns: u
         follow: Some(FollowConfig {
             primary_addr: server.addr().to_string(),
             pull_interval: Duration::from_millis(25),
-            ..FollowConfig::default()
         }),
         ..ServeConfig::default()
     })

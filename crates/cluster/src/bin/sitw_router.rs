@@ -1,8 +1,7 @@
 //! `sitw-router` — the cluster-mode routing daemon.
 //!
 //! One port in front of N `sitw-serve` nodes: tenant-keyed consistent
-//! routing, cluster-wide QoS admission, and epoch-based budget
-//! reconciliation. See the crate docs of `sitw-cluster` for the design.
+//! routing and epoch-based budget reconciliation. See the crate docs of `sitw-cluster` for the design.
 //! The startup `endpoints:` line lists every verb it answers, printed
 //! from the route table in `router.rs`.
 
@@ -11,8 +10,9 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
-use sitw_cluster::{FailoverMode, Router, RouterConfig, RouterTenant};
+use sitw_cluster::{FailoverMode, Router, RouterConfig};
 use sitw_core::PolicySpec;
+use sitw_serve::TenantConfig;
 
 const USAGE: &str = "\
 sitw-router — route tenants across a cluster of sitw-serve nodes
@@ -20,7 +20,7 @@ sitw-router — route tenants across a cluster of sitw-serve nodes
 USAGE:
     sitw-router --addr HOST:PORT --node HOST:PORT [--node HOST:PORT ...]
                 [--tenants N]
-                [--tenant NAME=POLICY[,budget=MB][,qos=SPEC]]
+                [--tenant NAME=POLICY[,budget=MB]]
                 [--reconcile-ms MS] [--trace-sample N]
                 [--failover off|supervised|auto] [--probe-ms MS]
                 [--standby IDX=ADDR] [--upstream-timeout-ms MS]
@@ -30,9 +30,9 @@ OPTIONS:
     --node HOST:PORT     A sitw-serve node; repeat once per node.
                          Argument order defines ring node indices.
     --tenants N          Shorthand: register tenants t0..t{N-1} with the
-                         hybrid policy and no budget or rate limit.
-    --tenant SPEC        One tenant: NAME=POLICY[,budget=MB][,qos=SPEC],
-                         e.g. acme=hybrid,budget=64,qos=bronze:rate=50.
+                         hybrid policy and no budget.
+    --tenant SPEC        One tenant, in the node's grammar:
+                         NAME=POLICY[,budget=MB], e.g. acme=hybrid,budget=64.
                          Repeatable; combines with --tenants.
     --reconcile-ms MS    Budget reconciliation interval (default 1000;
                          0 disables the background reconciler).
@@ -81,17 +81,15 @@ fn parse_args() -> Result<RouterConfig, String> {
                     .parse()
                     .map_err(|e| format!("--tenants: {e}"))?;
                 for i in 0..n {
-                    cfg.tenants.push(RouterTenant {
+                    cfg.tenants.push(TenantConfig {
                         name: format!("t{i}"),
                         policy: PolicySpec::parse("hybrid").expect("hybrid parses"),
                         budget_mb: 0,
-                        qos: None,
                     });
                 }
             }
             "--tenant" => {
-                let t = RouterTenant::parse(&value("--tenant")?)?;
-                cfg.tenants.push(t);
+                cfg.tenants.push(TenantConfig::parse(&value("--tenant")?)?);
             }
             "--reconcile-ms" => {
                 cfg.reconcile_ms = value("--reconcile-ms")?

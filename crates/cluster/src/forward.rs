@@ -4,10 +4,10 @@
 //! A [`Front`] is one reactor's handler. It reads a client's messages
 //! off the shared [`Conn`] as a node's handler does; where a node
 //! decides, it forwards. A frame's records are partitioned by ring owner
-//! with the node's counting sort ([`Partition`]), throttled records into
-//! one partition past the last node, and each owner's slice goes to the
-//! reactor's one connection to that node ([`Upstream`]: non-blocking
-//! after connect, in the same epoll, written once per loop round).
+//! with the node's counting sort ([`Partition`]), and each owner's slice
+//! goes to the reactor's one connection to that node ([`Upstream`]:
+//! non-blocking after connect, in the same epoll, written once per loop
+//! round).
 //!
 //! The one mechanism a node lacks is the owed answer. Each client keeps
 //! its answers in request order ([`Client`]); each upstream keeps a FIFO
@@ -16,7 +16,7 @@
 //! frame's records at their positions — and an answer goes out once its
 //! slices are in and everything before it has gone. A frame reply with
 //! more or fewer records than its slice fails the answer. Local answers
-//! (429s, parse errors, typed error frames) queue behind owed ones.
+//! (parse errors, typed error frames) queue behind owed ones.
 //!
 //! An upstream that fails a read or write, closes, sends a reply nobody
 //! is owed, or lets its oldest owed slice pass `upstream_timeout` is
@@ -25,7 +25,6 @@
 //! bounded by `upstream_timeout`, is the one blocking call on the path.
 
 use std::collections::VecDeque;
-use std::fmt::Write as _;
 use std::io::{self, Write};
 use std::net::TcpStream;
 use std::os::unix::io::AsRawFd;
@@ -35,13 +34,13 @@ use std::time::Instant;
 
 use sitw_reactor::{Event, Interest};
 use sitw_serve::conn::Conn;
-use sitw_serve::http::{write_request, write_response, ConnBuf, ReadEvent, Reply};
+use sitw_serve::http::{write_request, ConnBuf, ReadEvent, Reply};
 use sitw_serve::pool::Partition;
 use sitw_serve::reactor::{Conns, Handler, WINDOW};
 use sitw_serve::server::write_error;
 use sitw_serve::wire::{self, BinErrorCode, BinInvoke, BinReply, InvokeRequest, ServerFrameDecode};
 use sitw_serve::ReactorTelemHandle;
-use sitw_telemetry::{lock_unpoisoned, EventKind, Gate, Stage};
+use sitw_telemetry::{Gate, Stage};
 
 use crate::router::{control, read, RouterCtx, RouterTelem};
 
@@ -62,8 +61,8 @@ struct Answer {
     /// A frame reassembled from its records, rather than a reply
     /// relayed whole.
     split: bool,
-    /// A split frame's records in request order (`Throttled` where
-    /// admission refused), and their positions, slice after slice.
+    /// A split frame's records in request order, and their positions,
+    /// slice after slice.
     replies: Vec<BinReply>,
     positions: Vec<u32>,
     /// A frame's error from its lowest node slot: it answers the whole
@@ -233,7 +232,7 @@ pub(crate) struct Front {
     /// The router keeps no reactor telemetry of its own.
     telem: ReactorTelemHandle,
     upstreams: Vec<Upstream>,
-    /// A frame's records by owner; throttled records past the last node.
+    /// A frame's records by owner.
     part: Partition,
     /// A frame's records' owners and the tenants' wire ids there.
     owners: Vec<(usize, u16)>,
@@ -260,7 +259,7 @@ impl Front {
         }
     }
 
-    /// Admission, placement and forward for one JSON `/invoke`.
+    /// Placement and forward for one JSON `/invoke`.
     // sitw-lint: hot-path
     fn invoke(&mut self, token: u64, conn: &mut Conn<Client>) {
         let (ctx, inv) = (&*self.ctx, &mut self.invoke);
@@ -274,21 +273,7 @@ impl Front {
             return write_error(local(conn), 400, &e);
         }
         ctx.metrics.json_requests.fetch_add(1, Ordering::Relaxed);
-        if let Some(name) = inv.tenant.as_deref().filter(|_| ctx.has_qos) {
-            if !lock_unpoisoned(&ctx.admission).admit(name, inv.ts) {
-                ctx.metrics.throttled.fetch_add(1, Ordering::Relaxed);
-                telem.event(&telem.events, telem.wall_ms(), EventKind::Throttle, |ev| {
-                    ev.tenant.push_str(name);
-                    ev.app.push_str(&inv.app);
-                    let _ = write!(ev.detail, "proto=json ts={}", inv.ts);
-                });
-                // Cold path: the request is refused.
-                // sitw-lint: allow(hot-path-alloc)
-                let body = format!("{{\"error\":\"throttled\",\"tenant\":\"{name}\"}}");
-                return write_response(local(conn), 429, "application/json", body.as_bytes());
-            }
-        }
-        // Ingress covers parse + admission; the ring lookup is `route`.
+        // Ingress covers the parse; the ring lookup is `route`.
         let t1 = telem.now();
         let node = match &inv.tenant {
             Some(name) => read(&ctx.ring).node_of_tenant(name),
@@ -316,7 +301,7 @@ impl Front {
         up.owe(token, seq, self.now, None);
     }
 
-    /// Admission, partition by owner and forward for one SITW-BIN frame.
+    /// Partition by owner and forward for one SITW-BIN frame.
     // sitw-lint: hot-path
     fn frame(&mut self, token: u64, conn: &mut Conn<Client>, trace: Option<u64>) {
         let ctx: &RouterCtx = &self.ctx;
@@ -329,34 +314,15 @@ impl Front {
         let n = conn.records.len();
         ctx.metrics.bin_frames.fetch_add(1, Ordering::Relaxed);
         (ctx.metrics.bin_records).fetch_add(n as u64, Ordering::Relaxed);
-        // Ingress ends where placement (the `route` hop) begins. Every
-        // record's owner is resolved before any is admitted: a frame
-        // refused whole spends no QoS tokens.
+        // Ingress ends where placement (the `route` hop) begins.
         let t1 = telem.now();
         if let Err((code, detail)) = resolve(ctx, &conn.records, &mut self.owners) {
             return wire::encode_error_frame(local(conn), code, &detail);
         }
-        let throttled = ctx.slots;
-        let mut admission = ctx.has_qos.then(|| lock_unpoisoned(&ctx.admission));
-        for (rec, &(node, _)) in conn.records.iter().zip(&self.owners) {
-            let tenant = (rec.tenant as usize).checked_sub(1);
-            let name = tenant.and_then(|t| ctx.cfg.tenants.get(t)).map(|t| &t.name);
-            let refused = match (admission.as_mut(), name) {
-                (Some(admission), Some(name)) => !admission.admit(name, rec.ts),
-                _ => false,
-            };
-            if let (true, Some(name)) = (refused, name) {
-                ctx.metrics.throttled.fetch_add(1, Ordering::Relaxed);
-                telem.event(&telem.events, telem.wall_ms(), EventKind::Throttle, |ev| {
-                    ev.tenant.push_str(name);
-                    ev.app.push_str(&rec.app);
-                    let _ = write!(ev.detail, "proto=bin ts={}", rec.ts);
-                });
-            }
-            self.part.route(if refused { throttled } else { node });
+        for &(node, _) in &self.owners {
+            self.part.route(node);
         }
-        drop(admission);
-        self.part.sort(throttled + 1);
+        self.part.sort(ctx.slots);
         let t2 = telem.now();
         if let Some(id) = trace {
             telem.try_with(&telem.recorder, |r| {
@@ -367,21 +333,24 @@ impl Front {
         // Connect every owner before sending anything, so a dead node
         // fails the frame without leaving part of it in flight elsewhere.
         let mut owners = 0;
-        for node in (0..throttled).filter(|&node| !self.part.slice(node).is_empty()) {
+        for node in (0..ctx.slots).filter(|&node| !self.part.slice(node).is_empty()) {
             owners += 1;
             if let Err(e) = upstream(&mut self.upstreams, ctx, self.id, node) {
                 let detail = down(ctx, node, &e);
                 return wire::encode_error_frame(local(conn), BinErrorCode::Unavailable, &detail);
             }
         }
-        // A frame whole on one node with nothing throttled needs no
-        // reassembly: the node's reply (or typed error) frame is the
-        // client's answer, byte for byte. A frame with no owner (empty,
-        // or all throttled) completes at once.
-        let whole = owners == 1 && self.part.slice(throttled).is_empty();
+        // A frame whole on one owner needs no reassembly: the node's
+        // reply (or typed error) frame is the client's answer, byte for
+        // byte. An empty frame has no owner and completes at once.
+        let whole = owners == 1;
         let (seq, answer) = conn.state.push(owners.max(1), !whole);
         if !whole {
-            answer.replies.resize(n, BinReply::Throttled);
+            // Placeholders: every position is filled before the frame
+            // renders.
+            answer
+                .replies
+                .resize(n, BinReply::OutOfOrder { last_ts: 0 });
         }
         let (records, ids) = (&conn.records, &self.owners);
         for (node, up) in self.upstreams.iter_mut().enumerate() {

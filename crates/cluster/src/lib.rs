@@ -2,9 +2,9 @@
 //!
 //! A cluster is N independent `sitw-serve` nodes behind one thin
 //! `sitw-router` daemon. The router owns exactly the state a single node
-//! cannot: *placement* (which node serves which tenant), *admission*
-//! (cluster-wide QoS rate limits), and *budget reconciliation* (keeping
-//! per-tenant memory budgets meaningful fleet-wide). Everything else —
+//! cannot: *placement* (which node serves which tenant) and *budget
+//! reconciliation* (keeping per-tenant memory budgets meaningful
+//! fleet-wide). It never refuses an invocation itself. Everything else —
 //! policies, ledgers, histograms — stays on the nodes, so a cluster of
 //! one node behaves bit-for-bit like a bare node.
 //!
@@ -19,9 +19,8 @@
 //!   state machine ([`sitw_serve::reactor`]), a few event-loop threads
 //!   for every client. It speaks both wire protocols on one port (JSON
 //!   over HTTP and SITW-BIN frames), partitions batched frames by ring
-//!   owner and reassembles the nodes' replies in request order, answers
-//!   admission rejections itself (HTTP 429 / the `Throttled` verdict
-//!   bit), and surfaces a dead node as the typed
+//!   owner and reassembles the nodes' replies in request order, and
+//!   surfaces a dead node as the typed
 //!   [`sitw_serve::wire::BinErrorCode::Unavailable`] error (HTTP 503)
 //!   rather than a hung or reset connection — every answer a node owes
 //!   is bounded by a configurable deadline. With `--failover
@@ -33,16 +32,17 @@
 //!   node's per-tenant ledger integrals (`GET /admin/usage`),
 //!   aggregates them cluster-wide, and pushes each tenant's budget to
 //!   its current ring owner (`POST /admin/budgets`).
-//! * [`ClusterSim`] — the offline model: QoS admission composed with
-//!   [`sitw_fleet::FleetSim`] over the union registry. Because
-//!   migration moves tenant state bit-for-bit, placement is invisible
-//!   to verdicts, and one `FleetSim` models the whole cluster.
 //! * [`federate`] + the router's telemetry ([`router`]) — the fleet
 //!   observability plane: the
 //!   router stamps sampled trace ids onto forwarded work and records
 //!   its own hop stages, `GET /debug/trace` merges router and node
 //!   spans into one end-to-end timeline, and `GET /metrics/fleet`
 //!   merges the nodes' raw log2 histograms bucket-exactly.
+//!
+//! The offline model of a cluster is [`sitw_fleet::FleetSim`] over the
+//! union registry: migration moves tenant state bit-for-bit, so
+//! placement is invisible to verdicts, and one `FleetSim` models the
+//! whole cluster.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -53,13 +53,9 @@ pub mod metrics;
 pub mod reconcile;
 pub mod ring;
 pub mod router;
-pub mod sim;
 
 pub use federate::{parse_hist_body, parse_trace_spans, FleetHists, NodeHists, NodeSpan};
 pub use metrics::{render_fleet, RouterMetrics};
 pub use reconcile::reconcile_shares;
 pub use ring::ClusterRing;
-pub use router::{
-    FailoverMode, FailoverProposal, Router, RouterConfig, RouterTenant, ROUTER_TRACE_ORIGIN,
-};
-pub use sim::{ClusterOutcome, ClusterSim};
+pub use router::{FailoverMode, FailoverProposal, Router, RouterConfig, ROUTER_TRACE_ORIGIN};

@@ -24,7 +24,7 @@ use crate::federate::FleetHists;
 /// synchronization edge.
 #[derive(Debug)]
 pub struct RouterMetrics {
-    /// JSON `/invoke` requests accepted (forwarded or throttled).
+    /// JSON `/invoke` requests accepted.
     pub json_requests: AtomicU64,
     /// SITW-BIN request frames accepted.
     pub bin_frames: AtomicU64,
@@ -32,8 +32,6 @@ pub struct RouterMetrics {
     pub bin_records: AtomicU64,
     /// Per-node subframes forwarded upstream.
     pub forwarded_subframes: AtomicU64,
-    /// Invocations rejected by QoS admission (both protocols).
-    pub throttled: AtomicU64,
     /// Requests carrying a trace id (propagated or self-sampled).
     pub traced_requests: AtomicU64,
     /// Upstream failures per node slot (connect, write, or read).
@@ -70,7 +68,6 @@ impl RouterMetrics {
             bin_frames: AtomicU64::new(0),
             bin_records: AtomicU64::new(0),
             forwarded_subframes: AtomicU64::new(0),
-            throttled: AtomicU64::new(0),
             traced_requests: AtomicU64::new(0),
             node_errors: (0..nodes).map(|_| AtomicU64::new(0)).collect(),
             ring_epoch: AtomicU64::new(0),
@@ -153,12 +150,6 @@ impl<'a> RouterScrape<'a> {
             kind: Kind::Counter,
             help: "Per-node subframes forwarded upstream.",
             sample: |v, s| s.scalar(load(&v.metrics.forwarded_subframes)),
-        },
-        Family {
-            name: "sitw_router_throttled_total",
-            kind: Kind::Counter,
-            help: "Invocations rejected by QoS admission.",
-            sample: |v, s| s.scalar(load(&v.metrics.throttled)),
         },
         Family {
             name: "sitw_router_traced_requests_total",
@@ -349,7 +340,6 @@ mod tests {
             (&m.bin_frames, 5),
             (&m.bin_records, 640),
             (&m.forwarded_subframes, 9),
-            (&m.throttled, 2),
             (&m.traced_requests, 4),
             (&m.ring_epoch, 6),
             (&m.reconcile_runs, 11),

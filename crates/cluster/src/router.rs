@@ -2,10 +2,10 @@
 //!
 //! The router is deliberately thin. It terminates both wire protocols
 //! (JSON over HTTP and SITW-BIN, sniffed per message exactly like a
-//! node), applies cluster-wide QoS admission, consults the
-//! [`ClusterRing`] for placement, and forwards. It keeps **no policy
-//! state**: every verdict is produced by a node, so a one-node cluster
-//! answers bit-for-bit what the bare node would.
+//! node), consults the [`ClusterRing`] for placement, and forwards. It
+//! keeps **no policy state** and refuses no invocation: every verdict is
+//! produced by a node, so a one-node cluster answers bit-for-bit what
+//! the bare node would.
 //!
 //! The router is a node whose partitions are remote. Its clients run on
 //! the node's reactor driver and connection state machine
@@ -15,10 +15,9 @@
 //! shard and decides each slice, the router sorts them by ring owner and
 //! forwards each slice to that node over its reactor's connection to it,
 //! then splices the replies back into one client frame in request
-//! order, with locally generated `Throttled` records for the
-//! invocations admission rejected. The answer is owed until every
-//! slice's reply is in; a control request waits until nothing is owed
-//! on its connection, exactly as on a node.
+//! order. The answer is owed until every slice's reply is in; a control
+//! request waits until nothing is owed on its connection, exactly as on
+//! a node.
 //!
 //! Failure is typed, never silent: a dead node surfaces as the
 //! [`sitw_serve::wire::BinErrorCode::Unavailable`] error frame (or HTTP
@@ -27,8 +26,8 @@
 //! owes answers, and only that long.
 //! Recovery stays an explicit epoch advance, so the ring remains a
 //! deterministic function of operator actions — which is what lets
-//! [`crate::sim`] model the cluster offline. An operator acknowledges a
-//! loss via `POST /admin/ring/drop`, or, with `--failover
+//! one [`sitw_fleet::FleetSim`] model the cluster offline. An operator
+//! acknowledges a loss via `POST /admin/ring/drop`, or, with `--failover
 //! supervised|auto`, a health prober raises a drop/promote *proposal*
 //! on `GET /admin/ring/proposals` after three consecutive probe
 //! failures. Confirming it (`POST /admin/ring/proposals/confirm` — the
@@ -51,12 +50,12 @@ use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGua
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
-use sitw_core::PolicySpec;
-use sitw_fleet::{fnv1a, registry::parse_tenant_arg, Admission, QosPolicy};
-use sitw_serve::http::{call, endpoints_line, lookup, write_response, Request, Route};
+use sitw_fleet::fnv1a;
+use sitw_serve::http::{call, endpoints_line, lookup, query_arg, write_response, Request, Route};
 use sitw_serve::reactor::{self, Pool};
 use sitw_serve::server::write_error;
 use sitw_serve::wire::{self, TenantUsage};
+use sitw_serve::TenantConfig;
 
 use sitw_telemetry::{
     is_trace_span, lock_unpoisoned, write_trace_json, write_trace_text, Clock, EventKind,
@@ -157,41 +156,6 @@ pub struct FailoverProposal {
     pub standby: Option<String>,
 }
 
-/// One tenant as the router knows it: the cluster-wide name and budget,
-/// the policy nodes serve it under, and the optional QoS admission
-/// policy the router itself enforces.
-#[derive(Debug, Clone)]
-pub struct RouterTenant {
-    /// Tenant name — the stable cluster-wide key.
-    pub name: String,
-    /// Per-app policy, pushed to nodes that don't know the tenant yet.
-    pub policy: PolicySpec,
-    /// Cluster memory budget in MB (0 = unlimited). The reconciler
-    /// pushes it to the tenant's current ring owner.
-    pub budget_mb: u64,
-    /// QoS class and rate limit; `None` admits everything.
-    pub qos: Option<QosPolicy>,
-}
-
-impl RouterTenant {
-    /// Parses the CLI grammar `NAME=POLICY[,budget=MB][,qos=SPEC]` —
-    /// the node grammar plus an optional QoS suffix, e.g.
-    /// `t0=hybrid,budget=64,qos=bronze:rate=50`.
-    pub fn parse(arg: &str) -> Result<Self, String> {
-        let (base, qos) = match arg.split_once(",qos=") {
-            Some((base, spec)) => (base, Some(QosPolicy::parse(spec)?)),
-            None => (arg, None),
-        };
-        let (name, policy, budget_mb) = parse_tenant_arg(base)?;
-        Ok(Self {
-            name,
-            policy,
-            budget_mb,
-            qos,
-        })
-    }
-}
-
 /// Router configuration.
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
@@ -199,9 +163,11 @@ pub struct RouterConfig {
     pub addr: String,
     /// Node addresses; slot order defines ring node indices.
     pub nodes: Vec<String>,
-    /// The cluster tenant table. Wire id `k+1` is `tenants[k]`; id 0 is
-    /// the default tenant, exactly as on a node.
-    pub tenants: Vec<RouterTenant>,
+    /// The cluster tenant table, as a node's. Wire id `k+1` is
+    /// `tenants[k]`; id 0 is the default tenant, exactly as on a node. A tenant's policy is pushed to nodes that don't know it
+    /// yet; its budget (0 = unlimited) is pushed by the reconciler to
+    /// its current ring owner.
+    pub tenants: Vec<TenantConfig>,
     /// Budget reconciliation interval in milliseconds; 0 disables the
     /// background reconciler (`POST /admin/reconcile` still works).
     pub reconcile_ms: u64,
@@ -259,7 +225,7 @@ const ROUTER_RECORDER_CAP: usize = 4096;
 /// work, the node adopts it as the span id of its own six stages, and
 /// `GET /debug/trace` merges both sides into one timeline. With
 /// sampling off (`trace_sample == 0`) hop recording is a constant
-/// branch, while lifecycle events (migrations, ring epochs, throttles)
+/// branch, while lifecycle events (migrations, ring epochs, failovers)
 /// are always recorded: they are rare by construction.
 #[derive(Debug)]
 pub(crate) struct RouterTelem {
@@ -273,7 +239,7 @@ pub(crate) struct RouterTelem {
     clock: WallClock,
     /// The hop span ring.
     pub(crate) recorder: Mutex<FlightRecorder>,
-    /// Lifecycle events: migrations, ring epochs, throttles.
+    /// Lifecycle events: migrations, ring epochs, failovers.
     pub(crate) events: Mutex<EventRing>,
 }
 
@@ -347,12 +313,6 @@ pub(crate) struct RouterCtx {
     /// Pending failover proposals (supervised/auto modes).
     proposals: Mutex<Vec<FailoverProposal>>,
     pub(crate) ring: RwLock<ClusterRing>,
-    /// Cluster-wide QoS admission state, shared by every connection.
-    pub(crate) admission: Mutex<Admission>,
-    /// Whether any tenant carries a QoS policy. When false the hot
-    /// paths skip the admission mutex entirely — `admit` would answer
-    /// an unconditional yes for every tenant anyway.
-    pub(crate) has_qos: bool,
     /// Per-node tenant name → node-local wire id (ids diverge across
     /// nodes once tenants migrate).
     pub(crate) node_ids: RwLock<Vec<HashMap<String, u16>>>,
@@ -791,12 +751,6 @@ impl Router {
             node_ids.push(ids);
         }
 
-        let mut admission = Admission::new();
-        for t in &cfg.tenants {
-            if let Some(qos) = &t.qos {
-                admission.set_policy(&t.name, *qos);
-            }
-        }
         for (slot, ctrl) in &cfg.standbys {
             if *slot >= nodes.len() {
                 return Err(io::Error::new(
@@ -814,15 +768,12 @@ impl Router {
             .failover_mode
             .store(cfg.failover.gauge(), Ordering::Relaxed);
         let reconcile_ms = cfg.reconcile_ms;
-        let has_qos = cfg.tenants.iter().any(|t| t.qos.is_some());
         let telem = RouterTelem::new(cfg.trace_sample);
         let failover = cfg.failover;
         let pool = Pool::bind(&cfg.addr, reactor::REACTORS, reactor::IDLE_TIMEOUT)?;
         let ctx = Arc::new(RouterCtx {
             pool: Arc::clone(&pool),
             ring: RwLock::new(ClusterRing::new(nodes.len())),
-            admission: Mutex::new(admission),
-            has_qos,
             node_ids: RwLock::new(node_ids),
             metrics,
             telem,
@@ -1036,11 +987,7 @@ pub(crate) fn control(ctx: &RouterCtx, req: &Request, out: &mut Vec<u8>) {
     let json = |out: &mut Vec<u8>, status: u16, body: &str| {
         write_response(out, status, "application/json", body.as_bytes())
     };
-    let node_arg = || {
-        query
-            .strip_prefix("node=")
-            .and_then(|v| v.parse::<usize>().ok())
-    };
+    let node_arg = || query_arg(query, "node").and_then(|v| v.parse::<usize>().ok());
     match verb {
         // The data path forwards every invoke before control is asked.
         Verb::Invoke => write_error(out, 500, "an invoke reached the control path"),
@@ -1072,7 +1019,7 @@ pub(crate) fn control(ctx: &RouterCtx, req: &Request, out: &mut Vec<u8>) {
             // The node's text shape with fleet sources, or (with
             // `format=json`) span objects keyed by hex trace id.
             let spans = ctx.merged_trace();
-            let (content_type, body) = if query.split('&').any(|p| p == "format=json") {
+            let (content_type, body) = if query_arg(query, "format") == Some("json") {
                 ("application/json", write_trace_json(&spans, true))
             } else {
                 ("text/plain", write_trace_text(&spans))
@@ -1112,16 +1059,11 @@ pub(crate) fn control(ctx: &RouterCtx, req: &Request, out: &mut Vec<u8>) {
                 String::from("[{\"id\":0,\"name\":\"default\",\"policy\":\"-\",\"budget_mb\":0}");
             for (i, t) in ctx.cfg.tenants.iter().enumerate() {
                 body.push_str(&format!(
-                    ",{{\"id\":{},\"name\":\"{}\",\"policy\":\"{}\",\"budget_mb\":{},\
-                     \"qos\":\"{}\"}}",
+                    ",{{\"id\":{},\"name\":\"{}\",\"policy\":\"{}\",\"budget_mb\":{}}}",
                     i + 1,
                     t.name,
                     t.policy.label(),
                     t.budget_mb,
-                    t.qos
-                        .as_ref()
-                        .map(|q| q.label())
-                        .unwrap_or_else(|| "-".into()),
                 ));
             }
             body.push(']');
@@ -1176,15 +1118,8 @@ pub(crate) fn control(ctx: &RouterCtx, req: &Request, out: &mut Vec<u8>) {
             None => write_error(out, 400, "expected ?node=INDEX"),
         },
         Verb::Migrate => {
-            let mut tenant = None;
-            let mut to = None;
-            for pair in query.split('&') {
-                if let Some(v) = pair.strip_prefix("tenant=") {
-                    tenant = Some(v);
-                } else if let Some(v) = pair.strip_prefix("to=") {
-                    to = v.parse::<usize>().ok();
-                }
-            }
+            let tenant = query_arg(query, "tenant");
+            let to = query_arg(query, "to").and_then(|v| v.parse::<usize>().ok());
             match (tenant, to) {
                 (Some(tenant), Some(to)) => match ctx.migrate(tenant, to) {
                     Ok((from, to, epoch)) => json(
@@ -1260,7 +1195,7 @@ fn parse_id_field(body: &str) -> Option<u16> {
 /// name → wire id map.
 fn provision_node(
     addr: SocketAddr,
-    tenants: &[RouterTenant],
+    tenants: &[TenantConfig],
 ) -> Result<HashMap<String, u16>, String> {
     let (status, body) = control_call(addr, "GET", "/admin/tenants", b"")
         .map_err(|e| format!("cannot list tenants: {e}"))?;
@@ -1339,17 +1274,14 @@ mod tests {
     }
 
     #[test]
-    fn tenant_arg_grammar_with_qos_suffix() {
-        let t = RouterTenant::parse("t0=hybrid,budget=64,qos=bronze:rate=50:burst=100").unwrap();
-        assert_eq!(t.name, "t0");
-        assert_eq!(t.budget_mb, 64);
-        let qos = t.qos.unwrap();
-        assert_eq!(qos.label(), "bronze:rate=50:burst=100");
-        let plain = RouterTenant::parse("acme=fixed:10").unwrap();
-        assert!(plain.qos.is_none());
+    fn tenant_arg_is_the_node_grammar() {
+        let t = TenantConfig::parse("t0=hybrid,budget=64").unwrap();
+        assert_eq!((t.name.as_str(), t.budget_mb), ("t0", 64));
+        let plain = TenantConfig::parse("acme=fixed:10").unwrap();
         assert_eq!(plain.budget_mb, 0);
-        assert!(RouterTenant::parse("t0=hybrid,qos=platinum").is_err());
-        assert!(RouterTenant::parse("nope").is_err());
+        assert!(TenantConfig::parse("nope").is_err());
+        // A suffix the grammar lacks is refused, not ignored.
+        assert!(TenantConfig::parse("t0=hybrid,qos=gold").is_err());
     }
 
     #[test]
@@ -1407,7 +1339,7 @@ mod tests {
             for (ts_ms, kind, tenant, app, detail) in [
                 (
                     3,
-                    EventKind::Throttle,
+                    EventKind::Migration,
                     "t\"0",
                     "a\\b\u{2}",
                     "rate=50\tburst",
@@ -1489,6 +1421,26 @@ mod tests {
             let status = control_call(router.addr(), "GET", path, b"").map(|(status, _)| status);
             assert_eq!(status.ok(), Some(200), "{path}");
         }
+        router.shutdown();
+        node.shutdown().unwrap();
+    }
+
+    /// Regression: the `node=` a ring verb reads was found only at the
+    /// start of the query, and the rest was parsed with it, so a query
+    /// naming another key first, or after it, answered 400.
+    #[test]
+    fn ring_verbs_read_node_wherever_it_stands_in_the_query() {
+        let (node, router) = node_and_router();
+        let path = "/admin/ring/proposals/confirm?x=1&node=0";
+        let (status, body) = control_call(router.addr(), "POST", path, b"").unwrap();
+        assert_eq!(status, 404, "{body}");
+        assert!(body.contains("no pending proposal for node 0"), "{body}");
+        let path = "/admin/ring/drop?node=0&x=1";
+        let (status, body) = control_call(router.addr(), "POST", path, b"").unwrap();
+        assert_eq!(
+            (status, body.as_str()),
+            (200, "{\"dropped\":true,\"epoch\":1,\"live\":0}")
+        );
         router.shutdown();
         node.shutdown().unwrap();
     }

@@ -1,7 +1,6 @@
 //! Cluster-mode integration tests: both protocols routed through an
 //! in-process `Router` over real `sitw-serve` nodes — placement
-//! determinism, batched-frame split/reassembly, typed QoS throttling,
-//! typed node-down errors with explicit ring-drop recovery, and budget
+//! determinism, batched-frame split/reassembly, typed node-down errors with explicit ring-drop recovery, and budget
 //! reconciliation over the nodes' admin verbs.
 
 mod common;
@@ -11,10 +10,10 @@ use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::time::Duration;
 
 use common::{http, records, start_node, usage};
-use sitw_cluster::{ClusterRing, Router, RouterConfig, RouterTenant};
+use sitw_cluster::{ClusterRing, Router, RouterConfig};
 use sitw_serve::http::Reply;
 use sitw_serve::wire::{self, BinErrorCode, BinReply, ServerFrameDecode};
-use sitw_serve::Client;
+use sitw_serve::{Client, TenantConfig};
 
 fn router_over(nodes: &[SocketAddr], tenants: &[&str]) -> Router {
     Router::start(RouterConfig {
@@ -22,7 +21,7 @@ fn router_over(nodes: &[SocketAddr], tenants: &[&str]) -> Router {
         nodes: nodes.iter().map(|a| a.to_string()).collect(),
         tenants: tenants
             .iter()
-            .map(|t| RouterTenant::parse(t).expect("tenant spec"))
+            .map(|t| TenantConfig::parse(t).expect("tenant spec"))
             .collect(),
         reconcile_ms: 0, // Tests reconcile explicitly for determinism.
         ..RouterConfig::default()
@@ -120,51 +119,6 @@ fn routes_both_protocols_and_reassembles_batches() {
     for n in nodes {
         n.shutdown().unwrap();
     }
-}
-
-#[test]
-fn qos_throttling_is_typed_in_both_protocols() {
-    let node = start_node();
-    let router = router_over(
-        &[node.addr()],
-        &[
-            "bronze=fixed:10,qos=bronze:rate=1:burst=1",
-            "brassy=fixed:10,qos=bronze:rate=1:burst=1",
-        ],
-    );
-
-    // JSON: the bucket admits one per second; the second hit in the same
-    // second is a local 429 — the node never sees it.
-    let mut json = Client::connect(router.addr()).unwrap();
-    let (status, _) = json.invoke(Some("bronze"), "a", 0, None).unwrap();
-    assert_eq!(status, 200);
-    let (status, body) = json.invoke(Some("bronze"), "a", 100, None).unwrap();
-    assert_eq!(status, 429, "{body}");
-    assert!(body.contains("throttled"), "{body}");
-    let (status, _) = json.invoke(Some("bronze"), "a", 2_000, None).unwrap();
-    assert_eq!(status, 200, "bucket refills");
-
-    // BIN: the throttled record comes back as the typed verdict bit,
-    // spliced into the reply frame alongside served records.
-    let mut bin = Client::connect(router.addr()).unwrap();
-    let frame = [(2, "b", 0), (2, "b", 100), (2, "b", 2_000)];
-    let replies = records(bin.batch(|f| wire::encode_request_frame_v2(f, &frame)));
-    assert!(matches!(replies[0], BinReply::Verdict { .. }));
-    assert!(
-        matches!(replies[1], BinReply::Throttled),
-        "{:?}",
-        replies[1]
-    );
-    assert!(matches!(replies[2], BinReply::Verdict { .. }));
-
-    let (_, metrics) = http(router.addr(), "GET", "/metrics", "");
-    assert!(
-        metrics.contains("sitw_router_throttled_total 2"),
-        "{metrics}"
-    );
-
-    router.shutdown();
-    node.shutdown().unwrap();
 }
 
 #[test]
@@ -355,7 +309,7 @@ fn trace_ids_span_router_and_node_timelines() {
         nodes: addrs.iter().map(|a| a.to_string()).collect(),
         tenants: ["t0=fixed:10", "t1=fixed:10"]
             .iter()
-            .map(|t| RouterTenant::parse(t).expect("tenant spec"))
+            .map(|t| TenantConfig::parse(t).expect("tenant spec"))
             .collect(),
         reconcile_ms: 0,
         trace_sample: 1,
@@ -551,8 +505,8 @@ fn fleet_federation_is_bucket_exact_and_events_record_provenance() {
 
 // ---------------------------------------------------------------------
 // One-node parity: a router over one node answers, byte for byte, what
-// the bare node answers — whatever the router's tracing or QoS
-// configuration — because every ring size runs the same decoded path.
+// the bare node answers — whatever the router's tracing configuration
+// — because every ring size runs the same decoded path.
 
 /// The cluster tenant table of the parity tests (wire ids 1 and 2).
 const PARITY_TENANTS: [&str; 2] = ["t0=fixed:10", "t1=fixed:10"];
@@ -677,22 +631,13 @@ fn one_node_ring_answers_exactly_what_the_bare_node_answers() {
         "{text}"
     );
 
-    let configs: [(&str, usize, [&str; 2]); 3] = [
-        ("plain", 0, PARITY_TENANTS),
-        ("trace_sample=1", 1, PARITY_TENANTS),
-        (
-            "one qos tenant",
-            0,
-            [PARITY_TENANTS[0], "t1=fixed:10,qos=gold"],
-        ),
-    ];
-    for (what, trace_sample, tenants) in configs {
+    for (what, trace_sample) in [("plain", 0), ("trace_sample=1", 1)] {
         let twin = start_node();
         let router = Router::start(RouterConfig {
             nodes: vec![twin.addr().to_string()],
-            tenants: tenants
+            tenants: PARITY_TENANTS
                 .iter()
-                .map(|t| RouterTenant::parse(t).expect("tenant spec"))
+                .map(|t| TenantConfig::parse(t).expect("tenant spec"))
                 .collect(),
             reconcile_ms: 0,
             trace_sample,

@@ -18,9 +18,9 @@ mod common;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use sitw_cluster::{FailoverMode, Router, RouterConfig, RouterTenant};
+use sitw_cluster::{FailoverMode, Router, RouterConfig};
 use sitw_core::PolicySpec;
-use sitw_serve::{Client, FollowConfig, ServeConfig, Server};
+use sitw_serve::{Client, FollowConfig, ServeConfig, Server, TenantConfig};
 
 use common::{http, start_fake_node, start_node};
 
@@ -84,14 +84,13 @@ fn supervised_failover_promotes_standby_and_resumes_traffic() {
         follow: Some(FollowConfig {
             primary_addr: primary.addr().to_string(),
             pull_interval: Duration::from_millis(15),
-            ..FollowConfig::default()
         }),
         ..ServeConfig::default()
     })
     .expect("follower starts");
     let router = Router::start(RouterConfig {
         nodes: vec![primary.addr().to_string()],
-        tenants: vec![RouterTenant::parse("t0=fixed:10").unwrap()],
+        tenants: vec![TenantConfig::parse("t0=fixed:10").unwrap()],
         reconcile_ms: 0,
         failover: FailoverMode::Supervised,
         probe_ms: 30,
@@ -192,8 +191,8 @@ fn auto_failover_without_standby_drops_the_dead_node() {
     let router = Router::start(RouterConfig {
         nodes: vec![node0.addr().to_string(), node1.addr().to_string()],
         tenants: vec![
-            RouterTenant::parse("t0=fixed:10").unwrap(),
-            RouterTenant::parse("t1=fixed:10").unwrap(),
+            TenantConfig::parse("t0=fixed:10").unwrap(),
+            TenantConfig::parse("t1=fixed:10").unwrap(),
         ],
         reconcile_ms: 0,
         failover: FailoverMode::Auto,

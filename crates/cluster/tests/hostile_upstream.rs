@@ -218,14 +218,17 @@ fn a_reply_with_the_wrong_record_count_gets_unavailable() {
 
 /// A frame whole on one node gets that node's reply frame byte for byte;
 /// a split frame's records are decoded and encoded again. A node that
-/// fills its throttled records' unused bytes shows which one happened.
+/// sets the reserved verdict bit 5, which re-encoding clears, shows which
+/// one happened.
 #[test]
 fn a_frame_on_one_node_gets_the_node_reply_byte_for_byte() {
+    const LATE: BinReply = BinReply::OutOfOrder { last_ts: 7 };
+    const RESERVED: u8 = 1 << 5;
     let marked: fn(TcpStream, &[u8]) = |stream, first| {
         answer_frames(stream, first, |n| {
-            let mut frame = replies(n, BinReply::Throttled);
+            let mut frame = replies(n, LATE);
             for rec in frame[wire::BIN_HEADER_LEN..].chunks_mut(wire::REPLY_RECORD_LEN) {
-                rec[1..].fill(0xEE);
+                rec[0] |= RESERVED;
             }
             frame
         })
@@ -237,9 +240,12 @@ fn a_frame_on_one_node_gets_the_node_reply_byte_for_byte() {
         let mut client = connect(&router);
         let reply = client.batch(|f| wire::encode_request_frame_v2(f, &frame));
         let records = reply.and_then(Reply::records).unwrap();
-        assert_eq!(records, vec![BinReply::Throttled; frame.len()]);
+        assert_eq!(records, vec![LATE; frame.len()]);
         let raw = client.conn().reply_raw();
-        assert_eq!(raw.contains(&0xEE), relayed, "{frame:?}: {raw:?}");
+        let marked = raw[wire::BIN_HEADER_LEN..]
+            .chunks(wire::REPLY_RECORD_LEN)
+            .all(|rec| rec[0] & RESERVED != 0);
+        assert_eq!(marked, relayed, "{frame:?}: {raw:?}");
     }
     router.shutdown();
 }

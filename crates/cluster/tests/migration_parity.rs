@@ -1,29 +1,28 @@
-//! Satellite 4: migration/rebalance parity. A mixed-protocol
-//! multi-tenant trace driven through a cluster is **bit-identical** to
-//! [`ClusterSim`] — including a live migration of the budgeted tenant to
-//! another node mid-replay. Every verdict (cold/warm, pre-warm load,
-//! eviction downgrade, decision branch, both windows) and every QoS
-//! throttle matches the offline model, and after the replay the
-//! per-tenant ledger integrals summed across the nodes' usage reports
-//! equal the model's ledgers exactly: migration moves state
-//! bit-for-bit, it doesn't reset or double-count it.
+//! Migration/rebalance parity. A mixed-protocol multi-tenant trace
+//! driven through a cluster is **bit-identical** to one [`FleetSim`]
+//! over the union registry — including a live migration of the budgeted
+//! tenant to another node mid-replay. Every verdict (cold/warm, pre-warm
+//! load, eviction downgrade, decision branch, both windows) matches the
+//! offline model, and after the replay the per-tenant ledger integrals
+//! summed across the nodes' usage reports equal the model's ledgers
+//! exactly: migration moves state bit-for-bit, it doesn't reset or
+//! double-count it.
 
 mod common;
 
 use std::net::SocketAddr;
 
 use common::{http, records, start_node, usage};
-use sitw_cluster::{ClusterOutcome, ClusterRing, ClusterSim, Router, RouterConfig, RouterTenant};
+use sitw_cluster::{ClusterRing, Router, RouterConfig};
 use sitw_core::PolicySpec;
-use sitw_fleet::{footprint_mb, TenantId, TenantRegistry};
+use sitw_fleet::{footprint_mb, FleetSim, FleetVerdict, TenantId, TenantRegistry};
 use sitw_serve::wire::{self, BinReply, TenantUsage};
-use sitw_serve::Client;
+use sitw_serve::{Client, TenantConfig};
 use sitw_trace::{app_invocations, build_population, PopulationConfig, TraceConfig, DAY_MS};
 
 /// One observed cluster answer, protocol-agnostic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Outcome {
-    Throttled,
     Served {
         cold: bool,
         prewarm_load: bool,
@@ -35,9 +34,6 @@ enum Outcome {
 }
 
 fn outcome_of_json(status: u16, body: &str) -> Outcome {
-    if status == 429 {
-        return Outcome::Throttled;
-    }
     assert_eq!(status, 200, "{body}");
     let cold = body.contains("\"verdict\":\"cold\"");
     assert!(cold || body.contains("\"verdict\":\"warm\""), "{body}");
@@ -68,7 +64,6 @@ fn outcome_of_json(status: u16, body: &str) -> Outcome {
 
 fn outcome_of_bin(reply: &BinReply) -> Outcome {
     match reply {
-        BinReply::Throttled => Outcome::Throttled,
         BinReply::Verdict {
             cold,
             prewarm_load,
@@ -88,18 +83,14 @@ fn outcome_of_bin(reply: &BinReply) -> Outcome {
     }
 }
 
-fn outcome_of_sim(outcome: ClusterOutcome) -> Outcome {
-    match outcome {
-        ClusterOutcome::Throttled => Outcome::Throttled,
-        ClusterOutcome::Served(v) => Outcome::Served {
-            cold: v.cold,
-            prewarm_load: v.prewarm_load,
-            evicted: v.evicted,
-            kind: wire::kind_str(v.kind),
-            pre_warm_ms: v.windows.pre_warm_ms,
-            keep_alive_ms: v.windows.keep_alive_ms,
-        },
-        ClusterOutcome::Rejected(e) => panic!("offline model rejected an event: {e:?}"),
+fn outcome_of_sim(v: FleetVerdict) -> Outcome {
+    Outcome::Served {
+        cold: v.cold,
+        prewarm_load: v.prewarm_load,
+        evicted: v.evicted,
+        kind: wire::kind_str(v.kind),
+        pre_warm_ms: v.windows.pre_warm_ms,
+        keep_alive_ms: v.windows.keep_alive_ms,
     }
 }
 
@@ -108,14 +99,14 @@ type Event = (Option<&'static str>, TenantId, String, u64);
 
 /// Builds the merged trace: four tenant populations (default, an
 /// unbudgeted hybrid tenant, the budgeted "metered" tenant that will
-/// migrate, and a rate-limited one), time-ordered.
+/// migrate, and a fixed-keep-alive one), time-ordered.
 fn workload() -> (Vec<Event>, u64) {
     let tenant_of = |idx: usize| -> (Option<&'static str>, TenantId) {
         match idx % 4 {
             0 => (None, 0),
             1 => (Some("alpha"), 1),
             2 => (Some("metered"), 2),
-            _ => (Some("limited"), 3),
+            _ => (Some("fixed"), 3),
         }
     };
     let population = build_population(&PopulationConfig {
@@ -159,37 +150,30 @@ fn migration_mid_replay_is_bit_identical_to_cluster_sim() {
     let tenant_specs = [
         "alpha=hybrid".to_owned(),
         format!("metered=hybrid,budget={metered_budget}"),
-        "limited=fixed:10,qos=bronze:rate=1:burst=2".to_owned(),
+        "fixed=fixed:10".to_owned(),
     ];
     let router = Router::start(RouterConfig {
         addr: "127.0.0.1:0".into(),
         nodes: addrs.iter().map(|a| a.to_string()).collect(),
         tenants: tenant_specs
             .iter()
-            .map(|t| RouterTenant::parse(t).expect("tenant spec"))
+            .map(|t| TenantConfig::parse(t).expect("tenant spec"))
             .collect(),
         reconcile_ms: 0,
         ..RouterConfig::default()
     })
     .expect("router starts");
 
-    // Offline model: admission composed with one fleet sim over the
-    // union registry — no nodes, no placement.
+    // Offline model: one fleet sim over the union registry — no
+    // nodes, no placement.
     let mut registry = TenantRegistry::new(PolicySpec::fixed_minutes(10));
     for spec in &tenant_specs {
-        let t = RouterTenant::parse(spec).unwrap();
+        let t = TenantConfig::parse(spec).unwrap();
         registry
             .register(&t.name, t.policy.clone(), t.budget_mb)
             .unwrap();
     }
-    let qos: Vec<_> = tenant_specs
-        .iter()
-        .filter_map(|spec| {
-            let t = RouterTenant::parse(spec).unwrap();
-            t.qos.map(|q| (t.name, q))
-        })
-        .collect();
-    let mut sim = ClusterSim::new(&registry, &qos);
+    let mut sim = FleetSim::new(&registry);
 
     // Replay in alternating protocol blocks of 23, sequentially (one
     // in-flight decision — arrival order is the parity contract). At the
@@ -218,7 +202,10 @@ fn migration_mid_replay_is_bit_identical_to_cluster_sim() {
                 assert!(body.contains("\"epoch\":1"), "{body}");
                 migrated = true;
             }
-            let expected = outcome_of_sim(sim.step(*tid, app, *ts));
+            let expected = match sim.step(*tid, app, *ts) {
+                Ok(v) => outcome_of_sim(v),
+                Err(e) => panic!("offline model rejected an event: {e:?}"),
+            };
             let online = if use_json {
                 let (status, body) = json.invoke(*name, app, *ts, None).unwrap();
                 outcome_of_json(status, &body)
@@ -228,9 +215,7 @@ fn migration_mid_replay_is_bit_identical_to_cluster_sim() {
                 outcome_of_bin(&replies[0])
             };
             assert_eq!(online, expected, "event {} ({name:?}, {app}, {ts})", i + j);
-            if matches!(online, Outcome::Served { .. }) {
-                served[*tid as usize] += 1;
-            }
+            served[*tid as usize] += 1;
         }
         i = block_end;
         use_json = !use_json;
@@ -238,8 +223,6 @@ fn migration_mid_replay_is_bit_identical_to_cluster_sim() {
     assert!(migrated, "the migration must fire mid-replay");
 
     // The trace must actually exercise the interesting paths.
-    let sim_throttles: u64 = sim.throttled().iter().map(|(_, n)| n).sum();
-    assert!(sim_throttles > 0, "the limited tenant must throttle");
     assert!(
         sim.ledger(2).unwrap().stats().evictions > 0,
         "the metered tenant must evict"
@@ -252,7 +235,7 @@ fn migration_mid_replay_is_bit_identical_to_cluster_sim() {
     // default tenant is excluded: its ledger is sharded by design, and
     // per-shard idle integrals advance on per-shard arrivals.)
     let reports: Vec<Vec<TenantUsage>> = addrs.iter().map(|&addr| usage(addr)).collect();
-    for (name, tid) in [("alpha", 1u16), ("metered", 2), ("limited", 3)] {
+    for (name, tid) in [("alpha", 1u16), ("metered", 2), ("fixed", 3)] {
         let (mut warm_mb, mut evictions, mut idle_mb_ms, mut invocations) =
             (0u64, 0u64, 0u64, 0u64);
         for report in &reports {
@@ -277,13 +260,8 @@ fn migration_mid_replay_is_bit_identical_to_cluster_sim() {
         }
     }
 
-    // The router's throttle counter matches the model's total, and the
-    // reconciler pushes the budget to the *new* owner after migration.
-    let (_, metrics) = http(router.addr(), "GET", "/metrics", "");
-    assert!(
-        metrics.contains(&format!("sitw_router_throttled_total {sim_throttles}")),
-        "{metrics}"
-    );
+    // The reconciler pushes the budget to the *new* owner after
+    // migration.
     let (nodes_ok, pushes) = router.reconcile_now();
     assert_eq!(nodes_ok, 3);
     assert_eq!(pushes, 1, "one budgeted tenant");

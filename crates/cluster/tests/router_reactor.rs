@@ -11,17 +11,17 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use common::{http, records, start_fake_node, start_node};
-use sitw_cluster::{ClusterRing, Router, RouterConfig, RouterTenant};
+use sitw_cluster::{ClusterRing, Router, RouterConfig};
 use sitw_serve::http::{write_request, Reply};
 use sitw_serve::wire::{self, BinErrorCode, BinReply, ServerFrameDecode};
-use sitw_serve::Client;
+use sitw_serve::{Client, TenantConfig};
 
 fn router_over(nodes: &[String], tenants: &[&str], upstream_timeout: Duration) -> Router {
     Router::start(RouterConfig {
         nodes: nodes.to_vec(),
         tenants: tenants
             .iter()
-            .map(|t| RouterTenant::parse(t).expect("tenant spec"))
+            .map(|t| TenantConfig::parse(t).expect("tenant spec"))
             .collect(),
         reconcile_ms: 0,
         upstream_timeout,
@@ -66,15 +66,14 @@ fn a_control_request_waits_for_the_invokes_before_it() {
     }
 }
 
-/// Regression (the follow-up frame came back `Throttled` 3/3 before): a
-/// frame refused whole for an unknown tenant id had already admitted
-/// its first records, spending their tenant's QoS tokens. Every record
-/// is resolved before any is admitted.
+/// A frame refused whole for an unknown tenant id forwards none of its
+/// records: every record is resolved before any is forwarded, so the
+/// follow-up frame is the first the node sees.
 #[test]
-fn a_rejected_frame_spends_no_qos_tokens() {
+fn a_rejected_frame_forwards_none_of_its_records() {
     let node = start_node();
     let addrs = [node.addr().to_string()];
-    let tenants = ["t0=fixed:10,qos=bronze:rate=1:burst=3"];
+    let tenants = ["t0=fixed:10"];
     let router = router_over(&addrs, &tenants, Duration::from_secs(2));
     let mut client = Client::connect(router.addr()).unwrap();
     let bad = [
@@ -100,13 +99,15 @@ fn a_rejected_frame_spends_no_qos_tokens() {
         .filter(|r| matches!(r, BinReply::Verdict { .. }))
         .count();
     assert_eq!(admitted, 3, "{replies:?}");
+    let cold = replies
+        .iter()
+        .all(|r| matches!(r, BinReply::Verdict { cold: true, .. }));
+    assert!(cold, "first invocations at the node: {replies:?}");
     let (_, metrics) = http(router.addr(), "GET", "/metrics", "");
     assert!(
-        metrics.contains("sitw_router_throttled_total 0"),
+        metrics.contains("sitw_router_forwarded_subframes_total 1"),
         "{metrics}"
     );
-    let (_, events) = http(router.addr(), "GET", "/debug/events", "");
-    assert!(!events.contains("\"kind\":\"throttle\""), "{events}");
     router.shutdown();
     node.shutdown().unwrap();
 }

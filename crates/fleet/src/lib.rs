@@ -23,10 +23,6 @@
 //! * [`evict`] — the small budgeted-eviction engine shared with
 //!   `sitw_platform`'s invoker `make_room` (evict in a caller-chosen
 //!   order until the budget fits).
-//! * [`qos`] — per-tenant QoS classes and deterministic admission rate
-//!   limits: token buckets that run on *trace time* (the invocation
-//!   timestamps), never the wall clock, so a router admitting online
-//!   and `ClusterSim` replaying offline throttle the identical set.
 //! * [`tenant`] — the decision kernel: one tenant's app records, policy
 //!   state and ledger behind one [`TenantState::step`] (classify the
 //!   gap, downgrade an evicted image, advance the policy, charge the
@@ -68,7 +64,6 @@ pub mod footprint;
 pub mod ledger;
 #[cfg(test)]
 mod ledger_ref;
-pub mod qos;
 pub mod registry;
 pub mod sim;
 #[cfg(test)]
@@ -78,7 +73,6 @@ pub mod tenant;
 pub use evict::evict_until;
 pub use footprint::footprint_mb;
 pub use ledger::{LedgerExport, LedgerStats, TenantLedger};
-pub use qos::{Admission, QosClass, QosPolicy, RateLimit, TokenBucket};
 pub use registry::{TenantId, TenantRegistry, TenantSpec, DEFAULT_TENANT, DEFAULT_TENANT_NAME};
 pub use sim::{fleet_verdict_trace, FleetError, FleetEvent, FleetSim};
 pub use tenant::{

@@ -74,14 +74,6 @@ pub struct Invoker {
     pub capacity_mb: f64,
     /// Containers currently loaded (any state).
     pub containers: Vec<Container>,
-    /// Pre-initialized stem-cell containers available for adoption, each
-    /// holding its own memory size. Per-cell sizes (rather than a count
-    /// times one "current" size) are what keeps the held memory counted
-    /// exactly once when provisioning rounds use different sizes — the
-    /// old count×latest-size accounting re-priced every existing cell,
-    /// so `loaded_mb` drifted from the memory actually held and
-    /// `make_room` could double-book capacity against the ledger.
-    stemcells: Vec<f64>,
     /// Accounting.
     pub stats: InvokerStats,
     last_integral_at: TimeMs,
@@ -94,54 +86,14 @@ impl Invoker {
             id,
             capacity_mb,
             containers: Vec::new(),
-            stemcells: Vec::new(),
             stats: InvokerStats::default(),
             last_integral_at: 0,
         }
     }
 
-    /// Provisions `n` stem-cell containers of `mb` MB each (capacity
-    /// permitting); returns how many were created.
-    pub fn provision_stemcells(&mut self, n: usize, mb: f64) -> usize {
-        let mut created = 0;
-        for _ in 0..n {
-            if self.free_mb() < mb {
-                break;
-            }
-            self.stemcells.push(mb);
-            created += 1;
-        }
-        created
-    }
-
-    /// Takes one stem cell for adoption (skipping container init);
-    /// returns false when none is free. The most recently provisioned
-    /// cell is adopted first, releasing exactly the memory it held.
-    pub fn take_stemcell(&mut self) -> bool {
-        self.stemcells.pop().is_some()
-    }
-
-    /// Pre-initialized stem cells available for adoption.
-    pub fn stemcells_free(&self) -> usize {
-        self.stemcells.len()
-    }
-
-    /// Memory currently held by the stem-cell pool, MB.
-    pub fn stemcell_mb(&self) -> f64 {
-        self.stemcells.iter().sum()
-    }
-
-    /// Replenishes the stem-cell pool back toward `target` if capacity
-    /// allows (OpenWhisk re-creates prewarm containers in the background).
-    pub fn replenish_stemcells(&mut self, target: usize, mb: f64) {
-        while self.stemcells.len() < target && self.free_mb() >= mb {
-            self.stemcells.push(mb);
-        }
-    }
-
-    /// Memory currently loaded (all container states + stem cells), MB.
+    /// Memory currently loaded (all container states), MB.
     pub fn loaded_mb(&self) -> f64 {
-        self.containers.iter().map(|c| c.memory_mb).sum::<f64>() + self.stemcell_mb()
+        self.containers.iter().map(|c| c.memory_mb).sum::<f64>()
     }
 
     /// Free capacity, MB.
@@ -194,8 +146,8 @@ impl Invoker {
     /// `needed_mb` fits, through the shared budgeted-eviction engine
     /// ([`sitw_fleet::evict_until`] — the same loop the tenant memory
     /// ledger runs with earliest-expiry ordering). Returns false if the
-    /// space cannot be freed (busy/starting containers — and the
-    /// stem-cell pool's held memory — are not evictable).
+    /// space cannot be freed (busy/starting containers are not
+    /// evictable).
     pub fn make_room(&mut self, needed_mb: f64, now: TimeMs) -> bool {
         if needed_mb > self.capacity_mb {
             return false;
@@ -380,33 +332,6 @@ mod tests {
         assert!((inv.stats.loaded_mb_ms - 300.0 * 1_000.0).abs() < 1e-6);
         assert!((inv.stats.idle_mb_ms - 100.0 * 1_000.0).abs() < 1e-6);
         assert_eq!(inv.stats.peak_loaded_mb, 300.0);
-    }
-
-    #[test]
-    fn stemcell_memory_counted_once_across_mixed_sizes() {
-        // Regression (failing before the per-cell accounting): the pool
-        // tracked `count × latest size`, so a provisioning round with a
-        // different size re-priced every existing cell. Two 300 MB cells
-        // followed by a 50 MB replenish used to report 3 × 50 = 150 MB
-        // held instead of 650 — and make_room, believing that phantom
-        // free memory, double-booked capacity the stem cells hold.
-        let mut inv = Invoker::new(0, 1000.0);
-        assert_eq!(inv.provision_stemcells(2, 300.0), 2);
-        inv.replenish_stemcells(3, 50.0);
-        assert_eq!(inv.stemcells_free(), 3);
-        assert_eq!(inv.loaded_mb(), 650.0, "2×300 + 1×50, each counted once");
-        assert_eq!(inv.free_mb(), 350.0);
-        // 400 MB does not fit and nothing is evictable: make_room must
-        // refuse instead of double-counting the stem-cell memory away.
-        assert!(!inv.make_room(400.0, 0));
-        assert!(inv.make_room(350.0, 0));
-        // Adoption releases exactly the adopted cell's memory (LIFO).
-        assert!(inv.take_stemcell());
-        assert_eq!(inv.loaded_mb(), 600.0);
-        assert!(inv.take_stemcell());
-        assert!(inv.take_stemcell());
-        assert!(!inv.take_stemcell());
-        assert_eq!(inv.loaded_mb(), 0.0);
     }
 
     #[test]

@@ -29,15 +29,6 @@ pub struct PlatformConfig {
     pub runtime_bootstrap_ms: f64,
     /// Log-normal sigma applied to both init times and execution jitter.
     pub latency_sigma: f64,
-    /// Stem-cell containers kept pre-initialized per invoker (OpenWhisk's
-    /// "prewarm" pool): a cold start that grabs one skips the container
-    /// init and only pays the runtime bootstrap. 0 disables the pool.
-    /// This is the *orthogonal* cold-start-latency optimization the paper
-    /// cites (§2) — it shortens cold starts but does not reduce their
-    /// number, which is the hybrid policy's job.
-    pub stemcell_pool: usize,
-    /// Memory reserved by each stem-cell container, MB.
-    pub stemcell_memory_mb: f64,
     /// RNG seed for latency/function sampling.
     pub seed: u64,
 }
@@ -52,8 +43,6 @@ impl Default for PlatformConfig {
             container_init_ms: 150.0,
             runtime_bootstrap_ms: 900.0,
             latency_sigma: 0.35,
-            stemcell_pool: 0,
-            stemcell_memory_mb: 128.0,
             seed: 0x0511,
         }
     }

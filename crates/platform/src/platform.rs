@@ -115,13 +115,7 @@ where
     let mut rng_exec = StdRng::seed_from_u64(cfg.seed);
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x1A7E);
     let mut invokers: Vec<Invoker> = (0..cfg.num_invokers)
-        .map(|i| {
-            let mut inv = Invoker::new(i, cfg.invoker_memory_mb);
-            if cfg.stemcell_pool > 0 {
-                inv.provision_stemcells(cfg.stemcell_pool, cfg.stemcell_memory_mb);
-            }
-            inv
-        })
+        .map(|i| Invoker::new(i, cfg.invoker_memory_mb))
         .collect();
     let stride = coprime_stride(cfg.num_invokers);
 
@@ -224,18 +218,11 @@ where
                         );
                     }
                     Placement::Cold { invoker } => {
-                        // A free stem cell skips container init (the app
-                        // image/runtime still bootstraps).
-                        let adopted = invokers[invoker].take_stemcell();
-                        let init = if adopted {
-                            1
-                        } else {
-                            ms(lognormal_around(
-                                &mut rng,
-                                cfg.container_init_ms,
-                                cfg.latency_sigma,
-                            ))
-                        };
+                        let init = ms(lognormal_around(
+                            &mut rng,
+                            cfg.container_init_ms,
+                            cfg.latency_sigma,
+                        ));
                         let bootstrap = ms(lognormal_around(
                             &mut rng,
                             cfg.runtime_bootstrap_ms,
@@ -399,13 +386,7 @@ where
                 }
             }
 
-            Ev::Expire { invoker } => {
-                let inv = &mut invokers[invoker];
-                inv.expire_due(now);
-                if cfg.stemcell_pool > 0 {
-                    inv.replenish_stemcells(cfg.stemcell_pool, cfg.stemcell_memory_mb);
-                }
-            }
+            Ev::Expire { invoker } => invokers[invoker].expire_due(now),
         }
     }
 
@@ -664,42 +645,6 @@ mod tests {
         // must occur, and the simulation must terminate.
         assert!(evictions > 0 || report.dropped > 0);
         assert_eq!(report.served() + report.dropped, 80);
-    }
-
-    #[test]
-    fn stemcell_pool_shortens_cold_starts() {
-        let trace = one_app_trace(vec![0], 10 * MINUTE_MS);
-        // Near-zero sigma pins latency draws to their medians so the
-        // comparison is deterministic.
-        let plain = PlatformConfig {
-            latency_sigma: 0.01,
-            ..PlatformConfig::default()
-        };
-        let pooled = PlatformConfig {
-            stemcell_pool: 2,
-            stemcell_memory_mb: 256.0,
-            latency_sigma: 0.01,
-            ..PlatformConfig::default()
-        };
-        let without = run_platform(&trace, &plain, || {
-            Box::new(FixedKeepAlive::minutes(10).new_policy())
-        });
-        let with = run_platform(&trace, &pooled, || {
-            Box::new(FixedKeepAlive::minutes(10).new_policy())
-        });
-        // Both are cold (the pool does not reduce the *number* of cold
-        // starts), but the stem cell skips container init, so the
-        // measured activation is faster.
-        assert_eq!(without.cold_count(), 1);
-        assert_eq!(with.cold_count(), 1);
-        assert!(
-            with.records[0].exec_ms < without.records[0].exec_ms,
-            "stem cell {} vs plain {}",
-            with.records[0].exec_ms,
-            without.records[0].exec_ms
-        );
-        // The pool itself holds memory.
-        assert!(with.total_loaded_mb_ms() > without.total_loaded_mb_ms());
     }
 
     #[test]

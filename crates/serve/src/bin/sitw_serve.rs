@@ -6,7 +6,6 @@
 //!            [--tenant NAME=POLICY[,budget=MB]]... [--tenants N]
 //!            [--snapshot PATH] [--restore PATH] [--no-telemetry]
 //!            [--follow PRIMARY_ADDR] [--repl-interval-ms 100]
-//!            [--auto-promote-ms N]
 //! ```
 //!
 //! `--no-telemetry` disables the flight recorder and per-stage latency
@@ -44,9 +43,9 @@
 //! `POST /admin/promote`, which restores the replicated state into its
 //! shards and opens `--addr` to traffic. `/healthz` (with replication
 //! lag), `/metrics`, `/debug/*` and `POST /admin/shutdown` answer
-//! throughout; the startup line says `control on ADDR`. `--auto-promote-ms
-//! N` additionally promotes without an operator once the primary has
-//! been unreachable for N ms. The policy/tenant flags describe the
+//! throughout; the startup line says `control on ADDR`. The router's
+//! `--failover supervised|auto` calls the same promote verb. The
+//! policy/tenant flags describe the
 //! *primary's* configuration so the replica restores into matching
 //! shards. An unpromoted standby's `--snapshot` is its replica.
 //!
@@ -60,7 +59,6 @@
 use std::path::PathBuf;
 use std::process::exit;
 
-use sitw_fleet::registry::parse_tenant_arg;
 use sitw_serve::{FollowConfig, ServeConfig, Server, TenantConfig};
 use sitw_sim::PolicySpec;
 
@@ -79,7 +77,7 @@ fn usage() -> ! {
          [--tenant NAME=POLICY[,budget=MB]]... [--tenants N] \
          [--snapshot PATH] [--restore PATH] \
          [--no-telemetry] [--follow PRIMARY_ADDR] \
-         [--repl-interval-ms N] [--auto-promote-ms N]"
+         [--repl-interval-ms N]"
     );
     exit(2)
 }
@@ -127,12 +125,8 @@ fn main() {
             }
             "--tenant" => {
                 let arg = value("--tenant");
-                match parse_tenant_arg(&arg) {
-                    Ok((name, policy, budget_mb)) => cfg.tenants.push(TenantConfig {
-                        name,
-                        policy,
-                        budget_mb,
-                    }),
+                match TenantConfig::parse(&arg) {
+                    Ok(tenant) => cfg.tenants.push(tenant),
                     Err(e) => {
                         eprintln!("{e}");
                         usage();
@@ -154,12 +148,6 @@ fn main() {
                     .parse()
                     .unwrap_or_else(|_| usage());
                 follow.pull_interval = std::time::Duration::from_millis(ms);
-            }
-            "--auto-promote-ms" => {
-                let ms: u64 = value("--auto-promote-ms")
-                    .parse()
-                    .unwrap_or_else(|_| usage());
-                follow.auto_promote_after = Some(std::time::Duration::from_millis(ms));
             }
             "--help" | "-h" => usage(),
             other => {
@@ -189,12 +177,9 @@ fn main() {
     // A standby's line says `control on`: scripts wait for that marker.
     let role = match &cfg.follow {
         Some(f) => format!(
-            "following {} | pull every {}ms{} | control on",
+            "following {} | pull every {}ms | control on",
             f.primary_addr,
             f.pull_interval.as_millis(),
-            f.auto_promote_after
-                .map(|d| format!(" | auto-promote after {}ms", d.as_millis()))
-                .unwrap_or_default()
         ),
         None => "listening on".to_owned(),
     };

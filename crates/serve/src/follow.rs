@@ -18,8 +18,8 @@
 //! `/metrics` (whose `sitw_serve_repl_*` families count what was
 //! pulled), `/debug/*` and `/admin/shutdown` answer as on any node.
 //!
-//! Promotion (operator `POST /admin/promote`, the router's supervised
-//! failover, or the optional dead-primary auto policy) restores the
+//! Promotion (operator `POST /admin/promote`, or the router's
+//! supervised or auto failover calling it) restores the
 //! replica through the pipeline a restarting node restores its snapshot
 //! file through (`crate::restore`), which the snapshot-parity tests
 //! prove bit-identical; only once every shard's tenants are built does
@@ -60,10 +60,6 @@ pub struct FollowConfig {
     pub primary_addr: String,
     /// Delay between replication pulls.
     pub pull_interval: Duration,
-    /// When set, the standby promotes itself once the primary has been
-    /// unreachable for at least this long (and three consecutive pulls
-    /// failed). `None` (supervised mode) waits for `/admin/promote`.
-    pub auto_promote_after: Option<Duration>,
 }
 
 impl Default for FollowConfig {
@@ -71,7 +67,6 @@ impl Default for FollowConfig {
         Self {
             primary_addr: "127.0.0.1:7071".into(),
             pull_interval: Duration::from_millis(100),
-            auto_promote_after: None,
         }
     }
 }
@@ -366,12 +361,7 @@ pub(crate) fn pull_loop(ctx: &ServerCtx) {
             follow.lock().consecutive_failures = 0;
         } else {
             conn = None;
-            let failures = {
-                let mut shared = follow.lock();
-                shared.consecutive_failures += 1;
-                shared.consecutive_failures
-            };
-            maybe_auto_promote(ctx, follow, failures);
+            follow.lock().consecutive_failures += 1;
         }
         // Sleep in slices so shutdown is honored promptly.
         let mut remaining = follow.cfg.pull_interval;
@@ -380,32 +370,6 @@ pub(crate) fn pull_loop(ctx: &ServerCtx) {
             std::thread::sleep(slice);
             remaining -= slice;
         }
-    }
-}
-
-/// Promotes when the auto policy says the primary is dead: at least
-/// three consecutive pulls failed *and* nothing has committed for the
-/// configured window.
-fn maybe_auto_promote(ctx: &ServerCtx, follow: &Follow, failures: u64) {
-    let Some(window) = follow.cfg.auto_promote_after else {
-        return;
-    };
-    let silent_for = follow.lock().last_commit.unwrap_or(ctx.started).elapsed();
-    if failures < 3 || silent_for < window {
-        return;
-    }
-    let (telem, ts_ms) = (&ctx.telem, ctx.uptime_ms());
-    telem.event(&telem.events, ts_ms, EventKind::NodeDown, |ev| {
-        let (primary, ms) = (&follow.cfg.primary_addr, silent_for.as_millis());
-        let _ = write!(
-            ev.detail,
-            "primary {primary} unreachable for {ms}ms ({failures} failed pulls)"
-        );
-    });
-    if let Err(e) = promote(ctx, "auto policy: primary unreachable") {
-        telem.event(&telem.events, ctx.uptime_ms(), EventKind::Failover, |ev| {
-            let _ = write!(ev.detail, "auto-promotion failed: {e}");
-        });
     }
 }
 
@@ -496,7 +460,6 @@ mod tests {
             follow: Some(FollowConfig {
                 primary_addr: primary.into(),
                 pull_interval: Duration::from_millis(15),
-                ..FollowConfig::default()
             }),
             ..ServeConfig::default()
         }

@@ -875,6 +875,12 @@ pub fn lookup<'a, T>(
     })
 }
 
+/// The value of the first `key=value` pair named `key` in the query
+/// string `lookup` split off, wherever it stands among the others.
+pub fn query_arg<'a>(query: &'a str, key: &str) -> Option<&'a str> {
+    (query.split('&')).find_map(|pair| pair.strip_prefix(key)?.strip_prefix('='))
+}
+
 /// The `endpoints:` line a daemon prints at startup: every row of its
 /// table, `METHOD PATH`, in table order.
 pub fn endpoints_line<T>(table: &[Route<T>]) -> String {
@@ -931,6 +937,22 @@ mod tests {
             endpoints_line(TABLE),
             "endpoints: GET /items, POST /items, POST /items/<name>/take"
         );
+    }
+
+    #[test]
+    fn query_arg_reads_a_key_wherever_it_stands() {
+        for query in [
+            "node=0",
+            "x=1&node=0",
+            "node=0&x=1",
+            "nodes=7&x&node=0&node=1",
+        ] {
+            assert_eq!(query_arg(query, "node"), Some("0"), "{query}");
+        }
+        assert_eq!(query_arg("tenant=&to=2", "tenant"), Some(""));
+        for query in ["", "node", "nodes=1", "x=node=1", "anode=1"] {
+            assert_eq!(query_arg(query, "node"), None, "{query}");
+        }
     }
 
     #[test]
@@ -1355,7 +1377,14 @@ mod tests {
                     keep_alive_ms: 186_000,
                 },
                 BinReply::OutOfOrder { last_ts: 77 },
-                BinReply::Throttled,
+                BinReply::Verdict {
+                    cold: false,
+                    prewarm_load: true,
+                    evicted: false,
+                    kind: sitw_core::DecisionKind::Arima,
+                    pre_warm_ms: 1,
+                    keep_alive_ms: u32::MAX,
+                },
             ];
             wire::encode_reply_records(s, wire::BIN_VERSION_2, &records);
         });
@@ -1426,9 +1455,7 @@ mod tests {
             ]
         );
         assert!(whole[0].0 == "Http(200)" && whole[2].0 == "Http(503)");
-        assert!(
-            whole[1].0.contains("OutOfOrder { last_ts: 77 }") && whole[1].0.contains("Throttled")
-        );
+        assert!(whole[1].0.contains("OutOfOrder { last_ts: 77 }") && whole[1].0.contains("Arima"));
         assert!(whole[3].0.contains("Unavailable") && whole[3].0.contains("node n1 down"));
         assert!(whole[4].0.contains("[100, 111, 99]"));
         assert_eq!(whole[0].1, b"{\"verdict\":\"cold\"}");
@@ -1464,7 +1491,11 @@ mod tests {
             .unwrap();
         let mut conn = ConnBuf::new(client);
         let mut frame = Vec::new();
-        wire::encode_reply_records(&mut frame, wire::BIN_VERSION_2, &[BinReply::Throttled; 4]);
+        wire::encode_reply_records(
+            &mut frame,
+            wire::BIN_VERSION_2,
+            &[BinReply::OutOfOrder { last_ts: 9 }; 4],
+        );
         for piece in [
             &b"HTTP/1.1 200 OK\r\ncontent-le"[..],
             b"ngth: 10\r\n\r\n01234",
@@ -1481,7 +1512,7 @@ mod tests {
                     assert_eq!(piece, b"56789");
                 }
                 Reply::Frame(ServerFrameDecode::Reply { records, .. }) => {
-                    assert_eq!(records, [BinReply::Throttled; 4]);
+                    assert_eq!(records, [BinReply::OutOfOrder { last_ts: 9 }; 4]);
                     assert_eq!(conn.reply_raw(), frame);
                 }
                 other => panic!("{other:?}"),

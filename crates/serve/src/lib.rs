@@ -51,8 +51,8 @@
 //!   while it pulls chunked snapshot/delta rounds over SITW-BIN
 //!   replication frames — per-app dirty tracking means steady-state
 //!   rounds carry only what mutated, and no shard ever pauses — and
-//!   promotes in place (operator command, router failover, or
-//!   dead-primary auto policy), on the same address, with decisions
+//!   promotes in place (operator command or router failover), on the
+//!   same address, with decisions
 //!   bit-identical to an uninterrupted primary's.
 //! * **Verdict parity**: a shard decides by calling
 //!   [`sitw_fleet::TenantState::step`] — the step the offline

@@ -4,8 +4,8 @@
 //! every generated invocation becomes one `POST /invoke`, sent at its
 //! trace time scaled by a speedup factor (or flat out when
 //! [`LoadGenConfig::speedup`] is infinite). The generator is *open
-//! loop*: when the server falls behind, requests are not throttled to
-//! match — they queue — so sustained throughput and tail latency reflect
+//! loop*: when the server falls behind, requests keep their schedule
+//! and queue, so sustained throughput and tail latency reflect
 //! server capacity, not a closed feedback loop flattering it.
 //!
 //! Apps are assigned to connections round-robin by first appearance (an
@@ -159,10 +159,6 @@ pub struct LoadGenReport {
     pub latency_hist: Log2Histogram,
     /// Eviction-downgraded cold verdicts among `ok` (budgeted tenants).
     pub evicted: u64,
-    /// Admission-control rejections (HTTP 429 / `VB_THROTTLED` reply
-    /// records from a router). Not counted in `ok` or `errors`: the
-    /// invocation was refused by QoS, not served and not failed.
-    pub throttled: u64,
     /// Per-tenant verdict mix, index k = tenant `tK` (empty when the
     /// replay is untenanted).
     pub per_tenant: Vec<TenantMix>,
@@ -183,8 +179,6 @@ pub struct TenantMix {
     pub cold: u64,
     /// Eviction-downgraded colds among `cold`.
     pub evicted: u64,
-    /// Admission-control rejections (429 / throttled reply records).
-    pub throttled: u64,
     /// Errors (non-200 / out-of-order / error frames).
     pub errors: u64,
 }
@@ -208,8 +202,8 @@ impl LoadGenReport {
     pub fn summary(&self) -> String {
         use std::fmt::Write as _;
         let mut out = format!(
-            "{} decisions in {:.2}s = {:.0}/s | cold {} ({:.1}%) warm {} evicted {} throttled {} \
-             errors {} | latency µs p50 {:.0} p95 {:.0} p99 {:.0} max {:.0}",
+            "{} decisions in {:.2}s = {:.0}/s | cold {} ({:.1}%) warm {} evicted {} errors {} | \
+             latency µs p50 {:.0} p95 {:.0} p99 {:.0} max {:.0}",
             self.ok,
             self.elapsed.as_secs_f64(),
             self.throughput,
@@ -217,7 +211,6 @@ impl LoadGenReport {
             100.0 * self.cold as f64 / (self.ok.max(1)) as f64,
             self.warm,
             self.evicted,
-            self.throttled,
             self.errors,
             self.latency_us.p50,
             self.latency_us.p95,
@@ -227,14 +220,12 @@ impl LoadGenReport {
         for (k, t) in self.per_tenant.iter().enumerate() {
             let _ = write!(
                 out,
-                "\n  t{k}: {} decisions = {:.0}/s | cold {} ({:.1}%) evicted {} throttled {} \
-                 errors {}",
+                "\n  t{k}: {} decisions = {:.0}/s | cold {} ({:.1}%) evicted {} errors {}",
                 t.ok,
                 t.ok as f64 / self.elapsed.as_secs_f64().max(1e-9),
                 t.cold,
                 100.0 * t.cold as f64 / (t.ok.max(1)) as f64,
                 t.evicted,
-                t.throttled,
                 t.errors,
             );
         }
@@ -266,7 +257,7 @@ impl LoadGenReport {
         let _ = write!(
             out,
             "{{\"proto\":\"{proto}\",\"sent\":{},\"ok\":{},\"cold\":{},\"warm\":{},\
-             \"evicted\":{},\"throttled\":{},\"errors\":{},\"elapsed_s\":{:.6},\
+             \"evicted\":{},\"errors\":{},\"elapsed_s\":{:.6},\
              \"throughput\":{:.2},\
              \"cold_rate\":{:.6},\"latency_us\":{{\"p50\":{:.1},\"p95\":{:.1},\"p99\":{:.1},\
              \"max\":{:.1}}},\"max_live_conns\":{}",
@@ -275,7 +266,6 @@ impl LoadGenReport {
             self.cold,
             self.warm,
             self.evicted,
-            self.throttled,
             self.errors,
             self.elapsed.as_secs_f64(),
             self.throughput,
@@ -312,9 +302,8 @@ impl LoadGenReport {
             }
             let _ = write!(
                 out,
-                "{{\"tenant\":\"t{k}\",\"ok\":{},\"cold\":{},\"evicted\":{},\"throttled\":{},\
-                 \"errors\":{}}}",
-                t.ok, t.cold, t.evicted, t.throttled, t.errors
+                "{{\"tenant\":\"t{k}\",\"ok\":{},\"cold\":{},\"evicted\":{},\"errors\":{}}}",
+                t.ok, t.cold, t.evicted, t.errors
             );
         }
         out.push(']');
@@ -563,7 +552,6 @@ pub fn run_loadgen_cluster(
     let mut ok = 0u64;
     let mut cold = 0u64;
     let mut evicted = 0u64;
-    let mut throttled = 0u64;
     let mut errors = 0u64;
     let mut per_tenant: Vec<TenantMix> = vec![TenantMix::default(); cfg.tenants];
     let mut latencies: Vec<f64> = Vec::new();
@@ -574,13 +562,11 @@ pub fn run_loadgen_cluster(
         ok += r.ok;
         cold += r.cold;
         evicted += r.evicted;
-        throttled += r.throttled;
         errors += r.errors;
         for (agg, t) in per_tenant.iter_mut().zip(&r.per_tenant) {
             agg.ok += t.ok;
             agg.cold += t.cold;
             agg.evicted += t.evicted;
-            agg.throttled += t.throttled;
             agg.errors += t.errors;
         }
         latencies.append(&mut r.latencies_us);
@@ -611,7 +597,6 @@ pub fn run_loadgen_cluster(
         },
         latency_hist,
         evicted,
-        throttled,
         per_tenant,
         max_live_conns,
         traces,
@@ -623,7 +608,6 @@ struct ConnResult {
     ok: u64,
     cold: u64,
     evicted: u64,
-    throttled: u64,
     errors: u64,
     /// Index k = tenant `tK` (wire id k + 1); empty when untenanted.
     per_tenant: Vec<TenantMix>,
@@ -640,7 +624,6 @@ impl ConnResult {
             ok: 0,
             cold: 0,
             evicted: 0,
-            throttled: 0,
             errors: 0,
             per_tenant: vec![TenantMix::default(); tenants],
             latencies_us: Vec::with_capacity(capacity),
@@ -666,15 +649,6 @@ impl ConnResult {
                 if evicted {
                     t.evicted += 1;
                 }
-            }
-        }
-    }
-
-    fn record_throttled(&mut self, tenant: u16) {
-        self.throttled += 1;
-        if tenant > 0 {
-            if let Some(t) = self.per_tenant.get_mut(tenant as usize - 1) {
-                t.throttled += 1;
             }
         }
     }
@@ -742,8 +716,6 @@ fn drive_connection(
                 find_subslice(body, b"\"verdict\":\"cold\""),
                 find_subslice(body, b"\"evicted\":true"),
             );
-        } else if status == 429 {
-            result.record_throttled(tenant);
         } else {
             result.record_error(tenant);
         }
@@ -925,7 +897,6 @@ fn drive_connection_bin(
                             BinReply::Verdict { cold, evicted, .. } => {
                                 result.record_verdict(tenant, cold, evicted);
                             }
-                            BinReply::Throttled => result.record_throttled(tenant),
                             BinReply::OutOfOrder { .. } => result.record_error(tenant),
                         }
                     }

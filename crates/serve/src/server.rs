@@ -46,7 +46,7 @@ use sitw_telemetry::{
 };
 
 use crate::follow::{promote, pull_loop, Follow, FollowConfig, FollowStatus, NOT_PROMOTED};
-use crate::http::{lookup, write_response, Request, Route};
+use crate::http::{lookup, query_arg, write_response, Request, Route};
 use crate::metrics::{
     ConnStats, MetricsReport, ProtoStats, ReactorTelem, ReplStats, ShardStats, TRACE_RING,
 };
@@ -69,6 +69,19 @@ pub struct TenantConfig {
     pub policy: PolicySpec,
     /// Keep-alive memory budget in MB (0 = unlimited).
     pub budget_mb: u64,
+}
+
+impl TenantConfig {
+    /// Parses the `--tenant` grammar of the node and the router alike,
+    /// `NAME=POLICY[,budget=MB]`.
+    pub fn parse(arg: &str) -> Result<Self, String> {
+        let (name, policy, budget_mb) = sitw_fleet::registry::parse_tenant_arg(arg)?;
+        Ok(Self {
+            name,
+            policy,
+            budget_mb,
+        })
+    }
 }
 
 /// Server configuration.
@@ -1000,17 +1013,9 @@ pub(crate) fn handle_control(req: &Request, ctx: &ServerCtx, out: &mut Vec<u8>) 
             Err(e) => write_error(out, 409, &e),
         },
         Verb::Trace => {
-            let mut last = 64usize;
-            let mut json = false;
-            for pair in query.split('&') {
-                if let Some(v) = pair.strip_prefix("n=") {
-                    if let Ok(k) = v.parse::<usize>() {
-                        last = k.min(4096);
-                    }
-                } else if pair == "format=json" {
-                    json = true;
-                }
-            }
+            let n = query_arg(query, "n").and_then(|v| v.parse::<usize>().ok());
+            let last = n.map_or(64, |k| k.min(4096));
+            let json = query_arg(query, "format") == Some("json");
             // Blocking locks are safe here: recording sites only ever
             // try_lock, and no guard is held while this control request
             // executes. Holding all guards at once gives a consistent
@@ -1051,15 +1056,8 @@ pub(crate) fn handle_control(req: &Request, ctx: &ServerCtx, out: &mut Vec<u8>) 
             write_response(out, 200, "application/json", body.as_bytes());
         }
         Verb::Policy => {
-            let mut tenant = DEFAULT_TENANT_NAME;
-            let mut app = "";
-            for pair in query.split('&') {
-                if let Some(v) = pair.strip_prefix("tenant=") {
-                    tenant = v;
-                } else if let Some(v) = pair.strip_prefix("app=") {
-                    app = v;
-                }
-            }
+            let tenant = query_arg(query, "tenant").unwrap_or(DEFAULT_TENANT_NAME);
+            let app = query_arg(query, "app").unwrap_or_default();
             if app.is_empty() {
                 write_error(out, 400, "missing app= query parameter");
             } else {

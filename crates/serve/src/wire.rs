@@ -714,13 +714,13 @@ pub fn push_u64(out: &mut Vec<u8>, v: u64) {
 // are `write_usage` and `write_budgets`.
 // Reply payload: `count` fixed 9-byte records in request order — one
 // verdict byte (bit 0 = cold, bit 1 = pre-warm load, bits 2–3 =
-// decision branch, bit 4 = evicted, bit 5 = throttled, bit 7 =
-// out-of-order rejection), then either two u32 windows (pre-warm,
-// keep-alive; saturated at u32::MAX meaning "never") or, when the
-// out-of-order bit is set, the u64 `last_ts` of the rejection. *Evicted*
-// means the warm classification was downgraded to cold because the
-// tenant's memory budget evicted the image during the gap; *throttled*
-// means the router's QoS admission refused the record.
+// decision branch, bit 4 = evicted, bit 7 = out-of-order rejection;
+// bits 5 and 6 are reserved: never written, ignored when read), then
+// either two u32 windows (pre-warm, keep-alive; saturated at u32::MAX
+// meaning "never") or, when the out-of-order bit is set, the u64
+// `last_ts` of the rejection. *Evicted* means the warm classification
+// was downgraded to cold because the tenant's memory budget evicted the
+// image during the gap.
 // Error payload: `{u8 code, u16 detail_len, detail bytes}` (count = 0),
 // codes as in [`BinErrorCode`].
 //
@@ -784,7 +784,6 @@ const VB_COLD: u8 = 1 << 0;
 const VB_PREWARM_LOAD: u8 = 1 << 1;
 const VB_KIND_SHIFT: u8 = 2; // Bits 2–3: DecisionKind.
 const VB_EVICTED: u8 = 1 << 4;
-const VB_THROTTLED: u8 = 1 << 5; // QoS admission rejection.
 const VB_OUT_OF_ORDER: u8 = 1 << 7;
 
 /// Typed SITW-BIN protocol errors, carried in `FRAME_ERROR` frames.
@@ -1134,8 +1133,7 @@ pub(crate) fn encode_reply_frame(out: &mut Vec<u8>, results: &[Result<Decision, 
 /// Re-encodes decoded reply records into one reply frame — the router's
 /// reassembly path: a client frame split across nodes comes back as
 /// per-node reply frames whose records are interleaved (in request
-/// order, with locally generated [`BinReply::Throttled`] records for
-/// admission rejections) into the single frame the client expects.
+/// order) into the single frame the client expects.
 /// Byte-for-byte inverse of the reply decoder. `version` must be
 /// [`BIN_VERSION_2`], the only one there is.
 // sitw-lint: hot-path
@@ -1178,7 +1176,6 @@ fn push_reply(out: &mut Vec<u8>, rec: BinReply) {
             record[0] = VB_OUT_OF_ORDER;
             record[1..].copy_from_slice(&last_ts.to_le_bytes());
         }
-        BinReply::Throttled => record[0] = VB_THROTTLED,
     }
     out.extend_from_slice(&record);
 }
@@ -1387,11 +1384,6 @@ pub enum BinReply {
         /// The app's last accepted timestamp.
         last_ts: u64,
     },
-    /// The invocation was refused by QoS admission control: the tenant's
-    /// rate limit was exhausted at this trace time (emitted by
-    /// `sitw-router`, mirrored by HTTP 429 on the JSON path).
-    /// No policy state advanced — the invocation never reached a shard.
-    Throttled,
 }
 
 /// Outcome of decoding one server→client frame.
@@ -1480,8 +1472,6 @@ pub fn decode_server_frame(buf: &[u8]) -> ServerFrameDecode {
                     records.push(BinReply::OutOfOrder {
                         last_ts: u64_at(payload, i + 1),
                     });
-                } else if vb & VB_THROTTLED != 0 {
-                    records.push(BinReply::Throttled);
                 } else {
                     records.push(BinReply::Verdict {
                         cold: vb & VB_COLD != 0,
@@ -1661,7 +1651,7 @@ mod tests {
         }
         for body in [
             "",
-            "{\"error\":\"throttled\"}",
+            "{\"error\":\"no live nodes\"}",
             "{\"verdict\":\"tepid\",\"kind\":\"static\"}",
             "{\"verdict\":\"cold\",\"kind\":\"static\",\"pre_warm_ms\":x}",
         ] {
@@ -2189,7 +2179,7 @@ mod tests {
                 keep_alive_ms: 600_000,
             });
         }
-        replies.extend([BinReply::Throttled, BinReply::OutOfOrder { last_ts: 55 }]);
+        replies.push(BinReply::OutOfOrder { last_ts: 55 });
         let trace = sitw_telemetry::TRACE_MARK | 0xBEEF;
         let request = [
             (1, "app-000001", 7),
@@ -2553,10 +2543,10 @@ mod tests {
     }
 
     #[test]
-    fn throttled_records_roundtrip_through_reencoder() {
+    fn reassembled_records_roundtrip_through_reencoder() {
         // The router's reassembly path: re-encode a mix of decoded
-        // verdicts, an out-of-order rejection, and a locally generated
-        // throttle, then decode it as a client would.
+        // verdicts and an out-of-order rejection, then decode it as a
+        // client would.
         let records = vec![
             BinReply::Verdict {
                 cold: true,
@@ -2566,7 +2556,6 @@ mod tests {
                 pre_warm_ms: 7,
                 keep_alive_ms: 9,
             },
-            BinReply::Throttled,
             BinReply::OutOfOrder { last_ts: 55 },
         ];
         let mut out = Vec::new();
@@ -2603,6 +2592,33 @@ mod tests {
         let mut reencoded = Vec::new();
         encode_reply_records(&mut reencoded, BIN_VERSION_2, &records);
         assert_eq!(reencoded, results_frame);
+    }
+
+    #[test]
+    fn reserved_verdict_bits_are_ignored_when_read() {
+        let verdict = BinReply::Verdict {
+            cold: true,
+            prewarm_load: false,
+            evicted: true,
+            kind: DecisionKind::StandardKeepAlive,
+            pre_warm_ms: 7,
+            keep_alive_ms: 9,
+        };
+        let mut frame = Vec::new();
+        encode_reply_records(&mut frame, BIN_VERSION_2, &[verdict]);
+        // Bits 5 and 6 are reserved: a record carrying them decodes as
+        // the verdict its other bits give, and re-encoding clears them.
+        for reserved in [1 << 5, 1 << 6, 0b0110_0000] {
+            let mut marked = frame.clone();
+            marked[BIN_HEADER_LEN] |= reserved;
+            let ServerFrameDecode::Reply { records, .. } = decode_server_frame(&marked) else {
+                panic!("reply expected");
+            };
+            assert_eq!(records, [verdict]);
+            let mut again = Vec::new();
+            encode_reply_records(&mut again, BIN_VERSION_2, &records);
+            assert_eq!(again, frame);
+        }
     }
 
     #[test]

@@ -219,7 +219,6 @@ fn fleet_failover_replay_matches_uninterrupted_fleet_trace() {
         follow: Some(FollowConfig {
             primary_addr: primary.addr().to_string(),
             pull_interval: Duration::from_millis(15),
-            ..FollowConfig::default()
         }),
         ..ServeConfig::default()
     })
@@ -374,7 +373,7 @@ fn fleet_failover_replay_matches_uninterrupted_fleet_trace() {
 }
 
 #[test]
-fn follower_auto_promotes_when_primary_dies_silently() {
+fn follower_promotes_after_primary_dies_silently() {
     let population = build_population(&PopulationConfig {
         num_apps: 10,
         seed: 808,
@@ -415,7 +414,6 @@ fn follower_auto_promotes_when_primary_dies_silently() {
         follow: Some(FollowConfig {
             primary_addr: primary.addr().to_string(),
             pull_interval: Duration::from_millis(20),
-            auto_promote_after: Some(Duration::from_millis(250)),
         }),
         ..ServeConfig::default()
     })
@@ -433,19 +431,21 @@ fn follower_auto_promotes_when_primary_dies_silently() {
     }
     wait_caught_up(&follower);
 
-    // The primary vanishes without ceremony. The dead-primary policy
-    // (three failed pulls *and* 250 ms of commit silence) must fire on
-    // its own.
+    // The primary vanishes without ceremony. Once the standby has seen
+    // three failed pulls, it is promoted — as the router's prober would
+    // after three failed probes.
     let _ = primary.shutdown().unwrap();
     let deadline = Instant::now() + Duration::from_secs(20);
-    while !follower.follow_status().unwrap().promoted {
+    while follower.follow_status().unwrap().consecutive_failures < 3 {
         assert!(
             Instant::now() < deadline,
-            "auto-promotion never fired: {:?}",
+            "pulls never failed: {:?}",
             follower.follow_status()
         );
         std::thread::sleep(Duration::from_millis(25));
     }
+    follower.promote().unwrap();
+    assert!(follower.follow_status().unwrap().promoted);
     let serve_addr = follower.addr();
 
     let mut client = Client::connect(serve_addr).unwrap();
@@ -470,11 +470,10 @@ fn follower_auto_promotes_when_primary_dies_silently() {
         }
     }
 
-    // The lifecycle trail names the cause.
+    // The lifecycle trail records the promotion.
     let mut ctl = Client::connect(follower.addr()).unwrap();
     let (_, ev) = ctl.request("GET", "/debug/events", "").unwrap();
-    assert!(ev.contains("\"kind\":\"node-down\""), "{ev}");
-    assert!(ev.contains("auto policy: primary unreachable"), "{ev}");
+    assert!(ev.contains("\"kind\":\"promotion\""), "{ev}");
     follower.shutdown().unwrap();
 }
 
@@ -500,7 +499,6 @@ fn control_calls_under_a_pull_loop_are_answered_promptly() {
             follow: Some(FollowConfig {
                 primary_addr: primary.addr().to_string(),
                 pull_interval: Duration::from_millis(15),
-                ..FollowConfig::default()
             }),
             ..ServeConfig::default()
         })

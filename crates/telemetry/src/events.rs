@@ -2,8 +2,8 @@
 //! recorder's "where".
 //!
 //! Latency spans say where time went; lifecycle events say what the
-//! policy *did* — an app cold-started, a budget eviction fired, the
-//! router throttled a tenant, a tenant migrated, the ring epoch moved.
+//! policy *did* — an app cold-started, a budget eviction fired, a
+//! tenant migrated, the ring epoch moved.
 //! The ring is small, overwrites oldest-first, and is scraped
 //! non-destructively by `/debug/events` on both node and router.
 //!
@@ -34,8 +34,6 @@ pub enum EventKind {
     ColdStart,
     /// The tenant ledger evicted an app to fit its memory budget.
     Eviction,
-    /// Admission control rejected an invocation (router QoS).
-    Throttle,
     /// A tenant moved between nodes (router) or was taken/restored
     /// (node side of the same move).
     Migration,
@@ -46,7 +44,7 @@ pub enum EventKind {
     /// A failover was executed: a standby replaced a dead node in the
     /// ring (router).
     Failover,
-    /// A warm standby promoted itself to a serving primary (node).
+    /// A warm standby was promoted to a serving primary (node).
     Promotion,
     /// A replication full sync was streamed to a follower (primary
     /// side); steady-state delta rounds are too frequent to ring.
@@ -59,7 +57,6 @@ impl EventKind {
         match self {
             EventKind::ColdStart => "cold-start",
             EventKind::Eviction => "eviction",
-            EventKind::Throttle => "throttle",
             EventKind::Migration => "migration",
             EventKind::RingEpoch => "ring-epoch",
             EventKind::NodeDown => "node-down",
@@ -326,7 +323,6 @@ mod tests {
         let all = [
             EventKind::ColdStart,
             EventKind::Eviction,
-            EventKind::Throttle,
             EventKind::Migration,
             EventKind::RingEpoch,
             EventKind::NodeDown,
@@ -340,7 +336,6 @@ mod tests {
             vec![
                 "cold-start",
                 "eviction",
-                "throttle",
                 "migration",
                 "ring-epoch",
                 "node-down",
