@@ -22,7 +22,7 @@ USAGE:
                 [--tenants N]
                 [--tenant NAME=POLICY[,budget=MB]]
                 [--reconcile-ms MS] [--trace-sample N]
-                [--failover off|supervised|auto] [--probe-ms MS]
+                [--failover off|supervised] [--probe-ms MS]
                 [--standby IDX=ADDR] [--upstream-timeout-ms MS]
 
 OPTIONS:
@@ -46,7 +46,6 @@ OPTIONS:
                          prober raises drop/promote proposals on
                          GET /admin/ring/proposals for operators to
                          confirm via POST /admin/ring/proposals/confirm.
-                         auto: proposals are confirmed automatically.
     --probe-ms MS        Health-probe interval with failover on
                          (default 500).
     --standby IDX=ADDR   Warm standby for ring slot IDX: the address of

@@ -11,8 +11,8 @@
 //! The pieces:
 //!
 //! * [`ClusterRing`] — epoch-versioned tenant→node placement: named
-//!   tenants land whole on one node by name hash, the default tenant
-//!   spreads by app hash, and migrations pin overrides. Every change
+//!   tenants land whole on one node by name hash and the default tenant
+//!   spreads by app hash, over the live nodes. Every membership change
 //!   advances the epoch.
 //! * [`Router`] — the routing daemon, a node whose partitions are
 //!   remote: its clients run on the node's reactor driver and connection
@@ -24,7 +24,7 @@
 //!   [`sitw_serve::wire::BinErrorCode::Unavailable`] error (HTTP 503)
 //!   rather than a hung or reset connection — every answer a node owes
 //!   is bounded by a configurable deadline. With `--failover
-//!   supervised|auto` a health prober raises drop/promote proposals for
+//!   supervised` a health prober raises drop/promote proposals for
 //!   nodes failing consecutive probes; confirming one promotes the
 //!   slot's warm standby (a `sitw-serve --follow` replica) in place and
 //!   bumps the ring epoch, or drops the node when no standby exists.
@@ -40,9 +40,8 @@
 //!   merges the nodes' raw log2 histograms bucket-exactly.
 //!
 //! The offline model of a cluster is [`sitw_fleet::FleetSim`] over the
-//! union registry: migration moves tenant state bit-for-bit, so
-//! placement is invisible to verdicts, and one `FleetSim` models the
-//! whole cluster.
+//! union registry: placement is fixed by the ring; one `FleetSim` models
+//! the cluster.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

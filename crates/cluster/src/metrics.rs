@@ -44,9 +44,7 @@ pub struct RouterMetrics {
     pub reconcile_runs: AtomicU64,
     /// Budget shares acknowledged by nodes, summed over reconciliations.
     pub budget_pushes: AtomicU64,
-    /// Tenant migrations completed.
-    pub migrations: AtomicU64,
-    /// Failover mode gauge (0 = off, 1 = supervised, 2 = auto).
+    /// Failover mode gauge (0 = off, 1 = supervised).
     pub failover_mode: AtomicU64,
     /// Health probes that failed.
     pub probe_failures: AtomicU64,
@@ -74,7 +72,6 @@ impl RouterMetrics {
             nodes_live: AtomicU64::new(nodes as u64),
             reconcile_runs: AtomicU64::new(0),
             budget_pushes: AtomicU64::new(0),
-            migrations: AtomicU64::new(0),
             failover_mode: AtomicU64::new(0),
             probe_failures: AtomicU64::new(0),
             failover_proposals: AtomicU64::new(0),
@@ -193,15 +190,9 @@ impl<'a> RouterScrape<'a> {
             sample: |v, s| s.scalar(load(&v.metrics.budget_pushes)),
         },
         Family {
-            name: "sitw_router_migrations_total",
-            kind: Kind::Counter,
-            help: "Tenant migrations completed.",
-            sample: |v, s| s.scalar(load(&v.metrics.migrations)),
-        },
-        Family {
             name: "sitw_router_failover_mode",
             kind: Kind::Gauge,
-            help: "Failover mode (0 = off, 1 = supervised, 2 = auto).",
+            help: "Failover mode (0 = off, 1 = supervised).",
             sample: |v, s| s.scalar(load(&v.metrics.failover_mode)),
         },
         Family {
@@ -344,8 +335,7 @@ mod tests {
             (&m.ring_epoch, 6),
             (&m.reconcile_runs, 11),
             (&m.budget_pushes, 22),
-            (&m.migrations, 1),
-            (&m.failover_mode, 2),
+            (&m.failover_mode, 1),
             (&m.probe_failures, 7),
             (&m.failover_proposals, 2),
             (&m.failover_promotions, 1),

@@ -7,17 +7,15 @@
 //! spreads by app hash, exactly as it spreads over shards inside a node.
 //!
 //! The ring is versioned by an **epoch** that advances on every
-//! membership or placement change (a node dropped, a tenant migrated).
+//! membership change (a node dropped, a standby swapped into a slot).
 //! Routing decisions are a pure function of `(epoch state, key)`, so the
 //! epoch is the cluster-wide cache-invalidation token: the reconciler
 //! stamps its budget pushes with it, and tests assert recovery by
 //! watching it advance.
 
-use std::collections::BTreeMap;
-
 use sitw_fleet::fnv1a;
 
-/// Epoch-versioned node membership plus per-tenant placement overrides.
+/// Epoch-versioned node membership.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClusterRing {
     epoch: u64,
@@ -25,9 +23,6 @@ pub struct ClusterRing {
     /// router (dead nodes keep their slot so metrics and admin output
     /// stay addressable); only the live subset receives traffic.
     live: Vec<bool>,
-    /// Tenant name → node index, installed by migration. An override
-    /// pins the tenant regardless of the hash placement.
-    overrides: BTreeMap<String, usize>,
 }
 
 impl ClusterRing {
@@ -37,7 +32,6 @@ impl ClusterRing {
         Self {
             epoch: 0,
             live: vec![true; nodes],
-            overrides: BTreeMap::new(),
         }
     }
 
@@ -74,17 +68,10 @@ impl ClusterRing {
         (0..self.live.len()).filter(|&i| self.live[i]).nth(k)
     }
 
-    /// Routes a named tenant: its override if migrated, else the hash of
-    /// its name over the live node list. Returns `None` when no node is
-    /// live (the caller surfaces a typed unavailable error).
+    /// Routes a named tenant: the hash of its name over the live node
+    /// list. Returns `None` when no node is live (the caller surfaces a
+    /// typed unavailable error).
     pub fn node_of_tenant(&self, tenant: &str) -> Option<usize> {
-        if let Some(&node) = self.overrides.get(tenant) {
-            if self.is_live(node) {
-                return Some(node);
-            }
-            // The pinned node died: fall through to the hash placement
-            // (the same rehash an epoch advance applies to everyone).
-        }
         self.live_node(fnv1a(tenant.as_bytes()))
     }
 
@@ -94,16 +81,14 @@ impl ClusterRing {
         self.live_node(fnv1a(app.as_bytes()))
     }
 
-    /// Marks a node dead and advances the epoch. Overrides pointing at
-    /// the dead node are removed (their tenants rehash with everyone
-    /// else). Returns false (no epoch change) when the node was already
-    /// dead or out of range.
+    /// Marks a node dead and advances the epoch; its tenants rehash over
+    /// the survivors. Returns false (no epoch change) when the node was
+    /// already dead or out of range.
     pub fn drop_node(&mut self, node: usize) -> bool {
         if !self.is_live(node) {
             return false;
         }
         self.live[node] = false;
-        self.overrides.retain(|_, &mut n| n != node);
         self.epoch += 1;
         true
     }
@@ -115,22 +100,6 @@ impl ClusterRing {
     pub fn bump_epoch(&mut self) -> u64 {
         self.epoch += 1;
         self.epoch
-    }
-
-    /// Pins `tenant` to `node` (migration landing) and advances the
-    /// epoch. Fails when the node is dead or out of range.
-    pub fn set_override(&mut self, tenant: &str, node: usize) -> Result<(), String> {
-        if !self.is_live(node) {
-            return Err(format!("node {node} is not live"));
-        }
-        self.overrides.insert(tenant.to_owned(), node);
-        self.epoch += 1;
-        Ok(())
-    }
-
-    /// The placement overrides, name-sorted.
-    pub fn overrides(&self) -> impl Iterator<Item = (&str, usize)> {
-        self.overrides.iter().map(|(k, &v)| (k.as_str(), v))
     }
 }
 
@@ -181,23 +150,5 @@ mod tests {
             .map(|i| ring.node_of_tenant(&format!("t{i}")))
             .collect();
         assert_eq!(before, after, "placement untouched");
-    }
-
-    #[test]
-    fn overrides_pin_until_their_node_dies() {
-        let mut ring = ClusterRing::new(3);
-        let home = ring.node_of_tenant("acme").unwrap();
-        let target = (home + 1) % 3;
-        ring.set_override("acme", target).unwrap();
-        assert_eq!(ring.epoch(), 1);
-        assert_eq!(ring.node_of_tenant("acme"), Some(target));
-        assert_eq!(ring.overrides().count(), 1);
-        // The pinned node dies: the tenant rehashes like everyone else.
-        ring.drop_node(target);
-        assert_eq!(ring.epoch(), 2);
-        let n = ring.node_of_tenant("acme").unwrap();
-        assert_ne!(n, target);
-        assert_eq!(ring.overrides().count(), 0, "stale override removed");
-        assert!(ring.set_override("acme", target).is_err(), "dead target");
     }
 }

@@ -28,10 +28,9 @@
 //! deterministic function of operator actions — which is what lets
 //! one [`sitw_fleet::FleetSim`] model the cluster offline. An operator
 //! acknowledges a loss via `POST /admin/ring/drop`, or, with `--failover
-//! supervised|auto`, a health prober raises a drop/promote *proposal*
-//! on `GET /admin/ring/proposals` after three consecutive probe
-//! failures. Confirming it (`POST /admin/ring/proposals/confirm` — the
-//! auto policy is just an operator with zero think time) promotes the
+//! supervised`, a health prober raises a drop/promote *proposal* on
+//! `GET /admin/ring/proposals` after three consecutive probe failures.
+//! Confirming it (`POST /admin/ring/proposals/confirm`) promotes the
 //! slot's configured warm standby (`--standby IDX=ADDR`, the address
 //! of a `sitw-serve --follow` node) via its `POST /admin/promote`,
 //! provisions it, swaps that address into the dead slot, and bumps the
@@ -69,7 +68,7 @@ use crate::reconcile::reconcile_shares;
 use crate::ring::ClusterRing;
 
 /// How long the router waits for a control-plane TCP connect
-/// (provisioning, migration, scrapes). The data path uses the
+/// (provisioning, reconciliation, scrapes). The data path uses the
 /// configurable [`RouterConfig::upstream_timeout`] instead.
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
 
@@ -104,20 +103,16 @@ pub enum FailoverMode {
     /// an operator confirms each via
     /// `POST /admin/ring/proposals/confirm?node=N`.
     Supervised,
-    /// Proposals are confirmed by the prober itself as soon as they are
-    /// raised (and re-tried every probe sweep until they succeed).
-    Auto,
 }
 
 impl FailoverMode {
-    /// Parses the CLI grammar: `off`, `supervised`, or `auto`.
+    /// Parses the CLI grammar: `off` or `supervised`.
     pub fn parse(s: &str) -> Result<Self, String> {
         match s {
             "off" => Ok(Self::Off),
             "supervised" => Ok(Self::Supervised),
-            "auto" => Ok(Self::Auto),
             other => Err(format!(
-                "unknown failover mode '{other}' (expected off, supervised, or auto)"
+                "unknown failover mode '{other}' (expected off or supervised)"
             )),
         }
     }
@@ -127,7 +122,6 @@ impl FailoverMode {
         match self {
             Self::Off => "off",
             Self::Supervised => "supervised",
-            Self::Auto => "auto",
         }
     }
 
@@ -136,14 +130,13 @@ impl FailoverMode {
         match self {
             Self::Off => 0,
             Self::Supervised => 1,
-            Self::Auto => 2,
         }
     }
 }
 
 /// One pending failover proposal: the prober saw `node` fail
-/// `PROBE_FAILURE_THRESHOLD` consecutive health probes; confirmation
-/// (operator or auto policy) promotes its standby or drops it.
+/// `PROBE_FAILURE_THRESHOLD` consecutive health probes; the operator's
+/// confirmation promotes its standby or drops it.
 #[derive(Debug, Clone)]
 pub struct FailoverProposal {
     /// Ring slot of the failing node.
@@ -225,8 +218,8 @@ const ROUTER_RECORDER_CAP: usize = 4096;
 /// work, the node adopts it as the span id of its own six stages, and
 /// `GET /debug/trace` merges both sides into one timeline. With
 /// sampling off (`trace_sample == 0`) hop recording is a constant
-/// branch, while lifecycle events (migrations, ring epochs, failovers)
-/// are always recorded: they are rare by construction.
+/// branch, while lifecycle events (ring epochs, failovers) are always
+/// recorded: they are rare by construction.
 #[derive(Debug)]
 pub(crate) struct RouterTelem {
     /// Hop span recording on (`--trace-sample` was given).
@@ -239,7 +232,7 @@ pub(crate) struct RouterTelem {
     clock: WallClock,
     /// The hop span ring.
     pub(crate) recorder: Mutex<FlightRecorder>,
-    /// Lifecycle events: migrations, ring epochs, failovers.
+    /// Lifecycle events: ring epochs, failovers.
     pub(crate) events: Mutex<EventRing>,
 }
 
@@ -310,11 +303,11 @@ pub(crate) struct RouterCtx {
     /// Display names for errors and metric labels, by ring slot
     /// (updated together with `nodes`).
     node_names: RwLock<Vec<String>>,
-    /// Pending failover proposals (supervised/auto modes).
+    /// Pending failover proposals (supervised mode).
     proposals: Mutex<Vec<FailoverProposal>>,
     pub(crate) ring: RwLock<ClusterRing>,
     /// Per-node tenant name → node-local wire id (ids diverge across
-    /// nodes once tenants migrate).
+    /// nodes that registered tenants in different orders).
     pub(crate) node_ids: RwLock<Vec<HashMap<String, u16>>>,
     pub(crate) metrics: RouterMetrics,
     /// Hop span recorder, lifecycle event ring, and trace sampler.
@@ -392,70 +385,6 @@ impl RouterCtx {
         self.metrics
             .nodes_live
             .store(ring.live_count() as u64, Ordering::Relaxed);
-    }
-
-    /// Migrates `tenant` to node `to`: take on the current owner,
-    /// restore on the target, flip the ring epoch. Returns
-    /// `(from, to, new epoch)` or an HTTP-shaped error.
-    fn migrate(&self, tenant: &str, to: usize) -> Result<(usize, usize, u64), (u16, String)> {
-        if !self.cfg.tenants.iter().any(|t| t.name == tenant) {
-            return Err((404, format!("unknown tenant '{tenant}'")));
-        }
-        let from = {
-            let ring = read(&self.ring);
-            if !ring.is_live(to) {
-                return Err((400, format!("target node {to} is not live")));
-            }
-            ring.node_of_tenant(tenant)
-                .ok_or_else(|| (503, "no live nodes".to_owned()))?
-        };
-        if from != to {
-            let take_path = format!("/admin/tenants/{tenant}/take");
-            let (status, payload) = control_call(self.node_addr(from), "POST", &take_path, b"")
-                .map_err(|e| {
-                    self.metrics.node_error(from);
-                    (503, format!("take from node {}: {e}", self.node_name(from)))
-                })?;
-            if status != 200 {
-                return Err((502, format!("take failed ({status}): {payload}")));
-            }
-            let restore_path = format!("/admin/tenants/{tenant}/restore");
-            let (status, resp) = control_call(
-                self.node_addr(to),
-                "POST",
-                &restore_path,
-                payload.as_bytes(),
-            )
-            .map_err(|e| {
-                self.metrics.node_error(to);
-                (503, format!("restore on node {}: {e}", self.node_name(to)))
-            })?;
-            if status != 200 {
-                return Err((502, format!("restore failed ({status}): {resp}")));
-            }
-            let id = parse_id_field(&resp)
-                .ok_or_else(|| (502, format!("malformed restore response: {resp}")))?;
-            let mut ids = write(&self.node_ids);
-            ids[to].insert(tenant.to_owned(), id);
-            ids[from].remove(tenant);
-        }
-        let epoch = {
-            let mut ring = write(&self.ring);
-            ring.set_override(tenant, to).map_err(|e| (400, e))?;
-            let epoch = ring.epoch();
-            self.sync_ring_gauges(&ring);
-            epoch
-        };
-        self.metrics.migrations.fetch_add(1, Ordering::Relaxed);
-        let t = &self.telem;
-        t.event(&t.events, t.wall_ms(), EventKind::Migration, |ev| {
-            ev.tenant.push_str(tenant);
-            let _ = write!(ev.detail, "from={from} to={to}");
-        });
-        t.event(&t.events, t.wall_ms(), EventKind::RingEpoch, |ev| {
-            let _ = write!(ev.detail, "epoch={epoch}");
-        });
-        Ok((from, to, epoch))
     }
 
     /// One fleet federation pass: scrapes every live node's
@@ -582,8 +511,7 @@ impl RouterCtx {
     /// Confirms the pending proposal for `node`: promotes its warm
     /// standby into the slot (or drops the node when no standby is
     /// configured) and bumps the ring epoch. A failed confirmation
-    /// leaves the proposal pending so the operator (or the auto policy's
-    /// next sweep) can retry. Returns the response body or an
+    /// leaves the proposal pending so the operator can retry. Returns the response body or an
     /// HTTP-shaped error.
     fn confirm_failover(&self, node: usize) -> Result<String, (u16, String)> {
         let proposal = {
@@ -877,11 +805,9 @@ fn reconcile_loop(ctx: Arc<RouterCtx>) {
     }
 }
 
-/// The health prober (supervised and auto failover modes): probes every
-/// live node's `/healthz` on a fixed cadence, raises a proposal after
-/// [`PROBE_FAILURE_THRESHOLD`] consecutive failures, and — in auto
-/// mode — confirms pending proposals itself each sweep (a failed
-/// confirmation stays pending, so the next sweep is the retry).
+/// The health prober (supervised failover): probes every live node's
+/// `/healthz` on a fixed cadence and raises a proposal after
+/// [`PROBE_FAILURE_THRESHOLD`] consecutive failures.
 fn probe_loop(ctx: Arc<RouterCtx>) {
     let interval = Duration::from_millis(ctx.cfg.probe_ms.max(10));
     let timeout = ctx.cfg.upstream_timeout;
@@ -913,23 +839,6 @@ fn probe_loop(ctx: Arc<RouterCtx>) {
                 *fail_count = 0;
             }
         }
-        if ctx.cfg.failover == FailoverMode::Auto {
-            let pending: Vec<usize> = {
-                let proposals = lock_unpoisoned(&ctx.proposals);
-                proposals.iter().map(|p| p.node).collect()
-            };
-            for node in pending {
-                if let Err((_, e)) = ctx.confirm_failover(node) {
-                    let t = &ctx.telem;
-                    t.event(&t.events, t.wall_ms(), EventKind::NodeDown, |ev| {
-                        let _ = write!(
-                            ev.detail,
-                            "auto failover of node {node} failed (will retry): {e}"
-                        );
-                    });
-                }
-            }
-        }
     }
 }
 
@@ -946,7 +855,6 @@ pub(crate) enum Verb {
     RingDrop,
     Proposals,
     ConfirmProposal,
-    Migrate,
     Reconcile,
     ListTenants,
     Shutdown,
@@ -967,7 +875,6 @@ pub(crate) const ROUTES: &[Route<Verb>] = &[
     ("POST", "/admin/ring/drop",              Verb::RingDrop),
     ("GET",  "/admin/ring/proposals",         Verb::Proposals),
     ("POST", "/admin/ring/proposals/confirm", Verb::ConfirmProposal),
-    ("POST", "/admin/migrate",                Verb::Migrate),
     ("POST", "/admin/reconcile",              Verb::Reconcile),
     ("GET",  "/admin/tenants",                Verb::ListTenants),
     ("POST", "/admin/shutdown",               Verb::Shutdown),
@@ -980,7 +887,7 @@ pub(crate) const ROUTES: &[Route<Verb>] = &[
 /// nodes block the reactor for their round trips, as a node's admin
 /// verbs do.
 pub(crate) fn control(ctx: &RouterCtx, req: &Request, out: &mut Vec<u8>) {
-    let (&verb, _, query) = match lookup(ROUTES, &req.method, &req.path) {
+    let (&verb, query) = match lookup(ROUTES, &req.method, &req.path) {
         Ok(found) => found,
         Err((status, e)) => return write_error(out, status, e),
     };
@@ -1039,13 +946,6 @@ pub(crate) fn control(ctx: &RouterCtx, req: &Request, out: &mut Vec<u8>) {
                     "{{\"node\":{i},\"addr\":\"{name}\",\"live\":{}}}",
                     ring.is_live(i)
                 ));
-            }
-            body.push_str("],\"overrides\":[");
-            for (i, (tenant, node)) in ring.overrides().enumerate() {
-                if i > 0 {
-                    body.push(',');
-                }
-                body.push_str(&format!("{{\"tenant\":\"{tenant}\",\"node\":{node}}}"));
             }
             body.push_str("]}");
             drop(ring);
@@ -1117,24 +1017,6 @@ pub(crate) fn control(ctx: &RouterCtx, req: &Request, out: &mut Vec<u8>) {
             },
             None => write_error(out, 400, "expected ?node=INDEX"),
         },
-        Verb::Migrate => {
-            let tenant = query_arg(query, "tenant");
-            let to = query_arg(query, "to").and_then(|v| v.parse::<usize>().ok());
-            match (tenant, to) {
-                (Some(tenant), Some(to)) => match ctx.migrate(tenant, to) {
-                    Ok((from, to, epoch)) => json(
-                        out,
-                        200,
-                        &format!(
-                            "{{\"tenant\":\"{tenant}\",\"from\":{from},\"to\":{to},\
-                             \"epoch\":{epoch}}}"
-                        ),
-                    ),
-                    Err((status, e)) => write_error(out, status, &e),
-                },
-                _ => write_error(out, 400, "expected ?tenant=NAME&to=INDEX"),
-            }
-        }
         Verb::Reconcile => {
             let (nodes, pushes) = ctx.reconcile_once();
             json(
@@ -1164,7 +1046,8 @@ fn write<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
 }
 
 /// One control-plane exchange ([`call`]) under the router's
-/// control-plane deadlines: provisioning, migration, scrapes, promotion.
+/// control-plane deadlines: provisioning, reconciliation, scrapes,
+/// promotion.
 fn control_call(
     addr: SocketAddr,
     method: &str,
@@ -1266,9 +1149,8 @@ mod tests {
             r.push_spans([TRACE_MARK], Stage::Ingress, 1, 2)
         });
         assert!(t.recorder.lock().unwrap().is_empty());
-        t.event(&t.events, t.wall_ms(), EventKind::Migration, |ev| {
-            ev.tenant.push_str("t0");
-            ev.detail.push_str("take");
+        t.event(&t.events, t.wall_ms(), EventKind::RingEpoch, |ev| {
+            ev.detail.push_str("epoch=1");
         });
         assert_eq!(t.events.lock().unwrap().len(), 1);
     }
@@ -1302,10 +1184,10 @@ mod tests {
             FailoverMode::parse("supervised").unwrap(),
             FailoverMode::Supervised
         );
-        assert_eq!(FailoverMode::parse("auto").unwrap(), FailoverMode::Auto);
+        assert!(FailoverMode::parse("auto").is_err());
         assert!(FailoverMode::parse("eventually").is_err());
         assert_eq!(FailoverMode::Supervised.name(), "supervised");
-        assert_eq!(FailoverMode::Auto.gauge(), 2);
+        assert_eq!(FailoverMode::Supervised.gauge(), 1);
     }
 
     /// A router over one telemetry-off node, no background threads.
@@ -1339,7 +1221,7 @@ mod tests {
             for (ts_ms, kind, tenant, app, detail) in [
                 (
                     3,
-                    EventKind::Migration,
+                    EventKind::Failover,
                     "t\"0",
                     "a\\b\u{2}",
                     "rate=50\tburst",
@@ -1474,6 +1356,7 @@ mod tests {
             "/admin/ring/x",
             "/debug/hist",
             "/admin/usage",
+            "/admin/migrate",
         ] {
             for method in ["GET", "POST"] {
                 let (status, body) = client.request(method, path, "").unwrap();
@@ -1499,7 +1382,7 @@ mod tests {
             .unwrap()
             .split(", ")
             .collect();
-        assert_eq!(listed.len(), 14, "{line}");
+        assert_eq!(listed.len(), 13, "{line}");
         for (entry, row) in listed.iter().zip(ROUTES) {
             let (method, path) = entry.split_once(' ').unwrap();
             assert_eq!((method, path), (row.0, row.1));

@@ -485,17 +485,16 @@ fn fleet_federation_is_bucket_exact_and_events_record_provenance() {
         "fleet scrape was destructive"
     );
 
-    // Control-plane provenance: a migration leaves a migration and a
-    // ring-epoch event in the router's ring.
-    let (status, body) = http(router.addr(), "POST", "/admin/migrate?tenant=t0&to=0", "");
+    // Control-plane provenance: a ring drop leaves a ring-epoch event
+    // naming the dropped node in the router's ring.
+    let (status, body) = http(router.addr(), "POST", "/admin/ring/drop?node=0", "");
     assert_eq!(status, 200, "{body}");
     let (status, events) = http(router.addr(), "GET", "/debug/events", "");
     assert_eq!(status, 200);
     assert!(
-        events.contains("\"kind\":\"migration\"") && events.contains("\"tenant\":\"t0\""),
+        events.contains("\"kind\":\"ring-epoch\"") && events.contains("epoch=1 drop-node=0 live=2"),
         "{events}"
     );
-    assert!(events.contains("\"kind\":\"ring-epoch\""), "{events}");
 
     router.shutdown();
     for node in nodes {

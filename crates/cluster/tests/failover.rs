@@ -9,9 +9,9 @@
 //!   dead primary; confirming it promotes the slot's warm standby
 //!   (a `sitw-serve --follow` replica) in place, bumps the ring epoch,
 //!   and traffic resumes against the promoted node.
-//! * **Auto failover without a standby**: the prober's proposal is
-//!   confirmed automatically and the dead node is dropped, rehashing
-//!   its tenants over the survivors.
+//! * **Supervised failover without a standby**: confirming the
+//!   prober's proposal drops the dead node, rehashing its tenants over
+//!   the survivors.
 
 mod common;
 
@@ -185,7 +185,7 @@ fn supervised_failover_promotes_standby_and_resumes_traffic() {
 }
 
 #[test]
-fn auto_failover_without_standby_drops_the_dead_node() {
+fn confirmed_failover_without_standby_drops_the_dead_node() {
     let node0 = start_node();
     let node1 = start_node();
     let router = Router::start(RouterConfig {
@@ -195,7 +195,7 @@ fn auto_failover_without_standby_drops_the_dead_node() {
             TenantConfig::parse("t1=fixed:10").unwrap(),
         ],
         reconcile_ms: 0,
-        failover: FailoverMode::Auto,
+        failover: FailoverMode::Supervised,
         probe_ms: 30,
         upstream_timeout: Duration::from_millis(500),
         ..RouterConfig::default()
@@ -203,12 +203,25 @@ fn auto_failover_without_standby_drops_the_dead_node() {
     .expect("router starts");
 
     let _ = node1.shutdown();
-    // Auto mode confirms its own proposals: the dead node is dropped
-    // without any operator round-trip.
-    wait_for("auto drop", Duration::from_secs(10), || {
-        let (_, ring) = http(router.addr(), "GET", "/admin/ring", "");
-        ring.contains("\"node\":1,") && ring.contains("\"live\":false")
+    // The prober raises a proposal naming no standby; confirming it
+    // drops the dead node.
+    wait_for("failover proposal", Duration::from_secs(10), || {
+        let (_, body) = http(router.addr(), "GET", "/admin/ring/proposals", "");
+        body.contains("\"node\":1,")
     });
+    let (status, confirm) = http(
+        router.addr(),
+        "POST",
+        "/admin/ring/proposals/confirm?node=1",
+        "",
+    );
+    assert_eq!(status, 200, "{confirm}");
+    assert!(confirm.contains("\"action\":\"dropped\""), "{confirm}");
+    let (_, ring) = http(router.addr(), "GET", "/admin/ring", "");
+    assert!(
+        ring.contains("\"node\":1,") && ring.contains("\"live\":false"),
+        "{ring}"
+    );
 
     // Both tenants now land on the survivor, whichever node they hashed
     // to before the drop.
@@ -220,7 +233,7 @@ fn auto_failover_without_standby_drops_the_dead_node() {
     let (_, events) = http(router.addr(), "GET", "/debug/events", "");
     assert!(events.contains("no standby"), "{events}");
     let (_, metrics) = http(router.addr(), "GET", "/metrics", "");
-    assert!(metrics.contains("sitw_router_failover_mode 2"), "{metrics}");
+    assert!(metrics.contains("sitw_router_failover_mode 1"), "{metrics}");
     assert!(
         metrics.contains("sitw_router_failover_promotions_total 0"),
         "{metrics}"

@@ -1,18 +1,17 @@
-//! Migration/rebalance parity. A mixed-protocol multi-tenant trace
-//! driven through a cluster is **bit-identical** to one [`FleetSim`]
-//! over the union registry — including a live migration of the budgeted
-//! tenant to another node mid-replay. Every verdict (cold/warm, pre-warm
-//! load, eviction downgrade, decision branch, both windows) matches the
-//! offline model, and after the replay the per-tenant ledger integrals
-//! summed across the nodes' usage reports equal the model's ledgers
-//! exactly: migration moves state bit-for-bit, it doesn't reset or
-//! double-count it.
+//! Routed parity. A mixed-protocol multi-tenant trace driven through a
+//! three-node cluster is **bit-identical** to one [`FleetSim`] over the
+//! union registry. Every verdict (cold/warm, pre-warm load, eviction
+//! downgrade, decision branch, both windows) matches the offline model,
+//! and after the replay the per-tenant ledger integrals summed across
+//! the nodes' usage reports equal the model's ledgers exactly: placement
+//! splits the fleet's state over the nodes without resetting or
+//! double-counting any of it.
 
 mod common;
 
 use std::net::SocketAddr;
 
-use common::{http, records, start_node, usage};
+use common::{records, start_node, usage};
 use sitw_cluster::{ClusterRing, Router, RouterConfig};
 use sitw_core::PolicySpec;
 use sitw_fleet::{footprint_mb, FleetSim, FleetVerdict, TenantId, TenantRegistry};
@@ -98,8 +97,8 @@ fn outcome_of_sim(v: FleetVerdict) -> Outcome {
 type Event = (Option<&'static str>, TenantId, String, u64);
 
 /// Builds the merged trace: four tenant populations (default, an
-/// unbudgeted hybrid tenant, the budgeted "metered" tenant that will
-/// migrate, and a fixed-keep-alive one), time-ordered.
+/// unbudgeted hybrid tenant, the budgeted "metered" tenant, and a
+/// fixed-keep-alive one), time-ordered.
 fn workload() -> (Vec<Event>, u64) {
     let tenant_of = |idx: usize| -> (Option<&'static str>, TenantId) {
         match idx % 4 {
@@ -141,7 +140,7 @@ fn workload() -> (Vec<Event>, u64) {
 }
 
 #[test]
-fn migration_mid_replay_is_bit_identical_to_cluster_sim() {
+fn routed_replay_is_bit_identical_to_fleet_sim() {
     let (merged, metered_budget) = workload();
 
     // Online cluster: 3 nodes, the trace's tenants on the router.
@@ -176,32 +175,15 @@ fn migration_mid_replay_is_bit_identical_to_cluster_sim() {
     let mut sim = FleetSim::new(&registry);
 
     // Replay in alternating protocol blocks of 23, sequentially (one
-    // in-flight decision — arrival order is the parity contract). At the
-    // halfway event the budgeted tenant migrates to a node that doesn't
-    // own it, mid-trace and mid-protocol-block.
-    let metered_owner = ClusterRing::new(3).node_of_tenant("metered").unwrap();
-    let migrate_to = (metered_owner + 1) % 3;
-    let half = merged.len() / 2;
+    // in-flight decision — arrival order is the parity contract).
     let mut json = Client::connect(router.addr()).unwrap();
     let mut bin = Client::connect(router.addr()).unwrap();
-    let mut migrated = false;
     let mut use_json = true;
     let mut served = [0u64; 4];
     let mut i = 0;
     while i < merged.len() {
         let block_end = merged.len().min(i + 23);
         for (j, (name, tid, app, ts)) in merged[i..block_end].iter().enumerate() {
-            if !migrated && i + j >= half {
-                let (status, body) = http(
-                    router.addr(),
-                    "POST",
-                    &format!("/admin/migrate?tenant=metered&to={migrate_to}"),
-                    "",
-                );
-                assert_eq!(status, 200, "{body}");
-                assert!(body.contains("\"epoch\":1"), "{body}");
-                migrated = true;
-            }
             let expected = match sim.step(*tid, app, *ts) {
                 Ok(v) => outcome_of_sim(v),
                 Err(e) => panic!("offline model rejected an event: {e:?}"),
@@ -220,7 +202,6 @@ fn migration_mid_replay_is_bit_identical_to_cluster_sim() {
         i = block_end;
         use_json = !use_json;
     }
-    assert!(migrated, "the migration must fire mid-replay");
 
     // The trace must actually exercise the interesting paths.
     assert!(
@@ -230,10 +211,9 @@ fn migration_mid_replay_is_bit_identical_to_cluster_sim() {
 
     // Conservation: per named tenant, the ledger integrals summed over
     // the nodes' usage reports equal the offline model's ledger
-    // exactly. (Named tenants live whole on one node; migration carries
-    // evictions, idle integral, and the warm set bit-for-bit. The
-    // default tenant is excluded: its ledger is sharded by design, and
-    // per-shard idle integrals advance on per-shard arrivals.)
+    // exactly. (Named tenants live whole on one node. The default
+    // tenant is excluded: its ledger is sharded by design, and per-shard
+    // idle integrals advance on per-shard arrivals.)
     let reports: Vec<Vec<TenantUsage>> = addrs.iter().map(|&addr| usage(addr)).collect();
     for (name, tid) in [("alpha", 1u16), ("metered", 2), ("fixed", 3)] {
         let (mut warm_mb, mut evictions, mut idle_mb_ms, mut invocations) =
@@ -253,21 +233,17 @@ fn migration_mid_replay_is_bit_identical_to_cluster_sim() {
             idle_mb_ms, offline.idle_mb_ms,
             "{name}: idle integral conserves"
         );
-        if name != "metered" {
-            // The migrated tenant's served-count telemetry resets with
-            // the move (it is not ledger state); the others must add up.
-            assert_eq!(invocations, served[tid as usize], "{name}: served count");
-        }
+        assert_eq!(invocations, served[tid as usize], "{name}: served count");
     }
 
-    // The reconciler pushes the budget to the *new* owner after
-    // migration.
+    // The reconciler pushes the budget to the tenant's ring owner.
     let (nodes_ok, pushes) = router.reconcile_now();
     assert_eq!(nodes_ok, 3);
     assert_eq!(pushes, 1, "one budgeted tenant");
-    let tenants = usage(addrs[migrate_to]);
+    let owner = ClusterRing::new(3).node_of_tenant("metered").unwrap();
+    let tenants = usage(addrs[owner]);
     let metered = tenants.iter().find(|t| t.name == "metered").unwrap();
-    assert_eq!(metered.budget_mb, metered_budget, "budget follows the move");
+    assert_eq!(metered.budget_mb, metered_budget, "budget on the owner");
 
     router.shutdown();
     for n in nodes {

@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use common::{http, records, start_fake_node, start_node};
+use common::{http, records, start_fake_node, start_node, usage};
 use sitw_cluster::{ClusterRing, Router, RouterConfig};
 use sitw_serve::http::{write_request, Reply};
 use sitw_serve::wire::{self, BinErrorCode, BinReply, ServerFrameDecode};
@@ -30,36 +30,38 @@ fn router_over(nodes: &[String], tenants: &[&str], upstream_timeout: Duration) -
     .expect("router starts")
 }
 
-/// Regression (the invoke got `400 unknown tenant` before): an invoke
-/// and a migration of its tenant in one write. The migration took the
-/// tenant from its owner while the invoke still sat in the client's
-/// unflushed upstream buffer. A control request now runs only once
-/// everything earlier on its connection is answered.
+/// An invoke and a ring drop of its tenant's owner in one write. A
+/// control request runs only once everything earlier on its connection
+/// is answered, so the invoke is decided by the owner it was routed to
+/// and the drop answers after it.
 #[test]
 fn a_control_request_waits_for_the_invokes_before_it() {
     let nodes = [start_node(), start_node()];
     let addrs: Vec<String> = nodes.iter().map(|n| n.addr().to_string()).collect();
     let router = router_over(&addrs, &["t0=fixed:10"], Duration::from_secs(2));
-    let to = 1 - ClusterRing::new(2).node_of_tenant("t0").unwrap();
+    let owner = ClusterRing::new(2).node_of_tenant("t0").unwrap();
 
     let mut burst = Vec::new();
     let invoke = br#"{"app":"a","ts":1000,"tenant":"t0"}"#;
     write_request(&mut burst, "POST", "/invoke", None, invoke).unwrap();
-    let migrate = format!("/admin/migrate?tenant=t0&to={to}");
-    write_request(&mut burst, "POST", &migrate, None, b"").unwrap();
+    let drop_owner = format!("/admin/ring/drop?node={owner}");
+    write_request(&mut burst, "POST", &drop_owner, None, b"").unwrap();
     let mut client = Client::connect(router.addr()).unwrap();
     client.send(&burst).unwrap();
     let (status, body) = client.response().unwrap();
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("\"verdict\":\"cold\""), "{body}");
+    let served = |node: &sitw_serve::Server| {
+        let rows = usage(node.addr());
+        rows.iter()
+            .find(|t| t.name == "t0")
+            .map_or(0, |t| t.invocations)
+    };
+    assert_eq!(served(&nodes[owner]), 1, "decided by its original owner");
+    assert_eq!(served(&nodes[1 - owner]), 0);
     let (status, body) = client.response().unwrap();
     assert_eq!(status, 200, "{body}");
-    assert!(body.contains(&format!("\"to\":{to}")), "{body}");
-
-    // The tenant serves from its new owner, warm: its state moved.
-    let (status, body) = client.invoke(Some("t0"), "a", 2_000, None).unwrap();
-    assert_eq!(status, 200, "{body}");
-    assert!(body.contains("\"verdict\":\"warm\""), "{body}");
+    assert!(body.contains("\"dropped\":true"), "{body}");
     router.shutdown();
     for node in nodes {
         node.shutdown().unwrap();

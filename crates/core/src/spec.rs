@@ -25,7 +25,7 @@ pub const MAX_RANGE_MINUTES: usize = 24 * 60;
 pub const MAX_RETENTION_DAYS: u64 = 366;
 
 /// Why [`PolicySpec::parse`] refused a string. Specs arrive from outside
-/// (`POST /admin/tenants`, tenant migration, the CLI and tenant files),
+/// (`POST /admin/tenants`, the CLI, snapshot files and replication),
 /// so a string the decision kernel could not serve stops here.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SpecError {

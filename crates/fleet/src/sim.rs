@@ -12,8 +12,8 @@
 //! The composition rule per invocation lives in [`crate::tenant`] and
 //! nowhere else, so what the daemon and this simulator answer is equal
 //! by construction. What the online == offline suites (`fleet_parity`,
-//! `failover`, `migration_parity`) pin around it is everything else:
-//! transport, sharding, snapshot/restore, replication and migration.
+//! `failover`, `routed_parity`) pin around it is everything else:
+//! transport, sharding, snapshot/restore, replication and routing.
 
 use std::collections::HashMap;
 

@@ -162,8 +162,8 @@ impl PolicyState {
     }
 }
 
-/// One application's complete serving state, as snapshots, replication
-/// rounds and tenant migrations carry it.
+/// One application's complete serving state, as snapshots and
+/// replication rounds carry it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AppRecord {
     /// Application id.
@@ -333,9 +333,9 @@ impl TenantState {
         }
     }
 
-    /// Rebuilds a tenant from a restore payload — live tenant migration,
-    /// and any caller holding a tenant's records at once — stamping every
-    /// record `stamp`: [`TenantState::new`] and [`TenantState::reserve`], then
+    /// Rebuilds a tenant from a restore payload — a snapshot, a promoted
+    /// replica, any caller holding a tenant's records at once — stamping
+    /// every record `stamp`: [`TenantState::new`], [`TenantState::reserve`],
     /// [`TenantState::restore_app`] per record in order, then
     /// [`TenantState::restore_ledger`].
     ///
@@ -554,8 +554,7 @@ impl TenantState {
     }
 
     /// Exports the records `keep` selects, sorted by app id — everything
-    /// for a snapshot or a migration, the records stamped past a
-    /// frontier for a replication round.
+    /// for a snapshot, the records stamped past a frontier for a round.
     pub fn export_apps(&self, keep: impl Fn(&AppState) -> bool) -> Vec<AppRecord> {
         let mut apps: Vec<AppRecord> = self
             .table

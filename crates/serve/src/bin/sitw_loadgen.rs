@@ -16,8 +16,8 @@
 //! `--proto bin` speaks SITW-BIN frames (default batch 16) instead of
 //! JSON-over-HTTP. `--tenants N[:zipf=S]` spreads the replayed apps
 //! across N tenants `t0..tN-1` (optionally Zipf-skewed by rank) — the
-//! server must have registered them (`sitw-serve --tenants N` or
-//! explicit `--tenant` flags) — and the summary adds one per-tenant
+//! server must have registered them (`sitw-serve --tenant` flags, or
+//! `sitw-router --tenants N`) — and the summary adds one per-tenant
 //! throughput/verdict-mix line. `--out FILE` additionally writes a
 //! machine-readable JSON run summary (throughput, cold rate, exact
 //! percentiles, and the full log2 RTT histogram — the same bucket

@@ -3,7 +3,7 @@
 //! ```text
 //! sitw-serve [--addr 127.0.0.1:7071] [--shards 4] [--policy hybrid]
 //!            [--reactor-threads 2] [--idle-timeout-ms 10000]
-//!            [--tenant NAME=POLICY[,budget=MB]]... [--tenants N]
+//!            [--tenant NAME=POLICY[,budget=MB]]...
 //!            [--snapshot PATH] [--restore PATH] [--no-telemetry]
 //!            [--follow PRIMARY_ADDR] [--repl-interval-ms 100]
 //! ```
@@ -31,10 +31,9 @@
 //!
 //! Fleet mode: `--tenant acme=hybrid,budget=4096` registers a tenant
 //! with its own policy and keep-alive memory budget (MB; omit for
-//! unlimited); repeatable. `--tenants N` is shorthand for N tenants
-//! `t0..tN-1` under the global policy (matching `sitw-loadgen
-//! --tenants N`). More tenants can be added at runtime via
-//! `POST /admin/tenants`, whose body is the `--tenant` grammar.
+//! unlimited); repeatable. More tenants can be added at runtime via
+//! `POST /admin/tenants`, whose body is the `--tenant` grammar; behind
+//! `sitw-router --tenants N` the router registers `t0..tN-1` itself.
 //!
 //! Standby mode: `--follow PRIMARY_ADDR` starts the same node as a warm
 //! standby. It pulls the primary's replication stream every
@@ -43,9 +42,9 @@
 //! `POST /admin/promote`, which restores the replicated state into its
 //! shards and opens `--addr` to traffic. `/healthz` (with replication
 //! lag), `/metrics`, `/debug/*` and `POST /admin/shutdown` answer
-//! throughout; the startup line says `control on ADDR`. The router's
-//! `--failover supervised|auto` calls the same promote verb. The
-//! policy/tenant flags describe the
+//! throughout; the startup line says `control on ADDR`. A confirmed
+//! proposal of the router's `--failover supervised` calls the same
+//! promote verb. The policy/tenant flags describe the
 //! *primary's* configuration so the replica restores into matching
 //! shards. An unpromoted standby's `--snapshot` is its replica.
 //!
@@ -74,7 +73,7 @@ fn usage() -> ! {
          [--reactor-threads N] [--idle-timeout-ms N] \
          [--policy hybrid|hybrid:<h>h|fixed:<min>|no-unloading|\
          production[:<days>d|:<decay>|:uniform]] \
-         [--tenant NAME=POLICY[,budget=MB]]... [--tenants N] \
+         [--tenant NAME=POLICY[,budget=MB]]... \
          [--snapshot PATH] [--restore PATH] \
          [--no-telemetry] [--follow PRIMARY_ADDR] \
          [--repl-interval-ms N]"
@@ -84,9 +83,6 @@ fn usage() -> ! {
 
 fn main() {
     let mut cfg = ServeConfig::default();
-    // `--tenants N` expands after parsing so it picks up `--policy`
-    // regardless of flag order.
-    let mut tenants_shorthand = 0usize;
     let mut follow = FollowConfig::default();
     let mut following = false;
     let mut args = std::env::args().skip(1);
@@ -133,9 +129,6 @@ fn main() {
                     }
                 }
             }
-            "--tenants" => {
-                tenants_shorthand = value("--tenants").parse().unwrap_or_else(|_| usage());
-            }
             "--snapshot" => cfg.snapshot_path = Some(PathBuf::from(value("--snapshot"))),
             "--restore" => cfg.restore_path = Some(PathBuf::from(value("--restore"))),
             "--no-telemetry" => cfg.telemetry = false,
@@ -155,14 +148,6 @@ fn main() {
                 usage();
             }
         }
-    }
-
-    for k in 0..tenants_shorthand {
-        cfg.tenants.push(TenantConfig {
-            name: format!("t{k}"),
-            policy: cfg.policy.clone(),
-            budget_mb: 0,
-        });
     }
 
     cfg.follow = following.then_some(follow);

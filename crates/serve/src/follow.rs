@@ -18,8 +18,8 @@
 //! `/metrics` (whose `sitw_serve_repl_*` families count what was
 //! pulled), `/debug/*` and `/admin/shutdown` answer as on any node.
 //!
-//! Promotion (operator `POST /admin/promote`, or the router's
-//! supervised or auto failover calling it) restores the
+//! Promotion (operator `POST /admin/promote`, or a confirmed proposal
+//! of the router's supervised failover calling it) restores the
 //! replica through the pipeline a restarting node restores its snapshot
 //! file through (`crate::restore`), which the snapshot-parity tests
 //! prove bit-identical; only once every shard's tenants are built does
@@ -544,8 +544,6 @@ mod tests {
         for (path, body) in [
             ("/admin/tenants", "t=fixed:10"),
             ("/admin/snapshot", ""),
-            ("/admin/tenants/t/take", ""),
-            ("/admin/tenants/t/restore", ""),
             ("/admin/budgets", "t=64\n"),
         ] {
             let (status, text) = client.request("POST", path, body).unwrap();

@@ -55,8 +55,8 @@ pub const MAX_BODY_BYTES: usize = 1024 * 1024;
 /// a protocol error *before* any of it is buffered: a confused or
 /// hostile upstream cannot make its client buffer without bound.
 pub const MAX_REPLY_BODY_BYTES: usize = MAX_BODY_BYTES;
-/// The same for control-plane replies read by [`call`]: scrapes and
-/// tenant `take` payloads outgrow the data-path cap while still sane.
+/// The same for control-plane replies read by [`call`]: trace and
+/// histogram scrapes outgrow the data-path cap while still sane.
 pub const MAX_CONTROL_REPLY_BYTES: usize = 16 * MAX_BODY_BYTES;
 
 /// One parsed request, borrowing nothing (bodies are small).
@@ -774,7 +774,8 @@ pub fn write_request(
 }
 
 /// One request/response exchange on a fresh connection — the control
-/// plane's client (provisioning, migration, scrapes, health probes).
+/// plane's client (provisioning, budget reconciliation, scrapes, health
+/// probes, standby promotion).
 /// Returns `(status, body)`; the body may run to
 /// [`MAX_CONTROL_REPLY_BYTES`]. `connect` bounds the TCP connect and
 /// the request write, `read` the wait for the response.
@@ -830,40 +831,25 @@ pub fn write_response(out: &mut Vec<u8>, status: u16, content_type: &str, body: 
 /// One row of a daemon's route table: `(method, path, handler tag)`. A
 /// daemon declares its HTTP surface once, as a table of these; dispatch
 /// ([`lookup`]), its 404s and 405s, and its startup `endpoints:` line
-/// ([`endpoints_line`]) all read that table.
-///
-/// A `<name>` in a path is a placeholder: it matches whatever lies
-/// between the fixed text around it (slashes included, possibly
-/// nothing), and the handler judges the name.
+/// ([`endpoints_line`]) all read that table. Paths match exactly.
 pub type Route<T> = (&'static str, &'static str, T);
 
-/// The text `pattern`'s placeholder matched in `path` (`""` if it has
-/// none), or `None` when `path` does not match.
-fn path_match<'p>(pattern: &str, path: &'p str) -> Option<&'p str> {
-    let Some((head, rest)) = pattern.split_once('<') else {
-        return (path == pattern).then_some("");
-    };
-    let tail = rest.split_once('>').map_or("", |(_, tail)| tail);
-    path.strip_prefix(head)?.strip_suffix(tail)
-}
-
 /// Looks `method` and `target` (a path with an optional `?query`) up in
-/// `table`: the matching row's handler tag, the text its placeholder
-/// matched and the query (`""` for either when absent). A path some row
-/// has under another method is refused `405`, any other path `404`.
-/// Linear: tables are a few dozen rows and only control requests come
-/// here.
+/// `table`: the matching row's handler tag and the query (`""` when
+/// absent). A path some row has under another method is refused `405`,
+/// any other path `404`. Linear: tables are a few dozen rows and only
+/// control requests come here.
 pub fn lookup<'a, T>(
     table: &'a [Route<T>],
     method: &str,
     target: &'a str,
-) -> Result<(&'a T, &'a str, &'a str), (u16, &'static str)> {
+) -> Result<(&'a T, &'a str), (u16, &'static str)> {
     let (path, query) = target.split_once('?').unwrap_or((target, ""));
     let mut known = false;
-    for (row_method, pattern, to) in table {
-        if let Some(name) = path_match(pattern, path) {
+    for (row_method, row_path, to) in table {
+        if *row_path == path {
             if *row_method == method {
-                return Ok((to, name, query));
+                return Ok((to, query));
             }
             known = true;
         }
@@ -909,24 +895,18 @@ mod tests {
         const TABLE: &[Route<u8>] = &[
             ("GET", "/items", 0),
             ("POST", "/items", 1),
-            ("POST", "/items/<name>/take", 2),
+            ("POST", "/items/sort", 2),
         ];
-        assert_eq!(lookup(TABLE, "GET", "/items"), Ok((&0, "", "")));
-        assert_eq!(lookup(TABLE, "POST", "/items?x=1&y"), Ok((&1, "", "x=1&y")));
-        assert_eq!(lookup(TABLE, "POST", "/items/a/take"), Ok((&2, "a", "")));
-        // The placeholder takes what lies between its fixed neighbours.
-        assert_eq!(
-            lookup(TABLE, "POST", "/items/a/b/take?q"),
-            Ok((&2, "a/b", "q"))
-        );
-        assert_eq!(lookup(TABLE, "POST", "/items//take"), Ok((&2, "", "")));
-        for (method, path) in [("PUT", "/items"), ("GET", "/items/a/take")] {
+        assert_eq!(lookup(TABLE, "GET", "/items"), Ok((&0, "")));
+        assert_eq!(lookup(TABLE, "POST", "/items?x=1&y"), Ok((&1, "x=1&y")));
+        assert_eq!(lookup(TABLE, "POST", "/items/sort?q"), Ok((&2, "q")));
+        for (method, path) in [("PUT", "/items"), ("GET", "/items/sort")] {
             assert_eq!(
                 lookup(TABLE, method, path),
                 Err((405, "method not allowed"))
             );
         }
-        for path in ["/item", "/items/", "/items/take", "/items/a/give", "/", ""] {
+        for path in ["/item", "/items/", "/items/a/sort", "/items/give", "/", ""] {
             assert_eq!(
                 lookup(TABLE, "POST", path),
                 Err((404, "not found")),
@@ -935,7 +915,7 @@ mod tests {
         }
         assert_eq!(
             endpoints_line(TABLE),
-            "endpoints: GET /items, POST /items, POST /items/<name>/take"
+            "endpoints: GET /items, POST /items, POST /items/sort"
         );
     }
 

@@ -83,8 +83,8 @@
 //!   single-writer and their eviction streams are identical for every
 //!   shard count. `sitw_sim::fleet_verdict_trace` drives the same
 //!   `TenantState::step` offline; `fleet_parity`, `failover` and the
-//!   cluster's `migration_parity` pin transport, sharding,
-//!   snapshot/restore, replication and migration around it.
+//!   cluster's `routed_parity` pin transport, sharding,
+//!   snapshot/restore, replication and cluster routing around it.
 //! * **Load generator** ([`loadgen`]): replays `sitw_trace` workloads
 //!   open-loop at a configurable speedup (or flat out) over pipelined
 //!   connections — speaking JSON or SITW-BIN ([`loadgen::Proto`]),

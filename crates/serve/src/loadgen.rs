@@ -1027,7 +1027,7 @@ fn resolve_tenant_ids(addr: SocketAddr, n: usize) -> io::Result<Vec<u16>> {
         listing.get(&format!("t{k}")).copied().ok_or_else(|| {
             http::invalid(format!(
                 "tenant 't{k}' is not registered on the server \
-                 (start it with --tenants {n} or matching --tenant flags)"
+                 (give a node matching --tenant flags, or a router --tenants {n})"
             ))
         })
     };

@@ -53,10 +53,8 @@ use crate::metrics::{
 use crate::pool::Node;
 use crate::reactor::{self, Pool};
 use crate::restore::{self, Restored};
-use crate::shard::{DirtyShardExport, ShardTelem, ShardWorker, TenantRestore};
-use crate::snapshot::{
-    decode_tenant_section, encode_tenant_section, AppRecord, ShardExport, Snapshot, TenantSnapshot,
-};
+use crate::shard::{DirtyShardExport, ShardTelem, ShardWorker};
+use crate::snapshot::{AppRecord, ShardExport, Snapshot, TenantSnapshot};
 use crate::wire::{self, push_u64, BinErrorCode, TenantUsage};
 
 /// One tenant in the server configuration (CLI `--tenant` or
@@ -441,7 +439,7 @@ impl ServerCtx {
 
     /// Scrapes the shards and folds per-tenant usage by **name** — the
     /// cluster-stable key (ids are per-node registration order and
-    /// diverge after migrations). Default-tenant slices sum across
+    /// diverge across nodes). Default-tenant slices sum across
     /// shards; named tenants live whole on one shard.
     fn tenant_usage(&self) -> Result<Vec<TenantUsage>, String> {
         let mut slices = Vec::new();
@@ -463,9 +461,8 @@ impl ServerCtx {
     /// verdict changes), and the registry copy follows for display
     /// coherence. Unknown names, the default tenant (whose sharded
     /// ledger cannot be budgeted) and tenants on an unavailable shard are
-    /// skipped, not errors: the router reconciles against a snapshot of
-    /// the node's tenant set, which a concurrent migration may have
-    /// changed.
+    /// skipped, not errors: a pushed body may name tenants this node
+    /// does not serve.
     fn set_budgets(&self, pairs: &[(String, u64)]) -> u32 {
         let mut applied = 0u32;
         for (name, budget_mb) in pairs {
@@ -495,90 +492,6 @@ impl ServerCtx {
         let registry = self.registry_read();
         let id = registry.resolve(name)?;
         Some((id, registry.shard_of(id, "", self.shards.len())))
-    }
-
-    /// Exports a tenant's complete state and removes it from this node
-    /// (the source half of a migration). Returns the text payload the
-    /// target node's `/admin/tenants/<name>/restore` accepts.
-    fn take_tenant(&self, name: &str) -> Result<String, (u16, String)> {
-        if name == DEFAULT_TENANT_NAME {
-            return Err((400, "the default tenant cannot migrate".to_owned()));
-        }
-        let Some((id, home)) = self.home_of(name) else {
-            return Err((404, format!("unknown tenant '{name}'")));
-        };
-        let export = self.shard(home).map_err(|e| (503, e))?.take_tenant(id);
-        match export {
-            Some(export) => Ok(encode_tenant_section(export)),
-            None => Err((409, format!("tenant '{name}' already taken"))),
-        }
-    }
-
-    /// Installs a migrated tenant from a take payload (the target half).
-    /// An unknown tenant is registered first from the payload's canonical
-    /// policy spec; a known one must match policy labels. The restored
-    /// state replaces whatever the shard held, bit-for-bit.
-    fn restore_tenant(&self, text: &str) -> Result<TenantSpec, (u16, String)> {
-        let section = decode_tenant_section(text).map_err(|e| (400, e))?;
-        if section.name == DEFAULT_TENANT_NAME {
-            return Err((400, "the default tenant cannot migrate".to_owned()));
-        }
-        let existing = {
-            let registry = self.registry_read();
-            registry.resolve(&section.name).map(|id| {
-                let spec = registry.get(id).expect("resolved id exists").clone();
-                (spec, registry.shard_of(id, "", self.shards.len()))
-            })
-        };
-        let (mut spec, home) = match existing {
-            Some((spec, home)) => {
-                if spec.policy.label() != section.policy_label {
-                    return Err((
-                        409,
-                        format!(
-                            "tenant '{}': incoming policy '{}' does not match local '{}'",
-                            section.name,
-                            section.policy_label,
-                            spec.policy.label()
-                        ),
-                    ));
-                }
-                (spec, home)
-            }
-            None => {
-                let spec_str = section.spec_str.as_ref().ok_or_else(|| {
-                    (
-                        400,
-                        format!(
-                            "tenant '{}' has no canonical policy spec in the payload",
-                            section.name
-                        ),
-                    )
-                })?;
-                let policy = PolicySpec::parse(spec_str).map_err(|e| (400u16, e.to_string()))?;
-                let spec = self
-                    .register_tenant(&section.name, policy, section.budget_mb)
-                    .map_err(|e| (400u16, e))?;
-                let home = {
-                    let registry = self.registry_read();
-                    registry.shard_of(spec.id, "", self.shards.len())
-                };
-                (spec, home)
-            }
-        };
-        spec.budget_mb = section.budget_mb;
-        if let Ok(mut registry) = self.registry.write() {
-            registry.set_budget(spec.id, section.budget_mb);
-        }
-        let restore = TenantRestore {
-            spec: spec.clone(),
-            apps: section.apps,
-            ledger: section.ledger,
-            prod_clock: section.prod_clock,
-        };
-        let mut worker = self.shard(home).map_err(|e| (503, e))?;
-        worker.restore(restore).map_err(|e| (400, e))?;
-        Ok(spec)
     }
 }
 
@@ -855,8 +768,6 @@ pub(crate) enum Verb {
     Policy,
     ListTenants,
     RegisterTenant,
-    Take,
-    Restore,
     Usage,
     Budgets,
     Snapshot,
@@ -888,8 +799,6 @@ pub(crate) const ROUTES: &[Route<(Verb, Standby)>] = &[
     ("GET",  "/debug/policy",                 (Verb::Policy,         Standby::Serves)),
     ("GET",  "/admin/tenants",                (Verb::ListTenants,    Standby::Serves)),
     ("POST", "/admin/tenants",                (Verb::RegisterTenant, Standby::Refuses)),
-    ("POST", "/admin/tenants/<name>/take",    (Verb::Take,           Standby::Refuses)),
-    ("POST", "/admin/tenants/<name>/restore", (Verb::Restore,        Standby::Refuses)),
     ("GET",  "/admin/usage",                  (Verb::Usage,          Standby::Refuses)),
     ("POST", "/admin/budgets",                (Verb::Budgets,        Standby::Refuses)),
     ("POST", "/admin/snapshot",               (Verb::Snapshot,       Standby::Refuses)),
@@ -901,7 +810,7 @@ pub(crate) const ROUTES: &[Route<(Verb, Standby)>] = &[
 /// debug, admin. Runs on a reactor thread once every earlier message on
 /// its connection is answered (settle-then-serve, see [`crate::conn`]).
 pub(crate) fn handle_control(req: &Request, ctx: &ServerCtx, out: &mut Vec<u8>) {
-    let (&(verb, standby), name, query) = match lookup(ROUTES, &req.method, &req.path) {
+    let (&(verb, standby), query) = match lookup(ROUTES, &req.method, &req.path) {
         Ok(found) => found,
         Err((status, e)) => return write_error(out, status, e),
     };
@@ -1104,16 +1013,6 @@ pub(crate) fn handle_control(req: &Request, ctx: &ServerCtx, out: &mut Vec<u8>) 
             let _ = write!(body, "],\"conns\":{}}}", ctx.pool.live());
             write_response(out, 200, "application/json", body.as_bytes());
         }
-        Verb::Take => match ctx.take_tenant(name) {
-            Ok(payload) => write_response(out, 200, "text/plain", payload.as_bytes()),
-            Err((status, e)) => write_error(out, status, &e),
-        },
-        // The payload itself names the tenant; the path's name is
-        // advisory (symmetry with take).
-        Verb::Restore => match ctx.restore_tenant(&String::from_utf8_lossy(&req.body)) {
-            Ok(spec) => write_tenant(out, &spec),
-            Err((status, e)) => write_error(out, status, &e),
-        },
         Verb::Shutdown => {
             ctx.pool.shutdown();
             write_response(out, 200, "application/json", b"{\"status\":\"stopping\"}");
@@ -1292,7 +1191,6 @@ mod tests {
                     "a\\b\"c\u{1}d",
                     "budget 512 MB\n\"q\"",
                 ),
-                (0, EventKind::Migration, "t1", "", "take"),
             ] {
                 ring.push(LifecycleEvent {
                     ts_ms,
@@ -1683,11 +1581,6 @@ mod tests {
         let _ = std::fs::remove_file(&snap);
     }
 
-    /// A concrete path for a row: its `<name>` placeholder filled.
-    fn concrete(path: &str) -> String {
-        path.replace("<name>", "t")
-    }
-
     /// Every row answered with a method no row lists for its path is a
     /// 405, and a path no row lists is a 404, both with their JSON error.
     #[test]
@@ -1695,13 +1588,12 @@ mod tests {
         let server = telem_server();
         let mut client = crate::Client::connect(server.addr()).unwrap();
         let mut checked = 0;
-        for &(_, pattern, _) in ROUTES {
+        for &(_, path, _) in ROUTES {
             for method in ["GET", "POST", "PUT", "DELETE"] {
-                if ROUTES.iter().any(|r| (r.0, r.1) == (method, pattern)) {
+                if ROUTES.iter().any(|r| (r.0, r.1) == (method, path)) {
                     continue;
                 }
-                let path = concrete(pattern);
-                let (status, body) = client.request(method, &path, "").unwrap();
+                let (status, body) = client.request(method, path, "").unwrap();
                 assert_eq!(
                     (status, body.as_str()),
                     (405, "{\"error\":\"method not allowed\"}"),
@@ -1718,6 +1610,8 @@ mod tests {
             "/invoke/x",
             "/admin/tenants/t",
             "/admin/tenants/t/x",
+            "/admin/tenants/t0/take",
+            "/admin/tenants/t0/restore",
         ] {
             for method in ["GET", "POST"] {
                 let (status, body) = client.request(method, path, "").unwrap();
@@ -1733,8 +1627,8 @@ mod tests {
     }
 
     /// Every row the table gates answers 503 on an unpromoted standby and
-    /// changes nothing: after promotion no tenant was added, taken,
-    /// restored or re-budgeted, no app decided and no snapshot written.
+    /// changes nothing: after promotion no tenant was added or
+    /// re-budgeted, no app decided and no snapshot written.
     #[test]
     fn an_unpromoted_standby_refuses_every_gated_row_and_applies_nothing() {
         let tenant = |name: &str| TenantConfig {
@@ -1742,26 +1636,6 @@ mod tests {
             policy: PolicySpec::fixed_minutes(10),
             budget_mb: 0,
         };
-        // A real take payload, from a node of its own.
-        let source = Server::start(ServeConfig {
-            addr: "127.0.0.1:0".into(),
-            tenants: vec![tenant("v")],
-            ..ServeConfig::default()
-        })
-        .unwrap();
-        let wait = Duration::from_secs(5);
-        let take = crate::http::call(
-            source.addr(),
-            "POST",
-            "/admin/tenants/v/take",
-            b"",
-            wait,
-            wait,
-        );
-        let (status, payload) = take.unwrap();
-        assert_eq!(status, 200, "{payload}");
-        source.shutdown().unwrap();
-
         let snap = std::env::temp_dir().join(format!("sitw-gate-{}.snap", std::process::id()));
         let _ = std::fs::remove_file(&snap);
         let standby = Server::start(ServeConfig {
@@ -1782,17 +1656,15 @@ mod tests {
             .iter()
             .filter(|(_, _, (_, gate))| *gate == Standby::Refuses)
             .collect();
-        assert_eq!(gated.len(), 7);
+        assert_eq!(gated.len(), 5);
         for &(method, path, (verb, _)) in gated {
             let body = match verb {
                 Verb::Invoke => r#"{"app":"a","ts":1}"#,
                 Verb::RegisterTenant => "u=fixed:10",
-                Verb::Restore => payload.as_str(),
                 Verb::Budgets => "t=64\n",
                 _ => "",
             };
-            let path = concrete(path);
-            let (status, text) = client.request(method, &path, body).unwrap();
+            let (status, text) = client.request(method, path, body).unwrap();
             assert_eq!(
                 (status, text.as_str()),
                 (503, "{\"error\":\"standby: not promoted\"}"),
@@ -1804,7 +1676,6 @@ mod tests {
         let (_, listing) = client.request("GET", "/admin/tenants", "").unwrap();
         assert!(listing.contains("\"name\":\"t\""), "{listing}");
         assert!(!listing.contains("\"name\":\"u\""), "{listing}");
-        assert!(!listing.contains("\"name\":\"v\""), "{listing}");
         let (status, usage) = client.request("GET", "/admin/usage", "").unwrap();
         assert_eq!(status, 200, "{usage}");
         let rows = wire::parse_usage(usage.as_bytes()).unwrap();
@@ -1829,12 +1700,11 @@ mod tests {
             .unwrap()
             .split(", ")
             .collect();
-        assert_eq!(listed.len(), 17, "{line}");
+        assert_eq!(listed.len(), 15, "{line}");
         for (entry, row) in listed.iter().zip(ROUTES) {
             let (method, path) = entry.split_once(' ').unwrap();
             assert_eq!((method, path), (row.0, row.1));
-            let path = concrete(path);
-            assert!(lookup(ROUTES, method, &path).is_ok(), "{entry}");
+            assert!(lookup(ROUTES, method, path).is_ok(), "{entry}");
         }
     }
 

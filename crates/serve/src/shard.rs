@@ -229,7 +229,7 @@ pub struct ShardWorker {
     prewarm_loads: u64,
     out_of_order: u64,
     /// Bumped on every state mutation (decision, budget change, tenant
-    /// add/take/restore); apps are stamped with it so replication
+    /// add, promotion); apps are stamped with it so replication
     /// rounds can export the dirty subset without pausing the shard.
     mutation_seq: u64,
     telem: ShardTelem,
@@ -467,46 +467,11 @@ impl ShardWorker {
         true
     }
 
-    /// Exports a tenant's complete state and removes it from the shard
-    /// (the first half of a cross-node migration); `None` when the
-    /// tenant does not live here. Traffic arriving after the take gets
-    /// typed `UnknownTenant` errors, never a panic.
-    pub(crate) fn take_tenant(&mut self, tenant: TenantId) -> Option<TenantExport> {
-        let t = self.tenants.remove(&tenant)?;
-        // Removal replicates through the (authoritative) tenant list of
-        // the next round.
-        self.mutation_seq += 1;
-        // Migrations carry no workload timestamp: domain time 0, the
-        // direction in `detail`.
-        self.telem
-            .event(&self.telem.events, 0, EventKind::Migration, |ev| {
-                ev.tenant.push_str(&t.state.spec().name);
-                ev.detail.push_str("take");
-            });
-        Some(Self::export_tenant(&t))
-    }
-
     /// The stamp state restored into this shard now must carry: past
     /// the replication frontier, so every restored app rides the next
     /// round.
     pub(crate) fn restore_stamp(&self) -> u64 {
         self.mutation_seq + 1
-    }
-
-    /// Installs a migrated tenant from its payload (the target half of a
-    /// migration), replacing any state for its id. Nothing changes
-    /// unless the payload restores.
-    pub(crate) fn restore(&mut self, tenant: TenantRestore) -> Result<(), String> {
-        let seq = self.restore_stamp();
-        let state = TenantState::restore(tenant, seq).map_err(|e| e.to_string())?;
-        self.telem
-            .event(&self.telem.events, 0, EventKind::Migration, |ev| {
-                ev.tenant.push_str(&state.spec().name);
-                ev.detail.push_str("restore");
-            });
-        self.install(vec![state]);
-        self.mutation_seq = seq;
-        Ok(())
     }
 
     /// Replaces every tenant with `tenants`, built stamped `seq` (this
@@ -572,10 +537,6 @@ impl ShardWorker {
             decide_ns: self.telem.decide.clone(),
             tenants,
         }
-    }
-
-    fn export_tenant(t: &TenantShard) -> TenantExport {
-        Self::export_tenant_if(t, |_| true)
     }
 
     /// Exports one tenant with its app records filtered by `keep` —
@@ -1088,12 +1049,14 @@ mod tests {
 
     #[test]
     fn restored_tenants_ride_the_next_round() {
-        // Simulates a migration-in mid-replication: the restored apps
-        // must be stamped past the current frontier.
+        // A promotion mid-replication: the replica's tenants, installed
+        // at the shard's restore stamp, land past the current frontier.
         let mut w = worker(PolicySpec::fixed_minutes(10));
         w.invoke0("a", 0).unwrap();
         let frontier = w.export_dirty(Some(0)).seq;
-        w.restore(TenantRestore {
+        let seq = w.restore_stamp();
+        let default = TenantRestore::fresh(default_spec(PolicySpec::fixed_minutes(10)));
+        let moved = TenantRestore {
             spec: TenantSpec {
                 id: 3,
                 name: "moved".into(),
@@ -1109,8 +1072,9 @@ mod tests {
             }],
             ledger: LedgerExport::default(),
             prod_clock: None,
-        })
-        .unwrap();
+        };
+        let tenants = [default, moved].map(|t| TenantState::restore(t, seq).unwrap());
+        w.replace_tenants(tenants.into(), seq);
         let round = w.export_dirty(Some(frontier));
         let moved = round
             .export
@@ -1120,7 +1084,7 @@ mod tests {
             .expect("restored tenant exported");
         assert_eq!(moved.apps.len(), 1);
         assert_eq!(moved.apps[0].app, "m");
-        // The pre-existing clean app does not ride along.
+        // The replaced default tenant's app is gone with it.
         let default = round.export.tenants.iter().find(|t| t.id == 0).unwrap();
         assert!(default.apps.is_empty());
     }
@@ -1162,13 +1126,13 @@ mod tests {
                 charge_refusal,
             ),
         ] {
-            let restore = || TenantRestore {
+            let restore = TenantRestore {
                 apps: vec![AppRecord {
                     app: "a".into(),
                     last_ts: 5,
                     windows: Windows::keep_loaded(600_000),
                     evicted: false,
-                    state: state.clone(),
+                    state,
                 }],
                 ledger: LedgerExport {
                     warm: warm
@@ -1179,20 +1143,9 @@ mod tests {
                 },
                 ..TenantRestore::fresh(tenant(policy))
             };
-            // At startup the worker does not come up ...
-            let err = ShardWorker::new(0, vec![restore()])
-                .map(|_| ())
-                .unwrap_err();
+            // The worker does not come up.
+            let err = ShardWorker::new(0, vec![restore]).map(|_| ()).unwrap_err();
             assert!(err.contains(refusal), "{policy}: {err}");
-            // ... and a migration into a running one is refused with the
-            // tenant it would have replaced left as it was.
-            let mut w = worker(PolicySpec::fixed_minutes(10));
-            w.add_tenant(tenant(policy));
-            w.invoke(1, "kept", 7).unwrap();
-            let before = w.export();
-            let err = w.restore(restore()).unwrap_err();
-            assert!(err.contains(refusal), "{policy}: {err}");
-            assert_eq!(w.export(), before, "{policy}");
         }
     }
 

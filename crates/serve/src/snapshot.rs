@@ -1274,7 +1274,7 @@ impl<R: Records> Decoder<R> {
 /// records upsert by `(tenant, app)`, everything else — tenant list,
 /// ledgers, clocks, budgets, the policy label — is replaced wholesale
 /// (deltas carry those as absolute values every round). Tenants absent
-/// from the delta are removed (they migrated away or were taken).
+/// from the delta are removed.
 ///
 /// Apps are never removed individually: shards only ever flag evictions
 /// (the flag rides the app record) and remove state per whole tenant,
@@ -1304,71 +1304,6 @@ pub fn apply_delta(base: &mut Snapshot, delta: Snapshot) {
     }
     tenants.sort_by_key(|t| t.id);
     base.tenants = tenants;
-}
-
-/// Serializes one tenant's exported state as a standalone migration
-/// payload — the snapshot text format carrying exactly one tenant
-/// section and no default-tenant state. The placeholder policy label
-/// `-` marks the file as a section, not a full snapshot.
-///
-/// The export is encoded where it lies, never copied, and the payload is
-/// measured before it is written, so it is allocated once at its size
-/// instead of growing beside a half-size copy of itself.
-pub fn encode_tenant_section(t: TenantExport) -> String {
-    /// A sink that keeps only how much was written to it.
-    struct Measure(usize);
-    impl Write for Measure {
-        fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
-            self.0 += bytes.len();
-            Ok(bytes.len())
-        }
-        fn flush(&mut self) -> io::Result<()> {
-            Ok(())
-        }
-    }
-    let snap = Snapshot {
-        policy_label: "-".into(),
-        prod_clock: None,
-        apps: Vec::new(),
-        default_ledger: LedgerExport::default(),
-        tenants: vec![TenantSnapshot {
-            id: t.id,
-            name: t.name,
-            policy_label: t.policy_label,
-            spec_str: t.spec_str,
-            budget_mb: t.budget_mb,
-            prod_clock: t.prod_clock,
-            ledger: t.ledger,
-            apps: t.apps,
-        }],
-    };
-    let mut size = Measure(0);
-    let measured = snap.encode_into(&mut size);
-    measured.expect("measuring cannot fail");
-    let mut out = Vec::with_capacity(size.0);
-    let written = snap.encode_into(&mut out);
-    written.expect("writing to a Vec cannot fail");
-    String::from_utf8(out).expect("the encoder writes UTF-8")
-}
-
-/// Parses a migration payload produced by [`encode_tenant_section`].
-///
-/// # Errors
-///
-/// Fails on malformed text or when the payload does not carry exactly
-/// one tenant section.
-pub fn decode_tenant_section(text: &str) -> Result<TenantSnapshot, String> {
-    let snap = Snapshot::decode(text)?;
-    if snap.tenants.len() != 1 {
-        return Err(format!(
-            "migration payload must carry exactly one tenant, found {}",
-            snap.tenants.len()
-        ));
-    }
-    if !snap.apps.is_empty() {
-        return Err("migration payload must not carry default-tenant apps".into());
-    }
-    Ok(snap.tenants.into_iter().next().expect("length checked"))
 }
 
 #[cfg(test)]
@@ -1430,7 +1365,7 @@ mod tests {
     }
 
     #[test]
-    fn tenant_sections_round_trip_exactly() {
+    fn tenant_lines_round_trip_exactly() {
         let snap = Snapshot {
             policy_label: "fixed-10min".into(),
             prod_clock: None,
@@ -1510,59 +1445,6 @@ mod tests {
         assert!(text.contains("tapp 1 a 900 0 100 evicted hybrid"));
         let decoded = Snapshot::decode(&text).unwrap();
         assert_eq!(decoded, snap);
-    }
-
-    #[test]
-    fn tenant_section_round_trips_for_migration() {
-        let export = TenantExport {
-            id: 3,
-            name: "mover".into(),
-            policy_label: "fixed-10min".into(),
-            spec_str: Some("fixed:10".into()),
-            budget_mb: 256,
-            prod_clock: None,
-            ledger: LedgerExport {
-                warm: vec![("a".into(), 1_000, 100)],
-                evictions: 2,
-                idle_mb_ms: 999,
-                cursor_ms: 500,
-            },
-            apps: vec![AppRecord {
-                app: "a".into(),
-                last_ts: 500,
-                windows: Windows::keep_loaded(600_000),
-                evicted: false,
-                state: PolicyState::Stateless,
-            }],
-        };
-        let text = encode_tenant_section(export.clone());
-        // The payload is the one-tenant document it always was, allocated
-        // once at its length.
-        let document = Snapshot {
-            policy_label: "-".into(),
-            prod_clock: None,
-            apps: Vec::new(),
-            default_ledger: LedgerExport::default(),
-            tenants: vec![TenantSnapshot {
-                id: export.id,
-                name: export.name.clone(),
-                policy_label: export.policy_label.clone(),
-                spec_str: export.spec_str.clone(),
-                budget_mb: export.budget_mb,
-                prod_clock: export.prod_clock,
-                ledger: export.ledger.clone(),
-                apps: export.apps.clone(),
-            }],
-        };
-        assert_eq!(text, crate::snapshot_ref::encode_ref(&document, HEADER));
-        assert_eq!(text.capacity(), text.len());
-        let section = decode_tenant_section(&text).unwrap();
-        assert_eq!(section.name, export.name);
-        assert_eq!(section.budget_mb, export.budget_mb);
-        assert_eq!(section.ledger, export.ledger);
-        assert_eq!(section.apps, export.apps);
-        // A full snapshot (zero or two tenants) is not a migration payload.
-        assert!(decode_tenant_section(&format!("{HEADER}\npolicy x\napps 0\n")).is_err());
     }
 
     #[test]
@@ -1761,7 +1643,7 @@ mod tests {
             ],
         };
         // Delta: app "c" advanced, new app "b", tenant 1 carried whole
-        // with a dirty app, tenant 2 absent (migrated away), tenant 3
+        // with a dirty app, tenant 2 absent (gone on the primary), tenant 3
         // new, and ledger counters replaced wholesale.
         let delta = Snapshot {
             policy_label: "fixed-10min".into(),

@@ -14,18 +14,15 @@
 //! The same allocator counts allocations, which turns "a decode copies
 //! each list once, at its size" into a count too: decoding the document
 //! allocates each app's name, bins and history once and every vector at
-//! exactly its length, restoring a node adds only each name's interned
-//! copy per app, and encoding a migration section holds no more than
-//! the payload and one line beyond the tenant it consumes.
+//! exactly its length, and restoring a node adds only each name's
+//! interned copy per app.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
 use sitw_core::{AppPolicy, HybridConfig, PolicyFactory, MINUTE_MS};
 use sitw_fleet::LedgerExport;
-use sitw_serve::snapshot::{
-    encode_tenant_section, AppRecord, PolicyState, TenantExport, TenantSnapshot, MAX_LINE_BYTES,
-};
+use sitw_serve::snapshot::{AppRecord, PolicyState, TenantSnapshot, MAX_LINE_BYTES};
 use sitw_serve::{ServeConfig, Server, Snapshot};
 use sitw_sim::PolicySpec;
 
@@ -112,9 +109,6 @@ const RESTORE_PER_DOCUMENT: u64 = 93 + 2 * 8;
 /// The decoded state may not grow past what vectors sized from their
 /// counts made it (8 130 800 B when that was measured).
 const DECODED_CEILING: i64 = 8_130_800;
-/// What encoding a section may hold beyond its payload: the encoder's
-/// 4 KiB line buffer and the section's wrapper.
-const SECTION_CEILING: i64 = 4096 + 512;
 
 /// A hybrid app that has seen `beats` invocations at a seeded rhythm
 /// inside the histogram's range, so its bins and its history are full.
@@ -230,34 +224,12 @@ fn load_restore_and_write_hold_no_whole_document() {
     }
     drop((decoded, text));
 
-    // A migration section of every app: the payload and one line beyond
-    // the tenant it consumes, never a copy of the tenant.
-    let export = TenantExport {
-        id: 1,
-        name: "t1".into(),
-        policy_label: snap.policy_label.clone(),
-        spec_str: Some("hybrid".into()),
-        budget_mb: 0,
-        prod_clock: None,
-        ledger: LedgerExport::default(),
-        apps: std::iter::once(&snap.apps)
-            .chain(snap.tenants.iter().map(|t| &t.apps))
-            .flatten()
-            .cloned()
-            .collect(),
-    };
-    let before = live();
-    let (payload, peak) = peak_during(|| encode_tenant_section(export));
-    let section_excess = peak - before - payload.capacity() as i64;
-
     println!(
         "{APPS} apps, {doc} B document, {held} B decoded; beyond the state: \
          load {load_excess} B, restore {start_excess} B, write {write_excess} B \
          (ceiling {CEILING} B); decode {decode_allocs} allocations; restore \
-         {restore_allocs} allocations ({:.2} per app); a {} B section \
-         {section_excess} B beyond its payload (ceiling {SECTION_CEILING} B)",
+         {restore_allocs} allocations ({:.2} per app)",
         restore_allocs as f64 / APPS as f64,
-        payload.len()
     );
     assert!(
         decode_allocs <= 3 * APPS as u64 + PER_TENANT * u64::from(TENANTS) + PER_DOCUMENT,
@@ -271,10 +243,6 @@ fn load_restore_and_write_hold_no_whole_document() {
         "{restore_allocs} allocations restoring {APPS} apps"
     );
     assert!(held <= DECODED_CEILING, "{held} B decoded");
-    assert!(
-        section_excess <= SECTION_CEILING,
-        "encoding a section held {section_excess} B beyond its payload"
-    );
     assert!(
         doc > CEILING,
         "the document must outgrow the ceiling to show anything"

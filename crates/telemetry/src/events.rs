@@ -2,8 +2,8 @@
 //! recorder's "where".
 //!
 //! Latency spans say where time went; lifecycle events say what the
-//! policy *did* — an app cold-started, a budget eviction fired, a
-//! tenant migrated, the ring epoch moved.
+//! policy *did* — an app cold-started, a budget eviction fired, the
+//! ring epoch moved.
 //! The ring is small, overwrites oldest-first, and is scraped
 //! non-destructively by `/debug/events` on both node and router.
 //!
@@ -34,10 +34,7 @@ pub enum EventKind {
     ColdStart,
     /// The tenant ledger evicted an app to fit its memory budget.
     Eviction,
-    /// A tenant moved between nodes (router) or was taken/restored
-    /// (node side of the same move).
-    Migration,
-    /// The cluster ring epoch advanced (node drop or migration).
+    /// The cluster ring epoch advanced (node drop or standby swap).
     RingEpoch,
     /// Health probes declared a node unreachable (router).
     NodeDown,
@@ -57,7 +54,6 @@ impl EventKind {
         match self {
             EventKind::ColdStart => "cold-start",
             EventKind::Eviction => "eviction",
-            EventKind::Migration => "migration",
             EventKind::RingEpoch => "ring-epoch",
             EventKind::NodeDown => "node-down",
             EventKind::Failover => "failover",
@@ -323,7 +319,6 @@ mod tests {
         let all = [
             EventKind::ColdStart,
             EventKind::Eviction,
-            EventKind::Migration,
             EventKind::RingEpoch,
             EventKind::NodeDown,
             EventKind::Failover,
@@ -336,7 +331,6 @@ mod tests {
             vec![
                 "cold-start",
                 "eviction",
-                "migration",
                 "ring-epoch",
                 "node-down",
                 "failover",

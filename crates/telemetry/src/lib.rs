@@ -21,7 +21,7 @@
 //!   router), overwritten oldest-first and snapshotted — never drained —
 //!   by the `/debug/trace` endpoints.
 //! * [`EventRing`] — a bounded ring of policy [`LifecycleEvent`]s (cold
-//!   starts, evictions, migrations, ring-epoch changes)
+//!   starts, evictions, ring-epoch changes, failovers)
 //!   scraped by `/debug/events`.
 //! * [`Gate`] — what every recording handle is: a switch and a clock.
 //!   Its provided methods are the one place a site reads the clock

@@ -228,14 +228,12 @@ mod tests {
             clock: WallClock::default(),
         };
         let ring = Mutex::new(EventRing::new(EVENT_RING));
-        gate.event(&ring, 0, EventKind::Migration, |ev| {
-            ev.tenant.push_str("t0")
-        });
+        gate.event(&ring, 0, EventKind::Eviction, |ev| ev.tenant.push_str("t0"));
         assert_eq!(gate.now(), 0);
         let ring = ring.lock().unwrap();
         let evs: Vec<_> = ring.events().collect();
         assert_eq!(evs.len(), 1);
-        assert_eq!(evs[0].kind, EventKind::Migration);
+        assert_eq!(evs[0].kind, EventKind::Eviction);
         assert_eq!(evs[0].tenant, "t0");
     }
 
