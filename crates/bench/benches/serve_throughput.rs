@@ -1,7 +1,8 @@
 //! Serving throughput: decisions per second through the full loopback
 //! wire path, across shard counts, both protocols (JSON/HTTP vs
 //! SITW-BIN at batch 1/16/128), and tenant modes, measured by the
-//! open-loop load generator. The ISSUE-1 acceptance floor is 50k
+//! closed-loop load generator at full speed. The daemon's first
+//! acceptance floor is 50k
 //! decisions/sec on a 4-shard daemon in release mode; the ISSUE-3 gate
 //! is SITW-BIN at batch ≥ 16 sustaining ≥ 1.5× the JSON rate on the
 //! same hardware (re-measured in ISSUE-14, see below); the ISSUE-4 gate
@@ -145,7 +146,6 @@ fn loadgen_config(proto: Proto, tenants: usize, conns: usize) -> LoadGenConfig {
         seed: 42,
         horizon_ms: DAY_MS,
         cap_per_day: 1_000.0,
-        speedup: f64::INFINITY,
         connections: conns,
         window: 128,
         max_events: EVENTS,
@@ -182,7 +182,7 @@ fn run_once(
     })
     .expect("server start");
     let report =
-        run_loadgen(server.addr(), &loadgen_config(proto, tenants, conns)).expect("loadgen");
+        run_loadgen(&[server.addr()], &loadgen_config(proto, tenants, conns)).expect("loadgen");
     assert_eq!(report.ok, EVENTS as u64, "lost responses");
     if conns > BASE_CONNS {
         assert!(
@@ -217,7 +217,7 @@ fn run_once_routed(shards: usize, policy: PolicySpec, proto: Proto, conns: usize
         ..RouterConfig::default()
     })
     .expect("router start");
-    let report = run_loadgen(router.addr(), &loadgen_config(proto, 0, conns)).expect("loadgen");
+    let report = run_loadgen(&[router.addr()], &loadgen_config(proto, 0, conns)).expect("loadgen");
     assert_eq!(
         report.ok, EVENTS as u64,
         "lost responses through the router"
@@ -249,7 +249,7 @@ fn run_once_replicated(shards: usize, policy: PolicySpec, proto: Proto, conns: u
         ..ServeConfig::default()
     })
     .expect("follower start");
-    let report = run_loadgen(server.addr(), &loadgen_config(proto, 0, conns)).expect("loadgen");
+    let report = run_loadgen(&[server.addr()], &loadgen_config(proto, 0, conns)).expect("loadgen");
     assert_eq!(report.ok, EVENTS as u64, "lost responses under replication");
     follower.shutdown().expect("follower shutdown");
     server.shutdown().expect("shutdown");

@@ -4,14 +4,14 @@
 //! sitw-loadgen --addr 127.0.0.1:7071 | --cluster HOST:PORT[,HOST:PORT...]
 //!              [--apps 500] [--seed 42]
 //!              [--horizon-hours 24] [--cap-per-day 2000]
-//!              [--speedup N | --max-speed] [--connections 2]
-//!              [--window 64] [--max-events 0]
+//!              [--connections 2] [--window 64] [--max-events 0]
 //!              [--proto json|bin|bin:batch=N] [--tenants N[:zipf=S]]
 //!              [--trace-sample N] [--out FILE]
 //! ```
 //!
 //! Generates the synthetic Azure-Functions-like workload of
-//! `sitw_trace` and replays it open-loop against a running daemon,
+//! `sitw_trace` and replays it at full speed against a running daemon,
+//! each connection a closed loop of `--window` invocations in flight,
 //! then prints sustained throughput and exact latency percentiles.
 //! `--proto bin` speaks SITW-BIN frames (default batch 16) instead of
 //! JSON-over-HTTP. `--tenants N[:zipf=S]` spreads the replayed apps
@@ -23,7 +23,7 @@
 //! percentiles, and the full log2 RTT histogram — the same bucket
 //! boundaries the server's `/metrics` histograms use).
 //! `--trace-sample N` tags every Nth request (JSON) or frame
-//! (SITW-BIN) with an `X-Sitw-Trace` id; the sampled ids and their
+//! (SITW-BIN) with a client trace id; the sampled ids and their
 //! per-trace RTTs land in the `--out` report's `traces` array so a
 //! run can be cross-referenced against server and router
 //! `/debug/trace` timelines.
@@ -33,14 +33,13 @@
 use std::net::ToSocketAddrs;
 use std::process::exit;
 
-use sitw_serve::{run_loadgen_cluster, LoadGenConfig, Proto};
+use sitw_serve::{run_loadgen, LoadGenConfig, Proto};
 use sitw_trace::HOUR_MS;
 
 fn usage() -> ! {
     eprintln!(
         "usage: sitw-loadgen --addr HOST:PORT | --cluster HOST:PORT[,HOST:PORT...] \
-         [--apps N] [--seed N] \
-         [--horizon-hours H] [--cap-per-day N] [--speedup N | --max-speed] \
+         [--apps N] [--seed N] [--horizon-hours H] [--cap-per-day N] \
          [--connections N] [--window N] [--max-events N] \
          [--proto json|bin|bin:batch=N] [--tenants N[:zipf=S]] \
          [--trace-sample N] [--out FILE]"
@@ -72,8 +71,6 @@ fn main() {
             "--cap-per-day" => {
                 cfg.cap_per_day = value("--cap-per-day").parse().unwrap_or_else(|_| usage());
             }
-            "--speedup" => cfg.speedup = value("--speedup").parse().unwrap_or_else(|_| usage()),
-            "--max-speed" => cfg.speedup = f64::INFINITY,
             "--connections" => {
                 cfg.connections = value("--connections").parse().unwrap_or_else(|_| usage());
             }
@@ -130,15 +127,11 @@ fn main() {
     }
 
     println!(
-        "replaying {} apps over {}h (cap {}/day) at {} via {} connection(s), window {}, proto {}{}",
+        "replaying {} apps over {}h (cap {}/day) at max speed via {} connection(s), window {}, \
+         proto {}{}",
         cfg.apps,
         cfg.horizon_ms / HOUR_MS,
         cfg.cap_per_day,
-        if cfg.speedup.is_finite() {
-            format!("{}x", cfg.speedup)
-        } else {
-            "max speed".into()
-        },
         cfg.connections,
         cfg.window,
         cfg.proto.label(),
@@ -148,7 +141,7 @@ fn main() {
             String::new()
         }
     );
-    match run_loadgen_cluster(&addrs, &cfg) {
+    match run_loadgen(&addrs, &cfg) {
         Ok(report) => {
             println!("{}", report.summary());
             if let Some(path) = out_path {

@@ -86,8 +86,8 @@
 //!   cluster's `routed_parity` pin transport, sharding,
 //!   snapshot/restore, replication and cluster routing around it.
 //! * **Load generator** ([`loadgen`]): replays `sitw_trace` workloads
-//!   open-loop at a configurable speedup (or flat out) over pipelined
-//!   connections — speaking JSON or SITW-BIN ([`loadgen::Proto`]),
+//!   at full speed, each connection a closed loop with a window of
+//!   invocations in flight — speaking JSON or SITW-BIN ([`loadgen::Proto`]),
 //!   optionally spread across N tenants with Zipf skew — and reports
 //!   sustained throughput and exact latency percentiles.
 //!
@@ -162,7 +162,7 @@ pub mod wire;
 
 pub use client::Client;
 pub use follow::{FollowConfig, FollowStatus};
-pub use loadgen::{run_loadgen, run_loadgen_cluster, LoadGenConfig, LoadGenReport, Proto};
+pub use loadgen::{run_loadgen, LoadGenConfig, LoadGenReport, Proto};
 pub use metrics::{
     ConnStats, MetricsReport, ProtoHists, ProtoStats, ReactorTelem, ShardStats, TenantStats,
     TRACE_RING,

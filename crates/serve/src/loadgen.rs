@@ -1,21 +1,25 @@
-//! Open-loop, trace-driven load generator.
+//! Trace-driven load generator: a windowed closed loop at full speed.
 //!
-//! Replays a synthetic `sitw_trace` workload against a running daemon:
-//! every generated invocation becomes one `POST /invoke`, sent at its
-//! trace time scaled by a speedup factor (or flat out when
-//! [`LoadGenConfig::speedup`] is infinite). The generator is *open
-//! loop*: when the server falls behind, requests keep their schedule
-//! and queue, so sustained throughput and tail latency reflect
-//! server capacity, not a closed feedback loop flattering it.
+//! Replays a synthetic `sitw_trace` workload against running daemons as
+//! fast as they answer. Each connection keeps up to
+//! [`LoadGenConfig::window`] invocations in flight and sends more only as
+//! replies come back, so the replay measures the throughput and latency
+//! of a full window, not of an offered load.
+//!
+//! One loop drives both protocols: a connection's schedule leaves as
+//! messages of up to `batch` records — one `POST /invoke` per record for
+//! JSON, SITW-BIN request frames of the configured batch — and replies
+//! are read in order. Only encoding a message and turning its reply into
+//! per-record verdicts depend on the protocol.
 //!
 //! Apps are assigned to connections round-robin by first appearance (an
 //! app's requests must stay ordered, and the server requires per-app
 //! timestamp monotonicity, so an app sticks to one connection — but the
 //! dense assignment keeps all `--connections N` sockets busy at high
-//! fan-in), and each connection pipelines up to a window of requests.
-//! Latencies are recorded per request and reported as exact percentiles;
-//! the summary's `max_live_conns=` line reports how many connections the
-//! run actually drove (the reactor's high-fan-in smoke asserts it).
+//! fan-in). A record's latency is the round trip of the message that
+//! carried it, reported as exact percentiles; the summary's
+//! `max_live_conns=` line reports how many connections the run actually
+//! drove (the reactor's high-fan-in smoke asserts it).
 //!
 //! **Multi-tenant replay** ([`LoadGenConfig::tenants`]): each app is
 //! deterministically assigned to one of N tenants — optionally with
@@ -26,8 +30,10 @@
 //! server's registration order). The summary reports per-tenant
 //! throughput and verdict mix, including budget-eviction downgrades.
 
+use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
@@ -90,13 +96,10 @@ pub struct LoadGenConfig {
     pub horizon_ms: u64,
     /// Per-app daily event cap (see [`TraceConfig`]).
     pub cap_per_day: f64,
-    /// Trace-time acceleration: 60 ⇒ one trace hour replays in one
-    /// minute. `f64::INFINITY` ⇒ replay as fast as the server accepts.
-    pub speedup: f64,
     /// Parallel connections.
     pub connections: usize,
-    /// In-flight invocations per connection (JSON: pipelined requests;
-    /// BIN: records across in-flight frames).
+    /// Invocations in flight per connection, across its unanswered
+    /// messages (at least one SITW-BIN batch).
     pub window: usize,
     /// Cap on total invocations sent (0 = no cap).
     pub max_events: usize,
@@ -107,9 +110,9 @@ pub struct LoadGenConfig {
     pub tenants: usize,
     /// Zipf skew of the per-app tenant assignment (0 = uniform).
     pub zipf: f64,
-    /// Tag every Nth request (JSON) or frame (SITW-BIN) with a client
-    /// trace id — `X-Sitw-Trace` header / the frame's trace field — so its
-    /// spans can be found end to end in `/debug/trace` output. 0 = off.
+    /// Tag every Nth message, request (JSON) or frame (SITW-BIN), with a
+    /// client trace id — `X-Sitw-Trace` header / the frame's trace field —
+    /// so its spans can be found end to end in `/debug/trace` output. 0 = off.
     /// Sampled ids and their RTTs land in the `--out` JSON report.
     pub trace_sample: usize,
 }
@@ -121,7 +124,6 @@ impl Default for LoadGenConfig {
             seed: 42,
             horizon_ms: 24 * HOUR_MS,
             cap_per_day: 2_000.0,
-            speedup: f64::INFINITY,
             connections: 2,
             window: 64,
             max_events: 0,
@@ -136,15 +138,16 @@ impl Default for LoadGenConfig {
 /// Results of one load-generation run.
 #[derive(Debug, Clone)]
 pub struct LoadGenReport {
-    /// Requests sent.
+    /// Invocations sent.
     pub sent: u64,
-    /// 200 responses.
+    /// Invocations answered with a verdict.
     pub ok: u64,
     /// Cold verdicts among `ok`.
     pub cold: u64,
     /// Warm verdicts among `ok`.
     pub warm: u64,
-    /// Non-200 responses.
+    /// Invocations answered with an error (non-200 / out-of-order /
+    /// error frames).
     pub errors: u64,
     /// Wall-clock duration of the replay.
     pub elapsed: Duration,
@@ -405,23 +408,16 @@ fn build_schedules(cfg: &LoadGenConfig) -> Vec<Vec<Event>> {
     schedules
 }
 
-/// Replays the configured workload against `addr` and reports.
-pub fn run_loadgen(addr: SocketAddr, cfg: &LoadGenConfig) -> io::Result<LoadGenReport> {
-    run_loadgen_cluster(&[addr], cfg)
-}
-
-/// Replays the configured workload across `targets` — connections are
-/// assigned round-robin, so `--cluster A,B,C` spreads a replay over
-/// several nodes (or routers) at once.
+/// Replays the configured workload across `targets` and reports.
+/// Connections are assigned round-robin, so `--cluster A,B,C` spreads a
+/// replay over several nodes (or routers) at once.
 ///
 /// **Fail-fast:** the first connection error flips a shared abort flag;
-/// every other connection stops within one pacing tick instead of
+/// every other connection stops at its next record instead of
 /// replaying its whole schedule against a dead peer, and the returned
-/// error carries a per-node summary of which targets failed and why.
-pub fn run_loadgen_cluster(
-    targets: &[SocketAddr],
-    cfg: &LoadGenConfig,
-) -> io::Result<LoadGenReport> {
+/// error carries a per-node summary of which targets failed and why
+/// (its kind is that of the first failure listed).
+pub fn run_loadgen(targets: &[SocketAddr], cfg: &LoadGenConfig) -> io::Result<LoadGenReport> {
     if targets.is_empty() {
         return Err(io::Error::new(io::ErrorKind::InvalidInput, "no targets"));
     }
@@ -459,11 +455,6 @@ pub fn run_loadgen_cluster(
         vec![Vec::new(); targets.len()]
     };
     let tenant_ids = &tenant_ids;
-    let start_ts = schedules
-        .iter()
-        .filter_map(|s| s.first().map(|e| e.ts))
-        .min()
-        .unwrap_or(0);
 
     // The load generator is the client side of the wire: its whole
     // output (throughput, RTT percentiles) is wall-clock measurement.
@@ -473,45 +464,16 @@ pub fn run_loadgen_cluster(
     let abort = &abort;
     let mut results: Vec<ConnResult> = Vec::new();
     // Per-node failure tally: addr → (failed connections, first error).
-    let mut failures: std::collections::BTreeMap<String, (u64, String)> =
-        std::collections::BTreeMap::new();
+    let mut failures: BTreeMap<String, (u64, io::Error)> = BTreeMap::new();
     std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for (conn, (schedule, stream)) in schedules.iter().zip(streams).enumerate() {
             let Some(stream) = stream else { continue };
-            let node = node_of(conn);
             let node_ids = &tenant_ids[conn % targets.len()];
             handles.push((
-                node,
+                node_of(conn),
                 scope.spawn(move || {
-                    let result = match cfg.proto {
-                        Proto::Json => drive_connection(
-                            stream,
-                            conn,
-                            schedule,
-                            start_ts,
-                            cfg.speedup,
-                            cfg.window,
-                            cfg.tenants,
-                            cfg.trace_sample,
-                            started,
-                            abort,
-                        ),
-                        Proto::Bin { batch } => drive_connection_bin(
-                            stream,
-                            conn,
-                            schedule,
-                            start_ts,
-                            cfg.speedup,
-                            cfg.window,
-                            batch,
-                            cfg.tenants,
-                            node_ids,
-                            cfg.trace_sample,
-                            started,
-                            abort,
-                        ),
-                    };
+                    let result = drive_connection(stream, conn, schedule, cfg, node_ids, abort);
                     if result.is_err() {
                         abort.store(true, Ordering::Relaxed);
                     }
@@ -520,54 +482,43 @@ pub fn run_loadgen_cluster(
             ));
         }
         for (node, handle) in handles {
-            let failed = |msg: String, failures: &mut std::collections::BTreeMap<_, (u64, _)>| {
-                let entry = failures
-                    .entry(node.to_string())
-                    .or_insert_with(|| (0, msg.clone()));
-                entry.0 += 1;
-            };
-            match handle.join() {
-                Ok(Ok(result)) => results.push(result),
+            let error = match handle.join() {
+                Ok(Ok(result)) => {
+                    results.push(result);
+                    continue;
+                }
                 // An abort-interrupted connection is a follower, not a
                 // cause: only genuine I/O failures name their node.
-                Ok(Err(e)) if e.kind() == io::ErrorKind::Interrupted => {}
-                Ok(Err(e)) => failed(e.to_string(), &mut failures),
-                Err(_) => failed("loadgen worker panicked".into(), &mut failures),
-            }
+                Ok(Err(e)) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Ok(Err(e)) => e,
+                Err(_) => io::Error::other("loadgen worker panicked"),
+            };
+            failures.entry(node.to_string()).or_insert((0, error)).0 += 1;
         }
     });
-    if !failures.is_empty() {
+    if let Some((_, (_, first))) = failures.iter().next() {
         let detail: Vec<String> = failures
             .iter()
             .map(|(node, (n, e))| format!("{node}: {n} connection(s) failed ({e})"))
             .collect();
-        return Err(io::Error::other(format!(
-            "replay aborted; per-node errors: {}",
-            detail.join("; ")
-        )));
+        return Err(io::Error::new(
+            first.kind(),
+            format!("replay aborted; per-node errors: {}", detail.join("; ")),
+        ));
     }
     let elapsed = started.elapsed();
 
     let mut sent = 0u64;
-    let mut ok = 0u64;
-    let mut cold = 0u64;
-    let mut evicted = 0u64;
-    let mut errors = 0u64;
+    let mut all = TenantMix::default();
     let mut per_tenant: Vec<TenantMix> = vec![TenantMix::default(); cfg.tenants];
     let mut latencies: Vec<f64> = Vec::new();
     let mut latency_hist = Log2Histogram::new();
     let mut traces: Vec<(u64, u64)> = Vec::new();
     for mut r in results {
         sent += r.sent;
-        ok += r.ok;
-        cold += r.cold;
-        evicted += r.evicted;
-        errors += r.errors;
+        all.add(&r.all);
         for (agg, t) in per_tenant.iter_mut().zip(&r.per_tenant) {
-            agg.ok += t.ok;
-            agg.cold += t.cold;
-            agg.evicted += t.evicted;
-            agg.errors += t.errors;
+            agg.add(t);
         }
         latencies.append(&mut r.latencies_us);
         latency_hist.merge(&r.latency_ns);
@@ -583,12 +534,12 @@ pub fn run_loadgen_cluster(
     };
     Ok(LoadGenReport {
         sent,
-        ok,
-        cold,
-        warm: ok - cold,
-        errors,
+        ok: all.ok,
+        cold: all.cold,
+        warm: all.ok - all.cold,
+        errors: all.errors,
         elapsed,
-        throughput: ok as f64 / elapsed.as_secs_f64().max(1e-9),
+        throughput: all.ok as f64 / elapsed.as_secs_f64().max(1e-9),
         latency_us: LatencySummary {
             p50: lat(50.0),
             p95: lat(95.0),
@@ -596,7 +547,7 @@ pub fn run_loadgen_cluster(
             max: latencies.last().copied().unwrap_or(0.0),
         },
         latency_hist,
-        evicted,
+        evicted: all.evicted,
         per_tenant,
         max_live_conns,
         traces,
@@ -605,15 +556,12 @@ pub fn run_loadgen_cluster(
 
 struct ConnResult {
     sent: u64,
-    ok: u64,
-    cold: u64,
-    evicted: u64,
-    errors: u64,
+    all: TenantMix,
     /// Index k = tenant `tK` (wire id k + 1); empty when untenanted.
     per_tenant: Vec<TenantMix>,
     latencies_us: Vec<f64>,
     latency_ns: Log2Histogram,
-    /// `(trace_id, rtt_ns)` of sampled requests on this connection.
+    /// `(trace_id, rtt_ns)` of sampled messages on this connection.
     traces: Vec<(u64, u64)>,
 }
 
@@ -621,10 +569,7 @@ impl ConnResult {
     fn new(capacity: usize, tenants: usize) -> ConnResult {
         ConnResult {
             sent: 0,
-            ok: 0,
-            cold: 0,
-            evicted: 0,
-            errors: 0,
+            all: TenantMix::default(),
             per_tenant: vec![TenantMix::default(); tenants],
             latencies_us: Vec::with_capacity(capacity),
             latency_ns: Log2Histogram::new(),
@@ -632,34 +577,32 @@ impl ConnResult {
         }
     }
 
-    fn record_verdict(&mut self, tenant: u16, cold: bool, evicted: bool) {
-        self.ok += 1;
-        if cold {
-            self.cold += 1;
-        }
-        if evicted {
-            self.evicted += 1;
-        }
-        if tenant > 0 {
-            if let Some(t) = self.per_tenant.get_mut(tenant as usize - 1) {
-                t.ok += 1;
-                if cold {
-                    t.cold += 1;
+    /// Counts one record's answer for the run and for its tenant (`tK`
+    /// is K + 1, 0 = untenanted): `(cold, evicted)` of a verdict, or
+    /// `None` for an error.
+    fn record(&mut self, tenant: u16, verdict: Option<(bool, bool)>) {
+        let own = tenant
+            .checked_sub(1)
+            .and_then(|k| self.per_tenant.get_mut(k as usize));
+        for mix in std::iter::once(&mut self.all).chain(own) {
+            match verdict {
+                Some((cold, evicted)) => {
+                    mix.ok += 1;
+                    mix.cold += u64::from(cold);
+                    mix.evicted += u64::from(evicted);
                 }
-                if evicted {
-                    t.evicted += 1;
-                }
+                None => mix.errors += 1,
             }
         }
     }
+}
 
-    fn record_error(&mut self, tenant: u16) {
-        self.errors += 1;
-        if tenant > 0 {
-            if let Some(t) = self.per_tenant.get_mut(tenant as usize - 1) {
-                t.errors += 1;
-            }
-        }
+impl TenantMix {
+    fn add(&mut self, other: &TenantMix) {
+        self.ok += other.ok;
+        self.cold += other.cold;
+        self.evicted += other.evicted;
+        self.errors += other.errors;
     }
 }
 
@@ -672,342 +615,158 @@ fn abort_error() -> io::Error {
     )
 }
 
-/// Sends one connection's schedule with pipelining; parses responses in
-/// order (HTTP/1.1 guarantees response ordering per connection).
-#[allow(clippy::too_many_arguments)]
+/// A message written and not yet answered: when it was written, the
+/// schedule range it carries, and its trace id when it was sampled.
+type InFlight = (Instant, Range<usize>, Option<u64>);
+
+/// Sends one connection's schedule as messages of up to `batch` records
+/// (one per JSON request), keeping up to `window` records in flight, and
+/// reads the replies in order (HTTP/1.1 and SITW-BIN both answer a
+/// connection in order). The window is checked after every record, so
+/// a JSON replay refills a full window one request per `write`.
 fn drive_connection(
     mut stream: TcpStream,
     conn: usize,
     schedule: &[Event],
-    start_ts: u64,
-    speedup: f64,
-    window: usize,
-    tenants: usize,
-    trace_sample: usize,
-    started: Instant,
+    cfg: &LoadGenConfig,
+    tenant_ids: &[u16],
     abort: &AtomicBool,
 ) -> io::Result<ConnResult> {
     let mut reader = ConnBuf::new(stream.try_clone()?);
-
-    let window = window.max(1);
-    let paced = speedup.is_finite() && speedup > 0.0;
-    let mut result = ConnResult::new(schedule.len(), tenants);
+    let batch = match cfg.proto {
+        Proto::Json => 1,
+        Proto::Bin { batch } => batch.clamp(1, wire::MAX_BATCH),
+    };
+    let window = cfg.window.max(batch);
+    let mut result = ConnResult::new(schedule.len(), cfg.tenants);
     let mut out: Vec<u8> = Vec::with_capacity(64 * 1024);
+    let mut in_flight: VecDeque<InFlight> = VecDeque::with_capacity(window);
     let mut body: Vec<u8> = Vec::with_capacity(64);
-    let mut in_flight: std::collections::VecDeque<(Instant, u16, Option<u64>)> =
-        std::collections::VecDeque::with_capacity(window);
-
-    let read_one = |reader: &mut ConnBuf,
-                    in_flight: &mut std::collections::VecDeque<(Instant, u16, Option<u64>)>,
-                    result: &mut ConnResult|
-     -> io::Result<()> {
-        let status = reader.read_reply()?.owed()?.status()?;
-        let (sent_at, tenant, trace) = in_flight.pop_front().expect("response without request");
-        let rtt_ns = sent_at.elapsed().as_nanos() as u64;
-        result.latencies_us.push(rtt_ns as f64 / 1_000.0);
-        result.latency_ns.record(rtt_ns);
-        if let Some(id) = trace {
-            result.traces.push((id, rtt_ns));
+    let mut messages = 0u64;
+    // Encodes `schedule[range]` as one message behind `out`.
+    let mut send = |out: &mut Vec<u8>, in_flight: &mut VecDeque<InFlight>, range: Range<usize>| {
+        // Every Nth message carries a client trace id the serving node
+        // adopts as its span id (conn in the high half, sequence in the
+        // low — unique fleet-wide, top bit = the trace mark); a frame's
+        // id spans every record it carries.
+        let trace = (cfg.trace_sample > 0 && messages.is_multiple_of(cfg.trace_sample as u64))
+            .then_some(TRACE_MARK | ((conn as u64) << 32) | (messages & 0xFFFF_FFFF));
+        messages += 1;
+        let records = &schedule[range.clone()];
+        match cfg.proto {
+            Proto::Json => {
+                body.clear();
+                write_invoke_body(&mut body, &records[0]);
+                write_request(out, "POST", "/invoke", trace, &body)?;
+            }
+            Proto::Bin { .. } => {
+                // Tenant `tK` (logical 1-based index) travels as the id
+                // the server's registry assigned; untenanted runs speak
+                // for the default tenant, id 0.
+                let wire_id = |t: u16| t.checked_sub(1).map_or(0, |k| tenant_ids[k as usize]);
+                let names: Vec<String> = records.iter().map(|e| app_name(e.app)).collect();
+                let records = records.iter().zip(&names);
+                let records = records.map(|(e, name)| (wire_id(e.tenant), name.as_str(), e.ts));
+                wire::encode_request_frame_v2_from(out, records, trace);
+            }
         }
-        if status == 200 {
-            let body = reader.reply_body();
-            result.record_verdict(
-                tenant,
-                find_subslice(body, b"\"verdict\":\"cold\""),
-                find_subslice(body, b"\"evicted\":true"),
-            );
-        } else {
-            result.record_error(tenant);
-        }
-        Ok(())
+        // sitw-lint: allow(clock-discipline)
+        in_flight.push_back((Instant::now(), range, trace));
+        io::Result::Ok(())
     };
 
-    for event in schedule {
+    // The message under construction is `schedule[first..end]`.
+    let mut first = 0;
+    for end in 1..=schedule.len() {
         if abort.load(Ordering::Relaxed) {
             return Err(abort_error());
         }
-        if paced {
-            let target = Duration::from_secs_f64((event.ts - start_ts) as f64 / 1_000.0 / speedup);
-            loop {
-                let now = started.elapsed();
-                if now >= target {
-                    break;
-                }
-                if abort.load(Ordering::Relaxed) {
-                    return Err(abort_error());
-                }
-                // Flush and settle outstanding responses before
-                // sleeping: idle trace gaps are when responses drain, so
-                // measured latency is the server's, not the pacing's.
-                if !out.is_empty() {
-                    stream.write_all(&out)?;
-                    out.clear();
-                }
-                while !in_flight.is_empty() {
-                    read_one(&mut reader, &mut in_flight, &mut result)?;
-                }
-                std::thread::sleep((target - now).min(Duration::from_millis(2)));
-            }
-        }
-
-        // Every Nth request carries a client trace id the serving node
-        // adopts as its span id (conn in the high half, sequence in the
-        // low — unique fleet-wide, top bit = the trace mark).
-        let trace = if trace_sample > 0 && result.sent.is_multiple_of(trace_sample as u64) {
-            Some(TRACE_MARK | ((conn as u64) << 32) | (result.sent & 0xFFFF_FFFF))
-        } else {
-            None
-        };
-        body.clear();
-        write_invoke_body(&mut body, event);
-        write_request(&mut out, "POST", "/invoke", trace, &body)?;
-        // sitw-lint: allow(clock-discipline)
-        in_flight.push_back((Instant::now(), event.tenant, trace));
         result.sent += 1;
-
-        if in_flight.len() >= window {
+        if end - first == batch {
+            send(&mut out, &mut in_flight, first..end)?;
+            first = end;
+        }
+        // Messages are consecutive ranges answered in order, so the
+        // records held are those from the oldest unanswered one on.
+        if end - in_flight.front().map_or(first, |m| m.1.start) >= window {
             stream.write_all(&out)?;
             out.clear();
-            read_one(&mut reader, &mut in_flight, &mut result)?;
+            if let Some(message) = in_flight.pop_front() {
+                read_reply(&mut reader, message, schedule, &mut result)?;
+            }
         }
     }
+    if first < schedule.len() {
+        send(&mut out, &mut in_flight, first..schedule.len())?;
+    }
     stream.write_all(&out)?;
-    out.clear();
-    while !in_flight.is_empty() {
-        read_one(&mut reader, &mut in_flight, &mut result)?;
+    while let Some(message) = in_flight.pop_front() {
+        read_reply(&mut reader, message, schedule, &mut result)?;
     }
     Ok(result)
 }
 
-/// Sends one connection's schedule as SITW-BIN frames of `batch`
-/// records, keeping up to `window` records in flight across frames.
-/// Per-record latency is the latency of the frame that carried it.
-#[allow(clippy::too_many_arguments)]
-fn drive_connection_bin(
-    mut stream: TcpStream,
-    conn: usize,
+/// Reads the reply to the oldest message in flight and counts a verdict
+/// or an error for every record it carried. A JSON `200` must be a
+/// decision and any other status is an error for its one record; a
+/// reply frame's records are its verdicts, an out-of-order record an
+/// error, and a typed error frame fails every record of the frame. A
+/// body that is no decision, or a reply of the wrong number of records,
+/// fails the replay with `InvalidData`.
+fn read_reply(
+    reader: &mut ConnBuf,
+    (sent_at, range, trace): InFlight,
     schedule: &[Event],
-    start_ts: u64,
-    speedup: f64,
-    window: usize,
-    batch: usize,
-    tenants: usize,
-    tenant_ids: &[u16],
-    trace_sample: usize,
-    started: Instant,
-    abort: &AtomicBool,
-) -> io::Result<ConnResult> {
-    let mut reader = ConnBuf::new(stream.try_clone()?);
-
-    let batch = batch.clamp(1, wire::MAX_BATCH);
-    let window = window.max(batch);
-    let paced = speedup.is_finite() && speedup > 0.0;
-    let tenanted = tenants > 0;
-    let mut result = ConnResult::new(schedule.len(), tenants);
-    let mut out: Vec<u8> = Vec::with_capacity(64 * 1024);
-    // The frame under construction (app names owned until encoded).
-    let mut building: Vec<(u16, String, u64)> = Vec::with_capacity(batch);
-    // In-flight frames: when they were written, their records' tenants
-    // (one entry per record, in frame order), and the frame's trace id
-    // when it was sampled.
-    let mut in_flight: std::collections::VecDeque<(Instant, Vec<u16>, Option<u64>)> =
-        std::collections::VecDeque::new();
-    let mut in_flight_records = 0usize;
-    let mut frames_sent = 0u64;
-
-    #[allow(clippy::too_many_arguments)]
-    fn flush_frame(
-        building: &mut Vec<(u16, String, u64)>,
-        tenanted: bool,
-        tenant_ids: &[u16],
-        conn: usize,
-        trace_sample: usize,
-        frames_sent: &mut u64,
-        out: &mut Vec<u8>,
-        in_flight: &mut std::collections::VecDeque<(Instant, Vec<u16>, Option<u64>)>,
-        in_flight_records: &mut usize,
-    ) {
-        if building.is_empty() {
-            return;
-        }
-        // A frame is the wire unit of work, so sampling tags every Nth
-        // *frame*; its trace id spans every record it carries.
-        let trace = if trace_sample > 0 && frames_sent.is_multiple_of(trace_sample as u64) {
-            Some(TRACE_MARK | ((conn as u64) << 32) | (*frames_sent & 0xFFFF_FFFF))
-        } else {
-            None
-        };
-        *frames_sent += 1;
-        // Map the logical tenant index (1-based `tK`) to the wire id the
-        // server's registry assigned; untenanted runs speak for the
-        // default tenant, id 0.
-        let wire_id = |t: u16| {
-            if tenanted {
-                tenant_ids[t as usize - 1]
-            } else {
-                0
-            }
-        };
-        let records = building
-            .iter()
-            .map(|(t, a, ts)| (wire_id(*t), a.as_str(), *ts));
-        wire::encode_request_frame_v2_from(out, records, trace);
-        let tenants_of_frame: Vec<u16> = building.iter().map(|(t, _, _)| *t).collect();
-        *in_flight_records += tenants_of_frame.len();
-        // sitw-lint: allow(clock-discipline)
-        in_flight.push_back((Instant::now(), tenants_of_frame, trace));
-        building.clear();
+    result: &mut ConnResult,
+) -> io::Result<()> {
+    let reply = reader.read_reply()?.owed()?;
+    let rtt_ns = sent_at.elapsed().as_nanos() as u64;
+    let records = &schedule[range];
+    let count = records.len();
+    result.latency_ns.record_n(rtt_ns, count as u64);
+    let latency_us = rtt_ns as f64 / 1_000.0;
+    result
+        .latencies_us
+        .extend(std::iter::repeat_n(latency_us, count));
+    if let Some(id) = trace {
+        result.traces.push((id, rtt_ns));
     }
-
-    let read_one_frame =
-        |reader: &mut ConnBuf,
-         in_flight: &mut std::collections::VecDeque<(Instant, Vec<u16>, Option<u64>)>,
-         in_flight_records: &mut usize,
-         result: &mut ConnResult|
-         -> io::Result<()> {
-            let records = match reader.read_reply()?.owed()? {
-                Reply::Frame(ServerFrameDecode::Reply { records, .. }) => Some(records),
-                // A typed error frame answers the whole request frame.
-                Reply::Frame(ServerFrameDecode::Error { .. }) => None,
-                // The generator sends only request frames, so anything
-                // else means a confused peer.
-                _ => return Err(http::invalid("unexpected reply to a request frame")),
+    let miscounted = |got: usize| http::invalid(format!("reply of {got} records for {count}"));
+    match reply {
+        Reply::Http(status) => {
+            let [event] = records else {
+                return Err(miscounted(1));
             };
-            let (sent_at, frame_tenants, trace) =
-                in_flight.pop_front().expect("reply without frame");
-            let count = frame_tenants.len();
-            *in_flight_records -= count;
-            let rtt_ns = sent_at.elapsed().as_nanos() as u64;
-            let latency_us = rtt_ns as f64 / 1_000.0;
-            result.latency_ns.record_n(rtt_ns, count as u64);
-            if let Some(id) = trace {
-                result.traces.push((id, rtt_ns));
+            if status != 200 {
+                result.record(event.tenant, None);
+                return Ok(());
             }
-            match records {
-                Some(records) => {
-                    if records.len() != count {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            format!("reply of {} records for frame of {count}", records.len()),
-                        ));
-                    }
-                    for (r, tenant) in records.into_iter().zip(frame_tenants) {
-                        result.latencies_us.push(latency_us);
-                        match r {
-                            BinReply::Verdict { cold, evicted, .. } => {
-                                result.record_verdict(tenant, cold, evicted);
-                            }
-                            BinReply::OutOfOrder { .. } => result.record_error(tenant),
-                        }
-                    }
-                }
-                None => {
-                    for tenant in frame_tenants {
-                        result.latencies_us.push(latency_us);
-                        result.record_error(tenant);
-                    }
-                }
-            }
-            Ok(())
-        };
-
-    for event in schedule {
-        if abort.load(Ordering::Relaxed) {
-            return Err(abort_error());
+            let body = std::str::from_utf8(reader.reply_body()).map_err(http::invalid)?;
+            let decision = wire::parse_decision(body).map_err(http::invalid)?;
+            result.record(event.tenant, Some((decision.cold, decision.evicted)));
         }
-        if paced {
-            let target = Duration::from_secs_f64((event.ts - start_ts) as f64 / 1_000.0 / speedup);
-            loop {
-                let now = started.elapsed();
-                if now >= target {
-                    break;
-                }
-                if abort.load(Ordering::Relaxed) {
-                    return Err(abort_error());
-                }
-                // Idle trace gaps: ship the partial frame and settle all
-                // replies, so measured latency is the server's.
-                flush_frame(
-                    &mut building,
-                    tenanted,
-                    tenant_ids,
-                    conn,
-                    trace_sample,
-                    &mut frames_sent,
-                    &mut out,
-                    &mut in_flight,
-                    &mut in_flight_records,
-                );
-                if !out.is_empty() {
-                    stream.write_all(&out)?;
-                    out.clear();
-                }
-                while !in_flight.is_empty() {
-                    read_one_frame(
-                        &mut reader,
-                        &mut in_flight,
-                        &mut in_flight_records,
-                        &mut result,
-                    )?;
-                }
-                std::thread::sleep((target - now).min(Duration::from_millis(2)));
+        Reply::Frame(ServerFrameDecode::Reply {
+            records: verdicts, ..
+        }) => {
+            if verdicts.len() != count {
+                return Err(miscounted(verdicts.len()));
+            }
+            for (verdict, event) in verdicts.into_iter().zip(records) {
+                let verdict = match verdict {
+                    BinReply::Verdict { cold, evicted, .. } => Some((cold, evicted)),
+                    BinReply::OutOfOrder { .. } => None,
+                };
+                result.record(event.tenant, verdict);
             }
         }
-
-        building.push((event.tenant, app_name(event.app), event.ts));
-        result.sent += 1;
-        if building.len() >= batch {
-            flush_frame(
-                &mut building,
-                tenanted,
-                tenant_ids,
-                conn,
-                trace_sample,
-                &mut frames_sent,
-                &mut out,
-                &mut in_flight,
-                &mut in_flight_records,
-            );
+        Reply::Frame(ServerFrameDecode::Error { .. }) => {
+            records.iter().for_each(|e| result.record(e.tenant, None));
         }
-        if in_flight_records + building.len() >= window {
-            if !out.is_empty() {
-                stream.write_all(&out)?;
-                out.clear();
-            }
-            if !in_flight.is_empty() {
-                read_one_frame(
-                    &mut reader,
-                    &mut in_flight,
-                    &mut in_flight_records,
-                    &mut result,
-                )?;
-            }
-        }
+        // The generator sends only invocations, so anything else means
+        // a confused peer.
+        other => return Err(http::invalid(format!("unexpected reply {other:?}"))),
     }
-    flush_frame(
-        &mut building,
-        tenanted,
-        tenant_ids,
-        conn,
-        trace_sample,
-        &mut frames_sent,
-        &mut out,
-        &mut in_flight,
-        &mut in_flight_records,
-    );
-    if !out.is_empty() {
-        stream.write_all(&out)?;
-        out.clear();
-    }
-    while !in_flight.is_empty() {
-        read_one_frame(
-            &mut reader,
-            &mut in_flight,
-            &mut in_flight_records,
-            &mut result,
-        )?;
-    }
-    Ok(result)
+    Ok(())
 }
 
 fn app_name(app: u32) -> String {
@@ -1034,26 +793,18 @@ fn resolve_tenant_ids(addr: SocketAddr, n: usize) -> io::Result<Vec<u16>> {
     (0..n).map(id_of).collect()
 }
 
-fn tenant_name(tenant: u16) -> String {
-    debug_assert!(tenant > 0);
-    format!("t{}", tenant - 1)
-}
-
 fn write_invoke_body(out: &mut Vec<u8>, event: &Event) {
-    out.extend_from_slice(b"{\"app\":\"");
-    out.extend_from_slice(app_name(event.app).as_bytes());
-    out.extend_from_slice(b"\",\"ts\":");
-    crate::wire::push_u64(out, event.ts);
+    // Writes to a `Vec` cannot fail.
+    let _ = write!(
+        out,
+        "{{\"app\":\"{}\",\"ts\":{}",
+        app_name(event.app),
+        event.ts
+    );
     if event.tenant > 0 {
-        out.extend_from_slice(b",\"tenant\":\"");
-        out.extend_from_slice(tenant_name(event.tenant).as_bytes());
-        out.push(b'"');
+        let _ = write!(out, ",\"tenant\":\"t{}\"", event.tenant - 1);
     }
     out.push(b'}');
-}
-
-fn find_subslice(haystack: &[u8], needle: &[u8]) -> bool {
-    haystack.windows(needle.len()).any(|w| w == needle)
 }
 
 #[cfg(test)]
@@ -1186,7 +937,7 @@ mod tests {
             max_events: 2_000,
             ..LoadGenConfig::default()
         };
-        let err = run_loadgen_cluster(&[addr], &cfg).unwrap_err();
+        let err = run_loadgen(&[addr], &cfg).unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("per-node errors"), "{msg}");
         assert!(msg.contains(&addr.to_string()), "{msg}");
@@ -1239,17 +990,5 @@ mod tests {
         assert!(Proto::parse(&format!("bin:batch={}", wire::MAX_BATCH + 1)).is_err());
         assert!(Proto::parse("grpc").is_err());
         assert_eq!(Proto::Bin { batch: 16 }.label(), "bin:batch=16");
-    }
-
-    #[test]
-    fn find_subslice_works() {
-        assert!(find_subslice(
-            b"abc\"verdict\":\"cold\"x",
-            b"\"verdict\":\"cold\""
-        ));
-        assert!(!find_subslice(
-            b"\"verdict\":\"warm\"",
-            b"\"verdict\":\"cold\""
-        ));
     }
 }

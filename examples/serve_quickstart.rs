@@ -1,6 +1,6 @@
 //! The serving subsystem end to end, in process: start the sharded
 //! decision daemon, replay a small synthetic workload through it with
-//! the open-loop load generator — over JSON/HTTP *and* over the
+//! the closed-loop load generator — over JSON/HTTP *and* over the
 //! batched SITW-BIN binary protocol — scrape `/metrics` (including the
 //! frame counters), and shut down gracefully.
 //!
@@ -10,9 +10,9 @@
 //!
 //! ```text
 //! cargo run --release --bin sitw-serve    -- --shards 4 --policy hybrid
-//! cargo run --release --bin sitw-loadgen  -- --addr 127.0.0.1:7071 --max-speed
+//! cargo run --release --bin sitw-loadgen  -- --addr 127.0.0.1:7071
 //! cargo run --release --bin sitw-loadgen  -- --addr 127.0.0.1:7071 \
-//!     --max-speed --proto bin:batch=64
+//!     --proto bin:batch=64
 //! curl -s  http://127.0.0.1:7071/metrics
 //! curl -XPOST http://127.0.0.1:7071/admin/shutdown
 //! ```
@@ -34,7 +34,7 @@ fn main() {
 
     // 2. Replay one synthetic day at maximum speed.
     let report = run_loadgen(
-        server.addr(),
+        &[server.addr()],
         &LoadGenConfig {
             apps: 300,
             horizon_ms: DAY_MS,
@@ -78,7 +78,7 @@ fn main() {
     })
     .expect("server start");
     let bin_report = run_loadgen(
-        server.addr(),
+        &[server.addr()],
         &LoadGenConfig {
             apps: 300,
             horizon_ms: DAY_MS,
