@@ -45,16 +45,18 @@ fn bench_percentiles_and_cv(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("record_cursor", bins), &h, |b, h| {
             let mut h = h.clone();
-            let mut head = PercentileCursor::seek(&h, 5.0);
-            let mut tail = PercentileCursor::seek(&h, 99.0);
+            let fractions = [5.0, 99.0].map(PercentileCursor::fraction);
+            let [mut head, mut tail] =
+                PercentileCursor::seek_pair(h.bins(), h.in_bounds_count(), fractions);
             let mut i = 10_000u64;
             b.iter(|| {
                 i += 1;
                 if let Recorded::InBounds { bin } = h.record((i * 37) % bins as u64) {
-                    head.on_record(&h, bin);
-                    tail.on_record(&h, bin);
+                    head.on_record(h.bins(), h.in_bounds_count(), fractions[0], bin);
+                    tail.on_record(h.bins(), h.in_bounds_count(), fractions[1], bin);
                 }
-                black_box((head.head_value(&h), tail.tail_value(&h)))
+                let n = h.in_bounds_count();
+                black_box((head.head_value(n, 1), tail.tail_value(n, 1)))
             })
         });
         group.bench_with_input(BenchmarkId::new("cv", bins), &h, |b, h| {

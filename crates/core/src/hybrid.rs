@@ -20,27 +20,38 @@
 //! increment; the head and tail cutoffs are each read off a
 //! [`PercentileCursor`] that the policy feeds after every in-bounds
 //! record, so no decision walks the histogram; the OOB share and the
-//! bin-count CV are running totals. The idle-time history the ARIMA
-//! branch fits is a ring (`VecDeque`): once `history_cap` values are
-//! held a new one takes the oldest one's place, and only the ARIMA
-//! branch — which needs the values contiguous and oldest first —
-//! rotates the buffer. That branch asks `sitw_arima` for the one-step
-//! forecast alone; the order search runs in the thread's fit workspace,
-//! not in the app's state, and allocates nothing once the thread has
-//! searched a full history.
+//! bin-count CV are running totals ([`sitw_stats::BinTotals`]). The
+//! idle-time history the ARIMA branch fits is a ring
+//! ([`IdleHistory`]): once `history_cap` values are held a new one takes
+//! the oldest one's place, and only the ARIMA branch — which needs the
+//! values contiguous and oldest first — rotates the buffer. That branch
+//! asks `sitw_arima` for the one-step forecast alone; the order search
+//! runs in the thread's fit workspace, not in the app's state, and
+//! allocates nothing once the thread has searched a full history.
 //!
-//! # One decision body, two owners
+//! # One decision body, three owners
 //!
-//! [`HybridApp::on_invocation`] — the daemon's and the fleet's path —
-//! records an idle time and decides through two private functions,
-//! `record` and `decide`. A [`HybridGroup`] calls the same two for a
-//! replay that runs several configurations over one stream: the
-//! configurations that share [`HybridConfig::state_key`] (bin count, bin
-//! width, history cap) build identical histograms and histories, so the
-//! group records each idle time once, feeds one cursor per distinct
-//! percentile, and lets each configuration decide on its own head and
-//! tail cursor. The decision counters and the last branch belong to
-//! whoever calls `decide`.
+//! An app's state is split by size. Its [`HybridRow`] — the totals, the
+//! two cursors and the counters, 80 bytes — is fixed;
+//! its bins (`range / width` counts) and its history (up to
+//! `history_cap` values) are stored by the owner and passed in as a
+//! slice and an [`IdleHistory`]. [`HybridRow::on_invocation`] records an
+//! idle time and decides through two private functions, `record` and
+//! `decide`, whoever stores the rest:
+//!
+//! * a tenant table (`sitw_fleet`) keeps the row in the app's table row
+//!   and the bins and history in per-table columns, and reads an app
+//!   through a [`HybridApp`] view;
+//! * a [`HybridPolicy`] keeps them in buffers of its own, for per-app
+//!   replays;
+//! * a [`HybridGroup`] calls `record` and `decide` for a replay that runs
+//!   several configurations over one stream: the configurations that
+//!   share [`HybridConfig::state_key`] (bin count, bin width, history
+//!   cap) build identical histograms and histories, so the group records
+//!   each idle time once, feeds one cursor per distinct percentile, and
+//!   lets each configuration decide on its own head and tail cursor. The
+//!   decision counters and the last branch belong to whoever calls
+//!   `decide`.
 //!
 //! # What a snapshot holds
 //!
@@ -48,13 +59,13 @@
 //! layout: bins, OOB count, history oldest first, decision counters and
 //! the last branch. The cursors and the ring position are derived state,
 //! like the histogram's running sum of squares: `snapshot()` leaves them
-//! out, `from_snapshot` seeks the cursors and starts the ring at its
-//! oldest value, and a restored policy decides bit-identically.
+//! out, [`HybridRow::restore`] seeks the cursors, the history starts at
+//! its oldest value, and a restored policy decides bit-identically.
 
 use std::collections::VecDeque;
 
 use sitw_arima::{auto_forecast_one, AutoArimaConfig};
-use sitw_stats::{PercentileCursor, RangeHistogram, Recorded};
+use sitw_stats::{BinTotals, PercentileCursor, Recorded};
 
 use crate::policy::{AppPolicy, DecisionKind, DurationMs, PolicyFactory, Windows, MINUTE_MS};
 
@@ -176,10 +187,17 @@ impl HybridConfig {
         ((self.range_minutes / width).max(1), width, self.history_cap)
     }
 
-    /// An empty histogram of this configuration's geometry.
-    fn new_histogram(&self) -> RangeHistogram {
-        let (bins, width, _) = self.state_key();
-        RangeHistogram::new(bins, width as u64)
+    /// The histogram's bin width in minutes, as a value divisor.
+    #[inline]
+    pub fn bin_width(&self) -> u64 {
+        self.bin_width_minutes.max(1) as u64
+    }
+
+    /// The head and tail percentiles as the factors the cursors apply
+    /// ([`PercentileCursor::fraction`]).
+    #[inline]
+    pub fn fractions(&self) -> [f64; 2] {
+        [self.head_percentile, self.tail_percentile].map(PercentileCursor::fraction)
     }
 }
 
@@ -187,9 +205,13 @@ impl PolicyFactory for HybridConfig {
     type Policy = HybridPolicy;
 
     fn new_policy(&self) -> HybridPolicy {
+        let (bins, _, _) = self.state_key();
         HybridPolicy {
             config: self.clone(),
-            app: HybridApp::new(self),
+            row: HybridRow::default(),
+            last_decision: DecisionKind::StandardKeepAlive,
+            bins: vec![0; bins].into_boxed_slice(),
+            history: VecDeque::new(),
         }
     }
 
@@ -267,61 +289,166 @@ impl Regime {
     }
 }
 
-/// What the hybrid policy has learned about one application, without
-/// configuration: whatever decides or reads a threshold takes the
-/// [`HybridConfig`] it runs under (a tenant's, or a [`HybridPolicy`]'s).
-#[derive(Debug, Clone)]
-pub struct HybridApp {
-    hist: RangeHistogram,
-    /// `hist`'s head- and tail-percentile bins, fed every in-bounds
-    /// record.
-    cursors: [PercentileCursor; 2],
-    /// Recent ITs in minutes (for the ARIMA path), oldest first: a ring
-    /// of at most `history_cap` values.
-    history: VecDeque<f64>,
-    counts: DecisionCounts,
-    last_decision: DecisionKind,
-}
+/// Where an app's idle-time history is stored: the values the ARIMA
+/// branch fits, oldest first, at most a configuration's `history_cap` of
+/// them. A [`HybridPolicy`] keeps them in a `VecDeque`; a tenant table
+/// keeps them in a ring inside one of its columns.
+pub trait IdleHistory {
+    /// Number of values held.
+    fn len(&self) -> usize;
 
-impl HybridApp {
-    /// The state of an app not seen yet.
-    pub fn new(config: &HybridConfig) -> Self {
-        Self::with_state(
-            config,
-            config.new_histogram(),
-            VecDeque::new(),
-            DecisionCounts::default(),
-            DecisionKind::StandardKeepAlive,
-        )
+    /// True when no value is held.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 
-    /// The state around a histogram and a history.
-    fn with_state(
-        config: &HybridConfig,
-        hist: RangeHistogram,
-        history: VecDeque<f64>,
-        counts: DecisionCounts,
-        last_decision: DecisionKind,
-    ) -> Self {
-        let cursors =
-            PercentileCursor::seek_pair(&hist, [config.head_percentile, config.tail_percentile]);
+    /// Adds `value` as the newest. When `cap` values are held the oldest
+    /// makes room; under a cap of 0 nothing is kept.
+    fn push(&mut self, value: f64, cap: usize);
+
+    /// The values, oldest first, as one slice — rearranging the storage
+    /// when it must (only the ARIMA branch asks).
+    fn make_contiguous(&mut self) -> &[f64];
+}
+
+impl IdleHistory for VecDeque<f64> {
+    fn len(&self) -> usize {
+        VecDeque::len(self)
+    }
+
+    #[inline]
+    fn push(&mut self, value: f64, cap: usize) {
+        // Full: the oldest value makes room. Under a cap of 0 there is
+        // none, and nothing is kept.
+        if self.len() >= cap && self.pop_front().is_none() {
+            return;
+        }
+        self.push_back(value);
+    }
+
+    fn make_contiguous(&mut self) -> &[f64] {
+        VecDeque::make_contiguous(self)
+    }
+}
+
+/// The fixed-size part of what the hybrid policy has learned about one
+/// application: the histogram's running totals, the head and tail
+/// cursors and the decision counters — 80 bytes. The bins and the
+/// idle-time history are stored by the owner (one row of a tenant
+/// table's columns, or a [`HybridPolicy`]'s own buffers) and passed in,
+/// and so is the last branch, which the owner keeps in a byte it has
+/// room for; the configuration — percentiles, bin width, history cap —
+/// is the caller's too. The default is the row of an app not seen yet.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct HybridRow {
+    totals: BinTotals,
+    /// The head- and tail-percentile bins, fed every in-bounds record.
+    cursors: [PercentileCursor; 2],
+    counts: DecisionCounts,
+}
+
+impl HybridRow {
+    /// The row of a snapshot's app under `config`, around its `bins`
+    /// (the snapshot's, already checked by [`HybridSnapshot::check`]):
+    /// the totals rebuilt and the cursors sought in one walk.
+    pub fn restore(config: &HybridConfig, snap: &HybridSnapshot) -> Self {
+        let totals = BinTotals::of(&snap.bins, snap.oob_count);
         Self {
-            cursors,
-            hist,
-            history,
-            counts,
-            last_decision,
+            cursors: PercentileCursor::seek_pair(
+                &snap.bins,
+                totals.in_bounds_count(),
+                config.fractions(),
+            ),
+            totals,
+            counts: snap.counts,
         }
     }
 
-    /// The underlying idle-time histogram.
-    pub fn histogram(&self) -> &RangeHistogram {
-        &self.hist
+    /// The policy's decision path: records the idle time that just ended
+    /// (`None` at first sight) into `bins` and `history` — this app's,
+    /// of `config`'s geometry — and returns the windows for the gap that
+    /// starts, under `config`, with the branch that produced them.
+    // sitw-lint: hot-path
+    #[inline]
+    pub fn on_invocation<H: IdleHistory + ?Sized>(
+        &mut self,
+        config: &HybridConfig,
+        bins: &mut [u32],
+        history: &mut H,
+        idle: Option<DurationMs>,
+    ) -> (Windows, DecisionKind) {
+        let width = config.bin_width();
+        if let Some(it) = idle {
+            record(
+                &mut self.totals,
+                bins,
+                width,
+                &mut self.cursors,
+                &config.fractions(),
+                history,
+                config.history_cap,
+                it,
+            );
+        }
+        let [head, tail] = &self.cursors;
+        let shape = Shape::of(&self.totals, bins.len());
+        let geometry = (bins.len(), width);
+        let decided = decide(config, shape, &self.totals, geometry, head, tail, history);
+        self.counts.count(decided.1);
+        decided
     }
 
     /// Decision counters so far.
     pub fn decisions(&self) -> DecisionCounts {
         self.counts
+    }
+}
+
+/// A read-only view of one application's hybrid state: its
+/// [`HybridRow`] and last branch beside its bins and its history,
+/// wherever they are stored. Whatever decides or reads a threshold takes
+/// the [`HybridConfig`] it runs under (a tenant's, or a
+/// [`HybridPolicy`]'s).
+#[derive(Debug, Clone, Copy)]
+pub struct HybridApp<'a> {
+    row: &'a HybridRow,
+    last_decision: DecisionKind,
+    bins: &'a [u32],
+    /// The history, oldest first, as the two runs of its ring.
+    history: [&'a [f64]; 2],
+}
+
+impl<'a> HybridApp<'a> {
+    /// The view of `row`, whose last branch was `last_decision`, with its
+    /// `bins` and its `history` (oldest first: the first run, then the
+    /// second).
+    pub fn new(
+        row: &'a HybridRow,
+        last_decision: DecisionKind,
+        bins: &'a [u32],
+        history: [&'a [f64]; 2],
+    ) -> Self {
+        Self {
+            row,
+            last_decision,
+            bins,
+            history,
+        }
+    }
+
+    /// The histogram's running totals.
+    pub fn totals(&self) -> &'a BinTotals {
+        &self.row.totals
+    }
+
+    /// The raw bin counts.
+    pub fn bins(&self) -> &'a [u32] {
+        self.bins
+    }
+
+    /// Decision counters so far.
+    pub fn decisions(&self) -> DecisionCounts {
+        self.row.counts
     }
 
     /// Which branch served the most recent decision.
@@ -335,82 +462,18 @@ impl HybridApp {
     /// order, which `on_invocation` branches on.
     #[inline]
     pub fn regime(&self, cfg: &HybridConfig) -> Regime {
-        Shape::of(&self.hist).regime(cfg)
-    }
-
-    /// The policy's decision path: records the idle time that just ended
-    /// (`None` at first sight) and returns the windows for the gap that
-    /// starts, under `cfg`.
-    // sitw-lint: hot-path
-    pub fn on_invocation(&mut self, cfg: &HybridConfig, idle: Option<DurationMs>) -> Windows {
-        if let Some(it) = idle {
-            record(
-                &mut self.hist,
-                &mut self.cursors,
-                &mut self.history,
-                cfg.history_cap,
-                it,
-            );
-        }
-        let [head, tail] = &self.cursors;
-        let shape = Shape::of(&self.hist);
-        let (windows, kind) = decide(cfg, shape, &self.hist, head, tail, &mut self.history);
-        self.counts.count(kind);
-        self.last_decision = kind;
-        windows
+        Shape::of(&self.row.totals, self.bins.len()).regime(cfg)
     }
 
     /// Captures the app's complete mutable state.
     pub fn snapshot(&self) -> HybridSnapshot {
         HybridSnapshot {
-            bins: self.hist.bins().to_vec(),
-            oob_count: self.hist.oob_count(),
-            history: self.history.iter().copied().collect(),
-            counts: self.counts,
+            bins: self.bins.to_vec(),
+            oob_count: self.row.totals.oob_count(),
+            history: self.history.concat(),
+            counts: self.row.counts,
             last_decision: self.last_decision,
         }
-    }
-
-    /// Rebuilds an app's state from a snapshot taken under the same
-    /// configuration.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the snapshot's histogram geometry or history length
-    /// does not fit `config`.
-    pub fn from_snapshot(config: &HybridConfig, snap: HybridSnapshot) -> Result<Self, String> {
-        let (expected_bins, width, _) = config.state_key();
-        if snap.bins.len() != expected_bins {
-            return Err(format!(
-                "snapshot has {} bins but config expects {expected_bins}",
-                snap.bins.len()
-            ));
-        }
-        if snap.history.len() > config.history_cap {
-            return Err(format!(
-                "snapshot history ({}) exceeds config cap ({})",
-                snap.history.len(),
-                config.history_cap
-            ));
-        }
-        let hist = RangeHistogram::from_parts(width as u64, snap.bins, snap.oob_count);
-        // The snapshot decoder allocates the list at its length, and a
-        // full ring doubles: restored at 40 values it would grow to 80
-        // slots under a cap of 64. It starts where a fresh ring holding
-        // as many stands — a power of two, at least 4 — never past the
-        // cap.
-        let mut history = VecDeque::from(snap.history);
-        if !history.is_empty() {
-            let fresh = history.len().next_power_of_two().max(4);
-            history.reserve_exact(fresh.min(config.history_cap) - history.len());
-        }
-        Ok(Self::with_state(
-            config,
-            hist,
-            history,
-            snap.counts,
-            snap.last_decision,
-        ))
     }
 }
 
@@ -429,11 +492,11 @@ struct Shape {
 
 impl Shape {
     #[inline]
-    fn of(hist: &RangeHistogram) -> Self {
+    fn of(totals: &BinTotals, num_bins: usize) -> Self {
         Self {
-            total: hist.total_count(),
-            oob_fraction: hist.oob_fraction(),
-            cv: hist.bin_count_cv(),
+            total: totals.total_count(),
+            oob_fraction: totals.oob_fraction(),
+            cv: totals.bin_count_cv(num_bins),
         }
     }
 
@@ -457,50 +520,54 @@ impl Shape {
     }
 }
 
-/// Records one idle time (Figure 10, first box): one bin increment,
-/// every cursor on `hist` fed, and the time in minutes pushed as the
-/// newest of a history capped at `cap` values.
+/// Records one idle time (Figure 10, first box): one bin increment in
+/// `bins` (of `width`), every cursor fed at its fraction, and the time in
+/// minutes pushed as the newest of a history capped at `cap` values.
 // sitw-lint: hot-path
 #[inline]
-fn record(
-    hist: &mut RangeHistogram,
+#[allow(clippy::too_many_arguments)]
+fn record<H: IdleHistory + ?Sized>(
+    totals: &mut BinTotals,
+    bins: &mut [u32],
+    width: u64,
     cursors: &mut [PercentileCursor],
-    history: &mut VecDeque<f64>,
+    fractions: &[f64],
+    history: &mut H,
     cap: usize,
     it: DurationMs,
 ) {
-    if let Recorded::InBounds { bin } = hist.record(it / MINUTE_MS) {
-        for cursor in cursors {
-            cursor.on_record(hist, bin);
+    if let Recorded::InBounds { bin } = totals.record(bins, width, it / MINUTE_MS) {
+        let in_bounds = totals.in_bounds_count();
+        for (cursor, &fraction) in cursors.iter_mut().zip(fractions) {
+            cursor.on_record(bins, in_bounds, fraction, bin);
         }
     }
-    // Full: the oldest value makes room. Under a cap of 0 there is none,
-    // and nothing is kept.
-    if history.len() >= cap && history.pop_front().is_none() {
-        return;
-    }
-    history.push_back(it as f64 / MINUTE_MS as f64);
+    history.push(it as f64 / MINUTE_MS as f64, cap);
 }
 
 /// The policy's one decision body: the windows for the gap that starts
-/// under `cfg`, read off the histogram (and its `shape`), its `head` and
-/// `tail` cursors and the history, with the branch that produced them.
+/// under `cfg`, read off the histogram (its `totals`, their `shape` and
+/// its `(bin count, bin width)`), its `head` and `tail` cursors and the
+/// history, with the branch that produced them.
 // sitw-lint: hot-path
 #[inline]
-fn decide(
+fn decide<H: IdleHistory + ?Sized>(
     cfg: &HybridConfig,
     shape: Shape,
-    hist: &RangeHistogram,
+    totals: &BinTotals,
+    (num_bins, width): (usize, u64),
     head: &PercentileCursor,
     tail: &PercentileCursor,
-    history: &mut VecDeque<f64>,
+    history: &mut H,
 ) -> (Windows, DecisionKind) {
     let decided = match shape.regime(cfg) {
         // Too many OOB ITs → time-series forecast (or the conservative
         // fallback when it is unusable).
         Regime::OutOfBoundsArima => arima_windows(cfg, history).map(|w| (w, DecisionKind::Arima)),
         Regime::Representative => {
-            histogram_windows(cfg, hist, head, tail).map(|w| (w, DecisionKind::Histogram))
+            let in_bounds = totals.in_bounds_count();
+            histogram_windows(cfg, in_bounds, width, head, tail)
+                .map(|w| (w, DecisionKind::Histogram))
         }
         // Not enough data, ARIMA disabled, or bin counts too even (CV,
         // Figure 18): be conservative.
@@ -509,14 +576,14 @@ fn decide(
     // The conservative fallback: no unloading, keep-alive spanning the
     // whole histogram range.
     decided.unwrap_or((
-        Windows::keep_loaded(hist.range() * MINUTE_MS),
+        Windows::keep_loaded(num_bins as u64 * width * MINUTE_MS),
         DecisionKind::StandardKeepAlive,
     ))
 }
 
 /// The ARIMA branch: a forecast wrapped in the margin; `None` when it is
 /// unusable.
-fn arima_windows(cfg: &HybridConfig, history: &mut VecDeque<f64>) -> Option<Windows> {
+fn arima_windows<H: IdleHistory + ?Sized>(cfg: &HybridConfig, history: &mut H) -> Option<Windows> {
     if history.len() < cfg.arima_min_history {
         return None;
     }
@@ -536,15 +603,16 @@ fn arima_windows(cfg: &HybridConfig, history: &mut VecDeque<f64>) -> Option<Wind
 }
 
 /// The histogram branch: head/tail cutoffs with margins and the paper's
-/// rounding rule.
+/// rounding rule, on bins of `width` holding `in_bounds` values.
 fn histogram_windows(
     cfg: &HybridConfig,
-    hist: &RangeHistogram,
+    in_bounds: u64,
+    width: u64,
     head: &PercentileCursor,
     tail: &PercentileCursor,
 ) -> Option<Windows> {
-    let head_min = head.head_value(hist)?;
-    let tail_min = tail.tail_value(hist)?;
+    let head_min = head.head_value(in_bounds, width)?;
+    let tail_min = tail.tail_value(in_bounds, width)?;
     let head_ms = (head_min as f64 * (1.0 - cfg.head_margin)) * MINUTE_MS as f64;
     let tail_ms = (tail_min as f64 * (1.0 + cfg.tail_margin)) * MINUTE_MS as f64;
     Some(if head_min == 0 || !cfg.pre_warming {
@@ -563,19 +631,23 @@ fn histogram_windows(
 /// configurations over one stream: each idle time is recorded once —
 /// one bin increment, one feed per distinct percentile's cursor, one
 /// history push — and each configuration decides through the body
-/// [`HybridApp::on_invocation`] runs, reading its own two cursors. The
+/// [`HybridRow::on_invocation`] runs, reading its own two cursors. The
 /// counters and the last branch are the caller's.
 ///
 /// A configuration deciding here sees exactly the histogram, cursors
-/// and history its own [`HybridApp`] would hold, so its windows and
-/// branches are that app's, bit for bit.
+/// and history its own [`HybridPolicy`] would hold, so its windows and
+/// branches are that policy's, bit for bit.
 #[derive(Debug, Clone)]
 pub struct HybridGroup {
-    hist: RangeHistogram,
-    /// `hist`'s shape, as of the last record.
+    totals: BinTotals,
+    bins: Box<[u32]>,
+    width: u64,
+    /// The histogram's shape, as of the last record.
     shape: Shape,
-    /// One cursor per percentile [`HybridGroup::new`] was given.
+    /// One cursor per percentile [`HybridGroup::new`] was given...
     cursors: Vec<PercentileCursor>,
+    /// ...and that percentile as [`PercentileCursor::fraction`] makes it.
+    fractions: Vec<f64>,
     history: VecDeque<f64>,
     history_cap: usize,
 }
@@ -585,16 +657,20 @@ impl HybridGroup {
     /// [`HybridConfig::state_key`], with one cursor per entry of
     /// `percentiles`: [`HybridGroup::decide`] names them by index.
     pub fn new(config: &HybridConfig, percentiles: &[f64]) -> Self {
-        let hist = config.new_histogram();
+        let (bins, width, history_cap) = config.state_key();
+        let totals = BinTotals::default();
         Self {
-            cursors: percentiles
+            cursors: vec![PercentileCursor::default(); percentiles.len()],
+            fractions: percentiles
                 .iter()
-                .map(|&p| PercentileCursor::seek(&hist, p))
+                .map(|&p| PercentileCursor::fraction(p))
                 .collect(),
-            shape: Shape::of(&hist),
-            hist,
+            shape: Shape::of(&totals, bins),
+            totals,
+            bins: vec![0; bins].into_boxed_slice(),
+            width: width as u64,
             history: VecDeque::new(),
-            history_cap: config.history_cap,
+            history_cap,
         }
     }
 
@@ -603,13 +679,16 @@ impl HybridGroup {
     #[inline]
     pub fn record(&mut self, idle_ms: DurationMs) {
         record(
-            &mut self.hist,
+            &mut self.totals,
+            &mut self.bins,
+            self.width,
             &mut self.cursors,
+            &self.fractions,
             &mut self.history,
             self.history_cap,
             idle_ms,
         );
-        self.shape = Shape::of(&self.hist);
+        self.shape = Shape::of(&self.totals, self.bins.len());
     }
 
     /// One member's decision under `cfg` — which must have this group's
@@ -629,17 +708,14 @@ impl HybridGroup {
     ) -> (Windows, DecisionKind) {
         debug_assert_eq!(
             cfg.state_key(),
-            (
-                self.hist.num_bins(),
-                self.hist.bin_width() as usize,
-                self.history_cap
-            ),
+            (self.bins.len(), self.width as usize, self.history_cap),
             "one group, one key"
         );
         decide(
             cfg,
             self.shape,
-            &self.hist,
+            &self.totals,
+            (self.bins.len(), self.width),
             &self.cursors[head],
             &self.cursors[tail],
             &mut self.history,
@@ -647,14 +723,15 @@ impl HybridGroup {
     }
 }
 
-/// Complete serializable state of a [`HybridApp`], excluding the
+/// Complete serializable state of one hybrid app, excluding the
 /// configuration (which the restoring side must already hold — a
 /// snapshot is only meaningful under the policy that produced it).
 ///
-/// Restoring via [`HybridApp::from_snapshot`] is exact: the restored
-/// state emits bit-identical decisions to one that observed the
-/// original idle-time stream, because every decision input — histogram
-/// bins, out-of-bounds count, the capped ARIMA history — is captured.
+/// Restoring ([`HybridPolicy::from_snapshot`], or a tenant table's
+/// restore through [`HybridRow::restore`]) is exact: the restored state
+/// emits bit-identical decisions to one that observed the original
+/// idle-time stream, because every decision input — histogram bins,
+/// out-of-bounds count, the capped ARIMA history — is captured.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HybridSnapshot {
     /// Raw histogram bin counts.
@@ -669,29 +746,98 @@ pub struct HybridSnapshot {
     pub last_decision: DecisionKind,
 }
 
-/// The hybrid policy as an [`AppPolicy`]: one app's [`HybridApp`]
-/// beside the configuration it runs under, for the per-app replays
-/// (`sitw_sim`, the platform model) that hold no tenant.
+impl HybridSnapshot {
+    /// Checks that the snapshot fits `config`: its bin count, and a
+    /// history no longer than the cap.
+    ///
+    /// # Errors
+    ///
+    /// Says which of the two does not fit.
+    pub fn check(&self, config: &HybridConfig) -> Result<(), String> {
+        let (expected_bins, _, cap) = config.state_key();
+        if self.bins.len() != expected_bins {
+            return Err(format!(
+                "snapshot has {} bins but config expects {expected_bins}",
+                self.bins.len()
+            ));
+        }
+        if self.history.len() > cap {
+            return Err(format!(
+                "snapshot history ({}) exceeds config cap ({cap})",
+                self.history.len(),
+            ));
+        }
+        Ok(())
+    }
+}
+
+/// The hybrid policy as an [`AppPolicy`]: one app's [`HybridRow`], bins
+/// and history in buffers of its own, beside the configuration it runs
+/// under, for the per-app replays (`sitw_sim`, the platform model) that
+/// hold no tenant. It decides through the same [`HybridRow::on_invocation`]
+/// a tenant table runs over its columns.
 #[derive(Debug, Clone)]
 pub struct HybridPolicy {
     config: HybridConfig,
-    app: HybridApp,
+    row: HybridRow,
+    last_decision: DecisionKind,
+    bins: Box<[u32]>,
+    /// Recent ITs in minutes (for the ARIMA path), oldest first: a ring
+    /// of at most `history_cap` values.
+    history: VecDeque<f64>,
 }
 
 impl HybridPolicy {
     /// The app's state: decision counters, histogram, snapshot.
-    pub fn app(&self) -> &HybridApp {
-        &self.app
+    pub fn app(&self) -> HybridApp<'_> {
+        let (older, newer) = self.history.as_slices();
+        HybridApp::new(&self.row, self.last_decision, &self.bins, [older, newer])
+    }
+
+    /// Rebuilds a policy from a snapshot taken under the same
+    /// configuration.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the snapshot's histogram geometry or history length
+    /// does not fit `config` ([`HybridSnapshot::check`]).
+    pub fn from_snapshot(config: &HybridConfig, snap: HybridSnapshot) -> Result<Self, String> {
+        snap.check(config)?;
+        let row = HybridRow::restore(config, &snap);
+        // The snapshot decoder allocates the list at its length, and a
+        // full ring doubles: restored at 40 values it would grow to 80
+        // slots under a cap of 64. It starts where a fresh ring holding
+        // as many stands — a power of two, at least 4 — never past the
+        // cap.
+        let mut history = VecDeque::from(snap.history);
+        if !history.is_empty() {
+            let fresh = history.len().next_power_of_two().max(4);
+            history.reserve_exact(fresh.min(config.history_cap) - history.len());
+        }
+        Ok(Self {
+            config: config.clone(),
+            row,
+            last_decision: snap.last_decision,
+            bins: snap.bins.into_boxed_slice(),
+            history,
+        })
     }
 }
 
 impl AppPolicy for HybridPolicy {
     fn on_invocation(&mut self, idle_time_ms: Option<DurationMs>) -> Windows {
-        self.app.on_invocation(&self.config, idle_time_ms)
+        let (windows, kind) = self.row.on_invocation(
+            &self.config,
+            &mut self.bins,
+            &mut self.history,
+            idle_time_ms,
+        );
+        self.last_decision = kind;
+        windows
     }
 
     fn last_decision(&self) -> DecisionKind {
-        self.app.last_decision
+        self.last_decision
     }
 
     fn name(&self) -> String {
@@ -938,14 +1084,14 @@ mod tests {
 
         let cfg = HybridConfig::default();
         let snap = original.app().snapshot();
-        let mut restored = HybridApp::from_snapshot(&cfg, snap.clone()).unwrap();
-        assert_eq!(restored.snapshot(), snap);
+        let mut restored = HybridPolicy::from_snapshot(&cfg, snap.clone()).unwrap();
+        assert_eq!(restored.app().snapshot(), snap);
         assert_eq!(restored.last_decision(), original.last_decision());
-        assert_eq!(restored.decisions(), original.app().decisions());
+        assert_eq!(restored.app().decisions(), original.app().decisions());
 
         for &it in &its[30..] {
             let a = original.on_invocation(Some(it));
-            let b = restored.on_invocation(&cfg, Some(it));
+            let b = restored.on_invocation(Some(it));
             assert_eq!(a, b, "diverged at idle time {it}");
             assert_eq!(original.last_decision(), restored.last_decision());
         }
@@ -956,7 +1102,7 @@ mod tests {
         let mut p = default_policy();
         p.on_invocation(None);
         let snap = p.app().snapshot();
-        let err = HybridApp::from_snapshot(&HybridConfig::with_range_hours(1), snap);
+        let err = HybridPolicy::from_snapshot(&HybridConfig::with_range_hours(1), snap);
         assert!(err.is_err());
     }
 
@@ -971,7 +1117,7 @@ mod tests {
         for i in 0..50u64 {
             p.on_invocation(Some((300 + i) * MIN));
         }
-        assert!(p.app.history.len() <= 8);
+        assert!(p.history.len() <= 8);
         // The last eight, oldest first, wherever the ring stands.
         let kept: Vec<f64> = (342..350).map(f64::from).collect();
         assert_eq!(p.app().snapshot().history, kept);
@@ -982,11 +1128,11 @@ mod tests {
         // Regression: a ring restored at 40 values (allocated exactly)
         // doubled to 80 slots on its next push, past the cap of 64.
         let cfg = HybridConfig::default();
-        let mut snap = HybridApp::new(&cfg).snapshot();
+        let mut snap = cfg.new_policy().app().snapshot();
         snap.history = (0..40).map(f64::from).collect();
-        let mut app = HybridApp::from_snapshot(&cfg, snap).unwrap();
+        let mut app = HybridPolicy::from_snapshot(&cfg, snap).unwrap();
         for i in 0..30u64 {
-            app.on_invocation(&cfg, Some((300 + i) * MIN));
+            app.on_invocation(Some((300 + i) * MIN));
         }
         assert_eq!(app.history.len(), 64);
         assert!(app.history.capacity() <= 64, "{}", app.history.capacity());
@@ -1009,7 +1155,7 @@ mod tests {
         }
         assert!(p.app().snapshot().history.is_empty());
         assert_eq!(p.app().decisions().arima, 0);
-        assert_eq!(p.app.hist.oob_count(), 12);
+        assert_eq!(p.app().totals().oob_count(), 12);
     }
 
     #[test]
@@ -1028,22 +1174,22 @@ mod tests {
             last_decision: DecisionKind::Histogram,
         };
         let cfg = HybridConfig::default();
-        let mut writer = HybridApp::from_snapshot(&cfg, snap).unwrap();
+        let mut writer = HybridPolicy::from_snapshot(&cfg, snap).unwrap();
         // The 99th percentile sits in the full bin, a thousand counts
         // from leaving it; a total that grew without its bin crosses.
         for i in 0..20_000u64 {
-            let w = writer.on_invocation(&cfg, Some(10 * MIN + i % 7));
+            let w = writer.on_invocation(Some(10 * MIN + i % 7));
             assert_eq!(w.pre_warm_ms, 9 * MIN, "at {i}");
             assert_eq!(w.keep_alive_ms, (3.1 * MIN as f64) as u64, "at {i}");
         }
-        let mut restored = HybridApp::from_snapshot(&cfg, writer.snapshot()).unwrap();
+        let mut restored = HybridPolicy::from_snapshot(&cfg, writer.app().snapshot()).unwrap();
         for it in [10 * MIN, 200 * MIN, 10 * MIN, 30 * MIN] {
             assert_eq!(
-                writer.on_invocation(&cfg, Some(it)),
-                restored.on_invocation(&cfg, Some(it))
+                writer.on_invocation(Some(it)),
+                restored.on_invocation(Some(it))
             );
         }
-        assert_eq!(writer.snapshot(), restored.snapshot());
+        assert_eq!(writer.app().snapshot(), restored.app().snapshot());
     }
 
     /// One configuration off the figure grid (Figures 15–19) plus the
@@ -1163,23 +1309,23 @@ mod tests {
         ) {
             let cfg = grid_config(shape);
             let offset = (shape >> 40) as usize;
-            let mut policy = HybridApp::new(&cfg);
+            let mut policy = cfg.new_policy();
             let mut reference = RefHybrid::new(cfg.clone());
-            prop_assert_eq!(policy.on_invocation(&cfg, None), reference.on_invocation(None));
+            prop_assert_eq!(policy.on_invocation(None), reference.on_invocation(None));
             for (step, bits) in ops.into_iter().enumerate() {
                 if bits >> 20 & 63 == 0 {
-                    let restored = HybridApp::from_snapshot(&cfg, policy.snapshot());
+                    let restored = HybridPolicy::from_snapshot(&cfg, policy.app().snapshot());
                     prop_assert!(restored.is_ok());
                     policy = restored.unwrap();
                 }
                 let it = regime_idle_time(&cfg, step, offset, bits);
                 prop_assert_eq!(
-                    policy.on_invocation(&cfg, Some(it)),
+                    policy.on_invocation(Some(it)),
                     reference.on_invocation(Some(it))
                 );
                 prop_assert_eq!(policy.last_decision(), reference.last_decision());
-                prop_assert_eq!(policy.decisions(), reference.decisions());
-                prop_assert_eq!(policy.snapshot(), reference.snapshot());
+                prop_assert_eq!(policy.app().decisions(), reference.decisions());
+                prop_assert_eq!(policy.app().snapshot(), reference.snapshot());
             }
         }
     }

@@ -18,7 +18,7 @@
 //! * the production-style scheme ([`production`]): daily histograms
 //!   with two-week retention, recency-weighted aggregation, hourly
 //!   backups, and pre-warm scheduling 90 s early, as deployed in Azure
-//!   Functions (§6); a learning policy's per-app state ([`HybridApp`],
+//!   Functions (§6); a learning policy's per-app state ([`HybridRow`],
 //!   [`ProductionApp`]) holds no configuration.
 //!
 //! # Examples
@@ -52,7 +52,8 @@ pub mod spec;
 
 pub use fixed::{FixedKeepAlive, NoUnloading};
 pub use hybrid::{
-    DecisionCounts, HybridApp, HybridConfig, HybridGroup, HybridPolicy, HybridSnapshot, Regime,
+    DecisionCounts, HybridApp, HybridConfig, HybridGroup, HybridPolicy, HybridRow, HybridSnapshot,
+    IdleHistory, Regime,
 };
 pub use policy::{
     AppPolicy, DecisionKind, DurationMs, GapOutcome, PolicyFactory, Windows, MINUTE_MS,

@@ -1,17 +1,24 @@
-//! The tenant's app table: one record per app, warm-memory accounting
+//! The tenant's app table: one row per app, warm-memory accounting
 //! and budgeted eviction.
 //!
 //! A [`TenantLedger`] is one tenant's table of every app it has seen.
-//! Each name is interned once, as one `Arc<str>`, into a dense *slot*:
-//! the app's one record of its footprint ([`crate::footprint_mb`], in
-//! MB), its charge (keep-alive expiry, and whether it is current) and
-//! the payload the table is keyed for — the kernel's [`crate::AppState`]
-//! in [`crate::TenantState`], `()` in a bare ledger. A decision hashes
-//! the name once, to find its slot; expiry, eviction, heap compaction
-//! and the victims' eviction marks reach records by slot index. A slot
+//! Each app has one *row*, numbered by first sight (its *slot*), in a
+//! column that grows a 16-row segment at a time and never moves
+//! (`crate::slab`): the app's name, interned once as a `Box<str>`, its
+//! footprint ([`crate::footprint_mb`], in MB), its charge (keep-alive
+//! expiry, queued heap key, heap generation, and whether it is current)
+//! and the payload the table is keyed for — the kernel's
+//! [`crate::AppState`] in [`crate::TenantState`], `()` in a bare ledger.
+//! Whatever a payload needs beyond its row (a hybrid app's bins and
+//! history) is in columns its owner keeps beside the table, one entry
+//! per slot. A decision hashes the name once, through an index of row
+//! numbers that reads names from the rows; expiry, eviction, heap
+//! compaction and the victims' eviction marks reach rows by slot. A row
 //! outlives its charge (a lapsed or evicted app is marked not warm), so
-//! an app's return re-charges it in place and allocates nothing. From
-//! the charges the table maintains
+//! an app's return re-charges it in place and allocates nothing. The
+//! index and the heap are sized as the table opens segments, so only a
+//! first sight that opens one grows them. From the charges the table
+//! maintains
 //!
 //! * the current warm memory (`warm_mb`, a gauge),
 //! * the exact loaded-memory integral in MB·ms — the §5.3 idle-memory
@@ -30,11 +37,12 @@
 //!
 //! # The expiry queue is keyed lazily
 //!
-//! A heap node is `(key, name, slot, gen)`. The slot index is how a pop
-//! reaches its record without hashing. The name is there because
-//! eviction order is `(expiry, app id)`: slots are numbered in
-//! first-sight order, which no export records, so a tie broken by slot
-//! would not survive a restore. Nodes of one name carry one slot, so
+//! A heap node is `(key, slot, gen)`, 16 bytes. The slot is how a pop
+//! reaches its row without hashing. Eviction order is `(expiry, app
+//! id)`: slots are numbered in first-sight order, which no export
+//! records, so a tie broken by slot would not survive a restore. The
+//! heap is therefore ordered through the table: a key tie reads the two
+//! slots' names from their rows. Nodes of one slot carry one name, so
 //! the heap orders exactly by `(key, name, gen)`.
 //!
 //! The heap holds **one live node per warm slot**, and that node's key
@@ -69,35 +77,43 @@
 //! window, and a sweep's cost is paid for by the pushes that made it
 //! necessary.
 
-use std::cmp::Reverse;
-use std::collections::hash_map::Entry;
-use std::collections::{BinaryHeap, HashMap};
 use std::convert::Infallible;
-use std::sync::Arc;
 
 use crate::evict::evict_until;
+use crate::slab::{Column, NameIndex};
 
 /// Orphaned heap nodes tolerated on top of one per warm app before the
 /// heap is rebuilt from its live nodes.
 const COMPACT_SLACK: usize = 32;
 
-/// An expiry heap node, `(key, name, slot, gen)`, min-first.
-type Node = Reverse<(u64, Arc<str>, usize, u64)>;
+/// An expiry heap node: a slot's queued key under the slot's generation
+/// when it was pushed. Ordered by `(key, app id, gen)` through the table
+/// ([`before`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Node {
+    key: u64,
+    slot: u32,
+    gen: u32,
+}
 
-/// One app's record: its interned name, footprint and charge, plus the
+/// One app's row: its interned name, footprint and charge, plus the
 /// payload the table is keyed for.
 #[derive(Debug)]
-pub(crate) struct Slot<P> {
-    /// The app id, shared with the map key and the heap nodes.
-    pub(crate) name: Arc<str>,
+pub(crate) struct Row<P> {
+    /// The app id.
+    pub(crate) name: Box<str>,
     /// Footprint in MB: what a charge of this app holds.
     pub(crate) mb: u64,
     /// Absolute time the keep-alive lapses (the image unloads).
     expiry_ms: u64,
     /// Key of this slot's live heap node; never later than `expiry_ms`.
     queued_ms: u64,
-    /// Generation of the live heap node (not persisted).
-    gen: u64,
+    /// Generation of the live heap node, counted per slot (not
+    /// persisted). It wraps after 2³² pushes of one slot; a node that
+    /// old and still queued could pass for live, and the worst it does
+    /// is pop once more than it should, finding its slot already
+    /// released or re-keying it to the very same expiry.
+    gen: u32,
     /// Whether the charge is current (counted in `warm_mb`).
     warm: bool,
     /// The kernel's `AppState`, or `()` in a bare ledger.
@@ -131,7 +147,7 @@ pub struct LedgerExport {
 }
 
 /// Per-tenant app table and warm-memory ledger with budgeted eviction.
-/// `P` is the per-app payload each slot carries beside its charge: the
+/// `P` is the per-app payload each row carries beside its charge: the
 /// kernel's [`crate::AppState`], or nothing for a bare ledger.
 #[derive(Debug)]
 pub struct TenantLedger<P = ()> {
@@ -142,12 +158,13 @@ pub struct TenantLedger<P = ()> {
     evictions: u64,
     idle_mb_ms: u64,
     cursor_ms: u64,
-    /// Name → slot, the one map keyed by app name.
-    index: HashMap<Arc<str>, usize>,
+    /// Name → slot, the one index by app name.
+    index: NameIndex,
     /// Every app ever seen, in first-sight order; `warm` marks the
     /// current charges.
-    pub(crate) slots: Vec<Slot<P>>,
-    /// Earliest-expiry queue. Three invariants tie it to `slots`:
+    rows: Column<Row<P>>,
+    /// Earliest-expiry queue, a binary min-heap under [`before`]. Three
+    /// invariants tie it to `rows`:
     ///
     /// 1. every warm slot has exactly one *live* node — the one carrying
     ///    its `gen`; every other node is an orphan;
@@ -155,10 +172,74 @@ pub struct TenantLedger<P = ()> {
     ///    later than its `expiry_ms`;
     /// 3. a popped live node is acted on (expired, evicted) only when
     ///    its key equals `expiry_ms`; an early one is re-keyed to it.
-    heap: BinaryHeap<Node>,
-    next_gen: u64,
-    /// The last charge's victims, in eviction order (buffer reused).
-    evicted: Vec<Arc<str>>,
+    heap: Vec<Node>,
+    /// The last charge's victims, in eviction order (buffers reused).
+    evicted: VictimNames,
+}
+
+/// The names a charge evicted, copied out of their rows into two
+/// buffers that are cleared, not freed, between charges.
+#[derive(Debug, Default)]
+struct VictimNames {
+    text: String,
+    ends: Vec<usize>,
+}
+
+/// The apps one charge evicted, in eviction order: a view of the
+/// ledger's buffers, valid until its next charge.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Victims<'a> {
+    text: &'a str,
+    ends: &'a [usize],
+}
+
+impl<'a> Victims<'a> {
+    /// The victims' names, in eviction order.
+    pub fn iter(&self) -> VictimsIter<'a> {
+        VictimsIter {
+            text: self.text,
+            ends: self.ends,
+            start: 0,
+        }
+    }
+
+    /// True when the charge evicted nothing.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// The victims' names, owned.
+    pub fn to_vec(&self) -> Vec<String> {
+        self.iter().map(String::from).collect()
+    }
+}
+
+impl<'a> IntoIterator for Victims<'a> {
+    type Item = &'a str;
+    type IntoIter = VictimsIter<'a>;
+
+    fn into_iter(self) -> VictimsIter<'a> {
+        self.iter()
+    }
+}
+
+/// [`Victims`]' names, in eviction order.
+#[derive(Debug, Clone)]
+pub struct VictimsIter<'a> {
+    text: &'a str,
+    ends: &'a [usize],
+    start: usize,
+}
+
+impl<'a> Iterator for VictimsIter<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        let (&end, rest) = self.ends.split_first()?;
+        let name = &self.text[self.start..end];
+        (self.ends, self.start) = (rest, end);
+        Some(name)
+    }
 }
 
 impl TenantLedger {
@@ -193,10 +274,11 @@ impl TenantLedger {
     ///   single connection (the parity tests), not guaranteed when one
     ///   tenant's apps are spread across concurrent connections.
     // sitw-lint: hot-path
-    pub fn charge(&mut self, app: &str, now_ms: u64, expiry_ms: u64, mb: u64) -> &[Arc<str>] {
-        let slot = self
-            .slot_of(app)
-            .unwrap_or_else(|| self.insert(app, mb, ()));
+    pub fn charge(&mut self, app: &str, now_ms: u64, expiry_ms: u64, mb: u64) -> Victims<'_> {
+        let slot = match self.slot_of(app) {
+            Some(slot) => slot,
+            None => self.insert(app, mb, ()).0,
+        };
         self.charge_slot(slot, now_ms, expiry_ms, mb, |()| {})
     }
 
@@ -207,10 +289,29 @@ impl TenantLedger {
     pub fn restore(budget_mb: u64, export: LedgerExport) -> Self {
         let mut ledger = Self::new(budget_mb);
         let Ok(()) = ledger.load(export, |l, app, mb| -> Result<usize, Infallible> {
-            Ok(l.slot_of(app).unwrap_or_else(|| l.insert(app, mb, ())))
+            Ok(match l.slot_of(app) {
+                Some(slot) => slot,
+                None => l.insert(app, mb, ()).0,
+            })
         });
         ledger
     }
+}
+
+/// Whether heap node `a` pops before `b`: by key, then by the app id of
+/// its slot — slots are numbered in first-sight order, which no export
+/// records, so a tie broken by slot would not survive a restore — then
+/// by generation. Nodes of one slot carry one name, so this is the
+/// `(key, name, gen)` order the heap held when nodes carried the name.
+#[inline]
+fn before<P>(rows: &Column<Row<P>>, a: &Node, b: &Node) -> bool {
+    if a.key != b.key {
+        return a.key < b.key;
+    }
+    if a.slot == b.slot {
+        return a.gen < b.gen;
+    }
+    rows.get(a.slot as usize).name < rows.get(b.slot as usize).name
 }
 
 impl<P> TenantLedger<P> {
@@ -223,11 +324,10 @@ impl<P> TenantLedger<P> {
             evictions: 0,
             idle_mb_ms: 0,
             cursor_ms: 0,
-            index: HashMap::new(),
-            slots: Vec::new(),
-            heap: BinaryHeap::new(),
-            next_gen: 0,
-            evicted: Vec::new(),
+            index: NameIndex::default(),
+            rows: Column::new(1),
+            heap: Vec::new(),
+            evicted: VictimNames::default(),
         }
     }
 
@@ -245,24 +345,55 @@ impl<P> TenantLedger<P> {
         self.budget_mb = budget_mb;
     }
 
+    /// Apps in the table.
+    pub(crate) fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Slot `slot`'s row.
+    #[inline]
+    pub(crate) fn row(&self, slot: usize) -> &Row<P> {
+        self.rows.get(slot)
+    }
+
+    /// Slot `slot`'s row, to write.
+    #[inline]
+    pub(crate) fn row_mut(&mut self, slot: usize) -> &mut Row<P> {
+        self.rows.get_mut(slot)
+    }
+
+    /// Every row, in slot order.
+    pub(crate) fn rows(&self) -> impl Iterator<Item = &Row<P>> {
+        self.rows.iter()
+    }
+
     /// The slot `app` is interned in, if the table has seen it: the
     /// one probe by name a charge makes.
+    #[inline]
     pub(crate) fn slot_of(&self, app: &str) -> Option<usize> {
-        self.index.get(app).copied()
+        self.find(app, self.index.hash(app))
+    }
+
+    /// [`TenantLedger::slot_of`] for a name hashed already.
+    #[inline]
+    fn find(&self, app: &str, hash: u32) -> Option<usize> {
+        let rows = &self.rows;
+        self.index.find(app, hash, |slot| &rows.get(slot).name)
     }
 
     /// Interns `app` into a fresh slot, not warm, holding `mb` and
-    /// `app_state`; returns the slot.
-    pub(crate) fn insert(&mut self, app: &str, mb: u64, app_state: P) -> usize {
-        // First sight: the one allocation a name ever costs.
-        let name: Arc<str> = Arc::from(app);
-        self.index.insert(Arc::clone(&name), self.slots.len());
-        self.push_slot(name, mb, app_state)
+    /// `app_state`; returns the slot, and whether the table opened a
+    /// segment for it (its other columns do too).
+    pub(crate) fn insert(&mut self, app: &str, mb: u64, app_state: P) -> (usize, bool) {
+        // First sight: the one allocation a name costs.
+        let hash = self.index.hash(app);
+        self.push_row(hash, Box::from(app), mb, app_state)
     }
 
-    /// Appends the slot the index already maps `name` to.
-    fn push_slot(&mut self, name: Arc<str>, mb: u64, app: P) -> usize {
-        self.slots.push(Slot {
+    /// Appends the row of `name` (whose index hash is `hash`).
+    fn push_row(&mut self, hash: u32, name: Box<str>, mb: u64, app: P) -> (usize, bool) {
+        let slot = self.rows.len();
+        let opened = self.rows.push(Row {
             name,
             mb,
             expiry_ms: 0,
@@ -271,34 +402,54 @@ impl<P> TenantLedger<P> {
             warm: false,
             app,
         });
-        self.slots.len() - 1
+        if opened {
+            // The index and the heap grow with the table's segments, so
+            // no other first sight and no charge grows them.
+            self.index.fit(self.rows.capacity());
+            self.fit_heap();
+        }
+        self.index.insert(hash, slot);
+        (slot, opened)
     }
 
-    /// Makes room for `apps` more apps before the table grows.
+    /// Reserves the most heap nodes the table's rows can need between
+    /// sweeps, were every one warm.
+    fn fit_heap(&mut self) {
+        let most = 2 * self.rows.capacity() + COMPACT_SLACK + 1;
+        self.heap
+            .reserve_exact(most.saturating_sub(self.heap.len()));
+    }
+
+    /// Makes room for `apps` more apps before the table grows: the
+    /// index, the heap and the segment list, never the segments.
     pub(crate) fn reserve(&mut self, apps: usize) {
-        self.index.reserve(apps);
-        self.slots.reserve_exact(apps);
+        self.rows.reserve(apps);
+        let rows = self.rows.len() + apps;
+        self.index.fit(rows);
+        let most = 2 * rows + COMPACT_SLACK + 1;
+        self.heap
+            .reserve_exact(most.saturating_sub(self.heap.len()));
     }
 
     /// Interns `name` into a fresh slot holding the footprint and
-    /// payload `make` returns, hashing it once; returns the slot, or
-    /// `None` — with nothing made — when the table holds the app already.
+    /// payload `make` returns, hashing it once; returns the slot and
+    /// whether a segment was opened for it, or the name back — with
+    /// nothing made — when the table holds the app already.
     ///
     /// # Errors
     ///
     /// `make`'s; the table is unchanged.
     pub(crate) fn insert_new<E>(
         &mut self,
-        name: Arc<str>,
+        name: Box<str>,
         make: impl FnOnce() -> Result<(u64, P), E>,
-    ) -> Result<Option<usize>, E> {
-        let Entry::Vacant(entry) = self.index.entry(name) else {
-            return Ok(None);
-        };
+    ) -> Result<Result<(usize, bool), Box<str>>, E> {
+        let hash = self.index.hash(&name);
+        if self.find(&name, hash).is_some() {
+            return Ok(Err(name));
+        }
         let (mb, app_state) = make()?;
-        let name = Arc::clone(entry.key());
-        entry.insert(self.slots.len());
-        Ok(Some(self.push_slot(name, mb, app_state)))
+        Ok(Ok(self.push_row(hash, name, mb, app_state)))
     }
 
     /// Advances the clock to `now`: processes keep-alive expiries at
@@ -310,8 +461,8 @@ impl<P> TenantLedger<P> {
     /// the keep-alive window is still a warm hit.
     // sitw-lint: hot-path
     pub fn advance(&mut self, now_ms: u64) {
-        while let Some((slot, _)) = self.release_earliest(Some(now_ms)) {
-            let Slot { expiry_ms, mb, .. } = self.slots[slot];
+        while let Some(slot) = self.release_earliest(Some(now_ms)) {
+            let Row { expiry_ms, mb, .. } = *self.rows.get(slot);
             self.accrue(expiry_ms);
             self.warm_mb -= mb;
         }
@@ -330,32 +481,47 @@ impl<P> TenantLedger<P> {
 
     /// Ends the charge of the warm slot with the smallest
     /// `(expiry, app id)` — provided, under `before_ms`, that it expires
-    /// strictly before then — and returns the slot with its name. The
-    /// caller takes the slot's `mb` off `warm_mb` (after the integral,
-    /// when it is an expiry). Orphans met on the way are dropped, early
-    /// live nodes re-keyed (invariant 3).
+    /// strictly before then — and returns the slot. The caller takes the
+    /// slot's `mb` off `warm_mb` (after the integral, when it is an
+    /// expiry). Orphans met on the way are dropped, early live nodes
+    /// re-keyed (invariant 3).
     // sitw-lint: hot-path
-    fn release_earliest(&mut self, before_ms: Option<u64>) -> Option<(usize, Arc<str>)> {
+    fn release_earliest(&mut self, before_ms: Option<u64>) -> Option<usize> {
         loop {
-            let Reverse((key, ..)) = self.heap.peek()?;
+            let top = *self.heap.first()?;
             // Live keys never exceed their expiries, so a minimum at or
             // past the limit means nothing expires before it.
-            if before_ms.is_some_and(|limit| *key >= limit) {
+            if before_ms.is_some_and(|limit| top.key >= limit) {
                 return None;
             }
-            let Reverse((key, name, slot, gen)) = self.heap.pop()?;
-            let record = &mut self.slots[slot];
-            if !record.warm || record.gen != gen {
+            let slot = top.slot as usize;
+            let record = self.rows.get_mut(slot);
+            if !record.warm || record.gen != top.gen {
+                self.pop_top();
                 continue; // Orphaned by a fresher node, or by a release.
             }
-            if key < record.expiry_ms {
+            if top.key < record.expiry_ms {
+                // Re-keyed in place: the node only moves down.
                 record.queued_ms = record.expiry_ms;
-                self.heap.push(Reverse((record.expiry_ms, name, slot, gen)));
+                self.heap[0].key = record.expiry_ms;
+                let rows = &self.rows;
+                sift_down(&mut self.heap, |a, b| before(rows, a, b));
                 continue;
             }
             record.warm = false;
             self.warm_apps -= 1;
-            return Some((slot, name));
+            self.pop_top();
+            return Some(slot);
+        }
+    }
+
+    /// Removes the heap's minimum.
+    fn pop_top(&mut self) {
+        let last = self.heap.pop().expect("a node to pop");
+        if !self.heap.is_empty() {
+            self.heap[0] = last;
+            let rows = &self.rows;
+            sift_down(&mut self.heap, |a, b| before(rows, a, b));
         }
     }
 
@@ -363,11 +529,14 @@ impl<P> TenantLedger<P> {
     /// them by more than [`COMPACT_SLACK`].
     fn compact_if_bloated(&mut self) {
         if self.heap.len() > 2 * self.warm_apps as usize + COMPACT_SLACK {
-            let slots = &self.slots;
-            self.heap.retain(|Reverse((_, _, slot, gen))| {
-                let record = &slots[*slot];
-                record.warm && record.gen == *gen
+            let rows = &self.rows;
+            self.heap.retain(|node| {
+                let record = rows.get(node.slot as usize);
+                record.warm && record.gen == node.gen
             });
+            for at in 1..self.heap.len() {
+                sift_up(&mut self.heap, at, |a, b| before(rows, a, b));
+            }
         }
     }
 
@@ -376,7 +545,7 @@ impl<P> TenantLedger<P> {
     /// or its key would be too late.
     // sitw-lint: hot-path
     fn admit(&mut self, slot: usize, expiry_ms: u64, mb: u64) {
-        let record = &mut self.slots[slot];
+        let record = self.rows.get_mut(slot);
         if record.warm {
             // Re-charge: the previous interval's integral is already
             // accounted up to `now`; only the footprint swaps.
@@ -390,19 +559,22 @@ impl<P> TenantLedger<P> {
         record.mb = mb;
         self.warm_mb += mb;
         if push {
-            record.gen = self.next_gen;
+            record.gen = record.gen.wrapping_add(1);
             record.queued_ms = expiry_ms;
-            self.next_gen += 1;
-            let node = Reverse((expiry_ms, Arc::clone(&record.name), slot, record.gen));
+            let node = Node {
+                key: expiry_ms,
+                slot: slot as u32,
+                gen: record.gen,
+            };
             if self.heap.len() == self.heap.capacity() {
-                // Straight to the most nodes it holds between sweeps were
-                // every slot warm: it never grows on a re-charge, nor on
-                // the first sight that grows the slot vector.
-                let most = 2 * self.slots.len() + COMPACT_SLACK + 1;
-                self.heap
-                    .reserve_exact(most.saturating_sub(self.heap.len()));
+                // Reserved as the table grows; only a restore that
+                // charges more than its rows reach here.
+                self.fit_heap();
             }
             self.heap.push(node);
+            let rows = &self.rows;
+            let last = self.heap.len() - 1;
+            sift_up(&mut self.heap, last, |a, b| before(rows, a, b));
         }
     }
 
@@ -417,10 +589,11 @@ impl<P> TenantLedger<P> {
         expiry_ms: u64,
         mb: u64,
         mut mark: impl FnMut(&mut P),
-    ) -> &[Arc<str>] {
+    ) -> Victims<'_> {
         self.advance(now_ms);
         self.admit(slot, expiry_ms.max(now_ms), mb);
-        self.evicted.clear();
+        self.evicted.text.clear();
+        self.evicted.ends.clear();
         if self.budget_mb != 0 {
             // The budgeted-eviction engine shared with the platform's
             // invoker pool: victims by earliest keep-alive expiry.
@@ -428,17 +601,21 @@ impl<P> TenantLedger<P> {
                 self,
                 |l| l.warm_mb <= l.budget_mb,
                 |l| l.release_earliest(None),
-                |l, (victim, name)| {
-                    let record = &mut l.slots[victim];
+                |l, victim| {
+                    let record = l.rows.get_mut(victim);
                     mark(&mut record.app);
                     l.warm_mb -= record.mb;
                     l.evictions += 1;
-                    l.evicted.push(name);
+                    l.evicted.text.push_str(&record.name);
+                    l.evicted.ends.push(l.evicted.text.len());
                 },
             );
         }
         self.compact_if_bloated();
-        &self.evicted
+        Victims {
+            text: &self.evicted.text,
+            ends: &self.evicted.ends,
+        }
     }
 
     /// Restores an export's counters and warm set, charging each warm
@@ -472,7 +649,7 @@ impl<P> TenantLedger<P> {
     /// Exports the persistable state (warm set sorted by app id).
     pub fn export(&self) -> LedgerExport {
         let mut warm: Vec<(String, u64, u64)> = self
-            .slots
+            .rows
             .iter()
             .filter(|s| s.warm)
             .map(|s| (String::from(&*s.name), s.expiry_ms, s.mb))
@@ -493,28 +670,70 @@ impl<P> TenantLedger<P> {
     }
 
     /// Panics unless the heap invariants (see the `heap` field), the
-    /// compaction bound and the name → slot map hold.
+    /// heap order, the compaction bound and the name → slot index hold.
     #[cfg(test)]
     pub(crate) fn check_invariants(&self) {
         let mut live = 0;
-        for Reverse((key, name, slot, gen)) in self.heap.iter() {
-            let record = &self.slots[*slot];
-            assert_eq!(record.name, *name, "a node names its slot's app");
-            if record.warm && record.gen == *gen {
+        for (at, node) in self.heap.iter().enumerate() {
+            if at > 0 {
+                let parent = &self.heap[(at - 1) / 2];
+                assert!(!before(&self.rows, node, parent), "heap order");
+            }
+            let record = self.rows.get(node.slot as usize);
+            if record.warm && record.gen == node.gen {
                 live += 1;
-                assert_eq!(*key, record.queued_ms, "live key is the queued key");
-                assert!(*key <= record.expiry_ms, "live key later than expiry");
+                assert_eq!(node.key, record.queued_ms, "live key is the queued key");
+                assert!(node.key <= record.expiry_ms, "live key later than expiry");
             }
         }
-        let warm = self.slots.iter().filter(|s| s.warm).count();
+        let warm = self.rows.iter().filter(|s| s.warm).count();
         assert_eq!(live, warm, "one live node per warm app");
         assert_eq!(self.warm_apps, warm as u64);
         assert!(self.heap.len() <= 2 * warm + COMPACT_SLACK);
-        assert_eq!(self.index.len(), self.slots.len());
-        for (slot, record) in self.slots.iter().enumerate() {
-            assert_eq!(self.index[&record.name], slot, "one slot per name");
+        assert_eq!(self.index.len(), self.rows.len());
+        for (slot, record) in self.rows.iter().enumerate() {
+            assert_eq!(self.slot_of(&record.name), Some(slot), "one slot per name");
         }
     }
+}
+
+/// Moves the node at `at` up to its place.
+#[inline]
+fn sift_up(heap: &mut [Node], mut at: usize, before: impl Fn(&Node, &Node) -> bool) {
+    let node = heap[at];
+    while at > 0 {
+        let parent = (at - 1) / 2;
+        if !before(&node, &heap[parent]) {
+            break;
+        }
+        heap[at] = heap[parent];
+        at = parent;
+    }
+    heap[at] = node;
+}
+
+/// Moves the root, which may pop later than its children, to its place:
+/// down to a leaf along the earlier child, one comparison a level, then
+/// up — `BinaryHeap::pop`'s order of work.
+#[inline]
+fn sift_down(heap: &mut [Node], before: impl Fn(&Node, &Node) -> bool) {
+    let end = heap.len();
+    let node = heap[0];
+    let (mut hole, mut child) = (0, 1);
+    while child + 1 < end {
+        if before(&heap[child + 1], &heap[child]) {
+            child += 1;
+        }
+        heap[hole] = heap[child];
+        hole = child;
+        child = 2 * hole + 1;
+    }
+    if child + 1 == end {
+        heap[hole] = heap[child];
+        hole = child;
+    }
+    heap[hole] = node;
+    sift_up(heap, hole, before);
 }
 
 #[cfg(test)]
@@ -522,8 +741,8 @@ mod tests {
     use super::*;
 
     /// Victim lists as the ledger returns them.
-    fn names(apps: &[&str]) -> Vec<Arc<str>> {
-        apps.iter().map(|&a| Arc::from(a)).collect()
+    fn names(apps: &[&str]) -> Vec<String> {
+        apps.iter().map(|&a| String::from(a)).collect()
     }
 
     #[test]
@@ -560,7 +779,7 @@ mod tests {
         assert!(l.charge("early", 0, 1_000, 40).is_empty());
         // 40+40+40 > 100: the earliest expiry ("early") goes first.
         let evicted = l.charge("new", 10, 9_000, 40);
-        assert_eq!(evicted, names(&["early"]));
+        assert_eq!(evicted.to_vec(), names(&["early"]));
         assert_eq!(l.stats().warm_mb, 80);
         assert_eq!(l.stats().evictions, 1);
 
@@ -569,9 +788,9 @@ mod tests {
         let mut l = TenantLedger::new(50);
         l.charge("b", 0, 1_000, 30);
         let evicted = l.charge("a", 0, 1_000, 30);
-        assert_eq!(evicted, names(&["a"]));
+        assert_eq!(evicted.to_vec(), names(&["a"]));
         let evicted = l.charge("c", 0, 2_000, 30);
-        assert_eq!(evicted, names(&["b"]));
+        assert_eq!(evicted.to_vec(), names(&["b"]));
     }
 
     #[test]
@@ -581,7 +800,7 @@ mod tests {
         let evicted = l.charge("huge", 5, 20_000, 500);
         // Everything goes: "small" first (earlier expiry), then "huge"
         // itself — the tenant cannot hold it at all.
-        assert_eq!(evicted, names(&["small", "huge"]));
+        assert_eq!(evicted.to_vec(), names(&["small", "huge"]));
         assert_eq!(l.stats().warm_mb, 0);
         assert_eq!(l.stats().evictions, 2);
     }

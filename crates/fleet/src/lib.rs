@@ -68,16 +68,17 @@ pub mod registry;
 pub mod sim;
 #[cfg(test)]
 mod sim_ref;
+mod slab;
 pub mod tenant;
 
 pub use evict::evict_until;
 pub use footprint::footprint_mb;
-pub use ledger::{LedgerExport, LedgerStats, TenantLedger};
+pub use ledger::{LedgerExport, LedgerStats, TenantLedger, Victims, VictimsIter};
 pub use registry::{TenantId, TenantRegistry, TenantSpec, DEFAULT_TENANT, DEFAULT_TENANT_NAME};
 pub use sim::{fleet_verdict_trace, FleetError, FleetEvent, FleetSim};
 pub use tenant::{
-    AppRecord, AppState, FleetVerdict, LastVerdict, OutOfOrder, PolicyState, RestoreError,
-    RestoredApp, Served, ServedPolicy, TenantRestore, TenantState,
+    AppRecord, AppState, AppView, FleetVerdict, LastVerdict, OutOfOrder, PolicyState, RestoreError,
+    RestoredApp, Served, ServedPolicy, SpentRecord, TenantRestore, TenantState,
 };
 
 /// FNV-1a over a byte string — the workspace's stable, dependency-free

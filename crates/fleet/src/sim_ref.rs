@@ -171,7 +171,7 @@ impl RefFleetSim {
         // app can itself be the victim when its footprint cannot fit.
         let expiry = verdict.windows.loaded_until(ts);
         for victim in t.ledger.charge(app, ts, expiry, mb) {
-            if let Some(v) = t.apps.get_mut(&**victim) {
+            if let Some(v) = t.apps.get_mut(victim) {
                 v.evicted = true;
             }
         }

@@ -16,14 +16,24 @@
 //!    Burr footprint; any victims the budget forces out are marked
 //!    evicted for *their* next invocation.
 //!
-//! An app's [`AppState`] lives in its slot of the tenant's one table
-//! ([`TenantLedger`]), beside its footprint and charge. A step makes
-//! **one probe by app name**, for that slot (or a first sight), and then
-//! works by index: each victim is marked evicted inside the ledger's
-//! eviction loop as its charge is released, never looked up again.
-//! Configuration lives once per tenant, in the spec; what an app's
-//! policy has learned lives once per app, in its slot. A production
-//! tenant adds only its backup clock, a [`ProductionManager`].
+//! An app is one row of the tenant's one table ([`TenantLedger`]): the
+//! ledger's half (name, footprint, charge) and the kernel's
+//! [`AppState`] — `last_ts`, windows, stamp, the last verdict and, for a
+//! hybrid app, the [`HybridRow`] of histogram totals, cursors and
+//! counters — 184 bytes in all. What does not fit a fixed row is in
+//! columns the tenant keeps beside the table, one entry per row, at the
+//! strides its spec fixes: a hybrid tenant's bins (`range / width`
+//! counts per app) and history rings, a production tenant's
+//! [`ProductionApp`]s. Nothing the spec holds is repeated per app. A
+//! step makes **one probe by app name**, for that row (or a first
+//! sight, which appends a row and its columns' entries), and then works
+//! by index: the hybrid policy decides over the row and its slices of
+//! the columns, and each victim is marked evicted inside the ledger's
+//! eviction loop as its charge is released, never looked up again. A
+//! production tenant adds only its backup clock, a
+//! [`ProductionManager`]. A restore rebuilds a record's row on any
+//! thread ([`RestoredApp`]) and copies its bins and history into the
+//! columns as it inserts it.
 //!
 //! Nothing outside this module composes those four. A change to the
 //! step is therefore invisible to online == offline parity; it is held
@@ -32,16 +42,16 @@
 //! `sim.rs`.
 
 use std::fmt;
-use std::sync::Arc;
 
 use sitw_core::{
-    DecisionKind, HybridApp, HybridSnapshot, PolicySpec, ProductionApp, ProductionAppState,
-    ProductionManager, Windows,
+    DecisionKind, HybridApp, HybridRow, HybridSnapshot, PolicySpec, ProductionApp,
+    ProductionAppState, ProductionManager, Windows,
 };
 
 use crate::footprint::footprint_mb;
-use crate::ledger::{LedgerExport, TenantLedger};
+use crate::ledger::{LedgerExport, TenantLedger, Victims};
 use crate::registry::TenantSpec;
+use crate::slab::{Column, Ring, Rings};
 
 /// The verdict for one invocation — what the daemon answers and what
 /// the offline replay predicts, one type so the two compare element by
@@ -73,7 +83,7 @@ pub struct Served<'a> {
     /// The apps the charge evicted, in eviction order — already marked;
     /// possibly the invoked app itself, when its footprint cannot fit
     /// at all.
-    pub victims: &'a [Arc<str>],
+    pub victims: Victims<'a>,
     /// The tenant's configuration.
     pub tenant: &'a TenantSpec,
 }
@@ -88,25 +98,22 @@ pub struct OutOfOrder {
     pub last_ts: u64,
 }
 
-/// What one application's policy has learned, without configuration:
-/// every decision reads that from the tenant's [`PolicySpec`].
-///
-/// An enum rather than `Box<dyn AppPolicy>` for two reasons: decisions
-/// dispatch without a vtable on the hot path, and export can match on
-/// the variant instead of downcasting.
-#[derive(Debug, Clone)]
-pub enum ServedPolicy {
+/// What one application's policy has learned, read in place: a view of
+/// the app's row and of the tenant's columns. Configuration is not in
+/// it: every decision reads that from the tenant's [`PolicySpec`].
+#[derive(Debug, Clone, Copy)]
+pub enum ServedPolicy<'a> {
     /// Fixed keep-alive or no-unloading: nothing to learn, the windows
     /// are the spec's.
     Stateless,
     /// The hybrid histogram policy.
-    Hybrid(HybridApp),
+    Hybrid(HybridApp<'a>),
     /// The production scheme (§6).
     Production {
         /// The branch that produced the most recent decision.
         last: DecisionKind,
         /// The app's retained daily histograms and cached aggregate.
-        app: ProductionApp,
+        app: &'a ProductionApp,
     },
 }
 
@@ -127,27 +134,43 @@ pub enum PolicyState {
     },
 }
 
+/// What a restored app brings to the tenant's columns beside its row:
+/// a hybrid app's bins and history (copied into the columns, then
+/// dropped), a production app's state.
+#[derive(Debug)]
+enum Learned {
+    Stateless,
+    Hybrid { bins: Vec<u32>, history: Vec<f64> },
+    Production(ProductionApp),
+}
+
 impl PolicyState {
-    /// Rebuilds an app's policy state under `spec`.
+    /// Rebuilds an app's policy state under `spec` into `row`: the
+    /// fixed-size part goes in the row, the rest is returned for the
+    /// columns.
     ///
     /// # Errors
     ///
     /// Fails when the state variant does not match the spec (e.g. a
     /// hybrid snapshot restored into a fixed-keep-alive server) or the
     /// spec's configuration refuses it (histogram geometry, day order).
-    pub fn into_policy(self, spec: &PolicySpec) -> Result<ServedPolicy, String> {
+    fn learned(self, spec: &PolicySpec, row: &mut AppState) -> Result<Learned, String> {
         match (self, spec) {
             (PolicyState::Stateless, PolicySpec::Fixed(_) | PolicySpec::NoUnloading) => {
-                Ok(ServedPolicy::Stateless)
+                Ok(Learned::Stateless)
             }
             (PolicyState::Hybrid(snap), PolicySpec::Hybrid(cfg)) => {
-                Ok(ServedPolicy::Hybrid(HybridApp::from_snapshot(cfg, snap)?))
+                snap.check(cfg)?;
+                row.hybrid = HybridRow::restore(cfg, &snap);
+                row.kind = snap.last_decision;
+                Ok(Learned::Hybrid {
+                    bins: snap.bins,
+                    history: snap.history,
+                })
             }
             (PolicyState::Production { last, state }, PolicySpec::Production(cfg)) => {
-                Ok(ServedPolicy::Production {
-                    last,
-                    app: ProductionApp::import(cfg, state)?,
-                })
+                row.kind = last;
+                Ok(Learned::Production(ProductionApp::import(cfg, state)?))
             }
             (state, spec) => Err(format!(
                 "snapshot state {:?} does not match policy '{}'",
@@ -205,39 +228,51 @@ impl TenantRestore {
 }
 
 /// One app record rebuilt under its tenant's spec — its interned name,
-/// footprint and policy state — before it meets the tenant's table:
-/// the part of a restore that reads no table, so a restore can make it
-/// on any thread and insert it ([`TenantState::insert_app`]) in order.
+/// footprint, row and what goes in the columns — before it meets the
+/// tenant's table: the part of a restore that reads no table (the
+/// histogram totals and cursor walks among it), so a restore can make
+/// it on any thread and insert it ([`TenantState::insert_app`]) in
+/// order. The insert copies the bins and history into the table's
+/// columns; the record's own lists are dropped there.
 #[derive(Debug)]
 pub struct RestoredApp {
-    name: Arc<str>,
+    name: Box<str>,
     mb: u64,
     /// The refusal, when the record does not belong under the spec.
-    state: Result<AppState, RestoreError>,
+    state: Result<(AppState, Learned), RestoreError>,
 }
 
 impl RestoredApp {
     /// Rebuilds `rec` under `spec`, stamped `stamp`.
     pub fn new(spec: &TenantSpec, rec: AppRecord, stamp: u64) -> RestoredApp {
-        let state = rec.state.into_policy(&spec.policy).map(|policy| AppState {
-            policy,
-            windows: rec.windows,
-            last_ts: rec.last_ts,
-            evicted: rec.evicted,
-            last_verdict: None,
-            stamp,
-        });
+        let mut row = AppState::new(rec.last_ts, stamp);
+        row.windows = rec.windows;
+        row.set_flag(EVICTED, rec.evicted);
+        let state = rec
+            .state
+            .learned(&spec.policy, &mut row)
+            .map(|learned| (row, learned));
         RestoredApp {
             mb: footprint_mb(&spec.name, &rec.app),
-            name: Arc::from(rec.app),
+            // The decoder sizes a name exactly: this keeps its block.
+            name: rec.app.into_boxed_str(),
             state: state.map_err(RestoreError::Record),
         }
     }
 }
 
+/// What is left of a [`RestoredApp`] once [`TenantState::insert_app`]
+/// has copied its bins and history into the table's columns: their
+/// blocks, to drop.
+#[derive(Debug)]
+pub struct SpentRecord {
+    /// Held only to be dropped.
+    _lists: Option<(Vec<u32>, Vec<f64>)>,
+}
+
 /// One served verdict with the inputs that produced it, kept per app
 /// for decision provenance (its timestamp is the app's `last_ts`).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LastVerdict {
     /// The idle time classified (`None` for the app's first sight).
     pub idle_ms: Option<u64>,
@@ -251,29 +286,123 @@ pub struct LastVerdict {
     pub kind: DecisionKind,
 }
 
-/// The kernel's half of an app's record: what [`TenantState::step`]
-/// keeps per app, in the same table slot as the app's footprint and
-/// charge. Callers see it read-only, through [`TenantState::app`].
-#[derive(Debug)]
+/// [`AppState::flags`] bits.
+const EVICTED: u8 = 1;
+const VERDICT: u8 = 1 << 1;
+const VERDICT_IDLE: u8 = 1 << 2;
+const VERDICT_COLD: u8 = 1 << 3;
+const VERDICT_PREWARM: u8 = 1 << 4;
+const VERDICT_EVICTED: u8 = 1 << 5;
+
+/// The kernel's half of an app's row: what [`TenantState::step`] reads
+/// and writes per app, packed into 136 bytes beside the ledger's half
+/// (name, footprint, charge) in the same table row. A hybrid app's bins
+/// and history are in the tenant's columns, a production app's state in
+/// a column of its own; nothing the spec holds is repeated here.
+/// Callers see it read-only, through [`TenantState::app`].
+#[derive(Debug, Clone)]
 pub struct AppState {
-    /// What the app's policy has learned.
-    pub policy: ServedPolicy,
-    /// Windows governing the gap in progress.
-    pub windows: Windows,
+    last_ts: u64,
+    windows: Windows,
+    stamp: u64,
+    /// The last verdict's idle time, when [`VERDICT_IDLE`] is set.
+    idle_ms: u64,
+    /// A hybrid app's totals, cursors and counters.
+    hybrid: HybridRow,
+    /// Where a hybrid app's history lives in the tenant's rings.
+    ring: Ring,
+    /// [`EVICTED`] and the last verdict's `VERDICT_*` bits.
+    flags: u8,
+    /// The branch of the last decision: the last verdict's, or for an
+    /// app restored since, its record's.
+    kind: DecisionKind,
+}
+
+impl AppState {
+    /// The row of an app first seen (or restored) at `ts`.
+    fn new(last_ts: u64, stamp: u64) -> AppState {
+        AppState {
+            last_ts,
+            // The placeholder windows are replaced by the first step.
+            windows: Windows::keep_loaded(0),
+            stamp,
+            idle_ms: 0,
+            hybrid: HybridRow::default(),
+            ring: Ring::default(),
+            flags: 0,
+            // Overwritten by the decision that follows.
+            kind: DecisionKind::StandardKeepAlive,
+        }
+    }
+
+    fn set_flag(&mut self, flag: u8, on: bool) {
+        if on {
+            self.flags |= flag;
+        } else {
+            self.flags &= !flag;
+        }
+    }
+
     /// Last accepted invocation timestamp.
-    pub last_ts: u64,
+    pub fn last_ts(&self) -> u64 {
+        self.last_ts
+    }
+
+    /// Windows governing the gap in progress.
+    pub fn windows(&self) -> Windows {
+        self.windows
+    }
+
     /// The image was evicted for memory pressure during the gap in
     /// progress; the next invocation is downgraded to cold.
-    pub evicted: bool,
-    /// The most recent verdict served plus its inputs (`None` only for
-    /// restored apps that have not been invoked since).
-    pub last_verdict: Option<LastVerdict>,
+    pub fn evicted(&self) -> bool {
+        self.flags & EVICTED != 0
+    }
+
     /// The stamp of the step (or restore) that last changed this record:
     /// its own invocation, or the one whose charge evicted it. The
     /// daemon passes its mutation sequence, so a replication round
     /// exports exactly the records stamped past the follower's
     /// frontier; the simulator passes 0.
-    pub stamp: u64,
+    pub fn stamp(&self) -> u64 {
+        self.stamp
+    }
+
+    /// The most recent verdict served plus its inputs (`None` only for
+    /// restored apps that have not been invoked since).
+    pub fn last_verdict(&self) -> Option<LastVerdict> {
+        let on = |flag| self.flags & flag != 0;
+        on(VERDICT).then(|| LastVerdict {
+            idle_ms: on(VERDICT_IDLE).then_some(self.idle_ms),
+            cold: on(VERDICT_COLD),
+            prewarm_load: on(VERDICT_PREWARM),
+            evicted: on(VERDICT_EVICTED),
+            kind: self.kind,
+        })
+    }
+
+    /// Records `v` as the last verdict.
+    fn set_last_verdict(&mut self, v: LastVerdict) {
+        let bit = |on: bool, flag: u8| if on { flag } else { 0 };
+        self.flags = self.flags & EVICTED
+            | VERDICT
+            | bit(v.idle_ms.is_some(), VERDICT_IDLE)
+            | bit(v.cold, VERDICT_COLD)
+            | bit(v.prewarm_load, VERDICT_PREWARM)
+            | bit(v.evicted, VERDICT_EVICTED);
+        self.idle_ms = v.idle_ms.unwrap_or(0);
+        self.kind = v.kind;
+    }
+}
+
+/// One app's row as a reader sees it: its [`AppState`] and what its
+/// policy has learned.
+#[derive(Debug, Clone, Copy)]
+pub struct AppView<'a> {
+    /// The app's row.
+    pub state: &'a AppState,
+    /// What the app's policy has learned.
+    pub policy: ServedPolicy<'a>,
 }
 
 /// Why [`TenantState::restore`] refused a payload: it does not
@@ -309,12 +438,124 @@ impl fmt::Display for RestoreError {
 
 impl std::error::Error for RestoreError {}
 
-/// One tenant's complete decision state: its spec, the app table and,
-/// when the tenant's policy is [`PolicySpec::Production`], the backup
-/// clock.
+/// The columns of a tenant's table that its policy needs beside the
+/// rows, one entry per row: a hybrid tenant's bins (`range / width`
+/// counts per app) and history rings, a production tenant's app states.
+#[derive(Debug)]
+enum Columns {
+    Stateless,
+    Hybrid { bins: Column<u32>, history: Rings },
+    Production(Column<ProductionApp>),
+}
+
+impl Columns {
+    fn new(spec: &PolicySpec) -> Columns {
+        match spec {
+            PolicySpec::Fixed(_) | PolicySpec::NoUnloading => Columns::Stateless,
+            PolicySpec::Hybrid(cfg) => {
+                let (bins, _, cap) = cfg.state_key();
+                Columns::Hybrid {
+                    bins: Column::new(bins),
+                    history: Rings::new(cap),
+                }
+            }
+            PolicySpec::Production(_) => Columns::Production(Column::new(1)),
+        }
+    }
+
+    /// The columns' entries of an app seen for the first time. What they
+    /// allocate is allocated here, where the row is created, so that no
+    /// decision body does — a segment when the table opens one, and a
+    /// production app's buffers.
+    fn push_fresh(&mut self, spec: &PolicySpec) {
+        match (self, spec) {
+            (Columns::Hybrid { bins, .. }, _) => {
+                bins.push_filled(0);
+            }
+            (Columns::Production(apps), PolicySpec::Production(cfg)) => {
+                apps.push(ProductionApp::new(cfg));
+            }
+            _ => {}
+        }
+    }
+
+    /// The columns' entries of a restored app in row `slot`, whose row is
+    /// `row`, and what is left of the app.
+    fn push_learned(&mut self, learned: Learned, slot: usize, row: &mut AppState) -> SpentRecord {
+        match (self, learned) {
+            (
+                Columns::Hybrid { bins, history },
+                Learned::Hybrid {
+                    bins: b,
+                    history: h,
+                },
+            ) => {
+                bins.push_row(&b);
+                row.ring = history.restore(slot, &h);
+                SpentRecord {
+                    _lists: Some((b, h)),
+                }
+            }
+            (Columns::Production(apps), Learned::Production(app)) => {
+                apps.push(app);
+                SpentRecord { _lists: None }
+            }
+            (Columns::Stateless, Learned::Stateless) => SpentRecord { _lists: None },
+            _ => unreachable!("checked by `fits`"),
+        }
+    }
+
+    /// Whether `learned` goes in these columns: made under a spec of
+    /// this kind and geometry.
+    fn fits(&self, learned: &Learned) -> bool {
+        match (self, learned) {
+            (
+                Columns::Hybrid { bins, history },
+                Learned::Hybrid {
+                    bins: b,
+                    history: h,
+                },
+            ) => bins.row_len() == b.len() && h.len() <= history.cap(),
+            (Columns::Production(_), Learned::Production(_))
+            | (Columns::Stateless, Learned::Stateless) => true,
+            _ => false,
+        }
+    }
+
+    /// Makes room in the segment lists for `apps` more apps.
+    fn reserve(&mut self, apps: usize) {
+        match self {
+            Columns::Stateless => {}
+            Columns::Hybrid { bins, .. } => bins.reserve(apps),
+            Columns::Production(column) => column.reserve(apps),
+        }
+    }
+
+    /// What the app in row `slot`, whose row is `state`, has learned.
+    fn policy<'a>(&'a self, slot: usize, state: &'a AppState) -> ServedPolicy<'a> {
+        match self {
+            Columns::Stateless => ServedPolicy::Stateless,
+            Columns::Hybrid { bins, history } => ServedPolicy::Hybrid(HybridApp::new(
+                &state.hybrid,
+                state.kind,
+                bins.row(slot),
+                history.slices(&state.ring),
+            )),
+            Columns::Production(apps) => ServedPolicy::Production {
+                last: state.kind,
+                app: apps.get(slot),
+            },
+        }
+    }
+}
+
+/// One tenant's complete decision state: its spec, the app table with
+/// the columns its policy needs and, when the tenant's policy is
+/// [`PolicySpec::Production`], the backup clock.
 pub struct TenantState {
     spec: TenantSpec,
     table: TenantLedger<AppState>,
+    columns: Columns,
     /// `Some` iff `spec.policy` is [`PolicySpec::Production`]: the
     /// tenant's backup clock. It holds no app.
     production: Option<ProductionManager>,
@@ -329,6 +570,7 @@ impl TenantState {
                 _ => None,
             },
             table: TenantLedger::empty(spec.budget_mb),
+            columns: Columns::new(&spec.policy),
             spec,
         }
     }
@@ -363,9 +605,12 @@ impl TenantState {
     /// Makes room for `apps` more apps before the table grows: a
     /// restore whose records arrive one at a time presizes with the
     /// count its document declares (the daemon's restore builds each
-    /// tenant this way, on the thread of the shard that owns it).
+    /// tenant this way, on the thread of the shard that owns it). The
+    /// name index, the expiry heap and the segment lists are sized; the
+    /// segments open as rows arrive.
     pub fn reserve(&mut self, apps: usize) {
         self.table.reserve(apps);
+        self.columns.reserve(apps);
     }
 
     /// Adds one restored app to the table, stamped `stamp`:
@@ -378,27 +623,44 @@ impl TenantState {
     /// refuses; nothing is added.
     pub fn restore_app(&mut self, rec: AppRecord, stamp: u64) -> Result<(), RestoreError> {
         let app = RestoredApp::new(&self.spec, rec, stamp);
-        self.insert_app(app)
+        self.insert_app(app).map(drop)
     }
 
     /// Adds an app [`RestoredApp::new`] made under this tenant's spec to
-    /// the table, hashing its name once.
+    /// the table, hashing its name once, and copies its bins and history
+    /// into the columns. Returns what is left of the record — the
+    /// blocks of its lists — for the caller to drop where it holds no
+    /// lock: freeing them costs more than copying them when another
+    /// thread allocated them.
     ///
     /// # Errors
     ///
     /// The table holds the app already, or the record did not belong
     /// under the spec; nothing is added. (A record that is both is
     /// refused as the second.)
-    pub fn insert_app(&mut self, app: RestoredApp) -> Result<(), RestoreError> {
+    pub fn insert_app(&mut self, app: RestoredApp) -> Result<SpentRecord, RestoreError> {
         let RestoredApp { name, mb, state } = app;
-        let inserted = self
-            .table
-            .insert_new(Arc::clone(&name), || Ok((mb, state?)))?;
-        match inserted {
-            Some(_) => Ok(()),
-            None => Err(RestoreError::Record(format!(
+        let mut learned = None;
+        let columns = &self.columns;
+        let inserted = self.table.insert_new(name, || {
+            let (row, made) = state?;
+            if !columns.fits(&made) {
+                return Err(RestoreError::Record(
+                    "a record rebuilt under another policy".into(),
+                ));
+            }
+            learned = Some(made);
+            Ok((mb, row))
+        })?;
+        match (inserted, learned) {
+            (Ok((slot, _)), Some(learned)) => {
+                let row = &mut self.table.row_mut(slot).app;
+                Ok(self.columns.push_learned(learned, slot, row))
+            }
+            (Err(name), _) => Err(RestoreError::Record(format!(
                 "app '{name}' has two records"
             ))),
+            (Ok(_), None) => unreachable!("a row is made with its columns' entries"),
         }
     }
 
@@ -418,29 +680,12 @@ impl TenantState {
             manager.set_last_backup_ms(at_ms);
         }
         self.table.load(ledger, |table, app, mb| {
-            let slot = table
-                .slot_of(app)
-                .filter(|&slot| table.slots[slot].mb == mb);
+            let slot = table.slot_of(app).filter(|&slot| table.row(slot).mb == mb);
             slot.ok_or_else(|| RestoreError::Charge {
                 app: app.into(),
                 mb,
             })
         })
-    }
-
-    /// The policy state of an app seen for the first time. What it
-    /// allocates is allocated here, where the slot is created, so that
-    /// no decision body does.
-    fn fresh_policy(&self) -> ServedPolicy {
-        match &self.spec.policy {
-            PolicySpec::Fixed(_) | PolicySpec::NoUnloading => ServedPolicy::Stateless,
-            PolicySpec::Hybrid(cfg) => ServedPolicy::Hybrid(HybridApp::new(cfg)),
-            // `last` is overwritten by the decision that follows.
-            PolicySpec::Production(cfg) => ServedPolicy::Production {
-                last: DecisionKind::StandardKeepAlive,
-                app: ProductionApp::new(cfg),
-            },
-        }
     }
 
     /// Classifies one invocation and advances the tenant. `stamp` is
@@ -450,39 +695,35 @@ impl TenantState {
     pub fn step(&mut self, app: &str, ts: u64, stamp: u64) -> Result<Served<'_>, OutOfOrder> {
         let (slot, idle) = match self.table.slot_of(app) {
             Some(slot) => {
-                let last_ts = self.table.slots[slot].app.last_ts;
+                let last_ts = self.table.row(slot).app.last_ts;
                 if ts < last_ts {
                     return Err(OutOfOrder { last_ts });
                 }
                 (slot, Some(ts - last_ts))
             }
             // First invocation of this app: no idle time, so cold by
-            // definition (§5.1). The placeholder windows are replaced
-            // below, as on every step.
+            // definition (§5.1).
             None => {
-                let state = AppState {
-                    policy: self.fresh_policy(),
-                    windows: Windows::keep_loaded(0),
-                    last_ts: ts,
-                    evicted: false,
-                    last_verdict: None,
-                    stamp,
-                };
                 let mb = footprint_mb(&self.spec.name, app);
-                (self.table.insert(app, mb, state), None)
+                let (slot, _) = self.table.insert(app, mb, AppState::new(ts, stamp));
+                self.columns.push_fresh(&self.spec.policy);
+                (slot, None)
             }
         };
-        let state = &mut self.table.slots[slot].app;
+        let row = self.table.row_mut(slot);
+        let state = &mut row.app;
         let gap = idle.map(|idle| state.windows.classify_gap(idle));
         // The memory-pressure downgrade: a gap the policy would have
         // served warm is cold when the budget evicted the image mid-gap
         // (and the phantom pre-warm load with it). Cleared before the
         // charge, which may set it again.
-        let was_evicted = std::mem::take(&mut state.evicted);
+        let was_evicted = state.evicted();
+        state.set_flag(EVICTED, false);
         if let Some(clock) = &mut self.production {
             clock.tick_backup(ts);
         }
-        let (windows, kind) = advance(&self.spec.policy, &mut state.policy, ts, idle);
+        let ((windows, kind), moved) =
+            advance(&self.spec.policy, &mut self.columns, slot, state, ts, idle);
         let verdict = FleetVerdict {
             cold: gap.is_none_or(|g| g.cold) || was_evicted,
             prewarm_load: gap.is_some_and(|g| g.prewarm_load) && !was_evicted,
@@ -492,7 +733,7 @@ impl TenantState {
         };
         state.windows = windows;
         state.last_ts = ts;
-        state.last_verdict = Some(LastVerdict {
+        state.set_last_verdict(LastVerdict {
             idle_ms: idle,
             cold: verdict.cold,
             prewarm_load: verdict.prewarm_load,
@@ -506,9 +747,14 @@ impl TenantState {
         // expiry — possibly the just-charged app itself — and each
         // victim is marked as the eviction loop releases it.
         let expiry = verdict.windows.loaded_until(ts);
-        let mb = self.table.slots[slot].mb;
+        let mb = row.mb;
+        if let Some((owner, spot)) = moved {
+            // The app's history moved up a class, and another app's
+            // ring took its old spot.
+            self.table.row_mut(owner).app.ring.moved_to(spot);
+        }
         let victims = self.table.charge_slot(slot, ts, expiry, mb, |victim| {
-            victim.evicted = true;
+            victim.set_flag(EVICTED, true);
             victim.stamp = stamp;
         });
         Ok(Served {
@@ -544,13 +790,18 @@ impl TenantState {
 
     /// Number of apps the tenant has state for.
     pub fn num_apps(&self) -> usize {
-        self.table.slots.len()
+        self.table.len()
     }
 
-    /// One app's record, if the tenant has seen it.
-    pub fn app(&self, app: &str) -> Option<&AppState> {
+    /// One app's row and what its policy has learned, if the tenant has
+    /// seen it.
+    pub fn app(&self, app: &str) -> Option<AppView<'_>> {
         let slot = self.table.slot_of(app)?;
-        Some(&self.table.slots[slot].app)
+        let state = &self.table.row(slot).app;
+        Some(AppView {
+            state,
+            policy: self.columns.policy(slot, state),
+        })
     }
 
     /// Exports the records `keep` selects, sorted by app id — everything
@@ -558,19 +809,19 @@ impl TenantState {
     pub fn export_apps(&self, keep: impl Fn(&AppState) -> bool) -> Vec<AppRecord> {
         let mut apps: Vec<AppRecord> = self
             .table
-            .slots
-            .iter()
-            .filter(|slot| keep(&slot.app))
-            .map(|slot| AppRecord {
-                app: String::from(&*slot.name),
-                last_ts: slot.app.last_ts,
-                windows: slot.app.windows,
-                evicted: slot.app.evicted,
-                state: match &slot.app.policy {
+            .rows()
+            .enumerate()
+            .filter(|(_, row)| keep(&row.app))
+            .map(|(slot, row)| AppRecord {
+                app: String::from(&*row.name),
+                last_ts: row.app.last_ts,
+                windows: row.app.windows,
+                evicted: row.app.evicted(),
+                state: match self.columns.policy(slot, &row.app) {
                     ServedPolicy::Stateless => PolicyState::Stateless,
                     ServedPolicy::Hybrid(h) => PolicyState::Hybrid(h.snapshot()),
                     ServedPolicy::Production { last, app } => PolicyState::Production {
-                        last: *last,
+                        last,
                         state: app.export(),
                     },
                 },
@@ -581,34 +832,41 @@ impl TenantState {
     }
 }
 
-/// Advances one app's policy state under the tenant's spec: the
-/// windows governing its next gap and the branch that produced them.
+/// Advances one app's policy state — its row `state` and its entries in
+/// row `slot` of the tenant's columns — under the tenant's spec: the
+/// windows governing its next gap and the branch that produced them,
+/// and the row whose history ring moved to make room, with its new spot.
 // sitw-lint: hot-path
 fn advance(
     spec: &PolicySpec,
-    policy: &mut ServedPolicy,
+    columns: &mut Columns,
+    slot: usize,
+    state: &mut AppState,
     ts: u64,
     idle: Option<u64>,
-) -> (Windows, DecisionKind) {
-    match (policy, spec) {
-        (ServedPolicy::Stateless, PolicySpec::Fixed(f)) => {
+) -> ((Windows, DecisionKind), Option<(usize, u32)>) {
+    let decided = match (columns, spec) {
+        (Columns::Stateless, PolicySpec::Fixed(f)) => {
             (Windows::keep_loaded(f.keep_alive_ms), DecisionKind::Static)
         }
-        (ServedPolicy::Stateless, PolicySpec::NoUnloading) => {
+        (Columns::Stateless, PolicySpec::NoUnloading) => {
             (Windows::NEVER_UNLOAD, DecisionKind::Static)
         }
-        (ServedPolicy::Hybrid(app), PolicySpec::Hybrid(cfg)) => {
-            (app.on_invocation(cfg, idle), app.last_decision())
+        (Columns::Hybrid { bins, history }, PolicySpec::Hybrid(cfg)) => {
+            let mut history = history.history(&mut state.ring, slot);
+            let decided = state
+                .hybrid
+                .on_invocation(cfg, bins.row_mut(slot), &mut history, idle);
+            return (decided, history.moved());
         }
-        (ServedPolicy::Production { last, app }, PolicySpec::Production(cfg)) => {
-            let (windows, kind) = app.on_invocation(cfg, ts, idle);
-            *last = kind;
-            (windows, kind)
+        (Columns::Production(apps), PolicySpec::Production(cfg)) => {
+            apps.get_mut(slot).on_invocation(cfg, ts, idle)
         }
-        // A state its spec did not build: `fresh_policy` and `restore`
-        // never make one. Nothing to consult keeps nothing warm.
+        // Columns their spec did not build: `TenantState::new` never
+        // makes any. Nothing to consult keeps nothing warm.
         _ => (Windows::keep_loaded(0), DecisionKind::Static),
-    }
+    };
+    (decided, None)
 }
 
 #[cfg(test)]
@@ -638,15 +896,15 @@ mod tests {
     }
 
     #[test]
-    fn served_policy_stays_168_bytes_with_production_inside() {
-        // Every app slot holds one, so its size is in every per-app
-        // ceiling. The hybrid variant sets it; a production app, with its
-        // cached aggregate and head/tail cursors, fits beside its last
-        // branch inside the hybrid variant's bytes.
+    fn an_app_row_stays_184_bytes() {
+        // Every app has one, so its size is in every per-app ceiling:
+        // the ledger's name, footprint and charge (48 B) and the kernel's
+        // 136 B: the hybrid row's 80 and the 12-byte ring header among
+        // them. The bins and history are in the columns.
         use std::mem::size_of;
-        assert_eq!(size_of::<ServedPolicy>(), 168);
-        assert_eq!(size_of::<HybridApp>(), 168);
-        assert!(size_of::<ProductionApp>() + size_of::<DecisionKind>() <= size_of::<HybridApp>());
+        assert_eq!(size_of::<HybridRow>(), 80);
+        assert_eq!(size_of::<AppState>(), 136);
+        assert_eq!(size_of::<crate::ledger::Row<AppState>>(), 184);
     }
 
     #[test]
@@ -667,14 +925,14 @@ mod tests {
             // the production clock to notice, had it been consulted.
             let before = export(&live);
             for app in ["a", "b", "c"] {
-                let last_ts = live.app(app).unwrap().last_ts;
+                let last_ts = live.app(app).unwrap().state.last_ts();
                 assert_eq!(
                     live.step(app, last_ts - 1, 1_000).map(|s| s.verdict),
                     Err(OutOfOrder { last_ts })
                 );
                 assert!(live.step(app, 0, 1_000).is_err());
                 assert_eq!(export(&live), before, "{policy}: rejection left a trace");
-                assert!(live.app(app).unwrap().stamp < 1_000);
+                assert!(live.app(app).unwrap().state.stamp() < 1_000);
             }
             // And the next in-order steps answer as if it never came.
             for i in 0..30u64 {
@@ -738,8 +996,8 @@ mod tests {
             ..TenantRestore::fresh(spec("production", 0))
         };
         let t = TenantState::restore(restore, 7).unwrap();
-        assert_eq!(t.app("a").unwrap().stamp, 7);
-        assert!(t.app("a").unwrap().last_verdict.is_none());
+        assert_eq!(t.app("a").unwrap().state.stamp(), 7);
+        assert!(t.app("a").unwrap().state.last_verdict().is_none());
     }
 
     /// The tenant's full state as a restore payload.

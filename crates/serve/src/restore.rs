@@ -45,8 +45,8 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 
 use sitw_fleet::{
-    fnv1a, LedgerExport, RestoredApp, TenantId, TenantRegistry, TenantSpec, TenantState,
-    DEFAULT_TENANT,
+    fnv1a, LedgerExport, RestoredApp, SpentRecord, TenantId, TenantRegistry, TenantSpec,
+    TenantState, DEFAULT_TENANT,
 };
 use sitw_sim::PolicySpec;
 use sitw_telemetry::lock_unpoisoned;
@@ -765,6 +765,7 @@ impl Builder {
     fn run(exchange: &Exchange, tables: &Mutex<Tables>, stamps: &[u64]) -> Option<(usize, String)> {
         let _abandon = Abandon(exchange);
         let mut corrupt = None;
+        let mut spent = Vec::new();
         while let Some(mut batch) = exchange.take() {
             // Past its first corrupt line a builder's lines can only be
             // later ones: it stops parsing, and its lines stay lines.
@@ -775,9 +776,12 @@ impl Builder {
             while let Some(mut batch) = turn {
                 let mut tables = lock_unpoisoned(tables);
                 for item in batch.items.drain(..) {
-                    Self::insert(&mut tables, item);
+                    Self::insert(&mut tables, item, &mut spent);
                 }
                 drop(tables);
+                // The records' lists, copied into the tables, are freed
+                // with the lock released.
+                spent.clear();
                 turn = exchange.inserted(batch);
             }
         }
@@ -819,7 +823,8 @@ impl Builder {
         None
     }
 
-    fn insert(tables: &mut Tables, item: Item) {
+    /// Inserts `item`; what is left of an inserted app goes to `spent`.
+    fn insert(tables: &mut Tables, item: Item, spent: &mut Vec<SpentRecord>) {
         match item {
             Item::Tenant { shard, spec, apps } => {
                 let table = tables.entry((shard, spec.id)).or_insert_with(|| Table {
@@ -832,8 +837,9 @@ impl Builder {
             Item::App { shard, tenant, app } => {
                 if let Some(table) = tables.get_mut(&(shard, tenant)) {
                     if table.refused.is_none() {
-                        if let Err(e) = table.state.insert_app(app) {
-                            table.refused = Some(e.to_string());
+                        match table.state.insert_app(app) {
+                            Ok(left) => spent.push(left),
+                            Err(e) => table.refused = Some(e.to_string()),
                         }
                     }
                 }

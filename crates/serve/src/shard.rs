@@ -39,7 +39,7 @@ use std::sync::{Arc, Mutex};
 
 use sitw_core::PolicySpec;
 use sitw_fleet::{
-    footprint_mb, AppState, OutOfOrder, ServedPolicy, TenantId, TenantSpec, TenantState,
+    footprint_mb, AppState, AppView, OutOfOrder, ServedPolicy, TenantId, TenantSpec, TenantState,
 };
 use sitw_telemetry::{
     EventKind, EventRing, FlightRecorder, Gate, Log2Histogram, Stage, WallClock, EVENT_RING,
@@ -488,7 +488,7 @@ impl ShardWorker {
     pub fn policy_probe(&self, tenant: TenantId, app: &str) -> Option<String> {
         let t = self.tenants.get(&tenant)?;
         let state = t.state.app(app)?;
-        Some(render_policy(t.state.spec(), app, state))
+        Some(render_policy(t.state.spec(), app, &state))
     }
 
     /// Counters and latency histograms.
@@ -578,7 +578,7 @@ impl ShardWorker {
         let mut tenants: Vec<TenantExport> = self
             .tenants
             .values()
-            .map(|t| Self::export_tenant_if(t, |s| since.is_none_or(|f| s.stamp > f)))
+            .map(|t| Self::export_tenant_if(t, |s| since.is_none_or(|f| s.stamp() > f)))
             .collect();
         tenants.sort_by_key(|t| t.id);
         DirtyShardExport {
@@ -608,7 +608,8 @@ impl ShardWorker {
 /// the last verdict with its inputs, and (for hybrid apps) the learned
 /// idle-time histogram plus the §4.2 classification the *next* gap
 /// would run against, next to the thresholds that gate it.
-fn render_policy(spec: &TenantSpec, app: &str, state: &AppState) -> String {
+fn render_policy(spec: &TenantSpec, app: &str, view: &AppView) -> String {
+    let state = view.state;
     use crate::wire::json_escape;
     let mut out = String::with_capacity(512);
     let _ = write!(
@@ -619,13 +620,13 @@ fn render_policy(spec: &TenantSpec, app: &str, state: &AppState) -> String {
         json_escape(&spec.name),
         json_escape(app),
         json_escape(&spec.policy.label()),
-        state.last_ts,
-        state.evicted,
+        state.last_ts(),
+        state.evicted(),
         footprint_mb(&spec.name, app),
-        state.windows.pre_warm_ms,
-        state.windows.keep_alive_ms,
+        state.windows().pre_warm_ms,
+        state.windows().keep_alive_ms,
     );
-    if let Some(v) = &state.last_verdict {
+    if let Some(v) = &state.last_verdict() {
         let idle = match v.idle_ms {
             Some(ms) => ms.to_string(),
             None => "null".to_owned(),
@@ -634,15 +635,15 @@ fn render_policy(spec: &TenantSpec, app: &str, state: &AppState) -> String {
             out,
             ",\"last_verdict\":{{\"ts\":{},\"idle_ms\":{idle},\"cold\":{},\
              \"prewarm_load\":{},\"evicted\":{},\"branch\":\"{}\"}}",
-            state.last_ts,
+            state.last_ts(),
             v.cold,
             v.prewarm_load,
             v.evicted,
             crate::wire::kind_str(v.kind),
         );
     }
-    if let (ServedPolicy::Hybrid(p), PolicySpec::Hybrid(cfg)) = (&state.policy, &spec.policy) {
-        let h = p.histogram();
+    if let (ServedPolicy::Hybrid(p), PolicySpec::Hybrid(cfg)) = (&view.policy, &spec.policy) {
+        let h = p.totals();
         let counts = p.decisions();
         let _ = write!(
             out,
@@ -656,7 +657,7 @@ fn render_policy(spec: &TenantSpec, app: &str, state: &AppState) -> String {
             h.total_count(),
             h.oob_count(),
             h.oob_fraction(),
-            h.bin_count_cv(),
+            h.bin_count_cv(p.bins().len()),
             cfg.min_samples,
             cfg.oob_threshold,
             cfg.cv_threshold,
@@ -665,12 +666,12 @@ fn render_policy(spec: &TenantSpec, app: &str, state: &AppState) -> String {
             counts.histogram,
             counts.standard,
             counts.arima,
-            h.bin_width(),
+            cfg.bin_width(),
         );
         // Sparse export: `[bin, count]` pairs for the non-zero bins
         // only, so a 240-bin histogram stays a small body.
         let mut first = true;
-        for (i, &c) in h.bins().iter().enumerate() {
+        for (i, &c) in p.bins().iter().enumerate() {
             if c == 0 {
                 continue;
             }
@@ -1091,7 +1092,7 @@ mod tests {
 
     #[test]
     fn mismatched_records_are_refused_where_state_enters() {
-        use sitw_core::{DecisionKind, HybridApp, HybridConfig};
+        use sitw_core::{DecisionKind, HybridConfig, PolicyFactory};
         let tenant = |policy: &str| TenantSpec {
             id: 1,
             name: "moved".into(),
@@ -1102,7 +1103,7 @@ mod tests {
             last: DecisionKind::Histogram,
             state: Default::default(),
         };
-        let hybrid = PolicyState::Hybrid(HybridApp::new(&HybridConfig::default()).snapshot());
+        let hybrid = PolicyState::Hybrid(HybridConfig::default().new_policy().app().snapshot());
         let mb = footprint_mb("moved", "a");
         let policy_refusal = "does not match policy";
         let charge_refusal = "not a recorded app's footprint";

@@ -1310,7 +1310,28 @@ pub fn apply_delta(base: &mut Snapshot, delta: Snapshot) {
 mod tests {
     use super::*;
     use sitw_core::{AppPolicy, DecisionKind, HybridConfig, PolicyFactory, PolicySpec, MINUTE_MS};
-    use sitw_fleet::ServedPolicy;
+
+    /// `state` restored as the one app of a tenant under `policy`, and
+    /// exported back; `None` when the tenant refuses it.
+    fn restored_under(state: PolicyState, policy: PolicySpec) -> Option<PolicyState> {
+        let restore = sitw_fleet::TenantRestore {
+            apps: vec![AppRecord {
+                app: "a".into(),
+                last_ts: 0,
+                windows: Windows::keep_loaded(0),
+                evicted: false,
+                state,
+            }],
+            ..sitw_fleet::TenantRestore::fresh(sitw_fleet::TenantSpec {
+                id: 0,
+                name: "t".into(),
+                policy,
+                budget_mb: 0,
+            })
+        };
+        let tenant = sitw_fleet::TenantState::restore(restore, 0).ok()?;
+        Some(tenant.export_apps(|_| true).remove(0).state)
+    }
 
     fn hybrid_record() -> AppRecord {
         let mut p = HybridConfig::default().new_policy();
@@ -1534,15 +1555,9 @@ mod tests {
             last: DecisionKind::StandardKeepAlive,
             state: ProductionAppState::default(),
         };
-        assert!(state
-            .clone()
-            .into_policy(&PolicySpec::fixed_minutes(10))
-            .is_err());
-        assert!(state
-            .into_policy(&PolicySpec::Production(
-                sitw_core::ProductionConfig::default()
-            ))
-            .is_ok());
+        assert!(restored_under(state.clone(), PolicySpec::fixed_minutes(10)).is_none());
+        let production = PolicySpec::Production(sitw_core::ProductionConfig::default());
+        assert_eq!(restored_under(state.clone(), production), Some(state));
     }
 
     #[test]
@@ -1588,18 +1603,10 @@ mod tests {
     fn state_restores_into_matching_spec_only() {
         let rec = hybrid_record();
         let spec = PolicySpec::Hybrid(HybridConfig::default());
-        let restored = rec.state.clone().into_policy(&spec).unwrap();
-        match restored {
-            ServedPolicy::Hybrid(h) => match &rec.state {
-                PolicyState::Hybrid(s) => assert_eq!(&h.snapshot(), s),
-                _ => unreachable!(),
-            },
-            other => panic!("wrong variant {other:?}"),
-        }
-        assert!(rec
-            .state
-            .into_policy(&PolicySpec::fixed_minutes(10))
-            .is_err());
+        let restored = restored_under(rec.state.clone(), spec).unwrap();
+        assert!(matches!(restored, PolicyState::Hybrid(_)));
+        assert_eq!(restored, rec.state);
+        assert!(restored_under(rec.state, PolicySpec::fixed_minutes(10)).is_none());
     }
 
     #[test]

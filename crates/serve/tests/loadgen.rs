@@ -3,14 +3,17 @@
 //! The fake node records the bytes each replay connection sends and
 //! answers every message by its position on the connection: warm, cold
 //! and evicted verdicts, out-of-order records, and whole-message errors
-//! (a 409, or a typed error frame). The goldens were captured from the
-//! generator's separate JSON and SITW-BIN loops, before they became one:
-//! every connection must still send the same bytes, and every report
-//! must count the same.
+//! (a 409, or a typed error frame). It holds its answers until the
+//! connection goes quiet, so the most records it held unanswered is the
+//! most the replay kept in flight, which must stay within the window.
+//! The goldens were captured from the generator's separate JSON and
+//! SITW-BIN loops, before they became one: every connection must still
+//! send the same bytes, and every report must count the same.
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 use sitw_core::DecisionKind;
 use sitw_fleet::fnv1a;
@@ -103,11 +106,18 @@ fn frame_answer(message: usize, records: usize) -> Vec<u8> {
 const LISTING: &str =
     "[{\"id\":5,\"name\":\"t0\"},{\"id\":6,\"name\":\"t1\"},{\"id\":7,\"name\":\"t2\"}]";
 
+/// What the fake node saw of one replay connection: every byte it
+/// sent, and the most records it had sent that were not yet answered.
+struct Seen {
+    bytes: Vec<u8>,
+    most_unanswered: usize,
+}
+
 /// Starts a fake node that serves `conns` connections, one thread
-/// each, and returns the bytes each replay connection sent, in accept
-/// order, once all of them have closed (a tenant listing's connection
-/// is not reported).
-fn fake_node(json: JsonAnswer, conns: usize) -> (SocketAddr, JoinHandle<Vec<Vec<u8>>>) {
+/// each, and returns what each replay connection sent, in accept order,
+/// once all of them have closed (a tenant listing's connection is not
+/// reported).
+fn fake_node(json: JsonAnswer, conns: usize) -> (SocketAddr, JoinHandle<Vec<Seen>>) {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let node = std::thread::spawn(move || {
@@ -124,13 +134,20 @@ fn fake_node(json: JsonAnswer, conns: usize) -> (SocketAddr, JoinHandle<Vec<Vec<
     (addr, node)
 }
 
-/// Answers every complete message as it arrives and returns all the
-/// bytes the peer sent, or `None` for a tenant-listing connection.
-fn serve(mut stream: TcpStream, json: JsonAnswer) -> Option<Vec<u8>> {
+/// Answers every complete message, in order, once the peer has sent
+/// nothing for a few milliseconds — a replay waiting on a full window —
+/// and returns what the peer sent, or `None` for a tenant-listing
+/// connection.
+fn serve(mut stream: TcpStream, json: JsonAnswer) -> Option<Seen> {
     let (mut seen, mut at, mut message) = (Vec::new(), 0usize, 0usize);
     let mut records = Vec::new();
     let mut chunk = [0u8; 16 * 1024];
     let mut listing = false;
+    // Answers held back, and the records they answer.
+    let (mut held, mut unanswered, mut most_unanswered) = (Vec::new(), 0usize, 0usize);
+    stream
+        .set_read_timeout(Some(Duration::from_millis(5)))
+        .unwrap();
     loop {
         while at < seen.len() {
             let rest = &seen[at..];
@@ -142,6 +159,7 @@ fn serve(mut stream: TcpStream, json: JsonAnswer) -> Option<Vec<u8>> {
                     other => panic!("not a request frame: {other:?}"),
                 }
                 out = frame_answer(message, records.len());
+                unanswered += records.len();
                 message += 1;
             } else {
                 let Some(head) = rest.windows(4).position(|w| w == b"\r\n\r\n") else {
@@ -162,15 +180,33 @@ fn serve(mut stream: TcpStream, json: JsonAnswer) -> Option<Vec<u8>> {
                 } else {
                     assert!(header.starts_with("POST /invoke "), "{header}");
                     out = json(message);
+                    unanswered += 1;
                     message += 1;
                 }
             }
-            // A replay that has failed may have closed its end already.
-            let _ = stream.write_all(&out);
+            held.extend_from_slice(&out);
+            most_unanswered = most_unanswered.max(unanswered);
         }
         match stream.read(&mut chunk) {
-            Ok(0) | Err(_) => return (!listing).then_some(seen),
-            Ok(n) => seen.extend_from_slice(&chunk[..n]),
+            Ok(n) if n > 0 => seen.extend_from_slice(&chunk[..n]),
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ) =>
+            {
+                // Quiet: the peer waits on what it sent. A replay that
+                // has failed may have closed its end already.
+                let _ = stream.write_all(&held);
+                (held, unanswered) = (Vec::new(), 0);
+            }
+            Ok(_) | Err(_) => {
+                let _ = stream.write_all(&held);
+                return (!listing).then_some(Seen {
+                    bytes: seen,
+                    most_unanswered,
+                });
+            }
         }
     }
 }
@@ -228,11 +264,20 @@ fn each_connection_sends_the_parents_bytes_and_counts_the_same() {
         let (addr, node) = fake_node(json_answer, cfg.connections + listing);
         let report = run_loadgen(&[addr], &cfg).expect("replay");
         assert_eq!(counts(&report), golden(&label, "fake"), "{label}");
+        let seen = node.join().unwrap();
         // Each connection's `len:fnv1a`, in connection order.
-        let bytes: Vec<String> = (node.join().unwrap().iter())
-            .map(|b| format!("{}:{:016x}", b.len(), fnv1a(b)))
+        let bytes: Vec<String> = (seen.iter())
+            .map(|s| format!("{}:{:016x}", s.bytes.len(), fnv1a(&s.bytes)))
             .collect();
         assert_eq!(bytes.join(" "), golden(&label, "bytes"), "{label}");
+        // No connection had more records in flight than the window (every
+        // config's batch fits in it), and the node saw windows fill.
+        let most: Vec<usize> = seen.iter().map(|s| s.most_unanswered).collect();
+        assert!(
+            most.iter().all(|&m| m <= cfg.window && m > cfg.window / 2),
+            "{label}: at most {most:?} records unanswered, window {}",
+            cfg.window
+        );
     }
 }
 

@@ -96,16 +96,21 @@ const CEILING: i64 = SLACK + MAX_LINE_BYTES as i64;
 const PER_TENANT: u64 = 4;
 const PER_DOCUMENT: u64 = 4;
 /// What restoring a node allocates: per app its name, bins and history
-/// as parsed and its name interned in its table; per named tenant its
-/// table, spec and ledger; per document the default tenant on every
-/// shard, the node itself (listener, reactors, telemetry rings), the
-/// restore's threads and their batches — eight more of which a slow
-/// builder can make the reading thread allocate. The load-then-build
-/// restore this replaced made 20 191 for this document; the pipeline
-/// makes 20 129.
-const RESTORE_PER_APP: u64 = 4;
+/// as parsed (the name's block becomes the table's; the lists are copied
+/// into the table's columns and dropped); per 16 apps a segment of each
+/// of the five columns a hybrid table fills (rows, bins, rings, and the
+/// history class's values and owners); per named tenant its table, spec
+/// and ledger; per document the default tenant on every shard, the node
+/// itself (listener, reactors, telemetry rings), the restore's threads
+/// and their batches — eight more of which a slow builder can make the
+/// reading thread allocate — and the segment lists' growth. The
+/// load-then-build restore made 20 191 for this document, the pipeline
+/// with an allocation per app's bins, history and name 20 129, and the
+/// table's columns 16 809.
+const RESTORE_PER_APP: u64 = 3;
+const RESTORE_PER_SEGMENT: u64 = 5;
 const RESTORE_PER_TENANT: u64 = 12;
-const RESTORE_PER_DOCUMENT: u64 = 93 + 2 * 8;
+const RESTORE_PER_DOCUMENT: u64 = 208 + 2 * 8;
 /// The decoded state may not grow past what vectors sized from their
 /// counts made it (8 130 800 B when that was measured).
 const DECODED_CEILING: i64 = 8_130_800;
@@ -238,6 +243,7 @@ fn load_restore_and_write_hold_no_whole_document() {
     assert!(
         restore_allocs
             <= RESTORE_PER_APP * APPS as u64
+                + RESTORE_PER_SEGMENT * (APPS as u64).div_ceil(16)
                 + RESTORE_PER_TENANT * u64::from(TENANTS)
                 + RESTORE_PER_DOCUMENT,
         "{restore_allocs} allocations restoring {APPS} apps"

@@ -27,7 +27,7 @@
 //! Per gap, every spec classifies against its own windows and accounts
 //! into its own [`AppSimResult`] (the accounting [`simulate_app`] runs),
 //! then takes its next windows: a hybrid spec from its group's
-//! `decide`, the body [`sitw_core::HybridApp::on_invocation`] runs, on
+//! `decide`, the body [`sitw_core::HybridRow::on_invocation`] runs, on
 //! its own two cursors. A spec therefore sees exactly the state, the
 //! windows and the branches its own policy would under [`simulate_app`],
 //! and its result is that replay's, bit for bit; the `sweep_equivalence`

@@ -1,5 +1,12 @@
 //! Range-limited fixed-width histograms.
 //!
+//! The bins are a plain `[u32]` wherever their owner stores them; the
+//! running totals beside them are a [`BinTotals`], the one
+//! implementation of recording and of the O(1) reads. A
+//! [`RangeHistogram`] owns its bins in a `Vec`; a table of apps keeps
+//! each app's bins in one row of a column and its totals in the app's
+//! row, and passes the bin width once for the whole column.
+//!
 //! [`RangeHistogram`] is the centerpiece data structure of the paper's
 //! hybrid policy (§4.2): a compact array of integer counts over fixed-width
 //! bins (1 minute in the paper) up to a configurable range (4 hours ⇒ 240
@@ -28,7 +35,7 @@
 //! `i` whose cumulative count `Σ bins[..=i]` reaches
 //! `target = p/100 × in_bounds`. A cursor keeps that bin and
 //! `below = Σ bins[..bin]`; its invariant is
-//! `cursor.bin(&hist) == hist.percentile_bin(p)`. One record moves
+//! `cursor.bin(in_bounds) == hist.percentile_bin(p)`. One record moves
 //! `target` by at most one count and `below` by at most one, so
 //! restoring the invariant is a step to a neighbouring non-empty bin or
 //! no step at all — the cost is the number of bins crossed, which on the
@@ -73,30 +80,33 @@ pub enum Recorded {
     Saturated,
 }
 
-/// A fixed-width histogram over `u64` values with a bounded range.
+/// The running totals of a histogram's bins, kept beside bins that are
+/// stored wherever their owner keeps them: a [`RangeHistogram`]'s own
+/// `Vec`, or one row of a table's bins column. Every record goes through
+/// [`BinTotals::record`], which updates the bins and the totals
+/// together, so `in_bounds == Σ bins` holds wherever the bins live.
 ///
-/// Bin `i` covers the half-open interval `[i*w, (i+1)*w)` where `w` is the
-/// bin width; values `≥ num_bins * w` are counted as out of bounds.
+/// The bin width and the bin count are the caller's: a table stores them
+/// once per column, not once per app.
 ///
 /// # Examples
 ///
 /// ```
-/// use sitw_stats::{RangeHistogram, Recorded};
+/// use sitw_stats::histogram::BinTotals;
+/// use sitw_stats::Recorded;
 ///
-/// // The paper's production configuration: 240 one-minute bins.
-/// let mut h = RangeHistogram::new(240, 1);
-/// assert_eq!(h.record(5), Recorded::InBounds { bin: 5 });
-/// assert_eq!(h.record(239), Recorded::InBounds { bin: 239 });
-/// assert_eq!(h.record(240), Recorded::OutOfBounds);
-/// assert_eq!(h.in_bounds_count(), 2);
-/// assert_eq!(h.oob_count(), 1);
+/// let mut bins = [0u32; 240];
+/// let mut totals = BinTotals::default();
+/// assert_eq!(totals.record(&mut bins, 1, 5), Recorded::InBounds { bin: 5 });
+/// assert_eq!(totals.record(&mut bins, 1, 240), Recorded::OutOfBounds);
+/// assert_eq!(totals.in_bounds_count(), 1);
+/// assert_eq!(totals, BinTotals::of(&bins, 1));
 /// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct RangeHistogram {
-    bin_width: u64,
-    bins: Vec<u32>,
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct BinTotals {
     /// Sum of the bin counts. Invariant: `in_bounds == Σ bins` —
-    /// [`PercentileCursor`] and `from_parts` round trips rely on it.
+    /// [`PercentileCursor`] and the rebuild in [`BinTotals::of`] rely on
+    /// it.
     in_bounds: u64,
     oob: u64,
     /// Sum of squared bin counts, maintained incrementally so the CV of the
@@ -104,73 +114,31 @@ pub struct RangeHistogram {
     sumsq: f64,
 }
 
-impl RangeHistogram {
-    /// Creates a histogram with `num_bins` bins of width `bin_width`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_bins` or `bin_width` is zero.
-    pub fn new(num_bins: usize, bin_width: u64) -> Self {
-        assert!(num_bins > 0, "histogram needs at least one bin");
-        assert!(bin_width > 0, "bin width must be positive");
+impl BinTotals {
+    /// The totals of `bins` beside `oob` out-of-bounds recordings, in one
+    /// pass: what a snapshot restore rebuilds.
+    pub fn of(bins: &[u32], oob: u64) -> Self {
+        let (in_bounds, sumsq) = sums(bins);
         Self {
-            bin_width,
-            bins: vec![0; num_bins],
-            in_bounds: 0,
-            oob: 0,
-            sumsq: 0.0,
-        }
-    }
-
-    /// Reconstructs a histogram from raw counts (the inverse of reading
-    /// [`RangeHistogram::bins`] and [`RangeHistogram::oob_count`]), used
-    /// by snapshot/restore paths. The derived fields (in-bounds total,
-    /// sum of squared counts) are recomputed, so a round trip through
-    /// `from_parts(h.bin_width(), h.bins().to_vec(), h.oob_count())`
-    /// yields a histogram equal to `h`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bins` is empty or `bin_width` is zero.
-    pub fn from_parts(bin_width: u64, bins: Vec<u32>, oob: u64) -> Self {
-        assert!(!bins.is_empty(), "histogram needs at least one bin");
-        assert!(bin_width > 0, "bin width must be positive");
-        let (in_bounds, sumsq) = sums(&bins);
-        Self {
-            bin_width,
-            bins,
             in_bounds,
             oob,
             sumsq,
         }
     }
 
-    /// Bin width in value units.
-    pub fn bin_width(&self) -> u64 {
-        self.bin_width
-    }
-
-    /// Number of bins.
-    pub fn num_bins(&self) -> usize {
-        self.bins.len()
-    }
-
-    /// Exclusive upper bound of representable values
-    /// (`num_bins * bin_width`).
-    pub fn range(&self) -> u64 {
-        self.bins.len() as u64 * self.bin_width
-    }
-
-    /// Records a value, returning where it landed. A value whose bin is
-    /// full changes nothing.
-    pub fn record(&mut self, value: u64) -> Recorded {
-        let bin = (value / self.bin_width) as usize;
-        if bin < self.bins.len() {
-            let c = self.bins[bin];
+    /// Records `value` into `bins`, bins of width `bin_width`, returning
+    /// where it landed. A value whose bin is full changes nothing.
+    // sitw-lint: hot-path
+    #[inline]
+    pub fn record(&mut self, bins: &mut [u32], bin_width: u64, value: u64) -> Recorded {
+        let bin = value / bin_width;
+        if bin < bins.len() as u64 {
+            let bin = bin as usize;
+            let c = bins[bin];
             if c == u32::MAX {
                 return Recorded::Saturated;
             }
-            self.bins[bin] = c + 1;
+            bins[bin] = c + 1;
             self.in_bounds += 1;
             self.sumsq += 2.0 * c as f64 + 1.0;
             Recorded::InBounds { bin }
@@ -178,11 +146,6 @@ impl RangeHistogram {
             self.oob += 1;
             Recorded::OutOfBounds
         }
-    }
-
-    /// The raw bin counts.
-    pub fn bins(&self) -> &[u32] {
-        &self.bins
     }
 
     /// Number of in-bounds recordings.
@@ -215,19 +178,140 @@ impl RangeHistogram {
         self.total_count() == 0
     }
 
-    /// Coefficient of variation of the bin counts.
+    /// Coefficient of variation of the counts of `num_bins` bins.
     ///
     /// A histogram concentrated in few bins has a high CV; a flat histogram
     /// has CV 0. The hybrid policy treats the histogram as representative
     /// only when this exceeds a threshold (§4.2, Figure 18). O(1).
-    pub fn bin_count_cv(&self) -> f64 {
+    pub fn bin_count_cv(&self, num_bins: usize) -> f64 {
         if self.in_bounds == 0 {
             return 0.0;
         }
-        let n = self.bins.len() as f64;
+        let n = num_bins as f64;
         let mean = self.in_bounds as f64 / n;
         let var = (self.sumsq / n - mean * mean).max(0.0);
         var.sqrt() / mean
+    }
+}
+
+/// A fixed-width histogram over `u64` values with a bounded range: bins
+/// it owns beside their [`BinTotals`].
+///
+/// Bin `i` covers the half-open interval `[i*w, (i+1)*w)` where `w` is the
+/// bin width; values `≥ num_bins * w` are counted as out of bounds.
+///
+/// # Examples
+///
+/// ```
+/// use sitw_stats::{RangeHistogram, Recorded};
+///
+/// // The paper's production configuration: 240 one-minute bins.
+/// let mut h = RangeHistogram::new(240, 1);
+/// assert_eq!(h.record(5), Recorded::InBounds { bin: 5 });
+/// assert_eq!(h.record(239), Recorded::InBounds { bin: 239 });
+/// assert_eq!(h.record(240), Recorded::OutOfBounds);
+/// assert_eq!(h.in_bounds_count(), 2);
+/// assert_eq!(h.oob_count(), 1);
+/// ```
+#[derive(Debug, Clone, PartialEq)]
+pub struct RangeHistogram {
+    bin_width: u64,
+    bins: Vec<u32>,
+    totals: BinTotals,
+}
+
+impl RangeHistogram {
+    /// Creates a histogram with `num_bins` bins of width `bin_width`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num_bins` or `bin_width` is zero.
+    pub fn new(num_bins: usize, bin_width: u64) -> Self {
+        assert!(num_bins > 0, "histogram needs at least one bin");
+        assert!(bin_width > 0, "bin width must be positive");
+        Self {
+            bin_width,
+            bins: vec![0; num_bins],
+            totals: BinTotals::default(),
+        }
+    }
+
+    /// Reconstructs a histogram from raw counts (the inverse of reading
+    /// [`RangeHistogram::bins`] and [`RangeHistogram::oob_count`]), used
+    /// by snapshot/restore paths. The derived totals are recomputed
+    /// ([`BinTotals::of`]), so a round trip through
+    /// `from_parts(h.bin_width(), h.bins().to_vec(), h.oob_count())`
+    /// yields a histogram equal to `h`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bins` is empty or `bin_width` is zero.
+    pub fn from_parts(bin_width: u64, bins: Vec<u32>, oob: u64) -> Self {
+        assert!(!bins.is_empty(), "histogram needs at least one bin");
+        assert!(bin_width > 0, "bin width must be positive");
+        Self {
+            bin_width,
+            totals: BinTotals::of(&bins, oob),
+            bins,
+        }
+    }
+
+    /// Bin width in value units.
+    pub fn bin_width(&self) -> u64 {
+        self.bin_width
+    }
+
+    /// Number of bins.
+    pub fn num_bins(&self) -> usize {
+        self.bins.len()
+    }
+
+    /// Exclusive upper bound of representable values
+    /// (`num_bins * bin_width`).
+    pub fn range(&self) -> u64 {
+        self.bins.len() as u64 * self.bin_width
+    }
+
+    /// Records a value, returning where it landed. A value whose bin is
+    /// full changes nothing.
+    pub fn record(&mut self, value: u64) -> Recorded {
+        self.totals.record(&mut self.bins, self.bin_width, value)
+    }
+
+    /// The raw bin counts.
+    pub fn bins(&self) -> &[u32] {
+        &self.bins
+    }
+
+    /// Number of in-bounds recordings.
+    pub fn in_bounds_count(&self) -> u64 {
+        self.totals.in_bounds
+    }
+
+    /// Number of out-of-bounds recordings.
+    pub fn oob_count(&self) -> u64 {
+        self.totals.oob
+    }
+
+    /// Total recordings, in-bounds plus out-of-bounds.
+    pub fn total_count(&self) -> u64 {
+        self.totals.total_count()
+    }
+
+    /// Fraction of recordings that were out of bounds (0 when empty).
+    pub fn oob_fraction(&self) -> f64 {
+        self.totals.oob_fraction()
+    }
+
+    /// True when nothing has been recorded (in-bounds or out).
+    pub fn is_empty(&self) -> bool {
+        self.totals.is_empty()
+    }
+
+    /// Coefficient of variation of the bin counts
+    /// ([`BinTotals::bin_count_cv`]).
+    pub fn bin_count_cv(&self) -> f64 {
+        self.totals.bin_count_cv(self.bins.len())
     }
 
     /// Lower edge of the bin containing the in-bounds `p`-th percentile,
@@ -236,7 +320,7 @@ impl RangeHistogram {
     ///
     /// Returns `None` when no in-bounds values exist.
     pub fn head_value(&self, p: f64) -> Option<u64> {
-        self.percentile_bin(p).map(|b| self.lower_edge(b))
+        self.percentile_bin(p).map(|b| b as u64 * self.bin_width)
     }
 
     /// Upper edge of the bin containing the in-bounds `p`-th percentile,
@@ -245,22 +329,13 @@ impl RangeHistogram {
     ///
     /// Returns `None` when no in-bounds values exist.
     pub fn tail_value(&self, p: f64) -> Option<u64> {
-        self.percentile_bin(p).map(|b| self.upper_edge(b))
-    }
-
-    /// Where a head cutoff in `bin` rounds down to.
-    fn lower_edge(&self, bin: usize) -> u64 {
-        bin as u64 * self.bin_width
-    }
-
-    /// Where a tail cutoff in `bin` rounds up to.
-    fn upper_edge(&self, bin: usize) -> u64 {
-        (bin as u64 + 1) * self.bin_width
+        self.percentile_bin(p)
+            .map(|b| (b as u64 + 1) * self.bin_width)
     }
 
     /// Index of the bin containing the in-bounds `p`-th percentile.
     pub fn percentile_bin(&self, p: f64) -> Option<usize> {
-        percentile_bin_over(&self.bins, self.in_bounds as f64, p)
+        percentile_bin_over(&self.bins, self.totals.in_bounds as f64, p)
     }
 
     /// Merges another histogram with identical geometry into this one.
@@ -276,8 +351,7 @@ impl RangeHistogram {
         }
         // Recomputed, not added: a bin that saturated holds less than
         // the two totals together.
-        (self.in_bounds, self.sumsq) = sums(&self.bins);
-        self.oob += other.oob;
+        self.totals = BinTotals::of(&self.bins, self.totals.oob + other.totals.oob);
     }
 
     /// Approximate in-memory footprint of the count array, in bytes.
@@ -289,14 +363,20 @@ impl RangeHistogram {
     }
 }
 
-/// One percentile of one [`RangeHistogram`], kept current from record to
-/// record instead of being walked for on every read (see the module
-/// docs for why this is exact).
+/// One percentile of one histogram, kept current from record to record
+/// instead of being walked for on every read (see the module docs for
+/// why this is exact).
+///
+/// The cursor holds only its bin and the count below it. Everything
+/// else is the owner's and is
+/// passed in: the bins and their in-bounds total (wherever they are
+/// stored), the percentile as the factor [`PercentileCursor::fraction`]
+/// makes of it, and the bin width.
 ///
 /// Invariant, whenever the cursor has seen every in-bounds record since
-/// it was sought: `cursor.bin(&hist) == hist.percentile_bin(p)`. The
-/// cursor does not borrow the histogram; the owner of both feeds it.
-/// After [`RangeHistogram::merge`], seek again.
+/// it was sought: `cursor.bin(in_bounds)` is the walk's
+/// [`RangeHistogram::percentile_bin`]. After [`RangeHistogram::merge`],
+/// seek again.
 ///
 /// # Examples
 ///
@@ -304,34 +384,49 @@ impl RangeHistogram {
 /// use sitw_stats::{PercentileCursor, RangeHistogram, Recorded};
 ///
 /// let mut h = RangeHistogram::new(240, 1);
-/// let mut tail = PercentileCursor::seek(&h, 99.0);
+/// let p99 = PercentileCursor::fraction(99.0);
+/// let mut tail = PercentileCursor::seek(h.bins(), h.in_bounds_count(), p99);
 /// for v in [10, 10, 10, 200, 10, 500] {
 ///     if let Recorded::InBounds { bin } = h.record(v) {
-///         tail.on_record(&h, bin);
+///         tail.on_record(h.bins(), h.in_bounds_count(), p99, bin);
 ///     }
-///     assert_eq!(tail.bin(&h), h.percentile_bin(99.0));
+///     assert_eq!(tail.bin(h.in_bounds_count()), h.percentile_bin(99.0));
 /// }
-/// assert_eq!(tail.tail_value(&h), Some(201));
+/// assert_eq!(tail.tail_value(h.in_bounds_count(), 1), Some(201));
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+
 pub struct PercentileCursor {
-    /// `p.clamp(0, 100) / 100`, the factor the walk applies to the total.
-    fraction: f64,
-    /// The percentile bin, always a non-empty one; 0 and unread while
-    /// the histogram holds nothing in bounds.
-    bin: usize,
     /// `Σ bins[..bin]`: what the walk has accumulated when it arrives.
     below: u64,
+    /// The percentile bin, always a non-empty one; 0 and unread while
+    /// the histogram holds nothing in bounds.
+    bin: u32,
 }
 
 impl PercentileCursor {
-    /// A cursor on the `p`-th percentile of `hist`, found with one walk.
-    pub fn seek(hist: &RangeHistogram, p: f64) -> Self {
-        let [cursor, _] = Self::seek_pair(hist, [p, p]);
+    /// `p` as the factor the walk applies to the in-bounds total:
+    /// `p.clamp(0, 100) / 100`, and 1 for a NaN `p` — under a NaN target
+    /// the walk runs to the last non-empty bin, which is where the 100th
+    /// percentile sits.
+    #[inline]
+    pub fn fraction(p: f64) -> f64 {
+        if p.is_nan() {
+            1.0
+        } else {
+            percentile_fraction(p)
+        }
+    }
+
+    /// A cursor on the percentile `fraction` (made by
+    /// [`PercentileCursor::fraction`]) of `bins`, whose in-bounds total is
+    /// `in_bounds`, found with one walk.
+    pub fn seek(bins: &[u32], in_bounds: u64, fraction: f64) -> Self {
+        let [cursor, _] = Self::seek_pair(bins, in_bounds, [fraction; 2]);
         cursor
     }
 
-    /// Cursors on two percentiles of `hist` — a policy's head and tail —
+    /// Cursors on two percentiles of `bins` — a policy's head and tail —
     /// found in one walk from bin 0 that places the lower target first
     /// and stops at the bin of the higher.
     ///
@@ -345,30 +440,26 @@ impl PercentileCursor {
     /// compare that fails until the end. Past 2⁵³ (only a histogram of
     /// millions of full bins gets there) each cursor takes the `f64`
     /// walk itself.
-    pub fn seek_pair(hist: &RangeHistogram, ps: [f64; 2]) -> [Self; 2] {
-        // Under a NaN target the walk runs to the last non-empty bin,
-        // which is where the 100th percentile sits.
-        let mut cursors = ps.map(|p| Self {
-            fraction: if p.is_nan() {
-                1.0
-            } else {
-                percentile_fraction(p)
-            },
-            bin: 0,
-            below: 0,
-        });
-        let total = hist.in_bounds;
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bins` holds more than `u32::MAX` bins.
+    pub fn seek_pair(bins: &[u32], in_bounds: u64, fractions: [f64; 2]) -> [Self; 2] {
+        assert!(u32::try_from(bins.len()).is_ok(), "too many bins");
+        let mut cursors = [Self::default(); 2];
+        let total = in_bounds;
         if total == 0 {
             return cursors;
         }
         if total > 1 << 53 {
-            for c in &mut cursors {
-                c.bin = percentile_bin_at(&hist.bins, total as f64, c.fraction).unwrap_or(0);
-                c.below = hist.bins[..c.bin].iter().map(|&n| u64::from(n)).sum();
+            for (c, &fraction) in cursors.iter_mut().zip(&fractions) {
+                let bin = percentile_bin_at(bins, total as f64, fraction).unwrap_or(0);
+                c.bin = bin as u32;
+                c.below = bins[..bin].iter().map(|&n| u64::from(n)).sum();
             }
             return cursors;
         }
-        let order = if cursors[1].fraction < cursors[0].fraction {
+        let order = if fractions[1] < fractions[0] {
             [1, 0]
         } else {
             [0, 1]
@@ -376,14 +467,16 @@ impl PercentileCursor {
         // A target is at most the total (a fraction of at most 1 times
         // it, rounded), which the last non-empty bin reaches, so the
         // walk places both cursors.
-        let needs = order.map(|k| ((cursors[k].fraction * total as f64).ceil() as u64).max(1));
+        let needs = order.map(|k| ((fractions[k] * total as f64).ceil() as u64).max(1));
         let mut placed = 0;
         let mut cum = 0u64;
-        for (bin, &n) in hist.bins.iter().enumerate() {
+        for (bin, &n) in bins.iter().enumerate() {
             cum += u64::from(n);
             while placed < 2 && cum >= needs[placed] {
-                let c = &mut cursors[order[placed]];
-                (c.bin, c.below) = (bin, cum - u64::from(n));
+                cursors[order[placed]] = Self {
+                    bin: bin as u32,
+                    below: cum - u64::from(n),
+                };
                 placed += 1;
             }
             if placed == 2 {
@@ -394,55 +487,64 @@ impl PercentileCursor {
         cursors
     }
 
-    /// Restores the invariant after `hist.record` returned
-    /// [`Recorded::InBounds`] with bin `recorded`. The other two outcomes
-    /// change nothing a percentile depends on and must not be reported.
+    /// Restores the invariant after a record into `bins` returned
+    /// [`Recorded::InBounds`] with bin `recorded`; `in_bounds` is the
+    /// total with that record. The other two outcomes change nothing a
+    /// percentile depends on and must not be reported.
     // sitw-lint: hot-path
-    pub fn on_record(&mut self, hist: &RangeHistogram, recorded: usize) {
-        if hist.in_bounds == 1 {
+    #[inline]
+    pub fn on_record(&mut self, bins: &[u32], in_bounds: u64, fraction: f64, recorded: usize) {
+        if in_bounds == 1 {
             // The first in-bounds value; nothing lies below it.
-            self.bin = recorded;
+            self.bin = recorded as u32;
             return;
         }
-        let bins = hist.bins.as_slice();
-        let mut bin = self.bin;
+        let mut bin = self.bin as usize;
+        let mut below = self.below;
         if recorded < bin {
-            self.below += 1;
+            below += 1;
         }
-        let target = self.fraction * hist.in_bounds as f64;
+        let target = fraction * in_bounds as f64;
         // Too far: the previous non-empty bin (there is one while
         // `below > 0`) already reaches the target, so the walk would
         // have stopped there.
-        while self.below > 0 && self.below as f64 >= target {
+        while below > 0 && below as f64 >= target {
             let Some(prev) = bins[..bin].iter().rposition(|&c| c > 0) else {
                 break;
             };
-            self.below -= bins[prev] as u64;
+            below -= bins[prev] as u64;
             bin = prev;
         }
         // Not far enough: the walk goes on until the sum reaches the
         // target, which `in_bounds == Σ bins` puts at or before the last
         // bin; the index test keeps that from being taken on trust.
-        while bin + 1 < bins.len() && ((self.below + bins[bin] as u64) as f64) < target {
-            self.below += bins[bin] as u64;
+        while bin + 1 < bins.len() && ((below + bins[bin] as u64) as f64) < target {
+            below += bins[bin] as u64;
             bin += 1;
         }
-        self.bin = bin;
+        self.bin = bin as u32;
+        self.below = below;
     }
 
-    /// Index of the percentile bin: [`RangeHistogram::percentile_bin`].
-    pub fn bin(&self, hist: &RangeHistogram) -> Option<usize> {
-        (hist.in_bounds > 0).then_some(self.bin)
+    /// Index of the percentile bin ([`RangeHistogram::percentile_bin`]),
+    /// given the histogram's in-bounds total.
+    #[inline]
+    pub fn bin(&self, in_bounds: u64) -> Option<usize> {
+        (in_bounds > 0).then_some(self.bin as usize)
     }
 
-    /// Lower edge of the percentile bin: [`RangeHistogram::head_value`].
-    pub fn head_value(&self, hist: &RangeHistogram) -> Option<u64> {
-        self.bin(hist).map(|b| hist.lower_edge(b))
+    /// Lower edge of the percentile bin in bins of `bin_width`:
+    /// [`RangeHistogram::head_value`].
+    #[inline]
+    pub fn head_value(&self, in_bounds: u64, bin_width: u64) -> Option<u64> {
+        self.bin(in_bounds).map(|b| b as u64 * bin_width)
     }
 
-    /// Upper edge of the percentile bin: [`RangeHistogram::tail_value`].
-    pub fn tail_value(&self, hist: &RangeHistogram) -> Option<u64> {
-        self.bin(hist).map(|b| hist.upper_edge(b))
+    /// Upper edge of the percentile bin in bins of `bin_width`:
+    /// [`RangeHistogram::tail_value`].
+    #[inline]
+    pub fn tail_value(&self, in_bounds: u64, bin_width: u64) -> Option<u64> {
+        self.bin(in_bounds).map(|b| (b as u64 + 1) * bin_width)
     }
 }
 
@@ -503,8 +605,8 @@ impl WeightedBins {
         for (a, &b) in self.bins.iter_mut().zip(h.bins.iter()) {
             *a += weight * b as f64;
         }
-        self.in_bounds += weight * h.in_bounds as f64;
-        self.oob += weight * h.oob as f64;
+        self.in_bounds += weight * h.totals.in_bounds as f64;
+        self.oob += weight * h.totals.oob as f64;
     }
 
     /// Total in-bounds weight.
@@ -586,7 +688,7 @@ impl<'a> WeightedSum<'a> {
     /// The in-bounds total, as `add_scaled` would leave it.
     #[inline]
     pub fn total(&self) -> f64 {
-        self.older.in_bounds + self.weight * self.newest.in_bounds as f64
+        self.older.in_bounds + self.weight * self.newest.totals.in_bounds as f64
     }
 
     /// Bin `i` of the sum were the newest histogram to hold `count`
@@ -1027,13 +1129,44 @@ mod tests {
         assert_eq!(rebuilt.tail_value(99.0), h.tail_value(99.0));
     }
 
-    /// Feeds `cursors` what `h.record(value)` reports, as an owner does.
-    fn record_tracked(h: &mut RangeHistogram, cursors: &mut [PercentileCursor], value: u64) {
+    /// Feeds `cursors`, on the percentiles `ps`, what `h.record(value)`
+    /// reports, as an owner does.
+    fn record_tracked(
+        h: &mut RangeHistogram,
+        cursors: &mut [PercentileCursor],
+        ps: &[f64],
+        value: u64,
+    ) {
         if let Recorded::InBounds { bin } = h.record(value) {
-            for c in cursors.iter_mut() {
-                c.on_record(h, bin);
+            for (c, &p) in cursors.iter_mut().zip(ps) {
+                c.on_record(
+                    h.bins(),
+                    h.in_bounds_count(),
+                    PercentileCursor::fraction(p),
+                    bin,
+                );
             }
         }
+    }
+
+    /// A cursor on the `p`-th percentile of `h`.
+    fn seek(h: &RangeHistogram, p: f64) -> PercentileCursor {
+        PercentileCursor::seek(h.bins(), h.in_bounds_count(), PercentileCursor::fraction(p))
+    }
+
+    /// What `c` reads off `h`: bin, head and tail.
+    fn read(c: &PercentileCursor, h: &RangeHistogram) -> (Option<usize>, Option<u64>, Option<u64>) {
+        let n = h.in_bounds_count();
+        (
+            c.bin(n),
+            c.head_value(n, h.bin_width()),
+            c.tail_value(n, h.bin_width()),
+        )
+    }
+
+    /// What the walk reads off `h` for `p`: bin, head and tail.
+    fn walk(h: &RangeHistogram, p: f64) -> (Option<usize>, Option<u64>, Option<u64>) {
+        (h.percentile_bin(p), h.head_value(p), h.tail_value(p))
     }
 
     #[test]
@@ -1043,18 +1176,18 @@ mod tests {
         let parts = || RangeHistogram::from_parts(2, vec![3, u32::MAX, 0, 2], 1);
         let mut h = parts();
         let ps = [0.0, 5.0, 50.0, 99.0, 100.0];
-        let mut cursors = ps.map(|p| PercentileCursor::seek(&h, p));
+        let mut cursors = ps.map(|p| seek(&h, p));
         for _ in 0..5 {
             assert_eq!(h.record(3), Recorded::Saturated);
         }
         assert_eq!(h, parts(), "a refused record changes nothing");
 
         for value in [2, 0, 7, 3, 99, 5, 1, 4, 6, 2] {
-            record_tracked(&mut h, &mut cursors, value);
+            record_tracked(&mut h, &mut cursors, &ps, value);
             let sum: u64 = h.bins().iter().map(|&c| c as u64).sum();
             assert_eq!(h.in_bounds_count(), sum);
             for (c, p) in cursors.iter().zip(ps) {
-                assert_eq!(c.bin(&h), h.percentile_bin(p), "p {p} after {value}");
+                assert_eq!(read(c, &h), walk(&h, p), "p {p} after {value}");
             }
         }
         assert_eq!(h.bins(), &[5, u32::MAX, 2, 4]);
@@ -1064,7 +1197,7 @@ mod tests {
         assert_eq!(restored.in_bounds_count(), h.in_bounds_count());
         assert_eq!(restored.oob_fraction(), h.oob_fraction());
         for (c, p) in cursors.iter().zip(ps) {
-            assert_eq!(PercentileCursor::seek(&restored, p), *c, "p {p}");
+            assert_eq!(seek(&restored, p), *c, "p {p}");
         }
 
         // Merging saturates per bin; the total follows the bins.
@@ -1080,13 +1213,11 @@ mod tests {
         // last non-empty bin.
         let ps = [-3.0, 0.0, 100.0, 250.0, f64::NAN, f64::INFINITY];
         let mut h = RangeHistogram::new(12, 3);
-        let mut cursors = ps.map(|p| PercentileCursor::seek(&h, p));
+        let mut cursors = ps.map(|p| seek(&h, p));
         for value in [20, 8, 8, 33, 100, 2, 35, 20, 0] {
-            record_tracked(&mut h, &mut cursors, value);
+            record_tracked(&mut h, &mut cursors, &ps, value);
             for (c, p) in cursors.iter().zip(ps) {
-                assert_eq!(c.bin(&h), h.percentile_bin(p), "p {p} after {value}");
-                assert_eq!(c.head_value(&h), h.head_value(p));
-                assert_eq!(c.tail_value(&h), h.tail_value(p));
+                assert_eq!(read(c, &h), walk(&h, p), "p {p} after {value}");
             }
         }
     }
@@ -1119,7 +1250,7 @@ mod tests {
             let mut h = RangeHistogram::new(num_bins, width);
             let range = h.range();
             let centre = take(range);
-            let mut cursors = ps.map(|p| PercentileCursor::seek(&h, p));
+            let mut cursors = ps.map(|p| seek(&h, p));
             for mut bits in ops {
                 let mut take = |n: u64| {
                     let v = bits % n;
@@ -1139,17 +1270,15 @@ mod tests {
                         RangeHistogram::from_parts(width, h.bins().to_vec(), h.oob_count());
                     prop_assert_eq!(&rebuilt, &h);
                     for (c, p) in cursors.iter_mut().zip(ps) {
-                        let sought = PercentileCursor::seek(&rebuilt, p);
+                        let sought = seek(&rebuilt, p);
                         prop_assert_eq!(&sought, &*c);
                         *c = sought;
                     }
                     h = rebuilt;
                 }
-                record_tracked(&mut h, &mut cursors, value);
+                record_tracked(&mut h, &mut cursors, &ps, value);
                 for (c, p) in cursors.iter().zip(ps) {
-                    prop_assert_eq!(c.bin(&h), h.percentile_bin(p));
-                    prop_assert_eq!(c.head_value(&h), h.head_value(p));
-                    prop_assert_eq!(c.tail_value(&h), h.tail_value(p));
+                    prop_assert_eq!(read(c, &h), walk(&h, p));
                 }
             }
         }
@@ -1221,13 +1350,17 @@ mod tests {
             let bins = rebuild_bins(num_bins, shape, &seeds);
             let (in_bounds, sumsq) = crate::histogram_ref::sums(&bins);
             let h = RangeHistogram::from_parts(1, bins.clone(), 7);
-            prop_assert_eq!(h.in_bounds, in_bounds);
-            prop_assert_eq!(h.sumsq.to_bits(), sumsq.to_bits());
-            let cursors = PercentileCursor::seek_pair(&h, ps);
+            prop_assert_eq!(h.totals.in_bounds, in_bounds);
+            prop_assert_eq!(h.totals.sumsq.to_bits(), sumsq.to_bits());
+            let cursors = PercentileCursor::seek_pair(&bins, in_bounds, ps.map(PercentileCursor::fraction));
             for (c, p) in cursors.iter().zip(ps) {
                 let (fraction, bin, below) = crate::histogram_ref::seek(&bins, in_bounds, p);
-                prop_assert_eq!((c.fraction.to_bits(), c.bin, c.below), (fraction.to_bits(), bin, below));
-                prop_assert_eq!(&PercentileCursor::seek(&h, p), c);
+                let (c_bin, c_below) = (c.bin as usize, c.below);
+                prop_assert_eq!(
+                    (PercentileCursor::fraction(p).to_bits(), c_bin, c_below),
+                    (fraction.to_bits(), bin, below)
+                );
+                prop_assert_eq!(&seek(&h, p), c);
             }
         }
     }
@@ -1241,7 +1374,7 @@ mod tests {
         for bins in [vec![u32::MAX, 92_682, 0], vec![(1 << 26) - 1; 4097]] {
             let (_, sumsq) = crate::histogram_ref::sums(&bins);
             let h = RangeHistogram::from_parts(1, bins, 0);
-            assert_eq!(h.sumsq.to_bits(), sumsq.to_bits());
+            assert_eq!(h.totals.sumsq.to_bits(), sumsq.to_bits());
         }
     }
 
@@ -1255,16 +1388,18 @@ mod tests {
         assert!(in_bounds > 1 << 53);
         let h = RangeHistogram::from_parts(1, bins.clone(), 0);
         assert_eq!(
-            (h.in_bounds, h.sumsq.to_bits()),
+            (h.totals.in_bounds, h.totals.sumsq.to_bits()),
             (in_bounds, sumsq.to_bits())
         );
         let ps = [0.0, 5.0, 50.0, 99.0, 100.0, f64::NAN];
         for pair in ps.windows(2) {
-            let cursors = PercentileCursor::seek_pair(&h, [pair[1], pair[0]]);
+            let fractions = [pair[1], pair[0]].map(PercentileCursor::fraction);
+            let cursors = PercentileCursor::seek_pair(h.bins(), h.in_bounds_count(), fractions);
             for (c, p) in cursors.iter().zip([pair[1], pair[0]]) {
                 let (fraction, bin, below) = crate::histogram_ref::seek(&bins, in_bounds, p);
+                let (c_bin, c_below) = (c.bin as usize, c.below);
                 assert_eq!(
-                    (c.fraction.to_bits(), c.bin, c.below),
+                    (PercentileCursor::fraction(p).to_bits(), c_bin, c_below),
                     (fraction.to_bits(), bin, below)
                 );
             }

@@ -38,6 +38,8 @@ pub mod report;
 
 pub use distributions::{Burr, ContinuousDist, LogNormal};
 pub use ecdf::Ecdf;
-pub use histogram::{PercentileCursor, RangeHistogram, Recorded, WeightedCursor, WeightedSum};
+pub use histogram::{
+    BinTotals, PercentileCursor, RangeHistogram, Recorded, WeightedCursor, WeightedSum,
+};
 pub use online::Welford;
 pub use percentile::percentile_sorted;
