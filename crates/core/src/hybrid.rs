@@ -183,7 +183,7 @@ impl HybridConfig {
     /// Configurations with one key record identically and differ only in
     /// how they decide; a [`HybridGroup`] serves them all.
     pub fn state_key(&self) -> (usize, usize, usize) {
-        let width = self.bin_width_minutes.max(1);
+        let width = self.bin_width() as usize;
         ((self.range_minutes / width).max(1), width, self.history_cap)
     }
 

@@ -14,11 +14,11 @@
 //!   seconds**, off the critical path.
 //!
 //! An app's state is one [`ProductionApp`] — its retained days and
-//! cached aggregate — held in its slot of the tenant's app table (or in
-//! a [`ProductionPolicy`] for per-app replays); [`ProductionManager`] is
-//! only the tenant's configuration and backup clock, with no map of
-//! apps. Decisions are [`crate::HybridConfig`]'s `(pre-warm,
-//! keep-alive)` pairs, computed from the weighted aggregate.
+//! cached aggregate — held in its row of a column beside the tenant's
+//! app table (or in a [`ProductionPolicy`] for per-app replays);
+//! [`ProductionManager`] is only the tenant's configuration and backup
+//! clock, with no map of apps. Decisions are [`crate::HybridConfig`]'s
+//! `(pre-warm, keep-alive)` pairs, computed from the weighted aggregate.
 //!
 //! # Decision cost
 //!

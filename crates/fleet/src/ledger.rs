@@ -277,7 +277,7 @@ impl TenantLedger {
     pub fn charge(&mut self, app: &str, now_ms: u64, expiry_ms: u64, mb: u64) -> Victims<'_> {
         let slot = match self.slot_of(app) {
             Some(slot) => slot,
-            None => self.insert(app, mb, ()).0,
+            None => self.insert(app, mb, ()),
         };
         self.charge_slot(slot, now_ms, expiry_ms, mb, |()| {})
     }
@@ -291,7 +291,7 @@ impl TenantLedger {
         let Ok(()) = ledger.load(export, |l, app, mb| -> Result<usize, Infallible> {
             Ok(match l.slot_of(app) {
                 Some(slot) => slot,
-                None => l.insert(app, mb, ()).0,
+                None => l.insert(app, mb, ()),
             })
         });
         ledger
@@ -382,16 +382,15 @@ impl<P> TenantLedger<P> {
     }
 
     /// Interns `app` into a fresh slot, not warm, holding `mb` and
-    /// `app_state`; returns the slot, and whether the table opened a
-    /// segment for it (its other columns do too).
-    pub(crate) fn insert(&mut self, app: &str, mb: u64, app_state: P) -> (usize, bool) {
+    /// `app_state`; returns the slot.
+    pub(crate) fn insert(&mut self, app: &str, mb: u64, app_state: P) -> usize {
         // First sight: the one allocation a name costs.
         let hash = self.index.hash(app);
         self.push_row(hash, Box::from(app), mb, app_state)
     }
 
     /// Appends the row of `name` (whose index hash is `hash`).
-    fn push_row(&mut self, hash: u32, name: Box<str>, mb: u64, app: P) -> (usize, bool) {
+    fn push_row(&mut self, hash: u32, name: Box<str>, mb: u64, app: P) -> usize {
         let slot = self.rows.len();
         let opened = self.rows.push(Row {
             name,
@@ -409,7 +408,7 @@ impl<P> TenantLedger<P> {
             self.fit_heap();
         }
         self.index.insert(hash, slot);
-        (slot, opened)
+        slot
     }
 
     /// Reserves the most heap nodes the table's rows can need between
@@ -432,9 +431,9 @@ impl<P> TenantLedger<P> {
     }
 
     /// Interns `name` into a fresh slot holding the footprint and
-    /// payload `make` returns, hashing it once; returns the slot and
-    /// whether a segment was opened for it, or the name back — with
-    /// nothing made — when the table holds the app already.
+    /// payload `make` returns, hashing it once; returns the slot, or the
+    /// name back — with nothing made — when the table holds the app
+    /// already.
     ///
     /// # Errors
     ///
@@ -443,7 +442,7 @@ impl<P> TenantLedger<P> {
         &mut self,
         name: Box<str>,
         make: impl FnOnce() -> Result<(u64, P), E>,
-    ) -> Result<Result<(usize, bool), Box<str>>, E> {
+    ) -> Result<Result<usize, Box<str>>, E> {
         let hash = self.index.hash(&name);
         if self.find(&name, hash).is_some() {
             return Ok(Err(name));

@@ -233,7 +233,7 @@ impl TenantRestore {
 /// histogram totals and cursor walks among it), so a restore can make
 /// it on any thread and insert it ([`TenantState::insert_app`]) in
 /// order. The insert copies the bins and history into the table's
-/// columns; the record's own lists are dropped there.
+/// columns and hands the record's own lists back ([`SpentRecord`]).
 #[derive(Debug)]
 pub struct RestoredApp {
     name: Box<str>,
@@ -653,7 +653,7 @@ impl TenantState {
             Ok((mb, row))
         })?;
         match (inserted, learned) {
-            (Ok((slot, _)), Some(learned)) => {
+            (Ok(slot), Some(learned)) => {
                 let row = &mut self.table.row_mut(slot).app;
                 Ok(self.columns.push_learned(learned, slot, row))
             }
@@ -705,7 +705,7 @@ impl TenantState {
             // definition (§5.1).
             None => {
                 let mb = footprint_mb(&self.spec.name, app);
-                let (slot, _) = self.table.insert(app, mb, AppState::new(ts, stamp));
+                let slot = self.table.insert(app, mb, AppState::new(ts, stamp));
                 self.columns.push_fresh(&self.spec.policy);
                 (slot, None)
             }
