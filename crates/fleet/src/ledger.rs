@@ -4,7 +4,8 @@
 //! A [`TenantLedger`] is one tenant's table of every app it has seen.
 //! Each app has one *row*, numbered by first sight (its *slot*), in a
 //! column that grows a 16-row segment at a time and never moves
-//! (`crate::slab`): the app's name, interned once as a `Box<str>`, its
+//! (`crate::slab`): the app's name (in the row up to 22 bytes, else a
+//! block of its own), its
 //! footprint ([`crate::footprint_mb`], in MB), its charge (keep-alive
 //! expiry, queued heap key, heap generation, and whether it is current)
 //! and the payload the table is keyed for — the kernel's
@@ -80,7 +81,7 @@
 use std::convert::Infallible;
 
 use crate::evict::evict_until;
-use crate::slab::{Column, NameIndex};
+use crate::slab::{Column, Name, NameIndex};
 
 /// Orphaned heap nodes tolerated on top of one per warm app before the
 /// heap is rebuilt from its live nodes.
@@ -96,12 +97,12 @@ struct Node {
     gen: u32,
 }
 
-/// One app's row: its interned name, footprint and charge, plus the
+/// One app's row: its name, footprint and charge, plus the
 /// payload the table is keyed for.
 #[derive(Debug)]
 pub(crate) struct Row<P> {
     /// The app id.
-    pub(crate) name: Box<str>,
+    pub(crate) name: Name,
     /// Footprint in MB: what a charge of this app holds.
     pub(crate) mb: u64,
     /// Absolute time the keep-alive lapses (the image unloads).
@@ -311,7 +312,7 @@ fn before<P>(rows: &Column<Row<P>>, a: &Node, b: &Node) -> bool {
     if a.slot == b.slot {
         return a.gen < b.gen;
     }
-    rows.get(a.slot as usize).name < rows.get(b.slot as usize).name
+    rows.get(a.slot as usize).name.as_bytes() < rows.get(b.slot as usize).name.as_bytes()
 }
 
 impl<P> TenantLedger<P> {
@@ -378,7 +379,8 @@ impl<P> TenantLedger<P> {
     #[inline]
     fn find(&self, app: &str, hash: u32) -> Option<usize> {
         let rows = &self.rows;
-        self.index.find(app, hash, |slot| &rows.get(slot).name)
+        self.index
+            .find(app, hash, |slot| rows.get(slot).name.as_bytes())
     }
 
     /// Interns `app` into a fresh slot, not warm, holding `mb` and
@@ -386,11 +388,11 @@ impl<P> TenantLedger<P> {
     pub(crate) fn insert(&mut self, app: &str, mb: u64, app_state: P) -> usize {
         // First sight: the one allocation a name costs.
         let hash = self.index.hash(app);
-        self.push_row(hash, Box::from(app), mb, app_state)
+        self.push_row(hash, Name::new(app), mb, app_state)
     }
 
     /// Appends the row of `name` (whose index hash is `hash`).
-    fn push_row(&mut self, hash: u32, name: Box<str>, mb: u64, app: P) -> usize {
+    fn push_row(&mut self, hash: u32, name: Name, mb: u64, app: P) -> usize {
         let slot = self.rows.len();
         let opened = self.rows.push(Row {
             name,
@@ -440,11 +442,11 @@ impl<P> TenantLedger<P> {
     /// `make`'s; the table is unchanged.
     pub(crate) fn insert_new<E>(
         &mut self,
-        name: Box<str>,
+        name: Name,
         make: impl FnOnce() -> Result<(u64, P), E>,
-    ) -> Result<Result<usize, Box<str>>, E> {
-        let hash = self.index.hash(&name);
-        if self.find(&name, hash).is_some() {
+    ) -> Result<Result<usize, Name>, E> {
+        let hash = self.index.hash(name.as_str());
+        if self.find(name.as_str(), hash).is_some() {
             return Ok(Err(name));
         }
         let (mb, app_state) = make()?;
@@ -605,7 +607,7 @@ impl<P> TenantLedger<P> {
                     mark(&mut record.app);
                     l.warm_mb -= record.mb;
                     l.evictions += 1;
-                    l.evicted.text.push_str(&record.name);
+                    l.evicted.text.push_str(record.name.as_str());
                     l.evicted.ends.push(l.evicted.text.len());
                 },
             );
@@ -651,7 +653,7 @@ impl<P> TenantLedger<P> {
             .rows
             .iter()
             .filter(|s| s.warm)
-            .map(|s| (String::from(&*s.name), s.expiry_ms, s.mb))
+            .map(|s| (String::from(s.name.as_str()), s.expiry_ms, s.mb))
             .collect();
         warm.sort();
         LedgerExport {
@@ -691,7 +693,11 @@ impl<P> TenantLedger<P> {
         assert!(self.heap.len() <= 2 * warm + COMPACT_SLACK);
         assert_eq!(self.index.len(), self.rows.len());
         for (slot, record) in self.rows.iter().enumerate() {
-            assert_eq!(self.slot_of(&record.name), Some(slot), "one slot per name");
+            assert_eq!(
+                self.slot_of(record.name.as_str()),
+                Some(slot),
+                "one slot per name"
+            );
         }
     }
 }

@@ -15,7 +15,7 @@
 //!   (Figure 8), so online serving, offline replay, and restores all
 //!   charge identical memory without storing anything.
 //! * [`ledger`] — the tenant's one app table, which is also its memory
-//!   ledger: one slot per app holding its interned name, footprint,
+//!   ledger: one row per app holding its name, footprint,
 //!   keep-alive charge and the kernel's per-app state; an exact
 //!   loaded-memory integral (the §5.3 idle-memory metric); and budgeted
 //!   eviction by earliest keep-alive expiry. Ledgers are integer-valued

@@ -389,6 +389,61 @@ impl sitw_core::IdleHistory for RingHistory<'_> {
     }
 }
 
+/// Names up to this many bytes live in their row.
+const INLINE_NAME: usize = 22;
+
+/// An app's name as its row keeps it: up to 22 bytes in the row, a
+/// longer one in a block of its own — so a first sight of a short name
+/// allocates nothing, and comparing a candidate's name reads only the
+/// row the decision reads anyway.
+#[derive(Debug)]
+pub(crate) enum Name {
+    Inline { len: u8, bytes: [u8; INLINE_NAME] },
+    Boxed(Box<str>),
+}
+
+impl Name {
+    /// `name`, copied.
+    pub(crate) fn new(name: &str) -> Name {
+        match u8::try_from(name.len()) {
+            Ok(len) if name.len() <= INLINE_NAME => {
+                let mut bytes = [0; INLINE_NAME];
+                bytes[..name.len()].copy_from_slice(name.as_bytes());
+                Name::Inline { len, bytes }
+            }
+            _ => Name::Boxed(Box::from(name)),
+        }
+    }
+
+    /// `name`, keeping its block when it is too long to go inline.
+    pub(crate) fn from_string(name: String) -> Name {
+        if name.len() <= INLINE_NAME {
+            Name::new(&name)
+        } else {
+            Name::Boxed(name.into_boxed_str())
+        }
+    }
+
+    /// The name's bytes.
+    #[inline]
+    pub(crate) fn as_bytes(&self) -> &[u8] {
+        match self {
+            Name::Inline { len, bytes } => &bytes[..usize::from(*len)],
+            Name::Boxed(name) => name.as_bytes(),
+        }
+    }
+
+    /// The name.
+    pub(crate) fn as_str(&self) -> &str {
+        match self {
+            Name::Inline { .. } => {
+                std::str::from_utf8(self.as_bytes()).expect("made from a whole `str`")
+            }
+            Name::Boxed(name) => name,
+        }
+    }
+}
+
 /// A table's index from app name to row: open addressing over `u64`
 /// entries, each a row number beside 32 bits of the name's hash, at
 /// most half full. Names are not stored here but read from the table, so
@@ -409,13 +464,13 @@ impl NameIndex {
     }
 
     /// The row of `name` (whose [`NameIndex::hash`] is `hash`), reading
-    /// each candidate row's name with `name_of`.
+    /// each candidate row's name (its bytes) with `name_of`.
     #[inline]
     pub(crate) fn find<'n>(
         &self,
         name: &str,
         hash: u32,
-        name_of: impl Fn(usize) -> &'n str,
+        name_of: impl Fn(usize) -> &'n [u8],
     ) -> Option<usize> {
         if self.entries.is_empty() {
             return None;
@@ -428,7 +483,7 @@ impl NameIndex {
                 return None;
             }
             let row = (entry as u32 - 1) as usize;
-            if (entry >> 32) as u32 == hash && name_of(row) == name {
+            if (entry >> 32) as u32 == hash && name_of(row) == name.as_bytes() {
                 return Some(row);
             }
             at = (at + 1) & mask;
@@ -595,20 +650,43 @@ mod tests {
     }
 
     #[test]
+    fn a_name_keeps_its_bytes_inline_or_boxed() {
+        for name in [
+            "",
+            "app-000001",
+            "a-name-of-twenty-two-b",
+            "a name one byte longer.",
+            "ünïcödé-ñame",
+        ] {
+            for made in [Name::new(name), Name::from_string(name.into())] {
+                assert_eq!(made.as_str(), name);
+                assert_eq!(
+                    matches!(made, Name::Inline { .. }),
+                    name.len() <= INLINE_NAME
+                );
+            }
+        }
+        assert_eq!(std::mem::size_of::<Name>(), 24);
+    }
+
+    #[test]
     fn the_index_finds_every_row_and_nothing_else() {
         let names: Vec<String> = (0..1_000).map(|i| format!("app-{i}")).collect();
         let mut index = NameIndex::default();
         for (row, name) in names.iter().enumerate() {
             index.fit(row + 1);
             let hash = index.hash(name);
-            assert_eq!(index.find(name, hash, |r| &names[r]), None);
+            assert_eq!(index.find(name, hash, |r| names[r].as_bytes()), None);
             index.insert(hash, row);
         }
         for (row, name) in names.iter().enumerate() {
-            assert_eq!(index.find(name, index.hash(name), |r| &names[r]), Some(row));
+            assert_eq!(
+                index.find(name, index.hash(name), |r| names[r].as_bytes()),
+                Some(row)
+            );
         }
         assert_eq!(
-            index.find("other", index.hash("other"), |r| &names[r]),
+            index.find("other", index.hash("other"), |r| names[r].as_bytes()),
             None
         );
         assert_eq!(index.len(), 1_000);

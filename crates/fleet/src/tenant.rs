@@ -20,7 +20,7 @@
 //! ledger's half (name, footprint, charge) and the kernel's
 //! [`AppState`] — `last_ts`, windows, stamp, the last verdict and, for a
 //! hybrid app, the [`HybridRow`] of histogram totals, cursors and
-//! counters — 184 bytes in all. What does not fit a fixed row is in
+//! counters — 192 bytes in all. What does not fit a fixed row is in
 //! columns the tenant keeps beside the table, one entry per row, at the
 //! strides its spec fixes: a hybrid tenant's bins (`range / width`
 //! counts per app) and history rings, a production tenant's
@@ -51,7 +51,7 @@ use sitw_core::{
 use crate::footprint::footprint_mb;
 use crate::ledger::{LedgerExport, TenantLedger, Victims};
 use crate::registry::TenantSpec;
-use crate::slab::{Column, Ring, Rings};
+use crate::slab::{Column, Name, Ring, Rings};
 
 /// The verdict for one invocation — what the daemon answers and what
 /// the offline replay predicts, one type so the two compare element by
@@ -227,7 +227,7 @@ impl TenantRestore {
     }
 }
 
-/// One app record rebuilt under its tenant's spec — its interned name,
+/// One app record rebuilt under its tenant's spec — its name,
 /// footprint, row and what goes in the columns — before it meets the
 /// tenant's table: the part of a restore that reads no table (the
 /// histogram totals and cursor walks among it), so a restore can make
@@ -236,7 +236,7 @@ impl TenantRestore {
 /// columns and hands the record's own lists back ([`SpentRecord`]).
 #[derive(Debug)]
 pub struct RestoredApp {
-    name: Box<str>,
+    name: Name,
     mb: u64,
     /// The refusal, when the record does not belong under the spec.
     state: Result<(AppState, Learned), RestoreError>,
@@ -254,8 +254,7 @@ impl RestoredApp {
             .map(|learned| (row, learned));
         RestoredApp {
             mb: footprint_mb(&spec.name, &rec.app),
-            // The decoder sizes a name exactly: this keeps its block.
-            name: rec.app.into_boxed_str(),
+            name: Name::from_string(rec.app),
             state: state.map_err(RestoreError::Record),
         }
     }
@@ -658,7 +657,8 @@ impl TenantState {
                 Ok(self.columns.push_learned(learned, slot, row))
             }
             (Err(name), _) => Err(RestoreError::Record(format!(
-                "app '{name}' has two records"
+                "app '{}' has two records",
+                name.as_str()
             ))),
             (Ok(_), None) => unreachable!("a row is made with its columns' entries"),
         }
@@ -813,7 +813,7 @@ impl TenantState {
             .enumerate()
             .filter(|(_, row)| keep(&row.app))
             .map(|(slot, row)| AppRecord {
-                app: String::from(&*row.name),
+                app: String::from(row.name.as_str()),
                 last_ts: row.app.last_ts,
                 windows: row.app.windows,
                 evicted: row.app.evicted(),
@@ -896,15 +896,15 @@ mod tests {
     }
 
     #[test]
-    fn an_app_row_stays_184_bytes() {
+    fn an_app_row_stays_192_bytes() {
         // Every app has one, so its size is in every per-app ceiling:
-        // the ledger's name, footprint and charge (48 B) and the kernel's
+        // the ledger's name, footprint and charge (56 B) and the kernel's
         // 136 B: the hybrid row's 80 and the 12-byte ring header among
         // them. The bins and history are in the columns.
         use std::mem::size_of;
         assert_eq!(size_of::<HybridRow>(), 80);
         assert_eq!(size_of::<AppState>(), 136);
-        assert_eq!(size_of::<crate::ledger::Row<AppState>>(), 184);
+        assert_eq!(size_of::<crate::ledger::Row<AppState>>(), 192);
     }
 
     #[test]

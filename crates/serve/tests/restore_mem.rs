@@ -96,7 +96,7 @@ const CEILING: i64 = SLACK + MAX_LINE_BYTES as i64;
 const PER_TENANT: u64 = 4;
 const PER_DOCUMENT: u64 = 4;
 /// What restoring a node allocates: per app its name, bins and history
-/// as parsed (the name's block becomes the table's; the lists are copied
+/// as parsed (a short name is copied into its row; the lists are copied
 /// into the table's columns and dropped); per 16 apps a segment of each
 /// of the five columns a hybrid table fills (rows, bins, rings, and the
 /// history class's values and owners); per named tenant its table, spec
@@ -106,7 +106,7 @@ const PER_DOCUMENT: u64 = 4;
 /// reading thread allocate — and the segment lists' growth. The
 /// load-then-build restore made 20 191 for this document, the pipeline
 /// with an allocation per app's bins, history and name 20 129, and the
-/// table's columns 16 809.
+/// table's columns 16 495 (16 809 while names were blocks of their own).
 const RESTORE_PER_APP: u64 = 3;
 const RESTORE_PER_SEGMENT: u64 = 5;
 const RESTORE_PER_TENANT: u64 = 12;
