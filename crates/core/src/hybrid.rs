@@ -24,26 +24,31 @@
 //! idle-time history the ARIMA branch fits is a ring
 //! ([`IdleHistory`]): once `history_cap` values are held a new one takes
 //! the oldest one's place, and only the ARIMA branch — which needs the
-//! values contiguous and oldest first — rotates the buffer. That branch
-//! asks `sitw_arima` for the one-step forecast alone; the order search
-//! runs in the thread's fit workspace, not in the app's state, and
-//! allocates nothing once the thread has searched a full history.
+//! values as one slice, oldest first — reads them out. A value is the
+//! idle time in minutes, [`idle_minutes`] of its milliseconds, so an
+//! owner may keep the milliseconds and rebuild the value bit for bit.
+//! That branch asks `sitw_arima` for the one-step forecast alone; the
+//! order search runs in the thread's fit workspace, not in the app's
+//! state, and allocates nothing once the thread has searched a full
+//! history.
 //!
 //! # One decision body, three owners
 //!
 //! An app's state is split by size. Its [`HybridRow`] — the totals, the
-//! two cursors and the counters, 80 bytes — is fixed;
+//! two cursors and the counters, 72 bytes — is fixed;
 //! its bins (`range / width` counts) and its history (up to
-//! `history_cap` values) are stored by the owner and passed in as a
-//! slice and an [`IdleHistory`]. [`HybridRow::on_invocation`] records an
-//! idle time and decides through two private functions, `record` and
-//! `decide`, whoever stores the rest:
+//! `history_cap` values) are stored by the owner and passed in through
+//! [`BinCountsMut`] and an [`IdleHistory`]. [`HybridRow::on_invocation`]
+//! records an idle time and decides through two private functions,
+//! `record` and `decide`, generic over both and monomorphised for each
+//! owner:
 //!
-//! * a tenant table (`sitw_fleet`) keeps the row in the app's table row
-//!   and the bins and history in per-table columns, and reads an app
-//!   through a [`HybridApp`] view;
-//! * a [`HybridPolicy`] keeps them in buffers of its own, for per-app
-//!   replays;
+//! * a tenant table (`sitw_fleet`) keeps the row in the app's table row,
+//!   the app's nonzero bins (or, past 64 of them, all its bins) and its
+//!   history of integer milliseconds in per-table size classes, and
+//!   reads an app through a [`HybridApp`] view;
+//! * a [`HybridPolicy`] keeps a dense `[u32]` of bins and a ring of
+//!   minutes in buffers of its own, for per-app replays;
 //! * a [`HybridGroup`] calls `record` and `decide` for a replay that runs
 //!   several configurations over one stream: the configurations that
 //!   share [`HybridConfig::state_key`] (bin count, bin width, history
@@ -65,7 +70,7 @@
 use std::collections::VecDeque;
 
 use sitw_arima::{auto_forecast_one, AutoArimaConfig};
-use sitw_stats::{BinTotals, PercentileCursor, Recorded};
+use sitw_stats::{BinCounts, BinCountsMut, BinTotals, BinsRef, PercentileCursor, Recorded};
 
 use crate::policy::{AppPolicy, DecisionKind, DurationMs, PolicyFactory, Windows, MINUTE_MS};
 
@@ -73,8 +78,11 @@ use crate::policy::{AppPolicy, DecisionKind, DurationMs, PolicyFactory, Windows,
 /// [`PolicyFactory`]; each application receives a fresh [`HybridPolicy`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct HybridConfig {
-    /// Histogram range in minutes (default 240 = 4 hours; §6 quotes 240
-    /// one-minute buckets = 960 bytes per app).
+    /// Histogram range in minutes (default 240 = 4 hours). §6 quotes 240
+    /// one-minute buckets = 960 bytes per app: what an app's bins take
+    /// when every bin is held, as a [`HybridPolicy`] holds them and a
+    /// tenant table's dense class does. Most apps fill few bins, and a
+    /// table holds those as 8-byte entries of their nonzero bins alone.
     pub range_minutes: usize,
     /// Histogram bin width in minutes (default 1, the paper's choice —
     /// "1-minute bins strike a good balance between metadata size and
@@ -289,10 +297,38 @@ impl Regime {
     }
 }
 
+/// An idle time of `it` ms as a history value: minutes, `it / 60 000`
+/// in `f64`. An owner that keeps `it` rebuilds the value bit for bit.
+#[inline]
+pub fn idle_minutes(it: DurationMs) -> f64 {
+    it as f64 / MINUTE_MS as f64
+}
+
+/// The code a history of integer milliseconds keeps for a value that is
+/// not [`idle_minutes`] of any `u32` below it: a gap of 49.7 days or
+/// more, or a value a snapshot brought. Its owner keeps such a value
+/// apart, exactly, and reads it back in its place.
+pub const ESCAPED: u32 = u32::MAX;
+
+/// The code of history value `minutes`: the milliseconds below
+/// [`ESCAPED`] whose [`idle_minutes`] are its very bits, or [`ESCAPED`].
+pub fn history_code(minutes: f64) -> u32 {
+    // The nearest whole millisecond, for the check below to confirm:
+    // the cast truncates (and saturates NaN and negatives to 0, values
+    // past the codes to `u32::MAX`), where `round` is a library call.
+    let code = (minutes * MINUTE_MS as f64 + 0.5) as u32;
+    if code < ESCAPED && idle_minutes(u64::from(code)).to_bits() == minutes.to_bits() {
+        code
+    } else {
+        ESCAPED
+    }
+}
+
 /// Where an app's idle-time history is stored: the values the ARIMA
 /// branch fits, oldest first, at most a configuration's `history_cap` of
-/// them. A [`HybridPolicy`] keeps them in a `VecDeque`; a tenant table
-/// keeps them in a ring inside one of its columns.
+/// them. A [`HybridPolicy`] keeps them in a `VecDeque` of minutes; a
+/// tenant table keeps the milliseconds in a ring inside one of its size
+/// classes.
 pub trait IdleHistory {
     /// Number of values held.
     fn len(&self) -> usize;
@@ -302,13 +338,14 @@ pub trait IdleHistory {
         self.len() == 0
     }
 
-    /// Adds `value` as the newest. When `cap` values are held the oldest
+    /// Adds the idle time `it` (ms) as the newest value,
+    /// [`idle_minutes`] of it. When `cap` values are held the oldest
     /// makes room; under a cap of 0 nothing is kept.
-    fn push(&mut self, value: f64, cap: usize);
+    fn push(&mut self, it: DurationMs, cap: usize);
 
-    /// The values, oldest first, as one slice — rearranging the storage
-    /// when it must (only the ARIMA branch asks).
-    fn make_contiguous(&mut self) -> &[f64];
+    /// The values, oldest first, as one slice (only the ARIMA branch
+    /// asks).
+    fn values(&mut self) -> &[f64];
 }
 
 impl IdleHistory for VecDeque<f64> {
@@ -317,23 +354,55 @@ impl IdleHistory for VecDeque<f64> {
     }
 
     #[inline]
-    fn push(&mut self, value: f64, cap: usize) {
+    fn push(&mut self, it: DurationMs, cap: usize) {
         // Full: the oldest value makes room. Under a cap of 0 there is
         // none, and nothing is kept.
         if self.len() >= cap && self.pop_front().is_none() {
             return;
         }
-        self.push_back(value);
+        self.push_back(idle_minutes(it));
     }
 
-    fn make_contiguous(&mut self) -> &[f64] {
+    fn values(&mut self) -> &[f64] {
         VecDeque::make_contiguous(self)
+    }
+}
+
+/// An app's history as a [`HybridApp`] reads it, oldest first.
+#[derive(Debug, Clone, Copy)]
+pub enum HistoryView<'a> {
+    /// The values, as the two runs of a ring of minutes.
+    Minutes([&'a [f64]; 2]),
+    /// The idle times in ms, as the two runs of a ring of codes
+    /// ([`history_code`]), and the values the [`ESCAPED`] ones stand
+    /// for, in order, as the two runs of theirs.
+    Millis {
+        /// The codes, oldest first.
+        codes: [&'a [u32]; 2],
+        /// The escaped values, oldest first.
+        escaped: [&'a [f64]; 2],
+    },
+}
+
+impl<'a> HistoryView<'a> {
+    /// The values, oldest first.
+    pub fn values(self) -> impl Iterator<Item = f64> + 'a {
+        let (minutes, codes, escaped) = match self {
+            HistoryView::Minutes(runs) => (runs, [&[][..]; 2], [&[][..]; 2]),
+            HistoryView::Millis { codes, escaped } => ([&[][..]; 2], codes, escaped),
+        };
+        let mut escaped = escaped.into_iter().flatten();
+        let decoded = codes.into_iter().flatten().map(move |&code| match code {
+            ESCAPED => *escaped.next().expect("a value per escaped code"),
+            ms => idle_minutes(u64::from(ms)),
+        });
+        minutes.into_iter().flatten().copied().chain(decoded)
     }
 }
 
 /// The fixed-size part of what the hybrid policy has learned about one
 /// application: the histogram's running totals, the head and tail
-/// cursors and the decision counters — 80 bytes. The bins and the
+/// cursors and the decision counters — 72 bytes. The bins and the
 /// idle-time history are stored by the owner (one row of a tenant
 /// table's columns, or a [`HybridPolicy`]'s own buffers) and passed in,
 /// and so is the last branch, which the owner keeps in a byte it has
@@ -348,19 +417,26 @@ pub struct HybridRow {
 }
 
 impl HybridRow {
-    /// The row of a snapshot's app under `config`, around its `bins`
-    /// (the snapshot's, already checked by [`HybridSnapshot::check`]):
-    /// the totals rebuilt and the cursors sought in one walk.
-    pub fn restore(config: &HybridConfig, snap: &HybridSnapshot) -> Self {
-        let totals = BinTotals::of(&snap.bins, snap.oob_count);
+    /// The row of a snapshot's app under `config`, around its `bins` —
+    /// the snapshot's, already checked by [`HybridSnapshot::check`], in
+    /// whichever form their owner keeps — beside its out-of-bounds count
+    /// and decision counters: the totals rebuilt and the cursors sought
+    /// in one walk.
+    pub fn restore<B: BinCounts + ?Sized>(
+        config: &HybridConfig,
+        bins: &B,
+        oob_count: u64,
+        counts: DecisionCounts,
+    ) -> Self {
+        let totals = BinTotals::of(bins, oob_count);
         Self {
             cursors: PercentileCursor::seek_pair(
-                &snap.bins,
+                bins,
                 totals.in_bounds_count(),
                 config.fractions(),
             ),
             totals,
-            counts: snap.counts,
+            counts,
         }
     }
 
@@ -370,10 +446,10 @@ impl HybridRow {
     /// starts, under `config`, with the branch that produced them.
     // sitw-lint: hot-path
     #[inline]
-    pub fn on_invocation<H: IdleHistory + ?Sized>(
+    pub fn on_invocation<B: BinCountsMut + ?Sized, H: IdleHistory + ?Sized>(
         &mut self,
         config: &HybridConfig,
-        bins: &mut [u32],
+        bins: &mut B,
         history: &mut H,
         idle: Option<DurationMs>,
     ) -> (Windows, DecisionKind) {
@@ -391,8 +467,9 @@ impl HybridRow {
             );
         }
         let [head, tail] = &self.cursors;
-        let shape = Shape::of(&self.totals, bins.len());
-        let geometry = (bins.len(), width);
+        let num_bins = bins.num_bins();
+        let shape = Shape::of(&self.totals, num_bins);
+        let geometry = (num_bins, width);
         let decided = decide(config, shape, &self.totals, geometry, head, tail, history);
         self.counts.count(decided.1);
         decided
@@ -413,20 +490,18 @@ impl HybridRow {
 pub struct HybridApp<'a> {
     row: &'a HybridRow,
     last_decision: DecisionKind,
-    bins: &'a [u32],
-    /// The history, oldest first, as the two runs of its ring.
-    history: [&'a [f64]; 2],
+    bins: BinsRef<'a>,
+    history: HistoryView<'a>,
 }
 
 impl<'a> HybridApp<'a> {
     /// The view of `row`, whose last branch was `last_decision`, with its
-    /// `bins` and its `history` (oldest first: the first run, then the
-    /// second).
+    /// `bins` and its `history`.
     pub fn new(
         row: &'a HybridRow,
         last_decision: DecisionKind,
-        bins: &'a [u32],
-        history: [&'a [f64]; 2],
+        bins: BinsRef<'a>,
+        history: HistoryView<'a>,
     ) -> Self {
         Self {
             row,
@@ -441,8 +516,10 @@ impl<'a> HybridApp<'a> {
         &self.row.totals
     }
 
-    /// The raw bin counts.
-    pub fn bins(&self) -> &'a [u32] {
+    /// The bins, in the form their owner keeps them: read them through
+    /// [`BinCounts`] (the geometry's bin count, the non-empty bins) or
+    /// [`BinsRef::to_dense`].
+    pub fn bins(&self) -> BinsRef<'a> {
         self.bins
     }
 
@@ -462,15 +539,15 @@ impl<'a> HybridApp<'a> {
     /// order, which `on_invocation` branches on.
     #[inline]
     pub fn regime(&self, cfg: &HybridConfig) -> Regime {
-        Shape::of(&self.row.totals, self.bins.len()).regime(cfg)
+        Shape::of(&self.row.totals, self.bins.num_bins()).regime(cfg)
     }
 
     /// Captures the app's complete mutable state.
     pub fn snapshot(&self) -> HybridSnapshot {
         HybridSnapshot {
-            bins: self.bins.to_vec(),
+            bins: self.bins.to_dense(),
             oob_count: self.row.totals.oob_count(),
-            history: self.history.concat(),
+            history: self.history.values().collect(),
             counts: self.row.counts,
             last_decision: self.last_decision,
         }
@@ -521,14 +598,14 @@ impl Shape {
 }
 
 /// Records one idle time (Figure 10, first box): one bin increment in
-/// `bins` (of `width`), every cursor fed at its fraction, and the time in
-/// minutes pushed as the newest of a history capped at `cap` values.
+/// `bins` (of `width`), every cursor fed at its fraction, and the time
+/// pushed as the newest of a history capped at `cap` values.
 // sitw-lint: hot-path
 #[inline]
 #[allow(clippy::too_many_arguments)]
-fn record<H: IdleHistory + ?Sized>(
+fn record<B: BinCountsMut + ?Sized, H: IdleHistory + ?Sized>(
     totals: &mut BinTotals,
-    bins: &mut [u32],
+    bins: &mut B,
     width: u64,
     cursors: &mut [PercentileCursor],
     fractions: &[f64],
@@ -542,7 +619,7 @@ fn record<H: IdleHistory + ?Sized>(
             cursor.on_record(bins, in_bounds, fraction, bin);
         }
     }
-    history.push(it as f64 / MINUTE_MS as f64, cap);
+    history.push(it, cap);
 }
 
 /// The policy's one decision body: the windows for the gap that starts
@@ -588,7 +665,7 @@ fn arima_windows<H: IdleHistory + ?Sized>(cfg: &HybridConfig, history: &mut H) -
         return None;
     }
     // The fit reads the series oldest first in one slice.
-    let series = history.make_contiguous();
+    let series = history.values();
     let pred_minutes = auto_forecast_one(series, cfg.arima).ok()?;
     if !pred_minutes.is_finite() || pred_minutes < 1.0 {
         return None;
@@ -680,7 +757,7 @@ impl HybridGroup {
     pub fn record(&mut self, idle_ms: DurationMs) {
         record(
             &mut self.totals,
-            &mut self.bins,
+            &mut self.bins[..],
             self.width,
             &mut self.cursors,
             &self.fractions,
@@ -791,7 +868,12 @@ impl HybridPolicy {
     /// The app's state: decision counters, histogram, snapshot.
     pub fn app(&self) -> HybridApp<'_> {
         let (older, newer) = self.history.as_slices();
-        HybridApp::new(&self.row, self.last_decision, &self.bins, [older, newer])
+        HybridApp::new(
+            &self.row,
+            self.last_decision,
+            BinsRef::Dense(&self.bins),
+            HistoryView::Minutes([older, newer]),
+        )
     }
 
     /// Rebuilds a policy from a snapshot taken under the same
@@ -803,7 +885,7 @@ impl HybridPolicy {
     /// does not fit `config` ([`HybridSnapshot::check`]).
     pub fn from_snapshot(config: &HybridConfig, snap: HybridSnapshot) -> Result<Self, String> {
         snap.check(config)?;
-        let row = HybridRow::restore(config, &snap);
+        let row = HybridRow::restore(config, &snap.bins[..], snap.oob_count, snap.counts);
         // The snapshot decoder allocates the list at its length, and a
         // full ring doubles: restored at 40 values it would grow to 80
         // slots under a cap of 64. It starts where a fresh ring holding
@@ -828,7 +910,7 @@ impl AppPolicy for HybridPolicy {
     fn on_invocation(&mut self, idle_time_ms: Option<DurationMs>) -> Windows {
         let (windows, kind) = self.row.on_invocation(
             &self.config,
-            &mut self.bins,
+            &mut self.bins[..],
             &mut self.history,
             idle_time_ms,
         );

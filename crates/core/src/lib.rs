@@ -52,8 +52,8 @@ pub mod spec;
 
 pub use fixed::{FixedKeepAlive, NoUnloading};
 pub use hybrid::{
-    DecisionCounts, HybridApp, HybridConfig, HybridGroup, HybridPolicy, HybridRow, HybridSnapshot,
-    IdleHistory, Regime,
+    history_code, idle_minutes, DecisionCounts, HistoryView, HybridApp, HybridConfig, HybridGroup,
+    HybridPolicy, HybridRow, HybridSnapshot, IdleHistory, Regime, ESCAPED,
 };
 pub use policy::{
     AppPolicy, DecisionKind, DurationMs, GapOutcome, PolicyFactory, Windows, MINUTE_MS,

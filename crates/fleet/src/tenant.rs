@@ -21,19 +21,20 @@
 //! [`AppState`] — `last_ts`, windows, stamp, the last verdict and, for a
 //! hybrid app, the [`HybridRow`] of histogram totals, cursors and
 //! counters — 192 bytes in all. What does not fit a fixed row is in
-//! columns the tenant keeps beside the table, one entry per row, at the
-//! strides its spec fixes: a hybrid tenant's bins (`range / width`
-//! counts per app) and history rings, a production tenant's
-//! [`ProductionApp`]s. Nothing the spec holds is repeated per app. A
+//! storage the tenant keeps beside the table: a hybrid tenant's bins and
+//! history rings in size classes (an app's nonzero bins as 8-byte
+//! entries, or past 64 of them every bin's count; its idle times as
+//! `u32` milliseconds), a production tenant's [`ProductionApp`]s in a
+//! column of one per row. Nothing the spec holds is repeated per app. A
 //! step makes **one probe by app name**, for that row (or a first
 //! sight, which appends a row and its columns' entries), and then works
-//! by index: the hybrid policy decides over the row and its slices of
-//! the columns, and each victim is marked evicted inside the ledger's
+//! by index: the hybrid policy decides over the row and its bins and
+//! history, and each victim is marked evicted inside the ledger's
 //! eviction loop as its charge is released, never looked up again. A
 //! production tenant adds only its backup clock, a
-//! [`ProductionManager`]. A restore rebuilds a record's row on any
-//! thread ([`RestoredApp`]) and copies its bins and history into the
-//! columns as it inserts it.
+//! [`ProductionManager`]. A restore rebuilds a record's row and makes
+//! its bins and history into the classes' form on any thread
+//! ([`RestoredApp`]), and copies them in as it inserts it.
 //!
 //! Nothing outside this module composes those four. A change to the
 //! step is therefore invisible to online == offline parity; it is held
@@ -51,7 +52,7 @@ use sitw_core::{
 use crate::footprint::footprint_mb;
 use crate::ledger::{LedgerExport, TenantLedger, Victims};
 use crate::registry::TenantSpec;
-use crate::slab::{Column, Name, Ring, Rings};
+use crate::slab::{BinSlot, BinTable, Column, HybridLists, Name, Ring, Rings};
 
 /// The verdict for one invocation — what the daemon answers and what
 /// the offline replay predicts, one type so the two compare element by
@@ -134,13 +135,13 @@ pub enum PolicyState {
     },
 }
 
-/// What a restored app brings to the tenant's columns beside its row:
-/// a hybrid app's bins and history (copied into the columns, then
-/// dropped), a production app's state.
+/// What a restored app brings to the tenant's storage beside its row:
+/// a hybrid app's bins and history in the classes' form (copied in,
+/// then dropped), a production app's state.
 #[derive(Debug)]
 enum Learned {
     Stateless,
-    Hybrid { bins: Vec<u32>, history: Vec<f64> },
+    Hybrid(HybridLists),
     Production(ProductionApp),
 }
 
@@ -161,12 +162,19 @@ impl PolicyState {
             }
             (PolicyState::Hybrid(snap), PolicySpec::Hybrid(cfg)) => {
                 snap.check(cfg)?;
-                row.hybrid = HybridRow::restore(cfg, &snap);
-                row.kind = snap.last_decision;
-                Ok(Learned::Hybrid {
-                    bins: snap.bins,
-                    history: snap.history,
-                })
+                let HybridSnapshot {
+                    bins,
+                    oob_count,
+                    history,
+                    counts,
+                    last_decision,
+                } = snap;
+                let (lists, hybrid) = HybridLists::new(bins, history, |bins| {
+                    HybridRow::restore(cfg, &bins, oob_count, counts)
+                });
+                row.hybrid = hybrid;
+                row.kind = last_decision;
+                Ok(Learned::Hybrid(lists))
             }
             (PolicyState::Production { last, state }, PolicySpec::Production(cfg)) => {
                 row.kind = last;
@@ -228,12 +236,14 @@ impl TenantRestore {
 }
 
 /// One app record rebuilt under its tenant's spec — its name,
-/// footprint, row and what goes in the columns — before it meets the
+/// footprint, row and what goes beside it — before it meets the
 /// tenant's table: the part of a restore that reads no table (the
-/// histogram totals and cursor walks among it), so a restore can make
-/// it on any thread and insert it ([`TenantState::insert_app`]) in
-/// order. The insert copies the bins and history into the table's
-/// columns and hands the record's own lists back ([`SpentRecord`]).
+/// histogram totals and cursor walks, and making the bins into sparse
+/// entries and the history into milliseconds, in the record's own
+/// blocks), so a restore can make it on any thread and insert it
+/// ([`TenantState::insert_app`]) in order. The insert copies the bins
+/// and history into the table's classes and hands the record's blocks
+/// back ([`SpentRecord`]).
 #[derive(Debug)]
 pub struct RestoredApp {
     name: Name,
@@ -261,7 +271,7 @@ impl RestoredApp {
 }
 
 /// What is left of a [`RestoredApp`] once [`TenantState::insert_app`]
-/// has copied its bins and history into the table's columns: their
+/// has copied its bins and history into the table's classes: their
 /// blocks, to drop.
 #[derive(Debug)]
 pub struct SpentRecord {
@@ -296,7 +306,7 @@ const VERDICT_EVICTED: u8 = 1 << 5;
 /// The kernel's half of an app's row: what [`TenantState::step`] reads
 /// and writes per app, packed into 136 bytes beside the ledger's half
 /// (name, footprint, charge) in the same table row. A hybrid app's bins
-/// and history are in the tenant's columns, a production app's state in
+/// and history are in the tenant's classes, a production app's state in
 /// a column of its own; nothing the spec holds is repeated here.
 /// Callers see it read-only, through [`TenantState::app`].
 #[derive(Debug, Clone)]
@@ -310,6 +320,8 @@ pub struct AppState {
     hybrid: HybridRow,
     /// Where a hybrid app's history lives in the tenant's rings.
     ring: Ring,
+    /// Where a hybrid app's bins live in the tenant's bins.
+    bins: BinSlot,
     /// [`EVICTED`] and the last verdict's `VERDICT_*` bits.
     flags: u8,
     /// The branch of the last decision: the last verdict's, or for an
@@ -328,6 +340,7 @@ impl AppState {
             idle_ms: 0,
             hybrid: HybridRow::default(),
             ring: Ring::default(),
+            bins: BinSlot::default(),
             flags: 0,
             // Overwritten by the decision that follows.
             kind: DecisionKind::StandardKeepAlive,
@@ -437,14 +450,23 @@ impl fmt::Display for RestoreError {
 
 impl std::error::Error for RestoreError {}
 
-/// The columns of a tenant's table that its policy needs beside the
-/// rows, one entry per row: a hybrid tenant's bins (`range / width`
-/// counts per app) and history rings, a production tenant's app states.
+/// What a tenant's table keeps beside the rows for its policy: a hybrid
+/// tenant's bins and history rings, each in size classes of
+/// [`crate::slab`]'s one mechanism, where an app seen once holds
+/// nothing; a production tenant's app states, a column of one per row.
 #[derive(Debug)]
 enum Columns {
     Stateless,
-    Hybrid { bins: Column<u32>, history: Rings },
+    Hybrid(Box<HybridColumns>),
     Production(Column<ProductionApp>),
+}
+
+/// A hybrid tenant's bins and history rings (boxed: a tenant of another
+/// policy keeps no room for them).
+#[derive(Debug)]
+struct HybridColumns {
+    bins: BinTable,
+    history: Rings,
 }
 
 impl Columns {
@@ -453,10 +475,10 @@ impl Columns {
             PolicySpec::Fixed(_) | PolicySpec::NoUnloading => Columns::Stateless,
             PolicySpec::Hybrid(cfg) => {
                 let (bins, _, cap) = cfg.state_key();
-                Columns::Hybrid {
-                    bins: Column::new(bins),
+                Columns::Hybrid(Box::new(HybridColumns {
+                    bins: BinTable::new(bins),
                     history: Rings::new(cap),
-                }
+                }))
             }
             PolicySpec::Production(_) => Columns::Production(Column::new(1)),
         }
@@ -464,17 +486,13 @@ impl Columns {
 
     /// The columns' entries of an app seen for the first time. What they
     /// allocate is allocated here, where the row is created, so that no
-    /// decision body does — a segment when the table opens one, and a
-    /// production app's buffers.
+    /// decision body does: a production app's buffers, and a segment when
+    /// its column opens one. A hybrid app holds nothing yet; its first
+    /// idle time takes a spot in the smallest class of its bins and of
+    /// its history.
     fn push_fresh(&mut self, spec: &PolicySpec) {
-        match (self, spec) {
-            (Columns::Hybrid { bins, .. }, _) => {
-                bins.push_filled(0);
-            }
-            (Columns::Production(apps), PolicySpec::Production(cfg)) => {
-                apps.push(ProductionApp::new(cfg));
-            }
-            _ => {}
+        if let (Columns::Production(apps), PolicySpec::Production(cfg)) = (self, spec) {
+            apps.push(ProductionApp::new(cfg));
         }
     }
 
@@ -482,17 +500,13 @@ impl Columns {
     /// `row`, and what is left of the app.
     fn push_learned(&mut self, learned: Learned, slot: usize, row: &mut AppState) -> SpentRecord {
         match (self, learned) {
-            (
-                Columns::Hybrid { bins, history },
-                Learned::Hybrid {
-                    bins: b,
-                    history: h,
-                },
-            ) => {
-                bins.push_row(&b);
-                row.ring = history.restore(slot, &h);
+            (Columns::Hybrid(h), Learned::Hybrid(mut lists)) => {
+                let HybridColumns { bins, history } = &mut **h;
+                row.bins = bins.restore(slot, &lists);
+                let (codes, escaped) = lists.history();
+                row.ring = history.restore(slot, codes, escaped);
                 SpentRecord {
-                    _lists: Some((b, h)),
+                    _lists: Some(lists.into_blocks()),
                 }
             }
             (Columns::Production(apps), Learned::Production(app)) => {
@@ -508,25 +522,20 @@ impl Columns {
     /// this kind and geometry.
     fn fits(&self, learned: &Learned) -> bool {
         match (self, learned) {
-            (
-                Columns::Hybrid { bins, history },
-                Learned::Hybrid {
-                    bins: b,
-                    history: h,
-                },
-            ) => bins.row_len() == b.len() && h.len() <= history.cap(),
+            (Columns::Hybrid(h), Learned::Hybrid(lists)) => {
+                h.bins.num_bins() == lists.num_bins() && lists.codes().len() <= h.history.cap()
+            }
             (Columns::Production(_), Learned::Production(_))
             | (Columns::Stateless, Learned::Stateless) => true,
             _ => false,
         }
     }
 
-    /// Makes room in the segment lists for `apps` more apps.
+    /// Makes room in the segment list for `apps` more apps (size
+    /// classes grow as their apps arrive).
     fn reserve(&mut self, apps: usize) {
-        match self {
-            Columns::Stateless => {}
-            Columns::Hybrid { bins, .. } => bins.reserve(apps),
-            Columns::Production(column) => column.reserve(apps),
+        if let Columns::Production(column) = self {
+            column.reserve(apps);
         }
     }
 
@@ -534,11 +543,11 @@ impl Columns {
     fn policy<'a>(&'a self, slot: usize, state: &'a AppState) -> ServedPolicy<'a> {
         match self {
             Columns::Stateless => ServedPolicy::Stateless,
-            Columns::Hybrid { bins, history } => ServedPolicy::Hybrid(HybridApp::new(
+            Columns::Hybrid(h) => ServedPolicy::Hybrid(HybridApp::new(
                 &state.hybrid,
                 state.kind,
-                bins.row(slot),
-                history.slices(&state.ring),
+                h.bins.view(&state.bins),
+                h.history.view(&state.ring, slot),
             )),
             Columns::Production(apps) => ServedPolicy::Production {
                 last: state.kind,
@@ -722,7 +731,7 @@ impl TenantState {
         if let Some(clock) = &mut self.production {
             clock.tick_backup(ts);
         }
-        let ((windows, kind), moved) =
+        let ((windows, kind), [bins_moved, ring_moved]) =
             advance(&self.spec.policy, &mut self.columns, slot, state, ts, idle);
         let verdict = FleetVerdict {
             cold: gap.is_none_or(|g| g.cold) || was_evicted,
@@ -748,9 +757,12 @@ impl TenantState {
         // victim is marked as the eviction loop releases it.
         let expiry = verdict.windows.loaded_until(ts);
         let mb = row.mb;
-        if let Some((owner, spot)) = moved {
-            // The app's history moved up a class, and another app's
-            // ring took its old spot.
+        // The app's bins or history moved up a class, and another app's
+        // took its old spot.
+        if let Some((owner, spot)) = bins_moved {
+            self.table.row_mut(owner).app.bins.moved_to(spot);
+        }
+        if let Some((owner, spot)) = ring_moved {
             self.table.row_mut(owner).app.ring.moved_to(spot);
         }
         let victims = self.table.charge_slot(slot, ts, expiry, mb, |victim| {
@@ -832,10 +844,13 @@ impl TenantState {
     }
 }
 
-/// Advances one app's policy state — its row `state` and its entries in
-/// row `slot` of the tenant's columns — under the tenant's spec: the
-/// windows governing its next gap and the branch that produced them,
-/// and the row whose history ring moved to make room, with its new spot.
+/// A row whose bins or history moved to make room, with its new spot.
+type Moved = Option<(usize, u32)>;
+
+/// Advances one app's policy state — its row `state` and what row `slot`
+/// holds beside it — under the tenant's spec: the windows governing its
+/// next gap and the branch that produced them, and the rows whose bins
+/// and whose history ring moved to make room, with their new spots.
 // sitw-lint: hot-path
 fn advance(
     spec: &PolicySpec,
@@ -844,7 +859,7 @@ fn advance(
     state: &mut AppState,
     ts: u64,
     idle: Option<u64>,
-) -> ((Windows, DecisionKind), Option<(usize, u32)>) {
+) -> ((Windows, DecisionKind), [Moved; 2]) {
     let decided = match (columns, spec) {
         (Columns::Stateless, PolicySpec::Fixed(f)) => {
             (Windows::keep_loaded(f.keep_alive_ms), DecisionKind::Static)
@@ -852,12 +867,14 @@ fn advance(
         (Columns::Stateless, PolicySpec::NoUnloading) => {
             (Windows::NEVER_UNLOAD, DecisionKind::Static)
         }
-        (Columns::Hybrid { bins, history }, PolicySpec::Hybrid(cfg)) => {
+        (Columns::Hybrid(h), PolicySpec::Hybrid(cfg)) => {
+            let HybridColumns { bins, history } = &mut **h;
+            let mut bins = bins.bins(&mut state.bins, slot);
             let mut history = history.history(&mut state.ring, slot);
             let decided = state
                 .hybrid
-                .on_invocation(cfg, bins.row_mut(slot), &mut history, idle);
-            return (decided, history.moved());
+                .on_invocation(cfg, &mut bins, &mut history, idle);
+            return (decided, [bins.moved(), history.moved()]);
         }
         (Columns::Production(apps), PolicySpec::Production(cfg)) => {
             apps.get_mut(slot).on_invocation(cfg, ts, idle)
@@ -866,7 +883,7 @@ fn advance(
         // makes any. Nothing to consult keeps nothing warm.
         _ => (Windows::keep_loaded(0), DecisionKind::Static),
     };
-    (decided, None)
+    (decided, [None; 2])
 }
 
 #[cfg(test)]
@@ -899,10 +916,11 @@ mod tests {
     fn an_app_row_stays_192_bytes() {
         // Every app has one, so its size is in every per-app ceiling:
         // the ledger's name, footprint and charge (56 B) and the kernel's
-        // 136 B: the hybrid row's 80 and the 12-byte ring header among
-        // them. The bins and history are in the columns.
+        // 136 B: the hybrid row's 72, the 12-byte ring header and the
+        // 8-byte bins header among them. The bins and history are in the
+        // size classes.
         use std::mem::size_of;
-        assert_eq!(size_of::<HybridRow>(), 80);
+        assert_eq!(size_of::<HybridRow>(), 72);
         assert_eq!(size_of::<AppState>(), 136);
         assert_eq!(size_of::<crate::ledger::Row<AppState>>(), 192);
     }

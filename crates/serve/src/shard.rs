@@ -41,6 +41,7 @@ use sitw_core::PolicySpec;
 use sitw_fleet::{
     footprint_mb, AppState, AppView, OutOfOrder, ServedPolicy, TenantId, TenantSpec, TenantState,
 };
+use sitw_stats::BinCounts;
 use sitw_telemetry::{
     EventKind, EventRing, FlightRecorder, Gate, Log2Histogram, Stage, WallClock, EVENT_RING,
 };
@@ -657,7 +658,7 @@ fn render_policy(spec: &TenantSpec, app: &str, view: &AppView) -> String {
             h.total_count(),
             h.oob_count(),
             h.oob_fraction(),
-            h.bin_count_cv(p.bins().len()),
+            h.bin_count_cv(p.bins().num_bins()),
             cfg.min_samples,
             cfg.oob_threshold,
             cfg.cv_threshold,
@@ -671,10 +672,7 @@ fn render_policy(spec: &TenantSpec, app: &str, view: &AppView) -> String {
         // Sparse export: `[bin, count]` pairs for the non-zero bins
         // only, so a 240-bin histogram stays a small body.
         let mut first = true;
-        for (i, &c) in p.bins().iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
+        for (i, c) in p.bins().into_nonempty() {
             if !first {
                 out.push(',');
             }

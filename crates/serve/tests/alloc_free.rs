@@ -381,46 +381,50 @@ fn bytes_per_app_stay_under_their_ceilings() {
     let ([first_sight, first_idle, hundredth], first_sight_peak) =
         per_app_stages("hybrid", PolicySpec::Hybrid(HybridConfig::default()));
     // An app's own invokes allocate nothing: its name (up to 22
-    // bytes), its row, its 960 B of bins and its history are in the
-    // table's columns, whose segments the sights that open them pay
-    // for. The footprint hash folds over the tenant and app names and
-    // copies neither.
+    // bytes), its row, its bins and its history are in the table's
+    // columns and size classes, whose segments the sights that open
+    // them pay for. The footprint hash folds over the tenant and app
+    // names and copies neither.
     for stage in [first_sight, first_idle, hundredth] {
         assert!(stage.0 == 0 && stage.1 == 0, "{stage:?}");
     }
     // Growing the table copies no column: the most one first sight
-    // holds at once is a segment of the rows (16 × 192 B), of the bins
-    // (16 × 960 B) and of the segment lists, with the name index and
-    // the expiry heap regrown — never a second copy of the bins column
-    // (a thousand apps' bins are 960 000 B).
-    assert!(first_sight_peak <= 100_000, "{first_sight_peak} B");
+    // holds at once is a segment of the rows (16 × 192 B) and of the
+    // segment lists, with the name index (8 192 B into 16 384 B) and the
+    // expiry heap regrown — never a second copy of a column. A first
+    // sight holds no bins and no history.
+    assert!(first_sight_peak <= 36_000, "{first_sight_peak} B");
     // With every table the shard keeps, at the fill a thousand apps
-    // leave them. Per app, after a hundred idle times, 837 B above the
-    // 960 B of bins:
+    // leave them. Per app, after a hundred idle times on a ten-minute
+    // rhythm (one bin):
     //
-    //    960  bins: 240 × u32
-    //    516  history: 64 × f64 in the cap's ring class, its owner's row
+    //     36  bins: one entry of 8 B in the class of 4, its owner's row
     //         number 4 B
+    //    260  history: 64 × u32 of milliseconds in the cap's ring class,
+    //         its owner's row number 4 B
     //    193  row, 192 B: the name 24 (up to 22 bytes inline),
     //         footprint, expiry and queued key 24, heap generation and
     //         warm flag 5 (+3 padding); `last_ts`, windows, stamp and
     //         the last verdict's idle time 40; the hybrid totals 24, two
-    //         cursors 32 (+8 padding inside) and counters 24; the history
-    //         ring's spot, head and length 12; the verdict's flags and
-    //         branch 2 (+2 padding)
+    //         cursors 24 (packed) and counters 24; the history ring's
+    //         spot, head and length 12; the bins' spot and length 8; the
+    //         verdict's flags and branch 2 (+6 padding)
     //     33  expiry heap reserved to 2 × 1 008 + 33 nodes of 16 B
     //     16  name index: 2 048 entries of 8 B
     //     44  the shard's own buffers (telemetry, event ring) over 1 000
     //         apps
-    //     35  the rest: the 8 unused rows of the last bins segment
-    //         (8 B), segment lists, and the shard's per-tenant and
-    //         per-shard counters
+    //     35  the rest: the owner lists' slack (1 024 rows reserved),
+    //         the unused rows of the last segments, segment lists, the
+    //         shard's per-tenant and per-shard counters
     //
-    // (1 797 B when this was written; 2 003 B before the table held its
-    // apps in columns, of which 16 B were this test's own counters.)
+    // An app whose bins fill more than 64 of the 240 holds them dense,
+    // 960 B, as every app did before (1 797 B in all then; 2 003 B
+    // before the table held its apps in columns, of which 16 B were this
+    // test's own counters). See `a_bin_batch_mix_holds_growing_rings`
+    // for a mix that spreads its bins.
     assert!(hundredth.2 <= HYBRID_HUNDREDTH_CEILING, "{hundredth:?}");
     assert!(
-        first_sight.2 <= 1_262.0 && first_idle.2 <= 1_302.0,
+        first_sight.2 <= 293.0 && first_idle.2 <= 353.0,
         "{first_sight:?} {first_idle:?}"
     );
     // Restored with 40 idle times, then 30 more: the rebuild allocates
@@ -434,25 +438,35 @@ fn bytes_per_app_stay_under_their_ceilings() {
 }
 
 /// The hundredth stage's ceiling, B per app.
-const HYBRID_HUNDREDTH_CEILING: f64 = 1_798.0;
+const HYBRID_HUNDREDTH_CEILING: f64 = 618.0;
 
 /// What a shard holds per app on a mix of apps shaped like the
 /// `bin-batch` benchmark's warm snapshot, where 11.4 % of apps hold at
-/// most 3 idle times and 70 % hold 32 to 64: of every 50 apps, 1 is seen
-/// once, 5 hold 3 idle times, 9 hold 20 and 35 hold a hundred. The
-/// history rings take the sizes a growing ring would (4, 32 and 64
-/// values), so the mix holds less than a history column of the cap's
-/// stride would: `mean` against `fixed`, which adds what those rings
-/// would hold at 64 values each.
-fn mix_stage() -> (f64, f64) {
+/// most 3 idle times and 70 % hold 32 to 64, and 43.6 % of apps fill at
+/// most 16 of the 240 bins, 57.3 % at most 64. Of every 50 apps, as
+/// (idle times, bins filled): 1 is seen once (0, 0); 5 hold (3, 3); 6
+/// hold (20, 8) and 3 hold (20, 20); 10 hold (100, 12), 4 hold (100, 40)
+/// and 21 hold (100, 90) — 44 % fill at most 16 bins, 58 % at most 64,
+/// and 42 % hold every bin's count. An app's idle times cycle over its
+/// bins. The history rings take the sizes a growing ring would (4, 32
+/// and 64 values) and the bins the classes their entries select (4, 8,
+/// 16, 32, 64 or dense), so the mix holds less than a history column of
+/// the cap's stride, `rings`, or a dense bins column, `dense`, would.
+fn mix_stage() -> (f64, f64, f64) {
     const APPS: usize = 1_000;
-    let idle_times = |i: usize| match i % 50 {
-        0 => 0,
-        1..=5 => 3,
-        6..=14 => 20,
-        _ => 100,
+    let shape = |i: usize| -> (u64, u64) {
+        match i % 50 {
+            0 => (0, 0),
+            1..=5 => (3, 3),
+            6..=11 => (20, 8),
+            12..=14 => (20, 20),
+            15..=24 => (100, 12),
+            25..=28 => (100, 40),
+            _ => (100, 90),
+        }
     };
     let names: Vec<String> = (0..APPS).map(|i| format!("app-{i:04}")).collect();
+    let mut ts: Vec<u64> = (0..APPS as u64).collect();
     let live = || LIVE_BYTES.with(Cell::get);
     let empty = live();
     let mut worker = ShardWorker::new(
@@ -467,38 +481,65 @@ fn mix_stage() -> (f64, f64) {
     .unwrap();
     for beat in 0..=100u64 {
         for (i, name) in names.iter().enumerate() {
-            if beat <= idle_times(i) {
-                let ts = beat * 10 * MINUTE_MS + i as u64;
-                worker.invoke(FREE, name, ts).unwrap();
+            let (idle_times, bins) = shape(i);
+            if beat > idle_times {
+                continue;
             }
+            if beat > 0 {
+                // The idle times cycle over `bins` bins spread across
+                // minutes 1 to 239.
+                let bin = 1 + (beat - 1) % bins * (238 / bins);
+                ts[i] += bin * MINUTE_MS + i as u64 % 1_000;
+            }
+            worker.invoke(FREE, name, ts[i]).unwrap();
         }
     }
     let mean = (live() - empty) as f64 / APPS as f64;
-    // What each app's ring holds below the cap's 64 values.
-    let below_cap: usize = (0..APPS)
-        .map(|i| match idle_times(i) {
-            0 => 64,
-            3 => 64 - 4,
-            20 => 64 - 32,
-            _ => 0,
+    // What each app's ring holds below the cap's 64 values (4 B each),
+    // and what its bins hold below 960 B (8 B an entry, beside a 4 B
+    // owner).
+    let (below_cap, below_dense): (u64, u64) = (0..APPS)
+        .map(|i| {
+            let (idle_times, bins) = shape(i);
+            let ring = match idle_times {
+                0 => 0,
+                3 => 4,
+                20 => 32,
+                _ => 64,
+            };
+            let class = match bins {
+                0 => 0,
+                65.. => 960,
+                n => n.next_power_of_two().max(4) * 8 + 4,
+            };
+            ((64 - ring) * 4, 960 - class)
         })
-        .sum();
-    let fixed = mean + (below_cap * 8) as f64 / APPS as f64;
+        .fold((0, 0), |(r, d), (a, b)| (r + a, d + b));
+    let rings = mean + below_cap as f64 / APPS as f64;
+    let dense = mean + below_dense as f64 / APPS as f64;
     println!(
         "hybrid: bin-batch mix: {mean:.0} B per app held by the shard (mean); \
-         {fixed:.0} B with a history column of the cap's stride"
+         {rings:.0} B with a history column of the cap's stride, {dense:.0} B with \
+         every app's bins dense"
     );
-    (mean, fixed)
+    (mean, rings, dense)
 }
 
 #[test]
 fn a_bin_batch_mix_holds_growing_rings() {
-    let (mean, fixed) = mix_stage();
-    // 1 694 B when this was written, against 1 798 B for the cap's
-    // stride.
-    assert!(mean <= 1_694.0, "{mean}");
-    assert!(fixed - mean >= 100.0, "{mean} against {fixed}");
+    let (mean, rings, dense) = mix_stage();
+    // 1 064 B when this was written, against 1 694 B for the same mix
+    // when every app's bins were dense and its history `f64`.
+    assert!(mean <= MIX_CEILING, "{mean}");
+    // The rings save what a ring below the cap leaves unused, 4 B a
+    // value; the sparse classes save most of 960 B per app that fills
+    // few bins.
+    assert!(rings - mean >= 50.0, "{mean} against {rings}");
+    assert!(dense - mean >= 400.0, "{mean} against {dense}");
 }
+
+/// The mix's ceiling, B per app.
+const MIX_CEILING: f64 = 1_064.0;
 
 /// What a hybrid app restored from a snapshot with 40 idle times holds
 /// after 30 more, as counts: the median over apps of the allocations and

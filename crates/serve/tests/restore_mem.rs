@@ -96,19 +96,22 @@ const CEILING: i64 = SLACK + MAX_LINE_BYTES as i64;
 const PER_TENANT: u64 = 4;
 const PER_DOCUMENT: u64 = 4;
 /// What restoring a node allocates: per app its name, bins and history
-/// as parsed (a short name is copied into its row; the lists are copied
-/// into the table's columns and dropped); per 16 apps a segment of each
-/// of the five columns a hybrid table fills (rows, bins, rings, and the
-/// history class's values and owners); per named tenant its table, spec
-/// and ledger; per document the default tenant on every shard, the node
+/// as parsed (a short name is copied into its row; the lists are made
+/// into sparse entries and milliseconds in their own blocks, copied into
+/// the table's classes and dropped); per 16 apps a segment of each of
+/// the columns a hybrid table fills (rows, the bins' class and the
+/// history's class) and one spare; per named tenant its table, spec and
+/// ledger; per document the default tenant on every shard, the node
 /// itself (listener, reactors, telemetry rings), the restore's threads
 /// and their batches — eight more of which a slow builder can make the
-/// reading thread allocate — and the segment lists' growth. The
-/// load-then-build restore made 20 191 for this document, the pipeline
-/// with an allocation per app's bins, history and name 20 129, and the
-/// table's columns 16 495 (16 809 while names were blocks of their own).
+/// reading thread allocate — and the growth of the segment and owner
+/// lists. The load-then-build restore made 20 191 for this document, the
+/// pipeline with an allocation per app's bins, history and name 20 129,
+/// the table's columns 16 495 (16 809 while names were blocks of their
+/// own), and the size classes with their owners in one list per class
+/// 16 292.
 const RESTORE_PER_APP: u64 = 3;
-const RESTORE_PER_SEGMENT: u64 = 5;
+const RESTORE_PER_SEGMENT: u64 = 4;
 const RESTORE_PER_TENANT: u64 = 12;
 const RESTORE_PER_DOCUMENT: u64 = 208 + 2 * 8;
 /// The decoded state may not grow past what vectors sized from their

@@ -13,10 +13,21 @@
 //! day, with exact ties, late timestamps and jumps of days. Every tenant
 //! is exported and restored at random points; the restored table must
 //! answer and export as one that never was.
+//!
+//! A second property drives one hybrid tenant whose apps spread their
+//! idle times over up to 120 bins — through every size class of the
+//! table's sparse bins and into the dense form — with gaps of 2³² ms
+//! and more, and apps restored from snapshots whose histories hold
+//! values no whole millisecond gives (`sparse_classes_and_escapes_equal_per_app_replay`).
 
 use proptest::prelude::*;
-use sitw_core::{HybridConfig, PolicySpec, MINUTE_MS};
-use sitw_fleet::{fnv1a, mix64, TenantRestore, TenantSpec, TenantState};
+use sitw_core::{
+    AppPolicy, DecisionCounts, DecisionKind, HybridConfig, HybridPolicy, HybridSnapshot,
+    PolicyFactory, PolicySpec, Windows, MINUTE_MS,
+};
+use sitw_fleet::{
+    fnv1a, mix64, AppRecord, PolicyState, ServedPolicy, TenantRestore, TenantSpec, TenantState,
+};
 use sitw_sim::verdict_trace;
 
 /// Per-app rhythms: ones the hybrid histogram learns, one past its 4 h
@@ -240,4 +251,204 @@ fn slab_runs_equal_the_parents() {
         .collect();
     let text: Vec<String> = fingerprints.iter().map(|f| format!("{f:#018x}")).collect();
     assert_eq!(fingerprints, PARENT_FINGERPRINTS, "[{}]", text.join(", "));
+}
+
+/// Hybrid configurations whose tables keep every sparse class (4 h of
+/// one-minute bins), fewer of them (1 h, and 4 h of five-minute bins),
+/// and short and full histories.
+fn spread_config(pick: u64) -> HybridConfig {
+    let (range, width, cap) =
+        [(240, 1, 64), (240, 1, 8), (60, 1, 64), (240, 5, 16)][pick as usize % 4];
+    HybridConfig {
+        range_minutes: range,
+        bin_width_minutes: width,
+        history_cap: cap,
+        ..HybridConfig::default()
+    }
+}
+
+/// History values a snapshot may carry that are no whole number of
+/// milliseconds below `u32::MAX` (0.123 is one: 7 380 ms to the bit).
+const ODD_VALUES: [f64; 7] = [
+    0.123,
+    0.123_456_7,
+    1e300,
+    -f64::MAX,
+    -0.0,
+    71_582.788_25,
+    3.5e-310,
+];
+
+/// A snapshot for `cfg`: bins spread over `spread` bins (some full), an
+/// out-of-bounds count and a history of whole milliseconds and
+/// `ODD_VALUES`.
+fn odd_snapshot(cfg: &HybridConfig, spread: u64, draw: &dyn Fn(u64, u64) -> u64) -> HybridSnapshot {
+    let (num_bins, _, cap) = cfg.state_key();
+    let mut bins = vec![0u32; num_bins];
+    for k in 0..spread {
+        let bin = (draw(300 + k, num_bins as u64)) as usize;
+        bins[bin] = match draw(400 + k, 8) {
+            0 => u32::MAX,
+            c => c as u32,
+        };
+    }
+    let len = draw(500, cap as u64 + 1) as usize;
+    let history = (0..len as u64)
+        .map(|k| match draw(600 + k, 3) {
+            0 => ODD_VALUES[draw(700 + k, ODD_VALUES.len() as u64) as usize],
+            _ => sitw_core::idle_minutes(draw(800 + k, 400 * MINUTE_MS)),
+        })
+        .collect();
+    HybridSnapshot {
+        bins,
+        oob_count: draw(900, 40),
+        history,
+        counts: DecisionCounts::default(),
+        last_decision: DecisionKind::StandardKeepAlive,
+    }
+}
+
+/// What an app's snapshot holds, with its history as bits: equal keys
+/// are byte-identical exports, NaN and negative zero included.
+fn snapshot_key(s: &HybridSnapshot) -> (Vec<u32>, u64, Vec<u64>, DecisionCounts, DecisionKind) {
+    let history = s.history.iter().map(|v| v.to_bits()).collect();
+    (
+        s.bins.clone(),
+        s.oob_count,
+        history,
+        s.counts,
+        s.last_decision,
+    )
+}
+
+/// One hybrid tenant of 3 to 10 apps against each app's own
+/// `HybridPolicy`: apps spread their idle times over 1 to 120 bins, so
+/// their bins cross every sparse class and the dense promotion; gaps of
+/// 2³² ms and more (and exactly `u32::MAX` ms) now and then; some apps
+/// restored from a snapshot holding full bins and `ODD_VALUES` in their
+/// history; the tenant exported and restored at random points. After
+/// every step the windows, the branch and the app's exported state equal
+/// the per-app replay's, bit for bit.
+fn spread_run(seed: u64, words: &[u64]) {
+    let draw = |salt: u64, n: u64| mix64(seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15)) % n;
+    let cfg = spread_config(draw(1, 4));
+    let spec = TenantSpec {
+        id: 1,
+        name: "t1".into(),
+        policy: PolicySpec::Hybrid(cfg.clone()),
+        budget_mb: 0,
+    };
+    let apps = 3 + draw(2, 8) as usize;
+    let names: Vec<String> = (0..apps).map(|a| format!("app-{a:02}")).collect();
+    const SPREADS: [u64; 8] = [1, 3, 5, 9, 17, 33, 65, 120];
+    let spread: Vec<u64> = (0..apps)
+        .map(|a| SPREADS[draw(10 + a as u64, 8) as usize])
+        .collect();
+    let mut policies: Vec<Option<HybridPolicy>> = vec![None; apps];
+    let mut ts = vec![0u64; apps];
+    let mut records = Vec::new();
+    for a in 0..apps {
+        if draw(20 + a as u64, 3) == 0 {
+            let per_app = |salt: u64, n: u64| draw(salt ^ (a as u64) << 40, n);
+            let snap = odd_snapshot(&cfg, spread[a], &per_app);
+            ts[a] = 1_000 + a as u64;
+            records.push(AppRecord {
+                app: names[a].clone(),
+                last_ts: ts[a],
+                windows: Windows::keep_loaded(0),
+                evicted: false,
+                state: PolicyState::Hybrid(snap.clone()),
+            });
+            policies[a] = Some(HybridPolicy::from_snapshot(&cfg, snap).expect("fits its config"));
+        }
+    }
+    let mut tenant = TenantState::restore(
+        TenantRestore {
+            apps: records,
+            ..TenantRestore::fresh(spec)
+        },
+        0,
+    )
+    .expect("a payload of fitting records");
+    let mut beats = vec![0u64; apps];
+    for (step, &w) in words.iter().enumerate() {
+        let field = |salt: u64| mix64(w ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        if field(7) % 32 == 0 {
+            let before = payload(&tenant);
+            tenant = TenantState::restore(payload(&tenant), step as u64)
+                .unwrap_or_else(|e| panic!("step {step}: {e}"));
+            for (b, a) in before.apps.iter().zip(&payload(&tenant).apps) {
+                let (PolicyState::Hybrid(bs), PolicyState::Hybrid(as_)) = (&b.state, &a.state)
+                else {
+                    panic!("a hybrid tenant's record");
+                };
+                assert_eq!(
+                    snapshot_key(bs),
+                    snapshot_key(as_),
+                    "step {step}: a restore changed {}",
+                    b.app
+                );
+            }
+            continue;
+        }
+        let a = (field(3) % apps as u64) as usize;
+        let idle = match field(1) % 32 {
+            0 | 1 => (1 << 32) + field(4) % (1 << 36),
+            2 => u64::from(u32::MAX),
+            3 => 300 * MINUTE_MS + field(4) % MINUTE_MS,
+            _ => {
+                beats[a] += 1;
+                let bins = cfg.range_minutes as u64;
+                let minute = beats[a] % spread[a] * (bins / spread[a].min(bins)) % bins;
+                minute * MINUTE_MS + field(4) % MINUTE_MS
+            }
+        };
+        let (got, want) = match &mut policies[a] {
+            // First sight: the policy's first decision, at the app's
+            // first timestamp.
+            None => {
+                let mut policy = cfg.new_policy();
+                let want = (policy.on_invocation(None), policy.last_decision());
+                policies[a] = Some(policy);
+                let v = tenant
+                    .step(&names[a], ts[a], step as u64)
+                    .expect("in order")
+                    .verdict;
+                ((v.windows, v.kind), want)
+            }
+            Some(policy) => {
+                ts[a] += idle;
+                let want = (policy.on_invocation(Some(idle)), policy.last_decision());
+                let v = tenant
+                    .step(&names[a], ts[a], step as u64)
+                    .expect("in order")
+                    .verdict;
+                ((v.windows, v.kind), want)
+            }
+        };
+        assert_eq!(got, want, "step {step}: app {a} after {idle} ms");
+        let Some(view) = tenant.app(&names[a]) else {
+            panic!("app {a} has a row");
+        };
+        let ServedPolicy::Hybrid(h) = view.policy else {
+            panic!("a hybrid app");
+        };
+        let replay = policies[a].as_ref().expect("made above").app().snapshot();
+        assert_eq!(
+            snapshot_key(&h.snapshot()),
+            snapshot_key(&replay),
+            "step {step}: app {a}"
+        );
+    }
+}
+
+proptest! {
+    /// See `spread_run`.
+    #[test]
+    fn sparse_classes_and_escapes_equal_per_app_replay(
+        seed in 0u64..u64::MAX,
+        words in prop::collection::vec(0u64..u64::MAX, 200..900),
+    ) {
+        spread_run(seed, &words);
+    }
 }

@@ -1,11 +1,17 @@
 //! Range-limited fixed-width histograms.
 //!
-//! The bins are a plain `[u32]` wherever their owner stores them; the
+//! The bins are stored wherever and however their owner stores them,
+//! and read through one accessor, [`BinCounts`]: a plain `[u32]` of
+//! every bin, or the nonzero bins alone as [`BinEntry`]s sorted by bin
+//! ([`SparseBins`]), which is what most apps' histograms hold. The
 //! running totals beside them are a [`BinTotals`], the one
-//! implementation of recording and of the O(1) reads. A
-//! [`RangeHistogram`] owns its bins in a `Vec`; a table of apps keeps
-//! each app's bins in one row of a column and its totals in the app's
-//! row, and passes the bin width once for the whole column.
+//! implementation of recording and of the O(1) reads, and a
+//! [`PercentileCursor`] follows a percentile of either form; both are
+//! generic over the accessor, so each form gets its own monomorphised
+//! copy of the one body. A [`RangeHistogram`] owns its bins in a `Vec`;
+//! a table of apps keeps each app's bins in one of a few size classes
+//! and its totals in the app's row, and passes the bin width once for
+//! the whole table.
 //!
 //! [`RangeHistogram`] is the centerpiece data structure of the paper's
 //! hybrid policy (§4.2): a compact array of integer counts over fixed-width
@@ -80,27 +86,248 @@ pub enum Recorded {
     Saturated,
 }
 
+/// A histogram's bins as [`BinTotals`] and [`PercentileCursor`] read
+/// them, whatever stores them: every bin's count in a `[u32]`, or only
+/// the nonzero ones ([`SparseBins`]). The bin count is the geometry's,
+/// never the number of bins held.
+pub trait BinCounts {
+    /// Number of bins in the histogram's geometry.
+    fn num_bins(&self) -> usize;
+
+    /// The count in `bin` (below [`BinCounts::num_bins`]).
+    fn count(&self, bin: usize) -> u32;
+
+    /// The last non-empty bin below `bin`, with its count.
+    fn prev_nonempty(&self, bin: usize) -> Option<(usize, u32)>;
+
+    /// The first non-empty bin at or above `bin`, with its count.
+    fn next_nonempty(&self, bin: usize) -> Option<(usize, u32)>;
+
+    /// Every bin the form holds, with its count, in bin order: every
+    /// non-empty one, and maybe empty ones (a dense form holds them all,
+    /// and walks them faster than it skips them).
+    fn held(&self) -> impl Iterator<Item = (usize, u32)> + '_;
+}
+
+/// Bins [`BinTotals::record`] can count into.
+pub trait BinCountsMut: BinCounts {
+    /// Adds one to the count in `bin` (below [`BinCounts::num_bins`])
+    /// and returns the count it held, unless it holds `u32::MAX`: then
+    /// nothing changes and the answer is `None`.
+    fn increment(&mut self, bin: usize) -> Option<u32>;
+}
+
+impl BinCounts for [u32] {
+    #[inline]
+    fn num_bins(&self) -> usize {
+        self.len()
+    }
+
+    #[inline]
+    fn count(&self, bin: usize) -> u32 {
+        self[bin]
+    }
+
+    #[inline]
+    fn prev_nonempty(&self, bin: usize) -> Option<(usize, u32)> {
+        let prev = self[..bin].iter().rposition(|&c| c > 0)?;
+        Some((prev, self[prev]))
+    }
+
+    #[inline]
+    fn next_nonempty(&self, bin: usize) -> Option<(usize, u32)> {
+        let next = bin + self.get(bin..)?.iter().position(|&c| c > 0)?;
+        Some((next, self[next]))
+    }
+
+    fn held(&self) -> impl Iterator<Item = (usize, u32)> + '_ {
+        self.iter().copied().enumerate()
+    }
+}
+
+impl BinCountsMut for [u32] {
+    #[inline]
+    fn increment(&mut self, bin: usize) -> Option<u32> {
+        let c = self[bin];
+        if c == u32::MAX {
+            return None;
+        }
+        self[bin] = c + 1;
+        Some(c)
+    }
+}
+
+/// One nonzero bin of a sparse histogram: 8 bytes, the bin as a `u16`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BinEntry {
+    /// The bin's index.
+    pub bin: u16,
+    /// Its count, never 0.
+    pub count: u32,
+}
+
+/// A histogram of `num_bins` bins (at most 2¹⁶) that holds its nonzero
+/// bins only, as [`BinEntry`]s sorted by bin: the read side of a table's
+/// sparse bins.
+#[derive(Debug, Clone, Copy)]
+pub struct SparseBins<'a> {
+    /// Number of bins in the geometry.
+    pub num_bins: usize,
+    /// The nonzero bins, sorted by bin.
+    pub entries: &'a [BinEntry],
+}
+
+impl SparseBins<'_> {
+    /// Where `bin`'s entry is, or where it would go.
+    #[inline]
+    fn search(&self, bin: usize) -> Result<usize, usize> {
+        match u16::try_from(bin) {
+            Ok(key) => self.entries.binary_search_by_key(&key, |e| e.bin),
+            // Past every entry's bin.
+            Err(_) => Err(self.entries.len()),
+        }
+    }
+}
+
+impl BinCounts for SparseBins<'_> {
+    #[inline]
+    fn num_bins(&self) -> usize {
+        self.num_bins
+    }
+
+    #[inline]
+    fn count(&self, bin: usize) -> u32 {
+        self.search(bin).map_or(0, |at| self.entries[at].count)
+    }
+
+    #[inline]
+    fn prev_nonempty(&self, bin: usize) -> Option<(usize, u32)> {
+        let at = match self.search(bin) {
+            Ok(at) | Err(at) => at,
+        };
+        let e = self.entries[..at].last()?;
+        Some((usize::from(e.bin), e.count))
+    }
+
+    #[inline]
+    fn next_nonempty(&self, bin: usize) -> Option<(usize, u32)> {
+        let at = match self.search(bin) {
+            Ok(at) | Err(at) => at,
+        };
+        let e = self.entries.get(at)?;
+        Some((usize::from(e.bin), e.count))
+    }
+
+    fn held(&self) -> impl Iterator<Item = (usize, u32)> + '_ {
+        BinsRef::Sparse(*self).into_held()
+    }
+}
+
+/// A histogram's bins in either form, to read: what a view of an app
+/// hands out.
+#[derive(Debug, Clone, Copy)]
+pub enum BinsRef<'a> {
+    /// Every bin's count.
+    Dense(&'a [u32]),
+    /// The nonzero bins alone.
+    Sparse(SparseBins<'a>),
+}
+
+impl<'a> BinsRef<'a> {
+    /// [`BinCounts::held`], for as long as the bins are borrowed.
+    pub fn into_held(self) -> impl Iterator<Item = (usize, u32)> + 'a {
+        let (dense, entries): (&[u32], &[BinEntry]) = match self {
+            BinsRef::Dense(bins) => (bins, &[]),
+            BinsRef::Sparse(s) => (&[], s.entries),
+        };
+        let sparse = entries.iter().map(|e| (usize::from(e.bin), e.count));
+        dense.iter().copied().enumerate().chain(sparse)
+    }
+
+    /// Every non-empty bin with its count, in bin order, for as long as
+    /// the bins are borrowed.
+    pub fn into_nonempty(self) -> impl Iterator<Item = (usize, u32)> + 'a {
+        self.into_held().filter(|&(_, c)| c > 0)
+    }
+
+    /// Every bin's count, zeros included: the list a snapshot writes.
+    pub fn to_dense(self) -> Vec<u32> {
+        match self {
+            BinsRef::Dense(bins) => bins.to_vec(),
+            BinsRef::Sparse(s) => {
+                let mut bins = vec![0; s.num_bins];
+                for e in s.entries {
+                    bins[usize::from(e.bin)] = e.count;
+                }
+                bins
+            }
+        }
+    }
+}
+
+impl BinCounts for BinsRef<'_> {
+    #[inline]
+    fn num_bins(&self) -> usize {
+        match self {
+            BinsRef::Dense(bins) => bins.num_bins(),
+            BinsRef::Sparse(s) => s.num_bins(),
+        }
+    }
+
+    #[inline]
+    fn count(&self, bin: usize) -> u32 {
+        match self {
+            BinsRef::Dense(bins) => bins.count(bin),
+            BinsRef::Sparse(s) => s.count(bin),
+        }
+    }
+
+    #[inline]
+    fn prev_nonempty(&self, bin: usize) -> Option<(usize, u32)> {
+        match self {
+            BinsRef::Dense(bins) => bins.prev_nonempty(bin),
+            BinsRef::Sparse(s) => s.prev_nonempty(bin),
+        }
+    }
+
+    #[inline]
+    fn next_nonempty(&self, bin: usize) -> Option<(usize, u32)> {
+        match self {
+            BinsRef::Dense(bins) => bins.next_nonempty(bin),
+            BinsRef::Sparse(s) => s.next_nonempty(bin),
+        }
+    }
+
+    fn held(&self) -> impl Iterator<Item = (usize, u32)> + '_ {
+        self.into_held()
+    }
+}
+
 /// The running totals of a histogram's bins, kept beside bins that are
 /// stored wherever their owner keeps them: a [`RangeHistogram`]'s own
-/// `Vec`, or one row of a table's bins column. Every record goes through
+/// `Vec`, or an app's spot in a table's bins. Every record goes through
 /// [`BinTotals::record`], which updates the bins and the totals
 /// together, so `in_bounds == Σ bins` holds wherever the bins live.
 ///
 /// The bin width and the bin count are the caller's: a table stores them
-/// once per column, not once per app.
+/// once, not once per app.
 ///
 /// # Examples
 ///
 /// ```
-/// use sitw_stats::histogram::BinTotals;
+/// use sitw_stats::histogram::{BinEntry, BinTotals, SparseBins};
 /// use sitw_stats::Recorded;
 ///
 /// let mut bins = [0u32; 240];
 /// let mut totals = BinTotals::default();
-/// assert_eq!(totals.record(&mut bins, 1, 5), Recorded::InBounds { bin: 5 });
-/// assert_eq!(totals.record(&mut bins, 1, 240), Recorded::OutOfBounds);
+/// assert_eq!(totals.record(&mut bins[..], 1, 5), Recorded::InBounds { bin: 5 });
+/// assert_eq!(totals.record(&mut bins[..], 1, 240), Recorded::OutOfBounds);
 /// assert_eq!(totals.in_bounds_count(), 1);
-/// assert_eq!(totals, BinTotals::of(&bins, 1));
+/// assert_eq!(totals, BinTotals::of(&bins[..], 1));
+/// // The same bins held sparsely have the same totals.
+/// let entries = [BinEntry { bin: 5, count: 1 }];
+/// let sparse = SparseBins { num_bins: 240, entries: &entries };
+/// assert_eq!(totals, BinTotals::of(&sparse, 1));
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct BinTotals {
@@ -116,8 +343,9 @@ pub struct BinTotals {
 
 impl BinTotals {
     /// The totals of `bins` beside `oob` out-of-bounds recordings, in one
-    /// pass: what a snapshot restore rebuilds.
-    pub fn of(bins: &[u32], oob: u64) -> Self {
+    /// pass over the bins the form holds: what a snapshot restore
+    /// rebuilds.
+    pub fn of<B: BinCounts + ?Sized>(bins: &B, oob: u64) -> Self {
         let (in_bounds, sumsq) = sums(bins);
         Self {
             in_bounds,
@@ -130,15 +358,18 @@ impl BinTotals {
     /// where it landed. A value whose bin is full changes nothing.
     // sitw-lint: hot-path
     #[inline]
-    pub fn record(&mut self, bins: &mut [u32], bin_width: u64, value: u64) -> Recorded {
+    pub fn record<B: BinCountsMut + ?Sized>(
+        &mut self,
+        bins: &mut B,
+        bin_width: u64,
+        value: u64,
+    ) -> Recorded {
         let bin = value / bin_width;
-        if bin < bins.len() as u64 {
+        if bin < bins.num_bins() as u64 {
             let bin = bin as usize;
-            let c = bins[bin];
-            if c == u32::MAX {
+            let Some(c) = bins.increment(bin) else {
                 return Recorded::Saturated;
-            }
-            bins[bin] = c + 1;
+            };
             self.in_bounds += 1;
             self.sumsq += 2.0 * c as f64 + 1.0;
             Recorded::InBounds { bin }
@@ -251,7 +482,7 @@ impl RangeHistogram {
         assert!(bin_width > 0, "bin width must be positive");
         Self {
             bin_width,
-            totals: BinTotals::of(&bins, oob),
+            totals: BinTotals::of(&bins[..], oob),
             bins,
         }
     }
@@ -275,7 +506,8 @@ impl RangeHistogram {
     /// Records a value, returning where it landed. A value whose bin is
     /// full changes nothing.
     pub fn record(&mut self, value: u64) -> Recorded {
-        self.totals.record(&mut self.bins, self.bin_width, value)
+        self.totals
+            .record(&mut self.bins[..], self.bin_width, value)
     }
 
     /// The raw bin counts.
@@ -351,7 +583,7 @@ impl RangeHistogram {
         }
         // Recomputed, not added: a bin that saturated holds less than
         // the two totals together.
-        self.totals = BinTotals::of(&self.bins, self.totals.oob + other.totals.oob);
+        self.totals = BinTotals::of(&self.bins[..], self.totals.oob + other.totals.oob);
     }
 
     /// Approximate in-memory footprint of the count array, in bytes.
@@ -394,8 +626,10 @@ impl RangeHistogram {
 /// }
 /// assert_eq!(tail.tail_value(h.in_bounds_count(), 1), Some(201));
 /// ```
+// Packed to 12 bytes: a row holds two, and the 8 bytes of padding they
+// would carry are what a table row needs for where its bins live.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-
+#[repr(C, packed(4))]
 pub struct PercentileCursor {
     /// `Σ bins[..bin]`: what the walk has accumulated when it arrives.
     below: u64,
@@ -421,7 +655,7 @@ impl PercentileCursor {
     /// A cursor on the percentile `fraction` (made by
     /// [`PercentileCursor::fraction`]) of `bins`, whose in-bounds total is
     /// `in_bounds`, found with one walk.
-    pub fn seek(bins: &[u32], in_bounds: u64, fraction: f64) -> Self {
+    pub fn seek<B: BinCounts + ?Sized>(bins: &B, in_bounds: u64, fraction: f64) -> Self {
         let [cursor, _] = Self::seek_pair(bins, in_bounds, [fraction; 2]);
         cursor
     }
@@ -439,13 +673,18 @@ impl PercentileCursor {
     /// the bin the walk returns. So each bin costs one add and one
     /// compare that fails until the end. Past 2⁵³ (only a histogram of
     /// millions of full bins gets there) each cursor takes the `f64`
-    /// walk itself.
+    /// walk itself. Empty bins add nothing and place no cursor, so the
+    /// walk visits the bins the form holds ([`BinCounts::held`]).
     ///
     /// # Panics
     ///
     /// Panics if `bins` holds more than `u32::MAX` bins.
-    pub fn seek_pair(bins: &[u32], in_bounds: u64, fractions: [f64; 2]) -> [Self; 2] {
-        assert!(u32::try_from(bins.len()).is_ok(), "too many bins");
+    pub fn seek_pair<B: BinCounts + ?Sized>(
+        bins: &B,
+        in_bounds: u64,
+        fractions: [f64; 2],
+    ) -> [Self; 2] {
+        assert!(u32::try_from(bins.num_bins()).is_ok(), "too many bins");
         let mut cursors = [Self::default(); 2];
         let total = in_bounds;
         if total == 0 {
@@ -453,9 +692,15 @@ impl PercentileCursor {
         }
         if total > 1 << 53 {
             for (c, &fraction) in cursors.iter_mut().zip(&fractions) {
-                let bin = percentile_bin_at(bins, total as f64, fraction).unwrap_or(0);
+                let nonempty = (bins.held())
+                    .filter(|&(_, n)| n > 0)
+                    .map(|(bin, n)| (bin, f64::from(n)));
+                let bin = percentile_walk(nonempty, total as f64, fraction).unwrap_or(0);
                 c.bin = bin as u32;
-                c.below = bins[..bin].iter().map(|&n| u64::from(n)).sum();
+                c.below = (bins.held())
+                    .take_while(|&(at, _)| at < bin)
+                    .map(|(_, n)| u64::from(n))
+                    .sum();
             }
             return cursors;
         }
@@ -470,7 +715,7 @@ impl PercentileCursor {
         let needs = order.map(|k| ((fractions[k] * total as f64).ceil() as u64).max(1));
         let mut placed = 0;
         let mut cum = 0u64;
-        for (bin, &n) in bins.iter().enumerate() {
+        for (bin, n) in bins.held() {
             cum += u64::from(n);
             while placed < 2 && cum >= needs[placed] {
                 cursors[order[placed]] = Self {
@@ -493,7 +738,13 @@ impl PercentileCursor {
     /// percentile depends on and must not be reported.
     // sitw-lint: hot-path
     #[inline]
-    pub fn on_record(&mut self, bins: &[u32], in_bounds: u64, fraction: f64, recorded: usize) {
+    pub fn on_record<B: BinCounts + ?Sized>(
+        &mut self,
+        bins: &B,
+        in_bounds: u64,
+        fraction: f64,
+        recorded: usize,
+    ) {
         if in_bounds == 1 {
             // The first in-bounds value; nothing lies below it.
             self.bin = recorded as u32;
@@ -509,18 +760,24 @@ impl PercentileCursor {
         // `below > 0`) already reaches the target, so the walk would
         // have stopped there.
         while below > 0 && below as f64 >= target {
-            let Some(prev) = bins[..bin].iter().rposition(|&c| c > 0) else {
+            let Some((prev, count)) = bins.prev_nonempty(bin) else {
                 break;
             };
-            below -= bins[prev] as u64;
+            below -= u64::from(count);
             bin = prev;
         }
-        // Not far enough: the walk goes on until the sum reaches the
-        // target, which `in_bounds == Σ bins` puts at or before the last
-        // bin; the index test keeps that from being taken on trust.
-        while bin + 1 < bins.len() && ((below + bins[bin] as u64) as f64) < target {
-            below += bins[bin] as u64;
-            bin += 1;
+        // Not far enough: the walk goes on past empty bins, which add
+        // nothing, until the sum reaches the target, which
+        // `in_bounds == Σ bins` puts at or before the last non-empty bin;
+        // running out of bins keeps that from being taken on trust.
+        let mut count = u64::from(bins.count(bin));
+        while ((below + count) as f64) < target {
+            let Some((next, next_count)) = bins.next_nonempty(bin + 1) else {
+                break;
+            };
+            below += count;
+            bin = next;
+            count = u64::from(next_count);
         }
         self.bin = bin as u32;
         self.below = below;
@@ -949,24 +1206,30 @@ fn percentile_fraction(p: f64) -> f64 {
     p.clamp(0.0, 100.0) / 100.0
 }
 
-/// `Σ bins` and `Σ bins²` in one pass. The squares are summed as
-/// integers: while that sum is at most 2⁵³, every running sum of the
-/// `f64` fold `Σ (c as f64)²` is an exact integer too, so the integer
-/// sum converted once is the fold's result bit for bit. A sum that
-/// could pass 2⁵³ is folded in `f64` as it always was, rounding and all.
-fn sums(bins: &[u32]) -> (u64, f64) {
-    let (mut total, mut squares, mut any) = (0u64, 0u64, 0u32);
-    for &c in bins {
+/// `Σ bins` and `Σ bins²` in one pass over the bins the form holds (an
+/// empty one adds `+0.0` to a sum of squares, which changes no bit of
+/// it, and counts toward the 2¹¹ below as the dense walk counted it). The
+/// squares are summed as integers: while that sum is at most 2⁵³, every
+/// running sum of the `f64` fold `Σ (c as f64)²` is an exact integer
+/// too, so the integer sum converted once is the fold's result bit for
+/// bit. A sum that could pass 2⁵³ is folded in `f64` as it always was,
+/// rounding and all.
+fn sums<B: BinCounts + ?Sized>(bins: &B) -> (u64, f64) {
+    let (mut total, mut squares, mut any, mut held) = (0u64, 0u64, 0u32, 0usize);
+    for (_, c) in bins.held() {
         total += u64::from(c);
         squares = squares.wrapping_add(u64::from(c) * u64::from(c));
         any |= c;
+        held += 1;
     }
     // Every square below 2⁵² and at most 2¹¹ of them: the sum did not
     // wrap, so it can be compared with 2⁵³.
-    if any < 1 << 26 && bins.len() <= 1 << 11 && squares <= 1 << 53 {
+    if any < 1 << 26 && held <= 1 << 11 && squares <= 1 << 53 {
         (total, squares as f64)
     } else {
-        let folded = bins.iter().map(|&c| f64::from(c) * f64::from(c)).sum();
+        let folded = (bins.held())
+            .map(|(_, c)| f64::from(c) * f64::from(c))
+            .sum();
         (total, folded)
     }
 }
@@ -981,20 +1244,30 @@ fn percentile_bin_over<C: Copy + Into<f64>>(bins: &[C], total: f64, p: f64) -> O
 
 /// The walk of [`percentile_bin_over`] for a fraction already formed.
 fn percentile_bin_at<C: Copy + Into<f64>>(bins: &[C], total: f64, fraction: f64) -> Option<usize> {
+    let nonempty = (bins.iter().enumerate())
+        .map(|(i, &c)| (i, c.into()))
+        .filter(|&(_, c)| c > 0.0);
+    percentile_walk(nonempty, total, fraction)
+}
+
+/// The walk itself, over the non-empty bins and their counts in bin
+/// order.
+fn percentile_walk(
+    nonempty: impl Iterator<Item = (usize, f64)>,
+    total: f64,
+    fraction: f64,
+) -> Option<usize> {
     if total <= 0.0 {
         return None;
     }
     let target = fraction * total;
     let mut cum = 0.0;
     let mut last_nonempty = None;
-    for (i, &c) in bins.iter().enumerate() {
-        let c: f64 = c.into();
-        if c > 0.0 {
-            cum += c;
-            last_nonempty = Some(i);
-            if cum >= target {
-                return Some(i);
-            }
+    for (i, c) in nonempty {
+        cum += c;
+        last_nonempty = Some(i);
+        if cum >= target {
+            return Some(i);
         }
     }
     // Float round-off can leave `cum` a hair short of `target`; the
@@ -1352,7 +1625,7 @@ mod tests {
             let h = RangeHistogram::from_parts(1, bins.clone(), 7);
             prop_assert_eq!(h.totals.in_bounds, in_bounds);
             prop_assert_eq!(h.totals.sumsq.to_bits(), sumsq.to_bits());
-            let cursors = PercentileCursor::seek_pair(&bins, in_bounds, ps.map(PercentileCursor::fraction));
+            let cursors = PercentileCursor::seek_pair(&bins[..], in_bounds, ps.map(PercentileCursor::fraction));
             for (c, p) in cursors.iter().zip(ps) {
                 let (fraction, bin, below) = crate::histogram_ref::seek(&bins, in_bounds, p);
                 let (c_bin, c_below) = (c.bin as usize, c.below);

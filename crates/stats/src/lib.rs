@@ -39,7 +39,8 @@ pub mod report;
 pub use distributions::{Burr, ContinuousDist, LogNormal};
 pub use ecdf::Ecdf;
 pub use histogram::{
-    BinTotals, PercentileCursor, RangeHistogram, Recorded, WeightedCursor, WeightedSum,
+    BinCounts, BinCountsMut, BinEntry, BinTotals, BinsRef, PercentileCursor, RangeHistogram,
+    Recorded, SparseBins, WeightedCursor, WeightedSum,
 };
 pub use online::Welford;
 pub use percentile::percentile_sorted;
