@@ -10,7 +10,7 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
-use sitw_cluster::{FailoverMode, Router, RouterConfig};
+use sitw_cluster::{Router, RouterConfig};
 use sitw_core::PolicySpec;
 use sitw_serve::TenantConfig;
 
@@ -22,8 +22,8 @@ USAGE:
                 [--tenants N]
                 [--tenant NAME=POLICY[,budget=MB]]
                 [--reconcile-ms MS] [--trace-sample N]
-                [--failover off|supervised] [--probe-ms MS]
-                [--standby IDX=ADDR] [--upstream-timeout-ms MS]
+                [--probe-ms MS] [--standby IDX=ADDR]
+                [--upstream-timeout-ms MS]
 
 OPTIONS:
     --addr HOST:PORT     Listen address (default 127.0.0.1:7180)
@@ -41,18 +41,15 @@ OPTIONS:
                          spans for all traced requests (default 0 =
                          hop recording off; client trace ids still
                          propagate to the nodes).
-    --failover MODE      off (default): operators drop dead nodes via
-                         POST /admin/ring/drop. supervised: a health
-                         prober raises drop/promote proposals on
-                         GET /admin/ring/proposals for operators to
-                         confirm via POST /admin/ring/proposals/confirm.
-    --probe-ms MS        Health-probe interval with failover on
-                         (default 500).
+    --probe-ms MS        Health-probe interval (default 500). Three
+                         failed probes in a row mark a node down on
+                         GET /admin/ring.
     --standby IDX=ADDR   Warm standby for ring slot IDX: the address of
-                         a `sitw-serve --follow` node. Confirming a
-                         failover of that slot promotes the standby in
-                         place and puts ADDR in the slot instead of
-                         dropping the node. Repeatable, one per slot.
+                         a `sitw-serve --follow` node. A failover of
+                         that slot (POST /admin/ring/failover?node=IDX)
+                         promotes the standby in place and puts ADDR in
+                         the slot; with no standby it drops the node.
+                         Repeatable, one per slot.
     --upstream-timeout-ms MS
                          Data-path upstream deadline (a connect, and
                          the wait for a node's oldest owed reply;
@@ -99,9 +96,6 @@ fn parse_args() -> Result<RouterConfig, String> {
                 cfg.trace_sample = value("--trace-sample")?
                     .parse()
                     .map_err(|e| format!("--trace-sample: {e}"))?;
-            }
-            "--failover" => {
-                cfg.failover = FailoverMode::parse(&value("--failover")?)?;
             }
             "--probe-ms" => {
                 cfg.probe_ms = value("--probe-ms")?

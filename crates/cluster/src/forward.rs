@@ -604,7 +604,7 @@ fn resolve(
     owners: &mut Vec<(usize, u16)>,
 ) -> Result<(), (BinErrorCode, String)> {
     owners.clear();
-    let (ring, node_ids) = (read(&ctx.ring), read(&ctx.node_ids));
+    let (ring, nodes) = (read(&ctx.ring), read(&ctx.nodes));
     // sitw-lint: allow(hot-path-alloc)
     let no_live = || (BinErrorCode::Unavailable, String::from("no live nodes"));
     for rec in records {
@@ -618,8 +618,9 @@ fn resolve(
             return Err((BinErrorCode::Malformed, detail));
         };
         let node = ring.node_of_tenant(&tenant.name).ok_or_else(no_live)?;
-        let Some(&id) = node_ids.get(node).and_then(|ids| ids.get(&tenant.name)) else {
-            let (name, node) = (&tenant.name, ctx.node_name(node));
+        let slot = &nodes[node];
+        let Some(&id) = slot.ids.get(&tenant.name) else {
+            let (name, node) = (&tenant.name, &slot.name);
             // sitw-lint: allow(hot-path-alloc)
             let detail = format!("tenant '{name}' not provisioned on node {node}");
             return Err((BinErrorCode::Unavailable, detail));

@@ -23,11 +23,11 @@
 //!   surfaces a dead node as the typed
 //!   [`sitw_serve::wire::BinErrorCode::Unavailable`] error (HTTP 503)
 //!   rather than a hung or reset connection — every answer a node owes
-//!   is bounded by a configurable deadline. With `--failover
-//!   supervised` a health prober raises drop/promote proposals for
-//!   nodes failing consecutive probes; confirming one promotes the
-//!   slot's warm standby (a `sitw-serve --follow` replica) in place and
-//!   bumps the ring epoch, or drops the node when no standby exists.
+//!   is bounded by a configurable deadline. A health prober marks a
+//!   node slot `down` after consecutive failed probes; the operator's
+//!   one failover verb promotes the slot's warm standby (a `sitw-serve
+//!   --follow` replica) in place and bumps the ring epoch, or drops the
+//!   node when no standby is left to promote.
 //! * [`reconcile`] — the epoch-based budget reconciler: polls each
 //!   node's per-tenant ledger integrals (`GET /admin/usage`),
 //!   aggregates them cluster-wide, and pushes each tenant's budget to
@@ -57,4 +57,4 @@ pub use federate::{parse_hist_body, parse_trace_spans, FleetHists, NodeHists, No
 pub use metrics::{render_fleet, RouterMetrics};
 pub use reconcile::reconcile_shares;
 pub use ring::ClusterRing;
-pub use router::{FailoverMode, FailoverProposal, Router, RouterConfig, ROUTER_TRACE_ORIGIN};
+pub use router::{Router, RouterConfig, ROUTER_TRACE_ORIGIN};

@@ -44,12 +44,8 @@ pub struct RouterMetrics {
     pub reconcile_runs: AtomicU64,
     /// Budget shares acknowledged by nodes, summed over reconciliations.
     pub budget_pushes: AtomicU64,
-    /// Failover mode gauge (0 = off, 1 = supervised).
-    pub failover_mode: AtomicU64,
     /// Health probes that failed.
     pub probe_failures: AtomicU64,
-    /// Drop/promote proposals raised by the prober.
-    pub failover_proposals: AtomicU64,
     /// Standby promotions completed.
     pub failover_promotions: AtomicU64,
     /// Failover control-plane retries (promote/provision re-attempts).
@@ -72,9 +68,7 @@ impl RouterMetrics {
             nodes_live: AtomicU64::new(nodes as u64),
             reconcile_runs: AtomicU64::new(0),
             budget_pushes: AtomicU64::new(0),
-            failover_mode: AtomicU64::new(0),
             probe_failures: AtomicU64::new(0),
-            failover_proposals: AtomicU64::new(0),
             failover_promotions: AtomicU64::new(0),
             failover_retries: AtomicU64::new(0),
             usage: Mutex::new(Vec::new()),
@@ -190,27 +184,15 @@ impl<'a> RouterScrape<'a> {
             sample: |v, s| s.scalar(load(&v.metrics.budget_pushes)),
         },
         Family {
-            name: "sitw_router_failover_mode",
-            kind: Kind::Gauge,
-            help: "Failover mode (0 = off, 1 = supervised).",
-            sample: |v, s| s.scalar(load(&v.metrics.failover_mode)),
-        },
-        Family {
             name: "sitw_router_failover_probe_failures_total",
             kind: Kind::Counter,
             help: "Health probes that failed (connect, HTTP error, or timeout).",
             sample: |v, s| s.scalar(load(&v.metrics.probe_failures)),
         },
         Family {
-            name: "sitw_router_failover_proposals_total",
-            kind: Kind::Counter,
-            help: "Drop/promote proposals raised by the prober.",
-            sample: |v, s| s.scalar(load(&v.metrics.failover_proposals)),
-        },
-        Family {
             name: "sitw_router_failover_promotions_total",
             kind: Kind::Counter,
-            help: "Standby promotions completed (confirmed proposals with a standby).",
+            help: "Standby promotions completed (failovers of a slot with a standby).",
             sample: |v, s| s.scalar(load(&v.metrics.failover_promotions)),
         },
         Family {
@@ -309,14 +291,12 @@ mod tests {
         // Cumulative tallies are typed counter, snapshots gauge.
         assert!(text.contains("# TYPE sitw_router_tenant_invocations_total counter"));
         assert!(text.contains("# TYPE sitw_router_tenant_warm_mb gauge"));
-        // The failover families render even with failover off, so
+        // The failover families render before any failover, so
         // dashboards can alert on their absence, not just their value.
-        m.failover_mode.store(1, Ordering::Relaxed);
         m.failover_promotions.fetch_add(1, Ordering::Relaxed);
         let text = m.render(&["127.0.0.1:7101".into(), "127.0.0.1:7102".into()]);
-        assert!(text.contains("sitw_router_failover_mode 1"));
         assert!(text.contains("sitw_router_failover_promotions_total 1"));
-        assert!(text.contains("# TYPE sitw_router_failover_mode gauge"));
+        assert!(text.contains("# TYPE sitw_router_failover_promotions_total counter"));
         assert!(text.contains("# TYPE sitw_router_failover_probe_failures_total counter"));
     }
 
@@ -335,9 +315,7 @@ mod tests {
             (&m.ring_epoch, 6),
             (&m.reconcile_runs, 11),
             (&m.budget_pushes, 22),
-            (&m.failover_mode, 1),
             (&m.probe_failures, 7),
-            (&m.failover_proposals, 2),
             (&m.failover_promotions, 1),
             (&m.failover_retries, 3),
         ] {

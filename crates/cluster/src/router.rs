@@ -26,17 +26,17 @@
 //! owes answers, and only that long.
 //! Recovery stays an explicit epoch advance, so the ring remains a
 //! deterministic function of operator actions — which is what lets
-//! one [`sitw_fleet::FleetSim`] model the cluster offline. An operator
-//! acknowledges a loss via `POST /admin/ring/drop`, or, with `--failover
-//! supervised`, a health prober raises a drop/promote *proposal* on
-//! `GET /admin/ring/proposals` after three consecutive probe failures.
-//! Confirming it (`POST /admin/ring/proposals/confirm`) promotes the
-//! slot's configured warm standby (`--standby IDX=ADDR`, the address
-//! of a `sitw-serve --follow` node) via its `POST /admin/promote`,
-//! provisions it, swaps that address into the dead slot, and bumps the
-//! ring epoch; with no standby the node is
-//! dropped and its tenants rehash over the survivors. Every failover
-//! control-plane step retries with bounded exponential backoff plus
+//! one [`sitw_fleet::FleetSim`] model the cluster offline. A health
+//! prober probes every live node's `/healthz` and writes what it finds
+//! into the node's slot: `GET /admin/ring` lists each slot's consecutive
+//! probe failures, a `down` flag from three of them on, and its unspent
+//! warm standby (`--standby IDX=ADDR`, the address of a `sitw-serve
+//! --follow` node). An operator takes a node out with one verb, `POST
+//! /admin/ring/failover?node=N`: it promotes the slot's standby via its
+//! `POST /admin/promote`, provisions it, swaps that address into the
+//! slot and bumps the ring epoch; with no standby left to promote it
+//! drops the node and its tenants rehash over the survivors. Every
+//! promote step retries with bounded exponential backoff plus
 //! deterministic jitter, and the whole lifecycle lands in
 //! `/debug/events` and the `sitw_router_failover_*` metric families.
 
@@ -75,78 +75,37 @@ const CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
 /// How long the router waits for a control-plane response.
 const CONTROL_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// Consecutive health-probe failures before the prober raises a
-/// drop/promote proposal — one failed probe is a blip, three in a row
-/// is a dead or wedged node.
+/// Consecutive health-probe failures that mark a slot `down` — one
+/// failed probe is a blip, three in a row is a dead or wedged node.
 const PROBE_FAILURE_THRESHOLD: u32 = 3;
 
-/// Attempts per failover control-plane step (standby promote,
-/// promoted-node provisioning) before the confirmation fails and the
-/// proposal stays pending.
+/// Attempts per promote step (standby promote, promoted-node
+/// provisioning) before the failover drops the node instead.
 const FAILOVER_ATTEMPTS: u32 = 4;
 
 /// Base backoff between failover attempts; doubles per retry.
 const FAILOVER_BACKOFF_MS: u64 = 50;
 
 /// Jitter bound added to each backoff (deterministic, hash-derived —
-/// desynchronizes concurrent confirmations without RNG state).
+/// desynchronizes concurrent failovers without RNG state).
 const FAILOVER_JITTER_MS: u64 = 25;
 
-/// When and how the router reacts to a node failing health probes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FailoverMode {
-    /// No probing; operators drop dead nodes via `POST
-    /// /admin/ring/drop` (the pre-failover behavior).
-    #[default]
-    Off,
-    /// Probe failures raise proposals on `GET /admin/ring/proposals`;
-    /// an operator confirms each via
-    /// `POST /admin/ring/proposals/confirm?node=N`.
-    Supervised,
-}
-
-impl FailoverMode {
-    /// Parses the CLI grammar: `off` or `supervised`.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "off" => Ok(Self::Off),
-            "supervised" => Ok(Self::Supervised),
-            other => Err(format!(
-                "unknown failover mode '{other}' (expected off or supervised)"
-            )),
-        }
-    }
-
-    /// The mode's stable name (`/healthz`, logs).
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::Off => "off",
-            Self::Supervised => "supervised",
-        }
-    }
-
-    /// The `sitw_router_failover_mode` gauge value.
-    fn gauge(self) -> u64 {
-        match self {
-            Self::Off => 0,
-            Self::Supervised => 1,
-        }
-    }
-}
-
-/// One pending failover proposal: the prober saw `node` fail
-/// `PROBE_FAILURE_THRESHOLD` consecutive health probes; the operator's
-/// confirmation promotes its standby or drops it.
-#[derive(Debug, Clone)]
-pub struct FailoverProposal {
-    /// Ring slot of the failing node.
-    pub node: usize,
-    /// The failing node's address when the proposal was raised.
-    pub addr: String,
-    /// Why the prober raised it.
-    pub reason: String,
-    /// Address of the slot's configured warm standby, if any.
-    pub standby: Option<String>,
+/// One ring slot: the node serving it and what the router knows of it.
+/// The slot table is written a whole slot at a time under one lock, so
+/// a reader never sees one node's address beside another's wire ids.
+pub(crate) struct Slot {
+    /// Resolved node address.
+    addr: SocketAddr,
+    /// Display name for errors, metric labels and `/admin/ring`.
+    pub(crate) name: String,
+    /// Tenant name → node-local wire id (ids diverge across nodes that
+    /// registered tenants in different orders).
+    pub(crate) ids: HashMap<String, u16>,
+    /// The warm standby a failover would promote; `None` once spent on
+    /// a promotion of this slot, or when none was configured.
+    standby: Option<String>,
+    /// Consecutive failed health probes of the current node.
+    probe_failures: u32,
 }
 
 /// Router configuration.
@@ -168,14 +127,12 @@ pub struct RouterConfig {
     /// and record hop spans for all traced requests; 0 disables hop
     /// recording (client trace ids still propagate to the nodes).
     pub trace_sample: usize,
-    /// How the router reacts to a node failing health probes.
-    pub failover: FailoverMode,
-    /// Health-probe interval in milliseconds (with failover on).
+    /// Health-probe interval in milliseconds.
     pub probe_ms: u64,
-    /// Warm-standby addresses by node slot: confirming a failover of
-    /// slot `i` promotes the standby registered for `i` (a `sitw-serve
-    /// --follow` node) in place and swaps its address into the slot,
-    /// instead of dropping the node.
+    /// Warm-standby addresses by node slot: a failover of slot `i`
+    /// promotes the standby registered for `i` (a `sitw-serve --follow`
+    /// node) in place and swaps its address into the slot, instead of
+    /// dropping the node.
     pub standbys: Vec<(usize, String)>,
     /// Data-path upstream deadline: a connect, and the wait for the
     /// oldest reply a node owes. A hung node surfaces as a typed 503 /
@@ -192,7 +149,6 @@ impl Default for RouterConfig {
             tenants: Vec::new(),
             reconcile_ms: 1_000,
             trace_sample: 0,
-            failover: FailoverMode::Off,
             probe_ms: 500,
             standbys: Vec::new(),
             upstream_timeout: Duration::from_millis(2_000),
@@ -296,19 +252,12 @@ pub(crate) struct RouterCtx {
     /// Node slot count — fixed for the router's life (a failover swaps
     /// a slot's address, never adds or removes slots).
     pub(crate) slots: usize,
-    /// Resolved node addresses, by ring slot. Writable: a confirmed
-    /// failover swaps the promoted standby's address into the dead
-    /// node's slot.
-    nodes: RwLock<Vec<SocketAddr>>,
-    /// Display names for errors and metric labels, by ring slot
-    /// (updated together with `nodes`).
-    node_names: RwLock<Vec<String>>,
-    /// Pending failover proposals (supervised mode).
-    proposals: Mutex<Vec<FailoverProposal>>,
+    /// The node slots, in ring order. A failover swaps one slot whole.
+    pub(crate) nodes: RwLock<Vec<Slot>>,
     pub(crate) ring: RwLock<ClusterRing>,
-    /// Per-node tenant name → node-local wire id (ids diverge across
-    /// nodes that registered tenants in different orders).
-    pub(crate) node_ids: RwLock<Vec<HashMap<String, u16>>>,
+    /// Held for the whole of one failover, so two requests for one slot
+    /// cannot both promote or drop it.
+    failing_over: Mutex<()>,
     pub(crate) metrics: RouterMetrics,
     /// Hop span recorder, lifecycle event ring, and trace sampler.
     pub(crate) telem: RouterTelem,
@@ -321,17 +270,12 @@ impl RouterCtx {
 
     /// The current address of one node slot.
     pub(crate) fn node_addr(&self, node: usize) -> SocketAddr {
-        read(&self.nodes)[node]
+        read(&self.nodes)[node].addr
     }
 
     /// The current display name of one node slot.
     pub(crate) fn node_name(&self, node: usize) -> String {
-        read(&self.node_names)[node].clone()
-    }
-
-    /// A snapshot of every slot's display name (metric labels).
-    fn node_names_snapshot(&self) -> Vec<String> {
-        read(&self.node_names).clone()
+        read(&self.nodes)[node].name.clone()
     }
 
     /// One budget reconciliation cycle: poll reports, aggregate for
@@ -474,138 +418,149 @@ impl RouterCtx {
         spans
     }
 
-    /// Raises a failover proposal for `node` unless one is already
-    /// pending. Returns whether a new proposal was raised.
-    fn raise_proposal(&self, node: usize, reason: &str) -> bool {
-        let mut proposals = lock_unpoisoned(&self.proposals);
-        if proposals.iter().any(|p| p.node == node) {
-            return false;
+    /// Records one health probe of `node` made at `addr`: a success
+    /// clears the slot's failure run, a failure extends it, and the
+    /// failure that reaches [`PROBE_FAILURE_THRESHOLD`] raises the
+    /// `node-down` event — under the slot's lock, so whoever sees the
+    /// slot down finds the event too. A probe of an address the slot no
+    /// longer holds (a failover swapped it meanwhile) is dropped.
+    fn probed(&self, node: usize, addr: SocketAddr, healthy: bool) {
+        let mut nodes = write(&self.nodes);
+        let slot = &mut nodes[node];
+        if slot.addr != addr {
+            return;
         }
-        let addr = self.node_name(node);
-        let standby = self
-            .cfg
-            .standbys
-            .iter()
-            .find(|(i, _)| *i == node)
-            .map(|(_, ctrl)| ctrl.clone());
-        let t = &self.telem;
-        t.event(&t.events, t.wall_ms(), EventKind::NodeDown, |ev| {
-            let _ = write!(
-                ev.detail,
-                "node {node} ({addr}): {reason}; proposal raised (standby: {})",
-                standby.as_deref().unwrap_or("none")
+        if healthy {
+            slot.probe_failures = 0;
+            return;
+        }
+        slot.probe_failures = slot.probe_failures.saturating_add(1);
+        self.metrics.probe_failures.fetch_add(1, Ordering::Relaxed);
+        if slot.probe_failures == PROBE_FAILURE_THRESHOLD {
+            let (name, standby) = (&slot.name, slot.standby.as_deref().unwrap_or("none"));
+            self.event(
+                EventKind::NodeDown,
+                format_args!(
+                    "node {node} ({name}): {PROBE_FAILURE_THRESHOLD} consecutive \
+                     health-probe failures (standby: {standby})"
+                ),
             );
-        });
-        proposals.push(FailoverProposal {
-            node,
-            addr,
-            reason: reason.to_owned(),
-            standby,
-        });
-        self.metrics
-            .failover_proposals
-            .fetch_add(1, Ordering::Relaxed);
-        true
+        }
     }
 
-    /// Confirms the pending proposal for `node`: promotes its warm
-    /// standby into the slot (or drops the node when no standby is
-    /// configured) and bumps the ring epoch. A failed confirmation
-    /// leaves the proposal pending so the operator can retry. Returns the response body or an
-    /// HTTP-shaped error.
-    fn confirm_failover(&self, node: usize) -> Result<String, (u16, String)> {
-        let proposal = {
-            let proposals = lock_unpoisoned(&self.proposals);
-            proposals
-                .iter()
-                .find(|p| p.node == node)
-                .cloned()
-                .ok_or_else(|| (404, format!("no pending proposal for node {node}")))?
+    /// Takes `node` out of the ring (`POST /admin/ring/failover`): promotes
+    /// the slot's unspent standby in place, or drops the node when it has
+    /// none or the promotion fails. A slot already out of the ring is left
+    /// as it is. Every outcome answers the same JSON shape, naming the
+    /// action and the promote error that forced a drop.
+    fn failover(&self, node: usize) -> String {
+        let _one_at_a_time = lock_unpoisoned(&self.failing_over);
+        let (name, standby) = {
+            let nodes = read(&self.nodes);
+            (nodes[node].name.clone(), nodes[node].standby.clone())
         };
-        let body = match &proposal.standby {
-            Some(standby) => {
-                let addr = standby
-                    .to_socket_addrs()
-                    .ok()
-                    .and_then(|mut a| a.next())
-                    .ok_or_else(|| (502, format!("cannot resolve standby '{standby}'")))?;
-                // Promote the standby in place: it serves on the address
-                // it was configured under. Idempotent on the standby
-                // side, so a retried confirmation converges.
-                self.failover_retry("standby promote", || {
-                    let (status, body) = control_call(addr, "POST", "/admin/promote", b"")
-                        .map_err(|e| e.to_string())?;
-                    match status {
-                        200 => Ok(()),
-                        _ => Err(format!("promote failed ({status}): {body}")),
-                    }
-                })
-                .map_err(|e| (502, e))?;
-                // Provision the promoted node: replication already
-                // carried the tenants, so this mostly just re-learns
-                // the wire-id map — but it also backfills any tenant
-                // registered after the last replication round.
-                let ids = self
-                    .failover_retry("provision promoted node", || {
-                        provision_node(addr, &self.cfg.tenants)
-                    })
-                    .map_err(|e| (502, e))?;
-                let old = self.node_name(node);
-                {
-                    write(&self.nodes)[node] = addr;
-                    write(&self.node_names)[node] = standby.clone();
-                    write(&self.node_ids)[node] = ids;
+        let (action, error) = if !read(&self.ring).is_live(node) {
+            ("none", None)
+        } else if let Some(standby) = standby {
+            match self.promote(node, &standby) {
+                Ok(()) => ("promoted", None),
+                Err(e) => {
+                    self.drop_node(node, &name, &e);
+                    ("dropped", Some(e))
                 }
-                let epoch = {
-                    let mut ring = write(&self.ring);
-                    let epoch = ring.bump_epoch();
-                    self.sync_ring_gauges(&ring);
-                    epoch
-                };
-                self.metrics
-                    .failover_promotions
-                    .fetch_add(1, Ordering::Relaxed);
-                let t = &self.telem;
-                t.event(&t.events, t.wall_ms(), EventKind::Failover, |ev| {
-                    let _ = write!(
-                        ev.detail,
-                        "node {node}: {old} -> {standby} (standby promoted), epoch {epoch}"
-                    );
-                });
-                t.event(&t.events, t.wall_ms(), EventKind::RingEpoch, |ev| {
-                    let _ = write!(ev.detail, "epoch={epoch} failover-node={node}");
-                });
-                format!(
-                    "{{\"node\":{node},\"action\":\"promoted\",\"addr\":\"{standby}\",\
-                     \"epoch\":{epoch}}}"
-                )
             }
-            None => {
-                let (epoch, live) = {
-                    let mut ring = write(&self.ring);
-                    ring.drop_node(node);
-                    self.sync_ring_gauges(&ring);
-                    (ring.epoch(), ring.live_count())
-                };
-                let t = &self.telem;
-                t.event(&t.events, t.wall_ms(), EventKind::Failover, |ev| {
-                    let _ = write!(
-                        ev.detail,
-                        "node {node} ({}) dropped, no standby, epoch {epoch}",
-                        proposal.addr
-                    );
-                });
-                t.event(&t.events, t.wall_ms(), EventKind::RingEpoch, |ev| {
-                    let _ = write!(ev.detail, "epoch={epoch} failover-node={node}");
-                });
-                format!(
-                    "{{\"node\":{node},\"action\":\"dropped\",\"epoch\":{epoch},\"live\":{live}}}"
-                )
-            }
+        } else {
+            self.drop_node(node, &name, "no standby");
+            ("dropped", None)
         };
-        // Only a successful confirmation consumes the proposal.
-        lock_unpoisoned(&self.proposals).retain(|p| p.node != node);
-        Ok(body)
+        let addr = wire::json_escape(&self.node_name(node));
+        let ring = read(&self.ring);
+        format!(
+            "{{\"node\":{node},\"action\":\"{action}\",\"addr\":\"{addr}\",\"epoch\":{},\
+             \"live\":{},\"error\":{}}}",
+            ring.epoch(),
+            ring.live_count(),
+            json_or_null(error.as_deref()),
+        )
+    }
+
+    /// Promotes `standby` into `node`'s slot: its `POST /admin/promote`
+    /// (idempotent on the standby, so a retry converges), provisioning,
+    /// then the slot swapped whole — the standby spent — under a bumped
+    /// ring epoch.
+    fn promote(&self, node: usize, standby: &str) -> Result<(), String> {
+        let addr = resolve(standby).ok_or_else(|| format!("cannot resolve standby '{standby}'"))?;
+        // The standby serves on the address it was configured under.
+        self.failover_retry("standby promote", || {
+            let (status, body) =
+                control_call(addr, "POST", "/admin/promote", b"").map_err(|e| e.to_string())?;
+            match status {
+                200 => Ok(()),
+                _ => Err(format!("promote failed ({status}): {body}")),
+            }
+        })?;
+        // Replication already carried the tenants, so this mostly
+        // re-learns the wire-id map — but it also backfills any tenant
+        // registered after the last replication round.
+        let ids = self.failover_retry("provision promoted node", || {
+            provision_node(addr, &self.cfg.tenants)
+        })?;
+        let slot = Slot {
+            addr,
+            name: standby.to_owned(),
+            ids,
+            standby: None,
+            probe_failures: 0,
+        };
+        let old = std::mem::replace(&mut write(&self.nodes)[node], slot).name;
+        let (epoch, _) = self.change_ring(|ring| {
+            ring.bump_epoch();
+        });
+        self.metrics
+            .failover_promotions
+            .fetch_add(1, Ordering::Relaxed);
+        self.event(
+            EventKind::Failover,
+            format_args!("node {node}: {old} -> {standby} (standby promoted), epoch {epoch}"),
+        );
+        self.event(
+            EventKind::RingEpoch,
+            format_args!("epoch={epoch} failover-node={node}"),
+        );
+        Ok(())
+    }
+
+    /// Drops `node` (display name `name`) from the ring, its tenants
+    /// rehashing over the survivors; `why` goes into the event.
+    fn drop_node(&self, node: usize, name: &str, why: &str) {
+        let (epoch, live) = self.change_ring(|ring| {
+            ring.drop_node(node);
+        });
+        self.event(
+            EventKind::Failover,
+            format_args!("node {node} ({name}) dropped ({why}), epoch {epoch}"),
+        );
+        self.event(
+            EventKind::RingEpoch,
+            format_args!("epoch={epoch} drop-node={node} live={live}"),
+        );
+    }
+
+    /// Applies one membership change to the ring and its gauges; returns
+    /// the new `(epoch, live nodes)`.
+    fn change_ring(&self, change: impl FnOnce(&mut ClusterRing)) -> (u64, usize) {
+        let mut ring = write(&self.ring);
+        change(&mut ring);
+        self.sync_ring_gauges(&ring);
+        (ring.epoch(), ring.live_count())
+    }
+
+    /// Records one lifecycle event.
+    fn event(&self, kind: EventKind, detail: std::fmt::Arguments<'_>) {
+        let t = &self.telem;
+        t.event(&t.events, t.wall_ms(), kind, |ev| {
+            let _ = ev.detail.write_fmt(detail);
+        });
     }
 
     /// Runs one failover control-plane step with bounded exponential
@@ -640,17 +595,16 @@ impl RouterCtx {
 /// A running router daemon.
 pub struct Router {
     ctx: Arc<RouterCtx>,
-    reactors: Vec<JoinHandle<()>>,
-    reconciler: Option<JoinHandle<()>>,
-    prober: Option<JoinHandle<()>>,
+    /// The reactors, the reconciler (unless disabled) and the prober.
+    threads: Vec<JoinHandle<()>>,
 }
 
 impl Router {
     /// Starts the router: resolves and provisions the nodes (registering
     /// any configured tenant a node doesn't know yet and learning each
     /// node's tenant wire ids), binds the listen socket, and spawns the
-    /// reactors (as many as a node runs by default) and the background
-    /// reconciler.
+    /// reactors (as many as a node runs by default), the background
+    /// reconciler and the health prober.
     pub fn start(cfg: RouterConfig) -> io::Result<Router> {
         if cfg.nodes.is_empty() {
             return Err(io::Error::new(
@@ -658,79 +612,63 @@ impl Router {
                 "a cluster needs at least one node",
             ));
         }
-        let mut nodes = Vec::with_capacity(cfg.nodes.len());
-        for spec in &cfg.nodes {
-            let addr = spec
-                .to_socket_addrs()
-                .ok()
-                .and_then(|mut a| a.next())
-                .ok_or_else(|| {
-                    io::Error::new(
-                        io::ErrorKind::InvalidInput,
-                        format!("cannot resolve node '{spec}'"),
-                    )
-                })?;
-            nodes.push(addr);
-        }
-        let mut node_ids = Vec::with_capacity(nodes.len());
-        for (i, addr) in nodes.iter().enumerate() {
-            let ids = provision_node(*addr, &cfg.tenants)
-                .map_err(|e| io::Error::other(format!("node {}: {e}", cfg.nodes[i])))?;
-            node_ids.push(ids);
-        }
-
-        for (slot, ctrl) in &cfg.standbys {
-            if *slot >= nodes.len() {
-                return Err(io::Error::new(
+        let mut slots = Vec::with_capacity(cfg.nodes.len());
+        for name in &cfg.nodes {
+            let addr = resolve(name).ok_or_else(|| {
+                io::Error::new(
                     io::ErrorKind::InvalidInput,
-                    format!(
-                        "standby '{ctrl}' names node {slot}, but only {} nodes exist",
-                        nodes.len()
-                    ),
-                ));
-            }
+                    format!("cannot resolve node '{name}'"),
+                )
+            })?;
+            let ids = provision_node(addr, &cfg.tenants)
+                .map_err(|e| io::Error::other(format!("node {name}: {e}")))?;
+            slots.push(Slot {
+                addr,
+                name: name.clone(),
+                ids,
+                standby: None,
+                probe_failures: 0,
+            });
         }
-        let node_names = cfg.nodes.clone();
-        let metrics = RouterMetrics::new(nodes.len());
-        metrics
-            .failover_mode
-            .store(cfg.failover.gauge(), Ordering::Relaxed);
+        for (node, standby) in &cfg.standbys {
+            let count = slots.len();
+            let slot = slots.get_mut(*node).ok_or_else(|| {
+                io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    format!("standby '{standby}' names node {node}, but only {count} nodes exist"),
+                )
+            })?;
+            // The first standby named for a slot is its standby.
+            slot.standby.get_or_insert_with(|| standby.clone());
+        }
+        let metrics = RouterMetrics::new(slots.len());
         let reconcile_ms = cfg.reconcile_ms;
         let telem = RouterTelem::new(cfg.trace_sample);
-        let failover = cfg.failover;
         let pool = Pool::bind(&cfg.addr, reactor::REACTORS, reactor::IDLE_TIMEOUT)?;
         let ctx = Arc::new(RouterCtx {
             pool: Arc::clone(&pool),
-            ring: RwLock::new(ClusterRing::new(nodes.len())),
-            node_ids: RwLock::new(node_ids),
+            ring: RwLock::new(ClusterRing::new(slots.len())),
             metrics,
             telem,
-            slots: nodes.len(),
-            nodes: RwLock::new(nodes),
-            node_names: RwLock::new(node_names),
-            proposals: Mutex::new(Vec::new()),
+            slots: slots.len(),
+            nodes: RwLock::new(slots),
+            failing_over: Mutex::new(()),
             cfg,
         });
 
         let fronts = (0..pool.reactors()).map(|id| Front::new(Arc::clone(&ctx), id));
-        let reactors = reactor::spawn(&pool, "router-reactor", fronts)?;
-        let background = |on: bool, name: &str, run: fn(Arc<RouterCtx>)| {
+        let mut threads = reactor::spawn(&pool, "router-reactor", fronts)?;
+        let background = |name: &str, run: fn(Arc<RouterCtx>)| {
             let ctx = Arc::clone(&ctx);
-            let spawn = || {
-                thread::Builder::new()
-                    .name(name.into())
-                    .spawn(move || run(ctx))
-            };
-            on.then(spawn).transpose()
+            thread::Builder::new()
+                .name(name.into())
+                .spawn(move || run(ctx))
         };
-        let reconciler = background(reconcile_ms > 0, "router-reconcile", reconcile_loop)?;
-        let prober = background(failover != FailoverMode::Off, "router-probe", probe_loop)?;
-        Ok(Router {
-            ctx,
-            reactors,
-            reconciler,
-            prober,
-        })
+        if reconcile_ms > 0 {
+            threads.push(background("router-reconcile", reconcile_loop)?);
+        }
+        threads.push(background("router-probe", probe_loop)?);
+        Ok(Router { ctx, threads })
     }
 
     /// The bound listen address.
@@ -747,12 +685,6 @@ impl Router {
     /// The router's metrics (tests and embedding callers).
     pub fn metrics(&self) -> &RouterMetrics {
         &self.ctx.metrics
-    }
-
-    /// Runs one budget reconciliation cycle synchronously. Returns
-    /// `(nodes reporting, shares acknowledged)`.
-    pub fn reconcile_now(&self) -> (usize, u32) {
-        self.ctx.reconcile_once()
     }
 
     /// Whether `POST /admin/shutdown` (or [`Router::shutdown`]) has been
@@ -777,11 +709,7 @@ impl Router {
     }
 
     fn join(&mut self) {
-        let threads = self.reactors.drain(..);
-        for h in threads
-            .chain(self.reconciler.take())
-            .chain(self.prober.take())
-        {
+        for h in self.threads.drain(..) {
             let _ = h.join();
         }
     }
@@ -805,39 +733,23 @@ fn reconcile_loop(ctx: Arc<RouterCtx>) {
     }
 }
 
-/// The health prober (supervised failover): probes every live node's
-/// `/healthz` on a fixed cadence and raises a proposal after
-/// [`PROBE_FAILURE_THRESHOLD`] consecutive failures.
+/// The health prober: probes every live node's `/healthz` on a fixed
+/// cadence and writes the outcome into its slot ([`RouterCtx::probed`]).
 fn probe_loop(ctx: Arc<RouterCtx>) {
     let interval = Duration::from_millis(ctx.cfg.probe_ms.max(10));
     let timeout = ctx.cfg.upstream_timeout;
-    let mut fails = vec![0u32; ctx.slots];
     while pause(&ctx, interval) {
-        let ring = read(&ctx.ring).clone();
-        for (node, fail_count) in fails.iter_mut().enumerate() {
-            if !ring.is_live(node) {
-                *fail_count = 0;
-                continue;
-            }
-            // Probed on the data-path deadline, so a hung node fails a
-            // probe within the same bound clients see.
+        for node in 0..ctx.slots {
             let addr = ctx.node_addr(node);
-            if matches!(
-                call(addr, "GET", "/healthz", b"", timeout, timeout),
-                Ok((200, _))
-            ) {
-                *fail_count = 0;
-                continue;
-            }
-            *fail_count += 1;
-            ctx.metrics.probe_failures.fetch_add(1, Ordering::Relaxed);
-            if *fail_count >= PROBE_FAILURE_THRESHOLD {
-                ctx.raise_proposal(
-                    node,
-                    &format!("{} consecutive health-probe failures", *fail_count),
+            // A dropped slot routes nothing, so it is not probed and
+            // keeps no failure run. A live one is probed on the data-path
+            // deadline, so a hung node fails within the bound clients see.
+            let healthy = !read(&ctx.ring).is_live(node)
+                || matches!(
+                    call(addr, "GET", "/healthz", b"", timeout, timeout),
+                    Ok((200, _))
                 );
-                *fail_count = 0;
-            }
+            ctx.probed(node, addr, healthy);
         }
     }
 }
@@ -852,9 +764,7 @@ pub(crate) enum Verb {
     Trace,
     Events,
     Ring,
-    RingDrop,
-    Proposals,
-    ConfirmProposal,
+    Failover,
     Reconcile,
     ListTenants,
     Shutdown,
@@ -865,19 +775,17 @@ pub(crate) enum Verb {
 /// its 405.
 #[rustfmt::skip]
 pub(crate) const ROUTES: &[Route<Verb>] = &[
-    ("POST", "/invoke",                       Verb::Invoke),
-    ("GET",  "/healthz",                      Verb::Healthz),
-    ("GET",  "/metrics",                      Verb::Metrics),
-    ("GET",  "/metrics/fleet",                Verb::FleetMetrics),
-    ("GET",  "/debug/trace",                  Verb::Trace),
-    ("GET",  "/debug/events",                 Verb::Events),
-    ("GET",  "/admin/ring",                   Verb::Ring),
-    ("POST", "/admin/ring/drop",              Verb::RingDrop),
-    ("GET",  "/admin/ring/proposals",         Verb::Proposals),
-    ("POST", "/admin/ring/proposals/confirm", Verb::ConfirmProposal),
-    ("POST", "/admin/reconcile",              Verb::Reconcile),
-    ("GET",  "/admin/tenants",                Verb::ListTenants),
-    ("POST", "/admin/shutdown",               Verb::Shutdown),
+    ("POST", "/invoke",              Verb::Invoke),
+    ("GET",  "/healthz",             Verb::Healthz),
+    ("GET",  "/metrics",             Verb::Metrics),
+    ("GET",  "/metrics/fleet",       Verb::FleetMetrics),
+    ("GET",  "/debug/trace",         Verb::Trace),
+    ("GET",  "/debug/events",        Verb::Events),
+    ("GET",  "/admin/ring",          Verb::Ring),
+    ("POST", "/admin/ring/failover", Verb::Failover),
+    ("POST", "/admin/reconcile",     Verb::Reconcile),
+    ("GET",  "/admin/tenants",       Verb::ListTenants),
+    ("POST", "/admin/shutdown",      Verb::Shutdown),
 ];
 
 /// Answers one control request — everything but `POST /invoke` — into
@@ -902,18 +810,18 @@ pub(crate) fn control(ctx: &RouterCtx, req: &Request, out: &mut Vec<u8>) {
             let ring = read(&ctx.ring);
             let body = format!(
                 "{{\"status\":\"ok\",\"role\":\"router\",\"nodes\":{},\"live\":{},\
-                 \"epoch\":{},\"tenants\":{},\"failover\":\"{}\"}}",
+                 \"epoch\":{},\"tenants\":{}}}",
                 ring.len(),
                 ring.live_count(),
                 ring.epoch(),
                 ctx.cfg.tenants.len() + 1,
-                ctx.cfg.failover.name(),
             );
             drop(ring);
             json(out, 200, &body);
         }
         Verb::Metrics => {
-            let text = ctx.metrics.render(&ctx.node_names_snapshot());
+            let names: Vec<String> = read(&ctx.nodes).iter().map(|s| s.name.clone()).collect();
+            let text = ctx.metrics.render(&names);
             write_response(out, 200, "text/plain; version=0.0.4", text.as_bytes());
         }
         Verb::FleetMetrics => {
@@ -935,20 +843,25 @@ pub(crate) fn control(ctx: &RouterCtx, req: &Request, out: &mut Vec<u8>) {
         }
         Verb::Events => json(out, 200, &EventRing::snapshot_json(&ctx.telem.events)),
         Verb::Ring => {
-            let names = ctx.node_names_snapshot();
+            // Ring before slots, the order every reader takes them in.
             let ring = read(&ctx.ring);
             let mut body = format!("{{\"epoch\":{},\"nodes\":[", ring.epoch());
-            for (i, name) in names.iter().enumerate() {
+            for (i, slot) in read(&ctx.nodes).iter().enumerate() {
                 if i > 0 {
                     body.push(',');
                 }
                 body.push_str(&format!(
-                    "{{\"node\":{i},\"addr\":\"{name}\",\"live\":{}}}",
-                    ring.is_live(i)
+                    "{{\"node\":{i},\"addr\":\"{}\",\"live\":{},\"probe_failures\":{},\
+                     \"down\":{},\"standby\":{}}}",
+                    wire::json_escape(&slot.name),
+                    ring.is_live(i),
+                    slot.probe_failures,
+                    slot.probe_failures >= PROBE_FAILURE_THRESHOLD,
+                    json_or_null(slot.standby.as_deref()),
                 ));
             }
-            body.push_str("]}");
             drop(ring);
+            body.push_str("]}");
             json(out, 200, &body);
         }
         Verb::ListTenants => {
@@ -969,53 +882,9 @@ pub(crate) fn control(ctx: &RouterCtx, req: &Request, out: &mut Vec<u8>) {
             body.push(']');
             json(out, 200, &body);
         }
-        Verb::RingDrop => match node_arg() {
-            Some(node) if node < ctx.slots => {
-                let (dropped, epoch, live) = {
-                    let mut ring = write(&ctx.ring);
-                    let dropped = ring.drop_node(node);
-                    ctx.sync_ring_gauges(&ring);
-                    (dropped, ring.epoch(), ring.live_count())
-                };
-                if dropped {
-                    let t = &ctx.telem;
-                    t.event(&t.events, t.wall_ms(), EventKind::RingEpoch, |ev| {
-                        let _ = write!(ev.detail, "epoch={epoch} drop-node={node} live={live}");
-                    });
-                }
-                let body = format!("{{\"dropped\":{dropped},\"epoch\":{epoch},\"live\":{live}}}");
-                json(out, 200, &body);
-            }
+        Verb::Failover => match node_arg() {
+            Some(node) if node < ctx.slots => json(out, 200, &ctx.failover(node)),
             _ => write_error(out, 400, "expected ?node=INDEX"),
-        },
-        Verb::Proposals => {
-            let proposals = lock_unpoisoned(&ctx.proposals);
-            let mut body = String::from("{\"proposals\":[");
-            for (i, p) in proposals.iter().enumerate() {
-                if i > 0 {
-                    body.push(',');
-                }
-                body.push_str(&format!(
-                    "{{\"node\":{},\"addr\":\"{}\",\"reason\":\"{}\",\"standby\":{}}}",
-                    p.node,
-                    wire::json_escape(&p.addr),
-                    wire::json_escape(&p.reason),
-                    match &p.standby {
-                        Some(s) => format!("\"{}\"", wire::json_escape(s)),
-                        None => "null".to_owned(),
-                    },
-                ));
-            }
-            body.push_str("]}");
-            drop(proposals);
-            json(out, 200, &body);
-        }
-        Verb::ConfirmProposal => match node_arg() {
-            Some(node) => match ctx.confirm_failover(node) {
-                Ok(body) => json(out, 200, &body),
-                Err((status, e)) => write_error(out, status, &e),
-            },
-            None => write_error(out, 400, "expected ?node=INDEX"),
         },
         Verb::Reconcile => {
             let (nodes, pushes) = ctx.reconcile_once();
@@ -1043,6 +912,18 @@ pub(crate) fn read<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
 /// Write access, likewise (see [`read`]).
 fn write<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
     lock.write().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// `s` as a JSON string, or `null`.
+fn json_or_null(s: Option<&str>) -> String {
+    s.map_or("null".to_owned(), |s| {
+        format!("\"{}\"", wire::json_escape(s))
+    })
+}
+
+/// The first address `spec` resolves to.
+fn resolve(spec: &str) -> Option<SocketAddr> {
+    spec.to_socket_addrs().ok()?.next()
 }
 
 /// One control-plane exchange ([`call`]) under the router's
@@ -1177,20 +1058,7 @@ mod tests {
         assert_eq!(parse_id_field("{}"), None);
     }
 
-    #[test]
-    fn failover_mode_cli_grammar() {
-        assert_eq!(FailoverMode::parse("off").unwrap(), FailoverMode::Off);
-        assert_eq!(
-            FailoverMode::parse("supervised").unwrap(),
-            FailoverMode::Supervised
-        );
-        assert!(FailoverMode::parse("auto").is_err());
-        assert!(FailoverMode::parse("eventually").is_err());
-        assert_eq!(FailoverMode::Supervised.name(), "supervised");
-        assert_eq!(FailoverMode::Supervised.gauge(), 1);
-    }
-
-    /// A router over one telemetry-off node, no background threads.
+    /// A router over one telemetry-off node, no reconciler.
     fn node_and_router() -> (sitw_serve::Server, Router) {
         let node = sitw_serve::Server::start(sitw_serve::ServeConfig {
             addr: "127.0.0.1:0".into(),
@@ -1313,16 +1181,22 @@ mod tests {
     #[test]
     fn ring_verbs_read_node_wherever_it_stands_in_the_query() {
         let (node, router) = node_and_router();
-        let path = "/admin/ring/proposals/confirm?x=1&node=0";
-        let (status, body) = control_call(router.addr(), "POST", path, b"").unwrap();
-        assert_eq!(status, 404, "{body}");
-        assert!(body.contains("no pending proposal for node 0"), "{body}");
-        let path = "/admin/ring/drop?node=0&x=1";
-        let (status, body) = control_call(router.addr(), "POST", path, b"").unwrap();
-        assert_eq!(
-            (status, body.as_str()),
-            (200, "{\"dropped\":true,\"epoch\":1,\"live\":0}")
-        );
+        let addr = node.addr();
+        for (path, action, epoch) in [
+            ("/admin/ring/failover?x=1&node=0", "dropped", 1),
+            ("/admin/ring/failover?node=0&x=1", "none", 1),
+        ] {
+            let (status, body) = control_call(router.addr(), "POST", path, b"").unwrap();
+            let want = format!(
+                "{{\"node\":0,\"action\":\"{action}\",\"addr\":\"{addr}\",\"epoch\":{epoch},\
+                 \"live\":0,\"error\":null}}"
+            );
+            assert_eq!((status, body), (200, want), "{path}");
+        }
+        for path in ["/admin/ring/failover?node=1", "/admin/ring/failover?x=0"] {
+            let (status, body) = control_call(router.addr(), "POST", path, b"").unwrap();
+            assert_eq!(status, 400, "{path}: {body}");
+        }
         router.shutdown();
         node.shutdown().unwrap();
     }
@@ -1382,7 +1256,7 @@ mod tests {
             .unwrap()
             .split(", ")
             .collect();
-        assert_eq!(listed.len(), 13, "{line}");
+        assert_eq!(listed.len(), 11, "{line}");
         for (entry, row) in listed.iter().zip(ROUTES) {
             let (method, path) = entry.split_once(' ').unwrap();
             assert_eq!((method, path), (row.0, row.1));

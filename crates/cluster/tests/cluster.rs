@@ -187,10 +187,10 @@ fn dead_node_yields_typed_errors_and_ring_drop_recovers() {
     // Operator acknowledges the loss: epoch advances, tenants rehash
     // over the survivors, and the victim tenant serves again (cold — its
     // state died with the node).
-    let (status, body) = http(router.addr(), "POST", "/admin/ring/drop?node=1", "");
+    let (status, body) = http(router.addr(), "POST", "/admin/ring/failover?node=1", "");
     assert_eq!(status, 200);
     assert!(
-        body.contains("\"dropped\":true") && body.contains("\"epoch\":1"),
+        body.contains("\"action\":\"dropped\"") && body.contains("\"epoch\":1"),
         "{body}"
     );
     let (status, body) = json.invoke(Some(&victim), "a", 200, None).unwrap();
@@ -225,9 +225,12 @@ fn reconciler_pushes_budgets_to_ring_owners() {
         assert_eq!(status, 200);
     }
 
-    let (nodes_ok, pushes) = router.reconcile_now();
-    assert_eq!(nodes_ok, 2, "both nodes report");
-    assert_eq!(pushes, 1, "one budgeted tenant, one owner share");
+    let (status, body) = http(router.addr(), "POST", "/admin/reconcile", "");
+    assert_eq!(status, 200);
+    assert_eq!(
+        body, "{\"nodes\":2,\"pushes\":1}",
+        "both nodes report; one budgeted tenant, one owner share"
+    );
 
     // The owner node's ledger carries the budget and the invocations.
     let owner = ClusterRing::new(2).node_of_tenant("metered").unwrap();
@@ -236,8 +239,8 @@ fn reconciler_pushes_budgets_to_ring_owners() {
     assert_eq!(metered.budget_mb, 48);
     assert_eq!(metered.invocations, 5);
 
-    // The aggregated view lands on the router's /metrics, and the admin
-    // endpoint drives the same cycle.
+    // The aggregated view lands on the router's /metrics, and a second
+    // cycle hears from both nodes again.
     let (_, metrics) = http(router.addr(), "GET", "/metrics", "");
     assert!(
         metrics.contains("sitw_router_tenant_budget_mb{tenant=\"metered\"} 48"),
@@ -485,9 +488,9 @@ fn fleet_federation_is_bucket_exact_and_events_record_provenance() {
         "fleet scrape was destructive"
     );
 
-    // Control-plane provenance: a ring drop leaves a ring-epoch event
-    // naming the dropped node in the router's ring.
-    let (status, body) = http(router.addr(), "POST", "/admin/ring/drop?node=0", "");
+    // Control-plane provenance: a failover that drops a node leaves a
+    // ring-epoch event naming the dropped node in the router's ring.
+    let (status, body) = http(router.addr(), "POST", "/admin/ring/failover?node=0", "");
     assert_eq!(status, 200, "{body}");
     let (status, events) = http(router.addr(), "GET", "/debug/events", "");
     assert_eq!(status, 200);

@@ -1,24 +1,25 @@
-//! Router failover integration tests (ISSUE 10, layer 3).
-//!
-//! Three scenarios:
+//! Router failover integration tests.
 //!
 //! * A **hung** upstream (accepts, never answers — the SIGSTOP shape)
 //!   must surface as a typed 503 naming the node within the configured
 //!   `upstream_timeout`, not stall the client drain forever.
-//! * **Supervised failover**: the health prober raises a proposal for a
-//!   dead primary; confirming it promotes the slot's warm standby
-//!   (a `sitw-serve --follow` replica) in place, bumps the ring epoch,
-//!   and traffic resumes against the promoted node.
-//! * **Supervised failover without a standby**: confirming the
-//!   prober's proposal drops the dead node, rehashing its tenants over
-//!   the survivors.
+//! * **Failover with a standby**: the health prober marks a dead
+//!   primary's slot `down` on `GET /admin/ring`; `POST
+//!   /admin/ring/failover` promotes the slot's warm standby (a
+//!   `sitw-serve --follow` replica) in place, bumps the ring epoch, and
+//!   traffic resumes against the promoted node. The verb needs no probe
+//!   failure, and the standby is spent: a second failover of the slot
+//!   drops it.
+//! * **Failover without a standby**, or with one that cannot be
+//!   promoted: the verb drops the dead node, rehashing its tenants over
+//!   the survivors, and names the promote error when there was one.
 
 mod common;
 
 use std::thread;
 use std::time::{Duration, Instant};
 
-use sitw_cluster::{FailoverMode, Router, RouterConfig};
+use sitw_cluster::{Router, RouterConfig};
 use sitw_core::PolicySpec;
 use sitw_serve::{Client, FollowConfig, ServeConfig, Server, TenantConfig};
 
@@ -34,6 +35,56 @@ fn wait_for(what: &str, timeout: Duration, mut f: impl FnMut() -> bool) {
         thread::sleep(Duration::from_millis(20));
     }
     panic!("timed out waiting for {what}");
+}
+
+/// Slot `node`'s object in a `GET /admin/ring` body.
+fn slot(ring: &str, node: usize) -> &str {
+    let start = ring
+        .find(&format!("{{\"node\":{node},"))
+        .unwrap_or_else(|| panic!("no slot {node}: {ring}"));
+    let len = ring[start..].find('}').expect("slot object ends");
+    &ring[start..=start + len]
+}
+
+/// Slot `node`'s object in the router's ring listing, now.
+fn ring_slot(router: &Router, node: usize) -> String {
+    let (status, ring) = http(router.addr(), "GET", "/admin/ring", "");
+    assert_eq!(status, 200, "{ring}");
+    slot(&ring, node).to_owned()
+}
+
+/// How many lifecycle events of `kind` the router's ring holds.
+fn events_of(router: &Router, kind: &str) -> usize {
+    let (_, events) = http(router.addr(), "GET", "/debug/events", "");
+    events.matches(&format!("\"kind\":\"{kind}\"")).count()
+}
+
+/// A primary node, a warm standby following it, and a one-slot router
+/// over the primary with that standby, probing every `probe_ms`.
+fn primary_standby_router(probe_ms: u64) -> (Server, Server, Router) {
+    let primary = start_node();
+    let follower = Server::start(ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        shards: 2,
+        policy: PolicySpec::fixed_minutes(10),
+        follow: Some(FollowConfig {
+            primary_addr: primary.addr().to_string(),
+            pull_interval: Duration::from_millis(15),
+        }),
+        ..ServeConfig::default()
+    })
+    .expect("follower starts");
+    let router = Router::start(RouterConfig {
+        nodes: vec![primary.addr().to_string()],
+        tenants: vec![TenantConfig::parse("t0=fixed:10").unwrap()],
+        reconcile_ms: 0,
+        probe_ms,
+        standbys: vec![(0, follower.addr().to_string())],
+        upstream_timeout: Duration::from_millis(500),
+        ..RouterConfig::default()
+    })
+    .expect("router starts");
+    (primary, follower, router)
 }
 
 /// A fake node that answers the router's provisioning request and
@@ -76,33 +127,13 @@ fn hung_upstream_times_out_with_typed_503() {
 
 #[test]
 fn supervised_failover_promotes_standby_and_resumes_traffic() {
-    let primary = start_node();
-    let follower = Server::start(ServeConfig {
-        addr: "127.0.0.1:0".into(),
-        shards: 2,
-        policy: PolicySpec::fixed_minutes(10),
-        follow: Some(FollowConfig {
-            primary_addr: primary.addr().to_string(),
-            pull_interval: Duration::from_millis(15),
-        }),
-        ..ServeConfig::default()
-    })
-    .expect("follower starts");
-    let router = Router::start(RouterConfig {
-        nodes: vec![primary.addr().to_string()],
-        tenants: vec![TenantConfig::parse("t0=fixed:10").unwrap()],
-        reconcile_ms: 0,
-        failover: FailoverMode::Supervised,
-        probe_ms: 30,
-        standbys: vec![(0, follower.addr().to_string())],
-        upstream_timeout: Duration::from_millis(500),
-        ..RouterConfig::default()
-    })
-    .expect("router starts");
+    let (primary, follower, router) = primary_standby_router(30);
+    let standby = format!("\"standby\":\"{}\"", follower.addr());
 
-    let (status, body) = http(router.addr(), "GET", "/healthz", "");
-    assert_eq!(status, 200);
-    assert!(body.contains("\"failover\":\"supervised\""), "{body}");
+    // Before anything fails, the slot lists its standby and is not down.
+    let before = ring_slot(&router, 0);
+    assert!(before.contains(&standby), "{before}");
+    assert!(before.contains("\"down\":false"), "{before}");
 
     // Phase 1: traffic lands on the primary and replicates.
     let mut client = Client::connect(router.addr()).unwrap();
@@ -115,38 +146,32 @@ fn supervised_failover_promotes_standby_and_resumes_traffic() {
     drop(client);
 
     // The primary dies. The prober needs three consecutive failures to
-    // raise the proposal; nothing is dropped or promoted until then.
+    // mark the slot down; nothing is dropped or promoted until then.
     let primary_addr = primary.addr().to_string();
     let _ = primary.shutdown();
-    wait_for("failover proposal", Duration::from_secs(10), || {
-        let (status, body) = http(router.addr(), "GET", "/admin/ring/proposals", "");
-        status == 200 && body.contains("\"node\":0")
+    wait_for("slot 0 down", Duration::from_secs(10), || {
+        ring_slot(&router, 0).contains("\"down\":true")
     });
-    let (_, proposals) = http(router.addr(), "GET", "/admin/ring/proposals", "");
+    let down = ring_slot(&router, 0);
     assert!(
-        proposals.contains(&format!("\"standby\":\"{}\"", follower.addr())),
-        "proposal names the standby: {proposals}"
+        down.contains(&standby),
+        "the down slot names its standby: {down}"
     );
+    assert_eq!(events_of(&router, "node-down"), 1);
 
-    // Supervised: the ring is untouched until the operator confirms.
+    // The ring is untouched until the operator fails the node over.
     let (_, ring) = http(router.addr(), "GET", "/admin/ring", "");
     assert!(ring.contains("\"epoch\":0"), "{ring}");
-    let (status, confirm) = http(
-        router.addr(),
-        "POST",
-        "/admin/ring/proposals/confirm?node=0",
-        "",
-    );
-    assert_eq!(status, 200, "{confirm}");
-    assert!(confirm.contains("\"action\":\"promoted\""), "{confirm}");
-    assert!(confirm.contains("\"epoch\":1"), "{confirm}");
+    let (status, failover) = http(router.addr(), "POST", "/admin/ring/failover?node=0", "");
+    assert_eq!(status, 200, "{failover}");
+    assert!(failover.contains("\"action\":\"promoted\""), "{failover}");
+    assert!(failover.contains("\"epoch\":1"), "{failover}");
+    assert!(failover.contains("\"error\":null"), "{failover}");
 
-    // The proposal is consumed and the slot now holds the standby's
-    // own address: it promoted in place.
+    // The slot now holds the standby's own address — it promoted in
+    // place — with its probe record cleared and the standby spent.
     let standby_addr = format!("\"addr\":\"{}\"", follower.addr());
-    assert!(confirm.contains(&standby_addr), "{confirm}");
-    let (_, proposals) = http(router.addr(), "GET", "/admin/ring/proposals", "");
-    assert!(proposals.contains("\"proposals\":[]"), "{proposals}");
+    assert!(failover.contains(&standby_addr), "{failover}");
     let (_, ring) = http(router.addr(), "GET", "/admin/ring", "");
     assert!(ring.contains("\"epoch\":1"), "{ring}");
     assert!(ring.contains(&standby_addr), "{ring}");
@@ -154,6 +179,9 @@ fn supervised_failover_promotes_standby_and_resumes_traffic() {
         !ring.contains(&primary_addr),
         "dead primary gone from the ring: {ring}"
     );
+    let promoted = slot(&ring, 0);
+    assert!(promoted.contains("\"down\":false"), "{promoted}");
+    assert!(promoted.contains("\"standby\":null"), "{promoted}");
 
     // Phase 2: traffic resumes against the promoted node — same slot,
     // same tenant, new address.
@@ -165,23 +193,137 @@ fn supervised_failover_promotes_standby_and_resumes_traffic() {
         assert_eq!(status, 200, "{body}");
     }
 
-    // Lifecycle and metrics provenance.
+    // Lifecycle and metrics provenance: one node-down for the one
+    // crossing of the threshold.
     let (_, events) = http(router.addr(), "GET", "/debug/events", "");
-    assert!(events.contains("\"kind\":\"node-down\""), "{events}");
     assert!(events.contains("\"kind\":\"failover\""), "{events}");
     assert!(events.contains("standby promoted"), "{events}");
+    assert_eq!(events_of(&router, "node-down"), 1);
     let (_, metrics) = http(router.addr(), "GET", "/metrics", "");
-    assert!(metrics.contains("sitw_router_failover_mode 1"), "{metrics}");
     assert!(
         metrics.contains("sitw_router_failover_promotions_total 1"),
         "{metrics}"
     );
-    assert!(
-        metrics.contains("sitw_router_failover_proposals_total 1"),
-        "{metrics}"
-    );
     router.shutdown();
     follower.shutdown().unwrap();
+}
+
+/// The verb acts on the operator's word alone: with the prober idle, a
+/// slot that no probe has failed still promotes its standby.
+#[test]
+fn failover_promotes_a_standby_with_no_probe_failure_seen() {
+    let (primary, follower, router) = primary_standby_router(3_600_000);
+    let _ = primary.shutdown();
+    let before = ring_slot(&router, 0);
+    assert!(before.contains("\"probe_failures\":0"), "{before}");
+    let (status, failover) = http(router.addr(), "POST", "/admin/ring/failover?node=0", "");
+    assert_eq!(status, 200, "{failover}");
+    let want = format!(
+        "{{\"node\":0,\"action\":\"promoted\",\"addr\":\"{}\",\"epoch\":1,\"live\":1,\
+         \"error\":null}}",
+        follower.addr()
+    );
+    assert_eq!(failover, want);
+    let mut client = Client::connect(router.addr()).unwrap();
+    let (status, body) = client.invoke(Some("t0"), "app-a", 1_000, None).unwrap();
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(events_of(&router, "node-down"), 0);
+    router.shutdown();
+    follower.shutdown().unwrap();
+}
+
+/// A promoted slot's standby is spent: when the promoted node dies
+/// too, the prober reports no standby for it and a second failover
+/// drops the slot rather than promoting the dead node into its own
+/// place.
+#[test]
+fn a_second_failover_of_a_promoted_slot_drops_it() {
+    let (primary, follower, router) = primary_standby_router(30);
+    let _ = primary.shutdown();
+    let (_, failover) = http(router.addr(), "POST", "/admin/ring/failover?node=0", "");
+    assert!(failover.contains("\"action\":\"promoted\""), "{failover}");
+
+    let promoted = follower.addr().to_string();
+    follower.shutdown().unwrap();
+    wait_for("promoted slot down", Duration::from_secs(10), || {
+        ring_slot(&router, 0).contains("\"down\":true")
+    });
+    let down = ring_slot(&router, 0);
+    assert!(down.contains("\"standby\":null"), "{down}");
+    let (_, events) = http(router.addr(), "GET", "/debug/events", "");
+    assert!(events.contains("(standby: none)"), "{events}");
+
+    let (status, failover) = http(router.addr(), "POST", "/admin/ring/failover?node=0", "");
+    assert_eq!(status, 200, "{failover}");
+    let want = format!(
+        "{{\"node\":0,\"action\":\"dropped\",\"addr\":\"{promoted}\",\"epoch\":2,\"live\":0,\
+         \"error\":null}}"
+    );
+    assert_eq!(failover, want);
+    let (_, metrics) = http(router.addr(), "GET", "/metrics", "");
+    assert!(
+        metrics.contains("sitw_router_failover_promotions_total 1"),
+        "{metrics}"
+    );
+
+    // The slot is out of the ring: a third failover changes nothing.
+    let (status, again) = http(router.addr(), "POST", "/admin/ring/failover?node=0", "");
+    assert_eq!(status, 200, "{again}");
+    assert!(again.contains("\"action\":\"none\""), "{again}");
+    assert!(again.contains("\"epoch\":2"), "{again}");
+    router.shutdown();
+}
+
+/// A standby that cannot be promoted within the retry budget ends in a
+/// drop, and the answer names the promote error.
+#[test]
+fn an_unpromotable_standby_ends_in_a_drop_naming_the_error() {
+    let node0 = start_node();
+    let node1 = start_node();
+    // An address nothing listens on: every promote attempt is refused.
+    let refused = std::net::TcpListener::bind("127.0.0.1:0")
+        .unwrap()
+        .local_addr()
+        .unwrap();
+    let router = Router::start(RouterConfig {
+        nodes: vec![node0.addr().to_string(), node1.addr().to_string()],
+        tenants: vec![TenantConfig::parse("t0=fixed:10").unwrap()],
+        reconcile_ms: 0,
+        standbys: vec![(1, refused.to_string())],
+        upstream_timeout: Duration::from_millis(500),
+        ..RouterConfig::default()
+    })
+    .expect("router starts");
+    let _ = node1.shutdown();
+
+    let (status, failover) = http(router.addr(), "POST", "/admin/ring/failover?node=1", "");
+    assert_eq!(status, 200, "{failover}");
+    assert!(failover.contains("\"action\":\"dropped\""), "{failover}");
+    assert!(failover.contains("\"live\":1"), "{failover}");
+    assert!(
+        failover.contains("\"error\":\"standby promote: 4 attempts failed"),
+        "{failover}"
+    );
+    let dropped = ring_slot(&router, 1);
+    assert!(dropped.contains("\"live\":false"), "{dropped}");
+    let (_, events) = http(router.addr(), "GET", "/debug/events", "");
+    assert!(events.contains("dropped (standby promote"), "{events}");
+    let (_, metrics) = http(router.addr(), "GET", "/metrics", "");
+    assert!(
+        metrics.contains("sitw_router_failover_promotions_total 0"),
+        "{metrics}"
+    );
+    assert!(
+        !metrics.contains("sitw_router_failover_retries_total 0"),
+        "{metrics}"
+    );
+
+    // t0 serves on the survivor, whichever node it hashed to before.
+    let mut client = Client::connect(router.addr()).unwrap();
+    let (status, body) = client.invoke(Some("t0"), "app-a", 1_000, None).unwrap();
+    assert_eq!(status, 200, "{body}");
+    router.shutdown();
+    let _ = node0.shutdown();
 }
 
 #[test]
@@ -195,7 +337,6 @@ fn confirmed_failover_without_standby_drops_the_dead_node() {
             TenantConfig::parse("t1=fixed:10").unwrap(),
         ],
         reconcile_ms: 0,
-        failover: FailoverMode::Supervised,
         probe_ms: 30,
         upstream_timeout: Duration::from_millis(500),
         ..RouterConfig::default()
@@ -203,20 +344,16 @@ fn confirmed_failover_without_standby_drops_the_dead_node() {
     .expect("router starts");
 
     let _ = node1.shutdown();
-    // The prober raises a proposal naming no standby; confirming it
-    // drops the dead node.
-    wait_for("failover proposal", Duration::from_secs(10), || {
-        let (_, body) = http(router.addr(), "GET", "/admin/ring/proposals", "");
-        body.contains("\"node\":1,")
+    // The prober marks the slot down, naming no standby; failing it
+    // over drops the dead node.
+    wait_for("slot 1 down", Duration::from_secs(10), || {
+        ring_slot(&router, 1).contains("\"down\":true")
     });
-    let (status, confirm) = http(
-        router.addr(),
-        "POST",
-        "/admin/ring/proposals/confirm?node=1",
-        "",
-    );
-    assert_eq!(status, 200, "{confirm}");
-    assert!(confirm.contains("\"action\":\"dropped\""), "{confirm}");
+    let down = ring_slot(&router, 1);
+    assert!(down.contains("\"standby\":null"), "{down}");
+    let (status, failover) = http(router.addr(), "POST", "/admin/ring/failover?node=1", "");
+    assert_eq!(status, 200, "{failover}");
+    assert!(failover.contains("\"action\":\"dropped\""), "{failover}");
     let (_, ring) = http(router.addr(), "GET", "/admin/ring", "");
     assert!(
         ring.contains("\"node\":1,") && ring.contains("\"live\":false"),
@@ -233,7 +370,6 @@ fn confirmed_failover_without_standby_drops_the_dead_node() {
     let (_, events) = http(router.addr(), "GET", "/debug/events", "");
     assert!(events.contains("no standby"), "{events}");
     let (_, metrics) = http(router.addr(), "GET", "/metrics", "");
-    assert!(metrics.contains("sitw_router_failover_mode 1"), "{metrics}");
     assert!(
         metrics.contains("sitw_router_failover_promotions_total 0"),
         "{metrics}"

@@ -11,7 +11,7 @@ mod common;
 
 use std::net::SocketAddr;
 
-use common::{records, start_node, usage};
+use common::{http, records, start_node, usage};
 use sitw_cluster::{ClusterRing, Router, RouterConfig};
 use sitw_core::PolicySpec;
 use sitw_fleet::{footprint_mb, FleetSim, FleetVerdict, TenantId, TenantRegistry};
@@ -237,9 +237,9 @@ fn routed_replay_is_bit_identical_to_fleet_sim() {
     }
 
     // The reconciler pushes the budget to the tenant's ring owner.
-    let (nodes_ok, pushes) = router.reconcile_now();
-    assert_eq!(nodes_ok, 3);
-    assert_eq!(pushes, 1, "one budgeted tenant");
+    let (status, body) = http(router.addr(), "POST", "/admin/reconcile", "");
+    assert_eq!(status, 200);
+    assert_eq!(body, "{\"nodes\":3,\"pushes\":1}", "one budgeted tenant");
     let owner = ClusterRing::new(3).node_of_tenant("metered").unwrap();
     let tenants = usage(addrs[owner]);
     let metered = tenants.iter().find(|t| t.name == "metered").unwrap();

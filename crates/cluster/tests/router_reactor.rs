@@ -30,10 +30,10 @@ fn router_over(nodes: &[String], tenants: &[&str], upstream_timeout: Duration) -
     .expect("router starts")
 }
 
-/// An invoke and a ring drop of its tenant's owner in one write. A
+/// An invoke and a failover of its tenant's owner in one write. A
 /// control request runs only once everything earlier on its connection
 /// is answered, so the invoke is decided by the owner it was routed to
-/// and the drop answers after it.
+/// and the failover (a drop: no standby) answers after it.
 #[test]
 fn a_control_request_waits_for_the_invokes_before_it() {
     let nodes = [start_node(), start_node()];
@@ -44,7 +44,7 @@ fn a_control_request_waits_for_the_invokes_before_it() {
     let mut burst = Vec::new();
     let invoke = br#"{"app":"a","ts":1000,"tenant":"t0"}"#;
     write_request(&mut burst, "POST", "/invoke", None, invoke).unwrap();
-    let drop_owner = format!("/admin/ring/drop?node={owner}");
+    let drop_owner = format!("/admin/ring/failover?node={owner}");
     write_request(&mut burst, "POST", &drop_owner, None, b"").unwrap();
     let mut client = Client::connect(router.addr()).unwrap();
     client.send(&burst).unwrap();
@@ -61,7 +61,7 @@ fn a_control_request_waits_for_the_invokes_before_it() {
     assert_eq!(served(&nodes[1 - owner]), 0);
     let (status, body) = client.response().unwrap();
     assert_eq!(status, 200, "{body}");
-    assert!(body.contains("\"dropped\":true"), "{body}");
+    assert!(body.contains("\"action\":\"dropped\""), "{body}");
     router.shutdown();
     for node in nodes {
         node.shutdown().unwrap();

@@ -42,9 +42,9 @@
 //! `POST /admin/promote`, which restores the replicated state into its
 //! shards and opens `--addr` to traffic. `/healthz` (with replication
 //! lag), `/metrics`, `/debug/*` and `POST /admin/shutdown` answer
-//! throughout; the startup line says `control on ADDR`. A confirmed
-//! proposal of the router's `--failover supervised` calls the same
-//! promote verb. The policy/tenant flags describe the
+//! throughout; the startup line says `control on ADDR`. The router's
+//! `POST /admin/ring/failover` calls the same promote verb. The
+//! policy/tenant flags describe the
 //! *primary's* configuration so the replica restores into matching
 //! shards. An unpromoted standby's `--snapshot` is its replica.
 //!

@@ -18,8 +18,8 @@
 //! `/metrics` (whose `sitw_serve_repl_*` families count what was
 //! pulled), `/debug/*` and `/admin/shutdown` answer as on any node.
 //!
-//! Promotion (operator `POST /admin/promote`, or a confirmed proposal
-//! of the router's supervised failover calling it) restores the
+//! Promotion (operator `POST /admin/promote`, or the router's
+//! `POST /admin/ring/failover` calling it) restores the
 //! replica through the pipeline a restarting node restores its snapshot
 //! file through (`crate::restore`), which the snapshot-parity tests
 //! prove bit-identical; only once every shard's tenants are built does
