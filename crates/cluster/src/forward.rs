@@ -23,10 +23,17 @@
 //! retired: every answer it owes gets the typed 503 / `Unavailable`
 //! naming the node, and the next forward reconnects. That connect,
 //! bounded by `upstream_timeout`, is the one blocking call on the path.
+//!
+//! A failover may swap a slot's node while its old one still answers. An
+//! upstream remembers the address it dialed and the ring epoch it last
+//! confirmed it at; a forward under a newer epoch finds the slot's node
+//! changed, closes the old connection and dials the new node. Answers the
+//! old node still owes fail with the typed error at the end of that
+//! round, and until then the slot's forwards do too.
 
 use std::collections::VecDeque;
 use std::io::{self, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -171,6 +178,13 @@ fn release(conn: &mut Conn<Client>) {
 #[derive(Default)]
 struct Upstream {
     conn: Option<ConnBuf>,
+    /// The node `conn` was dialed to, and the ring epoch at which the
+    /// slot last named it.
+    addr: Option<SocketAddr>,
+    epoch: u64,
+    /// The slot names another node now, but `conn` still owes replies:
+    /// the round's flush retires it.
+    replaced: bool,
     /// Requests not yet written, and how much of them is.
     out: Vec<u8>,
     written: usize,
@@ -181,6 +195,15 @@ struct Upstream {
 }
 
 impl Upstream {
+    /// Closes the connection and forgets what was left to write on it.
+    fn close(&mut self, ctx: &RouterCtx, reactor: usize) {
+        if let Some(buf) = self.conn.take() {
+            let _ = ctx.pool.epoll(reactor).delete(buf.stream().as_raw_fd());
+        }
+        (self.written, self.blocked, self.replaced) = (0, false, false);
+        self.out.clear();
+    }
+
     fn owe(&mut self, token: u64, seq: u64, since: Instant, frame: Option<(u32, u32)>) {
         let slice = Slice {
             token,
@@ -275,9 +298,13 @@ impl Front {
         ctx.metrics.json_requests.fetch_add(1, Ordering::Relaxed);
         // Ingress covers the parse; the ring lookup is `route`.
         let t1 = telem.now();
-        let node = match &inv.tenant {
-            Some(name) => read(&ctx.ring).node_of_tenant(name),
-            None => read(&ctx.ring).node_of_app(&inv.app),
+        let (node, epoch) = {
+            let ring = read(&ctx.ring);
+            let node = match &inv.tenant {
+                Some(name) => ring.node_of_tenant(name),
+                None => ring.node_of_app(&inv.app),
+            };
+            (node, ring.epoch())
         };
         let Some(node) = node else {
             return write_error(local(conn), 503, "no live nodes");
@@ -289,7 +316,7 @@ impl Front {
                 r.push_spans([id], Stage::Route, t1, t2);
             });
         }
-        let up = match upstream(&mut self.upstreams, ctx, self.id, node) {
+        let up = match upstream(&mut self.upstreams, ctx, self.id, node, epoch) {
             Ok(up) => up,
             Err(e) => return write_error(local(conn), 503, &down(ctx, node, &e)),
         };
@@ -316,9 +343,10 @@ impl Front {
         (ctx.metrics.bin_records).fetch_add(n as u64, Ordering::Relaxed);
         // Ingress ends where placement (the `route` hop) begins.
         let t1 = telem.now();
-        if let Err((code, detail)) = resolve(ctx, &conn.records, &mut self.owners) {
-            return wire::encode_error_frame(local(conn), code, &detail);
-        }
+        let epoch = match resolve(ctx, &conn.records, &mut self.owners) {
+            Ok(epoch) => epoch,
+            Err((code, detail)) => return wire::encode_error_frame(local(conn), code, &detail),
+        };
         for &(node, _) in &self.owners {
             self.part.route(node);
         }
@@ -335,7 +363,7 @@ impl Front {
         let mut owners = 0;
         for node in (0..ctx.slots).filter(|&node| !self.part.slice(node).is_empty()) {
             owners += 1;
-            if let Err(e) = upstream(&mut self.upstreams, ctx, self.id, node) {
+            if let Err(e) = upstream(&mut self.upstreams, ctx, self.id, node, epoch) {
                 let detail = down(ctx, node, &e);
                 return wire::encode_error_frame(local(conn), BinErrorCode::Unavailable, &detail);
             }
@@ -439,11 +467,7 @@ impl Front {
         ready: &mut Vec<u64>,
     ) {
         let (ctx, up) = (&self.ctx, &mut self.upstreams[node]);
-        if let Some(buf) = up.conn.take() {
-            let _ = ctx.pool.epoll(self.id).delete(buf.stream().as_raw_fd());
-        }
-        (up.written, up.blocked) = (0, false);
-        up.out.clear();
+        up.close(ctx, self.id);
         if up.owed.is_empty() {
             return;
         }
@@ -562,47 +586,67 @@ impl Handler for Front {
         }
     }
 
-    /// Writes what this round forwarded.
+    /// Retires the upstreams a failover replaced while they owed replies,
+    /// and writes what this round forwarded.
     fn flush(&mut self, conns: &mut Conns<Client>, ready: &mut Vec<u64>) {
         for node in 0..self.upstreams.len() {
             let up = &self.upstreams[node];
-            if !up.blocked && !up.out.is_empty() {
+            if up.replaced {
+                self.fail(node, replaced(), conns, ready);
+            } else if !up.blocked && !up.out.is_empty() {
                 self.send(node, conns, ready);
             }
         }
     }
 }
 
-/// This reactor's connection to `node`, connected first if it has none:
-/// the one blocking call of the data path, bounded by
-/// `upstream_timeout`.
+/// This reactor's connection to `node` as the ring at `epoch` places
+/// it, connected first if it has none: the one blocking call of the data
+/// path, bounded by `upstream_timeout`. A connection to a node the slot
+/// no longer names is closed first, or, while it still owes replies,
+/// refused until the round's flush retires it.
 // sitw-lint: hot-path
 fn upstream<'u>(
     ups: &'u mut [Upstream],
     ctx: &RouterCtx,
     id: usize,
     node: usize,
+    epoch: u64,
 ) -> io::Result<&'u mut Upstream> {
     let up = &mut ups[node];
+    // A failover swaps the slot before it bumps the epoch, so a newer
+    // epoch than the connection's shows any swap.
+    if up.conn.is_some() && up.epoch != epoch {
+        if up.addr != Some(ctx.node_addr(node)) {
+            if !up.owed.is_empty() {
+                up.replaced = true;
+                return Err(replaced());
+            }
+            up.close(ctx, id);
+        }
+        up.epoch = epoch;
+    }
     if up.conn.is_none() {
-        let stream = TcpStream::connect_timeout(&ctx.node_addr(node), ctx.cfg.upstream_timeout)?;
+        let addr = ctx.node_addr(node);
+        let stream = TcpStream::connect_timeout(&addr, ctx.cfg.upstream_timeout)?;
         stream.set_nonblocking(true)?;
         stream.set_nodelay(true)?;
         let token = UPSTREAM_TOKEN - node as u64;
         (ctx.pool.epoll(id)).add(stream.as_raw_fd(), token, Interest::READ)?;
-        up.conn = Some(ConnBuf::new(stream));
+        (up.conn, up.addr, up.epoch) = (Some(ConnBuf::new(stream)), Some(addr), epoch);
     }
     Ok(up)
 }
 
 /// Resolves every record of a frame to its ring owner and the tenant's
-/// wire id there, or to the typed error that refuses the frame whole.
+/// wire id there, returning the ring epoch it placed them at, or to the
+/// typed error that refuses the frame whole.
 // sitw-lint: hot-path
 fn resolve(
     ctx: &RouterCtx,
     records: &[BinInvoke],
     owners: &mut Vec<(usize, u16)>,
-) -> Result<(), (BinErrorCode, String)> {
+) -> Result<u64, (BinErrorCode, String)> {
     owners.clear();
     let (ring, nodes) = (read(&ctx.ring), read(&ctx.nodes));
     // sitw-lint: allow(hot-path-alloc)
@@ -627,7 +671,7 @@ fn resolve(
         };
         owners.push((node, id));
     }
-    Ok(())
+    Ok(ring.epoch())
 }
 
 /// Fills `slice`'s part of its answer with one upstream reply (`raw`, its
@@ -707,6 +751,12 @@ fn wake(ready: &mut Vec<u64>, token: u64) {
     if ready.last() != Some(&token) {
         ready.push(token);
     }
+}
+
+/// Why a connection to a node a failover replaced fails what it owes.
+fn replaced() -> io::Error {
+    let detail = "replaced by a failover";
+    io::Error::new(io::ErrorKind::ConnectionAborted, detail)
 }
 
 fn unexpected() -> io::Error {

@@ -35,17 +35,18 @@
 //! /admin/ring/failover?node=N`: it promotes the slot's standby via its
 //! `POST /admin/promote`, provisions it, swaps that address into the
 //! slot and bumps the ring epoch; with no standby left to promote it
-//! drops the node and its tenants rehash over the survivors. Every
-//! promote step retries with bounded exponential backoff plus
-//! deterministic jitter, and the whole lifecycle lands in
-//! `/debug/events` and the `sitw_router_failover_*` metric families.
+//! drops the node and its tenants rehash over the survivors. One failover
+//! runs at a time; a second answers 409 at once. Every promote step
+//! retries with bounded exponential backoff plus deterministic jitter,
+//! and the whole lifecycle lands in `/debug/events` and the
+//! `sitw_router_failover_*` metric families.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
@@ -256,7 +257,8 @@ pub(crate) struct RouterCtx {
     pub(crate) nodes: RwLock<Vec<Slot>>,
     pub(crate) ring: RwLock<ClusterRing>,
     /// Held for the whole of one failover, so two requests for one slot
-    /// cannot both promote or drop it.
+    /// cannot both promote or drop it; a request that finds it held is
+    /// refused rather than parked on a second reactor.
     failing_over: Mutex<()>,
     pub(crate) metrics: RouterMetrics,
     /// Hop span recorder, lifecycle event ring, and trace sampler.
@@ -423,11 +425,17 @@ impl RouterCtx {
     /// failure that reaches [`PROBE_FAILURE_THRESHOLD`] raises the
     /// `node-down` event — under the slot's lock, so whoever sees the
     /// slot down finds the event too. A probe of an address the slot no
-    /// longer holds (a failover swapped it meanwhile) is dropped.
+    /// longer holds (a failover swapped it meanwhile) is dropped. Only a
+    /// probe that changes the slot takes the write lock the data path's
+    /// readers wait on.
     fn probed(&self, node: usize, addr: SocketAddr, healthy: bool) {
+        let unchanged = |slot: &Slot| slot.addr != addr || healthy && slot.probe_failures == 0;
+        if unchanged(&read(&self.nodes)[node]) {
+            return;
+        }
         let mut nodes = write(&self.nodes);
         let slot = &mut nodes[node];
-        if slot.addr != addr {
+        if unchanged(slot) {
             return;
         }
         if healthy {
@@ -452,9 +460,14 @@ impl RouterCtx {
     /// the slot's unspent standby in place, or drops the node when it has
     /// none or the promotion fails. A slot already out of the ring is left
     /// as it is. Every outcome answers the same JSON shape, naming the
-    /// action and the promote error that forced a drop.
-    fn failover(&self, node: usize) -> String {
-        let _one_at_a_time = lock_unpoisoned(&self.failing_over);
+    /// action and the promote error that forced a drop. `None`: another
+    /// failover is in progress, and this one did nothing.
+    fn failover(&self, node: usize) -> Option<String> {
+        let _one_at_a_time = match self.failing_over.try_lock() {
+            Ok(guard) => guard,
+            Err(TryLockError::Poisoned(guard)) => guard.into_inner(),
+            Err(TryLockError::WouldBlock) => return None,
+        };
         let (name, standby) = {
             let nodes = read(&self.nodes);
             (nodes[node].name.clone(), nodes[node].standby.clone())
@@ -475,13 +488,13 @@ impl RouterCtx {
         };
         let addr = wire::json_escape(&self.node_name(node));
         let ring = read(&self.ring);
-        format!(
+        Some(format!(
             "{{\"node\":{node},\"action\":\"{action}\",\"addr\":\"{addr}\",\"epoch\":{},\
              \"live\":{},\"error\":{}}}",
             ring.epoch(),
             ring.live_count(),
             json_or_null(error.as_deref()),
-        )
+        ))
     }
 
     /// Promotes `standby` into `node`'s slot: its `POST /admin/promote`
@@ -883,7 +896,10 @@ pub(crate) fn control(ctx: &RouterCtx, req: &Request, out: &mut Vec<u8>) {
             json(out, 200, &body);
         }
         Verb::Failover => match node_arg() {
-            Some(node) if node < ctx.slots => json(out, 200, &ctx.failover(node)),
+            Some(node) if node < ctx.slots => match ctx.failover(node) {
+                Some(body) => json(out, 200, &body),
+                None => write_error(out, 409, "failover in progress"),
+            },
             _ => write_error(out, 400, "expected ?node=INDEX"),
         },
         Verb::Reconcile => {

@@ -8,14 +8,20 @@
 //!   /admin/ring/failover` promotes the slot's warm standby (a
 //!   `sitw-serve --follow` replica) in place, bumps the ring epoch, and
 //!   traffic resumes against the promoted node. The verb needs no probe
-//!   failure, and the standby is spent: a second failover of the slot
-//!   drops it.
+//!   failure, and a primary that still answers gets no more traffic,
+//!   even on connections opened before. The standby is spent: a second
+//!   failover of the slot drops it.
+//! * **One failover at a time**: a second request while one waits on its
+//!   standby answers 409 at once, and invokes keep answering.
 //! * **Failover without a standby**, or with one that cannot be
 //!   promoted: the verb drops the dead node, rehashing its tenants over
 //!   the survivors, and names the promote error when there was one.
 
 mod common;
 
+use std::net::TcpListener;
+use std::sync::atomic::Ordering;
+use std::sync::mpsc;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -59,11 +65,9 @@ fn events_of(router: &Router, kind: &str) -> usize {
     events.matches(&format!("\"kind\":\"{kind}\"")).count()
 }
 
-/// A primary node, a warm standby following it, and a one-slot router
-/// over the primary with that standby, probing every `probe_ms`.
-fn primary_standby_router(probe_ms: u64) -> (Server, Server, Router) {
-    let primary = start_node();
-    let follower = Server::start(ServeConfig {
+/// A warm standby following `primary`.
+fn start_follower(primary: &Server) -> Server {
+    Server::start(ServeConfig {
         addr: "127.0.0.1:0".into(),
         shards: 2,
         policy: PolicySpec::fixed_minutes(10),
@@ -73,7 +77,14 @@ fn primary_standby_router(probe_ms: u64) -> (Server, Server, Router) {
         }),
         ..ServeConfig::default()
     })
-    .expect("follower starts");
+    .expect("follower starts")
+}
+
+/// A primary node, a warm standby following it, and a one-slot router
+/// over the primary with that standby, probing every `probe_ms`.
+fn primary_standby_router(probe_ms: u64) -> (Server, Server, Router) {
+    let primary = start_node();
+    let follower = start_follower(&primary);
     let router = Router::start(RouterConfig {
         nodes: vec![primary.addr().to_string()],
         tenants: vec![TenantConfig::parse("t0=fixed:10").unwrap()],
@@ -209,11 +220,32 @@ fn supervised_failover_promotes_standby_and_resumes_traffic() {
 }
 
 /// The verb acts on the operator's word alone: with the prober idle, a
-/// slot that no probe has failed still promotes its standby.
+/// primary that still answers, and no probe failed, the slot still
+/// promotes its standby. The reactors' connections open to the primary
+/// move to the standby: clients that have already routed through the
+/// primary reach the standby next, and the primary serves nothing more.
 #[test]
 fn failover_promotes_a_standby_with_no_probe_failure_seen() {
     let (primary, follower, router) = primary_standby_router(3_600_000);
-    let _ = primary.shutdown();
+    // Two clients at once land on both reactors, so each opens its own
+    // connection to the primary.
+    let mut clients: Vec<Client> = (0..2)
+        .map(|_| Client::connect(router.addr()).unwrap())
+        .collect();
+    let mut invoke_all = |from: u64| {
+        for (c, client) in clients.iter_mut().enumerate() {
+            for i in from..from + 10 {
+                let app = format!("app-{c}");
+                let (status, body) = client
+                    .invoke(Some("t0"), &app, 1_000 * (i + 1), None)
+                    .unwrap();
+                assert_eq!(status, 200, "{body}");
+            }
+        }
+    };
+    invoke_all(0);
+    assert_eq!(primary.metrics().invocations(), 20);
+
     let before = ring_slot(&router, 0);
     assert!(before.contains("\"probe_failures\":0"), "{before}");
     let (status, failover) = http(router.addr(), "POST", "/admin/ring/failover?node=0", "");
@@ -224,12 +256,131 @@ fn failover_promotes_a_standby_with_no_probe_failure_seen() {
         follower.addr()
     );
     assert_eq!(failover, want);
-    let mut client = Client::connect(router.addr()).unwrap();
-    let (status, body) = client.invoke(Some("t0"), "app-a", 1_000, None).unwrap();
-    assert_eq!(status, 200, "{body}");
+    let promoted = follower.metrics().invocations();
+    invoke_all(10);
+    assert_eq!(
+        primary.metrics().invocations(),
+        20,
+        "the replaced primary still served"
+    );
+    assert_eq!(follower.metrics().invocations(), promoted + 20);
     assert_eq!(events_of(&router, "node-down"), 0);
     router.shutdown();
+    let _ = primary.shutdown();
     follower.shutdown().unwrap();
+}
+
+/// What a replaced node still owes fails with the typed 503 when its
+/// slot fails over, as does a forward to it while it owes; the next one
+/// reaches the standby.
+#[test]
+fn failover_fails_what_the_replaced_node_still_owes() {
+    // The slot's node takes the invoke and never answers; its standby
+    // follows another node.
+    let hung = start_hung_node();
+    let source = start_node();
+    let follower = start_follower(&source);
+    let router = Router::start(RouterConfig {
+        nodes: vec![hung.to_string()],
+        reconcile_ms: 0,
+        probe_ms: 3_600_000,
+        standbys: vec![(0, follower.addr().to_string())],
+        upstream_timeout: Duration::from_secs(20),
+        ..RouterConfig::default()
+    })
+    .expect("router starts");
+
+    let mut client = Client::connect(router.addr()).unwrap();
+    let invoke = |ts: u64| {
+        let mut req = Vec::new();
+        let body = format!("{{\"app\":\"app-a\",\"ts\":{ts}}}");
+        sitw_serve::http::write_request(&mut req, "POST", "/invoke", None, body.as_bytes())
+            .unwrap();
+        req
+    };
+    client.send(&invoke(1_000)).unwrap();
+    let forwarded = || router.metrics().json_requests.load(Ordering::Relaxed) == 1;
+    wait_for("the invoke forwarded", Duration::from_secs(10), forwarded);
+    let (status, failover) = http(router.addr(), "POST", "/admin/ring/failover?node=0", "");
+    assert!(
+        failover.contains("\"action\":\"promoted\""),
+        "{status} {failover}"
+    );
+
+    client.send(&invoke(2_000)).unwrap();
+    for _ in 0..2 {
+        let status = client.recv().and_then(|r| r.status()).unwrap();
+        let body = String::from_utf8_lossy(client.conn().reply_body()).into_owned();
+        assert_eq!(status, 503, "{body}");
+        assert!(body.contains("replaced by a failover"), "{body}");
+    }
+    let (status, body) = client.invoke(None, "app-a", 3_000, None).unwrap();
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(follower.metrics().invocations(), 1);
+    drop(client);
+    router.shutdown();
+    follower.shutdown().unwrap();
+    let _ = source.shutdown();
+}
+
+/// Failovers run one at a time, and one stuck on its standby stalls only
+/// the reactor running it: a second request answers 409 at once, and an
+/// invoke on the other reactor answers.
+#[test]
+fn a_failover_in_progress_refuses_another_and_invokes_still_answer() {
+    let node = start_node();
+    // A standby that accepts and never answers: each connection it takes
+    // waits in `held`, and closes when `held` is dropped.
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let standby = listener.local_addr().unwrap();
+    let (hold, held) = mpsc::channel();
+    thread::spawn(move || {
+        for stream in listener.incoming().flatten() {
+            let _ = hold.send(stream);
+        }
+    });
+    let router = Router::start(RouterConfig {
+        nodes: vec![node.addr().to_string()],
+        tenants: vec![TenantConfig::parse("t0=fixed:10").unwrap()],
+        reconcile_ms: 0,
+        probe_ms: 3_600_000,
+        standbys: vec![(0, standby.to_string())],
+        ..RouterConfig::default()
+    })
+    .expect("router starts");
+
+    let addr = router.addr();
+    let first = thread::spawn(move || http(addr, "POST", "/admin/ring/failover?node=0", ""));
+    let promote = (held.recv_timeout(Duration::from_secs(10)))
+        .expect("the first failover asks the standby to promote");
+    // The first failover's reactor holds its client over its share, so
+    // this one lands on the other reactor.
+    let mut client = Client::connect(router.addr()).unwrap();
+    let patience = Some(Duration::from_secs(3));
+    client.conn().stream().set_read_timeout(patience).unwrap();
+    let (status, body) = client
+        .request("POST", "/admin/ring/failover?node=0", "")
+        .unwrap();
+    assert_eq!(
+        (status, body.as_str()),
+        (409, "{\"error\":\"failover in progress\"}")
+    );
+    let (status, body) = client.invoke(Some("t0"), "app-a", 1_000, None).unwrap();
+    assert_eq!(status, 200, "{body}");
+
+    // The standby closes every connection: the first failover's promote
+    // fails, and it drops the node.
+    drop((promote, held));
+    let (status, answer) = first.join().unwrap();
+    assert_eq!(status, 200, "{answer}");
+    assert!(answer.contains("\"action\":\"dropped\""), "{answer}");
+    assert!(
+        answer.contains("\"error\":\"standby promote: 4 attempts failed"),
+        "{answer}"
+    );
+    drop(client);
+    router.shutdown();
+    let _ = node.shutdown();
 }
 
 /// A promoted slot's standby is spent: when the promoted node dies
