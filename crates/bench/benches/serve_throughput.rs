@@ -213,7 +213,6 @@ fn run_once_routed(shards: usize, policy: PolicySpec, proto: Proto, conns: usize
     let router = Router::start(RouterConfig {
         addr: "127.0.0.1:0".into(),
         nodes: vec![server.addr().to_string()],
-        reconcile_ms: 0,
         ..RouterConfig::default()
     })
     .expect("router start");

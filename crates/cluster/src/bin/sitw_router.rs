@@ -1,7 +1,8 @@
 //! `sitw-router` — the cluster-mode routing daemon.
 //!
 //! One port in front of N `sitw-serve` nodes: tenant-keyed consistent
-//! routing and epoch-based budget reconciliation. See the crate docs of `sitw-cluster` for the design.
+//! routing, with every tenant and its budget provisioned on every node.
+//! See the crate docs of `sitw-cluster` for the design.
 //! The startup `endpoints:` line lists every verb it answers, printed
 //! from the route table in `router.rs`.
 
@@ -21,7 +22,7 @@ USAGE:
     sitw-router --addr HOST:PORT --node HOST:PORT [--node HOST:PORT ...]
                 [--tenants N]
                 [--tenant NAME=POLICY[,budget=MB]]
-                [--reconcile-ms MS] [--trace-sample N]
+                [--trace-sample N]
                 [--probe-ms MS] [--standby IDX=ADDR]
                 [--upstream-timeout-ms MS]
 
@@ -33,9 +34,11 @@ OPTIONS:
                          hybrid policy and no budget.
     --tenant SPEC        One tenant, in the node's grammar:
                          NAME=POLICY[,budget=MB], e.g. acme=hybrid,budget=64.
-                         Repeatable; combines with --tenants.
-    --reconcile-ms MS    Budget reconciliation interval (default 1000;
-                         0 disables the background reconciler).
+                         Repeatable; combines with --tenants. At startup
+                         and on every promotion the router registers it
+                         on each node that lacks it and sets a non-zero
+                         budget on each node that has it, so the node
+                         the tenant lands on enforces the whole budget.
     --trace-sample N     Tag every Nth untraced request with a
                          router-originated trace id and record hop
                          spans for all traced requests (default 0 =
@@ -86,11 +89,6 @@ fn parse_args() -> Result<RouterConfig, String> {
             }
             "--tenant" => {
                 cfg.tenants.push(TenantConfig::parse(&value("--tenant")?)?);
-            }
-            "--reconcile-ms" => {
-                cfg.reconcile_ms = value("--reconcile-ms")?
-                    .parse()
-                    .map_err(|e| format!("--reconcile-ms: {e}"))?;
             }
             "--trace-sample" => {
                 cfg.trace_sample = value("--trace-sample")?

@@ -6,7 +6,10 @@
 //! lossless federation wire format) and merges them with
 //! [`Log2Histogram::merge`], so every federated bucket count equals the
 //! sum of the node counts *exactly* — no estimator drift, no rank
-//! error. `GET /debug/trace` on the router likewise pulls each node's
+//! error. The same pass reads each node's `GET /admin/usage` and folds
+//! the per-tenant ledgers by name ([`TenantUsage::fold`]), so the
+//! tenant series are as current as the scrape. `GET /debug/trace` on
+//! the router likewise pulls each node's
 //! `/debug/trace?format=json`, keeps the propagated-trace spans, and
 //! rebases them onto the router's clock so one causally ordered
 //! timeline spans the whole fleet.
@@ -22,6 +25,7 @@
 
 use std::collections::BTreeMap;
 
+use sitw_serve::wire::TenantUsage;
 use sitw_telemetry::{parse_hist_lines, HistKey, Log2Histogram};
 
 /// One node's `/debug/hist` scrape, reconstructed losslessly.
@@ -48,7 +52,8 @@ pub fn parse_hist_body(body: &str) -> Option<NodeHists> {
     Some(NodeHists { stages, tenants })
 }
 
-/// The fleet-wide merge of every live node's histograms.
+/// The fleet-wide merge of every live node's histograms and usage
+/// reports.
 #[derive(Debug, Default)]
 pub struct FleetHists {
     /// `(stage, proto)` → merged histogram (BTreeMap for stable render
@@ -56,20 +61,24 @@ pub struct FleetHists {
     pub stages: BTreeMap<(String, String), Log2Histogram>,
     /// Tenant name → merged decision-latency histogram.
     pub tenants: BTreeMap<String, Log2Histogram>,
+    /// The nodes' per-tenant ledgers folded by name, name-ordered.
+    pub usage: Vec<TenantUsage>,
     /// Nodes merged in.
     pub nodes: usize,
 }
 
 impl FleetHists {
-    /// Folds one node's scrape into the fleet totals. Bucket-exact:
-    /// every merged count is the sum of the node counts.
-    pub fn absorb(&mut self, node: NodeHists) {
+    /// Folds one node's scrapes — its `/debug/hist` and its
+    /// `/admin/usage` rows — into the fleet totals. Bucket-exact: every
+    /// merged count is the sum of the node counts.
+    pub fn absorb(&mut self, node: NodeHists, usage: Vec<TenantUsage>) {
         for (stage, proto, h) in node.stages {
             self.stages.entry((stage, proto)).or_default().merge(&h);
         }
         for (name, h) in node.tenants {
             self.tenants.entry(name).or_default().merge(&h);
         }
+        self.usage = TenantUsage::fold(self.usage.drain(..).chain(usage));
         self.nodes += 1;
     }
 }
@@ -126,8 +135,8 @@ mod tests {
             hist_line("tenant t0", 700, &[(9, 4), (11, 1)]),
         );
         let mut fleet = FleetHists::default();
-        fleet.absorb(parse_hist_body(&a).unwrap());
-        fleet.absorb(parse_hist_body(&b).unwrap());
+        fleet.absorb(parse_hist_body(&a).unwrap(), Vec::new());
+        fleet.absorb(parse_hist_body(&b).unwrap(), Vec::new());
         assert_eq!(fleet.nodes, 2);
         let decide = &fleet.stages[&("decide".to_owned(), "json".to_owned())];
         // Bucket-exact: counts are the sums of the node counts.

@@ -178,8 +178,9 @@ fn release(conn: &mut Conn<Client>) {
 #[derive(Default)]
 struct Upstream {
     conn: Option<ConnBuf>,
-    /// The node `conn` was dialed to, and the ring epoch at which the
-    /// slot last named it.
+    /// The node `conn` was dialed to (kept after a close, so the answers
+    /// it owed name it), and the ring epoch at which the slot last named
+    /// it.
     addr: Option<SocketAddr>,
     epoch: u64,
     /// The slot names another node now, but `conn` still owes replies:
@@ -318,7 +319,10 @@ impl Front {
         }
         let up = match upstream(&mut self.upstreams, ctx, self.id, node, epoch) {
             Ok(up) => up,
-            Err(e) => return write_error(local(conn), 503, &down(ctx, node, &e)),
+            Err(e) => {
+                let detail = down(ctx, node, &self.upstreams[node], &e);
+                return write_error(local(conn), 503, &detail);
+            }
         };
         // Tenant names are the cluster-wide key, so the body forwards
         // verbatim; a trace id rides in the `x-sitw-trace` header.
@@ -364,7 +368,7 @@ impl Front {
         for node in (0..ctx.slots).filter(|&node| !self.part.slice(node).is_empty()) {
             owners += 1;
             if let Err(e) = upstream(&mut self.upstreams, ctx, self.id, node, epoch) {
-                let detail = down(ctx, node, &e);
+                let detail = down(ctx, node, &self.upstreams[node], &e);
                 return wire::encode_error_frame(local(conn), BinErrorCode::Unavailable, &detail);
             }
         }
@@ -458,7 +462,8 @@ impl Front {
     }
 
     /// Retires upstream `node` after `err`: every answer it owes gets the
-    /// typed error naming the node, and the next forward reconnects.
+    /// typed error naming the node it was dialed to, and the next
+    /// forward reconnects.
     fn fail(
         &mut self,
         node: usize,
@@ -471,7 +476,7 @@ impl Front {
         if up.owed.is_empty() {
             return;
         }
-        let detail = down(ctx, node, &err);
+        let detail = down(ctx, node, up, &err);
         for slice in up.owed.drain(..) {
             let Some(conn) = conns.get_mut(slice.token) else {
                 continue;
@@ -627,13 +632,14 @@ fn upstream<'u>(
         up.epoch = epoch;
     }
     if up.conn.is_none() {
-        let addr = ctx.node_addr(node);
+        // Named before the dial, so a failed connect names what it dialed.
+        let addr = *up.addr.insert(ctx.node_addr(node));
         let stream = TcpStream::connect_timeout(&addr, ctx.cfg.upstream_timeout)?;
         stream.set_nonblocking(true)?;
         stream.set_nodelay(true)?;
         let token = UPSTREAM_TOKEN - node as u64;
         (ctx.pool.epoll(id)).add(stream.as_raw_fd(), token, Interest::READ)?;
-        (up.conn, up.addr, up.epoch) = (Some(ConnBuf::new(stream)), Some(addr), epoch);
+        (up.conn, up.epoch) = (Some(ConnBuf::new(stream)), epoch);
     }
     Ok(up)
 }
@@ -738,11 +744,13 @@ fn forwarded(telem: &RouterTelem, trace: Option<u64>, t2: u64) -> Option<(u64, u
     Some((id, t3))
 }
 
-/// The detail of a failed node's typed error, naming the node; counts
-/// the failure against it.
-fn down(ctx: &RouterCtx, node: usize, e: &io::Error) -> String {
+/// The detail of a failed node's typed error, naming the address `up`
+/// dialed (a failover may have put another node in the slot since);
+/// counts the failure against the slot.
+fn down(ctx: &RouterCtx, node: usize, up: &Upstream, e: &io::Error) -> String {
     ctx.metrics.node_error(node);
-    format!("node {} down: {e}", ctx.node_name(node))
+    let addr = up.addr.unwrap_or_else(|| ctx.node_addr(node));
+    format!("node {addr} down: {e}")
 }
 
 /// Marks a client connection for pumping (once per run of replies to

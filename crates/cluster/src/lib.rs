@@ -2,9 +2,10 @@
 //!
 //! A cluster is N independent `sitw-serve` nodes behind one thin
 //! `sitw-router` daemon. The router owns exactly the state a single node
-//! cannot: *placement* (which node serves which tenant) and *budget
-//! reconciliation* (keeping per-tenant memory budgets meaningful
-//! fleet-wide). It never refuses an invocation itself. Everything else —
+//! cannot: *placement* (which node serves which tenant). It provisions
+//! every configured tenant, with its whole budget, on every node, so the
+//! node a tenant lands on already enforces its budget; a ring change
+//! moves no budget. It never refuses an invocation itself. Everything else —
 //! policies, ledgers, histograms — stays on the nodes, so a cluster of
 //! one node behaves bit-for-bit like a bare node.
 //!
@@ -28,16 +29,14 @@
 //!   one failover verb promotes the slot's warm standby (a `sitw-serve
 //!   --follow` replica) in place and bumps the ring epoch, or drops the
 //!   node when no standby is left to promote.
-//! * [`reconcile`] — the epoch-based budget reconciler: polls each
-//!   node's per-tenant ledger integrals (`GET /admin/usage`),
-//!   aggregates them cluster-wide, and pushes each tenant's budget to
-//!   its current ring owner (`POST /admin/budgets`).
 //! * [`federate`] + the router's telemetry ([`router`]) — the fleet
 //!   observability plane: the
 //!   router stamps sampled trace ids onto forwarded work and records
 //!   its own hop stages, `GET /debug/trace` merges router and node
 //!   spans into one end-to-end timeline, and `GET /metrics/fleet`
-//!   merges the nodes' raw log2 histograms bucket-exactly.
+//!   merges the nodes' raw log2 histograms bucket-exactly and folds
+//!   their per-tenant ledgers (`GET /admin/usage`) by name, both read
+//!   at scrape time.
 //!
 //! The offline model of a cluster is [`sitw_fleet::FleetSim`] over the
 //! union registry: placement is fixed by the ring; one `FleetSim` models
@@ -49,12 +48,10 @@
 pub mod federate;
 mod forward;
 pub mod metrics;
-pub mod reconcile;
 pub mod ring;
 pub mod router;
 
 pub use federate::{parse_hist_body, parse_trace_spans, FleetHists, NodeHists, NodeSpan};
 pub use metrics::{render_fleet, RouterMetrics};
-pub use reconcile::reconcile_shares;
 pub use ring::ClusterRing;
 pub use router::{Router, RouterConfig, ROUTER_TRACE_ORIGIN};

@@ -1,7 +1,8 @@
-//! Router metrics: counters for the routing hot path, gauges for ring
-//! state, the cluster-wide per-tenant usage from the last
-//! reconciliation, and the federated fleet histograms, rendered in
-//! Prometheus text format at `/metrics` and `/metrics/fleet`.
+//! Router metrics: counters for the routing hot path and gauges for
+//! ring state at `/metrics`, and the federated fleet histograms and
+//! cluster-wide per-tenant usage, read from the nodes at scrape time,
+//! at `/metrics/fleet` — both in Prometheus text format. `/metrics`
+//! reads only the router's own atomics, so it calls no node.
 //!
 //! All names are `sitw_router_*` — disjoint from the nodes'
 //! `sitw_serve_*` namespace, so one scrape config can collect both
@@ -11,11 +12,9 @@
 //! sampling function live in its one row.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
 
 use sitw_serve::wire::TenantUsage;
 use sitw_telemetry::expo::{self, Family, Kind, Samples};
-use sitw_telemetry::lock_unpoisoned;
 
 use crate::federate::FleetHists;
 
@@ -40,18 +39,12 @@ pub struct RouterMetrics {
     pub ring_epoch: AtomicU64,
     /// Live node count.
     pub nodes_live: AtomicU64,
-    /// Budget reconciliations completed.
-    pub reconcile_runs: AtomicU64,
-    /// Budget shares acknowledged by nodes, summed over reconciliations.
-    pub budget_pushes: AtomicU64,
     /// Health probes that failed.
     pub probe_failures: AtomicU64,
     /// Standby promotions completed.
     pub failover_promotions: AtomicU64,
     /// Failover control-plane retries (promote/provision re-attempts).
     pub failover_retries: AtomicU64,
-    /// Cluster-aggregated per-tenant usage from the last reconciliation.
-    pub usage: Mutex<Vec<TenantUsage>>,
 }
 
 impl RouterMetrics {
@@ -66,12 +59,9 @@ impl RouterMetrics {
             node_errors: (0..nodes).map(|_| AtomicU64::new(0)).collect(),
             ring_epoch: AtomicU64::new(0),
             nodes_live: AtomicU64::new(nodes as u64),
-            reconcile_runs: AtomicU64::new(0),
-            budget_pushes: AtomicU64::new(0),
             probe_failures: AtomicU64::new(0),
             failover_promotions: AtomicU64::new(0),
             failover_retries: AtomicU64::new(0),
-            usage: Mutex::new(Vec::new()),
         }
     }
 
@@ -89,27 +79,24 @@ impl RouterMetrics {
         let scrape = RouterScrape {
             metrics: self,
             node_addrs,
-            usage: lock_unpoisoned(&self.usage),
         };
         expo::render(RouterScrape::FAMILIES, &scrape)
     }
 }
 
-/// What the router's `/metrics` rows sample: the live atomics, the node
-/// labels, and the last reconciliation's usage held under one lock (so
-/// the four tenant families agree with each other).
+/// What the router's `/metrics` rows sample: the live atomics and the
+/// node labels.
 pub struct RouterScrape<'a> {
     metrics: &'a RouterMetrics,
     node_addrs: &'a [String],
-    usage: MutexGuard<'a, Vec<TenantUsage>>,
 }
 
 fn load(counter: &AtomicU64) -> u64 {
     counter.load(Ordering::Relaxed)
 }
 
-fn per_tenant(v: &RouterScrape<'_>, s: &mut Samples<'_>, get: fn(&TenantUsage) -> u64) {
-    for t in v.usage.iter() {
+fn per_tenant(fleet: &FleetHists, s: &mut Samples<'_>, get: fn(&TenantUsage) -> u64) {
+    for t in &fleet.usage {
         s.labeled(format_args!("tenant=\"{}\"", t.name), get(t));
     }
 }
@@ -172,18 +159,6 @@ impl<'a> RouterScrape<'a> {
             sample: |v, s| s.scalar(load(&v.metrics.nodes_live)),
         },
         Family {
-            name: "sitw_router_reconcile_runs_total",
-            kind: Kind::Counter,
-            help: "Budget reconciliations completed.",
-            sample: |v, s| s.scalar(load(&v.metrics.reconcile_runs)),
-        },
-        Family {
-            name: "sitw_router_budget_pushes_total",
-            kind: Kind::Counter,
-            help: "Budget shares acknowledged by nodes.",
-            sample: |v, s| s.scalar(load(&v.metrics.budget_pushes)),
-        },
-        Family {
             name: "sitw_router_failover_probe_failures_total",
             kind: Kind::Counter,
             help: "Health probes that failed (connect, HTTP error, or timeout).",
@@ -201,39 +176,16 @@ impl<'a> RouterScrape<'a> {
             help: "Failover control-plane retries (promote or provision re-attempts).",
             sample: |v, s| s.scalar(load(&v.metrics.failover_retries)),
         },
-        Family {
-            name: "sitw_router_tenant_budget_mb",
-            kind: Kind::Gauge,
-            help: "Cluster budget per tenant, MB (last reconcile).",
-            sample: |v, s| per_tenant(v, s, |t| t.budget_mb),
-        },
-        Family {
-            name: "sitw_router_tenant_warm_mb",
-            kind: Kind::Gauge,
-            help: "Warm memory per tenant, MB (last reconcile).",
-            sample: |v, s| per_tenant(v, s, |t| t.warm_mb),
-        },
-        Family {
-            name: "sitw_router_tenant_evictions_total",
-            kind: Kind::Counter,
-            help: "Budget evictions per tenant (cumulative, sampled at the last reconcile).",
-            sample: |v, s| per_tenant(v, s, |t| t.evictions),
-        },
-        Family {
-            name: "sitw_router_tenant_invocations_total",
-            kind: Kind::Counter,
-            help: "Invocations served per tenant (cumulative, sampled at the last reconcile).",
-            sample: |v, s| per_tenant(v, s, |t| t.invocations),
-        },
     ];
 }
 
 /// The `/metrics/fleet` table over one federation pass: the merged
 /// per-stage/per-proto and per-tenant histograms, laid out
 /// byte-identically to a node's `sitw_serve_decision_latency` (same
-/// bucket bounds, same label shape), plus the node count that merge
-/// covered. Exactness invariant: every `_count`/`_bucket` value equals
-/// the sum of the corresponding node values.
+/// bucket bounds, same label shape), the node count that merge covered,
+/// and the nodes' per-tenant ledgers folded by name. Exactness
+/// invariant: every `_count`/`_bucket` value equals the sum of the
+/// corresponding node values.
 pub const FLEET_FAMILIES: &[Family<FleetHists>] = &[
     Family {
         name: "sitw_router_fleet_nodes",
@@ -255,6 +207,30 @@ pub const FLEET_FAMILIES: &[Family<FleetHists>] = &[
             }
         },
     },
+    Family {
+        name: "sitw_router_tenant_budget_mb",
+        kind: Kind::Gauge,
+        help: "Cluster budget per tenant, MB (the largest any node enforces).",
+        sample: |fleet, s| per_tenant(fleet, s, |t| t.budget_mb),
+    },
+    Family {
+        name: "sitw_router_tenant_warm_mb",
+        kind: Kind::Gauge,
+        help: "Warm memory per tenant, MB, summed over the nodes.",
+        sample: |fleet, s| per_tenant(fleet, s, |t| t.warm_mb),
+    },
+    Family {
+        name: "sitw_router_tenant_evictions_total",
+        kind: Kind::Counter,
+        help: "Budget evictions per tenant, summed over the nodes.",
+        sample: |fleet, s| per_tenant(fleet, s, |t| t.evictions),
+    },
+    Family {
+        name: "sitw_router_tenant_invocations_total",
+        kind: Kind::Counter,
+        help: "Invocations served per tenant, summed over the nodes.",
+        sample: |fleet, s| per_tenant(fleet, s, |t| t.invocations),
+    },
 ];
 
 /// Renders the `/metrics/fleet` exposition.
@@ -274,23 +250,10 @@ mod tests {
         m.json_requests.fetch_add(3, Ordering::Relaxed);
         m.node_error(1);
         m.node_error(7); // Out of range: ignored, not a panic.
-        m.usage.lock().unwrap().push(TenantUsage {
-            name: "t0".into(),
-            budget_mb: 64,
-            warm_mb: 10,
-            evictions: 2,
-            idle_mb_ms: 5,
-            invocations: 9,
-        });
         let text = m.render(&["127.0.0.1:7101".into(), "127.0.0.1:7102".into()]);
         assert!(text.contains("sitw_router_requests_total{proto=\"json\"} 3"));
         assert!(text.contains("sitw_router_node_errors_total{node=\"127.0.0.1:7102\"} 1"));
         assert!(text.contains("sitw_router_nodes_live 2"));
-        assert!(text.contains("sitw_router_tenant_budget_mb{tenant=\"t0\"} 64"));
-        assert!(text.contains("sitw_router_tenant_invocations_total{tenant=\"t0\"} 9"));
-        // Cumulative tallies are typed counter, snapshots gauge.
-        assert!(text.contains("# TYPE sitw_router_tenant_invocations_total counter"));
-        assert!(text.contains("# TYPE sitw_router_tenant_warm_mb gauge"));
         // The failover families render before any failover, so
         // dashboards can alert on their absence, not just their value.
         m.failover_promotions.fetch_add(1, Ordering::Relaxed);
@@ -313,8 +276,6 @@ mod tests {
             (&m.forwarded_subframes, 9),
             (&m.traced_requests, 4),
             (&m.ring_epoch, 6),
-            (&m.reconcile_runs, 11),
-            (&m.budget_pushes, 22),
             (&m.probe_failures, 7),
             (&m.failover_promotions, 1),
             (&m.failover_retries, 3),
@@ -324,28 +285,31 @@ mod tests {
         m.nodes_live.store(2, Ordering::Relaxed);
         m.node_error(1);
         m.node_error(2);
-        for (name, k) in [("t0", 1), ("acme", 10)] {
-            m.usage.lock().unwrap().push(TenantUsage {
-                name: name.into(),
-                budget_mb: 64 * k,
-                warm_mb: 10 * k,
-                evictions: 2 * k,
-                idle_mb_ms: 5 * k,
-                invocations: 9 * k,
-            });
-        }
         let text = m.render(&["127.0.0.1:7101".into(), "n1".into()]);
         assert_eq!(text, include_str!("../tests/golden/router_metrics.txt"));
     }
 
+    fn usage(name: &str, k: u64) -> TenantUsage {
+        TenantUsage {
+            name: name.into(),
+            budget_mb: 64 * k,
+            warm_mb: 10 * k,
+            evictions: 2 * k,
+            idle_mb_ms: 5 * k,
+            invocations: 9 * k,
+        }
+    }
+
     /// `/metrics/fleet` over two scrapes of the node's golden
-    /// `/debug/hist` body is byte-identical to the captured exposition.
+    /// `/debug/hist` body, one of them reporting usage for `t0` and
+    /// `acme`, is byte-identical to the captured exposition.
     #[test]
     fn golden_fleet_metrics() {
         let node = include_str!("../../serve/tests/golden/node_debug_hist.txt");
         let mut fleet = FleetHists::default();
-        fleet.absorb(parse_hist_body(node).unwrap());
-        fleet.absorb(parse_hist_body(node).unwrap());
+        let rows = vec![usage("t0", 1), usage("acme", 10)];
+        fleet.absorb(parse_hist_body(node).unwrap(), rows);
+        fleet.absorb(parse_hist_body(node).unwrap(), Vec::new());
         let text = render_fleet(&fleet);
         assert_eq!(text, include_str!("../tests/golden/fleet_metrics.txt"));
     }
@@ -360,14 +324,20 @@ mod tests {
         }
         line.push('\n');
         let mut fleet = FleetHists::default();
-        fleet.absorb(parse_hist_body(&line).unwrap());
-        fleet.absorb(parse_hist_body(&line).unwrap());
-        fleet.absorb(parse_hist_body(&line).unwrap());
+        for _ in 0..3 {
+            fleet.absorb(parse_hist_body(&line).unwrap(), vec![usage("t0", 1)]);
+        }
         let text = render_fleet(&fleet);
         assert!(text.contains("sitw_router_fleet_nodes 3"));
         // 3 nodes x 7 samples, exactly.
         assert!(text.contains(
             "sitw_router_fleet_decision_latency_count{stage=\"decide\",proto=\"bin\"} 21"
         ));
+        // Usage folds by name: the budget is the largest, the rest sums.
+        assert!(text.contains("sitw_router_tenant_budget_mb{tenant=\"t0\"} 64"));
+        assert!(text.contains("sitw_router_tenant_invocations_total{tenant=\"t0\"} 27"));
+        // Cumulative tallies are typed counter, snapshots gauge.
+        assert!(text.contains("# TYPE sitw_router_tenant_invocations_total counter"));
+        assert!(text.contains("# TYPE sitw_router_tenant_warm_mb gauge"));
     }
 }

@@ -9,9 +9,9 @@
 //! The ring is versioned by an **epoch** that advances on every
 //! membership change (a node dropped, a standby swapped into a slot).
 //! Routing decisions are a pure function of `(epoch state, key)`, so the
-//! epoch is the cluster-wide cache-invalidation token: the reconciler
-//! stamps its budget pushes with it, and tests assert recovery by
-//! watching it advance.
+//! epoch is the cluster-wide cache-invalidation token: a reactor's
+//! connection to a node is rechecked against its slot when the epoch
+//! moves, and tests assert recovery by watching it advance.
 
 use sitw_fleet::fnv1a;
 

@@ -54,7 +54,7 @@ use sitw_fleet::fnv1a;
 use sitw_serve::http::{call, endpoints_line, lookup, query_arg, write_response, Request, Route};
 use sitw_serve::reactor::{self, Pool};
 use sitw_serve::server::write_error;
-use sitw_serve::wire::{self, TenantUsage};
+use sitw_serve::wire;
 use sitw_serve::TenantConfig;
 
 use sitw_telemetry::{
@@ -65,11 +65,10 @@ use sitw_telemetry::{
 use crate::federate::{parse_hist_body, parse_trace_spans, rebase, FleetHists, NodeSpan};
 use crate::forward::Front;
 use crate::metrics::{render_fleet, RouterMetrics};
-use crate::reconcile::reconcile_shares;
 use crate::ring::ClusterRing;
 
 /// How long the router waits for a control-plane TCP connect
-/// (provisioning, reconciliation, scrapes). The data path uses the
+/// (provisioning, promotion, scrapes). The data path uses the
 /// configurable [`RouterConfig::upstream_timeout`] instead.
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
 
@@ -117,13 +116,11 @@ pub struct RouterConfig {
     /// Node addresses; slot order defines ring node indices.
     pub nodes: Vec<String>,
     /// The cluster tenant table, as a node's. Wire id `k+1` is
-    /// `tenants[k]`; id 0 is the default tenant, exactly as on a node. A tenant's policy is pushed to nodes that don't know it
-    /// yet; its budget (0 = unlimited) is pushed by the reconciler to
-    /// its current ring owner.
+    /// `tenants[k]`; id 0 is the default tenant, exactly as on a node.
+    /// Provisioning registers a tenant, with its policy and budget (0 =
+    /// unlimited), on every node that doesn't know it yet, and sets a
+    /// non-zero budget on every node that does.
     pub tenants: Vec<TenantConfig>,
-    /// Budget reconciliation interval in milliseconds; 0 disables the
-    /// background reconciler (`POST /admin/reconcile` still works).
-    pub reconcile_ms: u64,
     /// Tag every Nth untraced request with a router-originated trace id
     /// and record hop spans for all traced requests; 0 disables hop
     /// recording (client trace ids still propagate to the nodes).
@@ -148,7 +145,6 @@ impl Default for RouterConfig {
             addr: "127.0.0.1:0".into(),
             nodes: Vec::new(),
             tenants: Vec::new(),
-            reconcile_ms: 1_000,
             trace_sample: 0,
             probe_ms: 500,
             standbys: Vec::new(),
@@ -280,50 +276,6 @@ impl RouterCtx {
         read(&self.nodes)[node].name.clone()
     }
 
-    /// One budget reconciliation cycle: poll reports, aggregate for
-    /// `/metrics`, push budget shares to ring owners. Returns
-    /// `(nodes reporting, shares acknowledged)`.
-    fn reconcile_once(&self) -> (usize, u32) {
-        let ring = read(&self.ring).clone();
-        let (mut nodes_reporting, mut usage) = (0, Vec::new());
-        for node in 0..self.slots {
-            if !ring.is_live(node) {
-                continue;
-            }
-            let report = control_call(self.node_addr(node), "GET", "/admin/usage", b"");
-            match report.map(|(status, body)| (status, wire::parse_usage(body.as_bytes()))) {
-                Ok((200, Ok(tenants))) => {
-                    nodes_reporting += 1;
-                    usage.extend(tenants);
-                }
-                _ => self.metrics.node_error(node),
-            }
-        }
-        let budgets: Vec<(String, u64)> = self
-            .cfg
-            .tenants
-            .iter()
-            .map(|t| (t.name.clone(), t.budget_mb))
-            .collect();
-        let mut pushes = 0u32;
-        for (node, shares) in reconcile_shares(&budgets, &ring) {
-            let mut body = Vec::new();
-            wire::write_budgets(&mut body, &shares);
-            let ack = control_call(self.node_addr(node), "POST", "/admin/budgets", &body);
-            match ack.map(|(status, body)| (status, parse_applied(&body))) {
-                Ok((200, Some(applied))) => pushes += applied,
-                _ => self.metrics.node_error(node),
-            }
-        }
-        *lock_unpoisoned(&self.metrics.usage) = TenantUsage::fold(usage);
-        self.metrics.reconcile_runs.fetch_add(1, Ordering::Relaxed);
-        self.metrics
-            .budget_pushes
-            .fetch_add(pushes as u64, Ordering::Relaxed);
-        self.sync_ring_gauges(&ring);
-        (nodes_reporting, pushes)
-    }
-
     fn sync_ring_gauges(&self, ring: &ClusterRing) {
         self.metrics
             .ring_epoch
@@ -334,9 +286,11 @@ impl RouterCtx {
     }
 
     /// One fleet federation pass: scrapes every live node's
-    /// `/debug/hist` and merges the raw log2 buckets exactly. Scrape or
-    /// parse failures count a node error and leave that node out of the
-    /// merge (`sitw_router_fleet_nodes` reports the coverage).
+    /// `/debug/hist` and `/admin/usage`, merges the raw log2 buckets
+    /// exactly and folds the usage rows by tenant name. A node either
+    /// of whose scrapes fails or does not parse counts a node error and
+    /// is left out of both (`sitw_router_fleet_nodes` reports the
+    /// coverage).
     fn fleet_scrape(&self) -> FleetHists {
         let ring = read(&self.ring).clone();
         let mut fleet = FleetHists::default();
@@ -344,12 +298,17 @@ impl RouterCtx {
             if !ring.is_live(node) {
                 continue;
             }
-            match control_call(self.node_addr(node), "GET", "/debug/hist", b"") {
-                Ok((200, body)) => match parse_hist_body(&body) {
-                    Some(h) => fleet.absorb(h),
-                    None => self.metrics.node_error(node),
-                },
-                Ok(_) | Err(_) => self.metrics.node_error(node),
+            let addr = self.node_addr(node);
+            let scrape = |path| match control_call(addr, "GET", path, b"") {
+                Ok((200, body)) => Some(body),
+                _ => None,
+            };
+            let hists = scrape("/debug/hist").and_then(|body| parse_hist_body(&body));
+            // A node whose histograms failed is not asked for its usage.
+            let usage = || wire::parse_usage(scrape("/admin/usage")?.as_bytes()).ok();
+            match hists.and_then(|hists| Some((hists, usage()?))) {
+                Some((hists, usage)) => fleet.absorb(hists, usage),
+                None => self.metrics.node_error(node),
             }
         }
         fleet
@@ -608,16 +567,16 @@ impl RouterCtx {
 /// A running router daemon.
 pub struct Router {
     ctx: Arc<RouterCtx>,
-    /// The reactors, the reconciler (unless disabled) and the prober.
+    /// The reactors and the prober.
     threads: Vec<JoinHandle<()>>,
 }
 
 impl Router {
     /// Starts the router: resolves and provisions the nodes (registering
-    /// any configured tenant a node doesn't know yet and learning each
-    /// node's tenant wire ids), binds the listen socket, and spawns the
-    /// reactors (as many as a node runs by default), the background
-    /// reconciler and the health prober.
+    /// any configured tenant a node doesn't know yet, setting the
+    /// budgets of those it does, and learning each node's tenant wire
+    /// ids), binds the listen socket, and spawns the reactors (as many as
+    /// a node runs by default) and the health prober.
     pub fn start(cfg: RouterConfig) -> io::Result<Router> {
         if cfg.nodes.is_empty() {
             return Err(io::Error::new(
@@ -655,7 +614,6 @@ impl Router {
             slot.standby.get_or_insert_with(|| standby.clone());
         }
         let metrics = RouterMetrics::new(slots.len());
-        let reconcile_ms = cfg.reconcile_ms;
         let telem = RouterTelem::new(cfg.trace_sample);
         let pool = Pool::bind(&cfg.addr, reactor::REACTORS, reactor::IDLE_TIMEOUT)?;
         let ctx = Arc::new(RouterCtx {
@@ -671,16 +629,12 @@ impl Router {
 
         let fronts = (0..pool.reactors()).map(|id| Front::new(Arc::clone(&ctx), id));
         let mut threads = reactor::spawn(&pool, "router-reactor", fronts)?;
-        let background = |name: &str, run: fn(Arc<RouterCtx>)| {
-            let ctx = Arc::clone(&ctx);
+        let prober = Arc::clone(&ctx);
+        threads.push(
             thread::Builder::new()
-                .name(name.into())
-                .spawn(move || run(ctx))
-        };
-        if reconcile_ms > 0 {
-            threads.push(background("router-reconcile", reconcile_loop)?);
-        }
-        threads.push(background("router-probe", probe_loop)?);
+                .name("router-probe".into())
+                .spawn(move || probe_loop(prober))?,
+        );
         Ok(Router { ctx, threads })
     }
 
@@ -740,12 +694,6 @@ fn pause(ctx: &RouterCtx, interval: Duration) -> bool {
     !ctx.shutting_down()
 }
 
-fn reconcile_loop(ctx: Arc<RouterCtx>) {
-    while pause(&ctx, Duration::from_millis(ctx.cfg.reconcile_ms)) {
-        let _ = ctx.reconcile_once();
-    }
-}
-
 /// The health prober: probes every live node's `/healthz` on a fixed
 /// cadence and writes the outcome into its slot ([`RouterCtx::probed`]).
 fn probe_loop(ctx: Arc<RouterCtx>) {
@@ -778,7 +726,6 @@ pub(crate) enum Verb {
     Events,
     Ring,
     Failover,
-    Reconcile,
     ListTenants,
     Shutdown,
 }
@@ -796,7 +743,6 @@ pub(crate) const ROUTES: &[Route<Verb>] = &[
     ("GET",  "/debug/events",        Verb::Events),
     ("GET",  "/admin/ring",          Verb::Ring),
     ("POST", "/admin/ring/failover", Verb::Failover),
-    ("POST", "/admin/reconcile",     Verb::Reconcile),
     ("GET",  "/admin/tenants",       Verb::ListTenants),
     ("POST", "/admin/shutdown",      Verb::Shutdown),
 ];
@@ -902,14 +848,6 @@ pub(crate) fn control(ctx: &RouterCtx, req: &Request, out: &mut Vec<u8>) {
             },
             _ => write_error(out, 400, "expected ?node=INDEX"),
         },
-        Verb::Reconcile => {
-            let (nodes, pushes) = ctx.reconcile_once();
-            json(
-                out,
-                200,
-                &format!("{{\"nodes\":{nodes},\"pushes\":{pushes}}}"),
-            );
-        }
         Verb::Shutdown => {
             json(out, 200, "{\"status\":\"stopping\"}");
             ctx.pool.shutdown();
@@ -943,8 +881,7 @@ fn resolve(spec: &str) -> Option<SocketAddr> {
 }
 
 /// One control-plane exchange ([`call`]) under the router's
-/// control-plane deadlines: provisioning, reconciliation, scrapes,
-/// promotion.
+/// control-plane deadlines: provisioning, scrapes, promotion.
 fn control_call(
     addr: SocketAddr,
     method: &str,
@@ -970,9 +907,12 @@ fn parse_id_field(body: &str) -> Option<u16> {
     digits.parse().ok()
 }
 
-/// Ensures every configured tenant exists on `addr` (registering missing
-/// ones with their policy and budget) and returns the node's tenant
-/// name → wire id map.
+/// Ensures every configured tenant exists on `addr` with the router's
+/// budget — registering missing ones with their policy and budget, and
+/// setting every non-zero budget of the ones it knew in one `POST
+/// /admin/budgets` — and returns the node's tenant name → wire id map.
+/// A budget of 0 is never pushed: it would lift a node's limit, not
+/// set one.
 fn provision_node(
     addr: SocketAddr,
     tenants: &[TenantConfig],
@@ -983,8 +923,12 @@ fn provision_node(
         return Err(format!("tenant listing failed ({status}): {body}"));
     }
     let mut ids = wire::parse_tenant_listing(&body);
+    let mut budgets = Vec::new();
     for t in tenants {
         if ids.contains_key(&t.name) {
+            if t.budget_mb > 0 {
+                budgets.push((t.name.clone(), t.budget_mb));
+            }
             continue;
         }
         let spec = t
@@ -1007,6 +951,18 @@ fn provision_node(
         let id = parse_id_field(&resp)
             .ok_or_else(|| format!("malformed registration response: {resp}"))?;
         ids.insert(t.name.clone(), id);
+    }
+    if !budgets.is_empty() {
+        let mut body = Vec::new();
+        wire::write_budgets(&mut body, &budgets);
+        let (status, resp) = control_call(addr, "POST", "/admin/budgets", &body)
+            .map_err(|e| format!("cannot set budgets: {e}"))?;
+        if status != 200 || parse_applied(&resp) != Some(budgets.len() as u32) {
+            return Err(format!(
+                "setting {} budgets failed ({status}): {resp}",
+                budgets.len()
+            ));
+        }
     }
     Ok(ids)
 }
@@ -1074,7 +1030,7 @@ mod tests {
         assert_eq!(parse_id_field("{}"), None);
     }
 
-    /// A router over one telemetry-off node, no reconciler.
+    /// A router over one telemetry-off node.
     fn node_and_router() -> (sitw_serve::Server, Router) {
         let node = sitw_serve::Server::start(sitw_serve::ServeConfig {
             addr: "127.0.0.1:0".into(),
@@ -1085,7 +1041,6 @@ mod tests {
         .unwrap();
         let router = Router::start(RouterConfig {
             nodes: vec![node.addr().to_string()],
-            reconcile_ms: 0,
             ..RouterConfig::default()
         })
         .unwrap();
@@ -1178,11 +1133,10 @@ mod tests {
         let recorder = thread::spawn(move || {
             let _events = ctx.telem.events.lock().unwrap();
             let _spans = ctx.telem.recorder.lock().unwrap();
-            let _usage = ctx.metrics.usage.lock().unwrap();
             panic!("recorder dies holding telemetry locks (expected in this test)");
         });
         assert!(recorder.join().is_err());
-        assert!(router.ctx.telem.events.is_poisoned() && router.ctx.metrics.usage.is_poisoned());
+        assert!(router.ctx.telem.events.is_poisoned() && router.ctx.telem.recorder.is_poisoned());
         for path in ["/metrics", "/debug/events", "/debug/trace"] {
             let status = control_call(router.addr(), "GET", path, b"").map(|(status, _)| status);
             assert_eq!(status.ok(), Some(200), "{path}");
@@ -1272,7 +1226,7 @@ mod tests {
             .unwrap()
             .split(", ")
             .collect();
-        assert_eq!(listed.len(), 11, "{line}");
+        assert_eq!(listed.len(), 10, "{line}");
         for (entry, row) in listed.iter().zip(ROUTES) {
             let (method, path) = entry.split_once(' ').unwrap();
             assert_eq!((method, path), (row.0, row.1));

@@ -1,7 +1,8 @@
 //! Cluster-mode integration tests: both protocols routed through an
 //! in-process `Router` over real `sitw-serve` nodes — placement
-//! determinism, batched-frame split/reassembly, typed node-down errors with explicit ring-drop recovery, and budget
-//! reconciliation over the nodes' admin verbs.
+//! determinism, batched-frame split/reassembly, typed node-down errors
+//! with explicit ring-drop recovery, and budgets provisioned on every
+//! node over the nodes' admin verbs.
 
 mod common;
 
@@ -11,9 +12,10 @@ use std::time::Duration;
 
 use common::{http, records, start_node, usage};
 use sitw_cluster::{ClusterRing, Router, RouterConfig};
+use sitw_core::PolicySpec;
 use sitw_serve::http::Reply;
 use sitw_serve::wire::{self, BinErrorCode, BinReply, ServerFrameDecode};
-use sitw_serve::{Client, TenantConfig};
+use sitw_serve::{Client, ServeConfig, Server, TenantConfig};
 
 fn router_over(nodes: &[SocketAddr], tenants: &[&str]) -> Router {
     Router::start(RouterConfig {
@@ -23,7 +25,6 @@ fn router_over(nodes: &[SocketAddr], tenants: &[&str]) -> Router {
             .iter()
             .map(|t| TenantConfig::parse(t).expect("tenant spec"))
             .collect(),
-        reconcile_ms: 0, // Tests reconcile explicitly for determinism.
         ..RouterConfig::default()
     })
     .expect("router starts")
@@ -212,10 +213,25 @@ fn dead_node_yields_typed_errors_and_ring_drop_recovers() {
 }
 
 #[test]
-fn reconciler_pushes_budgets_to_ring_owners() {
-    let nodes = [start_node(), start_node()];
+fn provisioning_sets_the_router_budget_on_every_node() {
+    // Node 0 already knows the tenant, under a smaller budget; node 1
+    // does not know it yet.
+    let known = Server::start(ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        shards: 2,
+        policy: PolicySpec::fixed_minutes(10),
+        tenants: vec![TenantConfig::parse("metered=hybrid,budget=8").unwrap()],
+        ..ServeConfig::default()
+    })
+    .expect("node starts");
+    let nodes = [known, start_node()];
     let addrs: Vec<SocketAddr> = nodes.iter().map(|n| n.addr()).collect();
+    assert_eq!(budget_of(addrs[0], "metered"), Some(8));
     let router = router_over(&addrs, &["metered=hybrid,budget=48", "free=hybrid"]);
+    for addr in &addrs {
+        assert_eq!(budget_of(*addr, "metered"), Some(48), "{addr}");
+        assert_eq!(budget_of(*addr, "free"), Some(0), "{addr}");
+    }
 
     let mut json = Client::connect(router.addr()).unwrap();
     for i in 0..5u64 {
@@ -225,39 +241,30 @@ fn reconciler_pushes_budgets_to_ring_owners() {
         assert_eq!(status, 200);
     }
 
-    let (status, body) = http(router.addr(), "POST", "/admin/reconcile", "");
-    assert_eq!(status, 200);
-    assert_eq!(
-        body, "{\"nodes\":2,\"pushes\":1}",
-        "both nodes report; one budgeted tenant, one owner share"
-    );
-
-    // The owner node's ledger carries the budget and the invocations.
-    let owner = ClusterRing::new(2).node_of_tenant("metered").unwrap();
-    let tenants = usage(addrs[owner]);
-    let metered = tenants.iter().find(|t| t.name == "metered").unwrap();
-    assert_eq!(metered.budget_mb, 48);
-    assert_eq!(metered.invocations, 5);
-
-    // The aggregated view lands on the router's /metrics, and a second
-    // cycle hears from both nodes again.
-    let (_, metrics) = http(router.addr(), "GET", "/metrics", "");
+    // The nodes' ledgers, folded at scrape time, land on /metrics/fleet.
+    let (_, fleet) = http(router.addr(), "GET", "/metrics/fleet", "");
+    assert!(fleet.contains("sitw_router_fleet_nodes 2"), "{fleet}");
     assert!(
-        metrics.contains("sitw_router_tenant_budget_mb{tenant=\"metered\"} 48"),
-        "{metrics}"
+        fleet.contains("sitw_router_tenant_budget_mb{tenant=\"metered\"} 48"),
+        "{fleet}"
     );
     assert!(
-        metrics.contains("sitw_router_tenant_invocations_total{tenant=\"metered\"} 5"),
-        "{metrics}"
+        fleet.contains("sitw_router_tenant_invocations_total{tenant=\"metered\"} 5"),
+        "{fleet}"
     );
-    let (status, body) = http(router.addr(), "POST", "/admin/reconcile", "");
-    assert_eq!(status, 200);
-    assert!(body.contains("\"nodes\":2"), "{body}");
 
     router.shutdown();
     for n in nodes {
         n.shutdown().unwrap();
     }
+}
+
+/// The budget `tenant` carries in `addr`'s `GET /admin/usage`.
+fn budget_of(addr: SocketAddr, tenant: &str) -> Option<u64> {
+    usage(addr)
+        .iter()
+        .find(|t| t.name == tenant)
+        .map(|t| t.budget_mb)
 }
 
 #[test]
@@ -314,7 +321,6 @@ fn trace_ids_span_router_and_node_timelines() {
             .iter()
             .map(|t| TenantConfig::parse(t).expect("tenant spec"))
             .collect(),
-        reconcile_ms: 0,
         trace_sample: 1,
         ..RouterConfig::default()
     })
@@ -641,7 +647,6 @@ fn one_node_ring_answers_exactly_what_the_bare_node_answers() {
                 .iter()
                 .map(|t| TenantConfig::parse(t).expect("tenant spec"))
                 .collect(),
-            reconcile_ms: 0,
             trace_sample,
             ..RouterConfig::default()
         })

@@ -88,7 +88,6 @@ fn primary_standby_router(probe_ms: u64) -> (Server, Server, Router) {
     let router = Router::start(RouterConfig {
         nodes: vec![primary.addr().to_string()],
         tenants: vec![TenantConfig::parse("t0=fixed:10").unwrap()],
-        reconcile_ms: 0,
         probe_ms,
         standbys: vec![(0, follower.addr().to_string())],
         upstream_timeout: Duration::from_millis(500),
@@ -113,7 +112,6 @@ fn hung_upstream_times_out_with_typed_503() {
     let node = start_hung_node();
     let router = Router::start(RouterConfig {
         nodes: vec![node.to_string()],
-        reconcile_ms: 0,
         upstream_timeout: Duration::from_millis(250),
         ..RouterConfig::default()
     })
@@ -282,7 +280,6 @@ fn failover_fails_what_the_replaced_node_still_owes() {
     let follower = start_follower(&source);
     let router = Router::start(RouterConfig {
         nodes: vec![hung.to_string()],
-        reconcile_ms: 0,
         probe_ms: 3_600_000,
         standbys: vec![(0, follower.addr().to_string())],
         upstream_timeout: Duration::from_secs(20),
@@ -313,6 +310,8 @@ fn failover_fails_what_the_replaced_node_still_owes() {
         let body = String::from_utf8_lossy(client.conn().reply_body()).into_owned();
         assert_eq!(status, 503, "{body}");
         assert!(body.contains("replaced by a failover"), "{body}");
+        // The node that owed the answer, not the standby now in its slot.
+        assert!(body.contains(&format!("node {hung} down")), "{body}");
     }
     let (status, body) = client.invoke(None, "app-a", 3_000, None).unwrap();
     assert_eq!(status, 200, "{body}");
@@ -342,7 +341,6 @@ fn a_failover_in_progress_refuses_another_and_invokes_still_answer() {
     let router = Router::start(RouterConfig {
         nodes: vec![node.addr().to_string()],
         tenants: vec![TenantConfig::parse("t0=fixed:10").unwrap()],
-        reconcile_ms: 0,
         probe_ms: 3_600_000,
         standbys: vec![(0, standby.to_string())],
         ..RouterConfig::default()
@@ -439,7 +437,6 @@ fn an_unpromotable_standby_ends_in_a_drop_naming_the_error() {
     let router = Router::start(RouterConfig {
         nodes: vec![node0.addr().to_string(), node1.addr().to_string()],
         tenants: vec![TenantConfig::parse("t0=fixed:10").unwrap()],
-        reconcile_ms: 0,
         standbys: vec![(1, refused.to_string())],
         upstream_timeout: Duration::from_millis(500),
         ..RouterConfig::default()
@@ -487,7 +484,6 @@ fn confirmed_failover_without_standby_drops_the_dead_node() {
             TenantConfig::parse("t0=fixed:10").unwrap(),
             TenantConfig::parse("t1=fixed:10").unwrap(),
         ],
-        reconcile_ms: 0,
         probe_ms: 30,
         upstream_timeout: Duration::from_millis(500),
         ..RouterConfig::default()

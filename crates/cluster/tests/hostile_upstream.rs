@@ -47,7 +47,6 @@ const BOMB: &[u8] = b"HTTP/1.1 200 OK\r\ncontent-length: 99999999999\r\n\r\n";
 fn router_over(nodes: &[SocketAddr]) -> Router {
     Router::start(RouterConfig {
         nodes: nodes.iter().map(SocketAddr::to_string).collect(),
-        reconcile_ms: 0,
         upstream_timeout: UPSTREAM_TIMEOUT,
         ..RouterConfig::default()
     })

@@ -11,7 +11,7 @@ mod common;
 
 use std::net::SocketAddr;
 
-use common::{http, records, start_node, usage};
+use common::{records, start_node, usage};
 use sitw_cluster::{ClusterRing, Router, RouterConfig};
 use sitw_core::PolicySpec;
 use sitw_fleet::{footprint_mb, FleetSim, FleetVerdict, TenantId, TenantRegistry};
@@ -158,7 +158,6 @@ fn routed_replay_is_bit_identical_to_fleet_sim() {
             .iter()
             .map(|t| TenantConfig::parse(t).expect("tenant spec"))
             .collect(),
-        reconcile_ms: 0,
         ..RouterConfig::default()
     })
     .expect("router starts");
@@ -236,10 +235,7 @@ fn routed_replay_is_bit_identical_to_fleet_sim() {
         assert_eq!(invocations, served[tid as usize], "{name}: served count");
     }
 
-    // The reconciler pushes the budget to the tenant's ring owner.
-    let (status, body) = http(router.addr(), "POST", "/admin/reconcile", "");
-    assert_eq!(status, 200);
-    assert_eq!(body, "{\"nodes\":3,\"pushes\":1}", "one budgeted tenant");
+    // Provisioning set the budget on the tenant's ring owner.
     let owner = ClusterRing::new(3).node_of_tenant("metered").unwrap();
     let tenants = usage(addrs[owner]);
     let metered = tenants.iter().find(|t| t.name == "metered").unwrap();

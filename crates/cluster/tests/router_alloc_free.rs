@@ -194,11 +194,10 @@ fn routed_decisions_allocate_under_their_ceilings() {
             .unwrap()
         })
         .collect();
-    // The reconciler is off and the health prober waits an hour: the
-    // count is of the data path, not of the control-plane threads.
+    // The health prober waits an hour: the count is of the data path,
+    // not of the control-plane thread.
     let router = Router::start(RouterConfig {
         nodes: nodes.iter().map(|n| n.addr().to_string()).collect(),
-        reconcile_ms: 0,
         probe_ms: 3_600_000,
         ..RouterConfig::default()
     })

@@ -23,7 +23,6 @@ fn router_over(nodes: &[String], tenants: &[&str], upstream_timeout: Duration) -
             .iter()
             .map(|t| TenantConfig::parse(t).expect("tenant spec"))
             .collect(),
-        reconcile_ms: 0,
         upstream_timeout,
         ..RouterConfig::default()
     })
@@ -132,7 +131,6 @@ fn a_hung_node_stalls_only_the_clients_it_owes() {
     });
     let router = Router::start(RouterConfig {
         nodes: vec![healthy.addr().to_string(), hung.to_string()],
-        reconcile_ms: 0,
         upstream_timeout: TIMEOUT,
         ..RouterConfig::default()
     })

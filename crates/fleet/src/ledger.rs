@@ -339,9 +339,9 @@ impl<P> TenantLedger<P> {
 
     /// Replaces the budget (0 = unlimited). Enforcement is lazy: the new
     /// budget bites on the *next* charge, never retroactively — so a
-    /// cluster reconciler pushing shares mid-stream changes no verdict
-    /// that has already been served, and a replay that applies the same
-    /// budget updates at the same stream positions stays bit-identical.
+    /// budget set mid-stream changes no verdict already served, and a
+    /// replay that applies the same budget updates at the same stream
+    /// positions stays bit-identical.
     pub fn set_budget(&mut self, budget_mb: u64) {
         self.budget_mb = budget_mb;
     }

@@ -782,8 +782,8 @@ impl TenantState {
     }
 
     /// Replaces the memory budget (0 = unlimited). Enforcement is lazy —
-    /// the new budget bites on the *next* charge — so a reconciled share
-    /// never rewrites verdicts retroactively.
+    /// the new budget bites on the *next* charge — so a budget set
+    /// mid-stream never rewrites verdicts retroactively.
     pub fn set_budget(&mut self, budget_mb: u64) {
         self.spec.budget_mb = budget_mb;
         self.table.set_budget(budget_mb);

@@ -1,8 +1,8 @@
 //! A small blocking client for a `sitw-serve` node or a `sitw-router`:
 //! one keep-alive connection speaking both wire protocols, built only
 //! from [`write_request`], the [`crate::wire`] encoders and
-//! [`ConnBuf::read_reply`] — the code the router, reconciler and
-//! follower read node replies with. Tools and tests use it instead of
+//! [`ConnBuf::read_reply`] — the code the router and follower read
+//! node replies with. Tools and tests use it instead of
 //! framing responses by hand.
 
 use std::io::{self, Write};

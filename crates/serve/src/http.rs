@@ -16,8 +16,8 @@
 //! The client half of the wire is here too: [`ConnBuf::read_reply`] is
 //! the same reader pointed the other way, [`write_request`] the twin of
 //! [`write_response`], and [`call`] the one-shot exchange built from the
-//! two. Everything that talks *to* a daemon — router, reconciler,
-//! follower, load generator, tests — reads replies through them.
+//! two. Everything that talks *to* a daemon — router, follower, load
+//! generator, tests — reads replies through them.
 //!
 //! A request header block is read in one pass when it is the one every
 //! client in this workspace sends for a decision ([`write_request`]
@@ -774,8 +774,8 @@ pub fn write_request(
 }
 
 /// One request/response exchange on a fresh connection — the control
-/// plane's client (provisioning, budget reconciliation, scrapes, health
-/// probes, standby promotion).
+/// plane's client (provisioning, scrapes, health probes, standby
+/// promotion).
 /// Returns `(status, body)`; the body may run to
 /// [`MAX_CONTROL_REPLY_BYTES`]. `connect` bounds the TCP connect and
 /// the request write, `read` the wait for the response.

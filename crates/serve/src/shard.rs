@@ -455,8 +455,8 @@ impl ShardWorker {
 
     /// Replaces a tenant's memory budget (0 = unlimited); `false` when
     /// the tenant does not live here. Enforcement is lazy — the new
-    /// budget bites on the *next* charge — so applying a
-    /// cluster-reconciled share never rewrites verdicts retroactively.
+    /// budget bites on the *next* charge — so applying a budget set by
+    /// the router's provisioning never rewrites verdicts retroactively.
     pub(crate) fn set_budget(&mut self, tenant: TenantId, budget_mb: u64) -> bool {
         let Some(t) = self.tenants.get_mut(&tenant) else {
             return false;

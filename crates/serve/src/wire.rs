@@ -1684,6 +1684,38 @@ mod tests {
         assert_eq!(folded[1], slice("t0", 64));
     }
 
+    fn usage(name: &str, budget: u64, warm: u64, ev: u64, idle: u64, inv: u64) -> TenantUsage {
+        TenantUsage {
+            name: name.into(),
+            budget_mb: budget,
+            warm_mb: warm,
+            evictions: ev,
+            idle_mb_ms: idle,
+            invocations: inv,
+        }
+    }
+
+    #[test]
+    fn aggregation_maxes_budgets_and_sums_the_rest() {
+        // Node 0 reports two tenants, node 1 its default-tenant slice.
+        let reports = [
+            vec![
+                usage("default", 0, 5, 0, 100, 7),
+                usage("t0", 64, 10, 1, 50, 3),
+            ],
+            vec![usage("default", 0, 2, 0, 30, 4)],
+        ];
+        let agg = TenantUsage::fold(reports.into_iter().flatten());
+        assert_eq!(agg.len(), 2);
+        let default = agg.iter().find(|t| t.name == "default").unwrap();
+        assert_eq!(
+            (default.warm_mb, default.idle_mb_ms, default.invocations),
+            (7, 130, 11)
+        );
+        let t0 = agg.iter().find(|t| t.name == "t0").unwrap();
+        assert_eq!((t0.budget_mb, t0.evictions), (64, 1));
+    }
+
     #[test]
     fn parse_reads_optional_tenant() {
         let r = parse_invoke(br#"{"app":"a","ts":1}"#).unwrap();
