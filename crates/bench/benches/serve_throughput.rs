@@ -1,77 +1,42 @@
 //! Serving throughput: decisions per second through the full loopback
-//! wire path, across shard counts, both protocols (JSON/HTTP vs
-//! SITW-BIN at batch 1/16/128), and tenant modes, measured by the
-//! closed-loop load generator at full speed. The daemon's first
-//! acceptance floor is 50k
-//! decisions/sec on a 4-shard daemon in release mode; the ISSUE-3 gate
-//! is SITW-BIN at batch ≥ 16 sustaining ≥ 1.5× the JSON rate on the
-//! same hardware (re-measured in ISSUE-14, see below); the ISSUE-4 gate
-//! is 4-tenant fleet mode sustaining
-//! ≥ 0.8× the single-tenant JSON rate (the memory ledger must not eat
-//! the serving path).
+//! wire path, measured by the closed-loop load generator at full speed.
 //!
-//! The ISSUE-5 additions: `conns=256` high-fan-in cases for both
-//! protocols (the reactor's scale-out dimension), and a cross-run gate —
-//! the in-run json and bin batch=1 rates must hold ≥ 0.9× the committed
-//! `BENCH_serve.json` baseline at the repo root (the thread-per-conn
-//! numbers PR 4 recorded, thereafter the reactor trajectory), read
-//! before this run refreshes the file. The cross-run gate only makes
-//! sense on the hardware that produced the baseline, so it is skipped —
-//! with a message — when `SITW_BENCH_GATE=0` or the baseline is absent.
+//! `CASES` is the whole bench: one row per shape, each a fresh daemon
+//! (plus an in-process `sitw-router` in front of it, or a warm standby
+//! pulling its replication stream) replaying `EVENTS` decisions. The
+//! rows cover JSON/HTTP across shard counts, the §6 production manager,
+//! SITW-BIN at batch 1/16/128, 256-connection fan-in, 4-tenant fleet
+//! mode, and the routed and replicated shapes. Each row is timed for a
+//! fixed 200 ms budget (`measure`) and prints its mean dec/s and sample
+//! count. With `SITW_BENCH_JSON=path` the means are also written as a
+//! JSON array of `{proto, policy, shards, batch, tenants, conns,
+//! dec_per_sec}` records in `CASES` order: the committed
+//! `BENCH_serve.json` at the repo root is the latest trajectory point.
 //!
-//! Besides the human-readable report, this bench is the perf-trajectory
-//! recorder: with `SITW_BENCH_JSON=path` it writes every case's mean
-//! dec/s as a JSON array (`{proto, policy, shards, batch, tenants,
-//! conns, dec_per_sec}` records) — CI commits the refreshed
-//! `BENCH_serve.json` at the repo root so speedups stay verifiable
-//! across PRs. Set `SITW_BENCH_GATE=0` to skip every ratio assertion
-//! (they are on by default).
+//! The run then fails unless, in this order:
+//! - json (4 shards) and bin batch=1 hold ≥ 0.9× the committed
+//!   `BENCH_serve.json`, read before this run refreshes it (skipped,
+//!   with a message, when the file or the record is absent);
+//! - SITW-BIN at batch ≥ 16 sustains ≥ 1.5× the json rate. A json
+//!   read burst and a frame both take each shard's lock once, so the
+//!   floor bounds what framing still amortizes: HTTP framing, JSON
+//!   parse/render and ~10× the bytes per decision;
+//! - 4-tenant json holds ≥ 0.8× single-tenant json (the ledger must not
+//!   eat the serving path);
+//! - json and bin batch=128 with a warm standby hold ≥ 0.9× the
+//!   no-follower rate (replication export never pauses shards);
+//! - json and bin batch=128 with telemetry on hold ≥ 0.95× an in-run
+//!   `telemetry: false` measurement.
 //!
-//! The ISSUE-6 addition: an in-run telemetry-overhead gate — the json
-//! 4-shard and bin batch=128 rates with the default-on flight recorder
-//! must hold ≥ 0.95× a `telemetry: false` measurement taken in the same
-//! run (the committed `BENCH_serve.json` numbers are telemetry-on).
-//!
-//! `json-routed` and `bin-routed` — the same 4-shard shapes driven
-//! through an in-process `sitw-router` in front of the one node — are
-//! recorded as trajectory points and no longer gated in-run. The ISSUE-8
-//! gate (routed ≥ 0.8× direct) was measuring a byte relay that only a
-//! one-node ring without hop tracing ever took; ISSUE-15 deleted
-//! the relay, so these rows now time the decoded path every ring runs.
-//! Measured on the 2-vCPU dev box when the relay went (`SITW_BENCH_MS=200`,
-//! paired direct/routed runs): `json-routed` 0.66 / 0.68 / 0.96× direct,
-//! `bin-routed` (batch 128) 0.79 / 0.71 / 0.73 / 0.77× — against 0.89×
-//! and 1.03× recorded with the relay. That difference is the cost every
-//! ≥ 2-node ring has always paid, which a one-node in-process shape
-//! cannot bound. The routed figure of record is the repo benchmark's
-//! `routed-fleet` workload (`BENCHMARK.json`: two nodes plus a standby,
-//! verified replies, bounds on `decisions_per_s` and
-//! `cpu_us_per_decision`, run on every PR).
-//!
-//! ISSUE-14 re-measured the ISSUE-3 gate. Its original premise — JSON
-//! pays a shard hand-off per request, a frame pays one per batch — no
-//! longer holds: JSON requests of one read burst now take each shard's
-//! lock once, exactly like a frame. The gate still clears
-//! with room (four in-run measurements: bin batch=16 at 2.5–3.3× and
-//! batch=128 at 4.0–5.0× the json rate; 2.5× / 3.9× in the committed
-//! file before), for two reasons the floor now stands for. First, what
-//! SITW-BIN still amortizes and a JSON burst cannot: HTTP framing, JSON
-//! parse/render and ~10× the bytes per decision. Second, this bench's
-//! load generator refills a full window one request per `write`, so its
-//! json shapes form bursts of a request or two — the same cost as
-//! `bin batch=1`, and all but unchanged by burst coalescing (parent and
-//! change benched back to back, three and four runs: 4 shards 209–258k
-//! vs 224–282k, 1 shard 308–355k vs 320–428k; 256 connections, where
-//! requests do pile up, 212–315k vs 317–362k). The gain shows with a
-//! client that writes its pipeline in bursts: the repo benchmark's
-//! `json-direct` workload, 363k → 497k. The floor stays 1.5×; it bounds
-//! codec-and-framing cost, not the hop.
+//! Every gate but the 1.5× one re-measures on a shortfall (`gate`):
+//! shared-box noise swings absolute rates by tens of percent, so only a
+//! shortfall that reproduces counts. The routed rows are trajectory
+//! points only; the routed figure of record is the repo benchmark's
+//! `routed-fleet` workload (`BENCHMARK.json`).
 
-use std::io::Write as _;
-use std::sync::Mutex;
-use std::time::Duration;
+use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
 
-use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
 use sitw_cluster::{Router, RouterConfig};
 use sitw_core::{HybridConfig, ProductionConfig};
 use sitw_serve::{
@@ -80,100 +45,129 @@ use sitw_serve::{
 use sitw_sim::PolicySpec;
 use sitw_trace::DAY_MS;
 
+/// Decisions replayed per measured call.
 const EVENTS: usize = 20_000;
 
-/// The ISSUE-3 acceptance floor: BIN at batch ≥ 16 vs JSON, same shards.
-/// A JSON run and a frame both take each shard's lock once, so the
-/// ratio is the framing-and-codec gap (see the module docs).
+/// Wall-clock budget per case, after its warm-up call.
+const BUDGET: Duration = Duration::from_millis(200);
+
+/// Re-measurements a retrying gate makes on a shortfall, at most.
+const RETRIES: usize = 4;
+
+/// SITW-BIN at batch ≥ 16 vs json, same shards.
 const GATE_RATIO: f64 = 1.5;
 
-/// The ISSUE-4 acceptance floor: 4-tenant fleet mode vs single-tenant,
-/// same shards and protocol.
+/// 4-tenant fleet mode vs single-tenant, same shards and protocol.
 const TENANT_GATE_RATIO: f64 = 0.8;
 
-/// Tenants in the fleet-mode cases.
-const TENANTS: usize = 4;
-
-/// Connections in the baseline-shaped cases (the PR-1..4 shape).
-const BASE_CONNS: usize = 2;
-
-/// Connections in the high-fan-in cases.
-const FANIN_CONNS: usize = 256;
-
-/// The ISSUE-6 acceptance floor: telemetry-on throughput vs an in-run
-/// `telemetry: false` measurement of the same shape — the flight
-/// recorder and stage histograms may cost at most 5%.
+/// Telemetry on vs off, same shape, same run.
 const TELEM_GATE_RATIO: f64 = 0.95;
 
-/// The ISSUE-5 acceptance floor: in-run json and bin batch=1 rates vs
-/// the committed baseline (same hardware).
+/// In-run json and bin batch=1 vs the committed baseline.
 const BASELINE_RATIO: f64 = 0.9;
 
-/// The ISSUE-10 acceptance floor: steady-state throughput with a warm
-/// standby actively pulling the replication stream vs the same shape
-/// with no follower attached. Dirty tracking plus chunked snapshot
-/// export must never pause shards, so replication may cost at most 10%.
+/// A warm standby pulling the replication stream vs no follower.
 const REPL_GATE_RATIO: f64 = 0.9;
 
-/// One measured case, accumulated for the machine-readable report.
-struct CaseResult {
-    proto: &'static str,
+/// Connections in the baseline-shaped cases.
+const BASE_CONNS: usize = 2;
+
+/// What sits between the load generator and the measured node.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Topology {
+    /// The load generator talks to the node.
+    Direct,
+    /// An in-process `sitw-router` with the node as its one slot.
+    Routed,
+    /// The node, with a warm standby pulling its replication stream.
+    Replicated,
+}
+
+/// One measured shape; its fields but `topology` are its record's key.
+struct Case {
+    /// The record's `proto`: `json…` cases speak JSON/HTTP, `bin…` ones
+    /// SITW-BIN frames of `batch`.
+    label: &'static str,
+    /// `hybrid` or `production`.
     policy: &'static str,
     shards: usize,
     batch: usize,
     tenants: usize,
     conns: usize,
-    samples: Vec<f64>,
+    topology: Topology,
 }
 
-impl CaseResult {
-    fn mean(&self) -> f64 {
-        if self.samples.is_empty() {
-            0.0
+use Topology::{Direct, Replicated, Routed};
+
+#[rustfmt::skip]
+const CASES: &[Case] = &[
+    Case { label: "json", policy: "hybrid", shards: 1, batch: 1, tenants: 0, conns: 2, topology: Direct },
+    Case { label: "json", policy: "hybrid", shards: 2, batch: 1, tenants: 0, conns: 2, topology: Direct },
+    Case { label: "json", policy: "hybrid", shards: 4, batch: 1, tenants: 0, conns: 2, topology: Direct },
+    Case { label: "json", policy: "production", shards: 4, batch: 1, tenants: 0, conns: 2, topology: Direct },
+    Case { label: "bin", policy: "hybrid", shards: 4, batch: 1, tenants: 0, conns: 2, topology: Direct },
+    Case { label: "bin", policy: "hybrid", shards: 4, batch: 16, tenants: 0, conns: 2, topology: Direct },
+    Case { label: "bin", policy: "hybrid", shards: 4, batch: 128, tenants: 0, conns: 2, topology: Direct },
+    Case { label: "json", policy: "hybrid", shards: 4, batch: 1, tenants: 0, conns: 256, topology: Direct },
+    Case { label: "bin", policy: "hybrid", shards: 4, batch: 16, tenants: 0, conns: 256, topology: Direct },
+    Case { label: "json", policy: "hybrid", shards: 4, batch: 1, tenants: 4, conns: 2, topology: Direct },
+    Case { label: "bin", policy: "hybrid", shards: 4, batch: 128, tenants: 4, conns: 2, topology: Direct },
+    Case { label: "json-routed", policy: "hybrid", shards: 4, batch: 1, tenants: 0, conns: 2, topology: Routed },
+    Case { label: "bin-routed", policy: "hybrid", shards: 4, batch: 128, tenants: 0, conns: 2, topology: Routed },
+    Case { label: "json-repl", policy: "hybrid", shards: 4, batch: 1, tenants: 0, conns: 2, topology: Replicated },
+    Case { label: "bin-repl", policy: "hybrid", shards: 4, batch: 128, tenants: 0, conns: 2, topology: Replicated },
+];
+
+impl Case {
+    fn policy(&self) -> PolicySpec {
+        if self.policy == "production" {
+            PolicySpec::Production(ProductionConfig::default())
         } else {
-            self.samples.iter().sum::<f64>() / self.samples.len() as f64
+            PolicySpec::Hybrid(HybridConfig::default())
         }
     }
-}
 
-static RESULTS: Mutex<Vec<CaseResult>> = Mutex::new(Vec::new());
+    fn proto(&self) -> Proto {
+        if self.label.starts_with("bin") {
+            Proto::Bin { batch: self.batch }
+        } else {
+            Proto::Json
+        }
+    }
 
-fn loadgen_config(proto: Proto, tenants: usize, conns: usize) -> LoadGenConfig {
-    LoadGenConfig {
-        // One connection per active app at most: the high-fan-in cases
-        // need comfortably more apps than connections to drive them all.
-        apps: 300.max(3 * conns),
-        seed: 42,
-        horizon_ms: DAY_MS,
-        cap_per_day: 1_000.0,
-        connections: conns,
-        window: 128,
-        max_events: EVENTS,
-        proto,
-        tenants,
-        zipf: if tenants > 0 { 1.0 } else { 0.0 },
-        trace_sample: 0,
+    /// The record as written up to its rate, so a committed record is
+    /// found by its prefix.
+    fn key(&self) -> String {
+        format!(
+            "{{\"proto\": \"{}\", \"policy\": \"{}\", \"shards\": {}, \"batch\": {}, \
+             \"tenants\": {}, \"conns\": {}, \"dec_per_sec\": ",
+            self.label, self.policy, self.shards, self.batch, self.tenants, self.conns
+        )
     }
 }
 
-fn run_once(
-    shards: usize,
-    policy: PolicySpec,
-    proto: Proto,
-    tenants: usize,
-    conns: usize,
-    telemetry: bool,
-) -> f64 {
-    // A fresh server per iteration: policy state is cumulative and
-    // timestamps must stay monotone.
+/// The 4-shard hybrid case of `label`, `batch`, `tenants` and `conns`.
+fn find(label: &str, batch: usize, tenants: usize, conns: usize) -> usize {
+    CASES
+        .iter()
+        .position(|c| {
+            (c.label, c.policy, c.shards, c.batch, c.tenants, c.conns)
+                == (label, "hybrid", 4, batch, tenants, conns)
+        })
+        .expect("gated case is in CASES")
+}
+
+/// One replay of `EVENTS` decisions against a fresh daemon (policy
+/// state is cumulative and timestamps must stay monotone): its dec/s.
+fn run(case: &Case, telemetry: bool) -> f64 {
     let server = Server::start(ServeConfig {
         addr: "127.0.0.1:0".into(),
-        shards,
-        policy: policy.clone(),
-        tenants: (0..tenants)
+        shards: case.shards,
+        policy: case.policy(),
+        tenants: (0..case.tenants)
             .map(|k| TenantConfig {
                 name: format!("t{k}"),
-                policy: policy.clone(),
+                policy: case.policy(),
                 budget_mb: 0,
             })
             .collect(),
@@ -181,679 +175,215 @@ fn run_once(
         ..ServeConfig::default()
     })
     .expect("server start");
-    let report =
-        run_loadgen(&[server.addr()], &loadgen_config(proto, tenants, conns)).expect("loadgen");
-    assert_eq!(report.ok, EVENTS as u64, "lost responses");
-    if conns > BASE_CONNS {
+    let follower = (case.topology == Replicated).then(|| {
+        Server::start(ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            shards: case.shards,
+            policy: case.policy(),
+            follow: Some(FollowConfig {
+                primary_addr: server.addr().to_string(),
+                pull_interval: Duration::from_millis(25),
+            }),
+            ..ServeConfig::default()
+        })
+        .expect("follower start")
+    });
+    let router = (case.topology == Routed).then(|| {
+        Router::start(RouterConfig {
+            addr: "127.0.0.1:0".into(),
+            nodes: vec![server.addr().to_string()],
+            ..RouterConfig::default()
+        })
+        .expect("router start")
+    });
+    let target = router.as_ref().map_or(server.addr(), Router::addr);
+    let cfg = LoadGenConfig {
+        // One connection per active app at most: the high-fan-in cases
+        // need comfortably more apps than connections to drive them all.
+        apps: 300.max(3 * case.conns),
+        seed: 42,
+        horizon_ms: DAY_MS,
+        cap_per_day: 1_000.0,
+        connections: case.conns,
+        window: 128,
+        max_events: EVENTS,
+        proto: case.proto(),
+        tenants: case.tenants,
+        zipf: if case.tenants > 0 { 1.0 } else { 0.0 },
+        trace_sample: 0,
+    };
+    let report = run_loadgen(&[target], &cfg).expect("loadgen");
+    assert_eq!(report.ok, EVENTS as u64, "{}: lost responses", case.label);
+    if case.conns > BASE_CONNS {
         assert!(
-            report.max_live_conns >= conns.min(250) as u64,
-            "high-fan-in case must actually drive ~{conns} connections \
-             (drove {})",
+            report.max_live_conns >= case.conns.min(250) as u64,
+            "high-fan-in case must actually drive ~{} connections (drove {})",
+            case.conns,
             report.max_live_conns
         );
     }
-    if tenants > 0 {
+    if case.tenants > 0 {
         let served: u64 = report.per_tenant.iter().map(|t| t.ok).sum();
         assert_eq!(served, EVENTS as u64, "every decision tenant-attributed");
     }
+    if let Some(router) = router {
+        router.shutdown();
+    }
+    if let Some(follower) = follower {
+        follower.shutdown().expect("follower shutdown");
+    }
     server.shutdown().expect("shutdown");
     report.throughput
 }
 
-/// Like [`run_once`], but with an in-process `sitw-router` between the
-/// load generator and the node — the ISSUE-8 routed shapes.
-fn run_once_routed(shards: usize, policy: PolicySpec, proto: Proto, conns: usize) -> f64 {
-    let server = Server::start(ServeConfig {
-        addr: "127.0.0.1:0".into(),
-        shards,
-        policy,
-        ..ServeConfig::default()
-    })
-    .expect("server start");
-    let router = Router::start(RouterConfig {
-        addr: "127.0.0.1:0".into(),
-        nodes: vec![server.addr().to_string()],
-        ..RouterConfig::default()
-    })
-    .expect("router start");
-    let report = run_loadgen(&[router.addr()], &loadgen_config(proto, 0, conns)).expect("loadgen");
-    assert_eq!(
-        report.ok, EVENTS as u64,
-        "lost responses through the router"
+/// The case's mean dec/s over one warm-up call, then calls until
+/// `BUDGET` has passed. The warm-up's rate counts too, as it does in
+/// every committed `BENCH_serve.json`.
+fn measure(case: &Case) -> f64 {
+    let mut samples = vec![run(case, true)];
+    let start = Instant::now();
+    while samples.len() == 1 || start.elapsed() < BUDGET {
+        samples.push(run(case, true));
+    }
+    let mean = samples.iter().sum::<f64>() / samples.len() as f64;
+    println!(
+        "{:<12} {:<10} shards={} batch={:<3} tenants={} conns={:<3} {mean:>9.0} dec/s ({} samples)",
+        case.label,
+        case.policy,
+        case.shards,
+        case.batch,
+        case.tenants,
+        case.conns,
+        samples.len()
     );
-    router.shutdown();
-    server.shutdown().expect("shutdown");
-    report.throughput
+    mean
 }
 
-/// Like [`run_once`], but with a warm standby (a node with a
-/// [`ServeConfig::follow`] section) pulling the replication stream for
-/// the whole measurement: the replication-on shapes.
-fn run_once_replicated(shards: usize, policy: PolicySpec, proto: Proto, conns: usize) -> f64 {
-    let server = Server::start(ServeConfig {
-        addr: "127.0.0.1:0".into(),
-        shards,
-        policy: policy.clone(),
-        ..ServeConfig::default()
-    })
-    .expect("server start");
-    let follower = Server::start(ServeConfig {
-        addr: "127.0.0.1:0".into(),
-        shards,
-        policy,
-        follow: Some(FollowConfig {
-            primary_addr: server.addr().to_string(),
-            pull_interval: Duration::from_millis(25),
-        }),
-        ..ServeConfig::default()
-    })
-    .expect("follower start");
-    let report = run_loadgen(&[server.addr()], &loadgen_config(proto, 0, conns)).expect("loadgen");
-    assert_eq!(report.ok, EVENTS as u64, "lost responses under replication");
-    follower.shutdown().expect("follower shutdown");
-    server.shutdown().expect("shutdown");
-    report.throughput
+/// Prints the gate's line and fails the run if `num / den` is under
+/// `floor`.
+fn check(name: &str, floor: f64, (num, den): (f64, f64)) {
+    let ratio = num / den;
+    println!("gate: {name} {num:.0} vs {den:.0} dec/s = {ratio:.2}x (floor {floor}x)");
+    assert!(
+        ratio >= floor,
+        "perf gate failed: {name} must hold >= {floor}x ({num:.0} vs {den:.0} dec/s)"
+    );
 }
 
-fn bench_decisions_per_sec(c: &mut Criterion) {
-    let mut group = c.benchmark_group("serve_throughput");
-    group.throughput(Throughput::Elements(EVENTS as u64));
-    group.sample_size(10);
-
-    #[allow(clippy::too_many_arguments)]
-    let case = |group: &mut criterion::BenchmarkGroup<'_>,
-                id: BenchmarkId,
-                proto_label: &'static str,
-                policy_label: &'static str,
-                shards: usize,
-                batch: usize,
-                tenants: usize,
-                conns: usize,
-                policy: fn() -> PolicySpec,
-                proto: Proto| {
-        let mut samples = Vec::new();
-        group.bench_function(id, |b| {
-            b.iter(|| {
-                let dec_per_sec = run_once(shards, policy(), proto, tenants, conns, true);
-                samples.push(dec_per_sec);
-                dec_per_sec
-            })
-        });
-        RESULTS.lock().unwrap().push(CaseResult {
-            proto: proto_label,
-            policy: policy_label,
-            shards,
-            batch,
-            tenants,
-            conns,
-            samples,
-        });
-    };
-
-    let hybrid = || PolicySpec::Hybrid(HybridConfig::default());
-    let production = || PolicySpec::Production(ProductionConfig::default());
-
-    // JSON across shard counts (the PR-1 shape, unchanged).
-    for shards in [1usize, 2, 4] {
-        case(
-            &mut group,
-            BenchmarkId::new("json/shards", shards),
-            "json",
-            "hybrid",
-            shards,
-            1,
-            0,
-            BASE_CONNS,
-            hybrid,
-            Proto::Json,
+/// A retrying gate: while `first`'s ratio is under `floor`, re-measures
+/// a `(num, den)` pair with `pair` (both sides back to back) up to
+/// `RETRIES` times, then checks the best paired ratio. Never the best of
+/// each side: that only raises the bar with every retry.
+fn gate(name: &str, floor: f64, first: (f64, f64), mut pair: impl FnMut() -> (f64, f64)) {
+    let mut best = first;
+    for retry in 1..=RETRIES {
+        if best.0 / best.1 >= floor {
+            break;
+        }
+        let (num, den) = pair();
+        println!(
+            "gate: {name} retry {retry}: {num:.0} vs {den:.0} dec/s = {:.2}x",
+            num / den
         );
+        if num / den > best.0 / best.1 {
+            best = (num, den);
+        }
     }
-    // The §6 production-manager mode on the 4-shard shape.
-    case(
-        &mut group,
-        BenchmarkId::new("json/production", 4usize),
-        "json",
-        "production",
-        4,
-        1,
-        0,
-        BASE_CONNS,
-        production,
-        Proto::Json,
-    );
-    // SITW-BIN at increasing batch sizes, same 4-shard shape as the
-    // JSON baseline it is gated against.
-    for batch in [1usize, 16, 128] {
-        case(
-            &mut group,
-            BenchmarkId::new("bin/batch", batch),
-            "bin",
-            "hybrid",
-            4,
-            batch,
-            0,
-            BASE_CONNS,
-            hybrid,
-            Proto::Bin { batch },
-        );
-    }
-    // High fan-in (ISSUE-5): the same 4-shard hybrid decisions spread
-    // over 256 concurrent keep-alive connections — the reactor's
-    // scale-out dimension, recorded as new trajectory points.
-    case(
-        &mut group,
-        BenchmarkId::new("json/conns", FANIN_CONNS),
-        "json",
-        "hybrid",
-        4,
-        1,
-        0,
-        FANIN_CONNS,
-        hybrid,
-        Proto::Json,
-    );
-    case(
-        &mut group,
-        BenchmarkId::new("bin/conns", FANIN_CONNS),
-        "bin",
-        "hybrid",
-        4,
-        16,
-        0,
-        FANIN_CONNS,
-        hybrid,
-        Proto::Bin { batch: 16 },
-    );
-    // Fleet mode (ISSUE-4): the same 4-shard hybrid shapes with the
-    // replay spread over 4 tenants (zipf 1.0), ledger charging every
-    // decision — gated at >= 0.8x the single-tenant JSON rate.
-    case(
-        &mut group,
-        BenchmarkId::new("json/tenants", TENANTS),
-        "json",
-        "hybrid",
-        4,
-        1,
-        TENANTS,
-        BASE_CONNS,
-        hybrid,
-        Proto::Json,
-    );
-    case(
-        &mut group,
-        BenchmarkId::new("bin/tenants", TENANTS),
-        "bin",
-        "hybrid",
-        4,
-        128,
-        TENANTS,
-        BASE_CONNS,
-        hybrid,
-        Proto::Bin { batch: 128 },
-    );
-    // Routed (ISSUE-8): the same 4-shard hybrid shapes with an
-    // in-process `sitw-router` between the load generator and the node —
-    // gated in-run at >= 0.8x the direct rate of the same shape.
-    for (id, proto_label, batch, proto) in [
-        (
-            BenchmarkId::new("json/routed", 4usize),
-            "json-routed",
-            1usize,
-            Proto::Json,
-        ),
-        (
-            BenchmarkId::new("bin/routed", 128usize),
-            "bin-routed",
-            128,
-            Proto::Bin { batch: 128 },
-        ),
-    ] {
-        let mut samples = Vec::new();
-        group.bench_function(id, |b| {
-            b.iter(|| {
-                let dec_per_sec = run_once_routed(4, hybrid(), proto, BASE_CONNS);
-                samples.push(dec_per_sec);
-                dec_per_sec
-            })
-        });
-        RESULTS.lock().unwrap().push(CaseResult {
-            proto: proto_label,
-            policy: "hybrid",
-            shards: 4,
-            batch,
-            tenants: 0,
-            conns: BASE_CONNS,
-            samples,
-        });
-    }
-    // Replication (ISSUE-10): the same 4-shard hybrid shapes with a
-    // warm standby pulling the snapshot stream throughout — gated
-    // in-run at >= 0.9x the no-follower rate of the same shape.
-    for (id, proto_label, batch, proto) in [
-        (
-            BenchmarkId::new("json/repl", 4usize),
-            "json-repl",
-            1usize,
-            Proto::Json,
-        ),
-        (
-            BenchmarkId::new("bin/repl", 128usize),
-            "bin-repl",
-            128,
-            Proto::Bin { batch: 128 },
-        ),
-    ] {
-        let mut samples = Vec::new();
-        group.bench_function(id, |b| {
-            b.iter(|| {
-                let dec_per_sec = run_once_replicated(4, hybrid(), proto, BASE_CONNS);
-                samples.push(dec_per_sec);
-                dec_per_sec
-            })
-        });
-        RESULTS.lock().unwrap().push(CaseResult {
-            proto: proto_label,
-            policy: "hybrid",
-            shards: 4,
-            batch,
-            tenants: 0,
-            conns: BASE_CONNS,
-            samples,
-        });
-    }
-    group.finish();
-}
-
-/// One record parsed back out of a committed `BENCH_serve.json`.
-struct BaselineCase {
-    proto: String,
-    policy: String,
-    shards: usize,
-    batch: usize,
-    tenants: usize,
-    /// Absent in pre-reactor baselines (which were all 2-connection).
-    conns: Option<usize>,
-    dec_per_sec: f64,
-}
-
-/// Minimal parser for the flat record arrays this bench itself writes
-/// (older baselines without the `conns` field parse fine — the field is
-/// simply absent and the lookup ignores it).
-fn parse_baseline(text: &str) -> Vec<BaselineCase> {
-    fn str_field(obj: &str, key: &str) -> Option<String> {
-        let tag = format!("\"{key}\":");
-        let rest = &obj[obj.find(&tag)? + tag.len()..];
-        let rest = rest.trim_start();
-        let rest = rest.strip_prefix('"')?;
-        Some(rest[..rest.find('"')?].to_owned())
-    }
-    fn num_field(obj: &str, key: &str) -> Option<f64> {
-        let tag = format!("\"{key}\":");
-        let rest = &obj[obj.find(&tag)? + tag.len()..];
-        let digits: String = rest
-            .trim_start()
-            .chars()
-            .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
-            .collect();
-        digits.parse().ok()
-    }
-    text.split('{')
-        .skip(1)
-        .filter_map(|chunk| {
-            let obj = chunk.split('}').next()?;
-            Some(BaselineCase {
-                proto: str_field(obj, "proto")?,
-                policy: str_field(obj, "policy")?,
-                shards: num_field(obj, "shards")? as usize,
-                batch: num_field(obj, "batch")? as usize,
-                tenants: num_field(obj, "tenants")? as usize,
-                conns: num_field(obj, "conns").map(|c| c as usize),
-                dec_per_sec: num_field(obj, "dec_per_sec")?,
-            })
-        })
-        .collect()
+    check(name, floor, best);
 }
 
 /// Workspace-root-anchored path (cargo runs benches from the package
 /// dir).
-fn workspace_path(path: &str) -> std::path::PathBuf {
-    if std::path::Path::new(path).is_absolute() {
-        std::path::PathBuf::from(path)
+fn workspace_path(path: &str) -> PathBuf {
+    if Path::new(path).is_absolute() {
+        PathBuf::from(path)
     } else {
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        Path::new(env!("CARGO_MANIFEST_DIR"))
             .join("../..")
             .join(path)
     }
 }
 
-/// Writes `BENCH_serve.json`-style output and enforces the perf gates.
-fn report_and_gate() {
-    let results = RESULTS.lock().unwrap();
-
-    // Read the committed baseline *before* refreshing the file: the
-    // cross-run gate compares this run against the numbers the previous
-    // PR committed on this hardware.
-    let baseline = std::fs::read_to_string(workspace_path("BENCH_serve.json"))
-        .ok()
-        .map(|text| parse_baseline(&text))
-        .unwrap_or_default();
+fn main() {
+    // Read the committed baseline before this run refreshes the file.
+    let baseline = std::fs::read_to_string(workspace_path("BENCH_serve.json")).unwrap_or_default();
+    let means: Vec<f64> = CASES.iter().map(measure).collect();
 
     if let Ok(path) = std::env::var("SITW_BENCH_JSON") {
-        // Anchor relative paths at the workspace root so
-        // `SITW_BENCH_JSON=BENCH_serve.json` lands where CI and the
-        // committed baseline expect it.
         let path = workspace_path(&path);
-        let mut json = String::from("[\n");
-        for (i, r) in results.iter().enumerate() {
-            if i > 0 {
-                json.push_str(",\n");
-            }
-            json.push_str(&format!(
-                "  {{\"proto\": \"{}\", \"policy\": \"{}\", \"shards\": {}, \"batch\": {}, \
-                 \"tenants\": {}, \"conns\": {}, \"dec_per_sec\": {:.0}}}",
-                r.proto,
-                r.policy,
-                r.shards,
-                r.batch,
-                r.tenants,
-                r.conns,
-                r.mean()
-            ));
-        }
-        json.push_str("\n]\n");
-        let mut file = std::fs::File::create(&path).expect("create SITW_BENCH_JSON");
-        file.write_all(json.as_bytes()).expect("write bench json");
-        println!("wrote {} ({} cases)", path.display(), results.len());
-    }
-
-    if std::env::var("SITW_BENCH_GATE").as_deref() == Ok("0") {
-        return;
-    }
-
-    // Cross-run gate (ISSUE-5): the reactor must hold >= 0.9x the
-    // committed baseline for json (4 shards) and bin batch=1 — the two
-    // shapes a connection-layer rewrite is most able to regress.
-    for (proto, batch) in [("json", 1usize), ("bin", 1usize)] {
-        let in_run = results
+        let records: Vec<String> = CASES
             .iter()
-            .find(|r| {
-                r.proto == proto
-                    && r.policy == "hybrid"
-                    && r.shards == 4
-                    && r.batch == batch
-                    && r.tenants == 0
-                    && r.conns == BASE_CONNS
-            })
-            .map(CaseResult::mean);
+            .zip(&means)
+            .map(|(case, mean)| format!("  {}{mean:.0}}}", case.key()))
+            .collect();
+        let json = format!("[\n{}\n]\n", records.join(",\n"));
+        std::fs::write(&path, json).expect("write SITW_BENCH_JSON");
+        println!("wrote {} ({} cases)", path.display(), CASES.len());
+    }
+
+    let json_4 = find("json", 1, 0, BASE_CONNS);
+    for (label, batch) in [("json", 1), ("bin", 1)] {
+        let i = find(label, batch, 0, BASE_CONNS);
         let committed = baseline
-            .iter()
-            .find(|b| {
-                b.proto == proto
-                    && b.policy == "hybrid"
-                    && b.shards == 4
-                    && b.batch == batch
-                    && b.tenants == 0
-                    // The refreshed baseline also carries conns=256
-                    // records for the same proto/shards/batch shape;
-                    // gate strictly against the 2-connection case
-                    // (pre-reactor files lack the field = 2 conns).
-                    && b.conns.unwrap_or(BASE_CONNS) == BASE_CONNS
-            })
-            .map(|b| b.dec_per_sec);
-        match (in_run, committed) {
-            (Some(mut now), Some(before)) => {
-                // Shared-box noise reaches tens of percent run to run;
-                // a shortfall only counts as a regression if it
-                // reproduces. Re-measure the gated shape directly and
-                // take the best observation — real regressions fail
-                // every retry, noise does not.
-                let mut retries = 0;
-                while now < BASELINE_RATIO * before && retries < 4 {
-                    retries += 1;
-                    let wire = if proto == "bin" {
-                        Proto::Bin { batch }
-                    } else {
-                        Proto::Json
-                    };
-                    let again = run_once(
-                        4,
-                        PolicySpec::Hybrid(HybridConfig::default()),
-                        wire,
-                        0,
-                        BASE_CONNS,
-                        true,
-                    );
-                    println!("gate: {proto} batch={batch} retry {retries}: {again:.0} dec/s");
-                    now = now.max(again);
-                }
-                println!(
-                    "gate: {proto} batch={batch} {now:.0} dec/s vs committed baseline \
-                     {before:.0} dec/s = {:.2}x (floor {BASELINE_RATIO}x)",
-                    now / before
-                );
-                assert!(
-                    now >= BASELINE_RATIO * before,
-                    "perf gate failed: {proto} batch={batch} must hold >= \
-                     {BASELINE_RATIO}x the committed baseline ({now:.0} vs {before:.0} dec/s)"
-                );
-            }
-            _ => println!(
-                "gate: no committed baseline for {proto} batch={batch}; cross-run gate skipped"
-            ),
+            .lines()
+            .find_map(|line| line.trim().strip_prefix(CASES[i].key().as_str()))
+            .and_then(|rest| rest.trim_end_matches([',', '}']).trim().parse::<f64>().ok());
+        let name = format!("{label} batch={batch} vs committed baseline");
+        match committed {
+            Some(before) => gate(&name, BASELINE_RATIO, (means[i], before), || {
+                (run(&CASES[i], true), before)
+            }),
+            None => println!("gate: no committed baseline for {label} batch={batch}; skipped"),
         }
     }
-    let json_4 = results
+
+    let bin_best = CASES
         .iter()
-        .find(|r| {
-            r.proto == "json"
-                && r.policy == "hybrid"
-                && r.shards == 4
-                && r.tenants == 0
-                && r.conns == BASE_CONNS
+        .zip(&means)
+        .filter(|(c, _)| {
+            c.label == "bin" && c.batch >= 16 && c.tenants == 0 && c.conns == BASE_CONNS
         })
-        .map(CaseResult::mean)
-        .expect("json 4-shard baseline case");
-    let bin_best = results
-        .iter()
-        .filter(|r| r.proto == "bin" && r.batch >= 16 && r.tenants == 0 && r.conns == BASE_CONNS)
-        .map(CaseResult::mean)
-        .fold(0.0f64, f64::max);
-    println!(
-        "gate: bin(batch>=16) {:.0} dec/s vs json {:.0} dec/s = {:.2}x (floor {GATE_RATIO}x)",
-        bin_best,
-        json_4,
-        bin_best / json_4
-    );
-    assert!(
-        bin_best >= GATE_RATIO * json_4,
-        "perf gate failed: SITW-BIN at batch>=16 must sustain >= {GATE_RATIO}x the JSON \
-         rate ({bin_best:.0} vs {json_4:.0} dec/s)"
-    );
-    let mut tenants_json = results
-        .iter()
-        .find(|r| r.proto == "json" && r.tenants == TENANTS)
-        .map(CaseResult::mean)
-        .expect("json tenants case");
-    // On a shortfall, re-measure both sides back-to-back (paired, like
-    // the replication and telemetry gates): the box swings absolute rates
-    // run-to-run, and an unpaired ratio gates on that noise instead of
-    // on the ledger overhead this gate exists to bound.
-    let mut tenant_base = json_4;
-    let mut tenant_ratio = tenants_json / tenant_base;
-    let mut retries = 0;
-    while tenant_ratio < TENANT_GATE_RATIO && retries < 4 {
-        retries += 1;
-        let again_base = run_once(
-            4,
-            PolicySpec::Hybrid(HybridConfig::default()),
-            Proto::Json,
-            0,
-            BASE_CONNS,
-            true,
-        );
-        let again_tenants = run_once(
-            4,
-            PolicySpec::Hybrid(HybridConfig::default()),
-            Proto::Json,
-            TENANTS,
-            BASE_CONNS,
-            true,
-        );
-        println!(
-            "gate: json {TENANTS}-tenant retry {retries}: tenants {again_tenants:.0} vs \
-             single-tenant {again_base:.0} dec/s = {:.2}x",
-            again_tenants / again_base
-        );
-        if again_tenants / again_base > tenant_ratio {
-            tenant_ratio = again_tenants / again_base;
-            tenants_json = again_tenants;
-            tenant_base = again_base;
-        }
-    }
-    println!(
-        "gate: json {TENANTS}-tenant {tenants_json:.0} dec/s vs single-tenant \
-         {tenant_base:.0} dec/s = {tenant_ratio:.2}x (floor {TENANT_GATE_RATIO}x)"
-    );
-    assert!(
-        tenant_ratio >= TENANT_GATE_RATIO,
-        "perf gate failed: fleet mode must sustain >= {TENANT_GATE_RATIO}x the single-tenant \
-         JSON rate ({tenants_json:.0} vs {tenant_base:.0} dec/s)"
+        .map(|(_, &mean)| mean)
+        .fold(0.0, f64::max);
+    check(
+        "bin(batch>=16) vs json",
+        GATE_RATIO,
+        (bin_best, means[json_4]),
     );
 
-    // Replication gate (ISSUE-10): with a warm standby pulling the
-    // snapshot stream, steady-state throughput must hold >= 0.9x the
-    // no-follower rate of the same shape — dirty tracking and chunked
-    // export never pause shards. On a shortfall both sides re-measure
-    // back-to-back: the box swings both absolute rates by ~15%
-    // run-to-run, so only a paired ratio isolates replication overhead
-    // from machine noise. Real overhead reproduces in every pair; noise
-    // does not.
-    for (repl_label, direct_proto, batch) in
-        [("json-repl", "json", 1usize), ("bin-repl", "bin", 128)]
-    {
-        let mut direct = results
-            .iter()
-            .find(|r| {
-                r.proto == direct_proto
-                    && r.policy == "hybrid"
-                    && r.shards == 4
-                    && r.batch == batch
-                    && r.tenants == 0
-                    && r.conns == BASE_CONNS
-            })
-            .map(CaseResult::mean)
-            .expect("direct case for the replication gate");
-        let mut repl = results
-            .iter()
-            .find(|r| r.proto == repl_label)
-            .map(CaseResult::mean)
-            .expect("replicated case measured");
-        let wire = if direct_proto == "bin" {
-            Proto::Bin { batch }
-        } else {
-            Proto::Json
-        };
-        let mut ratio = repl / direct;
-        let mut retries = 0;
-        while ratio < REPL_GATE_RATIO && retries < 4 {
-            retries += 1;
-            let again_direct = run_once(
-                4,
-                PolicySpec::Hybrid(HybridConfig::default()),
-                wire,
-                0,
-                BASE_CONNS,
-                true,
-            );
-            let again_repl = run_once_replicated(
-                4,
-                PolicySpec::Hybrid(HybridConfig::default()),
-                wire,
-                BASE_CONNS,
-            );
-            println!(
-                "gate: {repl_label} retry {retries}: replicated {again_repl:.0} vs direct \
-                 {again_direct:.0} dec/s = {:.2}x",
-                again_repl / again_direct
-            );
-            if again_repl / again_direct > ratio {
-                ratio = again_repl / again_direct;
-                repl = again_repl;
-                direct = again_direct;
-            }
-        }
-        println!(
-            "gate: {repl_label} {repl:.0} dec/s vs direct {direct:.0} dec/s = {ratio:.2}x \
-             (floor {REPL_GATE_RATIO}x)"
-        );
-        assert!(
-            ratio >= REPL_GATE_RATIO,
-            "perf gate failed: {repl_label} must sustain >= {REPL_GATE_RATIO}x the \
-             no-follower rate ({repl:.0} vs {direct:.0} dec/s)"
+    let tenants = find("json", 1, 4, BASE_CONNS);
+    gate(
+        "json 4-tenant vs single-tenant",
+        TENANT_GATE_RATIO,
+        (means[tenants], means[json_4]),
+        || {
+            let single = run(&CASES[json_4], true);
+            (run(&CASES[tenants], true), single)
+        },
+    );
+
+    for (label, batch) in [("json", 1), ("bin", 128)] {
+        let direct = find(label, batch, 0, BASE_CONNS);
+        let repl = find(&format!("{label}-repl"), batch, 0, BASE_CONNS);
+        gate(
+            &format!("{label}-repl vs direct"),
+            REPL_GATE_RATIO,
+            (means[repl], means[direct]),
+            || {
+                let direct = run(&CASES[direct], true);
+                (run(&CASES[repl], true), direct)
+            },
         );
     }
 
-    // Telemetry-overhead gate (ISSUE-6): the default-on flight recorder
-    // and stage histograms may cost at most 5% against a telemetry-off
-    // measurement of the same shape, taken *in this run* so both sides
-    // see the same machine state. Both sides re-measure on a shortfall
-    // (best-of-retries each): real overhead reproduces, noise does not.
-    for (proto, batch) in [("json", 1usize), ("bin", 128usize)] {
-        let wire = if proto == "bin" {
-            Proto::Bin { batch }
-        } else {
-            Proto::Json
-        };
-        let hybrid = PolicySpec::Hybrid(HybridConfig::default());
-        let mut on = results
-            .iter()
-            .find(|r| {
-                r.proto == proto
-                    && r.policy == "hybrid"
-                    && r.shards == 4
-                    && r.batch == batch
-                    && r.tenants == 0
-                    && r.conns == BASE_CONNS
-            })
-            .map(CaseResult::mean)
-            .expect("telemetry-gated case measured");
-        let mut off = run_once(4, hybrid.clone(), wire, 0, BASE_CONNS, false);
-        // Gate on the best *paired* ratio, never max-of-each-side: the
-        // latter only raises the bar with every retry (a lucky off-side
-        // window from attempt 1 haunts all later attempts), which is
-        // the opposite of what retries are for.
-        let mut ratio = on / off;
-        let mut retries = 0;
-        while ratio < TELEM_GATE_RATIO && retries < 4 {
-            retries += 1;
-            let again_on = run_once(4, hybrid.clone(), wire, 0, BASE_CONNS, true);
-            let again_off = run_once(4, hybrid.clone(), wire, 0, BASE_CONNS, false);
-            println!(
-                "gate: {proto} batch={batch} telemetry retry {retries}: \
-                 on {again_on:.0} off {again_off:.0} dec/s = {:.2}x",
-                again_on / again_off
-            );
-            if again_on / again_off > ratio {
-                ratio = again_on / again_off;
-                on = again_on;
-                off = again_off;
-            }
-        }
-        println!(
-            "gate: {proto} batch={batch} telemetry-on {on:.0} dec/s vs off {off:.0} dec/s \
-             = {ratio:.2}x (floor {TELEM_GATE_RATIO}x)"
-        );
-        assert!(
-            ratio >= TELEM_GATE_RATIO,
-            "perf gate failed: {proto} batch={batch} telemetry overhead exceeds 5% \
-             ({on:.0} vs {off:.0} dec/s)"
+    for (label, batch) in [("json", 1), ("bin", 128)] {
+        let i = find(label, batch, 0, BASE_CONNS);
+        let off = run(&CASES[i], false);
+        gate(
+            &format!("{label} batch={batch} telemetry on vs off"),
+            TELEM_GATE_RATIO,
+            (means[i], off),
+            || (run(&CASES[i], true), run(&CASES[i], false)),
         );
     }
-}
-
-criterion_group!(benches, bench_decisions_per_sec);
-
-fn main() {
-    benches();
-    report_and_gate();
 }

@@ -1,6 +1,6 @@
-//! Shared harness for the figure-regeneration binary and the Criterion
-//! benchmarks: canonical workload setups, the full policy grid of the
-//! paper's evaluation, and output helpers.
+//! Shared harness for the figure-regeneration binary: canonical
+//! workload setups, the full policy grid of the paper's evaluation, and
+//! output helpers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -52,7 +52,8 @@ OPTIONS:
                          that slot (POST /admin/ring/failover?node=IDX)
                          promotes the standby in place and puts ADDR in
                          the slot; with no standby it drops the node.
-                         Repeatable, one per slot.
+                         Repeatable, one per slot: a slot out of range
+                         or named twice refuses to start.
     --upstream-timeout-ms MS
                          Data-path upstream deadline (a connect, and
                          the wait for a node's oldest owed reply;

@@ -584,8 +584,26 @@ impl Router {
                 "a cluster needs at least one node",
             ));
         }
-        let mut slots = Vec::with_capacity(cfg.nodes.len());
-        for name in &cfg.nodes {
+        // Standbys are checked before any node is dialled: a slot named
+        // out of range or twice is a typo, not a fleet to provision.
+        let count = cfg.nodes.len();
+        let mut standbys: Vec<Option<&String>> = vec![None; count];
+        for (node, standby) in &cfg.standbys {
+            let seat = standbys.get_mut(*node).ok_or_else(|| {
+                io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    format!("standby '{standby}' names node {node}, but only {count} nodes exist"),
+                )
+            })?;
+            if let Some(first) = seat.replace(standby) {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    format!("node {node} has two standbys, '{first}' and '{standby}'"),
+                ));
+            }
+        }
+        let mut slots = Vec::with_capacity(count);
+        for (name, standby) in cfg.nodes.iter().zip(standbys) {
             let addr = resolve(name).ok_or_else(|| {
                 io::Error::new(
                     io::ErrorKind::InvalidInput,
@@ -598,20 +616,9 @@ impl Router {
                 addr,
                 name: name.clone(),
                 ids,
-                standby: None,
+                standby: standby.cloned(),
                 probe_failures: 0,
             });
-        }
-        for (node, standby) in &cfg.standbys {
-            let count = slots.len();
-            let slot = slots.get_mut(*node).ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    format!("standby '{standby}' names node {node}, but only {count} nodes exist"),
-                )
-            })?;
-            // The first standby named for a slot is its standby.
-            slot.standby.get_or_insert_with(|| standby.clone());
         }
         let metrics = RouterMetrics::new(slots.len());
         let telem = RouterTelem::new(cfg.trace_sample);
@@ -1028,6 +1035,35 @@ mod tests {
         assert_eq!(ids.len(), 2);
         assert_eq!(parse_id_field(r#"{"id":17,"name":"x"}"#), Some(17));
         assert_eq!(parse_id_field("{}"), None);
+    }
+
+    /// A standby for a slot that does not exist, or a second standby for
+    /// one that does, is refused before any node is dialled: the node
+    /// address here has nothing listening on it.
+    #[test]
+    fn a_bad_standby_is_refused_before_any_node_is_dialled() {
+        let dead = std::net::TcpListener::bind("127.0.0.1:0")
+            .unwrap()
+            .local_addr()
+            .unwrap()
+            .to_string();
+        for (standbys, slot) in [
+            (vec![(3, "127.0.0.1:1".to_owned())], "node 3"),
+            (
+                vec![(0, "127.0.0.1:1".to_owned()), (0, "127.0.0.1:2".to_owned())],
+                "node 0",
+            ),
+        ] {
+            let err = Router::start(RouterConfig {
+                nodes: vec![dead.clone()],
+                standbys,
+                ..RouterConfig::default()
+            })
+            .err()
+            .expect("a bad standby must be refused");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+            assert!(err.to_string().contains(slot), "{err}");
+        }
     }
 
     /// A router over one telemetry-off node.
