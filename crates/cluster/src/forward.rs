@@ -528,11 +528,6 @@ impl Handler for Front {
                     }
                 }
                 ReadEvent::Frame { trace } => self.frame(token, conn, trace),
-                // Replication flows standby → node, never through a router.
-                ReadEvent::ReplPull { .. } => {
-                    let detail = "replication pulls terminate at nodes";
-                    wire::encode_error_frame(local(conn), BinErrorCode::Malformed, detail)
-                }
                 ReadEvent::FrameError { code, detail, .. } => {
                     wire::encode_error_frame(local(conn), code, &detail)
                 }
@@ -696,9 +691,7 @@ fn deliver(
     use ServerFrameDecode::{Error, Reply as Records};
     let frame = match reply {
         Reply::Http(_) if slice.frame.is_none() => None,
-        Reply::Frame(frame @ (Records { .. } | Error { .. })) if slice.frame.is_some() => {
-            Some(frame)
-        }
+        Reply::Frame(frame) if slice.frame.is_some() => Some(frame),
         _ => return Err(unexpected()),
     };
     // The client may be gone; its reply was read all the same, which

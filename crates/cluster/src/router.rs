@@ -1236,6 +1236,7 @@ mod tests {
             "/admin/ring/x",
             "/debug/hist",
             "/admin/usage",
+            "/admin/repl?epoch=0",
             "/admin/migrate",
         ] {
             for method in ["GET", "POST"] {

@@ -743,15 +743,16 @@ fn bad_version_frame_gets_its_typed_error_through_the_router_not_a_reset() {
     node.shutdown().unwrap();
 }
 
-/// A frame of kind 4 or 5 — the retired control frames, here the bytes
-/// of a usage poll — gets the generic skippable `Malformed`, and the
-/// next request on the connection is served.
+/// A frame of a retired kind, 4 to 9 — the control and replication
+/// frames, here carrying the bytes of a usage poll — gets the generic
+/// skippable `Malformed`, and the next request frame and JSON request on
+/// the connection are served.
 #[test]
 fn a_retired_control_frame_is_malformed_and_the_connection_serves_on() {
     let node = start_node();
     let router = router_over(&[node.addr()], &[]);
     let mut client = Client::connect(router.addr()).unwrap();
-    for (ts, kind) in [(1, 4u8), (2, 5)] {
+    for (ts, kind) in (1..).zip(4u8..=9) {
         client
             .send(&[
                 wire::BIN_MAGIC,
@@ -775,7 +776,9 @@ fn a_retired_control_frame_is_malformed_and_the_connection_serves_on() {
             }
             other => panic!("kind {kind}: {other:?}"),
         }
-        let (status, body) = client.invoke(None, "a", ts, None).unwrap();
+        let frame = client.batch(|f| wire::encode_request_frame_v2(f, &[(0, "a", 2 * ts)]));
+        assert_eq!(frame.unwrap().records().unwrap().len(), 1, "kind {kind}");
+        let (status, body) = client.invoke(None, "a", 2 * ts + 1, None).unwrap();
         assert_eq!(status, 200, "{body}");
     }
     router.shutdown();

@@ -235,9 +235,9 @@ impl<S> Conn<S> {
     }
 
     /// The next message of the read burst — a request in [`Conn::req`],
-    /// a frame's records in [`Conn::records`], a replication pull, or a
-    /// protocol error to answer (never `Eof` or `Timeout`) — or `None`
-    /// once the burst is over: the socket drained, backpressure latched
+    /// a frame's records in [`Conn::records`], or a protocol error to
+    /// answer (never `Eof` or `Timeout`) — or `None` once the burst is
+    /// over: the socket drained, backpressure latched
     /// (`open` answers against `window`), the peer closed, a fatal error,
     /// a held request, or a broken stream. After an unrecoverable frame
     /// error or an oversized body the connection is fatal: lame-duck

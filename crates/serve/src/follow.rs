@@ -3,20 +3,22 @@
 //! A standby is a node. [`crate::Server::start`] with a
 //! [`crate::ServeConfig::follow`] section binds the same listener,
 //! reactor pool and shards as a primary and attaches a pull loop to them.
-//! The loop pulls the primary's replication stream — a chunked full sync
-//! first, then per-round deltas of whatever mutated
-//! (`wire::FRAME_REPL_SYNC` / `wire::FRAME_REPL_DELTA` /
-//! `wire::FRAME_REPL_COMMIT`) — and accumulates the complete
-//! [`Snapshot`] in memory. Each chunk goes through a [`Decoder`] as it
-//! arrives, so no round is ever held as text.
+//! The loop pulls the primary's replication rounds with
+//! `GET /admin/repl?epoch=N` (`N` the epoch it holds) on one keep-alive
+//! connection — a full sync first, then per-round deltas of whatever
+//! mutated — and accumulates the complete [`Snapshot`] in memory. An
+//! answer's body is one envelope line, `sync E`, `delta E` or a lone
+//! `commit E`, then the document. The document goes through a
+//! [`Decoder`] as the body arrives ([`ConnBuf::stream_reply`]), so no
+//! round is ever held as text.
 //!
 //! Until promotion the node's gate is closed. The decision path reads it
 //! once per read burst or frame and answers a JSON `/invoke` with 503 and
-//! a SITW-BIN frame or replication pull with a
-//! [`wire::BinErrorCode::Unavailable`] error frame; the tenant, snapshot,
-//! usage and budget admin verbs get 503 too. `/healthz` (replication lag),
-//! `/metrics` (whose `sitw_serve_repl_*` families count what was
-//! pulled), `/debug/*` and `/admin/shutdown` answer as on any node.
+//! a SITW-BIN frame with a [`wire::BinErrorCode::Unavailable`] error
+//! frame; the tenant, snapshot, usage, budget and replication admin verbs
+//! get 503 too. `/healthz` (replication lag), `/metrics` (whose
+//! `sitw_serve_repl_*` families count what was pulled), `/debug/*` and
+//! `/admin/shutdown` answer as on any node.
 //!
 //! Promotion (operator `POST /admin/promote`, or the router's
 //! `POST /admin/ring/failover` calling it) restores the
@@ -38,12 +40,12 @@ use std::time::{Duration, Instant};
 
 use sitw_telemetry::{lock_unpoisoned, EventKind, Gate};
 
-use crate::http::{ConnBuf, Reply};
+use crate::http::{write_request, ConnBuf};
 use crate::metrics::ReplStats;
 use crate::restore;
 use crate::server::ServerCtx;
 use crate::snapshot::{apply_delta, Decoder, Snapshot};
-use crate::wire::{self, ServerFrameDecode};
+use crate::wire;
 
 /// What a standby answers in place of a decision or a mutation.
 pub(crate) const NOT_PROMOTED: &str = "standby: not promoted";
@@ -51,6 +53,10 @@ pub(crate) const NOT_PROMOTED: &str = "standby: not promoted";
 /// Connect/read/write deadline on each pull, so a hung primary surfaces
 /// as a counted failure instead of a stuck puller.
 const PULL_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Most bytes of an answer's first line kept: an envelope line is far
+/// shorter, an error answer's body is cut here.
+const LINE_CAP: usize = 64;
 
 /// The follow section of a [`crate::ServeConfig`].
 #[derive(Debug, Clone)]
@@ -71,84 +77,90 @@ impl Default for FollowConfig {
     }
 }
 
-/// One replication round decoded from its chunk frames, ready to apply.
+/// One replication round decoded from an `/admin/repl` answer, ready to
+/// apply.
 #[derive(Debug, PartialEq)]
 struct CommittedRound {
     epoch: u64,
-    /// `true` when the chunks were a full sync, `false` for a delta.
-    /// Meaningless for a lone commit.
+    /// `true` for a full sync, `false` for a delta. Meaningless for a
+    /// lone commit.
     full_sync: bool,
-    /// Document bytes the chunks carried.
+    /// Document bytes the answer carried after its envelope line.
     bytes: u64,
-    /// The decoded document, `None` for a lone commit (no chunks).
+    /// The decoded document, `None` for a lone commit (no document).
     doc: Result<Option<Snapshot>, String>,
 }
 
-/// Incremental decoding of one replication round from its frames: each
-/// chunk goes through a [`Decoder`] for the round's kind as it arrives.
-/// Chunks must arrive in sequence order and agree on kind and epoch —
-/// anything else is a protocol error that forces a resync. A document
-/// that does not decode is the round's `doc` error, applied (and
-/// refused) like any other.
+/// An envelope line: the epoch, whether it is a full sync, and the
+/// document's decoder (`None` for a lone commit).
+type Envelope = (u64, bool, Option<Decoder>);
+
+/// The round in an `/admin/repl` answer's body, decoded as the body
+/// arrives: the envelope line picks the [`Decoder`], and every byte after
+/// it goes through that decoder. A document that does not decode is the
+/// round's `doc` error, applied (and refused) like any other; an answer
+/// that is not a round at all is an error of the pull.
 #[derive(Debug, Default)]
-struct RoundAssembler {
-    decoder: Option<Decoder>,
+struct RoundReader {
+    /// The first line up to its `\n`, at most `LINE_CAP + 1` bytes of it.
+    line: Vec<u8>,
+    /// Once the first line is complete, what it says.
+    envelope: Option<Result<Envelope, String>>,
+    /// Bytes after the first line.
     bytes: u64,
-    next_seq: u32,
-    full_sync: Option<bool>,
-    epoch: Option<u64>,
 }
 
-impl RoundAssembler {
-    /// Absorbs the next frame of the stream. Returns the round once its
-    /// commit frame arrives.
-    fn absorb(&mut self, frame: Reply) -> Result<Option<CommittedRound>, String> {
-        match frame {
-            Reply::Frame(ServerFrameDecode::ReplChunk {
-                full_sync,
-                epoch,
-                seq,
-                data,
-                ..
-            }) => {
-                if seq != self.next_seq {
-                    return Err(format!("chunk seq {seq}, expected {}", self.next_seq));
-                }
-                if self.full_sync.is_some_and(|f| f != full_sync)
-                    || self.epoch.is_some_and(|e| e != epoch)
-                {
-                    return Err("mixed kinds or epochs within one round".into());
-                }
-                self.full_sync = Some(full_sync);
-                self.epoch = Some(epoch);
-                self.next_seq += 1;
-                self.bytes += data.len() as u64;
-                let decoder = self.decoder.get_or_insert_with(|| {
-                    if full_sync {
-                        Decoder::snapshot()
-                    } else {
-                        Decoder::delta()
-                    }
-                });
-                // A decode error stays in the decoder until the commit.
-                let _ = decoder.feed(&data);
-                Ok(None)
-            }
-            Reply::Frame(ServerFrameDecode::ReplCommit { epoch, .. }) => {
-                if self.epoch.is_some_and(|e| e != epoch) {
-                    return Err("commit epoch does not match its chunks".into());
-                }
-                let round = CommittedRound {
-                    epoch,
-                    full_sync: self.full_sync.unwrap_or(false),
-                    bytes: self.bytes,
-                    doc: self.decoder.take().map(Decoder::finish).transpose(),
-                };
-                *self = Self::default();
-                Ok(Some(round))
-            }
-            other => Err(format!("unexpected frame in replication stream: {other:?}")),
+impl RoundReader {
+    /// Takes the next piece of the body.
+    fn feed(&mut self, mut piece: &[u8]) {
+        if self.envelope.is_none() {
+            let end = piece.iter().position(|&b| b == b'\n');
+            let line = &piece[..end.unwrap_or(piece.len())];
+            let room = (LINE_CAP + 1).saturating_sub(self.line.len());
+            self.line.extend_from_slice(&line[..line.len().min(room)]);
+            let Some(end) = end else { return };
+            piece = &piece[end + 1..];
+            self.envelope = Some(envelope(&self.line));
         }
+        self.bytes += piece.len() as u64;
+        if let Some(Ok((_, _, Some(decoder)))) = &mut self.envelope {
+            // A decode error stays in the decoder until the round ends.
+            let _ = decoder.feed(piece);
+        }
+    }
+
+    /// Ends the answer, whose status was `status`.
+    fn finish(self, status: u16) -> Result<CommittedRound, String> {
+        let line = String::from_utf8_lossy(&self.line);
+        if status != 200 {
+            return Err(format!("primary answered {status}: {line}"));
+        }
+        let envelope = self
+            .envelope
+            .ok_or_else(|| format!("no envelope line: {line:?}"));
+        let (epoch, full_sync, decoder) = envelope??;
+        if decoder.is_none() && self.bytes > 0 {
+            return Err(format!("{} bytes after a commit", self.bytes));
+        }
+        Ok(CommittedRound {
+            epoch,
+            full_sync,
+            bytes: self.bytes,
+            doc: decoder.map(Decoder::finish).transpose(),
+        })
+    }
+}
+
+/// Parses an envelope line: `sync E`, `delta E` or `commit E`.
+fn envelope(line: &[u8]) -> Result<Envelope, String> {
+    let text = std::str::from_utf8(line).unwrap_or_default();
+    let kind_epoch = text.split_once(' ');
+    match kind_epoch.map(|(kind, epoch)| (kind, epoch.parse::<u64>())) {
+        _ if line.len() > LINE_CAP => Err("envelope line too long".into()),
+        Some(("sync", Ok(epoch))) => Ok((epoch, true, Some(Decoder::snapshot()))),
+        Some(("delta", Ok(epoch))) => Ok((epoch, false, Some(Decoder::delta()))),
+        Some(("commit", Ok(epoch))) => Ok((epoch, false, None)),
+        _ => Err(format!("bad envelope line {text:?}")),
     }
 }
 
@@ -162,7 +174,7 @@ struct ReplicaState {
 impl ReplicaState {
     /// Applies one committed round. Returns the number of app records
     /// the round carried. Any error leaves `epoch` reset to 0, which
-    /// makes the next ack request a full sync.
+    /// makes the next pull ask for a full sync.
     fn apply(&mut self, round: CommittedRound) -> Result<u64, String> {
         let result = self.try_apply(round);
         if result.is_err() {
@@ -350,7 +362,7 @@ pub(crate) fn promote(ctx: &ServerCtx, reason: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// The pull loop: one ack → round exchange per interval over a
+/// The pull loop: one pull → round exchange per interval over a
 /// persistent connection, reconnecting (and counting failures) on any
 /// error. Stops at shutdown or promotion.
 pub(crate) fn pull_loop(ctx: &ServerCtx) {
@@ -373,7 +385,8 @@ pub(crate) fn pull_loop(ctx: &ServerCtx) {
     }
 }
 
-/// One pull: send the ack, reassemble the round, apply it.
+/// One pull: ask for the round after the replica's epoch, read it,
+/// apply it.
 fn pull_once(ctx: &ServerCtx, follow: &Follow, conn: &mut Option<ConnBuf>) -> Result<(), String> {
     let primary = &follow.cfg.primary_addr;
     if conn.is_none() {
@@ -392,27 +405,17 @@ fn pull_once(ctx: &ServerCtx, follow: &Follow, conn: &mut Option<ConnBuf>) -> Re
     }
     let conn = conn.as_mut().ok_or("not connected")?;
 
-    let mut ack = Vec::with_capacity(wire::BIN_HEADER_LEN + 8);
-    wire::encode_repl_ack(&mut ack, follow.lock().replica.epoch);
-    conn.stream()
-        .write_all(&ack)
-        .map_err(|e| format!("send ack: {e}"))?;
-
-    let mut assembler = RoundAssembler::default();
+    let path = format!("/admin/repl?epoch={}", follow.lock().replica.epoch);
+    let mut pull = Vec::with_capacity(64);
+    write_request(&mut pull, "GET", &path, None, b"")
+        .and_then(|()| conn.stream().write_all(&pull))
+        .map_err(|e| format!("send pull: {e}"))?;
+    let mut reader = RoundReader::default();
+    // The socket deadline bounds each read; this one bounds a primary
+    // that keeps trickling bytes without ever finishing the answer.
     // sitw-lint: allow(clock-discipline)
-    let deadline = Instant::now() + PULL_TIMEOUT;
-    let round = loop {
-        // The socket deadline bounds each read; this one bounds a
-        // primary that keeps trickling frames without ever committing.
-        // sitw-lint: allow(clock-discipline)
-        if Instant::now() > deadline {
-            return Err("pull timed out mid-round".into());
-        }
-        let frame = conn.read_reply().and_then(Reply::owed);
-        if let Some(round) = assembler.absorb(frame.map_err(|e| format!("read: {e}"))?)? {
-            break round;
-        }
-    };
+    let status = conn.stream_reply(Instant::now() + PULL_TIMEOUT, |p| reader.feed(p));
+    let round = reader.finish(status.map_err(|e| format!("read: {e}"))?)?;
 
     let full_sync = round.full_sync && matches!(round.doc, Ok(Some(_)));
     let bytes = round.bytes;
@@ -441,8 +444,10 @@ fn pull_once(ctx: &ServerCtx, follow: &Follow, conn: &mut Option<ConnBuf>) -> Re
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::http::{write_response, ReadOutcome, Reply, READ_WINDOW};
+    use crate::snapshot::samples::Rng;
     use crate::snapshot::{AppRecord, PolicyState};
-    use crate::wire::BinErrorCode;
+    use crate::wire::{BinErrorCode, ServerFrameDecode};
     use crate::{Client, ServeConfig, Server, TenantConfig};
     use sitw_core::{PolicySpec, Windows};
     use std::net::TcpListener;
@@ -523,24 +528,20 @@ mod tests {
         })
         .unwrap();
         let mut client = Client::connect(standby.addr()).unwrap();
+        let not_promoted = "{\"error\":\"standby: not promoted\"}";
         let (status, body) = client.invoke(None, "a", 1, None).unwrap();
-        assert_eq!(
-            (status, body.as_str()),
-            (503, "{\"error\":\"standby: not promoted\"}")
-        );
-        let unavailable = |reply: Reply| {
+        assert_eq!((status, body.as_str()), (503, not_promoted));
+        let frame = client.batch(|f| wire::encode_request_frame_v2(f, &[(0, "a", 1)]));
+        assert!(
             matches!(
-                reply,
+                frame.unwrap(),
                 Reply::Frame(ServerFrameDecode::Error {
                     code: BinErrorCode::Unavailable,
                     ..
                 })
-            )
-        };
-        let frame = client.batch(|f| wire::encode_request_frame_v2(f, &[(0, "a", 1)]));
-        assert!(unavailable(frame.unwrap()), "a request frame");
-        let pull = client.batch(|f| wire::encode_repl_ack(f, 0));
-        assert!(unavailable(pull.unwrap()), "a replication pull");
+            ),
+            "a request frame"
+        );
         for (path, body) in [
             ("/admin/tenants", "t=fixed:10"),
             ("/admin/snapshot", ""),
@@ -549,8 +550,11 @@ mod tests {
             let (status, text) = client.request("POST", path, body).unwrap();
             assert_eq!(status, 503, "{path}: {text}");
         }
-        let (status, text) = client.request("GET", "/admin/usage", "").unwrap();
-        assert_eq!(status, 503, "/admin/usage: {text}");
+        // Usage and replication rounds export tenant state.
+        for path in ["/admin/usage", "/admin/repl?epoch=0"] {
+            let (status, text) = client.request("GET", path, "").unwrap();
+            assert_eq!((status, text.as_str()), (503, not_promoted), "{path}");
+        }
         for path in ["/healthz", "/metrics", "/debug/events", "/admin/tenants"] {
             let (status, text) = client.request("GET", path, "").unwrap();
             assert_eq!(status, 200, "{path}: {text}");
@@ -755,117 +759,250 @@ mod tests {
         }
     }
 
-    /// A round carrying `doc` cut into chunks of `size` bytes, framed
-    /// (an empty `doc` is the lone commit).
-    fn framed(full_sync: bool, epoch: u64, doc: &[u8], size: usize) -> Vec<u8> {
-        let kind = if full_sync {
-            wire::FRAME_REPL_SYNC
-        } else {
-            wire::FRAME_REPL_DELTA
+    /// The body of the answer a primary writes for a round carrying the
+    /// document `text` (an empty `text` is the lone commit).
+    fn body(epoch: u64, full_sync: bool, text: &str) -> Vec<u8> {
+        let kind = match (text.is_empty(), full_sync) {
+            (true, _) => "commit",
+            (false, true) => "sync",
+            (false, false) => "delta",
         };
-        let pieces: Vec<&[u8]> = doc.chunks(size).collect();
-        let mut out = Vec::new();
-        for (seq, piece) in pieces.iter().enumerate() {
-            let last = seq + 1 == pieces.len();
-            wire::encode_repl_chunk(&mut out, kind, epoch, seq as u32, last, piece);
-        }
-        wire::encode_repl_commit(&mut out, epoch);
-        out
+        format!("{kind} {epoch}\n{text}").into_bytes()
     }
 
-    /// What an assembler commits for a framed round.
-    fn assemble(mut framed: &[u8]) -> CommittedRound {
-        let mut asm = RoundAssembler::default();
-        loop {
-            let frame = wire::decode_server_frame(framed);
-            let consumed = match &frame {
-                ServerFrameDecode::ReplChunk { consumed, .. }
-                | ServerFrameDecode::ReplCommit { consumed, .. } => *consumed,
-                other => panic!("{other:?}"),
-            };
-            framed = &framed[consumed..];
-            if let Some(round) = asm.absorb(Reply::Frame(frame)).unwrap() {
-                assert!(framed.is_empty(), "frames after the commit");
-                return round;
-            }
-        }
+    /// What the follower's reader commits for an answer `body` that
+    /// arrives in pieces of `size` bytes.
+    fn read_in_pieces(body: &[u8], size: usize) -> CommittedRound {
+        let mut reader = RoundReader::default();
+        body.chunks(size).for_each(|piece| reader.feed(piece));
+        reader.finish(200).unwrap()
     }
 
     /// The round a primary commits for the document `text`.
     fn round(epoch: u64, full_sync: bool, text: &str) -> CommittedRound {
-        let doc = text.as_bytes();
-        assemble(&framed(full_sync, epoch, doc, wire::REPL_CHUNK_BYTES))
+        read_in_pieces(&body(epoch, full_sync, text), usize::MAX)
     }
 
-    /// Reads frames off `conn` into `asm` until the round commits
-    /// (`Some`) or the socket runs dry (`None`).
-    fn pump(conn: &mut ConnBuf, asm: &mut RoundAssembler) -> Option<CommittedRound> {
-        loop {
-            match conn.read_reply().unwrap() {
-                Reply::Timeout => return None,
-                frame => {
-                    if let Some(round) = asm.absorb(frame).unwrap() {
-                        return Some(round);
-                    }
+    /// The pull's read of one answer, checking as the body streams that
+    /// the reader never holds more than one read of it.
+    fn read_checked(conn: &mut ConnBuf) -> Result<CommittedRound, String> {
+        let mut reader = RoundReader::default();
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let status = conn.stream_reply(deadline, |piece| {
+            assert!(piece.len() <= READ_WINDOW, "a piece of {}", piece.len());
+            reader.feed(piece);
+        });
+        assert!(conn.capacity() <= 64 * 1024, "capacity {}", conn.capacity());
+        reader.finish(status.map_err(|e| format!("read: {e}"))?)
+    }
+
+    /// Writes `bytes` to a fresh connection in pieces cut at `cuts`, a
+    /// moment apart, then closes it; returns the reading end.
+    fn peer_writing(
+        bytes: Vec<u8>,
+        mut cuts: Vec<usize>,
+    ) -> (ConnBuf, std::thread::JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut primary = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (follower, _) = listener.accept().unwrap();
+        follower
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        cuts.retain(|&cut| cut < bytes.len());
+        cuts.sort_unstable();
+        cuts.push(bytes.len());
+        // The bytes outgrow a socket buffer, so the writer runs beside the
+        // reader. A reader that gave up early resets it: fine.
+        let writer = std::thread::spawn(move || {
+            let _ = primary.set_nodelay(true);
+            let mut at = 0;
+            for cut in cuts {
+                if primary.write_all(&bytes[at..cut]).is_err() {
+                    return;
                 }
+                at = cut;
+                std::thread::sleep(Duration::from_micros(200));
+            }
+        });
+        (ConnBuf::new(follower), writer)
+    }
+
+    /// A full sync of over 4 MiB streams through the follower's reader
+    /// split at the edges that matter and at random points, into exactly
+    /// the snapshot its document decodes to, while the reader's buffer
+    /// holds one read of it at a time.
+    #[test]
+    fn a_streamed_full_sync_decodes_at_any_split() {
+        let names: Vec<String> = (0..64_000)
+            .map(|i| format!("app-{i:06}-{}", "x".repeat(40)))
+            .collect();
+        let apps: Vec<(&str, u64)> = names.iter().map(|n| (n.as_str(), 7)).collect();
+        let doc = snap_with(&apps).encode();
+        assert!(doc.len() >= 4 << 20, "{} bytes", doc.len());
+        let want = Snapshot::decode(&doc).unwrap();
+        let mut answer = Vec::new();
+        write_response(&mut answer, 200, "text/plain", &body(5, true, &doc));
+        let head = answer.len() - doc.len() - "sync 5\n".len();
+        let rng = &mut Rng(55);
+        for cuts in [
+            vec![1, head - 1, head + 3, answer.len() / 2, answer.len() - 1],
+            (0..16)
+                .map(|_| rng.below(answer.len() as u64) as usize)
+                .collect(),
+            (0..16)
+                .map(|_| rng.below(answer.len() as u64) as usize)
+                .collect(),
+        ] {
+            let (mut conn, writer) = peer_writing(answer.clone(), cuts.clone());
+            let round = read_checked(&mut conn).unwrap();
+            assert_eq!((round.epoch, round.full_sync), (5, true), "{cuts:?}");
+            assert_eq!(round.bytes, doc.len() as u64, "{cuts:?}");
+            assert!(round.doc == Ok(Some(want.clone())), "{cuts:?}");
+            writer.join().unwrap();
+        }
+    }
+
+    /// The body of a `?epoch=0` answer after its first line is the node's
+    /// snapshot document — a file `--restore` takes — behind a fixed-width
+    /// length; the next pull of a quiescent node is a lone commit, and a
+    /// pull without a numeric epoch is refused.
+    #[test]
+    fn an_epoch_0_answer_is_the_snapshot_document() {
+        let primary = Server::start(ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            shards: 2,
+            policy: PolicySpec::fixed_minutes(10),
+            tenants: vec![TenantConfig {
+                name: "t".into(),
+                policy: PolicySpec::fixed_minutes(20),
+                budget_mb: 0,
+            }],
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let mut client = Client::connect(primary.addr()).unwrap();
+        for (i, app) in ["x", "y", "z"].into_iter().enumerate() {
+            for name in [None, Some("t")] {
+                assert_eq!(client.invoke(name, app, i as u64, None).unwrap().0, 200);
             }
         }
-    }
-
-    #[test]
-    fn assembler_reassembles_chunked_rounds_at_any_split() {
-        // A full-sync document a little over one chunk.
-        let names: Vec<String> = (0..3_000).map(|i| format!("app-{i:05}")).collect();
-        let apps: Vec<(&str, u64)> = names.iter().map(|n| (n.as_str(), 7)).collect();
-        let snap = snap_with(&apps);
-        let doc = snap.encode().into_bytes();
-        assert!(doc.len() > wire::REPL_CHUNK_BYTES + 100);
-        let mut out = Vec::new();
-        let mut sync = wire::ReplRound::new(&mut out, wire::FRAME_REPL_SYNC, 5);
-        snap.encode_into(&mut sync).unwrap();
-        sync.commit();
-        // The stream arrives in two arbitrary pieces at every boundary
-        // that matters (frame edges and mid-payload); the bytes are
-        // reassembled by the shared reply reader, the round by the
-        // assembler.
-        for cut in [1, wire::BIN_HEADER_LEN, out.len() / 2, out.len() - 1] {
-            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-            let mut primary = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-            let (follower, _) = listener.accept().unwrap();
-            follower
-                .set_read_timeout(Some(Duration::from_millis(30)))
-                .unwrap();
-            let mut conn = ConnBuf::new(follower);
-            let mut asm = RoundAssembler::default();
-            // The pieces outgrow a socket buffer, so the writer runs
-            // beside the reader; the channel holds the tail back until
-            // the head has been read dry.
-            let (head, tail) = (out[..cut].to_vec(), out[cut..].to_vec());
-            let (go, wait) = std::sync::mpsc::channel::<()>();
-            let writer = std::thread::spawn(move || {
-                primary.write_all(&head).unwrap();
-                wait.recv().unwrap();
-                primary.write_all(&tail).unwrap();
-                primary
-            });
-            assert!(pump(&mut conn, &mut asm).is_none(), "cut {cut}");
-            go.send(()).unwrap();
-            let round = loop {
-                if let Some(round) = pump(&mut conn, &mut asm) {
-                    break round;
-                }
-            };
-            assert_eq!(round.epoch, 5);
-            assert!(round.full_sync);
-            assert_eq!(round.bytes, doc.len() as u64);
-            assert_eq!(round.doc, Ok(Some(snap.clone())));
-            drop(writer.join().unwrap());
+        let (status, text) = client.request("GET", "/admin/repl?epoch=0", "").unwrap();
+        assert_eq!(status, 200, "{text}");
+        let (envelope, doc) = text.split_once('\n').unwrap();
+        assert_eq!(envelope, "sync 1");
+        assert_eq!(doc, primary.snapshot().unwrap().encode());
+        let head = format!(
+            "HTTP/1.1 200 OK\r\ncontent-type: text/plain\r\ncontent-length: {:020}\r\n\r\n",
+            text.len()
+        );
+        assert!(client.conn().reply_raw().starts_with(head.as_bytes()));
+        let next = client.request("GET", "/admin/repl?epoch=1", "").unwrap();
+        assert_eq!(next, (200, "commit 1\n".to_owned()));
+        for path in [
+            "/admin/repl",
+            "/admin/repl?epoch=",
+            "/admin/repl?epoch=x",
+            "/admin/repl?e=1",
+        ] {
+            let (status, text) = client.request("GET", path, "").unwrap();
+            assert_eq!(status, 400, "{path}: {text}");
         }
+        primary.shutdown().unwrap();
     }
 
-    /// A round decodes the same whatever its chunk size: a full sync and
-    /// then a delta, each cut at every size of a sweep, leave the replica
-    /// (and report the app counts) the whole documents do.
+    /// A primary that answers a pull with a valid head and then one body
+    /// byte every 100 ms never finishes its round: the pull fails by its
+    /// deadline, counts one failure and leaves the replica and its epoch
+    /// as they were, and the next pull takes the full sync a well-behaved
+    /// primary answers.
+    #[test]
+    fn a_trickling_primary_fails_the_pull_by_its_deadline() {
+        let (before, after) = (snap_with(&[("a", 1), ("b", 2)]), snap_with(&[("c", 3)]));
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let (checked, wait_checked) = std::sync::mpsc::channel::<()>();
+        let (first, last) = (before.clone(), after.clone());
+        let primary = std::thread::spawn(move || {
+            let pull = |conn: &mut ConnBuf| match conn.read_request().unwrap() {
+                ReadOutcome::Request(req) => req.path,
+                other => panic!("{other:?}"),
+            };
+            let sync = |conn: &mut ConnBuf, epoch: u64, snap: &Snapshot| {
+                let mut out = Vec::new();
+                write_response(
+                    &mut out,
+                    200,
+                    "text/plain",
+                    &body(epoch, true, &snap.encode()),
+                );
+                conn.stream().write_all(&out).unwrap();
+            };
+            let mut conn = ConnBuf::new(listener.accept().unwrap().0);
+            let mut paths = vec![pull(&mut conn)];
+            sync(&mut conn, 1, &first);
+            paths.push(pull(&mut conn));
+            (conn.stream())
+                .write_all(b"HTTP/1.1 200 OK\r\ncontent-length: 100000\r\n\r\ns")
+                .unwrap();
+            let started = Instant::now();
+            // The follower hangs up when its deadline passes.
+            while started.elapsed() < Duration::from_secs(20) {
+                std::thread::sleep(Duration::from_millis(100));
+                if conn.stream().write_all(b"y").is_err() {
+                    break;
+                }
+            }
+            let trickled = started.elapsed();
+            wait_checked.recv().unwrap();
+            let mut conn = ConnBuf::new(listener.accept().unwrap().0);
+            paths.push(pull(&mut conn));
+            sync(&mut conn, 2, &last);
+            (paths, trickled)
+        });
+        let standby = Server::start(standby_cfg(&addr, None)).unwrap();
+        let status = || standby.follow_status().unwrap();
+        let wait = |done: &dyn Fn(&FollowStatus) -> bool| {
+            let deadline = Instant::now() + Duration::from_secs(30);
+            loop {
+                let s = status();
+                if done(&s) {
+                    return s;
+                }
+                assert!(Instant::now() < deadline, "{s:?}");
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        };
+        let failed = wait(&|s| s.consecutive_failures > 0);
+        checked.send(()).unwrap();
+        let held = (
+            failed.consecutive_failures,
+            failed.epoch,
+            failed.full_syncs,
+            failed.apps,
+        );
+        assert_eq!(held, (1, 1, 1, 2), "{failed:?}");
+        let synced = wait(&|s| s.full_syncs == 2);
+        assert_eq!((synced.epoch, synced.apps), (2, 1), "{synced:?}");
+        let (paths, trickled) = primary.join().unwrap();
+        assert_eq!(
+            paths,
+            [
+                "/admin/repl?epoch=0",
+                "/admin/repl?epoch=1",
+                "/admin/repl?epoch=1"
+            ]
+        );
+        assert!(
+            trickled > PULL_TIMEOUT / 2 && trickled < PULL_TIMEOUT * 2,
+            "{trickled:?}"
+        );
+        assert_eq!(standby.shutdown().unwrap(), after);
+    }
+
+    /// A round decodes the same however its answer is split: a full sync
+    /// and then a delta, each fed in pieces of every size of a sweep,
+    /// leave the replica (and report the app counts) the whole documents
+    /// do.
     #[test]
     fn a_round_decodes_the_same_at_any_split() {
         let full = crate::snapshot::samples::snapshot(11, 24);
@@ -885,8 +1022,8 @@ mod tests {
         let sizes = (1..=64).chain([97, 1_000, 4_095, 4_096, 65_536, longest]);
         for size in sizes {
             let mut replica = ReplicaState::default();
-            let sync = assemble(&framed(true, 1, full_doc.as_bytes(), size));
-            let d = assemble(&framed(false, 2, delta_doc.as_bytes(), size));
+            let sync = read_in_pieces(&body(1, true, &full_doc), size);
+            let d = read_in_pieces(&body(2, false, &delta_doc), size);
             assert_eq!(sync.bytes, full_doc.len() as u64, "size {size}");
             let got = (replica.apply(sync).unwrap(), replica.apply(d).unwrap());
             assert_eq!(got, counts, "size {size}");
@@ -910,14 +1047,6 @@ mod tests {
             assert_eq!(refused, want, "epoch {epoch}, {text:?}");
             assert_eq!(replica.epoch, 0);
         }
-    }
-
-    #[test]
-    fn assembler_rejects_out_of_order_chunks() {
-        let mut out = Vec::new();
-        wire::encode_repl_chunk(&mut out, wire::FRAME_REPL_DELTA, 2, 1, true, b"x");
-        let chunk = Reply::Frame(wire::decode_server_frame(&out));
-        assert!(RoundAssembler::default().absorb(chunk).is_err());
     }
 
     #[test]
@@ -958,5 +1087,67 @@ mod tests {
         // So is a clean commit for an epoch we do not hold.
         assert!(replica.apply(round(7, false, "")).is_err());
         assert_eq!(replica.epoch, 0);
+    }
+
+    /// A primary's answer as it writes it for `snap` (the kind by `pick`:
+    /// a full sync, a delta, or a lone commit).
+    fn answer_for(snap: &Snapshot, pick: u64) -> Vec<u8> {
+        let text = match pick % 3 {
+            0 => snap.encode(),
+            1 => snap.encode_delta(),
+            _ => String::new(),
+        };
+        let mut answer = Vec::new();
+        write_response(
+            &mut answer,
+            200,
+            "text/plain",
+            &body(9, pick.is_multiple_of(3), &text),
+        );
+        answer
+    }
+
+    proptest::proptest! {
+        /// Whatever a primary sends — arbitrary bytes, or an answer with
+        /// a byte flipped, dropped or added, cut short, or behind another
+        /// status — split at arbitrary points, the follower's read ends in
+        /// a committed round or a typed error, never a panic, and holds
+        /// one read of the body at a time. An answer left whole commits
+        /// its round.
+        #[test]
+        fn arbitrary_repl_answers_yield_rounds_or_typed_errors(
+            seed in 0u64..=u64::MAX,
+            noise in proptest::collection::vec(0u8..=255, 0..256),
+            shape in 0u64..7,
+        ) {
+            let rng = &mut Rng(seed);
+            let snap = crate::snapshot::samples::snapshot(seed, 6);
+            let valid = answer_for(&snap, seed);
+            let mut bytes = valid.clone();
+            let at = rng.below(bytes.len() as u64) as usize;
+            match shape {
+                0 => bytes = noise.clone(),
+                1 => bytes[at] ^= 1 << rng.below(8),
+                2 => {
+                    bytes.remove(at);
+                }
+                3 => bytes.splice(at..at, noise.iter().copied()).for_each(drop),
+                4 => bytes.truncate(at),
+                5 => bytes.splice(9..12, *rng.pick(&[b"503", b"404", b"20x"])).for_each(drop),
+                _ => {}
+            }
+            let cuts = (0..rng.below(6)).map(|_| rng.below(bytes.len() as u64 + 1) as usize);
+            let (mut conn, writer) = peer_writing(bytes.clone(), cuts.collect());
+            let got = read_checked(&mut conn);
+            if bytes == valid {
+                proptest::prop_assert!(matches!(&got, Ok(r) if r.doc.is_ok()), "{got:?}");
+            }
+            if let Ok(round) = got {
+                // Applying it must not panic either.
+                let _ = ReplicaState::default().apply(round);
+            }
+            drop(conn);
+            writer.join().unwrap();
+        }
     }
 }

@@ -14,10 +14,12 @@
 //! keeps filling until one complete message is buffered.
 //!
 //! The client half of the wire is here too: [`ConnBuf::read_reply`] is
-//! the same reader pointed the other way, [`write_request`] the twin of
-//! [`write_response`], and [`call`] the one-shot exchange built from the
-//! two. Everything that talks *to* a daemon — router, follower, load
-//! generator, tests — reads replies through them.
+//! the same reader pointed the other way, [`ConnBuf::stream_reply`] its
+//! variant for a body too large to buffer (a standby's replication
+//! round), [`write_request`] the twin of [`write_response`], and [`call`]
+//! the one-shot exchange built from the two. Everything that talks *to*
+//! a daemon — router, follower, load generator, tests — reads replies
+//! through them.
 //!
 //! A request header block is read in one pass when it is the one every
 //! client in this workspace sends for a decision ([`write_request`]
@@ -40,13 +42,15 @@
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::ops::Range;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::wire::{self, BinErrorCode, BinInvoke, BinReply, FrameDecodeInto, ServerFrameDecode};
 
 /// Maximum accepted header block (request or status line + headers),
 /// in either direction.
 const MAX_HEADER_BYTES: usize = 16 * 1024;
+/// Most bytes one socket read takes.
+pub(crate) const READ_WINDOW: usize = 16 * 1024;
 /// Maximum accepted body. A `Content-Length` beyond this is answered
 /// with `413 Payload Too Large` *before* any body buffering happens, so
 /// one request header can never drive a large allocation.
@@ -115,12 +119,6 @@ pub enum ReadEvent {
     Frame {
         /// The propagated trace id, when the frame carried one.
         trace: Option<u64>,
-    },
-    /// A complete SITW-BIN replication pull (never touches the caller's
-    /// record buffer).
-    ReplPull {
-        /// The epoch the follower holds (0 = nothing yet).
-        epoch: u64,
     },
     /// A SITW-BIN protocol error. When `recoverable`, the offending
     /// frame has been skipped (its envelope was intact) and the
@@ -294,7 +292,7 @@ impl ConnBuf {
             self.buf.drain(..self.start);
             self.start = 0;
         }
-        let mut chunk = [0u8; 16 * 1024];
+        let mut chunk = [0u8; READ_WINDOW];
         let n = loop {
             match self.stream.read(&mut chunk) {
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
@@ -350,7 +348,7 @@ impl ConnBuf {
             if *budget == 0 {
                 return DrainOutcome::Overflow;
             }
-            let mut chunk = [0u8; 16 * 1024];
+            let mut chunk = [0u8; READ_WINDOW];
             match self.stream.read(&mut chunk) {
                 Ok(0) => return DrainOutcome::Eof,
                 Ok(n) => *budget = budget.saturating_sub(n),
@@ -402,10 +400,6 @@ impl ConnBuf {
                     self.start += consumed;
                     return Ok(ReadEvent::Frame { trace });
                 }
-                FrameDecodeInto::ReplPull { epoch, consumed } => {
-                    self.start += consumed;
-                    return Ok(ReadEvent::ReplPull { epoch });
-                }
                 FrameDecodeInto::Error { code, detail, skip } => {
                     let recoverable = skip.is_some();
                     if let Some(total) = skip {
@@ -441,26 +435,55 @@ impl ConnBuf {
             ReadEvent::Eof => Ok(ReadOutcome::Eof),
             ReadEvent::Timeout => Ok(ReadOutcome::Timeout),
             ReadEvent::BodyTooLarge { declared } => Ok(ReadOutcome::BodyTooLarge { declared }),
-            ReadEvent::Frame { .. } | ReadEvent::ReplPull { .. } | ReadEvent::FrameError { .. } => {
+            ReadEvent::Frame { .. } | ReadEvent::FrameError { .. } => {
                 Err(invalid("unexpected binary frame on an http-only reader"))
             }
         }
     }
 
     /// Buffers one complete HTTP message — request or response, the
-    /// framing is the same — without consuming it. `head` parses the
-    /// header block and returns the declared content length, which is
-    /// checked against `max_body` *before* any of the body is waited
-    /// for; the header block itself is capped at [`MAX_HEADER_BYTES`].
-    /// The cap is on where the blank line starts, not on what happens to
-    /// be buffered, so a block is refused or accepted the same way
-    /// however the peer's bytes were segmented.
+    /// framing is the same — without consuming it. The declared content
+    /// length is checked against `max_body` *before* any of the body is
+    /// waited for.
     // sitw-lint: hot-path
     fn frame_http(
         &mut self,
         max_body: usize,
-        mut head: impl FnMut(&[u8]) -> Result<u64, String>,
+        head: impl FnMut(&[u8]) -> Result<u64, String>,
     ) -> io::Result<HttpFrame> {
+        let more = |conn: &mut Self| conn.fill_more("eof mid-header");
+        let Some((head_len, declared)) = self.frame_head(head, more)? else {
+            return Ok(HttpFrame::Timeout);
+        };
+        if declared > max_body as u64 {
+            return Ok(HttpFrame::TooLarge { declared });
+        }
+        let body_len = declared as usize;
+        // A timeout while the body trickles in surfaces like the
+        // mid-header one — otherwise a stalled peer would pin this thread
+        // in a loop that never returns to the caller's shutdown poll or
+        // deadline.
+        while self.buffered() < head_len + body_len {
+            if !self.fill_more("eof mid-body")? {
+                return Ok(HttpFrame::Timeout);
+            }
+        }
+        Ok(HttpFrame::Ready { head_len, body_len })
+    }
+
+    /// Buffers the next message's header block without consuming it:
+    /// its length with the blank line, and the content length `head`
+    /// parses out of it. The block is capped at [`MAX_HEADER_BYTES`]. The
+    /// cap is on where the blank line starts, not on what happens to be
+    /// buffered, so a block is refused or accepted the same way however
+    /// the peer's bytes were segmented. `more` reads more bytes; `None`
+    /// when it found none yet (`Ok(false)`).
+    // sitw-lint: hot-path
+    fn frame_head(
+        &mut self,
+        mut head: impl FnMut(&[u8]) -> Result<u64, String>,
+        mut more: impl FnMut(&mut Self) -> io::Result<bool>,
+    ) -> io::Result<Option<(usize, u64)>> {
         loop {
             let window = &self.buf[self.start..];
             if let Some(header_end) = find_crlfcrlf(window) {
@@ -468,28 +491,15 @@ impl ConnBuf {
                     return Err(invalid("header too large"));
                 }
                 let declared = head(&window[..header_end]).map_err(invalid)?;
-                if declared > max_body as u64 {
-                    return Ok(HttpFrame::TooLarge { declared });
-                }
-                let (head_len, body_len) = (header_end + 4, declared as usize);
-                // A timeout while the body trickles in surfaces like
-                // the mid-header one — otherwise a stalled peer would
-                // pin this thread in a loop that never returns to the
-                // caller's shutdown poll or deadline.
-                while self.buffered() < head_len + body_len {
-                    if !self.fill_more("eof mid-body")? {
-                        return Ok(HttpFrame::Timeout);
-                    }
-                }
-                return Ok(HttpFrame::Ready { head_len, body_len });
+                return Ok(Some((header_end + 4, declared)));
             }
             // No blank line yet: once none can start within the cap, the
             // block is too large however the rest arrives.
             if self.buffered() >= MAX_HEADER_BYTES + 4 {
                 return Err(invalid("header too large"));
             }
-            if !self.fill_more("eof mid-header")? {
-                return Ok(HttpFrame::Timeout);
+            if !more(self)? {
+                return Ok(None);
             }
         }
     }
@@ -560,9 +570,7 @@ impl ConnBuf {
             let frame = wire::decode_server_frame(&self.buf[self.start..]);
             let consumed = match &frame {
                 ServerFrameDecode::Reply { consumed, .. }
-                | ServerFrameDecode::Error { consumed, .. }
-                | ServerFrameDecode::ReplChunk { consumed, .. }
-                | ServerFrameDecode::ReplCommit { consumed, .. } => *consumed,
+                | ServerFrameDecode::Error { consumed, .. } => *consumed,
                 ServerFrameDecode::Incomplete => {
                     if !self.fill_more("eof mid-frame")? {
                         return Ok(Reply::Timeout);
@@ -576,6 +584,46 @@ impl ConnBuf {
             self.start = self.reply.end;
             return Ok(Reply::Frame(frame));
         }
+    }
+
+    /// Reads one HTTP response on a blocking socket and hands its body to
+    /// `sink` as the reads deliver it, so the body is never buffered
+    /// whole: the head is framed under the header cap as
+    /// [`ConnBuf::read_reply`] frames it, then each piece of the body is
+    /// at most one read (16 KiB). The body is not capped; the caller
+    /// bounds it by `deadline`. EOF anywhere in the response is an
+    /// `UnexpectedEof` error; a read timeout, or a read that returns past
+    /// `deadline`, is `TimedOut`. Returns the status.
+    pub fn stream_reply(
+        &mut self,
+        deadline: Instant,
+        mut sink: impl FnMut(&[u8]),
+    ) -> io::Result<u16> {
+        self.reply = 0..0;
+        // sitw-lint: allow(clock-discipline)
+        let owed = |conn: &mut Self, eof| Ok(conn.fill_more(eof)? && Instant::now() <= deadline);
+        let timed_out = || io::Error::new(io::ErrorKind::TimedOut, "reply timed out");
+        let mut status = 0u16;
+        let head = |header: &[u8]| parse_status(header, &mut status);
+        let framed = self.frame_head(head, |conn| owed(conn, "eof mid-header"))?;
+        let (head_len, mut left) = framed.ok_or_else(timed_out)?;
+        self.start += head_len;
+        while left > 0 {
+            if self.buffered() == 0 && !owed(self, "eof mid-body")? {
+                return Err(timed_out());
+            }
+            let piece = left.min(self.buffered() as u64) as usize;
+            sink(&self.buf[self.start..self.start + piece]);
+            self.start += piece;
+            left -= piece as u64;
+        }
+        Ok(status)
+    }
+
+    /// The buffer's capacity, which bounds what a reader ever held.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.buf.capacity()
     }
 
     /// The exact bytes of the reply the last [`ConnBuf::read_reply`]
@@ -804,6 +852,33 @@ pub fn call(
 
 /// Appends a full response (status line, headers, body) to `out`.
 pub fn write_response(out: &mut Vec<u8>, status: u16, content_type: &str, body: &[u8]) {
+    write_head(out, status, content_type);
+    crate::wire::push_u64(out, body.len() as u64);
+    out.extend_from_slice(b"\r\n\r\n");
+    out.extend_from_slice(body);
+}
+
+/// Appends a 200 response whose body `body` writes straight into `out`
+/// behind its head, so a large body is never built apart and copied. The
+/// `content-length` is written 20 digits wide, zero-padded (any `usize`
+/// fits), and patched once the body is written.
+pub(crate) fn write_response_in_place<T>(
+    out: &mut Vec<u8>,
+    content_type: &str,
+    body: impl FnOnce(&mut Vec<u8>) -> T,
+) -> T {
+    write_head(out, 200, content_type);
+    let digits = out.len()..out.len() + 20;
+    out.extend_from_slice(b"00000000000000000000\r\n\r\n");
+    let body_at = out.len();
+    let result = body(out);
+    let len = format!("{:020}", out.len() - body_at);
+    out[digits].copy_from_slice(len.as_bytes());
+    result
+}
+
+/// The status line and headers up to the `content-length` value.
+fn write_head(out: &mut Vec<u8>, status: u16, content_type: &str) {
     let reason = match status {
         200 => "OK",
         400 => "Bad Request",
@@ -823,9 +898,6 @@ pub fn write_response(out: &mut Vec<u8>, status: u16, content_type: &str, body: 
     out.extend_from_slice(b"\r\ncontent-type: ");
     out.extend_from_slice(content_type.as_bytes());
     out.extend_from_slice(b"\r\ncontent-length: ");
-    crate::wire::push_u64(out, body.len() as u64);
-    out.extend_from_slice(b"\r\n\r\n");
-    out.extend_from_slice(body);
 }
 
 /// One row of a daemon's route table: `(method, path, handler tag)`. A
@@ -1374,10 +1446,6 @@ mod tests {
         push(&mut s, &|s| {
             wire::encode_error_frame(s, BinErrorCode::Unavailable, "node n1 down")
         });
-        push(&mut s, &|s| {
-            wire::encode_repl_chunk(s, wire::FRAME_REPL_SYNC, 9, 0, true, b"doc")
-        });
-        push(&mut s, &|s| wire::encode_repl_commit(s, 9));
         push(&mut s, &|s| write_response(s, 200, "text/plain", b""));
         (s, spans)
     }
@@ -1422,24 +1490,12 @@ mod tests {
                 kind.split([' ', '(']).next().unwrap()
             })
             .collect();
-        assert_eq!(
-            kinds,
-            [
-                "Http",
-                "Reply",
-                "Http",
-                "Error",
-                "ReplChunk",
-                "ReplCommit",
-                "Http"
-            ]
-        );
+        assert_eq!(kinds, ["Http", "Reply", "Http", "Error", "Http"]);
         assert!(whole[0].0 == "Http(200)" && whole[2].0 == "Http(503)");
         assert!(whole[1].0.contains("OutOfOrder { last_ts: 77 }") && whole[1].0.contains("Arima"));
         assert!(whole[3].0.contains("Unavailable") && whole[3].0.contains("node n1 down"));
-        assert!(whole[4].0.contains("[100, 111, 99]"));
         assert_eq!(whole[0].1, b"{\"verdict\":\"cold\"}");
-        assert!(whole[1].1.is_empty() && whole[6].1.is_empty());
+        assert!(whole[1].1.is_empty() && whole[4].1.is_empty());
         for ((_, _, raw), span) in whole.iter().zip(&spans) {
             assert_eq!(raw, &stream[span.clone()]);
         }

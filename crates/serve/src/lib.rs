@@ -48,9 +48,9 @@
 //!   backups of §6.
 //! * **Replication & failover** ([`follow`]): a warm standby
 //!   (`sitw-serve --follow PRIMARY`) is a node that refuses decisions
-//!   while it pulls chunked snapshot/delta rounds over SITW-BIN
-//!   replication frames — per-app dirty tracking means steady-state
-//!   rounds carry only what mutated, and no shard ever pauses — and
+//!   while it pulls snapshot/delta rounds with `GET /admin/repl` —
+//!   per-app dirty tracking means steady-state rounds carry only what
+//!   mutated, and no shard ever pauses — and
 //!   promotes in place (operator command or router failover), on the
 //!   same address, with decisions
 //!   bit-identical to an uninterrupted primary's.

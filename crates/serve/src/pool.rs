@@ -295,7 +295,6 @@ impl Handler for Node {
             match event {
                 ReadEvent::Request => b.request(conn),
                 ReadEvent::Frame { trace } => b.frame(conn, trace),
-                ReadEvent::ReplPull { epoch } => ctx.repl_round(epoch, &mut conn.out),
                 ReadEvent::FrameError { code, detail, .. } => b.bin_error(conn, code, &detail),
                 ReadEvent::BodyTooLarge { .. } => {
                     write_error(&mut conn.out, 413, "payload too large")

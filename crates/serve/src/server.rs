@@ -46,7 +46,7 @@ use sitw_telemetry::{
 };
 
 use crate::follow::{promote, pull_loop, Follow, FollowConfig, FollowStatus, NOT_PROMOTED};
-use crate::http::{lookup, query_arg, write_response, Request, Route};
+use crate::http::{lookup, query_arg, write_response, write_response_in_place, Request, Route};
 use crate::metrics::{
     ConnStats, MetricsReport, ProtoStats, ReactorTelem, ReplStats, ShardStats, TRACE_RING,
 };
@@ -55,7 +55,7 @@ use crate::reactor::{self, Pool};
 use crate::restore::{self, Restored};
 use crate::shard::{DirtyShardExport, ShardTelem, ShardWorker};
 use crate::snapshot::{AppRecord, ShardExport, Snapshot, TenantSnapshot};
-use crate::wire::{self, push_u64, BinErrorCode, TenantUsage};
+use crate::wire::{self, push_u64, TenantUsage};
 
 /// One tenant in the server configuration (CLI `--tenant` or
 /// programmatic [`ServeConfig::tenants`]).
@@ -214,7 +214,7 @@ pub(crate) struct ServerCtx {
     /// Shared telemetry state: per-reactor flight recorders/histograms
     /// and per-shard recorders.
     pub(crate) telem: TelemCtx,
-    /// Replication-source state (followers pull via `FRAME_REPL_ACK`).
+    /// Replication-source state (followers pull `GET /admin/repl`).
     repl: Mutex<ReplState>,
     /// Why the configured restore was skipped at start (corrupt
     /// snapshot file): the daemon serves from empty state and surfaces
@@ -344,19 +344,15 @@ impl ServerCtx {
         ))
     }
 
-    /// Serves one replication round to a pulling follower
-    /// ([`wire::FRAME_REPL_ACK`]): a chunked full sync when the
-    /// follower's epoch is stale (or 0), a chunked delta of the state
-    /// mutated since the last round when it matches, or a lone commit
-    /// (no epoch bump) when nothing changed. Each shard exports under its
-    /// own lock, one at a time — no shard pauses while another exports —
-    /// and a round with an unavailable shard is refused with an
-    /// `Unavailable` error frame instead of skipping its state, as is
-    /// every pull to an unpromoted standby.
-    pub(crate) fn repl_round(&self, follower_epoch: u64, out: &mut Vec<u8>) {
-        if self.following() {
-            return wire::encode_error_frame(out, BinErrorCode::Unavailable, NOT_PROMOTED);
-        }
+    /// Answers one replication pull (`GET /admin/repl?epoch=N`, `N` the
+    /// epoch the follower holds): `sync E` and the snapshot document when
+    /// the follower's epoch is stale (or 0), `delta E` and a delta of the
+    /// state mutated since the last round when it matches, or a lone
+    /// `commit E` (no epoch bump) when nothing changed. Each shard exports
+    /// under its own lock, one at a time — no shard pauses while another
+    /// exports — and a round with an unavailable shard is refused with a
+    /// 503 naming it instead of skipping its state.
+    fn repl_round(&self, follower_epoch: u64, out: &mut Vec<u8>) {
         let mut repl = lock_unpoisoned(&self.repl);
         repl.rounds += 1;
         repl.last_pull_ms = self.uptime_ms().max(1);
@@ -366,7 +362,7 @@ impl ServerCtx {
         let since = (!full).then(|| repl.frontiers.clone());
         let exports = match self.export_shards(since.as_deref()) {
             Ok(exports) => exports,
-            Err(e) => return wire::encode_error_frame(out, BinErrorCode::Unavailable, &e),
+            Err(e) => return write_error(out, 503, &e),
         };
         let dirty = since
             .as_ref()
@@ -374,7 +370,8 @@ impl ServerCtx {
         if !dirty {
             // Nothing mutated since the last round: commit the epoch
             // the follower already holds, no bump, no document.
-            return wire::encode_repl_commit(out, repl.epoch);
+            let body = format!("commit {}\n", repl.epoch);
+            return write_response(out, 200, "text/plain", body.as_bytes());
         }
         // Each export's frontier is exactly its state, so the next delta
         // starts where this round ends.
@@ -388,21 +385,21 @@ impl ServerCtx {
             self.cfg.policy.label(),
             exports.into_iter().map(|d| d.export),
         );
-        // The document is encoded straight into its chunk frames.
+        // The document is encoded straight into the answer, behind its
+        // envelope line.
         let epoch = repl.epoch + 1;
-        let kind = if full {
-            wire::FRAME_REPL_SYNC
-        } else {
-            wire::FRAME_REPL_DELTA
-        };
-        let mut round = wire::ReplRound::new(out, kind, epoch);
-        let encoded = if full {
-            snap.encode_into(&mut round)
-        } else {
-            snap.encode_delta_into(&mut round)
-        };
-        debug_assert!(encoded.is_ok(), "a replication round's writes never fail");
-        let bytes = round.commit();
+        let bytes = write_response_in_place(out, "text/plain", |body| {
+            let kind = if full { "sync" } else { "delta" };
+            body.extend_from_slice(format!("{kind} {epoch}\n").as_bytes());
+            let doc_at = body.len();
+            let encoded = if full {
+                snap.encode_into(&mut *body)
+            } else {
+                snap.encode_delta_into(&mut *body)
+            };
+            debug_assert!(encoded.is_ok(), "writes to a Vec never fail");
+            (body.len() - doc_at) as u64
+        });
         repl.epoch = epoch;
         repl.bytes_streamed += bytes;
         if !full {
@@ -769,6 +766,7 @@ pub(crate) enum Verb {
     ListTenants,
     RegisterTenant,
     Usage,
+    Repl,
     Budgets,
     Snapshot,
     Promote,
@@ -800,6 +798,7 @@ pub(crate) const ROUTES: &[Route<(Verb, Standby)>] = &[
     ("GET",  "/admin/tenants",                (Verb::ListTenants,    Standby::Serves)),
     ("POST", "/admin/tenants",                (Verb::RegisterTenant, Standby::Refuses)),
     ("GET",  "/admin/usage",                  (Verb::Usage,          Standby::Refuses)),
+    ("GET",  "/admin/repl",                   (Verb::Repl,           Standby::Refuses)),
     ("POST", "/admin/budgets",                (Verb::Budgets,        Standby::Refuses)),
     ("POST", "/admin/snapshot",               (Verb::Snapshot,       Standby::Refuses)),
     ("POST", "/admin/promote",                (Verb::Promote,        Standby::Serves)),
@@ -893,6 +892,10 @@ pub(crate) fn handle_control(req: &Request, ctx: &ServerCtx, out: &mut Vec<u8>) 
                 write_response(out, 200, "application/json", &body);
             }
             Err(e) => write_error(out, 503, &e),
+        },
+        Verb::Repl => match query_arg(query, "epoch").map(str::parse::<u64>) {
+            Some(Ok(epoch)) => ctx.repl_round(epoch, out),
+            _ => write_error(out, 400, "missing or bad epoch= query parameter"),
         },
         Verb::Budgets => match wire::parse_budgets(&req.body) {
             Ok(shares) => {
@@ -1024,6 +1027,7 @@ pub(crate) fn handle_control(req: &Request, ctx: &ServerCtx, out: &mut Vec<u8>) 
 mod tests {
     use super::*;
     use crate::shard::shard_of;
+    use crate::wire::BinErrorCode;
     use std::sync::mpsc;
 
     /// Regression (failing before this PR): the JSON path took the
@@ -1463,8 +1467,9 @@ mod tests {
 
     /// A panic while a shard is locked leaves its state suspect, so the
     /// shard is refused with a typed error on every path — JSON 503, an
-    /// `Unavailable` frame, a 503 from the control paths — while the
-    /// other shard serves both protocols and `/healthz` stays 200.
+    /// `Unavailable` frame, a 503 from the control paths and from a
+    /// replication pull — while the other shard serves both protocols
+    /// and `/healthz` stays 200.
     #[test]
     fn a_poisoned_shard_is_refused_and_the_others_serve() {
         let snap = std::env::temp_dir().join(format!("sitw-poisoned-{}.snap", std::process::id()));
@@ -1541,6 +1546,11 @@ mod tests {
         assert_eq!(client.request("GET", &policy(&kept), "").unwrap().0, 200);
         let (status, body) = client.request("POST", "/admin/snapshot", "").unwrap();
         assert_eq!(status, 503, "{body}");
+        let (status, body) = client.request("GET", "/admin/repl?epoch=0", "").unwrap();
+        assert_eq!(
+            (status, body.as_str()),
+            (503, "{\"error\":\"shard 0 unavailable (poisoned)\"}")
+        );
         assert!(server.snapshot().is_err());
         // Shutdown refuses to write a snapshot missing a shard.
         drop(client);
@@ -1656,7 +1666,7 @@ mod tests {
             .iter()
             .filter(|(_, _, (_, gate))| *gate == Standby::Refuses)
             .collect();
-        assert_eq!(gated.len(), 5);
+        assert_eq!(gated.len(), 6);
         for &(method, path, (verb, _)) in gated {
             let body = match verb {
                 Verb::Invoke => r#"{"app":"a","ts":1}"#,
@@ -1700,7 +1710,7 @@ mod tests {
             .unwrap()
             .split(", ")
             .collect();
-        assert_eq!(listed.len(), 15, "{line}");
+        assert_eq!(listed.len(), 16, "{line}");
         for (entry, row) in listed.iter().zip(ROUTES) {
             let (method, path) = entry.split_once(' ').unwrap();
             assert_eq!((method, path), (row.0, row.1));

@@ -34,8 +34,6 @@
 //!   one reply frame of fixed 9-byte verdict records, amortizing parse,
 //!   syscall, and shard-lock costs across the whole batch.
 
-use std::io;
-
 use sitw_core::DecisionKind;
 
 use crate::shard::{Decision, InvokeError};
@@ -694,10 +692,9 @@ pub fn push_u64(out: &mut Vec<u8>, v: u64) {
 // offset  size  field
 //      0     1  magic        0x5B (one past ASCII 'Z': never a method)
 //      1     1  version      2
-//      2     1  kind         1 = request, 2 = reply, 3 = error,
-//                            6/7/8/9 = repl sync/delta/commit/ack
-//                            (4 and 5 are retired: any other kind is
-//                            a skippable `Malformed`)
+//      2     1  kind         1 = request, 2 = reply, 3 = error
+//                            (4–9 are retired: any other kind is a
+//                            skippable `Malformed`)
 //      3     4  payload_len  u32, bytes after the 11-byte header
 //      7     4  count        u32, records in the payload
 //     11     …  payload
@@ -708,10 +705,11 @@ pub fn push_u64(out: &mut Vec<u8>, v: u64) {
 // Tenant ids are the node's registry order (`GET /admin/tenants`); 0 is
 // the default tenant. With [`FRAME_FLAG_TRACE`] set in the kind byte,
 // an 8-byte trace id precedes the records.
-// Replication payloads (kinds 6–9) are in the docs of their kinds. The
-// router's control plane (usage reports, budget pushes) is HTTP, not
-// frames: `GET /admin/usage` and `POST /admin/budgets`, whose bodies
-// are `write_usage` and `write_budgets`.
+// Frames carry decisions only. Everything else between daemons is HTTP:
+// the router's usage reports and budget pushes (`GET /admin/usage`,
+// `POST /admin/budgets`, whose bodies are `write_usage` and
+// `write_budgets`) and a standby's replication pulls
+// (`GET /admin/repl?epoch=N`).
 // Reply payload: `count` fixed 9-byte records in request order — one
 // verdict byte (bit 0 = cold, bit 1 = pre-warm load, bits 2–3 =
 // decision branch, bit 4 = evicted, bit 7 = out-of-order rejection;
@@ -745,22 +743,6 @@ pub const FRAME_REQUEST: u8 = 1;
 pub const FRAME_REPLY: u8 = 2;
 /// Frame kind: a typed protocol error (server → client).
 pub(crate) const FRAME_ERROR: u8 = 3;
-/// Frame kind: one chunk of a full snapshot sync (primary → follower).
-/// Payload: `{u64 epoch, u32 seq, u8 last, chunk bytes}` — the chunks,
-/// concatenated in `seq` order, are one complete snapshot document.
-pub(crate) const FRAME_REPL_SYNC: u8 = 6;
-/// Frame kind: one chunk of an incremental delta (primary → follower).
-/// Same payload layout as [`FRAME_REPL_SYNC`]; the concatenated chunks
-/// are one delta document streaming only dirty apps.
-pub(crate) const FRAME_REPL_DELTA: u8 = 7;
-/// Frame kind: closes one replication round (primary → follower).
-/// Payload: `{u64 epoch}` — the epoch the follower now holds. A lone
-/// commit (no preceding chunks) means nothing was dirty this round.
-pub(crate) const FRAME_REPL_COMMIT: u8 = 8;
-/// Frame kind: a replication pull (follower → primary). Payload:
-/// `{u64 epoch}` — the epoch the follower holds; 0 (or any stale value)
-/// makes the primary answer with a full sync instead of a delta.
-pub(crate) const FRAME_REPL_ACK: u8 = 9;
 /// Kind-byte flag: the payload of this [`FRAME_REQUEST`] starts with an
 /// 8-byte little-endian trace id before the records. A traceless frame
 /// is byte-identical to one encoded before this flag existed.
@@ -916,13 +898,6 @@ pub enum FrameDecodeInto {
         /// Total frame length in bytes.
         consumed: usize,
     },
-    /// A complete replication pull (never writes `records`).
-    ReplPull {
-        /// The epoch the follower holds (0 = nothing yet).
-        epoch: u64,
-        /// Total frame length in bytes.
-        consumed: usize,
-    },
     /// The buffer holds only part of a frame; read more and retry.
     Incomplete,
     /// A protocol error. `skip` is the full frame length when the
@@ -944,7 +919,7 @@ pub enum FrameDecodeInto {
 /// each name rewritten into the `String` already in its place, so a
 /// warm buffer decodes without allocating (a name whose buffer grew past
 /// `pool::NAME_CAP` gets a fresh one). A malformed frame leaves
-/// `records` empty; an incomplete frame or a pull leaves it as it was.
+/// `records` empty; an incomplete frame leaves it as it was.
 /// `buf` must start at a frame boundary (its first byte was sniffed as
 /// [`BIN_MAGIC`]).
 pub fn decode_request_frame_into(buf: &[u8], records: &mut Vec<BinInvoke>) -> FrameDecodeInto {
@@ -992,18 +967,6 @@ fn decode_frame(buf: &[u8], records: &mut Vec<BinInvoke>) -> FrameDecodeInto {
         detail,
         skip: Some(total),
     };
-    if kind == FRAME_REPL_ACK {
-        if buf.len() < total {
-            return FrameDecodeInto::Incomplete;
-        }
-        if payload_len != 8 || count != 0 {
-            return malformed("repl ack carries exactly one u64 epoch".into());
-        }
-        return FrameDecodeInto::ReplPull {
-            epoch: u64_at(buf, BIN_HEADER_LEN),
-            consumed: total,
-        };
-    }
     let traced = kind == FRAME_REQUEST | FRAME_FLAG_TRACE;
     if !traced && kind != FRAME_REQUEST {
         return malformed(format!("unexpected frame kind {kind}"));
@@ -1216,151 +1179,6 @@ pub fn encode_error_frame(out: &mut Vec<u8>, code: BinErrorCode, detail: &str) {
     out.extend_from_slice(detail);
 }
 
-/// Maximum chunk body per replication frame — comfortably under
-/// [`MAX_FRAME_PAYLOAD`] with the 13-byte chunk header on top, and
-/// small enough that streaming a large document never monopolizes the
-/// connection's write buffer.
-pub(crate) const REPL_CHUNK_BYTES: usize = 64 * 1024;
-
-/// Bytes of a replication chunk payload header (`u64 epoch`, `u32 seq`,
-/// `u8 last`) preceding the chunk body.
-pub(crate) const REPL_CHUNK_HEADER: usize = 13;
-
-/// Encodes one replication pull frame (follower → primary): the epoch
-/// the follower holds.
-pub(crate) fn encode_repl_ack(out: &mut Vec<u8>, epoch: u64) {
-    frame_header(out, FRAME_REPL_ACK, 8, 0);
-    out.extend_from_slice(&epoch.to_le_bytes());
-}
-
-/// Encodes one replication chunk frame (primary → follower). `kind` is
-/// [`FRAME_REPL_SYNC`] or [`FRAME_REPL_DELTA`].
-///
-/// # Panics
-///
-/// Panics when `chunk` exceeds [`REPL_CHUNK_BYTES`] or `kind` is not a
-/// replication chunk kind — the round encoder owns the chunking.
-pub(crate) fn encode_repl_chunk(
-    out: &mut Vec<u8>,
-    kind: u8,
-    epoch: u64,
-    seq: u32,
-    last: bool,
-    chunk: &[u8],
-) {
-    assert!(
-        kind == FRAME_REPL_SYNC || kind == FRAME_REPL_DELTA,
-        "not a replication chunk kind"
-    );
-    assert!(chunk.len() <= REPL_CHUNK_BYTES, "repl chunk too large");
-    frame_header(out, kind, REPL_CHUNK_HEADER + chunk.len(), 0);
-    out.extend_from_slice(&epoch.to_le_bytes());
-    out.extend_from_slice(&seq.to_le_bytes());
-    out.push(u8::from(last));
-    out.extend_from_slice(chunk);
-}
-
-/// Encodes one epoch-commit frame closing a replication round.
-pub(crate) fn encode_repl_commit(out: &mut Vec<u8>, epoch: u64) {
-    frame_header(out, FRAME_REPL_COMMIT, 8, 0);
-    out.extend_from_slice(&epoch.to_le_bytes());
-}
-
-/// One replication round, framed as it is written: an [`io::Write`]
-/// sink whose bytes land in `out` as [`REPL_CHUNK_BYTES`]-sized chunk
-/// frames of one kind, closed by [`ReplRound::commit`]'s epoch-commit. A
-/// round with no bytes is the lone commit (nothing dirty). The open chunk
-/// is framed in place and held back until more bytes show it was not the
-/// last, so a document encoded into a round is never held whole beside
-/// its frames. Writing never fails.
-pub(crate) struct ReplRound<'a> {
-    out: &'a mut Vec<u8>,
-    kind: u8,
-    epoch: u64,
-    /// Where the open chunk's frame starts in `out`.
-    open: Option<usize>,
-    seq: u32,
-    bytes: u64,
-}
-
-impl<'a> ReplRound<'a> {
-    /// A round of `kind` ([`FRAME_REPL_SYNC`] or [`FRAME_REPL_DELTA`])
-    /// committing to `epoch`, appended to `out`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `kind` is not a replication chunk kind.
-    pub fn new(out: &'a mut Vec<u8>, kind: u8, epoch: u64) -> Self {
-        assert!(
-            kind == FRAME_REPL_SYNC || kind == FRAME_REPL_DELTA,
-            "not a replication chunk kind"
-        );
-        ReplRound {
-            out,
-            kind,
-            epoch,
-            open: None,
-            seq: 0,
-            bytes: 0,
-        }
-    }
-
-    /// Closes the round — the held chunk is the last, and the
-    /// epoch-commit follows it — and returns the document's length. A
-    /// round with no bytes is the lone commit.
-    pub fn commit(mut self) -> u64 {
-        if let Some(start) = self.open.take() {
-            self.seal(start, true);
-        }
-        encode_repl_commit(self.out, self.epoch);
-        self.bytes
-    }
-
-    /// Document bytes in the chunk framed at `start`.
-    fn chunk_len(&self, start: usize) -> usize {
-        self.out.len() - start - BIN_HEADER_LEN - REPL_CHUNK_HEADER
-    }
-
-    /// Writes the final payload length (the frame header's
-    /// `payload_len`, at offset 3) and `last` flag (after the chunk's
-    /// epoch and seq) of the chunk framed at `start`.
-    fn seal(&mut self, start: usize, last: bool) {
-        let payload = (REPL_CHUNK_HEADER + self.chunk_len(start)) as u32;
-        self.out[start + 3..start + 7].copy_from_slice(&payload.to_le_bytes());
-        self.out[start + BIN_HEADER_LEN + 12] = u8::from(last);
-    }
-}
-
-impl io::Write for ReplRound<'_> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        let mut bytes = buf;
-        self.bytes += bytes.len() as u64;
-        while !bytes.is_empty() {
-            let start = match self.open {
-                Some(start) if self.chunk_len(start) < REPL_CHUNK_BYTES => start,
-                held => {
-                    if let Some(start) = held {
-                        self.seal(start, false);
-                    }
-                    let start = self.out.len();
-                    encode_repl_chunk(self.out, self.kind, self.epoch, self.seq, false, &[]);
-                    self.seq += 1;
-                    self.open = Some(start);
-                    start
-                }
-            };
-            let take = bytes.len().min(REPL_CHUNK_BYTES - self.chunk_len(start));
-            self.out.extend_from_slice(&bytes[..take]);
-            bytes = &bytes[take..];
-        }
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-}
-
 /// One decoded reply record, as seen by a client.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BinReply {
@@ -1402,28 +1220,6 @@ pub enum ServerFrameDecode {
         code: BinErrorCode,
         /// Server-provided detail.
         detail: String,
-        /// Total frame length in bytes.
-        consumed: usize,
-    },
-    /// A complete replication chunk frame (primary → follower).
-    ReplChunk {
-        /// `true` for a full-sync chunk, `false` for a delta chunk.
-        full_sync: bool,
-        /// The epoch this round commits to.
-        epoch: u64,
-        /// Chunk index within the round, from 0.
-        seq: u32,
-        /// Whether this is the round's final chunk.
-        last: bool,
-        /// The chunk body (a slice of the round's document).
-        data: Vec<u8>,
-        /// Total frame length in bytes.
-        consumed: usize,
-    },
-    /// A complete epoch-commit frame closing a replication round.
-    ReplCommit {
-        /// The epoch the receiver now holds.
-        epoch: u64,
         /// Total frame length in bytes.
         consumed: usize,
     },
@@ -1503,28 +1299,6 @@ pub fn decode_server_frame(buf: &[u8]) -> ServerFrameDecode {
             ServerFrameDecode::Error {
                 code,
                 detail,
-                consumed: total,
-            }
-        }
-        FRAME_REPL_SYNC | FRAME_REPL_DELTA => {
-            if payload.len() < REPL_CHUNK_HEADER {
-                return ServerFrameDecode::Malformed("truncated repl chunk".into());
-            }
-            ServerFrameDecode::ReplChunk {
-                full_sync: kind == FRAME_REPL_SYNC,
-                epoch: u64_at(payload, 0),
-                seq: u32_at(payload, 8),
-                last: payload[12] != 0,
-                data: payload[REPL_CHUNK_HEADER..].to_vec(),
-                consumed: total,
-            }
-        }
-        FRAME_REPL_COMMIT => {
-            if payload.len() != 8 {
-                return ServerFrameDecode::Malformed("repl commit carries one u64 epoch".into());
-            }
-            ServerFrameDecode::ReplCommit {
-                epoch: u64_at(payload, 0),
                 consumed: total,
             }
         }
@@ -2266,31 +2040,18 @@ mod tests {
                 "error_truncated",
                 frame(&|o| encode_error_frame(o, Malformed, &long)),
             ),
-            ("repl_ack", frame(&|o| encode_repl_ack(o, 42))),
-            (
-                "repl_sync_chunk",
-                frame(&|o| encode_repl_chunk(o, FRAME_REPL_SYNC, 1, 0, true, b"abc")),
-            ),
-            (
-                "repl_delta_chunk",
-                frame(&|o| encode_repl_chunk(o, FRAME_REPL_DELTA, 9, 3, false, b"delta\n")),
-            ),
-            ("repl_commit", frame(&|o| encode_repl_commit(o, 9))),
         ]
     }
 
     /// Decodes one whole frame and encodes what the decoder read.
     fn reencode(frame: &[u8]) -> Vec<u8> {
         let mut out = Vec::new();
-        if matches!(frame[2] & !FRAME_FLAG_TRACE, FRAME_REQUEST | FRAME_REPL_ACK) {
+        if frame[2] & !FRAME_FLAG_TRACE == FRAME_REQUEST {
             let mut recs = Vec::new();
             match decode_request_frame_into(frame, &mut recs) {
                 FrameDecodeInto::Request { trace, consumed } if consumed == frame.len() => {
                     let recs = recs.iter().map(|r| (r.tenant, r.app.as_str(), r.ts));
                     encode_request_frame_v2_from(&mut out, recs, trace);
-                }
-                FrameDecodeInto::ReplPull { epoch, consumed } if consumed == frame.len() => {
-                    encode_repl_ack(&mut out, epoch)
                 }
                 other => panic!("{other:?}"),
             }
@@ -2305,24 +2066,6 @@ mod tests {
                 detail,
                 consumed,
             } if consumed == frame.len() => encode_error_frame(&mut out, code, &detail),
-            ServerFrameDecode::ReplChunk {
-                full_sync,
-                epoch,
-                seq,
-                last,
-                data,
-                consumed,
-            } if consumed == frame.len() => {
-                let kind = if full_sync {
-                    FRAME_REPL_SYNC
-                } else {
-                    FRAME_REPL_DELTA
-                };
-                encode_repl_chunk(&mut out, kind, epoch, seq, last, &data)
-            }
-            ServerFrameDecode::ReplCommit { epoch, consumed } if consumed == frame.len() => {
-                encode_repl_commit(&mut out, epoch)
-            }
             other => panic!("{other:?}"),
         }
         out
@@ -2665,121 +2408,6 @@ mod tests {
             other => panic!("{other:?}"),
         }
         assert_eq!(BinErrorCode::from_u8(4), Some(BinErrorCode::Unavailable));
-    }
-
-    #[test]
-    fn repl_ack_decodes_as_control_pull() {
-        let mut recs = Vec::new();
-        let mut out = Vec::new();
-        encode_repl_ack(&mut out, 42);
-        match decode_request_frame_into(&out, &mut recs) {
-            FrameDecodeInto::ReplPull { epoch, consumed } => {
-                assert_eq!(epoch, 42);
-                assert_eq!(consumed, out.len());
-            }
-            other => panic!("{other:?}"),
-        }
-        // Every proper prefix is Incomplete, never an error.
-        for cut in 0..out.len() {
-            assert!(
-                matches!(
-                    decode_request_frame_into(&out[..cut], &mut recs),
-                    FrameDecodeInto::Incomplete
-                ),
-                "prefix {cut} must be incomplete"
-            );
-        }
-        // A malformed ack (wrong payload length) is skippable: the
-        // envelope is intact, so the connection survives.
-        let mut bad = Vec::new();
-        frame_header(&mut bad, FRAME_REPL_ACK, 4, 0);
-        bad.extend_from_slice(&7u32.to_le_bytes());
-        match decode_request_frame_into(&bad, &mut recs) {
-            FrameDecodeInto::Error { code, skip, .. } => {
-                assert_eq!(code, BinErrorCode::Malformed);
-                assert_eq!(skip, Some(bad.len()));
-            }
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
-    fn repl_round_chunks_and_commits() {
-        // A document larger than one chunk splits into ordered chunks
-        // plus a commit; concatenated chunk bodies equal the document.
-        let doc: Vec<u8> = (0..(REPL_CHUNK_BYTES + 777))
-            .map(|i| (i % 251) as u8)
-            .collect();
-        let mut out = Vec::new();
-        let mut round = ReplRound::new(&mut out, FRAME_REPL_DELTA, 9);
-        io::Write::write_all(&mut round, &doc).unwrap();
-        assert_eq!(round.commit(), doc.len() as u64);
-        let mut buf = &out[..];
-        let mut assembled = Vec::new();
-        let mut next_seq = 0u32;
-        let committed = loop {
-            match decode_server_frame(buf) {
-                ServerFrameDecode::ReplChunk {
-                    full_sync,
-                    epoch,
-                    seq,
-                    last,
-                    data,
-                    consumed,
-                } => {
-                    assert!(!full_sync);
-                    assert_eq!(epoch, 9);
-                    assert_eq!(seq, next_seq);
-                    next_seq += 1;
-                    assert_eq!(last, seq == 1, "two chunks expected");
-                    assembled.extend_from_slice(&data);
-                    buf = &buf[consumed..];
-                }
-                ServerFrameDecode::ReplCommit { epoch, consumed } => {
-                    buf = &buf[consumed..];
-                    break epoch;
-                }
-                other => panic!("{other:?}"),
-            }
-        };
-        assert!(buf.is_empty());
-        assert_eq!(assembled, doc);
-        assert_eq!(committed, 9);
-        // Every proper prefix of the stream is Incomplete.
-        for cut in 0..BIN_HEADER_LEN + REPL_CHUNK_HEADER {
-            assert!(matches!(
-                decode_server_frame(&out[..cut]),
-                ServerFrameDecode::Incomplete
-            ));
-        }
-    }
-
-    #[test]
-    fn repl_empty_round_is_lone_commit() {
-        let mut out = Vec::new();
-        assert_eq!(ReplRound::new(&mut out, FRAME_REPL_SYNC, 3).commit(), 0);
-        match decode_server_frame(&out) {
-            ServerFrameDecode::ReplCommit { epoch, consumed } => {
-                assert_eq!(epoch, 3);
-                assert_eq!(consumed, out.len());
-            }
-            other => panic!("{other:?}"),
-        }
-        // Sync chunks decode with the full_sync marker set.
-        let mut sync = Vec::new();
-        encode_repl_chunk(&mut sync, FRAME_REPL_SYNC, 1, 0, true, b"abc");
-        match decode_server_frame(&sync) {
-            ServerFrameDecode::ReplChunk {
-                full_sync,
-                last,
-                data,
-                ..
-            } => {
-                assert!(full_sync && last);
-                assert_eq!(data, b"abc");
-            }
-            other => panic!("{other:?}"),
-        }
     }
 
     #[test]

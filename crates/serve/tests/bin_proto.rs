@@ -1,6 +1,7 @@
 //! SITW-BIN protocol conformance: codec round-trip fuzzing of request
-//! and traced frames, replication pulls and the retired control kinds
-//! (the CI "protocol-conformance" step runs this file by name), partial-I/O reassembly against a live daemon,
+//! and traced frames and the retired kinds 4–9 (the CI
+//! "protocol-conformance" step runs this file by name), partial-I/O
+//! reassembly against a live daemon,
 //! short-write handling on batched replies, and the typed-error-frame
 //! behaviour that keeps connections usable after malformed or oversized
 //! frames.
@@ -12,8 +13,7 @@ use proptest::prelude::*;
 use sitw_serve::http::{ConnBuf, Reply};
 use sitw_serve::wire::{
     self, decode_request_frame_into, decode_server_frame, encode_request_frame_v2,
-    encode_request_frame_v2_from, BinErrorCode, BinInvoke, BinReply, FrameDecodeInto,
-    ServerFrameDecode,
+    encode_request_frame_v2_from, BinErrorCode, BinReply, FrameDecodeInto, ServerFrameDecode,
 };
 use sitw_serve::{Client, ServeConfig, Server};
 use sitw_sim::PolicySpec;
@@ -170,23 +170,19 @@ proptest! {
                 // An intact envelope must always be skippable.
                 prop_assert_eq!(skip, Some(frame.len()));
             }
-            FrameDecodeInto::ReplPull { .. } => {
-                prop_assert!(false, "request frame decoded as a pull")
-            }
         }
     }
 
-    /// Control payloads under valid headers: replication pulls, the one
-    /// control message a frame still carries, and frames of the retired
-    /// control kinds (4 and 5) carrying what they used to — a report
-    /// poll, a budget set, an unknown op — with payloads from well-formed
-    /// to garbage. A pull yields `ReplPull` or an error that skips
-    /// exactly the frame, a retired kind always the skippable
-    /// `Malformed` — never a request, never a panic — and a pull leaves
-    /// the caller's record buffer alone.
+    /// Frames of the retired kinds 4–9 under valid headers, carrying what
+    /// the control frames (4 and 5) and the replication frames (6–9)
+    /// used to — a report poll, a budget set, an unknown op, a pull's
+    /// epoch — with payloads from well-formed to garbage: always the
+    /// skippable `Malformed` that skips exactly the frame, never a
+    /// request, never a panic.
     #[test]
-    fn control_payloads_under_valid_headers_yield_control_or_skippable_errors(
+    fn retired_kinds_under_valid_headers_yield_skippable_malformed(
         kind in 0u8..4,
+        retired in 4u8..=9,
         names in prop::collection::vec(0usize..APP_CHARS.len(), 0..24),
         noise in prop::collection::vec(0u8..=255, 0..48),
         cut in 0usize..64,
@@ -211,22 +207,14 @@ proptest! {
             _ => {}
         }
         let of_kind = |k: u8| move |f: &mut Vec<u8>| f.extend_from_slice(&[wire::BIN_MAGIC, wire::BIN_VERSION_2, k]);
-        let retired = of_kind(4 + (names.len() % 2) as u8);
-        let pull = of_kind(9);
+        let retired = of_kind(retired);
         let frame = match kind {
             0 => under_header_of(retired, &[&[report], &noise[..noise.len() % 2]].concat(), count % 2),
             1 => under_header_of(retired, &budgets, shares),
             2 => under_header_of(retired, &noise, count),
-            _ => under_header_of(pull, &noise[..noise.len().min(cut % 12)], count % 2),
+            _ => under_header_of(retired, &noise[..noise.len().min(cut % 12)], count % 2),
         };
-        let sentinel = BinInvoke { tenant: 7, app: "kept".into(), ts: 9 };
-        let mut records = vec![sentinel.clone()];
-        match decode_request_frame_into(&frame, &mut records) {
-            FrameDecodeInto::ReplPull { consumed, .. } => {
-                prop_assert_eq!(kind, 3);
-                prop_assert_eq!(consumed, frame.len());
-                prop_assert_eq!(&records, &vec![sentinel]);
-            }
+        match decode_request_frame_into(&frame, &mut Vec::new()) {
             FrameDecodeInto::Error { code, skip, .. } => {
                 prop_assert_eq!(code, BinErrorCode::Malformed);
                 prop_assert_eq!(skip, Some(frame.len()));
@@ -258,10 +246,6 @@ proptest! {
                     prop_assert!(n >= wire::BIN_HEADER_LEN);
                     prop_assert!(n <= wire::BIN_HEADER_LEN + wire::MAX_FRAME_PAYLOAD);
                 }
-            }
-            FrameDecodeInto::ReplPull { .. } => {
-                // Reachable only when the random bytes form a valid
-                // pull; nothing further to assert.
             }
         }
         // The server-frame decoder must be just as panic-free on the
@@ -498,14 +482,15 @@ fn malformed_frame_gets_typed_error_and_connection_stays_usable() {
     server.shutdown().unwrap();
 }
 
-/// A frame of kind 4 or 5 — the retired control frames, here the bytes
-/// of a usage poll — gets the generic skippable `Malformed`, and the
-/// next request on the connection is served.
+/// A frame of a retired kind, 4 to 9 — the control and replication
+/// frames, here carrying the bytes of a usage poll — gets the generic
+/// skippable `Malformed`, and the next request frame and JSON request on
+/// the connection are served.
 #[test]
 fn retired_control_frame_gets_malformed_and_connection_stays_usable() {
     let server = start_server(2);
     let mut client = Client::connect(server.addr()).unwrap();
-    for (ts, kind) in [(1, 4u8), (2, 5)] {
+    for (ts, kind) in (1..).zip(4u8..=9) {
         client
             .send(&[
                 wire::BIN_MAGIC,
@@ -529,7 +514,9 @@ fn retired_control_frame_gets_malformed_and_connection_stays_usable() {
             }
             other => panic!("kind {kind}: {other:?}"),
         }
-        let (status, body) = client.invoke(None, "a", ts, None).unwrap();
+        let frame = client.batch(|f| encode_request_frame_v2(f, &[(0, "a", 2 * ts)]));
+        assert_eq!(frame.unwrap().records().unwrap().len(), 1, "kind {kind}");
+        let (status, body) = client.invoke(None, "a", 2 * ts + 1, None).unwrap();
         assert_eq!(status, 200, "{body}");
     }
     server.shutdown().unwrap();

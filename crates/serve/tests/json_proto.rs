@@ -63,7 +63,6 @@ fn read_events(
                 (text, false)
             }
             Ok(ReadEvent::Frame { trace }) => (format!("frame {trace:?} {records:?}"), false),
-            Ok(ReadEvent::ReplPull { epoch }) => (format!("pull {epoch}"), false),
             Ok(ReadEvent::FrameError {
                 code,
                 detail,
